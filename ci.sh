@@ -51,12 +51,12 @@ cargo run --release -p sunstone-bench --bin bench_schedule -- quick --out BENCH_
 python3 - <<'EOF'
 import json, os, sys
 d = json.load(open("BENCH_schedule_quick.json"))
-assert d.get("schema") == "sunstone-bench-schedule/v3", d.get("schema")
+assert d.get("schema") == "sunstone-bench-schedule/v4", d.get("schema")
 assert d.get("layers"), "no layers recorded"
 for row in d["layers"]:
     for field in (
         "name", "cold_ms", "warm_median_ms", "best_edp",
-        "probed", "modeled", "prefix_hit_rate", "seeds", "mapping_fp",
+        "probed", "modeled", "prefix_hit_rate", "mapping_fp",
     ):
         assert field in row, f"missing {field} in {row.get('name', '?')}"
     assert row["warm_median_ms"] > 0, row["name"]
@@ -65,14 +65,11 @@ est = d.get("estimate", {})
 for field in ("evals_per_sec", "batch_evals_per_sec", "batch_width"):
     assert field in est, f"missing estimate.{field}"
 cache = d.get("cache", {})
-for field in ("seed_probes", "seed_hits", "seed_hit_rate", "batches", "avg_batch_width"):
+for field in ("batches", "avg_batch_width"):
     assert field in cache, f"missing cache.{field}"
-assert cache["seed_hits"] <= cache["seed_probes"], "seed hits exceed seeded searches"
 # Hard gate: every quick layer's best mapping must be bit-identical to
 # the committed baseline. A fingerprint divergence means an optimization
-# changed search results, not just speed — fail, don't warn. Warm-start
-# seeding in particular must be invisible here: it pre-prices the cache,
-# it never re-ranks.
+# changed search results, not just speed — fail, don't warn.
 base = {r["name"]: r["mapping_fp"] for r in json.load(open("results/bench_baseline.json"))["layers"]}
 diverged = [
     f"{r['name']}: {r['mapping_fp']} != {base[r['name']]}"
@@ -175,6 +172,15 @@ for _ in $(seq 1 100); do [ -S "$SERVE_SOCK" ] && break; sleep 0.1; done
 wait "$SERVE_PID"
 trap - EXIT
 rm -rf "$SERVE_DIR"
+
+echo "== repo benchmark: harness tests + smoke =="
+# benchmark/ is a stand-alone package that imports public symbols from
+# the crates and carries its own lock file, and a PR may not edit it: a
+# change that breaks one of those symbols, or changes a crate's
+# dependencies (--locked refuses to rewrite benchmark/Cargo.lock), must
+# fail here rather than in the benchmark driver.
+(cd benchmark && cargo test --release --offline --locked)
+benchmark/run.sh --smoke
 
 echo "== rustdoc (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \

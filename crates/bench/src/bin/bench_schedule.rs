@@ -43,9 +43,6 @@ struct LayerRow {
     /// Fraction of the cold run's model evaluations that reused a
     /// memoized decided-prefix cost.
     prefix_hit_rate: f64,
-    /// Cross-layer warm-start seeds the cold run was primed with (zero
-    /// for the first layer of each shape class).
-    seeds: u64,
 }
 
 use sunstone::fingerprint::mapping_fingerprint;
@@ -140,7 +137,6 @@ fn main() {
         let modeled = first.stats.modeled;
         let prefix_hit_rate =
             if modeled == 0 { 0.0 } else { first.stats.prefix_hits as f64 / modeled as f64 };
-        let seeds = first.stats.seeds;
         // Warm: the session has seen the shape; the estimate cache serves
         // repeat evaluations, so this times the search machinery itself.
         let mut samples = Vec::with_capacity(reps);
@@ -165,16 +161,10 @@ fn main() {
             probed: result.stats.probed,
             modeled,
             prefix_hit_rate,
-            seeds,
         });
     }
     let cache = scheduler.cache_stats();
-    println!(
-        "  warm starts: {}/{} seeded searches landed on a seed; SoA batches: {:.1} cand/dispatch",
-        cache.seed_hits,
-        cache.seed_probes,
-        cache.avg_batch_width(),
-    );
+    println!("  SoA batches: {:.1} cand/dispatch", cache.avg_batch_width());
 
     // Estimate throughput: raw analytic-model evaluations per second on a
     // representative layer's best mapping (no cache in the loop). Best of
@@ -278,7 +268,7 @@ fn main() {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v3\",");
+    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v4\",");
     let _ = writeln!(json, "  \"mode\": \"{}\",", if quick { "quick" } else { "full" });
     let _ = writeln!(json, "  \"arch\": \"{}\",", esc(arch.name()));
     let _ = writeln!(json, "  \"reps\": {reps},");
@@ -293,7 +283,6 @@ fn main() {
         let _ = writeln!(json, "      \"probed\": {},", r.probed);
         let _ = writeln!(json, "      \"modeled\": {},", r.modeled);
         let _ = writeln!(json, "      \"prefix_hit_rate\": {:.4},", r.prefix_hit_rate);
-        let _ = writeln!(json, "      \"seeds\": {},", r.seeds);
         let _ = writeln!(json, "      \"mapping_fp\": {},", r.mapping_fp);
         let _ = writeln!(json, "      \"mapping\": \"{}\"", esc(&r.mapping));
         let _ = writeln!(json, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
@@ -309,9 +298,6 @@ fn main() {
     let _ = writeln!(json, "    \"batch_evals_per_sec\": {batch_evals_per_sec:.1}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"cache\": {{");
-    let _ = writeln!(json, "    \"seed_probes\": {},", cache.seed_probes);
-    let _ = writeln!(json, "    \"seed_hits\": {},", cache.seed_hits);
-    let _ = writeln!(json, "    \"seed_hit_rate\": {:.4},", cache.seed_hit_rate());
     let _ = writeln!(json, "    \"batches\": {},", cache.batches);
     let _ = writeln!(json, "    \"avg_batch_width\": {:.2},", cache.avg_batch_width());
     let _ = writeln!(json, "    \"batched_fraction\": {:.4}", cache.batched_fraction());

@@ -7,8 +7,7 @@
 //! searching — per memory level, how many candidates each principle
 //! considered and kept (ordering trie, tiling maximal frontier, spatial
 //! unrolling, dedup, beam cut) and how the memoized estimate cache fared
-//! — including the SoA batch width of the estimate rounds and the
-//! cross-layer warm-start seed hit rate.
+//! — including the SoA batch width of the estimate rounds.
 //!
 //! Run with `cargo run --release -p sunstone-bench --bin prune_stats`
 //! (append `quick` for a subsampled run).
@@ -60,10 +59,7 @@ fn merge_into(total: &mut SearchStats, s: &SearchStats) {
     total.prefix_hits += s.prefix_hits;
     total.batches += s.batches;
     total.batched += s.batched;
-    total.seeds += s.seeds;
-    total.seed_evals += s.seed_evals;
     total.rounds += s.rounds;
-    total.spawns_avoided += s.spawns_avoided;
     total.cache_hits += s.cache_hits;
     total.cache_misses += s.cache_misses;
     for l in &s.levels {
@@ -156,23 +152,11 @@ fn main() {
         if total.batches == 0 { 0.0 } else { total.batched as f64 / total.batches as f64 },
         if total.modeled == 0 { 0.0 } else { 100.0 * total.batched as f64 / total.modeled as f64 }
     );
-    println!(
-        "  worker pool:      {:>8} rounds, {:>6} thread spawns avoided",
-        total.rounds, total.spawns_avoided
-    );
+    println!("  worker pool:      {:>8} rounds", total.rounds);
     println!(
         "  estimate cache:   {:>8} probes, {:.1}% hits",
         probes,
         if probes == 0 { 0.0 } else { 100.0 * total.cache_hits as f64 / probes as f64 }
-    );
-    let cache = scheduler.cache_stats();
-    println!(
-        "  warm starts:      {:>8} seeds ({} pre-evals), {}/{} seeded searches landed on a seed ({:.1}%)",
-        total.seeds,
-        total.seed_evals,
-        cache.seed_hits,
-        cache.seed_probes,
-        100.0 * cache.seed_hit_rate(),
     );
 
     // How much of the space each dataflow template removes, measured by

@@ -133,26 +133,11 @@ pub struct SunstoneConfig {
     /// least-recently-used *(workload, architecture, config)* contexts are
     /// evicted — never the context that just inserted, so one very large
     /// search is allowed to exceed the bound rather than thrash itself.
-    /// The default is generous (a report is a few hundred bytes); lower it
-    /// to bound memory in long-lived many-workload sessions.
+    /// The default is generous: the repo benchmark measured 1.5–2.3 kB
+    /// resident per cached estimate (0.61 GB at 2^18 entries), so a full
+    /// cache at the default 2^20 holds 1.6–2.4 GB. Lower it to bound
+    /// memory in long-lived many-workload sessions.
     pub max_cache_entries: usize,
-    /// Seed new searches from retained results of structurally similar
-    /// layers already scheduled by this session (cross-layer warm starts).
-    /// Seeding is *result-neutral by construction*: retained mappings are
-    /// only translated and pre-evaluated into the estimate cache — they
-    /// never enter the beam, displace a candidate, or change a ranking —
-    /// so results are bit-identical with warm starts on or off; only the
-    /// number of cold model evaluations changes. Requires
-    /// [`estimate_cache`](Self::estimate_cache). Excluded from
-    /// [`config_fingerprint`](crate::fingerprint::config_fingerprint) for
-    /// the same reason `threads` is: it cannot change any estimate.
-    #[serde(default = "default_warm_starts")]
-    pub warm_starts: bool,
-    /// Retained mappings translated per warm start (and retained per
-    /// completed search for future warm starts). Zero disables seeding
-    /// like [`warm_starts`](Self::warm_starts)` = false`.
-    #[serde(default = "default_max_seeds")]
-    pub max_seeds: usize,
     /// Active pruning techniques.
     pub pruning: PruningFlags,
     /// Mapping-space restrictions applied *inside* enumeration, before
@@ -162,14 +147,6 @@ pub struct SunstoneConfig {
     /// [`ScheduleError::InvalidConstraints`]. A per-call override exists
     /// on [`ScheduleOptions`](crate::ScheduleOptions).
     pub constraints: MappingConstraints,
-}
-
-fn default_warm_starts() -> bool {
-    true
-}
-
-fn default_max_seeds() -> usize {
-    2
 }
 
 impl Default for SunstoneConfig {
@@ -185,8 +162,6 @@ impl Default for SunstoneConfig {
             max_unrolls_per_enum: 8,
             estimate_cache: true,
             max_cache_entries: 1 << 20,
-            warm_starts: default_warm_starts(),
-            max_seeds: default_max_seeds(),
             pruning: PruningFlags::default(),
             constraints: MappingConstraints::default(),
         }
@@ -380,20 +355,6 @@ impl SunstoneConfigBuilder {
         }
         self.config.max_cache_entries = cap;
         Ok(self)
-    }
-
-    /// Enables or disables cross-layer warm starts (result-neutral cache
-    /// seeding from structurally similar layers).
-    pub fn warm_starts(mut self, enabled: bool) -> Self {
-        self.config.warm_starts = enabled;
-        self
-    }
-
-    /// Sets the number of retained mappings translated per warm start
-    /// (zero disables seeding).
-    pub fn max_seeds(mut self, seeds: usize) -> Self {
-        self.config.max_seeds = seeds;
-        self
     }
 
     /// Sets the pruning flags.

@@ -35,15 +35,10 @@ use crate::progress::CancelToken;
 ///   catch, so an injected panic surfaces exactly like a model panic;
 /// * `"cache.insert"` — inside the locked publish of an estimate round,
 ///   while the session-cache mutex is held (exercises lock-poison
-///   recovery);
-/// * `"warm.store"` — inside the warm-start retention insert at the end
-///   of a completed search, while the warm-retention mutex is held (the
-///   second held-lock point: a panic here poisons a *different* mutex
-///   than `"cache.insert"`, and the next call must still recover).
+///   recovery).
 ///
 /// [`estimate_all`]: crate::search::estimate
-pub const POINTS: &[&str] =
-    &["estimate.round", "estimate.prefix", "pool.claim", "cache.insert", "warm.store"];
+pub const POINTS: &[&str] = &["estimate.round", "estimate.prefix", "pool.claim", "cache.insert"];
 
 /// Failpoints owned by the `sunstone-serve` daemon, registered here so
 /// every fault-injection test shares one registry (and one typo check):

@@ -84,125 +84,6 @@ pub fn workload_fingerprint(w: &Workload) -> u64 {
     h.finish()
 }
 
-/// Structural fingerprint of a workload's *shape class*: the dimension
-/// roles and tensor index structure with the dimension **sizes excluded**
-/// (and the name, as always). Two layers of one network family — e.g.
-/// every 3×3 conv of a ResNet, whatever its channel counts — share a
-/// shape class, which is what keys the cross-layer warm-start retention:
-/// a cached search can only seed a layer it is structurally exchangeable
-/// with.
-pub fn shape_class_fingerprint(w: &Workload) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_u64(w.num_dims() as u64);
-    for d in w.dims() {
-        h.write_str(d.name());
-    }
-    h.write_u64(w.num_tensors() as u64);
-    for t in w.tensors() {
-        h.write_str(t.name());
-        h.write_u64(u64::from(t.is_output()));
-        h.write_u64(u64::from(t.bits()));
-        h.write_u64(t.rank() as u64);
-        for e in t.indices() {
-            h.write_u64(e.terms().len() as u64);
-            for term in e.terms() {
-                h.write_u64(term.dim.index() as u64);
-                h.write_u64(term.stride);
-            }
-        }
-    }
-    h.finish()
-}
-
-/// Largest trial divisor [`prime_factors`] tests. Factorization is
-/// complete for `n < 2^32`; a residue with no factor below the limit is
-/// kept as one atomic pseudo-factor. Dimension sizes of real workloads
-/// are far below 2^32, and the distance metric only needs *stable*
-/// multisets, not number-theoretic completeness — while an adversarial
-/// 2^40-scale prime must cost 2^16 loop iterations, not 2^20 (or, with
-/// the old `p * p <= n` bound near `u64::MAX`, an overflow panic).
-const TRIAL_LIMIT: u64 = 1 << 16;
-
-/// Sorted factor multiset of `n` (1 → empty): prime factors up to
-/// [`TRIAL_LIMIT`], then the undecomposed residue (possibly composite) as
-/// a single trailing pseudo-factor. Deterministic, and exact for every
-/// `n < 2^32`. The loop bound `p <= n / p` is overflow-free for all `n`,
-/// unlike `p * p <= n` (which wraps once `n` nears `u64::MAX` — inputs
-/// the degenerate-workload grid actually produces).
-fn prime_factors(mut n: u64, out: &mut Vec<u64>) {
-    out.clear();
-    let mut p = 2u64;
-    while p <= TRIAL_LIMIT && p <= n / p {
-        while n.is_multiple_of(p) {
-            out.push(p);
-            n /= p;
-        }
-        p += 1;
-    }
-    if n > 1 {
-        out.push(n);
-    }
-}
-
-/// Distance between two dimension-size vectors of one shape class: the
-/// summed symmetric-difference size of the per-dimension prime-factor
-/// multisets. Zero means identical sizes; small values mean the tiling
-/// spaces largely overlap (each shared prime factor is a shared divisor
-/// step), which is the warm-start similarity gate. Vectors of different
-/// lengths are infinitely far apart.
-pub fn factor_multiset_distance(a: &[u64], b: &[u64]) -> u32 {
-    if a.len() != b.len() {
-        return u32::MAX;
-    }
-    let (mut fa, mut fb) = (Vec::new(), Vec::new());
-    let mut dist = 0u32;
-    for (&x, &y) in a.iter().zip(b) {
-        prime_factors(x, &mut fa);
-        prime_factors(y, &mut fb);
-        // Both sides are sorted; count elements outside the intersection.
-        let (mut i, mut j) = (0, 0);
-        while i < fa.len() && j < fb.len() {
-            match fa[i].cmp(&fb[j]) {
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-                std::cmp::Ordering::Less => {
-                    i += 1;
-                    dist += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    j += 1;
-                    dist += 1;
-                }
-            }
-        }
-        dist += (fa.len() - i) as u32 + (fb.len() - j) as u32;
-    }
-    dist
-}
-
-/// The warm-start retention key: *(shape class, arch, config,
-/// constraints)*. Deliberately coarser than [`context_fingerprint`] — the
-/// workload's dimension sizes are excluded, so structurally exchangeable
-/// layers of different sizes land on the same slot and can seed each
-/// other. Everything that changes what a search *would decide* (arch,
-/// config, constraints) is still included, so a retained beam is never
-/// offered across a boundary where its mappings are meaningless.
-pub(crate) fn warm_fingerprint(
-    w: &Workload,
-    arch: &ArchSpec,
-    config: &SunstoneConfig,
-    constraints: &MappingConstraints,
-) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_u64(shape_class_fingerprint(w));
-    h.write_u64(arch_fingerprint(arch));
-    h.write_u64(config_fingerprint(config));
-    h.write_u64(constraints_fingerprint(constraints));
-    h.finish()
-}
-
 fn hash_filter(h: &mut Fnv1a, f: &TensorFilter) {
     match f {
         TensorFilter::Any => h.write_u64(0),
@@ -298,11 +179,9 @@ pub fn config_fingerprint(config: &SunstoneConfig) -> u64 {
     h.write_u64(u64::from(config.pruning.tiling_maximal));
     h.write_u64(u64::from(config.pruning.unrolling_principle));
     h.write_u64(u64::from(config.pruning.tiling_reuse_dims));
-    // `threads`, `estimate_cache`, `max_cache_entries`, `warm_starts`,
-    // and `max_seeds` deliberately excluded: none of them changes any
-    // estimate (the bound only decides *retention*, and warm starts only
-    // pre-evaluate cache entries), so caches may be shared across them.
-    // `constraints` is
+    // `threads`, `estimate_cache`, and `max_cache_entries` deliberately
+    // excluded: none of them changes any estimate (the bound only decides
+    // *retention*), so caches may be shared across them. `constraints` is
     // also excluded *here*: the context fingerprint hashes the effective
     // constraints (config-level or per-call override) in a dedicated
     // slot, so equal constraint sets share a cache context regardless of
@@ -462,35 +341,6 @@ mod tests {
         assert_eq!(config_fingerprint(&base), config_fingerprint(&threads));
         assert_eq!(config_fingerprint(&base), config_fingerprint(&cap));
         assert_ne!(config_fingerprint(&base), config_fingerprint(&beam));
-    }
-
-    #[test]
-    fn shape_class_ignores_sizes_but_not_structure() {
-        // Same structure, different sizes: one shape class.
-        assert_eq!(shape_class_fingerprint(&mm("a", 64)), shape_class_fingerprint(&mm("b", 128)));
-        assert_ne!(workload_fingerprint(&mm("a", 64)), workload_fingerprint(&mm("a", 128)));
-        // Different tensor structure: different classes.
-        let mut b = Workload::builder("mv");
-        let dm = b.dim("M", 64);
-        let dn = b.dim("N", 64);
-        let dk = b.dim("K", 64);
-        b.input("a", [dm.expr(), dk.expr()]);
-        b.input("b", [dn.expr(), dk.expr()]); // transposed operand
-        b.output("out", [dm.expr(), dn.expr()]);
-        let mv = b.build().unwrap();
-        assert_ne!(shape_class_fingerprint(&mm("a", 64)), shape_class_fingerprint(&mv));
-    }
-
-    #[test]
-    fn factor_distance_counts_multiset_differences() {
-        assert_eq!(factor_multiset_distance(&[64, 64], &[64, 64]), 0);
-        // 64 = 2^6 vs 32 = 2^5: one factor of two apart.
-        assert_eq!(factor_multiset_distance(&[64], &[32]), 1);
-        // 14 = 2·7 vs 7: one factor apart; 12 = 2²·3 vs 7: four apart.
-        assert_eq!(factor_multiset_distance(&[14], &[7]), 1);
-        assert_eq!(factor_multiset_distance(&[12], &[7]), 4);
-        assert_eq!(factor_multiset_distance(&[1], &[1]), 0);
-        assert_eq!(factor_multiset_distance(&[4], &[4, 4]), u32::MAX);
     }
 
     #[test]

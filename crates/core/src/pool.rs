@@ -137,8 +137,6 @@ pub(crate) struct WorkerPool {
     workers: Vec<JoinHandle<()>>,
     /// Fan-out rounds executed (including inline ones).
     rounds: AtomicU64,
-    /// Thread spawns a per-round `std::thread::scope` would have paid.
-    spawns_avoided: AtomicU64,
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -167,18 +165,7 @@ impl WorkerPool {
                     .expect("failed to spawn pool worker")
             })
             .collect();
-        WorkerPool {
-            shared,
-            workers: handles,
-            rounds: AtomicU64::new(0),
-            spawns_avoided: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of background workers (the submitting thread adds one more
-    /// claimant to every round).
-    pub(crate) fn workers(&self) -> usize {
-        self.workers.len()
+        WorkerPool { shared, workers: handles, rounds: AtomicU64::new(0) }
     }
 
     /// Runs `task(i)` for every `i in 0..total`, distributed over the
@@ -209,10 +196,7 @@ impl WorkerPool {
             return;
         }
         let chunk = chunk.max(1);
-        let n_chunks = total.div_ceil(chunk);
         self.rounds.fetch_add(1, Ordering::Relaxed);
-        self.spawns_avoided
-            .fetch_add((self.workers.len() + 1).min(n_chunks) as u64, Ordering::Relaxed);
         if self.workers.is_empty() {
             let mut start = 0;
             while start < total {
@@ -281,11 +265,6 @@ impl WorkerPool {
     /// Fan-out rounds executed so far.
     pub(crate) fn rounds(&self) -> u64 {
         self.rounds.load(Ordering::Relaxed)
-    }
-
-    /// Thread spawns avoided so far versus a per-round `thread::scope`.
-    pub(crate) fn spawns_avoided(&self) -> u64 {
-        self.spawns_avoided.load(Ordering::Relaxed)
     }
 }
 
@@ -393,7 +372,6 @@ mod tests {
         }
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 50));
         assert_eq!(pool.rounds(), 50);
-        assert_eq!(pool.spawns_avoided(), 50 * 4);
     }
 
     #[test]
@@ -416,15 +394,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn chunked_spawns_avoided_counts_claimants_not_indices() {
-        let pool = WorkerPool::new(3);
-        // 100 indices in chunks of 50 → only 2 chunks → 2 claimants max.
-        pool.run_chunked(100, 50, &|_| {});
-        assert_eq!(pool.spawns_avoided(), 2);
-        assert_eq!(pool.rounds(), 1);
     }
 
     #[test]

@@ -141,9 +141,9 @@ pub(crate) struct SearchRun {
 /// first-stage concession: the first estimate round always completes its
 /// first claim chunk before the deadline engages
 /// ([`estimate::DeadlinePolicy::AfterFirstClaim`]), so a zero time budget
-/// still yields a usable best-so-far mapping while a seeded first stage
-/// can no longer overshoot a few-millisecond budget by a whole stage —
-/// the graceful-degradation contract of
+/// still yields a usable best-so-far mapping while a large first round
+/// cannot overshoot a few-millisecond budget by a whole stage — the
+/// graceful-degradation contract of
 /// [`ScheduleOptions::time_budget`](crate::ScheduleOptions).
 /// A stage aborted mid-round returns the previous beam, which the caller
 /// completes under the best-so-far contract.

@@ -37,17 +37,12 @@ pub struct CacheStats {
     /// Model evaluations priced inside an SoA batch (the rest went
     /// through the scalar path: no shared prefix, or a run of one).
     pub batched: u64,
-    /// Searches that were warm-started: a structurally similar layer's
-    /// retained mappings were translated and pre-evaluated into this
-    /// search's cache context before the level walk.
+    /// Always 0: nothing writes it. Kept because the repo benchmark reads it.
     pub seed_probes: u64,
-    /// Warm-started searches whose final best mapping equals one of the
-    /// translated seeds (the neighbor's optimum carried over).
+    /// Always 0: nothing writes it. Kept because the repo benchmark reads it.
     pub seed_hits: u64,
     /// Fan-out rounds the session worker pool has executed.
     pub pool_rounds: u64,
-    /// OS thread spawns avoided versus a per-round `std::thread::scope`.
-    pub spawns_avoided: u64,
 }
 
 impl CacheStats {
@@ -88,16 +83,6 @@ impl CacheStats {
             0.0
         } else {
             self.batched as f64 / self.misses as f64
-        }
-    }
-
-    /// Fraction of warm-started searches whose final best mapping was a
-    /// translated seed (0 when no search was ever warm-started).
-    pub fn seed_hit_rate(&self) -> f64 {
-        if self.seed_probes == 0 {
-            0.0
-        } else {
-            self.seed_hits as f64 / self.seed_probes as f64
         }
     }
 }
@@ -176,28 +161,9 @@ pub(crate) struct CtxEntry {
 /// [`SunstoneConfig::max_cache_entries`](crate::SunstoneConfig::max_cache_entries):
 /// when an insert pushes past the bound, the least-recently-used context
 /// fingerprints are evicted whole (never the context that just inserted).
-/// Everything retained for one warm-start slot: the source layer's
-/// dimension sizes (the similarity gate compares prime-factor multisets
-/// against them) and its best final mappings, plus the exact context that
-/// produced them (so eviction of a poisoned context also drops its warm
-/// entry, and a layer never seeds itself).
-#[derive(Debug, Clone)]
-pub(crate) struct WarmEntry {
-    /// Dimension sizes of the retained layer.
-    pub(crate) dims: Vec<u64>,
-    /// Best final mappings of the retained search, objective-best first.
-    pub(crate) mappings: Vec<Mapping>,
-    /// Context fingerprint of the search that produced the entry.
-    pub(crate) ctx_fp: u64,
-}
-
 #[derive(Debug, Default)]
 pub(crate) struct SessionCache {
     map: Mutex<FxHashMap<u64, CtxEntry>>,
-    /// Warm-start retention, keyed by the *(shape class, arch, config,
-    /// constraints)* fingerprint ([`crate::fingerprint::warm_fingerprint`]).
-    /// One slot per key, latest completed search wins.
-    warm: Mutex<FxHashMap<u64, WarmEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Retained cost reports, maintained on insert/evict/clear so
@@ -208,8 +174,6 @@ pub(crate) struct SessionCache {
     prefix_hits: AtomicU64,
     batches: AtomicU64,
     batched: AtomicU64,
-    seed_probes: AtomicU64,
-    seed_hits: AtomicU64,
 }
 
 impl SessionCache {
@@ -243,43 +207,6 @@ impl SessionCache {
         map.remove(&fp);
         let total = map.values().map(|e| e.reports.len()).sum();
         self.entries.store(total, Ordering::Relaxed);
-        drop(map);
-        // Warm entries produced by the poisoned context go with it: a
-        // fault mid-retention could have published a half-written entry.
-        self.lock_warm().retain(|_, e| e.ctx_fp != fp);
-    }
-
-    /// Locks the warm-start retention map (poison-recovering, like
-    /// [`lock_map`](Self::lock_map): every individual map operation leaves
-    /// it structurally valid, and [`evict_context`](Self::evict_context)
-    /// drops any entry a caught fault may have half-published).
-    fn lock_warm(&self) -> MutexGuard<'_, FxHashMap<u64, WarmEntry>> {
-        self.warm.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Retains a completed search's best mappings for future warm starts
-    /// (one slot per warm key; the latest search wins).
-    pub(crate) fn warm_store(&self, warm_fp: u64, entry: WarmEntry) {
-        let mut guard = self.lock_warm();
-        // Held-lock failpoint: fires while the warm mutex is held, so a
-        // fault-injection test can pin that a panic here poisons the lock
-        // and the next call still recovers (via `lock_warm` +
-        // `evict_context`) instead of aborting.
-        faultpoint!("warm.store");
-        guard.insert(warm_fp, entry);
-    }
-
-    /// The retained warm-start entry for `warm_fp`, if any.
-    pub(crate) fn warm_lookup(&self, warm_fp: u64) -> Option<WarmEntry> {
-        self.lock_warm().get(&warm_fp).cloned()
-    }
-
-    /// Records one warm-started search and whether a seed won.
-    pub(crate) fn record_seeding(&self, hit: bool) {
-        self.seed_probes.fetch_add(1, Ordering::Relaxed);
-        if hit {
-            self.seed_hits.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
@@ -290,26 +217,20 @@ impl SessionCache {
             prefix_hits: self.prefix_hits.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             batched: self.batched.load(Ordering::Relaxed),
-            seed_probes: self.seed_probes.load(Ordering::Relaxed),
-            seed_hits: self.seed_hits.load(Ordering::Relaxed),
-            // Pool counters are filled in by the scheduler, which owns
+            // `pool_rounds` is filled in by the scheduler, which owns
             // the pool.
-            pool_rounds: 0,
-            spawns_avoided: 0,
+            ..CacheStats::default()
         }
     }
 
     pub(crate) fn clear(&self) {
         self.lock_map().clear();
-        self.lock_warm().clear();
         self.entries.store(0, Ordering::Relaxed);
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.prefix_hits.store(0, Ordering::Relaxed);
         self.batches.store(0, Ordering::Relaxed);
         self.batched.store(0, Ordering::Relaxed);
-        self.seed_probes.store(0, Ordering::Relaxed);
-        self.seed_hits.store(0, Ordering::Relaxed);
     }
 
     /// Evicts whole least-recently-used contexts (never `keep`) until the
@@ -376,31 +297,6 @@ impl<'s> EstimateCache<'s> {
                 self.session.evict_lru(&mut guard, self.max_entries, self.ctx_fp);
             }
         }
-    }
-
-    /// Pre-evaluates `key` into the cache if absent (warm-start seeding).
-    /// Returns whether the model ran. Deliberately bypasses the hit/miss
-    /// counters: seeding is bookkept by the seed counters, and mixing it
-    /// into the probe statistics would make `hits`/`misses` depend on
-    /// which layers happened to be retained first.
-    pub(crate) fn warm_insert_with(
-        &self,
-        key: Vec<u64>,
-        eval: impl FnOnce() -> CostReport,
-    ) -> bool {
-        if !self.enabled {
-            return false;
-        }
-        {
-            let guard = self.session.lock_map();
-            if guard.get(&self.ctx_fp).is_some_and(|e| e.reports.contains_key(&key)) {
-                return false;
-            }
-        }
-        // Evaluate outside the lock — the model walk is the expensive part.
-        let report = eval();
-        self.insert(key, report);
-        true
     }
 
     /// Memoized tile enumeration for this context, if already recorded.
@@ -478,15 +374,13 @@ const ESTIMATE_CHUNK: usize = 16;
 
 /// When an estimation round may observe the wall-clock deadline.
 ///
-/// Historically the first stage skipped the deadline entirely so a zero
-/// budget still produced a usable mapping. With warm starts, a seeded
-/// first stage can do non-trivial work (the seeding pass plus a large
-/// first round), so a budget of a few milliseconds could overshoot by the
-/// whole first stage. [`AfterFirstClaim`](DeadlinePolicy::AfterFirstClaim)
-/// is the repaired contract: the first claim chunk always runs — so even
-/// a zero budget evaluates *some* candidates and the best-so-far
-/// completion stays usable — and every claim after it observes the
-/// deadline.
+/// The first stage's round can be large, so exempting it from the
+/// deadline whole would let a budget of a few milliseconds overshoot by
+/// the entire stage. Under
+/// [`AfterFirstClaim`](DeadlinePolicy::AfterFirstClaim) the first claim
+/// chunk always runs — so even a zero budget evaluates *some* candidates
+/// and the best-so-far completion stays usable — and every claim after it
+/// observes the deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DeadlinePolicy {
     /// First stage: the deadline engages once at least one claim chunk
@@ -545,12 +439,12 @@ pub(crate) enum RoundStatus {
 /// fires. The [`DeadlinePolicy`] decides when the deadline engages: the
 /// first stage uses [`DeadlinePolicy::AfterFirstClaim`] (the first claim
 /// chunk always runs, so a zero budget still yields a usable best-so-far
-/// mapping, but a seeded first stage can no longer overshoot a
-/// few-millisecond budget by a whole stage), later stages
-/// [`DeadlinePolicy::Always`]. A stopped round leaves the skipped
-/// candidates at `f64::INFINITY` and returns the stop reason; completed
-/// evaluations are still published to the cache (they are correct and
-/// deterministic, so later calls may reuse them).
+/// mapping, but a large first round cannot overshoot a few-millisecond
+/// budget by a whole stage), later stages [`DeadlinePolicy::Always`]. A
+/// stopped round leaves the skipped candidates at `f64::INFINITY` and
+/// returns the stop reason; completed evaluations are still published to
+/// the cache (they are correct and deterministic, so later calls may
+/// reuse them).
 ///
 /// [`CostModel::prefix_of`]: sunstone_model::CostModel::prefix_of
 /// [`CostModel::evaluate_prefixed_batch`]: sunstone_model::CostModel::evaluate_prefixed_batch
@@ -629,8 +523,6 @@ pub(crate) fn estimate_all(
     let claims_done = AtomicUsize::new(0);
     if !misses.is_empty() {
         stats.rounds += 1;
-        let n_claims = misses.len().div_ceil(ESTIMATE_CHUNK);
-        stats.spawns_avoided += ((ctx.pool.workers() + 1).min(n_claims)) as u64;
         let model = &ctx.model;
         let writer = SliceWriter::new(&mut reports);
         let (prefixes, group_of, completed) = (&prefixes, &group_of, &completed);

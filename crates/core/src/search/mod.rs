@@ -29,7 +29,6 @@ pub(crate) mod beam;
 pub(crate) mod candidates;
 pub(crate) mod compose;
 pub(crate) mod estimate;
-pub(crate) mod warm;
 
 use std::time::Instant;
 
@@ -73,13 +72,13 @@ impl CallControls<'_> {
     }
 }
 
-/// Everything the pipeline stages share for one scheduling run: the
-/// problem, the derived level structure, the enumeration trie, the cost
-/// model, and the memoized estimate cache.
 /// The capacity-check plan of one memory: each partition's capacity and
 /// the tensors bound to it with their per-word byte widths.
 type FitPlan<'a> = Vec<(Capacity, Vec<(&'a TensorDesc, u64)>)>;
 
+/// Everything the pipeline stages share for one scheduling run: the
+/// problem, the derived level structure, the enumeration trie, the cost
+/// model, and the memoized estimate cache.
 pub(crate) struct SearchContext<'a> {
     pub(crate) workload: &'a Workload,
     pub(crate) arch: &'a ArchSpec,

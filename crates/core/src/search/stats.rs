@@ -111,23 +111,11 @@ pub struct SearchStats {
     /// [`modeled`](Self::modeled) went through the scalar path).
     #[serde(default)]
     pub batched: u64,
-    /// Cross-layer warm-start seeds this call was primed with (retained
-    /// mappings from a structurally similar layer, translated onto this
-    /// layer's dimension sizes). Zero when warm starts are off or no
-    /// similar layer was retained.
-    #[serde(default)]
-    pub seeds: u64,
-    /// Model evaluations spent pre-pricing seed trajectories into the
-    /// estimate cache before the search started. These are *extra*
-    /// evaluations on top of [`modeled`](Self::modeled); the search
-    /// recoups them as cache hits along the seeded trajectory.
+    /// Always 0: nothing writes it. Kept because the repo benchmark reads it.
     #[serde(default)]
     pub seed_evals: u64,
     /// Parallel fan-out rounds dispatched to the session worker pool.
     pub rounds: u64,
-    /// OS thread spawns avoided versus the former per-round
-    /// `std::thread::scope` fan-out.
-    pub spawns_avoided: u64,
     /// Loop orderings considered across all stages.
     pub orderings: u64,
     /// Tiles considered across all stages.

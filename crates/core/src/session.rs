@@ -35,14 +35,11 @@ use sunstone_model::CostReport;
 
 use crate::constraints::ResolvedConstraints;
 use crate::error::ScheduleError;
-use crate::fingerprint::{
-    context_fingerprint, factor_multiset_distance, warm_fingerprint, workload_fingerprint,
-};
+use crate::fingerprint::{context_fingerprint, workload_fingerprint};
 use crate::pool::{panic_message, SliceWriter, WorkerPool};
 use crate::progress::{CancelToken, ProgressEvent, ProgressSink};
 use crate::search::compose::{run_level_search, BottomUpPass, LevelPass, SearchStop, TopDownPass};
-use crate::search::estimate::{self, EstimateCache, SessionCache, WarmEntry};
-use crate::search::warm;
+use crate::search::estimate::{self, EstimateCache, SessionCache};
 use crate::search::{CacheStats, CallControls, SearchContext, SearchStats};
 use crate::{Direction, SunstoneConfig};
 
@@ -171,10 +168,9 @@ pub struct CallOptions {
     /// [`ScheduleOutcome::BestSoFar`] with the best valid completions of
     /// the current beam — the first estimate round always completes its
     /// first claim chunk before the deadline engages, so even a zero
-    /// budget yields a usable (if unrefined) mapping, while a
-    /// warm-started first stage can no longer overshoot a
-    /// few-millisecond budget by a whole stage. For a batch the budget
-    /// covers the *whole batch*.
+    /// budget yields a usable (if unrefined) mapping, while a large first
+    /// round cannot overshoot a few-millisecond budget by a whole stage.
+    /// For a batch the budget covers the *whole batch*.
     pub time_budget: Option<Duration>,
     /// Cooperative cancellation; when fired the call returns
     /// [`ScheduleError::Cancelled`]. A batch shares one token across
@@ -524,7 +520,6 @@ impl Scheduler {
         let mut stats = self.cache.stats();
         if let Some(pool) = self.pool.get() {
             stats.pool_rounds = pool.rounds();
-            stats.spawns_avoided = pool.spawns_avoided();
         }
         stats
     }
@@ -1015,39 +1010,6 @@ impl Scheduler {
             Direction::TopDown => &BottomUpPass,
         };
 
-        // Cross-layer warm starts: if a structurally similar layer was
-        // scheduled earlier in this session, translate its retained best
-        // mappings onto this workload and pre-price their search
-        // trajectories into the estimate cache. Seeding only adds
-        // memoized entries bit-identical to what the search would compute
-        // itself — it never touches the beam — so results cannot change
-        // (see `search::warm`). Skipped when the context fingerprints
-        // match: the cache is then already warm with the real thing.
-        let warm_fp = warm_fingerprint(workload, arch, &self.config, constraints);
-        let warm_active = self.config.warm_starts
-            && self.config.max_seeds > 0
-            && self.config.estimate_cache
-            && pass.direction() == Direction::BottomUp;
-        let mut seeds: Vec<Mapping> = Vec::new();
-        if warm_active {
-            if let Some(entry) = self.cache.warm_lookup(warm_fp) {
-                if entry.ctx_fp != ctx_fp
-                    && factor_multiset_distance(&entry.dims, &workload.dim_sizes())
-                        <= warm::MAX_SEED_DISTANCE
-                {
-                    fault_stage::set("warm");
-                    for m in entry.mappings.iter().take(self.config.max_seeds) {
-                        if let Some(t) = warm::translate_seed(&ctx, m) {
-                            if !seeds.contains(&t) {
-                                seeds.push(t);
-                            }
-                        }
-                    }
-                    warm::warm_seed_trajectories(&ctx, &seeds, &mut stats);
-                }
-            }
-        }
-
         let run = run_level_search(&ctx, pass, &mut stats, controls);
         fault_stage::set("rank");
         let truncated = match run.stop {
@@ -1094,28 +1056,6 @@ impl Scheduler {
             } else {
                 ScheduleError::NoValidMapping
             });
-        }
-        // Warm-start bookkeeping: a seeded call probes once (did the free
-        // search land on a translated seed?), and a *complete* call
-        // retains its top mappings as seeds for the next similar layer.
-        // Truncated best-so-far results are not retained — they would
-        // seed trajectories the full search never keeps.
-        if !seeds.is_empty() {
-            self.cache.record_seeding(seeds.contains(&valid[0].0));
-        }
-        if warm_active && !truncated {
-            self.cache.warm_store(
-                warm_fp,
-                WarmEntry {
-                    dims: workload.dim_sizes(),
-                    mappings: valid
-                        .iter()
-                        .take(self.config.max_seeds)
-                        .map(|(m, _)| m.clone())
-                        .collect(),
-                    ctx_fp,
-                },
-            );
         }
         let results: Vec<ScheduleResult> = valid
             .into_iter()

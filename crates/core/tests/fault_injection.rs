@@ -84,11 +84,10 @@ fn soak_panic_at_every_failpoint_recovers_bit_identically() {
     faultpoint::disarm_all();
 }
 
-/// Panics that fire *while a session lock is held* — the locked cache
-/// publish (`cache.insert`) and the warm-start store under the warm
-/// mutex (`warm.store`) — must not poison anything: the fault surfaces
-/// as a typed `Internal`, and the same session then recovers
-/// bit-identically instead of aborting on a poisoned mutex.
+/// A panic that fires *while the session-cache lock is held* — the
+/// locked cache publish (`cache.insert`) — must not poison anything: the
+/// fault surfaces as a typed `Internal`, and the same session then
+/// recovers bit-identically instead of aborting on a poisoned mutex.
 #[test]
 fn held_lock_panics_do_not_poison_the_session() {
     let _guard = serial();
@@ -99,33 +98,31 @@ fn held_lock_panics_do_not_poison_the_session() {
     let ref_a = fresh.schedule(&a, &arch).expect("clean schedule");
     let ref_b = fresh.schedule(&b, &arch).expect("clean schedule");
 
-    for &point in &["cache.insert", "warm.store"] {
-        let session = Scheduler::new(SunstoneConfig::default());
-        faultpoint::arm(point, 1, FaultAction::Panic);
-        let err =
-            session.schedule(&a, &arch).expect_err(&format!("panic at {point} must fail the call"));
-        assert!(
-            matches!(err, ScheduleError::Internal { .. }),
-            "{point}: held-lock panic must surface typed, got {err:?}"
-        );
+    let point = "cache.insert";
+    let session = Scheduler::new(SunstoneConfig::default());
+    faultpoint::arm(point, 1, FaultAction::Panic);
+    let err =
+        session.schedule(&a, &arch).expect_err(&format!("panic at {point} must fail the call"));
+    assert!(
+        matches!(err, ScheduleError::Internal { .. }),
+        "{point}: held-lock panic must surface typed, got {err:?}"
+    );
 
-        // The next calls on the same session walk straight through the
-        // locks the panic unwound across — the cache mutex, the warm
-        // store, the pool queue. Any residual poisoning aborts here.
-        let again = session
-            .schedule(&a, &arch)
-            .unwrap_or_else(|e| panic!("{point}: recovery call failed: {e}"));
-        assert_eq!(again.mapping, ref_a.mapping, "{point}: recovery diverged");
-        assert_eq!(again.report.edp.to_bits(), ref_a.report.edp.to_bits());
+    // The next calls on the same session walk straight through the
+    // locks the panic unwound across — the cache mutex, the pool queue.
+    // Any residual poisoning aborts here.
+    let again = session
+        .schedule(&a, &arch)
+        .unwrap_or_else(|e| panic!("{point}: recovery call failed: {e}"));
+    assert_eq!(again.mapping, ref_a.mapping, "{point}: recovery diverged");
+    assert_eq!(again.report.edp.to_bits(), ref_a.report.edp.to_bits());
 
-        // A second shape in the same class exercises the warm-start
-        // seeding path (the warm mutex) after the fault as well.
-        let next = session
-            .schedule(&b, &arch)
-            .unwrap_or_else(|e| panic!("{point}: warm-seeded call after fault failed: {e}"));
-        assert_eq!(next.mapping, ref_b.mapping, "{point}: seeded recovery diverged");
-        assert_eq!(next.report.edp.to_bits(), ref_b.report.edp.to_bits());
-    }
+    // A second context takes the same lock after the fault as well.
+    let next = session
+        .schedule(&b, &arch)
+        .unwrap_or_else(|e| panic!("{point}: second context after fault failed: {e}"));
+    assert_eq!(next.mapping, ref_b.mapping, "{point}: second context diverged");
+    assert_eq!(next.report.edp.to_bits(), ref_b.report.edp.to_bits());
     faultpoint::disarm_all();
 }
 

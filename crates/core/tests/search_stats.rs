@@ -64,7 +64,6 @@ fn beam_considered_sums_to_probed() {
     assert_eq!(per_level_misses, r.stats.modeled, "modeled counts the per-level cache misses");
     assert!(r.stats.modeled <= r.stats.probed, "the model runs at most once per probe");
     assert!(r.stats.rounds > 0, "estimation fans out over the pool");
-    assert!(r.stats.spawns_avoided >= r.stats.rounds, "each round avoids at least one spawn");
     assert!(r.stats.prefix_hits > 0, "outer stages reuse memoized prefixes on Simba");
 }
 

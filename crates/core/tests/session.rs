@@ -130,17 +130,16 @@ fn zero_time_budget_returns_best_so_far() {
     assert_eq!(full.results()[0].mapping, unbudgeted.mapping);
 }
 
-/// The deadline contract on a *warm-started* layer: the second layer of
-/// a shape class starts from cross-layer seeds, so its first stage does
-/// non-trivial work — but the deadline only engages once the first claim
-/// chunk completes, so even a zero budget must yield a usable,
-/// deterministic best-so-far instead of `BudgetExhausted` or an empty
-/// result.
+/// The deadline contract on the second layer of a session (the pool and
+/// cache are live, another context is resident): the deadline only
+/// engages once the first claim chunk completes, so even a zero budget
+/// must yield a usable, deterministic best-so-far instead of
+/// `BudgetExhausted` or an empty result.
 #[test]
-fn zero_budget_on_seeded_layer_returns_deterministic_best_so_far() {
+fn zero_budget_on_second_layer_returns_deterministic_best_so_far() {
     let arch = presets::conventional();
-    let a = conv("seed_src", 32, 16, 14, 3);
-    let b = conv("seed_dst", 32, 16, 7, 3); // same shape class → seeded
+    let a = conv("first", 32, 16, 14, 3);
+    let b = conv("second", 32, 16, 7, 3);
 
     // Work bound: a full search of `b` on a session that already saw `a`.
     let full = Scheduler::new(SunstoneConfig::default());
@@ -156,7 +155,7 @@ fn zero_budget_on_seeded_layer_returns_deterministic_best_so_far() {
         let opts = ScheduleOptions::new().time_budget(Duration::ZERO);
         let outcome = session
             .schedule_with(&b, &arch, &opts)
-            .expect("zero budget on a seeded layer must not error");
+            .expect("zero budget on a second layer must not error");
         assert!(!outcome.is_complete(), "zero budget cannot complete the search");
         assert!(!outcome.results().is_empty(), "best-so-far carries a usable mapping");
         let spent = session.cache_stats().misses - before;
@@ -170,6 +169,65 @@ fn zero_budget_on_seeded_layer_returns_deterministic_best_so_far() {
     // The truncation point is the first claim chunk — a fixed amount of
     // work, not a wall-clock race — so the result is reproducible.
     assert_eq!(run(), run(), "zero-budget truncation must be deterministic");
+}
+
+/// A search's result *and its work* are a function of its own context
+/// alone: whatever the session scheduled before, in whatever order, on
+/// however many threads, each layer returns the mapping, the EDP bits and
+/// the counters of a fresh session. The layers share one shape class and
+/// differ by a prime or two per dimension — the neighbours most likely
+/// to leak into each other through any cross-call state.
+#[test]
+fn results_and_counters_do_not_depend_on_session_history() {
+    let layers = [
+        conv("adv_a", 32, 16, 12, 3),
+        conv("adv_b", 48, 16, 8, 3),
+        conv("stage1", 32, 16, 14, 3),
+        conv("stage2", 64, 32, 7, 3),
+    ];
+    let config = SunstoneConfig { threads: 1, ..SunstoneConfig::default() };
+    let witness = |r: &ScheduleResult| {
+        let s = &r.stats;
+        let counts = [
+            s.probed,
+            s.modeled,
+            s.prefix_hits,
+            s.batches,
+            s.batched,
+            s.rounds,
+            s.cache_hits,
+            s.cache_misses,
+        ];
+        (r.mapping.clone(), r.report.edp.to_bits(), counts)
+    };
+    for arch in [presets::conventional(), presets::simba_like()] {
+        let fresh: Vec<_> = layers
+            .iter()
+            .map(|w| {
+                witness(&Scheduler::new(config.clone()).schedule(w, &arch).expect("schedules"))
+            })
+            .collect();
+
+        // Both orders of arrival inside each pair, and of the pairs.
+        for order in [[0, 1, 2, 3], [3, 2, 1, 0]] {
+            let session = Scheduler::new(config.clone());
+            for i in order {
+                let r = session.schedule(&layers[i], &arch).expect("schedules");
+                let (layer, preset) = (layers[i].name(), arch.name());
+                assert_eq!(witness(&r), fresh[i], "{layer} on {preset} in order {order:?}");
+            }
+        }
+
+        // The same layers searched concurrently by a two-thread batch.
+        let batch = Scheduler::new(SunstoneConfig { threads: 2, ..config.clone() })
+            .schedule_batch_outcomes(&layers, &arch, &BatchOptions::default())
+            .expect("batch schedules");
+        for (i, layer) in batch.layers.iter().enumerate() {
+            let best = &layer.as_ref().expect("layer schedules")[0];
+            let (name, preset) = (layers[i].name(), arch.name());
+            assert_eq!(witness(best), fresh[i], "{name} on {preset} in a two-thread batch");
+        }
+    }
 }
 
 #[test]
@@ -226,14 +284,8 @@ fn bounded_cache_evicts_lru_context_and_keeps_results_identical() {
     // A cap of one entry cannot hold two contexts: scheduling `b` must
     // evict `a`'s whole context (LRU), but never the in-use context —
     // each search keeps its own entries, so results stay bit-identical.
-    // Warm starts off: shapes `a` and `b` share a shape class, and
-    // cross-layer seeding would add warm entries on top of the exact
-    // per-context counts this test pins down.
-    let capped = Scheduler::new(SunstoneConfig {
-        max_cache_entries: 1,
-        warm_starts: false,
-        ..SunstoneConfig::default()
-    });
+    let capped =
+        Scheduler::new(SunstoneConfig { max_cache_entries: 1, ..SunstoneConfig::default() });
     let a_out = capped.schedule(&a, &arch).expect("schedules");
     assert_eq!(
         capped.cache_stats().entries,
@@ -265,7 +317,6 @@ fn bounded_cache_evicts_lru_context_and_keeps_results_identical() {
     // An ample cap retains both contexts side by side.
     let roomy = Scheduler::new(SunstoneConfig {
         max_cache_entries: (a_entries + b_entries) * 2,
-        warm_starts: false,
         ..SunstoneConfig::default()
     });
     roomy.schedule(&a, &arch).expect("schedules");

@@ -5,9 +5,9 @@
 //! deployments (compiler services, autotuners, design-space sweeps) ask
 //! the *same* layers over and over across many short-lived client
 //! processes. This crate keeps one long-lived [`Scheduler`] session —
-//! estimate cache, worker pool, cross-layer warm starts — behind a Unix
-//! socket, and persists every best mapping to disk so a restarted daemon
-//! answers repeated layers from its store instead of re-searching.
+//! estimate cache and worker pool — behind a Unix socket, and persists
+//! every best mapping to disk so a restarted daemon answers repeated
+//! layers from its store instead of re-searching.
 //!
 //! * [`wire`] — the length-prefixed JSON protocol and the self-contained
 //!   workload/mapping encodings;

@@ -11,8 +11,8 @@
 //!    this process lifetime *plus* everything warm-loaded from the store
 //!    at startup. Hits are microseconds: no search, no model.
 //! 2. **search** — a full library `schedule` call on the shared session
-//!    (which itself carries the estimate cache and cross-layer warm
-//!    starts). The result is memoized and appended to the store.
+//!    (which itself carries the estimate cache). The result is memoized
+//!    and appended to the store.
 //!
 //! A memo entry remembers its *origin* — `store` when it entered via the
 //! startup warm-load, `memo` when it was searched earlier in this

@@ -138,68 +138,6 @@ fn degenerate_grid_never_panics() {
     }
 }
 
-/// The cross-layer warm-start path — prime-multiset distance over dim
-/// sizes, per-level gcd clamp during seed translation — runs on the
-/// *sequence* of layers a session sees, so it needs its own degenerate
-/// grid: same-class size variants at 2^40 scale, huge primes, and
-/// all-ones shapes scheduled back-to-back on one seeded session.
-#[test]
-fn warm_start_seeding_over_degenerate_sequences_never_panics() {
-    // Same structure as `enormous_dims` (so the shapes share a class and
-    // the seeder fires), sizes chosen to stress the distance and clamp
-    // arithmetic: 2^40 → mixed primes-times-powers → coprime.
-    let enormous_variant = |name: &str, m: u64, n: u64| {
-        let mut b = Workload::builder(name);
-        let md = b.dim("M", m);
-        let nd = b.dim("N", n);
-        b.input("a", [md.expr()]);
-        b.input("b", [nd.expr()]);
-        b.output("c", [md.expr(), nd.expr()]);
-        b.build().expect("valid workload")
-    };
-    let prime_variant = |name: &str, m: u64, n: u64| {
-        let mut b = Workload::builder(name);
-        let md = b.dim("M", m);
-        let nd = b.dim("N", n);
-        let kd = b.dim("K", 2);
-        b.input("a", [md.expr(), kd.expr()]);
-        b.input("b", [kd.expr(), nd.expr()]);
-        b.output("c", [md.expr(), nd.expr()]);
-        b.build().expect("valid workload")
-    };
-    let sequence: Vec<Workload> = vec![
-        enormous_variant("pow2_40", 1 << 40, 1 << 40),
-        enormous_variant("pow2_mixed", 1 << 40, 3 * (1 << 38)),
-        enormous_variant("coprime_huge", (1 << 40) - 1, 1 << 40), // 2^40−1 vs 2^40
-        prime_variant("prime_a", 104_729, 999_983),
-        prime_variant("prime_b", 99_991, 104_729), // swapped magnitudes
-        prime_variant("prime_tiny", 1, 999_983),   // degenerate partner
-        all_ones(),
-    ];
-    let archs: Vec<(&str, ArchSpec)> = vec![
-        ("conventional", presets::conventional()),
-        ("dram_only", dram_only()),
-        ("tiny_l1", tiny_l1()),
-    ];
-    for (aname, arch) in &archs {
-        // One session per arch: warm starts are on by default, so each
-        // layer seeds from the previous ones in its shape class.
-        let session = Scheduler::new(SunstoneConfig::default());
-        for w in &sequence {
-            let tag = format!("warm/{aname}/{}", w.name());
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| session.schedule(w, arch)));
-            match outcome {
-                Ok(Ok(_)) => {}
-                Ok(Err(ScheduleError::Internal { stage, message, .. })) => {
-                    panic!("{tag}: internal invariant tripped at {stage}: {message}")
-                }
-                Ok(Err(_typed)) => {}
-                Err(_) => panic!("{tag}: panic escaped the public API"),
-            }
-        }
-    }
-}
-
 /// A spatial level declaring zero instances is a *specification* error:
 /// it must surface as a typed `ArchError` at build time, never reach the
 /// scheduler, and never panic.
