@@ -49,16 +49,20 @@ echo "== bench smoke: criterion compile + quick schedule bench =="
 cargo bench -p sunstone-bench --bench scheduler_speed -- --test
 cargo run --release -p sunstone-bench --bin bench_schedule -- quick --out BENCH_schedule_quick.json
 python3 - <<'EOF'
-import json, os, sys
+import json
 d = json.load(open("BENCH_schedule_quick.json"))
-assert d.get("schema") == "sunstone-bench-schedule/v4", d.get("schema")
+assert d.get("schema") == "sunstone-bench-schedule/v5", d.get("schema")
 assert d.get("layers"), "no layers recorded"
 for row in d["layers"]:
     for field in (
         "name", "cold_ms", "warm_median_ms", "best_edp",
         "probed", "modeled", "prefix_hit_rate", "mapping_fp",
+        "phase_ms", "warm_phase_ms",
     ):
         assert field in row, f"missing {field} in {row.get('name', '?')}"
+    for split in (row["phase_ms"], row["warm_phase_ms"]):
+        for phase in ("expand", "dedup", "estimate", "select", "uncovered_share"):
+            assert phase in split, f"missing {phase} in {row['name']}"
     assert row["warm_median_ms"] > 0, row["name"]
     assert row["modeled"] <= row["probed"], row["name"]
 est = d.get("estimate", {})
@@ -79,20 +83,31 @@ diverged = [
 assert not diverged, "mapping_fp diverged from results/bench_baseline.json:\n" + "\n".join(diverged)
 checked = sum(1 for r in d["layers"] if r["name"] in base)
 assert checked > 0, "no quick layer found in the baseline — gate is vacuous"
+# Count gate: counters do not depend on session history, so a quick layer
+# must probe and model exactly what the committed full-mode row did. A
+# refactor that changes *which* candidates are built, not only how, fails
+# here even when the winning mapping survives.
+committed = json.load(open("BENCH_schedule.json"))
+committed_rows = {r["name"]: r for r in committed["layers"]}
+drifted = [
+    f"{r['name']}: {key} {r[key]} != {committed_rows[r['name']][key]}"
+    for r in d["layers"]
+    for key in ("probed", "modeled")
+    if r[key] != committed_rows[r["name"]][key]
+]
+assert not drifted, "search counters drifted from BENCH_schedule.json:\n" + "\n".join(drifted)
 # Throughput gate: the raw evaluator must not quietly regress. Compare
 # against the committed full-mode measurement; >15% below it fails.
 # (Same-machine quick runs track the full run closely — the throughput
 # loops are cache-free and fixed-size per eval.)
-if os.path.exists("BENCH_schedule.json"):
-    committed = json.load(open("BENCH_schedule.json"))
-    ce = committed.get("estimate", {})
-    for key in ("evals_per_sec", "batch_evals_per_sec"):
-        if key in ce and key in est:
-            floor = 0.85 * ce[key]
-            assert est[key] >= floor, (
-                f"estimate.{key} regressed >15%: {est[key]:.0f} < {floor:.0f}"
-                f" (committed {ce[key]:.0f})"
-            )
+ce = committed.get("estimate", {})
+for key in ("evals_per_sec", "batch_evals_per_sec"):
+    if key in ce and key in est:
+        floor = 0.85 * ce[key]
+        assert est[key] >= floor, (
+            f"estimate.{key} regressed >15%: {est[key]:.0f} < {floor:.0f}"
+            f" (committed {ce[key]:.0f})"
+        )
 print(
     f"BENCH_schedule_quick.json OK ({len(d['layers'])} layers, {checked} fingerprints"
     f" match baseline, batch {est['batch_evals_per_sec']:.0f} evals/s)"

@@ -43,6 +43,54 @@ struct LayerRow {
     /// Fraction of the cold run's model evaluations that reused a
     /// memoized decided-prefix cost.
     prefix_hit_rate: f64,
+    /// The search's own phase split of the cold run.
+    phase_ms: PhaseMs,
+    /// The same split for the warm runs (mean per repetition).
+    warm_phase_ms: PhaseMs,
+}
+
+/// `LevelStats::{expand, dedup, estimate, select}` summed over stages and
+/// over the runs added, in milliseconds, plus the wall time they are a
+/// split of.
+#[derive(Default)]
+struct PhaseMs {
+    expand: f64,
+    dedup: f64,
+    estimate: f64,
+    select: f64,
+    wall: f64,
+    runs: usize,
+}
+
+impl PhaseMs {
+    fn add(&mut self, stats: &SearchStats, wall_ms: f64) {
+        for l in &stats.levels {
+            self.expand += ms(l.expand);
+            self.dedup += ms(l.dedup);
+            self.estimate += ms(l.estimate);
+            self.select += ms(l.select);
+        }
+        self.wall += wall_ms;
+        self.runs += 1;
+    }
+
+    /// One JSON object of per-run means; `uncovered_share` is the part of
+    /// the wall time no phase timer saw (context build, validation,
+    /// ranking, beam drop).
+    fn json(&self) -> String {
+        let n = self.runs.max(1) as f64;
+        let covered = self.expand + self.dedup + self.estimate + self.select;
+        let uncovered = if self.wall > 0.0 { 1.0 - covered / self.wall } else { 0.0 };
+        format!(
+            "{{\"expand\": {:.3}, \"dedup\": {:.3}, \"estimate\": {:.3}, \"select\": {:.3}, \
+             \"uncovered_share\": {:.4}}}",
+            self.expand / n,
+            self.dedup / n,
+            self.estimate / n,
+            self.select / n,
+            uncovered
+        )
+    }
 }
 
 use sunstone::fingerprint::mapping_fingerprint;
@@ -135,6 +183,9 @@ fn main() {
         let first = scheduler.schedule(&w, &arch).expect("schedules");
         let cold_ms = ms(t0.elapsed());
         let modeled = first.stats.modeled;
+        let mut phase_ms = PhaseMs::default();
+        phase_ms.add(&first.stats, cold_ms);
+        let mut warm_phase_ms = PhaseMs::default();
         let prefix_hit_rate =
             if modeled == 0 { 0.0 } else { first.stats.prefix_hits as f64 / modeled as f64 };
         // Warm: the session has seen the shape; the estimate cache serves
@@ -144,7 +195,9 @@ fn main() {
         for _ in 0..reps {
             let t = Instant::now();
             result = scheduler.schedule(&w, &arch).expect("schedules");
-            samples.push(ms(t.elapsed()));
+            let wall = ms(t.elapsed());
+            warm_phase_ms.add(&result.stats, wall);
+            samples.push(wall);
         }
         let warm_median_ms = median(&mut samples);
         println!(
@@ -161,6 +214,8 @@ fn main() {
             probed: result.stats.probed,
             modeled,
             prefix_hit_rate,
+            phase_ms,
+            warm_phase_ms,
         });
     }
     let cache = scheduler.cache_stats();
@@ -268,7 +323,7 @@ fn main() {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v4\",");
+    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v5\",");
     let _ = writeln!(json, "  \"mode\": \"{}\",", if quick { "quick" } else { "full" });
     let _ = writeln!(json, "  \"arch\": \"{}\",", esc(arch.name()));
     let _ = writeln!(json, "  \"reps\": {reps},");
@@ -283,6 +338,8 @@ fn main() {
         let _ = writeln!(json, "      \"probed\": {},", r.probed);
         let _ = writeln!(json, "      \"modeled\": {},", r.modeled);
         let _ = writeln!(json, "      \"prefix_hit_rate\": {:.4},", r.prefix_hit_rate);
+        let _ = writeln!(json, "      \"phase_ms\": {},", r.phase_ms.json());
+        let _ = writeln!(json, "      \"warm_phase_ms\": {},", r.warm_phase_ms.json());
         let _ = writeln!(json, "      \"mapping_fp\": {},", r.mapping_fp);
         let _ = writeln!(json, "      \"mapping\": \"{}\"", esc(&r.mapping));
         let _ = writeln!(json, "    }}{}", if i + 1 < rows.len() { "," } else { "" });

@@ -6,8 +6,9 @@
 //! [`SearchStats`](sunstone::SearchStats) the scheduler records while
 //! searching — per memory level, how many candidates each principle
 //! considered and kept (ordering trie, tiling maximal frontier, spatial
-//! unrolling, dedup, beam cut) and how the memoized estimate cache fared
-//! — including the SoA batch width of the estimate rounds.
+//! unrolling, dedup, beam cut), how the memoized estimate cache fared —
+//! including the SoA batch width of the estimate rounds — and where the
+//! stage's wall time went (expand / dedup / estimate / select).
 //!
 //! Run with `cargo run --release -p sunstone-bench --bin prune_stats`
 //! (append `quick` for a subsampled run).
@@ -25,15 +26,16 @@ fn pct(c: &PruneCounter) -> f64 {
 
 fn print_level_table(stats: &SearchStats) {
     println!(
-        "    {:<5} {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>6} {:>9} {:>7} {:>7}   {:>6}",
+        "    {:<5} {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>6} {:>9} {:>7} {:>7}   {:>6}   {:>9} {:>8} {:>8} {:>8}",
         "level", "ord.cons", "kept", "pruned", "tile.cons", "kept", "pruned", "unr.cons", "kept",
-        "pruned", "dedup", "beam.cons", "kept", "cut", "hit%"
+        "pruned", "dedup", "beam.cons", "kept", "cut", "hit%", "expand.ms", "dedup.ms", "estim.ms",
+        "selec.ms"
     );
     for l in &stats.levels {
         let probes = l.cache_hits + l.cache_misses;
         let hit = if probes == 0 { 0.0 } else { 100.0 * l.cache_hits as f64 / probes as f64 };
         println!(
-            "    L{:<4} {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>6} {:>9} {:>7} {:>7} {:>5.1}%",
+            "    L{:<4} {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>6} {:>9} {:>7} {:>7} {:>5.1}%   {:>9.2} {:>8.2} {:>8.2} {:>8.2}",
             l.level,
             l.ordering.considered,
             l.ordering.kept,
@@ -49,6 +51,10 @@ fn print_level_table(stats: &SearchStats) {
             l.beam.kept,
             l.beam.pruned(),
             hit,
+            l.expand.as_secs_f64() * 1e3,
+            l.dedup.as_secs_f64() * 1e3,
+            l.estimate.as_secs_f64() * 1e3,
+            l.select.as_secs_f64() * 1e3,
         );
     }
 }
@@ -79,6 +85,10 @@ fn merge_into(total: &mut SearchStats, s: &SearchStats) {
         tl.beam.merge(&l.beam);
         tl.cache_hits += l.cache_hits;
         tl.cache_misses += l.cache_misses;
+        tl.expand += l.expand;
+        tl.dedup += l.dedup;
+        tl.estimate += l.estimate;
+        tl.select += l.select;
     }
 }
 

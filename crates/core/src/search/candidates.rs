@@ -1,5 +1,6 @@
 //! Per-level candidate enumeration: the orderings × tiles × unrollings
-//! each stage admits, under the paper's pruning principles.
+//! each stage admits, under the paper's pruning principles, written as
+//! rows of the stage's [`Candidates`] arena.
 //!
 //! Every enumerator reports into the stage's [`LevelStats`] record:
 //! the ordering trie (Ordering Principles 1–3 + sibling dominance), the
@@ -8,9 +9,11 @@
 //!
 //! [`LevelStats`]: super::stats::LevelStats
 
+use std::ops::RangeInclusive;
+use std::sync::Arc;
+
 use sunstone_arch::LevelId;
 use sunstone_ir::{DimId, DimSet, DimVec};
-use sunstone_mapping::MappingLevel;
 
 use crate::factors::{divide, multiply, quot, sorted_divisors};
 use crate::ordering::OrderingCandidate;
@@ -19,16 +22,174 @@ use crate::unrolling::{enumerate_unrollings_cached, principle_excluded_dims};
 use crate::IntraOrder;
 
 use super::estimate;
-use super::stats::SearchStats;
-use super::{PartialState, SearchContext};
+use super::stats::{PruneCounter, SearchStats};
+use super::{PartialState, RowLayout, SearchContext};
 
-/// One bottom-up stage: unrollings below memory `stage`, tile at memory
-/// `stage`, ordering at memory `stage + 1`.
+/// The [`Candidates::ordering`] entry of a candidate that chose no
+/// ordering: the outermost memory has no level above to order.
+const NO_ORDERING: u32 = u32::MAX;
+
+/// One stage's candidates as a flat arena.
+///
+/// A stage builds tens of thousands of candidates and the beam keeps a
+/// few dozen, so what a candidate costs to *exist* is the search's unit
+/// price. Here it is one fixed-stride run of words in `rows`
+/// ([`RowLayout`]: the mapping key, then the remaining quotas) plus one
+/// entry in each parallel column; expanding, deduplicating, probing,
+/// ranking and discarding candidates touch no allocator. The arena is
+/// reused across stages.
+pub(crate) struct Candidates {
+    stride: usize,
+    /// The candidate rows, `stride` words each.
+    rows: Vec<u64>,
+    /// Per candidate, the index of the beam state it was expanded from.
+    /// Candidates of one parent share every level decided before the
+    /// current stage — which is what lets estimation memoize the
+    /// decided-prefix cost once per parent — and are contiguous (parents
+    /// expand one after another and dedup keeps order).
+    pub(crate) parent: Vec<u32>,
+    /// Per candidate, the index into `orderings` of the ordering it chose
+    /// for the next memory ([`NO_ORDERING`] at the outermost stage); the
+    /// survivors carry it into the next stage's unrolling principle.
+    ordering: Vec<u32>,
+    /// Per candidate, the objective estimate of the completed mapping
+    /// (infinite until the estimate round fills it in).
+    pub(crate) estimate: Vec<f64>,
+    /// The stage's ordering candidates: one run per distinct in-play set.
+    orderings: Vec<OrderingCandidate>,
+    ordering_memos: Vec<OrderingMemo>,
+    /// Index and row of the beam state currently being expanded.
+    current_parent: u32,
+    parent_row: Vec<u64>,
+}
+
+impl Candidates {
+    pub(crate) fn new(layout: &RowLayout) -> Self {
+        Candidates {
+            stride: layout.stride(),
+            rows: Vec::new(),
+            parent: Vec::new(),
+            ordering: Vec::new(),
+            estimate: Vec::new(),
+            orderings: Vec::new(),
+            ordering_memos: Vec::new(),
+            current_parent: 0,
+            parent_row: Vec::new(),
+        }
+    }
+
+    /// Empties the arena for the next stage, keeping its capacity.
+    pub(crate) fn clear(&mut self) {
+        self.rows.clear();
+        self.parent.clear();
+        self.ordering.clear();
+        self.estimate.clear();
+        self.orderings.clear();
+        self.ordering_memos.clear();
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.parent.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.parent.is_empty()
+    }
+
+    /// The row of candidate `i`.
+    pub(crate) fn row(&self, i: usize) -> &[u64] {
+        &self.rows[i * self.stride..(i + 1) * self.stride]
+    }
+
+    /// The ordering candidate `i` chose for the next memory, if any.
+    pub(crate) fn ordering_of(&self, i: usize) -> Option<&OrderingCandidate> {
+        self.ordering_at(self.ordering[i])
+    }
+
+    fn ordering_at(&self, index: u32) -> Option<&OrderingCandidate> {
+        self.orderings.get(index as usize)
+    }
+
+    /// Makes beam state `parent` the one whose children the following
+    /// [`push_child`](Self::push_child) calls append: its row is written
+    /// once here and copied per child.
+    pub(crate) fn begin_parent(&mut self, layout: &RowLayout, parent: usize, state: &PartialState) {
+        self.current_parent = parent as u32;
+        self.parent_row.clear();
+        layout.write_row(&state.mapping, &state.quotas, &mut self.parent_row);
+    }
+
+    /// Appends a copy of the current parent's row and returns where it
+    /// starts in `rows`; the caller overwrites the slots its stage
+    /// decides.
+    fn push_child(&mut self, ordering: u32) -> usize {
+        let at = self.rows.len();
+        self.rows.extend_from_slice(&self.parent_row);
+        self.parent.push(self.current_parent);
+        self.ordering.push(ordering);
+        self.estimate.push(f64::INFINITY);
+        at
+    }
+
+    /// Compacts the arena in place to the candidates at `keep` (strictly
+    /// ascending), preserving their order.
+    pub(crate) fn retain_indices(&mut self, keep: &[u32]) {
+        let stride = self.stride;
+        for (to, &from) in keep.iter().enumerate() {
+            let from = from as usize;
+            if to != from {
+                self.rows.copy_within(from * stride..(from + 1) * stride, to * stride);
+                self.parent[to] = self.parent[from];
+                self.ordering[to] = self.ordering[from];
+                self.estimate[to] = self.estimate[from];
+            }
+        }
+        self.rows.truncate(keep.len() * stride);
+        self.parent.truncate(keep.len());
+        self.ordering.truncate(keep.len());
+        self.estimate.truncate(keep.len());
+    }
+}
+
+/// One ordering enumeration of a stage. The result depends only on the
+/// in-play set and the stage, and beam parents mostly share their in-play
+/// set, so it runs once per distinct set; every further parent replays
+/// the counters the enumeration reported — as the tile and unroll memos
+/// do — so the stats read as if each parent had walked the trie itself.
+struct OrderingMemo {
+    in_play: DimSet,
+    /// The run of [`Candidates::orderings`] this enumeration produced
+    /// (never empty).
+    range: RangeInclusive<u32>,
+    /// Trie nodes explored (0 with the trie disabled).
+    nodes: u64,
+    /// Explored vs. enumerated, before any constraint filter.
+    ordering: PruneCounter,
+    no_reuse: u64,
+    dominated: u64,
+    constraint: PruneCounter,
+}
+
+impl OrderingMemo {
+    fn replay(&self, stage: usize, stats: &mut SearchStats) {
+        stats.nodes_explored += self.nodes;
+        stats.orderings += self.ordering.kept;
+        let level = stats.level_mut(stage);
+        level.ordering.merge(&self.ordering);
+        level.ordering_no_reuse += self.no_reuse;
+        level.ordering_dominated += self.dominated;
+        level.constraint.merge(&self.constraint);
+    }
+}
+
+/// One bottom-up stage for the arena's current parent `state`:
+/// unrollings below memory `stage`, tile at memory `stage`, ordering at
+/// memory `stage + 1`.
 pub(crate) fn bottom_up_expand(
     ctx: &SearchContext<'_>,
     state: &PartialState,
     stage: usize,
-    out: &mut Vec<PartialState>,
+    out: &mut Candidates,
     stats: &mut SearchStats,
 ) {
     let mem_pos = ctx.mems[stage];
@@ -36,25 +197,26 @@ pub(crate) fn bottom_up_expand(
     let ndims = ctx.workload.num_dims();
     let base = state.mapping.resident_tile(mem_pos, ndims);
 
-    let orderings: Vec<Option<OrderingCandidate>> = if last_stage {
+    let orderings = if last_stage {
         // The outermost memory has no level above to order.
-        vec![None]
+        NO_ORDERING..=NO_ORDERING
     } else {
-        orderings_for(ctx, in_play_dims(ctx, state), stage, stats).into_iter().map(Some).collect()
+        orderings_for(ctx, out, in_play_dims(ctx, state), stage, stats)
     };
 
     match ctx.config.intra_order {
         IntraOrder::OrderTileUnroll => {
             let reserve = spatial_reserve(ctx, stage, true, &state.quotas);
-            for ordering in &orderings {
+            for o in orderings {
+                let ordering = out.ordering_at(o);
                 let tiles =
                     tiles_for(ctx, state, stage, &base, &state.quotas, reserve, ordering, stats);
-                for tile in &tiles {
+                for tile in tiles.iter() {
                     let growth = quot(tile, &base);
                     let tile_quotas = divide(&state.quotas, &growth);
                     let unrolls = unrolls_for(ctx, state, stage, tile, &tile_quotas, stats);
                     for u in &unrolls {
-                        out.push(make_child(ctx, state, stage, &growth, u, ordering));
+                        make_child(ctx, out, state, stage, &growth, u, o);
                     }
                 }
             }
@@ -65,12 +227,13 @@ pub(crate) fn bottom_up_expand(
             for u in &unrolls {
                 let u_quotas = divide(&state.quotas, u);
                 let base_u = multiply(&base, u);
-                for ordering in &orderings {
+                for o in orderings.clone() {
+                    let ordering = out.ordering_at(o);
                     let tiles =
                         tiles_for(ctx, state, stage, &base_u, &u_quotas, reserve, ordering, stats);
-                    for tile in &tiles {
+                    for tile in tiles.iter() {
                         let growth = quot(tile, &base_u);
-                        out.push(make_child(ctx, state, stage, &growth, u, ordering));
+                        make_child(ctx, out, state, stage, &growth, u, o);
                     }
                 }
             }
@@ -80,8 +243,8 @@ pub(crate) fn bottom_up_expand(
             // ordering's growth dimensions.
             let reserve = spatial_reserve(ctx, stage, true, &state.quotas);
             let union_allowed = orderings
-                .iter()
-                .flatten()
+                .clone()
+                .filter_map(|o| out.ordering_at(o))
                 .map(|o| tile_allowed_dims(ctx, o))
                 .fold(DimSet::EMPTY, DimSet::union);
             let tiles = tiles_with_allowed(
@@ -94,13 +257,13 @@ pub(crate) fn bottom_up_expand(
                 DimSet::first_n(ndims),
                 stats,
             );
-            for tile in &tiles {
+            for tile in tiles.iter() {
                 let growth = quot(tile, &base);
                 let tile_quotas = divide(&state.quotas, &growth);
                 let unrolls = unrolls_for(ctx, state, stage, tile, &tile_quotas, stats);
                 for u in &unrolls {
-                    for ordering in &orderings {
-                        out.push(make_child(ctx, state, stage, &growth, u, ordering));
+                    for o in orderings.clone() {
+                        make_child(ctx, out, state, stage, &growth, u, o);
                     }
                 }
             }
@@ -108,26 +271,37 @@ pub(crate) fn bottom_up_expand(
     }
 }
 
-/// One top-down stage: ordering at memory `stage + 1`, unrolls in the gap
-/// below it, resident tile at memory `stage`.
+/// One top-down stage for the arena's current parent `state`: ordering
+/// at memory `stage + 1`, unrolls in the gap below it, resident tile at
+/// memory `stage`.
 pub(crate) fn top_down_expand(
     ctx: &SearchContext<'_>,
     state: &PartialState,
     stage: usize,
-    out: &mut Vec<PartialState>,
+    out: &mut Candidates,
     stats: &mut SearchStats,
 ) {
     let ndims = ctx.workload.num_dims();
-    let orderings = orderings_for(ctx, in_play_dims(ctx, state), stage, stats);
-    for ordering in orderings {
-        let gap = &ctx.lower_spatial[stage + 1];
-        let unrolls = top_down_unrolls(ctx, gap, &ordering, state, stage, stats);
+    let gap = &ctx.lower_spatial[stage + 1];
+    let lc = ctx.constraints.at(ctx.mems[stage]);
+    // Fabrics below this memory still need parallelism out of the tile;
+    // tiles too small to feed them are dropped below.
+    let mut below: u128 = 1;
+    for (pos, s) in ctx.arch.spatial_levels() {
+        if pos.index() < ctx.mems[stage] {
+            below *= u128::from(s.units);
+        }
+    }
+    let reserve = ((below as f64) * ctx.config.min_spatial_utilization).ceil() as u128;
+    for o in orderings_for(ctx, out, in_play_dims(ctx, state), stage, stats) {
+        let ordering = &out.orderings[o as usize];
+        let unrolls = top_down_unrolls(ctx, gap, ordering, state, stage, stats);
+        let order_allowed = tile_allowed_dims(ctx, ordering);
         for u in &unrolls {
             let mut q = divide(&state.quotas, u);
-            let mut allowed = tile_allowed_dims(ctx, &ordering);
+            let mut allowed = order_allowed;
             // User tile pins on this memory seed the enumeration base,
             // exactly as in `tiles_with_allowed` on the bottom-up path.
-            let lc = ctx.constraints.at(ctx.mems[stage]);
             if lc.tile_pins.iter().any(|&(d, v)| !q[d].is_multiple_of(v)) {
                 stats.level_mut(stage).constraint.record(1, 0);
                 continue;
@@ -158,23 +332,10 @@ pub(crate) fn top_down_expand(
                 .level_mut(stage)
                 .tiling
                 .record(outcome.explored as u64, outcome.tiles.len() as u64);
-            // Fabrics below this memory still need parallelism out of the
-            // tile; drop tiles too small to feed them (keep everything if
-            // none qualifies).
-            let mut below: u128 = 1;
-            for (pos, s) in ctx.arch.spatial_levels() {
-                if pos.index() < ctx.mems[stage] {
-                    below *= u128::from(s.units);
-                }
-            }
-            let reserve = ((below as f64) * ctx.config.min_spatial_utilization).ceil() as u128;
-            let mut tiles: Vec<&DimVec> =
-                outcome.tiles.iter().filter(|t| t.volume() >= reserve).collect();
-            if tiles.is_empty() {
-                tiles = outcome.tiles.iter().collect();
-            }
-            for tile in tiles {
-                out.push(make_top_down_child(ctx, state, stage, tile, u, &ordering));
+            // Keep everything if no tile can feed the fabrics below.
+            let any_feeds = outcome.tiles.iter().any(|t| t.volume() >= reserve);
+            for tile in outcome.tiles.iter().filter(|t| !any_feeds || t.volume() >= reserve) {
+                make_top_down_child(ctx, out, state, stage, tile, u, o);
             }
         }
     }
@@ -185,33 +346,59 @@ fn in_play_dims(ctx: &SearchContext<'_>, state: &PartialState) -> DimSet {
     ctx.workload.dim_ids().filter(|d| state.quotas[d.index()] > 1).collect()
 }
 
-/// Ordering candidates for one stage, with the trie's pruning attributed
-/// per principle in the stage's stats. A user order constraint on the
-/// level being ordered (memory `stage + 1`, in both directions) filters
-/// the enumeration here — before dedup and beam selection — and always
-/// re-adds the constraint's canonical completion so a satisfiable
-/// constraint can never strand the stage without candidates.
+/// Ordering candidates for one stage, as a run of `out.orderings`, with
+/// the trie's pruning attributed per principle in the stage's stats. A
+/// user order constraint on the level being ordered (memory `stage + 1`,
+/// in both directions) filters the enumeration here — before dedup and
+/// beam selection — and always re-adds the constraint's canonical
+/// completion so a satisfiable constraint can never strand the stage
+/// without candidates. Enumerated once per distinct `in_play` per stage;
+/// later parents replay the counters ([`OrderingMemo`]).
 fn orderings_for(
     ctx: &SearchContext<'_>,
+    out: &mut Candidates,
     in_play: DimSet,
     stage: usize,
     stats: &mut SearchStats,
-) -> Vec<OrderingCandidate> {
-    let mut cands = if ctx.config.pruning.ordering_trie {
+) -> RangeInclusive<u32> {
+    let known = out.ordering_memos.iter().position(|m| m.in_play == in_play);
+    let memo = match known {
+        Some(i) => &out.ordering_memos[i],
+        None => {
+            let memo = enumerate_orderings(ctx, in_play, stage, &mut out.orderings);
+            out.ordering_memos.push(memo);
+            out.ordering_memos.last().expect("just pushed")
+        }
+    };
+    memo.replay(stage, stats);
+    memo.range.clone()
+}
+
+/// The enumeration behind [`orderings_for`]: appends the stage's ordering
+/// candidates for `in_play` to `pool` and returns their run plus the
+/// counters to report per parent.
+fn enumerate_orderings(
+    ctx: &SearchContext<'_>,
+    in_play: DimSet,
+    stage: usize,
+    pool: &mut Vec<OrderingCandidate>,
+) -> OrderingMemo {
+    let mut ordering = PruneCounter::default();
+    let (mut cands, nodes, no_reuse, dominated) = if ctx.config.pruning.ordering_trie {
         let outcome = ctx.trie.candidates_detailed(in_play);
-        stats.nodes_explored += outcome.explored as u64;
-        stats.orderings += outcome.candidates.len() as u64;
-        let level = stats.level_mut(stage);
-        level.ordering.record(outcome.explored as u64, outcome.candidates.len() as u64);
-        level.ordering_no_reuse += outcome.rejected_no_reuse as u64;
-        level.ordering_dominated += outcome.dominated as u64;
-        outcome.candidates
+        ordering.record(outcome.explored as u64, outcome.candidates.len() as u64);
+        (
+            outcome.candidates,
+            outcome.explored as u64,
+            outcome.rejected_no_reuse as u64,
+            outcome.dominated as u64,
+        )
     } else {
         let cands = ctx.trie.all_permutations(in_play);
-        stats.orderings += cands.len() as u64;
-        stats.level_mut(stage).ordering.record(cands.len() as u64, cands.len() as u64);
-        cands
+        ordering.record(cands.len() as u64, cands.len() as u64);
+        (cands, 0, 0, 0)
     };
+    let mut constraint = PruneCounter::default();
     if let Some((groups, exact)) = &ctx.constraints.at(ctx.mems[stage + 1]).order {
         let considered = cands.len() as u64 + 1;
         if *exact {
@@ -225,9 +412,12 @@ fn orderings_for(
         if !cands.iter().any(|c| c.order == forced.order) {
             cands.push(forced);
         }
-        stats.level_mut(stage).constraint.record(considered, cands.len() as u64);
+        constraint.record(considered, cands.len() as u64);
     }
-    cands
+    let first = pool.len() as u32;
+    pool.extend(cands);
+    let range = first..=pool.len() as u32 - 1;
+    OrderingMemo { in_play, range, nodes, ordering, no_reuse, dominated, constraint }
 }
 
 /// Does `order` (innermost-first) keep the constraint groups as its
@@ -295,13 +485,13 @@ fn tiles_for(
     base: &[u64],
     quotas: &[u64],
     reserve: u64,
-    ordering: &Option<OrderingCandidate>,
+    ordering: Option<&OrderingCandidate>,
     stats: &mut SearchStats,
-) -> Vec<DimVec> {
+) -> Arc<[DimVec]> {
     if stage == ctx.mems.len() - 1 {
         // DRAM: the remainder is placed by `make_child`; the "tile" is the
         // base itself.
-        return vec![DimVec::from_slice(base)];
+        return Arc::from(vec![DimVec::from_slice(base)]);
     }
     let all = DimSet::first_n(ctx.workload.num_dims());
     let allowed = match ordering {
@@ -313,11 +503,8 @@ fn tiles_for(
     // that fabric pairs with the ordering chosen at the *previous* stage
     // (`state.ordering_here`); otherwise the nearest future fabric pairs
     // with the ordering being chosen now.
-    let governing = if ctx.lower_spatial[stage].is_empty() {
-        ordering.as_ref()
-    } else {
-        state.ordering_here.as_ref()
-    };
+    let governing =
+        if ctx.lower_spatial[stage].is_empty() { ordering } else { state.ordering_here.as_ref() };
     let mut unrollable = match governing {
         Some(o) => all.difference(unroll_excluded(ctx, o)),
         None => all,
@@ -347,7 +534,7 @@ fn tiles_with_allowed(
     allowed: DimSet,
     unrollable: DimSet,
     stats: &mut SearchStats,
-) -> Vec<DimVec> {
+) -> Arc<[DimVec]> {
     let mem_pos = ctx.mems[stage];
     let lc = ctx.constraints.at(mem_pos);
     // User tile pins seed the enumeration base: the pinned extent becomes
@@ -361,7 +548,7 @@ fn tiles_with_allowed(
     for &(d, v) in &lc.tile_pins {
         if !v.is_multiple_of(base[d]) || !quotas[d].is_multiple_of(v / base[d]) {
             stats.level_mut(stage).constraint.record(1, 0);
-            return Vec::new();
+            return Arc::from(Vec::new());
         }
         quotas[d] /= v / base[d];
         base[d] = v;
@@ -387,6 +574,10 @@ fn tiles_with_allowed(
         stats.level_mut(stage).tiling.record(hit.explored as u64, hit.tiles.len() as u64);
         return hit.tiles;
     }
+    // What a tile must leave for the fabrics: the reserve, capped by what
+    // the unrollable dimensions can offer at all.
+    let want =
+        u128::from(reserve).min(unrollable.iter().map(|d| u128::from(quotas[d.index()])).product());
     let outcome = enumerate_tiles_cached(
         &base,
         &quotas,
@@ -408,9 +599,7 @@ fn tiles_with_allowed(
                     u128::from(quotas[i] / (tile[i] / base[i]))
                 })
                 .product();
-            headroom
-                >= u128::from(reserve)
-                    .min(unrollable.iter().map(|d| u128::from(quotas[d.index()])).product())
+            headroom >= want
                 && lc.tile_caps.iter().all(|&(d, cap)| tile[d] <= cap)
                 && ctx.fits_mem(mem_pos, tile)
         },
@@ -427,13 +616,14 @@ fn tiles_with_allowed(
     }
     stats.tiles += tiles.len() as u64;
     stats.level_mut(stage).tiling.record(outcome.explored as u64, tiles.len() as u64);
+    let tiles: Arc<[DimVec]> = tiles.into();
     // Never memoize an enumeration a cancel may have truncated: the memo
     // outlives this call, and a later (uncancelled) call must re-derive
     // the full result to stay bit-identical to a fresh session.
     if !ctx.cancelled() {
         ctx.cache.tiles_insert(
             memo_key,
-            estimate::TileMemo { tiles: tiles.clone(), explored: outcome.explored },
+            estimate::TileMemo { tiles: Arc::clone(&tiles), explored: outcome.explored },
         );
     }
     tiles
@@ -566,7 +756,7 @@ fn unrolls_for(
                     .level_mut(stage)
                     .unrolling
                     .record(hit.explored as u64, hit.unrollings.len() as u64);
-                for u in &hit.unrollings {
+                for u in hit.unrollings.iter() {
                     next.push(multiply(&prev_eff, u));
                 }
                 continue;
@@ -629,19 +819,19 @@ fn unrolls_for(
                 .level_mut(stage)
                 .unrolling
                 .record(outcome.explored as u64, unrollings.len() as u64);
+            for u in &unrollings {
+                next.push(multiply(&prev_eff, u));
+            }
             // As with tiles: a cancel-truncated enumeration must not be
             // memoized past this call.
             if !ctx.cancelled() {
                 ctx.cache.unrolls_insert(
                     memo_key,
                     estimate::UnrollMemo {
-                        unrollings: unrollings.clone(),
+                        unrollings: unrollings.into(),
                         explored: outcome.explored,
                     },
                 );
-            }
-            for u in unrollings {
-                next.push(multiply(&prev_eff, &u));
             }
         }
         results = next;
@@ -729,28 +919,33 @@ fn top_down_unrolls(
     results
 }
 
-/// Builds the child state for one (growth, unroll, ordering) choice;
-/// `growth` is the vector of temporal tiling factors for this stage's
-/// memory (the tile divided by everything below it, unroll included).
+/// Appends the child row for one (growth, unroll, ordering) choice: the
+/// parent's row with this stage's decisions written over it. `growth` is
+/// the vector of temporal tiling factors for this stage's memory (the
+/// tile divided by everything below it, unroll included); `ordering`
+/// indexes `out.orderings`.
 fn make_child(
     ctx: &SearchContext<'_>,
+    out: &mut Candidates,
     state: &PartialState,
     stage: usize,
     growth: &[u64],
     unroll: &[u64],
-    ordering: &Option<OrderingCandidate>,
-) -> PartialState {
+    ordering: u32,
+) {
+    let layout = &ctx.layout;
     let mem_pos = ctx.mems[stage];
     let last_stage = stage == ctx.mems.len() - 1;
     let ndims = ctx.workload.num_dims();
-    let mut mapping = state.mapping.clone();
+    let at = out.push_child(ordering);
+    let row = &mut out.rows[at..];
     // Distribute the unroll over the gap's fabrics. With a single fabric
     // this is a direct assignment; with several, factors go to the
     // innermost fabric first, capped by its unit count.
     let mut remaining_unroll = DimVec::from_slice(unroll);
     for &pos in &ctx.lower_spatial[stage] {
         let fabric = ctx.arch.level(LevelId(pos)).as_spatial().expect("spatial level");
-        let mut assigned = DimVec::ones(ndims);
+        let assigned = &mut row[layout.factors(pos)];
         let mut used = 1u64;
         for d in 0..ndims {
             let mut f = remaining_unroll[d];
@@ -773,65 +968,117 @@ fn make_child(
             used *= f;
             remaining_unroll[d] /= f;
         }
-        if let MappingLevel::Spatial(s) = &mut mapping.levels_mut()[pos] {
-            s.factors = assigned.to_vec();
-        }
     }
     // Temporal factors at this memory: tile growth over the base, divided
     // by the unroll placed below this memory.
-    let mut quotas = state.quotas.clone();
-    if let MappingLevel::Temporal(t) = &mut mapping.levels_mut()[mem_pos] {
-        for d in 0..ndims {
-            let f = if last_stage { state.quotas[d] / unroll[d] } else { growth[d] };
-            t.factors[d] = f;
-            quotas[d] /= f * unroll[d];
-        }
+    let (factors, quotas) = (layout.factors(mem_pos).start, layout.quotas().start);
+    for d in 0..ndims {
+        let f = if last_stage { state.quotas[d] / unroll[d] } else { growth[d] };
+        row[factors + d] = f;
+        row[quotas + d] /= f * unroll[d];
     }
     // Apply the ordering for the next memory level.
-    if let Some(o) = ordering {
-        let next_mem = ctx.mems[stage + 1];
-        if let MappingLevel::Temporal(t) = &mut mapping.levels_mut()[next_mem] {
-            t.order = o.order.clone();
-        }
-    }
-    PartialState {
-        mapping,
-        quotas,
-        ordering_here: ordering.clone(),
-        estimate: f64::INFINITY,
-        parent: 0,
+    if let Some(o) = out.orderings.get(ordering as usize) {
+        write_order(&mut row[layout.order(ctx.mems[stage + 1])], o);
     }
 }
 
 fn make_top_down_child(
     ctx: &SearchContext<'_>,
+    out: &mut Candidates,
     state: &PartialState,
     stage: usize,
     tile: &[u64],
     unroll: &[u64],
-    ordering: &OrderingCandidate,
-) -> PartialState {
-    let ndims = ctx.workload.num_dims();
-    let mut mapping = state.mapping.clone();
+    ordering: u32,
+) {
+    let layout = &ctx.layout;
     let upper_mem = ctx.mems[stage + 1];
+    let at = out.push_child(ordering);
+    let row = &mut out.rows[at..];
     // Factors at the upper memory = remaining / (tile × unroll).
-    if let MappingLevel::Temporal(t) = &mut mapping.levels_mut()[upper_mem] {
-        for d in 0..ndims {
-            t.factors[d] = state.quotas[d] / (tile[d] * unroll[d]);
-        }
-        t.order = ordering.order.clone();
+    for (d, f) in row[layout.factors(upper_mem)].iter_mut().enumerate() {
+        *f = state.quotas[d] / (tile[d] * unroll[d]);
     }
+    write_order(&mut row[layout.order(upper_mem)], &out.orderings[ordering as usize]);
     // Unrolls in the gap.
     for &pos in &ctx.lower_spatial[stage + 1] {
-        if let MappingLevel::Spatial(s) = &mut mapping.levels_mut()[pos] {
-            s.factors = unroll.to_vec();
-        }
+        row[layout.factors(pos)].copy_from_slice(unroll);
     }
-    PartialState {
-        mapping,
-        quotas: DimVec::from_slice(tile),
-        ordering_here: Some(ordering.clone()),
-        estimate: f64::INFINITY,
-        parent: 0,
+    // The tile is what the stages below still have to distribute.
+    row[layout.quotas()].copy_from_slice(tile);
+}
+
+/// Writes an ordering into a row's loop-order slots, in the key's form.
+fn write_order(slots: &mut [u64], ordering: &OrderingCandidate) {
+    for (slot, d) in slots.iter_mut().zip(&ordering.order) {
+        *slot = d.index() as u64;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use sunstone_arch::presets;
+
+    use super::super::beam;
+    use super::super::testing::{conv2d, with_context};
+    use super::*;
+    use crate::SunstoneConfig;
+
+    /// An arena of children of the root state, one per entry of `tags`:
+    /// child `i` differs from its parent in one key word (`tags[i]`, in
+    /// the innermost level's first factor slot) and belongs to parent `i`.
+    fn arena(ctx: &SearchContext<'_>, tags: &[u64]) -> Candidates {
+        let root = PartialState::root(ctx);
+        let mut cands = Candidates::new(&ctx.layout);
+        for (i, &tag) in tags.iter().enumerate() {
+            cands.begin_parent(&ctx.layout, i, &root);
+            let at = cands.push_child(NO_ORDERING);
+            cands.rows[at + ctx.layout.factors(0).start] = tag;
+        }
+        cands
+    }
+
+    fn tags(ctx: &SearchContext<'_>, cands: &Candidates) -> Vec<u64> {
+        (0..cands.len()).map(|i| cands.row(i)[ctx.layout.factors(0).start]).collect()
+    }
+
+    #[test]
+    fn dedup_keeps_the_first_of_equal_rows_in_order() {
+        let (w, arch) = (conv2d(16, 16, 14), presets::simba_like());
+        with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
+            let mut cands = arena(ctx, &[5, 3, 5, 9, 3, 3, 2]);
+            // Rows that differ only past the key prefix are still equal.
+            let quota = ctx.layout.quotas().start;
+            cands.rows[2 * ctx.layout.stride() + quota] += 1;
+            for (i, e) in cands.estimate.iter_mut().enumerate() {
+                *e = i as f64;
+            }
+            let removed = beam::dedup(&mut cands, ctx.layout.key_len);
+            assert_eq!(removed, 3);
+            assert_eq!(tags(ctx, &cands), [5, 3, 9, 2]);
+            // Every column moved with its row.
+            assert_eq!(cands.parent, [0, 1, 3, 6]);
+            assert_eq!(cands.estimate, [0.0, 1.0, 3.0, 6.0]);
+            assert_eq!(cands.ordering.len(), 4);
+            assert_eq!(cands.rows.len(), 4 * ctx.layout.stride());
+            assert_eq!(beam::dedup(&mut cands, ctx.layout.key_len), 0, "already distinct");
+        });
+    }
+
+    #[test]
+    fn select_breaks_estimate_ties_by_enumeration_order() {
+        let (w, arch) = (conv2d(16, 16, 14), presets::simba_like());
+        let config = SunstoneConfig { beam_width: 4, ..SunstoneConfig::default() };
+        with_context(&w, &arch, &config, |ctx| {
+            let mut cands = arena(ctx, &[10, 11, 12, 13, 14, 15]);
+            cands.estimate.copy_from_slice(&[2.0, 1.0, 2.0, 1.0, 0.5, 2.0]);
+            let mut stats = SearchStats::default();
+            let beam = beam::select(ctx, &cands, 0, &mut stats);
+            let kept: Vec<u64> = beam.iter().map(|s| s.mapping.level(0).factors()[0]).collect();
+            assert_eq!(kept, [14, 11, 13, 10], "best first; equal estimates in arena order");
+            assert_eq!(stats.levels[0].beam, PruneCounter { considered: 6, kept: 4 });
+            assert!(beam.iter().all(|s| s.ordering_here.is_none() && s.quotas == w.dim_sizes()));
+        });
     }
 }

@@ -2,10 +2,13 @@
 //! pass per memory level, with the walk direction abstracted as a
 //! [`LevelPass`].
 
+use std::time::Instant;
+
 use sunstone_mapping::MappingLevel;
 
+use super::candidates::{self, Candidates};
 use super::stats::SearchStats;
-use super::{beam, candidates, estimate, CallControls, PartialState, SearchContext};
+use super::{beam, estimate, CallControls, PartialState, SearchContext};
 use crate::progress::ProgressEvent;
 use crate::Direction;
 
@@ -20,13 +23,14 @@ pub(crate) trait LevelPass {
     /// Stage indices in visit order (stage `i` decides memory `mems[i]`).
     fn stages(&self, n_mem: usize) -> Vec<usize>;
 
-    /// Expands one beam state at `stage` into candidate children.
+    /// Expands one beam state at `stage` into candidate rows of `out`
+    /// (whose current parent the caller has set to `state`).
     fn expand(
         &self,
         ctx: &SearchContext<'_>,
         state: &PartialState,
         stage: usize,
-        out: &mut Vec<PartialState>,
+        out: &mut Candidates,
         stats: &mut SearchStats,
     );
 
@@ -54,7 +58,7 @@ impl LevelPass for BottomUpPass {
         ctx: &SearchContext<'_>,
         state: &PartialState,
         stage: usize,
-        out: &mut Vec<PartialState>,
+        out: &mut Candidates,
         stats: &mut SearchStats,
     ) {
         candidates::bottom_up_expand(ctx, state, stage, out, stats);
@@ -87,7 +91,7 @@ impl LevelPass for TopDownPass {
         ctx: &SearchContext<'_>,
         state: &PartialState,
         stage: usize,
-        out: &mut Vec<PartialState>,
+        out: &mut Candidates,
         stats: &mut SearchStats,
     ) {
         candidates::top_down_expand(ctx, state, stage, out, stats);
@@ -129,9 +133,10 @@ pub(crate) struct SearchRun {
 }
 
 /// Runs the staged search: for each stage of the pass, expand every beam
-/// state, dedup, estimate (memoized, parallel), and keep the
-/// `beam_width` best. Returns the surviving beam best-estimate first,
-/// finalized when the walk completed.
+/// state into the stage's candidate arena, dedup, estimate (memoized,
+/// parallel), and materialize the `beam_width` best as the next beam.
+/// Returns the surviving beam best-estimate first, finalized when the
+/// walk completed.
 ///
 /// Cancellation is checked before every stage, between parent expansions,
 /// inside the enumeration fits closures, and per claim inside the
@@ -154,6 +159,7 @@ pub(crate) fn run_level_search(
     controls: &CallControls<'_>,
 ) -> SearchRun {
     let mut beam_states = vec![PartialState::root(ctx)];
+    let mut cands = Candidates::new(&ctx.layout);
     for (i, stage) in pass.stages(ctx.mems.len()).into_iter().enumerate() {
         // Breadcrumb for the panic-isolation boundary: a fault caught
         // while this stage runs reports `search: level <stage>`.
@@ -167,8 +173,9 @@ pub(crate) fn run_level_search(
         if let Some(sink) = controls.progress {
             sink.on_event(&ProgressEvent::LevelStarted { stage, beam: beam_states.len() });
         }
-        let mut cands: Vec<PartialState> = Vec::new();
-        for parent in 0..beam_states.len() {
+        cands.clear();
+        let phase = Instant::now();
+        for (parent, state) in beam_states.iter().enumerate() {
             // Bounded-latency controls between parent expansions (a
             // single expansion is bounded by the enumeration caps; the
             // fits closures additionally observe cancellation inside the
@@ -180,14 +187,8 @@ pub(crate) fn run_level_search(
             if i > 0 && controls.past_deadline() {
                 return SearchRun { beam: beam_states, stop: SearchStop::DeadlineReached };
             }
-            let from = cands.len();
-            pass.expand(ctx, &beam_states[parent], stage, &mut cands, stats);
-            // Stamp each child with its parent index: estimation memoizes
-            // the decided-prefix cost once per parent, and relies on one
-            // parent's children being contiguous (dedup keeps order).
-            for c in &mut cands[from..] {
-                c.parent = parent;
-            }
+            cands.begin_parent(&ctx.layout, parent, state);
+            pass.expand(ctx, state, stage, &mut cands, stats);
         }
         // A cancel that fired inside the enumeration closures can truncate
         // the candidate set; report it as a cancel, never as infeasibility.
@@ -197,15 +198,23 @@ pub(crate) fn run_level_search(
         if cands.is_empty() {
             return SearchRun { beam: Vec::new(), stop: SearchStop::Infeasible { stage } };
         }
-        let removed = beam::dedup(&mut cands);
-        stats.level_mut(stage).dedup_removed += removed as u64;
+        stats.level_mut(stage).expand += phase.elapsed();
+        let phase = Instant::now();
+        let removed = beam::dedup(&mut cands, ctx.layout.key_len);
+        let level = stats.level_mut(stage);
+        level.dedup_removed += removed as u64;
+        level.dedup += phase.elapsed();
         let before = cands.len();
         let deadline = if i > 0 {
             estimate::DeadlinePolicy::Always
         } else {
             estimate::DeadlinePolicy::AfterFirstClaim
         };
-        match estimate::estimate_all(ctx, pass.direction(), &mut cands, stage, deadline, stats) {
+        let phase = Instant::now();
+        let round =
+            estimate::estimate_all(ctx, pass.direction(), &mut cands, stage, deadline, stats);
+        stats.level_mut(stage).estimate += phase.elapsed();
+        match round {
             estimate::RoundStatus::Done => {}
             estimate::RoundStatus::Cancelled => {
                 return SearchRun { beam: beam_states, stop: SearchStop::Cancelled };
@@ -214,14 +223,16 @@ pub(crate) fn run_level_search(
                 return SearchRun { beam: beam_states, stop: SearchStop::DeadlineReached };
             }
         }
-        beam::select(&mut cands, ctx.config.beam_width, stage, stats);
+        let phase = Instant::now();
+        beam_states = beam::select(ctx, &cands, stage, stats);
+        stats.level_mut(stage).select += phase.elapsed();
         if let Some(sink) = controls.progress {
             let level = &stats.levels[stage];
             let probes = level.cache_hits + level.cache_misses;
             sink.on_event(&ProgressEvent::LevelFinished {
                 stage,
                 candidates: before,
-                beam: cands.len(),
+                beam: beam_states.len(),
                 cache_hit_rate: if probes == 0 {
                     0.0
                 } else {
@@ -230,7 +241,6 @@ pub(crate) fn run_level_search(
                 constraint_filtered: level.constraint.pruned(),
             });
         }
-        beam_states = cands;
     }
     pass.finalize(ctx, &mut beam_states);
     SearchRun { beam: beam_states, stop: SearchStop::Completed }

@@ -4,13 +4,14 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use sunstone_ir::{DimSet, DimVec, FxHashMap};
 use sunstone_mapping::{Mapping, MappingLevel};
 use sunstone_model::{BatchEvalScratch, CostReport, EvalScratch, MappingPrefix};
 
-use super::beam::{completed_key, mapping_key};
+use super::beam::mapping_key;
+use super::candidates::Candidates;
 use super::stats::SearchStats;
 use super::{PartialState, SearchContext};
 use crate::pool::SliceWriter;
@@ -89,9 +90,11 @@ impl CacheStats {
 
 /// Memoized tile enumeration: the kept tiles plus the enumeration stats
 /// to replay, so cached and uncached searches report identical counters.
+/// The tiles are shared, not copied: a lookup hands out the `Arc` under
+/// the session lock.
 #[derive(Debug, Clone)]
 pub(crate) struct TileMemo {
-    pub(crate) tiles: Vec<DimVec>,
+    pub(crate) tiles: Arc<[DimVec]>,
     pub(crate) explored: usize,
 }
 
@@ -112,7 +115,7 @@ pub(crate) struct TileKey {
 /// Memoized unrolling enumeration (one fabric, one accumulated prefix).
 #[derive(Debug, Clone)]
 pub(crate) struct UnrollMemo {
-    pub(crate) unrollings: Vec<DimVec>,
+    pub(crate) unrollings: Arc<[DimVec]>,
     pub(crate) explored: usize,
 }
 
@@ -330,7 +333,7 @@ impl<'s> EstimateCache<'s> {
 }
 
 /// The memory position where [`complete`] places a state's remainder.
-fn completion_pos(ctx: &SearchContext<'_>, direction: Direction) -> usize {
+pub(super) fn completion_pos(ctx: &SearchContext<'_>, direction: Direction) -> usize {
     match direction {
         Direction::BottomUp => *ctx.mems.last().expect("at least one memory"),
         Direction::TopDown => ctx.mems[0],
@@ -405,13 +408,20 @@ pub(crate) enum RoundStatus {
     DeadlineReached,
 }
 
-/// Completes and estimates every candidate.
+/// Completes and estimates every candidate of the arena, filling its
+/// `estimate` column.
 ///
-/// The cache is probed on the calling thread with a reused scratch key
-/// computed straight from the partial state — no clone-and-complete per
-/// probe. Only the misses materialize a completed mapping and go through
-/// the model, distributed over the session's persistent worker pool (no
-/// per-round thread spawns; each worker reuses one evaluation scratch).
+/// The cache is probed on the calling thread with a reused scratch key:
+/// the candidate's row prefix with the completion level's factor slots
+/// multiplied by the row's quotas
+/// ([`RowLayout::write_completed_key`](super::RowLayout::write_completed_key))
+/// — word for word the [`mapping_key`] of the completed mapping, so
+/// entries written by earlier calls, [`evaluate_cached`] and primed store
+/// records all hit. Only the misses allocate: the key they will be
+/// inserted under, and the completed [`Mapping`] materialized *from that
+/// key* for the evaluators, which go through the model distributed over
+/// the session's persistent worker pool (no per-round thread spawns; each
+/// worker reuses one evaluation scratch).
 ///
 /// Bottom-up stages past the first price each miss *prefix-incrementally*:
 /// all candidates expanded from one beam state share the decided levels
@@ -451,13 +461,14 @@ pub(crate) enum RoundStatus {
 pub(crate) fn estimate_all(
     ctx: &SearchContext<'_>,
     direction: Direction,
-    candidates: &mut [PartialState],
+    candidates: &mut Candidates,
     stage: usize,
     deadline: DeadlinePolicy,
     stats: &mut SearchStats,
 ) -> RoundStatus {
     faultpoint!("estimate.round");
     stats.probed += candidates.len() as u64;
+    let layout = &ctx.layout;
     let objective = ctx.config.objective;
     let pos = completion_pos(ctx, direction);
     let cache = &ctx.cache;
@@ -470,11 +481,11 @@ pub(crate) fn estimate_all(
         // read the memoized report in place — no per-probe clone.
         let guard = cache.enabled.then(|| cache.session.lock_map());
         let per_ctx = guard.as_ref().and_then(|g| g.get(&cache.ctx_fp));
-        for (i, state) in candidates.iter_mut().enumerate() {
-            completed_key(&state.mapping, pos, &state.quotas, &mut key);
+        for i in 0..candidates.len() {
+            layout.write_completed_key(candidates.row(i), pos, &mut key);
             match per_ctx.and_then(|e| e.reports.get(key.as_slice())) {
                 Some(report) => {
-                    state.estimate = objective.of(report);
+                    candidates.estimate[i] = objective.of(report);
                     hits += 1;
                 }
                 None => misses.push((i, std::mem::take(&mut key))),
@@ -485,8 +496,9 @@ pub(crate) fn estimate_all(
         cache.session.hits.fetch_add(hits, Ordering::Relaxed);
         cache.session.misses.fetch_add(misses.len() as u64, Ordering::Relaxed);
     }
+    // A miss's key *is* its completed mapping.
     let completed: Vec<Mapping> =
-        misses.iter().map(|&(i, _)| complete(ctx, &candidates[i], direction)).collect();
+        misses.iter().map(|(_, key)| layout.materialize(key, &ctx.base)).collect();
 
     // Prefix memoization: bottom-up, every candidate of one parent shares
     // the levels up to the previous stage's memory, and completion only
@@ -497,10 +509,10 @@ pub(crate) fn estimate_all(
     let mut prefixes: Vec<MappingPrefix> = Vec::new();
     let mut group_of: Vec<u32> = Vec::new();
     if let Some(b) = boundary {
-        let mut last_parent = usize::MAX;
+        let mut last_parent = u32::MAX;
         for (k, &(i, _)) in misses.iter().enumerate() {
             faultpoint!("estimate.prefix");
-            let parent = candidates[i].parent;
+            let parent = candidates.parent[i];
             if prefixes.is_empty() || parent != last_parent {
                 prefixes.push(ctx.model.prefix_of(&completed[k], b));
                 last_parent = parent;
@@ -618,7 +630,7 @@ pub(crate) fn estimate_all(
         for ((i, key), report) in misses.into_iter().zip(reports) {
             match report {
                 Some(report) => {
-                    candidates[i].estimate = objective.of(&report);
+                    candidates.estimate[i] = objective.of(&report);
                     if let Some(e) = per_ctx.as_deref_mut() {
                         faultpoint!("cache.insert");
                         if e.reports.insert(key, report).is_none() {
@@ -629,7 +641,7 @@ pub(crate) fn estimate_all(
                 // Skipped by a mid-round stop: never evaluated, never
                 // published. The caller discards the stage, so the
                 // placeholder estimate is never ranked against real ones.
-                None => candidates[i].estimate = f64::INFINITY,
+                None => candidates.estimate[i] = f64::INFINITY,
             }
         }
         if inserted > 0 {

@@ -13,6 +13,12 @@
 //! 4. **select** (`beam`) — keep the best `beam_width` candidates (the
 //!    alpha-beta-style cut).
 //!
+//! A stage builds tens of thousands of candidates and keeps
+//! `beam_width` of them, so a candidate is not a [`Mapping`]: it is one
+//! fixed-stride row of `u64` words in the stage's `candidates::Candidates`
+//! arena, laid out by `RowLayout`. Only the survivors of the cut are
+//! materialized back into `PartialState`s.
+//!
 //! The walk direction is a `compose::LevelPass`: `compose::BottomUpPass`
 //! (the paper's default) starts at the innermost memory, where partial
 //! costs track final costs closely and the beam cuts early;
@@ -30,10 +36,11 @@ pub(crate) mod candidates;
 pub(crate) mod compose;
 pub(crate) mod estimate;
 
+use std::ops::Range;
 use std::time::Instant;
 
 use sunstone_arch::{ArchSpec, Binding, Capacity, Level, LevelId};
-use sunstone_ir::{DimVec, TensorDesc, Workload};
+use sunstone_ir::{DimId, DimVec, TensorDesc, Workload};
 use sunstone_mapping::{Mapping, MappingLevel};
 use sunstone_model::CostModel;
 
@@ -76,6 +83,98 @@ impl CallControls<'_> {
 /// the tensors bound to it with their per-word byte widths.
 type FitPlan<'a> = Vec<(Capacity, Vec<(&'a TensorDesc, u64)>)>;
 
+/// Where each decision of a partial mapping sits in a candidate row.
+///
+/// A row is the mapping's search key — per architecture level its
+/// factors, then for temporal levels its loop order as dimension indices,
+/// word for word what [`beam::mapping_key`] emits — followed by the
+/// `ndims` remaining quotas. The key prefix is what dedup hashes and what
+/// the estimate cache is probed with (after completion), so entries
+/// written through `mapping_key` and through rows are interchangeable.
+#[derive(Debug, Clone)]
+pub(crate) struct RowLayout {
+    /// Per architecture position: offset of the level's factors, and
+    /// whether `ndims` order words follow them.
+    levels: Vec<(usize, bool)>,
+    ndims: usize,
+    /// Words of the key prefix; the quotas start here.
+    pub(crate) key_len: usize,
+}
+
+impl RowLayout {
+    /// The layout of every mapping shaped like `base` (one entry per
+    /// dimension in each level's factors and order).
+    fn of(base: &Mapping, ndims: usize) -> Self {
+        let mut levels = Vec::with_capacity(base.levels().len());
+        let mut at = 0;
+        for level in base.levels() {
+            let temporal = matches!(level, MappingLevel::Temporal(_));
+            levels.push((at, temporal));
+            at += if temporal { 2 * ndims } else { ndims };
+        }
+        RowLayout { levels, ndims, key_len: at }
+    }
+
+    /// Words per row: the key prefix plus the quotas.
+    pub(crate) fn stride(&self) -> usize {
+        self.key_len + self.ndims
+    }
+
+    /// The factor slots of the level at `pos`.
+    pub(crate) fn factors(&self, pos: usize) -> Range<usize> {
+        let at = self.levels[pos].0;
+        at..at + self.ndims
+    }
+
+    /// The loop-order slots of the temporal level at `pos`.
+    pub(crate) fn order(&self, pos: usize) -> Range<usize> {
+        debug_assert!(self.levels[pos].1, "level {pos} is spatial: it has no order slots");
+        let at = self.levels[pos].0 + self.ndims;
+        at..at + self.ndims
+    }
+
+    /// The remaining-quota slots.
+    pub(crate) fn quotas(&self) -> Range<usize> {
+        self.key_len..self.stride()
+    }
+
+    /// Appends the row of `(mapping, quotas)` to `out`.
+    pub(crate) fn write_row(&self, mapping: &Mapping, quotas: &[u64], out: &mut Vec<u64>) {
+        let start = out.len();
+        beam::write_key(mapping, out);
+        out.extend_from_slice(quotas);
+        debug_assert_eq!(out.len() - start, self.stride(), "mapping does not fit the layout");
+    }
+
+    /// Rebuilds the mapping a key — or a row, by its key prefix —
+    /// describes; `base` supplies what the key does not carry (each
+    /// level's kind and identity).
+    pub(crate) fn materialize(&self, key: &[u64], base: &Mapping) -> Mapping {
+        let mut m = base.clone();
+        for (pos, level) in m.levels_mut().iter_mut().enumerate() {
+            level.factors_mut().copy_from_slice(&key[self.factors(pos)]);
+            if let MappingLevel::Temporal(t) = level {
+                for (slot, &d) in t.order.iter_mut().zip(&key[self.order(pos)]) {
+                    *slot = DimId::from_index(d as usize);
+                }
+            }
+        }
+        m
+    }
+
+    /// Writes into `key` the key of the row's mapping *as completed*: the
+    /// factors of the temporal level at `complete_at` multiplied by the
+    /// remaining quotas — `mapping_key(&estimate::complete(..))` without
+    /// building the mapping.
+    pub(crate) fn write_completed_key(&self, row: &[u64], complete_at: usize, key: &mut Vec<u64>) {
+        key.clear();
+        key.extend_from_slice(&row[..self.key_len]);
+        for (f, q) in key[self.factors(complete_at)].iter_mut().zip(&row[self.quotas()]) {
+            *f *= q;
+        }
+    }
+}
+
 /// Everything the pipeline stages share for one scheduling run: the
 /// problem, the derived level structure, the enumeration trie, the cost
 /// model, and the memoized estimate cache.
@@ -117,6 +216,11 @@ pub(crate) struct SearchContext<'a> {
     /// form. Empty (the common case) adds one cheap `is_empty` branch per
     /// enumeration; the free search path is otherwise untouched.
     pub(crate) constraints: ResolvedConstraints,
+    /// The all-ones mapping every search starts from, and the template
+    /// candidate rows are materialized over.
+    pub(crate) base: Mapping,
+    /// The candidate-row layout of mappings shaped like `base`.
+    pub(crate) layout: RowLayout,
 }
 
 impl<'a> SearchContext<'a> {
@@ -159,6 +263,8 @@ impl<'a> SearchContext<'a> {
                 Some(parts)
             })
             .collect();
+        let base = streaming_base(workload, arch);
+        let layout = RowLayout::of(&base, workload.num_dims());
         SearchContext {
             workload,
             arch,
@@ -174,6 +280,8 @@ impl<'a> SearchContext<'a> {
             ladders: DivisorLadders::new(&workload.dim_sizes()),
             mem_fits,
             constraints,
+            base,
+            layout,
         }
     }
 
@@ -206,7 +314,10 @@ impl<'a> SearchContext<'a> {
     }
 }
 
-/// One partial mapping alive in the beam.
+/// One partial mapping alive in the beam: a survivor of the previous
+/// stage's cut, materialized from its candidate row. At most `beam_width`
+/// exist per stage; the candidates a stage builds and discards never take
+/// this form.
 #[derive(Debug, Clone)]
 pub(crate) struct PartialState {
     pub(crate) mapping: Mapping,
@@ -215,13 +326,6 @@ pub(crate) struct PartialState {
     /// Ordering chosen for the *current frontier* memory (bottom-up: set
     /// by the previous stage; governs this stage's unrolling principle).
     pub(crate) ordering_here: Option<OrderingCandidate>,
-    /// Objective estimate of the completed mapping.
-    pub(crate) estimate: f64,
-    /// Index of the beam state this candidate was expanded from (set by
-    /// the composition loop). Candidates of one parent share every level
-    /// decided before the current stage, which is what lets estimation
-    /// memoize the decided-prefix cost per parent.
-    pub(crate) parent: usize,
 }
 
 impl PartialState {
@@ -229,22 +333,172 @@ impl PartialState {
     /// still to distribute.
     pub(crate) fn root(ctx: &SearchContext<'_>) -> Self {
         PartialState {
-            mapping: streaming_base(ctx.workload, ctx.arch),
+            mapping: ctx.base.clone(),
             quotas: DimVec::from(ctx.workload.dim_sizes()),
             ordering_here: None,
-            estimate: f64::INFINITY,
-            parent: 0,
         }
     }
 }
 
 /// A mapping with all factors 1 — `Mapping::streaming` puts the problem
 /// at DRAM, which the search does itself at completion time.
-pub(crate) fn streaming_base(workload: &Workload, arch: &ArchSpec) -> Mapping {
+fn streaming_base(workload: &Workload, arch: &ArchSpec) -> Mapping {
     let mut m = Mapping::streaming(workload, arch);
     let last = arch.num_levels() - 1;
     if let MappingLevel::Temporal(t) = &mut m.levels_mut()[last] {
         t.factors = vec![1; workload.num_dims()];
     }
     m
+}
+
+/// A search context over private session state, for unit tests of the
+/// pipeline stages.
+#[cfg(test)]
+pub(crate) mod testing {
+    use sunstone_mapping::MappingConstraints;
+
+    use super::*;
+
+    /// Runs `f` with the context a scheduling call on `(workload, arch)`
+    /// under `config` would build: unconstrained, on an empty session
+    /// cache and an inline pool.
+    pub(crate) fn with_context<R>(
+        workload: &Workload,
+        arch: &ArchSpec,
+        config: &SunstoneConfig,
+        f: impl FnOnce(&SearchContext<'_>) -> R,
+    ) -> R {
+        let binding = Binding::resolve(arch, workload).expect("binds");
+        let session = estimate::SessionCache::new();
+        let pool = WorkerPool::new(0);
+        let cache =
+            EstimateCache::new(config.estimate_cache, 0, config.max_cache_entries, &session);
+        let constraints = ResolvedConstraints::resolve(&MappingConstraints::new(), workload, arch)
+            .expect("no constraints");
+        let ctx = SearchContext::new(
+            workload,
+            arch,
+            &binding,
+            config,
+            cache,
+            &pool,
+            None,
+            None,
+            constraints,
+        );
+        f(&ctx)
+    }
+
+    /// A 7-dimensional convolution whose tensor names every preset's
+    /// partition filters bind.
+    pub(crate) fn conv2d(k: u64, c: u64, hw: u64) -> Workload {
+        let mut b = Workload::builder("conv2d");
+        let n = b.dim("N", 2);
+        let kk = b.dim("K", k);
+        let cc = b.dim("C", c);
+        let p = b.dim("P", hw);
+        let q = b.dim("Q", hw);
+        let r = b.dim("R", 3);
+        let s = b.dim("S", 3);
+        b.input_bits("ifmap", [n.expr(), cc.expr(), p + r, q + s], 8);
+        b.input_bits("weight", [kk.expr(), cc.expr(), r.expr(), s.expr()], 8);
+        b.output_bits("ofmap", [n.expr(), kk.expr(), p.expr(), q.expr()], 24);
+        b.build().expect("valid workload")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+    use sunstone_arch::presets;
+
+    use super::testing::{conv2d, with_context};
+    use super::*;
+    use crate::factors::sorted_divisors;
+    use crate::Direction;
+
+    fn preset(i: usize) -> ArchSpec {
+        match i {
+            0 => presets::conventional(),
+            1 => presets::eyeriss_like(),
+            2 => presets::simba_like(),
+            _ => presets::diannao_like(),
+        }
+    }
+
+    /// A random partial mapping shaped like the context's base: every
+    /// level takes a random divisor of what each dimension still has to
+    /// distribute, temporal levels a random loop order, and the rest stays
+    /// in the quotas — every state the search can reach has this form.
+    fn random_state(ctx: &SearchContext<'_>, seed: u64) -> PartialState {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut s = PartialState::root(ctx);
+        for level in s.mapping.levels_mut() {
+            for (f, q) in level.factors_mut().iter_mut().zip(s.quotas.iter_mut()) {
+                let divisors = sorted_divisors(*q);
+                *f = divisors[(next() % divisors.len() as u64) as usize];
+                *q /= *f;
+            }
+            if let MappingLevel::Temporal(t) = level {
+                for i in (1..t.order.len()).rev() {
+                    t.order.swap(i, (next() % (i as u64 + 1)) as usize);
+                }
+            }
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Row ↔ tree: a state's row carries its mapping key and quotas,
+        /// and materializes back to the same mapping.
+        #[test]
+        fn rows_round_trip(arch in 0usize..4, k in 1u32..6, hw in 1u64..5, seed in 0u64..10_000) {
+            let (w, arch) = (conv2d(1 << k, 24, 7 * hw), preset(arch));
+            with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
+                let layout = &ctx.layout;
+                let s = random_state(ctx, seed);
+                let mut row = Vec::new();
+                layout.write_row(&s.mapping, &s.quotas, &mut row);
+                assert_eq!(row.len(), layout.stride());
+                assert_eq!(&row[..layout.key_len], beam::mapping_key(&s.mapping).as_slice());
+                assert_eq!(&row[layout.quotas()], &s.quotas[..]);
+                assert_eq!(layout.materialize(&row, &ctx.base), s.mapping);
+            });
+        }
+
+        /// The estimate cache is probed with exactly the key
+        /// `evaluate_cached` and primed store records are filed under: the
+        /// mapping key of the completed mapping, in both directions.
+        #[test]
+        fn probe_key_is_the_completed_mapping_key(
+            arch in 0usize..4, k in 1u32..6, hw in 1u64..5, seed in 0u64..10_000,
+        ) {
+            let (w, arch) = (conv2d(1 << k, 24, 7 * hw), preset(arch));
+            with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
+                let layout = &ctx.layout;
+                let s = random_state(ctx, seed);
+                let mut row = Vec::new();
+                layout.write_row(&s.mapping, &s.quotas, &mut row);
+                let mut key = vec![7; 3];
+                for direction in [Direction::BottomUp, Direction::TopDown] {
+                    let completed = estimate::complete(ctx, &s, direction);
+                    layout.write_completed_key(
+                        &row,
+                        estimate::completion_pos(ctx, direction),
+                        &mut key,
+                    );
+                    assert_eq!(&key, &beam::mapping_key(&completed));
+                    assert_eq!(layout.materialize(&key, &ctx.base), completed);
+                }
+            });
+        }
+    }
 }

@@ -85,6 +85,20 @@ pub struct LevelStats {
     pub cache_hits: u64,
     /// Estimates that required a cost-model evaluation at this stage.
     pub cache_misses: u64,
+    /// Wall time of this stage's expand phase: enumerating orderings,
+    /// tiles and unrollings for every beam parent and writing the
+    /// candidate rows. One clock pair per phase per stage, never per
+    /// candidate; the four phases leave only the stage's control checks
+    /// and progress events unattributed.
+    pub expand: Duration,
+    /// Wall time of duplicate elimination over the candidate rows.
+    pub dedup: Duration,
+    /// Wall time of the estimate round: cache probes plus, for the
+    /// misses, materialization and the cost model on the worker pool.
+    pub estimate: Duration,
+    /// Wall time of ranking the candidates and materializing the
+    /// surviving beam.
+    pub select: Duration,
 }
 
 /// Search statistics of one scheduling run.
