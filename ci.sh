@@ -51,7 +51,7 @@ cargo run --release -p sunstone-bench --bin bench_schedule -- quick --out BENCH_
 python3 - <<'EOF'
 import json
 d = json.load(open("BENCH_schedule_quick.json"))
-assert d.get("schema") == "sunstone-bench-schedule/v5", d.get("schema")
+assert d.get("schema") == "sunstone-bench-schedule/v6", d.get("schema")
 assert d.get("layers"), "no layers recorded"
 for row in d["layers"]:
     for field in (
@@ -61,7 +61,10 @@ for row in d["layers"]:
     ):
         assert field in row, f"missing {field} in {row.get('name', '?')}"
     for split in (row["phase_ms"], row["warm_phase_ms"]):
-        for phase in ("expand", "dedup", "estimate", "select", "uncovered_share"):
+        for phase in (
+            "expand", "dedup", "estimate", "estimate_prefix", "estimate_price",
+            "estimate_publish", "select", "uncovered_share",
+        ):
             assert phase in split, f"missing {phase} in {row['name']}"
     assert row["warm_median_ms"] > 0, row["name"]
     assert row["modeled"] <= row["probed"], row["name"]
@@ -96,21 +99,19 @@ drifted = [
     if r[key] != committed_rows[r["name"]][key]
 ]
 assert not drifted, "search counters drifted from BENCH_schedule.json:\n" + "\n".join(drifted)
-# Throughput gate: the raw evaluator must not quietly regress. Compare
-# against the committed full-mode measurement; >15% below it fails.
-# (Same-machine quick runs track the full run closely — the throughput
-# loops are cache-free and fixed-size per eval.)
-ce = committed.get("estimate", {})
-for key in ("evals_per_sec", "batch_evals_per_sec"):
-    if key in ce and key in est:
-        floor = 0.85 * ce[key]
-        assert est[key] >= floor, (
-            f"estimate.{key} regressed >15%: {est[key]:.0f} < {floor:.0f}"
-            f" (committed {ce[key]:.0f})"
-        )
+# Throughput gate: the SoA batch evaluator must stay well ahead of the
+# scalar one. Both are measured in this very run, so the ratio cancels
+# the machine's speed — an absolute floor committed from another run does
+# not (the same binary reads 0.96–1.54 M batch evals/s from one quick run
+# to the next on one box). 1.9–3.5 observed.
+ratio = est["batch_evals_per_sec"] / est["evals_per_sec"]
+assert ratio >= 1.5, (
+    f"batch evaluator only {ratio:.2f}x the scalar one"
+    f" ({est['batch_evals_per_sec']:.0f} vs {est['evals_per_sec']:.0f} evals/s)"
+)
 print(
     f"BENCH_schedule_quick.json OK ({len(d['layers'])} layers, {checked} fingerprints"
-    f" match baseline, batch {est['batch_evals_per_sec']:.0f} evals/s)"
+    f" match baseline, batch {est['batch_evals_per_sec']:.0f} evals/s, {ratio:.2f}x scalar)"
 )
 EOF
 rm -f BENCH_schedule_quick.json

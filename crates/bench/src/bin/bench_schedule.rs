@@ -49,14 +49,17 @@ struct LayerRow {
     warm_phase_ms: PhaseMs,
 }
 
-/// `LevelStats::{expand, dedup, estimate, select}` summed over stages and
-/// over the runs added, in milliseconds, plus the wall time they are a
-/// split of.
+/// `LevelStats::{expand, dedup, estimate, select}` — and the three parts
+/// `estimate` splits into — summed over stages and over the runs added, in
+/// milliseconds, plus the wall time the four phases are a split of.
 #[derive(Default)]
 struct PhaseMs {
     expand: f64,
     dedup: f64,
     estimate: f64,
+    estimate_prefix: f64,
+    estimate_price: f64,
+    estimate_publish: f64,
     select: f64,
     wall: f64,
     runs: usize,
@@ -68,6 +71,9 @@ impl PhaseMs {
             self.expand += ms(l.expand);
             self.dedup += ms(l.dedup);
             self.estimate += ms(l.estimate);
+            self.estimate_prefix += ms(l.estimate_prefix);
+            self.estimate_price += ms(l.estimate_price);
+            self.estimate_publish += ms(l.estimate_publish);
             self.select += ms(l.select);
         }
         self.wall += wall_ms;
@@ -82,11 +88,15 @@ impl PhaseMs {
         let covered = self.expand + self.dedup + self.estimate + self.select;
         let uncovered = if self.wall > 0.0 { 1.0 - covered / self.wall } else { 0.0 };
         format!(
-            "{{\"expand\": {:.3}, \"dedup\": {:.3}, \"estimate\": {:.3}, \"select\": {:.3}, \
-             \"uncovered_share\": {:.4}}}",
+            "{{\"expand\": {:.3}, \"dedup\": {:.3}, \"estimate\": {:.3}, \
+             \"estimate_prefix\": {:.3}, \"estimate_price\": {:.3}, \
+             \"estimate_publish\": {:.3}, \"select\": {:.3}, \"uncovered_share\": {:.4}}}",
             self.expand / n,
             self.dedup / n,
             self.estimate / n,
+            self.estimate_prefix / n,
+            self.estimate_price / n,
+            self.estimate_publish / n,
             self.select / n,
             uncovered
         )
@@ -245,10 +255,11 @@ fn main() {
     println!("  estimate throughput: {evals_per_sec:.0} evals/s (checksum {acc:.3e})");
 
     // SoA batch throughput: the branch-free batch evaluator over a shared
-    // decided prefix, the path the estimate round takes for every maximal
-    // same-parent run of candidates. The prefix boundary mirrors the final
-    // bottom-up stage (everything below the outermost memory is decided),
-    // and the batch width matches the round's claim chunk.
+    // decided prefix, in the totals-only form the estimate round takes for
+    // every maximal same-parent run of candidates. The prefix boundary
+    // mirrors the final bottom-up stage (everything below the outermost
+    // memory is decided), and the batch width matches the round's claim
+    // chunk.
     let mems: Vec<usize> = best
         .levels()
         .iter()
@@ -269,8 +280,8 @@ fn main() {
         acc2 = 0.0;
         let t0 = Instant::now();
         for _ in 0..dispatches {
-            model.evaluate_prefixed_batch(&prefix, &batch, &mut batch_scratch, |_, report| {
-                acc2 += report.edp;
+            model.price_prefixed_batch(&prefix, &batch, &mut batch_scratch, |_, totals| {
+                acc2 += totals.energy_pj * totals.delay_cycles;
             });
         }
         batch_elapsed = batch_elapsed.min(t0.elapsed());
@@ -323,7 +334,7 @@ fn main() {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v5\",");
+    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v6\",");
     let _ = writeln!(json, "  \"mode\": \"{}\",", if quick { "quick" } else { "full" });
     let _ = writeln!(json, "  \"arch\": \"{}\",", esc(arch.name()));
     let _ = writeln!(json, "  \"reps\": {reps},");

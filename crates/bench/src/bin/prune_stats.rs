@@ -8,7 +8,8 @@
 //! considered and kept (ordering trie, tiling maximal frontier, spatial
 //! unrolling, dedup, beam cut), how the memoized estimate cache fared —
 //! including the SoA batch width of the estimate rounds — and where the
-//! stage's wall time went (expand / dedup / estimate / select).
+//! stage's wall time went (expand / dedup / estimate — with its prefix /
+//! price / publish parts — / select).
 //!
 //! Run with `cargo run --release -p sunstone-bench --bin prune_stats`
 //! (append `quick` for a subsampled run).
@@ -26,16 +27,16 @@ fn pct(c: &PruneCounter) -> f64 {
 
 fn print_level_table(stats: &SearchStats) {
     println!(
-        "    {:<5} {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>6} {:>9} {:>7} {:>7}   {:>6}   {:>9} {:>8} {:>8} {:>8}",
+        "    {:<5} {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>6} {:>9} {:>7} {:>7}   {:>6}   {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "level", "ord.cons", "kept", "pruned", "tile.cons", "kept", "pruned", "unr.cons", "kept",
         "pruned", "dedup", "beam.cons", "kept", "cut", "hit%", "expand.ms", "dedup.ms", "estim.ms",
-        "selec.ms"
+        "e.prefix", "e.price", "e.publ", "selec.ms"
     );
     for l in &stats.levels {
         let probes = l.cache_hits + l.cache_misses;
         let hit = if probes == 0 { 0.0 } else { 100.0 * l.cache_hits as f64 / probes as f64 };
         println!(
-            "    L{:<4} {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>6} {:>9} {:>7} {:>7} {:>5.1}%   {:>9.2} {:>8.2} {:>8.2} {:>8.2}",
+            "    L{:<4} {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>6} {:>9} {:>7} {:>7} {:>5.1}%   {:>9.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
             l.level,
             l.ordering.considered,
             l.ordering.kept,
@@ -54,6 +55,9 @@ fn print_level_table(stats: &SearchStats) {
             l.expand.as_secs_f64() * 1e3,
             l.dedup.as_secs_f64() * 1e3,
             l.estimate.as_secs_f64() * 1e3,
+            l.estimate_prefix.as_secs_f64() * 1e3,
+            l.estimate_price.as_secs_f64() * 1e3,
+            l.estimate_publish.as_secs_f64() * 1e3,
             l.select.as_secs_f64() * 1e3,
         );
     }
@@ -88,6 +92,9 @@ fn merge_into(total: &mut SearchStats, s: &SearchStats) {
         tl.expand += l.expand;
         tl.dedup += l.dedup;
         tl.estimate += l.estimate;
+        tl.estimate_prefix += l.estimate_prefix;
+        tl.estimate_price += l.estimate_price;
+        tl.estimate_publish += l.estimate_publish;
         tl.select += l.select;
     }
 }

@@ -1,23 +1,36 @@
 //! Beam maintenance over the candidate arena: duplicate elimination and
 //! the alpha-beta-style cut, plus the mapping key the arena's rows share
-//! their prefix with.
+//! their prefix with and the 128-bit hash that stands in for it.
+//!
+//! A candidate's identity inside the search is one `u128`: the
+//! [`key_hash`] of its *completed* mapping key, taken once per row
+//! ([`RowLayout::completed_key_hash`]) and used both here, to drop
+//! duplicates, and by the estimate cache, as the probe key. A completed
+//! key and a row prefix determine each other (the quotas are the extents
+//! divided by the factors, and the completion level's own factors are 1
+//! until the stage that writes them), so equal hashes mean equal rows up
+//! to a 2⁻¹²⁸-per-pair collision — which debug builds rule out by
+//! comparing the words.
 
-use sunstone_ir::{DimVec, FxHashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+use sunstone_ir::DimVec;
 use sunstone_mapping::{Mapping, MappingLevel};
 
 use super::candidates::Candidates;
 use super::stats::SearchStats;
-use super::{PartialState, SearchContext};
+use super::{PartialState, RowLayout, SearchContext};
 
 /// A mapping's search identity: every level's factors plus each temporal
 /// level's loop order. Two mappings with equal keys are the same point in
 /// the space. Inside the search the *row prefix* of a candidate
-/// ([`RowLayout`](super::RowLayout)) plays this role — dedup hashes it and
-/// the estimate cache is probed with its completion — and is laid out
-/// word for word like this key; the function itself only serves
-/// [`evaluate_cached`](super::estimate::evaluate_cached), which prices
+/// ([`RowLayout`]) is laid out word for word like this key and nothing
+/// builds the key itself: rows are hashed in place. The function serves
+/// [`evaluate_cached`](super::estimate::evaluate_cached), which hashes
 /// mappings that never were rows (the final re-evaluation, primed store
-/// records).
+/// records), and the debug-build collision guard.
 pub(crate) fn mapping_key(m: &Mapping) -> Vec<u64> {
     let words = m
         .levels()
@@ -39,22 +52,117 @@ pub(crate) fn write_key(m: &Mapping, key: &mut Vec<u64>) {
     }
 }
 
+/// 64 × 64 → 128-bit multiply folded back to 64 bits: every input bit
+/// reaches every output bit through the carry chain.
+#[inline]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let wide = u128::from(a) * u128::from(b);
+    (wide as u64) ^ ((wide >> 64) as u64)
+}
+
+/// The 128-bit hash of the `len` words `word(0..len)`: two independent
+/// 64-bit lanes (different seeds and multipliers, each word pair fed in
+/// opposite roles), seeded with the length so zero-padding the last block
+/// is unambiguous. A lane is two interleaved chains of folded multiplies
+/// over alternate word pairs — four multiplies in flight per block of four
+/// words — folded together at the end. Taking the words through a closure
+/// lets a caller hash a key it never writes down
+/// ([`RowLayout::completed_key_hash`]).
+#[inline]
+pub(crate) fn hash_words(len: usize, word: impl Fn(usize) -> u64) -> u128 {
+    // Digits of π (Blowfish's P-array), low bit set.
+    const SEED: [u64; 4] = [
+        0x243f_6a88_85a3_08d3,
+        0x1319_8a2e_0370_7345,
+        0xa409_3822_299f_31d1,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    const MUL: [u64; 4] = [
+        0x4528_21e6_38d0_1377,
+        0xbe54_66cf_34e9_0c6d,
+        0xc0ac_29b7_c97c_50dd,
+        0x3f84_d5b5_b547_0917,
+    ];
+    let seed = len as u64;
+    let (mut a0, mut a1) = (SEED[0] ^ seed, SEED[1] ^ seed);
+    let (mut b0, mut b1) = (SEED[2] ^ seed, SEED[3] ^ seed);
+    let mut absorb = |w: [u64; 4]| {
+        a0 = folded_multiply(a0 ^ w[0], MUL[0] ^ w[1]);
+        a1 = folded_multiply(a1 ^ w[2], MUL[1] ^ w[3]);
+        b0 = folded_multiply(b0 ^ w[1], MUL[2] ^ w[0]);
+        b1 = folded_multiply(b1 ^ w[3], MUL[3] ^ w[2]);
+    };
+    let whole = len - len % 4;
+    for i in (0..whole).step_by(4) {
+        absorb([word(i), word(i + 1), word(i + 2), word(i + 3)]);
+    }
+    if whole < len {
+        let mut last = [0u64; 4];
+        for (slot, i) in last.iter_mut().zip(whole..len) {
+            *slot = word(i);
+        }
+        absorb(last);
+    }
+    let a = folded_multiply(a0 ^ MUL[1], a1 ^ MUL[0]);
+    let b = folded_multiply(b0 ^ MUL[3], b1 ^ MUL[2]);
+    (u128::from(a) << 64) | u128::from(b)
+}
+
+/// The 128-bit identity of a mapping key (see [`hash_words`]).
+pub(crate) fn key_hash(words: &[u64]) -> u128 {
+    hash_words(words.len(), |i| words[i])
+}
+
+/// Hasher of maps keyed by a [`key_hash`]: the key is already uniformly
+/// mixed, so its low half *is* the table hash.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PassThrough only hashes u128 keys");
+    }
+
+    fn write_u128(&mut self, key: u128) {
+        self.0 = key as u64;
+    }
+}
+
+/// A map keyed by [`key_hash`] values.
+pub(crate) type KeyHashMap<V> = HashMap<u128, V, BuildHasherDefault<PassThrough>>;
+
 /// Removes candidates whose mapping an earlier row already describes,
 /// returning how many were dropped: different enumeration paths (e.g. the
 /// principled and relaxed unroll passes) can emit identical candidates,
 /// and estimating each copy is pure waste. The first of equal rows stays
 /// and the survivors keep their order, so one parent's children remain
 /// contiguous.
-pub(crate) fn dedup(cands: &mut Candidates, key_len: usize) -> usize {
+///
+/// This is where every row's hash is taken — the completed key's, so the
+/// estimate round probes the cache with the same value — and rows are
+/// compared by it alone.
+pub(crate) fn dedup(cands: &mut Candidates, layout: &RowLayout, complete_at: usize) -> usize {
     let before = cands.len();
+    cands.hash_rows(layout, complete_at);
     let mut keep: Vec<u32> = Vec::with_capacity(before);
-    {
-        let mut seen: FxHashSet<&[u64]> =
-            FxHashSet::with_capacity_and_hasher(before, Default::default());
-        for i in 0..before {
-            if seen.insert(&cands.row(i)[..key_len]) {
+    // Hash → the first row carrying it.
+    let mut seen: KeyHashMap<u32> =
+        KeyHashMap::with_capacity_and_hasher(before, Default::default());
+    for i in 0..before {
+        match seen.entry(cands.hash[i]) {
+            Entry::Vacant(slot) => {
+                slot.insert(i as u32);
                 keep.push(i as u32);
             }
+            Entry::Occupied(first) => debug_assert_eq!(
+                cands.row(i)[..layout.key_len],
+                cands.row(*first.get() as usize)[..layout.key_len],
+                "128-bit row hash collision"
+            ),
         }
     }
     cands.retain_indices(&keep);
@@ -98,4 +206,62 @@ pub(crate) fn select(
             }
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A key shaped like `simba_like`'s: 77 small words.
+    fn key() -> Vec<u64> {
+        (0..77u64).map(|i| 1 + (i * 7 + 3) % 13).collect()
+    }
+
+    fn halves(h: u128) -> (u64, u64) {
+        ((h >> 64) as u64, h as u64)
+    }
+
+    #[test]
+    fn flipping_any_single_word_changes_both_halves() {
+        let base = key();
+        let (a, b) = halves(key_hash(&base));
+        for i in 0..base.len() {
+            for delta in [1, 2, 1 << 20, u64::MAX] {
+                let mut k = base.clone();
+                k[i] ^= delta;
+                let (a2, b2) = halves(key_hash(&k));
+                assert!(a != a2 && b != b2, "word {i} ^ {delta:#x} left a half unchanged");
+            }
+        }
+    }
+
+    #[test]
+    fn a_key_and_its_proper_prefixes_hash_differently() {
+        let base = key();
+        let mut seen = std::collections::HashSet::new();
+        for len in 0..=base.len() {
+            assert!(seen.insert(key_hash(&base[..len])), "prefix of {len} words collides");
+        }
+        // Trailing zeros are not padding either.
+        let mut padded = base.clone();
+        padded.push(0);
+        assert!(seen.insert(key_hash(&padded)));
+    }
+
+    #[test]
+    fn permuting_two_words_changes_the_hash() {
+        let base = key();
+        let (a, b) = halves(key_hash(&base));
+        for i in 0..base.len() {
+            for j in i + 1..base.len() {
+                if base[i] == base[j] {
+                    continue;
+                }
+                let mut k = base.clone();
+                k.swap(i, j);
+                let (a2, b2) = halves(key_hash(&k));
+                assert!(a != a2 && b != b2, "swap {i},{j} left a half unchanged");
+            }
+        }
+    }
 }

@@ -55,6 +55,10 @@ pub(crate) struct Candidates {
     /// Per candidate, the objective estimate of the completed mapping
     /// (infinite until the estimate round fills it in).
     pub(crate) estimate: Vec<f64>,
+    /// Per candidate, the 128-bit hash of its completed key — the
+    /// candidate's identity for dedup and the estimate-cache probe alike.
+    /// Empty until [`hash_rows`](Self::hash_rows), which dedup opens with.
+    pub(crate) hash: Vec<u128>,
     /// The stage's ordering candidates: one run per distinct in-play set.
     orderings: Vec<OrderingCandidate>,
     ordering_memos: Vec<OrderingMemo>,
@@ -71,6 +75,7 @@ impl Candidates {
             parent: Vec::new(),
             ordering: Vec::new(),
             estimate: Vec::new(),
+            hash: Vec::new(),
             orderings: Vec::new(),
             ordering_memos: Vec::new(),
             current_parent: 0,
@@ -84,6 +89,7 @@ impl Candidates {
         self.parent.clear();
         self.ordering.clear();
         self.estimate.clear();
+        self.hash.clear();
         self.orderings.clear();
         self.ordering_memos.clear();
     }
@@ -131,6 +137,17 @@ impl Candidates {
         at
     }
 
+    /// Fills the `hash` column: every row's
+    /// [`completed_key_hash`](RowLayout::completed_key_hash).
+    pub(crate) fn hash_rows(&mut self, layout: &RowLayout, complete_at: usize) {
+        self.hash.clear();
+        self.hash.extend(
+            self.rows
+                .chunks_exact(self.stride)
+                .map(|row| layout.completed_key_hash(row, complete_at)),
+        );
+    }
+
     /// Compacts the arena in place to the candidates at `keep` (strictly
     /// ascending), preserving their order.
     pub(crate) fn retain_indices(&mut self, keep: &[u32]) {
@@ -142,12 +159,14 @@ impl Candidates {
                 self.parent[to] = self.parent[from];
                 self.ordering[to] = self.ordering[from];
                 self.estimate[to] = self.estimate[from];
+                self.hash[to] = self.hash[from];
             }
         }
         self.rows.truncate(keep.len() * stride);
         self.parent.truncate(keep.len());
         self.ordering.truncate(keep.len());
         self.estimate.truncate(keep.len());
+        self.hash.truncate(keep.len());
     }
 }
 
@@ -1039,6 +1058,10 @@ mod tests {
         cands
     }
 
+    fn completion(ctx: &SearchContext<'_>) -> usize {
+        estimate::completion_pos(ctx, crate::Direction::BottomUp)
+    }
+
     fn tags(ctx: &SearchContext<'_>, cands: &Candidates) -> Vec<u64> {
         (0..cands.len()).map(|i| cands.row(i)[ctx.layout.factors(0).start]).collect()
     }
@@ -1048,13 +1071,10 @@ mod tests {
         let (w, arch) = (conv2d(16, 16, 14), presets::simba_like());
         with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
             let mut cands = arena(ctx, &[5, 3, 5, 9, 3, 3, 2]);
-            // Rows that differ only past the key prefix are still equal.
-            let quota = ctx.layout.quotas().start;
-            cands.rows[2 * ctx.layout.stride() + quota] += 1;
             for (i, e) in cands.estimate.iter_mut().enumerate() {
                 *e = i as f64;
             }
-            let removed = beam::dedup(&mut cands, ctx.layout.key_len);
+            let removed = beam::dedup(&mut cands, &ctx.layout, completion(ctx));
             assert_eq!(removed, 3);
             assert_eq!(tags(ctx, &cands), [5, 3, 9, 2]);
             // Every column moved with its row.
@@ -1062,7 +1082,15 @@ mod tests {
             assert_eq!(cands.estimate, [0.0, 1.0, 3.0, 6.0]);
             assert_eq!(cands.ordering.len(), 4);
             assert_eq!(cands.rows.len(), 4 * ctx.layout.stride());
-            assert_eq!(beam::dedup(&mut cands, ctx.layout.key_len), 0, "already distinct");
+            let hashes: Vec<u128> = (0..4)
+                .map(|i| ctx.layout.completed_key_hash(cands.row(i), completion(ctx)))
+                .collect();
+            assert_eq!(cands.hash, hashes, "the hash column moved with its rows");
+            assert_eq!(
+                beam::dedup(&mut cands, &ctx.layout, completion(ctx)),
+                0,
+                "already distinct"
+            );
         });
     }
 

@@ -160,6 +160,7 @@ pub(crate) fn run_level_search(
 ) -> SearchRun {
     let mut beam_states = vec![PartialState::root(ctx)];
     let mut cands = Candidates::new(&ctx.layout);
+    let complete_at = estimate::completion_pos(ctx, pass.direction());
     for (i, stage) in pass.stages(ctx.mems.len()).into_iter().enumerate() {
         // Breadcrumb for the panic-isolation boundary: a fault caught
         // while this stage runs reports `search: level <stage>`.
@@ -200,7 +201,7 @@ pub(crate) fn run_level_search(
         }
         stats.level_mut(stage).expand += phase.elapsed();
         let phase = Instant::now();
-        let removed = beam::dedup(&mut cands, ctx.layout.key_len);
+        let removed = beam::dedup(&mut cands, &ctx.layout, complete_at);
         let level = stats.level_mut(stage);
         level.dedup_removed += removed as u64;
         level.dedup += phase.elapsed();

@@ -3,14 +3,16 @@
 //! evaluation, and parallel execution on the session worker pool.
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 use sunstone_ir::{DimSet, DimVec, FxHashMap};
 use sunstone_mapping::{Mapping, MappingLevel};
 use sunstone_model::{BatchEvalScratch, CostReport, EvalScratch, MappingPrefix};
 
-use super::beam::mapping_key;
+use super::beam::{key_hash, mapping_key, KeyHashMap};
 use super::candidates::Candidates;
 use super::stats::SearchStats;
 use super::{PartialState, SearchContext};
@@ -26,7 +28,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Estimates that had to run the analytic model.
     pub misses: u64,
-    /// Cost reports currently retained (bounded by
+    /// Estimates currently retained (bounded by
     /// [`SunstoneConfig::max_cache_entries`](crate::SunstoneConfig::max_cache_entries)).
     pub entries: usize,
     /// Model evaluations that reused a memoized decided-prefix cost
@@ -91,7 +93,7 @@ impl CacheStats {
 /// Memoized tile enumeration: the kept tiles plus the enumeration stats
 /// to replay, so cached and uncached searches report identical counters.
 /// The tiles are shared, not copied: a lookup hands out the `Arc` under
-/// the session lock.
+/// the context's lock.
 #[derive(Debug, Clone)]
 pub(crate) struct TileMemo {
     pub(crate) tiles: Arc<[DimVec]>,
@@ -131,46 +133,124 @@ pub(crate) struct UnrollKey {
     pub(crate) combined: DimVec,
 }
 
-/// Everything the session retains for one context fingerprint: memoized
-/// cost reports plus the tile/unrolling enumeration memos, and the LRU
-/// stamp the cache bound evicts by.
+/// One context's estimates: the configured objective's value of a
+/// completed mapping under the 128-bit [`key_hash`] of its key. Numbers
+/// only — the search ranks by one scalar per candidate, and whatever a
+/// caller receives is priced afresh outside the cache
+/// ([`evaluate_cached`]) — so an entry is a 32-byte bucket, not a key
+/// vector and a report tree.
+///
+/// Debug builds (which is what the test suite runs) keep the full key
+/// beside each entry and assert it on every hit and re-insert: a hash
+/// collision, which could silently change which candidate ranks, panics
+/// instead. Release builds leave `shadow` empty.
 #[derive(Debug, Default)]
-pub(crate) struct CtxEntry {
-    reports: FxHashMap<Vec<u64>, CostReport>,
-    tiles: FxHashMap<TileKey, TileMemo>,
-    unrolls: FxHashMap<UnrollKey, UnrollMemo>,
-    /// Logical timestamp of the last estimation round that used this
-    /// context (whole-context LRU eviction granularity).
-    last_used: u64,
+pub(crate) struct EstimateTable {
+    values: KeyHashMap<f64>,
+    shadow: KeyHashMap<Box<[u64]>>,
 }
 
-/// The session-lifetime estimate cache: memoized cost reports keyed by
-/// *(context fingerprint, completed-mapping fingerprint)*, plus the
-/// per-context enumeration memos.
+impl EstimateTable {
+    fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The estimate filed under `hash`. `key` writes down the words the
+    /// hash was taken of; only the debug-build guard calls it.
+    pub(crate) fn get(&self, hash: u128, key: impl FnOnce() -> Vec<u64>) -> Option<f64> {
+        let value = *self.values.get(&hash)?;
+        if cfg!(debug_assertions) {
+            assert_eq!(self.shadow[&hash][..], key()[..], "128-bit key hash collision");
+        }
+        Some(value)
+    }
+
+    /// Files `value` under `hash`, returning whether the entry is new.
+    pub(crate) fn insert(
+        &mut self,
+        hash: u128,
+        value: f64,
+        key: impl FnOnce() -> Vec<u64>,
+    ) -> bool {
+        if cfg!(debug_assertions) {
+            match self.shadow.entry(hash) {
+                Entry::Vacant(slot) => {
+                    slot.insert(key().into_boxed_slice());
+                }
+                Entry::Occupied(known) => {
+                    assert_eq!(known.get()[..], key()[..], "128-bit key hash collision");
+                }
+            }
+        }
+        self.values.insert(hash, value).is_none()
+    }
+}
+
+/// Everything the session retains for one context fingerprint: the
+/// estimate table plus the tile/unrolling enumeration memos, behind the
+/// context's own lock, with the bookkeeping the cache bound evicts by.
+#[derive(Debug, Default)]
+pub(crate) struct CtxEntry {
+    estimates: EstimateTable,
+    tiles: FxHashMap<TileKey, TileMemo>,
+    unrolls: FxHashMap<UnrollKey, UnrollMemo>,
+    /// Logical timestamp of the last publish into this context
+    /// (whole-context LRU eviction granularity).
+    last_used: u64,
+    /// How many of `estimates` the session's `entries` counter includes.
+    /// Settled under this entry's lock after every publish, so an
+    /// eviction subtracts exactly what was added — also when a fault
+    /// unwound a publisher half-way.
+    counted: usize,
+    /// Set once the session has dropped this context (eviction,
+    /// `clear_cache`, fault recovery). A search still holding the entry
+    /// finishes on it as a private table: it keeps reading what it wrote,
+    /// so its results and counters are those of an undisturbed run, but
+    /// nothing it inserts is counted and the memory goes with the search.
+    detached: bool,
+}
+
+/// Locks one context's entry, recovering from mutex poisoning: a panic
+/// can only unwind *between* map operations (each insert leaves the
+/// tables structurally valid and every value in them is a correct
+/// estimate), and the fault boundary follows every caught panic with
+/// [`SessionCache::evict_context`], which drops exactly that context.
+/// Propagating the poison instead would turn one recovered fault into a
+/// permanently broken session.
+fn lock_entry(entry: &Mutex<CtxEntry>) -> MutexGuard<'_, CtxEntry> {
+    entry.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The session-lifetime estimate cache: per context fingerprint, a table
+/// of estimates keyed by completed-mapping hash ([`EstimateTable`]) plus
+/// the enumeration memos.
 ///
 /// The context fingerprint condenses *(workload, architecture, search
-/// configuration)* ([`crate::fingerprint`]), so one map safely serves
-/// every call a [`Scheduler`](crate::Scheduler) session makes: repeated
-/// calls on the same layer, repeated layer shapes inside a batch, and the
-/// candidate re-evaluations of the network pass all hit entries written by
-/// earlier work. Within one search, distinct beam states frequently
+/// configuration)* ([`crate::fingerprint`]) — the objective included, so
+/// a table holds values of one objective — and one session safely serves
+/// every call a [`Scheduler`](crate::Scheduler) makes: repeated calls on
+/// the same layer, repeated layer shapes inside a batch, and the
+/// candidate re-evaluations of the network pass all hit entries written
+/// by earlier work. Within one search, distinct beam states frequently
 /// complete to the same mapping — the remainder placement collapses
 /// states that differ only in undecided levels — so the cache saves real
 /// model work even on the first call.
 ///
-/// The map is shared across worker threads; entries are inserted after
-/// each parallel evaluation round, so the lock is never contended inside
-/// the model. Retained cost reports are bounded by
+/// Locking is two-level. `map` only resolves a fingerprint to its
+/// context and is held for that lookup, an eviction or a clear; every
+/// probe, insert and memo call locks the one [`CtxEntry`] it concerns, so
+/// concurrent searches on different contexts never wait on each other.
+/// The order is map → entry, never the reverse: nothing takes `map` while
+/// holding an entry. Retained estimates are bounded by
 /// [`SunstoneConfig::max_cache_entries`](crate::SunstoneConfig::max_cache_entries):
-/// when an insert pushes past the bound, the least-recently-used context
-/// fingerprints are evicted whole (never the context that just inserted).
+/// when a publish pushes past the bound, the least-recently-used contexts
+/// are dropped whole (never the context that just published).
 #[derive(Debug, Default)]
 pub(crate) struct SessionCache {
-    map: Mutex<FxHashMap<u64, CtxEntry>>,
+    map: Mutex<FxHashMap<u64, Arc<Mutex<CtxEntry>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Retained cost reports, maintained on insert/evict/clear so
-    /// [`stats`](Self::stats) never walks the map under the lock.
+    /// Retained estimates: the sum of every attached entry's `counted`.
     entries: AtomicUsize,
     /// Logical clock behind every `CtxEntry::last_used` stamp.
     tick: AtomicU64,
@@ -184,32 +264,37 @@ impl SessionCache {
         SessionCache::default()
     }
 
-    /// Locks the cache map, recovering from mutex poisoning. A panic can
-    /// only unwind while the lock is held *between* map operations (each
-    /// individual insert/remove leaves the map structurally valid), so
-    /// the data under a poisoned lock is a valid map whose *contents* may
-    /// be half-published — and the fault boundary follows every caught
-    /// panic with [`evict_context`](Self::evict_context), which drops
-    /// exactly that context. Propagating the poison instead would turn
-    /// one recovered fault into a permanently broken session.
-    fn lock_map(&self) -> MutexGuard<'_, FxHashMap<u64, CtxEntry>> {
+    /// Locks the context map, recovering from poisoning (the map is a
+    /// plain fingerprint → `Arc` table; see [`lock_entry`] for why
+    /// recovery is sound).
+    fn lock_map(&self) -> MutexGuard<'_, FxHashMap<u64, Arc<Mutex<CtxEntry>>>> {
         self.map.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Poison-and-recover: drops everything retained for `fp` — cost
-    /// reports, tile/unroll enumeration memos, the LRU stamp — and
-    /// recomputes the retained-report counter from the surviving
-    /// contexts. Called by the panic-isolation boundary after a caught
-    /// fault: the faulting call may have died mid-publish (reports
-    /// inserted but the counter not yet bumped, or vice versa), so the
-    /// counter is rebuilt rather than adjusted. Runs under the map lock,
-    /// and every publisher updates the counter while holding the same
-    /// lock, so the recount is exact even with concurrent batch workers.
+    /// The context filed under `fp`, created empty if absent.
+    fn entry_of(&self, fp: u64) -> Arc<Mutex<CtxEntry>> {
+        Arc::clone(self.lock_map().entry(fp).or_default())
+    }
+
+    /// Takes an entry just removed from the map out of the accounting.
+    /// Called with the map lock held, so no new holder can appear; a
+    /// search already holding the entry keeps it as a private table.
+    fn detach(&self, entry: &Mutex<CtxEntry>) {
+        let mut e = lock_entry(entry);
+        e.detached = true;
+        self.entries.fetch_sub(std::mem::take(&mut e.counted), Ordering::Relaxed);
+    }
+
+    /// Poison-and-recover: drops everything retained for `fp` — the
+    /// estimates, the tile/unroll enumeration memos, the LRU stamp.
+    /// Called by the panic-isolation boundary after a caught fault: the
+    /// faulting call may have died mid-publish, which is why the counter
+    /// gives back the entry's settled `counted`, not its length.
     pub(crate) fn evict_context(&self, fp: u64) {
         let mut map = self.lock_map();
-        map.remove(&fp);
-        let total = map.values().map(|e| e.reports.len()).sum();
-        self.entries.store(total, Ordering::Relaxed);
+        if let Some(entry) = map.remove(&fp) {
+            self.detach(&entry);
+        }
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
@@ -227,8 +312,11 @@ impl SessionCache {
     }
 
     pub(crate) fn clear(&self) {
-        self.lock_map().clear();
-        self.entries.store(0, Ordering::Relaxed);
+        let mut map = self.lock_map();
+        for (_, entry) in map.drain() {
+            self.detach(&entry);
+        }
+        drop(map);
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.prefix_hits.store(0, Ordering::Relaxed);
@@ -236,28 +324,34 @@ impl SessionCache {
         self.batched.store(0, Ordering::Relaxed);
     }
 
-    /// Evicts whole least-recently-used contexts (never `keep`) until the
-    /// retained reports fit `max` again or only `keep` is left.
-    fn evict_lru(&self, map: &mut FxHashMap<u64, CtxEntry>, max: usize, keep: u64) {
+    /// Drops whole least-recently-used contexts (never `keep`) until the
+    /// retained estimates fit `max` again or nothing else holds any.
+    /// Must be called with no entry lock held (lock order map → entry).
+    fn evict_lru(&self, max: usize, keep: u64) {
+        let mut map = self.lock_map();
         while self.entries.load(Ordering::Relaxed) > max {
             let victim = map
                 .iter()
-                .filter(|(fp, e)| **fp != keep && !e.reports.is_empty())
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(fp, _)| *fp);
-            let Some(fp) = victim else { break };
-            if let Some(e) = map.remove(&fp) {
-                self.entries.fetch_sub(e.reports.len(), Ordering::Relaxed);
+                .filter(|(fp, _)| **fp != keep)
+                .filter_map(|(fp, entry)| {
+                    let e = lock_entry(entry);
+                    (e.counted > 0).then_some((e.last_used, *fp))
+                })
+                .min();
+            let Some((_, fp)) = victim else { break };
+            if let Some(entry) = map.remove(&fp) {
+                self.detach(&entry);
             }
         }
     }
 }
 
-/// One search's view of the [`SessionCache`]: the context fingerprint is
-/// fixed, so lookups cannot cross workloads, architectures, or
-/// configurations.
+/// One search's view of the [`SessionCache`]: its context's entry,
+/// fetched once, so lookups cannot cross workloads, architectures, or
+/// configurations and never touch the session-wide map.
 pub(crate) struct EstimateCache<'s> {
-    enabled: bool,
+    /// The context's entry; `None` with the cache disabled.
+    entry: Option<Arc<Mutex<CtxEntry>>>,
     ctx_fp: u64,
     max_entries: usize,
     session: &'s SessionCache,
@@ -270,64 +364,75 @@ impl<'s> EstimateCache<'s> {
         max_entries: usize,
         session: &'s SessionCache,
     ) -> Self {
-        EstimateCache { enabled, ctx_fp, max_entries, session }
+        let entry = enabled.then(|| session.entry_of(ctx_fp));
+        EstimateCache { entry, ctx_fp, max_entries, session }
     }
 
-    fn lookup(&self, key: &[u64]) -> Option<CostReport> {
-        if !self.enabled {
-            return None;
+    /// This context's entry, locked (`None` with the cache disabled).
+    fn lock(&self) -> Option<MutexGuard<'_, CtxEntry>> {
+        self.entry.as_deref().map(lock_entry)
+    }
+
+    /// Closes a publish into `e`: stamps its LRU clock and settles the
+    /// session's entry counter with what the table holds now — under the
+    /// entry's lock, so an eviction can never subtract what was not yet
+    /// added. Returns whether the bound is now exceeded; the caller
+    /// releases the entry and only then calls
+    /// [`enforce_bound`](Self::enforce_bound).
+    fn settle(&self, e: &mut CtxEntry) -> bool {
+        if e.detached {
+            return false;
         }
-        let found =
-            self.session.lock_map().get(&self.ctx_fp).and_then(|e| e.reports.get(key)).cloned();
-        match &found {
+        e.last_used = self.session.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        let added = e.estimates.len() - e.counted;
+        e.counted += added;
+        let total = self.session.entries.fetch_add(added, Ordering::Relaxed) + added;
+        added > 0 && total > self.max_entries
+    }
+
+    fn enforce_bound(&self) {
+        self.session.evict_lru(self.max_entries, self.ctx_fp);
+    }
+
+    fn lookup(&self, hash: u128, key: &[u64]) -> Option<f64> {
+        let found = self.lock()?.estimates.get(hash, || key.to_vec());
+        match found {
             Some(_) => self.session.hits.fetch_add(1, Ordering::Relaxed),
             None => self.session.misses.fetch_add(1, Ordering::Relaxed),
         };
         found
     }
 
-    fn insert(&self, key: Vec<u64>, report: CostReport) {
-        if !self.enabled {
-            return;
-        }
-        let mut guard = self.session.lock_map();
-        let tick = self.session.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let e = guard.entry(self.ctx_fp).or_default();
-        e.last_used = tick;
-        if e.reports.insert(key, report).is_none() {
-            let total = self.session.entries.fetch_add(1, Ordering::Relaxed) + 1;
-            if total > self.max_entries {
-                self.session.evict_lru(&mut guard, self.max_entries, self.ctx_fp);
-            }
+    fn insert(&self, hash: u128, key: Vec<u64>, value: f64) {
+        let Some(mut e) = self.lock() else { return };
+        e.estimates.insert(hash, value, || key);
+        let over = self.settle(&mut e);
+        drop(e);
+        if over {
+            self.enforce_bound();
         }
     }
 
     /// Memoized tile enumeration for this context, if already recorded.
     pub(crate) fn tiles_lookup(&self, key: &TileKey) -> Option<TileMemo> {
-        if !self.enabled {
-            return None;
-        }
-        self.session.lock_map().get(&self.ctx_fp).and_then(|e| e.tiles.get(key)).cloned()
+        self.lock()?.tiles.get(key).cloned()
     }
 
     pub(crate) fn tiles_insert(&self, key: TileKey, memo: TileMemo) {
-        if self.enabled {
-            self.session.lock_map().entry(self.ctx_fp).or_default().tiles.insert(key, memo);
+        if let Some(mut e) = self.lock() {
+            e.tiles.insert(key, memo);
         }
     }
 
     /// Memoized unrolling enumeration for this context, if already
     /// recorded.
     pub(crate) fn unrolls_lookup(&self, key: &UnrollKey) -> Option<UnrollMemo> {
-        if !self.enabled {
-            return None;
-        }
-        self.session.lock_map().get(&self.ctx_fp).and_then(|e| e.unrolls.get(key)).cloned()
+        self.lock()?.unrolls.get(key).cloned()
     }
 
     pub(crate) fn unrolls_insert(&self, key: UnrollKey, memo: UnrollMemo) {
-        if self.enabled {
-            self.session.lock_map().entry(self.ctx_fp).or_default().unrolls.insert(key, memo);
+        if let Some(mut e) = self.lock() {
+            e.unrolls.insert(key, memo);
         }
     }
 }
@@ -358,12 +463,30 @@ pub(crate) fn complete(
     m
 }
 
+/// Per-worker evaluation state, reused across rounds and calls (the pool
+/// threads are session-lived, so the buffers stay warm): the scalar and
+/// SoA batch scratches, and the [`ESTIMATE_CHUNK`] mappings a claim's
+/// misses are materialized into — clones of the context's base, rebuilt
+/// only when a search arrives whose base is shaped differently.
+#[derive(Default)]
+struct WorkerScratch {
+    eval: EvalScratch,
+    batch: BatchEvalScratch,
+    mappings: Vec<Mapping>,
+}
+
 thread_local! {
-    /// Per-worker evaluation scratch, reused across rounds and calls (the
-    /// pool threads are session-lived, so the buffers stay warm).
-    static SCRATCH: RefCell<EvalScratch> = RefCell::new(EvalScratch::default());
-    /// Per-worker SoA batch scratch, likewise session-lived.
-    static BATCH_SCRATCH: RefCell<BatchEvalScratch> = RefCell::new(BatchEvalScratch::default());
+    static SCRATCH: RefCell<WorkerScratch> = RefCell::new(WorkerScratch::default());
+}
+
+/// Whether `m` has `base`'s levels (kind by kind) and dimension count,
+/// i.e. whether a row of `base`'s layout can be written into it.
+fn shaped_like(m: &Mapping, base: &Mapping) -> bool {
+    m.levels().len() == base.levels().len()
+        && m.levels().iter().zip(base.levels()).all(|(a, b)| {
+            std::mem::discriminant(a) == std::mem::discriminant(b)
+                && a.factors().len() == b.factors().len()
+        })
 }
 
 /// Indices per pool claim in the estimate round. One atomic claim covers
@@ -411,17 +534,18 @@ pub(crate) enum RoundStatus {
 /// Completes and estimates every candidate of the arena, filling its
 /// `estimate` column.
 ///
-/// The cache is probed on the calling thread with a reused scratch key:
-/// the candidate's row prefix with the completion level's factor slots
-/// multiplied by the row's quotas
-/// ([`RowLayout::write_completed_key`](super::RowLayout::write_completed_key))
-/// — word for word the [`mapping_key`] of the completed mapping, so
-/// entries written by earlier calls, [`evaluate_cached`] and primed store
-/// records all hit. Only the misses allocate: the key they will be
-/// inserted under, and the completed [`Mapping`] materialized *from that
-/// key* for the evaluators, which go through the model distributed over
-/// the session's persistent worker pool (no per-round thread spawns; each
-/// worker reuses one evaluation scratch).
+/// The cache is probed on the calling thread, under one acquisition of
+/// the context's own lock, with the hash dedup already computed per row
+/// ([`RowLayout::completed_key_hash`](super::RowLayout::completed_key_hash)):
+/// the [`key_hash`] of the row's key with the completion level's factor
+/// slots multiplied by the row's quotas — the hash of the [`mapping_key`]
+/// of the completed mapping, so entries written by earlier calls,
+/// [`evaluate_cached`] and primed store records all hit. A hit is one
+/// table read of an `f64`. A miss is an index: nothing is allocated per
+/// candidate. The misses go through the model distributed over the
+/// session's persistent worker pool (no per-round thread spawns), each
+/// worker materializing its claim's rows into its own reused mappings
+/// ([`RowLayout::materialize_completed_into`](super::RowLayout::materialize_completed_into)).
 ///
 /// Bottom-up stages past the first price each miss *prefix-incrementally*:
 /// all candidates expanded from one beam state share the decided levels
@@ -429,16 +553,18 @@ pub(crate) enum RoundStatus {
 /// built once per parent ([`CostModel::prefix_of`]) and each candidate
 /// only derives the delta of its frontier and completion levels. The
 /// composition is bit-identical to the monolithic evaluation (see the
-/// `prefix` property tests), so cached reports are unaffected.
+/// `prefix` property tests), so cached estimates are unaffected.
 ///
 /// The pool claims contiguous *chunks* of misses ([`ESTIMATE_CHUNK`] per
 /// atomic claim), and every maximal same-prefix run inside a claim is
 /// priced through the structure-of-arrays batch evaluator
-/// ([`CostModel::evaluate_prefixed_batch`]) in one call — branch-free
-/// inner loops over per-candidate columns instead of a full per-candidate
-/// model walk. The batch evaluator is bit-identical to the scalar path
-/// (see the `batch` property tests), so the dispatch choice never changes
-/// a result.
+/// ([`CostModel::price_prefixed_batch`]) in one call — branch-free inner
+/// loops over per-candidate columns instead of a full per-candidate model
+/// walk, handing back the two totals the objective is a function of
+/// rather than a report. The batch evaluator is bit-identical to the
+/// scalar path (see the `batch` property tests), so the dispatch choice
+/// never changes a result; the scalar fall-backs (no shared prefix, runs
+/// of one) read the objective off a report.
 ///
 /// Results are written back by candidate index, so the outcome is
 /// identical for any thread count.
@@ -456,8 +582,12 @@ pub(crate) enum RoundStatus {
 /// the cache (they are correct and deterministic, so later calls may
 /// reuse them).
 ///
+/// The stage's [`LevelStats`](super::stats::LevelStats) gets the wall
+/// time of the three parts after the probe: `estimate_prefix`,
+/// `estimate_price`, `estimate_publish`.
+///
 /// [`CostModel::prefix_of`]: sunstone_model::CostModel::prefix_of
-/// [`CostModel::evaluate_prefixed_batch`]: sunstone_model::CostModel::evaluate_prefixed_batch
+/// [`CostModel::price_prefixed_batch`]: sunstone_model::CostModel::price_prefixed_batch
 pub(crate) fn estimate_all(
     ctx: &SearchContext<'_>,
     direction: Direction,
@@ -473,48 +603,49 @@ pub(crate) fn estimate_all(
     let pos = completion_pos(ctx, direction);
     let cache = &ctx.cache;
     let mut hits = 0u64;
-    // (candidate index, cache key) per cache miss.
-    let mut misses: Vec<(usize, Vec<u64>)> = Vec::new();
-    let mut key = Vec::new();
+    // Candidate index per cache miss.
+    let mut misses: Vec<u32> = Vec::new();
     {
-        // One lock acquisition covers every probe of the round, and hits
-        // read the memoized report in place — no per-probe clone.
-        let guard = cache.enabled.then(|| cache.session.lock_map());
-        let per_ctx = guard.as_ref().and_then(|g| g.get(&cache.ctx_fp));
+        // One acquisition of the context's lock covers every probe of the
+        // round.
+        let guard = cache.lock();
         for i in 0..candidates.len() {
-            layout.write_completed_key(candidates.row(i), pos, &mut key);
-            match per_ctx.and_then(|e| e.reports.get(key.as_slice())) {
-                Some(report) => {
-                    candidates.estimate[i] = objective.of(report);
+            let found = guard.as_deref().and_then(|e| {
+                e.estimates.get(candidates.hash[i], || layout.completed_key(candidates.row(i), pos))
+            });
+            match found {
+                Some(estimate) => {
+                    candidates.estimate[i] = estimate;
                     hits += 1;
                 }
-                None => misses.push((i, std::mem::take(&mut key))),
+                None => misses.push(i as u32),
             }
         }
     }
-    if cache.enabled {
+    if cache.entry.is_some() {
         cache.session.hits.fetch_add(hits, Ordering::Relaxed);
         cache.session.misses.fetch_add(misses.len() as u64, Ordering::Relaxed);
     }
-    // A miss's key *is* its completed mapping.
-    let completed: Vec<Mapping> =
-        misses.iter().map(|(_, key)| layout.materialize(key, &ctx.base)).collect();
 
     // Prefix memoization: bottom-up, every candidate of one parent shares
     // the levels up to the previous stage's memory, and completion only
     // touches the outermost level — strictly above that boundary. Misses
     // preserve candidate order and candidates are expanded parent by
     // parent, so each parent's run of misses is contiguous.
+    let phase = Instant::now();
     let boundary = (direction == Direction::BottomUp && stage >= 1).then(|| ctx.mems[stage - 1]);
     let mut prefixes: Vec<MappingPrefix> = Vec::new();
     let mut group_of: Vec<u32> = Vec::new();
-    if let Some(b) = boundary {
+    if let Some(b) = boundary.filter(|_| !misses.is_empty()) {
         let mut last_parent = u32::MAX;
-        for (k, &(i, _)) in misses.iter().enumerate() {
+        // The first miss of each parent, materialized for `prefix_of`.
+        let mut first = ctx.base.clone();
+        for &i in &misses {
             faultpoint!("estimate.prefix");
-            let parent = candidates.parent[i];
+            let parent = candidates.parent[i as usize];
             if prefixes.is_empty() || parent != last_parent {
-                prefixes.push(ctx.model.prefix_of(&completed[k], b));
+                layout.materialize_completed_into(candidates.row(i as usize), pos, &mut first);
+                prefixes.push(ctx.model.prefix_of(&first, b));
                 last_parent = parent;
             }
             group_of.push((prefixes.len() - 1) as u32);
@@ -523,8 +654,10 @@ pub(crate) fn estimate_all(
         stats.prefix_hits += reused;
         cache.session.prefix_hits.fetch_add(reused, Ordering::Relaxed);
     }
+    let prefix_time = phase.elapsed();
 
-    let mut reports: Vec<Option<CostReport>> = vec![None; misses.len()];
+    let phase = Instant::now();
+    let mut estimates: Vec<Option<f64>> = vec![None; misses.len()];
     let round_cancelled = AtomicBool::new(false);
     let round_deadlined = AtomicBool::new(false);
     let round_batches = AtomicU64::new(0);
@@ -536,8 +669,9 @@ pub(crate) fn estimate_all(
     if !misses.is_empty() {
         stats.rounds += 1;
         let model = &ctx.model;
-        let writer = SliceWriter::new(&mut reports);
-        let (prefixes, group_of, completed) = (&prefixes, &group_of, &completed);
+        let writer = SliceWriter::new(&mut estimates);
+        let (prefixes, group_of, misses) = (&prefixes, &group_of, &misses);
+        let candidates = &*candidates;
         let (round_cancelled, round_deadlined) = (&round_cancelled, &round_deadlined);
         let (round_batches, round_batched) = (&round_batches, &round_batched);
         let claims_done = &claims_done;
@@ -560,103 +694,103 @@ pub(crate) fn estimate_all(
                 return;
             }
             SCRATCH.with(|cell| {
-                BATCH_SCRATCH.with(|bcell| {
-                    let mut scratch = cell.borrow_mut();
-                    let mut bscratch = bcell.borrow_mut();
-                    let mut k = range.start;
-                    while k < range.end {
-                        let Some(&g) = group_of.get(k) else {
-                            // No shared prefix this stage: scalar path.
-                            let report = model.evaluate_unchecked_with(&completed[k], &mut scratch);
-                            // SAFETY: claims are disjoint ranges and every
-                            // index is written by its claimant only.
-                            unsafe { writer.write(k, Some(report)) };
-                            k += 1;
-                            continue;
-                        };
-                        // Maximal same-prefix run inside this claim.
-                        let mut end = k + 1;
-                        while end < range.end && group_of[end] == g {
-                            end += 1;
-                        }
-                        if end - k >= 2 {
-                            round_batches.fetch_add(1, Ordering::Relaxed);
-                            round_batched.fetch_add((end - k) as u64, Ordering::Relaxed);
-                            model.evaluate_prefixed_batch(
-                                &prefixes[g as usize],
-                                &completed[k..end],
-                                &mut bscratch,
-                                |j, report| {
-                                    // SAFETY: disjoint claims; `k + j`
-                                    // stays inside this run.
-                                    unsafe { writer.write(k + j, Some(report)) };
-                                },
-                            );
-                        } else {
-                            let report = model.evaluate_prefixed_with(
-                                &prefixes[g as usize],
-                                &completed[k],
-                                &mut scratch,
-                            );
-                            // SAFETY: disjoint claims (see above).
-                            unsafe { writer.write(k, Some(report)) };
-                        }
-                        k = end;
+                let scratch = &mut *cell.borrow_mut();
+                if !scratch.mappings.first().is_some_and(|m| shaped_like(m, &ctx.base)) {
+                    scratch.mappings = vec![ctx.base.clone(); ESTIMATE_CHUNK];
+                }
+                let WorkerScratch { eval, batch, mappings } = scratch;
+                // The claim's misses as completed mappings; `completed[j]`
+                // is miss `range.start + j`.
+                let completed = &mut mappings[..range.len()];
+                for (m, &i) in completed.iter_mut().zip(&misses[range.clone()]) {
+                    layout.materialize_completed_into(candidates.row(i as usize), pos, m);
+                }
+                let mut k = range.start;
+                while k < range.end {
+                    let at = k - range.start;
+                    let Some(&g) = group_of.get(k) else {
+                        // No shared prefix this stage: scalar path.
+                        let report = model.evaluate_unchecked_with(&completed[at], eval);
+                        // SAFETY: claims are disjoint ranges and every
+                        // index is written by its claimant only.
+                        unsafe { writer.write(k, Some(objective.of(&report))) };
+                        k += 1;
+                        continue;
+                    };
+                    // Maximal same-prefix run inside this claim.
+                    let mut end = k + 1;
+                    while end < range.end && group_of[end] == g {
+                        end += 1;
                     }
-                });
+                    if end - k >= 2 {
+                        round_batches.fetch_add(1, Ordering::Relaxed);
+                        round_batched.fetch_add((end - k) as u64, Ordering::Relaxed);
+                        model.price_prefixed_batch(
+                            &prefixes[g as usize],
+                            &completed[at..end - range.start],
+                            batch,
+                            |j, totals| {
+                                // SAFETY: disjoint claims; `k + j` stays
+                                // inside this run.
+                                unsafe { writer.write(k + j, Some(objective.of_totals(totals))) };
+                            },
+                        );
+                    } else {
+                        let report = model.evaluate_prefixed_with(
+                            &prefixes[g as usize],
+                            &completed[at],
+                            eval,
+                        );
+                        // SAFETY: disjoint claims (see above).
+                        unsafe { writer.write(k, Some(objective.of(&report))) };
+                    }
+                    k = end;
+                }
             });
             claims_done.fetch_add(1, Ordering::Relaxed);
         });
     }
+    let price_time = phase.elapsed();
 
+    let phase = Instant::now();
     let miss_count = misses.len() as u64;
-    stats.modeled += reports.iter().filter(|r| r.is_some()).count() as u64;
+    stats.modeled += estimates.iter().filter(|e| e.is_some()).count() as u64;
     let (round_batches, round_batched) = (round_batches.into_inner(), round_batched.into_inner());
     stats.batches += round_batches;
     stats.batched += round_batched;
     cache.session.batches.fetch_add(round_batches, Ordering::Relaxed);
     cache.session.batched.fetch_add(round_batched, Ordering::Relaxed);
     {
-        // Publish every new report under a single lock acquisition, stamp
-        // the context's LRU clock, and enforce the cache bound.
-        let mut guard = cache.enabled.then(|| cache.session.lock_map());
-        let mut per_ctx = guard.as_deref_mut().map(|g| {
-            let tick = cache.session.tick.fetch_add(1, Ordering::Relaxed) + 1;
-            let e = g.entry(cache.ctx_fp).or_default();
-            e.last_used = tick;
-            e
-        });
-        let mut inserted = 0usize;
-        for ((i, key), report) in misses.into_iter().zip(reports) {
-            match report {
-                Some(report) => {
-                    candidates.estimate[i] = objective.of(&report);
-                    if let Some(e) = per_ctx.as_deref_mut() {
-                        faultpoint!("cache.insert");
-                        if e.reports.insert(key, report).is_none() {
-                            inserted += 1;
-                        }
-                    }
-                }
-                // Skipped by a mid-round stop: never evaluated, never
-                // published. The caller discards the stage, so the
-                // placeholder estimate is never ranked against real ones.
-                None => candidates.estimate[i] = f64::INFINITY,
+        // Publish every new estimate under a single acquisition of the
+        // context's lock, settle the session's counter while still holding
+        // it, and only after releasing it enforce the cache bound.
+        let mut guard = cache.lock();
+        for (&i, estimate) in misses.iter().zip(estimates) {
+            let i = i as usize;
+            // Skipped by a mid-round stop: never evaluated, never
+            // published. The caller discards the stage, so the placeholder
+            // estimate is never ranked against real ones.
+            candidates.estimate[i] = estimate.unwrap_or(f64::INFINITY);
+            if let (Some(e), Some(estimate)) = (guard.as_deref_mut(), estimate) {
+                faultpoint!("cache.insert");
+                e.estimates.insert(candidates.hash[i], estimate, || {
+                    layout.completed_key(candidates.row(i), pos)
+                });
             }
         }
-        if inserted > 0 {
-            let total = cache.session.entries.fetch_add(inserted, Ordering::Relaxed) + inserted;
-            if total > cache.max_entries {
-                if let Some(g) = guard.as_deref_mut() {
-                    cache.session.evict_lru(g, cache.max_entries, cache.ctx_fp);
-                }
-            }
+        let over = guard.as_deref_mut().is_some_and(|e| cache.settle(e));
+        drop(guard);
+        if over {
+            cache.enforce_bound();
         }
     }
 
     let level = stats.level_mut(stage);
     level.cache_hits += hits;
     level.cache_misses += miss_count;
+    level.estimate_prefix += prefix_time;
+    level.estimate_price += price_time;
+    level.estimate_publish += phase.elapsed();
     stats.cache_hits += hits;
     stats.cache_misses += miss_count;
 
@@ -669,21 +803,113 @@ pub(crate) fn estimate_all(
     }
 }
 
-/// Evaluates a complete mapping through the estimate cache (the final
-/// top-k re-evaluation: the last stage already estimated these mappings,
-/// so with the cache enabled this is a pure lookup).
+/// Prices a complete mapping for a caller — the final top-k
+/// re-evaluation and [`prime_mapping`](crate::Scheduler::prime_mapping).
+/// The report is always computed afresh on the scalar path: the cache
+/// holds one number per mapping and only ever *ranks*, so everything a
+/// caller receives is priced outside it. The mapping's estimate is still
+/// looked up (the last stage already filed the finalists, so the hit/miss
+/// counters read as they always did) and filed if absent — under the hash
+/// of its [`mapping_key`], which is the hash its row would probe with, so
+/// a primed mapping is a hit for the search that later completes to it.
 pub(crate) fn evaluate_cached(
     ctx: &SearchContext<'_>,
     mapping: &Mapping,
     stats: &mut SearchStats,
 ) -> CostReport {
-    let key = mapping_key(mapping);
-    if let Some(report) = ctx.cache.lookup(&key) {
-        stats.cache_hits += 1;
-        return report;
-    }
-    stats.cache_misses += 1;
     let report = ctx.model.evaluate_unchecked(mapping);
-    ctx.cache.insert(key, report.clone());
+    let estimate = ctx.config.objective.of(&report);
+    let key = mapping_key(mapping);
+    let hash = key_hash(&key);
+    match ctx.cache.lookup(hash, &key) {
+        Some(cached) => {
+            debug_assert_eq!(cached.to_bits(), estimate.to_bits(), "cached estimate is stale");
+            stats.cache_hits += 1;
+        }
+        None => {
+            stats.cache_misses += 1;
+            ctx.cache.insert(hash, key, estimate);
+        }
+    }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_table_files_numbers_under_hashes() {
+        let mut t = EstimateTable::default();
+        assert_eq!(t.get(7, || vec![1, 2, 3]), None);
+        assert!(t.insert(7, 1.5, || vec![1, 2, 3]));
+        assert!(!t.insert(7, 1.5, || vec![1, 2, 3]), "same key again is not a new entry");
+        assert!(t.insert(8, 2.5, || vec![1, 2, 4]));
+        assert_eq!(t.get(7, || vec![1, 2, 3]), Some(1.5));
+        assert_eq!(t.get(8, || vec![1, 2, 4]), Some(2.5));
+        assert_eq!(t.len(), 2);
+    }
+
+    /// The collision guard is real: two different keys under one hash —
+    /// which `key_hash` cannot be made to produce, so the hash is forced
+    /// through the table's own API — panic on the second key's hit.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "128-bit key hash collision")]
+    fn a_forced_collision_panics_on_the_second_keys_hit() {
+        let mut t = EstimateTable::default();
+        t.insert(42, 1.0, || vec![1, 2, 3]);
+        t.get(42, || vec![1, 2, 4]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "128-bit key hash collision")]
+    fn a_forced_collision_panics_on_the_second_keys_insert() {
+        let mut t = EstimateTable::default();
+        t.insert(42, 1.0, || vec![1, 2, 3]);
+        t.insert(42, 2.0, || vec![1, 2, 4]);
+    }
+
+    /// Eviction, fault recovery and `clear` give the counter back exactly
+    /// what publishes added — including for an entry a search still holds,
+    /// which then finishes on a private, uncounted table.
+    #[test]
+    fn a_detached_entry_keeps_serving_its_holder_and_counts_nothing() {
+        let session = SessionCache::new();
+        let a = EstimateCache::new(true, 1, 2, &session);
+        a.insert(10, vec![10], 1.0);
+        a.insert(11, vec![11], 2.0);
+        assert_eq!(session.stats().entries, 2);
+        // A second context pushes past the bound of 2: context 1 goes.
+        let b = EstimateCache::new(true, 2, 2, &session);
+        b.insert(20, vec![20], 3.0);
+        assert_eq!(session.stats().entries, 1, "the LRU context was dropped whole");
+        // Its holder still reads what it wrote, and what it writes now is
+        // private.
+        assert_eq!(a.lookup(10, &[10]), Some(1.0));
+        a.insert(12, vec![12], 4.0);
+        assert_eq!(a.lookup(12, &[12]), Some(4.0));
+        assert_eq!(session.stats().entries, 1);
+        // A new view of context 1 starts from nothing and counts from zero.
+        let a2 = EstimateCache::new(true, 1, 2, &session);
+        assert_eq!(a2.lookup(10, &[10]), None);
+        a2.insert(10, vec![10], 1.0);
+        assert_eq!(session.stats().entries, 2);
+        session.evict_context(1);
+        assert_eq!(session.stats().entries, 1);
+        session.clear();
+        assert_eq!(session.stats().entries, 0);
+        b.insert(21, vec![21], 5.0);
+        assert_eq!(session.stats().entries, 0, "cleared views are detached too");
+    }
+
+    #[test]
+    fn a_disabled_cache_holds_nothing() {
+        let session = SessionCache::new();
+        let off = EstimateCache::new(false, 1, 2, &session);
+        off.insert(10, vec![10], 1.0);
+        assert_eq!(off.lookup(10, &[10]), None);
+        assert_eq!(session.stats(), CacheStats::default());
+    }
 }

@@ -88,9 +88,13 @@ type FitPlan<'a> = Vec<(Capacity, Vec<(&'a TensorDesc, u64)>)>;
 /// A row is the mapping's search key — per architecture level its
 /// factors, then for temporal levels its loop order as dimension indices,
 /// word for word what [`beam::mapping_key`] emits — followed by the
-/// `ndims` remaining quotas. The key prefix is what dedup hashes and what
-/// the estimate cache is probed with (after completion), so entries
-/// written through `mapping_key` and through rows are interchangeable.
+/// `ndims` remaining quotas. A row's identity is the 128-bit
+/// [`beam::key_hash`] of its key *as completed*
+/// ([`completed_key_hash`](Self::completed_key_hash)), computed in place
+/// once per row: dedup compares rows by it and the estimate cache is
+/// keyed by it, so entries written through `mapping_key` (the final
+/// re-evaluation, primed store records) and through rows are
+/// interchangeable.
 #[derive(Debug, Clone)]
 pub(crate) struct RowLayout {
     /// Per architecture position: offset of the level's factors, and
@@ -151,6 +155,13 @@ impl RowLayout {
     /// level's kind and identity).
     pub(crate) fn materialize(&self, key: &[u64], base: &Mapping) -> Mapping {
         let mut m = base.clone();
+        self.fill(key, &mut m);
+        m
+    }
+
+    /// Overwrites every factor and loop order of `m` (shaped like the
+    /// layout's base) with the key's.
+    fn fill(&self, key: &[u64], m: &mut Mapping) {
         for (pos, level) in m.levels_mut().iter_mut().enumerate() {
             level.factors_mut().copy_from_slice(&key[self.factors(pos)]);
             if let MappingLevel::Temporal(t) = level {
@@ -159,19 +170,52 @@ impl RowLayout {
                 }
             }
         }
-        m
     }
 
-    /// Writes into `key` the key of the row's mapping *as completed*: the
-    /// factors of the temporal level at `complete_at` multiplied by the
-    /// remaining quotas — `mapping_key(&estimate::complete(..))` without
-    /// building the mapping.
-    pub(crate) fn write_completed_key(&self, row: &[u64], complete_at: usize, key: &mut Vec<u64>) {
-        key.clear();
-        key.extend_from_slice(&row[..self.key_len]);
+    /// Makes `m` (any mapping shaped like the layout's base) the row's
+    /// mapping *as completed* — `estimate::complete(..)` of the row's
+    /// state — without allocating: the evaluators' input for a cache miss,
+    /// written into a reused mapping.
+    pub(crate) fn materialize_completed_into(
+        &self,
+        row: &[u64],
+        complete_at: usize,
+        m: &mut Mapping,
+    ) {
+        self.fill(row, m);
+        let completed = m.levels_mut()[complete_at].factors_mut();
+        for (f, q) in completed.iter_mut().zip(&row[self.quotas()]) {
+            *f *= q;
+        }
+    }
+
+    /// The [`beam::key_hash`] of the row's key *as completed* — the key
+    /// prefix with the factors of the temporal level at `complete_at`
+    /// multiplied by the remaining quotas, which is
+    /// `mapping_key(&estimate::complete(..))` — hashed straight off the
+    /// row, the products taken on the fly: one value per row, its identity
+    /// for both dedup and the estimate cache, and the hash
+    /// `evaluate_cached` takes of the same mapping's `mapping_key`.
+    pub(crate) fn completed_key_hash(&self, row: &[u64], complete_at: usize) -> u128 {
+        let completed = self.factors(complete_at);
+        let quotas = &row[self.quotas()];
+        beam::hash_words(self.key_len, |i| {
+            if completed.contains(&i) {
+                row[i] * quotas[i - completed.start]
+            } else {
+                row[i]
+            }
+        })
+    }
+
+    /// The completed key written down: what the debug-build collision
+    /// guard of the estimate table keeps beside each entry.
+    pub(crate) fn completed_key(&self, row: &[u64], complete_at: usize) -> Vec<u64> {
+        let mut key = row[..self.key_len].to_vec();
         for (f, q) in key[self.factors(complete_at)].iter_mut().zip(&row[self.quotas()]) {
             *f *= q;
         }
+        key
     }
 }
 
@@ -474,9 +518,10 @@ mod tests {
             });
         }
 
-        /// The estimate cache is probed with exactly the key
+        /// The estimate cache is probed with exactly the hash
         /// `evaluate_cached` and primed store records are filed under: the
-        /// mapping key of the completed mapping, in both directions.
+        /// hash of the completed mapping's key, in both directions — and a
+        /// miss is priced from exactly that mapping.
         #[test]
         fn probe_key_is_the_completed_mapping_key(
             arch in 0usize..4, k in 1u32..6, hw in 1u64..5, seed in 0u64..10_000,
@@ -487,16 +532,19 @@ mod tests {
                 let s = random_state(ctx, seed);
                 let mut row = Vec::new();
                 layout.write_row(&s.mapping, &s.quotas, &mut row);
-                let mut key = vec![7; 3];
+                // Reused across directions, as a worker's scratch is.
+                let mut m = ctx.base.clone();
                 for direction in [Direction::BottomUp, Direction::TopDown] {
                     let completed = estimate::complete(ctx, &s, direction);
-                    layout.write_completed_key(
-                        &row,
-                        estimate::completion_pos(ctx, direction),
-                        &mut key,
+                    let pos = estimate::completion_pos(ctx, direction);
+                    let key = beam::mapping_key(&completed);
+                    assert_eq!(
+                        layout.completed_key_hash(&row, pos),
+                        beam::key_hash(&key)
                     );
-                    assert_eq!(&key, &beam::mapping_key(&completed));
-                    assert_eq!(layout.materialize(&key, &ctx.base), completed);
+                    assert_eq!(layout.completed_key(&row, pos), key);
+                    layout.materialize_completed_into(&row, pos, &mut m);
+                    assert_eq!(m, completed);
                 }
             });
         }

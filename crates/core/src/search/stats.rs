@@ -94,8 +94,17 @@ pub struct LevelStats {
     /// Wall time of duplicate elimination over the candidate rows.
     pub dedup: Duration,
     /// Wall time of the estimate round: cache probes plus, for the
-    /// misses, materialization and the cost model on the worker pool.
+    /// misses, the three parts below; what they leave of it is the probe.
     pub estimate: Duration,
+    /// Part of `estimate`: the serial pass over the misses that builds one
+    /// decided-prefix cost per beam parent.
+    pub estimate_prefix: Duration,
+    /// Part of `estimate`: the pool round — materializing each claim's
+    /// rows and running the cost model over them.
+    pub estimate_price: Duration,
+    /// Part of `estimate`: writing the estimates back and inserting them
+    /// into the context's table, plus the cache-bound check.
+    pub estimate_publish: Duration,
     /// Wall time of ranking the candidates and materializing the
     /// surviving beam.
     pub select: Duration,

@@ -524,8 +524,8 @@ impl Scheduler {
         stats
     }
 
-    /// Drops every cached estimate (hit/miss counters are kept). Useful
-    /// for bounding memory in very long-lived sessions.
+    /// Drops every cached estimate and resets the session's counters.
+    /// Useful for bounding memory in very long-lived sessions.
     pub fn clear_cache(&self) {
         self.cache.clear();
     }
@@ -542,11 +542,12 @@ impl Scheduler {
 
     /// Validates and prices an externally supplied `mapping` (typically
     /// reloaded from a persistent store) for `workload` on `arch`,
-    /// inserting its evaluation into the session estimate cache exactly
-    /// as a search probe would. A daemon restarting on an existing store
-    /// calls this per record so repeated queries hit the warm cache, and
-    /// the returned [`CostReport`] re-prices the mapping under the
-    /// *current* cost model — a stale stored EDP is never trusted.
+    /// filing its estimate in the session estimate cache under the hash a
+    /// search's own probe of that mapping uses. A daemon restarting on an
+    /// existing store calls this per record so repeated queries hit the
+    /// warm cache, and the returned [`CostReport`] re-prices the mapping
+    /// under the *current* cost model — a stale stored EDP is never
+    /// trusted.
     ///
     /// # Errors
     ///
@@ -1038,8 +1039,8 @@ impl Scheduler {
             if vctx.validate(&mapping).is_ok()
                 && (ctx.constraints.is_empty() || vctx.satisfies(&mapping, constraints).is_ok())
             {
-                // The last stage already estimated these mappings, so with
-                // the cache enabled this is a lookup, not a re-evaluation.
+                // The cache only ranked these mappings: what the caller
+                // receives is priced afresh, outside it.
                 let report = estimate::evaluate_cached(&ctx, &mapping, &mut stats);
                 valid.push((mapping, report));
             }

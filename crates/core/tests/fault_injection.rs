@@ -6,8 +6,9 @@
 //! fresh session.
 #![cfg(feature = "fault-injection")]
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sunstone::faultpoint::{self, FaultAction};
 use sunstone::prelude::*;
@@ -236,4 +237,79 @@ fn injected_delay_does_not_change_results() {
         assert_eq!(out.report.edp.to_bits(), reference.report.edp.to_bits());
     }
     faultpoint::disarm_all();
+}
+
+/// A context evicted while its search is mid-flight: the search is held at
+/// the start of its last estimate round — after the earlier rounds
+/// published everything that round will hit — while another context's
+/// publish pushes the session past its bound and evicts it. The holder
+/// finishes on its detached table exactly as an undisturbed search would
+/// (same mapping, same EDP bits, and `modeled` shows it kept reading what
+/// it wrote), counts nothing from then on, and a follow-up call
+/// re-populates the context and counts from zero.
+#[test]
+fn a_context_evicted_mid_search_finishes_undisturbed_and_counts_nothing() {
+    let _guard = serial();
+    let arch = presets::conventional();
+    let a = conv("held", 32, 16, 14, 3);
+    let b = conv("evictor", 64, 32, 7, 3);
+    let config = SunstoneConfig { threads: 1, ..SunstoneConfig::default() };
+    let fresh = Scheduler::new(config.clone());
+    let reference = fresh.schedule(&a, &arch).expect("clean schedule");
+    let a_entries = fresh.cache_stats().entries;
+    let last_round = reference.stats.levels.len() as u64;
+    assert!(reference.stats.levels[last_round as usize - 1].cache_hits > 0, "the last round hits");
+    let b_best =
+        Scheduler::new(config.clone()).schedule(&b, &arch).expect("clean schedule").mapping;
+
+    // The hold is a sleep, so give it room to be long enough: the eviction
+    // must land while the holder still sleeps. Longer holds only on retry.
+    for hold in [Duration::from_millis(500), Duration::from_secs(4)] {
+        let session = Scheduler::new(SunstoneConfig { max_cache_entries: 1, ..config.clone() });
+        let done = AtomicBool::new(false);
+        faultpoint::arm("estimate.round", last_round, FaultAction::Delay(hold));
+        let (held, evicted_mid_flight) = std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let out = session.schedule(&a, &arch);
+                done.store(true, Ordering::SeqCst);
+                out
+            });
+            let waited = Instant::now();
+            while faultpoint::hits("estimate.round") < last_round {
+                assert!(waited.elapsed() < Duration::from_secs(60), "the holder never got there");
+                std::thread::yield_now();
+            }
+            // One entry of another context is all it takes: the session is
+            // over its bound of 1 and `a`'s context is the LRU.
+            session.prime_mapping(&b, &arch, &b_best).expect("primes");
+            let evicted_mid_flight = !done.load(Ordering::SeqCst);
+            assert_eq!(session.cache_stats().entries, 1, "`a` went whole; the primed entry stays");
+            (
+                holder.join().expect("holder thread").expect("held search schedules"),
+                evicted_mid_flight,
+            )
+        });
+        if !evicted_mid_flight {
+            continue;
+        }
+        assert_eq!(held.mapping, reference.mapping);
+        assert_eq!(held.report.edp.to_bits(), reference.report.edp.to_bits());
+        assert_eq!(held.stats.probed, reference.stats.probed);
+        assert_eq!(
+            held.stats.modeled, reference.stats.modeled,
+            "the holder kept its own estimates"
+        );
+        assert_eq!(session.cache_stats().entries, 1, "a detached table counts nothing");
+
+        let again = session.schedule(&a, &arch).expect("follow-up schedules");
+        assert_eq!(again.mapping, reference.mapping);
+        assert_eq!(
+            again.stats.modeled, reference.stats.modeled,
+            "nothing of the evicted context is left"
+        );
+        assert_eq!(session.cache_stats().entries, a_entries, "`a` counted from zero, `b` evicted");
+        faultpoint::disarm_all();
+        return;
+    }
+    panic!("a 4 s hold was not long enough to prime one mapping");
 }

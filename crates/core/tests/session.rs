@@ -324,6 +324,96 @@ fn bounded_cache_evicts_lru_context_and_keeps_results_identical() {
     assert_eq!(roomy.cache_stats().entries, a_entries + b_entries, "both contexts retained");
 }
 
+/// Two threads search disjoint layer sets on one session whose bound is
+/// below a single context's size, so every publish that adds anything
+/// evicts every other context — the other thread's live one included,
+/// which then finishes on its detached table. Nothing of that may show:
+/// each result and its counters are those of a fresh single-threaded
+/// session, round after round, and the entry counter stays exact.
+#[test]
+fn concurrent_searches_under_a_tight_bound_match_fresh_sessions() {
+    const ROUNDS: usize = 50;
+    let arch = presets::conventional();
+    let sets = [
+        [conv("a0", 16, 8, 7, 3), conv("a1", 8, 16, 7, 1)],
+        [conv("b0", 16, 16, 4, 3), conv("b1", 24, 8, 6, 1)],
+    ];
+    let config = SunstoneConfig { threads: 1, ..SunstoneConfig::default() };
+    let witness = |r: &ScheduleResult| {
+        (r.mapping.clone(), r.report.edp.to_bits(), r.stats.probed, r.stats.modeled)
+    };
+    // Per layer: the fresh-session witness and how many entries its
+    // context holds.
+    let fresh = sets.each_ref().map(|set| {
+        set.each_ref().map(|w| {
+            let s = Scheduler::new(config.clone());
+            let r = s.schedule(w, &arch).expect("schedules");
+            (witness(&r), s.cache_stats().entries)
+        })
+    });
+    let sizes: Vec<usize> = fresh.iter().flatten().map(|(_, entries)| *entries).collect();
+    let bound = sizes.iter().min().expect("four layers") / 2;
+    assert!(bound > 0, "every context holds at least two estimates");
+    let session = Scheduler::new(SunstoneConfig { max_cache_entries: bound, ..config });
+
+    // Both threads start every round together, and meet again after it so
+    // the counter can be read with no search in flight (`sizes` is
+    // [a0, a1, b0, b1]).
+    let round_start = std::sync::Barrier::new(2);
+    let round_end = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for (set, fresh) in sets.iter().zip(&fresh) {
+            let (session, arch) = (session.clone(), &arch);
+            let (round_start, round_end, sizes) = (&round_start, &round_end, &sizes);
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    round_start.wait();
+                    for (w, (want, _)) in set.iter().zip(fresh) {
+                        let r = session.schedule(w, arch).expect("schedules");
+                        assert_eq!(&witness(&r), want, "{} in round {round}", w.name());
+                        // Mid-flight on the other thread: each context is
+                        // counted at most once, and nothing ever wraps.
+                        let entries = session.cache_stats().entries;
+                        assert!(entries <= sizes.iter().sum(), "{entries} entries counted");
+                    }
+                    if round_end.wait().is_leader() {
+                        // At rest only each thread's last context can still
+                        // be attached: its first over-bound publish evicted
+                        // everything before it.
+                        let entries = session.cache_stats().entries;
+                        assert!(entries <= sizes[1] + sizes[3], "{entries} entries at rest");
+                    }
+                }
+            });
+        }
+    });
+    session.clear_cache();
+    assert_eq!(session.cache_stats().entries, 0);
+}
+
+/// `prime_mapping` files a mapping under the hash of its `mapping_key`; a
+/// search probes with the hash of its rows. They are the same hash: on a
+/// session that only ever primed the winner, the search's first row that
+/// completes to it is a hit instead of a model run.
+#[test]
+fn a_primed_mapping_is_a_hit_for_the_search_that_completes_to_it() {
+    let arch = presets::conventional();
+    let w = conv("primed", 32, 16, 14, 3);
+    let config = SunstoneConfig { threads: 1, ..SunstoneConfig::default() };
+    let cold = Scheduler::new(config.clone()).schedule(&w, &arch).expect("schedules");
+
+    let session = Scheduler::new(config);
+    let report = session.prime_mapping(&w, &arch, &cold.mapping).expect("primes");
+    assert_eq!(report.edp.to_bits(), cold.report.edp.to_bits());
+    assert_eq!(session.cache_stats().entries, 1);
+    let primed = session.schedule(&w, &arch).expect("schedules");
+    assert_eq!(primed.mapping, cold.mapping);
+    assert_eq!(primed.report.edp.to_bits(), cold.report.edp.to_bits());
+    assert_eq!(primed.stats.probed, cold.stats.probed);
+    assert_eq!(primed.stats.modeled, cold.stats.modeled - 1, "the primed estimate was reused");
+    assert_eq!(primed.stats.cache_hits, cold.stats.cache_hits + 1);
+}
+
 #[test]
 fn cloned_sessions_share_one_cache() {
     let arch = presets::conventional();

@@ -32,7 +32,7 @@ use sunstone_arch::{Level, LevelId};
 use sunstone_ir::{DimVec, TensorDesc};
 use sunstone_mapping::{FlatLoop, Mapping};
 
-use crate::cost::{CostModel, CostReport, EvalScratch};
+use crate::cost::{CostModel, CostReport, CostTotals, EvalScratch};
 use crate::counts::{add_crossings, count_pair, TensorLevelCounts};
 use crate::prefix::{count_prefix_pair, flatten_range, CandAgg, LevelCost, MappingPrefix};
 use crate::ModelOptions;
@@ -159,10 +159,53 @@ impl CostModel<'_> {
         scratch: &mut BatchEvalScratch,
         mut emit: impl FnMut(usize, CostReport),
     ) {
-        let n = mappings.len();
-        if n == 0 {
-            return;
+        let stride = self.fill_count_tables(prefix, mappings, scratch);
+        for (i, m) in mappings.iter().enumerate() {
+            let report = self.report_from_rows(
+                m,
+                &scratch.per[i * stride..(i + 1) * stride],
+                &scratch.crossings[i * stride..(i + 1) * stride],
+                &mut scratch.eval,
+            );
+            emit(i, report);
         }
+    }
+
+    /// [`evaluate_prefixed_batch`](Self::evaluate_prefixed_batch) for a
+    /// caller that only ranks: the same tables and the same arithmetic,
+    /// but `emit(i, totals)` receives two numbers instead of a report, so
+    /// pricing a candidate allocates nothing. The totals are bit-identical
+    /// to the `energy_pj` and `delay_cycles` of the report form.
+    pub fn price_prefixed_batch(
+        &self,
+        prefix: &MappingPrefix,
+        mappings: &[Mapping],
+        scratch: &mut BatchEvalScratch,
+        mut emit: impl FnMut(usize, CostTotals),
+    ) {
+        let stride = self.fill_count_tables(prefix, mappings, scratch);
+        for (i, m) in mappings.iter().enumerate() {
+            let totals = self.totals_from_rows(
+                m,
+                &scratch.per[i * stride..(i + 1) * stride],
+                &scratch.crossings[i * stride..(i + 1) * stride],
+                &mut scratch.eval,
+            );
+            emit(i, totals);
+        }
+    }
+
+    /// Phases 1–3 of the batch evaluation: decomposes `mappings` into the
+    /// per-candidate setup columns, then fills `scratch.per` and
+    /// `scratch.crossings` tensor by tensor, pair by pair. Returns the
+    /// per-candidate stride of the two tables.
+    fn fill_count_tables(
+        &self,
+        prefix: &MappingPrefix,
+        mappings: &[Mapping],
+        scratch: &mut BatchEvalScratch,
+    ) -> usize {
+        let n = mappings.len();
         let arch = self.arch();
         let workload = self.workload();
         let n_levels = arch.num_levels();
@@ -272,16 +315,7 @@ impl CostModel<'_> {
             }
         }
 
-        // ---- Phase 4: per-candidate reports ----------------------------
-        for (i, m) in mappings.iter().enumerate() {
-            let report = self.report_from_rows(
-                m,
-                &scratch.per[i * stride..(i + 1) * stride],
-                &scratch.crossings[i * stride..(i + 1) * stride],
-                &mut scratch.eval,
-            );
-            emit(i, report);
-        }
+        stride
     }
 }
 
@@ -516,6 +550,22 @@ mod tests {
                     );
                 });
                 assert_eq!(seen, cands.len());
+                // The ranking form hands out the report's own two totals.
+                let mut priced = 0usize;
+                model.price_prefixed_batch(&prefix, &cands, &mut batch_scratch, |i, got| {
+                    assert_eq!(i, priced, "emit order is candidate order");
+                    priced += 1;
+                    let want =
+                        model.evaluate_prefixed_with(&prefix, &cands[i], &mut scalar_scratch);
+                    assert_eq!(got.energy_pj.to_bits(), want.energy_pj.to_bits());
+                    assert_eq!(got.delay_cycles.to_bits(), want.delay_cycles.to_bits());
+                    assert_eq!(
+                        (got.energy_pj * got.delay_cycles).to_bits(),
+                        want.edp.to_bits(),
+                        "the EDP a ranking caller derives is the report's"
+                    );
+                });
+                assert_eq!(priced, cands.len());
             }
         }
     }
@@ -553,6 +603,9 @@ mod tests {
         let prefix = model.prefix_of(&base, 0);
         let mut scratch = model.batch_scratch();
         model.evaluate_prefixed_batch(&prefix, &[], &mut scratch, |_, _| {
+            panic!("emit called on an empty batch")
+        });
+        model.price_prefixed_batch(&prefix, &[], &mut scratch, |_, _| {
             panic!("emit called on an empty batch")
         });
     }

@@ -1,7 +1,7 @@
 //! Energy, delay, and EDP computation.
 
 use serde::{Deserialize, Serialize};
-use sunstone_arch::{ArchSpec, Binding, Level, LevelId};
+use sunstone_arch::{ArchSpec, Binding, Level, LevelId, MemoryLevel};
 use sunstone_ir::Workload;
 use sunstone_mapping::{Mapping, MappingError, ValidationContext};
 
@@ -67,6 +67,26 @@ impl CostReport {
     pub fn is_bandwidth_bound(&self) -> bool {
         self.delay_cycles > self.compute_cycles
     }
+}
+
+/// The two totals every objective is a function of — what the batch
+/// evaluator hands a caller that only ranks candidates
+/// ([`CostModel::price_prefixed_batch`]), bit-identical to the same
+/// fields of the [`CostReport`] the report-returning entry points build.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostTotals {
+    /// Total energy in pJ (memory + MAC + NoC).
+    pub energy_pj: f64,
+    /// Execution time in cycles.
+    pub delay_cycles: f64,
+}
+
+/// What [`CostModel::price_rows`] computes beyond the per-level
+/// breakdown it hands its callback.
+struct PricedRows {
+    totals: CostTotals,
+    noc_energy_pj: f64,
+    compute_cycles: f64,
 }
 
 /// Evaluates mappings for one (workload, architecture, binding) triple.
@@ -232,14 +252,68 @@ impl<'a> CostModel<'a> {
         crossings: &[f64],
         scratch: &mut EvalScratch,
     ) -> CostReport {
+        let mut levels = Vec::new();
+        let priced = self.price_rows(
+            mapping,
+            per,
+            crossings,
+            scratch,
+            |mem, arch_pos, reads, writes, energy_pj| {
+                levels.push(LevelReport {
+                    name: mem.name.clone(),
+                    arch_pos,
+                    reads,
+                    writes,
+                    energy_pj,
+                });
+            },
+        );
+        let total_ops = self.workload.total_ops() as f64;
+        let CostTotals { energy_pj, delay_cycles } = priced.totals;
+        CostReport {
+            energy_pj,
+            delay_cycles,
+            edp: energy_pj * delay_cycles,
+            total_ops,
+            mac_energy_pj: total_ops * self.arch.mac_energy_pj(),
+            noc_energy_pj: priced.noc_energy_pj,
+            compute_cycles: priced.compute_cycles,
+            levels,
+        }
+    }
+
+    /// [`report_from_rows`](Self::report_from_rows) for a caller that only
+    /// ranks: the same arithmetic, no report and no allocation.
+    pub(crate) fn totals_from_rows(
+        &self,
+        mapping: &Mapping,
+        per: &[crate::TensorLevelCounts],
+        crossings: &[f64],
+        scratch: &mut EvalScratch,
+    ) -> CostTotals {
+        self.price_rows(mapping, per, crossings, scratch, |_, _, _, _, _| {}).totals
+    }
+
+    /// The model's arithmetic over row-major `[arch_pos][tensor]` count
+    /// tables: energy per memory level, NoC energy per fabric, and the
+    /// delay as the slower of compute and the busiest partition port.
+    /// `on_level` receives each memory level's breakdown as it is summed
+    /// (the report's `levels`; a caller that only ranks passes a no-op and
+    /// nothing is allocated).
+    fn price_rows(
+        &self,
+        mapping: &Mapping,
+        per: &[crate::TensorLevelCounts],
+        crossings: &[f64],
+        scratch: &mut EvalScratch,
+        mut on_level: impl FnMut(&MemoryLevel, usize, f64, f64, f64),
+    ) -> PricedRows {
         let nt = self.workload.num_tensors();
         let total_ops = self.workload.total_ops() as f64;
         let ref_bits = f64::from(self.arch.ref_bits());
-        let mac_energy_pj = total_ops * self.arch.mac_energy_pj();
 
-        let mut energy_pj = mac_energy_pj;
+        let mut energy_pj = total_ops * self.arch.mac_energy_pj();
         let mut noc_energy_pj = 0.0;
-        let mut levels = Vec::new();
 
         // Instances of each level = product of spatial factors above it,
         // accumulated in f64 so adversarial fan-outs cannot wrap u64.
@@ -295,13 +369,7 @@ impl<'a> CostModel<'a> {
                         }
                     }
                     energy_pj += level_energy;
-                    levels.push(LevelReport {
-                        name: mem.name.clone(),
-                        arch_pos: pos,
-                        reads,
-                        writes,
-                        energy_pj: level_energy,
-                    });
+                    on_level(mem, pos, reads, writes, level_energy);
                 }
                 Level::Spatial(s) => {
                     for t in self.workload.tensor_ids() {
@@ -321,16 +389,7 @@ impl<'a> CostModel<'a> {
         let compute_cycles = total_ops / parallelism;
         let delay_cycles = compute_cycles.max(max_transfer_cycles);
 
-        CostReport {
-            energy_pj,
-            delay_cycles,
-            edp: energy_pj * delay_cycles,
-            total_ops,
-            mac_energy_pj,
-            noc_energy_pj,
-            compute_cycles,
-            levels,
-        }
+        PricedRows { totals: CostTotals { energy_pj, delay_cycles }, noc_energy_pj, compute_cycles }
     }
 }
 

@@ -77,7 +77,7 @@ mod prefix;
 pub const COST_MODEL_VERSION: u32 = 1;
 
 pub use batch::BatchEvalScratch;
-pub use cost::{CostModel, CostReport, EvalScratch, LevelReport};
+pub use cost::{CostModel, CostReport, CostTotals, EvalScratch, LevelReport};
 pub use counts::{storage_chains, AccessCounts, CountScratch, TensorLevelCounts};
 pub use explain::compare;
 pub use options::ModelOptions;

@@ -332,13 +332,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // byte boundaries are already valid UTF-8).
+                    // Consume the whole run up to the next quote or
+                    // backslash. The input arrived as a &str and both
+                    // delimiters are ASCII, so the run starts and ends on
+                    // scalar boundaries; it is validated once, as a whole.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -455,6 +459,51 @@ mod tests {
         assert_eq!(back.as_str(), Some("aA\né😀"));
         // Control characters are escaped on the way out.
         assert_eq!(Json::Str("\u{1}".into()).to_string(), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn multi_byte_scalars_next_to_escapes_and_the_closing_quote() {
+        // 2-, 3- and 4-byte scalars directly before and after an escape,
+        // at the very start, and as the last thing before the quote.
+        let back = parse(r#""é\n€\t😀\\é\"€😀""#).unwrap();
+        assert_eq!(back.as_str(), Some("é\n€\t😀\\é\"€😀"));
+        assert_eq!(parse("\"😀\"").unwrap().as_str(), Some("😀"));
+        // As an object key too: the same scanner reads keys.
+        let v = parse(r#"{"ключ\u0021": "значение"}"#).unwrap();
+        assert_eq!(v.get("ключ!").unwrap().as_str(), Some("значение"));
+    }
+
+    #[test]
+    fn surrogate_pairs_inside_long_runs() {
+        let run = "x".repeat(3000);
+        let text = format!("\"{run}\\ud83d\\ude00{run}é\\u00e9{run}\"");
+        let want = format!("{run}😀{run}éé{run}");
+        assert_eq!(parse(&text).unwrap().as_str(), Some(want.as_str()));
+        // A lone high surrogate in the middle of a run is still rejected.
+        let e = parse(&format!("\"{run}\\ud83d{run}\"")).unwrap_err();
+        assert_eq!(e.message, "unpaired surrogate");
+    }
+
+    #[test]
+    fn an_unterminated_long_string_fails_at_the_end_of_input() {
+        let text = format!("\"{}", "é".repeat(32 * 1024));
+        assert_eq!(text.len(), 1 + 64 * 1024);
+        let e = parse(&text).unwrap_err();
+        assert_eq!((e.at, e.message.as_str()), (text.len(), "unterminated string"));
+        // Also when the input ends inside an escape.
+        let e = parse(&format!("{text}\\")).unwrap_err();
+        assert_eq!(e.at, text.len() + 1);
+    }
+
+    #[test]
+    fn strings_of_every_size_round_trip() {
+        for len in [0, 1, 1024, 4096] {
+            // Every kind of character the writer treats differently:
+            // plain, quote, backslash, control, multi-byte.
+            let s: String = "a\"\\\n\u{1}é€😀".chars().cycle().take(len).collect();
+            let v = Json::Arr(vec![Json::Str(s.clone()), Json::Obj(vec![(s, Json::Null)])]);
+            assert_eq!(parse(&v.to_string()).unwrap(), v, "{len} chars");
+        }
     }
 
     #[test]
