@@ -45,35 +45,35 @@ echo "== release degenerate-input smoke =="
 # wraps instead, so the no-panic grid must also hold there.
 cargo test -q --release -p sunstone-repro --test robustness
 
-echo "== bench smoke: criterion compile + quick schedule bench =="
-cargo bench -p sunstone-bench --bench scheduler_speed -- --test
+echo "== bench smoke: quick schedule bench =="
 cargo run --release -p sunstone-bench --bin bench_schedule -- quick --out BENCH_schedule_quick.json
 python3 - <<'EOF'
 import json
 d = json.load(open("BENCH_schedule_quick.json"))
-assert d.get("schema") == "sunstone-bench-schedule/v6", d.get("schema")
+assert d.get("schema") == "sunstone-bench-schedule/v7", d.get("schema")
 assert d.get("layers"), "no layers recorded"
 for row in d["layers"]:
     for field in (
-        "name", "cold_ms", "warm_median_ms", "best_edp",
+        "name", "cold_ms", "repeat_us", "best_edp",
         "probed", "modeled", "prefix_hit_rate", "mapping_fp",
-        "phase_ms", "warm_phase_ms",
+        "phase_ms",
     ):
         assert field in row, f"missing {field} in {row.get('name', '?')}"
-    for split in (row["phase_ms"], row["warm_phase_ms"]):
-        for phase in (
-            "expand", "dedup", "estimate", "estimate_prefix", "estimate_price",
-            "estimate_publish", "select", "uncovered_share",
-        ):
-            assert phase in split, f"missing {phase} in {row['name']}"
-    assert row["warm_median_ms"] > 0, row["name"]
+    for phase in (
+        "expand", "dedup", "estimate", "estimate_prefix", "estimate_price",
+        "estimate_publish", "select", "uncovered_share",
+    ):
+        assert phase in row["phase_ms"], f"missing {phase} in {row['name']}"
+    assert row["cold_ms"] > 0 and row["repeat_us"] > 0, row["name"]
+    # A repeat is a memo hit, not a second search.
+    assert row["repeat_us"] < 1e3 * row["cold_ms"], row["name"]
     assert row["modeled"] <= row["probed"], row["name"]
 est = d.get("estimate", {})
 for field in ("evals_per_sec", "batch_evals_per_sec", "batch_width"):
     assert field in est, f"missing estimate.{field}"
-cache = d.get("cache", {})
+batching = d.get("batching", {})
 for field in ("batches", "avg_batch_width"):
-    assert field in cache, f"missing cache.{field}"
+    assert field in batching, f"missing batching.{field}"
 # Hard gate: every quick layer's best mapping must be bit-identical to
 # the committed baseline. A fingerprint divergence means an optimization
 # changed search results, not just speed — fail, don't warn.
@@ -86,10 +86,11 @@ diverged = [
 assert not diverged, "mapping_fp diverged from results/bench_baseline.json:\n" + "\n".join(diverged)
 checked = sum(1 for r in d["layers"] if r["name"] in base)
 assert checked > 0, "no quick layer found in the baseline — gate is vacuous"
-# Count gate: counters do not depend on session history, so a quick layer
-# must probe and model exactly what the committed full-mode row did. A
-# refactor that changes *which* candidates are built, not only how, fails
-# here even when the winning mapping survives.
+# Count gate: a search's counters do not depend on session history (it
+# owns its tables; these rows are each layer's first call, a search), so
+# a quick layer must probe and model exactly what the committed full-mode
+# row did. A refactor that changes *which* candidates are built, not only
+# how, fails here even when the winning mapping survives.
 committed = json.load(open("BENCH_schedule.json"))
 committed_rows = {r["name"]: r for r in committed["layers"]}
 drifted = [

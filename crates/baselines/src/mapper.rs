@@ -85,8 +85,8 @@ pub trait Mapper {
 /// The real Sunstone scheduler behind the [`Mapper`] interface.
 ///
 /// The mapper holds a [`Scheduler`] *session*, so mapping many layers
-/// through one `SunstoneMapper` shares the session estimate cache across
-/// calls (repeated layer shapes skip the analytic model entirely).
+/// through one `SunstoneMapper` shares the session's result memo across
+/// calls (a repeated layer shape is answered without a search).
 #[derive(Debug, Clone)]
 pub struct SunstoneMapper {
     name: String,

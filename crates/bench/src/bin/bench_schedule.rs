@@ -1,12 +1,11 @@
-//! Perf-trajectory benchmark: warmed-session time-to-solution per fig8
-//! layer plus raw estimate throughput, emitted as `BENCH_schedule.json`.
+//! Perf-trajectory benchmark: time-to-solution per fig8 layer — the
+//! search itself and the session's answer to a repeat — plus raw estimate
+//! throughput, emitted as `BENCH_schedule.json`.
 //!
-//! Unlike the criterion benches (which explore statistical stability),
-//! this binary produces the *recorded* perf baseline the repo tracks
-//! across PRs: one JSON file with per-layer medians, a mapping
-//! fingerprint per layer (so optimization PRs can prove search results
-//! stayed bit-identical), and a speedup ratio against a committed
-//! baseline file.
+//! This binary produces the *recorded* perf baseline the repo tracks
+//! across PRs: one JSON file with per-layer times, a mapping fingerprint
+//! per layer (so optimization PRs can prove search results stayed
+//! bit-identical), and a speedup ratio against a committed baseline file.
 //!
 //! ```text
 //! Usage: bench_schedule [quick] [--reps N] [--baseline FILE] [--out FILE]
@@ -28,31 +27,29 @@ use sunstone_mapping::{Mapping, MappingLevel};
 use sunstone_model::CostModel;
 use sunstone_workloads::{resnet18_layers, Precision};
 
-/// Timing and identity record of one layer's warmed-session schedule.
+/// Timing and identity record of one layer's schedule.
 struct LayerRow {
     name: String,
+    /// The search: the session's first encounter with the shape.
     cold_ms: f64,
-    warm_median_ms: f64,
+    /// Median of the repeats, each answered from the session's result
+    /// memo, in microseconds.
+    repeat_us: f64,
     best_edp: f64,
     mapping_fp: u64,
     mapping: String,
     probed: u64,
-    /// Model evaluations of the cold (first-encounter) run — warm runs
-    /// are served by the session cache and model next to nothing.
     modeled: u64,
-    /// Fraction of the cold run's model evaluations that reused a
-    /// memoized decided-prefix cost.
+    /// Fraction of the model evaluations that reused a memoized
+    /// decided-prefix cost.
     prefix_hit_rate: f64,
-    /// The search's own phase split of the cold run.
+    /// The search's own phase split.
     phase_ms: PhaseMs,
-    /// The same split for the warm runs (mean per repetition).
-    warm_phase_ms: PhaseMs,
 }
 
 /// `LevelStats::{expand, dedup, estimate, select}` — and the three parts
 /// `estimate` splits into — summed over stages and over the runs added, in
 /// milliseconds, plus the wall time the four phases are a split of.
-#[derive(Default)]
 struct PhaseMs {
     expand: f64,
     dedup: f64,
@@ -62,42 +59,39 @@ struct PhaseMs {
     estimate_publish: f64,
     select: f64,
     wall: f64,
-    runs: usize,
 }
 
 impl PhaseMs {
-    fn add(&mut self, stats: &SearchStats, wall_ms: f64) {
-        for l in &stats.levels {
-            self.expand += ms(l.expand);
-            self.dedup += ms(l.dedup);
-            self.estimate += ms(l.estimate);
-            self.estimate_prefix += ms(l.estimate_prefix);
-            self.estimate_price += ms(l.estimate_price);
-            self.estimate_publish += ms(l.estimate_publish);
-            self.select += ms(l.select);
+    fn of(stats: &SearchStats, wall_ms: f64) -> Self {
+        let sum = |phase: fn(&LevelStats) -> Duration| stats.levels.iter().map(phase).map(ms).sum();
+        PhaseMs {
+            expand: sum(|l| l.expand),
+            dedup: sum(|l| l.dedup),
+            estimate: sum(|l| l.estimate),
+            estimate_prefix: sum(|l| l.estimate_prefix),
+            estimate_price: sum(|l| l.estimate_price),
+            estimate_publish: sum(|l| l.estimate_publish),
+            select: sum(|l| l.select),
+            wall: wall_ms,
         }
-        self.wall += wall_ms;
-        self.runs += 1;
     }
 
-    /// One JSON object of per-run means; `uncovered_share` is the part of
-    /// the wall time no phase timer saw (context build, validation,
-    /// ranking, beam drop).
+    /// One JSON object; `uncovered_share` is the part of the wall time no
+    /// phase timer saw (context build, validation, ranking, beam drop).
     fn json(&self) -> String {
-        let n = self.runs.max(1) as f64;
         let covered = self.expand + self.dedup + self.estimate + self.select;
         let uncovered = if self.wall > 0.0 { 1.0 - covered / self.wall } else { 0.0 };
         format!(
             "{{\"expand\": {:.3}, \"dedup\": {:.3}, \"estimate\": {:.3}, \
              \"estimate_prefix\": {:.3}, \"estimate_price\": {:.3}, \
              \"estimate_publish\": {:.3}, \"select\": {:.3}, \"uncovered_share\": {:.4}}}",
-            self.expand / n,
-            self.dedup / n,
-            self.estimate / n,
-            self.estimate_prefix / n,
-            self.estimate_price / n,
-            self.estimate_publish / n,
-            self.select / n,
+            self.expand,
+            self.dedup,
+            self.estimate,
+            self.estimate_prefix,
+            self.estimate_price,
+            self.estimate_publish,
+            self.select,
             uncovered
         )
     }
@@ -130,13 +124,13 @@ fn esc(s: &str) -> String {
 /// One layer row recovered from a previously emitted baseline file.
 struct BaselineRow {
     name: String,
-    warm_median_ms: Option<f64>,
+    cold_ms: Option<f64>,
     mapping_fp: Option<u64>,
 }
 
 /// Reads `"key": <value>` fields out of a flat JSON baseline file —
-/// enough structure awareness to recover per-layer medians and mapping
-/// fingerprints without a JSON dependency.
+/// enough structure awareness to recover per-layer search times and
+/// mapping fingerprints without a JSON dependency.
 fn parse_baseline(text: &str) -> Vec<BaselineRow> {
     let mut rows: Vec<BaselineRow> = Vec::new();
     for line in text.lines() {
@@ -145,15 +139,15 @@ fn parse_baseline(text: &str) -> Vec<BaselineRow> {
             if let Some(end) = rest.find('"') {
                 rows.push(BaselineRow {
                     name: rest[..end].to_string(),
-                    warm_median_ms: None,
+                    cold_ms: None,
                     mapping_fp: None,
                 });
             }
-        } else if let Some(rest) = line.strip_prefix("\"warm_median_ms\": ") {
+        } else if let Some(rest) = line.strip_prefix("\"cold_ms\": ") {
             let num: String =
                 rest.chars().take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-').collect();
             if let (Some(row), Ok(v)) = (rows.last_mut(), num.parse::<f64>()) {
-                row.warm_median_ms = Some(v);
+                row.cold_ms = Some(v);
             }
         } else if let Some(rest) = line.strip_prefix("\"mapping_fp\": ") {
             let num: String = rest.chars().take_while(char::is_ascii_digit).collect();
@@ -185,51 +179,50 @@ fn main() {
     let scheduler = Scheduler::new(config);
 
     println!("bench_schedule: {} layers × {} reps on `{}`", layers.len(), reps, arch.name());
+    let ratio = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
     let mut rows: Vec<LayerRow> = Vec::new();
+    // SoA dispatch totals over the searches.
+    let (mut batches, mut batched, mut modeled_total) = (0u64, 0u64, 0u64);
     for layer in &layers {
         let w = layer.inference(Precision::simba());
-        // Cold: the session's first encounter with this shape.
+        // Cold: the session's first encounter with this shape — the search.
         let t0 = Instant::now();
         let first = scheduler.schedule(&w, &arch).expect("schedules");
         let cold_ms = ms(t0.elapsed());
-        let modeled = first.stats.modeled;
-        let mut phase_ms = PhaseMs::default();
-        phase_ms.add(&first.stats, cold_ms);
-        let mut warm_phase_ms = PhaseMs::default();
-        let prefix_hit_rate =
-            if modeled == 0 { 0.0 } else { first.stats.prefix_hits as f64 / modeled as f64 };
-        // Warm: the session has seen the shape; the estimate cache serves
-        // repeat evaluations, so this times the search machinery itself.
+        let stats = &first.stats;
+        let modeled = stats.modeled;
+        batches += stats.batches;
+        batched += stats.batched;
+        modeled_total += modeled;
+        // Repeat: the session has answered this context; its result memo
+        // does again.
         let mut samples = Vec::with_capacity(reps);
-        let mut result = first;
         for _ in 0..reps {
             let t = Instant::now();
-            result = scheduler.schedule(&w, &arch).expect("schedules");
-            let wall = ms(t.elapsed());
-            warm_phase_ms.add(&result.stats, wall);
-            samples.push(wall);
+            let again = scheduler.schedule(&w, &arch).expect("schedules");
+            samples.push(t.elapsed().as_secs_f64() * 1e6);
+            assert_eq!(again.mapping, first.mapping, "a repeat is the search's own answer");
         }
-        let warm_median_ms = median(&mut samples);
+        let repeat_us = median(&mut samples);
         println!(
-            "  {:10}  cold {:8.1} ms   warm median {:8.1} ms   EDP {:.3e}",
-            layer.name, cold_ms, warm_median_ms, result.report.edp
+            "  {:10}  cold {:8.1} ms   repeat {:8.1} us   EDP {:.3e}",
+            layer.name, cold_ms, repeat_us, first.report.edp
         );
         rows.push(LayerRow {
             name: layer.name.clone(),
             cold_ms,
-            warm_median_ms,
-            best_edp: result.report.edp,
-            mapping_fp: mapping_fingerprint(&result.mapping),
-            mapping: result.mapping.to_string(),
-            probed: result.stats.probed,
+            repeat_us,
+            best_edp: first.report.edp,
+            mapping_fp: mapping_fingerprint(&first.mapping),
+            mapping: first.mapping.to_string(),
+            probed: stats.probed,
             modeled,
-            prefix_hit_rate,
-            phase_ms,
-            warm_phase_ms,
+            prefix_hit_rate: ratio(stats.prefix_hits, modeled),
+            phase_ms: PhaseMs::of(stats, cold_ms),
         });
     }
-    let cache = scheduler.cache_stats();
-    println!("  SoA batches: {:.1} cand/dispatch", cache.avg_batch_width());
+    let avg_batch_width = ratio(batched, batches);
+    println!("  SoA batches: {avg_batch_width:.1} cand/dispatch");
 
     // Estimate throughput: raw analytic-model evaluations per second on a
     // representative layer's best mapping (no cache in the loop). Best of
@@ -293,7 +286,7 @@ fn main() {
     );
 
     // Speedup against the committed baseline, when present: the median
-    // over layers of (baseline warm median / current warm median). A
+    // over layers of (baseline search time / current search time). A
     // speedup is only meaningful if the search still finds the same
     // mappings, so every baseline fingerprint is checked first.
     let baseline = std::fs::read_to_string(&baseline_path).ok().map(|t| parse_baseline(&t));
@@ -307,8 +300,8 @@ fn main() {
                     fp_mismatches.push(&r.name);
                 }
             }
-            if let Some(base_ms) = base.warm_median_ms {
-                ratios.push(base_ms / r.warm_median_ms);
+            if let Some(base_ms) = base.cold_ms {
+                ratios.push(base_ms / r.cold_ms);
             }
         }
         if ratios.is_empty() {
@@ -329,12 +322,12 @@ fn main() {
         println!("  median speedup vs {baseline_path}: {s:.2}×{tag}");
     }
 
-    let mut warm: Vec<f64> = rows.iter().map(|r| r.warm_median_ms).collect();
-    let schedule_median_ms = median(&mut warm);
+    let mut cold: Vec<f64> = rows.iter().map(|r| r.cold_ms).collect();
+    let schedule_median_ms = median(&mut cold);
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v6\",");
+    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v7\",");
     let _ = writeln!(json, "  \"mode\": \"{}\",", if quick { "quick" } else { "full" });
     let _ = writeln!(json, "  \"arch\": \"{}\",", esc(arch.name()));
     let _ = writeln!(json, "  \"reps\": {reps},");
@@ -344,13 +337,12 @@ fn main() {
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"name\": \"{}\",", esc(&r.name));
         let _ = writeln!(json, "      \"cold_ms\": {:.3},", r.cold_ms);
-        let _ = writeln!(json, "      \"warm_median_ms\": {:.3},", r.warm_median_ms);
+        let _ = writeln!(json, "      \"repeat_us\": {:.3},", r.repeat_us);
         let _ = writeln!(json, "      \"best_edp\": {:.6e},", r.best_edp);
         let _ = writeln!(json, "      \"probed\": {},", r.probed);
         let _ = writeln!(json, "      \"modeled\": {},", r.modeled);
         let _ = writeln!(json, "      \"prefix_hit_rate\": {:.4},", r.prefix_hit_rate);
         let _ = writeln!(json, "      \"phase_ms\": {},", r.phase_ms.json());
-        let _ = writeln!(json, "      \"warm_phase_ms\": {},", r.warm_phase_ms.json());
         let _ = writeln!(json, "      \"mapping_fp\": {},", r.mapping_fp);
         let _ = writeln!(json, "      \"mapping\": \"{}\"", esc(&r.mapping));
         let _ = writeln!(json, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
@@ -365,10 +357,10 @@ fn main() {
     let _ = writeln!(json, "    \"batch_elapsed_ms\": {:.3},", ms(batch_elapsed));
     let _ = writeln!(json, "    \"batch_evals_per_sec\": {batch_evals_per_sec:.1}");
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"cache\": {{");
-    let _ = writeln!(json, "    \"batches\": {},", cache.batches);
-    let _ = writeln!(json, "    \"avg_batch_width\": {:.2},", cache.avg_batch_width());
-    let _ = writeln!(json, "    \"batched_fraction\": {:.4}", cache.batched_fraction());
+    let _ = writeln!(json, "  \"batching\": {{");
+    let _ = writeln!(json, "    \"batches\": {batches},");
+    let _ = writeln!(json, "    \"avg_batch_width\": {avg_batch_width:.2},");
+    let _ = writeln!(json, "    \"batched_fraction\": {:.4}", ratio(batched, modeled_total));
     let _ = writeln!(json, "  }},");
     match speedup {
         Some(s) => {

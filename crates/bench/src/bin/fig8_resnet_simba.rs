@@ -5,9 +5,8 @@
 //!
 //! A closing section schedules the *full* network (block repeats
 //! included) through [`Scheduler::schedule_batch`]: only the unique
-//! shapes are searched — on parallel workers, sharing the session
-//! estimate cache — and the per-layer EDPs are checked identical to
-//! sequential per-layer scheduling.
+//! shapes are searched, on parallel workers, and the per-layer EDPs are
+//! checked identical to sequential per-layer scheduling.
 //!
 //! Run with `cargo run --release -p sunstone-bench --bin fig8_resnet_simba`
 //! (append `quick` for a subsampled smoke run).
@@ -78,7 +77,7 @@ fn main() {
 
     println!("\n== Whole-network batch scheduling (session API) ==");
     println!(
-        "  {} layers → {} unique shapes ({} dedup hits); cache {}h/{}m",
+        "  {} layers → {} unique shapes ({} dedup hits); estimates {}h/{}m",
         batch.stats.layers,
         batch.stats.unique_shapes,
         batch.stats.dedup_hits,

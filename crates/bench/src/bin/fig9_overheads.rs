@@ -11,8 +11,8 @@
 //!
 //! Scheduling runs through one [`Scheduler`] session for the whole
 //! network, with a [`ProgressSink`] streaming per-level search progress;
-//! the session estimate cache carries across layers, so the scheduling
-//! overhead reported at the end includes the cross-layer cache effect.
+//! the session's result memo answers a repeated layer shape without a
+//! search, so the scheduling overhead reported at the end includes it.
 //!
 //! Run with `cargo run --release -p sunstone-bench --bin fig9_overheads`
 //! (append `quick` for a subsampled run).
@@ -188,7 +188,7 @@ fn main() {
     println!(
         "\nScheduling overhead (per-level SearchStats, summed over layers): \
          {:.1} ms wall, {} mappings estimated, {} cut by the beam, \
-         estimate-cache hit rate {:.1}%",
+         estimate-table hit rate {:.1}%",
         search_elapsed.as_secs_f64() * 1e3,
         search_evaluated,
         search_beam_cut,
@@ -200,8 +200,8 @@ fn main() {
     );
     let cache = session.cache_stats();
     println!(
-        "  session cache across the network: {} hits / {} misses ({:.1}% hit rate, \
-         {} entries); {} search levels walked",
+        "  session memo across the network: {} hits / {} searches ({:.1}% hit rate, \
+         {} contexts memoized); {} search levels walked",
         cache.hits,
         cache.misses,
         100.0 * cache.hit_rate(),

@@ -34,7 +34,7 @@ fn main() {
 
     // Independent scheduling: per-layer optimum, reorder whenever the
     // producer signature differs from the consumer signature. Runs on the
-    // same session, so repeated shapes already hit the estimate cache.
+    // same session, so repeated shapes are answered from its result memo.
     let mut independent_edp = 0.0f64;
     let mut independent_reorder = 0u64;
     let mut prev_sig: Option<Vec<String>> = None;
@@ -64,7 +64,7 @@ fn main() {
 
     println!(
         "\n  batch: {} layers → {} unique shapes ({} dedup hits), \
-         cache {}h/{}m, {:.1?}",
+         estimates {}h/{}m, {:.1?}",
         chain.batch.layers,
         chain.batch.unique_shapes,
         chain.batch.dedup_hits,

@@ -6,7 +6,7 @@
 //! [`SearchStats`](sunstone::SearchStats) the scheduler records while
 //! searching — per memory level, how many candidates each principle
 //! considered and kept (ordering trie, tiling maximal frontier, spatial
-//! unrolling, dedup, beam cut), how the memoized estimate cache fared —
+//! unrolling, dedup, beam cut), how the search's estimate table fared —
 //! including the SoA batch width of the estimate rounds — and where the
 //! stage's wall time went (expand / dedup / estimate — with its prefix /
 //! price / publish parts — / select).
@@ -171,7 +171,7 @@ fn main() {
     );
     println!("  worker pool:      {:>8} rounds", total.rounds);
     println!(
-        "  estimate cache:   {:>8} probes, {:.1}% hits",
+        "  estimate table:   {:>8} probes, {:.1}% hits",
         probes,
         if probes == 0 { 0.0 } else { 100.0 * total.cache_hits as f64 / probes as f64 }
     );

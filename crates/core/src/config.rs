@@ -130,26 +130,13 @@ pub struct SunstoneConfig {
     /// Cap on the unrollings kept per fabric enumeration (the highest
     /// utilizations are kept).
     pub max_unrolls_per_enum: usize,
-    /// Memoize cost estimates in the session-lifetime cache: per
-    /// *(workload, architecture, configuration)* context, one number — the
-    /// objective's value — under a 128-bit hash of the completed mapping.
-    /// Different beam states frequently complete to the same mapping, so
-    /// the cache trades memory for skipped model evaluations — within a
-    /// call and across every call of the session. It only ranks: the
-    /// report a caller receives is always priced afresh. Disable only to
-    /// measure the raw model cost.
-    pub estimate_cache: bool,
-    /// Upper bound on the estimates the session cache retains across all
-    /// contexts. When a publish pushes past the bound, whole
-    /// least-recently-used *(workload, architecture, config)* contexts are
-    /// evicted — never the context that just published, so one very large
-    /// search is allowed to exceed the bound rather than thrash itself.
-    /// An estimate is an `f64` under a `u128`: measured over 144 conv
-    /// layers on `simba_like`, a session grows by 150–175 B resident per
-    /// retained estimate (table buckets at the map's load factor plus the
-    /// context's tile/unroll memos), so a full cache at the default 2^20
-    /// holds about 0.17 GB. Lower it to bound memory in long-lived
-    /// many-workload sessions.
+    /// Upper bound on the *(workload, architecture, config, constraints)*
+    /// contexts whose result the session memoizes. A new context past the
+    /// bound evicts the oldest ones, in the order they were first
+    /// memoized (no recency clock: an evicted context is simply searched
+    /// again). An entry is the ranked finalists of one search — mappings,
+    /// cost reports, search statistics; a few kB at `top_k` 1. Lower it to
+    /// bound memory in long-lived many-workload sessions.
     pub max_cache_entries: usize,
     /// Active pruning techniques.
     pub pruning: PruningFlags,
@@ -173,7 +160,6 @@ impl Default for SunstoneConfig {
             min_spatial_utilization: 0.5,
             max_tiles_per_enum: 24,
             max_unrolls_per_enum: 8,
-            estimate_cache: true,
             max_cache_entries: 1 << 20,
             pruning: PruningFlags::default(),
             constraints: MappingConstraints::default(),
@@ -227,9 +213,7 @@ impl SunstoneConfig {
         }
         if self.max_cache_entries == 0 {
             return Err(ScheduleError::InvalidConfig {
-                reason: "max_cache_entries must be at least 1 (disable the \
-                         cache via estimate_cache instead)"
-                    .into(),
+                reason: "max_cache_entries must be at least 1".into(),
             });
         }
         Ok(())
@@ -346,14 +330,8 @@ impl SunstoneConfigBuilder {
         Ok(self)
     }
 
-    /// Enables or disables the session estimate cache.
-    pub fn estimate_cache(mut self, enabled: bool) -> Self {
-        self.config.estimate_cache = enabled;
-        self
-    }
-
-    /// Bounds the cost reports the session estimate cache retains (whole
-    /// least-recently-used contexts are evicted past the bound).
+    /// Bounds the contexts the session's result memo retains (the oldest
+    /// are evicted past the bound).
     ///
     /// # Errors
     ///
@@ -361,9 +339,7 @@ impl SunstoneConfigBuilder {
     pub fn max_cache_entries(mut self, cap: usize) -> Result<Self, ScheduleError> {
         if cap == 0 {
             return Err(ScheduleError::InvalidConfig {
-                reason: "max_cache_entries must be at least 1 (disable the \
-                         cache via estimate_cache instead)"
-                    .into(),
+                reason: "max_cache_entries must be at least 1".into(),
             });
         }
         self.config.max_cache_entries = cap;
@@ -445,13 +421,14 @@ mod tests {
             .unwrap()
             .threads(2)
             .unwrap()
-            .estimate_cache(false)
+            .max_cache_entries(16)
+            .unwrap()
             .build()
             .unwrap();
         assert_eq!(c.objective, Objective::Energy);
         assert_eq!(c.beam_width, 8);
         assert_eq!(c.threads, 2);
-        assert!(!c.estimate_cache);
+        assert_eq!(c.max_cache_entries, 16);
     }
 
     #[test]

@@ -69,10 +69,10 @@ pub enum ScheduleError {
     /// An internal invariant was violated (a bug, not a property of the
     /// input): the panic-isolation boundary at every public entry point
     /// caught a panic and converted it into this error instead of
-    /// unwinding through the API. The session recovers by evicting every
-    /// cache entry the faulting call may have half-written
-    /// (poison-and-recover), so a follow-up call on the same session
-    /// returns results bit-identical to a fresh session's.
+    /// unwinding through the API. Everything a search writes while it
+    /// runs is its own and unwinds with it, and the session memoizes only
+    /// results of searches that returned, so a follow-up call on the same
+    /// session returns results bit-identical to a fresh session's.
     Internal {
         /// The pipeline stage the fault surfaced in (e.g. `"setup"`,
         /// `"search: level 2"`, `"rank"`, `"batch"`).

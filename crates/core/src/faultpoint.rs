@@ -6,10 +6,10 @@
 //!
 //! The scheduler's hot path is instrumented with **named failpoints**
 //! ([`POINTS`]): the start of each estimate round, every pool claim, the
-//! locked cache publish, and the per-parent prefix memoization. A test
+//! estimate publish, and the per-parent prefix memoization. A test
 //! arms a point with [`arm`] to fire a [`FaultAction`] on the Nth hit —
-//! panic (exercising the panic-isolation boundary and the session's
-//! poison-and-recover protocol), delay (widening race windows), or a
+//! panic (exercising the panic-isolation boundary), delay (widening race
+//! windows), or a
 //! spurious [`CancelToken`] fire (exercising bounded-latency
 //! cancellation). Arms are one-shot: after firing they disarm
 //! themselves, so the recovery call of a soak test runs clean.
@@ -27,15 +27,15 @@ use crate::progress::CancelToken;
 /// Every failpoint compiled into the scheduler, in hot-path order:
 ///
 /// * `"estimate.round"` — start of [`estimate_all`], before the probe
-///   pass (fires once per search stage with any cache misses or hits);
+///   pass (fires once per search stage that has candidates);
 /// * `"estimate.prefix"` — per miss considered by the bottom-up
 ///   decided-prefix memoization loop;
 /// * `"pool.claim"` — per index claimed in a worker-pool round, on the
 ///   claiming thread (worker or submitter) *inside* the pool's panic
 ///   catch, so an injected panic surfaces exactly like a model panic;
-/// * `"cache.insert"` — inside the locked publish of an estimate round,
-///   while the session-cache mutex is held (exercises lock-poison
-///   recovery).
+/// * `"cache.insert"` — per estimate published into the search's table
+///   at the end of an estimate round (a fault here leaves the table
+///   half-written, which must not outlive the call).
 ///
 /// [`estimate_all`]: crate::search::estimate
 pub const POINTS: &[&str] = &["estimate.round", "estimate.prefix", "pool.claim", "cache.insert"];

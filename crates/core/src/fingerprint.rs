@@ -1,11 +1,11 @@
-//! Stable structural fingerprints for session-cache keys and batch dedup.
+//! Stable structural fingerprints for result-memo keys and batch dedup.
 //!
-//! The session-level estimate cache ([`crate::Scheduler`]) is keyed by
-//! *(workload, architecture, configuration, mapping)*. The first three are
-//! condensed into 64-bit fingerprints with a fixed FNV-1a hash — not
+//! The session's result memo ([`crate::Scheduler`]) is keyed by
+//! *(workload, architecture, configuration, constraints)*, condensed into
+//! one 64-bit fingerprint with a fixed FNV-1a hash — not
 //! `std::hash::DefaultHasher`, whose output may change between Rust
-//! releases — so keys are reproducible run to run and the cache can be
-//! shared across calls, layers, and worker threads.
+//! releases — so keys are reproducible run to run, shared across calls
+//! and worker threads, and good for keying results persisted on disk.
 //!
 //! Workload fingerprints deliberately exclude the workload's *name*: two
 //! ResNet blocks with identical shapes ("conv2_1" and "conv2_2") must
@@ -179,13 +179,12 @@ pub fn config_fingerprint(config: &SunstoneConfig) -> u64 {
     h.write_u64(u64::from(config.pruning.tiling_maximal));
     h.write_u64(u64::from(config.pruning.unrolling_principle));
     h.write_u64(u64::from(config.pruning.tiling_reuse_dims));
-    // `threads`, `estimate_cache`, and `max_cache_entries` deliberately
-    // excluded: none of them changes any estimate (the bound only decides
-    // *retention*), so caches may be shared across them. `constraints` is
-    // also excluded *here*: the context fingerprint hashes the effective
-    // constraints (config-level or per-call override) in a dedicated
-    // slot, so equal constraint sets share a cache context regardless of
-    // how they were supplied.
+    // `threads` and `max_cache_entries` deliberately excluded: neither
+    // changes any result (the bound only decides *retention*).
+    // `constraints` is also excluded *here*: the context fingerprint
+    // hashes the effective constraints (config-level or per-call
+    // override) in a dedicated slot, so equal constraint sets share a
+    // context regardless of how they were supplied.
     h.finish()
 }
 
@@ -200,9 +199,9 @@ fn hash_dim_ref(h: &mut Fnv1a, r: &DimRef) {
     }
 }
 
-/// Structural fingerprint of a constraint set. Folded into the session
-/// cache's context key so constrained and unconstrained runs (and runs
-/// under *different* constraints) never share cache entries.
+/// Structural fingerprint of a constraint set. Folded into the context
+/// key so constrained and unconstrained runs (and runs under *different*
+/// constraints) never share a memoized result.
 pub fn constraints_fingerprint(c: &MappingConstraints) -> u64 {
     let mut h = Fnv1a::new();
     h.write_u64(c.unroll.len() as u64);
@@ -279,11 +278,11 @@ pub fn mapping_fingerprint(m: &sunstone_mapping::Mapping) -> u64 {
 }
 
 /// The combined *(workload, arch, config, constraints)* context
-/// fingerprint that prefixes every session-cache key. `constraints` is
-/// the *effective* set for the call — the per-call override when present,
+/// fingerprint the session memoizes results under. `constraints` is the
+/// *effective* set for the call — the per-call override when present,
 /// else the config's. Public so out-of-process callers (the serve
 /// daemon's mapping store) can key persisted results by the same context
-/// identity the session cache uses.
+/// identity the session uses.
 pub fn context_fingerprint(
     w: &Workload,
     arch: &ArchSpec,

@@ -22,8 +22,8 @@
 //! and any architecture expressible as [`sunstone_arch::ArchSpec`],
 //! including multi-level spatial designs like Simba.
 //!
-//! The public API is a long-lived [`Scheduler`] **session**: it owns the
-//! estimate cache (so repeated calls amortize model work) and schedules
+//! The public API is a long-lived [`Scheduler`] **session**: it memoizes
+//! each context's result (so a repeated call costs no search) and schedules
 //! whole networks at once via [`Scheduler::schedule_batch`], which dedups
 //! identical layer shapes and searches the unique ones on parallel
 //! workers. Per-call controls (constraints, wall-clock budget,
@@ -53,7 +53,7 @@
 //! println!("EDP = {}, estimated {} mappings", result.report.edp, result.stats.probed);
 //!
 //! // A session amortizes work across calls: scheduling a whole network
-//! // dedups repeated layer shapes and reuses cached estimates.
+//! // dedups repeated layer shapes, and a repeated call is a memo hit.
 //! let batch = scheduler.schedule_batch(&[w.clone(), w], &arch)?;
 //! assert_eq!(batch.stats.unique_shapes, 1);
 //! assert_eq!(batch.stats.dedup_hits, 1);
@@ -65,7 +65,7 @@
 //!
 //! * [`session`] — the session API: [`Scheduler`], the shared per-call
 //!   [`CallOptions`] embedded in [`ScheduleOptions`] / [`BatchOptions`],
-//!   batch dedup + parallel fan-out.
+//!   the result memo, batch dedup + parallel fan-out.
 //! * [`search`] — the staged search pipeline: candidate enumeration
 //!   (`candidates`), beam dedup/selection (`beam`), memoized parallel
 //!   estimation (`estimate`), and the direction-agnostic composition
@@ -74,7 +74,7 @@
 //! * [`ordering`], [`tiling`], [`unrolling`] — the three per-level
 //!   enumerators and their pruning principles.
 //! * [`fingerprint`] — stable workload/architecture/config fingerprints
-//!   (the session cache key and the batch dedup key).
+//!   (the result memo's key and the batch dedup key).
 //! * [`progress`] — per-call controls: [`CancelToken`], [`ProgressSink`].
 //! * [`factors`] — shared per-dimension factor-vector arithmetic.
 //! * [`network`] — the network-level layout-consistency pass.
@@ -112,10 +112,10 @@ pub use config::{
 pub use error::ScheduleError;
 pub use ordering::{OrderingCandidate, OrderingTrie, ReuseKind};
 pub use progress::{CancelToken, ProgressEvent, ProgressSink};
-pub use search::{CacheStats, LevelStats, PruneCounter, SearchStats};
+pub use search::{LevelStats, PruneCounter, SearchStats};
 pub use session::{
-    BatchOptions, BatchOutcome, BatchResult, BatchStats, CallOptions, ScheduleOptions,
-    ScheduleOutcome, ScheduleResult, Scheduler,
+    BatchOptions, BatchOutcome, BatchResult, BatchStats, CacheStats, CallOptions, Memoized,
+    ScheduleOptions, ScheduleOutcome, ScheduleResult, Scheduler,
 };
 // The constraint vocabulary lives in `sunstone_mapping` (so
 // `ValidationContext::satisfies` can check mappings against it without a
@@ -136,10 +136,10 @@ pub mod prelude {
     };
     pub use crate::error::ScheduleError;
     pub use crate::progress::{CancelToken, ProgressEvent, ProgressSink};
-    pub use crate::search::{CacheStats, LevelStats, PruneCounter, SearchStats};
+    pub use crate::search::{LevelStats, PruneCounter, SearchStats};
     pub use crate::session::{
-        BatchOptions, BatchOutcome, BatchResult, BatchStats, CallOptions, ScheduleOptions,
-        ScheduleOutcome, ScheduleResult, Scheduler,
+        BatchOptions, BatchOutcome, BatchResult, BatchStats, CacheStats, CallOptions, Memoized,
+        ScheduleOptions, ScheduleOutcome, ScheduleResult, Scheduler,
     };
     pub use sunstone_ir::DimRole;
     pub use sunstone_mapping::{

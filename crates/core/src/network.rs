@@ -64,7 +64,7 @@ pub struct ChainResult {
     /// Activation words requiring a DRAM reordering pass across the whole
     /// chain.
     pub reorder_words: u64,
-    /// Dedup/cache/parallelism statistics of the underlying batch call.
+    /// Dedup/estimate/parallelism statistics of the underlying batch call.
     pub batch: BatchStats,
 }
 

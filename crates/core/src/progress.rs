@@ -60,8 +60,8 @@ pub enum ProgressEvent {
         candidates: usize,
         /// Beam states surviving the cut.
         beam: usize,
-        /// Fraction of this stage's estimates served by the session
-        /// estimate cache.
+        /// Fraction of this stage's estimates served by the search's
+        /// estimate table.
         cache_hit_rate: f64,
         /// Candidates the user constraint filter removed at this stage
         /// (0 on unconstrained calls).
@@ -85,8 +85,8 @@ pub enum ProgressEvent {
     },
     /// The panic-isolation boundary caught an internal fault; the call
     /// returns [`ScheduleError::Internal`](crate::ScheduleError::Internal)
-    /// with the same fields after the session has recovered (the faulting
-    /// call's cache context is evicted whole).
+    /// with the same fields (there is nothing to recover: what the faulting
+    /// search had written was its own and unwound with it).
     Fault {
         /// The pipeline stage the fault surfaced in.
         stage: String,

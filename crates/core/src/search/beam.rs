@@ -5,7 +5,7 @@
 //! A candidate's identity inside the search is one `u128`: the
 //! [`key_hash`] of its *completed* mapping key, taken once per row
 //! ([`RowLayout::completed_key_hash`]) and used both here, to drop
-//! duplicates, and by the estimate cache, as the probe key. A completed
+//! duplicates, and by the estimate table, as the probe key. A completed
 //! key and a row prefix determine each other (the quotas are the extents
 //! divided by the factors, and the completion level's own factors are 1
 //! until the stage that writes them), so equal hashes mean equal rows up
@@ -29,8 +29,8 @@ use super::{PartialState, RowLayout, SearchContext};
 /// ([`RowLayout`]) is laid out word for word like this key and nothing
 /// builds the key itself: rows are hashed in place. The function serves
 /// [`evaluate_cached`](super::estimate::evaluate_cached), which hashes
-/// mappings that never were rows (the final re-evaluation, primed store
-/// records), and the debug-build collision guard.
+/// mappings that never were rows (the final re-evaluation), and the
+/// debug-build collision guard.
 pub(crate) fn mapping_key(m: &Mapping) -> Vec<u64> {
     let words = m
         .levels()
@@ -143,7 +143,7 @@ pub(crate) type KeyHashMap<V> = HashMap<u128, V, BuildHasherDefault<PassThrough>
 /// contiguous.
 ///
 /// This is where every row's hash is taken — the completed key's, so the
-/// estimate round probes the cache with the same value — and rows are
+/// estimate round probes its table with the same value — and rows are
 /// compared by it alone.
 pub(crate) fn dedup(cands: &mut Candidates, layout: &RowLayout, complete_at: usize) -> usize {
     let before = cands.len();

@@ -21,13 +21,19 @@ use crate::tiling::enumerate_tiles_cached;
 use crate::unrolling::{enumerate_unrollings_cached, principle_excluded_dims};
 use crate::IntraOrder;
 
-use super::estimate;
+use super::estimate::{self, SearchMemo};
 use super::stats::{PruneCounter, SearchStats};
 use super::{PartialState, RowLayout, SearchContext};
 
 /// The [`Candidates::ordering`] entry of a candidate that chose no
 /// ordering: the outermost memory has no level above to order.
 const NO_ORDERING: u32 = u32::MAX;
+
+/// Words of address space the arena's rows reserve up front (8 MB; the
+/// largest fig-8 stage writes 7). Pages nothing wrote to are not resident,
+/// while a `Vec` left to double its way there holds a 5 MB copy of the
+/// rows beside them exactly at the search's memory peak.
+const ROWS_RESERVE: usize = 1 << 20;
 
 /// One stage's candidates as a flat arena.
 ///
@@ -56,7 +62,7 @@ pub(crate) struct Candidates {
     /// (infinite until the estimate round fills it in).
     pub(crate) estimate: Vec<f64>,
     /// Per candidate, the 128-bit hash of its completed key — the
-    /// candidate's identity for dedup and the estimate-cache probe alike.
+    /// candidate's identity for dedup and the estimate-table probe alike.
     /// Empty until [`hash_rows`](Self::hash_rows), which dedup opens with.
     pub(crate) hash: Vec<u128>,
     /// The stage's ordering candidates: one run per distinct in-play set.
@@ -71,7 +77,7 @@ impl Candidates {
     pub(crate) fn new(layout: &RowLayout) -> Self {
         Candidates {
             stride: layout.stride(),
-            rows: Vec::new(),
+            rows: Vec::with_capacity(ROWS_RESERVE),
             parent: Vec::new(),
             ordering: Vec::new(),
             estimate: Vec::new(),
@@ -209,6 +215,7 @@ pub(crate) fn bottom_up_expand(
     state: &PartialState,
     stage: usize,
     out: &mut Candidates,
+    memo: &mut SearchMemo,
     stats: &mut SearchStats,
 ) {
     let mem_pos = ctx.mems[stage];
@@ -228,12 +235,21 @@ pub(crate) fn bottom_up_expand(
             let reserve = spatial_reserve(ctx, stage, true, &state.quotas);
             for o in orderings {
                 let ordering = out.ordering_at(o);
-                let tiles =
-                    tiles_for(ctx, state, stage, &base, &state.quotas, reserve, ordering, stats);
+                let tiles = tiles_for(
+                    ctx,
+                    state,
+                    stage,
+                    &base,
+                    &state.quotas,
+                    reserve,
+                    ordering,
+                    memo,
+                    stats,
+                );
                 for tile in tiles.iter() {
                     let growth = quot(tile, &base);
                     let tile_quotas = divide(&state.quotas, &growth);
-                    let unrolls = unrolls_for(ctx, state, stage, tile, &tile_quotas, stats);
+                    let unrolls = unrolls_for(ctx, state, stage, tile, &tile_quotas, memo, stats);
                     for u in &unrolls {
                         make_child(ctx, out, state, stage, &growth, u, o);
                     }
@@ -242,14 +258,15 @@ pub(crate) fn bottom_up_expand(
         }
         IntraOrder::UnrollTileOrder => {
             let reserve = spatial_reserve(ctx, stage, false, &state.quotas);
-            let unrolls = unrolls_for(ctx, state, stage, &base, &state.quotas, stats);
+            let unrolls = unrolls_for(ctx, state, stage, &base, &state.quotas, memo, stats);
             for u in &unrolls {
                 let u_quotas = divide(&state.quotas, u);
                 let base_u = multiply(&base, u);
                 for o in orderings.clone() {
                     let ordering = out.ordering_at(o);
-                    let tiles =
-                        tiles_for(ctx, state, stage, &base_u, &u_quotas, reserve, ordering, stats);
+                    let tiles = tiles_for(
+                        ctx, state, stage, &base_u, &u_quotas, reserve, ordering, memo, stats,
+                    );
                     for tile in tiles.iter() {
                         let growth = quot(tile, &base_u);
                         make_child(ctx, out, state, stage, &growth, u, o);
@@ -274,12 +291,13 @@ pub(crate) fn bottom_up_expand(
                 reserve,
                 union_allowed,
                 DimSet::first_n(ndims),
+                memo,
                 stats,
             );
             for tile in tiles.iter() {
                 let growth = quot(tile, &base);
                 let tile_quotas = divide(&state.quotas, &growth);
-                let unrolls = unrolls_for(ctx, state, stage, tile, &tile_quotas, stats);
+                let unrolls = unrolls_for(ctx, state, stage, tile, &tile_quotas, memo, stats);
                 for u in &unrolls {
                     for o in orderings.clone() {
                         make_child(ctx, out, state, stage, &growth, u, o);
@@ -335,8 +353,7 @@ pub(crate) fn top_down_expand(
                 &tile_base,
                 &q,
                 allowed,
-                // Bounded-latency cancellation (see `tiles_with_allowed`);
-                // the top-down path never memoizes this enumeration.
+                // Bounded-latency cancellation (see `tiles_with_allowed`).
                 |tile| {
                     !ctx.cancelled()
                         && lc.tile_caps.iter().all(|&(d, cap)| tile[d] <= cap)
@@ -505,6 +522,7 @@ fn tiles_for(
     quotas: &[u64],
     reserve: u64,
     ordering: Option<&OrderingCandidate>,
+    memo: &mut SearchMemo,
     stats: &mut SearchStats,
 ) -> Arc<[DimVec]> {
     if stage == ctx.mems.len() - 1 {
@@ -536,7 +554,7 @@ fn tiles_for(
     if avail < u128::from(reserve) {
         unrollable = all;
     }
-    tiles_with_allowed(ctx, stage, base, quotas, reserve, allowed, unrollable, stats)
+    tiles_with_allowed(ctx, stage, base, quotas, reserve, allowed, unrollable, memo, stats)
 }
 
 /// Tile enumeration with an explicit growth set. The parallelism reserve
@@ -552,6 +570,7 @@ fn tiles_with_allowed(
     reserve: u64,
     allowed: DimSet,
     unrollable: DimSet,
+    memo: &mut SearchMemo,
     stats: &mut SearchStats,
 ) -> Arc<[DimVec]> {
     let mem_pos = ctx.mems[stage];
@@ -573,12 +592,11 @@ fn tiles_with_allowed(
         base[d] = v;
         allowed = allowed.without(DimId::from_index(d));
     }
-    // Session memo: beam states frequently reach the same (base, quota)
-    // frontier, and repeated calls on the same shape replay the entire
-    // enumeration. The memo stores the *kept* tiles plus the explored
-    // count so the stats below replay identically on a hit. The key is
-    // taken after pin seeding; caps need no slot because the constraint
-    // set is fixed per cache context.
+    // Search memo: beam states frequently reach the same (base, quota)
+    // frontier. The memo stores the *kept* tiles plus the explored count
+    // so the stats below replay identically on a hit. The key is taken
+    // after pin seeding; caps need no slot because the constraint set is
+    // fixed per search.
     let memo_key = estimate::TileKey {
         mem_pos,
         base: base.clone(),
@@ -587,11 +605,11 @@ fn tiles_with_allowed(
         allowed,
         unrollable,
     };
-    if let Some(hit) = ctx.cache.tiles_lookup(&memo_key) {
+    if let Some(hit) = memo.tiles.get(&memo_key) {
         stats.nodes_explored += hit.explored as u64;
-        stats.tiles += hit.tiles.len() as u64;
-        stats.level_mut(stage).tiling.record(hit.explored as u64, hit.tiles.len() as u64);
-        return hit.tiles;
+        stats.tiles += hit.kept.len() as u64;
+        stats.level_mut(stage).tiling.record(hit.explored as u64, hit.kept.len() as u64);
+        return Arc::clone(&hit.kept);
     }
     // What a tile must leave for the fabrics: the reserve, capped by what
     // the unrollable dimensions can offer at all.
@@ -606,8 +624,7 @@ fn tiles_with_allowed(
             // rejecting every probe prunes the tree to nothing in O(depth)
             // steps once the token fires (the truncated result is then
             // reported as Cancelled by the composition loop, and the memo
-            // insert below is suppressed so the session cache never holds
-            // a truncated enumeration).
+            // that now holds it goes with the search).
             if ctx.cancelled() {
                 return false;
             }
@@ -636,15 +653,10 @@ fn tiles_with_allowed(
     stats.tiles += tiles.len() as u64;
     stats.level_mut(stage).tiling.record(outcome.explored as u64, tiles.len() as u64);
     let tiles: Arc<[DimVec]> = tiles.into();
-    // Never memoize an enumeration a cancel may have truncated: the memo
-    // outlives this call, and a later (uncancelled) call must re-derive
-    // the full result to stay bit-identical to a fresh session.
-    if !ctx.cancelled() {
-        ctx.cache.tiles_insert(
-            memo_key,
-            estimate::TileMemo { tiles: Arc::clone(&tiles), explored: outcome.explored },
-        );
-    }
+    memo.tiles.insert(
+        memo_key,
+        estimate::Enumerated { kept: Arc::clone(&tiles), explored: outcome.explored },
+    );
     tiles
 }
 
@@ -690,6 +702,7 @@ fn unrolls_for(
     stage: usize,
     resident_with_tile: &[u64],
     quotas: &[u64],
+    memo: &mut SearchMemo,
     stats: &mut SearchStats,
 ) -> Vec<DimVec> {
     let spatial_positions = &ctx.lower_spatial[stage];
@@ -753,11 +766,12 @@ fn unrolls_for(
             let prev_eff =
                 if lc.unroll_pins.is_empty() { prev.clone() } else { multiply(prev, &pin_vec) };
             let q = if lc.unroll_pins.is_empty() { q } else { divide(&q, &pin_vec) };
-            // Session memo: the whole per-fabric block (principled pass,
+            // Search memo: the whole per-fabric block (principled pass,
             // relaxed fallback, truncation) is keyed by its exact inputs;
             // `combined` folds the resident tile and the inner fabrics'
             // unrolls into the base the capacity probe inflates. Stats are
-            // replayed from the memo so counters match an uncached run.
+            // replayed from the memo so counters read as if every parent
+            // had enumerated for itself.
             let memo_key = estimate::UnrollKey {
                 pos,
                 quotas: q.clone(),
@@ -768,14 +782,11 @@ fn unrolls_for(
                     .map(|(t, a)| t * a)
                     .collect(),
             };
-            if let Some(hit) = ctx.cache.unrolls_lookup(&memo_key) {
+            if let Some(hit) = memo.unrolls.get(&memo_key) {
                 stats.nodes_explored += hit.explored as u64;
-                stats.unrollings += hit.unrollings.len() as u64;
-                stats
-                    .level_mut(stage)
-                    .unrolling
-                    .record(hit.explored as u64, hit.unrollings.len() as u64);
-                for u in hit.unrollings.iter() {
+                stats.unrollings += hit.kept.len() as u64;
+                stats.level_mut(stage).unrolling.record(hit.explored as u64, hit.kept.len() as u64);
+                for u in hit.kept.iter() {
                     next.push(multiply(&prev_eff, u));
                 }
                 continue;
@@ -841,17 +852,10 @@ fn unrolls_for(
             for u in &unrollings {
                 next.push(multiply(&prev_eff, u));
             }
-            // As with tiles: a cancel-truncated enumeration must not be
-            // memoized past this call.
-            if !ctx.cancelled() {
-                ctx.cache.unrolls_insert(
-                    memo_key,
-                    estimate::UnrollMemo {
-                        unrollings: unrollings.into(),
-                        explored: outcome.explored,
-                    },
-                );
-            }
+            memo.unrolls.insert(
+                memo_key,
+                estimate::Enumerated { kept: unrollings.into(), explored: outcome.explored },
+            );
         }
         results = next;
     }

@@ -7,6 +7,7 @@ use std::time::Instant;
 use sunstone_mapping::MappingLevel;
 
 use super::candidates::{self, Candidates};
+use super::estimate::SearchMemo;
 use super::stats::SearchStats;
 use super::{beam, estimate, CallControls, PartialState, SearchContext};
 use crate::progress::ProgressEvent;
@@ -31,6 +32,7 @@ pub(crate) trait LevelPass {
         state: &PartialState,
         stage: usize,
         out: &mut Candidates,
+        memo: &mut SearchMemo,
         stats: &mut SearchStats,
     );
 
@@ -59,9 +61,10 @@ impl LevelPass for BottomUpPass {
         state: &PartialState,
         stage: usize,
         out: &mut Candidates,
+        memo: &mut SearchMemo,
         stats: &mut SearchStats,
     ) {
-        candidates::bottom_up_expand(ctx, state, stage, out, stats);
+        candidates::bottom_up_expand(ctx, state, stage, out, memo, stats);
     }
 
     fn finalize(&self, _ctx: &SearchContext<'_>, _beam: &mut [PartialState]) {
@@ -92,6 +95,8 @@ impl LevelPass for TopDownPass {
         state: &PartialState,
         stage: usize,
         out: &mut Candidates,
+        // The top-down enumerations are not memoized.
+        _memo: &mut SearchMemo,
         stats: &mut SearchStats,
     ) {
         candidates::top_down_expand(ctx, state, stage, out, stats);
@@ -133,8 +138,9 @@ pub(crate) struct SearchRun {
 }
 
 /// Runs the staged search: for each stage of the pass, expand every beam
-/// state into the stage's candidate arena, dedup, estimate (memoized,
-/// parallel), and materialize the `beam_width` best as the next beam.
+/// state into the stage's candidate arena, dedup, estimate (memoized in
+/// `memo`, parallel), and materialize the `beam_width` best as the next
+/// beam.
 /// Returns the surviving beam best-estimate first, finalized when the
 /// walk completed.
 ///
@@ -155,6 +161,7 @@ pub(crate) struct SearchRun {
 pub(crate) fn run_level_search(
     ctx: &SearchContext<'_>,
     pass: &dyn LevelPass,
+    memo: &mut SearchMemo,
     stats: &mut SearchStats,
     controls: &CallControls<'_>,
 ) -> SearchRun {
@@ -189,7 +196,7 @@ pub(crate) fn run_level_search(
                 return SearchRun { beam: beam_states, stop: SearchStop::DeadlineReached };
             }
             cands.begin_parent(&ctx.layout, parent, state);
-            pass.expand(ctx, state, stage, &mut cands, stats);
+            pass.expand(ctx, state, stage, &mut cands, memo, stats);
         }
         // A cancel that fired inside the enumeration closures can truncate
         // the candidate set; report it as a cancel, never as infeasibility.
@@ -213,7 +220,7 @@ pub(crate) fn run_level_search(
         };
         let phase = Instant::now();
         let round =
-            estimate::estimate_all(ctx, pass.direction(), &mut cands, stage, deadline, stats);
+            estimate::estimate_all(ctx, pass.direction(), &mut cands, stage, deadline, memo, stats);
         stats.level_mut(stage).estimate += phase.elapsed();
         match round {
             estimate::RoundStatus::Done => {}

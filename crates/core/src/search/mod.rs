@@ -8,8 +8,9 @@
 //! 2. **dedup** (`beam`) — drop candidates whose mapping an earlier
 //!    enumeration path already produced,
 //! 3. **estimate** (`estimate`) — complete each candidate and evaluate
-//!    the analytic model, memoized by completed-mapping fingerprint and
-//!    parallelized over the configured worker threads,
+//!    the analytic model, memoized for the length of the search by
+//!    completed-mapping hash and parallelized over the configured worker
+//!    threads,
 //! 4. **select** (`beam`) — keep the best `beam_width` candidates (the
 //!    alpha-beta-style cut).
 //!
@@ -51,9 +52,6 @@ use crate::pool::WorkerPool;
 use crate::progress::{CancelToken, ProgressSink};
 use crate::SunstoneConfig;
 
-use estimate::EstimateCache;
-
-pub use estimate::CacheStats;
 pub use stats::{LevelStats, PruneCounter, SearchStats};
 
 /// Per-call controls threaded through the level walk: the wall-clock
@@ -91,10 +89,9 @@ type FitPlan<'a> = Vec<(Capacity, Vec<(&'a TensorDesc, u64)>)>;
 /// `ndims` remaining quotas. A row's identity is the 128-bit
 /// [`beam::key_hash`] of its key *as completed*
 /// ([`completed_key_hash`](Self::completed_key_hash)), computed in place
-/// once per row: dedup compares rows by it and the estimate cache is
-/// keyed by it, so entries written through `mapping_key` (the final
-/// re-evaluation, primed store records) and through rows are
-/// interchangeable.
+/// once per row: dedup compares rows by it and the search's estimate
+/// table is keyed by it, so entries written through `mapping_key` (the
+/// final re-evaluation) and through rows are interchangeable.
 #[derive(Debug, Clone)]
 pub(crate) struct RowLayout {
     /// Per architecture position: offset of the level's factors, and
@@ -174,7 +171,7 @@ impl RowLayout {
 
     /// Makes `m` (any mapping shaped like the layout's base) the row's
     /// mapping *as completed* — `estimate::complete(..)` of the row's
-    /// state — without allocating: the evaluators' input for a cache miss,
+    /// state — without allocating: the evaluators' input for a table miss,
     /// written into a reused mapping.
     pub(crate) fn materialize_completed_into(
         &self,
@@ -194,7 +191,7 @@ impl RowLayout {
     /// multiplied by the remaining quotas, which is
     /// `mapping_key(&estimate::complete(..))` — hashed straight off the
     /// row, the products taken on the fly: one value per row, its identity
-    /// for both dedup and the estimate cache, and the hash
+    /// for both dedup and the estimate table, and the hash
     /// `evaluate_cached` takes of the same mapping's `mapping_key`.
     pub(crate) fn completed_key_hash(&self, row: &[u64], complete_at: usize) -> u128 {
         let completed = self.factors(complete_at);
@@ -220,8 +217,9 @@ impl RowLayout {
 }
 
 /// Everything the pipeline stages share for one scheduling run: the
-/// problem, the derived level structure, the enumeration trie, the cost
-/// model, and the memoized estimate cache.
+/// problem, the derived level structure, the enumeration trie and the
+/// cost model. Read-only and shared with the pool workers; what a search
+/// writes while it runs is its [`estimate::SearchMemo`].
 pub(crate) struct SearchContext<'a> {
     pub(crate) workload: &'a Workload,
     pub(crate) arch: &'a ArchSpec,
@@ -241,8 +239,6 @@ pub(crate) struct SearchContext<'a> {
     /// `lower_spatial[i]`: spatial positions between memory `i − 1` and
     /// memory `i` (for `i = 0`: below the innermost memory).
     pub(crate) lower_spatial: Vec<Vec<usize>>,
-    /// This search's view of the session estimate cache.
-    pub(crate) cache: EstimateCache<'a>,
     /// The session's persistent worker pool (estimate rounds fan out over
     /// it instead of spawning threads per round).
     pub(crate) pool: &'a WorkerPool,
@@ -277,7 +273,6 @@ impl<'a> SearchContext<'a> {
         arch: &'a ArchSpec,
         binding: &'a Binding,
         config: &'a SunstoneConfig,
-        cache: EstimateCache<'a>,
         pool: &'a WorkerPool,
         cancel: Option<&'a CancelToken>,
         deadline: Option<Instant>,
@@ -319,7 +314,6 @@ impl<'a> SearchContext<'a> {
             trie: OrderingTrie::new(workload),
             mems,
             lower_spatial,
-            cache,
             pool,
             ladders: DivisorLadders::new(&workload.dim_sizes()),
             mem_fits,
@@ -395,8 +389,8 @@ fn streaming_base(workload: &Workload, arch: &ArchSpec) -> Mapping {
     m
 }
 
-/// A search context over private session state, for unit tests of the
-/// pipeline stages.
+/// A search context on an inline pool, for unit tests of the pipeline
+/// stages.
 #[cfg(test)]
 pub(crate) mod testing {
     use sunstone_mapping::MappingConstraints;
@@ -404,8 +398,7 @@ pub(crate) mod testing {
     use super::*;
 
     /// Runs `f` with the context a scheduling call on `(workload, arch)`
-    /// under `config` would build: unconstrained, on an empty session
-    /// cache and an inline pool.
+    /// under `config` would build: unconstrained, on an inline pool.
     pub(crate) fn with_context<R>(
         workload: &Workload,
         arch: &ArchSpec,
@@ -413,23 +406,11 @@ pub(crate) mod testing {
         f: impl FnOnce(&SearchContext<'_>) -> R,
     ) -> R {
         let binding = Binding::resolve(arch, workload).expect("binds");
-        let session = estimate::SessionCache::new();
         let pool = WorkerPool::new(0);
-        let cache =
-            EstimateCache::new(config.estimate_cache, 0, config.max_cache_entries, &session);
         let constraints = ResolvedConstraints::resolve(&MappingConstraints::new(), workload, arch)
             .expect("no constraints");
-        let ctx = SearchContext::new(
-            workload,
-            arch,
-            &binding,
-            config,
-            cache,
-            &pool,
-            None,
-            None,
-            constraints,
-        );
+        let ctx =
+            SearchContext::new(workload, arch, &binding, config, &pool, None, None, constraints);
         f(&ctx)
     }
 
@@ -518,10 +499,10 @@ mod tests {
             });
         }
 
-        /// The estimate cache is probed with exactly the hash
-        /// `evaluate_cached` and primed store records are filed under: the
-        /// hash of the completed mapping's key, in both directions — and a
-        /// miss is priced from exactly that mapping.
+        /// The estimate table is probed with exactly the hash
+        /// `evaluate_cached` files under: the hash of the completed
+        /// mapping's key, in both directions — and a miss is priced from
+        /// exactly that mapping.
         #[test]
         fn probe_key_is_the_completed_mapping_key(
             arch in 0usize..4, k in 1u32..6, hw in 1u64..5, seed in 0u64..10_000,

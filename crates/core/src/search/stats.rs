@@ -81,7 +81,7 @@ pub struct LevelStats {
     /// Beam: candidates estimated vs. survivors after the alpha-beta-style
     /// cut. `considered` sums to [`SearchStats::probed`] across levels.
     pub beam: PruneCounter,
-    /// Estimates answered by the memoized estimate cache at this stage.
+    /// Estimates answered by the search's estimate table at this stage.
     pub cache_hits: u64,
     /// Estimates that required a cost-model evaluation at this stage.
     pub cache_misses: u64,
@@ -93,7 +93,7 @@ pub struct LevelStats {
     pub expand: Duration,
     /// Wall time of duplicate elimination over the candidate rows.
     pub dedup: Duration,
-    /// Wall time of the estimate round: cache probes plus, for the
+    /// Wall time of the estimate round: table probes plus, for the
     /// misses, the three parts below; what they leave of it is the probe.
     pub estimate: Duration,
     /// Part of `estimate`: the serial pass over the misses that builds one
@@ -103,7 +103,7 @@ pub struct LevelStats {
     /// rows and running the cost model over them.
     pub estimate_price: Duration,
     /// Part of `estimate`: writing the estimates back and inserting them
-    /// into the context's table, plus the cache-bound check.
+    /// into the search's table.
     pub estimate_publish: Duration,
     /// Wall time of ranking the candidates and materializing the
     /// surviving beam.
@@ -119,8 +119,10 @@ pub struct SearchStats {
     /// counts estimate requests, [`modeled`](Self::modeled) the subset
     /// that actually ran the analytic model.
     pub probed: u64,
-    /// Estimate probes that missed every cache and ran the cost model
-    /// (`probed − modeled` were served memoized).
+    /// Estimate probes that missed the search's estimate table and ran
+    /// the cost model (`probed − modeled` were served memoized). 0 on a
+    /// result the session answered from its memo: nothing was modeled
+    /// for that call.
     pub modeled: u64,
     /// Model evaluations that reused a memoized decided-prefix cost
     /// (prefix-incremental estimation) instead of re-deriving every
@@ -147,7 +149,7 @@ pub struct SearchStats {
     pub unrollings: u64,
     /// Trie / tree nodes explored while enumerating.
     pub nodes_explored: u64,
-    /// Estimates served from the memoized estimate cache (including the
+    /// Estimates served from the search's estimate table (including the
     /// final top-k re-evaluation).
     pub cache_hits: u64,
     /// Estimates that had to run the analytic model.
@@ -167,6 +169,22 @@ impl SearchStats {
             self.levels.push(LevelStats { level, ..LevelStats::default() });
         }
         &mut self.levels[stage]
+    }
+
+    /// These statistics as a call answered from the session's result memo
+    /// reports them: the space the producing search visited, none of it
+    /// priced for this call. `modeled`, `prefix_hits`, `batches` and
+    /// `batched` read 0, and every estimate request — in total and per
+    /// level — reads as served from memory. Everything else, the timers
+    /// included, is the producing search's.
+    pub(crate) fn remembered(&self) -> SearchStats {
+        let mut stats = self.clone();
+        (stats.modeled, stats.prefix_hits, stats.batches, stats.batched) = (0, 0, 0, 0);
+        stats.cache_hits += std::mem::take(&mut stats.cache_misses);
+        for level in &mut stats.levels {
+            level.cache_hits += std::mem::take(&mut level.cache_misses);
+        }
+        stats
     }
 
     /// Total candidates the beam cut across all stages.

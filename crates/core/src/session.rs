@@ -5,10 +5,14 @@
 //! the layer. A [`Scheduler`] is a long-lived, thread-safe session that
 //! amortizes work across calls:
 //!
-//! * the **estimate cache** lives as long as the session and is keyed by
-//!   *(workload, architecture, configuration, mapping)* fingerprints
-//!   ([`crate::fingerprint`]), so repeated calls — and the repeated layer
-//!   shapes every real network contains — skip the analytic model;
+//! * the **result memo** lives as long as the session: per
+//!   *(workload, architecture, configuration, constraints)* context
+//!   fingerprint ([`crate::fingerprint`]) it remembers the ranked
+//!   finalists of the search that ran to completion there, so a repeated
+//!   call — a compiler asking about the same operator again, a daemon
+//!   serving the same layer — is answered without searching. Estimates
+//!   and enumeration memos are *not* kept: they belong to one search and
+//!   die with it;
 //! * [`schedule_batch`](Scheduler::schedule_batch) canonicalizes a slice
 //!   of workloads, **dedups identical shapes** (ResNet-style networks
 //!   repeat most blocks), searches only the unique shapes — fanned out
@@ -21,26 +25,27 @@
 //!   [`ProgressSink`] streaming level/layer events, and a per-call
 //!   constraint override.
 
+use std::any::Any;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use sunstone_arch::{ArchSpec, Binding};
-use sunstone_ir::Workload;
+use sunstone_ir::{FxHashMap, Workload};
 use sunstone_mapping::{Mapping, MappingConstraints, ValidationContext};
-use sunstone_model::CostReport;
+use sunstone_model::{CostModel, CostReport};
 
 use crate::constraints::ResolvedConstraints;
 use crate::error::ScheduleError;
-use crate::fingerprint::{context_fingerprint, workload_fingerprint};
+use crate::fingerprint::{context_fingerprint, mapping_fingerprint, workload_fingerprint};
 use crate::pool::{panic_message, SliceWriter, WorkerPool};
 use crate::progress::{CancelToken, ProgressEvent, ProgressSink};
 use crate::search::compose::{run_level_search, BottomUpPass, LevelPass, SearchStop, TopDownPass};
-use crate::search::estimate::{self, EstimateCache, SessionCache};
-use crate::search::{CacheStats, CallControls, SearchContext, SearchStats};
+use crate::search::estimate::{self, SearchMemo};
+use crate::search::{CallControls, SearchContext, SearchStats};
 use crate::{Direction, SunstoneConfig};
 
 /// Thread-local breadcrumb naming the pipeline stage currently executing,
@@ -68,17 +73,25 @@ pub(crate) mod fault_stage {
     }
 }
 
-/// Emits a [`ProgressEvent::Fault`] on the sink, swallowing any panic the
-/// sink itself raises: the fault path must never fault.
-fn emit_fault(sink: Option<&dyn ProgressSink>, stage: &str, layer: Option<&str>, message: &str) {
+/// A caught panic as the typed error, mirrored to the sink as a
+/// [`ProgressEvent::Fault`] — swallowing any panic the sink itself raises:
+/// the fault path must never fault.
+fn faulted(
+    sink: Option<&dyn ProgressSink>,
+    stage: String,
+    layer: Option<&str>,
+    payload: Box<dyn Any + Send>,
+) -> ScheduleError {
+    let (layer, message) = (layer.map(str::to_string), panic_message(payload.as_ref()));
     if let Some(sink) = sink {
         let event = ProgressEvent::Fault {
-            stage: stage.to_string(),
-            layer: layer.map(str::to_string),
-            message: message.to_string(),
+            stage: stage.clone(),
+            layer: layer.clone(),
+            message: message.clone(),
         };
         let _ = panic::catch_unwind(AssertUnwindSafe(|| sink.on_event(&event)));
     }
+    ScheduleError::Internal { stage, layer, message }
 }
 
 /// The result of one scheduling run.
@@ -89,7 +102,9 @@ pub struct ScheduleResult {
     /// Its cost report (energy, delay, EDP, per-level breakdown).
     pub report: CostReport,
     /// Search statistics (flat totals plus the per-level, per-principle
-    /// pruning breakdown).
+    /// pruning breakdown). On a result answered from the session's memo
+    /// they are the producing search's with the model columns reading
+    /// zero: `modeled` says what *this call* ran the cost model for.
     pub stats: SearchStats,
 }
 
@@ -384,9 +399,11 @@ pub struct BatchStats {
     /// Unique searches cut short by the time budget (their layers hold
     /// best-so-far results).
     pub best_so_far: usize,
-    /// Session-cache hits during this call.
+    /// Estimate-table hits of the unique searches
+    /// ([`SearchStats::cache_hits`] summed per unique shape).
     pub cache_hits: u64,
-    /// Session-cache misses (model evaluations) during this call.
+    /// Estimate-table misses — model evaluations — of the unique searches
+    /// ([`SearchStats::cache_misses`] summed per unique shape).
     pub cache_misses: u64,
     /// Mappings estimated across the unique searches
     /// ([`SearchStats::probed`] summed per unique shape).
@@ -404,7 +421,7 @@ pub struct BatchResult {
     /// Per input layer, the ranked results (best first) — layers with
     /// identical shapes share identical (replayed) results.
     pub layers: Vec<Vec<ScheduleResult>>,
-    /// Dedup/cache/parallelism statistics of the call.
+    /// Dedup/estimate/parallelism statistics of the call.
     pub stats: BatchStats,
 }
 
@@ -437,7 +454,7 @@ pub struct BatchOutcome {
     /// error. Layers with identical shapes share the replayed result —
     /// or the replayed error.
     pub layers: Vec<Result<Vec<ScheduleResult>, ScheduleError>>,
-    /// Dedup/cache/parallelism statistics of the call; per-layer success
+    /// Dedup/estimate/parallelism statistics of the call; per-layer success
     /// is summarized by [`BatchStats::failed`].
     pub stats: BatchStats,
 }
@@ -474,16 +491,137 @@ impl BatchOutcome {
     }
 }
 
+/// Cumulative statistics of a session's result memo and worker pool
+/// ([`Scheduler::cache_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct CacheStats {
+    /// Calls (and [`Scheduler::memoized`] lookups) answered from the
+    /// result memo since the session was created or last cleared.
+    pub hits: u64,
+    /// Searches started: the calls the memo could not answer.
+    pub misses: u64,
+    /// Contexts currently memoized (bounded by
+    /// [`SunstoneConfig::max_cache_entries`]).
+    pub entries: usize,
+    /// Always 0: nothing writes it. Kept because the repo benchmark reads it.
+    pub seed_probes: u64,
+    /// Always 0: nothing writes it. Kept because the repo benchmark reads it.
+    pub seed_hits: u64,
+    /// Fan-out rounds the session worker pool has executed.
+    pub pool_rounds: u64,
+}
+
+impl CacheStats {
+    /// Fraction of calls answered from the memo (0 before any call).
+    pub fn hit_rate(&self) -> f64 {
+        let calls = self.hits + self.misses;
+        if calls == 0 {
+            0.0
+        } else {
+            self.hits as f64 / calls as f64
+        }
+    }
+}
+
+/// One context's memoized answer ([`Scheduler::memoized`]): the ranked
+/// finalists of a search that ran to completion there — or the one
+/// mapping [`Scheduler::prime_mapping`] vouched for.
+#[derive(Debug, Clone)]
+#[non_exhaustive]
+pub struct Memoized {
+    /// The ranked results, best first; never empty. Shared, not copied.
+    pub results: Arc<Vec<ScheduleResult>>,
+    /// [`mapping_fingerprint`] of the best mapping.
+    pub mapping_fp: u64,
+    /// Whether the entry was primed from outside rather than searched by
+    /// this session.
+    pub primed: bool,
+    /// The `top_k` the search ranked for: the list answers any request
+    /// for at most this many results (it may hold fewer — then the search
+    /// found no more).
+    top_k: usize,
+}
+
+/// The session's memory: per context fingerprint, the answer of a
+/// [`ScheduleOutcome::Complete`] search. Best-so-far and failed calls are
+/// never filed, so a hit is always what a fresh search would return.
+#[derive(Debug, Default)]
+struct ResultMemo {
+    table: Mutex<MemoTable>,
+    hits: AtomicU64,
+    searches: AtomicU64,
+}
+
+/// The memoized contexts and, oldest first, the order they were first
+/// filed in — what the bound evicts by.
+#[derive(Debug, Default)]
+struct MemoTable {
+    contexts: FxHashMap<u64, Memoized>,
+    order: VecDeque<u64>,
+}
+
+impl ResultMemo {
+    /// Nothing can unwind while the lock is held (map operations and `Arc`
+    /// clones only), but a poisoned memo would break the session for good,
+    /// so recover anyway.
+    fn lock(&self) -> MutexGuard<'_, MemoTable> {
+        self.table.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The context's entry if it answers a request for `top_k` results.
+    fn get(&self, ctx_fp: u64, top_k: usize) -> Option<Memoized> {
+        let hit = self.lock().contexts.get(&ctx_fp).filter(|e| top_k <= e.top_k).cloned()?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
+    }
+
+    /// Files `results` — ranked for `top_k` — as the context's answer. A
+    /// searched list already there that answers as many requests stays: a
+    /// narrower search finishing late, or a primed mapping, never displaces
+    /// it. A new context past `max` evicts the oldest ones, in insertion
+    /// order.
+    fn insert(
+        &self,
+        ctx_fp: u64,
+        results: Vec<ScheduleResult>,
+        top_k: usize,
+        primed: bool,
+        max: usize,
+    ) {
+        let mapping_fp = mapping_fingerprint(&results[0].mapping);
+        let entry = Memoized { results: Arc::new(results), mapping_fp, primed, top_k };
+        let table = &mut *self.lock();
+        if table.contexts.get(&ctx_fp).is_some_and(|kept| !kept.primed && kept.top_k >= top_k) {
+            return;
+        }
+        if table.contexts.insert(ctx_fp, entry).is_none() {
+            table.order.push_back(ctx_fp);
+            while table.contexts.len() > max {
+                let oldest = table.order.pop_front().expect("every context is in the order");
+                table.contexts.remove(&oldest);
+            }
+        }
+    }
+
+    /// Forgets every context and zeroes the counters.
+    fn clear(&self) {
+        *self.lock() = MemoTable::default();
+        self.hits.store(0, Ordering::Relaxed);
+        self.searches.store(0, Ordering::Relaxed);
+    }
+}
+
 /// A long-lived, thread-safe scheduling session; see the
 /// [module documentation](self).
 ///
-/// Cloning is cheap and clones **share** the session's estimate cache, so
-/// a `Scheduler` can be handed to several threads (it is also `Sync`, so
-/// `&Scheduler` works just as well).
+/// Cloning is cheap and clones **share** the session's result memo and
+/// worker pool, so a `Scheduler` can be handed to several threads (it is
+/// also `Sync`, so `&Scheduler` works just as well).
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     config: SunstoneConfig,
-    cache: Arc<SessionCache>,
+    memo: Arc<ResultMemo>,
     /// The session-persistent worker pool, created lazily on the first
     /// call that needs it (so constructing a `Scheduler` spawns nothing)
     /// and shared by clones. `threads − 1` background workers — the
@@ -501,7 +639,7 @@ impl Scheduler {
     /// from [`SunstoneConfig::builder`](crate::SunstoneConfig::builder)
     /// are always valid.
     pub fn new(config: SunstoneConfig) -> Self {
-        Scheduler { config, cache: Arc::new(SessionCache::new()), pool: Arc::new(OnceLock::new()) }
+        Scheduler { config, memo: Arc::default(), pool: Arc::new(OnceLock::new()) }
     }
 
     /// The active configuration.
@@ -514,40 +652,51 @@ impl Scheduler {
         self.pool.get_or_init(|| WorkerPool::new(self.config.effective_threads().saturating_sub(1)))
     }
 
-    /// Cumulative statistics of the session estimate cache and worker
-    /// pool.
+    /// Cumulative statistics of the session's result memo and worker pool.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut stats = self.cache.stats();
-        if let Some(pool) = self.pool.get() {
-            stats.pool_rounds = pool.rounds();
+        CacheStats {
+            hits: self.memo.hits.load(Ordering::Relaxed),
+            misses: self.memo.searches.load(Ordering::Relaxed),
+            entries: self.memo.lock().contexts.len(),
+            pool_rounds: self.pool.get().map_or(0, WorkerPool::rounds),
+            ..CacheStats::default()
         }
-        stats
     }
 
-    /// Drops every cached estimate and resets the session's counters.
-    /// Useful for bounding memory in very long-lived sessions.
+    /// Drops every memoized result and resets the session's counters.
     pub fn clear_cache(&self) {
-        self.cache.clear();
+        self.memo.clear();
     }
 
     /// The *(workload, arch, config, constraints)* context fingerprint a
-    /// [`schedule`](Self::schedule) call on this session would cache
-    /// under, using the session config's constraint set (the default for
-    /// calls without a per-call override). This is the stable identity
-    /// out-of-process callers — the serve daemon's on-disk mapping store
-    /// in particular — key persisted results by.
+    /// [`schedule`](Self::schedule) call on this session memoizes its
+    /// result under, using the session config's constraint set (the
+    /// default for calls without a per-call override). This is the stable
+    /// identity out-of-process callers — the serve daemon's on-disk
+    /// mapping store in particular — key persisted results by.
     pub fn context_fingerprint(&self, workload: &Workload, arch: &ArchSpec) -> u64 {
         context_fingerprint(workload, arch, &self.config, &self.config.constraints)
     }
 
+    /// The session's memoized answer for the context `ctx_fp`
+    /// ([`context_fingerprint`](Self::context_fingerprint)), if it has
+    /// one: what a [`schedule`](Self::schedule) call there would return
+    /// without searching. Counts as a hit in
+    /// [`cache_stats`](Self::cache_stats) when found.
+    pub fn memoized(&self, ctx_fp: u64) -> Option<Memoized> {
+        self.memo.get(ctx_fp, 1)
+    }
+
     /// Validates and prices an externally supplied `mapping` (typically
-    /// reloaded from a persistent store) for `workload` on `arch`,
-    /// filing its estimate in the session estimate cache under the hash a
-    /// search's own probe of that mapping uses. A daemon restarting on an
-    /// existing store calls this per record so repeated queries hit the
-    /// warm cache, and the returned [`CostReport`] re-prices the mapping
-    /// under the *current* cost model — a stale stored EDP is never
-    /// trusted.
+    /// reloaded from a persistent store) for `workload` on `arch`, and
+    /// files it as the context's memoized answer — unless this session
+    /// already searched there, whose own answer stays. A
+    /// daemon restarting on an existing store calls this per record so
+    /// repeated queries are answered without a search, and the returned
+    /// [`CostReport`] — which the memo serves from then on — re-prices the
+    /// mapping under the *current* cost model: a stale stored EDP is never
+    /// trusted. The primed result carries empty [`SearchStats`]: no search
+    /// produced it.
     ///
     /// # Errors
     ///
@@ -564,36 +713,41 @@ impl Scheduler {
         mapping: &Mapping,
     ) -> Result<CostReport, ScheduleError> {
         fault_stage::set("prime");
-        match panic::catch_unwind(AssertUnwindSafe(|| {
-            self.prime_mapping_inner(workload, arch, mapping)
-        })) {
-            Ok(result) => result,
-            Err(payload) => {
-                self.cache.evict_context(self.context_fingerprint(workload, arch));
-                let message = panic_message(payload.as_ref());
-                emit_fault(None, "prime", Some(workload.name()), &message);
-                Err(ScheduleError::Internal {
-                    stage: "prime".into(),
-                    layer: Some(workload.name().to_string()),
-                    message,
-                })
-            }
-        }
+        // Resolve the problem the way a search does, validate the mapping,
+        // price it, file it.
+        let prime = || {
+            let constraints = &self.config.constraints;
+            let (_, binding) = self.resolve(workload, arch, constraints)?;
+            ValidationContext::new(workload, arch, &binding)
+                .validate(mapping)
+                .map_err(|e| ScheduleError::InvalidMapping { reason: e.to_string() })?;
+            let report = CostModel::new(workload, arch, &binding).evaluate_unchecked(mapping);
+            let result = ScheduleResult {
+                mapping: mapping.clone(),
+                report: report.clone(),
+                stats: SearchStats::default(),
+            };
+            let ctx_fp = context_fingerprint(workload, arch, &self.config, constraints);
+            self.memo.insert(ctx_fp, vec![result], 1, true, self.config.max_cache_entries);
+            Ok(report)
+        };
+        panic::catch_unwind(AssertUnwindSafe(prime)).unwrap_or_else(|payload| {
+            Err(faulted(None, "prime".into(), Some(workload.name()), payload))
+        })
     }
 
-    /// The body guarded by the boundary in
-    /// [`prime_mapping`](Self::prime_mapping): resolve the context the
-    /// way [`run_one_inner`](Self::run_one_inner) does, validate the
-    /// mapping, and evaluate it through the session cache.
-    fn prime_mapping_inner(
+    /// Validates the configuration and architecture, resolves the user
+    /// constraints against this (workload, arch) pair — an unsatisfiable
+    /// set fails with the typed error before any search work runs — and
+    /// binds the tensors, bypass overrides applied.
+    fn resolve(
         &self,
         workload: &Workload,
         arch: &ArchSpec,
-        mapping: &Mapping,
-    ) -> Result<CostReport, ScheduleError> {
+        constraints: &MappingConstraints,
+    ) -> Result<(ResolvedConstraints, Binding), ScheduleError> {
         self.config.validate()?;
         arch.validate()?;
-        let constraints = &self.config.constraints;
         let resolved = ResolvedConstraints::resolve(constraints, workload, arch)?;
         let mut binding = Binding::resolve(arch, workload)?;
         for (level, tensor, name) in &resolved.bypass {
@@ -601,29 +755,7 @@ impl Scheduler {
                 .with_bypass(*level, *tensor, name)
                 .map_err(|e| ScheduleError::InvalidConstraints { reason: e.to_string() })?;
         }
-        let vctx = ValidationContext::new(workload, arch, &binding);
-        vctx.validate(mapping)
-            .map_err(|e| ScheduleError::InvalidMapping { reason: e.to_string() })?;
-        let ctx_fp = context_fingerprint(workload, arch, &self.config, constraints);
-        let cache = EstimateCache::new(
-            self.config.estimate_cache,
-            ctx_fp,
-            self.config.max_cache_entries,
-            &self.cache,
-        );
-        let ctx = SearchContext::new(
-            workload,
-            arch,
-            &binding,
-            &self.config,
-            cache,
-            self.pool(),
-            None,
-            None,
-            resolved,
-        );
-        let mut stats = SearchStats::default();
-        Ok(estimate::evaluate_cached(&ctx, mapping, &mut stats))
+        Ok((resolved, binding))
     }
 
     /// Finds the best mapping of `workload` onto `arch`.
@@ -744,27 +876,10 @@ impl Scheduler {
         // (dedup, pool fan-out, assembly; a panic in one layer's search is
         // already converted inside `run_one`, and a worker-pool panic
         // re-raises here on the submitting thread).
-        match panic::catch_unwind(AssertUnwindSafe(|| self.batch_inner(workloads, arch, options))) {
-            Ok(result) => result,
-            Err(payload) => {
-                // Poison-and-recover: a fault at this level may have
-                // interrupted any layer's publish, so evict every context
-                // the batch can have touched.
-                let constraints =
-                    options.call.constraints.as_ref().unwrap_or(&self.config.constraints);
-                for w in workloads {
-                    self.cache.evict_context(context_fingerprint(
-                        w,
-                        arch,
-                        &self.config,
-                        constraints,
-                    ));
-                }
-                let message = panic_message(payload.as_ref());
-                emit_fault(options.call.progress.as_deref(), "batch", None, &message);
-                Err(ScheduleError::Internal { stage: "batch".into(), layer: None, message })
-            }
-        }
+        panic::catch_unwind(AssertUnwindSafe(|| self.batch_inner(workloads, arch, options)))
+            .unwrap_or_else(|payload| {
+                Err(faulted(options.call.progress.as_deref(), "batch".into(), None, payload))
+            })
     }
 
     /// The batch body guarded by the boundary in
@@ -776,7 +891,6 @@ impl Scheduler {
         options: &BatchOptions,
     ) -> Result<BatchOutcome, ScheduleError> {
         let start = Instant::now();
-        let cache_before = self.cache.stats();
         self.config.validate()?;
         arch.validate()?;
 
@@ -856,17 +970,7 @@ impl Scheduler {
                 // layer, not the batch.
                 let outcome =
                     panic::catch_unwind(AssertUnwindSafe(layer)).unwrap_or_else(|payload| {
-                        self.cache.evict_context(context_fingerprint(
-                            w,
-                            arch,
-                            &self.config,
-                            constraints,
-                        ));
-                        Err(ScheduleError::Internal {
-                            stage: "batch: layer".into(),
-                            layer: Some(w.name().to_string()),
-                            message: panic_message(payload.as_ref()),
-                        })
+                        Err(faulted(None, "batch: layer".into(), Some(w.name()), payload))
                     });
                 if outcome.is_err() {
                     failed.store(true, Ordering::Relaxed);
@@ -888,6 +992,12 @@ impl Scheduler {
             }));
         }
 
+        // Totals over the unique searches' own statistics: nothing here
+        // reads a session-wide counter, so a concurrent call on a clone
+        // cannot leak into them.
+        let sum = |field: fn(&SearchStats) -> u64| -> u64 {
+            per_unique.iter().filter_map(|r| r.as_ref().ok()).map(|(r, _)| field(&r[0].stats)).sum()
+        };
         let stats = BatchStats {
             layers: workloads.len(),
             unique_shapes: unique.len(),
@@ -896,13 +1006,9 @@ impl Scheduler {
                 .iter()
                 .filter(|r| matches!(r, Ok((_, complete)) if !complete))
                 .count(),
-            cache_hits: self.cache.stats().hits - cache_before.hits,
-            cache_misses: self.cache.stats().misses - cache_before.misses,
-            evaluated: per_unique
-                .iter()
-                .filter_map(|r| r.as_ref().ok())
-                .map(|(r, _)| r[0].stats.probed)
-                .sum(),
+            cache_hits: sum(|s| s.cache_hits),
+            cache_misses: sum(|s| s.cache_misses),
+            evaluated: sum(|s| s.probed),
             failed: assign.iter().filter(|&&slot| per_unique[slot].is_err()).count(),
             elapsed: start.elapsed(),
         };
@@ -913,16 +1019,15 @@ impl Scheduler {
         Ok(BatchOutcome { layers, stats })
     }
 
-    /// One bounded search behind the **panic-isolation boundary**: any
+    /// One bounded call behind the **panic-isolation boundary**: any
     /// panic escaping the search (a model bug, an arithmetic overflow, an
     /// injected fault) is converted into
     /// [`ScheduleError::Internal`] instead of unwinding into the caller.
-    /// The boundary also *poisons-and-recovers* the session cache: every
-    /// cached estimate for this (workload, arch, config) context is
-    /// evicted, because a fault mid-publish can leave the context
-    /// partially populated. A follow-up call on the same session therefore
-    /// recomputes from scratch and returns results bit-identical to a
-    /// fresh session.
+    /// Nothing needs recovering afterwards: everything a search writes
+    /// while it runs is its own ([`SearchMemo`]) and unwinds with it, and
+    /// the session's memo is only written after a search returned. A
+    /// follow-up call on the same session therefore searches from scratch
+    /// and returns results bit-identical to a fresh session.
     fn run_one(
         &self,
         workload: &Workload,
@@ -933,36 +1038,28 @@ impl Scheduler {
         constraints: &MappingConstraints,
     ) -> Result<ScheduleOutcome, ScheduleError> {
         fault_stage::set("setup");
-        match panic::catch_unwind(AssertUnwindSafe(|| {
-            self.run_one_inner(workload, arch, top_k, start, controls, constraints)
-        })) {
-            Ok(result) => result,
-            Err(payload) => {
-                self.cache.evict_context(context_fingerprint(
-                    workload,
-                    arch,
-                    &self.config,
-                    constraints,
-                ));
-                let stage = match fault_stage::get() {
-                    s if s.is_empty() => "setup".to_string(),
-                    s => s,
-                };
-                let message = panic_message(payload.as_ref());
-                emit_fault(controls.progress, &stage, Some(workload.name()), &message);
-                Err(ScheduleError::Internal {
-                    stage,
-                    layer: Some(workload.name().to_string()),
-                    message,
-                })
-            }
-        }
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            self.answer(workload, arch, top_k.max(1), start, controls, constraints)
+        }))
+        .unwrap_or_else(|payload| {
+            let stage = match fault_stage::get() {
+                s if s.is_empty() => "setup".to_string(),
+                s => s,
+            };
+            Err(faulted(controls.progress, stage, Some(workload.name()), payload))
+        })
     }
 
-    /// The search body guarded by the boundary in [`run_one`](Self::run_one):
-    /// resolve the problem, pick the direction pass, walk the levels, and
-    /// rank the valid completions.
-    fn run_one_inner(
+    /// The memo tier every entry point passes through: answer from the
+    /// session's memo when it holds this context's finalists — a request
+    /// for at most as many results as the memoized search ranked is a
+    /// prefix of its list — and otherwise search, filing the result if the
+    /// search ran to completion. A hit is what that search returned,
+    /// checked and priced again on the way out ([`verified`](Self::verified)),
+    /// and it says so: its statistics are the search's with the model
+    /// columns struck out ([`SearchStats::remembered`]) — nothing was
+    /// priced for this call. A time budget is moot for it.
+    fn answer(
         &self,
         workload: &Workload,
         arch: &ArchSpec,
@@ -971,36 +1068,88 @@ impl Scheduler {
         controls: &CallControls<'_>,
         constraints: &MappingConstraints,
     ) -> Result<ScheduleOutcome, ScheduleError> {
-        self.config.validate()?;
-        arch.validate()?;
-        // Resolve the user constraints against this (workload, arch) pair
-        // up front: an unsatisfiable set fails with the typed error before
-        // any search work runs.
-        let resolved = ResolvedConstraints::resolve(constraints, workload, arch)?;
-        let mut binding = Binding::resolve(arch, workload)?;
-        for (level, tensor, name) in &resolved.bypass {
-            binding = binding
-                .with_bypass(*level, *tensor, name)
-                .map_err(|e| ScheduleError::InvalidConstraints { reason: e.to_string() })?;
-        }
         let ctx_fp = context_fingerprint(workload, arch, &self.config, constraints);
-        let cache = EstimateCache::new(
-            self.config.estimate_cache,
-            ctx_fp,
-            self.config.max_cache_entries,
-            &self.cache,
-        );
+        // A token that already fired must come back `Cancelled`, memoized
+        // context or not: skip the lookup and let the search report it.
+        if !controls.cancelled() {
+            if let Some(hit) = self.memo.get(ctx_fp, top_k) {
+                let k = top_k.min(hit.results.len());
+                if let Some(results) =
+                    self.verified(&hit.results[..k], workload, arch, constraints)?
+                {
+                    return Ok(ScheduleOutcome::Complete(results));
+                }
+            }
+        }
+        self.memo.searches.fetch_add(1, Ordering::Relaxed);
+        let outcome = self.search(workload, arch, top_k, start, controls, constraints)?;
+        if let ScheduleOutcome::Complete(results) = &outcome {
+            let stats = results[0].stats.remembered();
+            let remembered = results
+                .iter()
+                .map(|r| ScheduleResult {
+                    mapping: r.mapping.clone(),
+                    report: r.report.clone(),
+                    stats: stats.clone(),
+                })
+                .collect();
+            self.memo.insert(ctx_fp, remembered, top_k, false, self.config.max_cache_entries);
+        }
+        Ok(outcome)
+    }
+
+    /// Memoized results on their way out, held to what a search's own
+    /// results are held to: the problem resolves, every mapping validates
+    /// against *this call's* workload, architecture and constraints, and
+    /// the report is priced in this call — the memo is never trusted, as
+    /// the store's warm-load never trusts a record. `None` when a mapping
+    /// does not validate: the entry was filed by a different context whose
+    /// 64-bit fingerprint collides with this one, and the caller searches.
+    fn verified(
+        &self,
+        memoized: &[ScheduleResult],
+        workload: &Workload,
+        arch: &ArchSpec,
+        constraints: &MappingConstraints,
+    ) -> Result<Option<Vec<ScheduleResult>>, ScheduleError> {
+        let (resolved, binding) = self.resolve(workload, arch, constraints)?;
+        let vctx = ValidationContext::new(workload, arch, &binding);
+        let model = CostModel::new(workload, arch, &binding);
+        let results = memoized.iter().map(|r| {
+            let valid = vctx.validate(&r.mapping).is_ok()
+                && (resolved.is_empty() || vctx.satisfies(&r.mapping, constraints).is_ok());
+            valid.then(|| ScheduleResult {
+                mapping: r.mapping.clone(),
+                report: model.evaluate_unchecked(&r.mapping),
+                stats: r.stats.clone(),
+            })
+        });
+        Ok(results.collect())
+    }
+
+    /// One search: resolve the problem, pick the direction pass, walk the
+    /// levels, and rank the valid completions.
+    fn search(
+        &self,
+        workload: &Workload,
+        arch: &ArchSpec,
+        top_k: usize,
+        start: Instant,
+        controls: &CallControls<'_>,
+        constraints: &MappingConstraints,
+    ) -> Result<ScheduleOutcome, ScheduleError> {
+        let (resolved, binding) = self.resolve(workload, arch, constraints)?;
         let ctx = SearchContext::new(
             workload,
             arch,
             &binding,
             &self.config,
-            cache,
             self.pool(),
             controls.cancel,
             controls.deadline,
             resolved,
         );
+        let mut memo = SearchMemo::default();
         let mut stats = SearchStats::default();
 
         let pass: &dyn LevelPass = match self.config.direction {
@@ -1011,7 +1160,7 @@ impl Scheduler {
             Direction::TopDown => &BottomUpPass,
         };
 
-        let run = run_level_search(&ctx, pass, &mut stats, controls);
+        let run = run_level_search(&ctx, pass, &mut memo, &mut stats, controls);
         fault_stage::set("rank");
         let truncated = match run.stop {
             SearchStop::Cancelled => return Err(ScheduleError::Cancelled),
@@ -1039,9 +1188,9 @@ impl Scheduler {
             if vctx.validate(&mapping).is_ok()
                 && (ctx.constraints.is_empty() || vctx.satisfies(&mapping, constraints).is_ok())
             {
-                // The cache only ranked these mappings: what the caller
-                // receives is priced afresh, outside it.
-                let report = estimate::evaluate_cached(&ctx, &mapping, &mut stats);
+                // The search's table only ranked these mappings: what the
+                // caller receives is priced afresh, outside it.
+                let report = estimate::evaluate_cached(&ctx, &mapping, &mut memo, &mut stats);
                 valid.push((mapping, report));
             }
         }
@@ -1049,7 +1198,7 @@ impl Scheduler {
             self.config.objective.of(&a.1).total_cmp(&self.config.objective.of(&b.1))
         });
         valid.dedup_by(|a, b| a.0 == b.0);
-        valid.truncate(top_k.max(1));
+        valid.truncate(top_k);
         stats.elapsed = start.elapsed();
         if valid.is_empty() {
             return Err(if truncated {

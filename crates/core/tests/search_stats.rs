@@ -1,5 +1,5 @@
 //! Coverage of the structured per-level, per-principle search statistics
-//! and the memoized estimate cache.
+//! and the search's estimate table.
 
 use sunstone::{Scheduler, SunstoneConfig};
 use sunstone_arch::presets;
@@ -74,18 +74,16 @@ fn estimate_cache_hits_and_preserves_edp() {
     let cached = Scheduler::new(SunstoneConfig::default()).schedule(&w, &arch).unwrap();
     assert!(cached.stats.cache_hits > 0, "the memoized estimator is exercised");
     assert!(cached.stats.cache_misses > 0, "misses are counted too");
-
-    let uncached =
-        Scheduler::new(SunstoneConfig { estimate_cache: false, ..SunstoneConfig::default() })
-            .schedule(&w, &arch)
-            .unwrap();
-    assert_eq!(uncached.stats.cache_hits, 0, "disabled cache never hits");
-    assert_eq!(cached.report.edp, uncached.report.edp, "memoization does not change the result");
-    assert_eq!(cached.mapping, uncached.mapping);
     assert!(
-        cached.stats.cache_misses < uncached.stats.cache_misses,
-        "the cache skips model evaluations: {} vs {}",
-        cached.stats.cache_misses,
-        uncached.stats.cache_misses
+        cached.stats.modeled < cached.stats.probed,
+        "the table skips model evaluations: {} of {} probes modeled",
+        cached.stats.modeled,
+        cached.stats.probed
     );
+
+    // What the table only ranked, the caller gets priced afresh: the
+    // report is the model's own for the returned mapping.
+    let binding = sunstone_arch::Binding::resolve(&arch, &w).unwrap();
+    let fresh = sunstone_model::CostModel::new(&w, &arch, &binding).evaluate(&cached.mapping);
+    assert_eq!(cached.report.edp.to_bits(), fresh.unwrap().edp.to_bits());
 }

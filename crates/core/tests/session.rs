@@ -1,5 +1,5 @@
 //! Session API contract: batch/sequential equivalence, thread-count
-//! independence, cancellation, time budgets, and cross-call caching.
+//! independence, cancellation, time budgets, and the result memo.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -8,6 +8,8 @@ use std::time::Duration;
 use sunstone::prelude::*;
 use sunstone_arch::presets;
 use sunstone_ir::Workload;
+use sunstone_mapping::Mapping;
+use sunstone_model::CostReport;
 
 fn conv(name: &str, k: u64, c: u64, pq: u64, r: u64) -> Workload {
     let mut b = Workload::builder(name);
@@ -21,6 +23,43 @@ fn conv(name: &str, k: u64, c: u64, pq: u64, r: u64) -> Workload {
     b.input("weight", [kd.expr(), cd.expr(), rd.expr(), s.expr()]);
     b.output("ofmap", [kd.expr(), p.expr(), q.expr()]);
     b.build().expect("valid conv workload")
+}
+
+type Witness = (Mapping, CostReport, SearchStats);
+
+/// Everything of a result that may depend on its context alone: the
+/// mapping, the whole report, and the statistics with their wall-clock
+/// fields blanked.
+fn witness(r: &ScheduleResult) -> Witness {
+    let mut stats = r.stats.clone();
+    stats.elapsed = Duration::ZERO;
+    for l in &mut stats.levels {
+        l.expand = Duration::ZERO;
+        l.dedup = Duration::ZERO;
+        l.estimate = Duration::ZERO;
+        l.estimate_prefix = Duration::ZERO;
+        l.estimate_price = Duration::ZERO;
+        l.estimate_publish = Duration::ZERO;
+        l.select = Duration::ZERO;
+    }
+    (r.mapping.clone(), r.report.clone(), stats)
+}
+
+/// What the session's memo answers for a context whose search returned
+/// `searched`: the same mapping, report and enumeration counters, with the
+/// model columns struck out — nothing modeled for the call, every estimate
+/// request served from memory. Applied to both sides it is the part of a
+/// witness that may not depend on whether the call searched or hit.
+fn remembered(searched: &Witness) -> Witness {
+    let (mapping, report, mut stats) = searched.clone();
+    (stats.modeled, stats.prefix_hits, stats.batches, stats.batched) = (0, 0, 0, 0);
+    stats.cache_hits += stats.cache_misses;
+    stats.cache_misses = 0;
+    for l in &mut stats.levels {
+        l.cache_hits += l.cache_misses;
+        l.cache_misses = 0;
+    }
+    (mapping, report, stats)
 }
 
 /// A small network with repeated shapes: four layers, two unique shapes.
@@ -130,8 +169,8 @@ fn zero_time_budget_returns_best_so_far() {
     assert_eq!(full.results()[0].mapping, unbudgeted.mapping);
 }
 
-/// The deadline contract on the second layer of a session (the pool and
-/// cache are live, another context is resident): the deadline only
+/// The deadline contract on the second layer of a session (the pool is
+/// live, another context is memoized): the deadline only
 /// engages once the first claim chunk completes, so even a zero budget
 /// must yield a usable, deterministic best-so-far instead of
 /// `BudgetExhausted` or an empty result.
@@ -144,25 +183,22 @@ fn zero_budget_on_second_layer_returns_deterministic_best_so_far() {
     // Work bound: a full search of `b` on a session that already saw `a`.
     let full = Scheduler::new(SunstoneConfig::default());
     full.schedule(&a, &arch).expect("schedules");
-    let before = full.cache_stats().misses;
-    full.schedule(&b, &arch).expect("schedules");
-    let full_misses = full.cache_stats().misses - before;
+    let full_misses = full.schedule(&b, &arch).expect("schedules").stats.modeled;
 
     let run = || {
         let session = Scheduler::new(SunstoneConfig::default());
         session.schedule(&a, &arch).expect("first layer completes");
-        let before = session.cache_stats().misses;
         let opts = ScheduleOptions::new().time_budget(Duration::ZERO);
         let outcome = session
             .schedule_with(&b, &arch, &opts)
             .expect("zero budget on a second layer must not error");
         assert!(!outcome.is_complete(), "zero budget cannot complete the search");
         assert!(!outcome.results().is_empty(), "best-so-far carries a usable mapping");
-        let spent = session.cache_stats().misses - before;
+        let spent = outcome.results()[0].stats.modeled;
         assert!(
             spent < full_misses,
             "expired budget must stop after the first claim chunk \
-             ({spent} misses vs {full_misses} for the full search)"
+             ({spent} modeled vs {full_misses} for the full search)"
         );
         outcome.results()[0].mapping.clone()
     };
@@ -186,20 +222,6 @@ fn results_and_counters_do_not_depend_on_session_history() {
         conv("stage2", 64, 32, 7, 3),
     ];
     let config = SunstoneConfig { threads: 1, ..SunstoneConfig::default() };
-    let witness = |r: &ScheduleResult| {
-        let s = &r.stats;
-        let counts = [
-            s.probed,
-            s.modeled,
-            s.prefix_hits,
-            s.batches,
-            s.batched,
-            s.rounds,
-            s.cache_hits,
-            s.cache_misses,
-        ];
-        (r.mapping.clone(), r.report.edp.to_bits(), counts)
-    };
     for arch in [presets::conventional(), presets::simba_like()] {
         let fresh: Vec<_> = layers
             .iter()
@@ -238,16 +260,15 @@ fn session_cache_survives_across_calls() {
 
     let first = session.schedule(&w, &arch).expect("first call schedules");
     let after_first = session.cache_stats();
-    assert!(after_first.entries > 0, "first call must populate the session cache");
+    assert_eq!(after_first.entries, 1, "a complete search is memoized under its context");
+    assert_eq!((after_first.hits, after_first.misses), (0, 1), "the first call searched");
 
     let second = session.schedule(&w, &arch).expect("second call schedules");
     let after_second = session.cache_stats();
-    assert!(
-        after_second.hits > after_first.hits,
-        "second call on the same shape must hit the session cache \
-         ({} -> {} hits)",
-        after_first.hits,
-        after_second.hits
+    assert_eq!(
+        (after_second.hits, after_second.misses),
+        (1, 1),
+        "the second call on the same shape is answered from the memo"
     );
     assert_eq!(first.mapping, second.mapping);
     assert_eq!(first.report.edp.to_bits(), second.report.edp.to_bits());
@@ -255,148 +276,294 @@ fn session_cache_survives_across_calls() {
     // A renamed copy of the same shape also hits: the workload
     // fingerprint ignores names.
     let renamed = conv("c_renamed", 32, 16, 14, 3);
-    let before = session.cache_stats().hits;
     session.schedule(&renamed, &arch).expect("renamed call schedules");
-    assert!(session.cache_stats().hits > before);
+    assert_eq!(session.cache_stats().hits, 2);
+    assert_eq!(session.cache_stats().entries, 1);
 
     // clear_cache starts over.
     session.clear_cache();
-    assert_eq!(session.cache_stats().entries, 0);
+    let cleared = session.cache_stats();
+    assert_eq!((cleared.hits, cleared.misses, cleared.entries), (0, 0, 0));
+    assert!(session.memoized(session.context_fingerprint(&w, &arch)).is_none());
+    let third = session.schedule(&w, &arch).expect("searches again");
+    assert_eq!(witness(&third), witness(&first));
+    assert_eq!(session.cache_stats().misses, 1);
+}
+
+/// The repeat of a call is the answer a fresh session would give, bit for
+/// bit — mapping, report, enumeration counters — through every entry
+/// point, and its model columns say it was remembered, not searched:
+/// `modeled` 0, every estimate request a hit.
+#[test]
+fn a_repeat_is_the_fresh_sessions_answer_bit_for_bit() {
+    let arch = presets::conventional();
+    let w = conv("c", 32, 16, 14, 3);
+    let config = SunstoneConfig { threads: 1, ..SunstoneConfig::default() };
+    let fresh = |k: usize| -> Vec<_> {
+        let results = Scheduler::new(config.clone()).schedule_top_k(&w, &arch, k);
+        results.expect("schedules").iter().map(witness).collect()
+    };
+    let hit = |searched: &[Witness]| -> Vec<_> { searched.iter().map(remembered).collect() };
+    let (fresh_1, fresh_8) = (fresh(1), fresh(8));
+    assert!(fresh_8.len() > 1, "the final beam holds more than one distinct mapping");
+    assert_eq!(fresh_8[0], fresh_1[0], "top_k only cuts the ranked list");
+    let (searched, repeat) = (&fresh_1[0].2, &remembered(&fresh_1[0]).2);
+    assert!(searched.modeled > 0 && repeat.modeled == 0);
+    assert_eq!(repeat.probed, searched.probed);
+    assert!(repeat.cache_hits >= repeat.probed && repeat.cache_misses == 0);
+
+    // schedule, twice.
+    let session = Scheduler::new(config.clone());
+    let first = session.schedule(&w, &arch).expect("schedules");
+    let again = session.schedule(&w, &arch).expect("schedules");
+    assert_eq!(witness(&first), fresh_1[0]);
+    assert_eq!(witness(&again), remembered(&fresh_1[0]));
+    assert_eq!((session.cache_stats().hits, session.cache_stats().misses), (1, 1));
+
+    // k = 8 then k = 1: the shorter request is a prefix of the memoized list.
+    let session = Scheduler::new(config.clone());
+    let top = |k: usize| -> Vec<_> {
+        session.schedule_top_k(&w, &arch, k).expect("schedules").iter().map(witness).collect()
+    };
+    assert_eq!(top(8), fresh_8);
+    assert_eq!(top(1), hit(&fresh_1));
+    assert_eq!(top(8), hit(&fresh_8));
+    assert_eq!((session.cache_stats().hits, session.cache_stats().misses), (2, 1));
+
+    // k = 1 then k = 8: one result cannot answer for eight — the wider
+    // call searches and its list replaces the entry.
+    let session = Scheduler::new(config.clone());
+    let top = |k: usize| -> Vec<_> {
+        session.schedule_top_k(&w, &arch, k).expect("schedules").iter().map(witness).collect()
+    };
+    assert_eq!(top(1), fresh_1);
+    assert_eq!(top(8), fresh_8);
+    assert_eq!((session.cache_stats().hits, session.cache_stats().misses), (0, 2));
+    assert_eq!(top(8), hit(&fresh_8));
+    assert_eq!(top(1), hit(&fresh_1));
+    assert_eq!((session.cache_stats().hits, session.cache_stats().misses), (2, 2));
+    assert_eq!(session.cache_stats().entries, 1);
+
+    // schedule_batch, twice: the repeat is all hits, and its totals are
+    // the same sums with every miss read as a hit.
+    let net = repeated_network();
+    let per_layer = |batch: &BatchResult| -> Vec<_> { batch.bests().map(witness).collect() };
+    let reference = Scheduler::new(config.clone()).schedule_batch(&net, &arch).expect("schedules");
+    let session = Scheduler::new(config);
+    let first = session.schedule_batch(&net, &arch).expect("schedules");
+    let again = session.schedule_batch(&net, &arch).expect("schedules");
+    assert_eq!(per_layer(&first), per_layer(&reference));
+    assert_eq!(per_layer(&again), hit(&per_layer(&reference)));
+    assert_eq!((session.cache_stats().hits, session.cache_stats().misses), (2, 2));
+    let totals = |b: &BatchResult| (b.stats.cache_hits, b.stats.cache_misses, b.stats.evaluated);
+    assert_eq!(totals(&first), totals(&reference));
+    let (hits, misses, evaluated) = totals(&reference);
+    assert_eq!(totals(&again), (hits + misses, 0, evaluated));
+}
+
+/// `BatchStats` totals are sums over the batch's own unique searches, not
+/// differences of session-wide counters: another call on a clone of the
+/// session while the batch runs cannot leak into them.
+#[test]
+fn batch_totals_are_sums_over_the_unique_searches() {
+    let arch = presets::conventional();
+    let net = repeated_network();
+    let session = Scheduler::new(SunstoneConfig::default());
+    let noise = conv("noise", 48, 16, 8, 3);
+    let batch = std::thread::scope(|scope| {
+        let other = session.clone();
+        let (noise, arch) = (&noise, &arch);
+        scope.spawn(move || {
+            for _ in 0..4 {
+                other.clear_cache();
+                other.schedule(noise, arch).expect("schedules");
+            }
+        });
+        session.schedule_batch(&net, arch).expect("batch schedules")
+    });
+    // Layers 0 and 1 are the two unique shapes.
+    let unique = [batch.best(0), batch.best(1)];
+    let sum = |field: fn(&SearchStats) -> u64| unique.iter().map(|r| field(&r.stats)).sum::<u64>();
+    assert_eq!(batch.stats.cache_hits, sum(|s| s.cache_hits));
+    assert_eq!(batch.stats.cache_misses, sum(|s| s.cache_misses));
+    assert_eq!(batch.stats.evaluated, sum(|s| s.probed));
+    assert_eq!(batch.stats.cache_misses, sum(|s| s.modeled), "a miss is a model run");
+}
+
+/// Only a search that ran to completion is memoized: a best-so-far
+/// result, a cancelled call and a failed one leave the memo empty, so the
+/// next call searches and gets the real answer.
+#[test]
+fn truncated_cancelled_and_failed_calls_are_never_memoized() {
+    let arch = presets::conventional();
+    let w = conv("c", 32, 16, 14, 3);
+    let session = Scheduler::new(SunstoneConfig::default());
+
+    let zero = ScheduleOptions::new().time_budget(Duration::ZERO);
+    let cut = session.schedule_with(&w, &arch, &zero).expect("best-so-far");
+    assert!(!cut.is_complete());
+    assert_eq!(session.cache_stats().entries, 0, "a best-so-far result is not memoized");
+
+    let token = CancelToken::new();
+    token.cancel();
+    let err = session.schedule_with(&w, &arch, &ScheduleOptions::new().cancel(token));
+    assert!(matches!(err, Err(ScheduleError::Cancelled)));
+    assert_eq!(session.cache_stats().entries, 0, "a cancelled call is not memoized");
+
+    let bad = session.schedule(&conv1d_bits("bad", 16), &tiny_l1_arch());
+    assert!(matches!(bad, Err(ScheduleError::InfeasibleLevel { .. })));
+    assert_eq!(session.cache_stats().entries, 0, "an error is not memoized");
     assert_eq!(session.cache_stats().hits, 0);
+
+    let full = session.schedule(&w, &arch).expect("schedules");
+    let fresh = Scheduler::new(SunstoneConfig::default()).schedule(&w, &arch).expect("schedules");
+    assert_eq!(full.mapping, fresh.mapping);
+    assert_eq!(session.cache_stats().entries, 1);
+}
+
+/// A memoized context does not change what a call promises: a token that
+/// already fired still comes back `Cancelled`, a time budget is moot (the
+/// memoized answer is complete), and per-call constraints are a context
+/// of their own.
+#[test]
+fn a_memo_hit_keeps_the_call_contract() {
+    let arch = presets::conventional();
+    let w = conv("c", 32, 16, 14, 3);
+    let session = Scheduler::new(SunstoneConfig::default());
+    let free = session.schedule(&w, &arch).expect("schedules");
+
+    let token = CancelToken::new();
+    token.cancel();
+    let err = session.schedule_with(&w, &arch, &ScheduleOptions::new().cancel(token));
+    assert!(matches!(err, Err(ScheduleError::Cancelled)), "a fired token wins over the memo");
+    assert_eq!(session.cache_stats().hits, 0);
+
+    let zero = ScheduleOptions::new().time_budget(Duration::ZERO);
+    let hit = session.schedule_with(&w, &arch, &zero).expect("answered from the memo");
+    assert!(hit.is_complete(), "the memoized answer is the complete search's");
+    assert_eq!(witness(&hit.results()[0]), remembered(&witness(&free)));
+    assert_eq!(session.cache_stats().hits, 1);
+
+    let ws = DataflowTemplate::WeightStationaryCK.constraints(&arch);
+    let opts = ScheduleOptions::new().constraints(ws);
+    let searches = session.cache_stats().misses;
+    let constrained = session.schedule_with(&w, &arch, &opts).expect("schedules");
+    assert_eq!(session.cache_stats().misses, searches + 1, "constraints key separately");
+    assert_eq!(session.cache_stats().entries, 2);
+    let reference = Scheduler::new(SunstoneConfig::default())
+        .schedule_with(&w, &arch, &opts)
+        .expect("schedules");
+    assert_eq!(witness(&constrained.results()[0]), witness(&reference.results()[0]));
+    let again = session.schedule(&w, &arch).expect("the free context is still memoized");
+    assert_eq!(witness(&again), remembered(&witness(&free)));
 }
 
 #[test]
-fn bounded_cache_evicts_lru_context_and_keeps_results_identical() {
+fn bounded_memo_evicts_the_oldest_context_and_keeps_results_identical() {
     let arch = presets::conventional();
-    let a = conv("a", 32, 16, 14, 3);
-    let b = conv("b", 64, 32, 7, 3);
+    let layers = [conv("a", 32, 16, 14, 3), conv("b", 64, 32, 7, 3), conv("c", 16, 16, 7, 3)];
+    let fresh: Vec<_> = layers
+        .iter()
+        .map(|w| {
+            let r = Scheduler::new(SunstoneConfig::default()).schedule(w, &arch);
+            witness(&r.expect("schedules"))
+        })
+        .collect();
 
-    // Per-shape entry counts, measured on fresh unbounded sessions.
-    let solo = |w: &Workload| {
-        let s = Scheduler::new(SunstoneConfig::default());
-        let out = s.schedule(w, &arch).expect("schedules");
-        (out, s.cache_stats().entries)
-    };
-    let (a_ref, a_entries) = solo(&a);
-    let (b_ref, b_entries) = solo(&b);
-    assert!(a_entries > 1 && b_entries > 1, "both shapes populate the cache");
-
-    // A cap of one entry cannot hold two contexts: scheduling `b` must
-    // evict `a`'s whole context (LRU), but never the in-use context —
-    // each search keeps its own entries, so results stay bit-identical.
+    // A bound of two contexts: the third evicts the first, in insertion
+    // order — hitting `a` in between does not save it (no recency clock).
     let capped =
-        Scheduler::new(SunstoneConfig { max_cache_entries: 1, ..SunstoneConfig::default() });
-    let a_out = capped.schedule(&a, &arch).expect("schedules");
-    assert_eq!(
-        capped.cache_stats().entries,
-        a_entries,
-        "the active context is never evicted mid-search, even over the cap"
-    );
-    let b_out = capped.schedule(&b, &arch).expect("schedules");
-    assert_eq!(
-        capped.cache_stats().entries,
-        b_entries,
-        "scheduling a second shape evicts the first shape's context"
-    );
-    assert_eq!(a_out.mapping, a_ref.mapping, "the bound never changes results");
-    assert_eq!(b_out.mapping, b_ref.mapping, "the bound never changes results");
-    assert_eq!(a_out.report.edp.to_bits(), a_ref.report.edp.to_bits());
-    assert_eq!(b_out.report.edp.to_bits(), b_ref.report.edp.to_bits());
+        Scheduler::new(SunstoneConfig { max_cache_entries: 2, ..SunstoneConfig::default() });
+    let fp = |i: usize| capped.context_fingerprint(&layers[i], &arch);
+    let call = |i: usize| witness(&capped.schedule(&layers[i], &arch).expect("schedules"));
+    assert_eq!(call(0), fresh[0]);
+    assert_eq!(call(1), fresh[1]);
+    assert_eq!(call(0), remembered(&fresh[0]));
+    assert_eq!((capped.cache_stats().entries, capped.cache_stats().hits), (2, 1));
+    assert_eq!(call(2), fresh[2]);
+    assert_eq!(capped.cache_stats().entries, 2, "the bound holds");
+    assert!(capped.memoized(fp(0)).is_none(), "the oldest context went");
+    assert!(capped.memoized(fp(1)).is_some() && capped.memoized(fp(2)).is_some());
 
-    // Re-scheduling the evicted shape misses the cache (it was dropped):
-    // the model runs exactly as often as on a cold session, and the
-    // re-populated context evicts `b` in turn.
-    let again = capped.schedule(&a, &arch).expect("schedules");
-    assert_eq!(again.mapping, a_ref.mapping);
-    assert_eq!(capped.cache_stats().entries, a_entries, "`a` repopulated, `b` evicted");
-    assert_eq!(
-        again.stats.modeled, a_ref.stats.modeled,
-        "the evicted context serves no cross-call reuse"
-    );
+    // The evicted shape is simply searched again — same answer, same work
+    // — and evicts the next-oldest in turn.
+    let searches = capped.cache_stats().misses;
+    assert_eq!(call(0), fresh[0], "the bound never changes results");
+    assert_eq!(capped.cache_stats().misses, searches + 1);
+    assert!(capped.memoized(fp(1)).is_none() && capped.memoized(fp(0)).is_some());
 
-    // An ample cap retains both contexts side by side.
-    let roomy = Scheduler::new(SunstoneConfig {
-        max_cache_entries: (a_entries + b_entries) * 2,
-        ..SunstoneConfig::default()
-    });
-    roomy.schedule(&a, &arch).expect("schedules");
-    roomy.schedule(&b, &arch).expect("schedules");
-    assert_eq!(roomy.cache_stats().entries, a_entries + b_entries, "both contexts retained");
+    // An ample bound retains every context.
+    let roomy = Scheduler::new(SunstoneConfig::default());
+    for w in &layers {
+        roomy.schedule(w, &arch).expect("schedules");
+    }
+    assert_eq!(roomy.cache_stats().entries, 3);
 }
 
-/// Two threads search disjoint layer sets on one session whose bound is
-/// below a single context's size, so every publish that adds anything
-/// evicts every other context — the other thread's live one included,
-/// which then finishes on its detached table. Nothing of that may show:
-/// each result and its counters are those of a fresh single-threaded
-/// session, round after round, and the entry counter stays exact.
+/// Eight threads on clones of one session whose bound is below the number
+/// of contexts in play, each walking the same mixed layer list from a
+/// different offset: hits, searches, inserts and evictions interleave
+/// freely, and nothing of that may show beyond the model columns a hit
+/// strikes out — every result is a fresh session's, and the bound holds
+/// whenever it is read.
 #[test]
 fn concurrent_searches_under_a_tight_bound_match_fresh_sessions() {
-    const ROUNDS: usize = 50;
+    const THREADS: usize = 8;
+    const ROUNDS: usize = 6;
+    const BOUND: usize = 2;
     let arch = presets::conventional();
-    let sets = [
-        [conv("a0", 16, 8, 7, 3), conv("a1", 8, 16, 7, 1)],
-        [conv("b0", 16, 16, 4, 3), conv("b1", 24, 8, 6, 1)],
+    let layers = [
+        conv("a0", 16, 8, 7, 3),
+        conv("a1", 8, 16, 7, 1),
+        conv("b0", 16, 16, 4, 3),
+        conv("b1", 24, 8, 6, 1),
+        conv("c0", 8, 8, 14, 3),
     ];
     let config = SunstoneConfig { threads: 1, ..SunstoneConfig::default() };
-    let witness = |r: &ScheduleResult| {
-        (r.mapping.clone(), r.report.edp.to_bits(), r.stats.probed, r.stats.modeled)
-    };
-    // Per layer: the fresh-session witness and how many entries its
-    // context holds.
-    let fresh = sets.each_ref().map(|set| {
-        set.each_ref().map(|w| {
-            let s = Scheduler::new(config.clone());
-            let r = s.schedule(w, &arch).expect("schedules");
-            (witness(&r), s.cache_stats().entries)
-        })
-    });
-    let sizes: Vec<usize> = fresh.iter().flatten().map(|(_, entries)| *entries).collect();
-    let bound = sizes.iter().min().expect("four layers") / 2;
-    assert!(bound > 0, "every context holds at least two estimates");
-    let session = Scheduler::new(SunstoneConfig { max_cache_entries: bound, ..config });
+    let fresh: Vec<_> = layers
+        .iter()
+        .map(|w| witness(&Scheduler::new(config.clone()).schedule(w, &arch).expect("schedules")))
+        .collect();
+    let fresh_hit: Vec<_> = fresh.iter().map(remembered).collect();
+    let session = Scheduler::new(SunstoneConfig { max_cache_entries: BOUND, ..config });
 
-    // Both threads start every round together, and meet again after it so
-    // the counter can be read with no search in flight (`sizes` is
-    // [a0, a1, b0, b1]).
-    let round_start = std::sync::Barrier::new(2);
-    let round_end = std::sync::Barrier::new(2);
     std::thread::scope(|scope| {
-        for (set, fresh) in sets.iter().zip(&fresh) {
-            let (session, arch) = (session.clone(), &arch);
-            let (round_start, round_end, sizes) = (&round_start, &round_end, &sizes);
+        for t in 0..THREADS {
+            let (session, arch, layers) = (session.clone(), &arch, &layers);
+            let (fresh, fresh_hit) = (&fresh, &fresh_hit);
             scope.spawn(move || {
-                for round in 0..ROUNDS {
-                    round_start.wait();
-                    for (w, (want, _)) in set.iter().zip(fresh) {
-                        let r = session.schedule(w, arch).expect("schedules");
-                        assert_eq!(&witness(&r), want, "{} in round {round}", w.name());
-                        // Mid-flight on the other thread: each context is
-                        // counted at most once, and nothing ever wraps.
-                        let entries = session.cache_stats().entries;
-                        assert!(entries <= sizes.iter().sum(), "{entries} entries counted");
-                    }
-                    if round_end.wait().is_leader() {
-                        // At rest only each thread's last context can still
-                        // be attached: its first over-bound publish evicted
-                        // everything before it.
-                        let entries = session.cache_stats().entries;
-                        assert!(entries <= sizes[1] + sizes[3], "{entries} entries at rest");
-                    }
+                for step in 0..ROUNDS * layers.len() {
+                    let i = (t + step) % layers.len();
+                    // Odd threads ask for the top three: a context's entry
+                    // is replaced by wider and narrower lists as they race.
+                    let k = 1 + 2 * (t % 2);
+                    let r = session.schedule_top_k(&layers[i], arch, k).expect("schedules");
+                    // Searched or remembered, whichever the race made it.
+                    let got = witness(&r[0]);
+                    assert!(
+                        got == fresh[i] || got == fresh_hit[i],
+                        "{} on thread {t}: {got:?}",
+                        layers[i].name()
+                    );
+                    let entries = session.cache_stats().entries;
+                    assert!(entries <= BOUND, "{entries} contexts memoized");
                 }
             });
         }
     });
+    let stats = session.cache_stats();
+    assert_eq!(stats.hits + stats.misses, (THREADS * ROUNDS * layers.len()) as u64);
+    assert_eq!(stats.entries, BOUND);
     session.clear_cache();
     assert_eq!(session.cache_stats().entries, 0);
 }
 
-/// `prime_mapping` files a mapping under the hash of its `mapping_key`; a
-/// search probes with the hash of its rows. They are the same hash: on a
-/// session that only ever primed the winner, the search's first row that
-/// completes to it is a hit instead of a model run.
+/// `prime_mapping` vouches for a mapping from outside: validated and
+/// priced under the current model, it becomes the context's memoized
+/// answer — marked as primed, with no search statistics — and an invalid
+/// mapping is refused and files nothing.
 #[test]
-fn a_primed_mapping_is_a_hit_for_the_search_that_completes_to_it() {
+fn a_primed_mapping_is_the_contexts_memoized_answer() {
     let arch = presets::conventional();
     let w = conv("primed", 32, 16, 14, 3);
     let config = SunstoneConfig { threads: 1, ..SunstoneConfig::default() };
@@ -404,14 +571,36 @@ fn a_primed_mapping_is_a_hit_for_the_search_that_completes_to_it() {
 
     let session = Scheduler::new(config);
     let report = session.prime_mapping(&w, &arch, &cold.mapping).expect("primes");
-    assert_eq!(report.edp.to_bits(), cold.report.edp.to_bits());
+    assert_eq!(report, cold.report, "re-priced under the current model");
     assert_eq!(session.cache_stats().entries, 1);
-    let primed = session.schedule(&w, &arch).expect("schedules");
-    assert_eq!(primed.mapping, cold.mapping);
-    assert_eq!(primed.report.edp.to_bits(), cold.report.edp.to_bits());
-    assert_eq!(primed.stats.probed, cold.stats.probed);
-    assert_eq!(primed.stats.modeled, cold.stats.modeled - 1, "the primed estimate was reused");
-    assert_eq!(primed.stats.cache_hits, cold.stats.cache_hits + 1);
+    let entry = session.memoized(session.context_fingerprint(&w, &arch)).expect("memoized");
+    assert!(entry.primed);
+    assert_eq!(entry.mapping_fp, sunstone::fingerprint::mapping_fingerprint(&cold.mapping));
+
+    let served = session.schedule(&w, &arch).expect("answered from the memo");
+    assert_eq!(served.mapping, cold.mapping);
+    assert_eq!(served.report, cold.report);
+    assert_eq!(served.stats, SearchStats::default(), "no search produced it");
+    assert_eq!(session.cache_stats().misses, 0);
+
+    // One primed mapping cannot answer for three: the wider call searches,
+    // and its own list replaces the primed entry.
+    let top = session.schedule_top_k(&w, &arch, 3).expect("schedules");
+    assert_eq!(witness(&top[0]), witness(&cold));
+    assert!(!session.memoized(session.context_fingerprint(&w, &arch)).expect("memoized").primed);
+
+    // Priming a context the session searched itself displaces nothing.
+    session.prime_mapping(&w, &arch, &cold.mapping).expect("primes");
+    let entry = session.memoized(session.context_fingerprint(&w, &arch)).expect("memoized");
+    assert!(!entry.primed && entry.results.len() == top.len(), "the searched list stays");
+
+    // A mapping of another shape does not validate here.
+    let other = conv("other", 64, 32, 7, 3);
+    let foreign = Scheduler::new(SunstoneConfig::default()).schedule(&other, &arch);
+    let fresh = Scheduler::new(SunstoneConfig::default());
+    let err = fresh.prime_mapping(&w, &arch, &foreign.expect("schedules").mapping);
+    assert!(matches!(err, Err(ScheduleError::InvalidMapping { .. })), "{err:?}");
+    assert_eq!(fresh.cache_stats().entries, 0, "a refused mapping files nothing");
 }
 
 #[test]
@@ -424,8 +613,8 @@ fn cloned_sessions_share_one_cache() {
     session.schedule(&w, &arch).expect("schedules");
     let hits_before = clone.cache_stats().hits;
     clone.schedule(&w, &arch).expect("schedules");
-    assert!(clone.cache_stats().hits > hits_before, "clones share the session cache");
-    assert_eq!(session.cache_stats().hits, clone.cache_stats().hits);
+    assert!(clone.cache_stats().hits > hits_before, "clones share the session's memo");
+    assert_eq!(session.cache_stats(), clone.cache_stats());
 }
 
 #[test]
@@ -547,7 +736,7 @@ fn fail_fast_skips_layers_after_the_first_failure() {
 
 /// Every shipped preset — including the previously untested
 /// `eyeriss_like` and `diannao_like` — schedules through the session API,
-/// and a warm repeat on the same session is bit-identical to the cold run.
+/// and a repeat on the same session is bit-identical to the first call.
 #[test]
 fn all_presets_schedule_through_the_session() {
     let archs = [
@@ -561,9 +750,9 @@ fn all_presets_schedule_through_the_session() {
         let session = Scheduler::new(SunstoneConfig::default());
         let cold =
             session.schedule(&w, arch).unwrap_or_else(|e| panic!("{} schedules: {e}", arch.name()));
-        let warm = session.schedule(&w, arch).expect("warm repeat schedules");
-        assert_eq!(cold.mapping, warm.mapping, "{}", arch.name());
-        assert_eq!(cold.report.edp.to_bits(), warm.report.edp.to_bits(), "{}", arch.name());
+        let repeat = session.schedule(&w, arch).expect("repeat schedules");
+        assert_eq!(cold.mapping, repeat.mapping, "{}", arch.name());
+        assert_eq!(cold.report.edp.to_bits(), repeat.report.edp.to_bits(), "{}", arch.name());
     }
 }
 

@@ -5,7 +5,7 @@
 //! deployments (compiler services, autotuners, design-space sweeps) ask
 //! the *same* layers over and over across many short-lived client
 //! processes. This crate keeps one long-lived [`Scheduler`] session —
-//! estimate cache and worker pool — behind a Unix socket, and persists
+//! result memo and worker pool — behind a Unix socket, and persists
 //! every best mapping to disk so a restarted daemon answers repeated
 //! layers from its store instead of re-searching.
 //!

@@ -5,19 +5,21 @@
 //! # Serving discipline
 //!
 //! Every `schedule` request resolves to a context fingerprint
-//! ([`Scheduler::context_fingerprint`]) and goes through three tiers:
+//! ([`Scheduler::context_fingerprint`]) and goes through two tiers:
 //!
-//! 1. **memo** — an in-memory latest-result index over contexts served
+//! 1. **memo** — the shared session's own result memo
+//!    ([`Scheduler::memoized`]): every context searched to completion
 //!    this process lifetime *plus* everything warm-loaded from the store
-//!    at startup. Hits are microseconds: no search, no model.
-//! 2. **search** — a full library `schedule` call on the shared session
-//!    (which itself carries the estimate cache). The result is memoized
-//!    and appended to the store.
+//!    at startup. The daemon keeps no index of its own. Hits are
+//!    microseconds: no search, no model.
+//! 2. **search** — a full library `schedule` call on the shared session,
+//!    which memoizes the result itself when the search ran to completion;
+//!    the daemon appends it to the store.
 //!
-//! A memo entry remembers its *origin* — `store` when it entered via the
-//! startup warm-load, `memo` when it was searched earlier in this
-//! process — and responses report `source` accordingly (`search` for a
-//! fresh computation), so clients and the restart acceptance test can
+//! A memoized answer remembers whether it was *primed* — it entered via
+//! the startup warm-load — or searched earlier in this process, and
+//! responses report `source` `store` or `memo` accordingly (`search` for
+//! a fresh computation), so clients and the restart acceptance test can
 //! distinguish a warm-loaded answer from a recomputed one.
 //!
 //! # Overload and degradation
@@ -38,9 +40,9 @@
 //! * **deadlines** — a request carrying `deadline_ms` maps onto the
 //!   library's wall-clock budget; a search cut short returns its best
 //!   mapping so far with `"degraded":true`. Degraded results are served
-//!   but *not* memoized or persisted: the next request (with its own
-//!   deadline) searches again rather than inheriting a worse-than-best
-//!   answer forever.
+//!   but *not* memoized (the session only memoizes complete searches) or
+//!   persisted: the next request (with its own deadline) searches again
+//!   rather than inheriting a worse-than-best answer forever.
 //! * **socket timeouts** — per-connection read
 //!   ([`ServeConfig::idle_timeout`]) and write
 //!   ([`ServeConfig::write_timeout`]) timeouts reap idle, slow, or dead
@@ -79,8 +81,6 @@ use std::time::{Duration, Instant};
 use sunstone::fingerprint::mapping_fingerprint;
 use sunstone::prelude::*;
 use sunstone_ir::Workload;
-use sunstone_mapping::Mapping;
-use sunstone_model::CostReport;
 
 use crate::json::{u64_str, Json};
 use crate::store::{FsyncPolicy, MappingStore, StoreRecord};
@@ -183,23 +183,6 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-/// Where a memoized result came from, reported as the response `source`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Origin {
-    /// Warm-loaded from the on-disk store at startup.
-    Store,
-    /// Searched earlier in this daemon's lifetime.
-    Memo,
-}
-
-/// One served result, shared by reference across connections.
-struct MemoEntry {
-    mapping: Mapping,
-    mapping_fp: u64,
-    report: CostReport,
-    origin: Origin,
-}
-
 #[derive(Default)]
 struct Counters {
     requests: AtomicU64,
@@ -220,11 +203,11 @@ struct Counters {
     loaded: AtomicU64,
 }
 
-/// Shared daemon state: the session, the store, the memo index.
+/// Shared daemon state: the session (whose result memo is the memo
+/// tier) and the store.
 struct ServeState {
     scheduler: Scheduler,
     store: Option<Mutex<MappingStore>>,
-    memo: Mutex<HashMap<u64, Arc<MemoEntry>>>,
     counters: Counters,
     shutdown: AtomicBool,
     started: Instant,
@@ -250,7 +233,7 @@ struct ServeState {
     retry_after_ms: u64,
 }
 
-/// Locks a daemon mutex, recovering from poisoning: memo and store hold
+/// Locks a daemon mutex, recovering from poisoning: they hold
 /// plain data valid at every unwind point, and a faulted request must
 /// never wedge the daemon.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -330,7 +313,7 @@ fn claim_socket_path(path: &Path) -> Result<(), ServeError> {
 
 impl Server {
     /// Binds the socket, opens the store, and warm-loads it into the
-    /// session cache and memo index. Returns a server ready to
+    /// session's result memo. Returns a server ready to
     /// [`run`](Self::run).
     ///
     /// # Errors
@@ -349,7 +332,6 @@ impl Server {
         let state = Arc::new(ServeState {
             scheduler,
             store: store.map(Mutex::new),
-            memo: Mutex::new(HashMap::new()),
             counters: Counters::default(),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
@@ -442,13 +424,12 @@ impl Server {
     }
 }
 
-/// Replays every store record into the session cache and memo index,
-/// verifying context fingerprint, mapping validity, and mapping
-/// fingerprint per record (see the module docs).
+/// Replays every store record into the session's result memo, verifying
+/// context fingerprint, mapping validity, and mapping fingerprint per
+/// record (see the module docs).
 fn warm_load(state: &ServeState) {
     let Some(store) = &state.store else { return };
     let records: Vec<StoreRecord> = lock_recover(store).iter().cloned().collect();
-    let mut memo = lock_recover(&state.memo);
     for rec in records {
         let loaded = (|| {
             let arch = wire::arch_by_name(&rec.arch)?;
@@ -460,20 +441,13 @@ fn warm_load(state: &ServeState) {
             if mapping_fingerprint(&mapping) != rec.mapping_fp {
                 return None;
             }
-            // Re-validate and re-price under the current model; this also
-            // warms the session estimate cache for the search path.
-            let report = state.scheduler.prime_mapping(&workload, &arch, &mapping).ok()?;
-            Some(MemoEntry { mapping, mapping_fp: rec.mapping_fp, report, origin: Origin::Store })
+            // Re-validate and re-price under the current model, and file
+            // the mapping as the context's memoized answer.
+            state.scheduler.prime_mapping(&workload, &arch, &mapping).ok()
         })();
-        match loaded {
-            Some(entry) => {
-                memo.insert(rec.ctx_fp, Arc::new(entry));
-                state.counters.loaded.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {
-                state.counters.load_skipped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        let counter =
+            if loaded.is_some() { &state.counters.loaded } else { &state.counters.load_skipped };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -596,35 +570,37 @@ fn overloaded_response(state: &ServeState, message: &str) -> Json {
     ])
 }
 
-fn result_body(ctx_fp: u64, source: &str, entry: &MemoEntry, degraded: bool) -> Json {
+fn result_body(
+    ctx_fp: u64,
+    source: &str,
+    mapping_fp: u64,
+    result: &ScheduleResult,
+    degraded: bool,
+) -> Json {
     Json::Obj(vec![
         ("ok".into(), Json::Bool(true)),
         ("source".into(), Json::Str(source.into())),
         ("degraded".into(), Json::Bool(degraded)),
         ("ctx_fp".into(), u64_str(ctx_fp)),
-        ("mapping_fp".into(), u64_str(entry.mapping_fp)),
-        ("edp".into(), Json::Num(entry.report.edp)),
-        ("energy_pj".into(), Json::Num(entry.report.energy_pj)),
-        ("delay_cycles".into(), Json::Num(entry.report.delay_cycles)),
-        ("mapping".into(), wire::mapping_to_json(&entry.mapping)),
+        ("mapping_fp".into(), u64_str(mapping_fp)),
+        ("edp".into(), Json::Num(result.report.edp)),
+        ("energy_pj".into(), Json::Num(result.report.energy_pj)),
+        ("delay_cycles".into(), Json::Num(result.report.delay_cycles)),
+        ("mapping".into(), wire::mapping_to_json(&result.mapping)),
     ])
 }
 
-/// The memo tier: a hit (searched earlier or warm-loaded) serves in
-/// microseconds and bumps the matching counter.
+/// The memo tier: a hit in the session's result memo (searched earlier or
+/// warm-loaded) serves in microseconds and bumps the matching counter.
 fn memo_hit(state: &ServeState, ctx_fp: u64) -> Option<Json> {
-    let entry = lock_recover(&state.memo).get(&ctx_fp).cloned()?;
-    let source = match entry.origin {
-        Origin::Store => {
-            state.counters.store_hits.fetch_add(1, Ordering::Relaxed);
-            "store"
-        }
-        Origin::Memo => {
-            state.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
-            "memo"
-        }
+    let entry = state.scheduler.memoized(ctx_fp)?;
+    let (source, counter) = if entry.primed {
+        ("store", &state.counters.store_hits)
+    } else {
+        ("memo", &state.counters.memo_hits)
     };
-    Some(result_body(ctx_fp, source, &entry, false))
+    counter.fetch_add(1, Ordering::Relaxed);
+    Some(result_body(ctx_fp, source, entry.mapping_fp, &entry.results[0], false))
 }
 
 /// The serve path for one workload (see the module docs): memo tier,
@@ -674,36 +650,30 @@ fn schedule_response(
             return error_response(error_kind(&e), &e.to_string());
         }
     };
-    let entry = Arc::new(MemoEntry {
-        mapping_fp: mapping_fingerprint(&result.mapping),
-        report: result.report,
-        mapping: result.mapping,
-        origin: Origin::Memo,
-    });
-    let response = result_body(ctx_fp, "search", &entry, degraded);
+    let mapping_fp = mapping_fingerprint(&result.mapping);
+    let response = result_body(ctx_fp, "search", mapping_fp, &result, degraded);
+    // The session memoized a complete search before returning it — so a
+    // fault in persistence below cannot lose an already-computed result —
+    // and never memoizes a deadline-cut one.
+    lock_recover(&state.flights).remove(&ctx_fp);
     if degraded {
         // A deadline-cut result is only as good as its budget allowed:
-        // serve it to the client that asked, but never memoize or
-        // persist it — the next request searches with its own budget
-        // instead of inheriting a worse-than-best mapping forever.
+        // serve it to the client that asked, but never persist it — the
+        // next request searches with its own budget instead of inheriting
+        // a worse-than-best mapping forever.
         state.counters.degraded.fetch_add(1, Ordering::Relaxed);
-        lock_recover(&state.flights).remove(&ctx_fp);
         return response;
     }
-    // Memoize before touching the store: a fault in persistence must
-    // not lose an already-computed result.
-    lock_recover(&state.memo).insert(ctx_fp, Arc::clone(&entry));
-    lock_recover(&state.flights).remove(&ctx_fp);
     if let Some(store) = &state.store {
         let rec = StoreRecord {
             ctx_fp,
-            mapping_fp: entry.mapping_fp,
+            mapping_fp,
             arch: arch_name.to_string(),
-            edp: entry.report.edp,
-            energy_pj: entry.report.energy_pj,
-            delay_cycles: entry.report.delay_cycles,
+            edp: result.report.edp,
+            energy_pj: result.report.energy_pj,
+            delay_cycles: result.report.delay_cycles,
             workload: wire::workload_to_json(workload),
-            mapping: wire::mapping_to_json(&entry.mapping),
+            mapping: wire::mapping_to_json(&result.mapping),
         };
         // A full disk degrades persistence, not serving.
         let _ = lock_recover(store).append(rec);
@@ -727,7 +697,7 @@ fn stats_response(state: &ServeState) -> Json {
         ("conns_peak".into(), Json::Num(state.conns_peak.load(Ordering::SeqCst) as f64)),
         ("shed_connections".into(), Json::Num(c.shed_connections.load(Ordering::Relaxed) as f64)),
         ("shed_requests".into(), Json::Num(c.shed_requests.load(Ordering::Relaxed) as f64)),
-        ("memo_entries".into(), Json::Num(lock_recover(&state.memo).len() as f64)),
+        ("memo_entries".into(), Json::Num(session.entries as f64)),
         (
             "session".into(),
             Json::Obj(vec![

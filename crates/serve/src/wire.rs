@@ -141,7 +141,7 @@ pub enum Request {
     /// Schedule a batch of workloads on the named architecture preset;
     /// the deadline (if any) covers the whole batch.
     ScheduleBatch { workloads: Vec<Workload>, arch: String, deadline_ms: Option<u64> },
-    /// Report daemon, session-cache, and store statistics.
+    /// Report daemon, session-memo, and store statistics.
     CacheStats,
     /// Compact the store and stop the daemon.
     Shutdown,

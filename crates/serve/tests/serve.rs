@@ -15,7 +15,7 @@ use sunstone::prelude::*;
 use sunstone_ir::Workload;
 use sunstone_serve::json::{self, Json};
 use sunstone_serve::wire::{self, workload_to_json};
-use sunstone_serve::{ServeConfig, ServeError, Server};
+use sunstone_serve::{MappingStore, ServeConfig, ServeError, Server, StoreRecord};
 
 fn conv(name: &str, k: u64, c: u64, pq: u64, r: u64) -> Workload {
     let mut b = Workload::builder(name);
@@ -272,17 +272,43 @@ fn restarted_daemon_serves_repeated_layer_from_store() {
     client.shutdown();
     handle.join().unwrap();
 
+    // Between the sessions the record's stored cost goes stale, and a
+    // record turns up that pairs another layer's context with this
+    // layer's mapping (checksum, context and mapping fingerprints all
+    // consistent — only re-validation can tell).
+    {
+        let mut on_disk = MappingStore::open(&store, 4).expect("opens");
+        let rec = on_disk.iter().next().expect("one record").clone();
+        on_disk.append(StoreRecord { edp: 1.0, ..rec.clone() }).expect("appends");
+        let arch = wire::arch_by_name("conventional").unwrap();
+        let ctx_fp =
+            Scheduler::new(SunstoneConfig::default()).context_fingerprint(&layers[1], &arch);
+        on_disk
+            .append(StoreRecord { ctx_fp, workload: workload_to_json(&layers[1]), ..rec })
+            .expect("appends");
+    }
+
     // Session 2: the very first request for the repeated layer must be
-    // answered from the warm-loaded store, and counted as such.
+    // answered from the warm-loaded store — the session's memo, primed —
+    // re-priced under the current model, and counted as such; the
+    // mismatched record was refused, so its layer is searched.
     let handle = start(ServeConfig::new(&socket).with_store(&store));
     let mut client = Client::connect(&socket);
     let again = client.schedule(&layers[0]);
     assert_eq!(source_of(&again), "store");
     assert_eq!(fp_of(&again), fp, "restart changed the served mapping");
+    let edp = |r: &Json| r.get("edp").and_then(Json::as_f64).expect("edp").to_bits();
+    assert_eq!(edp(&again), edp(&first), "a stored cost is never trusted");
+    let refused = client.schedule(&layers[1]);
+    assert_eq!(source_of(&refused), "search");
+    assert_eq!(fp_of(&refused), reference_fps(&layers[1..2])[0]);
     let stats = client.stats();
     assert_eq!(stats.get("store_hits").and_then(Json::as_f64), Some(1.0));
-    assert_eq!(stats.get("searches").and_then(Json::as_f64), Some(0.0));
-    assert_eq!(stats.get("store").and_then(|s| s.get("loaded")).and_then(Json::as_f64), Some(1.0));
+    assert_eq!(stats.get("searches").and_then(Json::as_f64), Some(1.0));
+    assert_eq!(stats.get("memo_entries").and_then(Json::as_f64), Some(2.0));
+    let store_stats = stats.get("store").expect("store stats");
+    assert_eq!(store_stats.get("loaded").and_then(Json::as_f64), Some(1.0));
+    assert_eq!(store_stats.get("load_skipped").and_then(Json::as_f64), Some(1.0));
     client.shutdown();
     handle.join().unwrap();
 }

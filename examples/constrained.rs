@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Free search: the scheduler may unroll and order anything.
     let free = session.schedule(&workload, &arch)?;
 
-    // Constrained search: the same session, same cache, but every fabric
+    // Constrained search: the same session, but every fabric
     // may only unroll C and K. Templates expand to plain constraints, so
     // `DataflowTemplate::WeightStationaryCK.constraints(&arch)` and a
     // hand-built `MappingConstraints` behave identically.

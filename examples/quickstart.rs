@@ -22,9 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    machine (32×32 PEs, 512 B L1, 3.1 MB L2).
     let arch = presets::conventional();
 
-    // 3. Open a scheduling session and schedule. The session owns a
-    //    cross-call estimate cache, so follow-up calls on similar shapes
-    //    get cheaper; `SunstoneConfig::builder()` validates knobs up front.
+    // 3. Open a scheduling session and schedule. The session memoizes
+    //    each context's result, so asking again about the same shape costs
+    //    microseconds; `SunstoneConfig::builder()` validates knobs up front.
     let session = Scheduler::new(SunstoneConfig::builder().build()?);
     let result = session.schedule(&workload, &arch)?;
 

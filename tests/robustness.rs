@@ -72,7 +72,7 @@ fn tiny_l1() -> ArchSpec {
 }
 
 /// The degenerate corner of the configuration space: beam width 1, both
-/// enumeration caps 1, deterministic single thread, cache off.
+/// enumeration caps 1, deterministic single thread.
 fn minimal_config(direction: Direction) -> SunstoneConfig {
     SunstoneConfig {
         direction,
@@ -80,7 +80,6 @@ fn minimal_config(direction: Direction) -> SunstoneConfig {
         threads: 1,
         max_tiles_per_enum: 1,
         max_unrolls_per_enum: 1,
-        estimate_cache: false,
         ..SunstoneConfig::default()
     }
 }
@@ -118,7 +117,7 @@ fn degenerate_grid_never_panics() {
         ("minimal_bottom_up", minimal_config(Direction::BottomUp)),
         ("minimal_top_down", minimal_config(Direction::TopDown)),
         (
-            "caps_1_cache_on",
+            "caps_1_two_threads",
             SunstoneConfig {
                 max_tiles_per_enum: 1,
                 max_unrolls_per_enum: 1,
