@@ -50,18 +50,19 @@ cargo run --release -p sunstone-bench --bin bench_schedule -- quick --out BENCH_
 python3 - <<'EOF'
 import json
 d = json.load(open("BENCH_schedule_quick.json"))
-assert d.get("schema") == "sunstone-bench-schedule/v7", d.get("schema")
+assert d.get("schema") == "sunstone-bench-schedule/v8", d.get("schema")
 assert d.get("layers"), "no layers recorded"
 for row in d["layers"]:
     for field in (
         "name", "cold_ms", "repeat_us", "best_edp",
-        "probed", "modeled", "prefix_hit_rate", "mapping_fp",
-        "phase_ms",
+        "probed", "modeled", "nodes_explored", "capacity_probes",
+        "prefix_hit_rate", "mapping_fp", "phase_ms",
     ):
         assert field in row, f"missing {field} in {row.get('name', '?')}"
     for phase in (
-        "expand", "dedup", "estimate", "estimate_prefix", "estimate_price",
-        "estimate_publish", "select", "uncovered_share",
+        "expand", "expand_tiles", "expand_unrolls", "dedup", "estimate",
+        "estimate_prefix", "estimate_price", "estimate_publish", "select",
+        "uncovered_share",
     ):
         assert phase in row["phase_ms"], f"missing {phase} in {row['name']}"
     assert row["cold_ms"] > 0 and row["repeat_us"] > 0, row["name"]
@@ -88,15 +89,17 @@ checked = sum(1 for r in d["layers"] if r["name"] in base)
 assert checked > 0, "no quick layer found in the baseline — gate is vacuous"
 # Count gate: a search's counters do not depend on session history (it
 # owns its tables; these rows are each layer's first call, a search), so
-# a quick layer must probe and model exactly what the committed full-mode
-# row did. A refactor that changes *which* candidates are built, not only
-# how, fails here even when the winning mapping survives.
+# a quick layer must probe, model and explore exactly what the committed
+# full-mode row did. A refactor that changes *which* candidates are built,
+# not only how, fails here even when the winning mapping survives; and
+# `nodes_explored` — computed per lattice column by the frontier walk, not
+# walked — must still equal the count a walk of every node would give.
 committed = json.load(open("BENCH_schedule.json"))
 committed_rows = {r["name"]: r for r in committed["layers"]}
 drifted = [
     f"{r['name']}: {key} {r[key]} != {committed_rows[r['name']][key]}"
     for r in d["layers"]
-    for key in ("probed", "modeled")
+    for key in ("probed", "modeled", "nodes_explored")
     if r[key] != committed_rows[r["name"]][key]
 ]
 assert not drifted, "search counters drifted from BENCH_schedule.json:\n" + "\n".join(drifted)

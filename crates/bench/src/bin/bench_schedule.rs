@@ -40,6 +40,11 @@ struct LayerRow {
     mapping: String,
     probed: u64,
     modeled: u64,
+    /// Tile and unrolling lattice nodes the search spans (replayed on a
+    /// memo hit, so the logical count).
+    nodes_explored: u64,
+    /// Calls of the enumerators' `fits` predicates (the work done).
+    capacity_probes: u64,
     /// Fraction of the model evaluations that reused a memoized
     /// decided-prefix cost.
     prefix_hit_rate: f64,
@@ -47,11 +52,14 @@ struct LayerRow {
     phase_ms: PhaseMs,
 }
 
-/// `LevelStats::{expand, dedup, estimate, select}` — and the three parts
-/// `estimate` splits into — summed over stages and over the runs added, in
-/// milliseconds, plus the wall time the four phases are a split of.
+/// `LevelStats::{expand, dedup, estimate, select}` — and the parts
+/// `expand` and `estimate` split into — summed over stages and over the
+/// runs added, in milliseconds, plus the wall time the four phases are a
+/// split of.
 struct PhaseMs {
     expand: f64,
+    expand_tiles: f64,
+    expand_unrolls: f64,
     dedup: f64,
     estimate: f64,
     estimate_prefix: f64,
@@ -66,6 +74,8 @@ impl PhaseMs {
         let sum = |phase: fn(&LevelStats) -> Duration| stats.levels.iter().map(phase).map(ms).sum();
         PhaseMs {
             expand: sum(|l| l.expand),
+            expand_tiles: sum(|l| l.expand_tiles),
+            expand_unrolls: sum(|l| l.expand_unrolls),
             dedup: sum(|l| l.dedup),
             estimate: sum(|l| l.estimate),
             estimate_prefix: sum(|l| l.estimate_prefix),
@@ -82,10 +92,13 @@ impl PhaseMs {
         let covered = self.expand + self.dedup + self.estimate + self.select;
         let uncovered = if self.wall > 0.0 { 1.0 - covered / self.wall } else { 0.0 };
         format!(
-            "{{\"expand\": {:.3}, \"dedup\": {:.3}, \"estimate\": {:.3}, \
+            "{{\"expand\": {:.3}, \"expand_tiles\": {:.3}, \"expand_unrolls\": {:.3}, \
+             \"dedup\": {:.3}, \"estimate\": {:.3}, \
              \"estimate_prefix\": {:.3}, \"estimate_price\": {:.3}, \
              \"estimate_publish\": {:.3}, \"select\": {:.3}, \"uncovered_share\": {:.4}}}",
             self.expand,
+            self.expand_tiles,
+            self.expand_unrolls,
             self.dedup,
             self.estimate,
             self.estimate_prefix,
@@ -217,6 +230,8 @@ fn main() {
             mapping: first.mapping.to_string(),
             probed: stats.probed,
             modeled,
+            nodes_explored: stats.nodes_explored,
+            capacity_probes: stats.capacity_probes,
             prefix_hit_rate: ratio(stats.prefix_hits, modeled),
             phase_ms: PhaseMs::of(stats, cold_ms),
         });
@@ -327,7 +342,7 @@ fn main() {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v7\",");
+    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v8\",");
     let _ = writeln!(json, "  \"mode\": \"{}\",", if quick { "quick" } else { "full" });
     let _ = writeln!(json, "  \"arch\": \"{}\",", esc(arch.name()));
     let _ = writeln!(json, "  \"reps\": {reps},");
@@ -341,6 +356,8 @@ fn main() {
         let _ = writeln!(json, "      \"best_edp\": {:.6e},", r.best_edp);
         let _ = writeln!(json, "      \"probed\": {},", r.probed);
         let _ = writeln!(json, "      \"modeled\": {},", r.modeled);
+        let _ = writeln!(json, "      \"nodes_explored\": {},", r.nodes_explored);
+        let _ = writeln!(json, "      \"capacity_probes\": {},", r.capacity_probes);
         let _ = writeln!(json, "      \"prefix_hit_rate\": {:.4},", r.prefix_hit_rate);
         let _ = writeln!(json, "      \"phase_ms\": {},", r.phase_ms.json());
         let _ = writeln!(json, "      \"mapping_fp\": {},", r.mapping_fp);

@@ -8,8 +8,10 @@
 //! considered and kept (ordering trie, tiling maximal frontier, spatial
 //! unrolling, dedup, beam cut), how the search's estimate table fared —
 //! including the SoA batch width of the estimate rounds — and where the
-//! stage's wall time went (expand / dedup / estimate — with its prefix /
-//! price / publish parts — / select).
+//! stage's wall time went (expand — with its tile and unroll
+//! enumerations — / dedup / estimate — with its prefix / price / publish
+//! parts — / select), and how many lattice nodes the tile and unroll
+//! enumerators spanned against the capacity probes they made.
 //!
 //! Run with `cargo run --release -p sunstone-bench --bin prune_stats`
 //! (append `quick` for a subsampled run).
@@ -27,16 +29,16 @@ fn pct(c: &PruneCounter) -> f64 {
 
 fn print_level_table(stats: &SearchStats) {
     println!(
-        "    {:<5} {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>6} {:>9} {:>7} {:>7}   {:>6}   {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "    {:<5} {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>6} {:>9} {:>7} {:>7}   {:>6}   {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "level", "ord.cons", "kept", "pruned", "tile.cons", "kept", "pruned", "unr.cons", "kept",
-        "pruned", "dedup", "beam.cons", "kept", "cut", "hit%", "expand.ms", "dedup.ms", "estim.ms",
-        "e.prefix", "e.price", "e.publ", "selec.ms"
+        "pruned", "dedup", "beam.cons", "kept", "cut", "hit%", "expand.ms", "x.tiles", "x.unrol",
+        "dedup.ms", "estim.ms", "e.prefix", "e.price", "e.publ", "selec.ms"
     );
     for l in &stats.levels {
         let probes = l.cache_hits + l.cache_misses;
         let hit = if probes == 0 { 0.0 } else { 100.0 * l.cache_hits as f64 / probes as f64 };
         println!(
-            "    L{:<4} {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>6} {:>9} {:>7} {:>7} {:>5.1}%   {:>9.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
+            "    L{:<4} {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>6} {:>9} {:>7} {:>7} {:>5.1}%   {:>9.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
             l.level,
             l.ordering.considered,
             l.ordering.kept,
@@ -53,6 +55,8 @@ fn print_level_table(stats: &SearchStats) {
             l.beam.pruned(),
             hit,
             l.expand.as_secs_f64() * 1e3,
+            l.expand_tiles.as_secs_f64() * 1e3,
+            l.expand_unrolls.as_secs_f64() * 1e3,
             l.dedup.as_secs_f64() * 1e3,
             l.estimate.as_secs_f64() * 1e3,
             l.estimate_prefix.as_secs_f64() * 1e3,
@@ -70,6 +74,8 @@ fn merge_into(total: &mut SearchStats, s: &SearchStats) {
     total.batches += s.batches;
     total.batched += s.batched;
     total.rounds += s.rounds;
+    total.nodes_explored += s.nodes_explored;
+    total.capacity_probes += s.capacity_probes;
     total.cache_hits += s.cache_hits;
     total.cache_misses += s.cache_misses;
     for l in &s.levels {
@@ -90,6 +96,8 @@ fn merge_into(total: &mut SearchStats, s: &SearchStats) {
         tl.cache_hits += l.cache_hits;
         tl.cache_misses += l.cache_misses;
         tl.expand += l.expand;
+        tl.expand_tiles += l.expand_tiles;
+        tl.expand_unrolls += l.expand_unrolls;
         tl.dedup += l.dedup;
         tl.estimate += l.estimate;
         tl.estimate_prefix += l.estimate_prefix;
@@ -112,11 +120,13 @@ fn main() {
         let no_reuse: u64 = r.stats.levels.iter().map(|l| l.ordering_no_reuse).sum();
         let dominated: u64 = r.stats.levels.iter().map(|l| l.ordering_dominated).sum();
         println!(
-            "  {:<10} probed {:>6} (modeled {:>5}), beam cut {:>6}, ordering rejections: {} no-reuse (P3), {} dominated (P1–2)",
+            "  {:<10} probed {:>6} (modeled {:>5}), beam cut {:>6}, nodes explored {:>7} ({:>6} capacity probes), ordering rejections: {} no-reuse (P3), {} dominated (P1–2)",
             layer.name,
             r.stats.probed,
             r.stats.modeled,
             r.stats.beam_cut(),
+            r.stats.nodes_explored,
+            r.stats.capacity_probes,
             no_reuse,
             dominated,
         );
@@ -168,6 +178,10 @@ fn main() {
         total.batches,
         if total.batches == 0 { 0.0 } else { total.batched as f64 / total.batches as f64 },
         if total.modeled == 0 { 0.0 } else { 100.0 * total.batched as f64 / total.modeled as f64 }
+    );
+    println!(
+        "  enumerators:      {:>8} nodes explored, {:>6} capacity probes",
+        total.nodes_explored, total.capacity_probes
     );
     println!("  worker pool:      {:>8} rounds", total.rounds);
     println!(

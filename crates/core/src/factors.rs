@@ -88,14 +88,6 @@ pub fn sorted_divisors(q: u64) -> Vec<u64> {
     divs
 }
 
-/// The smallest divisor in the sorted list strictly above `current`.
-pub(crate) fn next_divisor(divisors: &[u64], current: u64) -> Option<u64> {
-    match divisors.binary_search(&current) {
-        Ok(i) => divisors.get(i + 1).copied(),
-        Err(i) => divisors.get(i).copied(),
-    }
-}
-
 /// Precomputed sorted divisor ladders for every quota a search over the
 /// given dimension extents can encounter.
 ///
@@ -209,16 +201,6 @@ mod tests {
         assert_eq!(sorted_divisors(12), vec![1, 2, 3, 4, 6, 12]);
         assert_eq!(sorted_divisors(1), vec![1]);
         assert_eq!(sorted_divisors(7), vec![1, 7]);
-    }
-
-    #[test]
-    fn next_divisor_steps_the_ladder() {
-        let d = sorted_divisors(12);
-        assert_eq!(next_divisor(&d, 1), Some(2));
-        assert_eq!(next_divisor(&d, 4), Some(6));
-        assert_eq!(next_divisor(&d, 12), None);
-        // A current value off the ladder snaps to the next entry above.
-        assert_eq!(next_divisor(&d, 5), Some(6));
     }
 
     #[test]

@@ -72,7 +72,8 @@
 //!   loop (`compose`, the `LevelPass` trait). [`search::stats`] holds
 //!   the per-level, per-principle pruning statistics.
 //! * [`ordering`], [`tiling`], [`unrolling`] — the three per-level
-//!   enumerators and their pruning principles.
+//!   enumerators and their pruning principles; the last two walk the
+//!   divisor lattice of the private `lattice` module.
 //! * [`fingerprint`] — stable workload/architecture/config fingerprints
 //!   (the result memo's key and the batch dedup key).
 //! * [`progress`] — per-call controls: [`CancelToken`], [`ProgressSink`].
@@ -97,6 +98,7 @@ pub mod factors;
 #[cfg(feature = "fault-injection")]
 pub mod faultpoint;
 pub mod fingerprint;
+mod lattice;
 pub mod network;
 pub mod ordering;
 mod pool;

@@ -11,6 +11,7 @@
 
 use std::ops::RangeInclusive;
 use std::sync::Arc;
+use std::time::Instant;
 
 use sunstone_arch::LevelId;
 use sunstone_ir::{DimId, DimSet, DimVec};
@@ -349,6 +350,7 @@ pub(crate) fn top_down_expand(
                 tile_base[d] = v;
                 allowed = allowed.without(DimId::from_index(d));
             }
+            let clock = Instant::now();
             let outcome = enumerate_tiles_cached(
                 &tile_base,
                 &q,
@@ -362,12 +364,13 @@ pub(crate) fn top_down_expand(
                 ctx.config.pruning.tiling_maximal,
                 &ctx.ladders,
             );
+            let elapsed = clock.elapsed();
             stats.nodes_explored += outcome.explored as u64;
+            stats.capacity_probes += outcome.probes as u64;
             stats.tiles += outcome.tiles.len() as u64;
-            stats
-                .level_mut(stage)
-                .tiling
-                .record(outcome.explored as u64, outcome.tiles.len() as u64);
+            let level = stats.level_mut(stage);
+            level.expand_tiles += elapsed;
+            level.tiling.record(outcome.explored as u64, outcome.tiles.len() as u64);
             // Keep everything if no tile can feed the fabrics below.
             let any_feeds = outcome.tiles.iter().any(|t| t.volume() >= reserve);
             for tile in outcome.tiles.iter().filter(|t| !any_feeds || t.volume() >= reserve) {
@@ -615,6 +618,7 @@ fn tiles_with_allowed(
     // the unrollable dimensions can offer at all.
     let want =
         u128::from(reserve).min(unrollable.iter().map(|d| u128::from(quotas[d.index()])).product());
+    let clock = Instant::now();
     let outcome = enumerate_tiles_cached(
         &base,
         &quotas,
@@ -642,7 +646,9 @@ fn tiles_with_allowed(
         ctx.config.pruning.tiling_maximal,
         &ctx.ladders,
     );
+    let elapsed = clock.elapsed();
     stats.nodes_explored += outcome.explored as u64;
+    stats.capacity_probes += outcome.probes as u64;
     let mut tiles = outcome.tiles;
     if tiles.len() > ctx.config.max_tiles_per_enum {
         // Keep the largest tiles: maximal-frontier members with the
@@ -651,7 +657,9 @@ fn tiles_with_allowed(
         tiles.truncate(ctx.config.max_tiles_per_enum);
     }
     stats.tiles += tiles.len() as u64;
-    stats.level_mut(stage).tiling.record(outcome.explored as u64, tiles.len() as u64);
+    let level = stats.level_mut(stage);
+    level.expand_tiles += elapsed;
+    level.tiling.record(outcome.explored as u64, tiles.len() as u64);
     let tiles: Arc<[DimVec]> = tiles.into();
     memo.tiles.insert(
         memo_key,
@@ -806,6 +814,7 @@ fn unrolls_for(
                     .collect();
                 ctx.fits_mem(mem_pos, &combined)
             };
+            let clock = Instant::now();
             let mut outcome = enumerate_unrollings_cached(
                 &q,
                 principled,
@@ -836,19 +845,21 @@ fn unrolls_for(
                     &ctx.ladders,
                 );
                 outcome.explored += wide.explored;
+                outcome.probes += wide.probes;
                 outcome.unrollings.extend(wide.unrollings);
             }
+            let elapsed = clock.elapsed();
             stats.nodes_explored += outcome.explored as u64;
+            stats.capacity_probes += outcome.probes as u64;
             let mut unrollings = outcome.unrollings;
             if unrollings.len() > ctx.config.max_unrolls_per_enum {
                 unrollings.sort_by_key(|u| std::cmp::Reverse(u.volume()));
                 unrollings.truncate(ctx.config.max_unrolls_per_enum);
             }
             stats.unrollings += unrollings.len() as u64;
-            stats
-                .level_mut(stage)
-                .unrolling
-                .record(outcome.explored as u64, unrollings.len() as u64);
+            let level = stats.level_mut(stage);
+            level.expand_unrolls += elapsed;
+            level.unrolling.record(outcome.explored as u64, unrollings.len() as u64);
             for u in &unrollings {
                 next.push(multiply(&prev_eff, u));
             }
@@ -913,6 +924,7 @@ fn top_down_unrolls(
             let prev_eff =
                 if lc.unroll_pins.is_empty() { prev.clone() } else { multiply(prev, &pin_vec) };
             let q = if lc.unroll_pins.is_empty() { q } else { divide(&q, &pin_vec) };
+            let clock = Instant::now();
             let outcome = enumerate_unrollings_cached(
                 &q,
                 allowed,
@@ -922,17 +934,18 @@ fn top_down_unrolls(
                 ctx.config.pruning.unrolling_principle,
                 &ctx.ladders,
             );
+            let elapsed = clock.elapsed();
             stats.nodes_explored += outcome.explored as u64;
+            stats.capacity_probes += outcome.probes as u64;
             let mut unrollings = outcome.unrollings;
             if unrollings.len() > ctx.config.max_unrolls_per_enum {
                 unrollings.sort_by_key(|u| std::cmp::Reverse(u.volume()));
                 unrollings.truncate(ctx.config.max_unrolls_per_enum);
             }
             stats.unrollings += unrollings.len() as u64;
-            stats
-                .level_mut(stage)
-                .unrolling
-                .record(outcome.explored as u64, unrollings.len() as u64);
+            let level = stats.level_mut(stage);
+            level.expand_unrolls += elapsed;
+            level.unrolling.record(outcome.explored as u64, unrollings.len() as u64);
             for u in unrollings {
                 next.push(multiply(&prev_eff, &u));
             }

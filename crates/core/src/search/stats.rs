@@ -91,6 +91,15 @@ pub struct LevelStats {
     /// candidate; the four phases leave only the stage's control checks
     /// and progress events unattributed.
     pub expand: Duration,
+    /// Part of `expand`: the tile enumerations this stage actually ran
+    /// (memo hits replay theirs and are not timed). One clock pair per
+    /// enumeration, never per node.
+    #[serde(default)]
+    pub expand_tiles: Duration,
+    /// Part of `expand`: the unrolling enumerations this stage actually
+    /// ran, timed like `expand_tiles`.
+    #[serde(default)]
+    pub expand_unrolls: Duration,
     /// Wall time of duplicate elimination over the candidate rows.
     pub dedup: Duration,
     /// Wall time of the estimate round: table probes plus, for the
@@ -147,8 +156,16 @@ pub struct SearchStats {
     pub tiles: u64,
     /// Spatial unrollings considered across all stages.
     pub unrollings: u64,
-    /// Trie / tree nodes explored while enumerating.
+    /// Trie / tree nodes explored while enumerating: the logical count,
+    /// replayed from the search's enumeration memos on a hit so it reads as
+    /// if every beam parent had enumerated for itself.
     pub nodes_explored: u64,
+    /// Calls of the tile and unrolling enumerators' `fits` predicates — the
+    /// capacity probes actually made, beside the replayed
+    /// [`nodes_explored`](Self::nodes_explored): a memo hit adds none. 0 on
+    /// a result the session answered from its memo.
+    #[serde(default)]
+    pub capacity_probes: u64,
     /// Estimates served from the search's estimate table (including the
     /// final top-k re-evaluation).
     pub cache_hits: u64,
@@ -173,13 +190,14 @@ impl SearchStats {
 
     /// These statistics as a call answered from the session's result memo
     /// reports them: the space the producing search visited, none of it
-    /// priced for this call. `modeled`, `prefix_hits`, `batches` and
-    /// `batched` read 0, and every estimate request — in total and per
-    /// level — reads as served from memory. Everything else, the timers
-    /// included, is the producing search's.
+    /// priced or probed for this call. `modeled`, `prefix_hits`, `batches`,
+    /// `batched` and `capacity_probes` read 0, and every estimate request —
+    /// in total and per level — reads as served from memory. Everything
+    /// else, the timers included, is the producing search's.
     pub(crate) fn remembered(&self) -> SearchStats {
         let mut stats = self.clone();
         (stats.modeled, stats.prefix_hits, stats.batches, stats.batched) = (0, 0, 0, 0);
+        stats.capacity_probes = 0;
         stats.cache_hits += std::mem::take(&mut stats.cache_misses);
         for level in &mut stats.levels {
             level.cache_hits += std::mem::take(&mut level.cache_misses);

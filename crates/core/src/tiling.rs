@@ -9,10 +9,11 @@
 
 use std::borrow::Cow;
 
-use sunstone_ir::{DimSet, DimVec, FxHashSet};
+use sunstone_ir::{DimSet, DimVec};
 
 pub use crate::factors::sorted_divisors;
-use crate::factors::{next_divisor, DivisorLadders};
+use crate::factors::DivisorLadders;
+use crate::lattice;
 
 /// Result of a tiling-tree enumeration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,8 +21,12 @@ pub struct TilingOutcome {
     /// The surviving resident tiles (per-dimension extents, including the
     /// base).
     pub tiles: Vec<DimVec>,
-    /// Number of tree nodes explored (for search-space statistics).
+    /// Number of tree nodes explored (for search-space statistics): every
+    /// tile the tree spans that fits, the base included — computed, not
+    /// walked (see [`enumerate_tiles`]).
     pub explored: usize,
+    /// Calls of `fits` the enumeration made.
+    pub probes: usize,
 }
 
 /// Enumerates tiles reachable from `base` by growing the `allowed`
@@ -33,12 +38,17 @@ pub struct TilingOutcome {
 ///   `base[d] × f` with `f` a divisor of `quota[d]`.
 /// * `allowed` — dimensions that may grow (the reused operand's indexing
 ///   dimensions, per the Tiling Principle).
-/// * `fits` — capacity predicate over the full resident tile.
+/// * `fits` — capacity predicate over the full resident tile. It must be
+///   monotone: if a tile fits, every tile it contains fits. The maximal
+///   frontier is found by bisecting along the lattice, which trusts that.
 /// * `maximal_only` — when `true` (the Tiling Principle), prune every node
 ///   with a fitting child; when `false`, return all fitting tiles
 ///   (ablation mode).
 ///
-/// Returns an empty tile list when even `base` does not fit.
+/// `explored` is the size of the fitting lattice the tree spans, computed
+/// per projection point of the frontier walk rather than walked; it equals
+/// the node count of a depth-first walk of the tree. Returns an empty tile
+/// list (one node explored) when even `base` does not fit.
 pub fn enumerate_tiles(
     base: &[u64],
     quota: &[u64],
@@ -51,9 +61,10 @@ pub fn enumerate_tiles(
     enumerate_with_divisors(base, quota, allowed, fits, maximal_only, &divisors)
 }
 
-/// As [`enumerate_tiles`], with the per-dimension divisor ladders served
-/// from a precomputed [`DivisorLadders`] table instead of trial division
-/// per call — the search pipeline's hot variant.
+/// As [`enumerate_tiles`] (same contract on `fits` and `explored`), with
+/// the per-dimension divisor ladders served from a precomputed
+/// [`DivisorLadders`] table instead of trial division per call — the
+/// search pipeline's hot variant.
 pub fn enumerate_tiles_cached(
     base: &[u64],
     quota: &[u64],
@@ -73,45 +84,28 @@ fn enumerate_with_divisors(
     maximal_only: bool,
     divisors: &[Cow<'_, [u64]>],
 ) -> TilingOutcome {
-    let n = base.len();
-    debug_assert_eq!(quota.len(), n);
-    if !fits(base) {
-        return TilingOutcome { tiles: Vec::new(), explored: 1 };
-    }
-
-    let mut seen: FxHashSet<DimVec> = FxHashSet::default();
-    let mut stack: Vec<DimVec> = Vec::new();
-    let root = DimVec::ones(n);
-    seen.insert(root.clone());
-    stack.push(root);
-
-    let mut tiles = Vec::new();
-    let mut explored = 0usize;
-    let mut tile_buf = DimVec::splat(0, n);
-    while let Some(factors) = stack.pop() {
-        explored += 1;
-        let mut any_child_fits = false;
-        for d in allowed.iter() {
-            let i = d.index();
-            let Some(next) = next_divisor(&divisors[i], factors[i]) else { continue };
-            let mut child = factors.clone();
-            child[i] = next;
-            for (b, (&c, t)) in base.iter().zip(child.iter().zip(tile_buf.iter_mut())) {
-                *t = b * c;
-            }
-            if fits(&tile_buf) {
-                any_child_fits = true;
-                if seen.insert(child.clone()) {
-                    stack.push(child);
-                }
-            }
+    debug_assert_eq!(quota.len(), base.len());
+    let mut probes = 0;
+    let mut tile = DimVec::from_slice(base);
+    // A saturated extent is past any capacity, so saturating keeps `fits`
+    // monotone on tiles the frontier probes far above the boundary.
+    let mut fits_grown = |factors: &[u64]| {
+        probes += 1;
+        for ((t, &b), &f) in tile.iter_mut().zip(base).zip(factors) {
+            *t = b.saturating_mul(f);
         }
-        if !any_child_fits || !maximal_only {
-            let tile: DimVec = base.iter().zip(&factors).map(|(b, f)| b * f).collect();
-            tiles.push(tile);
-        }
+        fits(&tile)
+    };
+    if !fits_grown(&DimVec::ones(base.len())) {
+        return TilingOutcome { tiles: Vec::new(), explored: 1, probes };
     }
-    TilingOutcome { tiles, explored }
+    let walk = lattice::walk(divisors, allowed, &mut fits_grown, maximal_only);
+    let tiles = walk
+        .nodes
+        .iter()
+        .map(|factors| base.iter().zip(factors).map(|(b, f)| b * f).collect())
+        .collect();
+    TilingOutcome { tiles, explored: walk.explored, probes }
 }
 
 #[cfg(test)]

@@ -9,9 +9,10 @@
 
 use std::borrow::Cow;
 
-use sunstone_ir::{DimSet, DimVec, FxHashSet};
+use sunstone_ir::{DimSet, DimVec};
 
 use crate::factors::DivisorLadders;
+use crate::lattice;
 use crate::tiling::sorted_divisors;
 
 /// Result of an unrolling enumeration.
@@ -19,8 +20,12 @@ use crate::tiling::sorted_divisors;
 pub struct UnrollingOutcome {
     /// Surviving unroll-factor vectors (one entry per workload dimension).
     pub unrollings: Vec<DimVec>,
-    /// Number of combinations explored (for search-space statistics).
+    /// Number of combinations explored (for search-space statistics):
+    /// every feasible combination, the identity included — computed, not
+    /// walked (see [`enumerate_unrollings`]).
     pub explored: usize,
+    /// Calls of `fits` the enumeration made.
+    pub probes: usize,
 }
 
 /// Enumerates unroll-factor vectors for one spatial level.
@@ -31,11 +36,19 @@ pub struct UnrollingOutcome {
 ///   the fabric's reduction capability.
 /// * `units` — fabric size; the factor product may not exceed it.
 /// * `fits` — additional predicate over the unroll vector (e.g. shared
-///   child-memory capacity).
+///   child-memory capacity). It must be monotone: if a vector fits, every
+///   vector it divides fits. The maximal unrollings are found by bisecting
+///   along the lattice, which trusts that.
 /// * `min_utilization` — candidates below this busy fraction are dropped
 ///   unless nothing reaches it ("high throughput" constraint).
 /// * `maximal_only` — when `true`, prune any vector that can still grow in
 ///   one dimension; when `false`, keep every feasible vector.
+///
+/// A vector is feasible when its product is at most `units` and it fits;
+/// the identity only has to fit. `explored` is the size of the feasible
+/// lattice, computed per projection point of the frontier walk rather
+/// than walked; it equals the node count of a depth-first walk. Returns
+/// nothing (one node explored) when the identity does not fit.
 pub fn enumerate_unrollings(
     quota: &[u64],
     allowed: DimSet,
@@ -49,9 +62,9 @@ pub fn enumerate_unrollings(
     enumerate_with_divisors(quota, allowed, units, fits, min_utilization, maximal_only, &divisors)
 }
 
-/// As [`enumerate_unrollings`], with divisor ladders served from a
-/// precomputed [`DivisorLadders`] table — the search pipeline's hot
-/// variant.
+/// As [`enumerate_unrollings`] (same contract on `fits` and `explored`),
+/// with divisor ladders served from a precomputed [`DivisorLadders`]
+/// table — the search pipeline's hot variant.
 #[allow(clippy::too_many_arguments)]
 pub fn enumerate_unrollings_cached(
     quota: &[u64],
@@ -83,40 +96,21 @@ fn enumerate_with_divisors(
     maximal_only: bool,
     divisors: &[Cow<'_, [u64]>],
 ) -> UnrollingOutcome {
-    let n = quota.len();
-    let ones = DimVec::ones(n);
-    if !fits(&ones) {
-        return UnrollingOutcome { unrollings: Vec::new(), explored: 1 };
+    let mut probes = 0;
+    let mut fits_counted = |f: &[u64]| {
+        probes += 1;
+        fits(f)
+    };
+    if !fits_counted(&DimVec::ones(quota.len())) {
+        return UnrollingOutcome { unrollings: Vec::new(), explored: 1, probes };
     }
-
-    let mut seen: FxHashSet<DimVec> = FxHashSet::default();
-    let mut stack = vec![ones.clone()];
-    seen.insert(ones);
-    let mut explored = 0usize;
-    let mut frontier: Vec<DimVec> = Vec::new();
-    while let Some(f) = stack.pop() {
-        explored += 1;
-        let used: u64 = f.iter().product();
-        let mut can_grow = false;
-        for d in allowed.iter() {
-            let i = d.index();
-            let Some(&next) = divisors[i].iter().find(|&&x| x > f[i] && used / f[i] * x <= units)
-            else {
-                continue;
-            };
-            let mut child = f.clone();
-            child[i] = next;
-            if fits(&child) {
-                can_grow = true;
-                if seen.insert(child.clone()) {
-                    stack.push(child);
-                }
-            }
-        }
-        if !can_grow || !maximal_only {
-            frontier.push(f);
-        }
-    }
+    // An overflowing product is past any fabric.
+    let within_units = |f: &[u64]| {
+        f.iter().try_fold(1u64, |used, &x| used.checked_mul(x)).is_some_and(|u| u <= units)
+    };
+    let walk =
+        lattice::walk(divisors, allowed, |f| within_units(f) && fits_counted(f), maximal_only);
+    let frontier = walk.nodes;
 
     // High-throughput filter: keep candidates at or above the utilization
     // floor; if none qualify, keep the best achieved.
@@ -124,7 +118,7 @@ fn enumerate_with_divisors(
     let best = frontier.iter().map(&util).fold(0.0f64, f64::max);
     let floor = if best >= min_utilization { min_utilization } else { best };
     let unrollings: Vec<DimVec> = frontier.into_iter().filter(|f| util(f) >= floor).collect();
-    UnrollingOutcome { unrollings, explored }
+    UnrollingOutcome { unrollings, explored: walk.explored, probes }
 }
 
 /// Computes the dimensions the Unrolling Principle forbids: the

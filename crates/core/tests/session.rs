@@ -35,6 +35,8 @@ fn witness(r: &ScheduleResult) -> Witness {
     stats.elapsed = Duration::ZERO;
     for l in &mut stats.levels {
         l.expand = Duration::ZERO;
+        l.expand_tiles = Duration::ZERO;
+        l.expand_unrolls = Duration::ZERO;
         l.dedup = Duration::ZERO;
         l.estimate = Duration::ZERO;
         l.estimate_prefix = Duration::ZERO;
@@ -47,12 +49,13 @@ fn witness(r: &ScheduleResult) -> Witness {
 
 /// What the session's memo answers for a context whose search returned
 /// `searched`: the same mapping, report and enumeration counters, with the
-/// model columns struck out — nothing modeled for the call, every estimate
-/// request served from memory. Applied to both sides it is the part of a
+/// model and capacity-probe columns struck out — nothing modeled or probed
+/// for the call, every estimate request served from memory. Applied to both sides it is the part of a
 /// witness that may not depend on whether the call searched or hit.
 fn remembered(searched: &Witness) -> Witness {
     let (mapping, report, mut stats) = searched.clone();
     (stats.modeled, stats.prefix_hits, stats.batches, stats.batched) = (0, 0, 0, 0);
+    stats.capacity_probes = 0;
     stats.cache_hits += stats.cache_misses;
     stats.cache_misses = 0;
     for l in &mut stats.levels {

@@ -429,7 +429,7 @@ impl Server {
 /// record (see the module docs).
 fn warm_load(state: &ServeState) {
     let Some(store) = &state.store else { return };
-    let records: Vec<StoreRecord> = lock_recover(store).iter().cloned().collect();
+    let records: Vec<StoreRecord> = lock_recover(store).iter().collect();
     for rec in records {
         let loaded = (|| {
             let arch = wire::arch_by_name(&rec.arch)?;

@@ -192,8 +192,11 @@ pub struct MappingStore {
     dir: PathBuf,
     shards: usize,
     fsync: FsyncPolicy,
-    /// Latest record per context fingerprint.
-    records: HashMap<u64, StoreRecord>,
+    /// Latest record per context fingerprint, as its verified v2 line. A
+    /// daemon appends one record per search it serves; parsed, a record's
+    /// workload and mapping trees take about eight times the memory of
+    /// the line, which compaction writes back verbatim anyway.
+    records: HashMap<u64, String>,
     /// Open appenders, one per shard (lazily created).
     writers: Vec<Option<BufWriter<File>>>,
     /// Per-shard last-fsync instant, for [`FsyncPolicy::Interval`].
@@ -342,7 +345,8 @@ impl MappingStore {
             };
             match parsed {
                 Some(rec) => {
-                    self.records.insert(rec.ctx_fp, rec);
+                    let v2 = if schema == SCHEMA { line } else { rec.to_line() };
+                    self.records.insert(rec.ctx_fp, v2);
                 }
                 // A torn tail (unclean shutdown), a flipped bit, or any
                 // other garbage: quarantine and count, never fail the
@@ -368,14 +372,17 @@ impl MappingStore {
         StoreStats { records: self.records.len(), ..self.stats }
     }
 
-    /// The latest record for `ctx_fp`, if any.
-    pub fn get(&self, ctx_fp: u64) -> Option<&StoreRecord> {
-        self.records.get(&ctx_fp)
+    /// The latest record for `ctx_fp`, if any, parsed from its line. A
+    /// record appended with a value its line cannot carry (a non-finite
+    /// cost) reads as absent, as it would after a reopen.
+    pub fn get(&self, ctx_fp: u64) -> Option<StoreRecord> {
+        self.records.get(&ctx_fp).and_then(|line| StoreRecord::from_line(line))
     }
 
-    /// Iterates over the latest record of every context.
-    pub fn iter(&self) -> impl Iterator<Item = &StoreRecord> {
-        self.records.values()
+    /// Iterates over the latest record of every context (see
+    /// [`get`](Self::get)).
+    pub fn iter(&self) -> impl Iterator<Item = StoreRecord> + '_ {
+        self.records.values().filter_map(|line| StoreRecord::from_line(line))
     }
 
     /// Appends `record` to its shard (creating the shard with a fresh
@@ -388,7 +395,7 @@ impl MappingStore {
     pub fn append(&mut self, record: StoreRecord) -> std::io::Result<()> {
         let shard = self.shard_of(record.ctx_fp);
         let line = record.to_line();
-        self.records.insert(record.ctx_fp, record);
+        self.records.insert(record.ctx_fp, line.clone());
         self.stats.appended += 1;
         if self.writers[shard].is_none() {
             let path = self.shard_path(shard);
@@ -441,17 +448,17 @@ impl MappingStore {
         Ok(())
     }
 
-    /// Writes `recs` as a complete v2 shard via temp file + atomic
+    /// Writes `lines` as a complete v2 shard via temp file + atomic
     /// rename (the commit point). The temp file is synced before the
     /// rename, so a committed shard is durable.
-    fn write_shard(&self, shard: usize, recs: &[&StoreRecord]) -> std::io::Result<()> {
+    fn write_shard(&self, shard: usize, lines: &[&str]) -> std::io::Result<()> {
         let tmp = self.dir.join(format!("shard-{shard:02}.tmp"));
         {
             let mut w = BufWriter::new(File::create(&tmp)?);
             w.write_all(self.header().as_bytes())?;
             w.write_all(b"\n")?;
-            for rec in recs {
-                w.write_all(rec.to_line().as_bytes())?;
+            for line in lines {
+                w.write_all(line.as_bytes())?;
                 w.write_all(b"\n")?;
             }
             w.flush()?;
@@ -461,14 +468,18 @@ impl MappingStore {
         fs::rename(&tmp, self.shard_path(shard))
     }
 
-    /// The latest records that live in `shard`, in deterministic
-    /// (fingerprint) order: rewriting the same contents twice produces
-    /// byte-identical shards.
-    fn shard_records(&self, shard: usize) -> Vec<&StoreRecord> {
-        let mut recs: Vec<&StoreRecord> =
-            self.records.values().filter(|r| self.shard_of(r.ctx_fp) == shard).collect();
-        recs.sort_by_key(|r| r.ctx_fp);
-        recs
+    /// The lines of the latest records that live in `shard`, in
+    /// deterministic (fingerprint) order: rewriting the same contents twice
+    /// produces byte-identical shards.
+    fn shard_records(&self, shard: usize) -> Vec<&str> {
+        let mut recs: Vec<(u64, &str)> = self
+            .records
+            .iter()
+            .filter(|(&ctx_fp, _)| self.shard_of(ctx_fp) == shard)
+            .map(|(&ctx_fp, line)| (ctx_fp, line.as_str()))
+            .collect();
+        recs.sort_unstable_by_key(|&(ctx_fp, _)| ctx_fp);
+        recs.into_iter().map(|(_, line)| line).collect()
     }
 
     /// Rewrites one shard in v2 form from the records already loaded —
