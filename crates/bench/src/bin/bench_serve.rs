@@ -15,7 +15,10 @@
 //!    total requests from a zipfian (s = 1.0) popularity distribution
 //!    over the ResNet-18 + MobileNetV2 layer mix, recording per-request
 //!    latency; the report carries p50/p99/mean and aggregate qps plus
-//!    the daemon's own hit counters.
+//!    the daemon's own hit counters and its per-hit phase ledger
+//!    (`hit_path_us`). Each request is encoded once up front and a reply
+//!    is checked by its `"ok":true` prefix, so the client's own JSON work
+//!    stays out of the timed loop.
 //! 4. **flood** (`--flood N`, off by default) — N clients connect at
 //!    once (barrier-released) against a daemon whose connection cap is
 //!    far smaller, each issuing up to four warm-layer requests. Every
@@ -59,6 +62,9 @@ use sunstone_workloads::{resnet18_layers, Precision};
 
 const ARCH: &str = "simba_like";
 
+/// The phases of the daemon's `cache_stats` `hit_path` ledger.
+const HIT_PHASES: [&str; 5] = ["read", "parse", "resolve", "encode", "write"];
+
 /// One client connection speaking the frame protocol.
 struct Conn {
     reader: BufReader<UnixStream>,
@@ -74,10 +80,16 @@ impl Conn {
 
     /// One request/response round trip.
     fn call(&mut self, request: &Json) -> Result<Json, String> {
-        wire::write_frame(&mut self.writer, &request.to_string())
-            .map_err(|e| format!("write: {e}"))?;
+        let payload = self.call_raw(&request.to_string())?;
+        json::parse(&payload).map_err(|e| format!("parse: {e}"))
+    }
+
+    /// One round trip on raw payloads, so the timed phase encodes each
+    /// request once and leaves the reply unparsed.
+    fn call_raw(&mut self, request: &str) -> Result<String, String> {
+        wire::write_frame(&mut self.writer, request).map_err(|e| format!("write: {e}"))?;
         match wire::read_frame(&mut self.reader) {
-            Ok(Some(payload)) => json::parse(&payload).map_err(|e| format!("parse: {e}")),
+            Ok(Some(payload)) => Ok(payload),
             Ok(None) => Err("daemon closed the connection".into()),
             Err(e) => Err(format!("read: {e}")),
         }
@@ -388,10 +400,13 @@ fn main() -> ExitCode {
     // Phase 3: timed — concurrent clients, zipfian mix, per-request latency.
     let stats_before = control.call(&op_request("cache_stats")).unwrap_or(Json::Null);
     let per_client = requests.div_ceil(clients);
+    let payloads: Arc<Vec<String>> =
+        Arc::new(layers.iter().map(|w| schedule_request(w).to_string()).collect());
     let timed_t0 = Instant::now();
     let handles: Vec<_> = (0..clients)
         .map(|c| {
             let layers = Arc::clone(&layers);
+            let payloads = Arc::clone(&payloads);
             let socket = socket.clone();
             std::thread::spawn(move || -> Result<Vec<f64>, String> {
                 let mut conn = Conn::open(&socket).map_err(|e| format!("connect: {e}"))?;
@@ -399,13 +414,12 @@ fn main() -> ExitCode {
                 let mut rng = StdRng::seed_from_u64(0xC0FFEE + c as u64);
                 let mut latencies = Vec::with_capacity(per_client);
                 for _ in 0..per_client {
-                    let w = &layers[zipf.sample(&mut rng)];
-                    let request = schedule_request(w);
+                    let i = zipf.sample(&mut rng);
                     let t0 = Instant::now();
-                    let response = conn.call(&request)?;
+                    let response = conn.call_raw(&payloads[i])?;
                     latencies.push(t0.elapsed().as_secs_f64() * 1e3);
-                    if !response.get("ok").and_then(Json::as_bool).unwrap_or(false) {
-                        return Err(format!("daemon error on {}", w.name()));
+                    if !response.starts_with("{\"ok\":true,") {
+                        return Err(format!("daemon error on {}", layers[i].name()));
                     }
                 }
                 Ok(latencies)
@@ -446,6 +460,20 @@ fn main() -> ExitCode {
     if qps < 1000.0 || p99 >= 50.0 {
         println!("  WARNING: below the warm-cache target (>=1000 qps, p99 < 50 ms)");
     }
+    // The daemon's own account of the timed hits: mean µs per phase.
+    let ledger_hits = delta(&["hit_path", "requests"]);
+    let hit_path: Vec<(&str, f64)> = HIT_PHASES
+        .iter()
+        .map(|&phase| {
+            let ns = delta(&["hit_path", &format!("{phase}_ns")]);
+            (phase, ns / ledger_hits.max(1.0) / 1e3)
+        })
+        .collect();
+    let hit_path_sum: f64 = hit_path.iter().map(|(_, us)| us).sum();
+    println!(
+        "  daemon per hit: {} = {hit_path_sum:.2} µs",
+        hit_path.iter().map(|(p, us)| format!("{p} {us:.2}")).collect::<Vec<_>>().join(" + ")
+    );
 
     // Phase 4 (optional): flood — a barrier-released burst of `--flood`
     // simultaneous connections against the daemon's admission cap.
@@ -546,6 +574,13 @@ fn main() -> ExitCode {
     let _ = writeln!(out, "    \"qps\": {qps:.1}");
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"hit_rate\": {hit_rate:.4},");
+    let _ = writeln!(out, "  \"hit_path_us\": {{");
+    let _ = writeln!(out, "    \"hits\": {ledger_hits},");
+    for (phase, us) in &hit_path {
+        let _ = writeln!(out, "    \"{phase}\": {us:.3},");
+    }
+    let _ = writeln!(out, "    \"sum\": {hit_path_sum:.3}");
+    let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"fp_mismatches\": {},", fp_mismatches.len());
     if let Some(f) = &flood_report {
         let _ = writeln!(out, "  \"overload\": {{");
