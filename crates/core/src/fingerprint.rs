@@ -289,11 +289,22 @@ pub fn context_fingerprint(
     config: &SunstoneConfig,
     constraints: &MappingConstraints,
 ) -> u64 {
+    combine_context([
+        workload_fingerprint(w),
+        arch_fingerprint(arch),
+        config_fingerprint(config),
+        constraints_fingerprint(constraints),
+    ])
+}
+
+/// [`context_fingerprint`] from its four parts' own fingerprints
+/// (workload, arch, config, constraints), for callers that keep some of
+/// them.
+pub(crate) fn combine_context(parts: [u64; 4]) -> u64 {
     let mut h = Fnv1a::new();
-    h.write_u64(workload_fingerprint(w));
-    h.write_u64(arch_fingerprint(arch));
-    h.write_u64(config_fingerprint(config));
-    h.write_u64(constraints_fingerprint(constraints));
+    for part in parts {
+        h.write_u64(part);
+    }
     h.finish()
 }
 

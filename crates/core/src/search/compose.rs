@@ -165,8 +165,19 @@ pub(crate) fn run_level_search(
     stats: &mut SearchStats,
     controls: &CallControls<'_>,
 ) -> SearchRun {
+    candidates::with_arena(&ctx.layout, |cands| walk(ctx, pass, memo, stats, controls, cands))
+}
+
+/// [`run_level_search`] on the arena `cands`.
+fn walk(
+    ctx: &SearchContext<'_>,
+    pass: &dyn LevelPass,
+    memo: &mut SearchMemo,
+    stats: &mut SearchStats,
+    controls: &CallControls<'_>,
+    cands: &mut Candidates,
+) -> SearchRun {
     let mut beam_states = vec![PartialState::root(ctx)];
-    let mut cands = Candidates::new(&ctx.layout);
     let complete_at = estimate::completion_pos(ctx, pass.direction());
     for (i, stage) in pass.stages(ctx.mems.len()).into_iter().enumerate() {
         // Breadcrumb for the panic-isolation boundary: a fault caught
@@ -196,7 +207,7 @@ pub(crate) fn run_level_search(
                 return SearchRun { beam: beam_states, stop: SearchStop::DeadlineReached };
             }
             cands.begin_parent(&ctx.layout, parent, state);
-            pass.expand(ctx, state, stage, &mut cands, memo, stats);
+            pass.expand(ctx, state, stage, cands, memo, stats);
         }
         // A cancel that fired inside the enumeration closures can truncate
         // the candidate set; report it as a cancel, never as infeasibility.
@@ -208,7 +219,7 @@ pub(crate) fn run_level_search(
         }
         stats.level_mut(stage).expand += phase.elapsed();
         let phase = Instant::now();
-        let removed = beam::dedup(&mut cands, &ctx.layout, complete_at);
+        let removed = beam::dedup(cands, &ctx.layout, complete_at);
         let level = stats.level_mut(stage);
         level.dedup_removed += removed as u64;
         level.dedup += phase.elapsed();
@@ -220,7 +231,7 @@ pub(crate) fn run_level_search(
         };
         let phase = Instant::now();
         let round =
-            estimate::estimate_all(ctx, pass.direction(), &mut cands, stage, deadline, memo, stats);
+            estimate::estimate_all(ctx, pass.direction(), cands, stage, deadline, memo, stats);
         stats.level_mut(stage).estimate += phase.elapsed();
         match round {
             estimate::RoundStatus::Done => {}
@@ -232,7 +243,7 @@ pub(crate) fn run_level_search(
             }
         }
         let phase = Instant::now();
-        beam_states = beam::select(ctx, &cands, stage, stats);
+        beam_states = beam::select(ctx, cands, stage, stats);
         stats.level_mut(stage).select += phase.elapsed();
         if let Some(sink) = controls.progress {
             let level = &stats.levels[stage];

@@ -40,7 +40,10 @@ use sunstone_model::{CostModel, CostReport};
 
 use crate::constraints::ResolvedConstraints;
 use crate::error::ScheduleError;
-use crate::fingerprint::{context_fingerprint, mapping_fingerprint, workload_fingerprint};
+use crate::fingerprint::{
+    arch_fingerprint, combine_context, config_fingerprint, constraints_fingerprint,
+    context_fingerprint, mapping_fingerprint, workload_fingerprint,
+};
 use crate::pool::{panic_message, SliceWriter, WorkerPool};
 use crate::progress::{CancelToken, ProgressEvent, ProgressSink};
 use crate::search::compose::{run_level_search, BottomUpPass, LevelPass, SearchStop, TopDownPass};
@@ -621,6 +624,9 @@ impl ResultMemo {
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     config: SunstoneConfig,
+    /// The config's and its constraint set's fingerprints: fixed for the
+    /// session's life, so taken once.
+    config_fps: [u64; 2],
     memo: Arc<ResultMemo>,
     /// The session-persistent worker pool, created lazily on the first
     /// call that needs it (so constructing a `Scheduler` spawns nothing)
@@ -639,7 +645,9 @@ impl Scheduler {
     /// from [`SunstoneConfig::builder`](crate::SunstoneConfig::builder)
     /// are always valid.
     pub fn new(config: SunstoneConfig) -> Self {
-        Scheduler { config, memo: Arc::default(), pool: Arc::new(OnceLock::new()) }
+        let config_fps =
+            [config_fingerprint(&config), constraints_fingerprint(&config.constraints)];
+        Scheduler { config, config_fps, memo: Arc::default(), pool: Arc::new(OnceLock::new()) }
     }
 
     /// The active configuration.
@@ -675,7 +683,18 @@ impl Scheduler {
     /// identity out-of-process callers — the serve daemon's on-disk
     /// mapping store in particular — key persisted results by.
     pub fn context_fingerprint(&self, workload: &Workload, arch: &ArchSpec) -> u64 {
-        context_fingerprint(workload, arch, &self.config, &self.config.constraints)
+        self.context_fingerprint_of(workload_fingerprint(workload), arch_fingerprint(arch))
+    }
+
+    /// [`context_fingerprint`](Self::context_fingerprint) from the
+    /// workload's [`workload_fingerprint`] and the architecture's
+    /// [`arch_fingerprint`], for a caller that keeps an architecture's
+    /// fingerprint beside it (the daemon's preset table).
+    ///
+    /// [`arch_fingerprint`]: crate::fingerprint::arch_fingerprint
+    pub fn context_fingerprint_of(&self, workload_fp: u64, arch_fp: u64) -> u64 {
+        let [config_fp, constraints_fp] = self.config_fps;
+        combine_context([workload_fp, arch_fp, config_fp, constraints_fp])
     }
 
     /// The session's memoized answer for the context `ctx_fp`
