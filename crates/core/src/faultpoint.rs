@@ -33,12 +33,13 @@ use crate::progress::CancelToken;
 /// * `"pool.claim"` — per index claimed in a worker-pool round, on the
 ///   claiming thread (worker or submitter) *inside* the pool's panic
 ///   catch, so an injected panic surfaces exactly like a model panic;
-/// * `"cache.insert"` — per estimate published into the search's table
+/// * `"estimate.publish"` — per estimate published into the search's table
 ///   at the end of an estimate round (a fault here leaves the table
 ///   half-written, which must not outlive the call).
 ///
 /// [`estimate_all`]: crate::search::estimate
-pub const POINTS: &[&str] = &["estimate.round", "estimate.prefix", "pool.claim", "cache.insert"];
+pub const POINTS: &[&str] =
+    &["estimate.round", "estimate.prefix", "pool.claim", "estimate.publish"];
 
 /// Failpoints owned by the `sunstone-serve` daemon, registered here so
 /// every fault-injection test shares one registry (and one typo check):

@@ -86,7 +86,7 @@ fn soak_panic_at_every_failpoint_recovers_bit_identically() {
     faultpoint::disarm_all();
 }
 
-/// A panic that fires mid-publish (`cache.insert`), with the search's
+/// A panic that fires mid-publish (`estimate.publish`), with the search's
 /// estimate table half-written, must leave nothing behind: the fault
 /// surfaces as a typed `Internal`, and the same session then answers
 /// bit-identically to a fresh one instead of reading a torn table or
@@ -101,7 +101,7 @@ fn held_lock_panics_do_not_poison_the_session() {
     let ref_a = fresh.schedule(&a, &arch).expect("clean schedule");
     let ref_b = fresh.schedule(&b, &arch).expect("clean schedule");
 
-    let point = "cache.insert";
+    let point = "estimate.publish";
     let session = Scheduler::new(SunstoneConfig::default());
     faultpoint::arm(point, 1, FaultAction::Panic);
     let err =
@@ -195,9 +195,9 @@ fn injected_cancel_is_observed_with_bounded_latency() {
     let config = SunstoneConfig { threads: 1, ..SunstoneConfig::default() };
 
     // Full-search model-evaluation count, for the bound below: every
-    // priced estimate passes the `cache.insert` point once.
+    // priced estimate passes the `estimate.publish` point once.
     Scheduler::new(config.clone()).schedule(&w, &arch).expect("clean schedule");
-    let full_misses = faultpoint::hits("cache.insert");
+    let full_misses = faultpoint::hits("estimate.publish");
     faultpoint::disarm_all();
 
     let session = Scheduler::new(config);
@@ -209,7 +209,7 @@ fn injected_cancel_is_observed_with_bounded_latency() {
     let opts = ScheduleOptions::new().cancel(token);
     let err = session.schedule_with(&w, &arch, &opts).expect_err("cancel must abort the search");
     assert!(matches!(err, ScheduleError::Cancelled), "cancel must not be masked: {err:?}");
-    let cancelled_misses = faultpoint::hits("cache.insert");
+    let cancelled_misses = faultpoint::hits("estimate.publish");
     assert_eq!(session.cache_stats().entries, 0, "a cancelled call memoizes nothing");
     assert!(
         cancelled_misses < full_misses,
@@ -232,7 +232,7 @@ fn injected_delay_does_not_change_results() {
     let reference =
         Scheduler::new(SunstoneConfig::default()).schedule(&w, &arch).expect("clean schedule");
 
-    for &point in &["estimate.round", "cache.insert"] {
+    for &point in &["estimate.round", "estimate.publish"] {
         faultpoint::arm(point, 1, FaultAction::Delay(Duration::from_millis(20)));
         let out = Scheduler::new(SunstoneConfig::default())
             .schedule(&w, &arch)

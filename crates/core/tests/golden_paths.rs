@@ -12,7 +12,12 @@
 //! The constants were recorded at the commit before the candidate arena
 //! landed; the ` cache` suffix of the per-path labels dates from when an
 //! `estimate_cache` knob had a ` nocache` twin of every row (the knob and
-//! those rows went together, the remaining rows are unedited). To regenerate after an *intended* behaviour change:
+//! those rows went together, the remaining rows are unedited). The
+//! `modeled` column of nine rows was re-recorded when the estimate table
+//! came to be keyed by loop nest: candidates that differ only in where a
+//! factor-1 dimension sits in a level's order are now priced once per
+//! round, every other column unchanged. To regenerate after an
+//! *intended* behaviour change:
 //! `cargo test -p sunstone --test golden_paths -- --ignored --nocapture`
 //! and paste the printed table over `GOLDEN`.
 
@@ -176,27 +181,27 @@ fn every_path_matches_its_pinned_row() {
 
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Row)] = &[
-    ("conv2d/simba bu otu cache", [0xbd25e684d267f5ac, 0x42a6824b5ccccccd, 5056, 5008, 34198, 4864, 305]),
+    ("conv2d/simba bu otu cache", [0xbd25e684d267f5ac, 0x42a6824b5ccccccd, 5056, 5000, 34198, 4864, 305]),
     ("conv2d/simba bu uto cache", [0x933f821651cf458a, 0x42a03d0f611eb852, 6595, 6547, 44959, 6403, 0]),
     ("conv2d/simba bu tuo cache", [0xffffffffffffffff, 0xffffffffffffffff, 18446744073709551615, 18446744073709551615, 18446744073709551615, 18446744073709551615, 18446744073709551615]),
     ("conv2d/simba td otu cache", [0xc2f1972f213f2028, 0x4314c01f88dc28f5, 55, 55, 3559, 0, 0]),
     ("conv2d/simba td uto cache", [0xc2f1972f213f2028, 0x4314c01f88dc28f5, 55, 55, 3559, 0, 0]),
     ("conv2d/simba td tuo cache", [0xc2f1972f213f2028, 0x4314c01f88dc28f5, 55, 55, 3559, 0, 0]),
     ("conv2d/simba td beam4 cache", [0xc2f1972f213f2028, 0x4314c01f88dc28f5, 33, 33, 3307, 22, 0]),
-    ("conv2d/simba template", [0xa6791ecafb7a0633, 0x4297fb500d333333, 1194, 1146, 17718, 1038, 0]),
+    ("conv2d/simba template", [0xa6791ecafb7a0633, 0x4297fb500d333333, 1194, 1142, 17718, 1038, 0]),
     ("conv2d/simba top8", [0xd53089560513c04b, 0x42a03d0f611eb852, 6595, 6547, 44959, 6403, 0]),
-    ("conv1d/conventional bu otu cache", [0x66fc37a2d763c7a9, 0x431773bf30e147ae, 238, 190, 6775, 116, 88]),
-    ("conv1d/conventional bu uto cache", [0x2694bf198284ec8b, 0x43155becc828f5c2, 286, 238, 4933, 164, 0]),
-    ("conv1d/conventional bu tuo cache", [0xf32316bd418c70f4, 0x432d746f2c7ae148, 12105, 12057, 79993, 11961, 1143]),
+    ("conv1d/conventional bu otu cache", [0x66fc37a2d763c7a9, 0x431773bf30e147ae, 238, 164, 6775, 116, 88]),
+    ("conv1d/conventional bu uto cache", [0x2694bf198284ec8b, 0x43155becc828f5c2, 286, 225, 4933, 164, 0]),
+    ("conv1d/conventional bu tuo cache", [0xf32316bd418c70f4, 0x432d746f2c7ae148, 12105, 3658, 79993, 11961, 1143]),
     ("conv1d/conventional td otu cache", [0xbd1ee1008b3244a3, 0x43525711f8647852, 9, 9, 568, 0, 0]),
     ("conv1d/conventional td uto cache", [0xbd1ee1008b3244a3, 0x43525711f8647852, 9, 9, 568, 0, 0]),
     ("conv1d/conventional td tuo cache", [0xbd1ee1008b3244a3, 0x43525711f8647852, 9, 9, 568, 0, 0]),
     ("conv1d/conventional td beam4 cache", [0xbd1ee1008b3244a3, 0x43525711f8647852, 9, 9, 568, 2, 0]),
-    ("conv1d/conventional template", [0x4a53d7268cae913d, 0x4316d2b2c30a3d71, 252, 204, 4617, 130, 0]),
-    ("conv1d/conventional top8", [0xae7de35fe298f4b5, 0x43155becc828f5c2, 286, 238, 4933, 164, 0]),
+    ("conv1d/conventional template", [0x4a53d7268cae913d, 0x4316d2b2c30a3d71, 252, 194, 4617, 130, 0]),
+    ("conv1d/conventional top8", [0xae7de35fe298f4b5, 0x43155becc828f5c2, 286, 225, 4933, 164, 0]),
     ("conv2d/diannao bu otu cache", [0x7bef14de2d130de4, 0x426fa8663cccccce, 48, 24, 873, 0, 0]),
     ("conv2d/diannao bu uto cache", [0x797cbe96378131e4, 0x42374a3890000000, 96, 48, 1181, 0, 0]),
-    ("conv2d/diannao bu tuo cache", [0xf9cdfcb8f14356b7, 0x426fa53e43333333, 150, 102, 1989, 54, 0]),
+    ("conv2d/diannao bu tuo cache", [0xf9cdfcb8f14356b7, 0x426fa53e43333333, 150, 72, 1989, 54, 0]),
     ("conv2d/diannao td otu cache", [0x0a9efb1527098044, 0x42b23efffa99999a, 21, 21, 612, 0, 0]),
     ("conv2d/diannao td uto cache", [0x0a9efb1527098044, 0x42b23efffa99999a, 21, 21, 612, 0, 0]),
     ("conv2d/diannao td tuo cache", [0x0a9efb1527098044, 0x42b23efffa99999a, 21, 21, 612, 0, 0]),
@@ -205,7 +210,7 @@ const GOLDEN: &[(&str, Row)] = &[
     ("conv2d/diannao top8", [0x82034a8532fe9e40, 0x42374a3890000000, 96, 48, 1181, 0, 0]),
     ("matmul/diannao bu otu cache", [0x7d58c97ec828c32d, 0x42f475ea66666667, 38, 19, 569, 0, 0]),
     ("matmul/diannao bu uto cache", [0x6da91eaa9d4d9499, 0x42b5258000000000, 126, 78, 1103, 30, 0]),
-    ("matmul/diannao bu tuo cache", [0x96a483b40f2d79e1, 0x4328011d99999999, 54, 27, 1220, 0, 0]),
+    ("matmul/diannao bu tuo cache", [0x96a483b40f2d79e1, 0x4328011d99999999, 54, 24, 1220, 0, 0]),
     ("matmul/diannao td otu cache", [0xbc574dc7e25af9e3, 0x4328011d99999999, 19, 19, 416, 0, 0]),
     ("matmul/diannao td uto cache", [0xbc574dc7e25af9e3, 0x4328011d99999999, 19, 19, 416, 0, 0]),
     ("matmul/diannao td tuo cache", [0xbc574dc7e25af9e3, 0x4328011d99999999, 19, 19, 416, 0, 0]),
