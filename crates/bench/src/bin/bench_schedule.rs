@@ -240,7 +240,8 @@ fn main() {
     println!("  SoA batches: {avg_batch_width:.1} cand/dispatch");
 
     // Estimate throughput: raw analytic-model evaluations per second on a
-    // representative layer's best mapping (no cache in the loop). Best of
+    // representative layer's best mapping (no cache in the loop): the count
+    // kernel at width 1 against the empty prefix, with a report. Best of
     // three passes — the number records evaluator capability, and `ci.sh`
     // gates regressions against it, so transient load must not leak in.
     let w = layers[if layers.len() > 1 { 1 } else { 0 }].inference(Precision::simba());

@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use sunstone_ir::{DimSet, DimVec, FxHashMap};
 use sunstone_mapping::{Mapping, MappingLevel};
-use sunstone_model::{BatchEvalScratch, CostReport, EvalScratch, MappingPrefix};
+use sunstone_model::{BatchEvalScratch, CostReport, MappingPrefix};
 
 use super::beam::{key_hash, KeyHashMap};
 use super::candidates::Candidates;
@@ -194,13 +194,12 @@ pub(crate) fn complete(
 }
 
 /// Per-worker evaluation state, reused across rounds and calls (the pool
-/// threads are session-lived, so the buffers stay warm): the scalar and
-/// SoA batch scratches, and the [`ESTIMATE_CHUNK`] mappings a claim's
-/// misses are materialized into — clones of the context's base, rebuilt
-/// only when a search arrives whose base is shaped differently.
+/// threads are session-lived, so the buffers stay warm): the model's
+/// scratch, and the [`ESTIMATE_CHUNK`] mappings a claim's misses are
+/// materialized into — clones of the context's base, rebuilt only when a
+/// search arrives whose base is shaped differently.
 #[derive(Default)]
 struct WorkerScratch {
-    eval: EvalScratch,
     batch: BatchEvalScratch,
     mappings: Vec<Mapping>,
 }
@@ -221,7 +220,7 @@ fn shaped_like(m: &Mapping, base: &Mapping) -> bool {
 
 /// Indices per pool claim in the estimate round. One atomic claim covers
 /// a contiguous candidate range, and every maximal same-prefix run inside
-/// the range is priced through the SoA batch evaluator in one call — the
+/// the range is priced through the model's count kernel in one call — the
 /// chunk bounds the batch width, so the per-candidate SoA tables stay in
 /// cache while still amortizing claim and dispatch overhead. Kept small
 /// enough that modest rounds (a few hundred misses) still split into more
@@ -286,19 +285,20 @@ pub(crate) enum RoundStatus {
 /// `0..=mems[stage − 1]`, so that prefix's per-level cost contribution is
 /// built once per parent ([`CostModel::prefix_of`]) and each candidate
 /// only derives the delta of its frontier and completion levels. The
-/// composition is bit-identical to the monolithic evaluation (see the
-/// `prefix` property tests), so which path priced an entry never shows.
+/// composition is bit-identical to the whole-nest evaluation (see the
+/// model's `batch` tests), so which prefix priced an entry never shows.
+/// Stages with no shared prefix (the first bottom-up stage, every
+/// top-down stage) price against the model's empty prefix
+/// ([`CostModel::empty_prefix`]), which walks each candidate's whole nest.
 ///
 /// The pool claims contiguous *chunks* of misses ([`ESTIMATE_CHUNK`] per
-/// atomic claim), and every maximal same-prefix run inside a claim is
-/// priced through the structure-of-arrays batch evaluator
-/// ([`CostModel::price_prefixed_batch`]) in one call — branch-free inner
-/// loops over per-candidate columns instead of a full per-candidate model
-/// walk, handing back the two totals the objective is a function of
-/// rather than a report. The batch evaluator is bit-identical to the
-/// scalar path (see the `batch` property tests), so the dispatch choice
-/// never changes a result; the scalar fall-backs (no shared prefix, runs
-/// of one) read the objective off a report.
+/// atomic claim), and every maximal same-prefix run inside a claim — the
+/// whole claim when the stage has no prefix — is priced by one call of the
+/// model's structure-of-arrays count kernel
+/// ([`CostModel::price_prefixed_batch`]), which hands back the two totals
+/// the objective is a function of rather than a report. A run of one is a
+/// width-1 call of the same kernel. `SearchStats::{batches, batched}`
+/// count the runs of two or more that share a decided prefix.
 ///
 /// Results are written back by candidate index, so the outcome is
 /// identical for any thread count.
@@ -319,6 +319,7 @@ pub(crate) enum RoundStatus {
 /// `estimate_price`, `estimate_publish`.
 ///
 /// [`CostModel::prefix_of`]: sunstone_model::CostModel::prefix_of
+/// [`CostModel::empty_prefix`]: sunstone_model::CostModel::empty_prefix
 /// [`CostModel::price_prefixed_batch`]: sunstone_model::CostModel::price_prefixed_batch
 pub(crate) fn estimate_all(
     ctx: &SearchContext<'_>,
@@ -430,7 +431,7 @@ pub(crate) fn estimate_all(
                 if !scratch.mappings.first().is_some_and(|m| shaped_like(m, &ctx.base)) {
                     scratch.mappings = vec![ctx.base.clone(); ESTIMATE_CHUNK];
                 }
-                let WorkerScratch { eval, batch, mappings } = scratch;
+                let WorkerScratch { batch, mappings } = scratch;
                 // The claim's misses as completed mappings; `completed[j]`
                 // is miss `range.start + j`.
                 let completed = &mut mappings[..range.len()];
@@ -439,43 +440,25 @@ pub(crate) fn estimate_all(
                 }
                 let mut k = range.start;
                 while k < range.end {
-                    let at = k - range.start;
-                    let Some(&g) = group_of.get(k) else {
-                        // No shared prefix this stage: scalar path.
-                        let report = model.evaluate_unchecked_with(&completed[at], eval);
-                        // SAFETY: claims are disjoint ranges and every
-                        // index is written by its claimant only.
-                        unsafe { writer.write(k, Some(objective.of(&report))) };
-                        k += 1;
-                        continue;
-                    };
-                    // Maximal same-prefix run inside this claim.
+                    // Maximal same-prefix run inside this claim; with no
+                    // prefix this stage, the whole claim.
+                    let group = group_of.get(k);
                     let mut end = k + 1;
-                    while end < range.end && group_of[end] == g {
+                    while end < range.end && group_of.get(end) == group {
                         end += 1;
                     }
-                    if end - k >= 2 {
+                    let prefix = group.map_or(model.empty_prefix(), |&g| &prefixes[g as usize]);
+                    if group.is_some() && end - k >= 2 {
                         round_batches.fetch_add(1, Ordering::Relaxed);
                         round_batched.fetch_add((end - k) as u64, Ordering::Relaxed);
-                        model.price_prefixed_batch(
-                            &prefixes[g as usize],
-                            &completed[at..end - range.start],
-                            batch,
-                            |j, totals| {
-                                // SAFETY: disjoint claims; `k + j` stays
-                                // inside this run.
-                                unsafe { writer.write(k + j, Some(objective.of_totals(totals))) };
-                            },
-                        );
-                    } else {
-                        let report = model.evaluate_prefixed_with(
-                            &prefixes[g as usize],
-                            &completed[at],
-                            eval,
-                        );
-                        // SAFETY: disjoint claims (see above).
-                        unsafe { writer.write(k, Some(objective.of(&report))) };
                     }
+                    let run = &completed[k - range.start..end - range.start];
+                    model.price_prefixed_batch(prefix, run, batch, |j, totals| {
+                        // SAFETY: claims are disjoint ranges and every
+                        // index is written by its claimant only; `k + j`
+                        // stays inside this run.
+                        unsafe { writer.write(k + j, Some(objective.of_totals(totals))) };
+                    });
                     k = end;
                 }
             });
@@ -528,7 +511,7 @@ pub(crate) fn estimate_all(
 }
 
 /// Prices a finalist for the caller. The report is always computed
-/// afresh on the scalar path: the search's table holds one number per
+/// afresh: the search's table holds one number per
 /// loop nest and only ever *ranks*, so everything a caller receives is
 /// priced outside it. The mapping's estimate is still looked up (the last
 /// stage already filed the finalists, so the hit/miss counters read as

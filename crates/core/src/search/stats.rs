@@ -137,12 +137,14 @@ pub struct SearchStats {
     /// (prefix-incremental estimation) instead of re-deriving every
     /// level's access counts from scratch.
     pub prefix_hits: u64,
-    /// SoA batch dispatches: contiguous same-prefix candidate runs priced
-    /// through the structure-of-arrays evaluator in one call.
+    /// SoA batch dispatches: contiguous runs of two or more candidates
+    /// that share a decided prefix, priced by one call of the model's
+    /// count kernel. Runs of one, and runs priced against the empty
+    /// prefix of a stage that decides nothing, are not counted.
     #[serde(default)]
     pub batches: u64,
-    /// Model evaluations priced inside an SoA batch (the remainder of
-    /// [`modeled`](Self::modeled) went through the scalar path).
+    /// Model evaluations priced inside such a run (the remainder of
+    /// [`modeled`](Self::modeled) was priced alone or with no prefix).
     #[serde(default)]
     pub batched: u64,
     /// Always 0: nothing writes it. Kept because the repo benchmark reads it.

@@ -1,45 +1,51 @@
-//! Structure-of-arrays batch evaluation of prefixed candidates.
+//! The count kernel: structure-of-arrays pricing of candidates that share
+//! a decided prefix — the model's one count pass.
 //!
 //! One estimate round of the level-by-level search prices hundreds of
-//! candidates that share a decided prefix ([`MappingPrefix`]). The scalar
-//! path ([`CostModel::evaluate_prefixed_with`]) walks tensors × storing
-//! pairs per candidate; this module transposes that loop nest: the
-//! candidate set is decomposed once into per-candidate *columns* —
+//! candidates that share a decided prefix ([`MappingPrefix`]). The kernel
+//! decomposes the candidate set once into per-candidate *columns* —
 //! CSR-flattened suffix loops, suffix resident tiles, spatial-product
-//! ladders, and per-tensor refill aggregates — and each storing pair is
-//! then priced for the whole batch in one inner loop over the columns.
+//! ladders, and per-tensor refill aggregates — and then prices each storing
+//! pair for the whole batch in one inner loop over the columns.
+//!
+//! Every entry point of the model is a call of this kernel. A full
+//! evaluation ([`CostModel::evaluate_unchecked`],
+//! [`AccessCounts::compute`](crate::AccessCounts::compute)) is width 1
+//! against the empty prefix ([`CostModel::empty_prefix`]), which decides
+//! no level, so every storing pair — the MAC-boundary pair included — is
+//! priced by `count_pair` over the candidate's whole nest. A single
+//! prefixed evaluation ([`CostModel::evaluate_prefixed_with`]) is width 1
+//! against its prefix.
 //!
 //! For the dominant pair shape (union tile complete inside the prefix and
 //! the reuse run closed there — every pair at or below the frontier once
 //! the search has decided a level) the pair-invariant quantities
 //! (footprints, multicast penalty, halo-window geometry, driving loop)
-//! are hoisted out of the candidate loop entirely, leaving a branch-free
-//! multiply–accumulate over the aggregate columns that the compiler can
-//! autovectorize. Pairs that still straddle the frontier fall back to the
-//! scalar per-pair kernel, candidate by candidate.
+//! are hoisted out of the candidate loop entirely, leaving a
+//! multiply–accumulate over the aggregate columns. Cached pairs that
+//! still straddle the frontier are priced candidate by candidate from the
+//! cache, and pairs above it by `count_pair` over the candidate's suffix.
 //!
 //! # Bit-identity
 //!
-//! Every specialized inner loop performs, per candidate, exactly the
-//! floating-point operations of the scalar kernels in the same
-//! association order — only the iteration order *across* candidates
-//! changes, and candidates never mix arithmetically. The result of
-//! [`CostModel::evaluate_prefixed_batch`] is therefore bit-identical to
-//! calling [`CostModel::evaluate_prefixed_with`] per candidate (asserted
-//! exhaustively by the `batch_matches_scalar_*` tests).
+//! Every path performs, per candidate, the floating-point operations of
+//! the whole-nest walk in the same association order, except that products
+//! of integer-valued factors are regrouped across the prefix boundary
+//! (exact below 2⁵³); sums never are. Only the iteration order *across*
+//! candidates changes, and candidates never mix arithmetically. A price is
+//! therefore the same bits at every width and against every prefix of the
+//! mapping, the empty one included (asserted by the tests below).
 
-use sunstone_arch::{Level, LevelId};
 use sunstone_ir::{DimVec, TensorDesc};
 use sunstone_mapping::{FlatLoop, Mapping};
 
-use crate::cost::{CostModel, CostReport, CostTotals, EvalScratch};
-use crate::counts::{add_crossings, count_pair, TensorLevelCounts};
-use crate::prefix::{count_prefix_pair, flatten_range, CandAgg, LevelCost, MappingPrefix};
-use crate::ModelOptions;
+use crate::cost::{CostModel, CostReport, CostTotals};
+use crate::counts::{count_pair, fanout, TensorLevelCounts};
+use crate::prefix::{flatten_range, CandAgg, LevelCost, MappingPrefix};
 
-/// Reusable per-round SoA tables for
-/// [`CostModel::evaluate_prefixed_batch`]: keep one per evaluation thread;
-/// repeated rounds only grow the buffers, never reallocate per candidate.
+/// Reusable tables of the count kernel and of the report phase after it:
+/// keep one per evaluation thread; repeated calls only grow the buffers,
+/// never reallocate per candidate.
 #[derive(Debug, Clone, Default)]
 pub struct BatchEvalScratch {
     /// CSR offsets into `loops`: candidate `i`'s suffix loops live at
@@ -52,106 +58,36 @@ pub struct BatchEvalScratch {
     resident: Vec<DimVec>,
     /// Spatial-product ladders, row-major `[candidate][arch pos 0..=L]`.
     s_above: Vec<f64>,
-    /// Per-tensor aggregate columns (rebuilt per tensor).
-    agg_all: Vec<f64>,
-    agg_refills: Vec<f64>,
-    agg_distinct: Vec<f64>,
-    agg_driving: Vec<Option<FlatLoop>>,
+    /// One tensor's refill aggregates per candidate (rebuilt per tensor).
+    aggs: Vec<CandAgg>,
     /// Access-count tables, row-major `[candidate][arch_pos][tensor]`.
-    per: Vec<TensorLevelCounts>,
+    pub(crate) per: Vec<TensorLevelCounts>,
     /// NoC crossing tables, same layout.
-    crossings: Vec<f64>,
+    pub(crate) crossings: Vec<f64>,
     /// Union-tile extension scratch for straddling pairs.
     union_tile: DimVec,
-    /// Report-phase buffers (bandwidth accounting, spatial ladder).
-    eval: EvalScratch,
-}
-
-/// The halo-refetch computation of one (pair, tile) with every
-/// pair-invariant factor folded in; per candidate only `refills` varies.
-/// Mirrors `halo_volume` operation-for-operation (see the module note on
-/// bit-identity).
-#[derive(Debug, Clone, Copy)]
-enum HaloKernel {
-    /// Degenerate window (`extent == 0`): no words move.
-    Zero,
-    /// No window overlap to credit: `refills * f`.
-    Plain { f: f64 },
-    /// Sliding-window credit along the driving loop:
-    /// `((refills / drvf) * f) * k` with `k = 1 + (drvf − 1) · frac`.
-    Windowed { drvf: f64, f: f64, k: f64 },
-}
-
-impl HaloKernel {
-    /// Builds the kernel for a pair whose driving loop and tile are
-    /// candidate-invariant; the branch structure is `halo_volume`'s,
-    /// resolved once instead of per candidate.
-    fn of(
-        options: ModelOptions,
-        tensor: &TensorDesc,
-        driving: Option<FlatLoop>,
-        tile: &[u64],
-        f: f64,
-    ) -> Self {
-        let Some(drv) = driving else { return HaloKernel::Plain { f } };
-        if !options.halo_reuse {
-            return HaloKernel::Plain { f };
-        }
-        let Some(expr) =
-            tensor.indices().iter().find(|e| e.terms().iter().any(|t| t.dim == drv.dim))
-        else {
-            return HaloKernel::Plain { f };
-        };
-        if !expr.is_compound() {
-            return HaloKernel::Plain { f };
-        }
-        let extent = expr.extent_of(tile) as f64;
-        if extent == 0.0 {
-            return HaloKernel::Zero;
-        }
-        let stride =
-            expr.terms().iter().find(|t| t.dim == drv.dim).map(|t| t.stride).unwrap_or(1) as f64;
-        let shift = stride * tile[drv.dim.index()] as f64;
-        let frac = (shift.min(extent)) / extent;
-        HaloKernel::Windowed {
-            drvf: drv.factor as f64,
-            f,
-            k: 1.0 + (drv.factor as f64 - 1.0) * frac,
-        }
-    }
-
-    /// Words fetched over `refills` refill events — the same value (and
-    /// the same operation order) `halo_volume` computes.
-    #[inline]
-    fn apply(self, refills: f64) -> f64 {
-        match self {
-            HaloKernel::Zero => 0.0,
-            HaloKernel::Plain { f } => refills * f,
-            HaloKernel::Windowed { drvf, f, k } => refills / drvf * f * k,
-        }
-    }
+    /// Report phase: per-partition read and write sums of one level.
+    pub(crate) part_reads: Vec<f64>,
+    pub(crate) part_writes: Vec<f64>,
+    /// Report phase: instances of each level (its own spatial ladder).
+    pub(crate) instances: Vec<f64>,
 }
 
 impl CostModel<'_> {
-    /// A fresh SoA scratch for [`evaluate_prefixed_batch`]
-    /// (one per evaluation thread).
-    ///
-    /// [`evaluate_prefixed_batch`]: Self::evaluate_prefixed_batch
+    /// A fresh scratch for the count kernel (one per evaluation thread);
+    /// the same type as [`scratch`](Self::scratch).
     pub fn batch_scratch(&self) -> BatchEvalScratch {
-        BatchEvalScratch::default()
+        self.scratch()
     }
 
-    /// Batch form of
-    /// [`evaluate_prefixed_with`](Self::evaluate_prefixed_with): prices
-    /// every mapping in `mappings` against the shared `prefix` over
-    /// structure-of-arrays tables and calls `emit(i, report)` once per
-    /// candidate, in candidate order.
+    /// Prices every mapping in `mappings` against the shared `prefix` and
+    /// calls `emit(i, report)` once per candidate, in candidate order.
     ///
     /// Every mapping's levels `0..=prefix.boundary()` must equal the
-    /// levels `prefix` was built from (the caller's contract, as in the
-    /// scalar method). Each emitted report is **bit-identical** to the
-    /// scalar evaluation of the same mapping — batching reorders work
-    /// across candidates, never within one.
+    /// levels `prefix` was built from (the caller's contract; they are not
+    /// re-read). Each emitted report is **bit-identical** to the
+    /// mapping's own [`evaluate_unchecked`](Self::evaluate_unchecked) —
+    /// batching reorders work across candidates, never within one.
     pub fn evaluate_prefixed_batch(
         &self,
         prefix: &MappingPrefix,
@@ -159,15 +95,9 @@ impl CostModel<'_> {
         scratch: &mut BatchEvalScratch,
         mut emit: impl FnMut(usize, CostReport),
     ) {
-        let stride = self.fill_count_tables(prefix, mappings, scratch);
+        self.fill_count_tables(prefix, mappings, scratch);
         for (i, m) in mappings.iter().enumerate() {
-            let report = self.report_from_rows(
-                m,
-                &scratch.per[i * stride..(i + 1) * stride],
-                &scratch.crossings[i * stride..(i + 1) * stride],
-                &mut scratch.eval,
-            );
-            emit(i, report);
+            emit(i, self.report_from_rows(m, scratch, i));
         }
     }
 
@@ -183,36 +113,29 @@ impl CostModel<'_> {
         scratch: &mut BatchEvalScratch,
         mut emit: impl FnMut(usize, CostTotals),
     ) {
-        let stride = self.fill_count_tables(prefix, mappings, scratch);
+        self.fill_count_tables(prefix, mappings, scratch);
         for (i, m) in mappings.iter().enumerate() {
-            let totals = self.totals_from_rows(
-                m,
-                &scratch.per[i * stride..(i + 1) * stride],
-                &scratch.crossings[i * stride..(i + 1) * stride],
-                &mut scratch.eval,
-            );
-            emit(i, totals);
+            emit(i, self.totals_from_rows(m, scratch, i));
         }
     }
 
-    /// Phases 1–3 of the batch evaluation: decomposes `mappings` into the
-    /// per-candidate setup columns, then fills `scratch.per` and
-    /// `scratch.crossings` tensor by tensor, pair by pair. Returns the
-    /// per-candidate stride of the two tables.
-    fn fill_count_tables(
+    /// The count pass: decomposes `mappings` into the per-candidate setup
+    /// columns, then fills `scratch.per` and `scratch.crossings` (stride
+    /// `levels × tensors` per candidate) tensor by tensor, pair by pair.
+    pub(crate) fn fill_count_tables(
         &self,
         prefix: &MappingPrefix,
         mappings: &[Mapping],
         scratch: &mut BatchEvalScratch,
-    ) -> usize {
+    ) {
         let n = mappings.len();
         let arch = self.arch();
         let workload = self.workload();
         let n_levels = arch.num_levels();
-        let nt = workload.num_tensors();
-        let b = prefix.boundary;
-        let n_suffix = n_levels - 1 - b;
-        debug_assert_eq!(prefix.ndims, workload.num_dims());
+        let ndims = workload.num_dims();
+        let first = prefix.first_undecided();
+        let n_suffix = n_levels - first;
+        debug_assert_eq!(prefix.ndims, ndims);
 
         // ---- Phase 1: per-candidate setup columns ----------------------
         // CSR suffix loops (exactly `flatten_range`, per candidate).
@@ -220,15 +143,18 @@ impl CostModel<'_> {
         scratch.off.push(0);
         scratch.loops.clear();
         for m in mappings {
-            flatten_range(m, b + 1, n_levels - 1, &mut scratch.loops);
+            flatten_range(m, first, n_levels - 1, &mut scratch.loops);
             scratch.off.push(scratch.loops.len());
         }
-        // Suffix resident tiles, extending the cached prefix accumulation.
+        // Suffix resident tiles, extending the prefix's accumulation (a
+        // tile of ones when it decides nothing).
+        let ones = DimVec::ones(ndims);
+        let decided = prefix.resident.last().unwrap_or(&ones);
         scratch.resident.clear();
         scratch.resident.reserve(n * n_suffix);
         for m in mappings {
-            let mut acc = prefix.resident[b].clone();
-            for q in b + 1..n_levels {
+            let mut acc = decided.clone();
+            for q in first..n_levels {
                 for (t, &f) in acc.iter_mut().zip(m.level(q).factors()) {
                     *t *= f;
                 }
@@ -242,70 +168,56 @@ impl CostModel<'_> {
         scratch.s_above.resize(n * lstride, 1.0);
         for (i, m) in mappings.iter().enumerate() {
             let row = &mut scratch.s_above[i * lstride..(i + 1) * lstride];
-            for q in (b + 1..n_levels).rev() {
-                let own: f64 = match arch.level(LevelId(q)) {
-                    Level::Spatial(_) => m.level(q).factors().iter().map(|&f| f as f64).product(),
-                    Level::Memory(_) => 1.0,
-                };
-                row[q] = row[q + 1] * own;
+            for q in (first..n_levels).rev() {
+                row[q] = row[q + 1] * fanout(arch, m, q);
             }
-            let s_cand = row[b + 1];
-            for (r, &mid) in row[..=b].iter_mut().zip(&prefix.s_mid) {
+            let s_cand = row[first];
+            for (r, &mid) in row[..first].iter_mut().zip(&prefix.s_mid) {
                 *r = s_cand * mid;
             }
         }
 
-        let stride = n_levels * nt;
+        let stride = n_levels * workload.num_tensors();
         scratch.per.clear();
         scratch.per.resize(n * stride, TensorLevelCounts::default());
         scratch.crossings.clear();
         scratch.crossings.resize(n * stride, 0.0);
 
         // ---- Phase 2+3: per tensor, aggregate columns then pair loops --
-        let chains = self.chains();
-        let options = self.options();
-        let mut pair_idx = 0usize;
+        let mut cached = prefix.pairs.iter();
         for t in workload.tensor_ids() {
             let tensor = workload.tensor(t);
-            let indexing = tensor.indexing_dims();
-            scratch.agg_all.clear();
-            scratch.agg_refills.clear();
-            scratch.agg_distinct.clear();
-            scratch.agg_driving.clear();
-            for i in 0..n {
-                let cand = &scratch.loops[scratch.off[i]..scratch.off[i + 1]];
-                let agg = CandAgg::of(cand, indexing);
-                scratch.agg_all.push(agg.all_temporal);
-                scratch.agg_refills.push(agg.refills);
-                scratch.agg_distinct.push(agg.distinct);
-                scratch.agg_driving.push(agg.driving);
+            if prefix.boundary.is_some() {
+                let indexing = tensor.indexing_dims();
+                let (off, loops) = (&scratch.off, &scratch.loops);
+                scratch.aggs.clear();
+                scratch
+                    .aggs
+                    .extend((0..n).map(|i| CandAgg::of(&loops[off[i]..off[i + 1]], indexing)));
             }
             let mut child: i64 = -1;
-            for &p in &chains[t.index()] {
-                if child <= b as i64 {
-                    let lc = &prefix.pairs[pair_idx];
-                    pair_idx += 1;
+            for &p in &self.chains()[t.index()] {
+                if prefix.caches(child) {
+                    let lc = cached.next().expect("the prefix caches every decided pair");
                     debug_assert!(lc.tensor == t && lc.child == child && lc.p == p);
-                    batch_prefix_pair(self, lc, tensor, scratch, n, nt, n_levels);
+                    self.price_cached_pair(lc, tensor, scratch, n);
                 } else {
-                    // Pair fully above the decided prefix: the scalar
-                    // suffix-only kernel, candidate by candidate.
+                    // Pair above the decided prefix (every pair, for the
+                    // empty one): the whole-nest kernel over the suffix.
                     for i in 0..n {
-                        let cand = &scratch.loops[scratch.off[i]..scratch.off[i + 1]];
-                        let row = &scratch.s_above[i * lstride..(i + 1) * lstride];
-                        let child_tile = &scratch.resident[i * n_suffix + (child as usize - b - 1)];
+                        let child_tile = match usize::try_from(child) {
+                            Ok(c) => &scratch.resident[i * n_suffix + (c - first)],
+                            Err(_) => &ones,
+                        };
                         count_pair(
-                            workload,
-                            arch,
-                            options,
+                            self,
                             t,
                             tensor,
                             child,
                             p,
-                            cand,
+                            &scratch.loops[scratch.off[i]..scratch.off[i + 1]],
                             child_tile,
-                            row[p + 1],
-                            row[child as usize + 1],
+                            &scratch.s_above[i * lstride..(i + 1) * lstride],
                             &mut scratch.per[i * stride..(i + 1) * stride],
                             &mut scratch.crossings[i * stride..(i + 1) * stride],
                         );
@@ -314,139 +226,66 @@ impl CostModel<'_> {
                 child = p as i64;
             }
         }
-
-        stride
-    }
-}
-
-/// Prices one cached prefix pair for the whole batch. The dominant shapes
-/// (union tile complete, reuse run closed in the prefix) run hoisted
-/// inner loops over the aggregate columns; straddling shapes fall back to
-/// the scalar `count_prefix_pair` per candidate.
-fn batch_prefix_pair(
-    model: &CostModel<'_>,
-    lc: &LevelCost,
-    tensor: &TensorDesc,
-    scratch: &mut BatchEvalScratch,
-    n: usize,
-    nt: usize,
-    n_levels: usize,
-) {
-    let workload = model.workload();
-    let arch = model.arch();
-    let options = model.options();
-    let indexing = tensor.indexing_dims();
-    let is_output = tensor.is_output();
-    let stride = n_levels * nt;
-    let lstride = n_levels + 1;
-    let t = lc.tensor;
-    let p = lc.p;
-
-    if !(lc.union_complete && lc.closed) {
-        // Straddling pair (union still extends into the candidate, or the
-        // reuse run hands over to the candidate's own scan): per-candidate
-        // scalar kernel over the CSR columns.
-        for i in 0..n {
-            let cand = &scratch.loops[scratch.off[i]..scratch.off[i + 1]];
-            let row = &scratch.s_above[i * lstride..(i + 1) * lstride];
-            let s_p = row[p + 1];
-            let s_c = if lc.child < 0 { row[0] } else { row[lc.child as usize + 1] };
-            let agg = CandAgg {
-                all_temporal: scratch.agg_all[i],
-                refills: scratch.agg_refills[i],
-                distinct: scratch.agg_distinct[i],
-                driving: scratch.agg_driving[i],
-            };
-            count_prefix_pair(
-                workload,
-                arch,
-                options,
-                lc,
-                tensor,
-                indexing,
-                cand,
-                &agg,
-                s_p,
-                s_c,
-                &mut scratch.union_tile,
-                &mut scratch.per[i * stride..(i + 1) * stride],
-                &mut scratch.crossings[i * stride..(i + 1) * stride],
-            );
-        }
-        return;
     }
 
-    // Hoisted path: union tile, footprints, multicast penalty, and the
-    // driving loop are pair constants; per candidate only the aggregate
-    // products vary. `refills = all_temporal · pre_refills` because the
-    // closed run makes every candidate temporal loop a refill.
-    let f_union = lc.f_union;
-    let non_mc = lc.non_mc;
-    let f_child = lc.f_child;
-    let pre_refills = lc.pre_refills;
-    let pre_distinct = lc.pre_distinct;
-
-    if is_output {
-        for i in 0..n {
-            let refills = scratch.agg_all[i] * pre_refills;
-            let distinct = scratch.agg_distinct[i] * pre_distinct;
-            let reloads = (refills - distinct).max(0.0);
-            let row = &scratch.s_above[i * lstride..(i + 1) * lstride];
-            let s_p = row[p + 1];
-            let s_c = if lc.child < 0 { row[0] } else { row[lc.child as usize + 1] };
-            let per = &mut scratch.per[i * stride..(i + 1) * stride];
-            per[p * nt + t.index()].updates += refills * f_union * non_mc * s_p;
-            per[p * nt + t.index()].reads += reloads * f_union * non_mc * s_p;
-            if lc.child >= 0 {
-                let c = lc.child as usize;
-                per[c * nt + t.index()].reads += refills * f_child * s_c;
-                per[c * nt + t.index()].fills += reloads * f_child * s_c;
+    /// Prices one cached prefix pair for the whole batch. The dominant
+    /// shape (union tile complete, reuse run closed in the prefix) applies
+    /// one hoisted tail per candidate; straddling shapes price each
+    /// candidate from the cache.
+    fn price_cached_pair(
+        &self,
+        lc: &LevelCost,
+        tensor: &TensorDesc,
+        scratch: &mut BatchEvalScratch,
+        n: usize,
+    ) {
+        let lstride = self.arch().num_levels() + 1;
+        let stride = (lstride - 1) * self.workload().num_tensors();
+        let s = scratch;
+        if lc.union_complete && lc.closed {
+            // Union tile, footprints, multicast penalty and the driving
+            // loop are pair constants; per candidate only the aggregate
+            // products vary. `refills = all_temporal · pre_refills`
+            // because the closed run makes every candidate temporal loop
+            // a refill.
+            let tail = lc.hoisted_tail(self, tensor);
+            for i in 0..n {
+                tail.add(
+                    self,
+                    s.aggs[i].all_temporal * lc.pre_refills,
+                    s.aggs[i].distinct * lc.pre_distinct,
+                    &s.s_above[i * lstride..(i + 1) * lstride],
+                    &mut s.per[i * stride..(i + 1) * stride],
+                    &mut s.crossings[i * stride..(i + 1) * stride],
+                );
             }
-            let crossing_words = (refills + reloads) * f_child * s_c;
-            add_crossings(
-                workload,
-                arch,
-                t,
-                lc.child,
-                p,
-                crossing_words,
-                &mut scratch.crossings[i * stride..(i + 1) * stride],
-            );
-        }
-    } else {
-        let parent_kernel =
-            HaloKernel::of(options, tensor, lc.pre_driving, &lc.union_tile, f_union);
-        let child_kernel = HaloKernel::of(options, tensor, lc.pre_driving, &lc.child_tile, f_child);
-        for i in 0..n {
-            let refills = scratch.agg_all[i] * pre_refills;
-            let parent_vol = parent_kernel.apply(refills);
-            let child_vol = child_kernel.apply(refills);
-            let row = &scratch.s_above[i * lstride..(i + 1) * lstride];
-            let s_p = row[p + 1];
-            let s_c = if lc.child < 0 { row[0] } else { row[lc.child as usize + 1] };
-            let per = &mut scratch.per[i * stride..(i + 1) * stride];
-            per[p * nt + t.index()].reads += parent_vol * non_mc * s_p;
-            if lc.child >= 0 {
-                let c = lc.child as usize;
-                per[c * nt + t.index()].fills += child_vol * s_c;
+        } else {
+            for i in 0..n {
+                lc.count(
+                    self,
+                    tensor,
+                    &s.loops[s.off[i]..s.off[i + 1]],
+                    &s.aggs[i],
+                    &s.s_above[i * lstride..(i + 1) * lstride],
+                    &mut s.union_tile,
+                    &mut s.per[i * stride..(i + 1) * stride],
+                    &mut s.crossings[i * stride..(i + 1) * stride],
+                );
             }
-            add_crossings(
-                workload,
-                arch,
-                t,
-                lc.child,
-                p,
-                child_vol * s_c,
-                &mut scratch.crossings[i * stride..(i + 1) * stride],
-            );
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{CostModel, ModelOptions};
-    use sunstone_arch::{presets, ArchSpec, Binding};
+    use std::slice;
+
+    use super::BatchEvalScratch;
+    use crate::{CostModel, CostReport, CostTotals, MappingPrefix, ModelOptions};
+    use sunstone_arch::{
+        presets, ArchSpec, Binding, BufferPartition, Capacity, Level, MemoryLevel, NocModel,
+        SpatialLevel, TensorFilter,
+    };
     use sunstone_ir::Workload;
     use sunstone_mapping::{Mapping, MappingLevel};
 
@@ -471,6 +310,35 @@ mod tests {
         }
     }
 
+    /// A fabric below every memory, with a unicast NoC, and an L1 the
+    /// output bypasses: every tensor's MAC-boundary pair straddles the
+    /// fabric and pays its broadcast fan-out, and the output's only
+    /// storing level is DRAM, so its MAC-boundary pair spans the whole
+    /// hierarchy.
+    fn fabric_first() -> ArchSpec {
+        let memory = |name: &str, capacity, energy| {
+            MemoryLevel::unified(
+                name,
+                BufferPartition::new(name, TensorFilter::Any, capacity, energy, energy),
+            )
+        };
+        ArchSpec::new(
+            "fabric-first",
+            vec![
+                Level::Spatial(
+                    SpatialLevel::new("lanes", 4)
+                        .with_noc(NocModel { multicast: false, per_word_energy_pj: 0.1 }),
+                ),
+                Level::Memory(
+                    memory("L1", Capacity::Bytes(1 << 20), 1.0).with_bypass(TensorFilter::Output),
+                ),
+                Level::Memory(memory("DRAM", Capacity::Unbounded, 100.0)),
+            ],
+            1.0,
+            16,
+        )
+    }
+
     /// Deterministic xorshift: factor streams without a rand dependency.
     struct Rng(u64);
     impl Rng {
@@ -487,36 +355,139 @@ mod tests {
         }
     }
 
-    /// Random candidate suffixes over a shared prefix mapping: each
-    /// candidate varies the factors and orders of the levels above
-    /// `boundary`. The candidates need not cover the problem exactly —
-    /// the count pass is pure arithmetic over the factors, which is what
-    /// the search evaluates mid-walk too.
-    fn random_candidates(
-        base: &Mapping,
-        arch: &ArchSpec,
-        boundary: usize,
-        rng: &mut Rng,
-        n: usize,
-    ) -> Vec<Mapping> {
-        let n_levels = arch.num_levels();
-        (0..n)
-            .map(|_| {
-                let mut m = base.clone();
-                for pos in boundary + 1..n_levels {
-                    let ndims = m.level(pos).factors().len();
-                    let factors: Vec<u64> =
-                        (0..ndims).map(|_| rng.pick(&[1u64, 1, 2, 3, 7, 14])).collect();
-                    set(&mut m, pos, &factors);
-                }
-                m
-            })
-            .collect()
+    /// `n` candidates over `base`: the base itself, then copies whose
+    /// levels from `from` upward carry random factors. They need not
+    /// cover the problem exactly — the count pass is pure arithmetic over
+    /// the factors, which is what the search prices mid-walk too.
+    fn candidates(base: &Mapping, from: usize, rng: &mut Rng, n: usize) -> Vec<Mapping> {
+        let n_levels = base.levels().len();
+        let mut out = vec![base.clone()];
+        while out.len() < n {
+            let mut m = base.clone();
+            for pos in from..n_levels {
+                let ndims = m.level(pos).factors().len();
+                let factors: Vec<u64> =
+                    (0..ndims).map(|_| rng.pick(&[1u64, 1, 2, 3, 7, 14])).collect();
+                set(&mut m, pos, &factors);
+            }
+            out.push(m);
+        }
+        out
     }
 
-    /// The SoA batch evaluation is bit-identical to the scalar prefixed
-    /// path for random candidate sets, at every boundary, with and
-    /// without halo credit, on a multi-level spatial hierarchy.
+    /// Prices `cands` against `prefix` at width `cands.len()`, in both
+    /// forms, and holds every price to the candidate's own width-1 price
+    /// against the empty prefix, bit for bit.
+    fn assert_prices_alone(
+        model: &CostModel<'_>,
+        prefix: &MappingPrefix,
+        cands: &[Mapping],
+        scratch: &mut BatchEvalScratch,
+        what: &str,
+    ) {
+        let alone: Vec<(CostReport, CostTotals)> = cands
+            .iter()
+            .map(|c| {
+                let report = model.evaluate_unchecked(c);
+                let mut totals = None;
+                model.price_prefixed_batch(
+                    model.empty_prefix(),
+                    slice::from_ref(c),
+                    &mut model.scratch(),
+                    |_, t| totals = Some(t),
+                );
+                let totals = totals.expect("one candidate, one price");
+                assert_eq!(totals.energy_pj.to_bits(), report.energy_pj.to_bits(), "{what}");
+                assert_eq!(totals.delay_cycles.to_bits(), report.delay_cycles.to_bits(), "{what}");
+                (report, totals)
+            })
+            .collect();
+        if let [c] = cands {
+            let single = model.evaluate_prefixed_with(prefix, c, scratch);
+            assert_eq!(single, alone[0].0, "{what}: evaluate_prefixed_with");
+        }
+        let mut seen = 0usize;
+        model.evaluate_prefixed_batch(prefix, cands, scratch, |i, got| {
+            assert_eq!(i, seen, "emit order is candidate order");
+            seen += 1;
+            assert_eq!(got, alone[i].0, "{what}: report of candidate {i}");
+            assert_eq!(got.edp.to_bits(), alone[i].0.edp.to_bits(), "{what}: candidate {i}");
+        });
+        assert_eq!(seen, cands.len());
+        let mut priced = 0usize;
+        model.price_prefixed_batch(prefix, cands, scratch, |i, got| {
+            assert_eq!(i, priced, "emit order is candidate order");
+            priced += 1;
+            let (report, totals) = &alone[i];
+            assert_eq!(got.energy_pj.to_bits(), totals.energy_pj.to_bits(), "{what}: {i}");
+            assert_eq!(got.delay_cycles.to_bits(), totals.delay_cycles.to_bits(), "{what}: {i}");
+            assert_eq!(
+                (got.energy_pj * got.delay_cycles).to_bits(),
+                report.edp.to_bits(),
+                "{what}: the EDP a ranking caller derives is the report's"
+            );
+        });
+        assert_eq!(priced, cands.len());
+    }
+
+    /// One count pass behind every entry point: at every prefix boundary
+    /// and at widths 1, 2 and 17, with halo credit on and off, every
+    /// report and every pair of totals equals the candidate's width-1
+    /// price against the empty prefix, bit for bit. The presets cover a
+    /// multi-level spatial hierarchy with bypasses (Simba) and a
+    /// memory-only prefix where every pair takes the hoisted path
+    /// (conventional); `fabric_first` covers MAC-boundary pairs that
+    /// straddle a unicast fabric or span the whole hierarchy. A width-17
+    /// run against the empty prefix itself — how top-down stages, which
+    /// decide no prefix, price — varies every level.
+    #[test]
+    fn every_prefix_and_width_prices_as_the_empty_prefix_alone() {
+        let w = conv2d();
+        let mut simba = Mapping::streaming(&w, &presets::simba_like());
+        set(&mut simba, 0, &[1, 2, 1, 1, 3, 1]); // vector lanes: C, R
+        set(&mut simba, 1, &[2, 1, 1, 1, 1, 1]); // weight regs: K
+        set(&mut simba, 2, &[1, 2, 2, 1, 1, 3]); // PE lanes: C, P, S
+        set(&mut simba, 3, &[2, 2, 1, 1, 1, 1]); // L1: K, C
+        set(&mut simba, 5, &[1, 1, 1, 2, 1, 1]); // L2: Q
+        set(&mut simba, 6, &[2, 1, 7, 7, 1, 1]); // DRAM: K, P, Q
+        let mut fabric = Mapping::streaming(&w, &fabric_first());
+        set(&mut fabric, 0, &[2, 2, 1, 1, 1, 1]); // lanes: K, C
+        set(&mut fabric, 1, &[1, 2, 2, 1, 3, 3]); // L1: C, P, R, S
+        set(&mut fabric, 2, &[4, 2, 7, 14, 1, 1]); // DRAM: the rest
+        let conventional = Mapping::streaming(&w, &presets::conventional());
+        let cases = [
+            (presets::simba_like(), simba),
+            (presets::conventional(), conventional),
+            (fabric_first(), fabric),
+        ];
+
+        let mut rng = Rng(0x5eed_cafe_f00d_u64);
+        for (arch, base) in &cases {
+            let binding = Binding::resolve(arch, &w).unwrap();
+            for options in [ModelOptions::default(), ModelOptions { halo_reuse: false }] {
+                let model = CostModel::with_options(&w, arch, &binding, options);
+                let mut scratch = model.batch_scratch();
+                for boundary in 0..arch.num_levels() {
+                    let prefix = model.prefix_of(base, boundary);
+                    for width in [1, 2, 17] {
+                        let cands = candidates(base, boundary + 1, &mut rng, width);
+                        let what = format!(
+                            "{}: boundary {boundary}, width {width}, {options:?}",
+                            arch.name()
+                        );
+                        assert_prices_alone(&model, &prefix, &cands, &mut scratch, &what);
+                    }
+                }
+                let cands = candidates(base, 0, &mut rng, 17);
+                let what = format!("{}: empty prefix, width 17, {options:?}", arch.name());
+                assert_prices_alone(&model, model.empty_prefix(), &cands, &mut scratch, &what);
+            }
+        }
+    }
+
+    /// The batch evaluation is bit-identical to the scalar prefixed path
+    /// for random candidate sets, at every boundary, with and without
+    /// halo credit, on a multi-level spatial hierarchy.
     #[test]
     fn batch_matches_scalar_on_simba() {
         let w = conv2d();
@@ -535,7 +506,7 @@ mod tests {
             let mut scalar_scratch = model.scratch();
             let mut batch_scratch = model.batch_scratch();
             for boundary in 0..arch.num_levels() {
-                let cands = random_candidates(&base, &arch, boundary, &mut rng, 17);
+                let cands = candidates(&base, boundary + 1, &mut rng, 17);
                 let prefix = model.prefix_of(&base, boundary);
                 let mut seen = 0usize;
                 model.evaluate_prefixed_batch(&prefix, &cands, &mut batch_scratch, |i, got| {
@@ -583,7 +554,7 @@ mod tests {
         let mut scalar_scratch = model.scratch();
         let mut batch_scratch = model.batch_scratch();
         for boundary in 0..arch.num_levels() {
-            let cands = random_candidates(&base, &arch, boundary, &mut rng, 9);
+            let cands = candidates(&base, boundary + 1, &mut rng, 9);
             let prefix = model.prefix_of(&base, boundary);
             model.evaluate_prefixed_batch(&prefix, &cands, &mut batch_scratch, |i, got| {
                 let want = model.evaluate_prefixed_with(&prefix, &cands[i], &mut scalar_scratch);

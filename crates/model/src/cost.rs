@@ -5,19 +5,8 @@ use sunstone_arch::{ArchSpec, Binding, Level, LevelId, MemoryLevel};
 use sunstone_ir::Workload;
 use sunstone_mapping::{Mapping, MappingError, ValidationContext};
 
-use crate::counts::{storage_chains, CountScratch};
-use crate::{AccessCounts, ModelOptions};
-
-/// Reusable buffers for [`CostModel::evaluate_unchecked_with`]: keep one
-/// per evaluation thread so repeated evaluations only allocate their
-/// output report.
-#[derive(Debug, Clone, Default)]
-pub struct EvalScratch {
-    counts: CountScratch,
-    part_reads: Vec<f64>,
-    part_writes: Vec<f64>,
-    s_above: Vec<f64>,
-}
+use crate::counts::{fanout, storage_chains};
+use crate::{BatchEvalScratch, MappingPrefix, ModelOptions};
 
 /// Per-memory-level cost summary inside a [`CostReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -92,7 +81,9 @@ struct PricedRows {
 /// Evaluates mappings for one (workload, architecture, binding) triple.
 ///
 /// Construct once and evaluate many candidates; see the [crate-level
-/// example](crate).
+/// example](crate). Every evaluation runs one count kernel
+/// ([`price_prefixed_batch`](Self::price_prefixed_batch) and its report
+/// form); the single-mapping entry points are width-1 calls of it.
 #[derive(Debug, Clone)]
 pub struct CostModel<'a> {
     workload: &'a Workload,
@@ -101,6 +92,8 @@ pub struct CostModel<'a> {
     options: ModelOptions,
     /// Per-tensor storing-level chains, derived once at construction.
     chains: Vec<Vec<usize>>,
+    /// The prefix that decides no level.
+    empty: MappingPrefix,
 }
 
 impl<'a> CostModel<'a> {
@@ -117,15 +110,15 @@ impl<'a> CostModel<'a> {
         options: ModelOptions,
     ) -> Self {
         let chains = storage_chains(workload, arch, binding);
-        CostModel { workload, arch, binding, options, chains }
+        let empty = MappingPrefix::empty(workload.num_dims());
+        CostModel { workload, arch, binding, options, chains, empty }
     }
 
-    /// A fresh scratch buffer for [`evaluate_unchecked_with`]
-    /// (one per evaluation thread).
-    ///
-    /// [`evaluate_unchecked_with`]: Self::evaluate_unchecked_with
-    pub fn scratch(&self) -> EvalScratch {
-        EvalScratch::default()
+    /// A fresh scratch for the evaluation entry points (one per
+    /// evaluation thread; [`batch_scratch`](Self::batch_scratch) is the
+    /// same).
+    pub fn scratch(&self) -> BatchEvalScratch {
+        BatchEvalScratch::default()
     }
 
     /// The workload being modelled.
@@ -143,7 +136,7 @@ impl<'a> CostModel<'a> {
         self.binding
     }
 
-    /// The per-tensor storing-level chains (shared with the batch pass).
+    /// The per-tensor storing-level chains.
     pub(crate) fn chains(&self) -> &[Vec<usize>] {
         &self.chains
     }
@@ -151,6 +144,13 @@ impl<'a> CostModel<'a> {
     /// The model options in effect.
     pub(crate) fn options(&self) -> ModelOptions {
         self.options
+    }
+
+    /// The prefix that decides no level: pricing against it walks each
+    /// candidate's whole nest, so it is how a caller with no shared
+    /// prefix prices a run of candidates.
+    pub fn empty_prefix(&self) -> &MappingPrefix {
+        &self.empty
     }
 
     /// Validates the mapping, then evaluates it.
@@ -173,40 +173,29 @@ impl<'a> CostModel<'a> {
     }
 
     /// [`evaluate_unchecked`](Self::evaluate_unchecked) with reusable
-    /// scratch buffers — the form for tight evaluation loops.
+    /// scratch buffers: the count kernel at width 1 against the empty
+    /// prefix.
     pub fn evaluate_unchecked_with(
         &self,
         mapping: &Mapping,
-        scratch: &mut EvalScratch,
+        scratch: &mut BatchEvalScratch,
     ) -> CostReport {
-        let counts = AccessCounts::compute_reusing(
-            self.workload,
-            self.arch,
-            mapping,
-            self.options,
-            &self.chains,
-            &mut scratch.counts,
-        );
-        self.report_with(mapping, &counts, scratch)
-    }
-
-    /// Computes the report from precomputed access counts.
-    pub fn report_from_counts(&self, mapping: &Mapping, counts: &AccessCounts) -> CostReport {
-        self.report_with(mapping, counts, &mut EvalScratch::default())
+        self.evaluate_prefixed_with(&self.empty, mapping, scratch)
     }
 
     /// Caches the count pass's view of `mapping`'s decided prefix — levels
     /// `0..=boundary` — as composable per-storing-pair contributions.
     ///
-    /// Candidates sharing those levels are then priced with
-    /// [`evaluate_prefixed_with`](Self::evaluate_prefixed_with), which
-    /// walks only the undecided suffix.
-    pub fn prefix_of(&self, mapping: &Mapping, boundary: usize) -> crate::MappingPrefix {
+    /// Candidates sharing those levels are then priced against it
+    /// ([`price_prefixed_batch`](Self::price_prefixed_batch)), which walks
+    /// only their undecided suffix.
+    pub fn prefix_of(&self, mapping: &Mapping, boundary: usize) -> MappingPrefix {
         crate::prefix::build_prefix(self.workload, self.arch, &self.chains, mapping, boundary)
     }
 
     /// [`evaluate_unchecked_with`](Self::evaluate_unchecked_with), pricing
-    /// the decided prefix from `prefix` instead of re-walking it.
+    /// the decided prefix from `prefix` instead of re-walking it: the
+    /// count kernel at width 1.
     ///
     /// The mapping's levels `0..=prefix.boundary()` must equal the levels
     /// `prefix` was built from (they are not re-read). The result is
@@ -215,50 +204,24 @@ impl<'a> CostModel<'a> {
     /// are regrouped, never sums.
     pub fn evaluate_prefixed_with(
         &self,
-        prefix: &crate::MappingPrefix,
+        prefix: &MappingPrefix,
         mapping: &Mapping,
-        scratch: &mut EvalScratch,
+        scratch: &mut BatchEvalScratch,
     ) -> CostReport {
-        let counts = crate::prefix::counts_with_prefix(
-            self.workload,
-            self.arch,
-            self.options,
-            &self.chains,
-            prefix,
-            mapping,
-            &mut scratch.counts,
-        );
-        self.report_with(mapping, &counts, scratch)
+        self.fill_count_tables(prefix, std::slice::from_ref(mapping), scratch);
+        self.report_from_rows(mapping, scratch, 0)
     }
 
-    fn report_with(
-        &self,
-        mapping: &Mapping,
-        counts: &AccessCounts,
-        scratch: &mut EvalScratch,
-    ) -> CostReport {
-        let (per, crossings) = counts.rows();
-        self.report_from_rows(mapping, per, crossings, scratch)
-    }
-
-    /// [`report_with`](Self::report_with) over raw row-major
-    /// `[arch_pos][tensor]` tables — the batch evaluator prices many
-    /// candidates into one flat SoA table and reports each candidate from
-    /// its row range without assembling per-candidate [`AccessCounts`].
+    /// The report of candidate `i` of the count tables in `scratch`.
     pub(crate) fn report_from_rows(
         &self,
         mapping: &Mapping,
-        per: &[crate::TensorLevelCounts],
-        crossings: &[f64],
-        scratch: &mut EvalScratch,
+        scratch: &mut BatchEvalScratch,
+        i: usize,
     ) -> CostReport {
         let mut levels = Vec::new();
-        let priced = self.price_rows(
-            mapping,
-            per,
-            crossings,
-            scratch,
-            |mem, arch_pos, reads, writes, energy_pj| {
+        let priced =
+            self.price_rows(mapping, scratch, i, |mem, arch_pos, reads, writes, energy_pj| {
                 levels.push(LevelReport {
                     name: mem.name.clone(),
                     arch_pos,
@@ -266,8 +229,7 @@ impl<'a> CostModel<'a> {
                     writes,
                     energy_pj,
                 });
-            },
-        );
+            });
         let total_ops = self.workload.total_ops() as f64;
         let CostTotals { energy_pj, delay_cycles } = priced.totals;
         CostReport {
@@ -287,28 +249,30 @@ impl<'a> CostModel<'a> {
     pub(crate) fn totals_from_rows(
         &self,
         mapping: &Mapping,
-        per: &[crate::TensorLevelCounts],
-        crossings: &[f64],
-        scratch: &mut EvalScratch,
+        scratch: &mut BatchEvalScratch,
+        i: usize,
     ) -> CostTotals {
-        self.price_rows(mapping, per, crossings, scratch, |_, _, _, _, _| {}).totals
+        self.price_rows(mapping, scratch, i, |_, _, _, _, _| {}).totals
     }
 
-    /// The model's arithmetic over row-major `[arch_pos][tensor]` count
-    /// tables: energy per memory level, NoC energy per fabric, and the
-    /// delay as the slower of compute and the busiest partition port.
-    /// `on_level` receives each memory level's breakdown as it is summed
-    /// (the report's `levels`; a caller that only ranks passes a no-op and
-    /// nothing is allocated).
+    /// The model's arithmetic over candidate `i`'s row-major
+    /// `[arch_pos][tensor]` count tables: energy per memory level, NoC
+    /// energy per fabric, and the delay as the slower of compute and the
+    /// busiest partition port. `on_level` receives each memory level's
+    /// breakdown as it is summed (the report's `levels`; a caller that
+    /// only ranks passes a no-op and nothing is allocated).
     fn price_rows(
         &self,
         mapping: &Mapping,
-        per: &[crate::TensorLevelCounts],
-        crossings: &[f64],
-        scratch: &mut EvalScratch,
+        scratch: &mut BatchEvalScratch,
+        i: usize,
         mut on_level: impl FnMut(&MemoryLevel, usize, f64, f64, f64),
     ) -> PricedRows {
         let nt = self.workload.num_tensors();
+        let n_levels = self.arch.num_levels();
+        let stride = n_levels * nt;
+        let per = &scratch.per[i * stride..(i + 1) * stride];
+        let crossings = &scratch.crossings[i * stride..(i + 1) * stride];
         let total_ops = self.workload.total_ops() as f64;
         let ref_bits = f64::from(self.arch.ref_bits());
 
@@ -317,16 +281,11 @@ impl<'a> CostModel<'a> {
 
         // Instances of each level = product of spatial factors above it,
         // accumulated in f64 so adversarial fan-outs cannot wrap u64.
-        let n_levels = self.arch.num_levels();
-        scratch.s_above.clear();
-        scratch.s_above.resize(n_levels + 1, 1.0);
-        let s_above = &mut scratch.s_above;
+        let s_above = &mut scratch.instances;
+        s_above.clear();
+        s_above.resize(n_levels + 1, 1.0);
         for p in (0..n_levels).rev() {
-            let own: f64 = match self.arch.level(LevelId(p)) {
-                Level::Spatial(_) => mapping.level(p).factors().iter().map(|&f| f as f64).product(),
-                Level::Memory(_) => 1.0,
-            };
-            s_above[p] = s_above[p + 1] * own;
+            s_above[p] = s_above[p + 1] * fanout(self.arch, mapping, p);
         }
 
         let mut max_transfer_cycles = 0.0f64;

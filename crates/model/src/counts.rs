@@ -2,18 +2,21 @@
 
 use serde::{Deserialize, Serialize};
 use sunstone_arch::{ArchSpec, Binding, Level, LevelId};
-use sunstone_ir::{DimVec, TensorDesc, TensorId, Workload};
-use sunstone_mapping::{FlatLoop, FlatNest, Mapping};
+use sunstone_ir::{DimSet, DimVec, TensorDesc, TensorId, Workload};
+use sunstone_mapping::{FlatLoop, Mapping};
 
-use crate::ModelOptions;
+use crate::{CostModel, ModelOptions};
 
 /// Per-tensor chains of storing memory positions, innermost first.
 ///
 /// The chain depends only on *(workload, architecture, binding)*, so
-/// evaluation loops derive it once and pass it to
-/// [`AccessCounts::compute_reusing`] instead of re-walking the binding per
+/// [`CostModel`] derives it once instead of re-walking the binding per
 /// mapping.
-pub fn storage_chains(workload: &Workload, arch: &ArchSpec, binding: &Binding) -> Vec<Vec<usize>> {
+pub(crate) fn storage_chains(
+    workload: &Workload,
+    arch: &ArchSpec,
+    binding: &Binding,
+) -> Vec<Vec<usize>> {
     workload
         .tensor_ids()
         .map(|t| {
@@ -23,30 +26,6 @@ pub fn storage_chains(workload: &Workload, arch: &ArchSpec, binding: &Binding) -
                 .collect()
         })
         .collect()
-}
-
-/// Reusable buffers for [`AccessCounts::compute_reusing`] and the
-/// prefix-incremental pass: keep one per evaluation thread so the count
-/// pass allocates only its output table.
-#[derive(Debug, Clone)]
-pub struct CountScratch {
-    nest: FlatNest,
-    pub(crate) resident: Vec<DimVec>,
-    pub(crate) s_above: Vec<f64>,
-    /// Flat loops of the undecided (candidate) mapping suffix, reused by
-    /// [`crate::prefix`].
-    pub(crate) cand: Vec<FlatLoop>,
-}
-
-impl Default for CountScratch {
-    fn default() -> Self {
-        CountScratch {
-            nest: FlatNest::empty(),
-            resident: Vec::new(),
-            s_above: Vec::new(),
-            cand: Vec::new(),
-        }
-    }
 }
 
 /// Access counts of one tensor at one memory level, in words.
@@ -106,29 +85,15 @@ impl AccessCounts {
         mapping: &Mapping,
         options: ModelOptions,
     ) -> Self {
-        let chains = storage_chains(workload, arch, binding);
-        Self::compute_reusing(
-            workload,
-            arch,
-            mapping,
-            options,
-            &chains,
-            &mut CountScratch::default(),
-        )
-    }
-
-    /// [`compute`](Self::compute) with the binding-derived storage chains
-    /// precomputed (see [`storage_chains`]) and scratch buffers reused
-    /// across calls — the form evaluation loops should use.
-    pub fn compute_reusing(
-        workload: &Workload,
-        arch: &ArchSpec,
-        mapping: &Mapping,
-        options: ModelOptions,
-        chains: &[Vec<usize>],
-        scratch: &mut CountScratch,
-    ) -> Self {
-        Counter { workload, arch, mapping, options, chains }.run(scratch)
+        // The count kernel at width 1 against the empty prefix.
+        let model = CostModel::with_options(workload, arch, binding, options);
+        let mut scratch = model.scratch();
+        model.fill_count_tables(model.empty_prefix(), std::slice::from_ref(mapping), &mut scratch);
+        AccessCounts {
+            n_tensors: workload.num_tensors(),
+            per: scratch.per,
+            crossings: scratch.crossings,
+        }
     }
 
     /// Counts of `tensor` at architecture position `pos`.
@@ -151,128 +116,6 @@ impl AccessCounts {
     pub fn num_levels(&self) -> usize {
         self.per.len() / self.n_tensors.max(1)
     }
-
-    /// The raw row-major `[arch_pos][tensor]` tables (counts, crossings).
-    pub(crate) fn rows(&self) -> (&[TensorLevelCounts], &[f64]) {
-        (&self.per, &self.crossings)
-    }
-
-    /// Assembles a table from raw rows (the prefix-incremental pass in
-    /// [`crate::prefix`] fills the rows itself).
-    pub(crate) fn from_parts(
-        n_tensors: usize,
-        per: Vec<TensorLevelCounts>,
-        crossings: Vec<f64>,
-    ) -> Self {
-        AccessCounts { n_tensors, per, crossings }
-    }
-}
-
-struct Counter<'a> {
-    workload: &'a Workload,
-    arch: &'a ArchSpec,
-    mapping: &'a Mapping,
-    options: ModelOptions,
-    chains: &'a [Vec<usize>],
-}
-
-impl Counter<'_> {
-    fn run(&self, scratch: &mut CountScratch) -> AccessCounts {
-        let n_levels = self.arch.num_levels();
-        let n_tensors = self.workload.num_tensors();
-        let ndims = self.workload.num_dims();
-        scratch.nest.refill(self.mapping, self.workload);
-
-        let mut per = vec![TensorLevelCounts::default(); n_levels * n_tensors];
-        let mut crossings = vec![0.0f64; n_levels * n_tensors];
-
-        // Resident tiles per level position, accumulated in one inner-to-
-        // outer pass (each is the previous tile times the level's factors).
-        scratch.resident.clear();
-        scratch.resident.reserve(n_levels);
-        let mut acc = DimVec::ones(ndims);
-        for p in 0..n_levels {
-            for (t, &f) in acc.iter_mut().zip(self.mapping.level(p).factors()) {
-                *t *= f;
-            }
-            scratch.resident.push(acc.clone());
-        }
-        // Spatial unit product above each position (inclusive scan from the
-        // outside). s_above[p] = Π spatial factors at positions > p,
-        // accumulated in f64 so adversarial fan-outs cannot wrap u64
-        // before the cast (mirroring `factors::volume`'s widening).
-        scratch.s_above.clear();
-        scratch.s_above.resize(n_levels + 1, 1.0);
-        for p in (0..n_levels).rev() {
-            let own: f64 = match self.arch.level(LevelId(p)) {
-                Level::Spatial(_) => {
-                    self.mapping.level(p).factors().iter().map(|&f| f as f64).product()
-                }
-                Level::Memory(_) => 1.0,
-            };
-            scratch.s_above[p] = scratch.s_above[p + 1] * own;
-        }
-        let (nest, resident, s_above) = (&scratch.nest, &scratch.resident, &scratch.s_above);
-
-        for t in self.workload.tensor_ids() {
-            let tensor = self.workload.tensor(t);
-            let mut child: i64 = -1;
-            for &p in &self.chains[t.index()] {
-                self.count_movement(
-                    t,
-                    tensor,
-                    child,
-                    p,
-                    nest,
-                    resident,
-                    s_above,
-                    &mut per,
-                    &mut crossings,
-                );
-                child = p as i64;
-            }
-        }
-
-        AccessCounts { n_tensors, per, crossings }
-    }
-
-    /// Accounts for the data movement between the storing level at `p` and
-    /// its child storing level at `child` (−1 = the MAC boundary).
-    #[allow(clippy::too_many_arguments)]
-    fn count_movement(
-        &self,
-        t: TensorId,
-        tensor: &TensorDesc,
-        child: i64,
-        p: usize,
-        nest: &FlatNest,
-        resident: &[DimVec],
-        s_above: &[f64],
-        per: &mut [TensorLevelCounts],
-        crossings: &mut [f64],
-    ) {
-        let ndims = self.workload.num_dims();
-        // Tiles (inline vectors: cloning stays on the stack).
-        let child_tile: DimVec =
-            if child < 0 { DimVec::ones(ndims) } else { resident[child as usize].clone() };
-        let s_p = s_above[p + 1];
-        let s_c = if child < 0 { s_above[0] } else { s_above[child as usize + 1] };
-        count_pair(
-            self.workload,
-            self.arch,
-            self.options,
-            t,
-            tensor,
-            child,
-            p,
-            nest.loops(),
-            &child_tile,
-            s_p,
-            s_c,
-            per,
-            crossings,
-        );
-    }
 }
 
 /// Accounts for the data movement of `tensor` between the storing level at
@@ -285,42 +128,24 @@ impl Counter<'_> {
 /// MAC boundary (`child < 0`) there is no temporal reuse: the innermost
 /// storing level is read once per MAC per operand — registers must be
 /// modelled as explicit memory levels (as in the Simba preset) to reuse
-/// operands across MACs.
+/// operands across MACs. `s_above` is the candidate's spatial-product
+/// ladder: `s_above[q]` = Π spatial factors at positions `≥ q`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn count_pair(
-    workload: &Workload,
-    arch: &ArchSpec,
-    options: ModelOptions,
+    model: &CostModel<'_>,
     t: TensorId,
     tensor: &TensorDesc,
     child: i64,
     p: usize,
     loops: &[FlatLoop],
     child_tile: &DimVec,
-    s_p: f64,
-    s_c: f64,
+    s_above: &[f64],
     per: &mut [TensorLevelCounts],
     crossings: &mut [f64],
 ) {
-    let nt = workload.num_tensors();
     let indexing = tensor.indexing_dims();
-    let is_output = tensor.is_output();
-
     let mut union_tile = child_tile.clone();
-    let mut non_mc = 1.0f64;
-    for l in loops {
-        if l.is_spatial() && (l.arch_pos as i64) > child && l.arch_pos < p {
-            union_tile[l.dim.index()] *= l.factor;
-            let multicast = arch
-                .level(LevelId(l.arch_pos))
-                .as_spatial()
-                .map(|s| s.noc.multicast)
-                .unwrap_or(true);
-            if !multicast && !indexing.contains(l.dim) {
-                non_mc *= l.factor as f64;
-            }
-        }
-    }
+    let non_mc = widen_union(model.arch(), indexing, loops, child, p, &mut union_tile, 1.0);
     let f_child = tensor.footprint(child_tile) as f64;
     let f_union = tensor.footprint(&union_tile) as f64;
 
@@ -341,93 +166,226 @@ pub(crate) fn count_pair(
         .map(|l| l.factor as f64)
         .product();
 
-    if is_output {
-        // Evictions travel up (child read → parent update); revisits
-        // travel down (parent read → child fill).
-        let reloads = (refills - distinct).max(0.0);
-        per[p * nt + t.index()].updates += refills * f_union * non_mc * s_p;
-        per[p * nt + t.index()].reads += reloads * f_union * non_mc * s_p;
-        if child >= 0 {
-            let c = child as usize;
-            per[c * nt + t.index()].reads += refills * f_child * s_c;
-            per[c * nt + t.index()].fills += reloads * f_child * s_c;
-        }
-        let crossing_words = (refills + reloads) * f_child * s_c;
-        add_crossings(workload, arch, t, child, p, crossing_words, crossings);
-    } else {
-        // Halo (sliding-window) credit on adjacent refills.
-        let parent_vol = halo_volume(options, tensor, driving, refills, &union_tile, f_union);
-        let child_vol = halo_volume(options, tensor, driving, refills, child_tile, f_child);
-        per[p * nt + t.index()].reads += parent_vol * non_mc * s_p;
-        if child >= 0 {
-            let c = child as usize;
-            per[c * nt + t.index()].fills += child_vol * s_c;
-        }
-        add_crossings(workload, arch, t, child, p, child_vol * s_c, crossings);
-    }
+    let tail = PairTail::new(
+        model,
+        tensor,
+        t,
+        child,
+        p,
+        non_mc,
+        driving,
+        &union_tile,
+        f_union,
+        child_tile,
+        f_child,
+    );
+    tail.add(model, refills, distinct, s_above, per, crossings);
 }
 
-/// Total words fetched over `refills` refill events of a tile with
-/// footprint `f`, crediting window overlap between refills that are
-/// adjacent along the driving loop's dimension.
-pub(crate) fn halo_volume(
-    options: ModelOptions,
-    tensor: &TensorDesc,
-    driving: Option<FlatLoop>,
-    refills: f64,
-    tile: &[u64],
-    f: f64,
-) -> f64 {
-    let Some(drv) = driving else { return refills * f };
-    if !options.halo_reuse {
-        return refills * f;
-    }
-    // Find the index expression containing the driving dimension.
-    let Some(expr) = tensor.indices().iter().find(|e| e.terms().iter().any(|t| t.dim == drv.dim))
-    else {
-        return refills * f;
-    };
-    if !expr.is_compound() {
-        return refills * f; // plain index: full refetch, no overlap
-    }
-    let extent = expr.extent_of(tile) as f64;
-    if extent == 0.0 {
-        return 0.0;
-    }
-    let stride =
-        expr.terms().iter().find(|t| t.dim == drv.dim).map(|t| t.stride).unwrap_or(1) as f64;
-    let shift = stride * tile[drv.dim.index()] as f64;
-    let frac = (shift.min(extent)) / extent;
-    // refills = sweeps × drv.factor; within a sweep, the first refill
-    // is a full fetch and the remaining (factor − 1) fetch only the
-    // fresh window portion.
-    let sweeps = refills / drv.factor as f64;
-    sweeps * f * (1.0 + (drv.factor as f64 - 1.0) * frac)
-}
-
-pub(crate) fn add_crossings(
-    workload: &Workload,
+/// Extends `union_tile` by the spatial loops of `loops` strictly between
+/// `child` and `p`, and returns `non_mc` times the fan-out of those loops
+/// that broadcast the tensor over a NoC without multicast.
+pub(crate) fn widen_union(
     arch: &ArchSpec,
+    indexing: DimSet,
+    loops: &[FlatLoop],
+    child: i64,
+    p: usize,
+    union_tile: &mut DimVec,
+    mut non_mc: f64,
+) -> f64 {
+    for l in loops {
+        if l.is_spatial() && (l.arch_pos as i64) > child && l.arch_pos < p {
+            union_tile[l.dim.index()] *= l.factor;
+            let multicast = arch
+                .level(LevelId(l.arch_pos))
+                .as_spatial()
+                .map(|s| s.noc.multicast)
+                .unwrap_or(true);
+            if !multicast && !indexing.contains(l.dim) {
+                non_mc *= l.factor as f64;
+            }
+        }
+    }
+    non_mc
+}
+
+/// The last step of the count pass for one storing pair: with the pair's
+/// tiles, footprints, multicast penalty and halo geometry fixed, it turns
+/// a candidate's refill counts into table entries. Every path through the
+/// count kernel ends here, so the accumulation is written once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PairTail {
     t: TensorId,
     child: i64,
     p: usize,
-    words: f64,
-    crossings: &mut [f64],
-) {
-    let nt = workload.num_tensors();
-    for pos in 0..p {
-        if (pos as i64) > child {
-            if let Level::Spatial(_) = arch.level(LevelId(pos)) {
-                crossings[pos * nt + t.index()] += words;
+    non_mc: f64,
+    flow: Flow,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Flow {
+    /// An output: evictions travel up (child read → parent update),
+    /// revisits travel down (parent read → child fill).
+    Output { f_union: f64, f_child: f64 },
+    /// An input: parent reads and child fills, each with its halo credit.
+    Input { parent: HaloKernel, child: HaloKernel },
+}
+
+impl PairTail {
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn new(
+        model: &CostModel<'_>,
+        tensor: &TensorDesc,
+        t: TensorId,
+        child: i64,
+        p: usize,
+        non_mc: f64,
+        driving: Option<FlatLoop>,
+        union_tile: &[u64],
+        f_union: f64,
+        child_tile: &[u64],
+        f_child: f64,
+    ) -> Self {
+        let flow = if tensor.is_output() {
+            Flow::Output { f_union, f_child }
+        } else {
+            let options = model.options();
+            Flow::Input {
+                parent: HaloKernel::of(options, tensor, driving, union_tile, f_union),
+                child: HaloKernel::of(options, tensor, driving, child_tile, f_child),
+            }
+        };
+        PairTail { t, child, p, non_mc, flow }
+    }
+
+    /// Adds one candidate's traffic: `refills` refill events of the child
+    /// tile, `distinct` of them to an output tile not visited before.
+    /// `s_above` is the candidate's spatial-product ladder.
+    #[inline]
+    pub(crate) fn add(
+        &self,
+        model: &CostModel<'_>,
+        refills: f64,
+        distinct: f64,
+        s_above: &[f64],
+        per: &mut [TensorLevelCounts],
+        crossings: &mut [f64],
+    ) {
+        let nt = model.workload().num_tensors();
+        let (at_p, non_mc) = (self.p * nt + self.t.index(), self.non_mc);
+        let s_p = s_above[self.p + 1];
+        let s_c = s_above[(self.child + 1) as usize];
+        let at_child = (self.child >= 0).then(|| self.child as usize * nt + self.t.index());
+        let crossing_words = match self.flow {
+            Flow::Output { f_union, f_child } => {
+                let reloads = (refills - distinct).max(0.0);
+                per[at_p].updates += refills * f_union * non_mc * s_p;
+                per[at_p].reads += reloads * f_union * non_mc * s_p;
+                if let Some(c) = at_child {
+                    per[c].reads += refills * f_child * s_c;
+                    per[c].fills += reloads * f_child * s_c;
+                }
+                (refills + reloads) * f_child * s_c
+            }
+            Flow::Input { parent, child } => {
+                let child_vol = child.apply(refills);
+                per[at_p].reads += parent.apply(refills) * non_mc * s_p;
+                if let Some(c) = at_child {
+                    per[c].fills += child_vol * s_c;
+                }
+                child_vol * s_c
+            }
+        };
+        // Every word delivered to the child crosses each fabric between.
+        for pos in (self.child + 1) as usize..self.p {
+            if let Level::Spatial(_) = model.arch().level(LevelId(pos)) {
+                crossings[pos * nt + self.t.index()] += crossing_words;
             }
         }
     }
 }
 
+/// Words fetched over a pair's refill events with the halo (sliding-window)
+/// credit folded in: every factor but the number of refills is fixed by
+/// the pair, so the branch structure is resolved once per pair.
+#[derive(Debug, Clone, Copy)]
+enum HaloKernel {
+    /// Degenerate window (`extent == 0`): no words move.
+    Zero,
+    /// No window overlap to credit: `refills * f`.
+    Plain { f: f64 },
+    /// Sliding-window credit along the driving loop:
+    /// `((refills / drvf) * f) * k` with `k = 1 + (drvf − 1) · frac`.
+    Windowed { drvf: f64, f: f64, k: f64 },
+}
+
+impl HaloKernel {
+    /// The kernel for a tile with footprint `f` refilled along `driving`.
+    fn of(
+        options: ModelOptions,
+        tensor: &TensorDesc,
+        driving: Option<FlatLoop>,
+        tile: &[u64],
+        f: f64,
+    ) -> Self {
+        let Some(drv) = driving else { return HaloKernel::Plain { f } };
+        if !options.halo_reuse {
+            return HaloKernel::Plain { f };
+        }
+        // Find the index expression containing the driving dimension.
+        let Some(expr) =
+            tensor.indices().iter().find(|e| e.terms().iter().any(|t| t.dim == drv.dim))
+        else {
+            return HaloKernel::Plain { f };
+        };
+        if !expr.is_compound() {
+            return HaloKernel::Plain { f }; // plain index: full refetch, no overlap
+        }
+        let extent = expr.extent_of(tile) as f64;
+        if extent == 0.0 {
+            return HaloKernel::Zero;
+        }
+        let stride =
+            expr.terms().iter().find(|t| t.dim == drv.dim).map(|t| t.stride).unwrap_or(1) as f64;
+        let shift = stride * tile[drv.dim.index()] as f64;
+        let frac = (shift.min(extent)) / extent;
+        // refills = sweeps × drv.factor; within a sweep, the first refill
+        // is a full fetch and the remaining (factor − 1) fetch only the
+        // fresh window portion.
+        HaloKernel::Windowed {
+            drvf: drv.factor as f64,
+            f,
+            k: 1.0 + (drv.factor as f64 - 1.0) * frac,
+        }
+    }
+
+    /// Words fetched over `refills` refill events.
+    #[inline]
+    fn apply(self, refills: f64) -> f64 {
+        match self {
+            HaloKernel::Zero => 0.0,
+            HaloKernel::Plain { f } => refills * f,
+            HaloKernel::Windowed { drvf, f, k } => refills / drvf * f * k,
+        }
+    }
+}
+
+/// The fan-out of `mapping` at position `q`: the product of its factors,
+/// in `f64` so adversarial fan-outs cannot wrap `u64`, when `q` is a
+/// spatial level; 1 at a memory level.
+pub(crate) fn fanout(arch: &ArchSpec, mapping: &Mapping, q: usize) -> f64 {
+    match arch.level(LevelId(q)) {
+        Level::Spatial(_) => mapping.level(q).factors().iter().map(|&f| f as f64).product(),
+        Level::Memory(_) => 1.0,
+    }
+}
+
 /// Index into `above` where the innermost contiguous run of
 /// non-indexing temporal loops begins (spatial loops are transparent).
-/// Loops at `suffix_start..` provide temporal reuse for the tensor.
-pub(crate) fn reuse_suffix_start(above: &[FlatLoop], indexing: sunstone_ir::DimSet) -> usize {
+/// Loops at `suffix_start..` provide temporal reuse for the tensor; the
+/// temporal loops before it are the refills.
+pub(crate) fn reuse_suffix_start(above: &[FlatLoop], indexing: DimSet) -> usize {
     let mut start = above.len();
     for (i, l) in above.iter().enumerate().rev() {
         if l.is_spatial() {
@@ -438,11 +396,6 @@ pub(crate) fn reuse_suffix_start(above: &[FlatLoop], indexing: sunstone_ir::DimS
         }
         start = i;
     }
-    // `start` currently marks the outermost non-indexing loop of the run,
-    // but spatial loops between it and the boundary stay counted; since
-    // spatial loops contribute no factors to refills, slicing at `start`
-    // is only used to exclude temporal loops — recompute precisely:
-    // include every temporal loop before the run.
     start
 }
 

@@ -77,8 +77,8 @@ mod prefix;
 pub const COST_MODEL_VERSION: u32 = 1;
 
 pub use batch::BatchEvalScratch;
-pub use cost::{CostModel, CostReport, CostTotals, EvalScratch, LevelReport};
-pub use counts::{storage_chains, AccessCounts, CountScratch, TensorLevelCounts};
+pub use cost::{CostModel, CostReport, CostTotals, LevelReport};
+pub use counts::{AccessCounts, TensorLevelCounts};
 pub use explain::compare;
 pub use options::ModelOptions;
 pub use prefix::MappingPrefix;

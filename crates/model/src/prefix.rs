@@ -3,42 +3,45 @@
 //! The level-by-level search (paper Section III-C / V-A) expands many
 //! candidates from one parent state: every candidate shares all mapping
 //! levels at positions `0..=boundary` (the decided prefix) and differs
-//! only in the frontier and completion levels above. The full count pass
-//! walks the whole nest per candidate, recomputing the prefix's resident
-//! tiles, spatial products, and per-(tensor, storing-pair) refill
-//! analysis each time.
+//! only in the frontier and completion levels above. A walk of the whole
+//! nest would recompute the prefix's resident tiles, spatial products,
+//! and per-(tensor, storing-pair) refill analysis for each candidate.
 //!
 //! [`MappingPrefix`] caches that shared portion once, as composable
-//! per-storing-pair [`LevelCost`] entries, so each candidate is priced as
-//! *cached prefix ⊕ suffix delta*:
+//! per-storing-pair [`LevelCost`] entries, so the count kernel
+//! ([`crate::batch`]) prices each candidate as *cached prefix ⊕ suffix
+//! delta*:
 //!
 //! - resident tiles and spatial products of the suffix extend the cached
 //!   prefix values,
 //! - storing pairs fully inside the prefix reuse their cached tiles and
 //!   footprints; pairs straddling the boundary extend the cached partial
 //!   union tile with the candidate's spatial loops; pairs fully above the
-//!   boundary run the ordinary [`count_pair`] over the suffix loops only,
+//!   boundary run the ordinary [`count_pair`](crate::counts::count_pair)
+//!   over the suffix loops only,
 //! - the refill/reuse-run analysis composes algebraically: the innermost
 //!   reuse run either closes inside the prefix (`closed`, the candidate
 //!   contributes all its temporal factors as refills and the driving loop
 //!   is the prefix's breaking loop) or stays open (the run continues into
 //!   the candidate, whose own trailing-run scan takes over).
 //!
+//! The empty prefix ([`crate::CostModel::empty_prefix`]) decides no level:
+//! it caches no pair, so every pair is priced by `count_pair` over the
+//! candidate's whole nest — the full evaluation.
+//!
 //! Every composed quantity is a *product* regrouping of the quantities
-//! the full pass computes — integer-valued `f64` products are exact below
+//! the full walk computes — integer-valued `f64` products are exact below
 //! 2⁵³ under any association, and all sums are accumulated in the same
-//! order into the same tables — so the result is bit-identical to
-//! [`AccessCounts::compute_reusing`] within the model's own documented
-//! exactness envelope.
+//! order into the same tables — so a prefixed price is bit-identical to
+//! the empty-prefix price within the model's own documented exactness
+//! envelope.
 
-use sunstone_arch::{ArchSpec, Level, LevelId};
+use sunstone_arch::ArchSpec;
 use sunstone_ir::{DimSet, DimVec, TensorDesc, TensorId, Workload};
 use sunstone_mapping::{FlatLoop, LoopKind, Mapping, MappingLevel};
 
-use crate::counts::{
-    add_crossings, count_pair, halo_volume, reuse_suffix_start, CountScratch, TensorLevelCounts,
-};
-use crate::{AccessCounts, ModelOptions};
+use crate::counts::{fanout, reuse_suffix_start, widen_union, PairTail, TensorLevelCounts};
+use crate::CostModel;
 
 /// The cached, composable cost contribution of one (tensor, storing-level
 /// pair) whose child boundary lies inside the decided prefix.
@@ -80,11 +83,13 @@ pub(crate) struct LevelCost {
 /// The memoized shared portion of all candidates expanded from one parent
 /// state: everything the count pass derives from mapping levels
 /// `0..=boundary`. Build once per (stage, parent) with
-/// [`crate::CostModel::prefix_of`], evaluate many candidates with
-/// [`crate::CostModel::evaluate_prefixed_with`].
+/// [`crate::CostModel::prefix_of`], price many candidates with
+/// [`crate::CostModel::price_prefixed_batch`]. The empty prefix
+/// ([`crate::CostModel::empty_prefix`]) decides no level.
 #[derive(Debug, Clone)]
 pub struct MappingPrefix {
-    pub(crate) boundary: usize,
+    /// The highest decided architecture position; `None` decides nothing.
+    pub(crate) boundary: Option<usize>,
     pub(crate) ndims: usize,
     /// Resident tiles at positions `0..=boundary`.
     pub(crate) resident: Vec<DimVec>,
@@ -97,15 +102,38 @@ pub struct MappingPrefix {
 }
 
 impl MappingPrefix {
+    /// The prefix that decides no level.
+    pub(crate) fn empty(ndims: usize) -> Self {
+        MappingPrefix {
+            boundary: None,
+            ndims,
+            resident: Vec::new(),
+            s_mid: Vec::new(),
+            pairs: Vec::new(),
+        }
+    }
+
     /// The decided-prefix boundary this cache was built for (the highest
-    /// architecture position whose mapping level it covers).
-    pub fn boundary(&self) -> usize {
+    /// architecture position whose mapping level it covers); `None` for
+    /// the empty prefix.
+    pub fn boundary(&self) -> Option<usize> {
         self.boundary
+    }
+
+    /// The lowest architecture position the prefix leaves undecided.
+    pub(crate) fn first_undecided(&self) -> usize {
+        self.boundary.map_or(0, |b| b + 1)
+    }
+
+    /// Whether the storing pair with child boundary `child` is cached.
+    pub(crate) fn caches(&self, child: i64) -> bool {
+        self.boundary.is_some_and(|b| child <= b as i64)
     }
 }
 
 /// Candidate-suffix refill aggregates of one tensor, shared by all of its
 /// prefix pairs.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct CandAgg {
     /// Π of all temporal factors in the suffix.
     pub(crate) all_temporal: f64,
@@ -204,30 +232,23 @@ pub(crate) fn build_prefix(
 
     let mut s_mid = vec![1.0f64; boundary + 2];
     for q in (0..=boundary).rev() {
-        let own: f64 = match arch.level(LevelId(q)) {
-            Level::Spatial(_) => mapping.level(q).factors().iter().map(|&f| f as f64).product(),
-            Level::Memory(_) => 1.0,
-        };
-        s_mid[q] = s_mid[q + 1] * own;
+        s_mid[q] = s_mid[q + 1] * fanout(arch, mapping, q);
     }
 
     let mut pairs = Vec::new();
     for t in workload.tensor_ids() {
         let tensor = workload.tensor(t);
-        let indexing = tensor.indexing_dims();
         let mut child: i64 = -1;
         for &p in &chains[t.index()] {
             if child > boundary as i64 {
                 break;
             }
-            pairs.push(level_cost(
-                arch, tensor, t, child, p, boundary, &pre, &resident, indexing, ndims,
-            ));
+            pairs.push(level_cost(arch, tensor, t, child, p, boundary, &pre, &resident, ndims));
             child = p as i64;
         }
     }
 
-    MappingPrefix { boundary, ndims, resident, s_mid, pairs }
+    MappingPrefix { boundary: Some(boundary), ndims, resident, s_mid, pairs }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -240,49 +261,27 @@ fn level_cost(
     boundary: usize,
     pre: &[FlatLoop],
     resident: &[DimVec],
-    indexing: DimSet,
     ndims: usize,
 ) -> LevelCost {
+    let indexing = tensor.indexing_dims();
     let child_tile: DimVec =
         if child < 0 { DimVec::ones(ndims) } else { resident[child as usize].clone() };
     let mut union_tile = child_tile.clone();
-    let mut non_mc = 1.0f64;
-    for l in pre {
-        if l.is_spatial() && (l.arch_pos as i64) > child && l.arch_pos < p {
-            union_tile[l.dim.index()] *= l.factor;
-            let multicast = arch
-                .level(LevelId(l.arch_pos))
-                .as_spatial()
-                .map(|s| s.noc.multicast)
-                .unwrap_or(true);
-            if !multicast && !indexing.contains(l.dim) {
-                non_mc *= l.factor as f64;
-            }
-        }
-    }
+    let non_mc = widen_union(arch, indexing, pre, child, p, &mut union_tile, 1.0);
     let union_complete = p <= boundary;
     let f_child = tensor.footprint(&child_tile) as f64;
     let f_union = if union_complete { tensor.footprint(&union_tile) as f64 } else { 0.0 };
 
     let cut = pre.iter().position(|l| (l.arch_pos as i64) <= child).unwrap_or(pre.len());
-    let above = &pre[..cut];
-    let (closed, pre_refills, pre_driving);
-    if child < 0 {
-        closed = true;
-        pre_refills = above.iter().filter(|l| !l.is_spatial()).map(|l| l.factor as f64).product();
-        pre_driving = None;
+    let agg = CandAgg::of(&pre[..cut], indexing);
+    // Above a storing child the run closes in the prefix exactly when an
+    // indexing temporal loop lies there, and that loop is the driver; at
+    // the MAC boundary every temporal loop is a refill.
+    let (closed, pre_refills, pre_driving) = if child < 0 {
+        (true, agg.all_temporal, None)
     } else {
-        closed = above.iter().any(|l| !l.is_spatial() && indexing.contains(l.dim));
-        let local = reuse_suffix_start(above, indexing);
-        pre_refills =
-            above[..local].iter().filter(|l| !l.is_spatial()).map(|l| l.factor as f64).product();
-        pre_driving = above[..local].iter().rev().find(|l| !l.is_spatial()).copied();
-    }
-    let pre_distinct = above
-        .iter()
-        .filter(|l| !l.is_spatial() && indexing.contains(l.dim))
-        .map(|l| l.factor as f64)
-        .product();
+        (agg.driving.is_some(), agg.refills, agg.driving)
+    };
 
     LevelCost {
         tensor: t,
@@ -296,194 +295,90 @@ fn level_cost(
         f_union,
         closed,
         pre_refills,
-        pre_distinct,
+        pre_distinct: agg.distinct,
         pre_driving,
     }
 }
 
-/// The prefix-incremental counterpart of `AccessCounts::compute_reusing`:
-/// mapping levels `0..=prefix.boundary()` must equal the levels the prefix
-/// was built from (the caller's contract; only the suffix is read).
-pub(crate) fn counts_with_prefix(
-    workload: &Workload,
-    arch: &ArchSpec,
-    options: ModelOptions,
-    chains: &[Vec<usize>],
-    prefix: &MappingPrefix,
-    mapping: &Mapping,
-    scratch: &mut CountScratch,
-) -> AccessCounts {
-    let n_levels = arch.num_levels();
-    let n_tensors = workload.num_tensors();
-    let b = prefix.boundary;
-    debug_assert_eq!(prefix.ndims, workload.num_dims());
-    debug_assert!(b < n_levels);
-
-    // Candidate (undecided-suffix) flat loops, outermost-first.
-    scratch.cand.clear();
-    flatten_range(mapping, b + 1, n_levels - 1, &mut scratch.cand);
-
-    // Suffix resident tiles, extending the cached prefix accumulation.
-    scratch.resident.clear();
-    let mut acc = prefix.resident[b].clone();
-    for q in b + 1..n_levels {
-        for (t, &f) in acc.iter_mut().zip(mapping.level(q).factors()) {
-            *t *= f;
-        }
-        scratch.resident.push(acc.clone());
+impl LevelCost {
+    /// The pair's tail when the union tile is complete and the reuse run
+    /// closed: then nothing of it depends on the candidate.
+    pub(crate) fn hoisted_tail(&self, model: &CostModel<'_>, tensor: &TensorDesc) -> PairTail {
+        debug_assert!(self.union_complete && self.closed);
+        self.tail(model, tensor, self.non_mc, self.pre_driving, &self.union_tile, self.f_union)
     }
 
-    // Full spatial-product scan: suffix computed, prefix composed from the
-    // cached mid products (exact integer-product regrouping).
-    scratch.s_above.clear();
-    scratch.s_above.resize(n_levels + 1, 1.0);
-    for q in (b + 1..n_levels).rev() {
-        let own: f64 = match arch.level(LevelId(q)) {
-            Level::Spatial(_) => mapping.level(q).factors().iter().map(|&f| f as f64).product(),
-            Level::Memory(_) => 1.0,
+    /// The pair's tail with the given union tile, penalty and driver.
+    fn tail(
+        &self,
+        model: &CostModel<'_>,
+        tensor: &TensorDesc,
+        non_mc: f64,
+        driving: Option<FlatLoop>,
+        union_tile: &[u64],
+        f_union: f64,
+    ) -> PairTail {
+        PairTail::new(
+            model,
+            tensor,
+            self.tensor,
+            self.child,
+            self.p,
+            non_mc,
+            driving,
+            union_tile,
+            f_union,
+            &self.child_tile,
+            self.f_child,
+        )
+    }
+
+    /// Prices this pair for one candidate suffix `cand` with refill
+    /// aggregates `agg`; the prefix portions come from the cache.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn count(
+        &self,
+        model: &CostModel<'_>,
+        tensor: &TensorDesc,
+        cand: &[FlatLoop],
+        agg: &CandAgg,
+        s_above: &[f64],
+        union_scratch: &mut DimVec,
+        per: &mut [TensorLevelCounts],
+        crossings: &mut [f64],
+    ) {
+        // Union tile: cached when complete; otherwise extend the cached
+        // prefix part with the candidate's spatial loops below `p`.
+        let (f_union, non_mc, union_tile): (f64, f64, &DimVec) = if self.union_complete {
+            (self.f_union, self.non_mc, &self.union_tile)
+        } else {
+            union_scratch.clone_from(&self.union_tile);
+            let indexing = tensor.indexing_dims();
+            let non_mc = widen_union(
+                model.arch(),
+                indexing,
+                cand,
+                self.child,
+                self.p,
+                union_scratch,
+                self.non_mc,
+            );
+            (tensor.footprint(union_scratch) as f64, non_mc, &*union_scratch)
         };
-        scratch.s_above[q] = scratch.s_above[q + 1] * own;
-    }
-    let s_cand = scratch.s_above[b + 1];
-    for q in 0..=b {
-        scratch.s_above[q] = s_cand * prefix.s_mid[q];
-    }
 
-    let mut per = vec![TensorLevelCounts::default(); n_levels * n_tensors];
-    let mut crossings = vec![0.0f64; n_levels * n_tensors];
-    let (cand, resident_cand, s_above) = (&scratch.cand, &scratch.resident, &scratch.s_above);
-    let mut union_scratch = DimVec::ones(prefix.ndims);
+        // Compose the refill-run analysis: a run closed inside the prefix
+        // makes every candidate temporal loop a refill and keeps the
+        // prefix's breaking loop as driver; an open run hands over to the
+        // candidate's own trailing-run scan (pre_refills is 1 then).
+        let (refills, driving) = if self.closed {
+            (agg.all_temporal * self.pre_refills, self.pre_driving)
+        } else {
+            (agg.refills * self.pre_refills, agg.driving)
+        };
+        let distinct = agg.distinct * self.pre_distinct;
 
-    let mut pair_idx = 0usize;
-    for t in workload.tensor_ids() {
-        let tensor = workload.tensor(t);
-        let indexing = tensor.indexing_dims();
-        let agg = CandAgg::of(cand, indexing);
-        let mut child: i64 = -1;
-        for &p in &chains[t.index()] {
-            let s_p = s_above[p + 1];
-            let s_c = if child < 0 { s_above[0] } else { s_above[child as usize + 1] };
-            if child <= b as i64 {
-                let lc = &prefix.pairs[pair_idx];
-                pair_idx += 1;
-                debug_assert!(lc.tensor == t && lc.child == child && lc.p == p);
-                count_prefix_pair(
-                    workload,
-                    arch,
-                    options,
-                    lc,
-                    tensor,
-                    indexing,
-                    cand,
-                    &agg,
-                    s_p,
-                    s_c,
-                    &mut union_scratch,
-                    &mut per,
-                    &mut crossings,
-                );
-            } else {
-                let child_tile = &resident_cand[child as usize - b - 1];
-                count_pair(
-                    workload,
-                    arch,
-                    options,
-                    t,
-                    tensor,
-                    child,
-                    p,
-                    cand,
-                    child_tile,
-                    s_p,
-                    s_c,
-                    &mut per,
-                    &mut crossings,
-                );
-            }
-            child = p as i64;
-        }
-    }
-
-    AccessCounts::from_parts(n_tensors, per, crossings)
-}
-
-/// Prices one cached prefix pair for a concrete candidate suffix; mirrors
-/// `count_pair`'s arithmetic with the prefix portions read from the cache.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn count_prefix_pair(
-    workload: &Workload,
-    arch: &ArchSpec,
-    options: ModelOptions,
-    lc: &LevelCost,
-    tensor: &TensorDesc,
-    indexing: DimSet,
-    cand: &[FlatLoop],
-    agg: &CandAgg,
-    s_p: f64,
-    s_c: f64,
-    union_scratch: &mut DimVec,
-    per: &mut [TensorLevelCounts],
-    crossings: &mut [f64],
-) {
-    let nt = workload.num_tensors();
-    let t = lc.tensor;
-    let p = lc.p;
-    let is_output = tensor.is_output();
-
-    // Union tile: cached when complete; otherwise extend the cached prefix
-    // part with the candidate's spatial loops below `p`.
-    let (f_union, non_mc, union_tile): (f64, f64, &DimVec) = if lc.union_complete {
-        (lc.f_union, lc.non_mc, &lc.union_tile)
-    } else {
-        union_scratch.clone_from(&lc.union_tile);
-        let mut non_mc = lc.non_mc;
-        for l in cand {
-            if l.is_spatial() && l.arch_pos < p {
-                union_scratch[l.dim.index()] *= l.factor;
-                let multicast = arch
-                    .level(LevelId(l.arch_pos))
-                    .as_spatial()
-                    .map(|s| s.noc.multicast)
-                    .unwrap_or(true);
-                if !multicast && !indexing.contains(l.dim) {
-                    non_mc *= l.factor as f64;
-                }
-            }
-        }
-        (tensor.footprint(union_scratch) as f64, non_mc, &*union_scratch)
-    };
-
-    // Compose the refill-run analysis: a run closed inside the prefix
-    // makes every candidate temporal loop a refill and keeps the prefix's
-    // breaking loop as driver; an open run hands over to the candidate's
-    // own trailing-run scan (pre_refills is 1 then).
-    let (refills, driving) = if lc.closed {
-        (agg.all_temporal * lc.pre_refills, lc.pre_driving)
-    } else {
-        (agg.refills * lc.pre_refills, agg.driving)
-    };
-    let distinct = agg.distinct * lc.pre_distinct;
-
-    if is_output {
-        let reloads = (refills - distinct).max(0.0);
-        per[p * nt + t.index()].updates += refills * f_union * non_mc * s_p;
-        per[p * nt + t.index()].reads += reloads * f_union * non_mc * s_p;
-        if lc.child >= 0 {
-            let c = lc.child as usize;
-            per[c * nt + t.index()].reads += refills * lc.f_child * s_c;
-            per[c * nt + t.index()].fills += reloads * lc.f_child * s_c;
-        }
-        let crossing_words = (refills + reloads) * lc.f_child * s_c;
-        add_crossings(workload, arch, t, lc.child, p, crossing_words, crossings);
-    } else {
-        let parent_vol = halo_volume(options, tensor, driving, refills, union_tile, f_union);
-        let child_vol = halo_volume(options, tensor, driving, refills, &lc.child_tile, lc.f_child);
-        per[p * nt + t.index()].reads += parent_vol * non_mc * s_p;
-        if lc.child >= 0 {
-            let c = lc.child as usize;
-            per[c * nt + t.index()].fills += child_vol * s_c;
-        }
-        add_crossings(workload, arch, t, lc.child, p, child_vol * s_c, crossings);
+        let tail = self.tail(model, tensor, non_mc, driving, union_tile, f_union);
+        tail.add(model, refills, distinct, s_above, per, crossings);
     }
 }
 
@@ -525,10 +420,10 @@ mod tests {
         // A mapping exercising temporal orders, spatial unrolls, and
         // bypassed levels across the Simba hierarchy.
         let mut m = Mapping::streaming(&w, &arch);
-        set(&mut m, 0, &[1, 2, 1, 1, 3, 1]); // regs: C, R
-        set(&mut m, 1, &[2, 1, 1, 1, 1, 1]); // PE fan-out: K
-        set(&mut m, 2, &[1, 2, 2, 1, 1, 3]); // L1: C, P, S
-        set(&mut m, 3, &[2, 2, 1, 1, 1, 1]); // cluster fan-out: K, C
+        set(&mut m, 0, &[1, 2, 1, 1, 3, 1]); // vector lanes: C, R
+        set(&mut m, 1, &[2, 1, 1, 1, 1, 1]); // weight regs: K
+        set(&mut m, 2, &[1, 2, 2, 1, 1, 3]); // PE lanes: C, P, S
+        set(&mut m, 3, &[2, 2, 1, 1, 1, 1]); // L1: K, C
         set(&mut m, 5, &[1, 1, 1, 2, 1, 1]); // L2: Q
         set(&mut m, 6, &[2, 1, 7, 7, 1, 1]); // DRAM: K, P, Q
         for options in [ModelOptions::default(), ModelOptions { halo_reuse: false }] {
