@@ -50,7 +50,7 @@ cargo run --release -p sunstone-bench --bin bench_schedule -- quick --out BENCH_
 python3 - <<'EOF'
 import json
 d = json.load(open("BENCH_schedule_quick.json"))
-assert d.get("schema") == "sunstone-bench-schedule/v8", d.get("schema")
+assert d.get("schema") == "sunstone-bench-schedule/v9", d.get("schema")
 assert d.get("layers"), "no layers recorded"
 for row in d["layers"]:
     for field in (
@@ -60,8 +60,9 @@ for row in d["layers"]:
     ):
         assert field in row, f"missing {field} in {row.get('name', '?')}"
     for phase in (
-        "expand", "expand_tiles", "expand_unrolls", "dedup", "estimate",
-        "estimate_prefix", "estimate_price", "estimate_publish", "select",
+        "expand", "expand_tiles", "expand_unrolls", "expand_orderings",
+        "expand_rows", "dedup", "estimate",
+        "estimate_prefix", "estimate_price", "estimate_publish", "select", "rank",
         "uncovered_share",
     ):
         assert phase in row["phase_ms"], f"missing {phase} in {row['name']}"

@@ -8,10 +8,11 @@
 //! considered and kept (ordering trie, tiling maximal frontier, spatial
 //! unrolling, dedup, beam cut), how the search's estimate table fared —
 //! including the SoA batch width of the estimate rounds — and where the
-//! stage's wall time went (expand — with its tile and unroll
-//! enumerations — / dedup / estimate — with its prefix / price / publish
-//! parts — / select), and how many lattice nodes the tile and unroll
-//! enumerators spanned against the capacity probes they made.
+//! stage's wall time went (expand — with its tile, unroll and ordering
+//! enumerations and its row writes — / dedup / estimate — with its
+//! prefix / price / publish parts — / select), and how many lattice nodes
+//! the tile and unroll enumerators spanned against the capacity probes
+//! they made and how often their memos answered.
 //!
 //! Run with `cargo run --release -p sunstone-bench --bin prune_stats`
 //! (append `quick` for a subsampled run).
@@ -29,16 +30,16 @@ fn pct(c: &PruneCounter) -> f64 {
 
 fn print_level_table(stats: &SearchStats) {
     println!(
-        "    {:<5} {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>6} {:>9} {:>7} {:>7}   {:>6}   {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "    {:<5} {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>6} {:>9} {:>7} {:>7}   {:>6}   {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "level", "ord.cons", "kept", "pruned", "tile.cons", "kept", "pruned", "unr.cons", "kept",
         "pruned", "dedup", "beam.cons", "kept", "cut", "hit%", "expand.ms", "x.tiles", "x.unrol",
-        "dedup.ms", "estim.ms", "e.prefix", "e.price", "e.publ", "selec.ms"
+        "x.order", "x.rows", "dedup.ms", "estim.ms", "e.prefix", "e.price", "e.publ", "selec.ms"
     );
     for l in &stats.levels {
         let probes = l.cache_hits + l.cache_misses;
         let hit = if probes == 0 { 0.0 } else { 100.0 * l.cache_hits as f64 / probes as f64 };
         println!(
-            "    L{:<4} {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>6} {:>9} {:>7} {:>7} {:>5.1}%   {:>9.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
+            "    L{:<4} {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>6} {:>9} {:>7} {:>7} {:>5.1}%   {:>9.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
             l.level,
             l.ordering.considered,
             l.ordering.kept,
@@ -57,6 +58,8 @@ fn print_level_table(stats: &SearchStats) {
             l.expand.as_secs_f64() * 1e3,
             l.expand_tiles.as_secs_f64() * 1e3,
             l.expand_unrolls.as_secs_f64() * 1e3,
+            l.expand_orderings.as_secs_f64() * 1e3,
+            l.expand_rows.as_secs_f64() * 1e3,
             l.dedup.as_secs_f64() * 1e3,
             l.estimate.as_secs_f64() * 1e3,
             l.estimate_prefix.as_secs_f64() * 1e3,
@@ -76,8 +79,13 @@ fn merge_into(total: &mut SearchStats, s: &SearchStats) {
     total.rounds += s.rounds;
     total.nodes_explored += s.nodes_explored;
     total.capacity_probes += s.capacity_probes;
+    total.tile_memo_hits += s.tile_memo_hits;
+    total.tile_memo_misses += s.tile_memo_misses;
+    total.unroll_memo_hits += s.unroll_memo_hits;
+    total.unroll_memo_misses += s.unroll_memo_misses;
     total.cache_hits += s.cache_hits;
     total.cache_misses += s.cache_misses;
+    total.rank += s.rank;
     for l in &s.levels {
         let t = &mut total.levels;
         while t.len() <= l.level {
@@ -98,6 +106,8 @@ fn merge_into(total: &mut SearchStats, s: &SearchStats) {
         tl.expand += l.expand;
         tl.expand_tiles += l.expand_tiles;
         tl.expand_unrolls += l.expand_unrolls;
+        tl.expand_orderings += l.expand_orderings;
+        tl.expand_rows += l.expand_rows;
         tl.dedup += l.dedup;
         tl.estimate += l.estimate;
         tl.estimate_prefix += l.estimate_prefix;
@@ -183,7 +193,15 @@ fn main() {
         "  enumerators:      {:>8} nodes explored, {:>6} capacity probes",
         total.nodes_explored, total.capacity_probes
     );
+    println!(
+        "  enumeration memo: {:>8} tile hits / {} runs, {} unroll hits / {} runs",
+        total.tile_memo_hits,
+        total.tile_memo_misses,
+        total.unroll_memo_hits,
+        total.unroll_memo_misses
+    );
     println!("  worker pool:      {:>8} rounds", total.rounds);
+    println!("  final ranking:    {:>8.2} ms", total.rank.as_secs_f64() * 1e3);
     println!(
         "  estimate table:   {:>8} probes, {:.1}% hits",
         probes,

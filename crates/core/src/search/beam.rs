@@ -2,22 +2,23 @@
 //! the alpha-beta-style cut, plus the mapping key the arena's rows share
 //! their prefix with and the 128-bit hash that stands in for it.
 //!
-//! A candidate's identity inside the search is one `u128`, a hash of its
-//! *completed* mapping key taken once per row ([`RowLayout::row_hashes`])
-//! and used here to drop duplicates. A
-//! completed key and a row prefix determine each other (the quotas are the
-//! extents divided by the factors, and the completion level's own factors
-//! are 1 until the stage that writes them), so equal hashes mean equal
-//! rows up to a 2⁻¹²⁸-per-pair collision — which debug builds rule out by
-//! comparing the words. The same pass over the row yields the hash of its
-//! [`nest_key`](RowLayout::nest_key): the estimate table's key, shared by
-//! rows that differ only where a factor is 1.
+//! Dedup meets rows by the hash of their [`nest_key`](RowLayout::nest_key)
+//! — the estimate table's key, shared by rows that differ only where a
+//! factor is 1 — which expansion files with each row. A candidate's
+//! identity inside the search is one `u128`, a hash of its *completed*
+//! mapping key ([`RowLayout::identity`]), taken only for rows whose nest
+//! an earlier row had. A completed key and a row prefix
+//! determine each other (the quotas are the extents divided by the
+//! factors, and the completion level's own factors are 1 until the stage
+//! that writes them), so equal identities mean equal rows up to a
+//! 2⁻¹²⁸-per-pair collision — which debug builds rule out by comparing the
+//! words.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use sunstone_ir::DimVec;
+use sunstone_ir::{DimVec, FxHashMap};
 use sunstone_mapping::{Mapping, MappingLevel};
 
 use super::candidates::Candidates;
@@ -127,8 +128,8 @@ pub(crate) fn key_hash(words: &[u64]) -> u128 {
     Lanes::SEED.absorb(words).finish(words.len())
 }
 
-/// Hasher of maps keyed by a [`key_hash`]: the key is already uniformly
-/// mixed, so its low half *is* the table hash.
+/// Hasher of maps keyed by a [`key_hash`] or its low half: the key is
+/// already uniformly mixed, so its low half *is* the table hash.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct PassThrough(u64);
 
@@ -138,7 +139,11 @@ impl Hasher for PassThrough {
     }
 
     fn write(&mut self, _: &[u8]) {
-        unreachable!("PassThrough only hashes u128 keys");
+        unreachable!("PassThrough only hashes key hashes");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
     }
 
     fn write_u128(&mut self, key: u128) {
@@ -156,35 +161,92 @@ pub(crate) type KeyHashMap<V> = HashMap<u128, V, BuildHasherDefault<PassThrough>
 /// and the survivors keep their order, so one parent's children remain
 /// contiguous.
 ///
-/// This is where every row's hashes are taken: rows are compared by their
-/// identity alone, and each row kept keeps its nest hash, the estimate
-/// round's probe key.
-pub(crate) fn dedup(cands: &mut Candidates, layout: &RowLayout, complete_at: usize) -> usize {
+/// Rows are met by the nest hash expansion filed with each
+/// ([`Candidates::nest`]). Equal rows have equal nest keys, so a row whose
+/// nest hash is new in this pass is unique and costs one map insert. A
+/// row whose nest an earlier row had is compared with the rows kept of
+/// that nest by identity: the nest hash combined with the hash of the
+/// row's whole orders, which its parent and ordering decide
+/// ([`Candidates::orders_hash`], once per pair). No row is read, and no
+/// identity is kept: nests repeat a few rows deep.
+pub(crate) fn dedup(cands: &mut Candidates, layout: &RowLayout) -> usize {
+    const NONE: u32 = u32::MAX;
     let before = cands.len();
     let mut keep: Vec<u32> = Vec::with_capacity(before);
-    let mut nest = std::mem::take(&mut cands.nest);
-    nest.clear();
-    let (mut words, mut orders) = (Vec::new(), Vec::new());
-    // Hash → the first row carrying it.
-    let mut seen: KeyHashMap<u32> =
-        KeyHashMap::with_capacity_and_hasher(before, Default::default());
+    // The low half of a nest hash → the last row kept with it. Two nests
+    // that share a low half only share a chain.
+    let mut nests: HashMap<u64, u32, BuildHasherDefault<PassThrough>> =
+        HashMap::with_capacity_and_hasher(before, Default::default());
+    // Per row kept, the row kept before it with the same low half.
+    let mut prior = vec![NONE; before];
+    // Per (parent, ordering) met among the repeated nests, the hash of its
+    // orders.
+    let mut lineages: FxHashMap<(u32, u32), u128> = FxHashMap::default();
+    let mut orders = Vec::new();
+    let mut identity = |i: usize| {
+        let orders_hash =
+            *lineages.entry(cands.lineage(i)).or_insert_with(|| cands.orders_hash(i, &mut orders));
+        let identity = cands.nest[i] ^ orders_hash;
+        debug_assert_eq!(
+            identity,
+            layout.identity(cands.row(i), cands.nest[i], &mut Vec::new()),
+            "a child's orders are its parent's and its ordering's"
+        );
+        identity
+    };
     for i in 0..before {
-        let row = cands.row(i);
-        let (nest_hash, identity) = layout.row_hashes(row, complete_at, (&mut words, &mut orders));
-        match seen.entry(identity) {
+        match nests.entry(cands.nest[i] as u64) {
             Entry::Vacant(slot) => {
                 slot.insert(i as u32);
-                keep.push(i as u32);
-                nest.push(nest_hash);
             }
-            Entry::Occupied(first) => debug_assert_eq!(
-                row[..layout.key_len],
-                cands.row(*first.get() as usize)[..layout.key_len],
-                "128-bit row hash collision"
-            ),
+            Entry::Occupied(mut last) => {
+                let id = identity(i);
+                let mut j = *last.get();
+                while j != NONE && identity(j as usize) != id {
+                    j = prior[j as usize];
+                }
+                if j != NONE {
+                    debug_assert_eq!(
+                        cands.row(i)[..layout.key_len],
+                        cands.row(j as usize)[..layout.key_len],
+                        "128-bit row hash collision"
+                    );
+                    continue;
+                }
+                prior[i] = std::mem::replace(last.get_mut(), i as u32);
+            }
         }
+        keep.push(i as u32);
     }
-    cands.nest = nest;
+    if keep.len() < before {
+        cands.retain_indices(&keep);
+    }
+    before - cands.len()
+}
+
+/// [`dedup`] as it was before it met rows by their nest first: every
+/// row's nest hash and identity taken from the row, rows compared by
+/// identity alone, the kept rows' nest hashes written to the column. The
+/// oracle the nest-first pass is held to.
+#[cfg(test)]
+pub(crate) fn dedup_by_identity(
+    cands: &mut Candidates,
+    layout: &RowLayout,
+    complete_at: usize,
+) -> usize {
+    let before = cands.len();
+    let mut keep: Vec<u32> = Vec::with_capacity(before);
+    let (mut words, mut orders) = (Vec::new(), Vec::new());
+    let mut seen: KeyHashMap<u32> = KeyHashMap::default();
+    for i in 0..before {
+        let row = cands.row(i);
+        let nest = layout.nest_hash(row, complete_at, &mut words);
+        if let Entry::Vacant(slot) = seen.entry(layout.identity(row, nest, &mut orders)) {
+            slot.insert(i as u32);
+            keep.push(i as u32);
+        }
+        cands.nest[i] = nest;
+    }
     cands.retain_indices(&keep);
     before - cands.len()
 }

@@ -10,22 +10,23 @@
 //! [`LevelStats`]: super::stats::LevelStats
 
 use std::cell::RefCell;
-use std::ops::RangeInclusive;
+use std::ops::{Range, RangeInclusive};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use sunstone_arch::LevelId;
 use sunstone_ir::{DimId, DimSet, DimVec};
 
-use crate::factors::{divide, multiply, quot, sorted_divisors};
+use crate::factors::{divide, multiply, sorted_divisors};
 use crate::ordering::OrderingCandidate;
-use crate::tiling::enumerate_tiles_cached;
+use crate::tiling::{enumerate_growths_cached, enumerate_tiles_cached};
 use crate::unrolling::{enumerate_unrollings_cached, principle_excluded_dims};
-use crate::IntraOrder;
+use crate::{Direction, IntraOrder};
 
-use super::estimate::{self, SearchMemo};
+use super::beam;
+use super::estimate::{self, SearchMemo, Tiles};
 use super::stats::{PruneCounter, SearchStats};
-use super::{PartialState, RowLayout, SearchContext};
+use super::{positions, PartialState, RowLayout, SearchContext};
 
 /// The [`Candidates::ordering`] entry of a candidate that chose no
 /// ordering: the outermost memory has no level above to order.
@@ -119,15 +120,37 @@ pub(crate) struct Candidates {
     /// (infinite until the estimate round fills it in).
     pub(crate) estimate: Vec<f64>,
     /// Per candidate, the 128-bit hash of its
-    /// [`nest_key`](RowLayout::nest_key): what the estimate table files its
-    /// price under. Written by dedup, for the rows it keeps.
+    /// [`nest_key`](RowLayout::nest_key): what dedup tells rows apart by
+    /// first and the estimate table files its price under. Taken as the
+    /// row is written, while it is in cache ([`file_nest`](Self::file_nest)).
     pub(crate) nest: Vec<u128>,
+    /// Scratch for the nest keys.
+    key: Vec<u64>,
+    /// Per parent of the stage, its row's whole orders as
+    /// [`RowLayout::write_orders`] writes them (`orders_width` words each).
+    parent_orders: Vec<u64>,
+    orders_width: usize,
+    /// Per entry of `orderings`, its order in the same form, and where in
+    /// a parent's orders it goes: at the memory the stage orders.
+    ordering_orders: Vec<u64>,
+    ordered: Range<usize>,
+    /// Per entry of `orderings`, the dimension sets the pruning principles
+    /// derive from it.
+    ordering_dims: Vec<OrderingDims>,
     /// The stage's ordering candidates: one run per distinct in-play set.
     orderings: Vec<OrderingCandidate>,
+    /// Per entry of `orderings`, its order as a row's order slots hold it
+    /// (`ndims` words each).
+    order_words: Vec<u64>,
     ordering_memos: Vec<OrderingMemo>,
-    /// Index and row of the beam state currently being expanded.
+    /// Index of the beam state currently being expanded.
     current_parent: u32,
-    parent_row: Vec<u64>,
+    /// The row its children are copied from: the parent's, with the
+    /// unroll of the children being written placed over the gap's fabrics
+    /// (every fabric slot of the gap is rewritten per unroll).
+    template: Vec<u64>,
+    /// The current parent's children, decided before any is written.
+    plan: Plan,
 }
 
 impl Candidates {
@@ -139,10 +162,18 @@ impl Candidates {
             ordering: Vec::new(),
             estimate: Vec::new(),
             nest: Vec::new(),
+            key: Vec::new(),
+            parent_orders: Vec::new(),
+            orders_width: 0,
+            ordering_orders: Vec::new(),
+            ordered: 0..0,
+            ordering_dims: Vec::new(),
             orderings: Vec::new(),
+            order_words: Vec::new(),
             ordering_memos: Vec::new(),
             current_parent: 0,
-            parent_row: Vec::new(),
+            template: Vec::new(),
+            plan: Plan::default(),
         }
     }
 
@@ -153,7 +184,11 @@ impl Candidates {
         self.ordering.clear();
         self.estimate.clear();
         self.nest.clear();
+        self.parent_orders.clear();
+        self.ordering_orders.clear();
+        self.ordering_dims.clear();
         self.orderings.clear();
+        self.order_words.clear();
         self.ordering_memos.clear();
     }
 
@@ -184,25 +219,70 @@ impl Candidates {
     /// once here and copied per child.
     pub(crate) fn begin_parent(&mut self, layout: &RowLayout, parent: usize, state: &PartialState) {
         self.current_parent = parent as u32;
-        self.parent_row.clear();
-        layout.write_row(&state.mapping, &state.quotas, &mut self.parent_row);
+        self.template.clear();
+        layout.write_row(&state.mapping, &state.quotas, &mut self.template);
+        let at = self.parent_orders.len();
+        layout.write_orders(&self.template, &mut self.parent_orders);
+        self.orders_width = self.parent_orders.len() - at;
+        debug_assert_eq!(at, parent * self.orders_width, "parents begin in order");
     }
 
-    /// Appends a copy of the current parent's row and returns where it
-    /// starts in `rows`; the caller overwrites the slots its stage
-    /// decides.
+    /// Writes the order words, orders and dimension sets of
+    /// `orderings[first..]`, which order the memory at `pos`.
+    fn index_orderings(&mut self, ctx: &SearchContext<'_>, first: usize, pos: usize) {
+        for o in &self.orderings[first..] {
+            let at = self.order_words.len();
+            self.order_words.extend(o.order.iter().map(|d| d.index() as u64));
+            positions(&self.order_words[at..], &mut self.ordering_orders);
+            self.ordering_dims.push(OrderingDims {
+                tile_allowed: tile_allowed_dims(ctx, o),
+                unroll_excluded: unroll_excluded(ctx, o),
+            });
+        }
+        self.ordered = ctx.layout.orders_at(pos);
+    }
+
+    /// Candidate `i`'s parent and ordering, which decide its whole orders.
+    pub(crate) fn lineage(&self, i: usize) -> (u32, u32) {
+        (self.parent[i], self.ordering[i])
+    }
+
+    /// The hash of candidate `i`'s whole orders, which its identity
+    /// combines with its nest hash ([`RowLayout::identity`]), taken
+    /// without reading its row: a child's orders are its parent's but at
+    /// the memory the stage orders, where its ordering's order is written.
+    /// Every candidate of one [`lineage`](Self::lineage) shares it.
+    pub(crate) fn orders_hash(&self, i: usize, orders: &mut Vec<u64>) -> u128 {
+        let (width, parent) = (self.orders_width, self.parent[i] as usize);
+        orders.clear();
+        orders.extend_from_slice(&self.parent_orders[parent * width..(parent + 1) * width]);
+        if self.ordering[i] != NO_ORDERING {
+            let (o, k) = (self.ordering[i] as usize, self.ordered.len());
+            orders[self.ordered.clone()].copy_from_slice(&self.ordering_orders[o * k..(o + 1) * k]);
+        }
+        beam::key_hash(orders)
+    }
+
+    /// Appends a copy of the template row and returns where it starts in
+    /// `rows`; the caller overwrites the slots its stage decides.
     fn push_child(&mut self, ordering: u32) -> usize {
         let at = self.rows.len();
-        self.rows.extend_from_slice(&self.parent_row);
+        self.rows.extend_from_slice(&self.template);
         self.parent.push(self.current_parent);
         self.ordering.push(ordering);
         self.estimate.push(f64::INFINITY);
         at
     }
 
+    /// Files the nest hash of the row last appended, whose completion
+    /// level is `complete_at`.
+    fn file_nest(&mut self, layout: &RowLayout, complete_at: usize) {
+        let row = &self.rows[self.rows.len() - self.stride..];
+        self.nest.push(layout.nest_hash(row, complete_at, &mut self.key));
+    }
+
     /// Compacts the arena in place to the candidates at `keep` (strictly
-    /// ascending), preserving their order. The `nest` column is dedup's to
-    /// write for the kept rows and is left alone.
+    /// ascending), preserving their order.
     pub(crate) fn retain_indices(&mut self, keep: &[u32]) {
         let stride = self.stride;
         for (to, &from) in keep.iter().enumerate() {
@@ -212,12 +292,80 @@ impl Candidates {
                 self.parent[to] = self.parent[from];
                 self.ordering[to] = self.ordering[from];
                 self.estimate[to] = self.estimate[from];
+                self.nest[to] = self.nest[from];
             }
         }
         self.rows.truncate(keep.len() * stride);
         self.parent.truncate(keep.len());
         self.ordering.truncate(keep.len());
         self.estimate.truncate(keep.len());
+        self.nest.truncate(keep.len());
+    }
+}
+
+/// What the pruning principles derive from one ordering, taken once per
+/// ordering instead of per tile enumeration.
+#[derive(Debug, Clone, Copy)]
+struct OrderingDims {
+    /// The dimensions a tile may grow in under it ([`tile_allowed_dims`]).
+    tile_allowed: DimSet,
+    /// The dimensions a fabric paired with it may not unroll
+    /// ([`unroll_excluded`]).
+    unroll_excluded: DimSet,
+}
+
+/// The children of one beam parent, decided before any of their rows is
+/// written, so that writing them is one tight pass of copies and slice
+/// writes ([`write_children`], timed as `LevelStats::expand_rows`).
+#[derive(Default)]
+struct Plan {
+    /// The unrolls the children place below the stage's memory.
+    unrolls: Vec<DimVec>,
+    /// Runs of children that share an unroll (an index into `unrolls`)
+    /// and an ordering (an index into `Candidates::orderings`, or
+    /// [`NO_ORDERING`]), one child per `2 × ndims` words of deltas: the
+    /// tile's growth at the stage's memory (the temporal factors there),
+    /// then the quotas left above it. Runs of one unroll are contiguous
+    /// where the intra order allows.
+    runs: Vec<(u32, u32, Deltas)>,
+    /// The deltas of the runs whose children divide a tile's quotas by
+    /// their unroll, which no memo holds.
+    own: Vec<u64>,
+    /// The tile enumerations asked for since base and quotas last changed,
+    /// by what still varies — (allowed, unrollable) — with any pin already
+    /// folded in: a lookup here clones no key. Whoever changes the base or
+    /// quotas clears it.
+    scope: Vec<(DimSet, DimSet, Tiles)>,
+}
+
+/// Where a run's deltas are.
+enum Deltas {
+    /// A tile enumeration's, as the memo keeps them.
+    Tiles(Arc<[u64]>),
+    /// A range of [`Plan::own`].
+    Own(Range<usize>),
+}
+
+impl Plan {
+    fn reset(&mut self) {
+        self.unrolls.clear();
+        self.runs.clear();
+        self.own.clear();
+        self.scope.clear();
+    }
+
+    /// Files an unroll for the runs that follow; returns its index.
+    fn unroll(&mut self, unroll: &[u64]) -> u32 {
+        self.unrolls.push(DimVec::from_slice(unroll));
+        self.unrolls.len() as u32 - 1
+    }
+
+    /// Files one child's deltas in [`own`](Self::own); returns where.
+    fn own(&mut self, growth: &[u64], remaining: &[u64]) -> Range<usize> {
+        let at = self.own.len();
+        self.own.extend_from_slice(growth);
+        self.own.extend_from_slice(remaining);
+        at..self.own.len()
     }
 }
 
@@ -254,7 +402,8 @@ impl OrderingMemo {
 
 /// One bottom-up stage for the arena's current parent `state`:
 /// unrollings below memory `stage`, tile at memory `stage`, ordering at
-/// memory `stage + 1`.
+/// memory `stage + 1`. The enumerations fill the parent's [`Plan`]; then
+/// its rows are written.
 pub(crate) fn bottom_up_expand(
     ctx: &SearchContext<'_>,
     state: &PartialState,
@@ -268,35 +417,39 @@ pub(crate) fn bottom_up_expand(
     let ndims = ctx.workload.num_dims();
     let base = state.mapping.resident_tile(mem_pos, ndims);
 
+    let clock = Instant::now();
     let orderings = if last_stage {
         // The outermost memory has no level above to order.
         NO_ORDERING..=NO_ORDERING
     } else {
         orderings_for(ctx, out, in_play_dims(ctx, state), stage, stats)
     };
+    stats.level_mut(stage).expand_orderings += clock.elapsed();
 
+    let (dims, plan) = (&out.ordering_dims, &mut out.plan);
+    plan.reset();
+    let here = state.ordering_here.as_ref().map(|o| unroll_excluded(ctx, o));
     match ctx.config.intra_order {
         IntraOrder::OrderTileUnroll => {
             let reserve = spatial_reserve(ctx, stage, true, &state.quotas);
             for o in orderings {
-                let ordering = out.ordering_at(o);
                 let tiles = tiles_for(
                     ctx,
-                    state,
                     stage,
                     &base,
                     &state.quotas,
                     reserve,
-                    ordering,
+                    (dims.get(o as usize), here),
+                    &mut plan.scope,
                     memo,
                     stats,
                 );
-                for tile in tiles.iter() {
-                    let growth = quot(tile, &base);
-                    let tile_quotas = divide(&state.quotas, &growth);
-                    let unrolls = unrolls_for(ctx, state, stage, tile, &tile_quotas, memo, stats);
-                    for u in &unrolls {
-                        make_child(ctx, out, state, stage, &growth, u, o);
+                for (growth, remaining) in tiles.iter(ndims) {
+                    let tile = multiply(&base, growth);
+                    for u in &unrolls_for(ctx, state, stage, &tile, remaining, memo, stats) {
+                        let unroll = plan.unroll(u);
+                        let deltas = plan.own(growth, &divide(remaining, u));
+                        plan.runs.push((unroll, o, Deltas::Own(deltas)));
                     }
                 }
             }
@@ -307,15 +460,21 @@ pub(crate) fn bottom_up_expand(
             for u in &unrolls {
                 let u_quotas = divide(&state.quotas, u);
                 let base_u = multiply(&base, u);
+                let unroll = plan.unroll(u);
+                plan.scope.clear();
                 for o in orderings.clone() {
-                    let ordering = out.ordering_at(o);
                     let tiles = tiles_for(
-                        ctx, state, stage, &base_u, &u_quotas, reserve, ordering, memo, stats,
+                        ctx,
+                        stage,
+                        &base_u,
+                        &u_quotas,
+                        reserve,
+                        (dims.get(o as usize), here),
+                        &mut plan.scope,
+                        memo,
+                        stats,
                     );
-                    for tile in tiles.iter() {
-                        let growth = quot(tile, &base_u);
-                        make_child(ctx, out, state, stage, &growth, u, o);
-                    }
+                    plan.runs.push((unroll, o, Deltas::Tiles(tiles.deltas)));
                 }
             }
         }
@@ -325,9 +484,8 @@ pub(crate) fn bottom_up_expand(
             let reserve = spatial_reserve(ctx, stage, true, &state.quotas);
             let union_allowed = orderings
                 .clone()
-                .filter_map(|o| out.ordering_at(o))
-                .map(|o| tile_allowed_dims(ctx, o))
-                .fold(DimSet::EMPTY, DimSet::union);
+                .filter_map(|o| dims.get(o as usize))
+                .fold(DimSet::EMPTY, |union, o| union.union(o.tile_allowed));
             let tiles = tiles_with_allowed(
                 ctx,
                 stage,
@@ -336,21 +494,26 @@ pub(crate) fn bottom_up_expand(
                 reserve,
                 union_allowed,
                 DimSet::first_n(ndims),
+                &mut plan.scope,
                 memo,
                 stats,
             );
-            for tile in tiles.iter() {
-                let growth = quot(tile, &base);
-                let tile_quotas = divide(&state.quotas, &growth);
-                let unrolls = unrolls_for(ctx, state, stage, tile, &tile_quotas, memo, stats);
-                for u in &unrolls {
+            for (growth, remaining) in tiles.iter(ndims) {
+                let tile = multiply(&base, growth);
+                for u in &unrolls_for(ctx, state, stage, &tile, remaining, memo, stats) {
+                    let unroll = plan.unroll(u);
+                    let deltas = plan.own(growth, &divide(remaining, u));
                     for o in orderings.clone() {
-                        make_child(ctx, out, state, stage, &growth, u, o);
+                        plan.runs.push((unroll, o, Deltas::Own(deltas.clone())));
                     }
                 }
             }
         }
     }
+
+    let clock = Instant::now();
+    write_children(ctx, out, stage);
+    stats.level_mut(stage).expand_rows += clock.elapsed();
 }
 
 /// One top-down stage for the arena's current parent `state`: ordering
@@ -375,10 +538,13 @@ pub(crate) fn top_down_expand(
         }
     }
     let reserve = ((below as f64) * ctx.config.min_spatial_utilization).ceil() as u128;
-    for o in orderings_for(ctx, out, in_play_dims(ctx, state), stage, stats) {
+    let clock = Instant::now();
+    let orderings = orderings_for(ctx, out, in_play_dims(ctx, state), stage, stats);
+    stats.level_mut(stage).expand_orderings += clock.elapsed();
+    for o in orderings {
         let ordering = &out.orderings[o as usize];
         let unrolls = top_down_unrolls(ctx, gap, ordering, state, stage, stats);
-        let order_allowed = tile_allowed_dims(ctx, ordering);
+        let order_allowed = out.ordering_dims[o as usize].tile_allowed;
         for u in &unrolls {
             let mut q = divide(&state.quotas, u);
             let mut allowed = order_allowed;
@@ -448,7 +614,9 @@ fn orderings_for(
     let memo = match known {
         Some(i) => &out.ordering_memos[i],
         None => {
+            let first = out.orderings.len();
             let memo = enumerate_orderings(ctx, in_play, stage, &mut out.orderings);
+            out.index_orderings(ctx, first, ctx.mems[stage + 1]);
             out.ordering_memos.push(memo);
             out.ordering_memos.last().expect("just pushed")
         }
@@ -559,40 +727,43 @@ fn spatial_reserve(
     want.min(avail).max(1) as u64
 }
 
-/// Tile candidates for one ordering at the stage's memory level.
+/// Tile candidates for one ordering at the stage's memory level, as
+/// deltas over `base` and `quotas`. `sets` are the ordering's dimension
+/// sets and what the ordering chosen at the previous stage excludes from
+/// unrolling (`PartialState::ordering_here`); `scope` holds the
+/// enumerations already asked for with this base and quotas
+/// ([`Plan::scope`]).
 #[allow(clippy::too_many_arguments)]
 fn tiles_for(
     ctx: &SearchContext<'_>,
-    state: &PartialState,
     stage: usize,
     base: &[u64],
     quotas: &[u64],
     reserve: u64,
-    ordering: Option<&OrderingCandidate>,
+    (ordering, here): (Option<&OrderingDims>, Option<DimSet>),
+    scope: &mut Vec<(DimSet, DimSet, Tiles)>,
     memo: &mut SearchMemo,
     stats: &mut SearchStats,
-) -> Arc<[DimVec]> {
+) -> Tiles {
     if stage == ctx.mems.len() - 1 {
-        // DRAM: the remainder is placed by `make_child`; the "tile" is the
-        // base itself.
-        return Arc::from(vec![DimVec::from_slice(base)]);
+        // DRAM: the "tile" is the base itself, and the children place the
+        // remainder ([`write_children`]).
+        let ones = DimVec::ones(base.len());
+        return Tiles { deltas: [&ones[..], quotas].concat().into(), explored: 0 };
     }
     let all = DimSet::first_n(ctx.workload.num_dims());
-    let allowed = match ordering {
-        Some(o) => tile_allowed_dims(ctx, o),
-        None => all,
-    };
+    let allowed = ordering.map_or(all, |o| o.tile_allowed);
     // The parallelism reserve is measured over the dimensions the fabrics
     // may actually unroll. When this stage has a fabric in its own gap,
     // that fabric pairs with the ordering chosen at the *previous* stage
-    // (`state.ordering_here`); otherwise the nearest future fabric pairs
-    // with the ordering being chosen now.
-    let governing =
-        if ctx.lower_spatial[stage].is_empty() { ordering } else { state.ordering_here.as_ref() };
-    let mut unrollable = match governing {
-        Some(o) => all.difference(unroll_excluded(ctx, o)),
-        None => all,
+    // (`here`); otherwise the nearest future fabric pairs with the
+    // ordering being chosen now.
+    let excluded = if ctx.lower_spatial[stage].is_empty() {
+        ordering.map(|o| o.unroll_excluded)
+    } else {
+        here
     };
+    let mut unrollable = all.difference(excluded.unwrap_or(DimSet::EMPTY));
     // Mirror the high-throughput fallback of `unrolls_for`: when the
     // principled dimensions cannot reach the utilization floor, the
     // fabrics will unroll any dimension, so the reserve must guard them
@@ -601,13 +772,15 @@ fn tiles_for(
     if avail < u128::from(reserve) {
         unrollable = all;
     }
-    tiles_with_allowed(ctx, stage, base, quotas, reserve, allowed, unrollable, memo, stats)
+    tiles_with_allowed(ctx, stage, base, quotas, reserve, allowed, unrollable, scope, memo, stats)
 }
 
 /// Tile enumeration with an explicit growth set. The parallelism reserve
 /// is measured over `unrollable` — the dimensions the Spatial Unrolling
 /// Principle will actually let the fabrics consume — so a tile cannot
-/// swallow the quota the unrollings need.
+/// swallow the quota the unrollings need. Looked up in `scope`, then in the
+/// search's memo, and enumerated only when neither has it; every answer
+/// reports the counters the enumeration did.
 #[allow(clippy::too_many_arguments)]
 fn tiles_with_allowed(
     ctx: &SearchContext<'_>,
@@ -617,11 +790,13 @@ fn tiles_with_allowed(
     reserve: u64,
     allowed: DimSet,
     unrollable: DimSet,
+    scope: &mut Vec<(DimSet, DimSet, Tiles)>,
     memo: &mut SearchMemo,
     stats: &mut SearchStats,
-) -> Arc<[DimVec]> {
+) -> Tiles {
     let mem_pos = ctx.mems[stage];
     let lc = ctx.constraints.at(mem_pos);
+    let caller_base = base;
     // User tile pins seed the enumeration base: the pinned extent becomes
     // the starting tile and the dimension leaves the growth set, so every
     // enumerated tile carries exactly the pinned factor. A pin the parent
@@ -633,15 +808,30 @@ fn tiles_with_allowed(
     for &(d, v) in &lc.tile_pins {
         if !v.is_multiple_of(base[d]) || !quotas[d].is_multiple_of(v / base[d]) {
             stats.level_mut(stage).constraint.record(1, 0);
-            return Arc::from(Vec::new());
+            return Tiles { deltas: Arc::from([]), explored: 0 };
         }
         quotas[d] /= v / base[d];
         base[d] = v;
         allowed = allowed.without(DimId::from_index(d));
     }
+    let ndims = base.len();
+    let replay = |tiles: &Tiles, stats: &mut SearchStats| {
+        let kept = tiles.len(ndims) as u64;
+        stats.nodes_explored += tiles.explored as u64;
+        stats.tiles += kept;
+        stats.tile_memo_hits += 1;
+        stats.level_mut(stage).tiling.record(tiles.explored as u64, kept);
+    };
+    let hits = memo.tile_hits_allowed();
+    if let Some((_, _, known)) =
+        scope.iter().find(|(a, u, _)| hits && (*a, *u) == (allowed, unrollable))
+    {
+        replay(known, stats);
+        return known.clone();
+    }
     // Search memo: beam states frequently reach the same (base, quota)
-    // frontier. The memo stores the *kept* tiles plus the explored count
-    // so the stats below replay identically on a hit. The key is taken
+    // frontier. The memo stores the *kept* tiles' deltas plus the explored
+    // count so the stats replay identically on a hit. The key is taken
     // after pin seeding; caps need no slot because the constraint set is
     // fixed per search.
     let memo_key = estimate::TileKey {
@@ -652,22 +842,60 @@ fn tiles_with_allowed(
         allowed,
         unrollable,
     };
-    if let Some(hit) = memo.tiles.get(&memo_key) {
-        stats.nodes_explored += hit.explored as u64;
-        stats.tiles += hit.kept.len() as u64;
-        stats.level_mut(stage).tiling.record(hit.explored as u64, hit.kept.len() as u64);
-        return Arc::clone(&hit.kept);
-    }
+    let tiles = match memo.tiles.get(&memo_key).filter(|_| hits) {
+        Some(known) => {
+            replay(known, stats);
+            known.clone()
+        }
+        None => {
+            let tiles =
+                enumerate_tiles(ctx, stage, &base, &quotas, reserve, allowed, unrollable, stats);
+            memo.tiles.insert(memo_key, tiles.clone());
+            tiles
+        }
+    };
+    // A pinned dimension's growth over the caller's base is the pin's,
+    // which the memo (keyed past the pins) does not know.
+    let tiles = if lc.tile_pins.is_empty() {
+        tiles
+    } else {
+        let mut deltas = tiles.deltas.to_vec();
+        for delta in deltas.chunks_exact_mut(2 * ndims) {
+            for &(d, v) in &lc.tile_pins {
+                delta[d] = v / caller_base[d];
+            }
+        }
+        Tiles { deltas: deltas.into(), explored: tiles.explored }
+    };
+    scope.push((allowed, unrollable, tiles.clone()));
+    tiles
+}
+
+/// The enumeration behind [`tiles_with_allowed`], past the pins: the kept
+/// tiles as deltas over `base` and `quotas`.
+#[allow(clippy::too_many_arguments)]
+fn enumerate_tiles(
+    ctx: &SearchContext<'_>,
+    stage: usize,
+    base: &[u64],
+    quotas: &[u64],
+    reserve: u64,
+    allowed: DimSet,
+    unrollable: DimSet,
+    stats: &mut SearchStats,
+) -> Tiles {
+    let mem_pos = ctx.mems[stage];
+    let lc = ctx.constraints.at(mem_pos);
     // What a tile must leave for the fabrics: the reserve, capped by what
     // the unrollable dimensions can offer at all.
-    let want =
-        u128::from(reserve).min(unrollable.iter().map(|d| u128::from(quotas[d.index()])).product());
+    let offer: u128 = unrollable.iter().map(|d| u128::from(quotas[d.index()])).product();
+    let want = u128::from(reserve).min(offer);
     let clock = Instant::now();
-    let outcome = enumerate_tiles_cached(
-        &base,
-        &quotas,
+    let outcome = enumerate_growths_cached(
+        base,
+        quotas,
         allowed,
-        |tile| {
+        |growth, tile| {
             // Bounded-latency cancellation inside the enumeration tree:
             // rejecting every probe prunes the tree to nothing in O(depth)
             // steps once the token fires (the truncated result is then
@@ -676,14 +904,11 @@ fn tiles_with_allowed(
             if ctx.cancelled() {
                 return false;
             }
-            let headroom: u128 = unrollable
-                .iter()
-                .map(|d| {
-                    let i = d.index();
-                    u128::from(quotas[i] / (tile[i] / base[i]))
-                })
-                .product();
-            headroom >= want
+            // What the tile leaves the unrollable dimensions is
+            // offer ÷ their growth (each growth divides its quota), so it
+            // meets `want` iff want × growth ≤ offer: no division.
+            let grown: u128 = unrollable.iter().map(|d| u128::from(growth[d.index()])).product();
+            want.checked_mul(grown).is_some_and(|need| need <= offer)
                 && lc.tile_caps.iter().all(|&(d, cap)| tile[d] <= cap)
                 && ctx.fits_mem(mem_pos, tile)
         },
@@ -693,23 +918,26 @@ fn tiles_with_allowed(
     let elapsed = clock.elapsed();
     stats.nodes_explored += outcome.explored as u64;
     stats.capacity_probes += outcome.probes as u64;
-    let mut tiles = outcome.tiles;
-    if tiles.len() > ctx.config.max_tiles_per_enum {
+    stats.tile_memo_misses += 1;
+    let mut growths = outcome.tiles;
+    if growths.len() > ctx.config.max_tiles_per_enum {
         // Keep the largest tiles: maximal-frontier members with the
-        // biggest iteration volume capture the most reuse.
-        tiles.sort_by_key(|t| std::cmp::Reverse(t.volume()));
-        tiles.truncate(ctx.config.max_tiles_per_enum);
+        // biggest iteration volume capture the most reuse. A tile's
+        // volume is its growth's times the base's, so the growths sort
+        // alike.
+        growths.sort_by_key(|g| std::cmp::Reverse(g.volume()));
+        growths.truncate(ctx.config.max_tiles_per_enum);
     }
-    stats.tiles += tiles.len() as u64;
+    stats.tiles += growths.len() as u64;
     let level = stats.level_mut(stage);
     level.expand_tiles += elapsed;
-    level.tiling.record(outcome.explored as u64, tiles.len() as u64);
-    let tiles: Arc<[DimVec]> = tiles.into();
-    memo.tiles.insert(
-        memo_key,
-        estimate::Enumerated { kept: Arc::clone(&tiles), explored: outcome.explored },
-    );
-    tiles
+    level.tiling.record(outcome.explored as u64, growths.len() as u64);
+    let mut deltas = Vec::with_capacity(2 * base.len() * growths.len());
+    for growth in &growths {
+        deltas.extend_from_slice(growth);
+        deltas.extend(quotas.iter().zip(growth.iter()).map(|(q, g)| q / g));
+    }
+    Tiles { deltas: deltas.into(), explored: outcome.explored }
 }
 
 /// Dimensions the Unrolling Principle forbids for fabrics paired with
@@ -835,6 +1063,7 @@ fn unrolls_for(
                     .collect(),
             };
             if let Some(hit) = memo.unrolls.get(&memo_key) {
+                stats.unroll_memo_hits += 1;
                 stats.nodes_explored += hit.explored as u64;
                 stats.unrollings += hit.kept.len() as u64;
                 stats.level_mut(stage).unrolling.record(hit.explored as u64, hit.kept.len() as u64);
@@ -895,6 +1124,7 @@ fn unrolls_for(
             let elapsed = clock.elapsed();
             stats.nodes_explored += outcome.explored as u64;
             stats.capacity_probes += outcome.probes as u64;
+            stats.unroll_memo_misses += 1;
             let mut unrollings = outcome.unrollings;
             if unrollings.len() > ctx.config.max_unrolls_per_enum {
                 unrollings.sort_by_key(|u| std::cmp::Reverse(u.volume()));
@@ -999,35 +1229,77 @@ fn top_down_unrolls(
     results
 }
 
-/// Appends the child row for one (growth, unroll, ordering) choice: the
-/// parent's row with this stage's decisions written over it. `growth` is
-/// the vector of temporal tiling factors for this stage's memory (the
-/// tile divided by everything below it, unroll included); `ordering`
-/// indexes `out.orderings`.
-fn make_child(
-    ctx: &SearchContext<'_>,
-    out: &mut Candidates,
-    state: &PartialState,
-    stage: usize,
-    growth: &[u64],
-    unroll: &[u64],
-    ordering: u32,
-) {
+/// Writes the rows of the parent's [`Plan`]. Per run of children sharing
+/// an unroll and an ordering, the template — the parent's row — takes the
+/// unroll, placed over the gap's fabrics ([`place_unroll`], once per
+/// unroll), and the ordering's order at the next memory, and its nest key
+/// is taken. Per child, the template is copied and its growth written as
+/// the temporal factors of the stage's memory and the quotas it leaves;
+/// then its nest key is brought up to date where the child differs
+/// ([`RowLayout::renest`]) and hashed, while the row is in cache. At the
+/// outermost memory the remainder is placed there: the factors are
+/// growth × remaining and nothing is left.
+fn write_children(ctx: &SearchContext<'_>, out: &mut Candidates, stage: usize) {
     let layout = &ctx.layout;
-    let mem_pos = ctx.mems[stage];
+    let complete_at = estimate::completion_pos(ctx, Direction::BottomUp);
     let last_stage = stage == ctx.mems.len() - 1;
-    let ndims = ctx.workload.num_dims();
-    let at = out.push_child(ordering);
-    let row = &mut out.rows[at..];
-    // Distribute the unroll over the gap's fabrics. With a single fabric
-    // this is a direct assignment; with several, factors go to the
-    // innermost fabric first, capped by its unit count.
+    let n = ctx.workload.num_dims();
+    let mem_pos = ctx.mems[stage];
+    let factors = layout.factors(mem_pos).start;
+    let quotas = layout.quotas().start;
+    let plan = std::mem::take(&mut out.plan);
+    let mut key = std::mem::take(&mut out.key);
+    debug_assert_eq!(out.order_words.len(), out.orderings.len() * n);
+    let mut placed = u32::MAX;
+    for &(unroll, ordering, ref deltas) in &plan.runs {
+        if unroll != placed {
+            place_unroll(ctx, stage, &plan.unrolls[unroll as usize], &mut out.template);
+            placed = unroll;
+        }
+        if ordering != NO_ORDERING {
+            let o = ordering as usize;
+            out.template[layout.order(ctx.mems[stage + 1])]
+                .copy_from_slice(&out.order_words[o * n..(o + 1) * n]);
+        }
+        layout.nest_key(&out.template, complete_at, &mut key);
+        let deltas = match deltas {
+            Deltas::Tiles(deltas) => &deltas[..],
+            Deltas::Own(range) => &plan.own[range.clone()],
+        };
+        for delta in deltas.chunks_exact(2 * n) {
+            let at = out.push_child(ordering);
+            let row = &mut out.rows[at..at + out.stride];
+            let (growth, remaining) = delta.split_at(n);
+            if last_stage {
+                for d in 0..n {
+                    row[factors + d] = growth[d] * remaining[d];
+                    row[quotas + d] = 1;
+                }
+            } else {
+                row[factors..factors + n].copy_from_slice(growth);
+                row[quotas..quotas + n].copy_from_slice(remaining);
+            }
+            layout.renest(row, complete_at, mem_pos, &mut key);
+            let nest = beam::key_hash(&key);
+            debug_assert_eq!(nest, layout.nest_hash(row, complete_at, &mut Vec::new()));
+            out.nest.push(nest);
+        }
+    }
+    out.key = key;
+    out.plan = plan;
+}
+
+/// Distributes `unroll` over the fabrics in the gap below memory `stage`,
+/// writing each one's factor slots of `row`. With a single fabric this is
+/// a direct assignment; with several, factors go to the innermost fabric
+/// first, capped by its unit count.
+fn place_unroll(ctx: &SearchContext<'_>, stage: usize, unroll: &[u64], row: &mut [u64]) {
     let mut remaining_unroll = DimVec::from_slice(unroll);
     for &pos in &ctx.lower_spatial[stage] {
         let fabric = ctx.arch.level(LevelId(pos)).as_spatial().expect("spatial level");
-        let assigned = &mut row[layout.factors(pos)];
+        let assigned = &mut row[ctx.layout.factors(pos)];
         let mut used = 1u64;
-        for d in 0..ndims {
+        for (d, slot) in assigned.iter_mut().enumerate() {
             let mut f = remaining_unroll[d];
             while f > 1 && used * f > fabric.units {
                 // Peel the largest divisor that still fits. Unroll factors
@@ -1044,22 +1316,10 @@ fn make_child(
                     break;
                 }
             }
-            assigned[d] = f;
+            *slot = f;
             used *= f;
             remaining_unroll[d] /= f;
         }
-    }
-    // Temporal factors at this memory: tile growth over the base, divided
-    // by the unroll placed below this memory.
-    let (factors, quotas) = (layout.factors(mem_pos).start, layout.quotas().start);
-    for d in 0..ndims {
-        let f = if last_stage { state.quotas[d] / unroll[d] } else { growth[d] };
-        row[factors + d] = f;
-        row[quotas + d] /= f * unroll[d];
-    }
-    // Apply the ordering for the next memory level.
-    if let Some(o) = out.orderings.get(ordering as usize) {
-        write_order(&mut row[layout.order(ctx.mems[stage + 1])], o);
     }
 }
 
@@ -1074,34 +1334,33 @@ fn make_top_down_child(
 ) {
     let layout = &ctx.layout;
     let upper_mem = ctx.mems[stage + 1];
+    let n = tile.len();
     let at = out.push_child(ordering);
     let row = &mut out.rows[at..];
     // Factors at the upper memory = remaining / (tile × unroll).
     for (d, f) in row[layout.factors(upper_mem)].iter_mut().enumerate() {
         *f = state.quotas[d] / (tile[d] * unroll[d]);
     }
-    write_order(&mut row[layout.order(upper_mem)], &out.orderings[ordering as usize]);
+    let o = ordering as usize;
+    row[layout.order(upper_mem)].copy_from_slice(&out.order_words[o * n..(o + 1) * n]);
     // Unrolls in the gap.
     for &pos in &ctx.lower_spatial[stage + 1] {
         row[layout.factors(pos)].copy_from_slice(unroll);
     }
     // The tile is what the stages below still have to distribute.
     row[layout.quotas()].copy_from_slice(tile);
-}
-
-/// Writes an ordering into a row's loop-order slots, in the key's form.
-fn write_order(slots: &mut [u64], ordering: &OrderingCandidate) {
-    for (slot, d) in slots.iter_mut().zip(&ordering.order) {
-        *slot = d.index() as u64;
-    }
+    out.file_nest(layout, estimate::completion_pos(ctx, Direction::TopDown));
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use sunstone_arch::presets;
 
-    use super::super::beam;
-    use super::super::testing::{conv2d, with_context};
+    use super::super::compose::{run_level_search, BottomUpPass, LevelPass, TopDownPass};
+    use super::super::testing::{conv2d, matmul, random_state, with_context};
+    use super::super::{beam, CallControls};
     use super::*;
     use crate::SunstoneConfig;
 
@@ -1115,6 +1374,7 @@ mod tests {
             cands.begin_parent(&ctx.layout, i, &root);
             let at = cands.push_child(NO_ORDERING);
             cands.rows[at + ctx.layout.factors(0).start] = tag;
+            cands.file_nest(&ctx.layout, completion(ctx));
         }
         cands
     }
@@ -1135,7 +1395,7 @@ mod tests {
             for (i, e) in cands.estimate.iter_mut().enumerate() {
                 *e = i as f64;
             }
-            let removed = beam::dedup(&mut cands, &ctx.layout, completion(ctx));
+            let removed = beam::dedup(&mut cands, &ctx.layout);
             assert_eq!(removed, 3);
             assert_eq!(tags(ctx, &cands), [5, 3, 9, 2]);
             // Every column moved with its row.
@@ -1151,12 +1411,183 @@ mod tests {
                 })
                 .collect();
             assert_eq!(cands.nest, nests, "the kept rows' nest hashes, in order");
-            assert_eq!(
-                beam::dedup(&mut cands, &ctx.layout, completion(ctx)),
-                0,
-                "already distinct"
-            );
+            assert_eq!(beam::dedup(&mut cands, &ctx.layout), 0, "already distinct");
         });
+    }
+
+    /// A stage's worth of random rows, written the way expansion writes
+    /// them: a few parents drawn from three random states (so parents
+    /// repeat), each with children that place a small factor at the
+    /// stage's memory and take one of six orderings — three random ones
+    /// and each with two dimensions swapped, which often differ only where
+    /// a factor is 1 — or none. Every row's estimate is its index.
+    fn random_arena(ctx: &SearchContext<'_>, stage: usize, seed: u64) -> Candidates {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (layout, ndims) = (&ctx.layout, ctx.workload.num_dims());
+        let complete_at = completion(ctx);
+        let mut cands = Candidates::new(layout);
+        for _ in 0..3 {
+            let mut order: Vec<DimId> = (0..ndims).map(DimId::from_index).collect();
+            for i in (1..ndims).rev() {
+                order.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let mut swapped = order.clone();
+            swapped.swap((next() % ndims as u64) as usize, (next() % ndims as u64) as usize);
+            for order in [order, swapped] {
+                cands.orderings.push(OrderingCandidate {
+                    order,
+                    suffix_len: 0,
+                    reused: Vec::new(),
+                });
+            }
+        }
+        cands.index_orderings(ctx, 0, ctx.mems[stage + 1]);
+        for parent in 0..1 + next() % 5 {
+            // What is left at the completion level stays in the quotas
+            // until the stage that decides it, as in a search.
+            let mut s = random_state(ctx, next() % 3);
+            let done = s.mapping.levels_mut()[complete_at].factors_mut();
+            for (f, q) in done.iter_mut().zip(s.quotas.iter_mut()) {
+                *q *= std::mem::replace(f, 1);
+            }
+            cands.begin_parent(layout, parent as usize, &s);
+            for _ in 0..next() % 24 {
+                let ordering = match next() % 7 {
+                    6 => NO_ORDERING,
+                    o => o as u32,
+                };
+                let at = cands.push_child(ordering);
+                let row = &mut cands.rows[at..at + layout.stride()];
+                row[layout.factors(ctx.mems[stage]).start + (next() % ndims as u64) as usize] =
+                    1 + next() % 3;
+                if ordering != NO_ORDERING {
+                    let o = ordering as usize;
+                    row[layout.order(ctx.mems[stage + 1])]
+                        .copy_from_slice(&cands.order_words[o * ndims..(o + 1) * ndims]);
+                }
+                cands.file_nest(layout, complete_at);
+            }
+        }
+        for (i, e) in cands.estimate.iter_mut().enumerate() {
+            *e = i as f64;
+        }
+        cands
+    }
+
+    /// Meeting rows by nest first keeps exactly what comparing every row's
+    /// identity keeps — the same rows, in the same order, with the same
+    /// nest hashes — on random rows of both fixtures on every preset.
+    #[test]
+    fn nest_first_dedup_keeps_what_identity_dedup_keeps() {
+        let presets = [
+            presets::conventional(),
+            presets::eyeriss_like(),
+            presets::simba_like(),
+            presets::diannao_like(),
+        ];
+        let (mut removed, mut shared_nests) = (0, 0);
+        for seed in 0..240u64 {
+            let w = if seed % 2 == 0 { conv2d(16, 24, 14) } else { matmul(64, 48, 96) };
+            let arch = &presets[(seed / 2 % 4) as usize];
+            with_context(&w, arch, &SunstoneConfig::default(), |ctx| {
+                let stage = (seed / 8 % (ctx.mems.len() as u64 - 1)) as usize;
+                let (mut nest_first, mut oracle) =
+                    (random_arena(ctx, stage, seed), random_arena(ctx, stage, seed));
+                let dropped = beam::dedup(&mut nest_first, &ctx.layout);
+                assert_eq!(
+                    dropped,
+                    beam::dedup_by_identity(&mut oracle, &ctx.layout, completion(ctx))
+                );
+                assert_eq!(nest_first.estimate, oracle.estimate, "seed {seed}: kept rows");
+                assert_eq!(nest_first.nest, oracle.nest, "seed {seed}: nest column");
+                assert_eq!(nest_first.rows, oracle.rows);
+                removed += dropped;
+                let mut nests = oracle.nest.clone();
+                nests.sort_unstable();
+                nests.dedup();
+                shared_nests += oracle.len() - nests.len();
+            });
+        }
+        // Not vacuous: rows were dropped, and distinct rows shared a nest.
+        assert!(removed > 0 && shared_nests > 0, "{removed} removed, {shared_nests} shared");
+    }
+
+    /// A search's statistics with what a tile memo hit saves — its work
+    /// counters and every timer — struck out.
+    fn replayed(mut stats: SearchStats) -> SearchStats {
+        (stats.capacity_probes, stats.tile_memo_hits, stats.tile_memo_misses) = (0, 0, 0);
+        stats.elapsed = Duration::ZERO;
+        stats.rank = Duration::ZERO;
+        for l in &mut stats.levels {
+            for timer in [
+                &mut l.expand,
+                &mut l.expand_tiles,
+                &mut l.expand_unrolls,
+                &mut l.expand_orderings,
+                &mut l.expand_rows,
+                &mut l.dedup,
+                &mut l.estimate,
+                &mut l.estimate_prefix,
+                &mut l.estimate_price,
+                &mut l.estimate_publish,
+                &mut l.select,
+            ] {
+                *timer = Duration::ZERO;
+            }
+        }
+        stats
+    }
+
+    /// The tile memo's stored deltas and counters replay the enumeration
+    /// exactly: with every tile lookup forced to miss, each intra order in
+    /// both directions ends on the same beam with the same counters.
+    #[test]
+    fn tile_memo_hits_replay_what_the_enumeration_did() {
+        let (w, arch) = (conv2d(16, 16, 14), presets::simba_like());
+        for direction in [Direction::BottomUp, Direction::TopDown] {
+            for intra_order in [
+                IntraOrder::UnrollTileOrder,
+                IntraOrder::OrderTileUnroll,
+                IntraOrder::TileUnrollOrder,
+            ] {
+                let config = SunstoneConfig { direction, intra_order, ..SunstoneConfig::default() };
+                with_context(&w, &arch, &config, |ctx| {
+                    let search = |miss_tiles| {
+                        let mut memo = SearchMemo { miss_tiles, ..SearchMemo::default() };
+                        let mut stats = SearchStats::default();
+                        let pass: &dyn LevelPass = match direction {
+                            Direction::BottomUp => &BottomUpPass,
+                            Direction::TopDown => &TopDownPass,
+                        };
+                        let run = run_level_search(
+                            ctx,
+                            pass,
+                            &mut memo,
+                            &mut stats,
+                            &CallControls::default(),
+                        );
+                        let beam: Vec<_> = run.beam.into_iter().map(|s| s.mapping).collect();
+                        (beam, stats)
+                    };
+                    let (beam, stats) = search(false);
+                    let (missed_beam, missed) = search(true);
+                    let case = format!("{direction:?} {intra_order:?}");
+                    assert_eq!(beam, missed_beam, "{case}");
+                    assert_eq!(missed.tile_memo_hits, 0, "{case}");
+                    if direction == Direction::BottomUp {
+                        assert!(stats.tile_memo_hits > 0, "{case}: the memo answered nothing");
+                        assert!(missed.capacity_probes > stats.capacity_probes, "{case}");
+                    }
+                    assert_eq!(replayed(stats), replayed(missed), "{case}");
+                });
+            }
+        }
     }
 
     #[test]

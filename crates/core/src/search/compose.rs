@@ -178,7 +178,6 @@ fn walk(
     cands: &mut Candidates,
 ) -> SearchRun {
     let mut beam_states = vec![PartialState::root(ctx)];
-    let complete_at = estimate::completion_pos(ctx, pass.direction());
     for (i, stage) in pass.stages(ctx.mems.len()).into_iter().enumerate() {
         // Breadcrumb for the panic-isolation boundary: a fault caught
         // while this stage runs reports `search: level <stage>`.
@@ -194,6 +193,7 @@ fn walk(
         }
         cands.clear();
         let phase = Instant::now();
+        let mut stop = None;
         for (parent, state) in beam_states.iter().enumerate() {
             // Bounded-latency controls between parent expansions (a
             // single expansion is bounded by the enumeration caps; the
@@ -201,25 +201,32 @@ fn walk(
             // enumeration trees). The deadline keeps the first-stage
             // exemption of the zero-budget contract.
             if controls.cancelled() {
-                return SearchRun { beam: beam_states, stop: SearchStop::Cancelled };
+                stop = Some(SearchStop::Cancelled);
+                break;
             }
             if i > 0 && controls.past_deadline() {
-                return SearchRun { beam: beam_states, stop: SearchStop::DeadlineReached };
+                stop = Some(SearchStop::DeadlineReached);
+                break;
             }
             cands.begin_parent(&ctx.layout, parent, state);
             pass.expand(ctx, state, stage, cands, memo, stats);
         }
+        // Recorded before any stop, so the phases still sum to the wall
+        // clock of a search that ends here.
+        stats.level_mut(stage).expand += phase.elapsed();
         // A cancel that fired inside the enumeration closures can truncate
         // the candidate set; report it as a cancel, never as infeasibility.
-        if controls.cancelled() {
-            return SearchRun { beam: beam_states, stop: SearchStop::Cancelled };
+        if stop.is_none() && controls.cancelled() {
+            stop = Some(SearchStop::Cancelled);
+        }
+        if let Some(stop) = stop {
+            return SearchRun { beam: beam_states, stop };
         }
         if cands.is_empty() {
             return SearchRun { beam: Vec::new(), stop: SearchStop::Infeasible { stage } };
         }
-        stats.level_mut(stage).expand += phase.elapsed();
         let phase = Instant::now();
-        let removed = beam::dedup(cands, &ctx.layout, complete_at);
+        let removed = beam::dedup(cands, &ctx.layout);
         let level = stats.level_mut(stage);
         level.dedup_removed += removed as u64;
         level.dedup += phase.elapsed();

@@ -19,13 +19,35 @@ use super::{PartialState, SearchContext};
 use crate::pool::SliceWriter;
 use crate::Direction;
 
-/// A memoized tile or unrolling enumeration: what it kept plus the count
+/// A memoized unrolling enumeration: what it kept plus the count
 /// to replay, so a memo hit reports the counters the enumeration did.
 /// The kept vectors are shared, not copied: a lookup hands out the `Arc`.
 #[derive(Debug, Clone)]
 pub(crate) struct Enumerated {
     pub(crate) kept: Arc<[DimVec]>,
     pub(crate) explored: usize,
+}
+
+/// A memoized tile enumeration: per kept tile, in `deltas`, its growth
+/// over the key's base and the quotas it leaves (`2 × ndims` words a
+/// tile), plus the count to replay. The tile itself is the base times the
+/// growth. Shared, not copied: a lookup hands out the `Arc`.
+#[derive(Debug, Clone)]
+pub(crate) struct Tiles {
+    pub(crate) deltas: Arc<[u64]>,
+    pub(crate) explored: usize,
+}
+
+impl Tiles {
+    /// Tiles kept.
+    pub(crate) fn len(&self, ndims: usize) -> usize {
+        self.deltas.len() / (2 * ndims)
+    }
+
+    /// Each kept tile's growth and remaining quotas.
+    pub(crate) fn iter(&self, ndims: usize) -> impl Iterator<Item = (&[u64], &[u64])> {
+        self.deltas.chunks_exact(2 * ndims).map(move |delta| delta.split_at(ndims))
+    }
 }
 
 /// Key of one tile enumeration; within one search this covers every
@@ -163,8 +185,23 @@ impl EstimateTable {
 #[derive(Debug, Default)]
 pub(crate) struct SearchMemo {
     pub(crate) estimates: EstimateTable,
-    pub(crate) tiles: FxHashMap<TileKey, Enumerated>,
+    pub(crate) tiles: FxHashMap<TileKey, Tiles>,
     pub(crate) unrolls: FxHashMap<UnrollKey, Enumerated>,
+    /// Makes every tile lookup miss, so that each enumeration runs again:
+    /// what tests hold the stored deltas and replayed counters to.
+    #[cfg(test)]
+    pub(crate) miss_tiles: bool,
+}
+
+impl SearchMemo {
+    /// Whether a tile lookup may answer from memory.
+    pub(crate) fn tile_hits_allowed(&self) -> bool {
+        #[cfg(test)]
+        if self.miss_tiles {
+            return false;
+        }
+        true
+    }
 }
 
 /// The memory position where [`complete`] places a state's remainder.

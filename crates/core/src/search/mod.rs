@@ -4,13 +4,17 @@
 //! stage runs the same four-step pipeline over the surviving beam:
 //!
 //! 1. **expand** (`candidates`) — per partial mapping, enumerate the
-//!    orderings × tiles × unrollings the pruning principles admit,
+//!    orderings × tiles × unrollings the pruning principles admit, then
+//!    write each child as a copy of a per-unroll template row plus a few
+//!    slice writes, filing the hash of its loop nest as it goes,
 //! 2. **dedup** (`beam`) — drop candidates whose mapping an earlier
-//!    enumeration path already produced,
+//!    enumeration path already produced, comparing whole identities only
+//!    among rows whose loop nests coincide,
 //! 3. **estimate** (`estimate`) — complete each candidate and evaluate
-//!    the analytic model, memoized for the length of the search by
-//!    completed-mapping hash and parallelized over the configured worker
-//!    threads,
+//!    the analytic model, memoized for the length of the search by the
+//!    hash of its loop nest (`RowLayout::nest_key`: candidates that differ
+//!    only where a factor is 1 share one price) and parallelized over the
+//!    configured worker threads,
 //! 4. **select** (`beam`) — keep the best `beam_width` candidates (the
 //!    alpha-beta-style cut).
 //!
@@ -96,8 +100,8 @@ type FitPlan<'a> = Vec<(Capacity, Vec<(&'a TensorDesc, u64)>)>;
 /// factors, then every temporal level's loop order as dimension indices,
 /// word for word what [`beam::mapping_key`] emits — followed by the
 /// `ndims` remaining quotas. A row's identity is a 128-bit hash of its
-/// key *as completed* ([`row_hashes`](Self::row_hashes)), taken once per
-/// row: dedup compares rows by it. What the cost model prices is coarser
+/// key *as completed* ([`identity`](Self::identity)): dedup compares rows
+/// by it where their nests coincide. What the cost model prices is coarser
 /// — the loop nest, in which a dimension whose factor is 1 at a level has
 /// no loop there, wherever the order puts it — so the search's estimate
 /// table is keyed by the hash of the *nest key*
@@ -210,49 +214,79 @@ impl RowLayout {
     /// model reads of a mapping's orders, so they price the same to the
     /// bit.
     pub(crate) fn nest_key(&self, row: &[u64], complete_at: usize, key: &mut Vec<u64>) {
-        self.keys(row, complete_at, key, None);
+        let factors = self.levels.len() * self.ndims;
+        let temporal = (self.key_len - factors) / self.ndims;
+        key.clear();
+        key.extend_from_slice(&row[..factors]);
+        key.resize(factors + temporal * self.ndims.div_ceil(8), 0);
+        for pos in 0..self.levels.len() {
+            self.renest_level(row, complete_at, pos, key);
+        }
     }
 
-    /// Writes the nest key into `key`, and each temporal level's whole
-    /// order, in the same rank form, into `whole` if asked.
-    fn keys(
-        &self,
-        row: &[u64],
-        complete_at: usize,
-        key: &mut Vec<u64>,
-        mut whole: Option<&mut Vec<u64>>,
-    ) {
-        key.clear();
-        key.extend_from_slice(&row[..self.levels.len() * self.ndims]);
-        for (f, q) in key[self.factors(complete_at)].iter_mut().zip(&row[self.quotas()]) {
-            *f *= q;
+    /// Brings `key`, the nest key of a row that has since changed only in
+    /// its quotas and in the factors at `pos`, up to date with `row`: what
+    /// `pos` and the completion level contribute is rewritten, the rest
+    /// kept. A run of rows that differ only there pays for its whole key
+    /// once.
+    pub(crate) fn renest(&self, row: &[u64], complete_at: usize, pos: usize, key: &mut [u64]) {
+        self.renest_level(row, complete_at, pos, key);
+        if pos != complete_at {
+            self.renest_level(row, complete_at, complete_at, key);
         }
-        if let Some(whole) = whole.as_deref_mut() {
-            whole.clear();
+    }
+
+    /// Writes what the level at `pos` contributes to the nest key: its
+    /// factors as completed, then, for a temporal level, its cut order.
+    fn renest_level(&self, row: &[u64], complete_at: usize, pos: usize, key: &mut [u64]) {
+        let slots = self.factors(pos);
+        key[slots.clone()].copy_from_slice(&row[slots.clone()]);
+        if pos == complete_at {
+            for (f, q) in key[slots.clone()].iter_mut().zip(&row[self.quotas()]) {
+                *f *= q;
+            }
         }
-        for &(at, order) in &self.levels {
+        if let Some(order) = self.levels[pos].1 {
+            let (factors, cuts) = key.split_at_mut(self.levels.len() * self.ndims);
+            ranks(&row[order..order + self.ndims], &factors[slots], &mut cuts[self.orders_at(pos)]);
+        }
+    }
+
+    /// The row's nest hash: the [`beam::key_hash`] of its
+    /// [`nest_key`](Self::nest_key), written into the scratch `key`.
+    pub(crate) fn nest_hash(&self, row: &[u64], complete_at: usize, key: &mut Vec<u64>) -> u128 {
+        self.nest_key(row, complete_at, key);
+        beam::key_hash(key)
+    }
+
+    /// The row's identity, given its nest hash: that hash combined with
+    /// the hash of the orders the nest key cut — every temporal level's
+    /// whole order in the rank form of [`positions`] — so it is a hash of
+    /// the completed key, and equal identities are equal rows up to a
+    /// 2⁻¹²⁸ collision. `orders` is scratch.
+    pub(crate) fn identity(&self, row: &[u64], nest: u128, orders: &mut Vec<u64>) -> u128 {
+        orders.clear();
+        self.write_orders(row, orders);
+        nest ^ beam::key_hash(orders)
+    }
+
+    /// Appends every temporal level's whole order of `row` (or of any
+    /// key) to `orders`, in the form [`identity`](Self::identity) hashes.
+    pub(crate) fn write_orders(&self, row: &[u64], orders: &mut Vec<u64>) {
+        for &(_, order) in &self.levels {
             if let Some(order) = order {
-                let order = &row[order..order + self.ndims];
-                ranks(order, at, key, whole.as_deref_mut());
+                positions(&row[order..order + self.ndims], orders);
             }
         }
     }
 
-    /// The row's nest hash and its identity. The nest hash is the
-    /// [`beam::key_hash`] of its [`nest_key`](Self::nest_key); the identity
-    /// combines it with the hash of the orders the nest key cut — every
-    /// temporal level's whole order in the same rank form — so it is a
-    /// hash of the completed key, and equal identities are equal rows up
-    /// to a 2⁻¹²⁸ collision. `nest` and `orders` are scratch.
-    pub(crate) fn row_hashes(
-        &self,
-        row: &[u64],
-        complete_at: usize,
-        (nest, orders): (&mut Vec<u64>, &mut Vec<u64>),
-    ) -> (u128, u128) {
-        self.keys(row, complete_at, nest, Some(orders));
-        let nest = beam::key_hash(nest);
-        (nest, nest ^ beam::key_hash(orders))
+    /// Where the temporal level at `pos` sits in what
+    /// [`write_orders`](Self::write_orders) writes, and among a nest key's
+    /// cut orders.
+    pub(crate) fn orders_at(&self, pos: usize) -> Range<usize> {
+        let words = self.ndims.div_ceil(8);
+        let before = (self.order(pos).start - self.levels.len() * self.ndims) / self.ndims;
+        before * words..(before + 1) * words
     }
 
     /// The nest key of a complete mapping shaped like the layout's base
@@ -265,46 +299,43 @@ impl RowLayout {
     }
 }
 
-/// Appends `order` in rank form to `key`, cut to the dimensions whose
-/// factor `key[at + d]` is above 1, and whole to `whole` if asked: byte `d`
-/// holds `d`'s 1-based rank in loop order among the looping dimensions (0
-/// for one that does not loop), and among all of them, eight bytes to a
-/// word. Orders that cut to the same sequence have the same cut ranks.
-/// Branch-free, and the byte a dimension lands in does not depend on the
-/// ones before it, so the only chains through the loop are two running
-/// counts.
+/// Writes `order` in rank form to `cut`, cut to the dimensions whose
+/// factor `factors[d]` is above 1: byte `d` holds `d`'s 1-based rank in
+/// loop order among the looping dimensions (0 for one that does not
+/// loop), eight bytes to a word. Orders that cut to the same sequence
+/// have the same cut ranks. Branch-free, and the byte a dimension lands in
+/// does not depend on the ones before it, so the only chain through the
+/// loop is the running count.
 #[inline]
-fn ranks(order: &[u64], at: usize, key: &mut Vec<u64>, whole: Option<&mut Vec<u64>>) {
-    let (mut rank, mut position) = (0u64, 0u64);
-    if order.len() <= 8 {
-        // Every workload evaluated: a word each, kept in registers.
-        let factors = &key[at..at + order.len()];
-        let (mut cut, mut all) = (0u64, 0u64);
+fn ranks(order: &[u64], factors: &[u64], cut: &mut [u64]) {
+    let mut rank = 0u64;
+    if let [word] = cut {
+        // Every workload evaluated: a word each, kept in a register.
+        let mut bytes = 0u64;
         for &d in order {
             let loops = u64::from(factors[d as usize] > 1);
             rank += loops;
-            position += 1;
-            cut |= (rank & loops.wrapping_neg()) << (8 * d);
-            all |= position << (8 * d);
+            bytes |= (rank & loops.wrapping_neg()) << (8 * d);
         }
-        key.push(cut);
-        if let Some(whole) = whole {
-            whole.push(all);
-        }
+        *word = bytes;
         return;
     }
-    let (mut cut, mut all) = ([0u64; DimId::MAX_DIMS / 8], [0u64; DimId::MAX_DIMS / 8]);
+    cut.fill(0);
     for &d in order {
-        let loops = u64::from(key[at + d as usize] > 1);
+        let loops = u64::from(factors[d as usize] > 1);
         rank += loops;
-        position += 1;
         cut[d as usize / 8] |= (rank & loops.wrapping_neg()) << (8 * (d % 8));
-        all[d as usize / 8] |= position << (8 * (d % 8));
     }
-    let words = order.len().div_ceil(8);
-    key.extend_from_slice(&cut[..words]);
-    if let Some(whole) = whole {
-        whole.extend_from_slice(&all[..words]);
+}
+
+/// Appends `order` whole to `orders` in the byte form of [`ranks`]: byte
+/// `d` holds `d`'s 1-based position in loop order.
+#[inline]
+pub(crate) fn positions(order: &[u64], orders: &mut Vec<u64>) {
+    let at = orders.len();
+    orders.resize(at + order.len().div_ceil(8), 0);
+    for (position, &d) in (1u64..).zip(order) {
+        orders[at + d as usize / 8] |= position << (8 * (d % 8));
     }
 }
 
@@ -488,6 +519,7 @@ pub(crate) mod testing {
     use sunstone_mapping::MappingConstraints;
 
     use super::*;
+    use crate::factors::sorted_divisors;
 
     /// Runs `f` with the context a scheduling call on `(workload, arch)`
     /// under `config` would build: unconstrained, on an inline pool.
@@ -506,48 +538,11 @@ pub(crate) mod testing {
         f(&ctx)
     }
 
-    /// A 7-dimensional convolution whose tensor names every preset's
-    /// partition filters bind.
-    pub(crate) fn conv2d(k: u64, c: u64, hw: u64) -> Workload {
-        let mut b = Workload::builder("conv2d");
-        let n = b.dim("N", 2);
-        let kk = b.dim("K", k);
-        let cc = b.dim("C", c);
-        let p = b.dim("P", hw);
-        let q = b.dim("Q", hw);
-        let r = b.dim("R", 3);
-        let s = b.dim("S", 3);
-        b.input_bits("ifmap", [n.expr(), cc.expr(), p + r, q + s], 8);
-        b.input_bits("weight", [kk.expr(), cc.expr(), r.expr(), s.expr()], 8);
-        b.output_bits("ofmap", [n.expr(), kk.expr(), p.expr(), q.expr()], 24);
-        b.build().expect("valid workload")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use proptest::prelude::*;
-    use sunstone_arch::presets;
-
-    use super::testing::{conv2d, with_context};
-    use super::*;
-    use crate::factors::sorted_divisors;
-    use crate::Direction;
-
-    fn preset(i: usize) -> ArchSpec {
-        match i {
-            0 => presets::conventional(),
-            1 => presets::eyeriss_like(),
-            2 => presets::simba_like(),
-            _ => presets::diannao_like(),
-        }
-    }
-
     /// A random partial mapping shaped like the context's base: every
     /// level takes a random divisor of what each dimension still has to
     /// distribute, temporal levels a random loop order, and the rest stays
     /// in the quotas — every state the search can reach has this form.
-    fn random_state(ctx: &SearchContext<'_>, seed: u64) -> PartialState {
+    pub(crate) fn random_state(ctx: &SearchContext<'_>, seed: u64) -> PartialState {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
         let mut next = move || {
             state ^= state << 13;
@@ -569,6 +564,53 @@ mod tests {
             }
         }
         s
+    }
+
+    /// A 7-dimensional convolution whose tensor names every preset's
+    /// partition filters bind.
+    pub(crate) fn conv2d(k: u64, c: u64, hw: u64) -> Workload {
+        let mut b = Workload::builder("conv2d");
+        let n = b.dim("N", 2);
+        let kk = b.dim("K", k);
+        let cc = b.dim("C", c);
+        let p = b.dim("P", hw);
+        let q = b.dim("Q", hw);
+        let r = b.dim("R", 3);
+        let s = b.dim("S", 3);
+        b.input_bits("ifmap", [n.expr(), cc.expr(), p + r, q + s], 8);
+        b.input_bits("weight", [kk.expr(), cc.expr(), r.expr(), s.expr()], 8);
+        b.output_bits("ofmap", [n.expr(), kk.expr(), p.expr(), q.expr()], 24);
+        b.build().expect("valid workload")
+    }
+
+    /// `out[m][n] = Σ_k a[m][k] · b[k][n]`, its tensors named as
+    /// [`conv2d`]'s so every preset binds them.
+    pub(crate) fn matmul(m: u64, n: u64, k: u64) -> Workload {
+        let mut b = Workload::builder("matmul");
+        let (mm, nn, kk) = (b.dim("M", m), b.dim("N", n), b.dim("K", k));
+        b.input_bits("ifmap", [mm.expr(), kk.expr()], 8);
+        b.input_bits("weight", [kk.expr(), nn.expr()], 8);
+        b.output_bits("ofmap", [mm.expr(), nn.expr()], 24);
+        b.build().expect("valid workload")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+    use sunstone_arch::presets;
+
+    use super::testing::{conv2d, random_state, with_context};
+    use super::*;
+    use crate::Direction;
+
+    fn preset(i: usize) -> ArchSpec {
+        match i {
+            0 => presets::conventional(),
+            1 => presets::eyeriss_like(),
+            2 => presets::simba_like(),
+            _ => presets::diannao_like(),
+        }
     }
 
     proptest! {
@@ -607,14 +649,18 @@ mod tests {
                 layout.write_row(&s.mapping, &s.quotas, &mut row);
                 // Reused across directions, as a worker's scratch is.
                 let mut m = ctx.base.clone();
-                let (mut words, mut orders, mut nest) = (Vec::new(), Vec::new(), Vec::new());
+                let (mut words, mut nest) = (Vec::new(), Vec::new());
+                let row_hashes = |row: &[u64], pos, words: &mut Vec<u64>| {
+                    let nest = layout.nest_hash(row, pos, words);
+                    (nest, layout.identity(row, nest, words))
+                };
                 for direction in [Direction::BottomUp, Direction::TopDown] {
                     let completed = estimate::complete(ctx, &s, direction);
                     let pos = estimate::completion_pos(ctx, direction);
                     let mut done = beam::mapping_key(&completed);
                     done.resize(layout.stride(), 1);
-                    let hashes = layout.row_hashes(&row, pos, (&mut words, &mut orders));
-                    assert_eq!(hashes, layout.row_hashes(&done, pos, (&mut words, &mut orders)));
+                    let hashes = row_hashes(&row, pos, &mut words);
+                    assert_eq!(hashes, row_hashes(&done, pos, &mut words));
                     layout.nest_key_of(&completed, &mut nest);
                     assert_eq!(hashes.0, beam::key_hash(&nest));
                     layout.materialize_completed_into(&row, pos, &mut m);

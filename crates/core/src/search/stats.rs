@@ -100,6 +100,19 @@ pub struct LevelStats {
     /// ran, timed like `expand_tiles`.
     #[serde(default)]
     pub expand_unrolls: Duration,
+    /// Part of `expand`: picking each parent's ordering candidates (an
+    /// enumeration per distinct in-play set, a replay otherwise). One
+    /// clock pair per parent.
+    #[serde(default)]
+    pub expand_orderings: Duration,
+    /// Part of `expand`: writing the candidate rows once a parent's
+    /// children are decided — one template per unroll, then per child a
+    /// copy and a few slice writes. One clock pair per parent; bottom-up
+    /// only (top-down stages write their rows as they enumerate, and
+    /// report 0). What `expand` has beyond its four parts is memo lookups
+    /// and replays and deciding the children.
+    #[serde(default)]
+    pub expand_rows: Duration,
     /// Wall time of duplicate elimination over the candidate rows.
     pub dedup: Duration,
     /// Wall time of the estimate round: table probes plus, for the
@@ -168,6 +181,19 @@ pub struct SearchStats {
     /// a result the session answered from its memo.
     #[serde(default)]
     pub capacity_probes: u64,
+    /// Tile enumerations answered from the search's memo (or from the
+    /// parent's own earlier asks with the same base and quotas).
+    #[serde(default)]
+    pub tile_memo_hits: u64,
+    /// Tile enumerations that ran.
+    #[serde(default)]
+    pub tile_memo_misses: u64,
+    /// Per-fabric unrolling enumerations answered from the search's memo.
+    #[serde(default)]
+    pub unroll_memo_hits: u64,
+    /// Per-fabric unrolling enumerations that ran.
+    #[serde(default)]
+    pub unroll_memo_misses: u64,
     /// Estimates served from the search's estimate table (including the
     /// final top-k re-evaluation).
     pub cache_hits: u64,
@@ -175,6 +201,12 @@ pub struct SearchStats {
     pub cache_misses: u64,
     /// Wall-clock time of the search.
     pub elapsed: Duration,
+    /// Part of `elapsed` after the last stage: completing (if the walk was
+    /// cut short), validating and pricing the final beam afresh for the
+    /// caller. With the per-level phases it
+    /// accounts for the search's wall time, less building its context.
+    #[serde(default)]
+    pub rank: Duration,
     /// Per-level, per-principle pruning breakdown, indexed by stage.
     pub levels: Vec<LevelStats>,
 }

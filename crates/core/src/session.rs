@@ -1189,6 +1189,7 @@ impl Scheduler {
             SearchStop::DeadlineReached => true,
             SearchStop::Completed => false,
         };
+        let ranking = Instant::now();
         // A truncated walk leaves quotas undecided; complete each partial
         // state the same way estimation does (best-so-far contract).
         let finals: Vec<Mapping> = if truncated {
@@ -1218,6 +1219,7 @@ impl Scheduler {
         });
         valid.dedup_by(|a, b| a.0 == b.0);
         valid.truncate(top_k);
+        stats.rank = ranking.elapsed();
         stats.elapsed = start.elapsed();
         if valid.is_empty() {
             return Err(if truncated {

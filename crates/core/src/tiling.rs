@@ -58,13 +58,14 @@ pub fn enumerate_tiles(
 ) -> TilingOutcome {
     let divisors: Vec<Cow<'_, [u64]>> =
         quota.iter().map(|&q| Cow::Owned(sorted_divisors(q))).collect();
-    enumerate_with_divisors(base, quota, allowed, fits, maximal_only, &divisors)
+    let outcome =
+        grow_with_divisors(base, quota, allowed, |_, tile| fits(tile), maximal_only, &divisors);
+    into_tiles(base, outcome)
 }
 
 /// As [`enumerate_tiles`] (same contract on `fits` and `explored`), with
 /// the per-dimension divisor ladders served from a precomputed
-/// [`DivisorLadders`] table instead of trial division per call — the
-/// search pipeline's hot variant.
+/// [`DivisorLadders`] table instead of trial division per call.
 pub fn enumerate_tiles_cached(
     base: &[u64],
     quota: &[u64],
@@ -73,14 +74,42 @@ pub fn enumerate_tiles_cached(
     maximal_only: bool,
     ladders: &DivisorLadders,
 ) -> TilingOutcome {
-    enumerate_with_divisors(base, quota, allowed, fits, maximal_only, &ladders.ladder_set(quota))
+    let outcome =
+        enumerate_growths_cached(base, quota, allowed, |_, tile| fits(tile), maximal_only, ladders);
+    into_tiles(base, outcome)
 }
 
-fn enumerate_with_divisors(
+/// As [`enumerate_tiles_cached`], but every kept tile is given as its
+/// growth over `base` (the tile is `base × growth`, the growth a divisor
+/// of `quota` per dimension), and `fits` sees each probe's growth beside
+/// its tile — the search's hot variant, which needs the growths and so
+/// never divides them back out of the tiles.
+pub(crate) fn enumerate_growths_cached(
     base: &[u64],
     quota: &[u64],
     allowed: DimSet,
-    fits: impl Fn(&[u64]) -> bool,
+    fits: impl Fn(&[u64], &[u64]) -> bool,
+    maximal_only: bool,
+    ladders: &DivisorLadders,
+) -> TilingOutcome {
+    grow_with_divisors(base, quota, allowed, fits, maximal_only, &ladders.ladder_set(quota))
+}
+
+/// The growths' outcome as tiles: each growth multiplied by `base`.
+fn into_tiles(base: &[u64], mut outcome: TilingOutcome) -> TilingOutcome {
+    for tile in &mut outcome.tiles {
+        for (t, &b) in tile.iter_mut().zip(base) {
+            *t *= b;
+        }
+    }
+    outcome
+}
+
+fn grow_with_divisors(
+    base: &[u64],
+    quota: &[u64],
+    allowed: DimSet,
+    fits: impl Fn(&[u64], &[u64]) -> bool,
     maximal_only: bool,
     divisors: &[Cow<'_, [u64]>],
 ) -> TilingOutcome {
@@ -94,18 +123,13 @@ fn enumerate_with_divisors(
         for ((t, &b), &f) in tile.iter_mut().zip(base).zip(factors) {
             *t = b.saturating_mul(f);
         }
-        fits(&tile)
+        fits(factors, &tile)
     };
     if !fits_grown(&DimVec::ones(base.len())) {
         return TilingOutcome { tiles: Vec::new(), explored: 1, probes };
     }
     let walk = lattice::walk(divisors, allowed, &mut fits_grown, maximal_only);
-    let tiles = walk
-        .nodes
-        .iter()
-        .map(|factors| base.iter().zip(factors).map(|(b, f)| b * f).collect())
-        .collect();
-    TilingOutcome { tiles, explored: walk.explored, probes }
+    TilingOutcome { tiles: walk.nodes, explored: walk.explored, probes }
 }
 
 #[cfg(test)]

@@ -33,10 +33,13 @@ type Witness = (Mapping, CostReport, SearchStats);
 fn witness(r: &ScheduleResult) -> Witness {
     let mut stats = r.stats.clone();
     stats.elapsed = Duration::ZERO;
+    stats.rank = Duration::ZERO;
     for l in &mut stats.levels {
         l.expand = Duration::ZERO;
         l.expand_tiles = Duration::ZERO;
         l.expand_unrolls = Duration::ZERO;
+        l.expand_orderings = Duration::ZERO;
+        l.expand_rows = Duration::ZERO;
         l.dedup = Duration::ZERO;
         l.estimate = Duration::ZERO;
         l.estimate_prefix = Duration::ZERO;
