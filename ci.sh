@@ -45,18 +45,26 @@ echo "== release degenerate-input smoke =="
 # wraps instead, so the no-panic grid must also hold there.
 cargo test -q --release -p sunstone-repro --test robustness
 
+echo "== release model + deadline tests =="
+# The search prices with release codegen, so the model's bit-identity
+# tests (every entry point, width, prefix and source prices alike) run
+# under it too; and the daemon's deadline test, which derives its budget
+# from how long this machine takes to search, must hold at release speed.
+cargo test -q --release -p sunstone-model
+cargo test -q --release -p sunstone-serve --test serve
+
 echo "== bench smoke: quick schedule bench =="
 cargo run --release -p sunstone-bench --bin bench_schedule -- quick --out BENCH_schedule_quick.json
 python3 - <<'EOF'
 import json
 d = json.load(open("BENCH_schedule_quick.json"))
-assert d.get("schema") == "sunstone-bench-schedule/v9", d.get("schema")
+assert d.get("schema") == "sunstone-bench-schedule/v10", d.get("schema")
 assert d.get("layers"), "no layers recorded"
 for row in d["layers"]:
     for field in (
         "name", "cold_ms", "repeat_us", "best_edp",
         "probed", "modeled", "nodes_explored", "capacity_probes",
-        "prefix_hit_rate", "mapping_fp", "phase_ms",
+        "prefix_hit_rate", "price_ns", "mapping_fp", "phase_ms",
     ):
         assert field in row, f"missing {field} in {row.get('name', '?')}"
     for phase in (
@@ -70,6 +78,7 @@ for row in d["layers"]:
     # A repeat is a memo hit, not a second search.
     assert row["repeat_us"] < 1e3 * row["cold_ms"], row["name"]
     assert row["modeled"] <= row["probed"], row["name"]
+    assert row["price_ns"] > 0, row["name"]
 est = d.get("estimate", {})
 for field in ("evals_per_sec", "batch_evals_per_sec", "batch_width"):
     assert field in est, f"missing estimate.{field}"
@@ -109,7 +118,8 @@ assert not drifted, "search counters drifted from BENCH_schedule.json:\n" + "\n"
 # whole-nest evaluation). Both are measured in this very run, so the
 # ratio cancels the machine's speed — an absolute floor committed from
 # another run does not (the same binary reads 0.96–1.54 M batch evals/s
-# from one quick run to the next on one box). 1.9–3.5 observed.
+# from one quick run to the next on one box). 2.4–2.6 observed since the
+# kernel reads rows.
 ratio = est["batch_evals_per_sec"] / est["evals_per_sec"]
 assert ratio >= 1.5, (
     f"batch evaluator only {ratio:.2f}x the width-1, no-prefix one"

@@ -48,6 +48,9 @@ struct LayerRow {
     /// Fraction of the model evaluations that reused a memoized
     /// decided-prefix cost.
     prefix_hit_rate: f64,
+    /// What one priced candidate cost: `phase_ms.estimate_price` ÷
+    /// `modeled`, in nanoseconds (comparable across layers).
+    price_ns: f64,
     /// The search's own phase split.
     phase_ms: PhaseMs,
 }
@@ -229,9 +232,13 @@ fn main() {
             assert_eq!(again.mapping, first.mapping, "a repeat is the search's own answer");
         }
         let repeat_us = median(&mut samples);
+        let phase_ms = PhaseMs::of(stats, cold_ms);
+        // What one priced candidate cost, comparable across layers.
+        let price_ns =
+            if modeled == 0 { 0.0 } else { phase_ms.estimate_price * 1e6 / modeled as f64 };
         println!(
-            "  {:10}  cold {:8.1} ms   repeat {:8.1} us   EDP {:.3e}",
-            layer.name, cold_ms, repeat_us, first.report.edp
+            "  {:10}  cold {:8.1} ms   repeat {:8.1} us   price {:6.0} ns   EDP {:.3e}",
+            layer.name, cold_ms, repeat_us, price_ns, first.report.edp
         );
         rows.push(LayerRow {
             name: layer.name.clone(),
@@ -245,7 +252,8 @@ fn main() {
             nodes_explored: stats.nodes_explored,
             capacity_probes: stats.capacity_probes,
             prefix_hit_rate: ratio(stats.prefix_hits, modeled),
-            phase_ms: PhaseMs::of(stats, cold_ms),
+            price_ns,
+            phase_ms,
         });
     }
     let avg_batch_width = ratio(batched, batches);
@@ -301,7 +309,7 @@ fn main() {
         acc2 = 0.0;
         let t0 = Instant::now();
         for _ in 0..dispatches {
-            model.price_prefixed_batch(&prefix, &batch, &mut batch_scratch, |_, totals| {
+            model.price_prefixed_batch(&prefix, &batch[..], &mut batch_scratch, |_, totals| {
                 acc2 += totals.energy_pj * totals.delay_cycles;
             });
         }
@@ -355,7 +363,7 @@ fn main() {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v9\",");
+    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v10\",");
     let _ = writeln!(json, "  \"mode\": \"{}\",", if quick { "quick" } else { "full" });
     let _ = writeln!(json, "  \"arch\": \"{}\",", esc(arch.name()));
     let _ = writeln!(json, "  \"reps\": {reps},");
@@ -372,6 +380,7 @@ fn main() {
         let _ = writeln!(json, "      \"nodes_explored\": {},", r.nodes_explored);
         let _ = writeln!(json, "      \"capacity_probes\": {},", r.capacity_probes);
         let _ = writeln!(json, "      \"prefix_hit_rate\": {:.4},", r.prefix_hit_rate);
+        let _ = writeln!(json, "      \"price_ns\": {:.1},", r.price_ns);
         let _ = writeln!(json, "      \"phase_ms\": {},", r.phase_ms.json());
         let _ = writeln!(json, "      \"mapping_fp\": {},", r.mapping_fp);
         let _ = writeln!(json, "      \"mapping\": \"{}\"", esc(&r.mapping));

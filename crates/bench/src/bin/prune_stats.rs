@@ -10,7 +10,8 @@
 //! including the SoA batch width of the estimate rounds — and where the
 //! stage's wall time went (expand — with its tile, unroll and ordering
 //! enumerations and its row writes — / dedup / estimate — with its
-//! prefix / price / publish parts — / select), and how many lattice nodes
+//! prefix / price / publish parts — / select), what one priced candidate
+//! cost (`price` time ÷ model evaluations), and how many lattice nodes
 //! the tile and unroll enumerators spanned against the capacity probes
 //! they made and how often their memos answered.
 //!
@@ -26,6 +27,17 @@ use sunstone_workloads::Precision;
 
 fn pct(c: &PruneCounter) -> f64 {
     100.0 * c.pruned_fraction()
+}
+
+/// What one priced candidate costs: the estimate rounds' pricing time
+/// per model evaluation, in nanoseconds.
+fn price_ns(stats: &SearchStats) -> f64 {
+    let price: std::time::Duration = stats.levels.iter().map(|l| l.estimate_price).sum();
+    if stats.modeled == 0 {
+        0.0
+    } else {
+        price.as_secs_f64() * 1e9 / stats.modeled as f64
+    }
 }
 
 fn print_level_table(stats: &SearchStats) {
@@ -130,10 +142,11 @@ fn main() {
         let no_reuse: u64 = r.stats.levels.iter().map(|l| l.ordering_no_reuse).sum();
         let dominated: u64 = r.stats.levels.iter().map(|l| l.ordering_dominated).sum();
         println!(
-            "  {:<10} probed {:>6} (modeled {:>5}), beam cut {:>6}, nodes explored {:>7} ({:>6} capacity probes), ordering rejections: {} no-reuse (P3), {} dominated (P1–2)",
+            "  {:<10} probed {:>6} (modeled {:>5}, {:>5.0} ns each), beam cut {:>6}, nodes explored {:>7} ({:>6} capacity probes), ordering rejections: {} no-reuse (P3), {} dominated (P1–2)",
             layer.name,
             r.stats.probed,
             r.stats.modeled,
+            price_ns(&r.stats),
             r.stats.beam_cut(),
             r.stats.nodes_explored,
             r.stats.capacity_probes,
@@ -174,14 +187,15 @@ fn main() {
         total.beam_cut()
     );
     println!(
-        "  model:            {:>8} evaluations ({:>6} prefix-incremental, {:.1}% of modeled)",
+        "  model:            {:>8} evaluations ({:>6} prefix-incremental, {:.1}% of modeled), {:.0} ns per priced candidate",
         total.modeled,
         total.prefix_hits,
         if total.modeled == 0 {
             0.0
         } else {
             100.0 * total.prefix_hits as f64 / total.modeled as f64
-        }
+        },
+        price_ns(&total)
     );
     println!(
         "  SoA batches:      {:>8} dispatches, {:.1} candidates/batch, {:.1}% of modeled",

@@ -1357,6 +1357,8 @@ mod tests {
     use std::time::Duration;
 
     use sunstone_arch::presets;
+    use sunstone_mapping::Mapping;
+    use sunstone_model::MappingPrefix;
 
     use super::super::compose::{run_level_search, BottomUpPass, LevelPass, TopDownPass};
     use super::super::testing::{conv2d, matmul, random_state, with_context};
@@ -1516,6 +1518,104 @@ mod tests {
         }
         // Not vacuous: rows were dropped, and distinct rows shared a nest.
         assert!(removed > 0 && shared_nests > 0, "{removed} removed, {shared_nests} shared");
+    }
+
+    /// The count kernel prices arena rows, read in place, exactly as it
+    /// prices the mappings they complete to: on random arenas of every
+    /// stage, completed in both directions, on three presets, each row's
+    /// totals at widths 1, 2 and 16 — against the empty prefix, and
+    /// against its parent's prefix at every boundary below the stage's
+    /// memory — equal `evaluate_unchecked` of the materialized completed
+    /// row, bit for bit.
+    #[test]
+    fn rows_price_as_their_completed_mappings() {
+        let mut priced = 0usize;
+        for arch in [presets::simba_like(), presets::conventional(), presets::diannao_like()] {
+            for w in [conv2d(16, 24, 14), matmul(64, 48, 96)] {
+                with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
+                    let (model, layout) = (&ctx.model, &ctx.layout);
+                    let mut scratch = model.batch_scratch();
+                    for stage in 0..ctx.mems.len() - 1 {
+                        for seed in 0..3 {
+                            let cands = random_arena(ctx, stage, seed);
+                            let rows: Vec<u32> = (0..cands.len() as u32).collect();
+                            for direction in [Direction::BottomUp, Direction::TopDown] {
+                                let complete_at = estimate::completion_pos(ctx, direction);
+                                let completed: Vec<Mapping> = (0..cands.len())
+                                    .map(|i| {
+                                        let mut m = ctx.base.clone();
+                                        layout.materialize_completed_into(
+                                            cands.row(i),
+                                            complete_at,
+                                            &mut m,
+                                        );
+                                        m
+                                    })
+                                    .collect();
+                                let alone: Vec<_> =
+                                    completed.iter().map(|m| model.evaluate_unchecked(m)).collect();
+                                // Runs of `width` rows from `rows`, all
+                                // sharing `prefix`, priced from the arena.
+                                let mut price = |prefix: &MappingPrefix, rows: &[u32]| {
+                                    for width in [1, 2, 16] {
+                                        for run in rows.chunks(width) {
+                                            let source = estimate::MissRows {
+                                                layout,
+                                                candidates: &cands,
+                                                misses: run,
+                                                complete_at,
+                                            };
+                                            let mut seen = 0;
+                                            model.price_prefixed_batch(
+                                                prefix,
+                                                &source,
+                                                &mut scratch,
+                                                |j, got| {
+                                                    let want = &alone[run[j] as usize];
+                                                    let case = format!(
+                                                        "{} {direction:?} stage {stage} seed \
+                                                         {seed} row {} width {width} prefix {:?}",
+                                                        arch.name(),
+                                                        run[j],
+                                                        prefix.boundary()
+                                                    );
+                                                    assert_eq!(
+                                                        got.energy_pj.to_bits(),
+                                                        want.energy_pj.to_bits(),
+                                                        "{case}"
+                                                    );
+                                                    assert_eq!(
+                                                        got.delay_cycles.to_bits(),
+                                                        want.delay_cycles.to_bits(),
+                                                        "{case}"
+                                                    );
+                                                    seen += 1;
+                                                },
+                                            );
+                                            assert_eq!(seen, run.len());
+                                            priced += run.len();
+                                        }
+                                    }
+                                };
+                                // The empty prefix prices any rows together.
+                                price(model.empty_prefix(), &rows);
+                                // A parent's children share every level
+                                // below the stage's memory.
+                                for family in rows.chunk_by(|&a, &b| {
+                                    cands.parent[a as usize] == cands.parent[b as usize]
+                                }) {
+                                    let first = &completed[family[0] as usize];
+                                    for boundary in 0..ctx.mems[stage] {
+                                        price(&model.prefix_of(first, boundary), family);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                });
+            }
+        }
+        assert!(priced > 0, "no row was priced");
     }
 
     /// A search's statistics with what a tile memo hit saves — its work

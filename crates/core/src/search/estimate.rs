@@ -10,12 +10,12 @@ use std::time::Instant;
 
 use sunstone_ir::{DimSet, DimVec, FxHashMap};
 use sunstone_mapping::{Mapping, MappingLevel};
-use sunstone_model::{BatchEvalScratch, CostReport, MappingPrefix};
+use sunstone_model::{BatchEvalScratch, CostReport, MappingPrefix, NestSource};
 
 use super::beam::{key_hash, KeyHashMap};
 use super::candidates::Candidates;
 use super::stats::SearchStats;
-use super::{PartialState, SearchContext};
+use super::{PartialState, RowLayout, SearchContext};
 use crate::pool::SliceWriter;
 use crate::Direction;
 
@@ -230,36 +230,56 @@ pub(crate) fn complete(
     m
 }
 
-/// Per-worker evaluation state, reused across rounds and calls (the pool
-/// threads are session-lived, so the buffers stay warm): the model's
-/// scratch, and the [`ESTIMATE_CHUNK`] mappings a claim's misses are
-/// materialized into — clones of the context's base, rebuilt only when a
-/// search arrives whose base is shaped differently.
-#[derive(Default)]
-struct WorkerScratch {
-    batch: BatchEvalScratch,
-    mappings: Vec<Mapping>,
-}
-
 thread_local! {
-    static SCRATCH: RefCell<WorkerScratch> = RefCell::new(WorkerScratch::default());
+    /// Per-worker evaluation state, reused across rounds and calls (the
+    /// pool threads are session-lived, so the buffers stay warm): the
+    /// count kernel's tables. A claim's misses are read from their arena
+    /// rows in place ([`MissRows`]), so a worker keeps no mappings.
+    static SCRATCH: RefCell<BatchEvalScratch> = RefCell::new(BatchEvalScratch::default());
 }
 
-/// Whether `m` has `base`'s levels (kind by kind) and dimension count,
-/// i.e. whether a row of `base`'s layout can be written into it.
-fn shaped_like(m: &Mapping, base: &Mapping) -> bool {
-    m.levels().len() == base.levels().len()
-        && m.levels().iter().zip(base.levels()).all(|(a, b)| {
-            std::mem::discriminant(a) == std::mem::discriminant(b)
-                && a.factors().len() == b.factors().len()
-        })
+/// A run of an estimate round's misses as the model's count kernel reads
+/// them: each miss's arena row, completed at `complete_at` by the quotas
+/// the row carries — the mapping [`complete`] would build from the row's
+/// state, never built.
+pub(crate) struct MissRows<'a> {
+    pub(crate) layout: &'a RowLayout,
+    pub(crate) candidates: &'a Candidates,
+    /// Candidate indices of the run's misses.
+    pub(crate) misses: &'a [u32],
+    pub(crate) complete_at: usize,
+}
+
+impl MissRows<'_> {
+    fn row(&self, i: usize) -> &[u64] {
+        self.candidates.row(self.misses[i] as usize)
+    }
+}
+
+impl NestSource for MissRows<'_> {
+    fn count(&self) -> usize {
+        self.misses.len()
+    }
+
+    fn factors(&self, i: usize, pos: usize) -> &[u64] {
+        &self.row(i)[self.layout.factors(pos)]
+    }
+
+    fn order(&self, i: usize, pos: usize) -> impl DoubleEndedIterator<Item = usize> + '_ {
+        self.row(i)[self.layout.order(pos)].iter().map(|&d| d as usize)
+    }
+
+    fn completion(&self, i: usize) -> Option<(usize, &[u64])> {
+        Some((self.complete_at, &self.row(i)[self.layout.quotas()]))
+    }
 }
 
 /// Indices per pool claim in the estimate round. One atomic claim covers
-/// a contiguous candidate range, and every maximal same-prefix run inside
-/// the range is priced through the model's count kernel in one call — the
-/// chunk bounds the batch width, so the per-candidate SoA tables stay in
-/// cache while still amortizing claim and dispatch overhead. Kept small
+/// a contiguous range of misses, and every maximal same-prefix run inside
+/// the range is priced by one call of the model's count kernel, which
+/// reads the run's rows in place — the chunk bounds the batch width, and
+/// with it how long a claim holds the round, while still amortizing the
+/// claim, the dispatch and the call's hoisted pair tails. Kept small
 /// enough that modest rounds (a few hundred misses) still split into more
 /// claims than the pool has claimants.
 const ESTIMATE_CHUNK: usize = 16;
@@ -313,15 +333,17 @@ pub(crate) enum RoundStatus {
 /// priced and the rest copy its price (counted as hits). A miss is an
 /// index: nothing is allocated per candidate. The priced misses go
 /// through the model distributed over the session's persistent worker
-/// pool (no per-round thread spawns), each worker materializing its
-/// claim's rows into its own reused mappings
-/// ([`RowLayout::materialize_completed_into`](super::RowLayout::materialize_completed_into)).
+/// pool (no per-round thread spawns), and the model reads each miss's
+/// arena row in place ([`MissRows`]): its factors, orders and quotas,
+/// folded in at the completion level. No miss becomes a [`Mapping`].
 ///
 /// Bottom-up stages past the first price each miss *prefix-incrementally*:
 /// all candidates expanded from one beam state share the decided levels
 /// `0..=mems[stage − 1]`, so that prefix's per-level cost contribution is
-/// built once per parent ([`CostModel::prefix_of`]) and each candidate
-/// only derives the delta of its frontier and completion levels. The
+/// built once per parent ([`CostModel::prefix_of`], from the parent's
+/// first miss materialized — the one mapping a parent costs) and each
+/// candidate only derives the delta of its frontier and completion
+/// levels. The
 /// composition is bit-identical to the whole-nest evaluation (see the
 /// model's `batch` tests), so which prefix priced an entry never shows.
 /// Stages with no shared prefix (the first bottom-up stage, every
@@ -331,9 +353,9 @@ pub(crate) enum RoundStatus {
 /// The pool claims contiguous *chunks* of misses ([`ESTIMATE_CHUNK`] per
 /// atomic claim), and every maximal same-prefix run inside a claim — the
 /// whole claim when the stage has no prefix — is priced by one call of the
-/// model's structure-of-arrays count kernel
-/// ([`CostModel::price_prefixed_batch`]), which hands back the two totals
-/// the objective is a function of rather than a report. A run of one is a
+/// model's count kernel ([`CostModel::price_prefixed_batch`]) over the
+/// run's rows, which hands back the two totals the objective is a
+/// function of rather than a report. A run of one is a
 /// width-1 call of the same kernel. `SearchStats::{batches, batched}`
 /// count the runs of two or more that share a decided prefix.
 ///
@@ -464,17 +486,7 @@ pub(crate) fn estimate_all(
                 return;
             }
             SCRATCH.with(|cell| {
-                let scratch = &mut *cell.borrow_mut();
-                if !scratch.mappings.first().is_some_and(|m| shaped_like(m, &ctx.base)) {
-                    scratch.mappings = vec![ctx.base.clone(); ESTIMATE_CHUNK];
-                }
-                let WorkerScratch { batch, mappings } = scratch;
-                // The claim's misses as completed mappings; `completed[j]`
-                // is miss `range.start + j`.
-                let completed = &mut mappings[..range.len()];
-                for (m, &i) in completed.iter_mut().zip(&misses[range.clone()]) {
-                    layout.materialize_completed_into(candidates.row(i as usize), pos, m);
-                }
+                let batch = &mut *cell.borrow_mut();
                 let mut k = range.start;
                 while k < range.end {
                     // Maximal same-prefix run inside this claim; with no
@@ -489,8 +501,9 @@ pub(crate) fn estimate_all(
                         round_batches.fetch_add(1, Ordering::Relaxed);
                         round_batched.fetch_add((end - k) as u64, Ordering::Relaxed);
                     }
-                    let run = &completed[k - range.start..end - range.start];
-                    model.price_prefixed_batch(prefix, run, batch, |j, totals| {
+                    let run =
+                        MissRows { layout, candidates, misses: &misses[k..end], complete_at: pos };
+                    model.price_prefixed_batch(prefix, &run, batch, |j, totals| {
                         // SAFETY: claims are disjoint ranges and every
                         // index is written by its claimant only; `k + j`
                         // stays inside this run.

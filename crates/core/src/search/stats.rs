@@ -121,8 +121,8 @@ pub struct LevelStats {
     /// Part of `estimate`: the serial pass over the misses that builds one
     /// decided-prefix cost per beam parent.
     pub estimate_prefix: Duration,
-    /// Part of `estimate`: the pool round — materializing each claim's
-    /// rows and running the cost model over them.
+    /// Part of `estimate`: the pool round — the cost model's count kernel
+    /// over each claim's rows, read in place.
     pub estimate_price: Duration,
     /// Part of `estimate`: writing the estimates back and inserting them
     /// into the search's table.
@@ -150,7 +150,7 @@ pub struct SearchStats {
     /// (prefix-incremental estimation) instead of re-deriving every
     /// level's access counts from scratch.
     pub prefix_hits: u64,
-    /// SoA batch dispatches: contiguous runs of two or more candidates
+    /// Batch dispatches: contiguous runs of two or more candidates
     /// that share a decided prefix, priced by one call of the model's
     /// count kernel. Runs of one, and runs priced against the empty
     /// prefix of a stage that decides nothing, are not counted.

@@ -60,6 +60,20 @@ pub struct TensorDesc {
     indices: Vec<IndexExpr>,
     /// Bits per element, used by the cost model for word-size scaling.
     bits: u32,
+    /// The union of every coordinate's dimensions, taken once.
+    indexing: DimSet,
+    /// Every coordinate's terms in one table, coordinate after
+    /// coordinate: what [`footprint`](Self::footprint) walks.
+    terms: Vec<FlatTerm>,
+}
+
+/// One term of a coordinate in [`TensorDesc`]'s flat term table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FlatTerm {
+    dim: usize,
+    stride: u64,
+    /// The coordinate's last term: its extent is complete here.
+    closes: bool,
 }
 
 impl TensorDesc {
@@ -69,7 +83,17 @@ impl TensorDesc {
         indices: Vec<IndexExpr>,
         bits: u32,
     ) -> Self {
-        TensorDesc { name: name.into(), kind, indices, bits }
+        let indexing = indices.iter().fold(DimSet::EMPTY, |s, e| s.union(e.dims()));
+        let mut terms = Vec::new();
+        for e in &indices {
+            let last = e.terms().len().wrapping_sub(1);
+            terms.extend(e.terms().iter().enumerate().map(|(k, t)| FlatTerm {
+                dim: t.dim.index(),
+                stride: t.stride,
+                closes: k == last,
+            }));
+        }
+        TensorDesc { name: name.into(), kind, indices, bits, indexing, terms }
     }
 
     /// The tensor's name, e.g. `"ifmap"`.
@@ -105,7 +129,7 @@ impl TensorDesc {
     /// The set of dimensions that appear in any coordinate — the tensor's
     /// *indexing dimensions* (Table III).
     pub fn indexing_dims(&self) -> DimSet {
-        self.indices.iter().fold(DimSet::EMPTY, |s, e| s.union(e.dims()))
+        self.indexing
     }
 
     /// The number of elements of this tensor touched by a tile whose
@@ -122,8 +146,26 @@ impl TensorDesc {
     /// direction — every consumer compares footprints against bounded
     /// capacities, so a saturated footprint can only cause a tile to be
     /// rejected, never admitted.
+    ///
+    /// One walk of the flat term table: each coordinate's extent is summed
+    /// term by term as [`IndexExpr::extent`] sums it and multiplied in when
+    /// the coordinate closes, so the result is the fold of the coordinates'
+    /// extents, to the bit. A zero tile extent empties the coordinate, and
+    /// with it the footprint.
     pub fn footprint(&self, tile: &[u64]) -> u64 {
-        self.indices.iter().fold(1u64, |acc, e| acc.saturating_mul(e.extent_of(tile)))
+        let (mut acc, mut extent) = (1u64, 1u64);
+        for t in &self.terms {
+            let e = tile[t.dim];
+            if e == 0 {
+                return 0;
+            }
+            extent = extent.saturating_add(t.stride.saturating_mul(e - 1));
+            if t.closes {
+                acc = acc.saturating_mul(extent);
+                extent = 1;
+            }
+        }
+        acc
     }
 }
 
@@ -167,6 +209,69 @@ mod tests {
         let t = ifmap();
         // tile: K=2, C=4, P=5, R=3 → footprint = C * (P + R - 1) = 4 * 7.
         assert_eq!(t.footprint(&[2, 4, 5, 3]), 4 * 7);
+    }
+
+    /// The flat term table prices every tile as the fold of the
+    /// coordinates' [`IndexExpr::extent_of`] does, bit for bit — on random
+    /// tiles with zero extents and 2⁴⁰-sized dimensions, where extents and
+    /// products saturate — and the cached indexing set is the fold of the
+    /// coordinates' [`IndexExpr::dims`].
+    #[test]
+    fn flat_footprint_is_the_fold_of_coordinate_extents() {
+        let tensors = [
+            ifmap(),
+            // conv ifmap with strides and a coordinate of three terms:
+            // dims 0=N, 1=C, 2=P, 3=Q, 4=R, 5=S
+            TensorDesc::new(
+                "strided",
+                TensorKind::Input,
+                vec![
+                    d(0).expr(),
+                    d(1).expr(),
+                    d(2).strided(2) + d(4),
+                    d(3).strided(3) + d(5) + d(1),
+                ],
+                8,
+            ),
+            TensorDesc::new(
+                "out",
+                TensorKind::Output,
+                vec![d(0).expr(), d(2).expr(), d(3).expr()],
+                24,
+            ),
+            TensorDesc::new("scalar", TensorKind::Input, Vec::new(), 8),
+        ];
+        let mut state = 0x0123_4567_89ab_cdefu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut zeros, mut saturated) = (0, 0);
+        for _ in 0..20_000 {
+            let tile: Vec<u64> = (0..6)
+                .map(|_| match next() % 8 {
+                    0 => 0,
+                    1 => 1 << 40,
+                    2 => (1 << 40) + next() % 1000,
+                    3 => u64::MAX - next() % 4,
+                    _ => 1 + next() % 64,
+                })
+                .collect();
+            for t in &tensors {
+                let fold =
+                    t.indices().iter().fold(1u64, |acc, e| acc.saturating_mul(e.extent_of(&tile)));
+                assert_eq!(t.footprint(&tile), fold, "{t} over {tile:?}");
+                zeros += usize::from(fold == 0);
+                saturated += usize::from(fold == u64::MAX);
+            }
+        }
+        assert!(zeros > 0 && saturated > 0, "{zeros} empty, {saturated} saturated footprints");
+        for t in &tensors {
+            let fold = t.indices().iter().fold(DimSet::EMPTY, |s, e| s.union(e.dims()));
+            assert_eq!(t.indexing_dims(), fold, "{t}");
+        }
     }
 
     #[test]

@@ -1,12 +1,24 @@
-//! The count kernel: structure-of-arrays pricing of candidates that share
-//! a decided prefix — the model's one count pass.
+//! The count kernel: pricing a batch of candidates that share a decided
+//! prefix — the model's one count pass.
 //!
 //! One estimate round of the level-by-level search prices hundreds of
-//! candidates that share a decided prefix ([`MappingPrefix`]). The kernel
-//! decomposes the candidate set once into per-candidate *columns* —
-//! CSR-flattened suffix loops, suffix resident tiles, spatial-product
-//! ladders, and per-tensor refill aggregates — and then prices each storing
-//! pair for the whole batch in one inner loop over the columns.
+//! candidates that share a decided prefix ([`MappingPrefix`]). What the
+//! prefix decides is priced once when it is built; what no candidate
+//! changes is looked up once per model or built once per call; and each
+//! candidate then costs only its own arithmetic. The kernel takes the
+//! candidates one at a time: it writes the candidate's *columns* over the
+//! undecided suffix — its flattened loops with a mark at every level,
+//! its resident tiles as flat words, its spatial-product ladder — then,
+//! per tensor, one pass over the loops for the refill aggregates above
+//! every level, and prices each storing pair from those. Its count tables
+//! are handed to the caller before the next candidate is counted, so the
+//! scratch does not grow with the batch.
+//!
+//! The kernel reads its candidates through [`NestSource`]: per candidate
+//! and undecided level, the loop factors — with the remainder a candidate
+//! still carries folded in at its completion level — and the loop order.
+//! The search feeds it its arena rows in place; `[Mapping]` is the other
+//! source, and the same code, monomorphized, prices both.
 //!
 //! Every entry point of the model is a call of this kernel. A full
 //! evaluation ([`CostModel::evaluate_unchecked`],
@@ -19,12 +31,15 @@
 //!
 //! For the dominant pair shape (union tile complete inside the prefix and
 //! the reuse run closed there — every pair at or below the frontier once
-//! the search has decided a level) the pair-invariant quantities
-//! (footprints, multicast penalty, halo-window geometry, driving loop)
-//! are hoisted out of the candidate loop entirely, leaving a
-//! multiply–accumulate over the aggregate columns. Cached pairs that
-//! still straddle the frontier are priced candidate by candidate from the
+//! the search has decided a level) the pair's tail (footprints, multicast
+//! penalty, halo-window geometry, driving loop) is built once per call,
+//! leaving a multiply–accumulate per candidate. Cached pairs that still
+//! straddle the frontier are priced candidate by candidate from the
 //! cache, and pairs above it by `count_pair` over the candidate's suffix.
+//! What does not depend on the candidate at all — which levels are
+//! fabrics and multicast, each tensor's word scale, where each dimension
+//! slides a halo window — is the model's `PricingPlan`, looked up once
+//! per model.
 //!
 //! # Bit-identity
 //!
@@ -33,44 +48,170 @@
 //! of integer-valued factors are regrouped across the prefix boundary
 //! (exact below 2⁵³); sums never are. Only the iteration order *across*
 //! candidates changes, and candidates never mix arithmetically. A price is
-//! therefore the same bits at every width and against every prefix of the
-//! mapping, the empty one included (asserted by the tests below).
+//! therefore the same bits at every width, from either source, and against
+//! every prefix of the mapping, the empty one included (asserted by the
+//! tests below).
 
-use sunstone_ir::{DimVec, TensorDesc};
-use sunstone_mapping::{FlatLoop, Mapping};
+use std::ops::Range;
 
-use crate::cost::{CostModel, CostReport, CostTotals};
-use crate::counts::{count_pair, fanout, TensorLevelCounts};
-use crate::prefix::{flatten_range, CandAgg, LevelCost, MappingPrefix};
+use sunstone_ir::DimId;
+use sunstone_mapping::{FlatLoop, LoopKind, Mapping, MappingLevel};
+
+use crate::cost::{CostModel, CostReport, CostTotals, PricingPlan};
+use crate::counts::{count_pair, ladder_step, PairTail, TensorLevelCounts};
+use crate::prefix::{CandAgg, MappingPrefix};
+
+/// The candidates one count-kernel call prices, as the kernel reads them.
+///
+/// Per candidate `i` and architecture position `pos` the kernel reads the
+/// loop factors and, at a temporal level, the loop order; a candidate that
+/// still carries a remainder names the level it completes at, whose
+/// factors the kernel multiplies by it. A slice of complete mappings is
+/// one source; the search's candidate rows, read in place, are another.
+pub trait NestSource {
+    /// Number of candidates.
+    fn count(&self) -> usize;
+
+    /// Candidate `i`'s loop factors at `pos`, one per dimension, before
+    /// completion.
+    fn factors(&self, i: usize, pos: usize) -> &[u64];
+
+    /// Candidate `i`'s loop order at the temporal level at `pos`,
+    /// innermost first, as dimension indices.
+    fn order(&self, i: usize, pos: usize) -> impl DoubleEndedIterator<Item = usize> + '_;
+
+    /// The level candidate `i` completes at and the per-dimension
+    /// remainder it places there; `None` for a complete candidate.
+    fn completion(&self, i: usize) -> Option<(usize, &[u64])>;
+}
+
+impl NestSource for [Mapping] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn factors(&self, i: usize, pos: usize) -> &[u64] {
+        self[i].level(pos).factors()
+    }
+
+    fn order(&self, i: usize, pos: usize) -> impl DoubleEndedIterator<Item = usize> + '_ {
+        let order = match self[i].level(pos) {
+            MappingLevel::Temporal(t) => &t.order[..],
+            MappingLevel::Spatial(_) => &[],
+        };
+        order.iter().map(|d| d.index())
+    }
+
+    fn completion(&self, _: usize) -> Option<(usize, &[u64])> {
+        None
+    }
+}
+
+/// One candidate's setup columns over the levels the kernel prices: its
+/// loops, their level marks, and its resident tiles.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Columns {
+    /// The candidate's flattened loops, outermost first.
+    pub(crate) loops: Vec<FlatLoop>,
+    /// Level marks into `loops`, one more than the levels: entry `j`
+    /// counts the loops at positions `≥` the first level `+ j`, so the
+    /// loops above any level are a prefix of `loops`.
+    pub(crate) marks: Vec<u32>,
+    /// Resident tiles, `ndims` words a level, lowest level first.
+    pub(crate) resident: Vec<u64>,
+    /// One level's factors as completed.
+    level: Vec<u64>,
+}
+
+impl Columns {
+    /// The columns of candidate `i` of `source` over `levels`: its
+    /// resident tiles, extending `base` (the tile below the levels); its
+    /// loops, outermost first, exactly as
+    /// [`FlatNest`](sunstone_mapping::FlatNest) flattens them — a temporal
+    /// level's looping dimensions in loop order, a fabric's in dimension
+    /// order — and their level marks. `ladder[j]` becomes the product of
+    /// the spatial factors at positions `≥ levels.start + j`, extending
+    /// the product above the levels given in its last entry.
+    pub(crate) fn fill<S: NestSource + ?Sized>(
+        &mut self,
+        plan: &PricingPlan<'_>,
+        source: &S,
+        i: usize,
+        levels: Range<usize>,
+        base: &[u64],
+        ladder: &mut [f64],
+    ) {
+        let ndims = base.len();
+        let (complete_at, rest) = source.completion(i).unwrap_or((usize::MAX, &[]));
+        // Innermost first: each level's resident tile is the one below it
+        // times the level's factors as completed.
+        self.resident.clear();
+        for q in levels.clone() {
+            let factors = source.factors(i, q);
+            let below = self.resident.len().wrapping_sub(ndims);
+            for d in 0..ndims {
+                let tile = if q == levels.start { base[d] } else { self.resident[below + d] };
+                let f = if q == complete_at { factors[d] * rest[d] } else { factors[d] };
+                self.resident.push(tile * f);
+            }
+        }
+        // Outermost first: the loops, their marks and the ladder.
+        self.loops.clear();
+        self.marks.clear();
+        self.marks.resize(levels.len() + 1, 0);
+        for q in levels.clone().rev() {
+            let j = q - levels.start;
+            self.marks[j + 1] = self.loops.len() as u32;
+            let mut factors = source.factors(i, q);
+            if q == complete_at {
+                self.level.clear();
+                self.level.extend(factors.iter().zip(rest).map(|(f, r)| f * r));
+                factors = &self.level;
+            }
+            let loops = &mut self.loops;
+            let mut push = |d: usize, kind| {
+                let factor = factors[d];
+                if factor > 1 {
+                    loops.push(FlatLoop { dim: DimId::from_index(d), factor, kind, arch_pos: q });
+                }
+            };
+            if plan.is_fabric(q) {
+                (0..ndims).for_each(|d| push(d, LoopKind::Spatial));
+            } else {
+                source.order(i, q).rev().for_each(|d| push(d, LoopKind::Temporal));
+            }
+            ladder[j] = ladder_step(plan, q, &factors[..ndims], ladder[j + 1]);
+        }
+        self.marks[0] = self.loops.len() as u32;
+    }
+}
 
 /// Reusable tables of the count kernel and of the report phase after it:
 /// keep one per evaluation thread; repeated calls only grow the buffers,
 /// never reallocate per candidate.
 #[derive(Debug, Clone, Default)]
 pub struct BatchEvalScratch {
-    /// CSR offsets into `loops`: candidate `i`'s suffix loops live at
-    /// `loops[off[i]..off[i + 1]]`.
-    off: Vec<usize>,
-    /// Flattened undecided-suffix loops of every candidate, outermost
-    /// first within each candidate.
-    loops: Vec<FlatLoop>,
-    /// Suffix resident tiles, row-major `[candidate][suffix level]`.
-    resident: Vec<DimVec>,
-    /// Spatial-product ladders, row-major `[candidate][arch pos 0..=L]`.
-    s_above: Vec<f64>,
-    /// One tensor's refill aggregates per candidate (rebuilt per tensor).
+    /// The candidate's columns over the undecided suffix.
+    columns: Columns,
+    /// Per cached pair of the prefix, in order, its tail when no
+    /// candidate changes it (union tile complete and reuse run closed in
+    /// the prefix): built once per call.
+    tails: Vec<Option<PairTail>>,
+    /// One tensor's refill aggregates over the candidate's loops above
+    /// each suffix level, laid out as the marks.
     aggs: Vec<CandAgg>,
-    /// Access-count tables, row-major `[candidate][arch_pos][tensor]`.
+    /// The candidate's spatial-product ladder over arch positions
+    /// `0..=L`: the count pass's and the report phase's instances.
+    pub(crate) s_above: Vec<f64>,
+    /// The candidate's access-count table, row-major `[arch_pos][tensor]`.
     pub(crate) per: Vec<TensorLevelCounts>,
-    /// NoC crossing tables, same layout.
+    /// The candidate's NoC crossing table, same layout.
     pub(crate) crossings: Vec<f64>,
-    /// Union-tile extension scratch for straddling pairs.
-    union_tile: DimVec,
+    /// Union-tile scratch.
+    union_tile: Vec<u64>,
     /// Report phase: per-partition read and write sums of one level.
     pub(crate) part_reads: Vec<f64>,
     pub(crate) part_writes: Vec<f64>,
-    /// Report phase: instances of each level (its own spatial ladder).
-    pub(crate) instances: Vec<f64>,
 }
 
 impl CostModel<'_> {
@@ -87,7 +228,8 @@ impl CostModel<'_> {
     /// levels `prefix` was built from (the caller's contract; they are not
     /// re-read). Each emitted report is **bit-identical** to the
     /// mapping's own [`evaluate_unchecked`](Self::evaluate_unchecked) —
-    /// batching reorders work across candidates, never within one.
+    /// batching shares work across candidates, never changes it within
+    /// one.
     pub fn evaluate_prefixed_batch(
         &self,
         prefix: &MappingPrefix,
@@ -95,119 +237,131 @@ impl CostModel<'_> {
         scratch: &mut BatchEvalScratch,
         mut emit: impl FnMut(usize, CostReport),
     ) {
-        self.fill_count_tables(prefix, mappings, scratch);
-        for (i, m) in mappings.iter().enumerate() {
-            emit(i, self.report_from_rows(m, scratch, i));
-        }
+        self.count_each(prefix, mappings, scratch, |i, s| emit(i, self.report_from_rows(s)));
     }
 
     /// [`evaluate_prefixed_batch`](Self::evaluate_prefixed_batch) for a
-    /// caller that only ranks: the same tables and the same arithmetic,
-    /// but `emit(i, totals)` receives two numbers instead of a report, so
-    /// pricing a candidate allocates nothing. The totals are bit-identical
-    /// to the `energy_pj` and `delay_cycles` of the report form.
-    pub fn price_prefixed_batch(
+    /// caller that only ranks, from any [`NestSource`]: the same tables
+    /// and the same arithmetic, but `emit(i, totals)` receives two numbers
+    /// instead of a report, so pricing a candidate allocates nothing. The
+    /// totals are bit-identical to the `energy_pj` and `delay_cycles` of
+    /// the report form.
+    ///
+    /// Every candidate's levels `0..=prefix.boundary()`, as completed,
+    /// must equal the levels `prefix` was built from.
+    pub fn price_prefixed_batch<S: NestSource + ?Sized>(
         &self,
         prefix: &MappingPrefix,
-        mappings: &[Mapping],
+        candidates: &S,
         scratch: &mut BatchEvalScratch,
         mut emit: impl FnMut(usize, CostTotals),
     ) {
-        self.fill_count_tables(prefix, mappings, scratch);
-        for (i, m) in mappings.iter().enumerate() {
-            emit(i, self.totals_from_rows(m, scratch, i));
-        }
+        self.count_each(prefix, candidates, scratch, |i, s| emit(i, self.totals_from_rows(s)));
     }
 
-    /// The count pass: decomposes `mappings` into the per-candidate setup
-    /// columns, then fills `scratch.per` and `scratch.crossings` (stride
-    /// `levels × tensors` per candidate) tensor by tensor, pair by pair.
-    pub(crate) fn fill_count_tables(
+    /// The count pass: fills the count tables of each candidate in turn
+    /// — `scratch.per` and `scratch.crossings`, `levels × tensors` each,
+    /// and its ladder in `scratch.s_above` — and hands them to
+    /// `each(i, scratch)`. What no candidate changes, the cached pairs'
+    /// hoisted tails, is built once per call.
+    pub(crate) fn count_each<S: NestSource + ?Sized>(
         &self,
         prefix: &MappingPrefix,
-        mappings: &[Mapping],
+        candidates: &S,
         scratch: &mut BatchEvalScratch,
+        mut each: impl FnMut(usize, &mut BatchEvalScratch),
     ) {
-        let n = mappings.len();
-        let arch = self.arch();
-        let workload = self.workload();
+        let (arch, workload, plan) = (self.arch(), self.workload(), self.plan());
         let n_levels = arch.num_levels();
         let ndims = workload.num_dims();
         let first = prefix.first_undecided();
-        let n_suffix = n_levels - first;
         debug_assert_eq!(prefix.ndims, ndims);
-
-        // ---- Phase 1: per-candidate setup columns ----------------------
-        // CSR suffix loops (exactly `flatten_range`, per candidate).
-        scratch.off.clear();
-        scratch.off.push(0);
-        scratch.loops.clear();
-        for m in mappings {
-            flatten_range(m, first, n_levels - 1, &mut scratch.loops);
-            scratch.off.push(scratch.loops.len());
-        }
-        // Suffix resident tiles, extending the prefix's accumulation (a
-        // tile of ones when it decides nothing).
-        let ones = DimVec::ones(ndims);
-        let decided = prefix.resident.last().unwrap_or(&ones);
-        scratch.resident.clear();
-        scratch.resident.reserve(n * n_suffix);
-        for m in mappings {
-            let mut acc = decided.clone();
-            for q in first..n_levels {
-                for (t, &f) in acc.iter_mut().zip(m.level(q).factors()) {
-                    *t *= f;
-                }
-                scratch.resident.push(acc.clone());
-            }
-        }
-        // Spatial-product ladders: suffix computed, prefix composed from
-        // the cached mid products (exact integer-product regrouping).
-        let lstride = n_levels + 1;
-        scratch.s_above.clear();
-        scratch.s_above.resize(n * lstride, 1.0);
-        for (i, m) in mappings.iter().enumerate() {
-            let row = &mut scratch.s_above[i * lstride..(i + 1) * lstride];
-            for q in (first..n_levels).rev() {
-                row[q] = row[q + 1] * fanout(arch, m, q);
-            }
-            let s_cand = row[first];
-            for (r, &mid) in row[..first].iter_mut().zip(&prefix.s_mid) {
+        let decided = prefix.decided_tile().unwrap_or(&plan.ones);
+        let tables = n_levels * workload.num_tensors();
+        let s = scratch;
+        s.tails.clear();
+        s.tails.extend(prefix.pairs.iter().map(|lc| {
+            (lc.union_complete && lc.closed)
+                .then(|| lc.hoisted_tail(self, workload.tensor(lc.tensor)))
+        }));
+        for i in 0..candidates.count() {
+            // The candidate's loops, marks and resident tiles over the
+            // undecided suffix, extending the prefix's (a tile of ones
+            // when it decides nothing); its spatial-product ladder, over
+            // the suffix and composed from the cached mid products below
+            // it (exact integer-product regrouping).
+            s.s_above.clear();
+            s.s_above.resize(n_levels + 1, 1.0);
+            s.columns.fill(plan, candidates, i, first..n_levels, decided, &mut s.s_above[first..]);
+            let s_cand = s.s_above[first];
+            for (r, &mid) in s.s_above[..first].iter_mut().zip(&prefix.s_mid) {
                 *r = s_cand * mid;
             }
-        }
+            s.per.clear();
+            s.per.resize(tables, TensorLevelCounts::default());
+            s.crossings.clear();
+            s.crossings.resize(tables, 0.0);
 
-        let stride = n_levels * workload.num_tensors();
-        scratch.per.clear();
-        scratch.per.resize(n * stride, TensorLevelCounts::default());
-        scratch.crossings.clear();
-        scratch.crossings.resize(n * stride, 0.0);
-
-        // ---- Phase 2+3: per tensor, aggregate columns then pair loops --
-        let mut cached = prefix.pairs.iter();
-        for t in workload.tensor_ids() {
-            let tensor = workload.tensor(t);
-            if prefix.boundary.is_some() {
-                let indexing = tensor.indexing_dims();
-                let (off, loops) = (&scratch.off, &scratch.loops);
-                scratch.aggs.clear();
-                scratch
-                    .aggs
-                    .extend((0..n).map(|i| CandAgg::of(&loops[off[i]..off[i + 1]], indexing)));
-            }
-            let mut child: i64 = -1;
-            for &p in &self.chains()[t.index()] {
-                if prefix.caches(child) {
-                    let lc = cached.next().expect("the prefix caches every decided pair");
-                    debug_assert!(lc.tensor == t && lc.child == child && lc.p == p);
-                    self.price_cached_pair(lc, tensor, scratch, n);
-                } else {
-                    // Pair above the decided prefix (every pair, for the
-                    // empty one): the whole-nest kernel over the suffix.
-                    for i in 0..n {
+            let cols = &s.columns;
+            let mut cached = prefix.pairs.iter().zip(&s.tails);
+            for t in workload.tensor_ids() {
+                let tensor = workload.tensor(t);
+                // The refill aggregates over the loops above every suffix
+                // level, in one pass over the loops.
+                s.aggs.clear();
+                CandAgg::above_levels(
+                    &cols.loops,
+                    &cols.marks,
+                    tensor.indexing_dims(),
+                    &mut s.aggs,
+                );
+                let mut child: i64 = -1;
+                for &p in &self.chains()[t.index()] {
+                    if prefix.caches(child) {
+                        // Every loop of the candidate lies above the
+                        // pair's child.
+                        let (lc, tail) =
+                            cached.next().expect("the prefix caches every decided pair");
+                        debug_assert!(lc.tensor == t && lc.child == child && lc.p == p);
+                        let agg = &s.aggs[0];
+                        match tail {
+                            // `refills = all_temporal · pre_refills`: the
+                            // closed run makes every candidate temporal
+                            // loop a refill.
+                            Some(tail) => tail.add(
+                                self,
+                                agg.all_temporal * lc.pre_refills,
+                                agg.distinct * lc.pre_distinct,
+                                &s.s_above,
+                                &mut s.per,
+                                &mut s.crossings,
+                            ),
+                            // A union tile still open takes the candidate's
+                            // spatial loops below the parent: those at
+                            // positions `first..p`.
+                            None => {
+                                let widening = if lc.union_complete { 0 } else { lc.p - first };
+                                lc.count(
+                                    self,
+                                    tensor,
+                                    &cols.loops[cols.marks[widening] as usize..],
+                                    agg,
+                                    &s.s_above,
+                                    &mut s.union_tile,
+                                    &mut s.per,
+                                    &mut s.crossings,
+                                );
+                            }
+                        }
+                    } else {
+                        // Pair above the decided prefix (every pair, for
+                        // the empty one): the whole-nest kernel over the
+                        // suffix, whose loops above `child` and between
+                        // the two levels the marks delimit.
+                        let (above, parent) = ((child + 1) as usize - first, p - first);
                         let child_tile = match usize::try_from(child) {
-                            Ok(c) => &scratch.resident[i * n_suffix + (c - first)],
-                            Err(_) => &ones,
+                            Ok(c) => &cols.resident[(c - first) * ndims..(c - first + 1) * ndims],
+                            Err(_) => &plan.ones[..],
                         };
                         count_pair(
                             self,
@@ -215,63 +369,19 @@ impl CostModel<'_> {
                             tensor,
                             child,
                             p,
-                            &scratch.loops[scratch.off[i]..scratch.off[i + 1]],
+                            &cols.loops[cols.marks[parent] as usize..cols.marks[above] as usize],
+                            &s.aggs[above],
                             child_tile,
-                            &scratch.s_above[i * lstride..(i + 1) * lstride],
-                            &mut scratch.per[i * stride..(i + 1) * stride],
-                            &mut scratch.crossings[i * stride..(i + 1) * stride],
+                            &s.s_above,
+                            &mut s.union_tile,
+                            &mut s.per,
+                            &mut s.crossings,
                         );
                     }
+                    child = p as i64;
                 }
-                child = p as i64;
             }
-        }
-    }
-
-    /// Prices one cached prefix pair for the whole batch. The dominant
-    /// shape (union tile complete, reuse run closed in the prefix) applies
-    /// one hoisted tail per candidate; straddling shapes price each
-    /// candidate from the cache.
-    fn price_cached_pair(
-        &self,
-        lc: &LevelCost,
-        tensor: &TensorDesc,
-        scratch: &mut BatchEvalScratch,
-        n: usize,
-    ) {
-        let lstride = self.arch().num_levels() + 1;
-        let stride = (lstride - 1) * self.workload().num_tensors();
-        let s = scratch;
-        if lc.union_complete && lc.closed {
-            // Union tile, footprints, multicast penalty and the driving
-            // loop are pair constants; per candidate only the aggregate
-            // products vary. `refills = all_temporal · pre_refills`
-            // because the closed run makes every candidate temporal loop
-            // a refill.
-            let tail = lc.hoisted_tail(self, tensor);
-            for i in 0..n {
-                tail.add(
-                    self,
-                    s.aggs[i].all_temporal * lc.pre_refills,
-                    s.aggs[i].distinct * lc.pre_distinct,
-                    &s.s_above[i * lstride..(i + 1) * lstride],
-                    &mut s.per[i * stride..(i + 1) * stride],
-                    &mut s.crossings[i * stride..(i + 1) * stride],
-                );
-            }
-        } else {
-            for i in 0..n {
-                lc.count(
-                    self,
-                    tensor,
-                    &s.loops[s.off[i]..s.off[i + 1]],
-                    &s.aggs[i],
-                    &s.s_above[i * lstride..(i + 1) * lstride],
-                    &mut s.union_tile,
-                    &mut s.per[i * stride..(i + 1) * stride],
-                    &mut s.crossings[i * stride..(i + 1) * stride],
-                );
-            }
+            each(i, s);
         }
     }
 }
@@ -523,7 +633,7 @@ mod tests {
                 assert_eq!(seen, cands.len());
                 // The ranking form hands out the report's own two totals.
                 let mut priced = 0usize;
-                model.price_prefixed_batch(&prefix, &cands, &mut batch_scratch, |i, got| {
+                model.price_prefixed_batch(&prefix, &cands[..], &mut batch_scratch, |i, got| {
                     assert_eq!(i, priced, "emit order is candidate order");
                     priced += 1;
                     let want =
@@ -576,7 +686,7 @@ mod tests {
         model.evaluate_prefixed_batch(&prefix, &[], &mut scratch, |_, _| {
             panic!("emit called on an empty batch")
         });
-        model.price_prefixed_batch(&prefix, &[], &mut scratch, |_, _| {
+        model.price_prefixed_batch(&prefix, &[] as &[Mapping], &mut scratch, |_, _| {
             panic!("emit called on an empty batch")
         });
     }

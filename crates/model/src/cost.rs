@@ -2,10 +2,10 @@
 
 use serde::{Deserialize, Serialize};
 use sunstone_arch::{ArchSpec, Binding, Level, LevelId, MemoryLevel};
-use sunstone_ir::Workload;
+use sunstone_ir::{DimId, IndexExpr, TensorId, Workload};
 use sunstone_mapping::{Mapping, MappingError, ValidationContext};
 
-use crate::counts::{fanout, storage_chains};
+use crate::counts::storage_chains;
 use crate::{BatchEvalScratch, MappingPrefix, ModelOptions};
 
 /// Per-memory-level cost summary inside a [`CostReport`].
@@ -78,6 +78,65 @@ struct PricedRows {
     compute_cycles: f64,
 }
 
+/// What pricing reads of the (workload, architecture, options) triple,
+/// looked up once per [`CostModel`] instead of once per candidate.
+#[derive(Debug, Clone)]
+pub(crate) struct PricingPlan<'a> {
+    /// Per architecture position: `Some(multicast)` for a fabric, `None`
+    /// for a memory.
+    fabric: Vec<Option<bool>>,
+    /// Per tensor: its element width in reference words.
+    scale: Vec<f64>,
+    /// Per (tensor, dimension), row-major: the index expression the halo
+    /// credit slides along when the dimension drives the tensor's refills
+    /// — the first expression that contains it — and the dimension's
+    /// stride there. `None` when that expression is plain, when none
+    /// contains the dimension, or when halo credit is off: every refill is
+    /// then a full fetch.
+    halo: Vec<Option<(&'a IndexExpr, f64)>>,
+    /// A tile of ones, one word per dimension.
+    pub(crate) ones: Vec<u64>,
+}
+
+impl<'a> PricingPlan<'a> {
+    fn new(workload: &'a Workload, arch: &ArchSpec, options: ModelOptions) -> Self {
+        let fabric =
+            arch.levels().iter().map(|l| l.as_spatial().map(|s| s.noc.multicast)).collect();
+        let ref_bits = f64::from(arch.ref_bits());
+        let scale = workload.tensors().iter().map(|t| f64::from(t.bits()) / ref_bits).collect();
+        let ndims = workload.num_dims();
+        let mut halo = Vec::with_capacity(workload.num_tensors() * ndims);
+        for tensor in workload.tensors() {
+            halo.extend((0..ndims).map(|d| {
+                let dim = DimId::from_index(d);
+                let expr = tensor.indices().iter().find(|e| e.dims().contains(dim))?;
+                let stride = expr.terms().iter().find(|t| t.dim == dim)?.stride;
+                (options.halo_reuse && expr.is_compound()).then_some((expr, stride as f64))
+            }));
+        }
+        PricingPlan { fabric, scale, halo, ones: vec![1; ndims] }
+    }
+
+    /// Whether the level at `pos` is a fabric.
+    #[inline]
+    pub(crate) fn is_fabric(&self, pos: usize) -> bool {
+        self.fabric[pos].is_some()
+    }
+
+    /// Whether the level at `pos` delivers a word to every receiver at
+    /// once (every memory does; a fabric as its NoC says).
+    #[inline]
+    pub(crate) fn multicast(&self, pos: usize) -> bool {
+        self.fabric[pos].unwrap_or(true)
+    }
+
+    /// The halo geometry of `tensor` refilled along dimension `dim`.
+    #[inline]
+    pub(crate) fn halo(&self, tensor: TensorId, dim: DimId) -> Option<(&'a IndexExpr, f64)> {
+        self.halo[tensor.index() * self.ones.len() + dim.index()]
+    }
+}
+
 /// Evaluates mappings for one (workload, architecture, binding) triple.
 ///
 /// Construct once and evaluate many candidates; see the [crate-level
@@ -89,9 +148,10 @@ pub struct CostModel<'a> {
     workload: &'a Workload,
     arch: &'a ArchSpec,
     binding: &'a Binding,
-    options: ModelOptions,
     /// Per-tensor storing-level chains, derived once at construction.
     chains: Vec<Vec<usize>>,
+    /// What pricing looks up, looked up once.
+    plan: PricingPlan<'a>,
     /// The prefix that decides no level.
     empty: MappingPrefix,
 }
@@ -110,8 +170,9 @@ impl<'a> CostModel<'a> {
         options: ModelOptions,
     ) -> Self {
         let chains = storage_chains(workload, arch, binding);
+        let plan = PricingPlan::new(workload, arch, options);
         let empty = MappingPrefix::empty(workload.num_dims());
-        CostModel { workload, arch, binding, options, chains, empty }
+        CostModel { workload, arch, binding, chains, plan, empty }
     }
 
     /// A fresh scratch for the evaluation entry points (one per
@@ -141,9 +202,9 @@ impl<'a> CostModel<'a> {
         &self.chains
     }
 
-    /// The model options in effect.
-    pub(crate) fn options(&self) -> ModelOptions {
-        self.options
+    /// What pricing looks up.
+    pub(crate) fn plan(&self) -> &PricingPlan<'a> {
+        &self.plan
     }
 
     /// The prefix that decides no level: pricing against it walks each
@@ -190,7 +251,7 @@ impl<'a> CostModel<'a> {
     /// ([`price_prefixed_batch`](Self::price_prefixed_batch)), which walks
     /// only their undecided suffix.
     pub fn prefix_of(&self, mapping: &Mapping, boundary: usize) -> MappingPrefix {
-        crate::prefix::build_prefix(self.workload, self.arch, &self.chains, mapping, boundary)
+        crate::prefix::build_prefix(self, mapping, boundary)
     }
 
     /// [`evaluate_unchecked_with`](Self::evaluate_unchecked_with), pricing
@@ -208,28 +269,18 @@ impl<'a> CostModel<'a> {
         mapping: &Mapping,
         scratch: &mut BatchEvalScratch,
     ) -> CostReport {
-        self.fill_count_tables(prefix, std::slice::from_ref(mapping), scratch);
-        self.report_from_rows(mapping, scratch, 0)
+        let mut report = None;
+        let mapping = std::slice::from_ref(mapping);
+        self.count_each(prefix, mapping, scratch, |_, s| report = Some(self.report_from_rows(s)));
+        report.expect("one mapping, one report")
     }
 
-    /// The report of candidate `i` of the count tables in `scratch`.
-    pub(crate) fn report_from_rows(
-        &self,
-        mapping: &Mapping,
-        scratch: &mut BatchEvalScratch,
-        i: usize,
-    ) -> CostReport {
+    /// The report of the candidate whose count tables `scratch` holds.
+    pub(crate) fn report_from_rows(&self, scratch: &mut BatchEvalScratch) -> CostReport {
         let mut levels = Vec::new();
-        let priced =
-            self.price_rows(mapping, scratch, i, |mem, arch_pos, reads, writes, energy_pj| {
-                levels.push(LevelReport {
-                    name: mem.name.clone(),
-                    arch_pos,
-                    reads,
-                    writes,
-                    energy_pj,
-                });
-            });
+        let priced = self.price_rows(scratch, |mem, arch_pos, reads, writes, energy_pj| {
+            levels.push(LevelReport { name: mem.name.clone(), arch_pos, reads, writes, energy_pj });
+        });
         let total_ops = self.workload.total_ops() as f64;
         let CostTotals { energy_pj, delay_cycles } = priced.totals;
         CostReport {
@@ -246,16 +297,11 @@ impl<'a> CostModel<'a> {
 
     /// [`report_from_rows`](Self::report_from_rows) for a caller that only
     /// ranks: the same arithmetic, no report and no allocation.
-    pub(crate) fn totals_from_rows(
-        &self,
-        mapping: &Mapping,
-        scratch: &mut BatchEvalScratch,
-        i: usize,
-    ) -> CostTotals {
-        self.price_rows(mapping, scratch, i, |_, _, _, _, _| {}).totals
+    pub(crate) fn totals_from_rows(&self, scratch: &mut BatchEvalScratch) -> CostTotals {
+        self.price_rows(scratch, |_, _, _, _, _| {}).totals
     }
 
-    /// The model's arithmetic over candidate `i`'s row-major
+    /// The model's arithmetic over the candidate's row-major
     /// `[arch_pos][tensor]` count tables: energy per memory level, NoC
     /// energy per fabric, and the delay as the slower of compute and the
     /// busiest partition port. `on_level` receives each memory level's
@@ -263,30 +309,19 @@ impl<'a> CostModel<'a> {
     /// only ranks passes a no-op and nothing is allocated).
     fn price_rows(
         &self,
-        mapping: &Mapping,
         scratch: &mut BatchEvalScratch,
-        i: usize,
         mut on_level: impl FnMut(&MemoryLevel, usize, f64, f64, f64),
     ) -> PricedRows {
         let nt = self.workload.num_tensors();
-        let n_levels = self.arch.num_levels();
-        let stride = n_levels * nt;
-        let per = &scratch.per[i * stride..(i + 1) * stride];
-        let crossings = &scratch.crossings[i * stride..(i + 1) * stride];
+        let (per, crossings) = (&scratch.per, &scratch.crossings);
+        // Instances of each level = product of spatial factors above it:
+        // the count kernel's ladder for the candidate.
+        let s_above = &scratch.s_above;
+        let scale = &self.plan.scale;
         let total_ops = self.workload.total_ops() as f64;
-        let ref_bits = f64::from(self.arch.ref_bits());
 
         let mut energy_pj = total_ops * self.arch.mac_energy_pj();
         let mut noc_energy_pj = 0.0;
-
-        // Instances of each level = product of spatial factors above it,
-        // accumulated in f64 so adversarial fan-outs cannot wrap u64.
-        let s_above = &mut scratch.instances;
-        s_above.clear();
-        s_above.resize(n_levels + 1, 1.0);
-        for p in (0..n_levels).rev() {
-            s_above[p] = s_above[p + 1] * fanout(self.arch, mapping, p);
-        }
 
         let mut max_transfer_cycles = 0.0f64;
         for (pos, level) in self.arch.levels().iter().enumerate() {
@@ -308,7 +343,7 @@ impl<'a> CostModel<'a> {
                         };
                         let c = per[pos * nt + t.index()];
                         let part = mem.partition(pid);
-                        let scale = f64::from(self.workload.tensor(t).bits()) / ref_bits;
+                        let scale = scale[t.index()];
                         level_energy += c.reads * part.read_energy_pj * scale
                             + c.writes() * part.write_energy_pj * scale;
                         reads += c.reads;
@@ -331,10 +366,8 @@ impl<'a> CostModel<'a> {
                     on_level(mem, pos, reads, writes, level_energy);
                 }
                 Level::Spatial(s) => {
-                    for t in self.workload.tensor_ids() {
-                        let scale = f64::from(self.workload.tensor(t).bits()) / ref_bits;
-                        noc_energy_pj +=
-                            crossings[pos * nt + t.index()] * s.noc.per_word_energy_pj * scale;
+                    for (t, scale) in scale.iter().enumerate() {
+                        noc_energy_pj += crossings[pos * nt + t] * s.noc.per_word_energy_pj * scale;
                     }
                 }
             }

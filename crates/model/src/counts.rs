@@ -1,10 +1,12 @@
 //! Per-level access counting — the core of the analytic model.
 
 use serde::{Deserialize, Serialize};
-use sunstone_arch::{ArchSpec, Binding, Level, LevelId};
-use sunstone_ir::{DimSet, DimVec, TensorDesc, TensorId, Workload};
+use sunstone_arch::{ArchSpec, Binding};
+use sunstone_ir::{DimSet, TensorDesc, TensorId, Workload};
 use sunstone_mapping::{FlatLoop, Mapping};
 
+use crate::cost::PricingPlan;
+use crate::prefix::CandAgg;
 use crate::{CostModel, ModelOptions};
 
 /// Per-tensor chains of storing memory positions, innermost first.
@@ -88,7 +90,8 @@ impl AccessCounts {
         // The count kernel at width 1 against the empty prefix.
         let model = CostModel::with_options(workload, arch, binding, options);
         let mut scratch = model.scratch();
-        model.fill_count_tables(model.empty_prefix(), std::slice::from_ref(mapping), &mut scratch);
+        let mapping = std::slice::from_ref(mapping);
+        model.count_each(model.empty_prefix(), mapping, &mut scratch, |_, _| {});
         AccessCounts {
             n_tensors: workload.num_tensors(),
             per: scratch.per,
@@ -121,15 +124,16 @@ impl AccessCounts {
 /// Accounts for the data movement of `tensor` between the storing level at
 /// `p` and its child storing level at `child` (−1 = the MAC boundary).
 ///
-/// `loops` is the flattened nest outermost-first; only loops with
-/// `arch_pos > child` (refill analysis) or spatial loops strictly between
-/// `child` and `p` (union tile) are read, so a caller that knows every
-/// relevant loop lives above some boundary may pass a suffix nest. At the
-/// MAC boundary (`child < 0`) there is no temporal reuse: the innermost
-/// storing level is read once per MAC per operand — registers must be
-/// modelled as explicit memory levels (as in the Simba preset) to reuse
-/// operands across MACs. `s_above` is the candidate's spatial-product
-/// ladder: `s_above[q]` = Π spatial factors at positions `≥ q`.
+/// `between` is the nest's loops strictly between `child` and `p` (they
+/// widen the union tile), and `agg` the refill aggregates of its loops
+/// above `child` ([`CandAgg`]); a caller that knows every loop above some
+/// boundary can take both from a suffix nest. At the MAC boundary
+/// (`child < 0`) there is no temporal reuse: the innermost storing level
+/// is read once per MAC per operand — registers must be modelled as
+/// explicit memory levels (as in the Simba preset) to reuse operands
+/// across MACs. `s_above` is the candidate's spatial-product ladder:
+/// `s_above[q]` = Π spatial factors at positions `≥ q`. `union` is
+/// scratch for the union tile.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn count_pair(
     model: &CostModel<'_>,
@@ -137,77 +141,51 @@ pub(crate) fn count_pair(
     tensor: &TensorDesc,
     child: i64,
     p: usize,
-    loops: &[FlatLoop],
-    child_tile: &DimVec,
+    between: &[FlatLoop],
+    agg: &CandAgg,
+    child_tile: &[u64],
     s_above: &[f64],
+    union: &mut Vec<u64>,
     per: &mut [TensorLevelCounts],
     crossings: &mut [f64],
 ) {
     let indexing = tensor.indexing_dims();
-    let mut union_tile = child_tile.clone();
-    let non_mc = widen_union(model.arch(), indexing, loops, child, p, &mut union_tile, 1.0);
+    union.clear();
+    union.extend_from_slice(child_tile);
+    let (non_mc, widened) = widen_union(model.plan(), indexing, between, union, 1.0);
     let f_child = tensor.footprint(child_tile) as f64;
-    let f_union = tensor.footprint(&union_tile) as f64;
+    let f_union = widened.then(|| tensor.footprint(union) as f64);
 
-    // Refill analysis over the loops above the child boundary.
-    let cut = loops.iter().position(|l| (l.arch_pos as i64) <= child).unwrap_or(loops.len());
-    let above = &loops[..cut];
-    let suffix_start = if child < 0 { above.len() } else { reuse_suffix_start(above, indexing) };
-    let driving = if child < 0 {
-        None
-    } else {
-        above[..suffix_start].iter().rev().find(|l| !l.is_spatial()).copied()
-    };
-    let refills: f64 =
-        above[..suffix_start].iter().filter(|l| !l.is_spatial()).map(|l| l.factor as f64).product();
-    let distinct: f64 = above
-        .iter()
-        .filter(|l| !l.is_spatial() && indexing.contains(l.dim))
-        .map(|l| l.factor as f64)
-        .product();
+    // At the MAC boundary every temporal loop is a refill and none drives.
+    let (refills, driving) =
+        if child < 0 { (agg.all_temporal, None) } else { (agg.refills, agg.driving) };
 
-    let tail = PairTail::new(
-        model,
-        tensor,
-        t,
-        child,
-        p,
-        non_mc,
-        driving,
-        &union_tile,
-        f_union,
-        child_tile,
-        f_child,
-    );
-    tail.add(model, refills, distinct, s_above, per, crossings);
+    let union = f_union.map(|f| (&union[..], f));
+    let tail =
+        PairTail::new(model, tensor, t, child, p, non_mc, driving, union, child_tile, f_child);
+    tail.add(model, refills, agg.distinct, s_above, per, crossings);
 }
 
-/// Extends `union_tile` by the spatial loops of `loops` strictly between
-/// `child` and `p`, and returns `non_mc` times the fan-out of those loops
-/// that broadcast the tensor over a NoC without multicast.
+/// Extends `union_tile` by the spatial loops of `between` — loops strictly
+/// between a pair's two levels — and returns `non_mc` times the fan-out of
+/// those that broadcast the tensor over a NoC without multicast, and
+/// whether any loop widened the tile.
 pub(crate) fn widen_union(
-    arch: &ArchSpec,
+    plan: &PricingPlan<'_>,
     indexing: DimSet,
-    loops: &[FlatLoop],
-    child: i64,
-    p: usize,
-    union_tile: &mut DimVec,
+    between: &[FlatLoop],
+    union_tile: &mut [u64],
     mut non_mc: f64,
-) -> f64 {
-    for l in loops {
-        if l.is_spatial() && (l.arch_pos as i64) > child && l.arch_pos < p {
-            union_tile[l.dim.index()] *= l.factor;
-            let multicast = arch
-                .level(LevelId(l.arch_pos))
-                .as_spatial()
-                .map(|s| s.noc.multicast)
-                .unwrap_or(true);
-            if !multicast && !indexing.contains(l.dim) {
-                non_mc *= l.factor as f64;
-            }
+) -> (f64, bool) {
+    let mut widened = false;
+    for l in between.iter().filter(|l| l.is_spatial()) {
+        union_tile[l.dim.index()] *= l.factor;
+        widened = true;
+        if !plan.multicast(l.arch_pos) && !indexing.contains(l.dim) {
+            non_mc *= l.factor as f64;
         }
     }
-    non_mc
+    (non_mc, widened)
 }
 
 /// The last step of the count pass for one storing pair: with the pair's
@@ -233,6 +211,10 @@ enum Flow {
 }
 
 impl PairTail {
+    /// The tail of the pair whose union tile and footprint are `union`, or
+    /// — when `None` — the child tile and its footprint: no loop between
+    /// the two levels widened it, so the parent's halo kernel is the
+    /// child's.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         model: &CostModel<'_>,
@@ -242,19 +224,20 @@ impl PairTail {
         p: usize,
         non_mc: f64,
         driving: Option<FlatLoop>,
-        union_tile: &[u64],
-        f_union: f64,
+        union: Option<(&[u64], f64)>,
         child_tile: &[u64],
         f_child: f64,
     ) -> Self {
         let flow = if tensor.is_output() {
-            Flow::Output { f_union, f_child }
+            Flow::Output { f_union: union.map_or(f_child, |(_, f)| f), f_child }
         } else {
-            let options = model.options();
-            Flow::Input {
-                parent: HaloKernel::of(options, tensor, driving, union_tile, f_union),
-                child: HaloKernel::of(options, tensor, driving, child_tile, f_child),
-            }
+            let plan = model.plan();
+            let child = HaloKernel::of(plan, t, driving, child_tile, f_child);
+            let parent = match union {
+                Some((tile, f)) => HaloKernel::of(plan, t, driving, tile, f),
+                None => child,
+            };
+            Flow::Input { parent, child }
         };
         PairTail { t, child, p, non_mc, flow }
     }
@@ -298,8 +281,9 @@ impl PairTail {
             }
         };
         // Every word delivered to the child crosses each fabric between.
+        let plan = model.plan();
         for pos in (self.child + 1) as usize..self.p {
-            if let Level::Spatial(_) = model.arch().level(LevelId(pos)) {
+            if plan.is_fabric(pos) {
                 crossings[pos * nt + self.t.index()] += crossing_words;
             }
         }
@@ -321,33 +305,24 @@ enum HaloKernel {
 }
 
 impl HaloKernel {
-    /// The kernel for a tile with footprint `f` refilled along `driving`.
+    /// The kernel for a tile of tensor `t` with footprint `f` refilled
+    /// along `driving`.
     fn of(
-        options: ModelOptions,
-        tensor: &TensorDesc,
+        plan: &PricingPlan<'_>,
+        t: TensorId,
         driving: Option<FlatLoop>,
         tile: &[u64],
         f: f64,
     ) -> Self {
         let Some(drv) = driving else { return HaloKernel::Plain { f } };
-        if !options.halo_reuse {
-            return HaloKernel::Plain { f };
-        }
-        // Find the index expression containing the driving dimension.
-        let Some(expr) =
-            tensor.indices().iter().find(|e| e.terms().iter().any(|t| t.dim == drv.dim))
-        else {
+        // A plain index (or no credit): every refill is a full refetch.
+        let Some((expr, stride)) = plan.halo(t, drv.dim) else {
             return HaloKernel::Plain { f };
         };
-        if !expr.is_compound() {
-            return HaloKernel::Plain { f }; // plain index: full refetch, no overlap
-        }
         let extent = expr.extent_of(tile) as f64;
         if extent == 0.0 {
             return HaloKernel::Zero;
         }
-        let stride =
-            expr.terms().iter().find(|t| t.dim == drv.dim).map(|t| t.stride).unwrap_or(1) as f64;
         let shift = stride * tile[drv.dim.index()] as f64;
         let frac = (shift.min(extent)) / extent;
         // refills = sweeps × drv.factor; within a sweep, the first refill
@@ -371,39 +346,25 @@ impl HaloKernel {
     }
 }
 
-/// The fan-out of `mapping` at position `q`: the product of its factors,
-/// in `f64` so adversarial fan-outs cannot wrap `u64`, when `q` is a
-/// spatial level; 1 at a memory level.
-pub(crate) fn fanout(arch: &ArchSpec, mapping: &Mapping, q: usize) -> f64 {
-    match arch.level(LevelId(q)) {
-        Level::Spatial(_) => mapping.level(q).factors().iter().map(|&f| f as f64).product(),
-        Level::Memory(_) => 1.0,
+/// Extends a spatial-product ladder down one level: `above` times the
+/// fan-out of the level at `pos` whose factors are `factors` — their
+/// product, in `f64` so adversarial fan-outs cannot wrap `u64` — at a
+/// fabric; `above` itself at a memory.
+#[inline]
+pub(crate) fn ladder_step(plan: &PricingPlan<'_>, pos: usize, factors: &[u64], above: f64) -> f64 {
+    if plan.is_fabric(pos) {
+        above * factors.iter().map(|&f| f as f64).product::<f64>()
+    } else {
+        above
     }
-}
-
-/// Index into `above` where the innermost contiguous run of
-/// non-indexing temporal loops begins (spatial loops are transparent).
-/// Loops at `suffix_start..` provide temporal reuse for the tensor; the
-/// temporal loops before it are the refills.
-pub(crate) fn reuse_suffix_start(above: &[FlatLoop], indexing: DimSet) -> usize {
-    let mut start = above.len();
-    for (i, l) in above.iter().enumerate().rev() {
-        if l.is_spatial() {
-            continue;
-        }
-        if indexing.contains(l.dim) {
-            break;
-        }
-        start = i;
-    }
-    start
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sunstone_arch::{
-        presets, ArchSpec, BufferPartition, Capacity, MemoryLevel, SpatialLevel, TensorFilter,
+        presets, ArchSpec, BufferPartition, Capacity, Level, LevelId, MemoryLevel, SpatialLevel,
+        TensorFilter,
     };
     use sunstone_mapping::{MappingLevel, SpatialAssignment, TemporalLevel, ValidationContext};
 

@@ -36,11 +36,11 @@
 //! the empty-prefix price within the model's own documented exactness
 //! envelope.
 
-use sunstone_arch::ArchSpec;
-use sunstone_ir::{DimSet, DimVec, TensorDesc, TensorId, Workload};
-use sunstone_mapping::{FlatLoop, LoopKind, Mapping, MappingLevel};
+use sunstone_ir::{DimSet, DimVec, TensorDesc, TensorId};
+use sunstone_mapping::{FlatLoop, Mapping};
 
-use crate::counts::{fanout, reuse_suffix_start, widen_union, PairTail, TensorLevelCounts};
+use crate::batch::Columns;
+use crate::counts::{widen_union, PairTail, TensorLevelCounts};
 use crate::CostModel;
 
 /// The cached, composable cost contribution of one (tensor, storing-level
@@ -60,6 +60,8 @@ pub(crate) struct LevelCost {
     /// strictly between `child` and `p`. Complete iff `p ≤ boundary`;
     /// otherwise the candidate's spatial loops below `p` still extend it.
     pub(crate) union_tile: DimVec,
+    /// Whether the prefix's spatial loops widened `union_tile` at all.
+    pub(crate) widened: bool,
     /// Prefix part of the non-multicast penalty factor.
     pub(crate) non_mc: f64,
     /// `p ≤ boundary`: `union_tile`/`f_union`/`non_mc` need no extension.
@@ -91,8 +93,8 @@ pub struct MappingPrefix {
     /// The highest decided architecture position; `None` decides nothing.
     pub(crate) boundary: Option<usize>,
     pub(crate) ndims: usize,
-    /// Resident tiles at positions `0..=boundary`.
-    pub(crate) resident: Vec<DimVec>,
+    /// Resident tiles at positions `0..=boundary`, `ndims` words each.
+    resident: Vec<u64>,
     /// `s_mid[q]` = Π spatial factors at positions `q..=boundary`
     /// (length `boundary + 2`, `s_mid[boundary + 1] = 1`).
     pub(crate) s_mid: Vec<f64>,
@@ -129,121 +131,115 @@ impl MappingPrefix {
     pub(crate) fn caches(&self, child: i64) -> bool {
         self.boundary.is_some_and(|b| child <= b as i64)
     }
+
+    /// The resident tile at the boundary, which the undecided levels
+    /// extend; `None` for the empty prefix.
+    pub(crate) fn decided_tile(&self) -> Option<&[u64]> {
+        self.resident.len().checked_sub(self.ndims).map(|at| &self.resident[at..])
+    }
 }
 
-/// Candidate-suffix refill aggregates of one tensor, shared by all of its
-/// prefix pairs.
+/// One tensor's refill aggregates over a run of loops (outermost first):
+/// a candidate's suffix, shared by all of the tensor's prefix pairs, or
+/// the loops above one pair's child.
+///
+/// The loops' innermost contiguous run of temporal loops that do not index
+/// the tensor (spatial loops are transparent) is its temporal reuse; the
+/// temporal loops before the run are its refills, and the indexing loop
+/// that breaks the run drives them.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CandAgg {
-    /// Π of all temporal factors in the suffix.
+    /// Π of all temporal factors.
     pub(crate) all_temporal: f64,
-    /// Π of refill-contributing temporal factors when the run is open
-    /// (the suffix's own trailing-run scan).
+    /// Π of the refill-contributing temporal factors: those before the
+    /// trailing reuse run.
     pub(crate) refills: f64,
-    /// Π of indexing temporal factors in the suffix.
+    /// Π of indexing temporal factors.
     pub(crate) distinct: f64,
-    /// The suffix's own run-breaking loop (None if its run never closes).
+    /// The run-breaking loop (None if no indexing temporal loop closes
+    /// the run).
     pub(crate) driving: Option<FlatLoop>,
 }
 
 impl CandAgg {
-    pub(crate) fn of(cand: &[FlatLoop], indexing: DimSet) -> Self {
-        let local = reuse_suffix_start(cand, indexing);
-        let all_temporal =
-            cand.iter().filter(|l| !l.is_spatial()).map(|l| l.factor as f64).product();
-        let refills =
-            cand[..local].iter().filter(|l| !l.is_spatial()).map(|l| l.factor as f64).product();
-        let driving = cand[..local].iter().rev().find(|l| !l.is_spatial()).copied();
-        let distinct = cand
-            .iter()
-            .filter(|l| !l.is_spatial() && indexing.contains(l.dim))
-            .map(|l| l.factor as f64)
-            .product();
-        CandAgg { all_temporal, refills, distinct, driving }
-    }
-}
+    /// The aggregates of no loops.
+    const EMPTY: CandAgg =
+        CandAgg { all_temporal: 1.0, refills: 1.0, distinct: 1.0, driving: None };
 
-/// Flattens the mapping levels at `positions` (an inclusive range walked
-/// outermost-first) exactly like `FlatNest::refill` does.
-pub(crate) fn flatten_range(
-    mapping: &Mapping,
-    lo: usize,
-    hi_inclusive: usize,
-    out: &mut Vec<FlatLoop>,
-) {
-    for pos in (lo..=hi_inclusive).rev() {
-        match &mapping.levels()[pos] {
-            MappingLevel::Temporal(t) => {
-                for &d in t.order.iter().rev() {
-                    let f = t.factors[d.index()];
-                    if f > 1 {
-                        out.push(FlatLoop {
-                            dim: d,
-                            factor: f,
-                            kind: LoopKind::Temporal,
-                            arch_pos: pos,
-                        });
-                    }
-                }
-            }
-            MappingLevel::Spatial(s) => {
-                for (i, &f) in s.factors.iter().enumerate() {
-                    if f > 1 {
-                        out.push(FlatLoop {
-                            dim: sunstone_ir::DimId::from_index(i),
-                            factor: f,
-                            kind: LoopKind::Spatial,
-                            arch_pos: pos,
-                        });
-                    }
-                }
-            }
+    /// Extends the aggregates by the next loop inward. Every product is a
+    /// running product in loop order, so it is the fold over the loops so
+    /// far to the bit. An indexing temporal loop closes the run: the
+    /// refills are then every temporal factor so far and it drives them;
+    /// a temporal loop that does not index the tensor joins the run.
+    #[inline]
+    fn push(&mut self, l: &FlatLoop, indexing: DimSet) {
+        if l.is_spatial() {
+            return;
+        }
+        let f = l.factor as f64;
+        self.all_temporal *= f;
+        if indexing.contains(l.dim) {
+            self.distinct *= f;
+            self.refills = self.all_temporal;
+            self.driving = Some(*l);
+        }
+    }
+
+    /// The aggregates of the loops `cand`.
+    pub(crate) fn of(cand: &[FlatLoop], indexing: DimSet) -> Self {
+        let mut agg = Self::EMPTY;
+        cand.iter().for_each(|l| agg.push(l, indexing));
+        agg
+    }
+
+    /// Appends, for each `j` in `0..marks.len()`, the aggregates of the
+    /// loops above mark `j` — `loops[..marks[j]]`, with marks falling as
+    /// `j` rises — in one pass over `loops`.
+    pub(crate) fn above_levels(
+        loops: &[FlatLoop],
+        marks: &[u32],
+        indexing: DimSet,
+        out: &mut Vec<CandAgg>,
+    ) {
+        let base = out.len();
+        out.resize(base + marks.len(), Self::EMPTY);
+        let (mut agg, mut done) = (Self::EMPTY, 0);
+        for j in (0..marks.len()).rev() {
+            let end = marks[j] as usize;
+            loops[done..end].iter().for_each(|l| agg.push(l, indexing));
+            done = end;
+            out[base + j] = agg;
         }
     }
 }
 
 /// Builds the prefix cache for mapping levels `0..=boundary`.
 pub(crate) fn build_prefix(
-    workload: &Workload,
-    arch: &ArchSpec,
-    chains: &[Vec<usize>],
+    model: &CostModel<'_>,
     mapping: &Mapping,
     boundary: usize,
 ) -> MappingPrefix {
-    let n_levels = arch.num_levels();
+    let (workload, plan) = (model.workload(), model.plan());
     // True invariant, not input validation: boundaries are stage indices
     // produced by the search itself, never user data. A violation is a
     // scheduler bug, and the panic-isolation boundary at the public API
     // converts it into a typed internal error.
-    assert!(boundary < n_levels, "prefix boundary {boundary} out of range");
+    assert!(boundary < model.arch().num_levels(), "prefix boundary {boundary} out of range");
     let ndims = workload.num_dims();
 
-    let mut pre: Vec<FlatLoop> = Vec::new();
-    flatten_range(mapping, 0, boundary, &mut pre);
-
-    let mut resident = Vec::with_capacity(boundary + 1);
-    let mut acc = DimVec::ones(ndims);
-    for q in 0..=boundary {
-        for (t, &f) in acc.iter_mut().zip(mapping.level(q).factors()) {
-            *t *= f;
-        }
-        resident.push(acc.clone());
-    }
-
-    let mut s_mid = vec![1.0f64; boundary + 2];
-    for q in (0..=boundary).rev() {
-        s_mid[q] = s_mid[q + 1] * fanout(arch, mapping, q);
-    }
+    let (mut cols, mut s_mid) = (Columns::default(), vec![1.0f64; boundary + 2]);
+    cols.fill(plan, std::slice::from_ref(mapping), 0, 0..boundary + 1, &plan.ones, &mut s_mid);
+    let Columns { loops: pre, marks, resident, .. } = cols;
 
     let mut pairs = Vec::new();
     for t in workload.tensor_ids() {
         let tensor = workload.tensor(t);
         let mut child: i64 = -1;
-        for &p in &chains[t.index()] {
+        for &p in &model.chains()[t.index()] {
             if child > boundary as i64 {
                 break;
             }
-            pairs.push(level_cost(arch, tensor, t, child, p, boundary, &pre, &resident, ndims));
+            pairs.push(level_cost(model, tensor, t, child, p, boundary, &pre, &marks, &resident));
             child = p as i64;
         }
     }
@@ -253,27 +249,32 @@ pub(crate) fn build_prefix(
 
 #[allow(clippy::too_many_arguments)]
 fn level_cost(
-    arch: &ArchSpec,
+    model: &CostModel<'_>,
     tensor: &TensorDesc,
     t: TensorId,
     child: i64,
     p: usize,
     boundary: usize,
     pre: &[FlatLoop],
-    resident: &[DimVec],
-    ndims: usize,
+    marks: &[u32],
+    resident: &[u64],
 ) -> LevelCost {
     let indexing = tensor.indexing_dims();
-    let child_tile: DimVec =
-        if child < 0 { DimVec::ones(ndims) } else { resident[child as usize].clone() };
+    let ndims = model.plan().ones.len();
+    let child_tile = match usize::try_from(child) {
+        Ok(c) => DimVec::from_slice(&resident[c * ndims..(c + 1) * ndims]),
+        Err(_) => DimVec::ones(ndims),
+    };
+    // The prefix's loops above `child`, and those below `p` among them.
+    let above = &pre[..marks[(child + 1) as usize] as usize];
+    let between = &above[marks[p.min(boundary + 1)] as usize..];
     let mut union_tile = child_tile.clone();
-    let non_mc = widen_union(arch, indexing, pre, child, p, &mut union_tile, 1.0);
+    let (non_mc, widened) = widen_union(model.plan(), indexing, between, &mut union_tile, 1.0);
     let union_complete = p <= boundary;
     let f_child = tensor.footprint(&child_tile) as f64;
     let f_union = if union_complete { tensor.footprint(&union_tile) as f64 } else { 0.0 };
 
-    let cut = pre.iter().position(|l| (l.arch_pos as i64) <= child).unwrap_or(pre.len());
-    let agg = CandAgg::of(&pre[..cut], indexing);
+    let agg = CandAgg::of(above, indexing);
     // Above a storing child the run closes in the prefix exactly when an
     // indexing temporal loop lies there, and that loop is the driver; at
     // the MAC boundary every temporal loop is a refill.
@@ -290,6 +291,7 @@ fn level_cost(
         child_tile,
         f_child,
         union_tile,
+        widened,
         non_mc,
         union_complete,
         f_union,
@@ -305,18 +307,19 @@ impl LevelCost {
     /// closed: then nothing of it depends on the candidate.
     pub(crate) fn hoisted_tail(&self, model: &CostModel<'_>, tensor: &TensorDesc) -> PairTail {
         debug_assert!(self.union_complete && self.closed);
-        self.tail(model, tensor, self.non_mc, self.pre_driving, &self.union_tile, self.f_union)
+        let union = self.widened.then(|| (&self.union_tile[..], self.f_union));
+        self.tail(model, tensor, self.non_mc, self.pre_driving, union)
     }
 
-    /// The pair's tail with the given union tile, penalty and driver.
+    /// The pair's tail with the given union tile and footprint (`None`:
+    /// the child's), penalty and driver.
     fn tail(
         &self,
         model: &CostModel<'_>,
         tensor: &TensorDesc,
         non_mc: f64,
         driving: Option<FlatLoop>,
-        union_tile: &[u64],
-        f_union: f64,
+        union: Option<(&[u64], f64)>,
     ) -> PairTail {
         PairTail::new(
             model,
@@ -326,44 +329,41 @@ impl LevelCost {
             self.p,
             non_mc,
             driving,
-            union_tile,
-            f_union,
+            union,
             &self.child_tile,
             self.f_child,
         )
     }
 
-    /// Prices this pair for one candidate suffix `cand` with refill
-    /// aggregates `agg`; the prefix portions come from the cache.
+    /// Prices this pair for one candidate whose suffix has the refill
+    /// aggregates `agg` and, below `p`, the loops `widening` (read only
+    /// while the union tile is incomplete); the prefix portions come from
+    /// the cache. `union_scratch` is scratch for the union tile.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn count(
         &self,
         model: &CostModel<'_>,
         tensor: &TensorDesc,
-        cand: &[FlatLoop],
+        widening: &[FlatLoop],
         agg: &CandAgg,
         s_above: &[f64],
-        union_scratch: &mut DimVec,
+        union_scratch: &mut Vec<u64>,
         per: &mut [TensorLevelCounts],
         crossings: &mut [f64],
     ) {
         // Union tile: cached when complete; otherwise extend the cached
         // prefix part with the candidate's spatial loops below `p`.
-        let (f_union, non_mc, union_tile): (f64, f64, &DimVec) = if self.union_complete {
-            (self.f_union, self.non_mc, &self.union_tile)
+        let (union, non_mc) = if self.union_complete {
+            (self.widened.then(|| (&self.union_tile[..], self.f_union)), self.non_mc)
         } else {
-            union_scratch.clone_from(&self.union_tile);
+            union_scratch.clear();
+            union_scratch.extend_from_slice(&self.union_tile);
             let indexing = tensor.indexing_dims();
-            let non_mc = widen_union(
-                model.arch(),
-                indexing,
-                cand,
-                self.child,
-                self.p,
-                union_scratch,
-                self.non_mc,
-            );
-            (tensor.footprint(union_scratch) as f64, non_mc, &*union_scratch)
+            let (non_mc, widened) =
+                widen_union(model.plan(), indexing, widening, union_scratch, self.non_mc);
+            let union = (self.widened || widened)
+                .then(|| (&union_scratch[..], tensor.footprint(union_scratch) as f64));
+            (union, non_mc)
         };
 
         // Compose the refill-run analysis: a run closed inside the prefix
@@ -377,7 +377,7 @@ impl LevelCost {
         };
         let distinct = agg.distinct * self.pre_distinct;
 
-        let tail = self.tail(model, tensor, non_mc, driving, union_tile, f_union);
+        let tail = self.tail(model, tensor, non_mc, driving, union);
         tail.add(model, refills, distinct, s_above, per, crossings);
     }
 }
