@@ -45,11 +45,16 @@ echo "== release degenerate-input smoke =="
 # wraps instead, so the no-panic grid must also hold there.
 cargo test -q --release -p sunstone-repro --test robustness
 
-echo "== release model + deadline tests =="
+echo "== release model + serve tests =="
 # The search prices with release codegen, so the model's bit-identity
 # tests (every entry point, width, prefix and source prices alike) run
-# under it too; and the daemon's deadline test, which derives its budget
-# from how long this machine takes to search, must hold at release speed.
+# under it too. The daemon's suite runs there as well: its deadline test
+# derives its budget from how long this machine takes to search, and it
+# carries the daemon's end-to-end gates — served mappings bit-identical
+# to the library, a connection flood against the admission cap that
+# sheds exactly the excess and drains, the per-hit phase ledger, and a
+# restart answered from the warm-loaded store. The daemon's speed is the
+# repo benchmark's (`benchmark/run.sh --workload serve_hot|serve_churn`).
 cargo test -q --release -p sunstone-model
 cargo test -q --release -p sunstone-serve --test serve
 
@@ -132,79 +137,6 @@ print(
 )
 EOF
 rm -f BENCH_schedule_quick.json
-
-echo "== serve smoke: daemon + bench_serve + overload flood + restart warm-load =="
-# Start a daemon on a scratch socket/store with a deliberately tiny
-# connection cap, run the smoke bench against it (warm every layer, gate
-# every served mapping_fp against the library path, measure the zipfian
-# timed phase, then flood it with 64 simultaneous clients against the
-# cap of 4), then restart the daemon on the same store and require the
-# probe to be answered entirely from the warm-loaded cache. The smoke
-# phases use 2 bench clients + 1 control connection, so the cap of 4
-# only bites during the flood. The bench's --shutdown flag reaps each
-# daemon.
-SERVE_DIR="$(mktemp -d)"
-SERVE_SOCK="$SERVE_DIR/sock"
-cargo build --release -p sunstone-serve -p sunstone-bench --bin bench_serve
-./target/release/sunstone-serve --socket "$SERVE_SOCK" --store "$SERVE_DIR/store" \
-    --max-conns 4 &
-SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$SERVE_DIR"' EXIT
-for _ in $(seq 1 100); do [ -S "$SERVE_SOCK" ] && break; sleep 0.1; done
-[ -S "$SERVE_SOCK" ] || { echo "daemon socket never appeared"; exit 1; }
-./target/release/bench_serve --socket "$SERVE_SOCK" smoke --flood 64 \
-    --out BENCH_serve_smoke.json --shutdown
-wait "$SERVE_PID"
-python3 - <<'EOF'
-import json
-d = json.load(open("BENCH_serve_smoke.json"))
-assert d.get("schema") == "sunstone-bench-serve/v2", d.get("schema")
-assert d.get("layers"), "no layers recorded"
-for row in d["layers"]:
-    for field in ("name", "source", "ctx_fp", "mapping_fp", "edp"):
-        assert field in row, f"missing {field} in {row.get('name', '?')}"
-    assert int(row["mapping_fp"]) > 0, row["name"]
-lat = d.get("latency", {})
-for field in ("p50_ms", "p99_ms", "mean_ms", "qps"):
-    assert field in lat, f"missing latency.{field}"
-# Hard gates: served mappings must be bit-identical to the library path,
-# and warm-cache serving must clear the acceptance floor.
-assert d["fp_mismatches"] == 0, f"{d['fp_mismatches']} served mappings diverged from the library"
-assert d["hit_rate"] >= 0.99, f"warm-cache hit rate {d['hit_rate']} < 0.99"
-assert lat["qps"] >= 1000, f"warm-cache qps {lat['qps']} < 1000"
-assert lat["p99_ms"] < 50, f"warm-cache p99 {lat['p99_ms']} ms >= 50"
-assert d["daemon"]["errors"] == 0, "daemon reported request errors"
-# Overload gates: the flood must have shed (the cap actually bit), every
-# response served *through* the overload must still be fingerprint-
-# identical to the library, and once the burst subsides no handler may
-# linger (post_flood_live counts connections beyond the control one).
-ov = d.get("overload")
-assert ov, "no overload block — the flood phase did not run"
-assert ov["flood_clients"] == 64, ov["flood_clients"]
-assert ov["fp_mismatches"] == 0, f"{ov['fp_mismatches']} flood responses diverged"
-assert ov["shed"] > 0, "flood shed nothing — the connection cap never engaged"
-assert ov["daemon_shed_connections"] > 0, "daemon counted no shed connections"
-assert ov["post_flood_live"] == 0, f"{ov['post_flood_live']} connection(s) leaked after the flood"
-assert ov["ok"] > 0, "no flood client was ever admitted"
-print(
-    f"BENCH_serve_smoke.json OK ({d['unique_layers']} layers, {lat['qps']:.0f} qps,"
-    f" p99 {lat['p99_ms']:.2f} ms, 0 fingerprint mismatches;"
-    f" flood: {ov['ok']} ok / {ov['shed']} shed / {ov['post_flood_live']} leaked)"
-)
-EOF
-rm -f BENCH_serve_smoke.json
-# Restart on the existing store: the first query for every repeated
-# layer must be served from the warm-loaded store (source == "store",
-# hit counted in cache_stats) — the probe exits nonzero otherwise.
-./target/release/sunstone-serve --socket "$SERVE_SOCK" --store "$SERVE_DIR/store" &
-SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$SERVE_DIR"' EXIT
-for _ in $(seq 1 100); do [ -S "$SERVE_SOCK" ] && break; sleep 0.1; done
-[ -S "$SERVE_SOCK" ] || { echo "restarted daemon socket never appeared"; exit 1; }
-./target/release/bench_serve --socket "$SERVE_SOCK" probe --shutdown
-wait "$SERVE_PID"
-trap - EXIT
-rm -rf "$SERVE_DIR"
 
 echo "== repo benchmark: harness tests + smoke =="
 # benchmark/ is a stand-alone package that imports public symbols from

@@ -4,7 +4,7 @@
 //! hierarchy; CoSA is fast but returns invalid mappings on most layers.
 //!
 //! A closing section schedules the *full* network (block repeats
-//! included) through [`Scheduler::schedule_batch`]: only the unique
+//! included) through [`Scheduler::schedule_batch_outcomes`]: only the unique
 //! shapes are searched, on parallel workers, and the per-layer EDPs are
 //! checked identical to sequential per-layer scheduling.
 //!
@@ -59,8 +59,10 @@ fn main() {
 
     let batch_session = Scheduler::new(SunstoneConfig::default());
     let batch_start = Instant::now();
-    let batch =
-        batch_session.schedule_batch(&net_workloads, &arch).expect("network batch schedules");
+    let batch = batch_session
+        .schedule_batch_outcomes(&net_workloads, &arch, &ScheduleOptions::new())
+        .and_then(BatchOutcome::into_result)
+        .expect("network batch schedules");
     let batch_wall = batch_start.elapsed();
 
     let seq_session = Scheduler::new(SunstoneConfig::default());

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use sunstone::network::{layout_signature, schedule_chain_with, ChainOptions};
+use sunstone::network::{layout_signature, schedule_chain, ChainOptions};
 use sunstone::prelude::*;
 use sunstone_arch::presets;
 use sunstone_bench::quick_mode;
@@ -57,10 +57,9 @@ fn main() {
             println!("  [batch] unique shape #{unique}: {evaluated} mappings in {elapsed:.1?}");
         }
     });
-    let controls = BatchOptions::new().progress(progress);
-    let chain =
-        schedule_chain_with(&scheduler, &layers, &arch, &ChainOptions::default(), &controls)
-            .expect("chain schedules");
+    let controls = ScheduleOptions::new().progress(progress);
+    let chain = schedule_chain(&scheduler, &layers, &arch, &ChainOptions::default(), &controls)
+        .expect("chain schedules");
 
     println!(
         "\n  batch: {} layers → {} unique shapes ({} dedup hits), \

@@ -1,10 +1,10 @@
 //! The scheduler's error type.
 //!
 //! Every public entry point — [`Scheduler::schedule`](crate::Scheduler::schedule),
-//! [`Scheduler::schedule_batch`](crate::Scheduler::schedule_batch),
-//! [`network::schedule_chain`](crate::network::schedule_chain), and the
-//! one-shot [`Sunstone`](crate::Sunstone) shim — reports failures through
-//! [`ScheduleError`]. The enum is `#[non_exhaustive]`: new failure modes
+//! [`Scheduler::schedule_with`](crate::Scheduler::schedule_with),
+//! [`Scheduler::schedule_batch_outcomes`](crate::Scheduler::schedule_batch_outcomes)
+//! and [`network::schedule_chain`](crate::network::schedule_chain) —
+//! reports failures through [`ScheduleError`]. The enum is `#[non_exhaustive]`: new failure modes
 //! may be added without a breaking release, so downstream matches need a
 //! wildcard arm.
 

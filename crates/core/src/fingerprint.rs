@@ -9,7 +9,8 @@
 //!
 //! Workload fingerprints deliberately exclude the workload's *name*: two
 //! ResNet blocks with identical shapes ("conv2_1" and "conv2_2") must
-//! collapse to one search in [`Scheduler::schedule_batch`](crate::Scheduler::schedule_batch).
+//! collapse to one search in a batch
+//! ([`Scheduler::schedule_batch_outcomes`](crate::Scheduler::schedule_batch_outcomes)).
 //! Dimension and tensor names are included — tensor names feed binding
 //! (buffer filters match by name) and dimension names feed nothing in the
 //! search itself but keep the fingerprint an over- rather than

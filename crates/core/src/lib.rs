@@ -22,14 +22,15 @@
 //! and any architecture expressible as [`sunstone_arch::ArchSpec`],
 //! including multi-level spatial designs like Simba.
 //!
-//! The public API is a long-lived [`Scheduler`] **session**: it memoizes
-//! each context's result (so a repeated call costs no search) and schedules
-//! whole networks at once via [`Scheduler::schedule_batch`], which dedups
-//! identical layer shapes and searches the unique ones on parallel
-//! workers. Per-call controls (constraints, wall-clock budget,
-//! cancellation, progress) share one [`CallOptions`] block embedded in
-//! [`ScheduleOptions`] and [`BatchOptions`]. Import everything through
-//! [`prelude`].
+//! The public API is a long-lived [`Scheduler`] **session** with three
+//! entry points: [`Scheduler::schedule`] for the best mapping,
+//! [`Scheduler::schedule_with`] for one workload under options, and
+//! [`Scheduler::schedule_batch_outcomes`] for whole networks at once, which
+//! dedups identical layer shapes and searches the unique ones on parallel
+//! workers. The session memoizes each context's result, so a repeated call
+//! costs no search. Every per-call control (result count, constraints,
+//! wall-clock budget, cancellation, progress) lives in one
+//! [`ScheduleOptions`]. Import everything through [`prelude`].
 //!
 //! # Example
 //!
@@ -54,7 +55,9 @@
 //!
 //! // A session amortizes work across calls: scheduling a whole network
 //! // dedups repeated layer shapes, and a repeated call is a memo hit.
-//! let batch = scheduler.schedule_batch(&[w.clone(), w], &arch)?;
+//! let batch = scheduler
+//!     .schedule_batch_outcomes(&[w.clone(), w], &arch, &ScheduleOptions::new())?
+//!     .into_result()?;
 //! assert_eq!(batch.stats.unique_shapes, 1);
 //! assert_eq!(batch.stats.dedup_hits, 1);
 //! assert_eq!(batch.best(0).report.edp, batch.best(1).report.edp);
@@ -63,9 +66,8 @@
 
 //! # Module map
 //!
-//! * [`session`] — the session API: [`Scheduler`], the shared per-call
-//!   [`CallOptions`] embedded in [`ScheduleOptions`] / [`BatchOptions`],
-//!   the result memo, batch dedup + parallel fan-out.
+//! * [`session`] — the session API: [`Scheduler`], the per-call
+//!   [`ScheduleOptions`], the result memo, batch dedup + parallel fan-out.
 //! * [`search`] — the staged search pipeline: candidate enumeration
 //!   (`candidates`), beam dedup/selection (`beam`), memoized parallel
 //!   estimation (`estimate`), and the direction-agnostic composition
@@ -116,8 +118,8 @@ pub use ordering::{OrderingCandidate, OrderingTrie, ReuseKind};
 pub use progress::{CancelToken, ProgressEvent, ProgressSink};
 pub use search::{LevelStats, PruneCounter, SearchStats};
 pub use session::{
-    BatchOptions, BatchOutcome, BatchResult, BatchStats, CacheStats, CallOptions, Memoized,
-    ScheduleOptions, ScheduleOutcome, ScheduleResult, Scheduler,
+    BatchOptions, BatchOutcome, BatchResult, BatchStats, CacheStats, Memoized, ScheduleOptions,
+    ScheduleOutcome, ScheduleResult, Scheduler,
 };
 // The constraint vocabulary lives in `sunstone_mapping` (so
 // `ValidationContext::satisfies` can check mappings against it without a
@@ -140,8 +142,8 @@ pub mod prelude {
     pub use crate::progress::{CancelToken, ProgressEvent, ProgressSink};
     pub use crate::search::{LevelStats, PruneCounter, SearchStats};
     pub use crate::session::{
-        BatchOptions, BatchOutcome, BatchResult, BatchStats, CacheStats, CallOptions, Memoized,
-        ScheduleOptions, ScheduleOutcome, ScheduleResult, Scheduler,
+        BatchOptions, BatchOutcome, BatchResult, BatchStats, CacheStats, Memoized, ScheduleOptions,
+        ScheduleOutcome, ScheduleResult, Scheduler,
     };
     pub use sunstone_ir::DimRole;
     pub use sunstone_mapping::{

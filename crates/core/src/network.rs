@@ -11,7 +11,7 @@
 //! standalone candidate when no match exists.
 //!
 //! Candidate generation rides on the session batch path
-//! ([`Scheduler::schedule_batch_with`]): repeated layer shapes are
+//! ([`Scheduler::schedule_batch_outcomes`]): repeated layer shapes are
 //! searched once and their candidate lists replayed per occurrence, the
 //! unique shapes fan out across worker threads, and the layout pass then
 //! selects per *occurrence* — so two occurrences of the same shape may
@@ -22,7 +22,7 @@ use sunstone_arch::ArchSpec;
 use sunstone_ir::Workload;
 use sunstone_mapping::{Mapping, MappingLevel};
 
-use crate::session::{BatchOptions, BatchStats, Scheduler};
+use crate::session::{BatchStats, ScheduleOptions, Scheduler};
 use crate::{ScheduleError, ScheduleResult};
 
 /// Options for [`schedule_chain`].
@@ -107,37 +107,23 @@ pub fn layout_signature(
 }
 
 /// Schedules a chain of layers with layout consistency; see the
-/// [module documentation](self).
+/// [module documentation](self). `controls` carries the batch's per-call
+/// controls (time budget, cancellation, progress); its `top_k` is
+/// overridden by `options.candidates_per_layer`.
 ///
 /// # Errors
 ///
-/// Fails if any layer cannot be scheduled at all.
+/// Fails if any layer cannot be scheduled at all, plus cancellation and
+/// budget errors as in [`Scheduler::schedule_batch_outcomes`].
 pub fn schedule_chain(
     scheduler: &Scheduler,
     layers: &[Workload],
     arch: &ArchSpec,
     options: &ChainOptions,
+    controls: &ScheduleOptions,
 ) -> Result<ChainResult, ScheduleError> {
-    schedule_chain_with(scheduler, layers, arch, options, &BatchOptions::default())
-}
-
-/// [`schedule_chain`] with per-call batch controls (time budget,
-/// cancellation, progress); `controls.top_k` is overridden by
-/// `options.candidates_per_layer`.
-///
-/// # Errors
-///
-/// As [`schedule_chain`], plus cancellation and budget errors as in
-/// [`Scheduler::schedule_batch_with`].
-pub fn schedule_chain_with(
-    scheduler: &Scheduler,
-    layers: &[Workload],
-    arch: &ArchSpec,
-    options: &ChainOptions,
-    controls: &BatchOptions,
-) -> Result<ChainResult, ScheduleError> {
-    let batch_opts = BatchOptions { top_k: options.candidates_per_layer, ..controls.clone() };
-    let batch = scheduler.schedule_batch_with(layers, arch, &batch_opts)?;
+    let batch_opts = controls.clone().top_k(options.candidates_per_layer);
+    let batch = scheduler.schedule_batch_outcomes(layers, arch, &batch_opts)?.into_result()?;
 
     let mut results: Vec<ScheduleResult> = Vec::with_capacity(layers.len());
     let mut matched = 0usize;
@@ -207,13 +193,18 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn run_chain(scheduler: &Scheduler, layers: &[Workload], arch: &ArchSpec) -> ChainResult {
+        let options = ChainOptions::default();
+        schedule_chain(scheduler, layers, arch, &options, &ScheduleOptions::new()).unwrap()
+    }
+
     #[test]
     fn chain_scheduling_matches_or_charges_reordering() {
         let arch = presets::conventional();
         let layers =
             vec![conv("l1", 2, 32, 16, 14), conv("l2", 2, 32, 32, 14), conv("l3", 2, 64, 32, 14)];
         let scheduler = Scheduler::new(SunstoneConfig::default());
-        let chain = schedule_chain(&scheduler, &layers, &arch, &ChainOptions::default()).unwrap();
+        let chain = run_chain(&scheduler, &layers, &arch);
         assert_eq!(chain.layers.len(), 3);
         assert!(chain.total_edp() > 0.0);
         assert_eq!(chain.batch.layers, 3);
@@ -233,7 +224,7 @@ mod tests {
         let arch = presets::conventional();
         let layers = vec![conv("l1", 2, 32, 16, 14), conv("l2", 2, 32, 32, 14)];
         let scheduler = Scheduler::new(SunstoneConfig::default());
-        let chain = schedule_chain(&scheduler, &layers, &arch, &ChainOptions::default()).unwrap();
+        let chain = run_chain(&scheduler, &layers, &arch);
         let independent: f64 =
             layers.iter().map(|w| scheduler.schedule(w, &arch).unwrap().report.edp).sum();
         // Layout matching only ever picks among near-optimal candidates.
@@ -248,7 +239,7 @@ mod tests {
         let layers =
             vec![conv("l1", 2, 32, 16, 14), conv("l2", 2, 32, 32, 14), conv("l3", 2, 32, 32, 14)];
         let scheduler = Scheduler::new(SunstoneConfig::default());
-        let chain = schedule_chain(&scheduler, &layers, &arch, &ChainOptions::default()).unwrap();
+        let chain = run_chain(&scheduler, &layers, &arch);
         assert_eq!(chain.layers.len(), 3);
         assert_eq!(chain.batch.unique_shapes, 2);
         assert_eq!(chain.batch.dedup_hits, 1);

@@ -266,6 +266,11 @@ impl WorkerPool {
     pub(crate) fn rounds(&self) -> u64 {
         self.rounds.load(Ordering::Relaxed)
     }
+
+    /// Starts the round count over (the session's `clear_cache`).
+    pub(crate) fn reset_rounds(&self) {
+        self.rounds.store(0, Ordering::Relaxed);
+    }
 }
 
 impl Drop for WorkerPool {

@@ -1,4 +1,5 @@
-//! Per-call controls: cooperative cancellation and progress reporting.
+//! Per-call controls: cooperative cancellation and progress reporting,
+//! both carried by [`ScheduleOptions`](crate::ScheduleOptions).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -7,8 +8,7 @@ use std::time::Duration;
 /// A cooperative cancellation token.
 ///
 /// Clone the token, hand one copy to
-/// [`ScheduleOptions`](crate::ScheduleOptions) /
-/// [`BatchOptions`](crate::BatchOptions), and call
+/// [`ScheduleOptions::cancel`](crate::ScheduleOptions::cancel), and call
 /// [`cancel`](CancelToken::cancel) from any thread; the search observes
 /// the flag at its stage boundaries and returns
 /// [`ScheduleError::Cancelled`](crate::ScheduleError::Cancelled). A token
@@ -39,7 +39,7 @@ impl CancelToken {
 ///
 /// Level events come from the per-level walk of a single search; layer
 /// events frame each unique shape of a
-/// [`schedule_batch`](crate::Scheduler::schedule_batch) call (batch
+/// [`schedule_batch_outcomes`](crate::Scheduler::schedule_batch_outcomes) call (batch
 /// workers run concurrently, so layer events may interleave).
 #[derive(Debug, Clone)]
 #[non_exhaustive]

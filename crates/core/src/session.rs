@@ -13,17 +13,23 @@
 //!   serving the same layer — is answered without searching. Estimates
 //!   and enumeration memos are *not* kept: they belong to one search and
 //!   die with it;
-//! * [`schedule_batch`](Scheduler::schedule_batch) canonicalizes a slice
-//!   of workloads, **dedups identical shapes** (ResNet-style networks
-//!   repeat most blocks), searches only the unique shapes — fanned out
-//!   over the session's persistent worker pool — and replays each result
-//!   per occurrence;
-//! * per-call **controls** bound the work — one shared [`CallOptions`]
-//!   block (embedded in [`ScheduleOptions`] and [`BatchOptions`]) with a
-//!   wall-clock [`time_budget`](CallOptions::time_budget) and graceful
+//! * [`schedule_batch_outcomes`](Scheduler::schedule_batch_outcomes)
+//!   canonicalizes a slice of workloads, **dedups identical shapes**
+//!   (ResNet-style networks repeat most blocks), searches only the unique
+//!   shapes — fanned out over the session's persistent worker pool — and
+//!   replays each result, or error, per occurrence;
+//! * per-call **controls** bound the work — one [`ScheduleOptions`] for
+//!   every entry point, with a result count, a wall-clock
+//!   [`time_budget`](ScheduleOptions::time_budget) and graceful
 //!   best-so-far return, a cooperative [`CancelToken`], a
 //!   [`ProgressSink`] streaming level/layer events, and a per-call
 //!   constraint override.
+//!
+//! Three entry points cover every call shape: [`schedule`](Scheduler::schedule)
+//! (the best mapping), [`schedule_with`](Scheduler::schedule_with) (one
+//! workload under options) and
+//! [`schedule_batch_outcomes`](Scheduler::schedule_batch_outcomes) (a
+//! slice of workloads under options).
 
 use std::any::Any;
 use std::collections::hash_map::Entry;
@@ -153,11 +159,9 @@ impl ScheduleOutcome {
     }
 }
 
-/// The per-call controls shared by **every** scheduling entry point:
-/// constraint override, wall-clock budget, cooperative cancellation, and
-/// progress reporting. [`ScheduleOptions`] and [`BatchOptions`] embed one
-/// `CallOptions` (their [`call`](ScheduleOptions::call) field) and add
-/// only what is specific to their call shape.
+/// The per-call options of **every** scheduling entry point: result
+/// count, failure policy, constraint override, wall-clock budget,
+/// cooperative cancellation, and progress reporting.
 ///
 /// Construct with the builder-style setters — the struct is
 /// `#[non_exhaustive]`, so fields can be *read* anywhere but new fields
@@ -172,15 +176,27 @@ impl ScheduleOutcome {
 ///     .time_budget(Duration::from_millis(50))
 ///     .cancel(CancelToken::new());
 /// assert_eq!(opts.top_k, 4);
-/// assert!(opts.call.time_budget.is_some());
+/// assert!(opts.time_budget.is_some());
 /// ```
 #[derive(Clone, Default)]
 #[non_exhaustive]
-pub struct CallOptions {
+pub struct ScheduleOptions {
+    /// How many ranked results to return — per layer, for a batch (0 is
+    /// treated as 1). The network layout-consistency pass uses this to
+    /// choose among near-optimal candidates.
+    pub top_k: usize,
+    /// Batch only (a single call ignores it): stop starting new unique
+    /// shapes after the first failure; shapes not yet started when a
+    /// failure is observed report [`ScheduleError::Cancelled`] in the
+    /// [`BatchOutcome`]. Off by default — the default contract is graceful
+    /// partial failure, where every layer is attempted and reports its own
+    /// `Result`.
+    pub fail_fast: bool,
     /// Mapping constraints for this call, overriding
     /// [`SunstoneConfig::constraints`] when set (`None` uses the config's
-    /// set, which defaults to unconstrained). Unsatisfiable sets fail
-    /// with [`ScheduleError::InvalidConstraints`].
+    /// set, which defaults to unconstrained); for a batch they apply to
+    /// every layer. Unsatisfiable sets fail with
+    /// [`ScheduleError::InvalidConstraints`].
     pub constraints: Option<MappingConstraints>,
     /// Wall-clock budget. When it expires mid-search the call returns
     /// [`ScheduleOutcome::BestSoFar`] with the best valid completions of
@@ -199,10 +215,28 @@ pub struct CallOptions {
     pub progress: Option<Arc<dyn ProgressSink>>,
 }
 
-impl CallOptions {
-    /// Empty controls: unconstrained, unbounded, uncancellable, silent.
+/// The options of [`Scheduler::schedule_batch_outcomes`]: the one options
+/// type, under the name batch callers (the repo benchmark among them)
+/// import.
+pub type BatchOptions = ScheduleOptions;
+
+impl ScheduleOptions {
+    /// Default options: best result only, graceful partial failure, no
+    /// controls.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Sets how many ranked results to return (per layer, for a batch).
+    pub fn top_k(mut self, top_k: usize) -> Self {
+        self.top_k = top_k;
+        self
+    }
+
+    /// Sets the batch fail-fast failure policy.
+    pub fn fail_fast(mut self, fail_fast: bool) -> Self {
+        self.fail_fast = fail_fast;
+        self
     }
 
     /// Sets the per-call constraint override.
@@ -230,9 +264,11 @@ impl CallOptions {
     }
 }
 
-impl std::fmt::Debug for CallOptions {
+impl std::fmt::Debug for ScheduleOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CallOptions")
+        f.debug_struct("ScheduleOptions")
+            .field("top_k", &self.top_k)
+            .field("fail_fast", &self.fail_fast)
             .field("constraints", &self.constraints)
             .field("time_budget", &self.time_budget)
             .field("cancel", &self.cancel)
@@ -241,154 +277,8 @@ impl std::fmt::Debug for CallOptions {
     }
 }
 
-/// Per-call options for [`Scheduler::schedule_with`]: the shared
-/// [`CallOptions`] plus the result count. Construct with the
-/// builder-style setters (see [`CallOptions`] for an example); the
-/// shared setters are mirrored here, so one chain configures everything.
-#[derive(Clone, Default)]
-#[non_exhaustive]
-pub struct ScheduleOptions {
-    /// How many ranked results to return (0 is treated as 1).
-    pub top_k: usize,
-    /// The controls shared by every entry point (constraints, budget,
-    /// cancellation, progress).
-    pub call: CallOptions,
-}
-
-impl ScheduleOptions {
-    /// Default options: best result only, no controls.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets how many ranked results to return.
-    pub fn top_k(mut self, top_k: usize) -> Self {
-        self.top_k = top_k;
-        self
-    }
-
-    /// Replaces the whole shared-controls block.
-    pub fn call(mut self, call: CallOptions) -> Self {
-        self.call = call;
-        self
-    }
-
-    /// Sets the per-call constraint override (see [`CallOptions::constraints`]).
-    pub fn constraints(mut self, constraints: MappingConstraints) -> Self {
-        self.call = self.call.constraints(constraints);
-        self
-    }
-
-    /// Sets the wall-clock budget (see [`CallOptions::time_budget`]).
-    pub fn time_budget(mut self, budget: Duration) -> Self {
-        self.call = self.call.time_budget(budget);
-        self
-    }
-
-    /// Sets the cancellation token (see [`CallOptions::cancel`]).
-    pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.call = self.call.cancel(token);
-        self
-    }
-
-    /// Sets the progress sink (see [`CallOptions::progress`]).
-    pub fn progress(mut self, sink: Arc<dyn ProgressSink>) -> Self {
-        self.call = self.call.progress(sink);
-        self
-    }
-}
-
-impl std::fmt::Debug for ScheduleOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScheduleOptions")
-            .field("top_k", &self.top_k)
-            .field("call", &self.call)
-            .finish()
-    }
-}
-
-/// Per-call options for [`Scheduler::schedule_batch_with`]: the shared
-/// [`CallOptions`] plus the per-layer result count and the failure
-/// policy. Construct with the builder-style setters.
-#[derive(Clone, Default)]
-#[non_exhaustive]
-pub struct BatchOptions {
-    /// Ranked results kept per layer (0 is treated as 1). The network
-    /// layout-consistency pass uses this to choose among near-optimal
-    /// candidates.
-    pub top_k: usize,
-    /// Stop starting new unique shapes after the first failure: shapes
-    /// not yet started when a failure is observed report
-    /// [`ScheduleError::Cancelled`] in the [`BatchOutcome`]. Off by
-    /// default — the default contract is graceful partial failure, where
-    /// every layer is attempted and reports its own `Result`.
-    pub fail_fast: bool,
-    /// The controls shared by every entry point. The constraint override
-    /// applies to **every layer** of the batch; the time budget covers
-    /// the whole batch.
-    pub call: CallOptions,
-}
-
-impl BatchOptions {
-    /// Default options: best result per layer, graceful partial failure.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets how many ranked results to keep per layer.
-    pub fn top_k(mut self, top_k: usize) -> Self {
-        self.top_k = top_k;
-        self
-    }
-
-    /// Sets the fail-fast failure policy.
-    pub fn fail_fast(mut self, fail_fast: bool) -> Self {
-        self.fail_fast = fail_fast;
-        self
-    }
-
-    /// Replaces the whole shared-controls block.
-    pub fn call(mut self, call: CallOptions) -> Self {
-        self.call = call;
-        self
-    }
-
-    /// Sets the batch-wide constraint override (see [`CallOptions::constraints`]).
-    pub fn constraints(mut self, constraints: MappingConstraints) -> Self {
-        self.call = self.call.constraints(constraints);
-        self
-    }
-
-    /// Sets the whole-batch wall-clock budget (see [`CallOptions::time_budget`]).
-    pub fn time_budget(mut self, budget: Duration) -> Self {
-        self.call = self.call.time_budget(budget);
-        self
-    }
-
-    /// Sets the cancellation token (see [`CallOptions::cancel`]).
-    pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.call = self.call.cancel(token);
-        self
-    }
-
-    /// Sets the progress sink (see [`CallOptions::progress`]).
-    pub fn progress(mut self, sink: Arc<dyn ProgressSink>) -> Self {
-        self.call = self.call.progress(sink);
-        self
-    }
-}
-
-impl std::fmt::Debug for BatchOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchOptions")
-            .field("top_k", &self.top_k)
-            .field("fail_fast", &self.fail_fast)
-            .field("call", &self.call)
-            .finish()
-    }
-}
-
-/// Aggregate statistics of one [`Scheduler::schedule_batch`] call.
+/// Aggregate statistics of one batch call
+/// ([`Scheduler::schedule_batch_outcomes`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct BatchStats {
@@ -671,9 +561,14 @@ impl Scheduler {
         }
     }
 
-    /// Drops every memoized result and resets the session's counters.
+    /// Drops every memoized result and resets the session's counters, the
+    /// pool's round count included: afterwards
+    /// [`cache_stats`](Self::cache_stats) reads [`CacheStats::default`].
     pub fn clear_cache(&self) {
         self.memo.clear();
+        if let Some(pool) = self.pool.get() {
+            pool.reset_rounds();
+        }
     }
 
     /// The *(workload, arch, config, constraints)* context fingerprint a
@@ -794,24 +689,10 @@ impl Scheduler {
             .remove(0))
     }
 
-    /// Finds the `k` best distinct mappings, best first (the survivors of
-    /// the final beam).
-    ///
-    /// # Errors
-    ///
-    /// As [`schedule`](Self::schedule); an `Ok` result contains at least
-    /// one mapping.
-    pub fn schedule_top_k(
-        &self,
-        workload: &Workload,
-        arch: &ArchSpec,
-        k: usize,
-    ) -> Result<Vec<ScheduleResult>, ScheduleError> {
-        let opts = ScheduleOptions { top_k: k, ..ScheduleOptions::default() };
-        Ok(self.schedule_with(workload, arch, &opts)?.into_results())
-    }
-
-    /// Schedules one workload under the full set of per-call controls.
+    /// Schedules one workload under the full set of per-call controls; the
+    /// outcome holds the `top_k` best distinct mappings, best first (the
+    /// survivors of the final beam) —
+    /// `schedule_with(w, arch, &ScheduleOptions::new().top_k(k))?.into_results()`.
     ///
     /// # Errors
     ///
@@ -827,57 +708,27 @@ impl Scheduler {
     ) -> Result<ScheduleOutcome, ScheduleError> {
         let start = Instant::now();
         let controls = CallControls {
-            deadline: options.call.time_budget.map(|b| start + b),
-            cancel: options.call.cancel.as_ref(),
-            progress: options.call.progress.as_deref(),
+            deadline: options.time_budget.map(|b| start + b),
+            cancel: options.cancel.as_ref(),
+            progress: options.progress.as_deref(),
         };
-        let constraints = options.call.constraints.as_ref().unwrap_or(&self.config.constraints);
+        let constraints = options.constraints.as_ref().unwrap_or(&self.config.constraints);
         self.run_one(workload, arch, options.top_k, start, &controls, constraints)
     }
 
     /// Schedules a batch of workloads, deduplicating identical shapes and
     /// fanning the unique ones out across worker threads. Equivalent to —
     /// and bitwise consistent with — calling
-    /// [`schedule`](Self::schedule) per layer, but each distinct shape is
-    /// searched exactly once.
+    /// [`schedule_with`](Self::schedule_with) per layer, but each distinct
+    /// shape is searched exactly once.
     ///
-    /// # Errors
-    ///
-    /// Fails with the first failing layer's error (in first-occurrence
-    /// order).
-    pub fn schedule_batch(
-        &self,
-        workloads: &[Workload],
-        arch: &ArchSpec,
-    ) -> Result<BatchResult, ScheduleError> {
-        self.schedule_batch_with(workloads, arch, &BatchOptions::default())
-    }
-
-    /// [`schedule_batch`](Self::schedule_batch) with per-call controls;
-    /// see [`BatchOptions`]. All-or-nothing: for per-layer failure
-    /// granularity use
-    /// [`schedule_batch_outcomes`](Self::schedule_batch_outcomes), which
-    /// this method delegates to.
-    ///
-    /// # Errors
-    ///
-    /// As [`schedule_batch`](Self::schedule_batch), plus cancellation and
-    /// budget errors as in [`schedule_with`](Self::schedule_with).
-    pub fn schedule_batch_with(
-        &self,
-        workloads: &[Workload],
-        arch: &ArchSpec,
-        options: &BatchOptions,
-    ) -> Result<BatchResult, ScheduleError> {
-        self.schedule_batch_outcomes(workloads, arch, options)?.into_result()
-    }
-
-    /// Schedules a batch with **graceful partial-failure semantics**: the
-    /// returned [`BatchOutcome`] carries one `Result` per input layer, so
-    /// an infeasible or internally faulting layer fails only the layers
-    /// sharing its deduped shape while every other layer still gets its
-    /// mappings. [`BatchOptions::fail_fast`] opts back into stopping at
-    /// the first failure.
+    /// Failure is **graceful and per layer**: the returned [`BatchOutcome`]
+    /// carries one `Result` per input layer, so an infeasible or internally
+    /// faulting layer fails only the layers sharing its deduped shape while
+    /// every other layer still gets its mappings.
+    /// [`ScheduleOptions::fail_fast`] opts into stopping at the first
+    /// failure, and [`BatchOutcome::into_result`] collapses the outcome
+    /// into the all-or-nothing [`BatchResult`].
     ///
     /// # Errors
     ///
@@ -889,7 +740,7 @@ impl Scheduler {
         &self,
         workloads: &[Workload],
         arch: &ArchSpec,
-        options: &BatchOptions,
+        options: &ScheduleOptions,
     ) -> Result<BatchOutcome, ScheduleError> {
         // Panic-isolation boundary for the batch infrastructure itself
         // (dedup, pool fan-out, assembly; a panic in one layer's search is
@@ -897,7 +748,7 @@ impl Scheduler {
         // re-raises here on the submitting thread).
         panic::catch_unwind(AssertUnwindSafe(|| self.batch_inner(workloads, arch, options)))
             .unwrap_or_else(|payload| {
-                Err(faulted(options.call.progress.as_deref(), "batch".into(), None, payload))
+                Err(faulted(options.progress.as_deref(), "batch".into(), None, payload))
             })
     }
 
@@ -907,7 +758,7 @@ impl Scheduler {
         &self,
         workloads: &[Workload],
         arch: &ArchSpec,
-        options: &BatchOptions,
+        options: &ScheduleOptions,
     ) -> Result<BatchOutcome, ScheduleError> {
         let start = Instant::now();
         self.config.validate()?;
@@ -933,8 +784,8 @@ impl Scheduler {
         // submitting thread participates). Per-shape results are
         // deterministic and land in index-disjoint slots, so the assembly
         // below is identical for any worker count.
-        let deadline = options.call.time_budget.map(|b| start + b);
-        let constraints = options.call.constraints.as_ref().unwrap_or(&self.config.constraints);
+        let deadline = options.time_budget.map(|b| start + b);
+        let constraints = options.constraints.as_ref().unwrap_or(&self.config.constraints);
         let failed = AtomicBool::new(false);
         let mut slots: Vec<Option<Result<ScheduleOutcome, ScheduleError>>> =
             unique.iter().map(|_| None).collect();
@@ -950,21 +801,18 @@ impl Scheduler {
                         // `Cancelled`, distinguishable from real failures.
                         return Err(ScheduleError::Cancelled);
                     }
-                    if let Some(sink) = &options.call.progress {
+                    if let Some(sink) = &options.progress {
                         sink.on_event(&ProgressEvent::LayerStarted {
                             unique: u,
                             name: w.name().to_string(),
                         });
                     }
                     let layer_start = Instant::now();
-                    let controls = CallControls {
-                        deadline,
-                        cancel: options.call.cancel.as_ref(),
-                        progress: None,
-                    };
+                    let controls =
+                        CallControls { deadline, cancel: options.cancel.as_ref(), progress: None };
                     let outcome =
                         self.run_one(w, arch, options.top_k, layer_start, &controls, constraints);
-                    if let Some(sink) = &options.call.progress {
+                    if let Some(sink) = &options.progress {
                         if let Err(ScheduleError::Internal { stage, layer, message }) = &outcome {
                             sink.on_event(&ProgressEvent::Fault {
                                 stage: stage.clone(),

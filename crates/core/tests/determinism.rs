@@ -1,10 +1,10 @@
 //! The search result must not depend on the worker-thread count: cache
 //! probing and candidate ordering happen on the calling thread, and
 //! parallel estimation writes results back by candidate index, so
-//! `schedule_top_k` returns identical mappings in identical order for any
+//! a `top_k` call returns identical mappings in identical order for any
 //! `threads` setting.
 
-use sunstone::{Scheduler, SunstoneConfig};
+use sunstone::{ScheduleOptions, Scheduler, SunstoneConfig};
 use sunstone_arch::presets;
 use sunstone_ir::Workload;
 
@@ -39,8 +39,9 @@ fn assert_thread_invariant(w: &Workload) {
     let k = 8;
     let run = |threads: usize| {
         Scheduler::new(SunstoneConfig { threads, ..SunstoneConfig::default() })
-            .schedule_top_k(w, &arch, k)
+            .schedule_with(w, &arch, &ScheduleOptions::new().top_k(k))
             .unwrap()
+            .into_results()
     };
     let one = run(1);
     let four = run(4);

@@ -148,7 +148,7 @@ fn batch_with_poisoned_layer_keeps_other_layers() {
     let session = Scheduler::new(config.clone());
     faultpoint::arm("estimate.round", 1, FaultAction::Panic);
     let outcome = session
-        .schedule_batch_outcomes(&net, &arch, &BatchOptions::default())
+        .schedule_batch_outcomes(&net, &arch, &ScheduleOptions::new())
         .expect("partial failure is an Ok outcome");
     assert!(!outcome.all_ok());
     assert!(matches!(outcome.layers[0], Err(ScheduleError::Internal { .. })));
@@ -168,11 +168,13 @@ fn batch_with_poisoned_layer_keeps_other_layers() {
     assert_eq!(good.report.edp.to_bits(), reference.report.edp.to_bits());
 
     // Recovery: the same session re-runs the whole batch clean.
-    let retry = session
-        .schedule_batch_outcomes(&net, &arch, &BatchOptions::default())
-        .expect("clean retry");
+    let retry =
+        session.schedule_batch_outcomes(&net, &arch, &ScheduleOptions::new()).expect("clean retry");
     assert!(retry.all_ok());
-    let fresh = Scheduler::new(config).schedule_batch(&net, &arch).expect("fresh batch schedules");
+    let fresh = Scheduler::new(config)
+        .schedule_batch_outcomes(&net, &arch, &ScheduleOptions::new())
+        .and_then(BatchOutcome::into_result)
+        .expect("fresh batch schedules");
     for (i, layer) in retry.layers.iter().enumerate() {
         let retry_best = &layer.as_ref().expect("retry layer ok")[0];
         let fresh_best = fresh.best(i);

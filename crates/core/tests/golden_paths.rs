@@ -148,7 +148,11 @@ fn run_all() -> Vec<(String, Row)> {
         // context, but the pinned counters should not depend on that
         // being true.
         let session = Scheduler::new(SunstoneConfig::default());
-        rows.push((format!("{pair} top8"), row(session.schedule_top_k(&w, &arch, 8))));
+        let opts = ScheduleOptions::new().top_k(8);
+        rows.push((
+            format!("{pair} top8"),
+            row(session.schedule_with(&w, &arch, &opts).map(ScheduleOutcome::into_results)),
+        ));
     }
     rows
 }

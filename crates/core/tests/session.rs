@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sunstone::prelude::*;
-use sunstone_arch::presets;
+use sunstone_arch::{presets, ArchSpec};
 use sunstone_ir::Workload;
 use sunstone_mapping::Mapping;
 use sunstone_model::CostReport;
@@ -23,6 +23,25 @@ fn conv(name: &str, k: u64, c: u64, pq: u64, r: u64) -> Workload {
     b.input("weight", [kd.expr(), cd.expr(), rd.expr(), s.expr()]);
     b.output("ofmap", [kd.expr(), p.expr(), q.expr()]);
     b.build().expect("valid conv workload")
+}
+
+/// A batch under default options, all or nothing.
+fn batch(
+    session: &Scheduler,
+    net: &[Workload],
+    arch: &ArchSpec,
+) -> Result<BatchResult, ScheduleError> {
+    session.schedule_batch_outcomes(net, arch, &ScheduleOptions::new())?.into_result()
+}
+
+/// The `k` best mappings of one call, best first.
+fn top_k(
+    session: &Scheduler,
+    w: &Workload,
+    arch: &ArchSpec,
+    k: usize,
+) -> Result<Vec<ScheduleResult>, ScheduleError> {
+    Ok(session.schedule_with(w, arch, &ScheduleOptions::new().top_k(k))?.into_results())
 }
 
 type Witness = (Mapping, CostReport, SearchStats);
@@ -84,9 +103,8 @@ fn batch_matches_sequential_bitwise() {
     let arch = presets::conventional();
     let net = repeated_network();
 
-    let batch = Scheduler::new(SunstoneConfig::default())
-        .schedule_batch(&net, &arch)
-        .expect("batch schedules");
+    let batch =
+        batch(&Scheduler::new(SunstoneConfig::default()), &net, &arch).expect("batch schedules");
     assert_eq!(batch.stats.layers, 4);
     assert_eq!(batch.stats.unique_shapes, 2, "renamed repeats share a shape");
     assert_eq!(batch.stats.dedup_hits, 2);
@@ -110,12 +128,9 @@ fn batch_independent_of_worker_count() {
     let arch = presets::conventional();
     let net = repeated_network();
 
-    let one = Scheduler::new(SunstoneConfig { threads: 1, ..SunstoneConfig::default() })
-        .schedule_batch(&net, &arch)
-        .expect("1-thread batch schedules");
-    let four = Scheduler::new(SunstoneConfig { threads: 4, ..SunstoneConfig::default() })
-        .schedule_batch(&net, &arch)
-        .expect("4-thread batch schedules");
+    let threads = |threads| Scheduler::new(SunstoneConfig { threads, ..SunstoneConfig::default() });
+    let one = batch(&threads(1), &net, &arch).expect("1-thread batch schedules");
+    let four = batch(&threads(4), &net, &arch).expect("4-thread batch schedules");
 
     assert_eq!(one.stats.unique_shapes, four.stats.unique_shapes);
     for (a, b) in one.bests().zip(four.bests()) {
@@ -132,16 +147,16 @@ fn pre_cancelled_token_cancels_deterministically() {
     token.cancel();
     assert!(token.is_cancelled());
 
-    let opts = ScheduleOptions::new().cancel(token.clone());
+    let opts = ScheduleOptions::new().cancel(token);
     let err = Scheduler::new(SunstoneConfig::default())
         .schedule_with(&w, &arch, &opts)
         .expect_err("pre-cancelled call must not produce a result");
     assert!(matches!(err, ScheduleError::Cancelled));
 
     // Batch calls observe the same token.
-    let bopts = BatchOptions::new().cancel(token);
     let err = Scheduler::new(SunstoneConfig::default())
-        .schedule_batch_with(&[w], &arch, &bopts)
+        .schedule_batch_outcomes(&[w], &arch, &opts)
+        .and_then(BatchOutcome::into_result)
         .expect_err("pre-cancelled batch must not produce a result");
     assert!(matches!(err, ScheduleError::Cancelled));
 }
@@ -248,7 +263,7 @@ fn results_and_counters_do_not_depend_on_session_history() {
 
         // The same layers searched concurrently by a two-thread batch.
         let batch = Scheduler::new(SunstoneConfig { threads: 2, ..config.clone() })
-            .schedule_batch_outcomes(&layers, &arch, &BatchOptions::default())
+            .schedule_batch_outcomes(&layers, &arch, &ScheduleOptions::new())
             .expect("batch schedules");
         for (i, layer) in batch.layers.iter().enumerate() {
             let best = &layer.as_ref().expect("layer schedules")[0];
@@ -286,10 +301,10 @@ fn session_cache_survives_across_calls() {
     assert_eq!(session.cache_stats().hits, 2);
     assert_eq!(session.cache_stats().entries, 1);
 
-    // clear_cache starts over.
+    // clear_cache starts over, the pool's round count included.
+    assert!(session.cache_stats().pool_rounds > 0, "the search fanned out on the pool");
     session.clear_cache();
-    let cleared = session.cache_stats();
-    assert_eq!((cleared.hits, cleared.misses, cleared.entries), (0, 0, 0));
+    assert_eq!(session.cache_stats(), CacheStats::default(), "every counter starts over");
     assert!(session.memoized(session.context_fingerprint(&w, &arch)).is_none());
     let third = session.schedule(&w, &arch).expect("searches again");
     assert_eq!(witness(&third), witness(&first));
@@ -306,7 +321,7 @@ fn a_repeat_is_the_fresh_sessions_answer_bit_for_bit() {
     let w = conv("c", 32, 16, 14, 3);
     let config = SunstoneConfig { threads: 1, ..SunstoneConfig::default() };
     let fresh = |k: usize| -> Vec<_> {
-        let results = Scheduler::new(config.clone()).schedule_top_k(&w, &arch, k);
+        let results = top_k(&Scheduler::new(config.clone()), &w, &arch, k);
         results.expect("schedules").iter().map(witness).collect()
     };
     let hit = |searched: &[Witness]| -> Vec<_> { searched.iter().map(remembered).collect() };
@@ -329,7 +344,7 @@ fn a_repeat_is_the_fresh_sessions_answer_bit_for_bit() {
     // k = 8 then k = 1: the shorter request is a prefix of the memoized list.
     let session = Scheduler::new(config.clone());
     let top = |k: usize| -> Vec<_> {
-        session.schedule_top_k(&w, &arch, k).expect("schedules").iter().map(witness).collect()
+        top_k(&session, &w, &arch, k).expect("schedules").iter().map(witness).collect()
     };
     assert_eq!(top(8), fresh_8);
     assert_eq!(top(1), hit(&fresh_1));
@@ -340,7 +355,7 @@ fn a_repeat_is_the_fresh_sessions_answer_bit_for_bit() {
     // call searches and its list replaces the entry.
     let session = Scheduler::new(config.clone());
     let top = |k: usize| -> Vec<_> {
-        session.schedule_top_k(&w, &arch, k).expect("schedules").iter().map(witness).collect()
+        top_k(&session, &w, &arch, k).expect("schedules").iter().map(witness).collect()
     };
     assert_eq!(top(1), fresh_1);
     assert_eq!(top(8), fresh_8);
@@ -350,14 +365,14 @@ fn a_repeat_is_the_fresh_sessions_answer_bit_for_bit() {
     assert_eq!((session.cache_stats().hits, session.cache_stats().misses), (2, 2));
     assert_eq!(session.cache_stats().entries, 1);
 
-    // schedule_batch, twice: the repeat is all hits, and its totals are
+    // A batch, twice: the repeat is all hits, and its totals are
     // the same sums with every miss read as a hit.
     let net = repeated_network();
     let per_layer = |batch: &BatchResult| -> Vec<_> { batch.bests().map(witness).collect() };
-    let reference = Scheduler::new(config.clone()).schedule_batch(&net, &arch).expect("schedules");
+    let reference = batch(&Scheduler::new(config.clone()), &net, &arch).expect("schedules");
     let session = Scheduler::new(config);
-    let first = session.schedule_batch(&net, &arch).expect("schedules");
-    let again = session.schedule_batch(&net, &arch).expect("schedules");
+    let first = batch(&session, &net, &arch).expect("schedules");
+    let again = batch(&session, &net, &arch).expect("schedules");
     assert_eq!(per_layer(&first), per_layer(&reference));
     assert_eq!(per_layer(&again), hit(&per_layer(&reference)));
     assert_eq!((session.cache_stats().hits, session.cache_stats().misses), (2, 2));
@@ -385,7 +400,7 @@ fn batch_totals_are_sums_over_the_unique_searches() {
                 other.schedule(noise, arch).expect("schedules");
             }
         });
-        session.schedule_batch(&net, arch).expect("batch schedules")
+        batch(&session, &net, arch).expect("batch schedules")
     });
     // Layers 0 and 1 are the two unique shapes.
     let unique = [batch.best(0), batch.best(1)];
@@ -543,7 +558,7 @@ fn concurrent_searches_under_a_tight_bound_match_fresh_sessions() {
                     // Odd threads ask for the top three: a context's entry
                     // is replaced by wider and narrower lists as they race.
                     let k = 1 + 2 * (t % 2);
-                    let r = session.schedule_top_k(&layers[i], arch, k).expect("schedules");
+                    let r = top_k(&session, &layers[i], arch, k).expect("schedules");
                     // Searched or remembered, whichever the race made it.
                     let got = witness(&r[0]);
                     assert!(
@@ -591,7 +606,7 @@ fn a_primed_mapping_is_the_contexts_memoized_answer() {
 
     // One primed mapping cannot answer for three: the wider call searches,
     // and its own list replaces the primed entry.
-    let top = session.schedule_top_k(&w, &arch, 3).expect("schedules");
+    let top = top_k(&session, &w, &arch, 3).expect("schedules");
     assert_eq!(witness(&top[0]), witness(&cold));
     assert!(!session.memoized(session.context_fingerprint(&w, &arch)).expect("memoized").primed);
 
@@ -637,9 +652,9 @@ fn progress_sink_sees_batch_layer_events() {
             }
         }
     });
-    let opts = BatchOptions::new().progress(sink);
+    let opts = ScheduleOptions::new().progress(sink);
     let batch = Scheduler::new(SunstoneConfig::default())
-        .schedule_batch_with(&net, &arch, &opts)
+        .schedule_batch_outcomes(&net, &arch, &opts)
         .expect("batch schedules");
     assert_eq!(
         finished.load(Ordering::Relaxed),
@@ -683,7 +698,7 @@ fn batch_outcomes_isolate_infeasible_layers() {
     ];
     let session = Scheduler::new(SunstoneConfig::default());
     let outcome = session
-        .schedule_batch_outcomes(&net, &arch, &BatchOptions::default())
+        .schedule_batch_outcomes(&net, &arch, &ScheduleOptions::new())
         .expect("partial failure is an Ok outcome");
 
     assert!(!outcome.all_ok());
@@ -706,8 +721,7 @@ fn batch_outcomes_isolate_infeasible_layers() {
     assert_eq!(good.report.edp.to_bits(), reference.report.edp.to_bits());
 
     // The all-or-nothing wrapper surfaces the first failing layer's error.
-    let err = session
-        .schedule_batch(&net, &arch)
+    let err = batch(&session, &net, &arch)
         .expect_err("all-or-nothing batch fails on any infeasible layer");
     assert!(matches!(err, ScheduleError::InfeasibleLevel { .. }));
 }
@@ -720,7 +734,7 @@ fn fail_fast_skips_layers_after_the_first_failure() {
     let config = SunstoneConfig { threads: 1, ..SunstoneConfig::default() };
     let net = vec![conv1d_bits("bad", 16), conv1d_bits("good", 8)];
 
-    let fail_fast = BatchOptions::new().fail_fast(true);
+    let fail_fast = ScheduleOptions::new().fail_fast(true);
     let outcome = Scheduler::new(config.clone())
         .schedule_batch_outcomes(&net, &arch, &fail_fast)
         .expect("fail-fast partial failure is an Ok outcome");
@@ -734,7 +748,7 @@ fn fail_fast_skips_layers_after_the_first_failure() {
 
     // Without fail_fast the same batch still schedules the good layer.
     let outcome = Scheduler::new(config)
-        .schedule_batch_outcomes(&net, &arch, &BatchOptions::default())
+        .schedule_batch_outcomes(&net, &arch, &ScheduleOptions::new())
         .expect("default batch keeps going");
     assert!(outcome.layers[1].is_ok());
     assert_eq!(outcome.stats.failed, 1);
@@ -766,9 +780,10 @@ fn all_presets_schedule_through_the_session() {
 fn batch_top_k_returns_ranked_candidates() {
     let arch = presets::conventional();
     let net = repeated_network();
-    let opts = BatchOptions::new().top_k(3);
+    let opts = ScheduleOptions::new().top_k(3);
     let batch = Scheduler::new(SunstoneConfig::default())
-        .schedule_batch_with(&net, &arch, &opts)
+        .schedule_batch_outcomes(&net, &arch, &opts)
+        .and_then(BatchOutcome::into_result)
         .expect("batch schedules");
     for layer in &batch.layers {
         assert!(!layer.is_empty() && layer.len() <= 3);

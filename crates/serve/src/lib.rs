@@ -25,8 +25,10 @@
 //! sunstone-serve --socket /tmp/sunstone.sock --store /var/lib/sunstone
 //! ```
 //!
-//! and drive it with `bench_serve` (crate `sunstone-bench`) or any client
-//! that speaks the frame protocol documented in [`wire`].
+//! and drive it with any client that speaks the frame protocol documented
+//! in [`wire`]. Its pass/fail checks live in `tests/serve.rs`; its speed
+//! is measured by the repo benchmark's `serve_hot` and `serve_churn`
+//! workloads (`benchmark/run.sh --workload serve_hot`).
 //!
 //! [`Scheduler`]: sunstone::Scheduler
 

@@ -1,5 +1,8 @@
 //! End-to-end daemon tests: concurrent clients, bit-identity against the
-//! library path, crash-safety of the store, and restart warm-loading.
+//! library path, crash-safety of the store, restart warm-loading, load
+//! shedding under a connection flood, and the daemon's own per-hit phase
+//! ledger. None of them gates on speed: the daemon's numbers come from the
+//! repo benchmark (`benchmark/run.sh --workload serve_hot|serve_churn`).
 //!
 //! Each test binds its own socket under the temp dir and runs the accept
 //! loop on a background thread; `shutdown` requests (the same path real
@@ -8,13 +11,15 @@
 use std::io::{BufReader, BufWriter, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::sync::Barrier;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use sunstone::fingerprint::mapping_fingerprint;
 use sunstone::prelude::*;
 use sunstone_ir::Workload;
 use sunstone_serve::json::{self, Json};
-use sunstone_serve::wire::{self, workload_to_json};
+use sunstone_serve::wire::{self, workload_to_json, WireError};
 use sunstone_serve::{MappingStore, ServeConfig, ServeError, Server, StoreRecord};
 
 fn conv(name: &str, k: u64, c: u64, pq: u64, r: u64) -> Workload {
@@ -50,6 +55,14 @@ fn start(config: ServeConfig) -> JoinHandle<()> {
     std::thread::spawn(move || server.run().expect("runs"))
 }
 
+fn schedule_request(w: &Workload) -> Json {
+    Json::Obj(vec![
+        ("op".into(), Json::Str("schedule".into())),
+        ("arch".into(), Json::Str("conventional".into())),
+        ("workload".into(), workload_to_json(w)),
+    ])
+}
+
 struct Client {
     reader: BufReader<UnixStream>,
     writer: BufWriter<UnixStream>,
@@ -69,11 +82,7 @@ impl Client {
     }
 
     fn schedule(&mut self, w: &Workload) -> Json {
-        self.call(&Json::Obj(vec![
-            ("op".into(), Json::Str("schedule".into())),
-            ("arch".into(), Json::Str("conventional".into())),
-            ("workload".into(), workload_to_json(w)),
-        ]))
+        self.call(&schedule_request(w))
     }
 
     fn stats(&mut self) -> Json {
@@ -426,6 +435,112 @@ fn connection_cap_sheds_with_typed_overloaded_response() {
     handle.join().unwrap();
 }
 
+/// What one flood client saw: its one reply, and whether the daemon then
+/// closed the connection.
+struct Flooded {
+    reply: Option<Json>,
+    closed: bool,
+}
+
+/// Whether the daemon has closed the connection: EOF, possibly behind the
+/// one reset a Unix socket reports when its peer closed with our request
+/// still unread.
+fn closed_by_daemon(reader: &mut BufReader<UnixStream>) -> bool {
+    match wire::read_frame(reader) {
+        Ok(None) => true,
+        Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::ConnectionReset => {
+            matches!(wire::read_frame(reader), Ok(None))
+        }
+        _ => false,
+    }
+}
+
+/// One flood client: connect when the start line drops, send `request`,
+/// read the reply — and, when it is a shed, the close behind it — then
+/// hold the connection until every client has its answer. Failures are
+/// reported, not raised, so every client reaches the second barrier.
+fn flood_client(socket: &Path, request: &str, start: &Barrier, answered: &Barrier) -> Flooded {
+    start.wait();
+    let connection = (|| {
+        let stream = UnixStream::connect(socket).ok()?;
+        stream.set_read_timeout(Some(Duration::from_secs(30))).ok()?;
+        let mut reader = BufReader::new(stream.try_clone().ok()?);
+        // A shed connection may already be closed for writing: its
+        // `overloaded` frame was written at accept and waits in the
+        // receive buffer either way, so the write's result is moot.
+        let _ = wire::write_frame(&mut BufWriter::new(&stream), request);
+        let reply = json::parse(&wire::read_frame(&mut reader).ok()??).ok()?;
+        let shed = reply.get("kind").and_then(Json::as_str) == Some("overloaded");
+        let closed = shed && closed_by_daemon(&mut reader);
+        Some((Flooded { reply: Some(reply), closed }, stream))
+    })();
+    answered.wait();
+    connection.map_or(Flooded { reply: None, closed: false }, |(flooded, _)| flooded)
+}
+
+/// A connection flood against the admission cap. A control connection
+/// holds one of four slots; 64 clients released at once each send one
+/// `schedule` for a warm layer, and the admitted ones keep their slot
+/// until every client has its answer — so exactly 3 are admitted and 61
+/// shed. Whatever is served is the library's mapping, every shed is the
+/// typed `overloaded` frame followed by a close, the daemon counts each
+/// shed, and afterwards it drains back to the control connection alone.
+#[test]
+fn a_connection_flood_sheds_the_excess_serves_identically_and_drains() {
+    const CAP: usize = 4;
+    const CLIENTS: usize = 64;
+    let (socket, _) = scratch("flood");
+    let mut config = ServeConfig::new(&socket);
+    config.max_connections = CAP;
+    let handle = start(config);
+    let layer = mix().swap_remove(0);
+    let expected = reference_fps(std::slice::from_ref(&layer))[0];
+
+    // The warm-up is a completed call, so the control connection's
+    // handler holds its slot before the flood starts.
+    let mut control = Client::connect(&socket);
+    assert_eq!(fp_of(&control.schedule(&layer)), expected);
+
+    let request = schedule_request(&layer).to_string();
+    let (start_line, answered) = (Barrier::new(CLIENTS), Barrier::new(CLIENTS));
+    let flood: Vec<Flooded> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| scope.spawn(|| flood_client(&socket, &request, &start_line, &answered)))
+            .collect();
+        clients.into_iter().map(|c| c.join().expect("flood client")).collect()
+    });
+
+    let (mut admitted, mut shed) = (0, 0);
+    for (i, f) in flood.iter().enumerate() {
+        let reply = f.reply.as_ref().unwrap_or_else(|| panic!("flood client {i} got no reply"));
+        if reply.get("kind").and_then(Json::as_str) == Some("overloaded") {
+            assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+            assert!(f.closed, "flood client {i}: a shed connection must close after its frame");
+            shed += 1;
+        } else {
+            assert_eq!(fp_of(reply), expected, "flood client {i}: served mapping diverged");
+            admitted += 1;
+        }
+    }
+    assert_eq!((admitted, shed), (CAP - 1, CLIENTS - (CAP - 1)));
+
+    let stats = control.stats();
+    assert_eq!(stats.get("shed_connections").and_then(Json::as_f64), Some(shed as f64));
+    assert_eq!(stats.get("errors").and_then(Json::as_f64), Some(0.0));
+    // The admitted clients have hung up; their handlers must all exit.
+    let draining = Instant::now();
+    loop {
+        let live = control.stats().get("conns_live").and_then(Json::as_f64);
+        if live == Some(1.0) {
+            break;
+        }
+        assert!(draining.elapsed() < Duration::from_secs(10), "{live:?} connections still live");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    control.shutdown();
+    handle.join().unwrap();
+}
+
 #[test]
 fn search_queue_cap_sheds_requests_but_serves_memo_hits() {
     let (socket, _) = scratch("queueshed");
@@ -680,6 +795,41 @@ fn stats_report_uptime_and_degraded_defaults() {
     // A normal scheduled response advertises degraded:false explicitly.
     let v = client.schedule(&mix()[1]);
     assert_eq!(v.get("degraded").and_then(Json::as_bool), Some(false));
+    client.shutdown();
+    handle.join().unwrap();
+}
+
+/// The daemon's own ledger of its memo hits (`cache_stats` `hit_path`):
+/// N hits on one connection are N ledger requests, every phase took
+/// time, and the phases — timed inside the daemon from a frame's first
+/// byte to its reply written — add up to no more than the client's wall
+/// time for the same N round trips.
+#[test]
+fn hit_path_ledger_counts_memo_hits_within_the_clients_wall_time() {
+    const HITS: usize = 100;
+    let (socket, _) = scratch("hitpath");
+    let handle = start(ServeConfig::new(&socket));
+    let layer = &mix()[0];
+    let mut client = Client::connect(&socket);
+    assert_eq!(source_of(&client.schedule(layer)), "search");
+
+    let started = Instant::now();
+    for _ in 0..HITS {
+        assert_eq!(source_of(&client.schedule(layer)), "memo");
+    }
+    let wall_ns = started.elapsed().as_nanos() as f64;
+
+    let stats = client.stats();
+    let ledger = stats.get("hit_path").expect("hit_path");
+    assert_eq!(ledger.get("requests").and_then(Json::as_f64), Some(HITS as f64));
+    let mut phases_ns = 0.0;
+    for phase in ["read", "parse", "resolve", "encode", "write"] {
+        let ns = ledger.get(&format!("{phase}_ns")).and_then(Json::as_f64);
+        let ns = ns.unwrap_or_else(|| panic!("hit_path has no {phase}_ns"));
+        assert!(ns > 0.0, "{phase} took no time over {HITS} hits");
+        phases_ns += ns;
+    }
+    assert!(phases_ns <= wall_ns, "daemon phases {phases_ns} ns > client wall {wall_ns} ns");
     client.shutdown();
     handle.join().unwrap();
 }

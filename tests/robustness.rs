@@ -164,7 +164,7 @@ fn batch_over_degenerate_inputs_never_panics() {
         Scheduler::new(minimal_config(Direction::BottomUp)).schedule_batch_outcomes(
             &net,
             &arch,
-            &BatchOptions::default(),
+            &ScheduleOptions::new(),
         )
     }));
     let outcome = outcome.expect("batch over degenerate inputs must not panic");
