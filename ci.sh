@@ -7,6 +7,17 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+echo "== one capacity rule =="
+# Whether a tile fits its buffer is decided by `CapacityPlan` alone — the
+# validator, the search and every baseline call it. A footprint compared
+# with a partition's capacity anywhere else is a second copy of the rule,
+# free to drift from the validator's.
+if grep -rnE 'capacity\.(fits|bytes)\(' crates/*/src \
+    | grep -v -e '^crates/mapping/src/capacity\.rs:' -e '^crates/arch/src/'; then
+    echo "capacity compared outside crates/mapping/src/capacity.rs" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (core crates, benches, repro tests) =="
 cargo clippy --release \
     -p sunstone-ir -p sunstone-arch -p sunstone-mapping -p sunstone-model \

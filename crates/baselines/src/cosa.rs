@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use sunstone_arch::{ArchSpec, Binding, Level, LevelId};
-use sunstone_ir::Workload;
+use sunstone_ir::{TensorDesc, Workload};
 use sunstone_mapping::{Mapping, MappingLevel, ValidationContext};
 use sunstone_model::CostModel;
 
@@ -54,8 +54,8 @@ impl Mapper for CosaMapper {
             Ok(b) => b,
             Err(e) => return MapOutcome::invalid(self.name(), e.to_string(), stats),
         };
-        let mapping = self.solve(workload, arch, &binding);
         let ctx = ValidationContext::new(workload, arch, &binding);
+        let mapping = self.solve(&ctx);
         stats.elapsed = start.elapsed();
         match ctx.validate(&mapping) {
             Ok(()) => {
@@ -76,7 +76,8 @@ impl Mapper for CosaMapper {
 }
 
 impl CosaMapper {
-    fn solve(&self, workload: &Workload, arch: &ArchSpec, binding: &Binding) -> Mapping {
+    fn solve(&self, ctx: &ValidationContext<'_>) -> Mapping {
+        let (workload, arch) = (ctx.workload(), ctx.arch());
         let ndims = workload.num_dims();
         let sizes = workload.dim_sizes();
         let mut mapping = Mapping::streaming(workload, arch);
@@ -122,7 +123,7 @@ impl CosaMapper {
                         }
                     }
                 }
-                Level::Memory(mem) => {
+                Level::Memory(_) => {
                     // Approximate capacity in the relaxed (log-linear)
                     // space, per buffer partition: per-tensor footprint ≈
                     // product of tile sizes over *single* dimensions of
@@ -135,7 +136,7 @@ impl CosaMapper {
                     // the level no reuse and are placed higher.
                     let mut placeable = sunstone_ir::DimSet::EMPTY;
                     for t in workload.tensor_ids() {
-                        if binding.partition_of(LevelId(pos), t).is_some() {
+                        if ctx.binding().partition_of(LevelId(pos), t).is_some() {
                             placeable = placeable.union(workload.tensor(t).indexing_dims());
                         }
                     }
@@ -146,7 +147,8 @@ impl CosaMapper {
                             if let Some(&p) = primes[d].last() {
                                 let mut trial = mapping.resident_tile(pos, ndims);
                                 trial[d] *= p;
-                                if approx_fits(workload, binding, LevelId(pos), mem, &trial) {
+                                let relaxed = |t: &TensorDesc| relaxed_footprint(t, &trial);
+                                if ctx.capacity().overflow_by(pos, relaxed).is_none() {
                                     primes[d].pop();
                                     mapping.levels_mut()[pos].factors_mut()[d] *= p;
                                     progress = true;
@@ -173,28 +175,16 @@ impl CosaMapper {
     }
 }
 
-/// The relaxed per-partition capacity check: halos of compound
-/// (sliding-window) expressions are dropped, which is precisely where the
-/// relaxation under-counts.
-fn approx_fits(
-    workload: &Workload,
-    binding: &Binding,
-    level: LevelId,
-    mem: &sunstone_arch::MemoryLevel,
-    tile: &[u64],
-) -> bool {
-    let mut needed = vec![0u64; mem.partitions.len()];
-    for t in workload.tensor_ids() {
-        let Some(pid) = binding.partition_of(level, t) else { continue };
-        let tensor = workload.tensor(t);
-        let mut words = 1u64;
-        for expr in tensor.indices() {
-            let first = expr.terms().first().expect("expressions are non-empty");
-            words *= tile[first.dim.index()];
-        }
-        needed[pid.0] += words * u64::from(tensor.bits()).div_ceil(8);
-    }
-    mem.partitions.iter().zip(&needed).all(|(p, &b)| p.capacity.fits(b))
+/// The relaxed footprint of a tensor: the product of the tile over each
+/// index expression's *first* dimension, so halos of compound
+/// (sliding-window) expressions are dropped — precisely where the
+/// relaxation under-counts. The capacity rule it is checked by is the
+/// validator's.
+fn relaxed_footprint(tensor: &TensorDesc, tile: &[u64]) -> u64 {
+    tensor.indices().iter().fold(1u64, |words, expr| {
+        let first = expr.terms().first().expect("expressions are non-empty");
+        words.saturating_mul(tile[first.dim.index()])
+    })
 }
 
 fn prime_factors(mut v: u64) -> Vec<u64> {

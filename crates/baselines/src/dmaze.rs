@@ -11,14 +11,15 @@
 //! * when no tiling meets the utilization thresholds (light early
 //!   layers), it returns *invalid* rather than relaxing them.
 
+use std::cmp::Reverse;
 use std::time::Instant;
 
 use sunstone::ordering::OrderingTrie;
 use sunstone::tiling::sorted_divisors;
 use sunstone::unrolling::enumerate_unrollings;
-use sunstone_arch::{ArchSpec, Binding, LevelId};
+use sunstone_arch::{ArchSpec, Binding};
 use sunstone_ir::{DimSet, Workload};
-use sunstone_mapping::{Mapping, MappingLevel, ValidationContext};
+use sunstone_mapping::{CapacityPlan, Mapping, MappingLevel, ValidationContext};
 use sunstone_model::CostModel;
 
 use crate::{MapOutcome, MapStats, Mapper};
@@ -118,43 +119,15 @@ impl Mapper for DMazeMapper {
         let mems: Vec<usize> = arch.memory_levels().map(|(id, _)| id.index()).collect();
         let spatial_pos = arch.spatial_levels().next().map(|(id, s)| (id.index(), s.units));
 
-        // Utility: bytes needed at a memory level for a tile.
-        let bytes_at = |pos: usize, tile: &[u64]| -> (u64, u64) {
-            let mem = arch.level(LevelId(pos)).as_memory().expect("memory level");
-            let mut needed = 0u64;
-            let mut capacity = 0u64;
-            for t in workload.tensor_ids() {
-                if binding.partition_of(LevelId(pos), t).is_some() {
-                    let tensor = workload.tensor(t);
-                    needed += tensor.footprint(tile) * u64::from(tensor.bits()).div_ceil(8);
-                }
-            }
-            for p in &mem.partitions {
-                capacity += p.capacity.bytes().unwrap_or(u64::MAX);
-            }
-            (needed, capacity)
-        };
+        let plan = ctx.capacity();
 
         // 1. L1 tiles meeting the utilization threshold (all dimensions —
         //    dMazeRunner enumerates divisor combinations directly).
         let l1 = mems[0];
         let sizes = workload.dim_sizes();
         let mut l1_tiles: Vec<Vec<u64>> = Vec::new();
-        enumerate_divisor_tiles(
-            &sizes,
-            &mut vec![1; ndims],
-            0,
-            &mut |tile| {
-                let (needed, capacity) = bytes_at(l1, tile);
-                needed > capacity
-            },
-            &mut |tile| {
-                let (needed, capacity) = bytes_at(l1, tile);
-                if needed as f64 >= self.config.l1_util * capacity as f64 {
-                    l1_tiles.push(tile.to_vec());
-                }
-            },
-        );
+        let ones = vec![1; ndims];
+        utilised_tiles(plan, l1, &ones, &sizes, self.config.l1_util, |t| l1_tiles.push(t.to_vec()));
         if l1_tiles.is_empty() {
             stats.elapsed = start.elapsed();
             return MapOutcome::invalid(
@@ -165,11 +138,7 @@ impl Mapper for DMazeMapper {
         }
         // Keep the search bounded: prefer the highest-utilization tiles
         // (dMazeRunner's own objective) and cap the combination counts.
-        l1_tiles.sort_by(|a, b| {
-            let (na, _) = bytes_at(l1, a);
-            let (nb, _) = bytes_at(l1, b);
-            nb.cmp(&na)
-        });
+        l1_tiles.sort_by_key(|t| Reverse(plan.load(l1, t).0));
         l1_tiles.truncate(256);
 
         // 2–4. For each L1 tile: unrollings meeting PE utilization, L2
@@ -211,25 +180,11 @@ impl Mapper for DMazeMapper {
                 let l2_options: Vec<Vec<u64>> = if mems.len() >= 3 {
                     let l2 = mems[1];
                     let base: Vec<u64> = l1_tile.iter().zip(unroll).map(|(t, u)| t * u).collect();
-                    let mut tiles = Vec::new();
-                    enumerate_divisor_tiles(
-                        &after_unroll,
-                        &mut vec![1; ndims],
-                        0,
-                        &mut |f| {
-                            let tile: Vec<u64> = base.iter().zip(f).map(|(b, x)| b * x).collect();
-                            let (needed, capacity) = bytes_at(l2, &tile);
-                            needed > capacity
-                        },
-                        &mut |f| {
-                            let tile: Vec<u64> = base.iter().zip(f).map(|(b, x)| b * x).collect();
-                            let (needed, capacity) = bytes_at(l2, &tile);
-                            if needed as f64 >= self.config.l2_util * capacity as f64 {
-                                tiles.push(f.to_vec());
-                            }
-                        },
-                    );
-                    tiles
+                    let mut factors = Vec::new();
+                    utilised_tiles(plan, l2, &base, &after_unroll, self.config.l2_util, |t| {
+                        factors.push(t.iter().zip(&base).map(|(t, b)| t / b).collect());
+                    });
+                    factors
                 } else {
                     vec![vec![1; ndims]]
                 };
@@ -277,32 +232,65 @@ impl Mapper for DMazeMapper {
     }
 }
 
-/// Depth-first enumeration of divisor tiles. `prune` cuts a subtree as
-/// soon as the partial tile already violates capacity (footprints grow
-/// monotonically in every factor); `leaf` receives each complete tile.
+/// dMazeRunner's tiles at the memory at `pos`: every resident tile
+/// `base × f`, each `f[d]` a divisor of `quotas[d]`, that fits there by the
+/// validator's rule and fills at least `util` of the level's pooled
+/// capacity ([`CapacityPlan::load`]), passed to `keep` depth first over the
+/// dimensions, divisors ascending.
+pub(crate) fn utilised_tiles(
+    plan: &CapacityPlan<'_>,
+    pos: usize,
+    base: &[u64],
+    quotas: &[u64],
+    util: f64,
+    mut keep: impl FnMut(&[u64]),
+) {
+    enumerate_divisor_tiles(
+        base,
+        quotas,
+        &mut base.to_vec(),
+        0,
+        &mut |tile| !plan.fits(pos, tile),
+        &mut |tile| {
+            let (needed, capacity) = plan.load(pos, tile);
+            if needed as f64 >= util * capacity as f64 {
+                keep(tile);
+            }
+        },
+    );
+}
+
+/// Depth-first enumeration of the tiles `base × f` over divisors `f` of
+/// `quotas`. `prune` cuts a subtree as soon as the partial tile already
+/// violates capacity (footprints grow monotonically in every factor);
+/// `leaf` receives each complete tile.
 fn enumerate_divisor_tiles(
-    sizes: &[u64],
-    tile: &mut Vec<u64>,
+    base: &[u64],
+    quotas: &[u64],
+    tile: &mut [u64],
     dim: usize,
     prune: &mut impl FnMut(&[u64]) -> bool,
     leaf: &mut impl FnMut(&[u64]),
 ) {
-    if dim == sizes.len() {
+    if dim == quotas.len() {
         leaf(tile);
         return;
     }
-    for f in sorted_divisors(sizes[dim]) {
-        tile[dim] = f;
+    for f in sorted_divisors(quotas[dim]) {
+        tile[dim] = base[dim].saturating_mul(f);
         if prune(tile) {
             break;
         }
-        enumerate_divisor_tiles(sizes, tile, dim + 1, prune, leaf);
+        enumerate_divisor_tiles(base, quotas, tile, dim + 1, prune, leaf);
     }
-    tile[dim] = 1;
+    tile[dim] = base[dim];
 }
 
+/// The mapping of an L1 tile, an unrolling and L2 factors (when a distinct
+/// L2 exists), every temporal level above L1 in `order`, and the rest of
+/// each dimension at DRAM.
 #[allow(clippy::too_many_arguments)]
-fn build_mapping(
+pub(crate) fn build_mapping(
     workload: &Workload,
     arch: &ArchSpec,
     mems: &[usize],

@@ -12,11 +12,12 @@ use std::time::Instant;
 use sunstone::ordering::OrderingTrie;
 use sunstone::tiling::enumerate_tiles;
 use sunstone::unrolling::enumerate_unrollings;
-use sunstone_arch::{ArchSpec, Binding, LevelId};
+use sunstone_arch::{ArchSpec, Binding};
 use sunstone_ir::{DimSet, Workload};
-use sunstone_mapping::{Mapping, MappingLevel, ValidationContext};
+use sunstone_mapping::{Mapping, ValidationContext};
 use sunstone_model::CostModel;
 
+use crate::dmaze::build_mapping;
 use crate::{MapOutcome, MapStats, Mapper};
 
 /// The Interstellar-like mapper.
@@ -120,34 +121,26 @@ impl Mapper for InterstellarMapper {
 
         let trie = OrderingTrie::new(workload);
         let (orderings, _) = trie.candidates(DimSet::first_n(ndims));
+        let no_l2 = vec![1; ndims];
         let mut best: Option<(f64, Mapping)> = None;
         for unroll in &unrolls {
             let quotas: Vec<u64> = sizes.iter().zip(unroll).map(|(s, u)| s / u).collect();
             // High-throughput tiling: maximal L1 tiles over all dims.
-            let fits_l1 = |tile: &[u64]| {
-                let mem = arch.level(LevelId(mems[0])).as_memory().expect("memory");
-                let mut needed = 0u64;
-                for t in workload.tensor_ids() {
-                    if binding.partition_of(LevelId(mems[0]), t).is_some() {
-                        let tensor = workload.tensor(t);
-                        needed += tensor.footprint(tile) * u64::from(tensor.bits()).div_ceil(8);
-                    }
-                }
-                mem.partitions.iter().map(|p| p.capacity.bytes().unwrap_or(u64::MAX)).sum::<u64>()
-                    >= needed
-            };
+            let fits_l1 = |tile: &[u64]| ctx.capacity().fits(mems[0], tile);
             let l1_tiles =
                 enumerate_tiles(&vec![1; ndims], &quotas, DimSet::first_n(ndims), fits_l1, true)
                     .tiles;
             for l1_tile in &l1_tiles {
                 for ordering in &orderings {
-                    let mapping = assemble(
+                    // dMaze's layout with every L2 factor 1: the rest at DRAM.
+                    let mapping = build_mapping(
                         workload,
                         arch,
                         &mems,
                         spatial.map(|(p, _)| p),
                         l1_tile,
                         unroll,
+                        &no_l2,
                         &ordering.order,
                     );
                     match ctx.validate(&mapping) {
@@ -174,36 +167,6 @@ impl Mapper for InterstellarMapper {
             }
         }
     }
-}
-
-fn assemble(
-    workload: &Workload,
-    arch: &ArchSpec,
-    mems: &[usize],
-    spatial: Option<usize>,
-    l1_tile: &[u64],
-    unroll: &[u64],
-    order: &[sunstone_ir::DimId],
-) -> Mapping {
-    let sizes = workload.dim_sizes();
-    let mut mapping = Mapping::streaming(workload, arch);
-    for level in mapping.levels_mut() {
-        level.factors_mut().iter_mut().for_each(|f| *f = 1);
-    }
-    for d in 0..sizes.len() {
-        mapping.levels_mut()[mems[0]].factors_mut()[d] = l1_tile[d];
-        if let Some(sp) = spatial {
-            mapping.levels_mut()[sp].factors_mut()[d] = unroll[d];
-        }
-        let last = *mems.last().expect("memories exist");
-        mapping.levels_mut()[last].factors_mut()[d] = sizes[d] / (l1_tile[d] * unroll[d]);
-    }
-    for &m in &mems[1..] {
-        if let MappingLevel::Temporal(t) = &mut mapping.levels_mut()[m] {
-            t.order = order.to_vec();
-        }
-    }
-    mapping
 }
 
 #[cfg(test)]

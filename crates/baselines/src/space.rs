@@ -6,7 +6,6 @@
 //! per level × spatial unroll choices. Counts are returned as `f64`
 //! because they reach 10¹⁰ and beyond.
 
-use sunstone::tiling::sorted_divisors;
 use sunstone_arch::{ArchSpec, Level};
 use sunstone_ir::Workload;
 
@@ -102,47 +101,25 @@ pub fn interstellar_space(workload: &Workload, arch: &ArchSpec) -> f64 {
 /// paper's Table I does.
 pub fn dmaze_space(workload: &Workload, arch: &ArchSpec, l1_util: f64, l2_util: f64) -> f64 {
     use sunstone::unrolling::enumerate_unrollings;
-    use sunstone_arch::{Binding, LevelId};
+    use sunstone_arch::Binding;
     use sunstone_ir::DimSet;
+    use sunstone_mapping::CapacityPlan;
+
+    use crate::dmaze::utilised_tiles;
 
     let Ok(binding) = Binding::resolve(arch, workload) else {
         return 0.0;
     };
+    let plan = CapacityPlan::new(workload, arch, &binding);
     let ndims = workload.num_dims();
     let sizes = workload.dim_sizes();
     let mems: Vec<usize> = arch.memory_levels().map(|(id, _)| id.index()).collect();
     let units: u64 = arch.spatial_levels().map(|(_, s)| s.units).product();
 
-    let bytes_at = |pos: usize, tile: &[u64]| -> (u64, u64) {
-        let mem = arch.level(LevelId(pos)).as_memory().expect("memory level");
-        let mut needed = 0u64;
-        for t in workload.tensor_ids() {
-            if binding.partition_of(LevelId(pos), t).is_some() {
-                let tensor = workload.tensor(t);
-                needed += tensor.footprint(tile) * u64::from(tensor.bits()).div_ceil(8);
-            }
-        }
-        let capacity = mem.partitions.iter().map(|p| p.capacity.bytes().unwrap_or(u64::MAX)).sum();
-        (needed, capacity)
-    };
-
     // Surviving L1 tiles.
     let mut l1_tiles: Vec<Vec<u64>> = Vec::new();
-    count_tiles(
-        &sizes,
-        &mut vec![1; ndims],
-        0,
-        &mut |tile| {
-            let (needed, capacity) = bytes_at(mems[0], tile);
-            needed > capacity
-        },
-        &mut |tile| {
-            let (needed, capacity) = bytes_at(mems[0], tile);
-            if needed as f64 >= l1_util * capacity as f64 {
-                l1_tiles.push(tile.to_vec());
-            }
-        },
-    );
+    let ones = vec![1; ndims];
+    utilised_tiles(&plan, mems[0], &ones, &sizes, l1_util, |t| l1_tiles.push(t.to_vec()));
     if l1_tiles.is_empty() {
         return 0.0;
     }
@@ -163,23 +140,7 @@ pub fn dmaze_space(workload: &Workload, arch: &ArchSpec, l1_util: f64, l2_util: 
         unroll_sum += good as f64;
         if mems.len() >= 3 {
             let mut l2_count = 0u64;
-            count_tiles(
-                &quotas,
-                &mut vec![1; ndims],
-                0,
-                &mut |f| {
-                    let full: Vec<u64> = tile.iter().zip(f).map(|(t, x)| t * x).collect();
-                    let (needed, capacity) = bytes_at(mems[1], &full);
-                    needed > capacity
-                },
-                &mut |f| {
-                    let full: Vec<u64> = tile.iter().zip(f).map(|(t, x)| t * x).collect();
-                    let (needed, capacity) = bytes_at(mems[1], &full);
-                    if needed as f64 >= l2_util * capacity as f64 {
-                        l2_count += 1;
-                    }
-                },
-            );
+            utilised_tiles(&plan, mems[1], tile, &quotas, l2_util, |_| l2_count += 1);
             l2_sum += l2_count as f64;
         } else {
             l2_sum += 1.0;
@@ -190,29 +151,6 @@ pub fn dmaze_space(workload: &Workload, arch: &ArchSpec, l1_util: f64, l2_util: 
     // Its ordering analysis keeps roughly one ordering per reused tensor.
     let orderings = workload.num_tensors() as f64;
     l1_tiles.len() as f64 * avg_unrolls.max(0.0) * avg_l2.max(0.0) * orderings
-}
-
-/// DFS over divisor tiles: `prune` cuts a subtree (capacity grows
-/// monotonically in every factor), `leaf` receives complete tiles.
-fn count_tiles(
-    sizes: &[u64],
-    tile: &mut Vec<u64>,
-    dim: usize,
-    prune: &mut impl FnMut(&[u64]) -> bool,
-    leaf: &mut impl FnMut(&[u64]),
-) {
-    if dim == sizes.len() {
-        leaf(tile);
-        return;
-    }
-    for f in sorted_divisors(sizes[dim]) {
-        tile[dim] = f;
-        if prune(tile) {
-            break;
-        }
-        count_tiles(sizes, tile, dim + 1, prune, leaf);
-    }
-    tile[dim] = 1;
 }
 
 /// Sunstone's space for Table I is *measured*, not estimated: run the

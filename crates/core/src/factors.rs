@@ -13,7 +13,7 @@
 
 use sunstone_ir::FxHashMap;
 
-pub use sunstone_ir::DimVec;
+pub use sunstone_ir::{sorted_divisors, DimVec};
 
 /// Element-wise floor quotient `a[i] / b[i]`.
 ///
@@ -69,23 +69,6 @@ pub fn multiply(a: &[u64], b: &[u64]) -> DimVec {
 /// overflow (a 7-dim workload with 2^16 extents already exceeds `u64`).
 pub fn volume(a: &[u64]) -> u128 {
     a.iter().map(|&x| u128::from(x)).product()
-}
-
-/// All divisors of `q` in increasing order.
-pub fn sorted_divisors(q: u64) -> Vec<u64> {
-    let mut divs = Vec::new();
-    let mut i = 1u64;
-    while i * i <= q {
-        if q.is_multiple_of(i) {
-            divs.push(i);
-            if i != q / i {
-                divs.push(q / i);
-            }
-        }
-        i += 1;
-    }
-    divs.sort_unstable();
-    divs
 }
 
 /// Precomputed sorted divisor ladders for every quota a search over the

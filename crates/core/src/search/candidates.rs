@@ -569,7 +569,7 @@ pub(crate) fn top_down_expand(
                 |tile| {
                     !ctx.cancelled()
                         && lc.tile_caps.iter().all(|&(d, cap)| tile[d] <= cap)
-                        && ctx.fits_mem(ctx.mems[stage], tile)
+                        && ctx.validation.capacity().fits(ctx.mems[stage], tile)
                 },
                 ctx.config.pruning.tiling_maximal,
                 &ctx.ladders,
@@ -910,7 +910,7 @@ fn enumerate_tiles(
             let grown: u128 = unrollable.iter().map(|d| u128::from(growth[d.index()])).product();
             want.checked_mul(grown).is_some_and(|need| need <= offer)
                 && lc.tile_caps.iter().all(|&(d, cap)| tile[d] <= cap)
-                && ctx.fits_mem(mem_pos, tile)
+                && ctx.validation.capacity().fits(mem_pos, tile)
         },
         ctx.config.pruning.tiling_maximal,
         &ctx.ladders,
@@ -1085,7 +1085,7 @@ fn unrolls_for(
                     .zip(prev_eff.iter().zip(u))
                     .map(|(t, (a, b))| t * a * b)
                     .collect();
-                ctx.fits_mem(mem_pos, &combined)
+                ctx.validation.capacity().fits(mem_pos, &combined)
             };
             let clock = Instant::now();
             let mut outcome = enumerate_unrollings_cached(

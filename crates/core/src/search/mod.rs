@@ -44,9 +44,9 @@ pub(crate) mod estimate;
 use std::ops::Range;
 use std::time::Instant;
 
-use sunstone_arch::{ArchSpec, Binding, Capacity, Level, LevelId};
-use sunstone_ir::{DimId, DimVec, TensorDesc, Workload};
-use sunstone_mapping::{Mapping, MappingLevel};
+use sunstone_arch::{ArchSpec, Binding, Level, LevelId};
+use sunstone_ir::{DimId, DimVec, Workload};
+use sunstone_mapping::{Mapping, MappingLevel, ValidationContext};
 use sunstone_model::CostModel;
 
 use crate::constraints::ResolvedConstraints;
@@ -89,10 +89,6 @@ impl CallControls<'_> {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
-
-/// The capacity-check plan of one memory: each partition's capacity and
-/// the tensors bound to it with their per-word byte widths.
-type FitPlan<'a> = Vec<(Capacity, Vec<(&'a TensorDesc, u64)>)>;
 
 /// Where each decision of a partial mapping sits in a candidate row.
 ///
@@ -369,12 +365,10 @@ pub(crate) struct SearchContext<'a> {
     /// produce (quotas only shrink by division, so they stay divisors of
     /// the dimension extents).
     pub(crate) ladders: DivisorLadders,
-    /// Per architecture position: the capacity-check plan of the memory
-    /// at that position (`None` for spatial levels). Each partition lists
-    /// the tensors bound to it with their per-word byte widths, so a
-    /// capacity probe is pure arithmetic — no binding lookups, no
-    /// allocation.
-    mem_fits: Vec<Option<FitPlan<'a>>>,
+    /// The validator of this problem: the final ranking validates through
+    /// it, and the enumerators ask its capacity plan whether a tile fits —
+    /// the one rule the validator holds the results to.
+    pub(crate) validation: ValidationContext<'a>,
     /// The call's user constraints, resolved to per-architecture-position
     /// form. Empty (the common case) adds one cheap `is_empty` branch per
     /// enumeration; the free search path is otherwise untouched.
@@ -411,20 +405,6 @@ impl<'a> SearchContext<'a> {
             lower_spatial.push(gap);
             prev = m as i64;
         }
-        let mem_fits = (0..arch.num_levels())
-            .map(|pos| {
-                let mem = arch.level(LevelId(pos)).as_memory()?;
-                let mut parts: FitPlan<'a> =
-                    mem.partitions.iter().map(|p| (p.capacity, Vec::new())).collect();
-                for t in workload.tensor_ids() {
-                    if let Some(pid) = binding.partition_of(LevelId(pos), t) {
-                        let tensor = workload.tensor(t);
-                        parts[pid.0].1.push((tensor, u64::from(tensor.bits()).div_ceil(8)));
-                    }
-                }
-                Some(parts)
-            })
-            .collect();
         let base = streaming_base(workload, arch);
         let layout = RowLayout::of(&base, workload.num_dims());
         SearchContext {
@@ -439,29 +419,11 @@ impl<'a> SearchContext<'a> {
             lower_spatial,
             pool,
             ladders: DivisorLadders::new(&workload.dim_sizes()),
-            mem_fits,
+            validation: ValidationContext::new(workload, arch, binding),
             constraints,
             base,
             layout,
         }
-    }
-
-    /// Does the resident tile fit every partition of the memory at `pos`?
-    ///
-    /// The footprint sum saturates instead of wrapping: degenerate inputs
-    /// (huge dimension extents) can overflow `u64`, and saturation is the
-    /// conservative direction — a saturated footprint can never fit a
-    /// bounded partition, so no invalid tile is ever admitted.
-    pub(crate) fn fits_mem(&self, pos: usize, tile: &[u64]) -> bool {
-        let Some(parts) = &self.mem_fits[pos] else {
-            return true;
-        };
-        parts.iter().all(|(capacity, tensors)| {
-            let needed: u64 = tensors.iter().fold(0u64, |acc, (t, bytes)| {
-                acc.saturating_add(t.footprint(tile).saturating_mul(*bytes))
-            });
-            capacity.fits(needed)
-        })
     }
 
     /// Whether the call's cancellation token has fired (one atomic load).

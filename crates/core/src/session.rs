@@ -1046,15 +1046,15 @@ impl Scheduler {
             run.beam.into_iter().map(|s| s.mapping).collect()
         };
 
-        let vctx = ValidationContext::new(workload, arch, &binding);
         let mut valid: Vec<(Mapping, CostReport)> = Vec::new();
         for mapping in finals {
             // Constrained calls additionally check the full mapping
             // against the constraint set — belt and braces over the
             // in-enumeration filters (and the only guard for truncated
             // best-so-far completions, which the filters never saw).
-            if vctx.validate(&mapping).is_ok()
-                && (ctx.constraints.is_empty() || vctx.satisfies(&mapping, constraints).is_ok())
+            if ctx.validation.validate(&mapping).is_ok()
+                && (ctx.constraints.is_empty()
+                    || ctx.validation.satisfies(&mapping, constraints).is_ok())
             {
                 // The search's table only ranked these mappings: what the
                 // caller receives is priced afresh, outside it.

@@ -112,6 +112,24 @@ impl Dim {
     }
 }
 
+/// All divisors of `n` in increasing order — the tile extents a dimension
+/// of extent `n` can take under exact tiling. Trial division up to √n.
+pub fn sorted_divisors(n: u64) -> Vec<u64> {
+    let mut divs = Vec::new();
+    let mut i = 1u64;
+    while i <= n / i {
+        if n.is_multiple_of(i) {
+            divs.push(i);
+            if i != n / i {
+                divs.push(n / i);
+            }
+        }
+        i += 1;
+    }
+    divs.sort_unstable();
+    divs
+}
+
 impl fmt::Display for Dim {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.name, self.size)

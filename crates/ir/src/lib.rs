@@ -50,7 +50,7 @@ mod reuse;
 mod tensor;
 mod workload;
 
-pub use dim::{Dim, DimId, DimRole, DimSet, DimSetIter};
+pub use dim::{sorted_divisors, Dim, DimId, DimRole, DimSet, DimSetIter};
 pub use dimvec::DimVec;
 pub use expr::{IndexExpr, Term};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

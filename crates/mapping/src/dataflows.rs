@@ -6,10 +6,10 @@
 //! Sunstone's searched mappings can be compared against them directly;
 //! the `dataflow_comparison` integration test and the ablation bench do.
 
-use sunstone_arch::{ArchSpec, Level};
-use sunstone_ir::{DimId, TensorId, Workload};
+use sunstone_arch::{ArchSpec, Binding, Level};
+use sunstone_ir::{sorted_divisors, DimId, TensorId, Workload};
 
-use crate::{Mapping, MappingLevel};
+use crate::{CapacityPlan, Mapping, MappingLevel};
 
 /// Which operand stays resident in the innermost memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,52 +28,46 @@ pub enum Stationarity {
 /// The result is *valid but untuned* — no spatial unrolling is applied —
 /// making it a clean single-variable baseline for dataflow studies.
 ///
-/// Returns `None` if even a unit tile of the stationary tensor does not
-/// fit the innermost memory.
+/// Returns `None` if the tensors do not bind to the architecture, or if
+/// even a unit tile of the stationary tensor does not fit the innermost
+/// memory.
 pub fn stationary(workload: &Workload, arch: &ArchSpec, what: Stationarity) -> Option<Mapping> {
-    let ndims = workload.num_dims();
     let tensor_id = match what {
         Stationarity::Input(t) => t,
         Stationarity::Output => workload.output(),
     };
-    let tensor = workload.tensor(tensor_id);
-    let indexing = tensor.indexing_dims();
+    let indexing = workload.tensor(tensor_id).indexing_dims();
 
     // Innermost memory; the stationary tensor must be storable there.
-    let (inner_pos, inner_mem) = arch.memory_levels().next()?;
-    inner_mem.partition_for(tensor)?;
-    // Capacity check over *all* tensors sharing each partition — a
+    let (inner_pos, _) = arch.memory_levels().next()?;
+    let binding = Binding::resolve(arch, workload).ok()?;
+    binding.partition_of(inner_pos, tensor_id)?;
+    // The capacity rule counts *all* tensors sharing each partition — a
     // unified buffer must also hold the streaming tensors' unit tiles.
-    let fits = |tile: &[u64]| {
-        let mut needed = vec![0u64; inner_mem.partitions.len()];
-        for t in workload.tensors() {
-            if let Some(pid) = inner_mem.partition_for(t) {
-                needed[pid.0] += t.footprint(tile) * u64::from(t.bits()).div_ceil(8);
-            }
-        }
-        inner_mem.partitions.iter().zip(&needed).all(|(p, &bytes)| p.capacity.fits(bytes))
-    };
+    let plan = CapacityPlan::new(workload, arch, &binding);
+    let fits = |tile: &[u64]| plan.fits(inner_pos.index(), tile);
 
     // Grow the stationary tensor's indexing dims greedily (round-robin
-    // over divisor ladders) while everything fits.
-    let mut tile = vec![1u64; ndims];
+    // over divisor ladders, one rung a turn) while everything fits.
+    let mut tile = vec![1u64; workload.num_dims()];
     if !fits(&tile) {
         return None;
     }
+    let mut ladders: Vec<(usize, Vec<u64>, usize)> =
+        indexing.iter().map(|d| (d.index(), sorted_divisors(workload.dim_size(d)), 0)).collect();
     let mut progress = true;
     while progress {
         progress = false;
-        for d in indexing.iter() {
-            let size = workload.dim_size(d);
-            let current = tile[d.index()];
-            let next = (current + 1..=size).find(|f| size.is_multiple_of(*f));
-            if let Some(next) = next {
-                tile[d.index()] = next;
-                if fits(&tile) {
-                    progress = true;
-                } else {
-                    tile[d.index()] = current;
-                }
+        for (d, ladder, rung) in &mut ladders {
+            // `ladder[rung]` is the tile's current extent.
+            let Some(&next) = ladder.get(*rung + 1) else { continue };
+            let current = tile[*d];
+            tile[*d] = next;
+            if fits(&tile) {
+                *rung += 1;
+                progress = true;
+            } else {
+                tile[*d] = current;
             }
         }
     }
@@ -85,7 +79,8 @@ pub fn stationary(workload: &Workload, arch: &ArchSpec, what: Stationarity) -> O
     let last = arch.num_levels() - 1;
     for (d, &t) in tile.iter().enumerate() {
         mapping.levels_mut()[inner_pos.index()].factors_mut()[d] = t;
-        mapping.levels_mut()[last].factors_mut()[d] = workload.dim_size(DimId::from_index(d)) / t;
+        // Multiplied in: with a single memory the innermost is the last.
+        mapping.levels_mut()[last].factors_mut()[d] *= workload.dim_size(DimId::from_index(d)) / t;
     }
     // Loop order above the stationary tile: the tensor's non-indexing
     // (reuse) dims innermost, so the tile stays resident as long as

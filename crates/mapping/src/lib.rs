@@ -23,7 +23,16 @@
 //! architecture, exact factorization, spatial fan-out and reduction rules,
 //! and per-partition capacity — the same conditions the paper uses to call
 //! baseline mappings *invalid* (Figs 7–8).
+//!
+//! Capacity is one rule, [`CapacityPlan`]: the resident tiles of the
+//! tensors bound to each buffer partition, in saturating bytes, against
+//! that partition's capacity. The validator owns one
+//! ([`ValidationContext::capacity`]), and everything else that asks
+//! whether a tile fits — the search's enumerators, the canonical
+//! [`dataflows`], every baseline mapper — asks it, so a tile a search
+//! admits is a tile the validator accepts.
 
+mod capacity;
 pub mod constraints;
 pub mod dataflows;
 pub mod execute;
@@ -33,6 +42,7 @@ pub mod pretty;
 pub mod templates;
 mod validate;
 
+pub use capacity::CapacityPlan;
 pub use constraints::{
     BypassOverride, ConstraintError, DimRef, MappingConstraints, OrderConstraint, TileConstraint,
     UnrollConstraint,

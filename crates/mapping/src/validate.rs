@@ -3,9 +3,10 @@
 use std::error::Error;
 use std::fmt;
 
-use sunstone_arch::{ArchSpec, Binding, Level, LevelId, MemoryLevel};
-use sunstone_ir::{DimId, DimSet, Workload};
+use sunstone_arch::{ArchSpec, Binding, Capacity, Level, LevelId};
+use sunstone_ir::{DimId, DimSet, DimVec, Workload};
 
+use crate::capacity::CapacityPlan;
 use crate::constraints::{
     resolve_caps, resolve_pins, resolve_union, ConstraintError, MappingConstraints,
 };
@@ -90,12 +91,19 @@ pub struct ValidationContext<'a> {
     arch: &'a ArchSpec,
     binding: &'a Binding,
     reduction_dims: DimSet,
+    capacity: CapacityPlan<'a>,
 }
 
 impl<'a> ValidationContext<'a> {
     /// Creates a context.
     pub fn new(workload: &'a Workload, arch: &'a ArchSpec, binding: &'a Binding) -> Self {
-        ValidationContext { workload, arch, binding, reduction_dims: workload.reduction_dims() }
+        ValidationContext {
+            workload,
+            arch,
+            binding,
+            reduction_dims: workload.reduction_dims(),
+            capacity: CapacityPlan::new(workload, arch, binding),
+        }
     }
 
     /// The workload under validation.
@@ -111,6 +119,12 @@ impl<'a> ValidationContext<'a> {
     /// The tensor-to-partition binding.
     pub fn binding(&self) -> &'a Binding {
         self.binding
+    }
+
+    /// The capacity rule the validator checks tiles against, for callers
+    /// that need to know whether a tile fits before a mapping exists.
+    pub fn capacity(&self) -> &CapacityPlan<'a> {
+        &self.capacity
     }
 
     /// Checks every validity condition; see [`MappingError`].
@@ -193,8 +207,27 @@ impl<'a> ValidationContext<'a> {
     /// Capacity checks: at every bounded memory level, the resident tiles
     /// of the tensors bound to each partition must fit.
     pub fn validate_capacity(&self, mapping: &Mapping) -> Result<(), MappingError> {
-        for (level_id, mem) in self.arch.memory_levels() {
-            self.check_level_capacity(mapping, level_id, mem)?;
+        // The resident tile at a level spans every level at or below it,
+        // so it is taken level by level into one running tile.
+        let mut tile = DimVec::ones(self.workload.num_dims());
+        for (pos, level) in mapping.levels().iter().enumerate() {
+            for (t, &f) in tile.iter_mut().zip(level.factors()) {
+                *t = t.saturating_mul(f);
+            }
+            if let Some((id, needed_bytes)) = self.capacity.overflow(pos, &tile) {
+                let mem =
+                    self.arch.level(LevelId(pos)).as_memory().expect("only a memory overflows");
+                let part = mem.partition(id);
+                let Capacity::Bytes(capacity_bytes) = part.capacity else {
+                    unreachable!("an unbounded partition holds any tile")
+                };
+                return Err(MappingError::CapacityExceeded {
+                    level: mem.name.clone(),
+                    partition: part.name.clone(),
+                    needed_bytes,
+                    capacity_bytes,
+                });
+            }
         }
         Ok(())
     }
@@ -341,40 +374,6 @@ impl<'a> ValidationContext<'a> {
                         "{} non-degenerate loops outside the exact order groups",
                         active.len() - idx
                     ),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn check_level_capacity(
-        &self,
-        mapping: &Mapping,
-        level_id: LevelId,
-        mem: &MemoryLevel,
-    ) -> Result<(), MappingError> {
-        let n = self.workload.num_dims();
-        let tile = mapping.resident_tile(level_id.index(), n);
-        let mut needed = vec![0u64; mem.partitions.len()];
-        for t in self.workload.tensor_ids() {
-            if let Some(pid) = self.binding.partition_of(level_id, t) {
-                let tensor = self.workload.tensor(t);
-                let words = tensor.footprint(&tile);
-                // Saturating like `Tensor::footprint`: overflow is
-                // input-reachable (huge dims saturate the footprint) and
-                // saturation only ever *over*-reports the requirement, so
-                // an oversized tile is rejected, never falsely admitted.
-                let bytes = words.saturating_mul(u64::from(tensor.bits()).div_ceil(8));
-                needed[pid.0] = needed[pid.0].saturating_add(bytes);
-            }
-        }
-        for (p, &bytes) in mem.partitions.iter().zip(&needed) {
-            if !p.capacity.fits(bytes) {
-                return Err(MappingError::CapacityExceeded {
-                    level: mem.name.clone(),
-                    partition: p.name.clone(),
-                    needed_bytes: bytes,
-                    capacity_bytes: p.capacity.bytes().unwrap_or(u64::MAX),
                 });
             }
         }

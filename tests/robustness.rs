@@ -7,13 +7,23 @@
 //! hostile the input is. (Internal panics converted by the isolation
 //! boundary surface as `ScheduleError::Internal`, which this grid also
 //! treats as a failure: none of these inputs should trip an internal
-//! invariant.)
+//! invariant.) The baseline mappers, the Table I space estimators and the
+//! canonical dataflows run over the same inputs under the same contract:
+//! an invalid outcome or `None`, never a panic, a hang, or a returned
+//! mapping the validator rejects.
 
 use std::panic::{self, AssertUnwindSafe};
+use std::time::Duration;
 
 use sunstone::prelude::*;
-use sunstone_arch::{presets, ArchBuilder, ArchSpec};
+use sunstone_arch::{presets, ArchBuilder, ArchSpec, Binding};
+use sunstone_baselines::{
+    space, CosaMapper, DMazeConfig, DMazeMapper, GammaConfig, GammaMapper, InterstellarMapper,
+    Mapper, SunstoneMapper, TimeloopConfig, TimeloopMapper,
+};
 use sunstone_ir::Workload;
+use sunstone_mapping::dataflows::{stationary, Stationarity};
+use sunstone_mapping::{Mapping, ValidationContext};
 
 /// A workload where every dimension is 1: every divisor ladder is the
 /// single factor {1}, every tile is one element.
@@ -172,6 +182,77 @@ fn batch_over_degenerate_inputs_never_panics() {
         for (i, layer) in outcome.layers.iter().enumerate() {
             if let Err(ScheduleError::Internal { stage, message, .. }) = layer {
                 panic!("layer {i}: internal invariant tripped at {stage}: {message}");
+            }
+        }
+    }
+}
+
+/// Every baseline mapper, each in a configuration small enough for a grid:
+/// Timeloop on one thread with a short wall cap, a tiny GA, and a dMaze
+/// evaluation budget of 2 000.
+fn small_mappers() -> Vec<Box<dyn Mapper>> {
+    let timeloop = TimeloopConfig {
+        timeout: 200,
+        threads: 1,
+        max_wall: Some(Duration::from_millis(300)),
+        ..TimeloopConfig::fast()
+    };
+    let dmaze = |config: DMazeConfig| DMazeConfig { max_evaluations: 2_000, ..config };
+    let gamma = GammaConfig { population: 8, generations: 3, ..GammaConfig::default() };
+    vec![
+        Box::new(SunstoneMapper::new(minimal_config(Direction::BottomUp))),
+        Box::new(TimeloopMapper::new("TL", timeloop)),
+        Box::new(DMazeMapper::new("dMaze-fast", dmaze(DMazeConfig::fast()))),
+        Box::new(DMazeMapper::new("dMaze-slow", dmaze(DMazeConfig::slow()))),
+        Box::new(InterstellarMapper::new()),
+        Box::new(CosaMapper::new()),
+        Box::new(GammaMapper::with_config(gamma)),
+    ]
+}
+
+/// Runs `f` and fails the test with `tag` if it panics.
+fn no_panic<R>(tag: &str, f: impl FnOnce() -> R) -> R {
+    panic::catch_unwind(AssertUnwindSafe(f))
+        .unwrap_or_else(|_| panic!("{tag}: panic escaped the public API"))
+}
+
+#[test]
+fn baselines_over_the_degenerate_grid_never_panic() {
+    let workloads = [all_ones(), prime_dims(), enormous_dims()];
+    let archs = [
+        presets::conventional(),
+        dram_only(),
+        tiny_l1(),
+        presets::simba_like(),
+        presets::eyeriss_like(),
+        presets::diannao_like(),
+    ];
+    let mappers = small_mappers();
+    for w in &workloads {
+        for arch in &archs {
+            let cell = format!("{}/{}", w.name(), arch.name());
+            // Whatever mapping comes back is held to the validator.
+            let check = |tag: &str, mapping: Option<Mapping>| {
+                if let Some(mapping) = mapping {
+                    let binding = Binding::resolve(arch, w).expect("a returned mapping binds");
+                    let verdict = ValidationContext::new(w, arch, &binding).validate(&mapping);
+                    assert!(
+                        verdict.is_ok(),
+                        "{tag}: returned mapping fails validation: {verdict:?}"
+                    );
+                }
+            };
+            for mapper in &mappers {
+                let tag = format!("{cell}/{}", mapper.name());
+                check(&tag, no_panic(&tag, || mapper.map(w, arch)).mapping);
+            }
+            no_panic(&format!("{cell}/dmaze_space"), || space::dmaze_space(w, arch, 0.8, 0.5));
+            no_panic(&format!("{cell}/interstellar_space"), || space::interstellar_space(w, arch));
+            for t in w.tensor_ids() {
+                let what =
+                    if t == w.output() { Stationarity::Output } else { Stationarity::Input(t) };
+                let tag = format!("{cell}/stationary {t:?}");
+                check(&tag, no_panic(&tag, || stationary(w, arch, what)));
             }
         }
     }
