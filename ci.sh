@@ -149,6 +149,11 @@ print(
 EOF
 rm -f BENCH_schedule_quick.json
 
+echo "== Table VI study smoke =="
+# The optimization-order study (`sunstone_bench::table6`): the binary exits
+# non-zero when any of its six variants fails on any quick layer.
+cargo run --release -q -p sunstone-bench --bin table6_order -- quick >/dev/null
+
 echo "== repo benchmark: harness tests + smoke =="
 # benchmark/ is a stand-alone package that imports public symbols from
 # the crates and carries its own lock file, and a PR may not edit it: a

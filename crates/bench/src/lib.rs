@@ -7,6 +7,8 @@
 
 use std::time::Duration;
 
+pub mod table6;
+
 use sunstone_arch::ArchSpec;
 use sunstone_baselines::{MapOutcome, Mapper};
 use sunstone_ir::Workload;

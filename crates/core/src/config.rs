@@ -5,39 +5,6 @@ use sunstone_mapping::MappingConstraints;
 
 use crate::error::ScheduleError;
 
-/// Inter-level optimization direction (Table VI of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum Direction {
-    /// Start at the innermost memory and move outward. Orders of magnitude
-    /// fewer candidates at (near-)equal EDP — the paper's default.
-    BottomUp,
-    /// Start at the off-chip memory and move inward. Explored for the
-    /// Table VI study.
-    TopDown,
-}
-
-/// Intra-level optimization order (Table VI of the paper).
-///
-/// Within one level, the order in which unrolling, tiling, and loop
-/// ordering are enumerated changes the shape of the search but — as the
-/// paper observes — not the result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum IntraOrder {
-    /// ordering → tiling → unrolling (paper Section III-C presentation).
-    /// Tiles are sized before the unroll is known, so a shared memory
-    /// directly above the fabric can be filled before the unroll gets its
-    /// share — usable, but not the default.
-    OrderTileUnroll,
-    /// unrolling → tiling → ordering — Table VI's first row and this
-    /// implementation's default: the fabric claims its quota first, then
-    /// tiles grow in what remains.
-    UnrollTileOrder,
-    /// tiling → unrolling → ordering.
-    TileUnrollOrder,
-}
-
 /// The figure of merit the search minimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[non_exhaustive]
@@ -109,10 +76,6 @@ impl Default for PruningFlags {
 pub struct SunstoneConfig {
     /// The figure of merit to minimize (EDP by default, as in the paper).
     pub objective: Objective,
-    /// Inter-level direction; bottom-up is the paper's default.
-    pub direction: Direction,
-    /// Intra-level enumeration order.
-    pub intra_order: IntraOrder,
     /// Beam width for the alpha-beta-style pruning across levels: the
     /// number of best partial mappings kept alive after each stage.
     pub beam_width: usize,
@@ -153,8 +116,6 @@ impl Default for SunstoneConfig {
     fn default() -> Self {
         SunstoneConfig {
             objective: Objective::Edp,
-            direction: Direction::BottomUp,
-            intra_order: IntraOrder::UnrollTileOrder,
             beam_width: 48,
             threads: 0,
             min_spatial_utilization: 0.5,
@@ -232,18 +193,6 @@ impl SunstoneConfigBuilder {
     /// Sets the figure of merit.
     pub fn objective(mut self, objective: Objective) -> Self {
         self.config.objective = objective;
-        self
-    }
-
-    /// Sets the inter-level direction.
-    pub fn direction(mut self, direction: Direction) -> Self {
-        self.config.direction = direction;
-        self
-    }
-
-    /// Sets the intra-level enumeration order.
-    pub fn intra_order(mut self, order: IntraOrder) -> Self {
-        self.config.intra_order = order;
         self
     }
 
@@ -380,7 +329,6 @@ mod tests {
     #[test]
     fn defaults_enable_all_pruning() {
         let c = SunstoneConfig::default();
-        assert_eq!(c.direction, Direction::BottomUp);
         assert!(c.pruning.ordering_trie);
         assert!(c.pruning.tiling_maximal);
         assert!(c.pruning.unrolling_principle);

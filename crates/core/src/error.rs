@@ -30,7 +30,7 @@ pub enum ScheduleError {
     NoValidMapping,
     /// A search stage produced no candidates at all — typically a tensor's
     /// minimal tile exceeds every buffer of the memory decided at `stage`
-    /// (stage 0 is the innermost memory in both walk directions).
+    /// (stage 0 is the innermost memory).
     InfeasibleLevel {
         /// The stage (memory level, innermost first) that admitted no
         /// candidate.

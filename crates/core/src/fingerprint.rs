@@ -20,7 +20,7 @@ use sunstone_arch::{ArchSpec, Capacity, Level, TensorFilter};
 use sunstone_ir::{DimRole, Workload};
 use sunstone_mapping::{DimRef, MappingConstraints};
 
-use crate::{Direction, IntraOrder, Objective, SunstoneConfig};
+use crate::{Objective, SunstoneConfig};
 
 /// 64-bit FNV-1a, the fixed-parameter streaming hash behind every
 /// fingerprint.
@@ -163,15 +163,11 @@ pub fn config_fingerprint(config: &SunstoneConfig) -> u64 {
         Objective::Energy => 1,
         Objective::Delay => 2,
     });
-    h.write_u64(match config.direction {
-        Direction::BottomUp => 0,
-        Direction::TopDown => 1,
-    });
-    h.write_u64(match config.intra_order {
-        IntraOrder::OrderTileUnroll => 0,
-        IntraOrder::UnrollTileOrder => 1,
-        IntraOrder::TileUnrollOrder => 2,
-    });
+    // Where the walk direction (bottom-up = 0) and the intra-level order
+    // (unroll→tile→order = 1) were once configurable: their tags keep the
+    // fingerprint of every stored or memoized context unchanged.
+    h.write_u64(0);
+    h.write_u64(1);
     h.write_u64(config.beam_width as u64);
     h.write_f64(config.min_spatial_utilization);
     h.write_u64(config.max_tiles_per_enum as u64);

@@ -70,8 +70,8 @@
 //!   [`ScheduleOptions`], the result memo, batch dedup + parallel fan-out.
 //! * [`search`] — the staged search pipeline: candidate enumeration
 //!   (`candidates`), beam dedup/selection (`beam`), memoized parallel
-//!   estimation (`estimate`), and the direction-agnostic composition
-//!   loop (`compose`, the `LevelPass` trait). [`search::stats`] holds
+//!   estimation (`estimate`), and the composition loop (`compose`),
+//!   which walks the memories innermost first. [`search::stats`] holds
 //!   the per-level, per-principle pruning statistics.
 //! * [`ordering`], [`tiling`], [`unrolling`] — the three per-level
 //!   enumerators and their pruning principles; the last two walk the
@@ -110,9 +110,7 @@ pub mod session;
 pub mod tiling;
 pub mod unrolling;
 
-pub use config::{
-    Direction, IntraOrder, Objective, PruningFlags, SunstoneConfig, SunstoneConfigBuilder,
-};
+pub use config::{Objective, PruningFlags, SunstoneConfig, SunstoneConfigBuilder};
 pub use error::ScheduleError;
 pub use ordering::{OrderingCandidate, OrderingTrie, ReuseKind};
 pub use progress::{CancelToken, ProgressEvent, ProgressSink};
@@ -135,9 +133,7 @@ pub use sunstone_mapping::{
 /// single blessed import surface: the session types, the per-call
 /// options, the constraint vocabulary, and the statistics structs.
 pub mod prelude {
-    pub use crate::config::{
-        Direction, IntraOrder, Objective, PruningFlags, SunstoneConfig, SunstoneConfigBuilder,
-    };
+    pub use crate::config::{Objective, PruningFlags, SunstoneConfig, SunstoneConfigBuilder};
     pub use crate::error::ScheduleError;
     pub use crate::progress::{CancelToken, ProgressEvent, ProgressSink};
     pub use crate::search::{LevelStats, PruneCounter, SearchStats};

@@ -229,18 +229,14 @@ pub(crate) fn dedup(cands: &mut Candidates, layout: &RowLayout) -> usize {
 /// identity alone, the kept rows' nest hashes written to the column. The
 /// oracle the nest-first pass is held to.
 #[cfg(test)]
-pub(crate) fn dedup_by_identity(
-    cands: &mut Candidates,
-    layout: &RowLayout,
-    complete_at: usize,
-) -> usize {
+pub(crate) fn dedup_by_identity(cands: &mut Candidates, layout: &RowLayout) -> usize {
     let before = cands.len();
     let mut keep: Vec<u32> = Vec::with_capacity(before);
     let (mut words, mut orders) = (Vec::new(), Vec::new());
     let mut seen: KeyHashMap<u32> = KeyHashMap::default();
     for i in 0..before {
         let row = cands.row(i);
-        let nest = layout.nest_hash(row, complete_at, &mut words);
+        let nest = layout.nest_hash(row, &mut words);
         if let Entry::Vacant(slot) = seen.entry(layout.identity(row, nest, &mut orders)) {
             slot.insert(i as u32);
             keep.push(i as u32);

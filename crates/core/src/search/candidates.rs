@@ -17,11 +17,10 @@ use std::time::Instant;
 use sunstone_arch::LevelId;
 use sunstone_ir::{DimId, DimSet, DimVec};
 
-use crate::factors::{divide, multiply, sorted_divisors};
+use crate::factors::{divide, multiply};
 use crate::ordering::OrderingCandidate;
-use crate::tiling::{enumerate_growths_cached, enumerate_tiles_cached};
+use crate::tiling::enumerate_growths_cached;
 use crate::unrolling::{enumerate_unrollings_cached, principle_excluded_dims};
-use crate::{Direction, IntraOrder};
 
 use super::beam;
 use super::estimate::{self, SearchMemo, Tiles};
@@ -146,8 +145,7 @@ pub(crate) struct Candidates {
     /// Index of the beam state currently being expanded.
     current_parent: u32,
     /// The row its children are copied from: the parent's, with the
-    /// unroll of the children being written placed over the gap's fabrics
-    /// (every fabric slot of the gap is rewritten per unroll).
+    /// unroll of the children being written placed on the gap's fabric.
     template: Vec<u64>,
     /// The current parent's children, decided before any is written.
     plan: Plan,
@@ -274,13 +272,6 @@ impl Candidates {
         at
     }
 
-    /// Files the nest hash of the row last appended, whose completion
-    /// level is `complete_at`.
-    fn file_nest(&mut self, layout: &RowLayout, complete_at: usize) {
-        let row = &self.rows[self.rows.len() - self.stride..];
-        self.nest.push(layout.nest_hash(row, complete_at, &mut self.key));
-    }
-
     /// Compacts the arena in place to the candidates at `keep` (strictly
     /// ascending), preserving their order.
     pub(crate) fn retain_indices(&mut self, keep: &[u32]) {
@@ -323,14 +314,11 @@ struct Plan {
     unrolls: Vec<DimVec>,
     /// Runs of children that share an unroll (an index into `unrolls`)
     /// and an ordering (an index into `Candidates::orderings`, or
-    /// [`NO_ORDERING`]), one child per `2 × ndims` words of deltas: the
-    /// tile's growth at the stage's memory (the temporal factors there),
-    /// then the quotas left above it. Runs of one unroll are contiguous
-    /// where the intra order allows.
-    runs: Vec<(u32, u32, Deltas)>,
-    /// The deltas of the runs whose children divide a tile's quotas by
-    /// their unroll, which no memo holds.
-    own: Vec<u64>,
+    /// [`NO_ORDERING`]), one child per `2 × ndims` words of deltas — a
+    /// tile enumeration's, as the memo keeps them: the tile's growth at
+    /// the stage's memory (the temporal factors there), then the quotas
+    /// left above it. Runs of one unroll are contiguous.
+    runs: Vec<(u32, u32, Arc<[u64]>)>,
     /// The tile enumerations asked for since base and quotas last changed,
     /// by what still varies — (allowed, unrollable) — with any pin already
     /// folded in: a lookup here clones no key. Whoever changes the base or
@@ -338,19 +326,10 @@ struct Plan {
     scope: Vec<(DimSet, DimSet, Tiles)>,
 }
 
-/// Where a run's deltas are.
-enum Deltas {
-    /// A tile enumeration's, as the memo keeps them.
-    Tiles(Arc<[u64]>),
-    /// A range of [`Plan::own`].
-    Own(Range<usize>),
-}
-
 impl Plan {
     fn reset(&mut self) {
         self.unrolls.clear();
         self.runs.clear();
-        self.own.clear();
         self.scope.clear();
     }
 
@@ -358,14 +337,6 @@ impl Plan {
     fn unroll(&mut self, unroll: &[u64]) -> u32 {
         self.unrolls.push(DimVec::from_slice(unroll));
         self.unrolls.len() as u32 - 1
-    }
-
-    /// Files one child's deltas in [`own`](Self::own); returns where.
-    fn own(&mut self, growth: &[u64], remaining: &[u64]) -> Range<usize> {
-        let at = self.own.len();
-        self.own.extend_from_slice(growth);
-        self.own.extend_from_slice(remaining);
-        at..self.own.len()
     }
 }
 
@@ -400,11 +371,12 @@ impl OrderingMemo {
     }
 }
 
-/// One bottom-up stage for the arena's current parent `state`:
-/// unrollings below memory `stage`, tile at memory `stage`, ordering at
-/// memory `stage + 1`. The enumerations fill the parent's [`Plan`]; then
-/// its rows are written.
-pub(crate) fn bottom_up_expand(
+/// One stage for the arena's current parent `state`, in the paper's
+/// unroll → tile → order: the unrollings below memory `stage` first (the
+/// fabric claims its quota), then per unroll and per ordering of memory
+/// `stage + 1` the tiles at memory `stage`, grown in what remains. The
+/// enumerations fill the parent's [`Plan`]; then its rows are written.
+pub(crate) fn expand(
     ctx: &SearchContext<'_>,
     state: &PartialState,
     stage: usize,
@@ -414,8 +386,7 @@ pub(crate) fn bottom_up_expand(
 ) {
     let mem_pos = ctx.mems[stage];
     let last_stage = stage == ctx.mems.len() - 1;
-    let ndims = ctx.workload.num_dims();
-    let base = state.mapping.resident_tile(mem_pos, ndims);
+    let base = state.mapping.resident_tile(mem_pos, ctx.workload.num_dims());
 
     let clock = Instant::now();
     let orderings = if last_stage {
@@ -429,165 +400,31 @@ pub(crate) fn bottom_up_expand(
     let (dims, plan) = (&out.ordering_dims, &mut out.plan);
     plan.reset();
     let here = state.ordering_here.as_ref().map(|o| unroll_excluded(ctx, o));
-    match ctx.config.intra_order {
-        IntraOrder::OrderTileUnroll => {
-            let reserve = spatial_reserve(ctx, stage, true, &state.quotas);
-            for o in orderings {
-                let tiles = tiles_for(
-                    ctx,
-                    stage,
-                    &base,
-                    &state.quotas,
-                    reserve,
-                    (dims.get(o as usize), here),
-                    &mut plan.scope,
-                    memo,
-                    stats,
-                );
-                for (growth, remaining) in tiles.iter(ndims) {
-                    let tile = multiply(&base, growth);
-                    for u in &unrolls_for(ctx, state, stage, &tile, remaining, memo, stats) {
-                        let unroll = plan.unroll(u);
-                        let deltas = plan.own(growth, &divide(remaining, u));
-                        plan.runs.push((unroll, o, Deltas::Own(deltas)));
-                    }
-                }
-            }
-        }
-        IntraOrder::UnrollTileOrder => {
-            let reserve = spatial_reserve(ctx, stage, false, &state.quotas);
-            let unrolls = unrolls_for(ctx, state, stage, &base, &state.quotas, memo, stats);
-            for u in &unrolls {
-                let u_quotas = divide(&state.quotas, u);
-                let base_u = multiply(&base, u);
-                let unroll = plan.unroll(u);
-                plan.scope.clear();
-                for o in orderings.clone() {
-                    let tiles = tiles_for(
-                        ctx,
-                        stage,
-                        &base_u,
-                        &u_quotas,
-                        reserve,
-                        (dims.get(o as usize), here),
-                        &mut plan.scope,
-                        memo,
-                        stats,
-                    );
-                    plan.runs.push((unroll, o, Deltas::Tiles(tiles.deltas)));
-                }
-            }
-        }
-        IntraOrder::TileUnrollOrder => {
-            // Tiling before ordering: allow the union of every candidate
-            // ordering's growth dimensions.
-            let reserve = spatial_reserve(ctx, stage, true, &state.quotas);
-            let union_allowed = orderings
-                .clone()
-                .filter_map(|o| dims.get(o as usize))
-                .fold(DimSet::EMPTY, |union, o| union.union(o.tile_allowed));
-            let tiles = tiles_with_allowed(
+    let reserve = spatial_reserve(ctx, stage, &state.quotas);
+    for u in &unrolls_for(ctx, state, stage, &base, &state.quotas, memo, stats) {
+        let u_quotas = divide(&state.quotas, u);
+        let base_u = multiply(&base, u);
+        let unroll = plan.unroll(u);
+        plan.scope.clear();
+        for o in orderings.clone() {
+            let tiles = tiles_for(
                 ctx,
                 stage,
-                &base,
-                &state.quotas,
+                &base_u,
+                &u_quotas,
                 reserve,
-                union_allowed,
-                DimSet::first_n(ndims),
+                (dims.get(o as usize), here),
                 &mut plan.scope,
                 memo,
                 stats,
             );
-            for (growth, remaining) in tiles.iter(ndims) {
-                let tile = multiply(&base, growth);
-                for u in &unrolls_for(ctx, state, stage, &tile, remaining, memo, stats) {
-                    let unroll = plan.unroll(u);
-                    let deltas = plan.own(growth, &divide(remaining, u));
-                    for o in orderings.clone() {
-                        plan.runs.push((unroll, o, Deltas::Own(deltas.clone())));
-                    }
-                }
-            }
+            plan.runs.push((unroll, o, tiles.deltas));
         }
     }
 
     let clock = Instant::now();
     write_children(ctx, out, stage);
     stats.level_mut(stage).expand_rows += clock.elapsed();
-}
-
-/// One top-down stage for the arena's current parent `state`: ordering
-/// at memory `stage + 1`, unrolls in the gap below it, resident tile at
-/// memory `stage`.
-pub(crate) fn top_down_expand(
-    ctx: &SearchContext<'_>,
-    state: &PartialState,
-    stage: usize,
-    out: &mut Candidates,
-    stats: &mut SearchStats,
-) {
-    let ndims = ctx.workload.num_dims();
-    let gap = &ctx.lower_spatial[stage + 1];
-    let lc = ctx.constraints.at(ctx.mems[stage]);
-    // Fabrics below this memory still need parallelism out of the tile;
-    // tiles too small to feed them are dropped below.
-    let mut below: u128 = 1;
-    for (pos, s) in ctx.arch.spatial_levels() {
-        if pos.index() < ctx.mems[stage] {
-            below *= u128::from(s.units);
-        }
-    }
-    let reserve = ((below as f64) * ctx.config.min_spatial_utilization).ceil() as u128;
-    let clock = Instant::now();
-    let orderings = orderings_for(ctx, out, in_play_dims(ctx, state), stage, stats);
-    stats.level_mut(stage).expand_orderings += clock.elapsed();
-    for o in orderings {
-        let ordering = &out.orderings[o as usize];
-        let unrolls = top_down_unrolls(ctx, gap, ordering, state, stage, stats);
-        let order_allowed = out.ordering_dims[o as usize].tile_allowed;
-        for u in &unrolls {
-            let mut q = divide(&state.quotas, u);
-            let mut allowed = order_allowed;
-            // User tile pins on this memory seed the enumeration base,
-            // exactly as in `tiles_with_allowed` on the bottom-up path.
-            if lc.tile_pins.iter().any(|&(d, v)| !q[d].is_multiple_of(v)) {
-                stats.level_mut(stage).constraint.record(1, 0);
-                continue;
-            }
-            let mut tile_base = DimVec::ones(ndims);
-            for &(d, v) in &lc.tile_pins {
-                q[d] /= v;
-                tile_base[d] = v;
-                allowed = allowed.without(DimId::from_index(d));
-            }
-            let clock = Instant::now();
-            let outcome = enumerate_tiles_cached(
-                &tile_base,
-                &q,
-                allowed,
-                // Bounded-latency cancellation (see `tiles_with_allowed`).
-                |tile| {
-                    !ctx.cancelled()
-                        && lc.tile_caps.iter().all(|&(d, cap)| tile[d] <= cap)
-                        && ctx.validation.capacity().fits(ctx.mems[stage], tile)
-                },
-                ctx.config.pruning.tiling_maximal,
-                &ctx.ladders,
-            );
-            let elapsed = clock.elapsed();
-            stats.nodes_explored += outcome.explored as u64;
-            stats.capacity_probes += outcome.probes as u64;
-            stats.tiles += outcome.tiles.len() as u64;
-            let level = stats.level_mut(stage);
-            level.expand_tiles += elapsed;
-            level.tiling.record(outcome.explored as u64, outcome.tiles.len() as u64);
-            // Keep everything if no tile can feed the fabrics below.
-            let any_feeds = outcome.tiles.iter().any(|t| t.volume() >= reserve);
-            for tile in outcome.tiles.iter().filter(|t| !any_feeds || t.volume() >= reserve) {
-                make_top_down_child(ctx, out, state, stage, tile, u, o);
-            }
-        }
-    }
 }
 
 /// Dimensions with remaining quota — the only ones worth ordering.
@@ -597,8 +434,8 @@ fn in_play_dims(ctx: &SearchContext<'_>, state: &PartialState) -> DimSet {
 
 /// Ordering candidates for one stage, as a run of `out.orderings`, with
 /// the trie's pruning attributed per principle in the stage's stats. A
-/// user order constraint on the level being ordered (memory `stage + 1`,
-/// in both directions) filters the enumeration here — before dedup and
+/// user order constraint on the level being ordered (memory `stage + 1`)
+/// filters the enumeration here — before dedup and
 /// beam selection — and always re-adds the constraint's canonical
 /// completion so a satisfiable constraint can never strand the stage
 /// without candidates. Enumerated once per distinct `in_play` per stage;
@@ -697,29 +534,17 @@ fn order_satisfies(order: &[DimId], groups: &[DimSet], scope: DimSet) -> bool {
 }
 
 /// The parallelism budget a tile must leave unconsumed: the product of
-/// all spatial fabric sizes the tile has not yet passed (scaled by the
+/// the sizes of the fabrics above the stage's memory (scaled by the
 /// utilization floor, capped by what the problem can offer). This is the
 /// "high throughput" constraint of Table I: a tile that swallows the
 /// quota the fabrics need would force an under-utilized — and therefore
 /// dominated — mapping.
-fn spatial_reserve(
-    ctx: &SearchContext<'_>,
-    stage: usize,
-    include_gap: bool,
-    quotas: &[u64],
-) -> u64 {
+fn spatial_reserve(ctx: &SearchContext<'_>, stage: usize, quotas: &[u64]) -> u64 {
     let m = ctx.mems[stage];
     let mut units: u128 = 1;
     for (pos, s) in ctx.arch.spatial_levels() {
         if pos.index() > m {
             units *= u128::from(s.units);
-        }
-    }
-    if include_gap {
-        for &p in &ctx.lower_spatial[stage] {
-            if let Some(s) = ctx.arch.level(LevelId(p)).as_spatial() {
-                units *= u128::from(s.units);
-            }
         }
     }
     let want = ((units as f64) * ctx.config.min_spatial_utilization).ceil() as u128;
@@ -758,11 +583,8 @@ fn tiles_for(
     // that fabric pairs with the ordering chosen at the *previous* stage
     // (`here`); otherwise the nearest future fabric pairs with the
     // ordering being chosen now.
-    let excluded = if ctx.lower_spatial[stage].is_empty() {
-        ordering.map(|o| o.unroll_excluded)
-    } else {
-        here
-    };
+    let excluded =
+        if ctx.lower_spatial[stage].is_none() { ordering.map(|o| o.unroll_excluded) } else { here };
     let mut unrollable = all.difference(excluded.unwrap_or(DimSet::EMPTY));
     // Mirror the high-throughput fallback of `unrolls_for`: when the
     // principled dimensions cannot reach the utilization floor, the
@@ -972,10 +794,8 @@ fn tile_allowed_dims(ctx: &SearchContext<'_>, ordering: &OrderingCandidate) -> D
     }
 }
 
-/// Unrolling candidates for the spatial levels directly below the stage's
-/// memory, as a combined per-level factor assignment. Returns vectors of
-/// per-dimension factors per spatial position, flattened to a single
-/// product vector (our architectures have at most one fabric per gap).
+/// Unrolling candidates for the fabric directly below the stage's memory
+/// (the all-ones unroll when the gap has none).
 fn unrolls_for(
     ctx: &SearchContext<'_>,
     state: &PartialState,
@@ -985,263 +805,144 @@ fn unrolls_for(
     memo: &mut SearchMemo,
     stats: &mut SearchStats,
 ) -> Vec<DimVec> {
-    let spatial_positions = &ctx.lower_spatial[stage];
-    if spatial_positions.is_empty() {
-        return vec![DimVec::ones(ctx.workload.num_dims())];
-    }
-    // The presets have at most one fabric per gap; for generality, nest
-    // the enumeration over each fabric sequentially.
-    let mut results: Vec<DimVec> = vec![DimVec::ones(ctx.workload.num_dims())];
-    for &pos in spatial_positions {
-        let fabric = ctx.arch.level(LevelId(pos)).as_spatial().expect("spatial level");
-        let mut excluded = DimSet::EMPTY;
-        if ctx.config.pruning.unrolling_principle {
-            if let Some(o) = &state.ordering_here {
-                excluded = principle_excluded_dims(
-                    o.fully_reused().map(|t| ctx.workload.reuse_info().of(t).full_reuse),
-                );
-            }
-        }
-        let hard_excluded =
-            if fabric.allow_reduction { DimSet::EMPTY } else { ctx.workload.reduction_dims() };
-        let all = DimSet::first_n(ctx.workload.num_dims());
-        let mut principled = all.difference(excluded.union(hard_excluded));
-        let mut relaxed = all.difference(hard_excluded);
-        // User constraints on this fabric: an allow-list intersects both
-        // the principled and the relaxed (high-throughput fallback) sets;
-        // pinned dimensions are seeded — their factors leave the
-        // enumeration entirely and the fabric's unit budget shrinks by the
-        // pinned product.
-        let lc = ctx.constraints.at(pos);
-        let before = relaxed.len() as u64;
-        if let Some(allow) = lc.unroll_allow {
-            principled = principled.intersection(allow);
-            relaxed = relaxed.intersection(allow);
-        }
-        principled = principled.difference(lc.unroll_pinned);
-        relaxed = relaxed.difference(lc.unroll_pinned);
-        if lc.unroll_allow.is_some() || !lc.unroll_pins.is_empty() {
-            // Attribute the allow-list/pin restriction: dimension slots the
-            // fabric would have unrolled freely vs. what the constraint
-            // leaves open (pinned dims count as removed — they are fixed,
-            // not searched).
-            stats.level_mut(stage).constraint.record(before, relaxed.len() as u64);
-        }
-        let units = fabric.units / lc.unroll_pin_product;
-        let mut pin_vec = DimVec::ones(ctx.workload.num_dims());
-        for &(d, v) in &lc.unroll_pins {
-            pin_vec[d] = v;
-        }
-        let mem_pos = ctx.mems[stage];
-        let mut next = Vec::new();
-        for prev in &results {
-            let q = divide(quotas, prev);
-            // A pin the remaining quota cannot honor (an inner level
-            // already consumed part of the pinned factor) kills this
-            // branch; other beam parents may still satisfy it.
-            if lc.unroll_pins.iter().any(|&(d, v)| !q[d].is_multiple_of(v)) {
-                stats.level_mut(stage).constraint.record(1, 0);
-                continue;
-            }
-            let prev_eff =
-                if lc.unroll_pins.is_empty() { prev.clone() } else { multiply(prev, &pin_vec) };
-            let q = if lc.unroll_pins.is_empty() { q } else { divide(&q, &pin_vec) };
-            // Search memo: the whole per-fabric block (principled pass,
-            // relaxed fallback, truncation) is keyed by its exact inputs;
-            // `combined` folds the resident tile and the inner fabrics'
-            // unrolls into the base the capacity probe inflates. Stats are
-            // replayed from the memo so counters read as if every parent
-            // had enumerated for itself.
-            let memo_key = estimate::UnrollKey {
-                pos,
-                quotas: q.clone(),
-                principled,
-                combined: resident_with_tile
-                    .iter()
-                    .zip(prev_eff.iter())
-                    .map(|(t, a)| t * a)
-                    .collect(),
-            };
-            if let Some(hit) = memo.unrolls.get(&memo_key) {
-                stats.unroll_memo_hits += 1;
-                stats.nodes_explored += hit.explored as u64;
-                stats.unrollings += hit.kept.len() as u64;
-                stats.level_mut(stage).unrolling.record(hit.explored as u64, hit.kept.len() as u64);
-                for u in hit.kept.iter() {
-                    next.push(multiply(&prev_eff, u));
-                }
-                continue;
-            }
-            let fits = |u: &[u64]| {
-                // Bounded-latency cancellation (see `tiles_with_allowed`).
-                if ctx.cancelled() {
-                    return false;
-                }
-                // The unroll inflates the resident tile of the memory
-                // above the fabric (the stage's memory); `prev_eff` folds
-                // the pinned factors in so the probe sees the full tile.
-                let combined: DimVec = resident_with_tile
-                    .iter()
-                    .zip(prev_eff.iter().zip(u))
-                    .map(|(t, (a, b))| t * a * b)
-                    .collect();
-                ctx.validation.capacity().fits(mem_pos, &combined)
-            };
-            let clock = Instant::now();
-            let mut outcome = enumerate_unrollings_cached(
-                &q,
-                principled,
-                units,
-                fits,
-                ctx.config.min_spatial_utilization,
-                ctx.config.pruning.unrolling_principle,
-                &ctx.ladders,
-            );
-            // The high-throughput constraint dominates the Unrolling
-            // Principle: when the principled dimensions cannot keep the
-            // fabric busy, widen to every dimension the hardware permits.
-            // Utilization is judged over the full fabric, pins included.
-            let floor = ctx.config.min_spatial_utilization * fabric.units as f64;
-            let best = outcome
-                .unrollings
-                .iter()
-                .map(|u| (u.iter().product::<u64>().saturating_mul(lc.unroll_pin_product)) as f64)
-                .fold(0.0f64, f64::max);
-            if best < floor && principled != relaxed {
-                let wide = enumerate_unrollings_cached(
-                    &q,
-                    relaxed,
-                    units,
-                    fits,
-                    ctx.config.min_spatial_utilization,
-                    ctx.config.pruning.unrolling_principle,
-                    &ctx.ladders,
-                );
-                outcome.explored += wide.explored;
-                outcome.probes += wide.probes;
-                outcome.unrollings.extend(wide.unrollings);
-            }
-            let elapsed = clock.elapsed();
-            stats.nodes_explored += outcome.explored as u64;
-            stats.capacity_probes += outcome.probes as u64;
-            stats.unroll_memo_misses += 1;
-            let mut unrollings = outcome.unrollings;
-            if unrollings.len() > ctx.config.max_unrolls_per_enum {
-                unrollings.sort_by_key(|u| std::cmp::Reverse(u.volume()));
-                unrollings.truncate(ctx.config.max_unrolls_per_enum);
-            }
-            stats.unrollings += unrollings.len() as u64;
-            let level = stats.level_mut(stage);
-            level.expand_unrolls += elapsed;
-            level.unrolling.record(outcome.explored as u64, unrollings.len() as u64);
-            for u in &unrollings {
-                next.push(multiply(&prev_eff, u));
-            }
-            memo.unrolls.insert(
-                memo_key,
-                estimate::Enumerated { kept: unrollings.into(), explored: outcome.explored },
-            );
-        }
-        results = next;
-    }
-    results
-}
-
-fn top_down_unrolls(
-    ctx: &SearchContext<'_>,
-    gap: &[usize],
-    ordering: &OrderingCandidate,
-    state: &PartialState,
-    stage: usize,
-    stats: &mut SearchStats,
-) -> Vec<DimVec> {
     let ndims = ctx.workload.num_dims();
-    if gap.is_empty() {
+    let Some(pos) = ctx.lower_spatial[stage] else {
         return vec![DimVec::ones(ndims)];
-    }
-    let mut results: Vec<DimVec> = vec![DimVec::ones(ndims)];
-    for &pos in gap {
-        let fabric = ctx.arch.level(LevelId(pos)).as_spatial().expect("spatial level");
-        let mut excluded = DimSet::EMPTY;
-        if ctx.config.pruning.unrolling_principle {
+    };
+    let fabric = ctx.arch.level(LevelId(pos)).as_spatial().expect("spatial level");
+    let mut excluded = DimSet::EMPTY;
+    if ctx.config.pruning.unrolling_principle {
+        if let Some(o) = &state.ordering_here {
             excluded = principle_excluded_dims(
-                ordering.fully_reused().map(|t| ctx.workload.reuse_info().of(t).full_reuse),
+                o.fully_reused().map(|t| ctx.workload.reuse_info().of(t).full_reuse),
             );
         }
-        if !fabric.allow_reduction {
-            excluded = excluded.union(ctx.workload.reduction_dims());
-        }
-        let mut allowed = DimSet::first_n(ndims).difference(excluded);
-        // User constraints on this fabric (see `unrolls_for`): allow-list
-        // intersection plus pin seeding against the shrunken unit budget.
-        let lc = ctx.constraints.at(pos);
-        let before = allowed.len() as u64;
-        if let Some(allow) = lc.unroll_allow {
-            allowed = allowed.intersection(allow);
-        }
-        allowed = allowed.difference(lc.unroll_pinned);
-        if lc.unroll_allow.is_some() || !lc.unroll_pins.is_empty() {
-            stats.level_mut(stage).constraint.record(before, allowed.len() as u64);
-        }
-        let units = fabric.units / lc.unroll_pin_product;
-        let mut pin_vec = DimVec::ones(ndims);
-        for &(d, v) in &lc.unroll_pins {
-            pin_vec[d] = v;
-        }
-        let mut next = Vec::new();
-        for prev in &results {
-            let q = divide(&state.quotas, prev);
-            if lc.unroll_pins.iter().any(|&(d, v)| !q[d].is_multiple_of(v)) {
-                stats.level_mut(stage).constraint.record(1, 0);
-                continue;
-            }
-            let prev_eff =
-                if lc.unroll_pins.is_empty() { prev.clone() } else { multiply(prev, &pin_vec) };
-            let q = if lc.unroll_pins.is_empty() { q } else { divide(&q, &pin_vec) };
-            let clock = Instant::now();
-            let outcome = enumerate_unrollings_cached(
-                &q,
-                allowed,
-                units,
-                |_| true,
-                ctx.config.min_spatial_utilization,
-                ctx.config.pruning.unrolling_principle,
-                &ctx.ladders,
-            );
-            let elapsed = clock.elapsed();
-            stats.nodes_explored += outcome.explored as u64;
-            stats.capacity_probes += outcome.probes as u64;
-            let mut unrollings = outcome.unrollings;
-            if unrollings.len() > ctx.config.max_unrolls_per_enum {
-                unrollings.sort_by_key(|u| std::cmp::Reverse(u.volume()));
-                unrollings.truncate(ctx.config.max_unrolls_per_enum);
-            }
-            stats.unrollings += unrollings.len() as u64;
-            let level = stats.level_mut(stage);
-            level.expand_unrolls += elapsed;
-            level.unrolling.record(outcome.explored as u64, unrollings.len() as u64);
-            for u in unrollings {
-                next.push(multiply(&prev_eff, &u));
-            }
-        }
-        results = next;
     }
-    results
+    let hard_excluded =
+        if fabric.allow_reduction { DimSet::EMPTY } else { ctx.workload.reduction_dims() };
+    let all = DimSet::first_n(ndims);
+    let mut principled = all.difference(excluded.union(hard_excluded));
+    let mut relaxed = all.difference(hard_excluded);
+    // User constraints on this fabric: an allow-list intersects both the
+    // principled and the relaxed (high-throughput fallback) sets; pinned
+    // dimensions are seeded — their factors leave the enumeration
+    // entirely and the fabric's unit budget shrinks by the pinned product.
+    let lc = ctx.constraints.at(pos);
+    let before = relaxed.len() as u64;
+    if let Some(allow) = lc.unroll_allow {
+        principled = principled.intersection(allow);
+        relaxed = relaxed.intersection(allow);
+    }
+    principled = principled.difference(lc.unroll_pinned);
+    relaxed = relaxed.difference(lc.unroll_pinned);
+    if lc.unroll_allow.is_some() || !lc.unroll_pins.is_empty() {
+        // Attribute the allow-list/pin restriction: dimension slots the
+        // fabric would have unrolled freely vs. what the constraint leaves
+        // open (pinned dims count as removed — they are fixed, not
+        // searched).
+        stats.level_mut(stage).constraint.record(before, relaxed.len() as u64);
+    }
+    // A pin the remaining quota cannot honor (an inner level already
+    // consumed part of the pinned factor) kills this expansion; other beam
+    // parents may still satisfy it.
+    if lc.unroll_pins.iter().any(|&(d, v)| !quotas[d].is_multiple_of(v)) {
+        stats.level_mut(stage).constraint.record(1, 0);
+        return Vec::new();
+    }
+    let units = fabric.units / lc.unroll_pin_product;
+    let mut pins = DimVec::ones(ndims);
+    for &(d, v) in &lc.unroll_pins {
+        pins[d] = v;
+    }
+    let q = divide(quotas, &pins);
+    // The resident tile the unroll inflates (the stage's memory's), with
+    // the pinned factors folded in so the probe sees the full tile.
+    let pinned_tile = multiply(resident_with_tile, &pins);
+    // Search memo: the whole enumeration (principled pass, relaxed
+    // fallback, truncation) is keyed by its exact inputs. Stats are
+    // replayed from the memo so counters read as if every parent had
+    // enumerated for itself.
+    let memo_key =
+        estimate::UnrollKey { pos, quotas: q.clone(), principled, combined: pinned_tile.clone() };
+    if let Some(hit) = memo.unrolls.get(&memo_key) {
+        stats.unroll_memo_hits += 1;
+        stats.nodes_explored += hit.explored as u64;
+        stats.unrollings += hit.kept.len() as u64;
+        stats.level_mut(stage).unrolling.record(hit.explored as u64, hit.kept.len() as u64);
+        return hit.kept.iter().map(|u| multiply(&pins, u)).collect();
+    }
+    let fits = |u: &[u64]| {
+        // Bounded-latency cancellation (see `tiles_with_allowed`).
+        !ctx.cancelled()
+            && ctx.validation.capacity().fits(ctx.mems[stage], &multiply(&pinned_tile, u))
+    };
+    let clock = Instant::now();
+    let mut outcome = enumerate_unrollings_cached(
+        &q,
+        principled,
+        units,
+        fits,
+        ctx.config.min_spatial_utilization,
+        ctx.config.pruning.unrolling_principle,
+        &ctx.ladders,
+    );
+    // The high-throughput constraint dominates the Unrolling Principle:
+    // when the principled dimensions cannot keep the fabric busy, widen to
+    // every dimension the hardware permits. Utilization is judged over the
+    // full fabric, pins included.
+    let floor = ctx.config.min_spatial_utilization * fabric.units as f64;
+    let best = outcome
+        .unrollings
+        .iter()
+        .map(|u| (u.iter().product::<u64>().saturating_mul(lc.unroll_pin_product)) as f64)
+        .fold(0.0f64, f64::max);
+    if best < floor && principled != relaxed {
+        let wide = enumerate_unrollings_cached(
+            &q,
+            relaxed,
+            units,
+            fits,
+            ctx.config.min_spatial_utilization,
+            ctx.config.pruning.unrolling_principle,
+            &ctx.ladders,
+        );
+        outcome.explored += wide.explored;
+        outcome.probes += wide.probes;
+        outcome.unrollings.extend(wide.unrollings);
+    }
+    let elapsed = clock.elapsed();
+    stats.nodes_explored += outcome.explored as u64;
+    stats.capacity_probes += outcome.probes as u64;
+    stats.unroll_memo_misses += 1;
+    let mut unrollings = outcome.unrollings;
+    if unrollings.len() > ctx.config.max_unrolls_per_enum {
+        unrollings.sort_by_key(|u| std::cmp::Reverse(u.volume()));
+        unrollings.truncate(ctx.config.max_unrolls_per_enum);
+    }
+    stats.unrollings += unrollings.len() as u64;
+    let level = stats.level_mut(stage);
+    level.expand_unrolls += elapsed;
+    level.unrolling.record(outcome.explored as u64, unrollings.len() as u64);
+    let placed = unrollings.iter().map(|u| multiply(&pins, u)).collect();
+    memo.unrolls.insert(
+        memo_key,
+        estimate::Enumerated { kept: unrollings.into(), explored: outcome.explored },
+    );
+    placed
 }
 
 /// Writes the rows of the parent's [`Plan`]. Per run of children sharing
 /// an unroll and an ordering, the template — the parent's row — takes the
-/// unroll, placed over the gap's fabrics ([`place_unroll`], once per
-/// unroll), and the ordering's order at the next memory, and its nest key
-/// is taken. Per child, the template is copied and its growth written as
-/// the temporal factors of the stage's memory and the quotas it leaves;
-/// then its nest key is brought up to date where the child differs
+/// unroll, placed on the gap's fabric ([`place_unroll`], once per unroll),
+/// and the ordering's order at the next memory, and its nest key is taken.
+/// Per child, the template is copied and its growth written as the
+/// temporal factors of the stage's memory and the quotas it leaves; then
+/// its nest key is brought up to date where the child differs
 /// ([`RowLayout::renest`]) and hashed, while the row is in cache. At the
 /// outermost memory the remainder is placed there: the factors are
 /// growth × remaining and nothing is left.
 fn write_children(ctx: &SearchContext<'_>, out: &mut Candidates, stage: usize) {
     let layout = &ctx.layout;
-    let complete_at = estimate::completion_pos(ctx, Direction::BottomUp);
     let last_stage = stage == ctx.mems.len() - 1;
     let n = ctx.workload.num_dims();
     let mem_pos = ctx.mems[stage];
@@ -1261,11 +962,7 @@ fn write_children(ctx: &SearchContext<'_>, out: &mut Candidates, stage: usize) {
             out.template[layout.order(ctx.mems[stage + 1])]
                 .copy_from_slice(&out.order_words[o * n..(o + 1) * n]);
         }
-        layout.nest_key(&out.template, complete_at, &mut key);
-        let deltas = match deltas {
-            Deltas::Tiles(deltas) => &deltas[..],
-            Deltas::Own(range) => &plan.own[range.clone()],
-        };
+        layout.nest_key(&out.template, &mut key);
         for delta in deltas.chunks_exact(2 * n) {
             let at = out.push_child(ordering);
             let row = &mut out.rows[at..at + out.stride];
@@ -1279,9 +976,9 @@ fn write_children(ctx: &SearchContext<'_>, out: &mut Candidates, stage: usize) {
                 row[factors..factors + n].copy_from_slice(growth);
                 row[quotas..quotas + n].copy_from_slice(remaining);
             }
-            layout.renest(row, complete_at, mem_pos, &mut key);
+            layout.renest(row, mem_pos, &mut key);
             let nest = beam::key_hash(&key);
-            debug_assert_eq!(nest, layout.nest_hash(row, complete_at, &mut Vec::new()));
+            debug_assert_eq!(nest, layout.nest_hash(row, &mut Vec::new()));
             out.nest.push(nest);
         }
     }
@@ -1289,67 +986,17 @@ fn write_children(ctx: &SearchContext<'_>, out: &mut Candidates, stage: usize) {
     out.plan = plan;
 }
 
-/// Distributes `unroll` over the fabrics in the gap below memory `stage`,
-/// writing each one's factor slots of `row`. With a single fabric this is
-/// a direct assignment; with several, factors go to the innermost fabric
-/// first, capped by its unit count.
+/// Writes `unroll` to the factor slots of the fabric in the gap below
+/// memory `stage`, if the gap has one (otherwise the unroll is all ones).
 fn place_unroll(ctx: &SearchContext<'_>, stage: usize, unroll: &[u64], row: &mut [u64]) {
-    let mut remaining_unroll = DimVec::from_slice(unroll);
-    for &pos in &ctx.lower_spatial[stage] {
-        let fabric = ctx.arch.level(LevelId(pos)).as_spatial().expect("spatial level");
-        let assigned = &mut row[ctx.layout.factors(pos)];
-        let mut used = 1u64;
-        for (d, slot) in assigned.iter_mut().enumerate() {
-            let mut f = remaining_unroll[d];
-            while f > 1 && used * f > fabric.units {
-                // Peel the largest divisor that still fits. Unroll factors
-                // divide the dimension extent, so the precomputed ladder
-                // applies; fall back to trial division off the table.
-                let peel = |divs: &[u64]| {
-                    divs.iter().copied().filter(|&c| used * c <= fabric.units).max().unwrap_or(1)
-                };
-                f = match ctx.ladders.of(d, f) {
-                    Some(divs) => peel(divs),
-                    None => peel(&sorted_divisors(f)),
-                };
-                if f == 1 {
-                    break;
-                }
-            }
-            *slot = f;
-            used *= f;
-            remaining_unroll[d] /= f;
-        }
+    if let Some(pos) = ctx.lower_spatial[stage] {
+        debug_assert!(
+            unroll.iter().product::<u64>()
+                <= ctx.arch.level(LevelId(pos)).as_spatial().expect("spatial level").units,
+            "an unroll larger than its fabric"
+        );
+        row[ctx.layout.factors(pos)].copy_from_slice(unroll);
     }
-}
-
-fn make_top_down_child(
-    ctx: &SearchContext<'_>,
-    out: &mut Candidates,
-    state: &PartialState,
-    stage: usize,
-    tile: &[u64],
-    unroll: &[u64],
-    ordering: u32,
-) {
-    let layout = &ctx.layout;
-    let upper_mem = ctx.mems[stage + 1];
-    let n = tile.len();
-    let at = out.push_child(ordering);
-    let row = &mut out.rows[at..];
-    // Factors at the upper memory = remaining / (tile × unroll).
-    for (d, f) in row[layout.factors(upper_mem)].iter_mut().enumerate() {
-        *f = state.quotas[d] / (tile[d] * unroll[d]);
-    }
-    let o = ordering as usize;
-    row[layout.order(upper_mem)].copy_from_slice(&out.order_words[o * n..(o + 1) * n]);
-    // Unrolls in the gap.
-    for &pos in &ctx.lower_spatial[stage + 1] {
-        row[layout.factors(pos)].copy_from_slice(unroll);
-    }
-    // The tile is what the stages below still have to distribute.
-    row[layout.quotas()].copy_from_slice(tile);
-    out.file_nest(layout, estimate::completion_pos(ctx, Direction::TopDown));
 }
 
 #[cfg(test)]
@@ -1360,7 +1007,7 @@ mod tests {
     use sunstone_mapping::Mapping;
     use sunstone_model::MappingPrefix;
 
-    use super::super::compose::{run_level_search, BottomUpPass, LevelPass, TopDownPass};
+    use super::super::compose::run_level_search;
     use super::super::testing::{conv2d, matmul, random_state, with_context};
     use super::super::{beam, CallControls};
     use super::*;
@@ -1376,13 +1023,15 @@ mod tests {
             cands.begin_parent(&ctx.layout, i, &root);
             let at = cands.push_child(NO_ORDERING);
             cands.rows[at + ctx.layout.factors(0).start] = tag;
-            cands.file_nest(&ctx.layout, completion(ctx));
+            file_nest(&mut cands, &ctx.layout);
         }
         cands
     }
 
-    fn completion(ctx: &SearchContext<'_>) -> usize {
-        estimate::completion_pos(ctx, crate::Direction::BottomUp)
+    /// Files the nest hash of the row last appended.
+    fn file_nest(cands: &mut Candidates, layout: &RowLayout) {
+        let row = &cands.rows[cands.rows.len() - cands.stride..];
+        cands.nest.push(layout.nest_hash(row, &mut cands.key));
     }
 
     fn tags(ctx: &SearchContext<'_>, cands: &Candidates) -> Vec<u64> {
@@ -1408,7 +1057,7 @@ mod tests {
             let mut key = Vec::new();
             let nests: Vec<u128> = (0..4)
                 .map(|i| {
-                    ctx.layout.nest_key(cands.row(i), completion(ctx), &mut key);
+                    ctx.layout.nest_key(cands.row(i), &mut key);
                     beam::key_hash(&key)
                 })
                 .collect();
@@ -1432,7 +1081,6 @@ mod tests {
             state
         };
         let (layout, ndims) = (&ctx.layout, ctx.workload.num_dims());
-        let complete_at = completion(ctx);
         let mut cands = Candidates::new(layout);
         for _ in 0..3 {
             let mut order: Vec<DimId> = (0..ndims).map(DimId::from_index).collect();
@@ -1454,7 +1102,7 @@ mod tests {
             // What is left at the completion level stays in the quotas
             // until the stage that decides it, as in a search.
             let mut s = random_state(ctx, next() % 3);
-            let done = s.mapping.levels_mut()[complete_at].factors_mut();
+            let done = s.mapping.levels_mut()[layout.complete_at].factors_mut();
             for (f, q) in done.iter_mut().zip(s.quotas.iter_mut()) {
                 *q *= std::mem::replace(f, 1);
             }
@@ -1473,7 +1121,7 @@ mod tests {
                     row[layout.order(ctx.mems[stage + 1])]
                         .copy_from_slice(&cands.order_words[o * ndims..(o + 1) * ndims]);
                 }
-                cands.file_nest(layout, complete_at);
+                file_nest(&mut cands, layout);
             }
         }
         for (i, e) in cands.estimate.iter_mut().enumerate() {
@@ -1502,10 +1150,7 @@ mod tests {
                 let (mut nest_first, mut oracle) =
                     (random_arena(ctx, stage, seed), random_arena(ctx, stage, seed));
                 let dropped = beam::dedup(&mut nest_first, &ctx.layout);
-                assert_eq!(
-                    dropped,
-                    beam::dedup_by_identity(&mut oracle, &ctx.layout, completion(ctx))
-                );
+                assert_eq!(dropped, beam::dedup_by_identity(&mut oracle, &ctx.layout));
                 assert_eq!(nest_first.estimate, oracle.estimate, "seed {seed}: kept rows");
                 assert_eq!(nest_first.nest, oracle.nest, "seed {seed}: nest column");
                 assert_eq!(nest_first.rows, oracle.rows);
@@ -1522,11 +1167,10 @@ mod tests {
 
     /// The count kernel prices arena rows, read in place, exactly as it
     /// prices the mappings they complete to: on random arenas of every
-    /// stage, completed in both directions, on three presets, each row's
-    /// totals at widths 1, 2 and 16 — against the empty prefix, and
-    /// against its parent's prefix at every boundary below the stage's
-    /// memory — equal `evaluate_unchecked` of the materialized completed
-    /// row, bit for bit.
+    /// stage on three presets, each row's totals at widths 1, 2 and 16 —
+    /// against the empty prefix, and against its parent's prefix at every
+    /// boundary below the stage's memory — equal `evaluate_unchecked` of
+    /// the materialized completed row, bit for bit.
     #[test]
     fn rows_price_as_their_completed_mappings() {
         let mut priced = 0usize;
@@ -1539,75 +1183,67 @@ mod tests {
                         for seed in 0..3 {
                             let cands = random_arena(ctx, stage, seed);
                             let rows: Vec<u32> = (0..cands.len() as u32).collect();
-                            for direction in [Direction::BottomUp, Direction::TopDown] {
-                                let complete_at = estimate::completion_pos(ctx, direction);
-                                let completed: Vec<Mapping> = (0..cands.len())
-                                    .map(|i| {
-                                        let mut m = ctx.base.clone();
-                                        layout.materialize_completed_into(
-                                            cands.row(i),
-                                            complete_at,
-                                            &mut m,
+                            let completed: Vec<Mapping> = (0..cands.len())
+                                .map(|i| {
+                                    let mut m = ctx.base.clone();
+                                    layout.materialize_completed_into(cands.row(i), &mut m);
+                                    m
+                                })
+                                .collect();
+                            let alone: Vec<_> =
+                                completed.iter().map(|m| model.evaluate_unchecked(m)).collect();
+                            // Runs of `width` rows from `rows`, all sharing
+                            // `prefix`, priced from the arena.
+                            let mut price = |prefix: &MappingPrefix, rows: &[u32]| {
+                                for width in [1, 2, 16] {
+                                    for run in rows.chunks(width) {
+                                        let source = estimate::MissRows {
+                                            layout,
+                                            candidates: &cands,
+                                            misses: run,
+                                        };
+                                        let mut seen = 0;
+                                        model.price_prefixed_batch(
+                                            prefix,
+                                            &source,
+                                            &mut scratch,
+                                            |j, got| {
+                                                let want = &alone[run[j] as usize];
+                                                let case = format!(
+                                                    "{} stage {stage} seed {seed} row {} width \
+                                                     {width} prefix {:?}",
+                                                    arch.name(),
+                                                    run[j],
+                                                    prefix.boundary()
+                                                );
+                                                assert_eq!(
+                                                    got.energy_pj.to_bits(),
+                                                    want.energy_pj.to_bits(),
+                                                    "{case}"
+                                                );
+                                                assert_eq!(
+                                                    got.delay_cycles.to_bits(),
+                                                    want.delay_cycles.to_bits(),
+                                                    "{case}"
+                                                );
+                                                seen += 1;
+                                            },
                                         );
-                                        m
-                                    })
-                                    .collect();
-                                let alone: Vec<_> =
-                                    completed.iter().map(|m| model.evaluate_unchecked(m)).collect();
-                                // Runs of `width` rows from `rows`, all
-                                // sharing `prefix`, priced from the arena.
-                                let mut price = |prefix: &MappingPrefix, rows: &[u32]| {
-                                    for width in [1, 2, 16] {
-                                        for run in rows.chunks(width) {
-                                            let source = estimate::MissRows {
-                                                layout,
-                                                candidates: &cands,
-                                                misses: run,
-                                                complete_at,
-                                            };
-                                            let mut seen = 0;
-                                            model.price_prefixed_batch(
-                                                prefix,
-                                                &source,
-                                                &mut scratch,
-                                                |j, got| {
-                                                    let want = &alone[run[j] as usize];
-                                                    let case = format!(
-                                                        "{} {direction:?} stage {stage} seed \
-                                                         {seed} row {} width {width} prefix {:?}",
-                                                        arch.name(),
-                                                        run[j],
-                                                        prefix.boundary()
-                                                    );
-                                                    assert_eq!(
-                                                        got.energy_pj.to_bits(),
-                                                        want.energy_pj.to_bits(),
-                                                        "{case}"
-                                                    );
-                                                    assert_eq!(
-                                                        got.delay_cycles.to_bits(),
-                                                        want.delay_cycles.to_bits(),
-                                                        "{case}"
-                                                    );
-                                                    seen += 1;
-                                                },
-                                            );
-                                            assert_eq!(seen, run.len());
-                                            priced += run.len();
-                                        }
+                                        assert_eq!(seen, run.len());
+                                        priced += run.len();
                                     }
-                                };
-                                // The empty prefix prices any rows together.
-                                price(model.empty_prefix(), &rows);
-                                // A parent's children share every level
-                                // below the stage's memory.
-                                for family in rows.chunk_by(|&a, &b| {
-                                    cands.parent[a as usize] == cands.parent[b as usize]
-                                }) {
-                                    let first = &completed[family[0] as usize];
-                                    for boundary in 0..ctx.mems[stage] {
-                                        price(&model.prefix_of(first, boundary), family);
-                                    }
+                                }
+                            };
+                            // The empty prefix prices any rows together.
+                            price(model.empty_prefix(), &rows);
+                            // A parent's children share every level below
+                            // the stage's memory.
+                            for family in rows.chunk_by(|&a, &b| {
+                                cands.parent[a as usize] == cands.parent[b as usize]
+                            }) {
+                                let first = &completed[family[0] as usize];
+                                for boundary in 0..ctx.mems[stage] {
+                                    price(&model.prefix_of(first, boundary), family);
                                 }
                             }
                         }
@@ -1645,49 +1281,27 @@ mod tests {
     }
 
     /// The tile memo's stored deltas and counters replay the enumeration
-    /// exactly: with every tile lookup forced to miss, each intra order in
-    /// both directions ends on the same beam with the same counters.
+    /// exactly: with every tile lookup forced to miss, the search ends on
+    /// the same beam with the same counters.
     #[test]
     fn tile_memo_hits_replay_what_the_enumeration_did() {
         let (w, arch) = (conv2d(16, 16, 14), presets::simba_like());
-        for direction in [Direction::BottomUp, Direction::TopDown] {
-            for intra_order in [
-                IntraOrder::UnrollTileOrder,
-                IntraOrder::OrderTileUnroll,
-                IntraOrder::TileUnrollOrder,
-            ] {
-                let config = SunstoneConfig { direction, intra_order, ..SunstoneConfig::default() };
-                with_context(&w, &arch, &config, |ctx| {
-                    let search = |miss_tiles| {
-                        let mut memo = SearchMemo { miss_tiles, ..SearchMemo::default() };
-                        let mut stats = SearchStats::default();
-                        let pass: &dyn LevelPass = match direction {
-                            Direction::BottomUp => &BottomUpPass,
-                            Direction::TopDown => &TopDownPass,
-                        };
-                        let run = run_level_search(
-                            ctx,
-                            pass,
-                            &mut memo,
-                            &mut stats,
-                            &CallControls::default(),
-                        );
-                        let beam: Vec<_> = run.beam.into_iter().map(|s| s.mapping).collect();
-                        (beam, stats)
-                    };
-                    let (beam, stats) = search(false);
-                    let (missed_beam, missed) = search(true);
-                    let case = format!("{direction:?} {intra_order:?}");
-                    assert_eq!(beam, missed_beam, "{case}");
-                    assert_eq!(missed.tile_memo_hits, 0, "{case}");
-                    if direction == Direction::BottomUp {
-                        assert!(stats.tile_memo_hits > 0, "{case}: the memo answered nothing");
-                        assert!(missed.capacity_probes > stats.capacity_probes, "{case}");
-                    }
-                    assert_eq!(replayed(stats), replayed(missed), "{case}");
-                });
-            }
-        }
+        with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
+            let search = |miss_tiles| {
+                let mut memo = SearchMemo { miss_tiles, ..SearchMemo::default() };
+                let mut stats = SearchStats::default();
+                let run = run_level_search(ctx, &mut memo, &mut stats, &CallControls::default());
+                let beam: Vec<_> = run.beam.into_iter().map(|s| s.mapping).collect();
+                (beam, stats)
+            };
+            let (beam, stats) = search(false);
+            let (missed_beam, missed) = search(true);
+            assert_eq!(beam, missed_beam);
+            assert_eq!(missed.tile_memo_hits, 0);
+            assert!(stats.tile_memo_hits > 0, "the memo answered nothing");
+            assert!(missed.capacity_probes > stats.capacity_probes);
+            assert_eq!(replayed(stats), replayed(missed));
+        });
     }
 
     #[test]

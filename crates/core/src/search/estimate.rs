@@ -17,7 +17,6 @@ use super::candidates::Candidates;
 use super::stats::SearchStats;
 use super::{PartialState, RowLayout, SearchContext};
 use crate::pool::SliceWriter;
-use crate::Direction;
 
 /// A memoized unrolling enumeration: what it kept plus the count
 /// to replay, so a memo hit reports the counters the enumeration did.
@@ -42,11 +41,6 @@ impl Tiles {
     /// Tiles kept.
     pub(crate) fn len(&self, ndims: usize) -> usize {
         self.deltas.len() / (2 * ndims)
-    }
-
-    /// Each kept tile's growth and remaining quotas.
-    pub(crate) fn iter(&self, ndims: usize) -> impl Iterator<Item = (&[u64], &[u64])> {
-        self.deltas.chunks_exact(2 * ndims).map(move |delta| delta.split_at(ndims))
     }
 }
 
@@ -204,25 +198,12 @@ impl SearchMemo {
     }
 }
 
-/// The memory position where [`complete`] places a state's remainder.
-pub(super) fn completion_pos(ctx: &SearchContext<'_>, direction: Direction) -> usize {
-    match direction {
-        Direction::BottomUp => *ctx.mems.last().expect("at least one memory"),
-        Direction::TopDown => ctx.mems[0],
-    }
-}
-
-/// Completes a partial state into a structurally valid mapping: bottom-up
-/// places the remaining quotient at the outermost memory; top-down places
-/// the unresolved resident tile at the innermost memory.
-pub(crate) fn complete(
-    ctx: &SearchContext<'_>,
-    state: &PartialState,
-    direction: Direction,
-) -> Mapping {
+/// Completes a partial state into a structurally valid mapping: the
+/// remaining quotient goes to the outermost memory
+/// ([`RowLayout::complete_at`]).
+pub(crate) fn complete(ctx: &SearchContext<'_>, state: &PartialState) -> Mapping {
     let mut m = state.mapping.clone();
-    let pos = completion_pos(ctx, direction);
-    if let MappingLevel::Temporal(t) = &mut m.levels_mut()[pos] {
+    if let MappingLevel::Temporal(t) = &mut m.levels_mut()[ctx.layout.complete_at] {
         for (f, q) in t.factors.iter_mut().zip(&state.quotas) {
             *f *= q;
         }
@@ -239,15 +220,14 @@ thread_local! {
 }
 
 /// A run of an estimate round's misses as the model's count kernel reads
-/// them: each miss's arena row, completed at `complete_at` by the quotas
-/// the row carries — the mapping [`complete`] would build from the row's
-/// state, never built.
+/// them: each miss's arena row, completed at the outermost memory by the
+/// quotas the row carries — the mapping [`complete`] would build from the
+/// row's state, never built.
 pub(crate) struct MissRows<'a> {
     pub(crate) layout: &'a RowLayout,
     pub(crate) candidates: &'a Candidates,
     /// Candidate indices of the run's misses.
     pub(crate) misses: &'a [u32],
-    pub(crate) complete_at: usize,
 }
 
 impl MissRows<'_> {
@@ -270,7 +250,7 @@ impl NestSource for MissRows<'_> {
     }
 
     fn completion(&self, i: usize) -> Option<(usize, &[u64])> {
-        Some((self.complete_at, &self.row(i)[self.layout.quotas()]))
+        Some((self.layout.complete_at, &self.row(i)[self.layout.quotas()]))
     }
 }
 
@@ -337,7 +317,7 @@ pub(crate) enum RoundStatus {
 /// arena row in place ([`MissRows`]): its factors, orders and quotas,
 /// folded in at the completion level. No miss becomes a [`Mapping`].
 ///
-/// Bottom-up stages past the first price each miss *prefix-incrementally*:
+/// Stages past the first price each miss *prefix-incrementally*:
 /// all candidates expanded from one beam state share the decided levels
 /// `0..=mems[stage − 1]`, so that prefix's per-level cost contribution is
 /// built once per parent ([`CostModel::prefix_of`], from the parent's
@@ -346,9 +326,9 @@ pub(crate) enum RoundStatus {
 /// levels. The
 /// composition is bit-identical to the whole-nest evaluation (see the
 /// model's `batch` tests), so which prefix priced an entry never shows.
-/// Stages with no shared prefix (the first bottom-up stage, every
-/// top-down stage) price against the model's empty prefix
-/// ([`CostModel::empty_prefix`]), which walks each candidate's whole nest.
+/// The first stage has no shared prefix and prices against the model's
+/// empty prefix ([`CostModel::empty_prefix`]), which walks each
+/// candidate's whole nest.
 ///
 /// The pool claims contiguous *chunks* of misses ([`ESTIMATE_CHUNK`] per
 /// atomic claim), and every maximal same-prefix run inside a claim — the
@@ -382,7 +362,6 @@ pub(crate) enum RoundStatus {
 /// [`CostModel::price_prefixed_batch`]: sunstone_model::CostModel::price_prefixed_batch
 pub(crate) fn estimate_all(
     ctx: &SearchContext<'_>,
-    direction: Direction,
     candidates: &mut Candidates,
     stage: usize,
     deadline: DeadlinePolicy,
@@ -393,12 +372,11 @@ pub(crate) fn estimate_all(
     stats.probed += candidates.len() as u64;
     let layout = &ctx.layout;
     let objective = ctx.config.objective;
-    let pos = completion_pos(ctx, direction);
     let estimates = &mut memo.estimates;
     // The words a nest hash was taken of, for the debug-build guard.
     let nest_key = |candidates: &Candidates, i: usize| {
         let mut key = Vec::new();
-        layout.nest_key(candidates.row(i), pos, &mut key);
+        layout.nest_key(candidates.row(i), &mut key);
         key
     };
     let mut hits = 0u64;
@@ -420,13 +398,13 @@ pub(crate) fn estimate_all(
         }
     }
 
-    // Prefix memoization: bottom-up, every candidate of one parent shares
+    // Prefix memoization: every candidate of one parent shares
     // the levels up to the previous stage's memory, and completion only
     // touches the outermost level — strictly above that boundary. Misses
     // preserve candidate order and candidates are expanded parent by
     // parent, so each parent's run of misses is contiguous.
     let phase = Instant::now();
-    let boundary = (direction == Direction::BottomUp && stage >= 1).then(|| ctx.mems[stage - 1]);
+    let boundary = (stage >= 1).then(|| ctx.mems[stage - 1]);
     let mut prefixes: Vec<MappingPrefix> = Vec::new();
     let mut group_of: Vec<u32> = Vec::new();
     if let Some(b) = boundary.filter(|_| !misses.is_empty()) {
@@ -437,7 +415,7 @@ pub(crate) fn estimate_all(
             faultpoint!("estimate.prefix");
             let parent = candidates.parent[i as usize];
             if prefixes.is_empty() || parent != last_parent {
-                layout.materialize_completed_into(candidates.row(i as usize), pos, &mut first);
+                layout.materialize_completed_into(candidates.row(i as usize), &mut first);
                 prefixes.push(ctx.model.prefix_of(&first, b));
                 last_parent = parent;
             }
@@ -501,8 +479,7 @@ pub(crate) fn estimate_all(
                         round_batches.fetch_add(1, Ordering::Relaxed);
                         round_batched.fetch_add((end - k) as u64, Ordering::Relaxed);
                     }
-                    let run =
-                        MissRows { layout, candidates, misses: &misses[k..end], complete_at: pos };
+                    let run = MissRows { layout, candidates, misses: &misses[k..end] };
                     model.price_prefixed_batch(prefix, &run, batch, |j, totals| {
                         // SAFETY: claims are disjoint ranges and every
                         // index is written by its claimant only; `k + j`

@@ -24,11 +24,11 @@
 //! arena, laid out by `RowLayout`. Only the survivors of the cut are
 //! materialized back into `PartialState`s.
 //!
-//! The walk direction is a `compose::LevelPass`: `compose::BottomUpPass`
-//! (the paper's default) starts at the innermost memory, where partial
-//! costs track final costs closely and the beam cuts early;
-//! `compose::TopDownPass` (Table VI) starts at DRAM. Both share the
-//! composition loop in `compose::run_level_search`.
+//! The walk is bottom-up — innermost memory first, the paper's default —
+//! and within a stage the fabric's unroll is chosen before the tile grows
+//! and the next memory's loop order is picked (`compose::run_level_search`,
+//! `candidates::expand`). Table VI's other five orders are an experiment,
+//! not a search of the library: `sunstone-bench`'s `table6` study.
 //!
 //! Every pruning decision is recorded in the structured [`SearchStats`]:
 //! per level and per principle, how many candidates were considered and
@@ -112,12 +112,16 @@ pub(crate) struct RowLayout {
     ndims: usize,
     /// Words of the key prefix; the quotas start here.
     pub(crate) key_len: usize,
+    /// The outermost memory's position, where a row's quotas go when it
+    /// is completed.
+    pub(crate) complete_at: usize,
 }
 
 impl RowLayout {
     /// The layout of every mapping shaped like `base` (one entry per
-    /// dimension in each level's factors and order).
-    fn of(base: &Mapping, ndims: usize) -> Self {
+    /// dimension in each level's factors and order), completed at
+    /// `complete_at`.
+    fn of(base: &Mapping, ndims: usize, complete_at: usize) -> Self {
         let mut order_at = base.levels().len() * ndims;
         let levels = base
             .levels()
@@ -131,7 +135,7 @@ impl RowLayout {
                 (pos * ndims, order)
             })
             .collect();
-        RowLayout { levels, ndims, key_len: order_at }
+        RowLayout { levels, ndims, key_len: order_at, complete_at }
     }
 
     /// Words per row: the key prefix plus the quotas.
@@ -190,14 +194,9 @@ impl RowLayout {
     /// mapping *as completed* — `estimate::complete(..)` of the row's
     /// state — without allocating: the evaluators' input for a table miss,
     /// written into a reused mapping.
-    pub(crate) fn materialize_completed_into(
-        &self,
-        row: &[u64],
-        complete_at: usize,
-        m: &mut Mapping,
-    ) {
+    pub(crate) fn materialize_completed_into(&self, row: &[u64], m: &mut Mapping) {
         self.fill(row, m);
-        let completed = m.levels_mut()[complete_at].factors_mut();
+        let completed = m.levels_mut()[self.complete_at].factors_mut();
         for (f, q) in completed.iter_mut().zip(&row[self.quotas()]) {
             *f *= q;
         }
@@ -209,14 +208,14 @@ impl RowLayout {
     /// key complete to the same flattened loop nest, which is all the cost
     /// model reads of a mapping's orders, so they price the same to the
     /// bit.
-    pub(crate) fn nest_key(&self, row: &[u64], complete_at: usize, key: &mut Vec<u64>) {
+    pub(crate) fn nest_key(&self, row: &[u64], key: &mut Vec<u64>) {
         let factors = self.levels.len() * self.ndims;
         let temporal = (self.key_len - factors) / self.ndims;
         key.clear();
         key.extend_from_slice(&row[..factors]);
         key.resize(factors + temporal * self.ndims.div_ceil(8), 0);
         for pos in 0..self.levels.len() {
-            self.renest_level(row, complete_at, pos, key);
+            self.renest_level(row, pos, key);
         }
     }
 
@@ -225,19 +224,19 @@ impl RowLayout {
     /// `pos` and the completion level contribute is rewritten, the rest
     /// kept. A run of rows that differ only there pays for its whole key
     /// once.
-    pub(crate) fn renest(&self, row: &[u64], complete_at: usize, pos: usize, key: &mut [u64]) {
-        self.renest_level(row, complete_at, pos, key);
-        if pos != complete_at {
-            self.renest_level(row, complete_at, complete_at, key);
+    pub(crate) fn renest(&self, row: &[u64], pos: usize, key: &mut [u64]) {
+        self.renest_level(row, pos, key);
+        if pos != self.complete_at {
+            self.renest_level(row, self.complete_at, key);
         }
     }
 
     /// Writes what the level at `pos` contributes to the nest key: its
     /// factors as completed, then, for a temporal level, its cut order.
-    fn renest_level(&self, row: &[u64], complete_at: usize, pos: usize, key: &mut [u64]) {
+    fn renest_level(&self, row: &[u64], pos: usize, key: &mut [u64]) {
         let slots = self.factors(pos);
         key[slots.clone()].copy_from_slice(&row[slots.clone()]);
-        if pos == complete_at {
+        if pos == self.complete_at {
             for (f, q) in key[slots.clone()].iter_mut().zip(&row[self.quotas()]) {
                 *f *= q;
             }
@@ -250,8 +249,8 @@ impl RowLayout {
 
     /// The row's nest hash: the [`beam::key_hash`] of its
     /// [`nest_key`](Self::nest_key), written into the scratch `key`.
-    pub(crate) fn nest_hash(&self, row: &[u64], complete_at: usize, key: &mut Vec<u64>) -> u128 {
-        self.nest_key(row, complete_at, key);
+    pub(crate) fn nest_hash(&self, row: &[u64], key: &mut Vec<u64>) -> u128 {
+        self.nest_key(row, key);
         beam::key_hash(key)
     }
 
@@ -291,7 +290,7 @@ impl RowLayout {
         let mut row = beam::mapping_key(m);
         // Nothing left to place: completing is multiplying by ones.
         row.resize(self.stride(), 1);
-        self.nest_key(&row, 0, key);
+        self.nest_key(&row, key);
     }
 }
 
@@ -355,9 +354,11 @@ pub(crate) struct SearchContext<'a> {
     pub(crate) trie: OrderingTrie<'a>,
     /// Memory level positions, innermost first.
     pub(crate) mems: Vec<usize>,
-    /// `lower_spatial[i]`: spatial positions between memory `i − 1` and
-    /// memory `i` (for `i = 0`: below the innermost memory).
-    pub(crate) lower_spatial: Vec<Vec<usize>>,
+    /// `lower_spatial[i]`: the spatial position between memory `i − 1`
+    /// and memory `i` (for `i = 0`: below the innermost memory), if any —
+    /// `ArchSpec::validate` rejects adjacent spatial levels, so a gap holds
+    /// at most one fabric.
+    pub(crate) lower_spatial: Vec<Option<usize>>,
     /// The session's persistent worker pool (estimate rounds fan out over
     /// it instead of spawning threads per round).
     pub(crate) pool: &'a WorkerPool,
@@ -396,17 +397,18 @@ impl<'a> SearchContext<'a> {
         constraints: ResolvedConstraints,
     ) -> Self {
         let mems: Vec<usize> = arch.memory_levels().map(|(id, _)| id.index()).collect();
-        let mut lower_spatial: Vec<Vec<usize>> = Vec::with_capacity(mems.len());
-        let mut prev: i64 = -1;
+        let mut lower_spatial = Vec::with_capacity(mems.len());
+        let mut gap = 0;
         for &m in &mems {
-            let gap: Vec<usize> = ((prev + 1) as usize..m)
-                .filter(|&p| matches!(arch.level(LevelId(p)), Level::Spatial(_)))
-                .collect();
-            lower_spatial.push(gap);
-            prev = m as i64;
+            let mut fabrics =
+                (gap..m).filter(|&p| matches!(arch.level(LevelId(p)), Level::Spatial(_)));
+            lower_spatial.push(fabrics.next());
+            debug_assert!(fabrics.next().is_none(), "adjacent spatial levels");
+            gap = m + 1;
         }
         let base = streaming_base(workload, arch);
-        let layout = RowLayout::of(&base, workload.num_dims());
+        let complete_at = *mems.last().expect("at least one memory");
+        let layout = RowLayout::of(&base, workload.num_dims(), complete_at);
         SearchContext {
             workload,
             arch,
@@ -446,8 +448,8 @@ pub(crate) struct PartialState {
     pub(crate) mapping: Mapping,
     /// Remaining per-dimension quotient.
     pub(crate) quotas: DimVec,
-    /// Ordering chosen for the *current frontier* memory (bottom-up: set
-    /// by the previous stage; governs this stage's unrolling principle).
+    /// Ordering chosen for the *current frontier* memory (set by the
+    /// previous stage; governs this stage's unrolling principle).
     pub(crate) ordering_here: Option<OrderingCandidate>,
 }
 
@@ -564,7 +566,6 @@ mod tests {
 
     use super::testing::{conv2d, random_state, with_context};
     use super::*;
-    use crate::Direction;
 
     fn preset(i: usize) -> ArchSpec {
         match i {
@@ -597,8 +598,8 @@ mod tests {
 
         /// Dedup identifies a row by the hashes of its completed mapping,
         /// and the estimate table is probed with exactly the key
-        /// `evaluate_cached` files under — that mapping's nest key — in
-        /// both directions; a miss is priced from exactly that mapping.
+        /// `evaluate_cached` files under — that mapping's nest key; a miss
+        /// is priced from exactly that mapping.
         #[test]
         fn probe_key_is_the_completed_mapping_key(
             arch in 0usize..4, k in 1u32..6, hw in 1u64..5, seed in 0u64..10_000,
@@ -609,25 +610,21 @@ mod tests {
                 let s = random_state(ctx, seed);
                 let mut row = Vec::new();
                 layout.write_row(&s.mapping, &s.quotas, &mut row);
-                // Reused across directions, as a worker's scratch is.
                 let mut m = ctx.base.clone();
                 let (mut words, mut nest) = (Vec::new(), Vec::new());
-                let row_hashes = |row: &[u64], pos, words: &mut Vec<u64>| {
-                    let nest = layout.nest_hash(row, pos, words);
+                let row_hashes = |row: &[u64], words: &mut Vec<u64>| {
+                    let nest = layout.nest_hash(row, words);
                     (nest, layout.identity(row, nest, words))
                 };
-                for direction in [Direction::BottomUp, Direction::TopDown] {
-                    let completed = estimate::complete(ctx, &s, direction);
-                    let pos = estimate::completion_pos(ctx, direction);
-                    let mut done = beam::mapping_key(&completed);
-                    done.resize(layout.stride(), 1);
-                    let hashes = row_hashes(&row, pos, &mut words);
-                    assert_eq!(hashes, row_hashes(&done, pos, &mut words));
-                    layout.nest_key_of(&completed, &mut nest);
-                    assert_eq!(hashes.0, beam::key_hash(&nest));
-                    layout.materialize_completed_into(&row, pos, &mut m);
-                    assert_eq!(m, completed);
-                }
+                let completed = estimate::complete(ctx, &s);
+                let mut done = beam::mapping_key(&completed);
+                done.resize(layout.stride(), 1);
+                let hashes = row_hashes(&row, &mut words);
+                assert_eq!(hashes, row_hashes(&done, &mut words));
+                layout.nest_key_of(&completed, &mut nest);
+                assert_eq!(hashes.0, beam::key_hash(&nest));
+                layout.materialize_completed_into(&row, &mut m);
+                assert_eq!(m, completed);
             });
         }
 
@@ -642,7 +639,7 @@ mod tests {
             let (w, arch) = (conv2d(1 << k, 24, 7 * hw), preset(arch));
             with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
                 let s = random_state(ctx, seed);
-                let m = estimate::complete(ctx, &s, Direction::BottomUp);
+                let m = estimate::complete(ctx, &s);
                 let nest = |m: &Mapping| {
                     let mut key = Vec::new();
                     ctx.layout.nest_key_of(m, &mut key);

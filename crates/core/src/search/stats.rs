@@ -54,7 +54,7 @@ impl PruneCounter {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LevelStats {
     /// Stage index: position in the per-level walk, with 0 the innermost
-    /// memory (both directions index the same way).
+    /// memory.
     pub level: usize,
     /// Loop orderings: trie nodes explored vs. candidates kept (Ordering
     /// Principles 1–3 plus sibling dominance).
@@ -107,10 +107,9 @@ pub struct LevelStats {
     pub expand_orderings: Duration,
     /// Part of `expand`: writing the candidate rows once a parent's
     /// children are decided — one template per unroll, then per child a
-    /// copy and a few slice writes. One clock pair per parent; bottom-up
-    /// only (top-down stages write their rows as they enumerate, and
-    /// report 0). What `expand` has beyond its four parts is memo lookups
-    /// and replays and deciding the children.
+    /// copy and a few slice writes. One clock pair per parent. What
+    /// `expand` has beyond its four parts is memo lookups and replays and
+    /// deciding the children.
     #[serde(default)]
     pub expand_rows: Duration,
     /// Wall time of duplicate elimination over the candidate rows.

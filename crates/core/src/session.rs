@@ -52,10 +52,10 @@ use crate::fingerprint::{
 };
 use crate::pool::{panic_message, SliceWriter, WorkerPool};
 use crate::progress::{CancelToken, ProgressEvent, ProgressSink};
-use crate::search::compose::{run_level_search, BottomUpPass, LevelPass, SearchStop, TopDownPass};
+use crate::search::compose::{run_level_search, SearchStop};
 use crate::search::estimate::{self, SearchMemo};
 use crate::search::{CallControls, SearchContext, SearchStats};
-use crate::{Direction, SunstoneConfig};
+use crate::SunstoneConfig;
 
 /// Thread-local breadcrumb naming the pipeline stage currently executing,
 /// read by the panic-isolation boundary when it catches a fault. A panic
@@ -994,8 +994,8 @@ impl Scheduler {
         Ok(results.collect())
     }
 
-    /// One search: resolve the problem, pick the direction pass, walk the
-    /// levels, and rank the valid completions.
+    /// One search: resolve the problem, walk the levels, and rank the
+    /// valid completions.
     fn search(
         &self,
         workload: &Workload,
@@ -1019,15 +1019,7 @@ impl Scheduler {
         let mut memo = SearchMemo::default();
         let mut stats = SearchStats::default();
 
-        let pass: &dyn LevelPass = match self.config.direction {
-            Direction::BottomUp => &BottomUpPass,
-            // A single memory level has no inter-level decisions to make
-            // top-down; the bottom-up pass covers it directly.
-            Direction::TopDown if ctx.mems.len() > 1 => &TopDownPass,
-            Direction::TopDown => &BottomUpPass,
-        };
-
-        let run = run_level_search(&ctx, pass, &mut memo, &mut stats, controls);
+        let run = run_level_search(&ctx, &mut memo, &mut stats, controls);
         fault_stage::set("rank");
         let truncated = match run.stop {
             SearchStop::Cancelled => return Err(ScheduleError::Cancelled),
@@ -1041,7 +1033,7 @@ impl Scheduler {
         // A truncated walk leaves quotas undecided; complete each partial
         // state the same way estimation does (best-so-far contract).
         let finals: Vec<Mapping> = if truncated {
-            run.beam.iter().map(|s| estimate::complete(&ctx, s, pass.direction())).collect()
+            run.beam.iter().map(|s| estimate::complete(&ctx, s)).collect()
         } else {
             run.beam.into_iter().map(|s| s.mapping).collect()
         };

@@ -65,25 +65,11 @@ pub fn enumerate_tiles(
 
 /// As [`enumerate_tiles`] (same contract on `fits` and `explored`), with
 /// the per-dimension divisor ladders served from a precomputed
-/// [`DivisorLadders`] table instead of trial division per call.
-pub fn enumerate_tiles_cached(
-    base: &[u64],
-    quota: &[u64],
-    allowed: DimSet,
-    fits: impl Fn(&[u64]) -> bool,
-    maximal_only: bool,
-    ladders: &DivisorLadders,
-) -> TilingOutcome {
-    let outcome =
-        enumerate_growths_cached(base, quota, allowed, |_, tile| fits(tile), maximal_only, ladders);
-    into_tiles(base, outcome)
-}
-
-/// As [`enumerate_tiles_cached`], but every kept tile is given as its
-/// growth over `base` (the tile is `base × growth`, the growth a divisor
-/// of `quota` per dimension), and `fits` sees each probe's growth beside
-/// its tile — the search's hot variant, which needs the growths and so
-/// never divides them back out of the tiles.
+/// [`DivisorLadders`] table instead of trial division per call, and every
+/// kept tile given as its growth over `base` (the tile is `base × growth`,
+/// the growth a divisor of `quota` per dimension); `fits` sees each
+/// probe's growth beside its tile — the search's hot variant, which needs
+/// the growths and so never divides them back out of the tiles.
 pub(crate) fn enumerate_growths_cached(
     base: &[u64],
     quota: &[u64],
@@ -248,7 +234,10 @@ mod tests {
         let grow = dims(&[0, 2, 3]);
         for maximal in [true, false] {
             let plain = enumerate_tiles(&base, &quota, grow, fits, maximal);
-            let cached = enumerate_tiles_cached(&base, &quota, grow, fits, maximal, &ladders);
+            let cached = into_tiles(
+                &base,
+                enumerate_growths_cached(&base, &quota, grow, |_, t| fits(t), maximal, &ladders),
+            );
             assert_eq!(plain, cached);
         }
     }

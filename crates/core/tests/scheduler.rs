@@ -1,7 +1,7 @@
 //! End-to-end scheduler tests over the preset architectures (previously
 //! the driver's unit tests; they only use the public API).
 
-use sunstone::{Direction, IntraOrder, Scheduler, SunstoneConfig};
+use sunstone::{Scheduler, SunstoneConfig};
 use sunstone_arch::{presets, Binding};
 use sunstone_ir::Workload;
 use sunstone_mapping::Mapping;
@@ -86,59 +86,6 @@ fn schedules_matmul() {
     let arch = presets::conventional();
     let result = Scheduler::new(SunstoneConfig::default()).schedule(&w, &arch).unwrap();
     assert!(result.report.edp > 0.0);
-}
-
-#[test]
-fn top_down_finds_comparable_edp_with_larger_space() {
-    // Large enough that the whole problem exceeds L2 (3.1 MB): the
-    // off-chip level has real tiling decisions to make.
-    let w = conv1d(128, 128, 8192, 3);
-    let arch = presets::conventional();
-    let bu = Scheduler::new(SunstoneConfig::default()).schedule(&w, &arch).unwrap();
-    let td = Scheduler::new(SunstoneConfig {
-        direction: Direction::TopDown,
-        ..SunstoneConfig::default()
-    })
-    .schedule(&w, &arch)
-    .unwrap();
-    // The paper's Table VI message: bottom-up is the right default. In
-    // our realization top-down's partial-cost estimates are far from
-    // final costs (inner levels are undecided), so at equal beam width it
-    // lands on clearly worse mappings; it needs a much larger beam to
-    // close the gap (the ablation bench sweeps this).
-    assert!(
-        td.report.edp >= bu.report.edp,
-        "bottom-up at least as good: bu={} td={}",
-        bu.report.edp,
-        td.report.edp
-    );
-    let wide = Scheduler::new(SunstoneConfig {
-        direction: Direction::TopDown,
-        beam_width: 512,
-        ..SunstoneConfig::default()
-    })
-    .schedule(&w, &arch)
-    .unwrap();
-    assert!(wide.report.edp <= td.report.edp, "a wider top-down beam only helps");
-}
-
-#[test]
-fn intra_order_variants_agree_on_quality() {
-    let w = conv1d(16, 16, 28, 3);
-    let arch = presets::conventional();
-    let mut edps = Vec::new();
-    for intra in
-        [IntraOrder::OrderTileUnroll, IntraOrder::UnrollTileOrder, IntraOrder::TileUnrollOrder]
-    {
-        let r = Scheduler::new(SunstoneConfig { intra_order: intra, ..Default::default() })
-            .schedule(&w, &arch)
-            .unwrap();
-        edps.push(r.report.edp);
-    }
-    let best = edps.iter().cloned().fold(f64::INFINITY, f64::min);
-    for e in &edps {
-        assert!(*e <= best * 2.0, "intra orders stay close: {edps:?}");
-    }
 }
 
 #[test]

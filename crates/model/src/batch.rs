@@ -548,8 +548,8 @@ mod tests {
     /// memory-only prefix where every pair takes the hoisted path
     /// (conventional); `fabric_first` covers MAC-boundary pairs that
     /// straddle a unicast fabric or span the whole hierarchy. A width-17
-    /// run against the empty prefix itself — how top-down stages, which
-    /// decide no prefix, price — varies every level.
+    /// run against the empty prefix itself — how the search's first stage,
+    /// which has no decided prefix, prices — varies every level.
     #[test]
     fn every_prefix_and_width_prices_as_the_empty_prefix_alone() {
         let w = conv2d();

@@ -83,9 +83,8 @@ fn tiny_l1() -> ArchSpec {
 
 /// The degenerate corner of the configuration space: beam width 1, both
 /// enumeration caps 1, deterministic single thread.
-fn minimal_config(direction: Direction) -> SunstoneConfig {
+fn minimal_config() -> SunstoneConfig {
     SunstoneConfig {
-        direction,
         beam_width: 1,
         threads: 1,
         max_tiles_per_enum: 1,
@@ -124,8 +123,7 @@ fn degenerate_grid_never_panics() {
     ];
     let configs: Vec<(&str, SunstoneConfig)> = vec![
         ("default", SunstoneConfig::default()),
-        ("minimal_bottom_up", minimal_config(Direction::BottomUp)),
-        ("minimal_top_down", minimal_config(Direction::TopDown)),
+        ("minimal", minimal_config()),
         (
             "caps_1_two_threads",
             SunstoneConfig {
@@ -171,7 +169,7 @@ fn batch_over_degenerate_inputs_never_panics() {
     let arch = tiny_l1();
     let net = vec![all_ones(), prime_dims()];
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-        Scheduler::new(minimal_config(Direction::BottomUp)).schedule_batch_outcomes(
+        Scheduler::new(minimal_config()).schedule_batch_outcomes(
             &net,
             &arch,
             &ScheduleOptions::new(),
@@ -200,7 +198,7 @@ fn small_mappers() -> Vec<Box<dyn Mapper>> {
     let dmaze = |config: DMazeConfig| DMazeConfig { max_evaluations: 2_000, ..config };
     let gamma = GammaConfig { population: 8, generations: 3, ..GammaConfig::default() };
     vec![
-        Box::new(SunstoneMapper::new(minimal_config(Direction::BottomUp))),
+        Box::new(SunstoneMapper::new(minimal_config())),
         Box::new(TimeloopMapper::new("TL", timeloop)),
         Box::new(DMazeMapper::new("dMaze-fast", dmaze(DMazeConfig::fast()))),
         Box::new(DMazeMapper::new("dMaze-slow", dmaze(DMazeConfig::slow()))),
