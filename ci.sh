@@ -74,12 +74,12 @@ cargo run --release -p sunstone-bench --bin bench_schedule -- quick --out BENCH_
 python3 - <<'EOF'
 import json
 d = json.load(open("BENCH_schedule_quick.json"))
-assert d.get("schema") == "sunstone-bench-schedule/v10", d.get("schema")
+assert d.get("schema") == "sunstone-bench-schedule/v11", d.get("schema")
 assert d.get("layers"), "no layers recorded"
 for row in d["layers"]:
     for field in (
         "name", "cold_ms", "repeat_us", "best_edp",
-        "probed", "modeled", "nodes_explored", "capacity_probes",
+        "probed", "modeled", "bounded", "nodes_explored", "capacity_probes",
         "prefix_hit_rate", "price_ns", "mapping_fp", "phase_ms",
     ):
         assert field in row, f"missing {field} in {row.get('name', '?')}"
@@ -93,7 +93,7 @@ for row in d["layers"]:
     assert row["cold_ms"] > 0 and row["repeat_us"] > 0, row["name"]
     # A repeat is a memo hit, not a second search.
     assert row["repeat_us"] < 1e3 * row["cold_ms"], row["name"]
-    assert row["modeled"] <= row["probed"], row["name"]
+    assert row["modeled"] + row["bounded"] <= row["probed"], row["name"]
     assert row["price_ns"] > 0, row["name"]
 est = d.get("estimate", {})
 for field in ("evals_per_sec", "batch_evals_per_sec", "batch_width"):
@@ -115,17 +115,18 @@ checked = sum(1 for r in d["layers"] if r["name"] in base)
 assert checked > 0, "no quick layer found in the baseline — gate is vacuous"
 # Count gate: a search's counters do not depend on session history (it
 # owns its tables; these rows are each layer's first call, a search), so
-# a quick layer must probe, model and explore exactly what the committed
-# full-mode row did. A refactor that changes *which* candidates are built,
-# not only how, fails here even when the winning mapping survives; and
-# `nodes_explored` — computed per lattice column by the frontier walk, not
-# walked — must still equal the count a walk of every node would give.
+# a quick layer must probe, model, bound and explore exactly what the
+# committed full-mode row did. A refactor that changes *which* candidates
+# are built, not only how, fails here even when the winning mapping
+# survives; and `nodes_explored` — computed per lattice column by the
+# frontier walk, not walked — must still equal the count a walk of every
+# node would give.
 committed = json.load(open("BENCH_schedule.json"))
 committed_rows = {r["name"]: r for r in committed["layers"]}
 drifted = [
     f"{r['name']}: {key} {r[key]} != {committed_rows[r['name']][key]}"
     for r in d["layers"]
-    for key in ("probed", "modeled", "nodes_explored")
+    for key in ("probed", "modeled", "bounded", "nodes_explored")
     if r[key] != committed_rows[r["name"]][key]
 ]
 assert not drifted, "search counters drifted from BENCH_schedule.json:\n" + "\n".join(drifted)

@@ -40,6 +40,8 @@ struct LayerRow {
     mapping: String,
     probed: u64,
     modeled: u64,
+    /// Candidates the bound cut before they were priced.
+    bounded: u64,
     /// Tile and unrolling lattice nodes the search spans (replayed on a
     /// memo hit, so the logical count).
     nodes_explored: u64,
@@ -48,8 +50,9 @@ struct LayerRow {
     /// Fraction of the model evaluations that reused a memoized
     /// decided-prefix cost.
     prefix_hit_rate: f64,
-    /// What one priced candidate cost: `phase_ms.estimate_price` ÷
-    /// `modeled`, in nanoseconds (comparable across layers).
+    /// What one candidate through the count kernel cost, priced or cut by
+    /// the bound: `phase_ms.estimate_price` ÷ (`modeled` + `bounded`), in
+    /// nanoseconds (comparable across layers).
     price_ns: f64,
     /// The search's own phase split.
     phase_ms: PhaseMs,
@@ -218,7 +221,7 @@ fn main() {
         let first = scheduler.schedule(&w, &arch).expect("schedules");
         let cold_ms = ms(t0.elapsed());
         let stats = &first.stats;
-        let modeled = stats.modeled;
+        let (modeled, bounded) = (stats.modeled, stats.bounded);
         batches += stats.batches;
         batched += stats.batched;
         modeled_total += modeled;
@@ -233,9 +236,11 @@ fn main() {
         }
         let repeat_us = median(&mut samples);
         let phase_ms = PhaseMs::of(stats, cold_ms);
-        // What one priced candidate cost, comparable across layers.
+        // What one candidate through the kernel cost, comparable across
+        // layers.
+        let through = modeled + bounded;
         let price_ns =
-            if modeled == 0 { 0.0 } else { phase_ms.estimate_price * 1e6 / modeled as f64 };
+            if through == 0 { 0.0 } else { phase_ms.estimate_price * 1e6 / through as f64 };
         println!(
             "  {:10}  cold {:8.1} ms   repeat {:8.1} us   price {:6.0} ns   EDP {:.3e}",
             layer.name, cold_ms, repeat_us, price_ns, first.report.edp
@@ -249,6 +254,7 @@ fn main() {
             mapping: first.mapping.to_string(),
             probed: stats.probed,
             modeled,
+            bounded,
             nodes_explored: stats.nodes_explored,
             capacity_probes: stats.capacity_probes,
             prefix_hit_rate: ratio(stats.prefix_hits, modeled),
@@ -363,7 +369,7 @@ fn main() {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v10\",");
+    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v11\",");
     let _ = writeln!(json, "  \"mode\": \"{}\",", if quick { "quick" } else { "full" });
     let _ = writeln!(json, "  \"arch\": \"{}\",", esc(arch.name()));
     let _ = writeln!(json, "  \"reps\": {reps},");
@@ -377,6 +383,7 @@ fn main() {
         let _ = writeln!(json, "      \"best_edp\": {:.6e},", r.best_edp);
         let _ = writeln!(json, "      \"probed\": {},", r.probed);
         let _ = writeln!(json, "      \"modeled\": {},", r.modeled);
+        let _ = writeln!(json, "      \"bounded\": {},", r.bounded);
         let _ = writeln!(json, "      \"nodes_explored\": {},", r.nodes_explored);
         let _ = writeln!(json, "      \"capacity_probes\": {},", r.capacity_probes);
         let _ = writeln!(json, "      \"prefix_hit_rate\": {:.4},", r.prefix_hit_rate);

@@ -29,29 +29,31 @@ fn pct(c: &PruneCounter) -> f64 {
     100.0 * c.pruned_fraction()
 }
 
-/// What one priced candidate costs: the estimate rounds' pricing time
-/// per model evaluation, in nanoseconds.
+/// What one candidate through the count kernel costs, priced or cut by
+/// the bound: the estimate rounds' pricing time per candidate, in
+/// nanoseconds.
 fn price_ns(stats: &SearchStats) -> f64 {
     let price: std::time::Duration = stats.levels.iter().map(|l| l.estimate_price).sum();
-    if stats.modeled == 0 {
+    let through = stats.modeled + stats.bounded;
+    if through == 0 {
         0.0
     } else {
-        price.as_secs_f64() * 1e9 / stats.modeled as f64
+        price.as_secs_f64() * 1e9 / through as f64
     }
 }
 
 fn print_level_table(stats: &SearchStats) {
     println!(
-        "    {:<5} {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>6} {:>9} {:>7} {:>7}   {:>6}   {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "    {:<5} {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>6} {:>9} {:>7} {:>7}   {:>6} {:>7}   {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "level", "ord.cons", "kept", "pruned", "tile.cons", "kept", "pruned", "unr.cons", "kept",
-        "pruned", "dedup", "beam.cons", "kept", "cut", "hit%", "expand.ms", "x.tiles", "x.unrol",
+        "pruned", "dedup", "beam.cons", "kept", "cut", "hit%", "bounded", "expand.ms", "x.tiles", "x.unrol",
         "x.order", "x.rows", "dedup.ms", "estim.ms", "e.prefix", "e.price", "e.publ", "selec.ms"
     );
     for l in &stats.levels {
         let probes = l.cache_hits + l.cache_misses;
         let hit = if probes == 0 { 0.0 } else { 100.0 * l.cache_hits as f64 / probes as f64 };
         println!(
-            "    L{:<4} {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>6} {:>9} {:>7} {:>7} {:>5.1}%   {:>9.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
+            "    L{:<4} {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>6} {:>9} {:>7} {:>7} {:>5.1}% {:>7}   {:>9.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
             l.level,
             l.ordering.considered,
             l.ordering.kept,
@@ -67,6 +69,7 @@ fn print_level_table(stats: &SearchStats) {
             l.beam.kept,
             l.beam.pruned(),
             hit,
+            l.bounded,
             l.expand.as_secs_f64() * 1e3,
             l.expand_tiles.as_secs_f64() * 1e3,
             l.expand_unrolls.as_secs_f64() * 1e3,
@@ -85,6 +88,7 @@ fn print_level_table(stats: &SearchStats) {
 fn merge_into(total: &mut SearchStats, s: &SearchStats) {
     total.probed += s.probed;
     total.modeled += s.modeled;
+    total.bounded += s.bounded;
     total.prefix_hits += s.prefix_hits;
     total.batches += s.batches;
     total.batched += s.batched;
@@ -115,6 +119,7 @@ fn merge_into(total: &mut SearchStats, s: &SearchStats) {
         tl.beam.merge(&l.beam);
         tl.cache_hits += l.cache_hits;
         tl.cache_misses += l.cache_misses;
+        tl.bounded += l.bounded;
         tl.expand += l.expand;
         tl.expand_tiles += l.expand_tiles;
         tl.expand_unrolls += l.expand_unrolls;
@@ -142,10 +147,11 @@ fn main() {
         let no_reuse: u64 = r.stats.levels.iter().map(|l| l.ordering_no_reuse).sum();
         let dominated: u64 = r.stats.levels.iter().map(|l| l.ordering_dominated).sum();
         println!(
-            "  {:<10} probed {:>6} (modeled {:>5}, {:>5.0} ns each), beam cut {:>6}, nodes explored {:>7} ({:>6} capacity probes), ordering rejections: {} no-reuse (P3), {} dominated (P1–2)",
+            "  {:<10} probed {:>6} (modeled {:>5}, bounded {:>5}, {:>5.0} ns each), beam cut {:>6}, nodes explored {:>7} ({:>6} capacity probes), ordering rejections: {} no-reuse (P3), {} dominated (P1–2)",
             layer.name,
             r.stats.probed,
             r.stats.modeled,
+            r.stats.bounded,
             price_ns(&r.stats),
             r.stats.beam_cut(),
             r.stats.nodes_explored,
@@ -187,7 +193,7 @@ fn main() {
         total.beam_cut()
     );
     println!(
-        "  model:            {:>8} evaluations ({:>6} prefix-incremental, {:.1}% of modeled), {:.0} ns per priced candidate",
+        "  model:            {:>8} evaluations ({:>6} prefix-incremental, {:.1}% of modeled), {:>6} bounded, {:.0} ns per candidate through the kernel",
         total.modeled,
         total.prefix_hits,
         if total.modeled == 0 {
@@ -195,6 +201,7 @@ fn main() {
         } else {
             100.0 * total.prefix_hits as f64 / total.modeled as f64
         },
+        total.bounded,
         price_ns(&total)
     );
     println!(

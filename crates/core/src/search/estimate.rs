@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use sunstone_ir::{DimSet, DimVec, FxHashMap};
 use sunstone_mapping::{Mapping, MappingLevel};
-use sunstone_model::{BatchEvalScratch, CostReport, MappingPrefix, NestSource};
+use sunstone_model::{BatchEvalScratch, CostReport, CostTotals, MappingPrefix, Nest, NestSource};
 
 use super::beam::{key_hash, KeyHashMap};
 use super::candidates::Candidates;
@@ -230,27 +230,38 @@ pub(crate) struct MissRows<'a> {
     pub(crate) misses: &'a [u32],
 }
 
-impl MissRows<'_> {
-    fn row(&self, i: usize) -> &[u64] {
-        self.candidates.row(self.misses[i] as usize)
-    }
-}
-
 impl NestSource for MissRows<'_> {
+    type Nest<'a>
+        = MissRow<'a>
+    where
+        Self: 'a;
+
     fn count(&self) -> usize {
         self.misses.len()
     }
 
-    fn factors(&self, i: usize, pos: usize) -> &[u64] {
-        &self.row(i)[self.layout.factors(pos)]
+    fn nest(&self, i: usize) -> MissRow<'_> {
+        MissRow { layout: self.layout, row: self.candidates.row(self.misses[i] as usize) }
+    }
+}
+
+/// One miss's arena row as the count kernel reads it.
+pub(crate) struct MissRow<'a> {
+    layout: &'a RowLayout,
+    row: &'a [u64],
+}
+
+impl Nest for MissRow<'_> {
+    fn factors(&self, pos: usize) -> &[u64] {
+        &self.row[self.layout.factors(pos)]
     }
 
-    fn order(&self, i: usize, pos: usize) -> impl DoubleEndedIterator<Item = usize> + '_ {
-        self.row(i)[self.layout.order(pos)].iter().map(|&d| d as usize)
+    fn order(&self, pos: usize) -> impl DoubleEndedIterator<Item = usize> + '_ {
+        self.row[self.layout.order(pos)].iter().map(|&d| d as usize)
     }
 
-    fn completion(&self, i: usize) -> Option<(usize, &[u64])> {
-        Some((self.layout.complete_at, &self.row(i)[self.layout.quotas()]))
+    fn completion(&self) -> Option<(usize, &[u64])> {
+        Some((self.layout.complete_at, &self.row[self.layout.quotas()]))
     }
 }
 
@@ -263,6 +274,76 @@ impl NestSource for MissRows<'_> {
 /// enough that modest rounds (a few hundred misses) still split into more
 /// claims than the pool has claimants.
 const ESTIMATE_CHUNK: usize = 16;
+
+/// Misses in an estimate round's first wave. Each wave is one pool round
+/// of twice the misses of the one before, and the bound's threshold is
+/// taken between waves, on the calling thread: the waves start small so
+/// that the threshold tightens early, and grow so that a large round
+/// costs few pool rounds. Their bounds depend only on the round's size,
+/// so which candidates are cut does not depend on the thread count.
+const FIRST_WAVE: usize = 64;
+
+/// What became of one miss of an estimate round.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Priced {
+    /// Not reached: the round stopped first.
+    Unpriced,
+    /// Cut by the bound: it cannot enter the beam.
+    Bounded,
+    /// The objective's value of its totals.
+    Exact(f64),
+}
+
+impl Priced {
+    /// The candidate's estimate for the beam: its price, or `+∞` for a
+    /// candidate that is never selected.
+    fn or_infinity(self) -> f64 {
+        match self {
+            Priced::Exact(estimate) => estimate,
+            Priced::Bounded | Priced::Unpriced => f64::INFINITY,
+        }
+    }
+}
+
+/// The `width` smallest exact estimates a round knows so far — the arena's
+/// hits, then what its waves priced, each counted once per candidate that
+/// carries it — kept to answer one question: the `width`-th smallest. A
+/// miss whose lower bound exceeds it has at least `width` candidates
+/// strictly ahead of it, so the beam ([`select`](super::beam::select),
+/// `width` candidates by estimate) never takes it.
+struct BeamCut {
+    width: usize,
+    /// Ascending in [`f64::total_cmp`], as the beam ranks; at most `width`.
+    kept: Vec<f64>,
+}
+
+impl BeamCut {
+    fn new(width: usize) -> Self {
+        BeamCut { width, kept: Vec::with_capacity(width + 1) }
+    }
+
+    /// `share` more candidates whose estimate is `estimate`.
+    fn offer(&mut self, estimate: f64, share: u32) {
+        for _ in 0..share {
+            let at = self.kept.partition_point(|k| k.total_cmp(&estimate).is_le());
+            if at == self.width {
+                return;
+            }
+            self.kept.insert(at, estimate);
+            self.kept.truncate(self.width);
+        }
+    }
+
+    /// The `width`-th smallest estimate known; `+∞` — nothing is past it —
+    /// until `width` are known.
+    fn threshold(&self) -> f64 {
+        if self.kept.len() == self.width {
+            self.kept[self.width - 1]
+        } else {
+            f64::INFINITY
+        }
+    }
+}
 
 /// When an estimation round may observe the wall-clock deadline.
 ///
@@ -330,14 +411,29 @@ pub(crate) enum RoundStatus {
 /// empty prefix ([`CostModel::empty_prefix`]), which walks each
 /// candidate's whole nest.
 ///
-/// The pool claims contiguous *chunks* of misses ([`ESTIMATE_CHUNK`] per
-/// atomic claim), and every maximal same-prefix run inside a claim — the
-/// whole claim when the stage has no prefix — is priced by one call of the
-/// model's count kernel ([`CostModel::price_prefixed_batch`]) over the
-/// run's rows, which hands back the two totals the objective is a
-/// function of rather than a report. A run of one is a
-/// width-1 call of the same kernel. `SearchStats::{batches, batched}`
-/// count the runs of two or more that share a decided prefix.
+/// The misses are priced in *waves* — 64, 128, 256, … misses in
+/// candidate order, each one pool round — and bound before they are
+/// priced. Between waves the calling thread takes the threshold `T`: the
+/// `beam_width`-th smallest exact estimate the round knows (its hits, and
+/// what earlier waves priced, once per candidate that carries it;
+/// [`BeamCut`]). In a wave the kernel first prices each candidate's
+/// outermost storing pairs alone, a lower bound on its price
+/// ([`CostModel::price_prefixed_batch_bounded`]); a candidate whose bound's
+/// objective exceeds `T` has `beam_width` candidates strictly ahead of it
+/// and can never be selected, so the rest of it is skipped: its estimate
+/// is `+∞`, its reservation in the table is abandoned and it counts in
+/// `SearchStats::bounded` instead of `modeled`. The waves' bounds depend
+/// only on the round's size and `T` only on earlier waves, so the same
+/// candidates are cut at any thread count.
+///
+/// The pool claims contiguous *chunks* of a wave's misses
+/// ([`ESTIMATE_CHUNK`] per atomic claim), and every maximal same-prefix run
+/// inside a claim — the whole claim when the stage has no prefix — goes
+/// through one call of the model's count kernel over the run's rows, which
+/// hands back the two totals the objective is a function of rather than a
+/// report. A run of one is a width-1 call of the same kernel.
+/// `SearchStats::{batches, batched}` count the runs of two or more that
+/// share a decided prefix, and the candidates in them priced to the end.
 ///
 /// Results are written back by candidate index, so the outcome is
 /// identical for any thread count.
@@ -359,7 +455,7 @@ pub(crate) enum RoundStatus {
 ///
 /// [`CostModel::prefix_of`]: sunstone_model::CostModel::prefix_of
 /// [`CostModel::empty_prefix`]: sunstone_model::CostModel::empty_prefix
-/// [`CostModel::price_prefixed_batch`]: sunstone_model::CostModel::price_prefixed_batch
+/// [`CostModel::price_prefixed_batch_bounded`]: sunstone_model::CostModel::price_prefixed_batch_bounded
 pub(crate) fn estimate_all(
     ctx: &SearchContext<'_>,
     candidates: &mut Candidates,
@@ -386,11 +482,13 @@ pub(crate) fn estimate_all(
     // price.
     let mut misses: Vec<u32> = Vec::new();
     let mut copies: Vec<(u32, u32)> = Vec::new();
+    let mut cut = BeamCut::new(ctx.config.beam_width.max(1));
     for i in 0..candidates.len() {
         let reserve = misses.len() as u32;
         match estimates.probe(candidates.nest[i], reserve, || nest_key(candidates, i)) {
             Probe::Priced(estimate) => {
                 candidates.estimate[i] = estimate;
+                cut.offer(estimate, 1);
                 hits += 1;
             }
             Probe::Pending(first) => copies.push((i as u32, first)),
@@ -421,13 +519,17 @@ pub(crate) fn estimate_all(
             }
             group_of.push((prefixes.len() - 1) as u32);
         }
-        let reused = (misses.len() - prefixes.len()) as u64;
-        stats.prefix_hits += reused;
     }
     let prefix_time = phase.elapsed();
 
     let phase = Instant::now();
-    let mut priced: Vec<Option<f64>> = vec![None; misses.len()];
+    let mut priced = vec![Priced::Unpriced; misses.len()];
+    // Each miss's share of the arena: itself and the candidates that copy
+    // its price.
+    let mut shares = vec![1u32; misses.len()];
+    for &(_, first) in &copies {
+        shares[first as usize] += 1;
+    }
     let round_cancelled = AtomicBool::new(false);
     let round_deadlined = AtomicBool::new(false);
     let round_batches = AtomicU64::new(0);
@@ -436,16 +538,19 @@ pub(crate) fn estimate_all(
     // deadline only engages once this is nonzero, so every round keeps at
     // least one chunk of real estimates (the zero-budget contract).
     let claims_done = AtomicUsize::new(0);
-    if !misses.is_empty() {
+    let (mut start, mut wave) = (0, FIRST_WAVE);
+    while start < misses.len() {
+        let end = (start + wave).min(misses.len());
         stats.rounds += 1;
         let model = &ctx.model;
-        let writer = SliceWriter::new(&mut priced);
+        let threshold = cut.threshold();
+        let writer = SliceWriter::new(&mut priced[start..end]);
         let (prefixes, group_of, misses) = (&prefixes, &group_of, &misses);
         let candidates = &*candidates;
         let (round_cancelled, round_deadlined) = (&round_cancelled, &round_deadlined);
         let (round_batches, round_batched) = (&round_batches, &round_batched);
         let claims_done = &claims_done;
-        ctx.pool.run_chunked(misses.len(), ESTIMATE_CHUNK, &|range| {
+        ctx.pool.run_chunked(end - start, ESTIMATE_CHUNK, &|range| {
             // Bounded-latency stop checks, per claim: the cancel check is
             // one atomic load and the deadline one clock read, and a claim
             // covers at most `ESTIMATE_CHUNK` evaluations. Once a stop is
@@ -465,63 +570,99 @@ pub(crate) fn estimate_all(
             }
             SCRATCH.with(|cell| {
                 let batch = &mut *cell.borrow_mut();
-                let mut k = range.start;
-                while k < range.end {
+                let mut k = start + range.start;
+                while k < start + range.end {
                     // Maximal same-prefix run inside this claim; with no
                     // prefix this stage, the whole claim.
                     let group = group_of.get(k);
                     let mut end = k + 1;
-                    while end < range.end && group_of.get(end) == group {
+                    while end < start + range.end && group_of.get(end) == group {
                         end += 1;
                     }
                     let prefix = group.map_or(model.empty_prefix(), |&g| &prefixes[g as usize]);
-                    if group.is_some() && end - k >= 2 {
-                        round_batches.fetch_add(1, Ordering::Relaxed);
-                        round_batched.fetch_add((end - k) as u64, Ordering::Relaxed);
-                    }
                     let run = MissRows { layout, candidates, misses: &misses[k..end] };
-                    model.price_prefixed_batch(prefix, &run, batch, |j, totals| {
+                    let mut full = 0;
+                    let mut emit = |j, totals: Option<CostTotals>| {
+                        let estimate = match totals {
+                            Some(totals) => {
+                                full += 1;
+                                Priced::Exact(objective.of_totals(totals))
+                            }
+                            None => Priced::Bounded,
+                        };
                         // SAFETY: claims are disjoint ranges and every
                         // index is written by its claimant only; `k + j`
-                        // stays inside this run.
-                        unsafe { writer.write(k + j, Some(objective.of_totals(totals))) };
-                    });
+                        // stays inside this run, within this wave.
+                        unsafe { writer.write(k + j - start, estimate) };
+                    };
+                    // Nothing is past an infinite threshold: no bound to take.
+                    if threshold == f64::INFINITY {
+                        model.price_prefixed_batch(prefix, &run, batch, |j, t| emit(j, Some(t)));
+                    } else {
+                        let past = |bound| objective.of_totals(bound) > threshold;
+                        model.price_prefixed_batch_bounded(prefix, &run, batch, past, emit);
+                    }
+                    if group.is_some() && end - k >= 2 {
+                        round_batches.fetch_add(1, Ordering::Relaxed);
+                        round_batched.fetch_add(full, Ordering::Relaxed);
+                    }
                     k = end;
                 }
             });
             claims_done.fetch_add(1, Ordering::Relaxed);
         });
+        if round_cancelled.load(Ordering::Relaxed) || round_deadlined.load(Ordering::Relaxed) {
+            break;
+        }
+        for (estimate, &share) in priced[start..end].iter().zip(&shares[start..end]) {
+            if let Priced::Exact(estimate) = *estimate {
+                cut.offer(estimate, share);
+            }
+        }
+        (start, wave) = (end, 2 * wave);
     }
     let price_time = phase.elapsed();
 
     let phase = Instant::now();
     let miss_count = misses.len() as u64;
-    stats.modeled += priced.iter().filter(|e| e.is_some()).count() as u64;
+    let modeled = priced.iter().filter(|e| matches!(e, Priced::Exact(_))).count() as u64;
+    let bounded = priced.iter().filter(|e| matches!(e, Priced::Bounded)).count() as u64;
+    stats.modeled += modeled;
+    stats.bounded += bounded;
     stats.batches += round_batches.into_inner();
     stats.batched += round_batched.into_inner();
-    // Skipped by a mid-round stop: never evaluated, never published. The
-    // caller discards the stage, so the placeholder estimate is never
-    // ranked against real ones.
+    // Per beam parent, every priced miss but the first reused its prefix.
+    let mut full = vec![0u64; prefixes.len()];
+    for (&g, estimate) in group_of.iter().zip(&priced) {
+        full[g as usize] += u64::from(matches!(estimate, Priced::Exact(_)));
+    }
+    stats.prefix_hits += full.iter().map(|n| n.saturating_sub(1)).sum::<u64>();
+    // Bounded, or skipped by a mid-round stop: never evaluated, never
+    // published. A bounded nest cannot enter the beam (its bound already
+    // exceeds `beam_width` known estimates); a stopped round's stage is
+    // discarded by the caller. Either way the placeholder is never
+    // selected.
     for &(i, first) in &copies {
-        candidates.estimate[i as usize] = priced[first as usize].unwrap_or(f64::INFINITY);
+        candidates.estimate[i as usize] = priced[first as usize].or_infinity();
     }
     hits += copies.len() as u64;
     // Publish every new estimate into the search's table.
     for (&i, estimate) in misses.iter().zip(priced) {
         let i = i as usize;
-        candidates.estimate[i] = estimate.unwrap_or(f64::INFINITY);
+        candidates.estimate[i] = estimate.or_infinity();
         match estimate {
-            Some(estimate) => {
+            Priced::Exact(estimate) => {
                 faultpoint!("estimate.publish");
                 estimates.insert(candidates.nest[i], estimate, || nest_key(candidates, i));
             }
-            None => estimates.abandon(candidates.nest[i]),
+            Priced::Bounded | Priced::Unpriced => estimates.abandon(candidates.nest[i]),
         }
     }
 
     let level = stats.level_mut(stage);
     level.cache_hits += hits;
     level.cache_misses += miss_count;
+    level.bounded += bounded;
     level.estimate_prefix += prefix_time;
     level.estimate_price += price_time;
     level.estimate_publish += phase.elapsed();

@@ -83,8 +83,12 @@ pub struct LevelStats {
     pub beam: PruneCounter,
     /// Estimates answered by the search's estimate table at this stage.
     pub cache_hits: u64,
-    /// Estimates that required a cost-model evaluation at this stage.
+    /// Estimates that missed the search's estimate table at this stage:
+    /// each was priced or bounded (see [`SearchStats::bounded`]).
     pub cache_misses: u64,
+    /// Misses of this stage the bound cut before they were priced.
+    #[serde(default)]
+    pub bounded: u64,
     /// Wall time of this stage's expand phase: enumerating orderings,
     /// tiles and unrollings for every beam parent and writing the
     /// candidate rows. One clock pair per phase per stage, never per
@@ -141,13 +145,21 @@ pub struct SearchStats {
     /// that actually ran the analytic model.
     pub probed: u64,
     /// Estimate probes that missed the search's estimate table and ran
-    /// the cost model (`probed − modeled` were served memoized). 0 on a
-    /// result the session answered from its memo: nothing was modeled
-    /// for that call.
+    /// the cost model to the end (`probed − modeled − bounded` were served
+    /// memoized). 0 on a result the session answered from its memo:
+    /// nothing was modeled for that call.
     pub modeled: u64,
+    /// Estimate probes that missed the table and were cut by the bound
+    /// before they were priced: the model priced only their outermost
+    /// storing pairs, and that already put them past the beam. Every miss
+    /// is modeled or bounded (`cache_misses == modeled + bounded` on a
+    /// search that ran to the end); 0 on a result answered from the memo.
+    #[serde(default)]
+    pub bounded: u64,
     /// Model evaluations that reused a memoized decided-prefix cost
     /// (prefix-incremental estimation) instead of re-deriving every
-    /// level's access counts from scratch.
+    /// level's access counts from scratch: per beam parent, its priced
+    /// candidates but the first. Bounded candidates are not counted.
     pub prefix_hits: u64,
     /// Batch dispatches: contiguous runs of two or more candidates
     /// that share a decided prefix, priced by one call of the model's
@@ -155,8 +167,9 @@ pub struct SearchStats {
     /// prefix of a stage that decides nothing, are not counted.
     #[serde(default)]
     pub batches: u64,
-    /// Model evaluations priced inside such a run (the remainder of
-    /// [`modeled`](Self::modeled) was priced alone or with no prefix).
+    /// Model evaluations priced to the end inside such a run (the
+    /// remainder of [`modeled`](Self::modeled) was priced alone or with no
+    /// prefix; bounded candidates are not counted).
     #[serde(default)]
     pub batched: u64,
     /// Always 0: nothing writes it. Kept because the repo benchmark reads it.
@@ -196,7 +209,7 @@ pub struct SearchStats {
     /// Estimates served from the search's estimate table (including the
     /// final top-k re-evaluation).
     pub cache_hits: u64,
-    /// Estimates that had to run the analytic model.
+    /// Estimates that missed the table: each was modeled or bounded.
     pub cache_misses: u64,
     /// Wall-clock time of the search.
     pub elapsed: Duration,
@@ -223,17 +236,19 @@ impl SearchStats {
 
     /// These statistics as a call answered from the session's result memo
     /// reports them: the space the producing search visited, none of it
-    /// priced or probed for this call. `modeled`, `prefix_hits`, `batches`,
-    /// `batched` and `capacity_probes` read 0, and every estimate request —
-    /// in total and per level — reads as served from memory. Everything
-    /// else, the timers included, is the producing search's.
+    /// priced or probed for this call. `modeled`, `bounded`, `prefix_hits`,
+    /// `batches`, `batched` and `capacity_probes` read 0, and every
+    /// estimate request — in total and per level — reads as served from
+    /// memory. Everything else, the timers included, is the producing
+    /// search's.
     pub(crate) fn remembered(&self) -> SearchStats {
         let mut stats = self.clone();
-        (stats.modeled, stats.prefix_hits, stats.batches, stats.batched) = (0, 0, 0, 0);
-        stats.capacity_probes = 0;
+        (stats.modeled, stats.bounded, stats.prefix_hits) = (0, 0, 0);
+        (stats.batches, stats.batched, stats.capacity_probes) = (0, 0, 0);
         stats.cache_hits += std::mem::take(&mut stats.cache_misses);
         for level in &mut stats.levels {
             level.cache_hits += std::mem::take(&mut level.cache_misses);
+            level.bounded = 0;
         }
         stats
     }

@@ -62,18 +62,35 @@ fn matmul_top_k_is_identical_for_1_and_4_threads() {
     assert_thread_invariant(&matmul());
 }
 
+/// A small tensor-times-matrix chain (Tucker decomposition),
+/// `out[i,l,m] = Σ_{j,k} A[i,j,k] × B[j,l] × C[k,m]`: a tensor kernel with
+/// three inputs.
+fn ttmc() -> Workload {
+    let mut b = Workload::builder("ttmc");
+    let i = b.dim("I", 128);
+    let j = b.dim("J", 256);
+    let k = b.dim("K", 64);
+    let l = b.dim("L", 8);
+    let m = b.dim("M", 8);
+    b.input("A", [i.expr(), j.expr(), k.expr()]);
+    b.input("B", [j.expr(), l.expr()]);
+    b.input("C", [k.expr(), m.expr()]);
+    b.output("out", [i.expr(), l.expr(), m.expr()]);
+    b.build().unwrap()
+}
+
 /// The session worker pool must be invisible in the results: a pool with
 /// 0, 1, or 7 background workers (threads = 1/2/8) claims candidate
 /// indices in whatever order, but writes reports back by index, so the
-/// chosen mapping and every report bit are identical.
-#[test]
-fn pool_results_are_identical_for_1_2_and_8_threads() {
-    use sunstone::Scheduler;
-    let arch = presets::simba_like();
-    let w = conv2d();
+/// chosen mapping and every report bit are identical. So are the counts:
+/// the estimate round takes the bound's threshold between waves whose
+/// bounds depend only on the round's size, so the same candidates are
+/// priced and the same are cut at every thread count. Returns the
+/// one-thread result's `bounded`.
+fn assert_pool_invariant(w: &Workload, arch: &sunstone_arch::ArchSpec) -> u64 {
     let run = |threads: usize| {
         let s = Scheduler::new(SunstoneConfig { threads, ..SunstoneConfig::default() });
-        s.schedule(&w, &arch).unwrap()
+        s.schedule(w, arch).unwrap()
     };
     let one = run(1);
     for threads in [2, 8] {
@@ -96,5 +113,38 @@ fn pool_results_are_identical_for_1_2_and_8_threads() {
         );
         assert_eq!(one.stats.probed, other.stats.probed, "probe count differs");
         assert_eq!(one.stats.modeled, other.stats.modeled, "model count differs");
+        assert_eq!(one.stats.bounded, other.stats.bounded, "bounded count differs");
     }
+    one.stats.bounded
+}
+
+#[test]
+fn pool_results_are_identical_for_1_2_and_8_threads() {
+    assert_pool_invariant(&conv2d(), &presets::simba_like());
+}
+
+/// A ResNet-18 `conv3_x`-shaped Simba layer, where the bound cuts: the
+/// cut set is thread-invariant.
+#[test]
+fn bounded_simba_layer_is_identical_for_1_2_and_8_threads() {
+    let mut b = Workload::builder("conv3_x");
+    let k = b.dim("K", 128);
+    let c = b.dim("C", 128);
+    let p = b.dim("P", 28);
+    let q = b.dim("Q", 28);
+    let r = b.dim("R", 3);
+    let s = b.dim("S", 3);
+    b.input_bits("ifmap", [c.expr(), p + r, q + s], 8);
+    b.input_bits("weight", [k.expr(), c.expr(), r.expr(), s.expr()], 8);
+    b.output_bits("ofmap", [k.expr(), p.expr(), q.expr()], 24);
+    let bounded = assert_pool_invariant(&b.build().unwrap(), &presets::simba_like());
+    assert!(bounded > 0, "the bound cuts candidates on this layer");
+}
+
+/// A tensor kernel on the conventional preset, where the bound cuts a
+/// few candidates.
+#[test]
+fn tensor_kernel_on_conventional_is_identical_for_1_2_and_8_threads() {
+    let bounded = assert_pool_invariant(&ttmc(), &presets::conventional());
+    assert!(bounded > 0, "the bound cuts candidates on this kernel");
 }

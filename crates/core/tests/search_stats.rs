@@ -60,8 +60,17 @@ fn beam_considered_sums_to_probed() {
     assert_eq!(per_level, r.stats.probed, "every estimated candidate faces the beam");
     let probes: u64 = r.stats.levels.iter().map(|l| l.cache_hits + l.cache_misses).sum();
     assert_eq!(probes, r.stats.probed, "every estimate goes through the cache");
+    // A miss is priced or, when its bound already puts it past the beam,
+    // cut before it is: the two together are the misses.
     let per_level_misses: u64 = r.stats.levels.iter().map(|l| l.cache_misses).sum();
-    assert_eq!(per_level_misses, r.stats.modeled, "modeled counts the per-level cache misses");
+    assert_eq!(
+        per_level_misses,
+        r.stats.modeled + r.stats.bounded,
+        "modeled and bounded split the per-level cache misses"
+    );
+    let per_level_bounded: u64 = r.stats.levels.iter().map(|l| l.bounded).sum();
+    assert_eq!(per_level_bounded, r.stats.bounded, "bounded sums over the levels");
+    assert!(r.stats.bounded > 0, "the bound cuts candidates on Simba");
     assert!(r.stats.modeled <= r.stats.probed, "the model runs at most once per probe");
     assert!(r.stats.rounds > 0, "estimation fans out over the pool");
     assert!(r.stats.prefix_hits > 0, "outer stages reuse memoized prefixes on Simba");

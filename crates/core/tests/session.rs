@@ -408,7 +408,11 @@ fn batch_totals_are_sums_over_the_unique_searches() {
     assert_eq!(batch.stats.cache_hits, sum(|s| s.cache_hits));
     assert_eq!(batch.stats.cache_misses, sum(|s| s.cache_misses));
     assert_eq!(batch.stats.evaluated, sum(|s| s.probed));
-    assert_eq!(batch.stats.cache_misses, sum(|s| s.modeled), "a miss is a model run");
+    assert_eq!(
+        batch.stats.cache_misses,
+        sum(|s| s.modeled + s.bounded),
+        "a miss is a model run or a bound"
+    );
 }
 
 /// Only a search that ran to completion is memoized: a best-so-far

@@ -54,55 +54,72 @@
 
 use std::ops::Range;
 
-use sunstone_ir::DimId;
+use sunstone_ir::{DimId, TensorId};
 use sunstone_mapping::{FlatLoop, LoopKind, Mapping, MappingLevel};
 
 use crate::cost::{CostModel, CostReport, CostTotals, PricingPlan};
 use crate::counts::{count_pair, ladder_step, PairTail, TensorLevelCounts};
 use crate::prefix::{CandAgg, MappingPrefix};
 
-/// The candidates one count-kernel call prices, as the kernel reads them.
-///
-/// Per candidate `i` and architecture position `pos` the kernel reads the
-/// loop factors and, at a temporal level, the loop order; a candidate that
-/// still carries a remainder names the level it completes at, whose
-/// factors the kernel multiplies by it. A slice of complete mappings is
-/// one source; the search's candidate rows, read in place, are another.
+/// The candidates one count-kernel call prices, as the kernel reads them:
+/// per candidate, its [`Nest`]. A slice of complete mappings is one
+/// source; the search's candidate rows, read in place, are another.
 pub trait NestSource {
+    /// One candidate as the kernel reads it.
+    type Nest<'a>: Nest
+    where
+        Self: 'a;
+
     /// Number of candidates.
     fn count(&self) -> usize;
 
-    /// Candidate `i`'s loop factors at `pos`, one per dimension, before
-    /// completion.
-    fn factors(&self, i: usize, pos: usize) -> &[u64];
+    /// Candidate `i`, resolved once for everything the kernel reads of it.
+    fn nest(&self, i: usize) -> Self::Nest<'_>;
+}
 
-    /// Candidate `i`'s loop order at the temporal level at `pos`,
-    /// innermost first, as dimension indices.
-    fn order(&self, i: usize, pos: usize) -> impl DoubleEndedIterator<Item = usize> + '_;
+/// One candidate's loop nest as the count kernel reads it: per
+/// architecture position `pos` the loop factors and, at a temporal level,
+/// the loop order; a candidate that still carries a remainder names the
+/// level it completes at, whose factors the kernel multiplies by it.
+pub trait Nest {
+    /// The loop factors at `pos`, one per dimension, before completion.
+    fn factors(&self, pos: usize) -> &[u64];
 
-    /// The level candidate `i` completes at and the per-dimension
+    /// The loop order at the temporal level at `pos`, innermost first, as
+    /// dimension indices.
+    fn order(&self, pos: usize) -> impl DoubleEndedIterator<Item = usize> + '_;
+
+    /// The level the candidate completes at and the per-dimension
     /// remainder it places there; `None` for a complete candidate.
-    fn completion(&self, i: usize) -> Option<(usize, &[u64])>;
+    fn completion(&self) -> Option<(usize, &[u64])>;
 }
 
 impl NestSource for [Mapping] {
+    type Nest<'a> = &'a Mapping;
+
     fn count(&self) -> usize {
         self.len()
     }
 
-    fn factors(&self, i: usize, pos: usize) -> &[u64] {
-        self[i].level(pos).factors()
+    fn nest(&self, i: usize) -> &Mapping {
+        &self[i]
+    }
+}
+
+impl Nest for &Mapping {
+    fn factors(&self, pos: usize) -> &[u64] {
+        self.level(pos).factors()
     }
 
-    fn order(&self, i: usize, pos: usize) -> impl DoubleEndedIterator<Item = usize> + '_ {
-        let order = match self[i].level(pos) {
+    fn order(&self, pos: usize) -> impl DoubleEndedIterator<Item = usize> + '_ {
+        let order = match self.level(pos) {
             MappingLevel::Temporal(t) => &t.order[..],
             MappingLevel::Spatial(_) => &[],
         };
         order.iter().map(|d| d.index())
     }
 
-    fn completion(&self, _: usize) -> Option<(usize, &[u64])> {
+    fn completion(&self) -> Option<(usize, &[u64])> {
         None
     }
 }
@@ -124,50 +141,106 @@ pub(crate) struct Columns {
 }
 
 impl Columns {
-    /// The columns of candidate `i` of `source` over `levels`: its
-    /// resident tiles, extending `base` (the tile below the levels); its
-    /// loops, outermost first, exactly as
-    /// [`FlatNest`](sunstone_mapping::FlatNest) flattens them — a temporal
-    /// level's looping dimensions in loop order, a fabric's in dimension
-    /// order — and their level marks. `ladder[j]` becomes the product of
-    /// the spatial factors at positions `≥ levels.start + j`, extending
-    /// the product above the levels given in its last entry.
-    pub(crate) fn fill<S: NestSource + ?Sized>(
+    /// The columns of the candidate `nest` over `levels`, whole: its
+    /// resident tiles, its loops with their marks, and its ladder (see the
+    /// parts below). What [`build_prefix`](crate::prefix) reads of the
+    /// decided levels.
+    pub(crate) fn fill(
         &mut self,
         plan: &PricingPlan<'_>,
-        source: &S,
-        i: usize,
+        nest: &impl Nest,
         levels: Range<usize>,
         base: &[u64],
         ladder: &mut [f64],
     ) {
-        let ndims = base.len();
-        let (complete_at, rest) = source.completion(i).unwrap_or((usize::MAX, &[]));
-        // Innermost first: each level's resident tile is the one below it
-        // times the level's factors as completed.
-        self.resident.clear();
-        for q in levels.clone() {
-            let factors = source.factors(i, q);
-            let below = self.resident.len().wrapping_sub(ndims);
-            for d in 0..ndims {
-                let tile = if q == levels.start { base[d] } else { self.resident[below + d] };
-                let f = if q == complete_at { factors[d] * rest[d] } else { factors[d] };
-                self.resident.push(tile * f);
-            }
-        }
-        // Outermost first: the loops, their marks and the ladder.
+        self.begin(levels.len());
+        self.ladder(plan, nest, levels.clone(), ladder);
+        self.push_resident(nest, levels.clone(), base);
+        self.push_loops(plan, nest, levels.start, levels);
+    }
+
+    /// Starts a candidate's columns over `levels` levels: no loops, no
+    /// tiles yet.
+    pub(crate) fn begin(&mut self, levels: usize) {
         self.loops.clear();
         self.marks.clear();
-        self.marks.resize(levels.len() + 1, 0);
+        self.marks.resize(levels + 1, 0);
+        self.resident.clear();
+    }
+
+    /// The candidate's factors at `pos` as completed: the remainder it
+    /// still carries folded in at its completion level.
+    fn completed<'s>(level: &'s mut Vec<u64>, nest: &'s impl Nest, pos: usize) -> &'s [u64] {
+        let factors = nest.factors(pos);
+        match nest.completion() {
+            Some((at, rest)) if at == pos => {
+                level.clear();
+                level.extend(factors.iter().zip(rest).map(|(f, r)| f * r));
+                level
+            }
+            _ => factors,
+        }
+    }
+
+    /// `ladder[j]` becomes the product of the candidate's spatial factors
+    /// at positions `≥ levels.start + j`, extending the product above the
+    /// levels given in its last entry.
+    pub(crate) fn ladder(
+        &mut self,
+        plan: &PricingPlan<'_>,
+        nest: &impl Nest,
+        levels: Range<usize>,
+        ladder: &mut [f64],
+    ) {
         for q in levels.clone().rev() {
             let j = q - levels.start;
-            self.marks[j + 1] = self.loops.len() as u32;
-            let mut factors = source.factors(i, q);
-            if q == complete_at {
-                self.level.clear();
-                self.level.extend(factors.iter().zip(rest).map(|(f, r)| f * r));
-                factors = &self.level;
+            ladder[j] = if plan.is_fabric(q) {
+                let factors = Self::completed(&mut self.level, nest, q);
+                ladder_step(plan, q, factors, ladder[j + 1])
+            } else {
+                ladder[j + 1]
+            };
+        }
+    }
+
+    /// Appends the candidate's resident tiles at `levels`, innermost
+    /// first, extending `base` (the tile below the first of them): each
+    /// level's tile is the one below it times the level's factors as
+    /// completed.
+    pub(crate) fn push_resident(&mut self, nest: &impl Nest, levels: Range<usize>, base: &[u64]) {
+        let ndims = base.len();
+        let (complete_at, rest) = nest.completion().unwrap_or((usize::MAX, &[]));
+        for q in levels.clone() {
+            let at = self.resident.len();
+            if q == levels.start {
+                self.resident.extend_from_slice(base);
+            } else {
+                self.resident.extend_from_within(at - ndims..at);
             }
+            let tile = &mut self.resident[at..];
+            tile.iter_mut().zip(nest.factors(q)).for_each(|(t, f)| *t *= f);
+            if q == complete_at {
+                tile.iter_mut().zip(rest).for_each(|(t, r)| *t *= r);
+            }
+        }
+    }
+
+    /// Appends the candidate's loops at `levels`, outermost first, below
+    /// the loops already written (those of the levels above), exactly as
+    /// [`FlatNest`](sunstone_mapping::FlatNest) flattens them — a temporal
+    /// level's looping dimensions in loop order, a fabric's in dimension
+    /// order — and sets their level marks; `first` is the lowest level of
+    /// the columns.
+    pub(crate) fn push_loops(
+        &mut self,
+        plan: &PricingPlan<'_>,
+        nest: &impl Nest,
+        first: usize,
+        levels: Range<usize>,
+    ) {
+        for q in levels.clone().rev() {
+            self.marks[q - first + 1] = self.loops.len() as u32;
+            let factors = Self::completed(&mut self.level, nest, q);
             let loops = &mut self.loops;
             let mut push = |d: usize, kind| {
                 let factor = factors[d];
@@ -176,13 +249,12 @@ impl Columns {
                 }
             };
             if plan.is_fabric(q) {
-                (0..ndims).for_each(|d| push(d, LoopKind::Spatial));
+                (0..factors.len()).for_each(|d| push(d, LoopKind::Spatial));
             } else {
-                source.order(i, q).rev().for_each(|d| push(d, LoopKind::Temporal));
+                nest.order(q).rev().for_each(|d| push(d, LoopKind::Temporal));
             }
-            ladder[j] = ladder_step(plan, q, &factors[..ndims], ladder[j + 1]);
         }
-        self.marks[0] = self.loops.len() as u32;
+        self.marks[levels.start - first] = self.loops.len() as u32;
     }
 }
 
@@ -197,9 +269,12 @@ pub struct BatchEvalScratch {
     /// candidate changes it (union tile complete and reuse run closed in
     /// the prefix): built once per call.
     tails: Vec<Option<PairTail>>,
-    /// One tensor's refill aggregates over the candidate's loops above
+    /// Per tensor, its refill aggregates over the candidate's loops above
     /// each suffix level, laid out as the marks.
     aggs: Vec<CandAgg>,
+    /// The positions whose rows phase A writes, ascending: what a bound
+    /// sums.
+    pub(crate) touched: Vec<usize>,
     /// The candidate's spatial-product ladder over arch positions
     /// `0..=L`: the count pass's and the report phase's instances.
     pub(crate) s_above: Vec<f64>,
@@ -210,8 +285,7 @@ pub struct BatchEvalScratch {
     /// Union-tile scratch.
     union_tile: Vec<u64>,
     /// Report phase: per-partition read and write sums of one level.
-    pub(crate) part_reads: Vec<f64>,
-    pub(crate) part_writes: Vec<f64>,
+    pub(crate) parts: Vec<(f64, f64)>,
 }
 
 impl CostModel<'_> {
@@ -237,7 +311,9 @@ impl CostModel<'_> {
         scratch: &mut BatchEvalScratch,
         mut emit: impl FnMut(usize, CostReport),
     ) {
-        self.count_each(prefix, mappings, scratch, |i, s| emit(i, self.report_from_rows(s)));
+        self.count_each(prefix, mappings, scratch, None, |i, s| {
+            emit(i, self.report_from_rows(s.expect("nothing is cut")))
+        });
     }
 
     /// [`evaluate_prefixed_batch`](Self::evaluate_prefixed_batch) for a
@@ -256,20 +332,59 @@ impl CostModel<'_> {
         scratch: &mut BatchEvalScratch,
         mut emit: impl FnMut(usize, CostTotals),
     ) {
-        self.count_each(prefix, candidates, scratch, |i, s| emit(i, self.totals_from_rows(s)));
+        self.count_each(prefix, candidates, scratch, None, |i, s| {
+            emit(i, self.totals_from_rows(s.expect("nothing is cut")))
+        });
+    }
+
+    /// [`price_prefixed_batch`](Self::price_prefixed_batch), cut by a
+    /// lower bound: for each candidate whose outermost storing pairs lie
+    /// above the prefix, the kernel first prices only those pairs and
+    /// hands `past` the bound they give — the model's arithmetic over the
+    /// rows they wrote, every other entry counted as 0, never more than the
+    /// candidate's totals in either component. When `past` returns `true`
+    /// the rest of the candidate is skipped and `emit(i, None)` reports it;
+    /// otherwise, and for a candidate with no such pair (no bound, `past`
+    /// not called), `emit(i, Some(totals))` receives what
+    /// `price_prefixed_batch` would, to the bit.
+    pub fn price_prefixed_batch_bounded<S: NestSource + ?Sized>(
+        &self,
+        prefix: &MappingPrefix,
+        candidates: &S,
+        scratch: &mut BatchEvalScratch,
+        mut past: impl FnMut(CostTotals) -> bool,
+        mut emit: impl FnMut(usize, Option<CostTotals>),
+    ) {
+        let mut cut = |s: &mut BatchEvalScratch| past(self.bound_rows(s));
+        self.count_each(prefix, candidates, scratch, Some(&mut cut), |i, s| {
+            emit(i, s.map(|s| self.totals_from_rows(s)))
+        });
     }
 
     /// The count pass: fills the count tables of each candidate in turn
     /// — `scratch.per` and `scratch.crossings`, `levels × tensors` each,
     /// and its ladder in `scratch.s_above` — and hands them to
-    /// `each(i, scratch)`. What no candidate changes, the cached pairs'
-    /// hoisted tails, is built once per call.
+    /// `each(i, Some(scratch))`. What no candidate changes, the cached
+    /// pairs' hoisted tails, is built once per call.
+    ///
+    /// Each candidate is counted in two phases. Phase A writes what each
+    /// tensor's outermost storing pair reads — when that pair lies above
+    /// the prefix — and prices those pairs: the whole ladder, the tiles up
+    /// to the highest such child, the loops above the lowest one and their
+    /// refill aggregates. Given a `cut`, `scratch.touched` lists the
+    /// positions whose rows phase A wrote, and `cut(scratch)` may end the
+    /// candidate there (`each(i, None)`). Phase B resumes — the remaining
+    /// loops and marks, the aggregates below continued as the same running
+    /// products — and prices every other pair. Pricing the outermost pairs
+    /// first changes no bit: every table entry starts at 0 and receives at
+    /// most two addends, and a sum of two commutes.
     pub(crate) fn count_each<S: NestSource + ?Sized>(
         &self,
         prefix: &MappingPrefix,
         candidates: &S,
         scratch: &mut BatchEvalScratch,
-        mut each: impl FnMut(usize, &mut BatchEvalScratch),
+        mut cut: Option<&mut dyn FnMut(&mut BatchEvalScratch) -> bool>,
+        mut each: impl FnMut(usize, Option<&mut BatchEvalScratch>),
     ) {
         let (arch, workload, plan) = (self.arch(), self.workload(), self.plan());
         let n_levels = arch.num_levels();
@@ -284,46 +399,112 @@ impl CostModel<'_> {
             (lc.union_complete && lc.closed)
                 .then(|| lc.hoisted_tail(self, workload.tensor(lc.tensor)))
         }));
+        // Phase A's pairs: the lowest level whose loops they read, the
+        // highest child tile, and — for a bound — the positions they write.
+        let (mut lo, mut hi) = (n_levels, -1i64);
+        s.touched.clear();
+        for (child, p) in workload.tensor_ids().filter_map(|t| self.outer_pair(prefix, t)) {
+            lo = lo.min((child + 1) as usize);
+            hi = hi.max(child);
+            if cut.is_some() {
+                s.touched.push(p);
+                s.touched.extend(((child + 1) as usize..p).filter(|&q| plan.is_fabric(q)));
+                s.touched.extend(usize::try_from(child));
+            }
+        }
+        s.touched.sort_unstable();
+        s.touched.dedup();
+        // One tensor's refill aggregates above each suffix level, laid out
+        // as the marks, tensor after tensor.
+        let marks = n_levels - first + 1;
+        s.aggs.clear();
+        s.aggs.resize(workload.num_tensors() * marks, CandAgg::EMPTY);
         for i in 0..candidates.count() {
-            // The candidate's loops, marks and resident tiles over the
-            // undecided suffix, extending the prefix's (a tile of ones
-            // when it decides nothing); its spatial-product ladder, over
-            // the suffix and composed from the cached mid products below
-            // it (exact integer-product regrouping).
+            let nest = candidates.nest(i);
+            // Phase A. The candidate's spatial-product ladder, over the
+            // suffix and composed from the cached mid products below it
+            // (exact integer-product regrouping); its resident tiles up to
+            // the highest outermost child, extending the prefix's (a tile
+            // of ones when it decides nothing); its loops above the lowest.
             s.s_above.clear();
             s.s_above.resize(n_levels + 1, 1.0);
-            s.columns.fill(plan, candidates, i, first..n_levels, decided, &mut s.s_above[first..]);
+            let cols = &mut s.columns;
+            cols.begin(n_levels - first);
+            cols.ladder(plan, &nest, first..n_levels, &mut s.s_above[first..]);
             let s_cand = s.s_above[first];
             for (r, &mid) in s.s_above[..first].iter_mut().zip(&prefix.s_mid) {
                 *r = s_cand * mid;
             }
+            if let Ok(hi) = usize::try_from(hi) {
+                cols.push_resident(&nest, first..hi + 1, decided);
+            }
+            cols.push_loops(plan, &nest, first, lo..n_levels);
             s.per.clear();
             s.per.resize(tables, TensorLevelCounts::default());
             s.crossings.clear();
             s.crossings.resize(tables, 0.0);
+            #[cfg(test)]
+            crate::counts::addends::reset(tables);
 
-            let cols = &s.columns;
-            let mut cached = prefix.pairs.iter().zip(&s.tails);
             for t in workload.tensor_ids() {
+                let Some((child, p)) = self.outer_pair(prefix, t) else { continue };
                 let tensor = workload.tensor(t);
-                // The refill aggregates over the loops above every suffix
-                // level, in one pass over the loops.
-                s.aggs.clear();
-                CandAgg::above_levels(
+                let aggs = &mut s.aggs[t.index() * marks..][..marks];
+                CandAgg::above_marks(
                     &cols.loops,
                     &cols.marks,
                     tensor.indexing_dims(),
-                    &mut s.aggs,
+                    aggs,
+                    lo - first..marks,
+                );
+                self.count_above(
+                    t,
+                    child,
+                    p,
+                    first,
+                    cols,
+                    &aggs[(child + 1) as usize - first],
+                    &mut s.union_tile,
+                    &s.s_above,
+                    &mut s.per,
+                    &mut s.crossings,
+                );
+            }
+            if lo < n_levels && cut.as_mut().is_some_and(|cut| cut(s)) {
+                each(i, None);
+                continue;
+            }
+
+            // Phase B: the loops below, and every other pair.
+            let cols = &mut s.columns;
+            cols.push_loops(plan, &nest, first, first..lo);
+            let mut cached = prefix.pairs.iter().zip(&s.tails);
+            for t in workload.tensor_ids() {
+                let tensor = workload.tensor(t);
+                let aggs = &mut s.aggs[t.index() * marks..][..marks];
+                // Phase A priced the outermost pair and took the aggregates
+                // above `lo`.
+                let chain = self.chain(t);
+                let (resume, chain) = match self.outer_pair(prefix, t) {
+                    Some(_) => (lo - first, &chain[..chain.len() - 1]),
+                    None => (marks, chain),
+                };
+                CandAgg::above_marks(
+                    &cols.loops,
+                    &cols.marks,
+                    tensor.indexing_dims(),
+                    aggs,
+                    0..resume,
                 );
                 let mut child: i64 = -1;
-                for &p in &self.chains()[t.index()] {
+                for &p in chain {
                     if prefix.caches(child) {
                         // Every loop of the candidate lies above the
                         // pair's child.
                         let (lc, tail) =
                             cached.next().expect("the prefix caches every decided pair");
                         debug_assert!(lc.tensor == t && lc.child == child && lc.p == p);
-                        let agg = &s.aggs[0];
+                        let agg = &aggs[0];
                         match tail {
                             // `refills = all_temporal · pre_refills`: the
                             // closed run makes every candidate temporal
@@ -354,26 +535,16 @@ impl CostModel<'_> {
                             }
                         }
                     } else {
-                        // Pair above the decided prefix (every pair, for
-                        // the empty one): the whole-nest kernel over the
-                        // suffix, whose loops above `child` and between
-                        // the two levels the marks delimit.
-                        let (above, parent) = ((child + 1) as usize - first, p - first);
-                        let child_tile = match usize::try_from(child) {
-                            Ok(c) => &cols.resident[(c - first) * ndims..(c - first + 1) * ndims],
-                            Err(_) => &plan.ones[..],
-                        };
-                        count_pair(
-                            self,
+                        let agg = &aggs[(child + 1) as usize - first];
+                        self.count_above(
                             t,
-                            tensor,
                             child,
                             p,
-                            &cols.loops[cols.marks[parent] as usize..cols.marks[above] as usize],
-                            &s.aggs[above],
-                            child_tile,
-                            &s.s_above,
+                            first,
+                            cols,
+                            agg,
                             &mut s.union_tile,
+                            &s.s_above,
                             &mut s.per,
                             &mut s.crossings,
                         );
@@ -381,16 +552,67 @@ impl CostModel<'_> {
                     child = p as i64;
                 }
             }
-            each(i, s);
+            each(i, Some(s));
         }
+    }
+
+    /// Tensor `t`'s outermost storing pair `(child, parent)` — the parent
+    /// is its outermost storing level — when the pair lies above `prefix`:
+    /// what phase A prices.
+    fn outer_pair(&self, prefix: &MappingPrefix, t: TensorId) -> Option<(i64, usize)> {
+        let chain = self.chain(t);
+        let child = chain.len().checked_sub(2).map_or(-1, |c| chain[c] as i64);
+        chain.last().filter(|_| !prefix.caches(child)).map(|&p| (child, p))
+    }
+
+    /// Prices a pair above the decided prefix (every pair, for the empty
+    /// one): the whole-nest kernel over the suffix, whose loops above
+    /// `child` and between the two levels the marks delimit; `agg` is the
+    /// tensor's aggregates above `child`.
+    #[allow(clippy::too_many_arguments)]
+    fn count_above(
+        &self,
+        t: TensorId,
+        child: i64,
+        p: usize,
+        first: usize,
+        cols: &Columns,
+        agg: &CandAgg,
+        union_tile: &mut Vec<u64>,
+        s_above: &[f64],
+        per: &mut [TensorLevelCounts],
+        crossings: &mut [f64],
+    ) {
+        let ndims = self.plan().ones.len();
+        let (above, parent) = ((child + 1) as usize - first, p - first);
+        let child_tile = match usize::try_from(child) {
+            Ok(c) => &cols.resident[(c - first) * ndims..(c - first + 1) * ndims],
+            Err(_) => &self.plan().ones[..],
+        };
+        count_pair(
+            self,
+            t,
+            self.workload().tensor(t),
+            child,
+            p,
+            &cols.loops[cols.marks[parent] as usize..cols.marks[above] as usize],
+            agg,
+            child_tile,
+            s_above,
+            union_tile,
+            per,
+            crossings,
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
     use std::slice;
 
     use super::BatchEvalScratch;
+    use crate::counts::addends;
     use crate::{CostModel, CostReport, CostTotals, MappingPrefix, ModelOptions};
     use sunstone_arch::{
         presets, ArchSpec, Binding, BufferPartition, Capacity, Level, MemoryLevel, NocModel,
@@ -540,18 +762,19 @@ mod tests {
         assert_eq!(priced, cands.len());
     }
 
-    /// One count pass behind every entry point: at every prefix boundary
-    /// and at widths 1, 2 and 17, with halo credit on and off, every
-    /// report and every pair of totals equals the candidate's width-1
-    /// price against the empty prefix, bit for bit. The presets cover a
-    /// multi-level spatial hierarchy with bypasses (Simba) and a
-    /// memory-only prefix where every pair takes the hoisted path
-    /// (conventional); `fabric_first` covers MAC-boundary pairs that
-    /// straddle a unicast fabric or span the whole hierarchy. A width-17
-    /// run against the empty prefix itself — how the search's first stage,
-    /// which has no decided prefix, prices — varies every level.
-    #[test]
-    fn every_prefix_and_width_prices_as_the_empty_prefix_alone() {
+    /// The grid the kernel's tests walk: every preset and `fabric_first`,
+    /// halo credit on and off, every prefix boundary at widths 1, 2 and 17,
+    /// and the empty prefix at width 17, over random candidates from one
+    /// seed. The presets cover a multi-level spatial hierarchy with
+    /// bypasses (Simba) and a memory-only prefix where every pair takes the
+    /// hoisted path (conventional); `fabric_first` covers MAC-boundary
+    /// pairs that straddle a unicast fabric or span the whole hierarchy and
+    /// an output that bypasses its L1. A width-17 run against the empty
+    /// prefix itself — how the search's first stage, which has no decided
+    /// prefix, prices — varies every level.
+    fn for_each_batch(
+        mut check: impl FnMut(&CostModel<'_>, &MappingPrefix, &[Mapping], &mut BatchEvalScratch, &str),
+    ) {
         let w = conv2d();
         let mut simba = Mapping::streaming(&w, &presets::simba_like());
         set(&mut simba, 0, &[1, 2, 1, 1, 3, 1]); // vector lanes: C, R
@@ -564,11 +787,16 @@ mod tests {
         set(&mut fabric, 0, &[2, 2, 1, 1, 1, 1]); // lanes: K, C
         set(&mut fabric, 1, &[1, 2, 2, 1, 3, 3]); // L1: C, P, R, S
         set(&mut fabric, 2, &[4, 2, 7, 14, 1, 1]); // DRAM: the rest
-        let conventional = Mapping::streaming(&w, &presets::conventional());
+        let streaming = |arch: ArchSpec| {
+            let m = Mapping::streaming(&w, &arch);
+            (arch, m)
+        };
         let cases = [
             (presets::simba_like(), simba),
-            (presets::conventional(), conventional),
+            streaming(presets::conventional()),
             (fabric_first(), fabric),
+            streaming(presets::eyeriss_like()),
+            streaming(presets::diannao_like()),
         ];
 
         let mut rng = Rng(0x5eed_cafe_f00d_u64);
@@ -585,14 +813,95 @@ mod tests {
                             "{}: boundary {boundary}, width {width}, {options:?}",
                             arch.name()
                         );
-                        assert_prices_alone(&model, &prefix, &cands, &mut scratch, &what);
+                        check(&model, &prefix, &cands, &mut scratch, &what);
                     }
                 }
                 let cands = candidates(base, 0, &mut rng, 17);
                 let what = format!("{}: empty prefix, width 17, {options:?}", arch.name());
-                assert_prices_alone(&model, model.empty_prefix(), &cands, &mut scratch, &what);
+                check(&model, model.empty_prefix(), &cands, &mut scratch, &what);
             }
         }
+    }
+
+    /// One count pass behind every entry point: over the whole grid every
+    /// report and every pair of totals equals the candidate's width-1
+    /// price against the empty prefix, bit for bit.
+    #[test]
+    fn every_prefix_and_width_prices_as_the_empty_prefix_alone() {
+        for_each_batch(|model, prefix, cands, scratch, what| {
+            assert_prices_alone(model, prefix, cands, scratch, what)
+        });
+    }
+
+    /// The two totals as bits.
+    fn bits(t: CostTotals) -> (u64, u64) {
+        (t.energy_pj.to_bits(), t.delay_cycles.to_bits())
+    }
+
+    /// The three objectives a search ranks by: EDP, energy, delay.
+    const OBJECTIVES: [fn(CostTotals) -> f64; 3] =
+        [|t| t.energy_pj * t.delay_cycles, |t| t.energy_pj, |t| t.delay_cycles];
+
+    /// Bound before price, over the whole grid:
+    /// - the bound is the model's arithmetic over the rows phase A wrote —
+    ///   the same bits as pricing the whole partial table — and no
+    ///   objective of it exceeds the candidate's;
+    /// - the two-phase kernel's totals are `evaluate_unchecked`'s, bit for
+    ///   bit, and no count-table entry receives a third addend (what makes
+    ///   pricing the outermost pairs first exact);
+    /// - a candidate the bound cuts leaves nothing behind: the candidates
+    ///   after it price exactly, and only a candidate with a bound is cut.
+    #[test]
+    fn the_bound_is_admissible_and_the_two_phases_exact() {
+        let (mut bounded, mut strict) = (0usize, 0usize);
+        for_each_batch(|model, prefix, cands, scratch, what| {
+            let exact: Vec<CostTotals> = cands
+                .iter()
+                .map(|c| {
+                    let r = model.evaluate_unchecked(c);
+                    CostTotals { energy_pj: r.energy_pj, delay_cycles: r.delay_cycles }
+                })
+                .collect();
+            let bound = Cell::new(None);
+            let mut cut = |s: &mut BatchEvalScratch| {
+                let b = model.bound_rows(s);
+                let whole = model.totals_from_rows(s);
+                assert_eq!(bits(b), bits(whole), "{what}: the bound prices phase A's rows");
+                bound.set(Some(b));
+                false
+            };
+            model.count_each(prefix, cands, scratch, Some(&mut cut), |i, s| {
+                let got = model.totals_from_rows(s.expect("nothing is cut"));
+                assert_eq!(bits(got), bits(exact[i]), "{what}: candidate {i}");
+                assert!(addends::most() <= 2, "{what}: candidate {i}: a third addend");
+                if let Some(b) = bound.take() {
+                    bounded += 1;
+                    for objective in OBJECTIVES {
+                        assert!(objective(b) <= objective(exact[i]), "{what}: candidate {i}");
+                    }
+                    strict += usize::from(OBJECTIVES[0](b) < OBJECTIVES[0](exact[i]));
+                }
+            });
+
+            // Cut every other candidate that has a bound.
+            let (mut asked, mut cut) = (0usize, 0usize);
+            let mut emitted = 0usize;
+            let past = |_| {
+                asked += 1;
+                asked % 2 == 1
+            };
+            model.price_prefixed_batch_bounded(prefix, cands, scratch, past, |i, got| {
+                assert_eq!(i, emitted, "emit order is candidate order");
+                emitted += 1;
+                match got {
+                    Some(got) => assert_eq!(bits(got), bits(exact[i]), "{what}: after a cut, {i}"),
+                    None => cut += 1,
+                }
+            });
+            assert_eq!(emitted, cands.len());
+            assert_eq!(cut, asked.div_ceil(2), "{what}: exactly the candidates told to go");
+        });
+        assert!(bounded > 0 && strict > 0, "the grid exercises real bounds: {bounded}, {strict}");
     }
 
     /// The batch evaluation is bit-identical to the scalar prefixed path

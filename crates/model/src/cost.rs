@@ -96,10 +96,22 @@ pub(crate) struct PricingPlan<'a> {
     halo: Vec<Option<(&'a IndexExpr, f64)>>,
     /// A tile of ones, one word per dimension.
     pub(crate) ones: Vec<u64>,
+    /// The workload's MAC count.
+    total_ops: f64,
+    /// Per memory, each tensor it stores, in tensor order, with its
+    /// partition's index and read and write energies; memory `pos`'s are
+    /// `stores[store_at[pos]..store_at[pos + 1]]` (none at a fabric).
+    stores: Vec<(usize, usize, f64, f64)>,
+    store_at: Vec<usize>,
 }
 
 impl<'a> PricingPlan<'a> {
-    fn new(workload: &'a Workload, arch: &ArchSpec, options: ModelOptions) -> Self {
+    fn new(
+        workload: &'a Workload,
+        arch: &ArchSpec,
+        binding: &Binding,
+        options: ModelOptions,
+    ) -> Self {
         let fabric =
             arch.levels().iter().map(|l| l.as_spatial().map(|s| s.noc.multicast)).collect();
         let ref_bits = f64::from(arch.ref_bits());
@@ -114,7 +126,21 @@ impl<'a> PricingPlan<'a> {
                 (options.halo_reuse && expr.is_compound()).then_some((expr, stride as f64))
             }));
         }
-        PricingPlan { fabric, scale, halo, ones: vec![1; ndims] }
+        let mut stores = Vec::with_capacity(arch.num_levels() * workload.num_tensors());
+        let mut store_at = Vec::with_capacity(arch.num_levels() + 1);
+        store_at.push(0);
+        for (pos, level) in arch.levels().iter().enumerate() {
+            if let Level::Memory(mem) = level {
+                stores.extend(workload.tensor_ids().filter_map(|t| {
+                    let pid = binding.partition_of(LevelId(pos), t)?;
+                    let part = mem.partition(pid);
+                    Some((t.index(), pid.0, part.read_energy_pj, part.write_energy_pj))
+                }));
+            }
+            store_at.push(stores.len());
+        }
+        let total_ops = workload.total_ops() as f64;
+        PricingPlan { fabric, scale, halo, ones: vec![1; ndims], total_ops, stores, store_at }
     }
 
     /// Whether the level at `pos` is a fabric.
@@ -148,8 +174,10 @@ pub struct CostModel<'a> {
     workload: &'a Workload,
     arch: &'a ArchSpec,
     binding: &'a Binding,
-    /// Per-tensor storing-level chains, derived once at construction.
-    chains: Vec<Vec<usize>>,
+    /// Per-tensor storing-level chains, derived once at construction:
+    /// tensor `t`'s are `chains[chain_at[t]..chain_at[t + 1]]`.
+    chains: Vec<usize>,
+    chain_at: Vec<usize>,
     /// What pricing looks up, looked up once.
     plan: PricingPlan<'a>,
     /// The prefix that decides no level.
@@ -169,10 +197,10 @@ impl<'a> CostModel<'a> {
         binding: &'a Binding,
         options: ModelOptions,
     ) -> Self {
-        let chains = storage_chains(workload, arch, binding);
-        let plan = PricingPlan::new(workload, arch, options);
+        let (chains, chain_at) = storage_chains(workload, arch, binding);
+        let plan = PricingPlan::new(workload, arch, binding, options);
         let empty = MappingPrefix::empty(workload.num_dims());
-        CostModel { workload, arch, binding, chains, plan, empty }
+        CostModel { workload, arch, binding, chains, chain_at, plan, empty }
     }
 
     /// A fresh scratch for the evaluation entry points (one per
@@ -197,9 +225,9 @@ impl<'a> CostModel<'a> {
         self.binding
     }
 
-    /// The per-tensor storing-level chains.
-    pub(crate) fn chains(&self) -> &[Vec<usize>] {
-        &self.chains
+    /// Tensor `t`'s chain of storing positions, innermost first.
+    pub(crate) fn chain(&self, t: TensorId) -> &[usize] {
+        &self.chains[self.chain_at[t.index()]..self.chain_at[t.index() + 1]]
     }
 
     /// What pricing looks up.
@@ -271,7 +299,7 @@ impl<'a> CostModel<'a> {
     ) -> CostReport {
         let mut report = None;
         let mapping = std::slice::from_ref(mapping);
-        self.count_each(prefix, mapping, scratch, |_, s| report = Some(self.report_from_rows(s)));
+        self.evaluate_prefixed_batch(prefix, mapping, scratch, |_, got| report = Some(got));
         report.expect("one mapping, one report")
     }
 
@@ -310,6 +338,33 @@ impl<'a> CostModel<'a> {
     fn price_rows(
         &self,
         scratch: &mut BatchEvalScratch,
+        on_level: impl FnMut(&MemoryLevel, usize, f64, f64, f64),
+    ) -> PricedRows {
+        self.price_levels(scratch, 0..self.arch.num_levels(), on_level)
+    }
+
+    /// A lower bound on the totals of the candidate whose count kernel has
+    /// written only phase A's rows, at the positions `scratch.touched`:
+    /// the same arithmetic as [`price_rows`](Self::price_rows) over those
+    /// positions alone. Every other row is still 0, so skipping it drops
+    /// only additions of 0 and maxima with 0 — this is the arithmetic over
+    /// the whole partial table, to the bit. And every count and energy is
+    /// `≥ 0`, each entry holds a subset of its final addends, and IEEE `+`,
+    /// `×`, `/` and `max` round monotonically, so neither total can exceed
+    /// the candidate's, nor can any objective increasing in both.
+    pub(crate) fn bound_rows(&self, scratch: &mut BatchEvalScratch) -> CostTotals {
+        let touched = std::mem::take(&mut scratch.touched);
+        let totals = self.price_levels(scratch, touched.iter().copied(), |_, _, _, _, _| {}).totals;
+        scratch.touched = touched;
+        totals
+    }
+
+    /// [`price_rows`](Self::price_rows) over the levels at `positions`,
+    /// ascending.
+    fn price_levels(
+        &self,
+        scratch: &mut BatchEvalScratch,
+        positions: impl Iterator<Item = usize>,
         mut on_level: impl FnMut(&MemoryLevel, usize, f64, f64, f64),
     ) -> PricedRows {
         let nt = self.workload.num_tensors();
@@ -317,49 +372,46 @@ impl<'a> CostModel<'a> {
         // Instances of each level = product of spatial factors above it:
         // the count kernel's ladder for the candidate.
         let s_above = &scratch.s_above;
-        let scale = &self.plan.scale;
-        let total_ops = self.workload.total_ops() as f64;
+        let plan = &self.plan;
+        let (scale, total_ops) = (&plan.scale, plan.total_ops);
 
         let mut energy_pj = total_ops * self.arch.mac_energy_pj();
         let mut noc_energy_pj = 0.0;
 
         let mut max_transfer_cycles = 0.0f64;
-        for (pos, level) in self.arch.levels().iter().enumerate() {
-            match level {
+        for pos in positions {
+            match &self.arch.levels()[pos] {
                 Level::Memory(mem) => {
                     let mut reads = 0.0;
                     let mut writes = 0.0;
                     let mut level_energy = 0.0;
-                    // Per-partition bandwidth accounting (reused buffers).
-                    let part_reads = &mut scratch.part_reads;
-                    let part_writes = &mut scratch.part_writes;
-                    part_reads.clear();
-                    part_reads.resize(mem.partitions.len(), 0.0);
-                    part_writes.clear();
-                    part_writes.resize(mem.partitions.len(), 0.0);
-                    for t in self.workload.tensor_ids() {
-                        let Some(pid) = self.binding.partition_of(LevelId(pos), t) else {
-                            continue;
-                        };
-                        let c = per[pos * nt + t.index()];
-                        let part = mem.partition(pid);
-                        let scale = scale[t.index()];
-                        level_energy += c.reads * part.read_energy_pj * scale
-                            + c.writes() * part.write_energy_pj * scale;
+                    // Per-partition bandwidth accounting (a reused buffer of
+                    // read and write sums).
+                    let parts = &mut scratch.parts;
+                    parts.clear();
+                    parts.resize(mem.partitions.len(), (0.0, 0.0));
+                    let stores = &plan.stores[plan.store_at[pos]..plan.store_at[pos + 1]];
+                    for &(t, pid, read_pj, write_pj) in stores {
+                        let c = per[pos * nt + t];
+                        let scale = scale[t];
+                        level_energy += c.reads * read_pj * scale + c.writes() * write_pj * scale;
                         reads += c.reads;
                         writes += c.writes();
-                        part_reads[pid.0] += c.reads;
-                        part_writes[pid.0] += c.writes();
+                        parts[pid].0 += c.reads;
+                        parts[pid].1 += c.writes();
                     }
-                    for (i, part) in mem.partitions.iter().enumerate() {
-                        let instances = s_above[pos + 1].max(1.0);
-                        if let Some(bw) = part.read_bw {
+                    // A port that moved no word takes no cycles: its
+                    // division, `0 / instances / bw`, would be a maximum
+                    // with 0 (or with NaN, which `max` ignores).
+                    let instances = s_above[pos + 1].max(1.0);
+                    for (part, &(part_reads, part_writes)) in mem.partitions.iter().zip(&*parts) {
+                        if let Some(bw) = part.read_bw.filter(|_| part_reads != 0.0) {
                             max_transfer_cycles =
-                                max_transfer_cycles.max(part_reads[i] / instances / bw);
+                                max_transfer_cycles.max(part_reads / instances / bw);
                         }
-                        if let Some(bw) = part.write_bw {
+                        if let Some(bw) = part.write_bw.filter(|_| part_writes != 0.0) {
                             max_transfer_cycles =
-                                max_transfer_cycles.max(part_writes[i] / instances / bw);
+                                max_transfer_cycles.max(part_writes / instances / bw);
                         }
                     }
                     energy_pj += level_energy;

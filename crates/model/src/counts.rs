@@ -9,7 +9,9 @@ use crate::cost::PricingPlan;
 use crate::prefix::CandAgg;
 use crate::{CostModel, ModelOptions};
 
-/// Per-tensor chains of storing memory positions, innermost first.
+/// Per-tensor chains of storing memory positions, innermost first, one
+/// after another, and where each tensor's starts (one more entry than
+/// tensors).
 ///
 /// The chain depends only on *(workload, architecture, binding)*, so
 /// [`CostModel`] derives it once instead of re-walking the binding per
@@ -18,16 +20,16 @@ pub(crate) fn storage_chains(
     workload: &Workload,
     arch: &ArchSpec,
     binding: &Binding,
-) -> Vec<Vec<usize>> {
-    workload
-        .tensor_ids()
-        .map(|t| {
-            arch.memory_levels()
-                .filter(|(id, _)| binding.stores(*id, t))
-                .map(|(id, _)| id.index())
-                .collect()
-        })
-        .collect()
+) -> (Vec<usize>, Vec<usize>) {
+    let mut chains = Vec::with_capacity(workload.num_tensors() * arch.num_levels());
+    let mut starts = Vec::with_capacity(workload.num_tensors() + 1);
+    starts.push(0);
+    for t in workload.tensor_ids() {
+        let stores = arch.memory_levels().filter(|(id, _)| binding.stores(*id, t));
+        chains.extend(stores.map(|(id, _)| id.index()));
+        starts.push(chains.len());
+    }
+    (chains, starts)
 }
 
 /// Access counts of one tensor at one memory level, in words.
@@ -91,7 +93,7 @@ impl AccessCounts {
         let model = CostModel::with_options(workload, arch, binding, options);
         let mut scratch = model.scratch();
         let mapping = std::slice::from_ref(mapping);
-        model.count_each(model.empty_prefix(), mapping, &mut scratch, |_, _| {});
+        model.count_each(model.empty_prefix(), mapping, &mut scratch, None, |_, _| {});
         AccessCounts {
             n_tensors: workload.num_tensors(),
             per: scratch.per,
@@ -265,17 +267,25 @@ impl PairTail {
                 let reloads = (refills - distinct).max(0.0);
                 per[at_p].updates += refills * f_union * non_mc * s_p;
                 per[at_p].reads += reloads * f_union * non_mc * s_p;
+                #[cfg(test)]
+                addends::tally(at_p, &[addends::UPDATES, addends::READS]);
                 if let Some(c) = at_child {
                     per[c].reads += refills * f_child * s_c;
                     per[c].fills += reloads * f_child * s_c;
+                    #[cfg(test)]
+                    addends::tally(c, &[addends::READS, addends::FILLS]);
                 }
                 (refills + reloads) * f_child * s_c
             }
             Flow::Input { parent, child } => {
                 let child_vol = child.apply(refills);
                 per[at_p].reads += parent.apply(refills) * non_mc * s_p;
+                #[cfg(test)]
+                addends::tally(at_p, &[addends::READS]);
                 if let Some(c) = at_child {
                     per[c].fills += child_vol * s_c;
+                    #[cfg(test)]
+                    addends::tally(c, &[addends::FILLS]);
                 }
                 child_vol * s_c
             }
@@ -285,8 +295,46 @@ impl PairTail {
         for pos in (self.child + 1) as usize..self.p {
             if plan.is_fabric(pos) {
                 crossings[pos * nt + self.t.index()] += crossing_words;
+                #[cfg(test)]
+                addends::tally(pos * nt + self.t.index(), &[addends::CROSSINGS]);
             }
         }
+    }
+}
+
+/// A ledger of how many addends each count-table entry received for the
+/// candidate being counted: the kernel prices the pairs in any order only
+/// because no entry receives more than two, so the tests hold it to that.
+#[cfg(test)]
+pub(crate) mod addends {
+    use std::cell::RefCell;
+
+    pub(crate) const READS: usize = 0;
+    pub(crate) const FILLS: usize = 1;
+    pub(crate) const UPDATES: usize = 2;
+    pub(crate) const CROSSINGS: usize = 3;
+
+    thread_local! {
+        static LEDGER: RefCell<Vec<[u8; 4]>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Starts a candidate over `entries` entries per table.
+    pub(crate) fn reset(entries: usize) {
+        LEDGER.with(|l| {
+            let mut l = l.borrow_mut();
+            l.clear();
+            l.resize(entries, [0; 4]);
+        });
+    }
+
+    /// One addend into each of `fields` of entry `at`.
+    pub(crate) fn tally(at: usize, fields: &[usize]) {
+        LEDGER.with(|l| fields.iter().for_each(|&f| l.borrow_mut()[at][f] += 1));
+    }
+
+    /// The most addends any entry received since the last reset.
+    pub(crate) fn most() -> u8 {
+        LEDGER.with(|l| l.borrow().iter().flatten().copied().max().unwrap_or(0))
     }
 }
 

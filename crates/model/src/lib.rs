@@ -76,7 +76,7 @@ mod prefix;
 /// served as current.
 pub const COST_MODEL_VERSION: u32 = 1;
 
-pub use batch::{BatchEvalScratch, NestSource};
+pub use batch::{BatchEvalScratch, Nest, NestSource};
 pub use cost::{CostModel, CostReport, CostTotals, LevelReport};
 pub use counts::{AccessCounts, TensorLevelCounts};
 pub use explain::compare;

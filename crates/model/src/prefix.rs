@@ -36,6 +36,8 @@
 //! the empty-prefix price within the model's own documented exactness
 //! envelope.
 
+use std::ops::Range;
+
 use sunstone_ir::{DimSet, DimVec, TensorDesc, TensorId};
 use sunstone_mapping::{FlatLoop, Mapping};
 
@@ -163,7 +165,7 @@ pub(crate) struct CandAgg {
 
 impl CandAgg {
     /// The aggregates of no loops.
-    const EMPTY: CandAgg =
+    pub(crate) const EMPTY: CandAgg =
         CandAgg { all_temporal: 1.0, refills: 1.0, distinct: 1.0, driving: None };
 
     /// Extends the aggregates by the next loop inward. Every product is a
@@ -192,23 +194,28 @@ impl CandAgg {
         agg
     }
 
-    /// Appends, for each `j` in `0..marks.len()`, the aggregates of the
-    /// loops above mark `j` — `loops[..marks[j]]`, with marks falling as
-    /// `j` rises — in one pass over `loops`.
-    pub(crate) fn above_levels(
+    /// Sets `out[j]`, for each `j` in `marks` descending, to the
+    /// aggregates of the loops above mark `j` — `loops[..mark[j]]`, with
+    /// marks falling as `j` rises — continuing those of `out[marks.end]`
+    /// (the aggregates of no loops when `marks` runs to the last mark): in
+    /// one pass over the loops, and the same bits whether the marks are
+    /// taken in one call or in several.
+    pub(crate) fn above_marks(
         loops: &[FlatLoop],
-        marks: &[u32],
+        mark: &[u32],
         indexing: DimSet,
-        out: &mut Vec<CandAgg>,
+        out: &mut [CandAgg],
+        marks: Range<usize>,
     ) {
-        let base = out.len();
-        out.resize(base + marks.len(), Self::EMPTY);
-        let (mut agg, mut done) = (Self::EMPTY, 0);
-        for j in (0..marks.len()).rev() {
-            let end = marks[j] as usize;
+        let (mut agg, mut done) = match out.get(marks.end) {
+            Some(&agg) => (agg, mark[marks.end] as usize),
+            None => (Self::EMPTY, 0),
+        };
+        for j in marks.rev() {
+            let end = mark[j] as usize;
             loops[done..end].iter().for_each(|l| agg.push(l, indexing));
             done = end;
-            out[base + j] = agg;
+            out[j] = agg;
         }
     }
 }
@@ -228,14 +235,14 @@ pub(crate) fn build_prefix(
     let ndims = workload.num_dims();
 
     let (mut cols, mut s_mid) = (Columns::default(), vec![1.0f64; boundary + 2]);
-    cols.fill(plan, std::slice::from_ref(mapping), 0, 0..boundary + 1, &plan.ones, &mut s_mid);
+    cols.fill(plan, &mapping, 0..boundary + 1, &plan.ones, &mut s_mid);
     let Columns { loops: pre, marks, resident, .. } = cols;
 
     let mut pairs = Vec::new();
     for t in workload.tensor_ids() {
         let tensor = workload.tensor(t);
         let mut child: i64 = -1;
-        for &p in &model.chains()[t.index()] {
+        for &p in model.chain(t) {
             if child > boundary as i64 {
                 break;
             }
