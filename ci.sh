@@ -74,7 +74,7 @@ cargo run --release -p sunstone-bench --bin bench_schedule -- quick --out BENCH_
 python3 - <<'EOF'
 import json
 d = json.load(open("BENCH_schedule_quick.json"))
-assert d.get("schema") == "sunstone-bench-schedule/v11", d.get("schema")
+assert d.get("schema") == "sunstone-bench-schedule/v12", d.get("schema")
 assert d.get("layers"), "no layers recorded"
 for row in d["layers"]:
     for field in (
@@ -85,7 +85,7 @@ for row in d["layers"]:
         assert field in row, f"missing {field} in {row.get('name', '?')}"
     for phase in (
         "expand", "expand_tiles", "expand_unrolls", "expand_orderings",
-        "expand_rows", "dedup", "estimate",
+        "expand_rows", "estimate",
         "estimate_prefix", "estimate_price", "estimate_publish", "select", "rank",
         "uncovered_share",
     ):

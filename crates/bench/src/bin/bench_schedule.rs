@@ -58,7 +58,7 @@ struct LayerRow {
     phase_ms: PhaseMs,
 }
 
-/// `LevelStats::{expand, dedup, estimate, select}` — and the parts
+/// `LevelStats::{expand, estimate, select}` — and the parts
 /// `expand` and `estimate` split into — summed over stages and over the
 /// runs added, in milliseconds, then the search's final ranking
 /// (`SearchStats::rank`), plus the wall time the five phases are a split
@@ -69,7 +69,6 @@ struct PhaseMs {
     expand_unrolls: f64,
     expand_orderings: f64,
     expand_rows: f64,
-    dedup: f64,
     estimate: f64,
     estimate_prefix: f64,
     estimate_price: f64,
@@ -88,7 +87,6 @@ impl PhaseMs {
             expand_unrolls: sum(|l| l.expand_unrolls),
             expand_orderings: sum(|l| l.expand_orderings),
             expand_rows: sum(|l| l.expand_rows),
-            dedup: sum(|l| l.dedup),
             estimate: sum(|l| l.estimate),
             estimate_prefix: sum(|l| l.estimate_prefix),
             estimate_price: sum(|l| l.estimate_price),
@@ -103,12 +101,11 @@ impl PhaseMs {
     /// phase timer saw (resolving and building the context, the session's
     /// memo, dropping the search's state).
     fn json(&self) -> String {
-        let covered = self.expand + self.dedup + self.estimate + self.select + self.rank;
+        let covered = self.expand + self.estimate + self.select + self.rank;
         let uncovered = if self.wall > 0.0 { 1.0 - covered / self.wall } else { 0.0 };
         format!(
             "{{\"expand\": {:.3}, \"expand_tiles\": {:.3}, \"expand_unrolls\": {:.3}, \
-             \"expand_orderings\": {:.3}, \"expand_rows\": {:.3}, \
-             \"dedup\": {:.3}, \"estimate\": {:.3}, \
+             \"expand_orderings\": {:.3}, \"expand_rows\": {:.3}, \"estimate\": {:.3}, \
              \"estimate_prefix\": {:.3}, \"estimate_price\": {:.3}, \
              \"estimate_publish\": {:.3}, \"select\": {:.3}, \"rank\": {:.3}, \"uncovered_share\": {:.4}}}",
             self.expand,
@@ -116,7 +113,6 @@ impl PhaseMs {
             self.expand_unrolls,
             self.expand_orderings,
             self.expand_rows,
-            self.dedup,
             self.estimate,
             self.estimate_prefix,
             self.estimate_price,
@@ -369,7 +365,7 @@ fn main() {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v11\",");
+    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v12\",");
     let _ = writeln!(json, "  \"mode\": \"{}\",", if quick { "quick" } else { "full" });
     let _ = writeln!(json, "  \"arch\": \"{}\",", esc(arch.name()));
     let _ = writeln!(json, "  \"reps\": {reps},");

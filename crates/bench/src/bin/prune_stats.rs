@@ -6,10 +6,10 @@
 //! [`SearchStats`](sunstone::SearchStats) the scheduler records while
 //! searching — per memory level, how many candidates each principle
 //! considered and kept (ordering trie, tiling maximal frontier, spatial
-//! unrolling, dedup, beam cut), how the search's estimate table fared —
+//! unrolling, beam cut), how the search's estimate table fared —
 //! including the SoA batch width of the estimate rounds — and where the
 //! stage's wall time went (expand — with its tile, unroll and ordering
-//! enumerations and its row writes — / dedup / estimate — with its
+//! enumerations and its row writes — / estimate — with its
 //! prefix / price / publish parts — / select), what one priced candidate
 //! cost (`price` time ÷ model evaluations), and how many lattice nodes
 //! the tile and unroll enumerators spanned against the capacity probes
@@ -44,16 +44,16 @@ fn price_ns(stats: &SearchStats) -> f64 {
 
 fn print_level_table(stats: &SearchStats) {
     println!(
-        "    {:<5} {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>6} {:>9} {:>7} {:>7}   {:>6} {:>7}   {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "    {:<5} {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>9} {:>7} {:>7}   {:>6} {:>7}   {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "level", "ord.cons", "kept", "pruned", "tile.cons", "kept", "pruned", "unr.cons", "kept",
-        "pruned", "dedup", "beam.cons", "kept", "cut", "hit%", "bounded", "expand.ms", "x.tiles", "x.unrol",
-        "x.order", "x.rows", "dedup.ms", "estim.ms", "e.prefix", "e.price", "e.publ", "selec.ms"
+        "pruned", "beam.cons", "kept", "cut", "hit%", "bounded", "expand.ms", "x.tiles", "x.unrol",
+        "x.order", "x.rows", "estim.ms", "e.prefix", "e.price", "e.publ", "selec.ms"
     );
     for l in &stats.levels {
         let probes = l.cache_hits + l.cache_misses;
         let hit = if probes == 0 { 0.0 } else { 100.0 * l.cache_hits as f64 / probes as f64 };
         println!(
-            "    L{:<4} {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>6} {:>9} {:>7} {:>7} {:>5.1}% {:>7}   {:>9.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
+            "    L{:<4} {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>6.1}%   {:>9} {:>7} {:>7} {:>5.1}% {:>7}   {:>9.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
             l.level,
             l.ordering.considered,
             l.ordering.kept,
@@ -64,7 +64,6 @@ fn print_level_table(stats: &SearchStats) {
             l.unrolling.considered,
             l.unrolling.kept,
             pct(&l.unrolling),
-            l.dedup_removed,
             l.beam.considered,
             l.beam.kept,
             l.beam.pruned(),
@@ -75,7 +74,6 @@ fn print_level_table(stats: &SearchStats) {
             l.expand_unrolls.as_secs_f64() * 1e3,
             l.expand_orderings.as_secs_f64() * 1e3,
             l.expand_rows.as_secs_f64() * 1e3,
-            l.dedup.as_secs_f64() * 1e3,
             l.estimate.as_secs_f64() * 1e3,
             l.estimate_prefix.as_secs_f64() * 1e3,
             l.estimate_price.as_secs_f64() * 1e3,
@@ -115,7 +113,6 @@ fn merge_into(total: &mut SearchStats, s: &SearchStats) {
         tl.tiling.merge(&l.tiling);
         tl.unrolling.merge(&l.unrolling);
         tl.constraint.merge(&l.constraint);
-        tl.dedup_removed += l.dedup_removed;
         tl.beam.merge(&l.beam);
         tl.cache_hits += l.cache_hits;
         tl.cache_misses += l.cache_misses;
@@ -125,7 +122,6 @@ fn merge_into(total: &mut SearchStats, s: &SearchStats) {
         tl.expand_unrolls += l.expand_unrolls;
         tl.expand_orderings += l.expand_orderings;
         tl.expand_rows += l.expand_rows;
-        tl.dedup += l.dedup;
         tl.estimate += l.estimate;
         tl.estimate_prefix += l.estimate_prefix;
         tl.estimate_price += l.estimate_price;

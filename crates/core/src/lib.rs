@@ -69,7 +69,7 @@
 //! * [`session`] — the session API: [`Scheduler`], the per-call
 //!   [`ScheduleOptions`], the result memo, batch dedup + parallel fan-out.
 //! * [`search`] — the staged search pipeline: candidate enumeration
-//!   (`candidates`), beam dedup/selection (`beam`), memoized parallel
+//!   (`candidates`), beam selection (`beam`), memoized parallel
 //!   estimation (`estimate`), and the composition loop (`compose`),
 //!   which walks the memories innermost first. [`search::stats`] holds
 //!   the per-level, per-principle pruning statistics.

@@ -51,7 +51,7 @@ pub enum ProgressEvent {
         /// Beam states entering the stage.
         beam: usize,
     },
-    /// A search stage finished its expand → dedup → estimate → select
+    /// A search stage finished its expand → estimate → select
     /// pipeline.
     LevelFinished {
         /// Stage index, innermost memory first.

@@ -1,37 +1,30 @@
-//! Beam maintenance over the candidate arena: duplicate elimination and
-//! the alpha-beta-style cut, plus the mapping key the arena's rows share
-//! their prefix with and the 128-bit hash that stands in for it.
+//! The beam between stages and the alpha-beta-style cut that keeps it,
+//! plus the mapping key the arena's rows share their prefix with and the
+//! 128-bit hash that stands in for a nest key.
 //!
-//! Dedup meets rows by the hash of their [`nest_key`](RowLayout::nest_key)
-//! — the estimate table's key, shared by rows that differ only where a
-//! factor is 1 — which expansion files with each row. A candidate's
-//! identity inside the search is one `u128`, a hash of its *completed*
-//! mapping key ([`RowLayout::identity`]), taken only for rows whose nest
-//! an earlier row had. A completed key and a row prefix
-//! determine each other (the quotas are the extents divided by the
-//! factors, and the completion level's own factors are 1 until the stage
-//! that writes them), so equal identities mean equal rows up to a
-//! 2⁻¹²⁸-per-pair collision — which debug builds rule out by comparing the
-//! words.
+//! The beam is kept as rows ([`Beam`]): a survivor is its candidate row,
+//! copied out of the arena with the hash of its nest and what its ordering
+//! excludes from the next stage's unroll. The next stage copies the row
+//! into its children and prices their shared prefix from it; only the
+//! final ranking turns rows into mappings.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use sunstone_ir::{DimVec, FxHashMap};
+use sunstone_ir::DimSet;
 use sunstone_mapping::{Mapping, MappingLevel};
 
 use super::candidates::Candidates;
 use super::stats::SearchStats;
-use super::{PartialState, RowLayout, SearchContext};
+use super::SearchContext;
 
 /// A mapping's search identity: every level's factors, then each
 /// temporal level's loop order. Two mappings with equal keys are the same
 /// point in the space. Inside the search the *row prefix* of a candidate
-/// ([`RowLayout`]) is laid out word for word like this key and nothing
-/// builds the key itself: rows are hashed in place. The function serves
-/// [`RowLayout::nest_key_of`], which keys mappings that never were rows
-/// (the final re-evaluation).
+/// ([`RowLayout`](super::RowLayout)) is laid out word for word like this
+/// key and nothing builds the key itself: rows are hashed in place. The
+/// function serves [`RowLayout::nest_key_of`](super::RowLayout::nest_key_of),
+/// which keys mappings that never were rows.
 pub(crate) fn mapping_key(m: &Mapping) -> Vec<u64> {
     let words = m
         .levels()
@@ -128,8 +121,8 @@ pub(crate) fn key_hash(words: &[u64]) -> u128 {
     Lanes::SEED.absorb(words).finish(words.len())
 }
 
-/// Hasher of maps keyed by a [`key_hash`] or its low half: the key is
-/// already uniformly mixed, so its low half *is* the table hash.
+/// Hasher of maps keyed by a [`key_hash`]: the key is already uniformly
+/// mixed, so its low half *is* the table hash.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct PassThrough(u64);
 
@@ -142,10 +135,6 @@ impl Hasher for PassThrough {
         unreachable!("PassThrough only hashes key hashes");
     }
 
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key;
-    }
-
     fn write_u128(&mut self, key: u128) {
         self.0 = key as u64;
     }
@@ -154,101 +143,59 @@ impl Hasher for PassThrough {
 /// A map keyed by [`key_hash`] values.
 pub(crate) type KeyHashMap<V> = HashMap<u128, V, BuildHasherDefault<PassThrough>>;
 
-/// Removes candidates whose mapping an earlier row already describes,
-/// returning how many were dropped: different enumeration paths (e.g. the
-/// principled and relaxed unroll passes) can emit identical candidates,
-/// and estimating each copy is pure waste. The first of equal rows stays
-/// and the survivors keep their order, so one parent's children remain
-/// contiguous.
-///
-/// Rows are met by the nest hash expansion filed with each
-/// ([`Candidates::nest`]). Equal rows have equal nest keys, so a row whose
-/// nest hash is new in this pass is unique and costs one map insert. A
-/// row whose nest an earlier row had is compared with the rows kept of
-/// that nest by identity: the nest hash combined with the hash of the
-/// row's whole orders, which its parent and ordering decide
-/// ([`Candidates::orders_hash`], once per pair). No row is read, and no
-/// identity is kept: nests repeat a few rows deep.
-pub(crate) fn dedup(cands: &mut Candidates, layout: &RowLayout) -> usize {
-    const NONE: u32 = u32::MAX;
-    let before = cands.len();
-    let mut keep: Vec<u32> = Vec::with_capacity(before);
-    // The low half of a nest hash → the last row kept with it. Two nests
-    // that share a low half only share a chain.
-    let mut nests: HashMap<u64, u32, BuildHasherDefault<PassThrough>> =
-        HashMap::with_capacity_and_hasher(before, Default::default());
-    // Per row kept, the row kept before it with the same low half.
-    let mut prior = vec![NONE; before];
-    // Per (parent, ordering) met among the repeated nests, the hash of its
-    // orders.
-    let mut lineages: FxHashMap<(u32, u32), u128> = FxHashMap::default();
-    let mut orders = Vec::new();
-    let mut identity = |i: usize| {
-        let orders_hash =
-            *lineages.entry(cands.lineage(i)).or_insert_with(|| cands.orders_hash(i, &mut orders));
-        let identity = cands.nest[i] ^ orders_hash;
-        debug_assert_eq!(
-            identity,
-            layout.identity(cands.row(i), cands.nest[i], &mut Vec::new()),
-            "a child's orders are its parent's and its ordering's"
-        );
-        identity
-    };
-    for i in 0..before {
-        match nests.entry(cands.nest[i] as u64) {
-            Entry::Vacant(slot) => {
-                slot.insert(i as u32);
-            }
-            Entry::Occupied(mut last) => {
-                let id = identity(i);
-                let mut j = *last.get();
-                while j != NONE && identity(j as usize) != id {
-                    j = prior[j as usize];
-                }
-                if j != NONE {
-                    debug_assert_eq!(
-                        cands.row(i)[..layout.key_len],
-                        cands.row(j as usize)[..layout.key_len],
-                        "128-bit row hash collision"
-                    );
-                    continue;
-                }
-                prior[i] = std::mem::replace(last.get_mut(), i as u32);
-            }
-        }
-        keep.push(i as u32);
-    }
-    if keep.len() < before {
-        cands.retain_indices(&keep);
-    }
-    before - cands.len()
+/// The partial mappings alive between two stages, as rows: per survivor,
+/// its candidate row ([`RowLayout`](super::RowLayout)), the hash of its
+/// nest key, and the dimensions the ordering it chose for the next memory
+/// excludes from that memory's fabric (the Spatial Unrolling Principle's
+/// input; empty when it chose none). At most `beam_width` rows.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Beam {
+    stride: usize,
+    rows: Vec<u64>,
+    pub(crate) nest: Vec<u128>,
+    pub(crate) unroll_excluded: Vec<DimSet>,
 }
 
-/// [`dedup`] as it was before it met rows by their nest first: every
-/// row's nest hash and identity taken from the row, rows compared by
-/// identity alone, the kept rows' nest hashes written to the column. The
-/// oracle the nest-first pass is held to.
-#[cfg(test)]
-pub(crate) fn dedup_by_identity(cands: &mut Candidates, layout: &RowLayout) -> usize {
-    let before = cands.len();
-    let mut keep: Vec<u32> = Vec::with_capacity(before);
-    let (mut words, mut orders) = (Vec::new(), Vec::new());
-    let mut seen: KeyHashMap<u32> = KeyHashMap::default();
-    for i in 0..before {
-        let row = cands.row(i);
-        let nest = layout.nest_hash(row, &mut words);
-        if let Entry::Vacant(slot) = seen.entry(layout.identity(row, nest, &mut orders)) {
-            slot.insert(i as u32);
-            keep.push(i as u32);
+impl Beam {
+    /// The search starting point: the base mapping's row, nothing decided,
+    /// the whole problem still in the quotas.
+    pub(crate) fn root(ctx: &SearchContext<'_>) -> Self {
+        let layout = &ctx.layout;
+        let mut rows = Vec::with_capacity(layout.stride());
+        layout.write_row(&ctx.base, &ctx.workload.dim_sizes(), &mut rows);
+        let nest = layout.nest_hash(&rows, &mut Vec::new());
+        Beam {
+            stride: layout.stride(),
+            rows,
+            nest: vec![nest],
+            unroll_excluded: vec![DimSet::EMPTY],
         }
-        cands.nest[i] = nest;
     }
-    cands.retain_indices(&keep);
-    before - cands.len()
+
+    pub(crate) fn len(&self) -> usize {
+        self.nest.len()
+    }
+
+    /// The row of survivor `i`.
+    pub(crate) fn row(&self, i: usize) -> &[u64] {
+        &self.rows[i * self.stride..(i + 1) * self.stride]
+    }
+
+    /// Every survivor's mapping as completed — its quotas placed at the
+    /// outermost memory — with its nest hash, best first.
+    pub(crate) fn completed(&self, ctx: &SearchContext<'_>) -> Vec<(Mapping, u128)> {
+        (0..self.len())
+            .map(|i| {
+                let mut m = ctx.base.clone();
+                ctx.layout.materialize_completed_into(self.row(i), &mut m);
+                (m, self.nest[i])
+            })
+            .collect()
+    }
 }
 
-/// Keeps the `beam_width` best-estimated candidates and materializes them
-/// as the next beam, recording the cut in the stage's beam counter.
+/// Keeps the `beam_width` best-estimated candidates as the next beam,
+/// copying their rows, and records the cut in the stage's beam counter.
 /// Equal estimates rank in enumeration order and the estimates are
 /// totally ordered, so the survivors do not depend on thread count or
 /// enumeration accidents beyond the (deterministic) candidate order.
@@ -257,7 +204,7 @@ pub(crate) fn select(
     cands: &Candidates,
     stage: usize,
     stats: &mut SearchStats,
-) -> Vec<PartialState> {
+) -> Beam {
     // Ranking by (estimate, arena index) is what a stable sort by estimate
     // computes, and being a total order it lets the cut partition first
     // and sort only the survivors.
@@ -272,18 +219,20 @@ pub(crate) fn select(
     }
     ranked.sort_unstable_by(by_estimate);
     stats.level_mut(stage).beam.record(cands.len() as u64, ranked.len() as u64);
-    let layout = &ctx.layout;
-    ranked
-        .into_iter()
-        .map(|i| {
-            let row = cands.row(i as usize);
-            PartialState {
-                mapping: layout.materialize(row, &ctx.base),
-                quotas: DimVec::from_slice(&row[layout.quotas()]),
-                ordering_here: cands.ordering_of(i as usize).cloned(),
-            }
-        })
-        .collect()
+    let stride = ctx.layout.stride();
+    let mut beam = Beam {
+        stride,
+        rows: Vec::with_capacity(ranked.len() * stride),
+        nest: Vec::with_capacity(ranked.len()),
+        unroll_excluded: Vec::with_capacity(ranked.len()),
+    };
+    for i in ranked {
+        let i = i as usize;
+        beam.rows.extend_from_slice(cands.row(i));
+        beam.nest.push(cands.nest[i]);
+        beam.unroll_excluded.push(cands.unroll_excluded_of(i));
+    }
+    beam
 }
 
 #[cfg(test)]

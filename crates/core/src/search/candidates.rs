@@ -10,7 +10,7 @@
 //! [`LevelStats`]: super::stats::LevelStats
 
 use std::cell::RefCell;
-use std::ops::{Range, RangeInclusive};
+use std::ops::RangeInclusive;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -25,7 +25,7 @@ use crate::unrolling::{enumerate_unrollings_cached, principle_excluded_dims};
 use super::beam;
 use super::estimate::{self, SearchMemo, Tiles};
 use super::stats::{PruneCounter, SearchStats};
-use super::{positions, PartialState, RowLayout, SearchContext};
+use super::{RowLayout, SearchContext};
 
 /// The [`Candidates::ordering`] entry of a candidate that chose no
 /// ordering: the outermost memory has no level above to order.
@@ -98,9 +98,9 @@ pub(crate) fn release_thread_arena() {
 /// few dozen, so what a candidate costs to *exist* is the search's unit
 /// price. Here it is one fixed-stride run of words in `rows`
 /// ([`RowLayout`]: the mapping key, then the remaining quotas) plus one
-/// entry in each parallel column; expanding, deduplicating, probing,
-/// ranking and discarding candidates touch no allocator. The arena is
-/// reused across stages.
+/// entry in each parallel column; expanding, probing, ranking and
+/// discarding candidates touch no allocator. The arena is reused across
+/// stages.
 pub(crate) struct Candidates {
     stride: usize,
     /// The candidate rows, `stride` words each.
@@ -109,30 +109,23 @@ pub(crate) struct Candidates {
     /// Candidates of one parent share every level decided before the
     /// current stage — which is what lets estimation memoize the
     /// decided-prefix cost once per parent — and are contiguous (parents
-    /// expand one after another and dedup keeps order).
+    /// expand one after another).
     pub(crate) parent: Vec<u32>,
     /// Per candidate, the index into `orderings` of the ordering it chose
     /// for the next memory ([`NO_ORDERING`] at the outermost stage); the
-    /// survivors carry it into the next stage's unrolling principle.
+    /// survivors carry what it excludes into the next stage's unrolling
+    /// principle.
     ordering: Vec<u32>,
     /// Per candidate, the objective estimate of the completed mapping
     /// (infinite until the estimate round fills it in).
     pub(crate) estimate: Vec<f64>,
     /// Per candidate, the 128-bit hash of its
-    /// [`nest_key`](RowLayout::nest_key): what dedup tells rows apart by
-    /// first and the estimate table files its price under. Taken as the
-    /// row is written, while it is in cache ([`file_nest`](Self::file_nest)).
+    /// [`nest_key`](RowLayout::nest_key): what the estimate table files
+    /// its price under. Taken as the row is written, while it is in cache
+    /// ([`write_children`]).
     pub(crate) nest: Vec<u128>,
     /// Scratch for the nest keys.
     key: Vec<u64>,
-    /// Per parent of the stage, its row's whole orders as
-    /// [`RowLayout::write_orders`] writes them (`orders_width` words each).
-    parent_orders: Vec<u64>,
-    orders_width: usize,
-    /// Per entry of `orderings`, its order in the same form, and where in
-    /// a parent's orders it goes: at the memory the stage orders.
-    ordering_orders: Vec<u64>,
-    ordered: Range<usize>,
     /// Per entry of `orderings`, the dimension sets the pruning principles
     /// derive from it.
     ordering_dims: Vec<OrderingDims>,
@@ -161,10 +154,6 @@ impl Candidates {
             estimate: Vec::new(),
             nest: Vec::new(),
             key: Vec::new(),
-            parent_orders: Vec::new(),
-            orders_width: 0,
-            ordering_orders: Vec::new(),
-            ordered: 0..0,
             ordering_dims: Vec::new(),
             orderings: Vec::new(),
             order_words: Vec::new(),
@@ -182,8 +171,6 @@ impl Candidates {
         self.ordering.clear();
         self.estimate.clear();
         self.nest.clear();
-        self.parent_orders.clear();
-        self.ordering_orders.clear();
         self.ordering_dims.clear();
         self.orderings.clear();
         self.order_words.clear();
@@ -203,62 +190,39 @@ impl Candidates {
         &self.rows[i * self.stride..(i + 1) * self.stride]
     }
 
-    /// The ordering candidate `i` chose for the next memory, if any.
-    pub(crate) fn ordering_of(&self, i: usize) -> Option<&OrderingCandidate> {
-        self.ordering_at(self.ordering[i])
+    /// The dimensions the ordering candidate `i` chose for the next memory
+    /// excludes from that memory's fabric (none when it chose none).
+    pub(crate) fn unroll_excluded_of(&self, i: usize) -> DimSet {
+        self.ordering_dims
+            .get(self.ordering[i] as usize)
+            .map_or(DimSet::EMPTY, |o| o.unroll_excluded)
     }
 
-    fn ordering_at(&self, index: u32) -> Option<&OrderingCandidate> {
-        self.orderings.get(index as usize)
-    }
-
-    /// Makes beam state `parent` the one whose children the following
-    /// [`push_child`](Self::push_child) calls append: its row is written
-    /// once here and copied per child.
-    pub(crate) fn begin_parent(&mut self, layout: &RowLayout, parent: usize, state: &PartialState) {
+    /// Makes beam survivor `parent`, whose row is `row`, the one whose
+    /// children the following [`push_child`](Self::push_child) calls
+    /// append: its row is copied once here and once per child.
+    pub(crate) fn begin_parent(&mut self, parent: usize, row: &[u64]) {
         self.current_parent = parent as u32;
         self.template.clear();
-        layout.write_row(&state.mapping, &state.quotas, &mut self.template);
-        let at = self.parent_orders.len();
-        layout.write_orders(&self.template, &mut self.parent_orders);
-        self.orders_width = self.parent_orders.len() - at;
-        debug_assert_eq!(at, parent * self.orders_width, "parents begin in order");
+        self.template.extend_from_slice(row);
     }
 
-    /// Writes the order words, orders and dimension sets of
-    /// `orderings[first..]`, which order the memory at `pos`.
-    fn index_orderings(&mut self, ctx: &SearchContext<'_>, first: usize, pos: usize) {
+    /// Writes the order words and dimension sets of `orderings[first..]`.
+    fn index_orderings(&mut self, ctx: &SearchContext<'_>, first: usize) {
         for o in &self.orderings[first..] {
-            let at = self.order_words.len();
             self.order_words.extend(o.order.iter().map(|d| d.index() as u64));
-            positions(&self.order_words[at..], &mut self.ordering_orders);
             self.ordering_dims.push(OrderingDims {
                 tile_allowed: tile_allowed_dims(ctx, o),
                 unroll_excluded: unroll_excluded(ctx, o),
             });
         }
-        self.ordered = ctx.layout.orders_at(pos);
     }
 
-    /// Candidate `i`'s parent and ordering, which decide its whole orders.
-    pub(crate) fn lineage(&self, i: usize) -> (u32, u32) {
-        (self.parent[i], self.ordering[i])
-    }
-
-    /// The hash of candidate `i`'s whole orders, which its identity
-    /// combines with its nest hash ([`RowLayout::identity`]), taken
-    /// without reading its row: a child's orders are its parent's but at
-    /// the memory the stage orders, where its ordering's order is written.
-    /// Every candidate of one [`lineage`](Self::lineage) shares it.
-    pub(crate) fn orders_hash(&self, i: usize, orders: &mut Vec<u64>) -> u128 {
-        let (width, parent) = (self.orders_width, self.parent[i] as usize);
-        orders.clear();
-        orders.extend_from_slice(&self.parent_orders[parent * width..(parent + 1) * width]);
-        if self.ordering[i] != NO_ORDERING {
-            let (o, k) = (self.ordering[i] as usize, self.ordered.len());
-            orders[self.ordered.clone()].copy_from_slice(&self.ordering_orders[o * k..(o + 1) * k]);
-        }
-        beam::key_hash(orders)
+    /// How many rows repeat the first `key_len` words of an earlier row.
+    #[cfg(test)]
+    pub(crate) fn repeated_rows(&self, key_len: usize) -> usize {
+        let mut seen = std::collections::HashSet::new();
+        (0..self.len()).filter(|&i| !seen.insert(&self.row(i)[..key_len])).count()
     }
 
     /// Appends a copy of the template row and returns where it starts in
@@ -270,27 +234,6 @@ impl Candidates {
         self.ordering.push(ordering);
         self.estimate.push(f64::INFINITY);
         at
-    }
-
-    /// Compacts the arena in place to the candidates at `keep` (strictly
-    /// ascending), preserving their order.
-    pub(crate) fn retain_indices(&mut self, keep: &[u32]) {
-        let stride = self.stride;
-        for (to, &from) in keep.iter().enumerate() {
-            let from = from as usize;
-            if to != from {
-                self.rows.copy_within(from * stride..(from + 1) * stride, to * stride);
-                self.parent[to] = self.parent[from];
-                self.ordering[to] = self.ordering[from];
-                self.estimate[to] = self.estimate[from];
-                self.nest[to] = self.nest[from];
-            }
-        }
-        self.rows.truncate(keep.len() * stride);
-        self.parent.truncate(keep.len());
-        self.ordering.truncate(keep.len());
-        self.estimate.truncate(keep.len());
-        self.nest.truncate(keep.len());
     }
 }
 
@@ -371,14 +314,16 @@ impl OrderingMemo {
     }
 }
 
-/// One stage for the arena's current parent `state`, in the paper's
+/// One stage for the arena's current parent, whose row is `parent` and
+/// whose ordering excludes `here` from this stage's fabric, in the paper's
 /// unroll → tile → order: the unrollings below memory `stage` first (the
 /// fabric claims its quota), then per unroll and per ordering of memory
 /// `stage + 1` the tiles at memory `stage`, grown in what remains. The
 /// enumerations fill the parent's [`Plan`]; then its rows are written.
 pub(crate) fn expand(
     ctx: &SearchContext<'_>,
-    state: &PartialState,
+    parent: &[u64],
+    here: DimSet,
     stage: usize,
     out: &mut Candidates,
     memo: &mut SearchMemo,
@@ -386,23 +331,23 @@ pub(crate) fn expand(
 ) {
     let mem_pos = ctx.mems[stage];
     let last_stage = stage == ctx.mems.len() - 1;
-    let base = state.mapping.resident_tile(mem_pos, ctx.workload.num_dims());
+    let base = ctx.layout.resident_tile(parent, mem_pos);
+    let quotas = &parent[ctx.layout.quotas()];
 
     let clock = Instant::now();
     let orderings = if last_stage {
         // The outermost memory has no level above to order.
         NO_ORDERING..=NO_ORDERING
     } else {
-        orderings_for(ctx, out, in_play_dims(ctx, state), stage, stats)
+        orderings_for(ctx, out, in_play_dims(ctx, quotas), stage, stats)
     };
     stats.level_mut(stage).expand_orderings += clock.elapsed();
 
     let (dims, plan) = (&out.ordering_dims, &mut out.plan);
     plan.reset();
-    let here = state.ordering_here.as_ref().map(|o| unroll_excluded(ctx, o));
-    let reserve = spatial_reserve(ctx, stage, &state.quotas);
-    for u in &unrolls_for(ctx, state, stage, &base, &state.quotas, memo, stats) {
-        let u_quotas = divide(&state.quotas, u);
+    let reserve = spatial_reserve(ctx, stage, quotas);
+    for u in &unrolls_for(ctx, here, stage, &base, quotas, memo, stats) {
+        let u_quotas = divide(quotas, u);
         let base_u = multiply(&base, u);
         let unroll = plan.unroll(u);
         plan.scope.clear();
@@ -428,14 +373,14 @@ pub(crate) fn expand(
 }
 
 /// Dimensions with remaining quota — the only ones worth ordering.
-fn in_play_dims(ctx: &SearchContext<'_>, state: &PartialState) -> DimSet {
-    ctx.workload.dim_ids().filter(|d| state.quotas[d.index()] > 1).collect()
+fn in_play_dims(ctx: &SearchContext<'_>, quotas: &[u64]) -> DimSet {
+    ctx.workload.dim_ids().filter(|d| quotas[d.index()] > 1).collect()
 }
 
 /// Ordering candidates for one stage, as a run of `out.orderings`, with
 /// the trie's pruning attributed per principle in the stage's stats. A
 /// user order constraint on the level being ordered (memory `stage + 1`)
-/// filters the enumeration here — before dedup and
+/// filters the enumeration here — before estimation and
 /// beam selection — and always re-adds the constraint's canonical
 /// completion so a satisfiable constraint can never strand the stage
 /// without candidates. Enumerated once per distinct `in_play` per stage;
@@ -453,7 +398,7 @@ fn orderings_for(
         None => {
             let first = out.orderings.len();
             let memo = enumerate_orderings(ctx, in_play, stage, &mut out.orderings);
-            out.index_orderings(ctx, first, ctx.mems[stage + 1]);
+            out.index_orderings(ctx, first);
             out.ordering_memos.push(memo);
             out.ordering_memos.last().expect("just pushed")
         }
@@ -555,7 +500,7 @@ fn spatial_reserve(ctx: &SearchContext<'_>, stage: usize, quotas: &[u64]) -> u64
 /// Tile candidates for one ordering at the stage's memory level, as
 /// deltas over `base` and `quotas`. `sets` are the ordering's dimension
 /// sets and what the ordering chosen at the previous stage excludes from
-/// unrolling (`PartialState::ordering_here`); `scope` holds the
+/// unrolling (the parent's `Beam::unroll_excluded`); `scope` holds the
 /// enumerations already asked for with this base and quotas
 /// ([`Plan::scope`]).
 #[allow(clippy::too_many_arguments)]
@@ -565,7 +510,7 @@ fn tiles_for(
     base: &[u64],
     quotas: &[u64],
     reserve: u64,
-    (ordering, here): (Option<&OrderingDims>, Option<DimSet>),
+    (ordering, here): (Option<&OrderingDims>, DimSet),
     scope: &mut Vec<(DimSet, DimSet, Tiles)>,
     memo: &mut SearchMemo,
     stats: &mut SearchStats,
@@ -583,9 +528,12 @@ fn tiles_for(
     // that fabric pairs with the ordering chosen at the *previous* stage
     // (`here`); otherwise the nearest future fabric pairs with the
     // ordering being chosen now.
-    let excluded =
-        if ctx.lower_spatial[stage].is_none() { ordering.map(|o| o.unroll_excluded) } else { here };
-    let mut unrollable = all.difference(excluded.unwrap_or(DimSet::EMPTY));
+    let excluded = if ctx.lower_spatial[stage].is_none() {
+        ordering.map_or(DimSet::EMPTY, |o| o.unroll_excluded)
+    } else {
+        here
+    };
+    let mut unrollable = all.difference(excluded);
     // Mirror the high-throughput fallback of `unrolls_for`: when the
     // principled dimensions cannot reach the utilization floor, the
     // fabrics will unroll any dimension, so the reserve must guard them
@@ -795,10 +743,12 @@ fn tile_allowed_dims(ctx: &SearchContext<'_>, ordering: &OrderingCandidate) -> D
 }
 
 /// Unrolling candidates for the fabric directly below the stage's memory
-/// (the all-ones unroll when the gap has none).
+/// (the all-ones unroll when the gap has none), each once. `excluded` is
+/// what the parent's ordering of this memory excludes from the fabric
+/// ([`unroll_excluded`]).
 fn unrolls_for(
     ctx: &SearchContext<'_>,
-    state: &PartialState,
+    excluded: DimSet,
     stage: usize,
     resident_with_tile: &[u64],
     quotas: &[u64],
@@ -810,14 +760,6 @@ fn unrolls_for(
         return vec![DimVec::ones(ndims)];
     };
     let fabric = ctx.arch.level(LevelId(pos)).as_spatial().expect("spatial level");
-    let mut excluded = DimSet::EMPTY;
-    if ctx.config.pruning.unrolling_principle {
-        if let Some(o) = &state.ordering_here {
-            excluded = principle_excluded_dims(
-                o.fully_reused().map(|t| ctx.workload.reuse_info().of(t).full_reuse),
-            );
-        }
-    }
     let hard_excluded =
         if fabric.allow_reduction { DimSet::EMPTY } else { ctx.workload.reduction_dims() };
     let all = DimSet::first_n(ndims);
@@ -919,6 +861,15 @@ fn unrolls_for(
         unrollings.sort_by_key(|u| std::cmp::Reverse(u.volume()));
         unrollings.truncate(ctx.config.max_unrolls_per_enum);
     }
+    // The relaxed pass finds again what the principled pass kept; the
+    // first of each stays, so the stage writes every child once.
+    let mut distinct = Vec::with_capacity(unrollings.len());
+    for u in unrollings {
+        if !distinct.contains(&u) {
+            distinct.push(u);
+        }
+    }
+    let unrollings = distinct;
     stats.unrollings += unrollings.len() as u64;
     let level = stats.level_mut(stage);
     level.expand_unrolls += elapsed;
@@ -1004,12 +955,16 @@ mod tests {
     use std::time::Duration;
 
     use sunstone_arch::presets;
-    use sunstone_mapping::Mapping;
+    use sunstone_mapping::{DataflowTemplate, Mapping, MappingConstraints};
     use sunstone_model::MappingPrefix;
 
+    use super::super::beam::{self, Beam};
     use super::super::compose::run_level_search;
-    use super::super::testing::{conv2d, matmul, random_state, with_context};
-    use super::super::{beam, CallControls};
+    use super::super::estimate::RowNest;
+    use super::super::testing::{
+        conv2d, conv2d_batch, matmul, random_state, with_constraints, with_context,
+    };
+    use super::super::CallControls;
     use super::*;
     use crate::SunstoneConfig;
 
@@ -1017,10 +972,10 @@ mod tests {
     /// child `i` differs from its parent in one key word (`tags[i]`, in
     /// the innermost level's first factor slot) and belongs to parent `i`.
     fn arena(ctx: &SearchContext<'_>, tags: &[u64]) -> Candidates {
-        let root = PartialState::root(ctx);
+        let root = Beam::root(ctx);
         let mut cands = Candidates::new(&ctx.layout);
         for (i, &tag) in tags.iter().enumerate() {
-            cands.begin_parent(&ctx.layout, i, &root);
+            cands.begin_parent(i, root.row(0));
             let at = cands.push_child(NO_ORDERING);
             cands.rows[at + ctx.layout.factors(0).start] = tag;
             file_nest(&mut cands, &ctx.layout);
@@ -1034,45 +989,18 @@ mod tests {
         cands.nest.push(layout.nest_hash(row, &mut cands.key));
     }
 
-    fn tags(ctx: &SearchContext<'_>, cands: &Candidates) -> Vec<u64> {
-        (0..cands.len()).map(|i| cands.row(i)[ctx.layout.factors(0).start]).collect()
-    }
-
-    #[test]
-    fn dedup_keeps_the_first_of_equal_rows_in_order() {
-        let (w, arch) = (conv2d(16, 16, 14), presets::simba_like());
-        with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
-            let mut cands = arena(ctx, &[5, 3, 5, 9, 3, 3, 2]);
-            for (i, e) in cands.estimate.iter_mut().enumerate() {
-                *e = i as f64;
-            }
-            let removed = beam::dedup(&mut cands, &ctx.layout);
-            assert_eq!(removed, 3);
-            assert_eq!(tags(ctx, &cands), [5, 3, 9, 2]);
-            // Every column moved with its row.
-            assert_eq!(cands.parent, [0, 1, 3, 6]);
-            assert_eq!(cands.estimate, [0.0, 1.0, 3.0, 6.0]);
-            assert_eq!(cands.ordering.len(), 4);
-            assert_eq!(cands.rows.len(), 4 * ctx.layout.stride());
-            let mut key = Vec::new();
-            let nests: Vec<u128> = (0..4)
-                .map(|i| {
-                    ctx.layout.nest_key(cands.row(i), &mut key);
-                    beam::key_hash(&key)
-                })
-                .collect();
-            assert_eq!(cands.nest, nests, "the kept rows' nest hashes, in order");
-            assert_eq!(beam::dedup(&mut cands, &ctx.layout), 0, "already distinct");
-        });
-    }
-
     /// A stage's worth of random rows, written the way expansion writes
     /// them: a few parents drawn from three random states (so parents
     /// repeat), each with children that place a small factor at the
     /// stage's memory and take one of six orderings — three random ones
     /// and each with two dimensions swapped, which often differ only where
-    /// a factor is 1 — or none. Every row's estimate is its index.
-    fn random_arena(ctx: &SearchContext<'_>, stage: usize, seed: u64) -> Candidates {
+    /// a factor is 1 — or none. Every row's estimate is its index. Returns
+    /// the arena and its parents' rows.
+    fn random_arena(
+        ctx: &SearchContext<'_>,
+        stage: usize,
+        seed: u64,
+    ) -> (Candidates, Vec<Vec<u64>>) {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -1097,16 +1025,20 @@ mod tests {
                 });
             }
         }
-        cands.index_orderings(ctx, 0, ctx.mems[stage + 1]);
+        cands.index_orderings(ctx, 0);
+        let mut parents = Vec::new();
         for parent in 0..1 + next() % 5 {
             // What is left at the completion level stays in the quotas
             // until the stage that decides it, as in a search.
-            let mut s = random_state(ctx, next() % 3);
-            let done = s.mapping.levels_mut()[layout.complete_at].factors_mut();
-            for (f, q) in done.iter_mut().zip(s.quotas.iter_mut()) {
+            let (mut m, mut quotas) = random_state(ctx, next() % 3);
+            let done = m.levels_mut()[layout.complete_at].factors_mut();
+            for (f, q) in done.iter_mut().zip(quotas.iter_mut()) {
                 *q *= std::mem::replace(f, 1);
             }
-            cands.begin_parent(layout, parent as usize, &s);
+            let mut row = Vec::new();
+            layout.write_row(&m, &quotas, &mut row);
+            cands.begin_parent(parent as usize, &row);
+            parents.push(row);
             for _ in 0..next() % 24 {
                 let ordering = match next() % 7 {
                     6 => NO_ORDERING,
@@ -1127,50 +1059,17 @@ mod tests {
         for (i, e) in cands.estimate.iter_mut().enumerate() {
             *e = i as f64;
         }
-        cands
-    }
-
-    /// Meeting rows by nest first keeps exactly what comparing every row's
-    /// identity keeps — the same rows, in the same order, with the same
-    /// nest hashes — on random rows of both fixtures on every preset.
-    #[test]
-    fn nest_first_dedup_keeps_what_identity_dedup_keeps() {
-        let presets = [
-            presets::conventional(),
-            presets::eyeriss_like(),
-            presets::simba_like(),
-            presets::diannao_like(),
-        ];
-        let (mut removed, mut shared_nests) = (0, 0);
-        for seed in 0..240u64 {
-            let w = if seed % 2 == 0 { conv2d(16, 24, 14) } else { matmul(64, 48, 96) };
-            let arch = &presets[(seed / 2 % 4) as usize];
-            with_context(&w, arch, &SunstoneConfig::default(), |ctx| {
-                let stage = (seed / 8 % (ctx.mems.len() as u64 - 1)) as usize;
-                let (mut nest_first, mut oracle) =
-                    (random_arena(ctx, stage, seed), random_arena(ctx, stage, seed));
-                let dropped = beam::dedup(&mut nest_first, &ctx.layout);
-                assert_eq!(dropped, beam::dedup_by_identity(&mut oracle, &ctx.layout));
-                assert_eq!(nest_first.estimate, oracle.estimate, "seed {seed}: kept rows");
-                assert_eq!(nest_first.nest, oracle.nest, "seed {seed}: nest column");
-                assert_eq!(nest_first.rows, oracle.rows);
-                removed += dropped;
-                let mut nests = oracle.nest.clone();
-                nests.sort_unstable();
-                nests.dedup();
-                shared_nests += oracle.len() - nests.len();
-            });
-        }
-        // Not vacuous: rows were dropped, and distinct rows shared a nest.
-        assert!(removed > 0 && shared_nests > 0, "{removed} removed, {shared_nests} shared");
+        (cands, parents)
     }
 
     /// The count kernel prices arena rows, read in place, exactly as it
     /// prices the mappings they complete to: on random arenas of every
     /// stage on three presets, each row's totals at widths 1, 2 and 16 —
-    /// against the empty prefix, and against its parent's prefix at every
-    /// boundary below the stage's memory — equal `evaluate_unchecked` of
-    /// the materialized completed row, bit for bit.
+    /// against the empty prefix, and at every boundary below the stage's
+    /// memory against its parent's prefix, built both from the parent's
+    /// row read in place and from the family's first child materialized —
+    /// equal `evaluate_unchecked` of the materialized completed row, bit
+    /// for bit.
     #[test]
     fn rows_price_as_their_completed_mappings() {
         let mut priced = 0usize;
@@ -1181,7 +1080,7 @@ mod tests {
                     let mut scratch = model.batch_scratch();
                     for stage in 0..ctx.mems.len() - 1 {
                         for seed in 0..3 {
-                            let cands = random_arena(ctx, stage, seed);
+                            let (cands, parents) = random_arena(ctx, stage, seed);
                             let rows: Vec<u32> = (0..cands.len() as u32).collect();
                             let completed: Vec<Mapping> = (0..cands.len())
                                 .map(|i| {
@@ -1237,12 +1136,17 @@ mod tests {
                             // The empty prefix prices any rows together.
                             price(model.empty_prefix(), &rows);
                             // A parent's children share every level below
-                            // the stage's memory.
+                            // the stage's memory with it.
                             for family in rows.chunk_by(|&a, &b| {
                                 cands.parent[a as usize] == cands.parent[b as usize]
                             }) {
                                 let first = &completed[family[0] as usize];
+                                let row = &parents[cands.parent[family[0] as usize] as usize];
                                 for boundary in 0..ctx.mems[stage] {
+                                    price(
+                                        &model.prefix_of(RowNest { layout, row }, boundary),
+                                        family,
+                                    );
                                     price(&model.prefix_of(first, boundary), family);
                                 }
                             }
@@ -1267,7 +1171,6 @@ mod tests {
                 &mut l.expand_unrolls,
                 &mut l.expand_orderings,
                 &mut l.expand_rows,
-                &mut l.dedup,
                 &mut l.estimate,
                 &mut l.estimate_prefix,
                 &mut l.estimate_price,
@@ -1291,8 +1194,7 @@ mod tests {
                 let mut memo = SearchMemo { miss_tiles, ..SearchMemo::default() };
                 let mut stats = SearchStats::default();
                 let run = run_level_search(ctx, &mut memo, &mut stats, &CallControls::default());
-                let beam: Vec<_> = run.beam.into_iter().map(|s| s.mapping).collect();
-                (beam, stats)
+                (run.beam, stats)
             };
             let (beam, stats) = search(false);
             let (missed_beam, missed) = search(true);
@@ -1304,19 +1206,151 @@ mod tests {
         });
     }
 
+    /// No stage writes a row twice, on real searches: on every preset,
+    /// with the default pruning and with each principle off, free and
+    /// under each dataflow template, no stage's arena holds two rows with
+    /// equal words. The shapes are a matmul and ResNet-18's `conv5_x`,
+    /// whose search on `simba_like` meets the high-throughput fallback
+    /// finding the principled unrolls again; with the ordering trie off
+    /// only the matmul runs (`conv5_x` would order 5 040 permutations of
+    /// its seven dimensions a stage, seconds of a debug build per search).
+    #[test]
+    fn stage_rows_are_distinct_by_construction() {
+        let workloads = [matmul(64, 48, 96), conv2d_batch(16, 512, 512, 7)];
+        let configs: Vec<SunstoneConfig> = (0..5)
+            .map(|off| {
+                let mut config = SunstoneConfig::default();
+                let flags = &mut config.pruning;
+                match off {
+                    1 => flags.ordering_trie = false,
+                    2 => flags.tiling_maximal = false,
+                    3 => flags.unrolling_principle = false,
+                    4 => flags.tiling_reuse_dims = false,
+                    _ => {}
+                }
+                config
+            })
+            .collect();
+        let (mut searches, mut stages) = (0, 0);
+        for arch in [
+            presets::conventional(),
+            presets::eyeriss_like(),
+            presets::simba_like(),
+            presets::diannao_like(),
+        ] {
+            let templates = [
+                DataflowTemplate::WeightStationaryCK,
+                DataflowTemplate::OutputStationary,
+                DataflowTemplate::RowStationary,
+                DataflowTemplate::NvdlaLike,
+            ];
+            let constraints: Vec<MappingConstraints> = std::iter::once(MappingConstraints::new())
+                .chain(templates.iter().map(|t| t.constraints(&arch)))
+                .collect();
+            for w in &workloads {
+                for constraints in &constraints {
+                    for config in &configs {
+                        if !config.pruning.ordering_trie && w.num_dims() > 3 {
+                            continue;
+                        }
+                        with_constraints(w, &arch, config, constraints, |ctx| {
+                            let mut memo = SearchMemo {
+                                repeated_rows: Some(Vec::new()),
+                                ..SearchMemo::default()
+                            };
+                            let mut stats = SearchStats::default();
+                            run_level_search(ctx, &mut memo, &mut stats, &CallControls::default());
+                            let repeats = memo.repeated_rows.expect("recorded");
+                            assert!(
+                                repeats.iter().all(|&r| r == 0),
+                                "{} {:?} {:?}: repeated rows per stage {repeats:?}",
+                                arch.name(),
+                                w.dim_sizes(),
+                                config.pruning
+                            );
+                            searches += 1;
+                            stages += repeats.len();
+                        });
+                    }
+                }
+            }
+        }
+        assert!(searches >= 100 && stages > 2 * searches, "{searches} searches, {stages} stages");
+    }
+
+    /// A pinned case of the high-throughput fallback finding again what
+    /// the principled pass kept: `conv5_x` on `simba_like` at stage 1,
+    /// under a parent whose ordering excludes `K` from the fabric. The
+    /// principled pass cannot fill the fabric, the relaxed pass returns
+    /// the principled unrolls among its own, and `unrolls_for` — and the
+    /// memo answering its repeat — lists each once.
+    #[test]
+    fn the_relaxed_fallback_lists_each_unroll_once() {
+        let w = conv2d_batch(16, 512, 512, 7);
+        let arch = presets::simba_like();
+        with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
+            let stage = 1;
+            let excluded = DimSet::EMPTY.with(w.dim_by_name("K").expect("K"));
+            let base = [16, 1, 8, 7, 7, 1, 1];
+            let quotas = [1, 512, 64, 1, 1, 3, 3];
+            let pos = ctx.lower_spatial[stage].expect("a fabric below the stage's memory");
+            let fabric = arch.level(LevelId(pos)).as_spatial().expect("spatial level");
+            let hard = if fabric.allow_reduction { DimSet::EMPTY } else { w.reduction_dims() };
+            let relaxed = DimSet::first_n(w.num_dims()).difference(hard);
+            let pass = |allowed| {
+                let fits = |u: &[u64]| {
+                    ctx.validation.capacity().fits(ctx.mems[stage], &multiply(&base, u))
+                };
+                let min = ctx.config.min_spatial_utilization;
+                enumerate_unrollings_cached(
+                    &quotas,
+                    allowed,
+                    fabric.units,
+                    fits,
+                    min,
+                    true,
+                    &ctx.ladders,
+                )
+                .unrollings
+            };
+            let (narrow, wide) = (pass(relaxed.difference(excluded)), pass(relaxed));
+            let busiest = narrow.iter().map(|u| u.iter().product::<u64>()).max().expect("some");
+            let floor = ctx.config.min_spatial_utilization * fabric.units as f64;
+            assert!((busiest as f64) < floor, "the fallback does not fire");
+            assert!(!narrow.is_empty() && narrow.iter().all(|u| wide.contains(u)));
+            let mut want = narrow.clone();
+            want.extend(wide.iter().filter(|u| !narrow.contains(u)).cloned());
+            let (mut memo, mut stats) = (SearchMemo::default(), SearchStats::default());
+            let got = unrolls_for(ctx, excluded, stage, &base, &quotas, &mut memo, &mut stats);
+            assert_eq!(got, want);
+            assert_eq!(stats.unrollings, want.len() as u64);
+            assert_eq!(stats.levels[stage].unrolling.kept, want.len() as u64);
+            let again = unrolls_for(ctx, excluded, stage, &base, &quotas, &mut memo, &mut stats);
+            assert_eq!((again, stats.unroll_memo_hits), (want, 1));
+        });
+    }
+
     #[test]
     fn select_breaks_estimate_ties_by_enumeration_order() {
         let (w, arch) = (conv2d(16, 16, 14), presets::simba_like());
         let config = SunstoneConfig { beam_width: 4, ..SunstoneConfig::default() };
         with_context(&w, &arch, &config, |ctx| {
+            let layout = &ctx.layout;
             let mut cands = arena(ctx, &[10, 11, 12, 13, 14, 15]);
             cands.estimate.copy_from_slice(&[2.0, 1.0, 2.0, 1.0, 0.5, 2.0]);
             let mut stats = SearchStats::default();
             let beam = beam::select(ctx, &cands, 0, &mut stats);
-            let kept: Vec<u64> = beam.iter().map(|s| s.mapping.level(0).factors()[0]).collect();
+            let kept: Vec<u64> =
+                (0..beam.len()).map(|i| beam.row(i)[layout.factors(0).start]).collect();
             assert_eq!(kept, [14, 11, 13, 10], "best first; equal estimates in arena order");
             assert_eq!(stats.levels[0].beam, PruneCounter { considered: 6, kept: 4 });
-            assert!(beam.iter().all(|s| s.ordering_here.is_none() && s.quotas == w.dim_sizes()));
+            // Each survivor carries its row's nest hash, and no exclusion:
+            // it chose no ordering.
+            assert_eq!(beam.nest, [4, 1, 3, 0].map(|i| cands.nest[i]));
+            for i in 0..beam.len() {
+                assert_eq!(beam.unroll_excluded[i], DimSet::EMPTY);
+                assert_eq!(&beam.row(i)[layout.quotas()], &w.dim_sizes()[..]);
+            }
         });
     }
 }

@@ -1,12 +1,13 @@
-//! The composition loop: expand → dedup → estimate → select, one stage
-//! per memory level, innermost first.
+//! The composition loop: expand → estimate → select, one stage per memory
+//! level, innermost first.
 
 use std::time::Instant;
 
+use super::beam::{self, Beam};
 use super::candidates::{self, Candidates};
-use super::estimate::SearchMemo;
+use super::estimate::{self, SearchMemo};
 use super::stats::SearchStats;
-use super::{beam, estimate, CallControls, PartialState, SearchContext};
+use super::{CallControls, SearchContext};
 use crate::progress::ProgressEvent;
 
 /// Why [`run_level_search`] stopped walking the hierarchy.
@@ -20,20 +21,20 @@ pub(crate) enum SearchStop {
     /// The cancellation token fired.
     Cancelled,
     /// The wall-clock deadline passed; the beam holds the best partial
-    /// states decided so far (completable via [`estimate::complete`]).
+    /// states decided so far (completable via [`Beam::completed`]).
     DeadlineReached,
 }
 
 /// The outcome of the level walk: the surviving beam plus why it stopped.
 pub(crate) struct SearchRun {
-    pub(crate) beam: Vec<PartialState>,
+    pub(crate) beam: Beam,
     pub(crate) stop: SearchStop,
 }
 
 /// Runs the staged search: for each memory, innermost first, expand every
-/// beam state into the stage's candidate arena, dedup, estimate (memoized
-/// in `memo`, parallel), and materialize the `beam_width` best as the next
-/// beam. The paper's default order (§V-A): partial costs track final costs
+/// beam row into the stage's candidate arena, estimate (memoized in
+/// `memo`, parallel), and copy the rows of the `beam_width` best out as the
+/// next beam. The paper's default order (§V-A): partial costs track final costs
 /// closely when reuse is resolved where most traffic lives, so the beam
 /// cuts early and the explored space stays small.
 /// Returns the surviving beam best-estimate first; the last stage places
@@ -70,7 +71,7 @@ fn walk(
     controls: &CallControls<'_>,
     cands: &mut Candidates,
 ) -> SearchRun {
-    let mut beam_states = vec![PartialState::root(ctx)];
+    let mut beam_states = Beam::root(ctx);
     for stage in 0..ctx.mems.len() {
         // Breadcrumb for the panic-isolation boundary: a fault caught
         // while this stage runs reports `search: level <stage>`.
@@ -87,7 +88,7 @@ fn walk(
         cands.clear();
         let phase = Instant::now();
         let mut stop = None;
-        for (parent, state) in beam_states.iter().enumerate() {
+        for parent in 0..beam_states.len() {
             // Bounded-latency controls between parent expansions (a
             // single expansion is bounded by the enumeration caps; the
             // fits closures additionally observe cancellation inside the
@@ -101,8 +102,10 @@ fn walk(
                 stop = Some(SearchStop::DeadlineReached);
                 break;
             }
-            cands.begin_parent(&ctx.layout, parent, state);
-            candidates::expand(ctx, state, stage, cands, memo, stats);
+            let row = beam_states.row(parent);
+            cands.begin_parent(parent, row);
+            let here = beam_states.unroll_excluded[parent];
+            candidates::expand(ctx, row, here, stage, cands, memo, stats);
         }
         // Recorded before any stop, so the phases still sum to the wall
         // clock of a search that ends here.
@@ -116,13 +119,12 @@ fn walk(
             return SearchRun { beam: beam_states, stop };
         }
         if cands.is_empty() {
-            return SearchRun { beam: Vec::new(), stop: SearchStop::Infeasible { stage } };
+            return SearchRun { beam: Beam::default(), stop: SearchStop::Infeasible { stage } };
         }
-        let phase = Instant::now();
-        let removed = beam::dedup(cands, &ctx.layout);
-        let level = stats.level_mut(stage);
-        level.dedup_removed += removed as u64;
-        level.dedup += phase.elapsed();
+        #[cfg(test)]
+        if let Some(repeats) = &mut memo.repeated_rows {
+            repeats.push(cands.repeated_rows(ctx.layout.key_len));
+        }
         let before = cands.len();
         let deadline = if stage > 0 {
             estimate::DeadlinePolicy::Always
@@ -130,7 +132,7 @@ fn walk(
             estimate::DeadlinePolicy::AfterFirstClaim
         };
         let phase = Instant::now();
-        let round = estimate::estimate_all(ctx, cands, stage, deadline, memo, stats);
+        let round = estimate::estimate_all(ctx, cands, &beam_states, stage, deadline, memo, stats);
         stats.level_mut(stage).estimate += phase.elapsed();
         match round {
             estimate::RoundStatus::Done => {}

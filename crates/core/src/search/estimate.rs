@@ -1,6 +1,6 @@
-//! Candidate estimation: completion of partial mappings, the search's own
-//! memo of estimates and enumerations, prefix-incremental cost evaluation,
-//! and parallel execution on the session worker pool.
+//! Candidate estimation: the search's own memo of estimates and
+//! enumerations, prefix-incremental cost evaluation of candidate rows
+//! completed in place, and parallel execution on the session worker pool.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -9,13 +9,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sunstone_ir::{DimSet, DimVec, FxHashMap};
-use sunstone_mapping::{Mapping, MappingLevel};
+use sunstone_mapping::Mapping;
 use sunstone_model::{BatchEvalScratch, CostReport, CostTotals, MappingPrefix, Nest, NestSource};
 
-use super::beam::{key_hash, KeyHashMap};
+use super::beam::{Beam, KeyHashMap};
 use super::candidates::Candidates;
 use super::stats::SearchStats;
-use super::{PartialState, RowLayout, SearchContext};
+use super::{RowLayout, SearchContext};
 use crate::pool::SliceWriter;
 
 /// A memoized unrolling enumeration: what it kept plus the count
@@ -71,7 +71,8 @@ pub(crate) struct UnrollKey {
 }
 
 /// One search's estimates: the configured objective's value of a
-/// completed loop nest under the 128-bit [`key_hash`] of its nest key
+/// completed loop nest under the 128-bit
+/// [`key_hash`](super::beam::key_hash) of its nest key
 /// ([`RowLayout::nest_key`](super::RowLayout::nest_key)). Numbers only —
 /// the search ranks by one scalar per candidate, and whatever a caller
 /// receives is priced afresh outside the table ([`evaluate_cached`]) — so
@@ -185,6 +186,10 @@ pub(crate) struct SearchMemo {
     /// what tests hold the stored deltas and replayed counters to.
     #[cfg(test)]
     pub(crate) miss_tiles: bool,
+    /// When set, per stage expanded, how many of its arena's rows repeat
+    /// an earlier row's words: what tests hold the arena's distinctness to.
+    #[cfg(test)]
+    pub(crate) repeated_rows: Option<Vec<usize>>,
 }
 
 impl SearchMemo {
@@ -198,19 +203,6 @@ impl SearchMemo {
     }
 }
 
-/// Completes a partial state into a structurally valid mapping: the
-/// remaining quotient goes to the outermost memory
-/// ([`RowLayout::complete_at`]).
-pub(crate) fn complete(ctx: &SearchContext<'_>, state: &PartialState) -> Mapping {
-    let mut m = state.mapping.clone();
-    if let MappingLevel::Temporal(t) = &mut m.levels_mut()[ctx.layout.complete_at] {
-        for (f, q) in t.factors.iter_mut().zip(&state.quotas) {
-            *f *= q;
-        }
-    }
-    m
-}
-
 thread_local! {
     /// Per-worker evaluation state, reused across rounds and calls (the
     /// pool threads are session-lived, so the buffers stay warm): the
@@ -221,8 +213,7 @@ thread_local! {
 
 /// A run of an estimate round's misses as the model's count kernel reads
 /// them: each miss's arena row, completed at the outermost memory by the
-/// quotas the row carries — the mapping [`complete`] would build from the
-/// row's state, never built.
+/// quotas the row carries ([`RowNest`]).
 pub(crate) struct MissRows<'a> {
     pub(crate) layout: &'a RowLayout,
     pub(crate) candidates: &'a Candidates,
@@ -232,7 +223,7 @@ pub(crate) struct MissRows<'a> {
 
 impl NestSource for MissRows<'_> {
     type Nest<'a>
-        = MissRow<'a>
+        = RowNest<'a>
     where
         Self: 'a;
 
@@ -240,18 +231,19 @@ impl NestSource for MissRows<'_> {
         self.misses.len()
     }
 
-    fn nest(&self, i: usize) -> MissRow<'_> {
-        MissRow { layout: self.layout, row: self.candidates.row(self.misses[i] as usize) }
+    fn nest(&self, i: usize) -> RowNest<'_> {
+        RowNest { layout: self.layout, row: self.candidates.row(self.misses[i] as usize) }
     }
 }
 
-/// One miss's arena row as the count kernel reads it.
-pub(crate) struct MissRow<'a> {
-    layout: &'a RowLayout,
-    row: &'a [u64],
+/// A candidate or beam row as the count kernel reads it: the mapping it
+/// completes to — its quotas placed at the outermost memory — never built.
+pub(crate) struct RowNest<'a> {
+    pub(crate) layout: &'a RowLayout,
+    pub(crate) row: &'a [u64],
 }
 
-impl Nest for MissRow<'_> {
+impl Nest for RowNest<'_> {
     fn factors(&self, pos: usize) -> &[u64] {
         &self.row[self.layout.factors(pos)]
     }
@@ -379,20 +371,23 @@ pub(crate) enum RoundStatus {
 }
 
 /// Completes and estimates every candidate of the arena, filling its
-/// `estimate` column.
+/// `estimate` column. `parents` is the beam the arena was expanded from.
 ///
 /// The search's estimate table ([`SearchMemo::estimates`]) is probed on
-/// the calling thread with the nest hash dedup already computed per row
-/// ([`Candidates::nest`]): the [`key_hash`] of the row's completed key
-/// with each temporal level's order cut down to the dimensions that loop
-/// there ([`RowLayout::nest_key`](super::RowLayout::nest_key)). Rows that
+/// the calling thread with the nest hash expansion filed per row
+/// ([`Candidates::nest`]): the [`key_hash`](super::beam::key_hash) of the
+/// row's completed key with each temporal level's order cut down to the
+/// dimensions that loop there
+/// ([`RowLayout::nest_key`](super::RowLayout::nest_key)). Rows that
 /// differ only in where a factor-1 dimension sits complete to the same
 /// loop nest — the model reads nothing else of an order — so they share
 /// an entry, as do what an earlier stage priced and what
 /// [`evaluate_cached`] looks up. A hit is one table read of an `f64`. The
 /// round's misses are grouped by nest hash: the first of each group is
 /// priced and the rest copy its price (counted as hits). A miss is an
-/// index: nothing is allocated per candidate. The priced misses go
+/// index: nothing is allocated per candidate. The rows of a stage are
+/// distinct by construction, so a miss that copies another's price is a
+/// different row with the same loop nest. The priced misses go
 /// through the model distributed over the session's persistent worker
 /// pool (no per-round thread spawns), and the model reads each miss's
 /// arena row in place ([`MissRows`]): its factors, orders and quotas,
@@ -400,9 +395,9 @@ pub(crate) enum RoundStatus {
 ///
 /// Stages past the first price each miss *prefix-incrementally*:
 /// all candidates expanded from one beam state share the decided levels
-/// `0..=mems[stage − 1]`, so that prefix's per-level cost contribution is
-/// built once per parent ([`CostModel::prefix_of`], from the parent's
-/// first miss materialized — the one mapping a parent costs) and each
+/// `0..=mems[stage − 1]` with the parent's row, so that prefix's
+/// per-level cost contribution is built once per parent
+/// ([`CostModel::prefix_of`], reading the parent's row in place) and each
 /// candidate only derives the delta of its frontier and completion
 /// levels. The
 /// composition is bit-identical to the whole-nest evaluation (see the
@@ -459,6 +454,7 @@ pub(crate) enum RoundStatus {
 pub(crate) fn estimate_all(
     ctx: &SearchContext<'_>,
     candidates: &mut Candidates,
+    parents: &Beam,
     stage: usize,
     deadline: DeadlinePolicy,
     memo: &mut SearchMemo,
@@ -491,7 +487,14 @@ pub(crate) fn estimate_all(
                 cut.offer(estimate, 1);
                 hits += 1;
             }
-            Probe::Pending(first) => copies.push((i as u32, first)),
+            Probe::Pending(first) => {
+                debug_assert_ne!(
+                    candidates.row(i)[..layout.key_len],
+                    candidates.row(misses[first as usize] as usize)[..layout.key_len],
+                    "a stage wrote one row twice"
+                );
+                copies.push((i as u32, first));
+            }
             Probe::Reserved => misses.push(i as u32),
         }
     }
@@ -507,14 +510,12 @@ pub(crate) fn estimate_all(
     let mut group_of: Vec<u32> = Vec::new();
     if let Some(b) = boundary.filter(|_| !misses.is_empty()) {
         let mut last_parent = u32::MAX;
-        // The first miss of each parent, materialized for `prefix_of`.
-        let mut first = ctx.base.clone();
         for &i in &misses {
             faultpoint!("estimate.prefix");
             let parent = candidates.parent[i as usize];
             if prefixes.is_empty() || parent != last_parent {
-                layout.materialize_completed_into(candidates.row(i as usize), &mut first);
-                prefixes.push(ctx.model.prefix_of(&first, b));
+                let row = parents.row(parent as usize);
+                prefixes.push(ctx.model.prefix_of(RowNest { layout, row }, b));
                 last_parent = parent;
             }
             group_of.push((prefixes.len() - 1) as u32);
@@ -683,28 +684,32 @@ pub(crate) fn estimate_all(
 /// loop nest and only ever *ranks*, so everything a caller receives is
 /// priced outside it. The mapping's estimate is still looked up (the last
 /// stage already filed the finalists, so the hit/miss counters read as
-/// they always did) and filed if absent — under the hash of its nest key
-/// ([`RowLayout::nest_key_of`](super::RowLayout::nest_key_of)), which is
-/// the hash its row probed with.
+/// they always did) and filed if absent — under `nest`, the nest hash its
+/// beam row carries, which is the hash of the mapping's nest key
+/// ([`RowLayout::nest_key_of`](super::RowLayout::nest_key_of)).
 pub(crate) fn evaluate_cached(
     ctx: &SearchContext<'_>,
     mapping: &Mapping,
+    nest: u128,
     memo: &mut SearchMemo,
     stats: &mut SearchStats,
 ) -> CostReport {
     let report = ctx.model.evaluate_unchecked(mapping);
     let estimate = ctx.config.objective.of(&report);
-    let mut key = Vec::new();
-    ctx.layout.nest_key_of(mapping, &mut key);
-    let hash = key_hash(&key);
-    match memo.estimates.get(hash, || key.clone()) {
+    // The words the hash was taken of, for the debug-build guard.
+    let key = || {
+        let mut key = Vec::new();
+        ctx.layout.nest_key_of(mapping, &mut key);
+        key
+    };
+    match memo.estimates.get(nest, key) {
         Some(cached) => {
             debug_assert_eq!(cached.to_bits(), estimate.to_bits(), "filed estimate is stale");
             stats.cache_hits += 1;
         }
         None => {
             stats.cache_misses += 1;
-            memo.estimates.insert(hash, estimate, || key);
+            memo.estimates.insert(nest, estimate, key);
         }
     }
     report

@@ -1,28 +1,30 @@
 //! The staged search pipeline (Section III-C / V-A of the paper).
 //!
 //! The scheduler walks the memory hierarchy one level at a time; each
-//! stage runs the same four-step pipeline over the surviving beam:
+//! stage runs the same three-step pipeline over the surviving beam:
 //!
 //! 1. **expand** (`candidates`) — per partial mapping, enumerate the
 //!    orderings × tiles × unrollings the pruning principles admit, then
 //!    write each child as a copy of a per-unroll template row plus a few
-//!    slice writes, filing the hash of its loop nest as it goes,
-//! 2. **dedup** (`beam`) — drop candidates whose mapping an earlier
-//!    enumeration path already produced, comparing whole identities only
-//!    among rows whose loop nests coincide,
-//! 3. **estimate** (`estimate`) — complete each candidate and evaluate
+//!    slice writes, filing the hash of its loop nest as it goes. Each
+//!    enumeration lists a choice once and a child writes its choices over
+//!    slots its parent left undecided, so a stage's rows are distinct by
+//!    construction: there is nothing to deduplicate,
+//! 2. **estimate** (`estimate`) — complete each candidate and evaluate
 //!    the analytic model, memoized for the length of the search by the
 //!    hash of its loop nest (`RowLayout::nest_key`: candidates that differ
 //!    only where a factor is 1 share one price) and parallelized over the
 //!    configured worker threads,
-//! 4. **select** (`beam`) — keep the best `beam_width` candidates (the
+//! 3. **select** (`beam`) — keep the best `beam_width` candidates (the
 //!    alpha-beta-style cut).
 //!
 //! A stage builds tens of thousands of candidates and keeps
 //! `beam_width` of them, so a candidate is not a [`Mapping`]: it is one
 //! fixed-stride row of `u64` words in the stage's `candidates::Candidates`
-//! arena, laid out by `RowLayout`. Only the survivors of the cut are
-//! materialized back into `PartialState`s.
+//! arena, laid out by `RowLayout`. The survivors of the cut stay rows
+//! (`beam::Beam`): the next stage copies a parent's row into its children
+//! and prices their shared prefix from it. Only the final ranking
+//! materializes mappings.
 //!
 //! The walk is bottom-up — innermost memory first, the paper's default —
 //! and within a stage the fabric's unroll is chosen before the tile grows
@@ -51,7 +53,7 @@ use sunstone_model::CostModel;
 
 use crate::constraints::ResolvedConstraints;
 use crate::factors::DivisorLadders;
-use crate::ordering::{OrderingCandidate, OrderingTrie};
+use crate::ordering::OrderingTrie;
 use crate::pool::WorkerPool;
 use crate::progress::{CancelToken, ProgressSink};
 use crate::SunstoneConfig;
@@ -95,11 +97,9 @@ impl CallControls<'_> {
 /// A row is the mapping's search key — every architecture level's
 /// factors, then every temporal level's loop order as dimension indices,
 /// word for word what [`beam::mapping_key`] emits — followed by the
-/// `ndims` remaining quotas. A row's identity is a 128-bit hash of its
-/// key *as completed* ([`identity`](Self::identity)): dedup compares rows
-/// by it where their nests coincide. What the cost model prices is coarser
-/// — the loop nest, in which a dimension whose factor is 1 at a level has
-/// no loop there, wherever the order puts it — so the search's estimate
+/// `ndims` remaining quotas. What the cost model prices is coarser — the
+/// loop nest, in which a dimension whose factor is 1 at a level has no
+/// loop there, wherever the order puts it — so the search's estimate
 /// table is keyed by the hash of the *nest key*
 /// ([`nest_key`](Self::nest_key)): rows, and the mappings the final
 /// re-evaluation hashes through `mapping_key`, that differ only in where
@@ -168,13 +168,16 @@ impl RowLayout {
         debug_assert_eq!(out.len() - start, self.stride(), "mapping does not fit the layout");
     }
 
-    /// Rebuilds the mapping a key — or a row, by its key prefix —
-    /// describes; `base` supplies what the key does not carry (each
-    /// level's kind and identity).
-    pub(crate) fn materialize(&self, key: &[u64], base: &Mapping) -> Mapping {
-        let mut m = base.clone();
-        self.fill(key, &mut m);
-        m
+    /// The tile resident in the memory at `pos` of the row's mapping: the
+    /// product of every level's factors at positions `0..=pos`.
+    pub(crate) fn resident_tile(&self, row: &[u64], pos: usize) -> DimVec {
+        let mut tile = DimVec::from_slice(&row[self.factors(0)]);
+        for level in 1..=pos {
+            for (t, f) in tile.iter_mut().zip(&row[self.factors(level)]) {
+                *t *= f;
+            }
+        }
+        tile
     }
 
     /// Overwrites every factor and loop order of `m` (shaped like the
@@ -191,9 +194,9 @@ impl RowLayout {
     }
 
     /// Makes `m` (any mapping shaped like the layout's base) the row's
-    /// mapping *as completed* — `estimate::complete(..)` of the row's
-    /// state — without allocating: the evaluators' input for a table miss,
-    /// written into a reused mapping.
+    /// mapping *as completed* — the quotas it still carries placed at the
+    /// outermost memory — without allocating: what the final ranking
+    /// validates and prices.
     pub(crate) fn materialize_completed_into(&self, row: &[u64], m: &mut Mapping) {
         self.fill(row, m);
         let completed = m.levels_mut()[self.complete_at].factors_mut();
@@ -254,30 +257,8 @@ impl RowLayout {
         beam::key_hash(key)
     }
 
-    /// The row's identity, given its nest hash: that hash combined with
-    /// the hash of the orders the nest key cut — every temporal level's
-    /// whole order in the rank form of [`positions`] — so it is a hash of
-    /// the completed key, and equal identities are equal rows up to a
-    /// 2⁻¹²⁸ collision. `orders` is scratch.
-    pub(crate) fn identity(&self, row: &[u64], nest: u128, orders: &mut Vec<u64>) -> u128 {
-        orders.clear();
-        self.write_orders(row, orders);
-        nest ^ beam::key_hash(orders)
-    }
-
-    /// Appends every temporal level's whole order of `row` (or of any
-    /// key) to `orders`, in the form [`identity`](Self::identity) hashes.
-    pub(crate) fn write_orders(&self, row: &[u64], orders: &mut Vec<u64>) {
-        for &(_, order) in &self.levels {
-            if let Some(order) = order {
-                positions(&row[order..order + self.ndims], orders);
-            }
-        }
-    }
-
-    /// Where the temporal level at `pos` sits in what
-    /// [`write_orders`](Self::write_orders) writes, and among a nest key's
-    /// cut orders.
+    /// Where the temporal level at `pos` sits among a nest key's cut
+    /// orders.
     pub(crate) fn orders_at(&self, pos: usize) -> Range<usize> {
         let words = self.ndims.div_ceil(8);
         let before = (self.order(pos).start - self.levels.len() * self.ndims) / self.ndims;
@@ -323,17 +304,6 @@ fn ranks(order: &[u64], factors: &[u64], cut: &mut [u64]) {
     }
 }
 
-/// Appends `order` whole to `orders` in the byte form of [`ranks`]: byte
-/// `d` holds `d`'s 1-based position in loop order.
-#[inline]
-pub(crate) fn positions(order: &[u64], orders: &mut Vec<u64>) {
-    let at = orders.len();
-    orders.resize(at + order.len().div_ceil(8), 0);
-    for (position, &d) in (1u64..).zip(order) {
-        orders[at + d as usize / 8] |= position << (8 * (d % 8));
-    }
-}
-
 /// Everything the pipeline stages share for one scheduling run: the
 /// problem, the derived level structure, the enumeration trie and the
 /// cost model. Read-only and shared with the pool workers; what a search
@@ -374,8 +344,9 @@ pub(crate) struct SearchContext<'a> {
     /// form. Empty (the common case) adds one cheap `is_empty` branch per
     /// enumeration; the free search path is otherwise untouched.
     pub(crate) constraints: ResolvedConstraints,
-    /// The all-ones mapping every search starts from, and the template
-    /// candidate rows are materialized over.
+    /// The all-ones mapping every search starts from (the root of the
+    /// beam is its row), and the template the final ranking materializes
+    /// rows over.
     pub(crate) base: Mapping,
     /// The candidate-row layout of mappings shaped like `base`.
     pub(crate) layout: RowLayout,
@@ -439,32 +410,6 @@ impl<'a> SearchContext<'a> {
     }
 }
 
-/// One partial mapping alive in the beam: a survivor of the previous
-/// stage's cut, materialized from its candidate row. At most `beam_width`
-/// exist per stage; the candidates a stage builds and discards never take
-/// this form.
-#[derive(Debug, Clone)]
-pub(crate) struct PartialState {
-    pub(crate) mapping: Mapping,
-    /// Remaining per-dimension quotient.
-    pub(crate) quotas: DimVec,
-    /// Ordering chosen for the *current frontier* memory (set by the
-    /// previous stage; governs this stage's unrolling principle).
-    pub(crate) ordering_here: Option<OrderingCandidate>,
-}
-
-impl PartialState {
-    /// The search starting point: nothing decided, the whole problem
-    /// still to distribute.
-    pub(crate) fn root(ctx: &SearchContext<'_>) -> Self {
-        PartialState {
-            mapping: ctx.base.clone(),
-            quotas: DimVec::from(ctx.workload.dim_sizes()),
-            ordering_here: None,
-        }
-    }
-}
-
 /// A mapping with all factors 1 — `Mapping::streaming` puts the problem
 /// at DRAM, which the search does itself at completion time.
 fn streaming_base(workload: &Workload, arch: &ArchSpec) -> Mapping {
@@ -493,20 +438,33 @@ pub(crate) mod testing {
         config: &SunstoneConfig,
         f: impl FnOnce(&SearchContext<'_>) -> R,
     ) -> R {
-        let binding = Binding::resolve(arch, workload).expect("binds");
-        let pool = WorkerPool::new(0);
-        let constraints = ResolvedConstraints::resolve(&MappingConstraints::new(), workload, arch)
-            .expect("no constraints");
-        let ctx =
-            SearchContext::new(workload, arch, &binding, config, &pool, None, None, constraints);
-        f(&ctx)
+        with_constraints(workload, arch, config, &MappingConstraints::new(), f)
+            .expect("no constraints")
     }
 
-    /// A random partial mapping shaped like the context's base: every
-    /// level takes a random divisor of what each dimension still has to
-    /// distribute, temporal levels a random loop order, and the rest stays
-    /// in the quotas — every state the search can reach has this form.
-    pub(crate) fn random_state(ctx: &SearchContext<'_>, seed: u64) -> PartialState {
+    /// [`with_context`] under `constraints`; `None` when they do not
+    /// resolve on `(workload, arch)`.
+    pub(crate) fn with_constraints<R>(
+        workload: &Workload,
+        arch: &ArchSpec,
+        config: &SunstoneConfig,
+        constraints: &MappingConstraints,
+        f: impl FnOnce(&SearchContext<'_>) -> R,
+    ) -> Option<R> {
+        let binding = Binding::resolve(arch, workload).expect("binds");
+        let pool = WorkerPool::new(0);
+        let constraints = ResolvedConstraints::resolve(constraints, workload, arch).ok()?;
+        let ctx =
+            SearchContext::new(workload, arch, &binding, config, &pool, None, None, constraints);
+        Some(f(&ctx))
+    }
+
+    /// A random partial mapping shaped like the context's base, with the
+    /// quotas it leaves: every level takes a random divisor of what each
+    /// dimension still has to distribute, temporal levels a random loop
+    /// order, and the rest stays in the quotas — every state the search
+    /// can reach has this form.
+    pub(crate) fn random_state(ctx: &SearchContext<'_>, seed: u64) -> (Mapping, DimVec) {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
         let mut next = move || {
             state ^= state << 13;
@@ -514,9 +472,10 @@ pub(crate) mod testing {
             state ^= state << 17;
             state
         };
-        let mut s = PartialState::root(ctx);
-        for level in s.mapping.levels_mut() {
-            for (f, q) in level.factors_mut().iter_mut().zip(s.quotas.iter_mut()) {
+        let mut m = ctx.base.clone();
+        let mut quotas = DimVec::from(ctx.workload.dim_sizes());
+        for level in m.levels_mut() {
+            for (f, q) in level.factors_mut().iter_mut().zip(quotas.iter_mut()) {
                 let divisors = sorted_divisors(*q);
                 *f = divisors[(next() % divisors.len() as u64) as usize];
                 *q /= *f;
@@ -527,14 +486,29 @@ pub(crate) mod testing {
                 }
             }
         }
-        s
+        (m, quotas)
+    }
+
+    /// `m` with `quotas` placed at the outermost memory: the mapping a
+    /// row of `(m, quotas)` completes to.
+    pub(crate) fn complete(ctx: &SearchContext<'_>, m: &Mapping, quotas: &[u64]) -> Mapping {
+        let mut m = m.clone();
+        for (f, q) in m.levels_mut()[ctx.layout.complete_at].factors_mut().iter_mut().zip(quotas) {
+            *f *= q;
+        }
+        m
     }
 
     /// A 7-dimensional convolution whose tensor names every preset's
     /// partition filters bind.
     pub(crate) fn conv2d(k: u64, c: u64, hw: u64) -> Workload {
+        conv2d_batch(2, k, c, hw)
+    }
+
+    /// [`conv2d`] over a batch of `n`.
+    pub(crate) fn conv2d_batch(n: u64, k: u64, c: u64, hw: u64) -> Workload {
         let mut b = Workload::builder("conv2d");
-        let n = b.dim("N", 2);
+        let n = b.dim("N", n);
         let kk = b.dim("K", k);
         let cc = b.dim("C", c);
         let p = b.dim("P", hw);
@@ -564,7 +538,7 @@ mod tests {
     use proptest::prelude::*;
     use sunstone_arch::presets;
 
-    use super::testing::{conv2d, random_state, with_context};
+    use super::testing::{complete, conv2d, random_state, with_context};
     use super::*;
 
     fn preset(i: usize) -> ArchSpec {
@@ -580,26 +554,31 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Row ↔ tree: a state's row carries its mapping key and quotas,
-        /// and materializes back to the same mapping.
+        /// reads the mapping's resident tiles, and materializes to the
+        /// mapping completed with its quotas.
         #[test]
         fn rows_round_trip(arch in 0usize..4, k in 1u32..6, hw in 1u64..5, seed in 0u64..10_000) {
             let (w, arch) = (conv2d(1 << k, 24, 7 * hw), preset(arch));
             with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
                 let layout = &ctx.layout;
-                let s = random_state(ctx, seed);
+                let (m, quotas) = random_state(ctx, seed);
                 let mut row = Vec::new();
-                layout.write_row(&s.mapping, &s.quotas, &mut row);
+                layout.write_row(&m, &quotas, &mut row);
                 assert_eq!(row.len(), layout.stride());
-                assert_eq!(&row[..layout.key_len], beam::mapping_key(&s.mapping).as_slice());
-                assert_eq!(&row[layout.quotas()], &s.quotas[..]);
-                assert_eq!(layout.materialize(&row, &ctx.base), s.mapping);
+                assert_eq!(&row[..layout.key_len], beam::mapping_key(&m).as_slice());
+                assert_eq!(&row[layout.quotas()], &quotas[..]);
+                for pos in 0..m.levels().len() {
+                    assert_eq!(layout.resident_tile(&row, pos), m.resident_tile(pos, w.num_dims()));
+                }
+                let mut done = ctx.base.clone();
+                layout.materialize_completed_into(&row, &mut done);
+                assert_eq!(done, complete(ctx, &m, &quotas));
             });
         }
 
-        /// Dedup identifies a row by the hashes of its completed mapping,
-        /// and the estimate table is probed with exactly the key
-        /// `evaluate_cached` files under — that mapping's nest key; a miss
-        /// is priced from exactly that mapping.
+        /// The estimate table is probed with exactly the key
+        /// `evaluate_cached` files under — the completed mapping's nest
+        /// key — and a row hashes as the completed row it stands for.
         #[test]
         fn probe_key_is_the_completed_mapping_key(
             arch in 0usize..4, k in 1u32..6, hw in 1u64..5, seed in 0u64..10_000,
@@ -607,24 +586,17 @@ mod tests {
             let (w, arch) = (conv2d(1 << k, 24, 7 * hw), preset(arch));
             with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
                 let layout = &ctx.layout;
-                let s = random_state(ctx, seed);
+                let (m, quotas) = random_state(ctx, seed);
                 let mut row = Vec::new();
-                layout.write_row(&s.mapping, &s.quotas, &mut row);
-                let mut m = ctx.base.clone();
+                layout.write_row(&m, &quotas, &mut row);
                 let (mut words, mut nest) = (Vec::new(), Vec::new());
-                let row_hashes = |row: &[u64], words: &mut Vec<u64>| {
-                    let nest = layout.nest_hash(row, words);
-                    (nest, layout.identity(row, nest, words))
-                };
-                let completed = estimate::complete(ctx, &s);
+                let completed = complete(ctx, &m, &quotas);
                 let mut done = beam::mapping_key(&completed);
                 done.resize(layout.stride(), 1);
-                let hashes = row_hashes(&row, &mut words);
-                assert_eq!(hashes, row_hashes(&done, &mut words));
+                let hash = layout.nest_hash(&row, &mut words);
+                assert_eq!(hash, layout.nest_hash(&done, &mut words));
                 layout.nest_key_of(&completed, &mut nest);
-                assert_eq!(hashes.0, beam::key_hash(&nest));
-                layout.materialize_completed_into(&row, &mut m);
-                assert_eq!(m, completed);
+                assert_eq!(hash, beam::key_hash(&nest));
             });
         }
 
@@ -638,8 +610,8 @@ mod tests {
         ) {
             let (w, arch) = (conv2d(1 << k, 24, 7 * hw), preset(arch));
             with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
-                let s = random_state(ctx, seed);
-                let m = estimate::complete(ctx, &s);
+                let (m, quotas) = random_state(ctx, seed);
+                let m = complete(ctx, &m, &quotas);
                 let nest = |m: &Mapping| {
                     let mut key = Vec::new();
                     ctx.layout.nest_key_of(m, &mut key);

@@ -76,8 +76,6 @@ pub struct LevelStats {
     /// rejected against an order constraint, and pin-infeasible tile or
     /// unroll enumerations. Zero when the call carries no constraints.
     pub constraint: PruneCounter,
-    /// Identical partial mappings removed before estimation.
-    pub dedup_removed: u64,
     /// Beam: candidates estimated vs. survivors after the alpha-beta-style
     /// cut. `considered` sums to [`SearchStats::probed`] across levels.
     pub beam: PruneCounter,
@@ -92,7 +90,7 @@ pub struct LevelStats {
     /// Wall time of this stage's expand phase: enumerating orderings,
     /// tiles and unrollings for every beam parent and writing the
     /// candidate rows. One clock pair per phase per stage, never per
-    /// candidate; the four phases leave only the stage's control checks
+    /// candidate; the three phases leave only the stage's control checks
     /// and progress events unattributed.
     pub expand: Duration,
     /// Part of `expand`: the tile enumerations this stage actually ran
@@ -116,8 +114,6 @@ pub struct LevelStats {
     /// deciding the children.
     #[serde(default)]
     pub expand_rows: Duration,
-    /// Wall time of duplicate elimination over the candidate rows.
-    pub dedup: Duration,
     /// Wall time of the estimate round: table probes plus, for the
     /// misses, the three parts below; what they leave of it is the probe.
     pub estimate: Duration,
@@ -130,8 +126,8 @@ pub struct LevelStats {
     /// Part of `estimate`: writing the estimates back and inserting them
     /// into the search's table.
     pub estimate_publish: Duration,
-    /// Wall time of ranking the candidates and materializing the
-    /// surviving beam.
+    /// Wall time of ranking the candidates and copying the survivors'
+    /// rows out as the next beam.
     pub select: Duration,
 }
 

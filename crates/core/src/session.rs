@@ -1030,16 +1030,11 @@ impl Scheduler {
             SearchStop::Completed => false,
         };
         let ranking = Instant::now();
-        // A truncated walk leaves quotas undecided; complete each partial
-        // state the same way estimation does (best-so-far contract).
-        let finals: Vec<Mapping> = if truncated {
-            run.beam.iter().map(|s| estimate::complete(&ctx, s)).collect()
-        } else {
-            run.beam.into_iter().map(|s| s.mapping).collect()
-        };
-
+        // A truncated walk leaves quotas undecided; each row completes the
+        // way estimation completed it (best-so-far contract). A completed
+        // walk's rows have nothing left to place.
         let mut valid: Vec<(Mapping, CostReport)> = Vec::new();
-        for mapping in finals {
+        for (mapping, nest) in run.beam.completed(&ctx) {
             // Constrained calls additionally check the full mapping
             // against the constraint set — belt and braces over the
             // in-enumeration filters (and the only guard for truncated
@@ -1050,7 +1045,7 @@ impl Scheduler {
             {
                 // The search's table only ranked these mappings: what the
                 // caller receives is priced afresh, outside it.
-                let report = estimate::evaluate_cached(&ctx, &mapping, &mut memo, &mut stats);
+                let report = estimate::evaluate_cached(&ctx, &mapping, nest, &mut memo, &mut stats);
                 valid.push((mapping, report));
             }
         }

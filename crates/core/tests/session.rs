@@ -59,7 +59,6 @@ fn witness(r: &ScheduleResult) -> Witness {
         l.expand_unrolls = Duration::ZERO;
         l.expand_orderings = Duration::ZERO;
         l.expand_rows = Duration::ZERO;
-        l.dedup = Duration::ZERO;
         l.estimate = Duration::ZERO;
         l.estimate_prefix = Duration::ZERO;
         l.estimate_price = Duration::ZERO;

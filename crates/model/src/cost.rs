@@ -6,7 +6,7 @@ use sunstone_ir::{DimId, IndexExpr, TensorId, Workload};
 use sunstone_mapping::{Mapping, MappingError, ValidationContext};
 
 use crate::counts::storage_chains;
-use crate::{BatchEvalScratch, MappingPrefix, ModelOptions};
+use crate::{BatchEvalScratch, MappingPrefix, ModelOptions, Nest};
 
 /// Per-memory-level cost summary inside a [`CostReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -272,14 +272,16 @@ impl<'a> CostModel<'a> {
         self.evaluate_prefixed_with(&self.empty, mapping, scratch)
     }
 
-    /// Caches the count pass's view of `mapping`'s decided prefix — levels
+    /// Caches the count pass's view of `nest`'s decided prefix — levels
     /// `0..=boundary` — as composable per-storing-pair contributions.
+    /// `nest` is any loop nest the kernel reads: a `&Mapping`, or a
+    /// partial mapping whose undecided levels do not matter here.
     ///
     /// Candidates sharing those levels are then priced against it
     /// ([`price_prefixed_batch`](Self::price_prefixed_batch)), which walks
     /// only their undecided suffix.
-    pub fn prefix_of(&self, mapping: &Mapping, boundary: usize) -> MappingPrefix {
-        crate::prefix::build_prefix(self, mapping, boundary)
+    pub fn prefix_of(&self, nest: impl Nest, boundary: usize) -> MappingPrefix {
+        crate::prefix::build_prefix(self, &nest, boundary)
     }
 
     /// [`evaluate_unchecked_with`](Self::evaluate_unchecked_with), pricing

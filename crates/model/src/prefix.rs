@@ -39,9 +39,9 @@
 use std::ops::Range;
 
 use sunstone_ir::{DimSet, DimVec, TensorDesc, TensorId};
-use sunstone_mapping::{FlatLoop, Mapping};
+use sunstone_mapping::FlatLoop;
 
-use crate::batch::Columns;
+use crate::batch::{Columns, Nest};
 use crate::counts::{widen_union, PairTail, TensorLevelCounts};
 use crate::CostModel;
 
@@ -223,7 +223,7 @@ impl CandAgg {
 /// Builds the prefix cache for mapping levels `0..=boundary`.
 pub(crate) fn build_prefix(
     model: &CostModel<'_>,
-    mapping: &Mapping,
+    nest: &impl Nest,
     boundary: usize,
 ) -> MappingPrefix {
     let (workload, plan) = (model.workload(), model.plan());
@@ -235,7 +235,7 @@ pub(crate) fn build_prefix(
     let ndims = workload.num_dims();
 
     let (mut cols, mut s_mid) = (Columns::default(), vec![1.0f64; boundary + 2]);
-    cols.fill(plan, &mapping, 0..boundary + 1, &plan.ones, &mut s_mid);
+    cols.fill(plan, nest, 0..boundary + 1, &plan.ones, &mut s_mid);
     let Columns { loops: pre, marks, resident, .. } = cols;
 
     let mut pairs = Vec::new();
