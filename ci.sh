@@ -118,15 +118,17 @@ assert checked > 0, "no quick layer found in the baseline — gate is vacuous"
 # a quick layer must probe, model, bound and explore exactly what the
 # committed full-mode row did. A refactor that changes *which* candidates
 # are built, not only how, fails here even when the winning mapping
-# survives; and `nodes_explored` — computed per lattice column by the
+# survives; `nodes_explored` — computed per lattice column by the
 # frontier walk, not walked — must still equal the count a walk of every
-# node would give.
+# node would give; and `capacity_probes` — the enumerators' `fits` calls,
+# none on a memo hit — moves with any change to the enumeration memos or
+# to how much enumeration they save.
 committed = json.load(open("BENCH_schedule.json"))
 committed_rows = {r["name"]: r for r in committed["layers"]}
 drifted = [
     f"{r['name']}: {key} {r[key]} != {committed_rows[r['name']][key]}"
     for r in d["layers"]
-    for key in ("probed", "modeled", "bounded", "nodes_explored")
+    for key in ("probed", "modeled", "bounded", "nodes_explored", "capacity_probes")
     if r[key] != committed_rows[r["name"]][key]
 ]
 assert not drifted, "search counters drifted from BENCH_schedule.json:\n" + "\n".join(drifted)

@@ -196,6 +196,9 @@ impl Beam {
 
 /// Keeps the `beam_width` best-estimated candidates as the next beam,
 /// copying their rows, and records the cut in the stage's beam counter.
+/// What a survivor's ordering excludes from the next fabric is its run's
+/// (`Candidates::unroll_excluded_of`, a search of the run ends per
+/// survivor).
 /// Equal estimates rank in enumeration order and the estimates are
 /// totally ordered, so the survivors do not depend on thread count or
 /// enumeration accidents beyond the (deterministic) candidate order.

@@ -2,6 +2,13 @@
 //! each stage admits, under the paper's pruning principles, written as
 //! rows of the stage's [`Candidates`] arena.
 //!
+//! The unit of expansion is the [`Run`]: the children of one beam parent
+//! that share an unroll and an ordering of the next memory and differ in
+//! their tile. A run asks one tile question — a [`TileKey`], looked up in
+//! the search's memo — and is filed in the arena's run table before any
+//! of its rows is written; the table is what the estimate round and the
+//! beam cut read a row's parent and ordering from.
+//!
 //! Every enumerator reports into the stage's [`LevelStats`] record:
 //! the ordering trie (Ordering Principles 1–3 + sibling dominance), the
 //! tiling tree (Tiling Principle), and the spatial unrolling enumeration
@@ -22,13 +29,13 @@ use crate::ordering::OrderingCandidate;
 use crate::tiling::enumerate_growths_cached;
 use crate::unrolling::{enumerate_unrollings_cached, principle_excluded_dims};
 
-use super::beam;
-use super::estimate::{self, SearchMemo, Tiles};
+use super::beam::{self, Beam};
+use super::estimate::{self, SearchMemo, TileKey, Tiles};
 use super::stats::{PruneCounter, SearchStats};
 use super::{RowLayout, SearchContext};
 
-/// The [`Candidates::ordering`] entry of a candidate that chose no
-/// ordering: the outermost memory has no level above to order.
+/// The [`Run::ordering`] of a run that chose no ordering: the outermost
+/// memory has no level above to order.
 const NO_ORDERING: u32 = u32::MAX;
 
 /// Words of address space the arena's rows reserve up front (32 MiB; the
@@ -99,23 +106,17 @@ pub(crate) fn release_thread_arena() {
 /// price. Here it is one fixed-stride run of words in `rows`
 /// ([`RowLayout`]: the mapping key, then the remaining quotas) plus one
 /// entry in each parallel column; expanding, probing, ranking and
-/// discarding candidates touch no allocator. The arena is reused across
-/// stages.
+/// discarding candidates touch no allocator. What the rows have in common
+/// is kept once, in the run table ([`Run`]): a row's parent and ordering
+/// are its run's. The arena is reused across stages.
 pub(crate) struct Candidates {
     stride: usize,
     /// The candidate rows, `stride` words each.
     rows: Vec<u64>,
-    /// Per candidate, the index of the beam state it was expanded from.
-    /// Candidates of one parent share every level decided before the
-    /// current stage — which is what lets estimation memoize the
-    /// decided-prefix cost once per parent — and are contiguous (parents
-    /// expand one after another).
-    pub(crate) parent: Vec<u32>,
-    /// Per candidate, the index into `orderings` of the ordering it chose
-    /// for the next memory ([`NO_ORDERING`] at the outermost stage); the
-    /// survivors carry what it excludes into the next stage's unrolling
-    /// principle.
-    ordering: Vec<u32>,
+    /// The stage's runs, in arena order: their rows tile `rows`.
+    runs: Vec<Run>,
+    /// The unrolls the runs place below the stage's memory.
+    unrolls: Vec<DimVec>,
     /// Per candidate, the objective estimate of the completed mapping
     /// (infinite until the estimate round fills it in).
     pub(crate) estimate: Vec<f64>,
@@ -135,13 +136,35 @@ pub(crate) struct Candidates {
     /// (`ndims` words each).
     order_words: Vec<u64>,
     ordering_memos: Vec<OrderingMemo>,
-    /// Index of the beam state currently being expanded.
-    current_parent: u32,
-    /// The row its children are copied from: the parent's, with the
-    /// unroll of the children being written placed on the gap's fabric.
+    /// The row children are copied from: the parent's, with the unroll of
+    /// the run being written placed on the gap's fabric.
     template: Vec<u64>,
-    /// The current parent's children, decided before any is written.
-    plan: Plan,
+}
+
+/// A run of one parent's children that share an unroll and an ordering
+/// and differ in their tile: the unit [`expand`] decides, before any row
+/// is written, so that writing them is one tight pass of copies and slice
+/// writes ([`write_children`], timed as `LevelStats::expand_rows`).
+pub(crate) struct Run {
+    /// The index of the beam state the run was expanded from. Candidates
+    /// of one parent share every level decided before the current stage,
+    /// which is what lets estimation memoize the decided-prefix cost once
+    /// per parent; a parent's runs are contiguous.
+    pub(crate) parent: u32,
+    /// The index into [`Candidates::orderings`] of the ordering the run
+    /// chose for the next memory ([`NO_ORDERING`] at the outermost stage).
+    /// The survivors carry what it excludes into the next stage's
+    /// unrolling principle.
+    ordering: u32,
+    /// The index into [`Candidates::unrolls`] of the run's unroll.
+    unroll: u32,
+    /// One child per `2 × ndims` words — a tile enumeration's, as the memo
+    /// keeps them: the tile's growth at the stage's memory (the temporal
+    /// factors there), then the quotas left above it.
+    deltas: Arc<[u64]>,
+    /// One past the run's last row in the arena: the next run's rows
+    /// start here.
+    pub(crate) end: u32,
 }
 
 impl Candidates {
@@ -149,8 +172,8 @@ impl Candidates {
         Candidates {
             stride: layout.stride(),
             rows: Vec::with_capacity(ROWS_RESERVE),
-            parent: Vec::new(),
-            ordering: Vec::new(),
+            runs: Vec::new(),
+            unrolls: Vec::new(),
             estimate: Vec::new(),
             nest: Vec::new(),
             key: Vec::new(),
@@ -158,17 +181,15 @@ impl Candidates {
             orderings: Vec::new(),
             order_words: Vec::new(),
             ordering_memos: Vec::new(),
-            current_parent: 0,
             template: Vec::new(),
-            plan: Plan::default(),
         }
     }
 
     /// Empties the arena for the next stage, keeping its capacity.
     pub(crate) fn clear(&mut self) {
         self.rows.clear();
-        self.parent.clear();
-        self.ordering.clear();
+        self.runs.clear();
+        self.unrolls.clear();
         self.estimate.clear();
         self.nest.clear();
         self.ordering_dims.clear();
@@ -178,11 +199,11 @@ impl Candidates {
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.parent.len()
+        self.nest.len()
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.parent.is_empty()
+        self.nest.is_empty()
     }
 
     /// The row of candidate `i`.
@@ -190,21 +211,22 @@ impl Candidates {
         &self.rows[i * self.stride..(i + 1) * self.stride]
     }
 
+    /// The stage's runs, in arena order.
+    pub(crate) fn runs(&self) -> &[Run] {
+        &self.runs
+    }
+
+    /// The run candidate `i` belongs to.
+    fn run_of(&self, i: usize) -> &Run {
+        &self.runs[self.runs.partition_point(|r| r.end as usize <= i)]
+    }
+
     /// The dimensions the ordering candidate `i` chose for the next memory
     /// excludes from that memory's fabric (none when it chose none).
     pub(crate) fn unroll_excluded_of(&self, i: usize) -> DimSet {
         self.ordering_dims
-            .get(self.ordering[i] as usize)
+            .get(self.run_of(i).ordering as usize)
             .map_or(DimSet::EMPTY, |o| o.unroll_excluded)
-    }
-
-    /// Makes beam survivor `parent`, whose row is `row`, the one whose
-    /// children the following [`push_child`](Self::push_child) calls
-    /// append: its row is copied once here and once per child.
-    pub(crate) fn begin_parent(&mut self, parent: usize, row: &[u64]) {
-        self.current_parent = parent as u32;
-        self.template.clear();
-        self.template.extend_from_slice(row);
     }
 
     /// Writes the order words and dimension sets of `orderings[first..]`.
@@ -225,15 +247,71 @@ impl Candidates {
         (0..self.len()).filter(|&i| !seen.insert(&self.row(i)[..key_len])).count()
     }
 
-    /// Appends a copy of the template row and returns where it starts in
-    /// `rows`; the caller overwrites the slots its stage decides.
-    fn push_child(&mut self, ordering: u32) -> usize {
-        let at = self.rows.len();
-        self.rows.extend_from_slice(&self.template);
-        self.parent.push(self.current_parent);
-        self.ordering.push(ordering);
-        self.estimate.push(f64::INFINITY);
-        at
+    /// Asserts that the run table describes the arena of stage `stage`,
+    /// expanded from `parents`: the runs tile the arena in order, one row
+    /// per delta; every row of a run holds its parent's words outside the
+    /// slots the stage decides, and there the run's unroll, the run
+    /// ordering's order words and its own delta; and what a row's ordering
+    /// excludes from unrolling is what its run's ordering implies.
+    #[cfg(test)]
+    pub(crate) fn assert_runs_describe_rows(
+        &self,
+        ctx: &SearchContext<'_>,
+        stage: usize,
+        parents: &Beam,
+    ) {
+        let (layout, n) = (&ctx.layout, ctx.workload.num_dims());
+        let last_stage = stage == ctx.mems.len() - 1;
+        let (mem, fabric) = (ctx.mems[stage], ctx.lower_spatial[stage]);
+        let mut decided = vec![false; self.stride];
+        decided[layout.factors(mem)].fill(true);
+        decided[layout.quotas()].fill(true);
+        if let Some(pos) = fabric {
+            decided[layout.factors(pos)].fill(true);
+        }
+        if !last_stage {
+            decided[layout.order(ctx.mems[stage + 1])].fill(true);
+        }
+        let mut start = 0;
+        for run in &self.runs {
+            let end = run.end as usize;
+            assert!(start <= end, "stage {stage}: runs out of order");
+            assert_eq!(end - start, run.deltas.len() / (2 * n), "stage {stage}: a row per delta");
+            let parent = parents.row(run.parent as usize);
+            let unroll = &self.unrolls[run.unroll as usize];
+            let ordering = self.orderings.get(run.ordering as usize);
+            assert_eq!(ordering.is_none(), last_stage, "stage {stage}: only the last orders none");
+            let excluded = ordering.map_or(DimSet::EMPTY, |o| unroll_excluded(ctx, o));
+            for (i, delta) in (start..end).zip(run.deltas.chunks_exact(2 * n)) {
+                let row = self.row(i);
+                for (w, (got, had)) in row.iter().zip(parent).enumerate() {
+                    assert!(
+                        decided[w] || got == had,
+                        "stage {stage} row {i}: word {w} not decided"
+                    );
+                }
+                match fabric {
+                    Some(pos) => assert_eq!(row[layout.factors(pos)], unroll[..]),
+                    None => assert!(unroll.iter().all(|&u| u == 1)),
+                }
+                if let Some(o) = ordering {
+                    let words: Vec<u64> = o.order.iter().map(|d| d.index() as u64).collect();
+                    assert_eq!(row[layout.order(ctx.mems[stage + 1])], words[..]);
+                }
+                let (growth, remaining) = delta.split_at(n);
+                let (factors, quotas) = (&row[layout.factors(mem)], &row[layout.quotas()]);
+                if last_stage {
+                    let placed: Vec<u64> =
+                        growth.iter().zip(remaining).map(|(g, r)| g * r).collect();
+                    assert_eq!((factors, quotas), (&placed[..], &DimVec::ones(n)[..]));
+                } else {
+                    assert_eq!((factors, quotas), (growth, remaining));
+                }
+                assert_eq!(self.unroll_excluded_of(i), excluded, "stage {stage} row {i}");
+            }
+            start = end;
+        }
+        assert_eq!(start, self.len(), "stage {stage}: the runs cover the arena");
     }
 }
 
@@ -246,41 +324,6 @@ struct OrderingDims {
     /// The dimensions a fabric paired with it may not unroll
     /// ([`unroll_excluded`]).
     unroll_excluded: DimSet,
-}
-
-/// The children of one beam parent, decided before any of their rows is
-/// written, so that writing them is one tight pass of copies and slice
-/// writes ([`write_children`], timed as `LevelStats::expand_rows`).
-#[derive(Default)]
-struct Plan {
-    /// The unrolls the children place below the stage's memory.
-    unrolls: Vec<DimVec>,
-    /// Runs of children that share an unroll (an index into `unrolls`)
-    /// and an ordering (an index into `Candidates::orderings`, or
-    /// [`NO_ORDERING`]), one child per `2 × ndims` words of deltas — a
-    /// tile enumeration's, as the memo keeps them: the tile's growth at
-    /// the stage's memory (the temporal factors there), then the quotas
-    /// left above it. Runs of one unroll are contiguous.
-    runs: Vec<(u32, u32, Arc<[u64]>)>,
-    /// The tile enumerations asked for since base and quotas last changed,
-    /// by what still varies — (allowed, unrollable) — with any pin already
-    /// folded in: a lookup here clones no key. Whoever changes the base or
-    /// quotas clears it.
-    scope: Vec<(DimSet, DimSet, Tiles)>,
-}
-
-impl Plan {
-    fn reset(&mut self) {
-        self.unrolls.clear();
-        self.runs.clear();
-        self.scope.clear();
-    }
-
-    /// Files an unroll for the runs that follow; returns its index.
-    fn unroll(&mut self, unroll: &[u64]) -> u32 {
-        self.unrolls.push(DimVec::from_slice(unroll));
-        self.unrolls.len() as u32 - 1
-    }
 }
 
 /// One ordering enumeration of a stage. The result depends only on the
@@ -314,25 +357,26 @@ impl OrderingMemo {
     }
 }
 
-/// One stage for the arena's current parent, whose row is `parent` and
-/// whose ordering excludes `here` from this stage's fabric, in the paper's
+/// One stage for beam state `parent` of `parents`, in the paper's
 /// unroll → tile → order: the unrollings below memory `stage` first (the
 /// fabric claims its quota), then per unroll and per ordering of memory
-/// `stage + 1` the tiles at memory `stage`, grown in what remains. The
-/// enumerations fill the parent's [`Plan`]; then its rows are written.
+/// `stage + 1` — per [`Run`] — the tiles at memory `stage`, grown in what
+/// remains. The parent's runs are decided into the arena's run table;
+/// then their rows are written.
 pub(crate) fn expand(
     ctx: &SearchContext<'_>,
-    parent: &[u64],
-    here: DimSet,
+    parents: &Beam,
+    parent: usize,
     stage: usize,
     out: &mut Candidates,
     memo: &mut SearchMemo,
     stats: &mut SearchStats,
 ) {
+    let (row, here) = (parents.row(parent), parents.unroll_excluded[parent]);
     let mem_pos = ctx.mems[stage];
     let last_stage = stage == ctx.mems.len() - 1;
-    let base = ctx.layout.resident_tile(parent, mem_pos);
-    let quotas = &parent[ctx.layout.quotas()];
+    let base = ctx.layout.resident_tile(row, mem_pos);
+    let quotas = &row[ctx.layout.quotas()];
 
     let clock = Instant::now();
     let orderings = if last_stage {
@@ -343,32 +387,34 @@ pub(crate) fn expand(
     };
     stats.level_mut(stage).expand_orderings += clock.elapsed();
 
-    let (dims, plan) = (&out.ordering_dims, &mut out.plan);
-    plan.reset();
+    let ndims = base.len();
+    let first = out.runs.len();
+    let mut end = out.len() as u32;
     let reserve = spatial_reserve(ctx, stage, quotas);
-    for u in &unrolls_for(ctx, here, stage, &base, quotas, memo, stats) {
-        let u_quotas = divide(quotas, u);
-        let base_u = multiply(&base, u);
-        let unroll = plan.unroll(u);
-        plan.scope.clear();
-        for o in orderings.clone() {
-            let tiles = tiles_for(
-                ctx,
-                stage,
-                &base_u,
-                &u_quotas,
-                reserve,
-                (dims.get(o as usize), here),
-                &mut plan.scope,
-                memo,
-                stats,
-            );
-            plan.runs.push((unroll, o, tiles.deltas));
+    for u in unrolls_for(ctx, here, stage, &base, quotas, memo, stats) {
+        let u_quotas = divide(quotas, &u);
+        let base_u = multiply(&base, &u);
+        let unroll = out.unrolls.len() as u32;
+        out.unrolls.push(u);
+        for ordering in orderings.clone() {
+            let dims = (out.ordering_dims.get(ordering as usize), here);
+            let deltas = if last_stage {
+                // DRAM: the "tile" is the base itself, and the children
+                // place the remainder ([`write_children`]).
+                [&DimVec::ones(ndims)[..], &u_quotas[..]].concat().into()
+            } else if let Some(key) = tile_key(ctx, stage, &base_u, &u_quotas, reserve, dims, stats)
+            {
+                tiles_with_allowed(ctx, stage, &key, &base_u, memo, stats)
+            } else {
+                Arc::from([])
+            };
+            end += (deltas.len() / (2 * ndims)) as u32;
+            out.runs.push(Run { parent: parent as u32, ordering, unroll, deltas, end });
         }
     }
 
     let clock = Instant::now();
-    write_children(ctx, out, stage);
+    write_children(ctx, out, row, stage, first);
     stats.level_mut(stage).expand_rows += clock.elapsed();
 }
 
@@ -486,43 +532,36 @@ fn order_satisfies(order: &[DimId], groups: &[DimSet], scope: DimSet) -> bool {
 /// dominated — mapping.
 fn spatial_reserve(ctx: &SearchContext<'_>, stage: usize, quotas: &[u64]) -> u64 {
     let m = ctx.mems[stage];
-    let mut units: u128 = 1;
-    for (pos, s) in ctx.arch.spatial_levels() {
-        if pos.index() > m {
-            units *= u128::from(s.units);
-        }
-    }
+    let units =
+        product(ctx.arch.spatial_levels().filter(|(pos, _)| pos.index() > m).map(|(_, s)| s.units));
     let want = ((units as f64) * ctx.config.min_spatial_utilization).ceil() as u128;
-    let avail: u128 = quotas.iter().map(|&q| u128::from(q)).product();
-    want.min(avail).max(1) as u64
+    want.min(product(quotas.iter().copied())).max(1) as u64
 }
 
-/// Tile candidates for one ordering at the stage's memory level, as
-/// deltas over `base` and `quotas`. `sets` are the ordering's dimension
-/// sets and what the ordering chosen at the previous stage excludes from
-/// unrolling (the parent's `Beam::unroll_excluded`); `scope` holds the
-/// enumerations already asked for with this base and quotas
-/// ([`Plan::scope`]).
-#[allow(clippy::too_many_arguments)]
-fn tiles_for(
+/// The product of `factors`, saturating: exact whenever the true product
+/// fits in a `u128`, and past that larger than any reserve it is held
+/// against.
+fn product(factors: impl Iterator<Item = u64>) -> u128 {
+    factors.fold(1, |p, f| p.saturating_mul(u128::from(f)))
+}
+
+/// The tile question of one run: the key of its tile enumeration at the
+/// stage's memory over `base` and `quotas` (the parent's, with the run's
+/// unroll claimed), under the run's ordering's dimension sets and what
+/// the ordering chosen at the previous stage excludes from unrolling
+/// (`here`, the parent's `Beam::unroll_excluded`), with the user's tile
+/// pins seeded. `None` when a pin the parent cannot reach kills the run.
+fn tile_key(
     ctx: &SearchContext<'_>,
     stage: usize,
     base: &[u64],
     quotas: &[u64],
     reserve: u64,
     (ordering, here): (Option<&OrderingDims>, DimSet),
-    scope: &mut Vec<(DimSet, DimSet, Tiles)>,
-    memo: &mut SearchMemo,
     stats: &mut SearchStats,
-) -> Tiles {
-    if stage == ctx.mems.len() - 1 {
-        // DRAM: the "tile" is the base itself, and the children place the
-        // remainder ([`write_children`]).
-        let ones = DimVec::ones(base.len());
-        return Tiles { deltas: [&ones[..], quotas].concat().into(), explored: 0 };
-    }
+) -> Option<TileKey> {
     let all = DimSet::first_n(ctx.workload.num_dims());
-    let allowed = ordering.map_or(all, |o| o.tile_allowed);
+    let mut allowed = ordering.map_or(all, |o| o.tile_allowed);
     // The parallelism reserve is measured over the dimensions the fabrics
     // may actually unroll. When this stage has a fabric in its own gap,
     // that fabric pairs with the ordering chosen at the *previous* stage
@@ -538,127 +577,93 @@ fn tiles_for(
     // principled dimensions cannot reach the utilization floor, the
     // fabrics will unroll any dimension, so the reserve must guard them
     // all.
-    let avail: u128 = unrollable.iter().map(|d| u128::from(quotas[d.index()])).product();
-    if avail < u128::from(reserve) {
+    if product(unrollable.iter().map(|d| quotas[d.index()])) < u128::from(reserve) {
         unrollable = all;
     }
-    tiles_with_allowed(ctx, stage, base, quotas, reserve, allowed, unrollable, scope, memo, stats)
-}
-
-/// Tile enumeration with an explicit growth set. The parallelism reserve
-/// is measured over `unrollable` — the dimensions the Spatial Unrolling
-/// Principle will actually let the fabrics consume — so a tile cannot
-/// swallow the quota the unrollings need. Looked up in `scope`, then in the
-/// search's memo, and enumerated only when neither has it; every answer
-/// reports the counters the enumeration did.
-#[allow(clippy::too_many_arguments)]
-fn tiles_with_allowed(
-    ctx: &SearchContext<'_>,
-    stage: usize,
-    base: &[u64],
-    quotas: &[u64],
-    reserve: u64,
-    allowed: DimSet,
-    unrollable: DimSet,
-    scope: &mut Vec<(DimSet, DimSet, Tiles)>,
-    memo: &mut SearchMemo,
-    stats: &mut SearchStats,
-) -> Tiles {
-    let mem_pos = ctx.mems[stage];
-    let lc = ctx.constraints.at(mem_pos);
-    let caller_base = base;
     // User tile pins seed the enumeration base: the pinned extent becomes
     // the starting tile and the dimension leaves the growth set, so every
     // enumerated tile carries exactly the pinned factor. A pin the parent
     // state cannot reach (base already past it, or quota not divisible)
     // kills this expansion — other beam parents may still satisfy it.
-    let mut base = DimVec::from_slice(base);
-    let mut quotas = DimVec::from_slice(quotas);
-    let mut allowed = allowed;
-    for &(d, v) in &lc.tile_pins {
+    let mem_pos = ctx.mems[stage];
+    let (mut base, mut quotas) = (DimVec::from_slice(base), DimVec::from_slice(quotas));
+    for &(d, v) in &ctx.constraints.at(mem_pos).tile_pins {
         if !v.is_multiple_of(base[d]) || !quotas[d].is_multiple_of(v / base[d]) {
             stats.level_mut(stage).constraint.record(1, 0);
-            return Tiles { deltas: Arc::from([]), explored: 0 };
+            return None;
         }
         quotas[d] /= v / base[d];
         base[d] = v;
         allowed = allowed.without(DimId::from_index(d));
     }
-    let ndims = base.len();
-    let replay = |tiles: &Tiles, stats: &mut SearchStats| {
-        let kept = tiles.len(ndims) as u64;
-        stats.nodes_explored += tiles.explored as u64;
-        stats.tiles += kept;
-        stats.tile_memo_hits += 1;
-        stats.level_mut(stage).tiling.record(tiles.explored as u64, kept);
-    };
+    Some(TileKey { mem_pos, base, quotas, reserve, allowed, unrollable })
+}
+
+/// The tiles that answer `key`, as [`Tiles::deltas`] over `caller_base`
+/// (the run's base before the pins) and the key's quotas. The parallelism reserve is
+/// measured over `key.unrollable` — the dimensions the Spatial Unrolling
+/// Principle will actually let the fabrics consume — so a tile cannot
+/// swallow the quota the unrollings need. Looked up in the search's memo
+/// and enumerated only when it does not have them; every answer reports
+/// the counters the enumeration did. Beam parents frequently reach the
+/// same (base, quota) frontier, and the memo stores the *kept* tiles'
+/// deltas plus the explored count so the stats replay identically on a
+/// hit; the key needs no slot for the caps because the constraint set is
+/// fixed per search.
+fn tiles_with_allowed(
+    ctx: &SearchContext<'_>,
+    stage: usize,
+    key: &TileKey,
+    caller_base: &[u64],
+    memo: &mut SearchMemo,
+    stats: &mut SearchStats,
+) -> Arc<[u64]> {
+    let ndims = key.base.len();
     let hits = memo.tile_hits_allowed();
-    if let Some((_, _, known)) =
-        scope.iter().find(|(a, u, _)| hits && (*a, *u) == (allowed, unrollable))
-    {
-        replay(known, stats);
-        return known.clone();
-    }
-    // Search memo: beam states frequently reach the same (base, quota)
-    // frontier. The memo stores the *kept* tiles' deltas plus the explored
-    // count so the stats replay identically on a hit. The key is taken
-    // after pin seeding; caps need no slot because the constraint set is
-    // fixed per search.
-    let memo_key = estimate::TileKey {
-        mem_pos,
-        base: base.clone(),
-        quotas: quotas.clone(),
-        reserve,
-        allowed,
-        unrollable,
-    };
-    let tiles = match memo.tiles.get(&memo_key).filter(|_| hits) {
+    let deltas = match memo.tiles.get(key).filter(|_| hits) {
         Some(known) => {
-            replay(known, stats);
-            known.clone()
+            let kept = known.len(ndims) as u64;
+            stats.nodes_explored += known.explored as u64;
+            stats.tiles += kept;
+            stats.tile_memo_hits += 1;
+            stats.level_mut(stage).tiling.record(known.explored as u64, kept);
+            known.deltas.clone()
         }
         None => {
-            let tiles =
-                enumerate_tiles(ctx, stage, &base, &quotas, reserve, allowed, unrollable, stats);
-            memo.tiles.insert(memo_key, tiles.clone());
-            tiles
+            let tiles = enumerate_tiles(ctx, stage, key, stats);
+            let deltas = tiles.deltas.clone();
+            memo.tiles.insert(key.clone(), tiles);
+            deltas
         }
     };
     // A pinned dimension's growth over the caller's base is the pin's,
     // which the memo (keyed past the pins) does not know.
-    let tiles = if lc.tile_pins.is_empty() {
-        tiles
-    } else {
-        let mut deltas = tiles.deltas.to_vec();
-        for delta in deltas.chunks_exact_mut(2 * ndims) {
-            for &(d, v) in &lc.tile_pins {
-                delta[d] = v / caller_base[d];
-            }
+    let pins = &ctx.constraints.at(key.mem_pos).tile_pins;
+    if pins.is_empty() {
+        return deltas;
+    }
+    let mut deltas = deltas.to_vec();
+    for delta in deltas.chunks_exact_mut(2 * ndims) {
+        for &(d, v) in pins {
+            delta[d] = v / caller_base[d];
         }
-        Tiles { deltas: deltas.into(), explored: tiles.explored }
-    };
-    scope.push((allowed, unrollable, tiles.clone()));
-    tiles
+    }
+    deltas.into()
 }
 
 /// The enumeration behind [`tiles_with_allowed`], past the pins: the kept
-/// tiles as deltas over `base` and `quotas`.
-#[allow(clippy::too_many_arguments)]
+/// tiles as deltas over the key's base and quotas.
 fn enumerate_tiles(
     ctx: &SearchContext<'_>,
     stage: usize,
-    base: &[u64],
-    quotas: &[u64],
-    reserve: u64,
-    allowed: DimSet,
-    unrollable: DimSet,
+    key: &TileKey,
     stats: &mut SearchStats,
 ) -> Tiles {
-    let mem_pos = ctx.mems[stage];
+    let TileKey { mem_pos, ref base, ref quotas, reserve, allowed, unrollable } = *key;
     let lc = ctx.constraints.at(mem_pos);
     // What a tile must leave for the fabrics: the reserve, capped by what
     // the unrollable dimensions can offer at all.
-    let offer: u128 = unrollable.iter().map(|d| u128::from(quotas[d.index()])).product();
+    let offer = product(unrollable.iter().map(|d| quotas[d.index()]));
     let want = u128::from(reserve).min(offer);
     let clock = Instant::now();
     let outcome = enumerate_growths_cached(
@@ -677,7 +682,7 @@ fn enumerate_tiles(
             // What the tile leaves the unrollable dimensions is
             // offer ÷ their growth (each growth divides its quota), so it
             // meets `want` iff want × growth ≤ offer: no division.
-            let grown: u128 = unrollable.iter().map(|d| u128::from(growth[d.index()])).product();
+            let grown = product(unrollable.iter().map(|d| growth[d.index()]));
             want.checked_mul(grown).is_some_and(|need| need <= offer)
                 && lc.tile_caps.iter().all(|&(d, cap)| tile[d] <= cap)
                 && ctx.validation.capacity().fits(mem_pos, tile)
@@ -882,40 +887,47 @@ fn unrolls_for(
     placed
 }
 
-/// Writes the rows of the parent's [`Plan`]. Per run of children sharing
-/// an unroll and an ordering, the template — the parent's row — takes the
-/// unroll, placed on the gap's fabric ([`place_unroll`], once per unroll),
-/// and the ordering's order at the next memory, and its nest key is taken.
-/// Per child, the template is copied and its growth written as the
-/// temporal factors of the stage's memory and the quotas it leaves; then
-/// its nest key is brought up to date where the child differs
+/// Writes the rows of `runs[first..]`, the runs of the parent whose row
+/// is `parent`. Per run the template — the parent's row — takes the
+/// run's unroll, placed on the gap's fabric ([`place_unroll`], once per
+/// unroll), and its ordering's order at the next memory, and its nest key
+/// is taken. Per child, the template is copied and its growth written as
+/// the temporal factors of the stage's memory and the quotas it leaves;
+/// then its nest key is brought up to date where the child differs
 /// ([`RowLayout::renest`]) and hashed, while the row is in cache. At the
 /// outermost memory the remainder is placed there: the factors are
 /// growth × remaining and nothing is left.
-fn write_children(ctx: &SearchContext<'_>, out: &mut Candidates, stage: usize) {
+fn write_children(
+    ctx: &SearchContext<'_>,
+    out: &mut Candidates,
+    parent: &[u64],
+    stage: usize,
+    first: usize,
+) {
     let layout = &ctx.layout;
     let last_stage = stage == ctx.mems.len() - 1;
     let n = ctx.workload.num_dims();
     let mem_pos = ctx.mems[stage];
     let factors = layout.factors(mem_pos).start;
     let quotas = layout.quotas().start;
-    let plan = std::mem::take(&mut out.plan);
-    let mut key = std::mem::take(&mut out.key);
     debug_assert_eq!(out.order_words.len(), out.orderings.len() * n);
+    out.template.clear();
+    out.template.extend_from_slice(parent);
     let mut placed = u32::MAX;
-    for &(unroll, ordering, ref deltas) in &plan.runs {
-        if unroll != placed {
-            place_unroll(ctx, stage, &plan.unrolls[unroll as usize], &mut out.template);
-            placed = unroll;
+    for run in &out.runs[first..] {
+        if run.unroll != placed {
+            place_unroll(ctx, stage, &out.unrolls[run.unroll as usize], &mut out.template);
+            placed = run.unroll;
         }
-        if ordering != NO_ORDERING {
-            let o = ordering as usize;
+        if run.ordering != NO_ORDERING {
+            let o = run.ordering as usize;
             out.template[layout.order(ctx.mems[stage + 1])]
                 .copy_from_slice(&out.order_words[o * n..(o + 1) * n]);
         }
-        layout.nest_key(&out.template, &mut key);
-        for delta in deltas.chunks_exact(2 * n) {
-            let at = out.push_child(ordering);
+        layout.nest_key(&out.template, &mut out.key);
+        for delta in run.deltas.chunks_exact(2 * n) {
+            let at = out.rows.len();
+            out.rows.extend_from_slice(&out.template);
             let row = &mut out.rows[at..at + out.stride];
             let (growth, remaining) = delta.split_at(n);
             if last_stage {
@@ -927,14 +939,14 @@ fn write_children(ctx: &SearchContext<'_>, out: &mut Candidates, stage: usize) {
                 row[factors..factors + n].copy_from_slice(growth);
                 row[quotas..quotas + n].copy_from_slice(remaining);
             }
-            layout.renest(row, mem_pos, &mut key);
-            let nest = beam::key_hash(&key);
+            layout.renest(row, mem_pos, &mut out.key);
+            let nest = beam::key_hash(&out.key);
             debug_assert_eq!(nest, layout.nest_hash(row, &mut Vec::new()));
             out.nest.push(nest);
+            out.estimate.push(f64::INFINITY);
         }
+        debug_assert_eq!(out.nest.len(), run.end as usize);
     }
-    out.key = key;
-    out.plan = plan;
 }
 
 /// Writes `unroll` to the factor slots of the fabric in the gap below
@@ -968,34 +980,62 @@ mod tests {
     use super::*;
     use crate::SunstoneConfig;
 
-    /// An arena of children of the root state, one per entry of `tags`:
-    /// child `i` differs from its parent in one key word (`tags[i]`, in
-    /// the innermost level's first factor slot) and belongs to parent `i`.
-    fn arena(ctx: &SearchContext<'_>, tags: &[u64]) -> Candidates {
+    /// Appends a run of children of beam state `parent`, whose row is
+    /// `row`, to the arena of stage `stage` and writes them as expansion
+    /// does: the run places `unroll` and the order of `ordering`, and
+    /// has one child per `2 × ndims` words of `deltas`.
+    fn push_run(
+        ctx: &SearchContext<'_>,
+        cands: &mut Candidates,
+        stage: usize,
+        (parent, row): (usize, &[u64]),
+        ordering: u32,
+        unroll: &[u64],
+        deltas: Vec<u64>,
+    ) {
+        let first = cands.runs.len();
+        let end = (cands.len() + deltas.len() / (2 * ctx.workload.num_dims())) as u32;
+        cands.unrolls.push(DimVec::from_slice(unroll));
+        let unroll = cands.unrolls.len() as u32 - 1;
+        cands.runs.push(Run {
+            parent: parent as u32,
+            ordering,
+            unroll,
+            deltas: deltas.into(),
+            end,
+        });
+        write_children(ctx, cands, row, stage, first);
+    }
+
+    /// A first-stage arena of children of the root state, one run of one
+    /// child per entry of `children`: child `i` belongs to parent `i`,
+    /// takes the ordering `children[i].1` of the stage's (or none) and
+    /// differs from its parent in one key word, `children[i].0`, the first
+    /// factor of the innermost memory.
+    fn arena(ctx: &SearchContext<'_>, children: &[(u64, u32)]) -> Candidates {
         let root = Beam::root(ctx);
         let mut cands = Candidates::new(&ctx.layout);
-        for (i, &tag) in tags.iter().enumerate() {
-            cands.begin_parent(i, root.row(0));
-            let at = cands.push_child(NO_ORDERING);
-            cands.rows[at + ctx.layout.factors(0).start] = tag;
-            file_nest(&mut cands, &ctx.layout);
+        let (all, mut stats) = (DimSet::first_n(ctx.workload.num_dims()), SearchStats::default());
+        orderings_for(ctx, &mut cands, all, 0, &mut stats);
+        let sizes = ctx.workload.dim_sizes();
+        let ones = DimVec::ones(sizes.len());
+        for (i, &(tag, ordering)) in children.iter().enumerate() {
+            let mut growth = ones.clone();
+            growth[0] = tag;
+            let deltas = [&growth[..], &sizes[..]].concat();
+            push_run(ctx, &mut cands, 0, (i, root.row(0)), ordering, &ones, deltas);
         }
         cands
     }
 
-    /// Files the nest hash of the row last appended.
-    fn file_nest(cands: &mut Candidates, layout: &RowLayout) {
-        let row = &cands.rows[cands.rows.len() - cands.stride..];
-        cands.nest.push(layout.nest_hash(row, &mut cands.key));
-    }
-
     /// A stage's worth of random rows, written the way expansion writes
     /// them: a few parents drawn from three random states (so parents
-    /// repeat), each with children that place a small factor at the
-    /// stage's memory and take one of six orderings — three random ones
-    /// and each with two dimensions swapped, which often differ only where
-    /// a factor is 1 — or none. Every row's estimate is its index. Returns
-    /// the arena and its parents' rows.
+    /// repeat), each with runs of children that place a small factor at
+    /// the stage's memory, the parent's own unroll (cut to what the fabric
+    /// holds) and one of six orderings — three random ones and each with
+    /// two dimensions swapped, which often differ only where a factor is
+    /// 1 — or none. Every row's estimate is its index. Returns the arena
+    /// and its parents' rows.
     fn random_arena(
         ctx: &SearchContext<'_>,
         stage: usize,
@@ -1026,6 +1066,7 @@ mod tests {
             }
         }
         cands.index_orderings(ctx, 0);
+        let mem = ctx.mems[stage];
         let mut parents = Vec::new();
         for parent in 0..1 + next() % 5 {
             // What is left at the completion level stays in the quotas
@@ -1035,26 +1076,49 @@ mod tests {
             for (f, q) in done.iter_mut().zip(quotas.iter_mut()) {
                 *q *= std::mem::replace(f, 1);
             }
+            // The unroll every run places is the parent's own, cut to what
+            // the fabric holds; what the cut leaves goes to the quotas.
+            let unroll = match ctx.lower_spatial[stage] {
+                Some(pos) => {
+                    let fabric = ctx.arch.level(LevelId(pos)).as_spatial().expect("spatial level");
+                    let mut units = fabric.units;
+                    let placed = m.levels_mut()[pos].factors_mut();
+                    for (f, q) in placed.iter_mut().zip(quotas.iter_mut()) {
+                        if *f <= units {
+                            units /= *f;
+                        } else {
+                            *q *= std::mem::replace(f, 1);
+                        }
+                    }
+                    DimVec::from_slice(placed)
+                }
+                None => DimVec::ones(ndims),
+            };
             let mut row = Vec::new();
             layout.write_row(&m, &quotas, &mut row);
-            cands.begin_parent(parent as usize, &row);
-            parents.push(row);
-            for _ in 0..next() % 24 {
+            for _ in 0..next() % 4 {
                 let ordering = match next() % 7 {
                     6 => NO_ORDERING,
                     o => o as u32,
                 };
-                let at = cands.push_child(ordering);
-                let row = &mut cands.rows[at..at + layout.stride()];
-                row[layout.factors(ctx.mems[stage]).start + (next() % ndims as u64) as usize] =
-                    1 + next() % 3;
-                if ordering != NO_ORDERING {
-                    let o = ordering as usize;
-                    row[layout.order(ctx.mems[stage + 1])]
-                        .copy_from_slice(&cands.order_words[o * ndims..(o + 1) * ndims]);
+                let mut deltas = Vec::new();
+                for _ in 0..next() % 12 {
+                    let mut growth = row[layout.factors(mem)].to_vec();
+                    growth[(next() % ndims as u64) as usize] = 1 + next() % 3;
+                    deltas.extend(growth);
+                    deltas.extend_from_slice(&row[layout.quotas()]);
                 }
-                file_nest(&mut cands, layout);
+                push_run(
+                    ctx,
+                    &mut cands,
+                    stage,
+                    (parent as usize, &row),
+                    ordering,
+                    &unroll,
+                    deltas,
+                );
             }
+            parents.push(row);
         }
         for (i, e) in cands.estimate.iter_mut().enumerate() {
             *e = i as f64;
@@ -1137,11 +1201,10 @@ mod tests {
                             price(model.empty_prefix(), &rows);
                             // A parent's children share every level below
                             // the stage's memory with it.
-                            for family in rows.chunk_by(|&a, &b| {
-                                cands.parent[a as usize] == cands.parent[b as usize]
-                            }) {
+                            let parent = |i: u32| cands.run_of(i as usize).parent as usize;
+                            for family in rows.chunk_by(|&a, &b| parent(a) == parent(b)) {
                                 let first = &completed[family[0] as usize];
-                                let row = &parents[cands.parent[family[0] as usize] as usize];
+                                let row = &parents[parent(family[0])];
                                 for boundary in 0..ctx.mems[stage] {
                                     price(
                                         &model.prefix_of(RowNest { layout, row }, boundary),
@@ -1336,19 +1399,36 @@ mod tests {
         let config = SunstoneConfig { beam_width: 4, ..SunstoneConfig::default() };
         with_context(&w, &arch, &config, |ctx| {
             let layout = &ctx.layout;
-            let mut cands = arena(ctx, &[10, 11, 12, 13, 14, 15]);
+            // Two of the first stage's orderings that exclude different
+            // dimensions from the next fabric, for survivors that chose one.
+            let probe = arena(ctx, &[]);
+            let excluding = |not: DimSet| {
+                (0..probe.orderings.len()).find(|&o| {
+                    let excluded = probe.ordering_dims[o].unroll_excluded;
+                    !excluded.is_empty() && excluded != not
+                })
+            };
+            let x = excluding(DimSet::EMPTY).expect("an ordering that excludes");
+            let x_excluded = probe.ordering_dims[x].unroll_excluded;
+            let y = excluding(x_excluded).expect("another exclusion");
+            let (x, y) = (x as u32, y as u32);
+            let orderings = [NO_ORDERING, x, NO_ORDERING, y, x, NO_ORDERING];
+            let tags = [10, 11, 12, 13, 14, 15];
+            let children: Vec<(u64, u32)> = tags.into_iter().zip(orderings).collect();
+            let mut cands = arena(ctx, &children);
             cands.estimate.copy_from_slice(&[2.0, 1.0, 2.0, 1.0, 0.5, 2.0]);
             let mut stats = SearchStats::default();
             let beam = beam::select(ctx, &cands, 0, &mut stats);
-            let kept: Vec<u64> =
-                (0..beam.len()).map(|i| beam.row(i)[layout.factors(0).start]).collect();
+            let first = layout.factors(ctx.mems[0]).start;
+            let kept: Vec<u64> = (0..beam.len()).map(|i| beam.row(i)[first]).collect();
             assert_eq!(kept, [14, 11, 13, 10], "best first; equal estimates in arena order");
             assert_eq!(stats.levels[0].beam, PruneCounter { considered: 6, kept: 4 });
-            // Each survivor carries its row's nest hash, and no exclusion:
-            // it chose no ordering.
+            // Each survivor carries its row's nest hash and what its run's
+            // ordering excludes (nothing when it chose none).
             assert_eq!(beam.nest, [4, 1, 3, 0].map(|i| cands.nest[i]));
+            let y_excluded = probe.ordering_dims[y as usize].unroll_excluded;
+            assert_eq!(beam.unroll_excluded, [x_excluded, x_excluded, y_excluded, DimSet::EMPTY]);
             for i in 0..beam.len() {
-                assert_eq!(beam.unroll_excluded[i], DimSet::EMPTY);
                 assert_eq!(&beam.row(i)[layout.quotas()], &w.dim_sizes()[..]);
             }
         });

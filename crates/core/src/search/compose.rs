@@ -102,10 +102,7 @@ fn walk(
                 stop = Some(SearchStop::DeadlineReached);
                 break;
             }
-            let row = beam_states.row(parent);
-            cands.begin_parent(parent, row);
-            let here = beam_states.unroll_excluded[parent];
-            candidates::expand(ctx, row, here, stage, cands, memo, stats);
+            candidates::expand(ctx, &beam_states, parent, stage, cands, memo, stats);
         }
         // Recorded before any stop, so the phases still sum to the wall
         // clock of a search that ends here.
@@ -124,6 +121,7 @@ fn walk(
         #[cfg(test)]
         if let Some(repeats) = &mut memo.repeated_rows {
             repeats.push(cands.repeated_rows(ctx.layout.key_len));
+            cands.assert_runs_describe_rows(ctx, stage, &beam_states);
         }
         let before = cands.len();
         let deadline = if stage > 0 {

@@ -44,9 +44,10 @@ impl Tiles {
     }
 }
 
-/// Key of one tile enumeration; within one search this covers every
-/// input of `tiles_with_allowed` (the ladders, pruning flags, caps, and
-/// the capacity plan of `mem_pos` are all functions of the context).
+/// The tile question of one expansion run, asked once per run after the
+/// user's tile pins are seeded: within one search this covers every input
+/// of the tile enumeration (the ladders, pruning flags, caps, and the
+/// capacity plan of `mem_pos` are all functions of the context).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct TileKey {
     pub(crate) mem_pos: usize,
@@ -188,6 +189,8 @@ pub(crate) struct SearchMemo {
     pub(crate) miss_tiles: bool,
     /// When set, per stage expanded, how many of its arena's rows repeat
     /// an earlier row's words: what tests hold the arena's distinctness to.
+    /// Each stage's run table is then also held to its rows
+    /// (`Candidates::assert_runs_describe_rows`).
     #[cfg(test)]
     pub(crate) repeated_rows: Option<Vec<usize>>,
 }
@@ -395,8 +398,10 @@ pub(crate) enum RoundStatus {
 ///
 /// Stages past the first price each miss *prefix-incrementally*:
 /// all candidates expanded from one beam state share the decided levels
-/// `0..=mems[stage − 1]` with the parent's row, so that prefix's
-/// per-level cost contribution is built once per parent
+/// `0..=mems[stage − 1]` with the parent's row — a miss's parent is its
+/// run's ([`Candidates::runs`], read with a cursor, since the misses
+/// ascend) — so that prefix's per-level cost contribution is built once
+/// per parent
 /// ([`CostModel::prefix_of`], reading the parent's row in place) and each
 /// candidate only derives the delta of its frontier and completion
 /// levels. The
@@ -502,17 +507,22 @@ pub(crate) fn estimate_all(
     // Prefix memoization: every candidate of one parent shares
     // the levels up to the previous stage's memory, and completion only
     // touches the outermost level — strictly above that boundary. Misses
-    // preserve candidate order and candidates are expanded parent by
-    // parent, so each parent's run of misses is contiguous.
+    // preserve candidate order and a parent's runs are contiguous, so each
+    // parent's run of misses is too; a cursor over the run table finds
+    // each miss's run.
     let phase = Instant::now();
     let boundary = (stage >= 1).then(|| ctx.mems[stage - 1]);
     let mut prefixes: Vec<MappingPrefix> = Vec::new();
     let mut group_of: Vec<u32> = Vec::new();
     if let Some(b) = boundary.filter(|_| !misses.is_empty()) {
+        let (runs, mut run) = (candidates.runs(), 0);
         let mut last_parent = u32::MAX;
         for &i in &misses {
             faultpoint!("estimate.prefix");
-            let parent = candidates.parent[i as usize];
+            while runs[run].end <= i {
+                run += 1;
+            }
+            let parent = runs[run].parent;
             if prefixes.is_empty() || parent != last_parent {
                 let row = parents.row(parent as usize);
                 prefixes.push(ctx.model.prefix_of(RowNest { layout, row }, b));

@@ -4,9 +4,11 @@
 //! stage runs the same three-step pipeline over the surviving beam:
 //!
 //! 1. **expand** (`candidates`) — per partial mapping, enumerate the
-//!    orderings × tiles × unrollings the pruning principles admit, then
-//!    write each child as a copy of a per-unroll template row plus a few
-//!    slice writes, filing the hash of its loop nest as it goes. Each
+//!    orderings × tiles × unrollings the pruning principles admit, as
+//!    runs of children that share an unroll and an ordering (one tile
+//!    enumeration each), then write each child as a copy of its run's
+//!    template row plus a few slice writes, filing the hash of its loop
+//!    nest as it goes. Each
 //!    enumeration lists a choice once and a child writes its choices over
 //!    slots its parent left undecided, so a stage's rows are distinct by
 //!    construction: there is nothing to deduplicate,

@@ -65,6 +65,21 @@ fn enormous_dims() -> Workload {
     b.build().expect("valid workload")
 }
 
+/// Four 2^40 dimensions in one contraction, `c[m,n,j] += a[m,k]·b[k,n,j]`:
+/// the problem's 2^160 iterations are past even a `u128`, in which the
+/// parallelism reserve multiplies quotas.
+fn enormous_contraction() -> Workload {
+    let mut b = Workload::builder("enormous_contraction");
+    let m = b.dim("M", 1 << 40);
+    let n = b.dim("N", 1 << 40);
+    let j = b.dim("J", 1 << 40);
+    let k = b.dim("K", 1 << 40);
+    b.input("a", [m.expr(), k.expr()]);
+    b.input("b", [k.expr(), n.expr(), j.expr()]);
+    b.output("c", [m.expr(), n.expr(), j.expr()]);
+    b.build().expect("valid workload")
+}
+
 /// A single unbounded DRAM level and nothing else: no tiling choices at
 /// all, the mapping is forced.
 fn dram_only() -> ArchSpec {
@@ -113,6 +128,7 @@ fn degenerate_grid_never_panics() {
         ("all_ones", all_ones()),
         ("prime_dims", prime_dims()),
         ("enormous_dims", enormous_dims()),
+        ("enormous_contraction", enormous_contraction()),
     ];
     let archs: Vec<(&str, ArchSpec)> = vec![
         ("conventional", presets::conventional()),
