@@ -18,6 +18,21 @@ if grep -rnE 'capacity\.(fits|bytes)\(' crates/*/src \
     exit 1
 fi
 
+echo "== one stop rule =="
+# Whether a search must stop is decided by `CallControls::stop` alone:
+# every checkpoint asks it. A cancel token read, or a deadline compared
+# with the clock, anywhere else is a second stop policy, free to drift.
+if grep -rn 'is_cancelled' crates/*/src \
+    | grep -v -e '^crates/core/src/progress\.rs:' -e '^crates/core/src/search/mod\.rs:'; then
+    echo "cancel token read outside CallControls::stop" >&2
+    exit 1
+fi
+if grep -rnE 'Instant::now\(\) *[<>]|[<>]=? *Instant::now\(\)' crates/*/src \
+    | grep -v '^crates/core/src/search/mod\.rs:.*self\.deadline'; then
+    echo "deadline compared with the clock outside CallControls::stop" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (core crates, benches, repro tests) =="
 cargo clippy --release \
     -p sunstone-ir -p sunstone-arch -p sunstone-mapping -p sunstone-model \

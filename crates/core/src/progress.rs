@@ -9,8 +9,8 @@ use std::time::Duration;
 ///
 /// Clone the token, hand one copy to
 /// [`ScheduleOptions::cancel`](crate::ScheduleOptions::cancel), and call
-/// [`cancel`](CancelToken::cancel) from any thread; the search observes
-/// the flag at its stage boundaries and returns
+/// [`cancel`](CancelToken::cancel) from any thread; every checkpoint of
+/// the search observes the flag, and the call returns
 /// [`ScheduleError::Cancelled`](crate::ScheduleError::Cancelled). A token
 /// cancelled *before* the call starts fails the call deterministically.
 #[derive(Debug, Clone, Default)]

@@ -671,12 +671,12 @@ fn enumerate_tiles(
         quotas,
         allowed,
         |growth, tile| {
-            // Bounded-latency cancellation inside the enumeration tree:
-            // rejecting every probe prunes the tree to nothing in O(depth)
-            // steps once the token fires (the truncated result is then
-            // reported as Cancelled by the composition loop, and the memo
-            // that now holds it goes with the search).
-            if ctx.cancelled() {
+            // The stop rule inside the enumeration tree: rejecting every
+            // probe prunes the tree to nothing in O(depth) steps once the
+            // call must stop (the composition loop then reports the stop
+            // and discards the stage; the memo that now holds the
+            // truncated result goes with the search).
+            if ctx.controls.stop().is_some() {
                 return false;
             }
             // What the tile leaves the unrollable dimensions is
@@ -819,8 +819,8 @@ fn unrolls_for(
         return hit.kept.iter().map(|u| multiply(&pins, u)).collect();
     }
     let fits = |u: &[u64]| {
-        // Bounded-latency cancellation (see `tiles_with_allowed`).
-        !ctx.cancelled()
+        // The stop rule (see `enumerate_tiles`).
+        ctx.controls.stop().is_none()
             && ctx.validation.capacity().fits(ctx.mems[stage], &multiply(&pinned_tile, u))
     };
     let clock = Instant::now();
@@ -976,7 +976,6 @@ mod tests {
     use super::super::testing::{
         conv2d, conv2d_batch, matmul, random_state, with_constraints, with_context,
     };
-    use super::super::CallControls;
     use super::*;
     use crate::SunstoneConfig;
 
@@ -1256,7 +1255,7 @@ mod tests {
             let search = |miss_tiles| {
                 let mut memo = SearchMemo { miss_tiles, ..SearchMemo::default() };
                 let mut stats = SearchStats::default();
-                let run = run_level_search(ctx, &mut memo, &mut stats, &CallControls::default());
+                let run = run_level_search(ctx, &mut memo, &mut stats);
                 (run.beam, stats)
             };
             let (beam, stats) = search(false);
@@ -1322,7 +1321,7 @@ mod tests {
                                 ..SearchMemo::default()
                             };
                             let mut stats = SearchStats::default();
-                            run_level_search(ctx, &mut memo, &mut stats, &CallControls::default());
+                            run_level_search(ctx, &mut memo, &mut stats);
                             let repeats = memo.repeated_rows.expect("recorded");
                             assert!(
                                 repeats.iter().all(|&r| r == 0),

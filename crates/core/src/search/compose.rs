@@ -7,7 +7,7 @@ use super::beam::{self, Beam};
 use super::candidates::{self, Candidates};
 use super::estimate::{self, SearchMemo};
 use super::stats::SearchStats;
-use super::{CallControls, SearchContext};
+use super::SearchContext;
 use crate::progress::ProgressEvent;
 
 /// Why [`run_level_search`] stopped walking the hierarchy.
@@ -40,27 +40,22 @@ pub(crate) struct SearchRun {
 /// Returns the surviving beam best-estimate first; the last stage places
 /// the remainder, so a completed walk's beam holds complete mappings.
 ///
-/// Cancellation is checked before every stage, between parent expansions,
-/// inside the enumeration fits closures, and per claim inside the
-/// estimate round (a pre-cancelled token stops the search before any
-/// work, and a mid-stage cancel is observed within a bounded number of
-/// evaluations). The deadline is checked at the same points, with one
-/// first-stage concession: the first estimate round always completes its
-/// first claim chunk before the deadline engages
-/// ([`estimate::DeadlinePolicy::AfterFirstClaim`]), so a zero time budget
-/// still yields a usable best-so-far mapping while a large first round
-/// cannot overshoot a few-millisecond budget by a whole stage — the
-/// graceful-degradation contract of
-/// [`ScheduleOptions::time_budget`](crate::ScheduleOptions).
-/// A stage aborted mid-round returns the previous beam, which the caller
-/// completes under the best-so-far contract.
+/// Every checkpoint asks the call's one stop rule,
+/// [`CallControls::stop`](super::CallControls::stop): each stage start,
+/// between parent expansions and after expansion, inside the enumeration
+/// fits closures, and each claim of the estimate round. A stop discards
+/// the stage in progress and returns the beam of the last finished stage
+/// — the root's when none finished, so a zero time budget prices nothing
+/// — which the caller completes under the best-so-far contract of
+/// [`ScheduleOptions::time_budget`](crate::ScheduleOptions). A cancel is
+/// observed within a bounded number of evaluations and is never reported
+/// as infeasibility.
 pub(crate) fn run_level_search(
     ctx: &SearchContext<'_>,
     memo: &mut SearchMemo,
     stats: &mut SearchStats,
-    controls: &CallControls<'_>,
 ) -> SearchRun {
-    candidates::with_arena(&ctx.layout, |cands| walk(ctx, memo, stats, controls, cands))
+    candidates::with_arena(&ctx.layout, |cands| walk(ctx, memo, stats, cands))
 }
 
 /// [`run_level_search`] on the arena `cands`.
@@ -68,38 +63,29 @@ fn walk(
     ctx: &SearchContext<'_>,
     memo: &mut SearchMemo,
     stats: &mut SearchStats,
-    controls: &CallControls<'_>,
     cands: &mut Candidates,
 ) -> SearchRun {
+    let controls = &ctx.controls;
     let mut beam_states = Beam::root(ctx);
     for stage in 0..ctx.mems.len() {
         // Breadcrumb for the panic-isolation boundary: a fault caught
         // while this stage runs reports `search: level <stage>`.
         crate::session::fault_stage::set(&format!("search: level {stage}"));
-        if controls.cancelled() {
-            return SearchRun { beam: beam_states, stop: SearchStop::Cancelled };
-        }
-        if stage > 0 && controls.past_deadline() {
-            return SearchRun { beam: beam_states, stop: SearchStop::DeadlineReached };
+        if let Some(stop) = controls.stop() {
+            return SearchRun { beam: beam_states, stop };
         }
         if let Some(sink) = controls.progress {
             sink.on_event(&ProgressEvent::LevelStarted { stage, beam: beam_states.len() });
         }
         cands.clear();
         let phase = Instant::now();
-        let mut stop = None;
+        // Between parent expansions (a single expansion is bounded by the
+        // enumeration caps, and its fits closures ask too), and after the
+        // last: a stop is monotone, so one seen inside the loop is seen
+        // again below, and a candidate set a stop truncated never reads
+        // as infeasibility.
         for parent in 0..beam_states.len() {
-            // Bounded-latency controls between parent expansions (a
-            // single expansion is bounded by the enumeration caps; the
-            // fits closures additionally observe cancellation inside the
-            // enumeration trees). The deadline keeps the first-stage
-            // exemption of the zero-budget contract.
-            if controls.cancelled() {
-                stop = Some(SearchStop::Cancelled);
-                break;
-            }
-            if stage > 0 && controls.past_deadline() {
-                stop = Some(SearchStop::DeadlineReached);
+            if controls.stop().is_some() {
                 break;
             }
             candidates::expand(ctx, &beam_states, parent, stage, cands, memo, stats);
@@ -107,12 +93,7 @@ fn walk(
         // Recorded before any stop, so the phases still sum to the wall
         // clock of a search that ends here.
         stats.level_mut(stage).expand += phase.elapsed();
-        // A cancel that fired inside the enumeration closures can truncate
-        // the candidate set; report it as a cancel, never as infeasibility.
-        if stop.is_none() && controls.cancelled() {
-            stop = Some(SearchStop::Cancelled);
-        }
-        if let Some(stop) = stop {
+        if let Some(stop) = controls.stop() {
             return SearchRun { beam: beam_states, stop };
         }
         if cands.is_empty() {
@@ -124,22 +105,11 @@ fn walk(
             cands.assert_runs_describe_rows(ctx, stage, &beam_states);
         }
         let before = cands.len();
-        let deadline = if stage > 0 {
-            estimate::DeadlinePolicy::Always
-        } else {
-            estimate::DeadlinePolicy::AfterFirstClaim
-        };
         let phase = Instant::now();
-        let round = estimate::estimate_all(ctx, cands, &beam_states, stage, deadline, memo, stats);
+        let round = estimate::estimate_all(ctx, cands, &beam_states, stage, memo, stats);
         stats.level_mut(stage).estimate += phase.elapsed();
-        match round {
-            estimate::RoundStatus::Done => {}
-            estimate::RoundStatus::Cancelled => {
-                return SearchRun { beam: beam_states, stop: SearchStop::Cancelled };
-            }
-            estimate::RoundStatus::DeadlineReached => {
-                return SearchRun { beam: beam_states, stop: SearchStop::DeadlineReached };
-            }
+        if let Some(stop) = round {
+            return SearchRun { beam: beam_states, stop };
         }
         let phase = Instant::now();
         beam_states = beam::select(ctx, cands, stage, stats);

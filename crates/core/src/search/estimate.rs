@@ -4,7 +4,7 @@
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -14,6 +14,7 @@ use sunstone_model::{BatchEvalScratch, CostReport, CostTotals, MappingPrefix, Ne
 
 use super::beam::{Beam, KeyHashMap};
 use super::candidates::Candidates;
+use super::compose::SearchStop;
 use super::stats::SearchStats;
 use super::{RowLayout, SearchContext};
 use crate::pool::SliceWriter;
@@ -340,39 +341,6 @@ impl BeamCut {
     }
 }
 
-/// When an estimation round may observe the wall-clock deadline.
-///
-/// The first stage's round can be large, so exempting it from the
-/// deadline whole would let a budget of a few milliseconds overshoot by
-/// the entire stage. Under
-/// [`AfterFirstClaim`](DeadlinePolicy::AfterFirstClaim) the first claim
-/// chunk always runs — so even a zero budget evaluates *some* candidates
-/// and the best-so-far completion stays usable — and every claim after it
-/// observes the deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DeadlinePolicy {
-    /// First stage: the deadline engages once at least one claim chunk
-    /// has completed (the zero-budget contract keeps one chunk of work).
-    AfterFirstClaim,
-    /// Later stages: every claim observes the deadline.
-    Always,
-}
-
-/// Why an estimation round ended; anything but `Done` aborts the stage
-/// (the composition loop returns the *previous* beam, which is what the
-/// best-so-far deadline contract completes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RoundStatus {
-    /// Every miss was evaluated; the candidates carry real estimates.
-    Done,
-    /// The cancellation token fired mid-round; remaining evaluations were
-    /// skipped (bounded-latency cancellation).
-    Cancelled,
-    /// The wall-clock deadline passed mid-round; remaining evaluations
-    /// were skipped.
-    DeadlineReached,
-}
-
 /// Completes and estimates every candidate of the arena, filling its
 /// `estimate` column. `parents` is the beam the arena was expanded from.
 ///
@@ -438,16 +406,14 @@ pub(crate) enum RoundStatus {
 /// Results are written back by candidate index, so the outcome is
 /// identical for any thread count.
 ///
-/// Cancellation and the deadline are checked *per pool claim*, so a
-/// mid-round stop is observed within a bounded number of evaluations: at
-/// most one in-flight evaluation per claimant finishes after the token
-/// fires. The [`DeadlinePolicy`] decides when the deadline engages: the
-/// first stage uses [`DeadlinePolicy::AfterFirstClaim`] (the first claim
-/// chunk always runs, so a zero budget still yields a usable best-so-far
-/// mapping, but a large first round cannot overshoot a few-millisecond
-/// budget by a whole stage), later stages [`DeadlinePolicy::Always`]. A
-/// stopped round leaves the skipped candidates at `f64::INFINITY` and
-/// returns the stop reason; the caller discards the stage.
+/// Every pool claim asks the call's stop rule
+/// ([`CallControls::stop`](super::CallControls::stop)) before it prices,
+/// so a mid-round stop is observed within a bounded number of
+/// evaluations: at most one in-flight claim per claimant finishes after
+/// it. A stopped round leaves the skipped candidates at `f64::INFINITY`
+/// and returns the stop; the caller discards the stage. Both stop
+/// conditions only ever turn on, so a claim that saw a stop means the
+/// round returns it.
 ///
 /// The stage's [`LevelStats`](super::stats::LevelStats) gets the wall
 /// time of the three parts after the probe: `estimate_prefix`,
@@ -461,10 +427,9 @@ pub(crate) fn estimate_all(
     candidates: &mut Candidates,
     parents: &Beam,
     stage: usize,
-    deadline: DeadlinePolicy,
     memo: &mut SearchMemo,
     stats: &mut SearchStats,
-) -> RoundStatus {
+) -> Option<SearchStop> {
     faultpoint!("estimate.round");
     stats.probed += candidates.len() as u64;
     let layout = &ctx.layout;
@@ -541,14 +506,8 @@ pub(crate) fn estimate_all(
     for &(_, first) in &copies {
         shares[first as usize] += 1;
     }
-    let round_cancelled = AtomicBool::new(false);
-    let round_deadlined = AtomicBool::new(false);
     let round_batches = AtomicU64::new(0);
     let round_batched = AtomicU64::new(0);
-    // Claim chunks fully evaluated so far; under `AfterFirstClaim` the
-    // deadline only engages once this is nonzero, so every round keeps at
-    // least one chunk of real estimates (the zero-budget contract).
-    let claims_done = AtomicUsize::new(0);
     let (mut start, mut wave) = (0, FIRST_WAVE);
     while start < misses.len() {
         let end = (start + wave).min(misses.len());
@@ -558,25 +517,11 @@ pub(crate) fn estimate_all(
         let writer = SliceWriter::new(&mut priced[start..end]);
         let (prefixes, group_of, misses) = (&prefixes, &group_of, &misses);
         let candidates = &*candidates;
-        let (round_cancelled, round_deadlined) = (&round_cancelled, &round_deadlined);
         let (round_batches, round_batched) = (&round_batches, &round_batched);
-        let claims_done = &claims_done;
         ctx.pool.run_chunked(end - start, ESTIMATE_CHUNK, &|range| {
-            // Bounded-latency stop checks, per claim: the cancel check is
-            // one atomic load and the deadline one clock read, and a claim
-            // covers at most `ESTIMATE_CHUNK` evaluations. Once a stop is
-            // observed every remaining claim returns immediately, so at
-            // most one in-flight claim per claimant outlives the stop.
-            if round_cancelled.load(Ordering::Relaxed) || ctx.cancelled() {
-                round_cancelled.store(true, Ordering::Relaxed);
-                return;
-            }
-            let enforce = match deadline {
-                DeadlinePolicy::Always => true,
-                DeadlinePolicy::AfterFirstClaim => claims_done.load(Ordering::Relaxed) > 0,
-            };
-            if enforce && (round_deadlined.load(Ordering::Relaxed) || ctx.past_deadline()) {
-                round_deadlined.store(true, Ordering::Relaxed);
+            // A claim covers at most `ESTIMATE_CHUNK` evaluations; once a
+            // stop is observed every remaining claim returns at once.
+            if ctx.controls.stop().is_some() {
                 return;
             }
             SCRATCH.with(|cell| {
@@ -620,9 +565,8 @@ pub(crate) fn estimate_all(
                     k = end;
                 }
             });
-            claims_done.fetch_add(1, Ordering::Relaxed);
         });
-        if round_cancelled.load(Ordering::Relaxed) || round_deadlined.load(Ordering::Relaxed) {
+        if ctx.controls.stop().is_some() {
             break;
         }
         for (estimate, &share) in priced[start..end].iter().zip(&shares[start..end]) {
@@ -679,14 +623,7 @@ pub(crate) fn estimate_all(
     level.estimate_publish += phase.elapsed();
     stats.cache_hits += hits;
     stats.cache_misses += miss_count;
-
-    if round_cancelled.into_inner() || ctx.cancelled() {
-        RoundStatus::Cancelled
-    } else if round_deadlined.into_inner() {
-        RoundStatus::DeadlineReached
-    } else {
-        RoundStatus::Done
-    }
+    ctx.controls.stop()
 }
 
 /// Prices a finalist for the caller. The report is always computed

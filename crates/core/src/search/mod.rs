@@ -50,7 +50,7 @@ use std::time::Instant;
 
 use sunstone_arch::{ArchSpec, Binding, Level, LevelId};
 use sunstone_ir::{DimId, DimVec, Workload};
-use sunstone_mapping::{Mapping, MappingLevel, ValidationContext};
+use sunstone_mapping::{Mapping, MappingConstraints, MappingLevel, ValidationContext};
 use sunstone_model::CostModel;
 
 use crate::constraints::ResolvedConstraints;
@@ -58,7 +58,8 @@ use crate::factors::DivisorLadders;
 use crate::ordering::OrderingTrie;
 use crate::pool::WorkerPool;
 use crate::progress::{CancelToken, ProgressSink};
-use crate::SunstoneConfig;
+use crate::{ScheduleOptions, SunstoneConfig};
+use compose::SearchStop;
 
 pub use stats::{LevelStats, PruneCounter, SearchStats};
 
@@ -71,26 +72,65 @@ pub fn release_thread_arena() {
     candidates::release_thread_arena();
 }
 
-/// Per-call controls threaded through the level walk: the wall-clock
-/// deadline, the cooperative cancellation token, and the progress sink.
-/// All optional; a default value runs the search to completion silently.
-#[derive(Default)]
+/// One call's controls, built once per call from its
+/// [`ScheduleOptions`]: when it started, its deadline, its cancellation
+/// token, its progress sink, how many results it wants and the
+/// constraints it searches under. The search holds them in its
+/// [`SearchContext`].
+///
+/// [`stop`](Self::stop) is the one stop rule: every checkpoint of a
+/// search — each stage start, between parent expansions and after
+/// expansion, inside the tile and unroll `fits` closures, and each pool
+/// claim of an estimate round — asks it, with no exemption, and a stop
+/// discards the stage in progress.
+#[derive(Clone, Copy)]
 pub(crate) struct CallControls<'a> {
-    /// Absolute deadline derived from the call's `time_budget`.
-    pub(crate) deadline: Option<Instant>,
-    /// Cooperative cancellation flag, checked at stage boundaries.
-    pub(crate) cancel: Option<&'a CancelToken>,
+    /// When the call (for a batch: the layer) started.
+    pub(crate) start: Instant,
+    /// The absolute deadline of the call's `time_budget`; `None` also for
+    /// a budget past what an `Instant` can hold.
+    deadline: Option<Instant>,
+    cancel: Option<&'a CancelToken>,
     /// Progress callback for level started/finished events.
     pub(crate) progress: Option<&'a dyn ProgressSink>,
+    /// How many ranked results to return, at least 1.
+    pub(crate) top_k: usize,
+    /// The call's constraint override, or the session's set.
+    pub(crate) constraints: &'a MappingConstraints,
 }
 
-impl CallControls<'_> {
-    pub(crate) fn cancelled(&self) -> bool {
-        self.cancel.is_some_and(CancelToken::is_cancelled)
+impl<'a> CallControls<'a> {
+    /// The controls of a call under `options` starting now; `constraints`
+    /// is the session's set, for a call that does not override it.
+    pub(crate) fn new(options: &'a ScheduleOptions, constraints: &'a MappingConstraints) -> Self {
+        let start = Instant::now();
+        CallControls {
+            start,
+            deadline: options.time_budget.and_then(|budget| start.checked_add(budget)),
+            cancel: options.cancel.as_ref(),
+            progress: options.progress.as_deref(),
+            top_k: options.top_k.max(1),
+            constraints: options.constraints.as_ref().unwrap_or(constraints),
+        }
     }
 
-    pub(crate) fn past_deadline(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
+    /// The controls of one layer of a batch: the batch's deadline, token
+    /// and constraints, its own start, and no level events.
+    pub(crate) fn layer(&self) -> Self {
+        CallControls { start: Instant::now(), progress: None, ..*self }
+    }
+
+    /// Whether the search must stop, and why: the token first, then the
+    /// deadline. Both only ever turn on, so once a checkpoint sees a stop
+    /// every later one does.
+    pub(crate) fn stop(&self) -> Option<SearchStop> {
+        if self.cancel.is_some_and(CancelToken::is_cancelled) {
+            Some(SearchStop::Cancelled)
+        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            Some(SearchStop::DeadlineReached)
+        } else {
+            None
+        }
     }
 }
 
@@ -314,14 +354,9 @@ pub(crate) struct SearchContext<'a> {
     pub(crate) workload: &'a Workload,
     pub(crate) arch: &'a ArchSpec,
     pub(crate) config: &'a SunstoneConfig,
-    /// The call's cancellation token, if any: checked not only at stage
-    /// boundaries but per pool claim and inside the enumeration fits
-    /// closures, so cancellation latency is bounded by a handful of
-    /// model evaluations, not a whole stage.
-    pub(crate) cancel: Option<&'a CancelToken>,
-    /// The call's absolute deadline, if any (checked inside estimate
-    /// rounds past the first stage; see [`CallControls`]).
-    pub(crate) deadline: Option<Instant>,
+    /// The call's controls, whose [`stop`](CallControls::stop) every
+    /// checkpoint of the search asks.
+    pub(crate) controls: CallControls<'a>,
     pub(crate) model: CostModel<'a>,
     pub(crate) trie: OrderingTrie<'a>,
     /// Memory level positions, innermost first.
@@ -355,18 +390,13 @@ pub(crate) struct SearchContext<'a> {
 }
 
 impl<'a> SearchContext<'a> {
-    // Internal constructor with one call site; the per-call knobs
-    // (cancel, deadline) are deliberately separate from the session
-    // state, not worth an options struct.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         workload: &'a Workload,
         arch: &'a ArchSpec,
         binding: &'a Binding,
         config: &'a SunstoneConfig,
         pool: &'a WorkerPool,
-        cancel: Option<&'a CancelToken>,
-        deadline: Option<Instant>,
+        controls: CallControls<'a>,
         constraints: ResolvedConstraints,
     ) -> Self {
         let mems: Vec<usize> = arch.memory_levels().map(|(id, _)| id.index()).collect();
@@ -386,8 +416,7 @@ impl<'a> SearchContext<'a> {
             workload,
             arch,
             config,
-            cancel,
-            deadline,
+            controls,
             model: CostModel::new(workload, arch, binding),
             trie: OrderingTrie::new(workload),
             mems,
@@ -399,16 +428,6 @@ impl<'a> SearchContext<'a> {
             base,
             layout,
         }
-    }
-
-    /// Whether the call's cancellation token has fired (one atomic load).
-    pub(crate) fn cancelled(&self) -> bool {
-        self.cancel.is_some_and(CancelToken::is_cancelled)
-    }
-
-    /// Whether the call's wall-clock deadline has passed.
-    pub(crate) fn past_deadline(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -427,8 +446,6 @@ fn streaming_base(workload: &Workload, arch: &ArchSpec) -> Mapping {
 /// stages.
 #[cfg(test)]
 pub(crate) mod testing {
-    use sunstone_mapping::MappingConstraints;
-
     use super::*;
     use crate::factors::sorted_divisors;
 
@@ -455,9 +472,10 @@ pub(crate) mod testing {
     ) -> Option<R> {
         let binding = Binding::resolve(arch, workload).expect("binds");
         let pool = WorkerPool::new(0);
-        let constraints = ResolvedConstraints::resolve(constraints, workload, arch).ok()?;
-        let ctx =
-            SearchContext::new(workload, arch, &binding, config, &pool, None, None, constraints);
+        let resolved = ResolvedConstraints::resolve(constraints, workload, arch).ok()?;
+        let options = ScheduleOptions::new();
+        let controls = CallControls::new(&options, constraints);
+        let ctx = SearchContext::new(workload, arch, &binding, config, &pool, controls, resolved);
         Some(f(&ctx))
     }
 

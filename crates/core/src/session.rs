@@ -198,13 +198,14 @@ pub struct ScheduleOptions {
     /// every layer. Unsatisfiable sets fail with
     /// [`ScheduleError::InvalidConstraints`].
     pub constraints: Option<MappingConstraints>,
-    /// Wall-clock budget. When it expires mid-search the call returns
-    /// [`ScheduleOutcome::BestSoFar`] with the best valid completions of
-    /// the current beam — the first estimate round always completes its
-    /// first claim chunk before the deadline engages, so even a zero
-    /// budget yields a usable (if unrefined) mapping, while a large first
-    /// round cannot overshoot a few-millisecond budget by a whole stage.
-    /// For a batch the budget covers the *whole batch*.
+    /// Wall-clock budget. Every checkpoint of the search asks whether it
+    /// has expired, and an expiry discards the stage in progress: the call
+    /// returns [`ScheduleOutcome::BestSoFar`] with the best valid
+    /// completions of the last finished stage's beam — the root's, every
+    /// dimension at the outermost memory, when no stage finished, so a
+    /// zero budget prices nothing and its answer does not depend on the
+    /// thread count. A budget past what an [`Instant`] can hold is no
+    /// budget. For a batch the budget covers the *whole batch*.
     pub time_budget: Option<Duration>,
     /// Cooperative cancellation; when fired the call returns
     /// [`ScheduleError::Cancelled`]. A batch shares one token across
@@ -706,14 +707,7 @@ impl Scheduler {
         arch: &ArchSpec,
         options: &ScheduleOptions,
     ) -> Result<ScheduleOutcome, ScheduleError> {
-        let start = Instant::now();
-        let controls = CallControls {
-            deadline: options.time_budget.map(|b| start + b),
-            cancel: options.cancel.as_ref(),
-            progress: options.progress.as_deref(),
-        };
-        let constraints = options.constraints.as_ref().unwrap_or(&self.config.constraints);
-        self.run_one(workload, arch, options.top_k, start, &controls, constraints)
+        self.run_one(workload, arch, &CallControls::new(options, &self.config.constraints))
     }
 
     /// Schedules a batch of workloads, deduplicating identical shapes and
@@ -760,7 +754,7 @@ impl Scheduler {
         arch: &ArchSpec,
         options: &ScheduleOptions,
     ) -> Result<BatchOutcome, ScheduleError> {
-        let start = Instant::now();
+        let controls = CallControls::new(options, &self.config.constraints);
         self.config.validate()?;
         arch.validate()?;
 
@@ -784,8 +778,6 @@ impl Scheduler {
         // submitting thread participates). Per-shape results are
         // deterministic and land in index-disjoint slots, so the assembly
         // below is identical for any worker count.
-        let deadline = options.time_budget.map(|b| start + b);
-        let constraints = options.constraints.as_ref().unwrap_or(&self.config.constraints);
         let failed = AtomicBool::new(false);
         let mut slots: Vec<Option<Result<ScheduleOutcome, ScheduleError>>> =
             unique.iter().map(|_| None).collect();
@@ -807,11 +799,8 @@ impl Scheduler {
                             name: w.name().to_string(),
                         });
                     }
-                    let layer_start = Instant::now();
-                    let controls =
-                        CallControls { deadline, cancel: options.cancel.as_ref(), progress: None };
-                    let outcome =
-                        self.run_one(w, arch, options.top_k, layer_start, &controls, constraints);
+                    let controls = controls.layer();
+                    let outcome = self.run_one(w, arch, &controls);
                     if let Some(sink) = &options.progress {
                         if let Err(ScheduleError::Internal { stage, layer, message }) = &outcome {
                             sink.on_event(&ProgressEvent::Fault {
@@ -826,7 +815,7 @@ impl Scheduler {
                                 .as_ref()
                                 .map(|o| o.results()[0].stats.probed)
                                 .unwrap_or(0),
-                            elapsed: layer_start.elapsed(),
+                            elapsed: controls.start.elapsed(),
                         });
                     }
                     outcome
@@ -877,7 +866,7 @@ impl Scheduler {
             cache_misses: sum(|s| s.cache_misses),
             evaluated: sum(|s| s.probed),
             failed: assign.iter().filter(|&&slot| per_unique[slot].is_err()).count(),
-            elapsed: start.elapsed(),
+            elapsed: controls.start.elapsed(),
         };
         let layers = assign
             .iter()
@@ -899,22 +888,17 @@ impl Scheduler {
         &self,
         workload: &Workload,
         arch: &ArchSpec,
-        top_k: usize,
-        start: Instant,
         controls: &CallControls<'_>,
-        constraints: &MappingConstraints,
     ) -> Result<ScheduleOutcome, ScheduleError> {
         fault_stage::set("setup");
-        panic::catch_unwind(AssertUnwindSafe(|| {
-            self.answer(workload, arch, top_k.max(1), start, controls, constraints)
-        }))
-        .unwrap_or_else(|payload| {
-            let stage = match fault_stage::get() {
-                s if s.is_empty() => "setup".to_string(),
-                s => s,
-            };
-            Err(faulted(controls.progress, stage, Some(workload.name()), payload))
-        })
+        panic::catch_unwind(AssertUnwindSafe(|| self.answer(workload, arch, controls)))
+            .unwrap_or_else(|payload| {
+                let stage = match fault_stage::get() {
+                    s if s.is_empty() => "setup".to_string(),
+                    s => s,
+                };
+                Err(faulted(controls.progress, stage, Some(workload.name()), payload))
+            })
     }
 
     /// The memo tier every entry point passes through: answer from the
@@ -930,15 +914,13 @@ impl Scheduler {
         &self,
         workload: &Workload,
         arch: &ArchSpec,
-        top_k: usize,
-        start: Instant,
         controls: &CallControls<'_>,
-        constraints: &MappingConstraints,
     ) -> Result<ScheduleOutcome, ScheduleError> {
+        let (top_k, constraints) = (controls.top_k, controls.constraints);
         let ctx_fp = context_fingerprint(workload, arch, &self.config, constraints);
         // A token that already fired must come back `Cancelled`, memoized
         // context or not: skip the lookup and let the search report it.
-        if !controls.cancelled() {
+        if controls.stop() != Some(SearchStop::Cancelled) {
             if let Some(hit) = self.memo.get(ctx_fp, top_k) {
                 let k = top_k.min(hit.results.len());
                 if let Some(results) =
@@ -949,7 +931,7 @@ impl Scheduler {
             }
         }
         self.memo.searches.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.search(workload, arch, top_k, start, controls, constraints)?;
+        let outcome = self.search(workload, arch, controls)?;
         if let ScheduleOutcome::Complete(results) = &outcome {
             let stats = results[0].stats.remembered();
             let remembered = results
@@ -1000,11 +982,9 @@ impl Scheduler {
         &self,
         workload: &Workload,
         arch: &ArchSpec,
-        top_k: usize,
-        start: Instant,
         controls: &CallControls<'_>,
-        constraints: &MappingConstraints,
     ) -> Result<ScheduleOutcome, ScheduleError> {
+        let constraints = controls.constraints;
         let (resolved, binding) = self.resolve(workload, arch, constraints)?;
         let ctx = SearchContext::new(
             workload,
@@ -1012,14 +992,13 @@ impl Scheduler {
             &binding,
             &self.config,
             self.pool(),
-            controls.cancel,
-            controls.deadline,
+            *controls,
             resolved,
         );
         let mut memo = SearchMemo::default();
         let mut stats = SearchStats::default();
 
-        let run = run_level_search(&ctx, &mut memo, &mut stats, controls);
+        let run = run_level_search(&ctx, &mut memo, &mut stats);
         fault_stage::set("rank");
         let truncated = match run.stop {
             SearchStop::Cancelled => return Err(ScheduleError::Cancelled),
@@ -1053,9 +1032,9 @@ impl Scheduler {
             self.config.objective.of(&a.1).total_cmp(&self.config.objective.of(&b.1))
         });
         valid.dedup_by(|a, b| a.0 == b.0);
-        valid.truncate(top_k);
+        valid.truncate(controls.top_k);
         stats.rank = ranking.elapsed();
-        stats.elapsed = start.elapsed();
+        stats.elapsed = controls.start.elapsed();
         if valid.is_empty() {
             return Err(if truncated {
                 ScheduleError::BudgetExhausted

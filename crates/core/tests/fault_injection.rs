@@ -224,6 +224,33 @@ fn injected_cancel_is_observed_with_bounded_latency() {
     faultpoint::disarm_all();
 }
 
+/// A deadline that passes inside stage 1: the delay injected at the start
+/// of the second estimate round outlasts the budget, so every claim of
+/// that round sees the stop and the stage is discarded. The call returns
+/// stage 0's beam completed — best-so-far, stage 0's work kept — with one
+/// mapping at every thread count, and memoizes nothing.
+#[test]
+fn deadline_inside_stage_one_keeps_stage_zero() {
+    let _guard = serial();
+    let arch = presets::conventional();
+    let w = conv("late", 32, 16, 14, 3);
+    let opts = ScheduleOptions::new().time_budget(Duration::from_millis(200));
+    let mut mappings = Vec::new();
+    for threads in [1, 2, 8] {
+        let session = Scheduler::new(SunstoneConfig { threads, ..SunstoneConfig::default() });
+        faultpoint::arm("estimate.round", 2, FaultAction::Delay(Duration::from_millis(400)));
+        let outcome = session.schedule_with(&w, &arch, &opts).expect("a cut search answers");
+        assert_eq!(faultpoint::hits("estimate.round"), 2, "threads {threads}: cut in stage 1");
+        assert!(!outcome.is_complete(), "threads {threads}: the deadline cut the search");
+        let stats = &outcome.results()[0].stats;
+        assert!(stats.levels[0].cache_misses > 0, "threads {threads}: stage 0's work is kept");
+        assert_eq!(session.cache_stats().entries, 0, "a cut search memoizes nothing");
+        mappings.push(outcome.results()[0].mapping.clone());
+    }
+    assert!(mappings.iter().all(|m| *m == mappings[0]), "the cut answer depends on threads");
+    faultpoint::disarm_all();
+}
+
 /// Delays injected at the estimate publish and the estimate round are
 /// harmless: the search completes with bit-identical results.
 #[test]

@@ -25,6 +25,17 @@ fn conv(name: &str, k: u64, c: u64, pq: u64, r: u64) -> Workload {
     b.build().expect("valid conv workload")
 }
 
+/// `y[t][f] = Σ_m x[t][m] · weight[f][m]`: the shape of
+/// `sunstone_workloads::extra::transformer_ffn`.
+fn ffn(tokens: u64, d_model: u64, d_ff: u64) -> Workload {
+    let mut b = Workload::builder("ffn");
+    let (t, f, m) = (b.dim("T", tokens), b.dim("F", d_ff), b.dim("M", d_model));
+    b.input("x", [t.expr(), m.expr()]);
+    b.input("weight", [f.expr(), m.expr()]);
+    b.output("y", [t.expr(), f.expr()]);
+    b.build().expect("valid ffn workload")
+}
+
 /// A batch under default options, all or nothing.
 fn batch(
     session: &Scheduler,
@@ -168,7 +179,7 @@ fn zero_time_budget_returns_best_so_far() {
     let opts = ScheduleOptions::new().time_budget(Duration::ZERO);
     let outcome = Scheduler::new(SunstoneConfig::default())
         .schedule_with(&w, &arch, &opts)
-        .expect("zero budget still yields the first-stage best");
+        .expect("zero budget still yields the root's completion");
     assert!(!outcome.is_complete(), "zero budget cannot complete the search");
     assert!(!outcome.results().is_empty(), "best-so-far carries a usable mapping");
 
@@ -190,41 +201,66 @@ fn zero_time_budget_returns_best_so_far() {
 }
 
 /// The deadline contract on the second layer of a session (the pool is
-/// live, another context is memoized): the deadline only
-/// engages once the first claim chunk completes, so even a zero budget
-/// must yield a usable, deterministic best-so-far instead of
-/// `BudgetExhausted` or an empty result.
+/// live, another context is memoized): an expired budget stops the search
+/// at its first checkpoint, before stage 0 prices anything, so the call
+/// returns the completion of the root — a usable best-so-far, never
+/// `BudgetExhausted` — and the same mapping at every thread count, on a
+/// conv and on a transformer FFN whose stage 0 is large.
 #[test]
 fn zero_budget_on_second_layer_returns_deterministic_best_so_far() {
-    let arch = presets::conventional();
-    let a = conv("first", 32, 16, 14, 3);
-    let b = conv("second", 32, 16, 7, 3);
-
-    // Work bound: a full search of `b` on a session that already saw `a`.
-    let full = Scheduler::new(SunstoneConfig::default());
-    full.schedule(&a, &arch).expect("schedules");
-    let full_misses = full.schedule(&b, &arch).expect("schedules").stats.modeled;
-
-    let run = || {
-        let session = Scheduler::new(SunstoneConfig::default());
-        session.schedule(&a, &arch).expect("first layer completes");
-        let opts = ScheduleOptions::new().time_budget(Duration::ZERO);
-        let outcome = session
-            .schedule_with(&b, &arch, &opts)
-            .expect("zero budget on a second layer must not error");
-        assert!(!outcome.is_complete(), "zero budget cannot complete the search");
-        assert!(!outcome.results().is_empty(), "best-so-far carries a usable mapping");
-        let spent = outcome.results()[0].stats.modeled;
+    let first = conv("first", 32, 16, 14, 3);
+    let cases = [
+        (conv("second", 32, 16, 7, 3), presets::conventional()),
+        (ffn(512, 768, 3072), presets::conventional()),
+        (ffn(512, 768, 3072), presets::simba_like()),
+    ];
+    let zero = ScheduleOptions::new().time_budget(Duration::ZERO);
+    for (w, arch) in &cases {
+        let case = format!("{} on {}", w.name(), arch.name());
+        let mut mappings = Vec::new();
+        for threads in [1, 2, 8] {
+            let session = Scheduler::new(SunstoneConfig { threads, ..SunstoneConfig::default() });
+            session.schedule(&first, arch).expect("first layer completes");
+            for _ in 0..10 {
+                let outcome = session
+                    .schedule_with(w, arch, &zero)
+                    .expect("zero budget on a second layer must not error");
+                assert!(!outcome.is_complete(), "{case}: zero budget cannot complete the search");
+                let best = &outcome.results()[0];
+                assert_eq!(best.stats.probed, 0, "{case}: an expired budget prices nothing");
+                mappings.push(best.mapping.clone());
+            }
+        }
         assert!(
-            spent < full_misses,
-            "expired budget must stop after the first claim chunk \
-             ({spent} modeled vs {full_misses} for the full search)"
+            mappings.iter().all(|m| *m == mappings[0]),
+            "{case}: zero-budget answer depends on threads or timing"
         );
-        outcome.results()[0].mapping.clone()
-    };
-    // The truncation point is the first claim chunk — a fixed amount of
-    // work, not a wall-clock race — so the result is reproducible.
-    assert_eq!(run(), run(), "zero-budget truncation must be deterministic");
+    }
+}
+
+/// A budget past what an `Instant` can hold is no deadline: the single
+/// and the batch entry point complete, with the unbudgeted mapping.
+#[test]
+fn a_budget_past_the_clock_is_no_deadline() {
+    let arch = presets::conventional();
+    let w = conv("c", 32, 16, 14, 3);
+    let unbudgeted =
+        Scheduler::new(SunstoneConfig::default()).schedule(&w, &arch).expect("schedules");
+    let opts = ScheduleOptions::new().time_budget(Duration::MAX);
+
+    let one = Scheduler::new(SunstoneConfig::default())
+        .schedule_with(&w, &arch, &opts)
+        .expect("an unbounded budget schedules");
+    assert!(one.is_complete());
+    assert_eq!(one.results()[0].mapping, unbudgeted.mapping);
+
+    let batch = Scheduler::new(SunstoneConfig::default())
+        .schedule_batch_outcomes(std::slice::from_ref(&w), &arch, &opts)
+        .expect("an unbounded budget schedules a batch")
+        .into_result()
+        .expect("every layer schedules");
+    assert_eq!(batch.stats.best_so_far, 0);
+    assert_eq!(batch.best(0).mapping, unbudgeted.mapping);
 }
 
 /// A search's result *and its work* are a function of its own context

@@ -747,7 +747,8 @@ fn answer(
     state.counters.searches.fetch_add(1, Ordering::Relaxed);
     // The deadline is anchored at request parse: waiting on the flight
     // lock already spent part of it, so the search gets the remainder
-    // (a zero budget still yields the first claim chunk's best).
+    // (none left: the search stops before its first stage and serves the
+    // root's completion, degraded).
     let mut options = ScheduleOptions::default();
     if let Some(d) = deadline {
         options = options.time_budget(d.saturating_duration_since(Instant::now()));
