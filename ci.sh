@@ -33,6 +33,17 @@ if grep -rnE 'Instant::now\(\) *[<>]|[<>]=? *Instant::now\(\)' crates/*/src \
     exit 1
 fi
 
+echo "== one constraint rule =="
+# A constraint set means one thing: `ResolvedConstraints::resolve` gives
+# it its one form, the search's enumerators read that form, and
+# `ResolvedConstraints::check` holds a mapping to it. A `ConstraintError`
+# raised anywhere else is a second resolver or checker, free to drift.
+if grep -rn 'ConstraintError::' crates/*/src \
+    | grep -v '^crates/mapping/src/constraints\.rs:'; then
+    echo "ConstraintError raised outside crates/mapping/src/constraints.rs" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (core crates, benches, repro tests) =="
 cargo clippy --release \
     -p sunstone-ir -p sunstone-arch -p sunstone-mapping -p sunstone-model \

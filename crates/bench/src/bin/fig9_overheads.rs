@@ -20,38 +20,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use sunstone::network::layout_signature;
 use sunstone::prelude::*;
 use sunstone_arch::presets;
 use sunstone_bench::resnet18_experiment_layers;
 use sunstone_diannao::{Compiler, Simulator};
-use sunstone_ir::Workload;
-use sunstone_mapping::{Mapping, MappingLevel};
 use sunstone_workloads::Precision;
-
-/// Layout signature: the DRAM-level loop dims (outermost first, factor
-/// above 1) that index the given tensor, as dimension names with K→C
-/// renaming so a producer's ofmap order is comparable with a consumer's
-/// ifmap order.
-fn layout_signature(w: &Workload, m: &Mapping, tensor: &str) -> Vec<String> {
-    let t = w.tensor_by_name(tensor).expect("tensor exists");
-    let indexing = w.tensor(t).indexing_dims();
-    let last = m.levels().len() - 1;
-    let MappingLevel::Temporal(dram) = &m.levels()[last] else {
-        return Vec::new();
-    };
-    dram.order_outermost_first()
-        .into_iter()
-        .filter(|d| dram.factors[d.index()] > 1 && indexing.contains(*d))
-        .map(|d| {
-            let name = w.dim(d).name();
-            if name == "K" {
-                "C".to_string()
-            } else {
-                name.to_string()
-            }
-        })
-        .collect()
-}
 
 fn main() {
     let layers = resnet18_experiment_layers(16, 1, 4);
@@ -111,7 +85,7 @@ fn main() {
         search_cache_hits += schedule.stats.cache_hits;
         search_cache_probes += schedule.stats.cache_hits + schedule.stats.cache_misses;
         let mapping = schedule.mapping;
-        let consumer_sig = layout_signature(&w, &mapping, "ifmap");
+        let consumer_sig = layout_signature(&w, &mapping, "ifmap", &[]).expect("conv has ifmap");
         // No reordering when the producer already emits this order, or
         // when the DRAM traversal follows the canonical row-major NCHW
         // order (tiles are then contiguous bursts in the natural layout).
@@ -134,7 +108,9 @@ fn main() {
         } else {
             0
         };
-        prev_producer_sig = Some(layout_signature(&w, &mapping, "ofmap"));
+        // The producer's K channels are the next layer's C channels.
+        let renames = [("K".to_string(), "C".to_string())];
+        prev_producer_sig = layout_signature(&w, &mapping, "ofmap", &renames);
 
         let tiled =
             Compiler::tiled_with_reorder(&w, &mapping, reorder_words).expect("lowering succeeds");

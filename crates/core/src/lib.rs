@@ -94,7 +94,6 @@ macro_rules! faultpoint {
 }
 
 mod config;
-mod constraints;
 mod error;
 pub mod factors;
 #[cfg(feature = "fault-injection")]
@@ -119,9 +118,9 @@ pub use session::{
     BatchOptions, BatchOutcome, BatchResult, BatchStats, CacheStats, Memoized, ScheduleOptions,
     ScheduleOutcome, ScheduleResult, Scheduler,
 };
-// The constraint vocabulary lives in `sunstone_mapping` (so
-// `ValidationContext::satisfies` can check mappings against it without a
-// dependency cycle); re-exported here because the scheduler is where
+// The constraint vocabulary lives in `sunstone_mapping`, beside its one
+// resolution and the check of a mapping against it
+// (`ResolvedConstraints`); re-exported here because the scheduler is where
 // constraints are *used*. `DimRole` backs `DimRef::role`.
 pub use sunstone_ir::DimRole;
 pub use sunstone_mapping::{

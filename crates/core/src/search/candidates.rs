@@ -23,6 +23,7 @@ use std::time::Instant;
 
 use sunstone_arch::LevelId;
 use sunstone_ir::{DimId, DimSet, DimVec};
+use sunstone_mapping::constraints::inner_groups;
 
 use crate::factors::{divide, multiply};
 use crate::ordering::OrderingCandidate;
@@ -485,7 +486,9 @@ fn enumerate_orderings(
             // forced completion below.
             cands.clear();
         } else {
-            cands.retain(|c| order_satisfies(&c.order, groups, in_play));
+            // Judged over the dimensions still in play: the rest carry
+            // factor 1 here, so where they sit is moot.
+            cands.retain(|c| inner_groups(&c.order, groups, in_play).is_ok());
         }
         let forced = ctx.trie.forced_prefix(groups, in_play);
         if !cands.iter().any(|c| c.order == forced.order) {
@@ -497,31 +500,6 @@ fn enumerate_orderings(
     pool.extend(cands);
     let range = first..=pool.len() as u32 - 1;
     OrderingMemo { in_play, range, nodes, ordering, no_reuse, dominated, constraint }
-}
-
-/// Does `order` (innermost-first) keep the constraint groups as its
-/// innermost run, group sequence respected? Judged over `scope` — the
-/// dimensions this stage still has in play; out-of-scope dims carry
-/// factor 1 here, so their placement is meaningless.
-fn order_satisfies(order: &[DimId], groups: &[DimSet], scope: DimSet) -> bool {
-    let seq: Vec<DimId> = order.iter().copied().filter(|&d| scope.contains(d)).collect();
-    let mut idx = 0usize;
-    for g in groups {
-        let g = g.intersection(scope);
-        let need = g.len();
-        if need == 0 {
-            continue;
-        }
-        if idx + need > seq.len() {
-            return false;
-        }
-        let window: DimSet = seq[idx..idx + need].iter().copied().collect();
-        if window != g {
-            return false;
-        }
-        idx += need;
-    }
-    true
 }
 
 /// The parallelism budget a tile must leave unconsumed: the product of

@@ -50,10 +50,11 @@ use std::time::Instant;
 
 use sunstone_arch::{ArchSpec, Binding, Level, LevelId};
 use sunstone_ir::{DimId, DimVec, Workload};
-use sunstone_mapping::{Mapping, MappingConstraints, MappingLevel, ValidationContext};
+use sunstone_mapping::{
+    Mapping, MappingConstraints, MappingLevel, ResolvedConstraints, ValidationContext,
+};
 use sunstone_model::CostModel;
 
-use crate::constraints::ResolvedConstraints;
 use crate::factors::DivisorLadders;
 use crate::ordering::OrderingTrie;
 use crate::pool::WorkerPool;

@@ -41,10 +41,9 @@ use std::time::{Duration, Instant};
 
 use sunstone_arch::{ArchSpec, Binding};
 use sunstone_ir::{FxHashMap, Workload};
-use sunstone_mapping::{Mapping, MappingConstraints, ValidationContext};
+use sunstone_mapping::{Mapping, MappingConstraints, ResolvedConstraints, ValidationContext};
 use sunstone_model::{CostModel, CostReport};
 
-use crate::constraints::ResolvedConstraints;
 use crate::error::ScheduleError;
 use crate::fingerprint::{
     arch_fingerprint, combine_context, config_fingerprint, constraints_fingerprint,
@@ -616,7 +615,8 @@ impl Scheduler {
     /// # Errors
     ///
     /// [`ScheduleError::InvalidMapping`] when the mapping fails
-    /// re-validation for this (workload, arch) pair; configuration,
+    /// re-validation for this (workload, arch) pair or violates the
+    /// session's constraints; configuration,
     /// architecture, and binding errors as in
     /// [`schedule`](Self::schedule). Panics inside the model are caught
     /// at the same isolation boundary as a search and surface as
@@ -628,15 +628,11 @@ impl Scheduler {
         mapping: &Mapping,
     ) -> Result<CostReport, ScheduleError> {
         fault_stage::set("prime");
-        // Resolve the problem the way a search does, validate the mapping,
-        // price it, file it.
+        // Admit the mapping the way a memo hit is admitted, then file it.
         let prime = || {
             let constraints = &self.config.constraints;
-            let (_, binding) = self.resolve(workload, arch, constraints)?;
-            ValidationContext::new(workload, arch, &binding)
-                .validate(mapping)
-                .map_err(|e| ScheduleError::InvalidMapping { reason: e.to_string() })?;
-            let report = CostModel::new(workload, arch, &binding).evaluate_unchecked(mapping);
+            let report =
+                self.with_admission(workload, arch, constraints, |admit| admit(mapping))??;
             let result = ScheduleResult {
                 mapping: mapping.clone(),
                 report: report.clone(),
@@ -663,9 +659,10 @@ impl Scheduler {
     ) -> Result<(ResolvedConstraints, Binding), ScheduleError> {
         self.config.validate()?;
         arch.validate()?;
-        let resolved = ResolvedConstraints::resolve(constraints, workload, arch)?;
+        let resolved = ResolvedConstraints::resolve(constraints, workload, arch)
+            .map_err(|e| ScheduleError::InvalidConstraints { reason: e.to_string() })?;
         let mut binding = Binding::resolve(arch, workload)?;
-        for (level, tensor, name) in &resolved.bypass {
+        for (level, tensor, name) in resolved.bypass() {
             binding = binding
                 .with_bypass(*level, *tensor, name)
                 .map_err(|e| ScheduleError::InvalidConstraints { reason: e.to_string() })?;
@@ -961,19 +958,37 @@ impl Scheduler {
         arch: &ArchSpec,
         constraints: &MappingConstraints,
     ) -> Result<Option<Vec<ScheduleResult>>, ScheduleError> {
+        self.with_admission(workload, arch, constraints, |admit| {
+            let admitted = memoized.iter().map(|r| {
+                let report = admit(&r.mapping).ok()?;
+                Some(ScheduleResult { mapping: r.mapping.clone(), report, stats: r.stats.clone() })
+            });
+            admitted.collect()
+        })
+    }
+
+    /// Runs `f` with the one admission of a mapping no search of this
+    /// call produced — a memo hit on its way out, a record primed from a
+    /// store: resolve the problem the way a search does, then per mapping
+    /// validate it, check it against the resolved constraints, and price
+    /// it afresh. A mapping that fails either test is
+    /// [`ScheduleError::InvalidMapping`].
+    fn with_admission<R>(
+        &self,
+        workload: &Workload,
+        arch: &ArchSpec,
+        constraints: &MappingConstraints,
+        f: impl FnOnce(&dyn Fn(&Mapping) -> Result<CostReport, ScheduleError>) -> R,
+    ) -> Result<R, ScheduleError> {
         let (resolved, binding) = self.resolve(workload, arch, constraints)?;
         let vctx = ValidationContext::new(workload, arch, &binding);
         let model = CostModel::new(workload, arch, &binding);
-        let results = memoized.iter().map(|r| {
-            let valid = vctx.validate(&r.mapping).is_ok()
-                && (resolved.is_empty() || vctx.satisfies(&r.mapping, constraints).is_ok());
-            valid.then(|| ScheduleResult {
-                mapping: r.mapping.clone(),
-                report: model.evaluate_unchecked(&r.mapping),
-                stats: r.stats.clone(),
-            })
-        });
-        Ok(results.collect())
+        let invalid = |reason: String| ScheduleError::InvalidMapping { reason };
+        Ok(f(&|mapping| {
+            vctx.validate(mapping).map_err(|e| invalid(e.to_string()))?;
+            resolved.check(mapping, workload, arch).map_err(|e| invalid(e.to_string()))?;
+            Ok(model.evaluate_unchecked(mapping))
+        }))
     }
 
     /// One search: resolve the problem, walk the levels, and rank the
@@ -1015,12 +1030,12 @@ impl Scheduler {
         let mut valid: Vec<(Mapping, CostReport)> = Vec::new();
         for (mapping, nest) in run.beam.completed(&ctx) {
             // Constrained calls additionally check the full mapping
-            // against the constraint set — belt and braces over the
-            // in-enumeration filters (and the only guard for truncated
-            // best-so-far completions, which the filters never saw).
+            // against the resolved set the enumerators read — belt and
+            // braces over the in-enumeration filters (and the only guard
+            // for truncated best-so-far completions, which the filters
+            // never saw).
             if ctx.validation.validate(&mapping).is_ok()
-                && (ctx.constraints.is_empty()
-                    || ctx.validation.satisfies(&mapping, constraints).is_ok())
+                && ctx.constraints.check(&mapping, workload, arch).is_ok()
             {
                 // The search's table only ranked these mappings: what the
                 // caller receives is priced afresh, outside it.

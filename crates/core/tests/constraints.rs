@@ -5,11 +5,12 @@
 //! pinned, must reject contradictions with the typed error, and must keep
 //! constrained and unconstrained cache contexts isolated.
 
+use sunstone::fingerprint::mapping_fingerprint;
 use sunstone::prelude::*;
 use sunstone::DimRef;
-use sunstone_arch::{presets, Binding};
+use sunstone_arch::presets;
 use sunstone_ir::Workload;
-use sunstone_mapping::{MappingLevel, ValidationContext};
+use sunstone_mapping::{MappingLevel, ResolvedConstraints, UnrollConstraint};
 
 fn conv(name: &str, k: u64, c: u64, pq: u64, r: u64) -> Workload {
     let mut b = Workload::builder(name);
@@ -44,9 +45,9 @@ fn assert_satisfies(
     result: &ScheduleResult,
     constraints: &MappingConstraints,
 ) {
-    let binding = Binding::resolve(arch, w).expect("binding resolves");
-    let vctx = ValidationContext::new(w, arch, &binding);
-    vctx.satisfies(&result.mapping, constraints)
+    ResolvedConstraints::resolve(constraints, w, arch)
+        .expect("constraints resolve")
+        .check(&result.mapping, w, arch)
         .unwrap_or_else(|e| panic!("result violates its constraints: {e}"));
 }
 
@@ -178,4 +179,68 @@ fn constrained_and_free_calls_share_a_session_without_interference() {
             .expect("config-level constraints schedule");
     assert_eq!(via_config.mapping, constrained[0].mapping);
     assert_eq!(via_config.report.edp.to_bits(), constrained[0].report.edp.to_bits());
+}
+
+/// A batched conv: N4 K64 C64 P14 Q14 R3 S3.
+fn batched_conv() -> Workload {
+    let mut b = Workload::builder("batched");
+    let n = b.dim("N", 4);
+    let k = b.dim("K", 64);
+    let c = b.dim("C", 64);
+    let p = b.dim("P", 14);
+    let q = b.dim("Q", 14);
+    let r = b.dim("R", 3);
+    let s = b.dim("S", 3);
+    b.input("ifmap", [n.expr(), c.expr(), p.expr() + r.expr(), q.expr() + s.expr()]);
+    b.input("weight", [k.expr(), c.expr(), r.expr(), s.expr()]);
+    b.output("ofmap", [n.expr(), k.expr(), p.expr(), q.expr()]);
+    b.build().expect("valid conv workload")
+}
+
+/// One constraint set is one set however it is spelled: a pin and an
+/// allow-list on one fabric, written as one entry or as two (in either
+/// builder order, or as a struct literal), search to the same mapping, and
+/// the check accepts it under every spelling.
+#[test]
+fn one_constraint_set_schedules_alike_under_any_spelling() {
+    let w = batched_conv();
+    let (c, k) = (DimRef::named("C"), DimRef::named("K"));
+    let spellings = [
+        MappingConstraints::new().allow_unroll("pe_grid", [c.clone()]).pin_unroll(
+            "pe_grid",
+            k.clone(),
+            4,
+        ),
+        MappingConstraints::new()
+            .pin_unroll("pe_grid", k.clone(), 4)
+            .allow_unroll("pe_grid", [c.clone()]),
+        MappingConstraints {
+            unroll: vec![
+                UnrollConstraint { level: "pe_grid".into(), allow: None, pins: vec![(k, 4)] },
+                UnrollConstraint { level: "pe_grid".into(), allow: Some(vec![c]), pins: vec![] },
+            ],
+            ..MappingConstraints::default()
+        },
+    ];
+    assert_eq!(spellings[0].unroll.len(), 1);
+    assert_eq!(spellings[1].unroll.len(), 2);
+    for arch in [presets::conventional(), presets::simba_like()] {
+        let results: Vec<ScheduleResult> = spellings
+            .iter()
+            .map(|set| {
+                schedule_constrained(&w, &arch, set.clone())
+                    .unwrap_or_else(|e| panic!("{}: {set:?} schedules: {e}", arch.name()))
+            })
+            .collect();
+        let grid = arch.levels().iter().position(|l| l.name() == "pe_grid").expect("a pe_grid");
+        let kd = w.dim_by_name("K").expect("K").index();
+        assert_eq!(results[0].mapping.level(grid).factors()[kd], 4, "the pin holds");
+        for r in &results {
+            assert_eq!(mapping_fingerprint(&r.mapping), mapping_fingerprint(&results[0].mapping));
+            assert_eq!(r.report.edp.to_bits(), results[0].report.edp.to_bits());
+            for set in &spellings {
+                assert_satisfies(&w, &arch, r, set);
+            }
+        }
+    }
 }

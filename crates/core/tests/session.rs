@@ -663,6 +663,40 @@ fn a_primed_mapping_is_the_contexts_memoized_answer() {
     assert_eq!(fresh.cache_stats().entries, 0, "a refused mapping files nothing");
 }
 
+/// `prime_mapping` holds a mapping to the session's constraints as a memo
+/// hit is held: the free optimum of a session that may unroll only `P`
+/// is refused and files nothing, so the memo never serves it.
+#[test]
+fn a_primed_mapping_that_violates_the_sessions_constraints_is_refused() {
+    let arch = presets::conventional();
+    let mut b = Workload::builder("batched");
+    let n = b.dim("N", 4);
+    let k = b.dim("K", 64);
+    let c = b.dim("C", 64);
+    let p = b.dim("P", 14);
+    let q = b.dim("Q", 14);
+    let r = b.dim("R", 3);
+    let s = b.dim("S", 3);
+    b.input("ifmap", [n.expr(), c.expr(), p.expr() + r.expr(), q.expr() + s.expr()]);
+    b.input("weight", [k.expr(), c.expr(), r.expr(), s.expr()]);
+    b.output("ofmap", [n.expr(), k.expr(), p.expr(), q.expr()]);
+    let w = b.build().expect("valid conv workload");
+    let free = Scheduler::new(SunstoneConfig::default()).schedule(&w, &arch).expect("schedules");
+    let grid = arch.levels().iter().position(|l| l.name() == "pe_grid").expect("a pe_grid");
+    let unrolled = free.mapping.level(grid).factors();
+    assert!(
+        unrolled.iter().enumerate().any(|(d, &f)| f > 1 && d != p.index()),
+        "the free optimum unrolls more than P: {unrolled:?}"
+    );
+
+    let constraints = MappingConstraints::new().allow_unroll("pe_grid", [DimRef::named("P")]);
+    let session = Scheduler::new(SunstoneConfig { constraints, ..SunstoneConfig::default() });
+    let err = session.prime_mapping(&w, &arch, &free.mapping);
+    assert!(matches!(err, Err(ScheduleError::InvalidMapping { .. })), "{err:?}");
+    assert!(session.memoized(session.context_fingerprint(&w, &arch)).is_none());
+    assert_eq!(session.cache_stats().entries, 0, "a refused mapping files nothing");
+}
+
 #[test]
 fn cloned_sessions_share_one_cache() {
     let arch = presets::conventional();

@@ -1,4 +1,6 @@
-//! User-specified mapping constraints.
+//! User-specified mapping constraints: the vocabulary, its resolution
+//! against one problem, and the check of a mapping against the resolved
+//! form.
 //!
 //! A [`MappingConstraints`] value restricts the mapping space *before*
 //! search: pin or allowlist spatial unroll dimensions per fabric, fix a
@@ -13,13 +15,24 @@
 //! description — a *dataflow template*, see
 //! [`crate::templates::DataflowTemplate`] — applies across workloads.
 //!
+//! A set has one meaning, [`ResolvedConstraints`]: resolved once per call
+//! against a (workload, architecture) pair, it holds per architecture
+//! position the dimension sets and factor pins as raw indices, and
+//! rejects every statically unsatisfiable set. The search's enumerators
+//! read it inside enumeration, and [`ResolvedConstraints::check`] holds a
+//! finished mapping to it, so a mapping the search admits under a set is
+//! one the check accepts, however the set was spelled.
+//!
 //! [`Level::name`]: sunstone_arch::Level::name
 
 use std::error::Error;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use sunstone_ir::{DimId, DimRole, DimSet, Workload};
+use sunstone_arch::{ArchSpec, LevelId};
+use sunstone_ir::{DimId, DimRole, DimSet, TensorId, Workload};
+
+use crate::Mapping;
 
 /// A reference to one or more problem dimensions, resolved per workload.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -279,7 +292,7 @@ pub enum ConstraintError {
     /// non-dividing tile pins, over-subscribed fabrics, ...).
     Unsatisfiable { reason: String },
     /// A mapping does not honor the constraint set (reported by
-    /// [`ValidationContext::satisfies`](crate::ValidationContext::satisfies)).
+    /// [`ResolvedConstraints::check`]).
     Violated { level: String, reason: String },
 }
 
@@ -313,13 +326,8 @@ impl fmt::Display for ConstraintError {
 
 impl Error for ConstraintError {}
 
-/// Resolves the union of several references, used by every consumer of a
-/// `Vec<DimRef>`.
-///
-/// # Errors
-///
-/// Propagates [`DimRef::resolve`] failures.
-pub fn resolve_union(refs: &[DimRef], workload: &Workload) -> Result<DimSet, ConstraintError> {
+/// Resolves the union of several references.
+fn resolve_union(refs: &[DimRef], workload: &Workload) -> Result<DimSet, ConstraintError> {
     let mut set = DimSet::EMPTY;
     for r in refs {
         set = set.union(r.resolve(workload)?);
@@ -330,13 +338,7 @@ pub fn resolve_union(refs: &[DimRef], workload: &Workload) -> Result<DimSet, Con
 /// Resolves `(DimRef, value)` pairs to per-dimension values. A reference
 /// resolving to several dimensions pins each of them; conflicting values
 /// for the same dimension are unsatisfiable.
-///
-/// # Errors
-///
-/// Propagates [`DimRef::resolve`] failures;
-/// [`ConstraintError::Unsatisfiable`] on conflicting values for one
-/// dimension.
-pub fn resolve_pins(
+fn resolve_pins(
     pins: &[(DimRef, u64)],
     workload: &Workload,
     what: &str,
@@ -365,11 +367,7 @@ pub fn resolve_pins(
 /// Resolves `(DimRef, cap)` pairs to per-dimension upper bounds. Unlike
 /// pins, several caps on one dimension are not a conflict — the tightest
 /// wins.
-///
-/// # Errors
-///
-/// Propagates [`DimRef::resolve`] failures.
-pub fn resolve_caps(
+fn resolve_caps(
     caps: &[(DimRef, u64)],
     workload: &Workload,
 ) -> Result<Vec<(DimId, u64)>, ConstraintError> {
@@ -385,9 +383,447 @@ pub fn resolve_caps(
     Ok(out)
 }
 
+fn unsat(reason: String) -> ConstraintError {
+    ConstraintError::Unsatisfiable { reason }
+}
+
+/// Resolved constraint data of one architecture position (spatial fields
+/// for fabrics, tile/order fields for memories), raw-indexed.
+#[derive(Debug, Clone)]
+pub struct LevelConstraints {
+    /// Fabrics: the only dimensions allowed to unroll here (pins
+    /// included); `None` leaves the fabric unconstrained.
+    pub unroll_allow: Option<DimSet>,
+    /// Fabrics: exact per-dimension unroll factors.
+    pub unroll_pins: Vec<(usize, u64)>,
+    /// The pinned dimensions of `unroll_pins`, as a set.
+    pub unroll_pinned: DimSet,
+    /// Product of the pinned unroll factors (1 when nothing is pinned);
+    /// validated to not exceed the fabric's unit count.
+    pub unroll_pin_product: u64,
+    /// Memories: exact resident-tile extents.
+    pub tile_pins: Vec<(usize, u64)>,
+    /// Memories: resident-tile upper bounds.
+    pub tile_caps: Vec<(usize, u64)>,
+    /// Memories: forced innermost loop groups (innermost first) plus the
+    /// exact flag of [`OrderConstraint`].
+    pub order: Option<(Vec<DimSet>, bool)>,
+}
+
+impl Default for LevelConstraints {
+    fn default() -> Self {
+        LevelConstraints {
+            unroll_allow: None,
+            unroll_pins: Vec::new(),
+            unroll_pinned: DimSet::EMPTY,
+            unroll_pin_product: 1,
+            tile_pins: Vec::new(),
+            tile_caps: Vec::new(),
+            order: None,
+        }
+    }
+}
+
+/// A constraint set resolved against one (workload, architecture) pair,
+/// indexed by architecture position. Statically valid by construction.
+#[derive(Debug, Clone)]
+pub struct ResolvedConstraints {
+    levels: Vec<LevelConstraints>,
+    bypass: Vec<(LevelId, TensorId, String)>,
+    empty: bool,
+}
+
+impl ResolvedConstraints {
+    /// Whether the originating constraint set was empty — the fast path
+    /// every enumerator checks before touching constraint state.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.empty
+    }
+
+    /// The resolved constraints of the level at architecture position
+    /// `pos`.
+    #[inline]
+    pub fn at(&self, pos: usize) -> &LevelConstraints {
+        &self.levels[pos]
+    }
+
+    /// Bypass overrides as `(level, tensor, tensor name)`, applied to the
+    /// [`Binding`](sunstone_arch::Binding) before the search starts.
+    pub fn bypass(&self) -> &[(LevelId, TensorId, String)] {
+        &self.bypass
+    }
+
+    /// Resolves and validates `constraints` for one problem.
+    ///
+    /// # Errors
+    ///
+    /// Unknown level, dimension or tensor names, constraints on levels of
+    /// the wrong kind (unroll on a memory, tile on a fabric), restrictions
+    /// the walk cannot honor (ordering the innermost memory, pinning the
+    /// outermost memory's tile, bypassing the outermost memory), and
+    /// statically unsatisfiable sets (conflicting or non-dividing pins,
+    /// over-subscribed fabrics, overlapping order groups, pins above caps).
+    pub fn resolve(
+        constraints: &MappingConstraints,
+        workload: &Workload,
+        arch: &ArchSpec,
+    ) -> Result<Self, ConstraintError> {
+        let mut levels: Vec<LevelConstraints> =
+            (0..arch.num_levels()).map(|_| LevelConstraints::default()).collect();
+        let mut bypass = Vec::new();
+        if constraints.is_empty() {
+            return Ok(ResolvedConstraints { levels, bypass, empty: true });
+        }
+        let find = |name: &str| -> Result<usize, ConstraintError> {
+            (0..arch.num_levels())
+                .find(|&p| arch.level(LevelId(p)).name() == name)
+                .ok_or_else(|| ConstraintError::UnknownLevel { name: name.to_string() })
+        };
+        let innermost_mem = arch.memory_levels().next().map(|(id, _)| id.index());
+        let outermost_mem = arch.memory_levels().last().map(|(id, _)| id.index());
+
+        for uc in &constraints.unroll {
+            let pos = find(&uc.level)?;
+            if arch.level(LevelId(pos)).as_spatial().is_none() {
+                return Err(ConstraintError::NotSpatial { level: uc.level.clone() });
+            }
+            let pins = resolve_pins(&uc.pins, workload, "unroll", &uc.level)?;
+            let lc = &mut levels[pos];
+            for (d, v) in pins {
+                match lc.unroll_pins.iter().find(|(e, _)| *e == d.index()) {
+                    Some((_, prev)) if *prev != v => {
+                        return Err(unsat(format!(
+                            "conflicting unroll pins for dimension `{}` at `{}`: {prev} vs {v}",
+                            workload.dim(d).name(),
+                            uc.level
+                        )));
+                    }
+                    Some(_) => {}
+                    None => lc.unroll_pins.push((d.index(), v)),
+                }
+            }
+            if let Some(refs) = &uc.allow {
+                let set = resolve_union(refs, workload)?;
+                lc.unroll_allow = Some(match lc.unroll_allow {
+                    Some(prev) => prev.intersection(set),
+                    None => set,
+                });
+            }
+        }
+        // Per-fabric pin validation: each pin must divide its dimension,
+        // respect the fabric's reduction capability, and jointly fit the
+        // fabric; pinned dimensions are implicitly allowed.
+        for (pos, lc) in levels.iter_mut().enumerate() {
+            if lc.unroll_pins.is_empty() {
+                continue;
+            }
+            let fabric = arch.level(LevelId(pos)).as_spatial().expect("checked spatial above");
+            let mut product: u128 = 1;
+            for &(d, v) in &lc.unroll_pins {
+                let dim = workload.dim(DimId::from_index(d));
+                if v == 0 || !dim.size().is_multiple_of(v) {
+                    return Err(unsat(format!(
+                        "unroll pin {v} for `{}` at `{}` does not divide the extent {}",
+                        dim.name(),
+                        arch.level(LevelId(pos)).name(),
+                        dim.size()
+                    )));
+                }
+                if !fabric.allow_reduction
+                    && workload.reduction_dims().contains(DimId::from_index(d))
+                    && v > 1
+                {
+                    return Err(unsat(format!(
+                        "unroll pin for reduction dimension `{}` at `{}`, which cannot \
+                         spatially reduce",
+                        dim.name(),
+                        arch.level(LevelId(pos)).name()
+                    )));
+                }
+                product *= u128::from(v);
+                lc.unroll_pinned = lc.unroll_pinned.with(DimId::from_index(d));
+            }
+            if product > u128::from(fabric.units) {
+                return Err(unsat(format!(
+                    "unroll pins multiply to {product}, exceeding the {} units of `{}`",
+                    fabric.units,
+                    arch.level(LevelId(pos)).name()
+                )));
+            }
+            lc.unroll_pin_product = product as u64;
+            if let Some(a) = lc.unroll_allow {
+                lc.unroll_allow = Some(a.union(lc.unroll_pinned));
+            }
+        }
+
+        for oc in &constraints.order {
+            let pos = find(&oc.level)?;
+            if arch.level(LevelId(pos)).as_memory().is_none() {
+                return Err(ConstraintError::NotMemory { level: oc.level.clone() });
+            }
+            if Some(pos) == innermost_mem {
+                return Err(unsat(format!(
+                    "the loop order of the innermost memory `{}` is not enumerated and \
+                     cannot be constrained",
+                    oc.level
+                )));
+            }
+            if levels[pos].order.is_some() {
+                return Err(unsat(format!("multiple order constraints on `{}`", oc.level)));
+            }
+            let mut groups = Vec::with_capacity(oc.inner.len());
+            for r in &oc.inner {
+                groups.push(r.resolve(workload)?);
+            }
+            for i in 0..groups.len() {
+                for j in i + 1..groups.len() {
+                    if !groups[i].is_disjoint(groups[j]) {
+                        return Err(unsat(format!("overlapping order groups at `{}`", oc.level)));
+                    }
+                }
+            }
+            levels[pos].order = Some((groups, oc.exact));
+        }
+
+        for tc in &constraints.tile {
+            let pos = find(&tc.level)?;
+            if arch.level(LevelId(pos)).as_memory().is_none() {
+                return Err(ConstraintError::NotMemory { level: tc.level.clone() });
+            }
+            if Some(pos) == outermost_mem {
+                return Err(unsat(format!(
+                    "the outermost memory `{}` always holds the full problem; its tile \
+                     cannot be pinned or capped",
+                    tc.level
+                )));
+            }
+            let pins = resolve_pins(&tc.pins, workload, "tile", &tc.level)?;
+            let caps = resolve_caps(&tc.caps, workload)?;
+            let lc = &mut levels[pos];
+            for (d, v) in pins {
+                let dim = workload.dim(d);
+                if v == 0 || !dim.size().is_multiple_of(v) {
+                    return Err(unsat(format!(
+                        "tile pin {v} for `{}` at `{}` does not divide the extent {}",
+                        dim.name(),
+                        tc.level,
+                        dim.size()
+                    )));
+                }
+                match lc.tile_pins.iter().find(|(e, _)| *e == d.index()) {
+                    Some((_, prev)) if *prev != v => {
+                        return Err(unsat(format!(
+                            "conflicting tile pins for dimension `{}` at `{}`: {prev} vs {v}",
+                            dim.name(),
+                            tc.level
+                        )));
+                    }
+                    Some(_) => {}
+                    None => lc.tile_pins.push((d.index(), v)),
+                }
+            }
+            for (d, v) in caps {
+                if v == 0 {
+                    return Err(unsat(format!(
+                        "tile cap 0 for `{}` at `{}` admits no tile",
+                        workload.dim(d).name(),
+                        tc.level
+                    )));
+                }
+                match lc.tile_caps.iter_mut().find(|(e, _)| *e == d.index()) {
+                    Some((_, prev)) => *prev = (*prev).min(v),
+                    None => lc.tile_caps.push((d.index(), v)),
+                }
+            }
+            for &(d, pin) in &lc.tile_pins {
+                if let Some(&(_, cap)) = lc.tile_caps.iter().find(|(e, _)| *e == d) {
+                    if pin > cap {
+                        return Err(unsat(format!(
+                            "tile pin {pin} exceeds cap {cap} for `{}` at `{}`",
+                            workload.dim(DimId::from_index(d)).name(),
+                            tc.level
+                        )));
+                    }
+                }
+            }
+        }
+        // Resident tiles nest: a pin at an inner memory must divide any
+        // pin — and respect any cap — of every memory above it.
+        let mems: Vec<usize> = arch.memory_levels().map(|(id, _)| id.index()).collect();
+        for (i, &inner) in mems.iter().enumerate() {
+            for &outer in &mems[i + 1..] {
+                for &(d, pv) in &levels[inner].tile_pins {
+                    if let Some(&(_, ov)) = levels[outer].tile_pins.iter().find(|(e, _)| *e == d) {
+                        if ov % pv != 0 {
+                            return Err(unsat(format!(
+                                "tile pin {pv} at `{}` does not divide pin {ov} at `{}` \
+                                 for dimension `{}`",
+                                arch.level(LevelId(inner)).name(),
+                                arch.level(LevelId(outer)).name(),
+                                workload.dim(DimId::from_index(d)).name()
+                            )));
+                        }
+                    }
+                    if let Some(&(_, cap)) = levels[outer].tile_caps.iter().find(|(e, _)| *e == d) {
+                        if cap < pv {
+                            return Err(unsat(format!(
+                                "tile pin {pv} at `{}` exceeds cap {cap} at the outer \
+                                 memory `{}` for dimension `{}`",
+                                arch.level(LevelId(inner)).name(),
+                                arch.level(LevelId(outer)).name(),
+                                workload.dim(DimId::from_index(d)).name()
+                            )));
+                        }
+                    }
+                }
+            }
+        }
+
+        for b in &constraints.bypass {
+            let pos = find(&b.level)?;
+            if arch.level(LevelId(pos)).as_memory().is_none() {
+                return Err(ConstraintError::NotMemory { level: b.level.clone() });
+            }
+            let tensor = workload
+                .tensor_by_name(&b.tensor)
+                .ok_or_else(|| ConstraintError::UnknownTensor { name: b.tensor.clone() })?;
+            if Some(pos) == outermost_mem {
+                return Err(unsat(format!(
+                    "tensor `{}` cannot bypass the outermost memory `{}`",
+                    b.tensor, b.level
+                )));
+            }
+            bypass.push((LevelId(pos), tensor, b.tensor.clone()));
+        }
+
+        Ok(ResolvedConstraints { levels, bypass, empty: false })
+    }
+
+    /// Checks that `mapping` honors the set: per fabric, the allow-list
+    /// (pins included) and the pins; per memory, the resident-tile pins
+    /// and caps, and the order groups over that level's non-degenerate
+    /// loops (a loop of factor 1 runs once, so where it sits is moot).
+    /// Bypass overrides are a binding concern the mapping does not
+    /// record, so they are not checked here.
+    ///
+    /// `mapping` must be structurally valid
+    /// ([`ValidationContext::validate_structure`](crate::ValidationContext::validate_structure))
+    /// for the `workload` and `arch` the set was resolved against.
+    ///
+    /// # Errors
+    ///
+    /// [`ConstraintError::Violated`], naming the level, for the first
+    /// violation found.
+    pub fn check(
+        &self,
+        mapping: &Mapping,
+        workload: &Workload,
+        arch: &ArchSpec,
+    ) -> Result<(), ConstraintError> {
+        if self.empty {
+            return Ok(());
+        }
+        let name = |d: usize| workload.dim(DimId::from_index(d)).name();
+        for (pos, lc) in self.levels.iter().enumerate() {
+            let violated = |reason: String| ConstraintError::Violated {
+                level: arch.level(LevelId(pos)).name().to_string(),
+                reason,
+            };
+            let factors = mapping.level(pos).factors();
+            if let Some(allow) = lc.unroll_allow {
+                let outside = (0..factors.len())
+                    .find(|&d| factors[d] > 1 && !allow.contains(DimId::from_index(d)));
+                if let Some(d) = outside {
+                    return Err(violated(format!(
+                        "dimension `{}` unrolled by {} outside the allowlist",
+                        name(d),
+                        factors[d]
+                    )));
+                }
+            }
+            if let Some(&(d, v)) = lc.unroll_pins.iter().find(|&&(d, v)| factors[d] != v) {
+                return Err(violated(format!(
+                    "dimension `{}` unrolled by {}, pinned to {v}",
+                    name(d),
+                    factors[d]
+                )));
+            }
+            if !lc.tile_pins.is_empty() || !lc.tile_caps.is_empty() {
+                let tile = mapping.resident_tile(pos, workload.num_dims());
+                if let Some(&(d, v)) = lc.tile_pins.iter().find(|&&(d, v)| tile[d] != v) {
+                    return Err(violated(format!(
+                        "resident tile of `{}` is {}, pinned to {v}",
+                        name(d),
+                        tile[d]
+                    )));
+                }
+                if let Some(&(d, v)) = lc.tile_caps.iter().find(|&&(d, v)| tile[d] > v) {
+                    return Err(violated(format!(
+                        "resident tile of `{}` is {}, capped at {v}",
+                        name(d),
+                        tile[d]
+                    )));
+                }
+            }
+            if let Some((groups, exact)) = &lc.order {
+                let t =
+                    mapping.level(pos).as_temporal().expect("order constraints sit at memories");
+                let active: DimSet =
+                    t.order.iter().copied().filter(|d| t.factors[d.index()] > 1).collect();
+                let consumed =
+                    inner_groups(&t.order, groups, active).map_err(|(loops, group)| {
+                        violated(format!(
+                            "loops {loops} occupy the positions constrained to {group}"
+                        ))
+                    })?;
+                if *exact && consumed != active.len() {
+                    return Err(violated(format!(
+                        "{} non-degenerate loops outside the exact order groups",
+                        active.len() - consumed
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The order-group rule. Reads `order` (innermost first) over the
+/// dimensions in `scope`, skipping the rest: the `groups` must be its
+/// innermost run, in sequence, each group's dimensions in any order
+/// within its stretch. Returns how many loops the groups take up, or the
+/// loops that stand where a group should and that group.
+///
+/// The search asks it over the dimensions a stage still has in play, the
+/// check over the loops of factor above 1.
+///
+/// # Errors
+///
+/// `(loops, group)` for the first group whose stretch holds other loops.
+pub fn inner_groups(
+    order: &[DimId],
+    groups: &[DimSet],
+    scope: DimSet,
+) -> Result<usize, (DimSet, DimSet)> {
+    let mut seq = order.iter().copied().filter(|&d| scope.contains(d));
+    let mut taken = 0;
+    for g in groups {
+        let group = g.intersection(scope);
+        let loops: DimSet = seq.by_ref().take(group.len()).collect();
+        if loops != group {
+            return Err((loops, group));
+        }
+        taken += group.len();
+    }
+    Ok(taken)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MappingLevel, ValidationContext};
+    use sunstone_arch::{presets, Binding};
 
     fn conv1d() -> Workload {
         let mut b = Workload::builder("conv1d");
@@ -472,5 +908,232 @@ mod tests {
         for e in errs {
             assert!(!e.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn empty_resolves_empty() {
+        let w = conv1d();
+        let arch = presets::conventional();
+        let r = ResolvedConstraints::resolve(&MappingConstraints::default(), &w, &arch).unwrap();
+        assert!(r.is_empty());
+        assert!(r.bypass.is_empty());
+    }
+
+    #[test]
+    fn unknown_names_are_typed_errors() {
+        let w = conv1d();
+        let arch = presets::conventional();
+        for (c, want) in [
+            (
+                MappingConstraints::new().allow_unroll("nope", [DimRef::named("C")]),
+                ConstraintError::UnknownLevel { name: "nope".into() },
+            ),
+            (
+                MappingConstraints::new().allow_unroll("pe_grid", [DimRef::named("Z")]),
+                ConstraintError::UnknownDim { name: "Z".into() },
+            ),
+            (
+                MappingConstraints::new().bypass("L1", "bias"),
+                ConstraintError::UnknownTensor { name: "bias".into() },
+            ),
+        ] {
+            assert_eq!(ResolvedConstraints::resolve(&c, &w, &arch).unwrap_err(), want);
+        }
+    }
+
+    #[test]
+    fn wrong_level_kinds_are_rejected() {
+        let w = conv1d();
+        let arch = presets::conventional();
+        for (c, want) in [
+            (
+                MappingConstraints::new().allow_unroll("L1", [DimRef::named("C")]),
+                ConstraintError::NotSpatial { level: "L1".into() },
+            ),
+            (
+                MappingConstraints::new().pin_tile("pe_grid", DimRef::named("C"), 2),
+                ConstraintError::NotMemory { level: "pe_grid".into() },
+            ),
+            (
+                MappingConstraints::new().order_inner("pe_grid", [DimRef::named("C")]),
+                ConstraintError::NotMemory { level: "pe_grid".into() },
+            ),
+        ] {
+            assert_eq!(ResolvedConstraints::resolve(&c, &w, &arch).unwrap_err(), want);
+        }
+    }
+
+    #[test]
+    fn non_dividing_and_oversubscribed_pins_are_unsatisfiable() {
+        let w = conv1d();
+        let arch = presets::conventional();
+        let nondiv = MappingConstraints::new().pin_unroll("pe_grid", DimRef::named("C"), 3);
+        assert!(ResolvedConstraints::resolve(&nondiv, &w, &arch).is_err());
+        let conflict = MappingConstraints::new()
+            .pin_unroll("pe_grid", DimRef::named("C"), 2)
+            .pin_unroll("pe_grid", DimRef::named("C"), 4);
+        assert!(ResolvedConstraints::resolve(&conflict, &w, &arch).is_err());
+    }
+
+    #[test]
+    fn innermost_order_and_outermost_tile_are_rejected() {
+        let w = conv1d();
+        let arch = presets::conventional();
+        let inner = arch.memory_levels().next().unwrap().1.name.clone();
+        let outer = arch.memory_levels().last().unwrap().1.name.clone();
+        let c = MappingConstraints::new().order_inner(inner, [DimRef::named("C")]);
+        assert!(ResolvedConstraints::resolve(&c, &w, &arch).is_err());
+        let c = MappingConstraints::new().pin_tile(outer.clone(), DimRef::named("C"), 2);
+        assert!(ResolvedConstraints::resolve(&c, &w, &arch).is_err());
+        let c = MappingConstraints::new().bypass(outer, "weight");
+        assert!(ResolvedConstraints::resolve(&c, &w, &arch).is_err());
+    }
+
+    #[test]
+    fn valid_set_resolves_per_position() {
+        let w = conv1d();
+        let arch = presets::conventional();
+        let c = w.dim_by_name("C").unwrap();
+        let k = w.dim_by_name("K").unwrap();
+        let set = MappingConstraints::new()
+            .allow_unroll("pe_grid", [DimRef::named("C"), DimRef::named("K")])
+            .pin_unroll("pe_grid", DimRef::named("C"), 4)
+            .cap_tile("L1", DimRef::named("P"), 7);
+        let r = ResolvedConstraints::resolve(&set, &w, &arch).unwrap();
+        assert!(!r.is_empty());
+        let grid =
+            (0..arch.num_levels()).find(|&p| arch.level(LevelId(p)).name() == "pe_grid").unwrap();
+        let lc = r.at(grid);
+        assert_eq!(lc.unroll_allow, Some(DimSet::EMPTY.with(c).with(k)));
+        assert_eq!(lc.unroll_pins, vec![(c.index(), 4)]);
+        assert_eq!(lc.unroll_pin_product, 4);
+        let l1 = (0..arch.num_levels()).find(|&p| arch.level(LevelId(p)).name() == "L1").unwrap();
+        assert_eq!(r.at(l1).tile_caps, vec![(w.dim_by_name("P").unwrap().index(), 7)]);
+    }
+
+    /// `conv1d` on `conventional` (L1, pe_grid, L2, DRAM) with each
+    /// `(position, dimension, factor)` taken out of DRAM, and the L2 loop
+    /// order (innermost first) when given; structurally valid.
+    fn mapping(moves: &[(usize, &str, u64)], l2_order: Option<[&str; 4]>) -> Mapping {
+        let (w, arch) = (conv1d(), presets::conventional());
+        let mut m = Mapping::streaming(&w, &arch);
+        for &(pos, dim, f) in moves {
+            let d = w.dim_by_name(dim).unwrap().index();
+            m.levels_mut()[pos].factors_mut()[d] *= f;
+            m.levels_mut()[3].factors_mut()[d] /= f;
+        }
+        if let (Some(names), MappingLevel::Temporal(t)) = (l2_order, &mut m.levels_mut()[2]) {
+            t.order = names.iter().map(|n| w.dim_by_name(n).unwrap()).collect();
+        }
+        let binding = Binding::resolve(&arch, &w).unwrap();
+        ValidationContext::new(&w, &arch, &binding).validate(&m).unwrap();
+        m
+    }
+
+    fn check(set: &MappingConstraints, m: &Mapping) -> Result<(), ConstraintError> {
+        let (w, arch) = (conv1d(), presets::conventional());
+        ResolvedConstraints::resolve(set, &w, &arch).unwrap().check(m, &w, &arch)
+    }
+
+    fn assert_violates(set: &MappingConstraints, m: &Mapping, level: &str) {
+        match check(set, m) {
+            Err(ConstraintError::Violated { level: l, .. }) if l == level => {}
+            other => panic!("expected a violation at `{level}`, got {other:?}"),
+        }
+    }
+
+    /// One violating and one honoring hand-built mapping per kind of
+    /// constraint: unroll allow-list, unroll pin, tile pin, tile cap,
+    /// inner order and exact order.
+    #[test]
+    fn the_check_rejects_each_kind_of_violation_and_accepts_its_honoring_mapping() {
+        let named = DimRef::named;
+        let cases = [
+            (
+                MappingConstraints::new().allow_unroll("pe_grid", [named("C")]),
+                "pe_grid",
+                mapping(&[(1, "K", 4)], None),
+                mapping(&[(1, "C", 4)], None),
+            ),
+            (
+                MappingConstraints::new().pin_unroll("pe_grid", named("K"), 4),
+                "pe_grid",
+                mapping(&[(1, "K", 2), (1, "P", 7)], None),
+                mapping(&[(1, "K", 4), (1, "P", 7)], None),
+            ),
+            (
+                // A pin in an entry of its own is allowed by the other
+                // entry's allow-list: one set, however it is spelled.
+                MappingConstraints::new()
+                    .pin_unroll("pe_grid", named("K"), 4)
+                    .allow_unroll("pe_grid", [named("C")]),
+                "pe_grid",
+                mapping(&[(1, "K", 4), (1, "P", 7)], None),
+                mapping(&[(1, "K", 4), (1, "C", 4)], None),
+            ),
+            (
+                // The resident tile at L2 spans L1 and the fabric below it.
+                MappingConstraints::new().pin_tile("L2", named("P"), 14),
+                "L2",
+                mapping(&[(0, "P", 2)], None),
+                mapping(&[(0, "P", 2), (2, "P", 7)], None),
+            ),
+            (
+                MappingConstraints::new().cap_tile("L1", named("K"), 2),
+                "L1",
+                mapping(&[(0, "K", 4)], None),
+                mapping(&[(0, "K", 2)], None),
+            ),
+            (
+                MappingConstraints::new().order_inner("L2", [named("C")]),
+                "L2",
+                mapping(&[(2, "K", 2), (2, "C", 2)], Some(["K", "C", "P", "R"])),
+                mapping(&[(2, "K", 2), (2, "C", 2)], Some(["C", "K", "P", "R"])),
+            ),
+            (
+                MappingConstraints::new().order_exact("L2", [named("C")]),
+                "L2",
+                mapping(&[(2, "K", 2), (2, "C", 2)], Some(["C", "K", "P", "R"])),
+                mapping(&[(2, "C", 2)], Some(["K", "C", "P", "R"])),
+            ),
+        ];
+        for (set, level, violating, honoring) in &cases {
+            assert_violates(set, violating, level);
+            assert_eq!(check(set, honoring), Ok(()), "{set:?}");
+        }
+    }
+
+    /// A loop of factor 1 at the constrained level runs once: wherever it
+    /// sits in the recorded order, the groups are read without it.
+    #[test]
+    fn a_degenerate_loop_is_ignored_wherever_it_sits() {
+        let set = MappingConstraints::new().order_inner("L2", [DimRef::named("C")]);
+        for order in
+            [["P", "C", "K", "R"], ["C", "P", "K", "R"], ["C", "K", "P", "R"], ["R", "P", "C", "K"]]
+        {
+            let m = mapping(&[(2, "K", 2), (2, "C", 2)], Some(order));
+            assert_eq!(check(&set, &m), Ok(()), "{order:?}");
+        }
+        let m = mapping(&[(2, "K", 2), (2, "C", 2)], Some(["P", "K", "R", "C"]));
+        assert_violates(&set, &m, "L2");
+    }
+
+    #[test]
+    fn inner_groups_reads_the_order_over_its_scope() {
+        let w = conv1d();
+        let d = |n: &str| w.dim_by_name(n).unwrap();
+        let order = [d("K"), d("P"), d("C"), d("R")];
+        let set = |ds: &[&str]| ds.iter().map(|n| d(n)).collect::<DimSet>();
+        let groups = [set(&["C"]), set(&["K", "R"])];
+        // P out of scope: K stands where C must.
+        assert!(inner_groups(&order, &groups, set(&["K", "C", "R"])).is_err());
+        // K out of scope too: C, then R.
+        assert_eq!(inner_groups(&order, &groups, set(&["C", "R"])), Ok(2));
+        // A group empty over the scope takes nothing.
+        assert_eq!(inner_groups(&order, &groups, set(&["P"])), Ok(0));
+        assert_eq!(
+            inner_groups(&order, &[set(&["C", "P"])], set(&["K", "P", "C"])),
+            Err((set(&["K", "P"]), set(&["C", "P"])))
+        );
     }
 }

@@ -31,6 +31,14 @@
 //! whether a tile fits — the search's enumerators, the canonical
 //! [`dataflows`], every baseline mapper — asks it, so a tile a search
 //! admits is a tile the validator accepts.
+//!
+//! Constraints are one rule too, [`ResolvedConstraints`]
+//! ([`constraints`]): a user's [`MappingConstraints`] resolved once per
+//! call against the problem, beside its vocabulary. The search's
+//! enumerators read the resolved form, and
+//! [`ResolvedConstraints::check`] holds a finished mapping to that same
+//! form — the finalists, a memo hit, a primed record — so a mapping a
+//! search admits under a set is one the check accepts.
 
 mod capacity;
 pub mod constraints;
@@ -44,8 +52,8 @@ mod validate;
 
 pub use capacity::CapacityPlan;
 pub use constraints::{
-    BypassOverride, ConstraintError, DimRef, MappingConstraints, OrderConstraint, TileConstraint,
-    UnrollConstraint,
+    BypassOverride, ConstraintError, DimRef, LevelConstraints, MappingConstraints, OrderConstraint,
+    ResolvedConstraints, TileConstraint, UnrollConstraint,
 };
 pub use flatten::{FlatLoop, FlatNest, LoopKind};
 pub use mapping::{Mapping, MappingLevel, SpatialAssignment, TemporalLevel};

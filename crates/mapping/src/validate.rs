@@ -4,12 +4,9 @@ use std::error::Error;
 use std::fmt;
 
 use sunstone_arch::{ArchSpec, Binding, Capacity, Level, LevelId};
-use sunstone_ir::{DimId, DimSet, DimVec, Workload};
+use sunstone_ir::{DimSet, DimVec, Workload};
 
 use crate::capacity::CapacityPlan;
-use crate::constraints::{
-    resolve_caps, resolve_pins, resolve_union, ConstraintError, MappingConstraints,
-};
 use crate::{Mapping, MappingLevel};
 
 /// Reasons a mapping can be invalid.
@@ -226,154 +223,6 @@ impl<'a> ValidationContext<'a> {
                     partition: part.name.clone(),
                     needed_bytes,
                     capacity_bytes,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks that a (structurally valid) mapping honors every constraint
-    /// in `constraints`.
-    ///
-    /// Bypass overrides are a search-time *binding* concern — the mapping
-    /// itself does not record which memory stores which tensor — so they
-    /// are not checked here; everything else (unroll allowlists and pins,
-    /// tile pins and caps, loop-order prefixes) is enforced strictly.
-    ///
-    /// Order constraints apply to the *non-degenerate* loops of a level:
-    /// a loop whose factor is 1 at that level runs a single iteration and
-    /// carries no ordering semantics, so its position in the recorded
-    /// permutation is ignored.
-    ///
-    /// # Errors
-    ///
-    /// [`ConstraintError::Violated`] for the first violation found;
-    /// resolution errors (unknown names, wrong level kinds, contradictory
-    /// pins) surface as their own variants.
-    pub fn satisfies(
-        &self,
-        mapping: &Mapping,
-        constraints: &MappingConstraints,
-    ) -> Result<(), ConstraintError> {
-        let find_level = |name: &str| -> Result<usize, ConstraintError> {
-            self.arch
-                .levels()
-                .iter()
-                .position(|l| l.name() == name)
-                .ok_or_else(|| ConstraintError::UnknownLevel { name: name.to_string() })
-        };
-        for uc in &constraints.unroll {
-            let pos = find_level(&uc.level)?;
-            if self.arch.levels()[pos].as_spatial().is_none() {
-                return Err(ConstraintError::NotSpatial { level: uc.level.clone() });
-            }
-            let factors = mapping.level(pos).factors();
-            let pins = resolve_pins(&uc.pins, self.workload, "unroll", &uc.level)?;
-            if let Some(refs) = &uc.allow {
-                let mut allowed = resolve_union(refs, self.workload)?;
-                for (d, _) in &pins {
-                    allowed.insert(*d); // pinned dims are implicitly allowed
-                }
-                for (i, &f) in factors.iter().enumerate() {
-                    let d = DimId::from_index(i);
-                    if f > 1 && !allowed.contains(d) {
-                        return Err(ConstraintError::Violated {
-                            level: uc.level.clone(),
-                            reason: format!(
-                                "dimension `{}` unrolled by {f} outside the allowlist",
-                                self.workload.dim(d).name()
-                            ),
-                        });
-                    }
-                }
-            }
-            for (d, v) in pins {
-                let f = factors[d.index()];
-                if f != v {
-                    return Err(ConstraintError::Violated {
-                        level: uc.level.clone(),
-                        reason: format!(
-                            "dimension `{}` unrolled by {f}, pinned to {v}",
-                            self.workload.dim(d).name()
-                        ),
-                    });
-                }
-            }
-        }
-        for tc in &constraints.tile {
-            let pos = find_level(&tc.level)?;
-            if self.arch.levels()[pos].as_memory().is_none() {
-                return Err(ConstraintError::NotMemory { level: tc.level.clone() });
-            }
-            let tile = mapping.resident_tile(pos, self.workload.num_dims());
-            for (d, v) in resolve_pins(&tc.pins, self.workload, "tile", &tc.level)? {
-                if tile[d.index()] != v {
-                    return Err(ConstraintError::Violated {
-                        level: tc.level.clone(),
-                        reason: format!(
-                            "resident tile of `{}` is {}, pinned to {v}",
-                            self.workload.dim(d).name(),
-                            tile[d.index()]
-                        ),
-                    });
-                }
-            }
-            for (d, v) in resolve_caps(&tc.caps, self.workload)? {
-                if tile[d.index()] > v {
-                    return Err(ConstraintError::Violated {
-                        level: tc.level.clone(),
-                        reason: format!(
-                            "resident tile of `{}` is {}, capped at {v}",
-                            self.workload.dim(d).name(),
-                            tile[d.index()]
-                        ),
-                    });
-                }
-            }
-        }
-        for oc in &constraints.order {
-            let pos = find_level(&oc.level)?;
-            let Some(t) = mapping.level(pos).as_temporal() else {
-                return Err(ConstraintError::NotMemory { level: oc.level.clone() });
-            };
-            let groups: Vec<DimSet> =
-                oc.inner.iter().map(|r| r.resolve(self.workload)).collect::<Result<_, _>>()?;
-            for (i, a) in groups.iter().enumerate() {
-                for b in &groups[i + 1..] {
-                    if !a.is_disjoint(*b) {
-                        return Err(ConstraintError::Unsatisfiable {
-                            reason: format!(
-                                "order groups at `{}` share dimensions {}",
-                                oc.level,
-                                a.intersection(*b)
-                            ),
-                        });
-                    }
-                }
-            }
-            let active: Vec<DimId> =
-                t.order.iter().copied().filter(|d| t.factors[d.index()] > 1).collect();
-            let active_set: DimSet = active.iter().copied().collect();
-            let mut idx = 0usize;
-            for g in &groups {
-                let g = g.intersection(active_set);
-                let need = g.len();
-                let segment: DimSet = active[idx..].iter().take(need).copied().collect();
-                if segment != g || idx + need > active.len() {
-                    return Err(ConstraintError::Violated {
-                        level: oc.level.clone(),
-                        reason: format!("loops {segment} occupy the positions constrained to {g}"),
-                    });
-                }
-                idx += need;
-            }
-            if oc.exact && idx != active.len() {
-                return Err(ConstraintError::Violated {
-                    level: oc.level.clone(),
-                    reason: format!(
-                        "{} non-degenerate loops outside the exact order groups",
-                        active.len() - idx
-                    ),
                 });
             }
         }

@@ -53,10 +53,10 @@
 //!
 //! The warm-load path never trusts the store: each record's workload is
 //! rebuilt, its context fingerprint recomputed and compared, the mapping
-//! re-validated and re-priced under the current cost model
-//! ([`Scheduler::prime_mapping`]), and its mapping fingerprint
-//! recomputed. Any mismatch skips the record (counted in
-//! `load_skipped`), so a served mapping is always exactly what the
+//! re-validated, checked against the session's constraints and re-priced
+//! under the current cost model ([`Scheduler::prime_mapping`]), and its
+//! mapping fingerprint recomputed. Any mismatch skips the record (counted
+//! in `load_skipped`), so a served mapping is always exactly what the
 //! library path would produce for that context.
 //!
 //! # Fault isolation
@@ -459,8 +459,9 @@ fn warm_load(state: &ServeState) {
             if mapping_fingerprint(&mapping) != rec.mapping_fp {
                 return None;
             }
-            // Re-validate and re-price under the current model, and file
-            // the mapping as the context's memoized answer.
+            // Re-validate, check against the session's constraints and
+            // re-price under the current model, and file the mapping as
+            // the context's memoized answer.
             state.scheduler.prime_mapping(&workload, arch, &mapping).ok()
         })();
         let counter =
