@@ -44,6 +44,17 @@ if grep -rn 'ConstraintError::' crates/*/src \
     exit 1
 fi
 
+echo "== one admission rule =="
+# Every search baseline validates, counts and prices its candidates
+# through `Trial` (crates/baselines/src/mapper.rs), over the one cost
+# model it builds. A `CostModel` built, or a mapping priced, in any other
+# baseline file is a second admission loop, free to drift from the rest.
+if grep -rnE 'evaluate_unchecked|CostModel::new' crates/baselines/src \
+    | grep -v '^crates/baselines/src/mapper\.rs:'; then
+    echo "a baseline prices mappings outside crates/baselines/src/mapper.rs" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (core crates, benches, repro tests) =="
 cargo clippy --release \
     -p sunstone-ir -p sunstone-arch -p sunstone-mapping -p sunstone-model \

@@ -20,14 +20,12 @@
 //! faster than Sunstone, as in Fig 8b — but frequently invalid or
 //! suboptimal.
 
-use std::time::Instant;
-
-use sunstone_arch::{ArchSpec, Binding, Level, LevelId};
+use sunstone_arch::{ArchSpec, Level, LevelId};
 use sunstone_ir::{TensorDesc, Workload};
 use sunstone_mapping::{Mapping, MappingLevel, ValidationContext};
-use sunstone_model::CostModel;
 
-use crate::{MapOutcome, MapStats, Mapper};
+use crate::mapper::Trial;
+use crate::{MapOutcome, Mapper};
 
 /// The CoSA-like one-shot mapper.
 #[derive(Debug, Clone, Default)]
@@ -48,30 +46,14 @@ impl Mapper for CosaMapper {
     }
 
     fn map(&self, workload: &Workload, arch: &ArchSpec) -> MapOutcome {
-        let start = Instant::now();
-        let mut stats = MapStats { evaluated: 1, ..MapStats::default() };
-        let binding = match Binding::resolve(arch, workload) {
-            Ok(b) => b,
-            Err(e) => return MapOutcome::invalid(self.name(), e.to_string(), stats),
-        };
-        let ctx = ValidationContext::new(workload, arch, &binding);
-        let mapping = self.solve(&ctx);
-        stats.elapsed = start.elapsed();
-        match ctx.validate(&mapping) {
-            Ok(()) => {
-                let model = CostModel::new(workload, arch, &binding);
-                let report = model.evaluate_unchecked(&mapping);
-                MapOutcome::valid(self.name(), mapping, report, stats)
+        Trial::run(self.name(), workload, arch, |trial| {
+            let mapping = self.solve(trial.ctx());
+            match trial.offer(&mapping) {
+                // Kept: the reason goes unread.
+                Ok(_) => String::new(),
+                Err(e) => format!("linear relaxation produced an infeasible mapping: {e}"),
             }
-            Err(e) => {
-                stats.invalid = 1;
-                MapOutcome::invalid(
-                    self.name(),
-                    format!("linear relaxation produced an infeasible mapping: {e}"),
-                    stats,
-                )
-            }
-        }
+        })
     }
 }
 
@@ -221,7 +203,7 @@ mod tests {
         let w = ConvSpec::new("t", 2, 64, 64, 14, 14, 3, 3, 1).inference(Precision::conventional());
         let arch = presets::conventional();
         let out = CosaMapper::new().map(&w, &arch);
-        assert_eq!(out.stats.evaluated, 1, "one shot");
+        assert_eq!(out.stats.evaluated + out.stats.invalid, 1, "one shot");
         // Whatever the verdict, the solve covered the problem exactly.
         if let Some(m) = &out.mapping {
             for d in w.dim_ids() {

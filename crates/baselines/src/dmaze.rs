@@ -17,11 +17,11 @@ use std::time::Instant;
 use sunstone::ordering::OrderingTrie;
 use sunstone::tiling::sorted_divisors;
 use sunstone::unrolling::enumerate_unrollings;
-use sunstone_arch::{ArchSpec, Binding};
+use sunstone_arch::ArchSpec;
 use sunstone_ir::{DimSet, Workload};
-use sunstone_mapping::{CapacityPlan, Mapping, MappingLevel, ValidationContext};
-use sunstone_model::CostModel;
+use sunstone_mapping::{CapacityPlan, Mapping, MappingLevel};
 
+use crate::mapper::Trial;
 use crate::{MapOutcome, MapStats, Mapper};
 
 /// dMazeRunner configuration (Table V).
@@ -94,32 +94,17 @@ impl DMazeMapper {
         }
         Ok(())
     }
-}
 
-impl Mapper for DMazeMapper {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn map(&self, workload: &Workload, arch: &ArchSpec) -> MapOutcome {
-        let start = Instant::now();
-        let mut stats = MapStats::default();
-        if let Err(reason) = self.check_support(workload, arch) {
-            stats.elapsed = start.elapsed();
-            return MapOutcome::invalid(&self.name, reason, stats);
-        }
-        let binding = match Binding::resolve(arch, workload) {
-            Ok(b) => b,
-            Err(e) => return MapOutcome::invalid(&self.name, e.to_string(), stats),
-        };
-        let ctx = ValidationContext::new(workload, arch, &binding);
-        let model = CostModel::new(workload, arch, &binding);
+    /// The directed search: offers every candidate within the budget and
+    /// returns why none was kept.
+    fn search(&self, trial: &mut Trial<'_>) -> String {
+        let (workload, arch) = (trial.ctx().workload(), trial.ctx().arch());
         let trie = OrderingTrie::new(workload);
         let ndims = workload.num_dims();
         let mems: Vec<usize> = arch.memory_levels().map(|(id, _)| id.index()).collect();
         let spatial_pos = arch.spatial_levels().next().map(|(id, s)| (id.index(), s.units));
 
-        let plan = ctx.capacity();
+        let plan = trial.ctx().capacity();
 
         // 1. L1 tiles meeting the utilization threshold (all dimensions —
         //    dMazeRunner enumerates divisor combinations directly).
@@ -129,12 +114,7 @@ impl Mapper for DMazeMapper {
         let ones = vec![1; ndims];
         utilised_tiles(plan, l1, &ones, &sizes, self.config.l1_util, |t| l1_tiles.push(t.to_vec()));
         if l1_tiles.is_empty() {
-            stats.elapsed = start.elapsed();
-            return MapOutcome::invalid(
-                &self.name,
-                "no L1 tiling meets the minimum utilization constraints",
-                stats,
-            );
+            return "no L1 tiling meets the minimum utilization constraints".into();
         }
         // Keep the search bounded: prefer the highest-utilization tiles
         // (dMazeRunner's own objective) and cap the combination counts.
@@ -145,7 +125,6 @@ impl Mapper for DMazeMapper {
         //      tiles meeting L2 utilization, orderings from the reduced
         //      set. Evaluate within the budget.
         let (orderings, _) = trie.candidates(DimSet::first_n(ndims));
-        let mut best: Option<(f64, Mapping)> = None;
         'outer: for l1_tile in &l1_tiles {
             let quotas: Vec<u64> = sizes.iter().zip(l1_tile).map(|(s, t)| s / t).collect();
             let unroll_sets: Vec<Vec<u64>> = match spatial_pos {
@@ -190,7 +169,7 @@ impl Mapper for DMazeMapper {
                 };
                 for l2_factors in l2_options.iter().take(32) {
                     for ordering in &orderings {
-                        if stats.evaluated >= self.config.max_evaluations {
+                        if trial.evaluated() >= self.config.max_evaluations {
                             break 'outer;
                         }
                         let mapping = build_mapping(
@@ -203,32 +182,26 @@ impl Mapper for DMazeMapper {
                             l2_factors,
                             &ordering.order,
                         );
-                        match ctx.validate(&mapping) {
-                            Ok(()) => {
-                                stats.evaluated += 1;
-                                let report = model.evaluate_unchecked(&mapping);
-                                if best.as_ref().is_none_or(|(e, _)| report.edp < *e) {
-                                    best = Some((report.edp, mapping));
-                                }
-                            }
-                            Err(_) => stats.invalid += 1,
-                        }
+                        let _ = trial.offer(&mapping);
                     }
                 }
             }
         }
-        stats.elapsed = start.elapsed();
-        match best {
-            Some((_, mapping)) => {
-                let report = model.evaluate_unchecked(&mapping);
-                MapOutcome::valid(&self.name, mapping, report, stats)
-            }
-            None => MapOutcome::invalid(
-                &self.name,
-                "no mapping meets the minimum utilization constraints",
-                stats,
-            ),
+        "no mapping meets the minimum utilization constraints".into()
+    }
+}
+
+impl Mapper for DMazeMapper {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn map(&self, workload: &Workload, arch: &ArchSpec) -> MapOutcome {
+        let start = Instant::now();
+        if let Err(reason) = self.check_support(workload, arch) {
+            return MapOutcome::invalid(&self.name, reason, MapStats::since(start));
         }
+        Trial::run(&self.name, workload, arch, |trial| self.search(trial))
     }
 }
 

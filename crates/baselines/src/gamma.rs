@@ -16,17 +16,16 @@
 //! with tournament selection and elitism. Invalid individuals (capacity
 //! overflow) are penalized rather than discarded, as in GAMMA.
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sunstone::tiling::sorted_divisors;
-use sunstone_arch::{ArchSpec, Binding, Level, LevelId};
+use sunstone_arch::{ArchSpec, Level, LevelId};
 use sunstone_ir::Workload;
-use sunstone_mapping::{Mapping, MappingLevel, ValidationContext};
-use sunstone_model::CostModel;
+use sunstone_mapping::{Mapping, MappingLevel};
 
-use crate::{MapOutcome, MapStats, Mapper};
+use crate::mapper::Trial;
+use crate::timeloop::random_mapping;
+use crate::{MapOutcome, Mapper};
 
 /// Genetic-algorithm hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,101 +78,40 @@ impl Mapper for GammaMapper {
     }
 
     fn map(&self, workload: &Workload, arch: &ArchSpec) -> MapOutcome {
-        let start = Instant::now();
-        let mut stats = MapStats::default();
-        let binding = match Binding::resolve(arch, workload) {
-            Ok(b) => b,
-            Err(e) => return MapOutcome::invalid(self.name(), e.to_string(), stats),
-        };
-        let ctx = ValidationContext::new(workload, arch, &binding);
-        let model = CostModel::new(workload, arch, &binding);
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        Trial::run(self.name(), workload, arch, |trial| {
+            let mut rng = StdRng::seed_from_u64(self.config.seed);
+            let mut fitness = |m: &Mapping| trial.offer(m).unwrap_or(f64::INFINITY);
 
-        let fitness = |m: &Mapping, stats: &mut MapStats| -> f64 {
-            match ctx.validate(m) {
-                Ok(()) => {
-                    stats.evaluated += 1;
-                    model.evaluate_unchecked(m).edp
+            let mut population: Vec<(Mapping, f64)> = (0..self.config.population)
+                .map(|_| {
+                    let m = random_mapping(workload, arch, &mut rng);
+                    let f = fitness(&m);
+                    (m, f)
+                })
+                .collect();
+
+            let elites = ((self.config.population as f64 * self.config.elitism) as usize).max(1);
+            for _gen in 0..self.config.generations {
+                population.sort_by(|a, b| a.1.total_cmp(&b.1));
+                let mut next: Vec<(Mapping, f64)> = population[..elites].to_vec();
+                while next.len() < self.config.population {
+                    let a = tournament(&population, &mut rng);
+                    let b = tournament(&population, &mut rng);
+                    let mut child =
+                        crossover(workload, &population[a].0, &population[b].0, &mut rng);
+                    if rng.gen_bool(self.config.mutation_rate) {
+                        mutate(workload, arch, &mut child, &mut rng);
+                    }
+                    let f = fitness(&child);
+                    next.push((child, f));
                 }
-                Err(_) => {
-                    stats.invalid += 1;
-                    f64::INFINITY
-                }
+                population = next;
             }
-        };
-
-        let mut population: Vec<(Mapping, f64)> = (0..self.config.population)
-            .map(|_| {
-                let m = random_individual(workload, arch, &mut rng);
-                let f = fitness(&m, &mut stats);
-                (m, f)
-            })
-            .collect();
-
-        let elites = ((self.config.population as f64 * self.config.elitism) as usize).max(1);
-        for _gen in 0..self.config.generations {
-            population.sort_by(|a, b| a.1.total_cmp(&b.1));
-            let mut next: Vec<(Mapping, f64)> = population[..elites].to_vec();
-            while next.len() < self.config.population {
-                let a = tournament(&population, &mut rng);
-                let b = tournament(&population, &mut rng);
-                let mut child = crossover(workload, &population[a].0, &population[b].0, &mut rng);
-                if rng.gen_bool(self.config.mutation_rate) {
-                    mutate(workload, arch, &mut child, &mut rng);
-                }
-                let f = fitness(&child, &mut stats);
-                next.push((child, f));
-            }
-            population = next;
-        }
-        population.sort_by(|a, b| a.1.total_cmp(&b.1));
-        stats.elapsed = start.elapsed();
-
-        let (best, f) = population.swap_remove(0);
-        if f.is_finite() {
-            let report = model.evaluate_unchecked(&best);
-            MapOutcome::valid(self.name(), best, report, stats)
-        } else {
-            MapOutcome::invalid(self.name(), "no valid individual evolved", stats)
-        }
+            // Elitism carries the best individual to the end, so the
+            // trial's kept best is the final population's best.
+            "no valid individual evolved".into()
+        })
     }
-}
-
-/// A random structurally consistent individual (same sampler family as
-/// the Timeloop baseline).
-fn random_individual(workload: &Workload, arch: &ArchSpec, rng: &mut StdRng) -> Mapping {
-    let ndims = workload.num_dims();
-    let mut mapping = Mapping::streaming(workload, arch);
-    for level in mapping.levels_mut() {
-        level.factors_mut().iter_mut().for_each(|f| *f = 1);
-    }
-    let last = arch.num_levels() - 1;
-    for d in 0..ndims {
-        let mut remaining = workload.dim_size(sunstone_ir::DimId::from_index(d));
-        for pos in 0..last {
-            let budget = match arch.level(LevelId(pos)) {
-                Level::Spatial(s) => {
-                    let used: u64 = mapping.level(pos).factors().iter().product();
-                    s.units / used.max(1)
-                }
-                Level::Memory(_) => u64::MAX,
-            };
-            let feasible: Vec<u64> =
-                sorted_divisors(remaining).into_iter().filter(|&f| f <= budget).collect();
-            let f = feasible[rng.gen_range(0..feasible.len())];
-            mapping.levels_mut()[pos].factors_mut()[d] = f;
-            remaining /= f;
-        }
-        mapping.levels_mut()[last].factors_mut()[d] = remaining;
-    }
-    for level in mapping.levels_mut() {
-        if let MappingLevel::Temporal(t) = level {
-            for i in (1..t.order.len()).rev() {
-                t.order.swap(i, rng.gen_range(0..=i));
-            }
-        }
-    }
-    mapping
 }
 
 fn tournament(population: &[(Mapping, f64)], rng: &mut StdRng) -> usize {

@@ -12,12 +12,11 @@ use std::time::Instant;
 use sunstone::ordering::OrderingTrie;
 use sunstone::tiling::enumerate_tiles;
 use sunstone::unrolling::enumerate_unrollings;
-use sunstone_arch::{ArchSpec, Binding};
+use sunstone_arch::ArchSpec;
 use sunstone_ir::{DimSet, Workload};
-use sunstone_mapping::{Mapping, ValidationContext};
-use sunstone_model::CostModel;
 
 use crate::dmaze::build_mapping;
+use crate::mapper::Trial;
 use crate::{MapOutcome, MapStats, Mapper};
 
 /// The Interstellar-like mapper.
@@ -49,123 +48,85 @@ impl Mapper for InterstellarMapper {
 
     fn map(&self, workload: &Workload, arch: &ArchSpec) -> MapOutcome {
         let start = Instant::now();
-        let mut stats = MapStats::default();
         // DNN-specific: requires C and K dimensions.
         let (Some(c), Some(k)) = (workload.dim_by_name("C"), workload.dim_by_name("K")) else {
-            stats.elapsed = start.elapsed();
             return MapOutcome::invalid(
                 &self.name,
                 "workload has no C/K channel dimensions (DNN-specific mapper)",
-                stats,
+                MapStats::since(start),
             );
         };
         if arch.num_memory_levels() > 3 || arch.spatial_levels().count() > 1 {
-            stats.elapsed = start.elapsed();
-            return MapOutcome::invalid(&self.name, "multi-level hierarchies unsupported", stats);
+            let reason = "multi-level hierarchies unsupported";
+            return MapOutcome::invalid(&self.name, reason, MapStats::since(start));
         }
-        let binding = match Binding::resolve(arch, workload) {
-            Ok(b) => b,
-            Err(e) => return MapOutcome::invalid(&self.name, e.to_string(), stats),
-        };
-        let ctx = ValidationContext::new(workload, arch, &binding);
-        let model = CostModel::new(workload, arch, &binding);
-        let ndims = workload.num_dims();
-        let sizes = workload.dim_sizes();
-        let mems: Vec<usize> = arch.memory_levels().map(|(id, _)| id.index()).collect();
-        let spatial = arch.spatial_levels().next().map(|(id, s)| (id.index(), s.units));
+        Trial::run(&self.name, workload, arch, |trial| {
+            let ndims = workload.num_dims();
+            let dims = DimSet::first_n(ndims);
+            let ones = vec![1; ndims];
+            let sizes = workload.dim_sizes();
+            let mems: Vec<usize> = arch.memory_levels().map(|(id, _)| id.index()).collect();
+            let spatial = arch.spatial_levels().next().map(|(id, s)| (id.index(), s.units));
 
-        // Preset unrolling: C and K only; fall back to every dimension if
-        // the preset cannot fully utilize the grid.
-        let unrolls: Vec<Vec<u64>> = match spatial {
-            None => vec![vec![1; ndims]],
-            Some((_, units)) => {
-                let ck: DimSet = [c, k].into_iter().collect();
-                let preset: Vec<Vec<u64>> =
-                    enumerate_unrollings(&sizes, ck, units, |_| true, 0.0, true)
-                        .unrollings
-                        .into_iter()
-                        .map(Vec::from)
-                        .collect();
-                let best_util = preset
-                    .iter()
-                    .map(|u| u.iter().product::<u64>() as f64 / units as f64)
-                    .fold(0.0f64, f64::max);
-                if best_util >= self.full_util_threshold {
-                    preset
-                } else {
-                    let mut all: Vec<Vec<u64>> = enumerate_unrollings(
-                        &sizes,
-                        DimSet::first_n(ndims),
-                        units,
-                        |_| true,
-                        0.5,
-                        true,
-                    )
-                    .unrollings
-                    .into_iter()
-                    .map(Vec::from)
-                    .collect();
-                    all.extend(preset);
-                    all
+            // Preset unrolling: C and K only; fall back to every dimension
+            // if the preset cannot fully utilize the grid.
+            let unrolls: Vec<Vec<u64>> = match spatial {
+                None => vec![vec![1; ndims]],
+                Some((_, units)) => {
+                    let ck: DimSet = [c, k].into_iter().collect();
+                    let preset: Vec<Vec<u64>> =
+                        enumerate_unrollings(&sizes, ck, units, |_| true, 0.0, true)
+                            .unrollings
+                            .into_iter()
+                            .map(Vec::from)
+                            .collect();
+                    let best_util = preset
+                        .iter()
+                        .map(|u| u.iter().product::<u64>() as f64 / units as f64)
+                        .fold(0.0f64, f64::max);
+                    if best_util >= self.full_util_threshold {
+                        preset
+                    } else {
+                        let mut all: Vec<Vec<u64>> =
+                            enumerate_unrollings(&sizes, dims, units, |_| true, 0.5, true)
+                                .unrollings
+                                .into_iter()
+                                .map(Vec::from)
+                                .collect();
+                        all.extend(preset);
+                        all
+                    }
                 }
-            }
-        };
-        if unrolls.is_empty() {
-            stats.elapsed = start.elapsed();
-            return MapOutcome::invalid(
-                &self.name,
-                "no mapping can use the preset unrolling",
-                stats,
-            );
-        }
+            };
 
-        let trie = OrderingTrie::new(workload);
-        let (orderings, _) = trie.candidates(DimSet::first_n(ndims));
-        let no_l2 = vec![1; ndims];
-        let mut best: Option<(f64, Mapping)> = None;
-        for unroll in &unrolls {
-            let quotas: Vec<u64> = sizes.iter().zip(unroll).map(|(s, u)| s / u).collect();
-            // High-throughput tiling: maximal L1 tiles over all dims.
-            let fits_l1 = |tile: &[u64]| ctx.capacity().fits(mems[0], tile);
-            let l1_tiles =
-                enumerate_tiles(&vec![1; ndims], &quotas, DimSet::first_n(ndims), fits_l1, true)
-                    .tiles;
-            for l1_tile in &l1_tiles {
-                for ordering in &orderings {
-                    // dMaze's layout with every L2 factor 1: the rest at DRAM.
-                    let mapping = build_mapping(
-                        workload,
-                        arch,
-                        &mems,
-                        spatial.map(|(p, _)| p),
-                        l1_tile,
-                        unroll,
-                        &no_l2,
-                        &ordering.order,
-                    );
-                    match ctx.validate(&mapping) {
-                        Ok(()) => {
-                            stats.evaluated += 1;
-                            let report = model.evaluate_unchecked(&mapping);
-                            if best.as_ref().is_none_or(|(e, _)| report.edp < *e) {
-                                best = Some((report.edp, mapping));
-                            }
-                        }
-                        Err(_) => stats.invalid += 1,
+            let trie = OrderingTrie::new(workload);
+            let (orderings, _) = trie.candidates(dims);
+            let ctx = trial.ctx();
+            for unroll in &unrolls {
+                let quotas: Vec<u64> = sizes.iter().zip(unroll).map(|(s, u)| s / u).collect();
+                // High-throughput tiling: maximal L1 tiles over all dims.
+                let fits_l1 = |tile: &[u64]| ctx.capacity().fits(mems[0], tile);
+                let l1_tiles = enumerate_tiles(&ones, &quotas, dims, fits_l1, true).tiles;
+                for l1_tile in &l1_tiles {
+                    for ordering in &orderings {
+                        // dMaze's layout with every L2 factor 1: the rest
+                        // at DRAM.
+                        let mapping = build_mapping(
+                            workload,
+                            arch,
+                            &mems,
+                            spatial.map(|(p, _)| p),
+                            l1_tile,
+                            unroll,
+                            &ones,
+                            &ordering.order,
+                        );
+                        let _ = trial.offer(&mapping);
                     }
                 }
             }
-        }
-        stats.elapsed = start.elapsed();
-        match best {
-            Some((_, mapping)) => {
-                let report = model.evaluate_unchecked(&mapping);
-                MapOutcome::valid(&self.name, mapping, report, stats)
-            }
-            None => {
-                MapOutcome::invalid(&self.name, "no mapping can use the preset unrolling", stats)
-            }
-        }
+            "no mapping can use the preset unrolling".into()
+        })
     }
 }
 

@@ -18,6 +18,15 @@
 //! * [`GammaMapper`] — a GAMMA-like genetic algorithm, representing the
 //!   black-box optimizers of the paper's related work (§VI).
 //!
+//! "Same substrate" means one admission rule. Every search baseline runs
+//! inside one crate-private trial: it resolves the binding, builds the
+//! one validator and the one cost model, and times the whole call. The
+//! search proposes candidates; the trial validates each one, counts it as
+//! evaluated or invalid, prices it once and keeps the first of strictly
+//! lowest EDP. The outcome reports that winner with the report it was
+//! priced with. Only the proposals differ from tool to tool. Timeloop's
+//! random sampler also seeds GAMMA's initial population.
+//!
 //! All implement the [`Mapper`] trait; [`SunstoneMapper`] wraps the real
 //! scheduler behind the same interface for the benchmark harness.
 //! [`space`] provides the optimization-space size estimators behind

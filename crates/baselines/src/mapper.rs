@@ -1,12 +1,12 @@
 //! The common mapper interface.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sunstone::{ScheduleError, Scheduler, SunstoneConfig};
-use sunstone_arch::ArchSpec;
+use sunstone_arch::{ArchSpec, Binding};
 use sunstone_ir::Workload;
-use sunstone_mapping::Mapping;
-use sunstone_model::CostReport;
+use sunstone_mapping::{Mapping, MappingError, ValidationContext};
+use sunstone_model::{CostModel, CostReport};
 
 /// Search statistics common to every mapper.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -17,6 +17,14 @@ pub struct MapStats {
     pub invalid: u64,
     /// Wall-clock time of the search.
     pub elapsed: Duration,
+}
+
+impl MapStats {
+    /// No candidates, and the time since `start`: a run that stopped
+    /// before its search.
+    pub(crate) fn since(start: Instant) -> Self {
+        MapStats { elapsed: start.elapsed(), ..MapStats::default() }
+    }
 }
 
 /// The outcome of one mapping run.
@@ -82,6 +90,118 @@ pub trait Mapper {
     fn map(&self, workload: &Workload, arch: &ArchSpec) -> MapOutcome;
 }
 
+/// One baseline run: its problem, its counters and its best candidate.
+///
+/// Every search baseline admits its candidates here, so they all share
+/// one rule: a candidate is validated, counted as evaluated or invalid,
+/// and priced once by the one cost model; the kept best is the first
+/// candidate of strictly lowest EDP, and the outcome reports it with the
+/// report it was priced with.
+pub(crate) struct Trial<'a> {
+    ctx: &'a ValidationContext<'a>,
+    model: &'a CostModel<'a>,
+    start: Instant,
+    stats: MapStats,
+    best: Option<(Mapping, CostReport)>,
+}
+
+impl<'a> Trial<'a> {
+    /// Runs `search` over the workload bound to the architecture and
+    /// returns the kept best; otherwise the reason `search` gave for
+    /// keeping nothing; otherwise, when the binding fails, its error.
+    /// The whole call is timed.
+    pub(crate) fn run(
+        name: &str,
+        workload: &Workload,
+        arch: &ArchSpec,
+        search: impl FnOnce(&mut Trial<'_>) -> String,
+    ) -> MapOutcome {
+        let start = Instant::now();
+        let (kept, mut stats) = match Binding::resolve(arch, workload) {
+            Err(e) => (Err(e.to_string()), MapStats::default()),
+            Ok(binding) => {
+                let ctx = ValidationContext::new(workload, arch, &binding);
+                let model = CostModel::new(workload, arch, &binding);
+                let mut trial = Trial {
+                    ctx: &ctx,
+                    model: &model,
+                    start,
+                    stats: MapStats::default(),
+                    best: None,
+                };
+                let reason = search(&mut trial);
+                (trial.best.ok_or(reason), trial.stats)
+            }
+        };
+        stats.elapsed = start.elapsed();
+        match kept {
+            Ok((mapping, report)) => MapOutcome::valid(name, mapping, report, stats),
+            Err(reason) => MapOutcome::invalid(name, reason, stats),
+        }
+    }
+
+    /// The validator of this trial's problem.
+    pub(crate) fn ctx(&self) -> &'a ValidationContext<'a> {
+        self.ctx
+    }
+
+    /// Candidates evaluated so far.
+    pub(crate) fn evaluated(&self) -> u64 {
+        self.stats.evaluated
+    }
+
+    /// Time since the run started.
+    pub(crate) fn elapsed(&self) -> Duration {
+        self.start.elapsed()
+    }
+
+    /// Validates `mapping`, counts it as evaluated or invalid, and prices
+    /// it when valid.
+    pub(crate) fn admit(&mut self, mapping: &Mapping) -> Result<CostReport, MappingError> {
+        match self.ctx.validate(mapping) {
+            Ok(()) => {
+                self.stats.evaluated += 1;
+                Ok(self.model.evaluate_unchecked(mapping))
+            }
+            Err(e) => {
+                self.stats.invalid += 1;
+                Err(e)
+            }
+        }
+    }
+
+    /// [`admit`](Self::admit), then [`keep`](Self::keep): the candidate's
+    /// EDP, or why it is invalid.
+    pub(crate) fn offer(&mut self, mapping: &Mapping) -> Result<f64, MappingError> {
+        let report = self.admit(mapping)?;
+        let edp = report.edp;
+        self.keep(mapping, report);
+        Ok(edp)
+    }
+
+    /// Keeps an admitted candidate if its EDP is strictly below the best's,
+    /// so the first of equals wins; returns whether it was kept.
+    pub(crate) fn keep(&mut self, mapping: &Mapping, report: CostReport) -> bool {
+        let better = self.best.as_ref().is_none_or(|(_, best)| report.edp < best.edp);
+        if better {
+            self.best = Some((mapping.clone(), report));
+        }
+        better
+    }
+
+    /// A trial over the same problem for one worker thread: its own
+    /// counters and no best. [`join`](Self::join) adds its counters back.
+    pub(crate) fn worker(&self) -> Trial<'a> {
+        Trial { stats: MapStats::default(), best: None, ..*self }
+    }
+
+    /// Adds a finished worker's counters to this trial's.
+    pub(crate) fn join(&mut self, worker: Trial<'_>) {
+        self.stats.evaluated += worker.stats.evaluated;
+        self.stats.invalid += worker.stats.invalid;
+    }
+}
+
 /// The real Sunstone scheduler behind the [`Mapper`] interface.
 ///
 /// The mapper holds a [`Scheduler`] *session*, so mapping many layers
@@ -122,6 +242,7 @@ impl Mapper for SunstoneMapper {
     }
 
     fn map(&self, workload: &Workload, arch: &ArchSpec) -> MapOutcome {
+        let start = Instant::now();
         match self.scheduler.schedule(workload, arch) {
             Ok(result) => MapOutcome::valid(
                 &self.name,
@@ -134,9 +255,9 @@ impl Mapper for SunstoneMapper {
                 },
             ),
             Err(ScheduleError::NoValidMapping | ScheduleError::InfeasibleLevel { .. }) => {
-                MapOutcome::invalid(&self.name, "no valid mapping", MapStats::default())
+                MapOutcome::invalid(&self.name, "no valid mapping", MapStats::since(start))
             }
-            Err(e) => MapOutcome::invalid(&self.name, e.to_string(), MapStats::default()),
+            Err(e) => MapOutcome::invalid(&self.name, e.to_string(), MapStats::since(start)),
         }
     }
 }

@@ -2,19 +2,18 @@
 //! `victory_condition` termination (Parashar et al., ISPASS 2019;
 //! hyperparameters from Table V of the Sunstone paper).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sunstone::tiling::sorted_divisors;
-use sunstone_arch::{ArchSpec, Binding, Level};
-use sunstone_ir::Workload;
-use sunstone_mapping::{Mapping, MappingLevel, ValidationContext};
-use sunstone_model::{CostModel, CostReport};
+use sunstone_arch::{ArchSpec, Level, LevelId};
+use sunstone_ir::{DimId, Workload};
+use sunstone_mapping::{Mapping, MappingLevel};
 
-use crate::{MapOutcome, MapStats, Mapper};
+use crate::mapper::Trial;
+use crate::{MapOutcome, Mapper};
 
 /// Termination hyperparameters (Table V).
 #[derive(Debug, Clone, PartialEq)]
@@ -75,94 +74,58 @@ impl TimeloopMapper {
     }
 }
 
-struct Shared {
-    best: Mutex<Option<(f64, Mapping, CostReport)>>,
-    stop: AtomicBool,
-}
-
 impl Mapper for TimeloopMapper {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn map(&self, workload: &Workload, arch: &ArchSpec) -> MapOutcome {
-        let start = Instant::now();
-        let binding = match Binding::resolve(arch, workload) {
-            Ok(b) => b,
-            Err(e) => return MapOutcome::invalid(&self.name, e.to_string(), MapStats::default()),
-        };
-        let shared = Shared { best: Mutex::new(None), stop: AtomicBool::new(false) };
         let threads = self.config.effective_threads();
-        let stats = Mutex::new(MapStats::default());
-
-        std::thread::scope(|scope| {
-            for tid in 0..threads {
-                let shared = &shared;
-                let stats = &stats;
-                let binding = &binding;
-                let config = &self.config;
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(config.seed ^ (tid as u64) << 32);
-                    let ctx = ValidationContext::new(workload, arch, binding);
-                    let model = CostModel::new(workload, arch, binding);
-                    let mut consecutive_invalid = 0u64;
-                    let mut consecutive_flat = 0u64;
-                    let mut local = MapStats::default();
-                    loop {
-                        if shared.stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if let Some(cap) = config.max_wall {
-                            if start.elapsed() > cap {
+        Trial::run(&self.name, workload, arch, |trial| {
+            let workers: Vec<_> = (0..threads).map(|_| trial.worker()).collect();
+            // Poison recovery: the shared trial holds a plain best-so-far,
+            // valid at every unwind point; a panicked sibling thread must
+            // not abort the whole search.
+            let shared = Mutex::new(trial);
+            let lock = || shared.lock().unwrap_or_else(|e| e.into_inner());
+            std::thread::scope(|scope| {
+                for (tid, mut worker) in workers.into_iter().enumerate() {
+                    let config = &self.config;
+                    scope.spawn(move || {
+                        let mut rng = StdRng::seed_from_u64(config.seed ^ (tid as u64) << 32);
+                        let mut consecutive_invalid = 0u64;
+                        let mut consecutive_flat = 0u64;
+                        loop {
+                            if config.max_wall.is_some_and(|cap| worker.elapsed() > cap) {
                                 break;
                             }
-                        }
-                        let mapping = random_mapping(workload, arch, &mut rng);
-                        match ctx.validate(&mapping) {
-                            Err(_) => {
-                                local.invalid += 1;
-                                consecutive_invalid += 1;
-                                if consecutive_invalid >= config.timeout {
-                                    break;
-                                }
-                            }
-                            Ok(()) => {
-                                consecutive_invalid = 0;
-                                local.evaluated += 1;
-                                let report = model.evaluate_unchecked(&mapping);
-                                // Poison recovery: the slot holds a plain
-                                // best-so-far triple, valid at every
-                                // unwind point; a panicked sibling thread
-                                // must not abort the whole search.
-                                let mut best =
-                                    shared.best.lock().unwrap_or_else(|e| e.into_inner());
-                                let improved =
-                                    best.as_ref().is_none_or(|(e, _, _)| report.edp < *e);
-                                if improved {
-                                    *best = Some((report.edp, mapping, report));
-                                    consecutive_flat = 0;
-                                } else {
-                                    consecutive_flat += 1;
-                                    if consecutive_flat >= config.victory_condition {
+                            let mapping = random_mapping(workload, arch, &mut rng);
+                            match worker.admit(&mapping) {
+                                Err(_) => {
+                                    consecutive_invalid += 1;
+                                    if consecutive_invalid >= config.timeout {
                                         break;
+                                    }
+                                }
+                                Ok(report) => {
+                                    consecutive_invalid = 0;
+                                    if lock().keep(&mapping, report) {
+                                        consecutive_flat = 0;
+                                    } else {
+                                        consecutive_flat += 1;
+                                        if consecutive_flat >= config.victory_condition {
+                                            break;
+                                        }
                                     }
                                 }
                             }
                         }
-                    }
-                    let mut s = stats.lock().unwrap_or_else(|e| e.into_inner());
-                    s.evaluated += local.evaluated;
-                    s.invalid += local.invalid;
-                });
-            }
-        });
-
-        let mut stats = stats.into_inner().unwrap_or_else(|e| e.into_inner());
-        stats.elapsed = start.elapsed();
-        match shared.best.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some((_, mapping, report)) => MapOutcome::valid(&self.name, mapping, report, stats),
-            None => MapOutcome::invalid(&self.name, "random search found no valid mapping", stats),
-        }
+                        lock().join(worker);
+                    });
+                }
+            });
+            "random search found no valid mapping".into()
+        })
     }
 }
 
@@ -170,28 +133,26 @@ impl Mapper for TimeloopMapper {
 /// splits of every dimension across the levels (spatial splits capped by
 /// the fabric size) and random loop orders. Capacity is *not* considered
 /// — that is what makes the samples frequently invalid, as in Timeloop.
-fn random_mapping(workload: &Workload, arch: &ArchSpec, rng: &mut StdRng) -> Mapping {
-    let ndims = workload.num_dims();
+/// GAMMA's initial population is drawn by it too.
+pub(crate) fn random_mapping(workload: &Workload, arch: &ArchSpec, rng: &mut StdRng) -> Mapping {
     let mut mapping = Mapping::streaming(workload, arch);
-    let last = arch.num_levels() - 1;
     // Reset the streaming remainder; we re-factor from scratch.
     for level in mapping.levels_mut() {
         level.factors_mut().iter_mut().for_each(|f| *f = 1);
     }
-    for d in 0..ndims {
-        let mut remaining = workload.dim_size(sunstone_ir::DimId::from_index(d));
+    let last = arch.num_levels() - 1;
+    for d in 0..workload.num_dims() {
+        let mut remaining = workload.dim_size(DimId::from_index(d));
         for pos in 0..last {
-            let level_is_spatial =
-                matches!(arch.level(sunstone_arch::LevelId(pos)), Level::Spatial(_));
-            let budget = if level_is_spatial {
-                let fabric = arch.level(sunstone_arch::LevelId(pos)).as_spatial().unwrap();
-                let used: u64 = mapping.level(pos).factors().iter().product();
-                fabric.units / used.max(1)
-            } else {
-                u64::MAX
+            let budget = match arch.level(LevelId(pos)) {
+                Level::Spatial(s) => {
+                    let used: u64 = mapping.level(pos).factors().iter().product();
+                    s.units / used.max(1)
+                }
+                Level::Memory(_) => u64::MAX,
             };
-            let divisors = sorted_divisors(remaining);
-            let feasible: Vec<u64> = divisors.into_iter().filter(|&f| f <= budget).collect();
+            let feasible: Vec<u64> =
+                sorted_divisors(remaining).into_iter().filter(|&f| f <= budget).collect();
             let f = feasible[rng.gen_range(0..feasible.len())];
             mapping.levels_mut()[pos].factors_mut()[d] = f;
             remaining /= f;
@@ -212,7 +173,8 @@ fn random_mapping(workload: &Workload, arch: &ArchSpec, rng: &mut StdRng) -> Map
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sunstone_arch::presets;
+    use sunstone_arch::{presets, Binding};
+    use sunstone_mapping::ValidationContext;
 
     fn conv() -> Workload {
         let mut b = Workload::builder("conv1d");

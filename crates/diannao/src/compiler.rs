@@ -4,7 +4,7 @@ use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
-use sunstone_arch::{presets, ArchSpec, Binding};
+use sunstone_arch::{presets, Binding};
 use sunstone_ir::{TensorKind, Workload};
 use sunstone_mapping::{FlatNest, Mapping, MappingLevel, ValidationContext};
 
@@ -113,17 +113,9 @@ impl Compiler {
     /// tensor cannot be bound to a buffer.
     pub fn tiled(workload: &Workload, mapping: &Mapping) -> Result<Program, CompileError> {
         let arch = presets::diannao_like();
-        Self::tiled_for(workload, mapping, &arch)
-    }
-
-    fn tiled_for(
-        workload: &Workload,
-        mapping: &Mapping,
-        arch: &ArchSpec,
-    ) -> Result<Program, CompileError> {
         let binding =
-            Binding::resolve(arch, workload).map_err(|e| CompileError::Binding(e.to_string()))?;
-        let ctx = ValidationContext::new(workload, arch, &binding);
+            Binding::resolve(&arch, workload).map_err(|e| CompileError::Binding(e.to_string()))?;
+        let ctx = ValidationContext::new(workload, &arch, &binding);
         ctx.validate(mapping).map_err(|e| CompileError::InvalidMapping(e.to_string()))?;
 
         let ndims = workload.num_dims();
@@ -211,52 +203,6 @@ impl Compiler {
             p.reorder_words = reorder_words;
         }
         Ok(program)
-    }
-
-    /// Convenience: schedule the workload with a fresh Sunstone session on
-    /// the DianNao architecture, then lower the result. Multi-layer
-    /// callers should hold one session and use
-    /// [`tiled_with_session`](Self::tiled_with_session) so repeated layer
-    /// shapes reuse cached estimates.
-    pub fn tiled_with_sunstone(workload: &Workload) -> Result<Program, CompileError> {
-        let session = sunstone::Scheduler::new(sunstone::SunstoneConfig::default());
-        Self::tiled_with_session(workload, &session)
-    }
-
-    /// Schedules through an existing [`sunstone::Scheduler`] session and
-    /// lowers the result.
-    pub fn tiled_with_session(
-        workload: &Workload,
-        scheduler: &sunstone::Scheduler,
-    ) -> Result<Program, CompileError> {
-        let (program, _) = Self::tiled_with_session_schedule(workload, scheduler)?;
-        Ok(program)
-    }
-
-    /// Schedules with a fresh session and returns both the program and the
-    /// mapping (for layout-signature analysis).
-    pub fn tiled_with_sunstone_mapping(
-        workload: &Workload,
-    ) -> Result<(Program, Mapping), CompileError> {
-        let session = sunstone::Scheduler::new(sunstone::SunstoneConfig::default());
-        let (program, result) = Self::tiled_with_session_schedule(workload, &session)?;
-        Ok((program, result.mapping))
-    }
-
-    /// Schedules through an existing session and returns the program
-    /// together with the full [`sunstone::ScheduleResult`] — mapping, cost
-    /// report, and the per-level search statistics (the Fig 9 harness
-    /// reports the scheduling overhead next to the execution overheads).
-    pub fn tiled_with_session_schedule(
-        workload: &Workload,
-        scheduler: &sunstone::Scheduler,
-    ) -> Result<(Program, sunstone::ScheduleResult), CompileError> {
-        let arch = presets::diannao_like();
-        let result = scheduler
-            .schedule(workload, &arch)
-            .map_err(|e| CompileError::InvalidMapping(e.to_string()))?;
-        let program = Self::tiled_for(workload, &result.mapping, &arch)?;
-        Ok((program, result))
     }
 }
 
@@ -386,10 +332,18 @@ fn output_key(counters: &[u64], loops: &[(u64, Vec<bool>)], out_idx: usize) -> u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sunstone::{Scheduler, SunstoneConfig};
     use sunstone_workloads::{ConvSpec, Precision};
 
     fn small() -> Workload {
         ConvSpec::new("t", 1, 8, 8, 8, 8, 3, 3, 1).inference(Precision::conventional())
+    }
+
+    /// Schedules on the DianNao architecture, then lowers the mapping.
+    fn scheduled(w: &Workload) -> Program {
+        let scheduler = Scheduler::new(SunstoneConfig::default());
+        let result = scheduler.schedule(w, &presets::diannao_like()).unwrap();
+        Compiler::tiled(w, &result.mapping).unwrap()
     }
 
     #[test]
@@ -409,7 +363,7 @@ mod tests {
     #[test]
     fn tiled_program_runs_and_covers_all_macs() {
         let w = small();
-        let p = Compiler::tiled_with_sunstone(&w).unwrap();
+        let p = scheduled(&w);
         let mut sim = Simulator::new();
         p.run(&mut sim).unwrap();
         let r = sim.report();
@@ -422,7 +376,7 @@ mod tests {
     fn tiled_beats_naive_on_energy() {
         let w = ConvSpec::new("t", 1, 16, 16, 14, 14, 3, 3, 1).inference(Precision::conventional());
         let naive = Compiler::naive(&w).unwrap();
-        let tiled = Compiler::tiled_with_sunstone(&w).unwrap();
+        let tiled = scheduled(&w);
         let mut s1 = Simulator::new();
         naive.run(&mut s1).unwrap();
         let mut s2 = Simulator::new();

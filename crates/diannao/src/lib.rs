@@ -13,7 +13,9 @@
 //! * [`Compiler`] — lowers a (workload, mapping) pair into an
 //!   instruction stream, one load per changed tile per processing pass
 //!   (reuse-aware, like the paper's FSM controllers), plus the data
-//!   reordering pass that lays tiles out contiguously in DRAM;
+//!   reordering pass that lays tiles out contiguously in DRAM. It lowers,
+//!   it does not schedule: the caller finds the mapping (with a Sunstone
+//!   `Scheduler` on `presets::diannao_like`, say) and hands it over;
 //! * [`Simulator`] — executes the stream, tracking buffer occupancy and
 //!   event counts, and reports a per-component energy breakdown
 //!   ([`SimReport`]) including the instruction-fetch and reordering
