@@ -55,6 +55,22 @@ if grep -rnE 'evaluate_unchecked|CostModel::new' crates/baselines/src \
     exit 1
 fi
 
+echo "== one enumeration rule =="
+# A search's enumeration counters have one writer: `Record::replay`
+# (crates/core/src/search/estimate.rs), which every ask of an ordering,
+# tile or unrolling enumeration runs, on a memo miss exactly as on a hit.
+# A node count added, or a stage's ordering, tiling or unrolling counter
+# written, anywhere else is a second writer, free to drift from what a
+# memo hit replays. stats.rs's own unit tests are exempt.
+stats_tests=$(grep -n '^#\[cfg(test)\]' crates/core/src/search/stats.rs | head -1 | cut -d: -f1)
+if grep -rnE 'nodes_explored \+=|\.(tiling|unrolling)\.record\(|\.ordering\.merge\(' crates/*/src \
+    | grep -v '^crates/core/src/search/estimate\.rs:.*+= self\.' \
+    | awk -F: -v t="$stats_tests" '!($1 == "crates/core/src/search/stats.rs" && $2 > t)' \
+    | grep .; then
+    echo "an enumeration counter written outside Record::replay" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (core crates, benches, repro tests) =="
 cargo clippy --release \
     -p sunstone-ir -p sunstone-arch -p sunstone-mapping -p sunstone-model \

@@ -18,8 +18,11 @@
 //! Run with `cargo run --release -p sunstone-bench --bin prune_stats`
 //! (append `quick` for a subsampled run).
 
+use std::time::Duration;
+
 use sunstone::{
-    DataflowTemplate, PruneCounter, ScheduleOptions, Scheduler, SearchStats, SunstoneConfig,
+    DataflowTemplate, LevelStats, PruneCounter, ScheduleOptions, Scheduler, SearchStats,
+    SunstoneConfig,
 };
 use sunstone_arch::presets;
 use sunstone_bench::resnet18_experiment_layers;
@@ -83,50 +86,64 @@ fn print_level_table(stats: &SearchStats) {
     }
 }
 
-fn merge_into(total: &mut SearchStats, s: &SearchStats) {
-    total.probed += s.probed;
-    total.modeled += s.modeled;
-    total.bounded += s.bounded;
-    total.prefix_hits += s.prefix_hits;
-    total.batches += s.batches;
-    total.batched += s.batched;
-    total.rounds += s.rounds;
-    total.nodes_explored += s.nodes_explored;
-    total.capacity_probes += s.capacity_probes;
-    total.tile_memo_hits += s.tile_memo_hits;
-    total.tile_memo_misses += s.tile_memo_misses;
-    total.unroll_memo_hits += s.unroll_memo_hits;
-    total.unroll_memo_misses += s.unroll_memo_misses;
-    total.cache_hits += s.cache_hits;
-    total.cache_misses += s.cache_misses;
-    total.rank += s.rank;
-    for l in &s.levels {
-        let t = &mut total.levels;
-        while t.len() <= l.level {
-            let level = t.len();
-            t.push(sunstone::LevelStats { level, ..Default::default() });
-        }
-        let tl = &mut t[l.level];
-        tl.ordering.merge(&l.ordering);
-        tl.ordering_no_reuse += l.ordering_no_reuse;
-        tl.ordering_dominated += l.ordering_dominated;
-        tl.tiling.merge(&l.tiling);
-        tl.unrolling.merge(&l.unrolling);
-        tl.constraint.merge(&l.constraint);
-        tl.beam.merge(&l.beam);
-        tl.cache_hits += l.cache_hits;
-        tl.cache_misses += l.cache_misses;
-        tl.bounded += l.bounded;
-        tl.expand += l.expand;
-        tl.expand_tiles += l.expand_tiles;
-        tl.expand_unrolls += l.expand_unrolls;
-        tl.expand_orderings += l.expand_orderings;
-        tl.expand_rows += l.expand_rows;
-        tl.estimate += l.estimate;
-        tl.estimate_prefix += l.estimate_prefix;
-        tl.estimate_price += l.estimate_price;
-        tl.estimate_publish += l.estimate_publish;
-        tl.select += l.select;
+/// The layers' statistics summed field by field, per stage too: what the
+/// "ALL LAYERS" block prints.
+fn sum_of(all: &[SearchStats]) -> SearchStats {
+    let sum = |f: fn(&SearchStats) -> u64| all.iter().map(f).sum();
+    let stages = all.iter().map(|s| s.levels.len()).max().unwrap_or(0);
+    let levels = (0..stages)
+        .map(|level| {
+            let at: Vec<&LevelStats> = all.iter().filter_map(|s| s.levels.get(level)).collect();
+            let count = |f: fn(&LevelStats) -> u64| at.iter().map(|&l| f(l)).sum();
+            let time = |f: fn(&LevelStats) -> Duration| at.iter().map(|&l| f(l)).sum();
+            let counter = |f: fn(&LevelStats) -> PruneCounter| PruneCounter {
+                considered: at.iter().map(|&l| f(l).considered).sum(),
+                kept: at.iter().map(|&l| f(l).kept).sum(),
+            };
+            LevelStats {
+                level,
+                ordering: counter(|l| l.ordering),
+                ordering_no_reuse: count(|l| l.ordering_no_reuse),
+                ordering_dominated: count(|l| l.ordering_dominated),
+                tiling: counter(|l| l.tiling),
+                unrolling: counter(|l| l.unrolling),
+                constraint: counter(|l| l.constraint),
+                beam: counter(|l| l.beam),
+                cache_hits: count(|l| l.cache_hits),
+                cache_misses: count(|l| l.cache_misses),
+                bounded: count(|l| l.bounded),
+                expand: time(|l| l.expand),
+                expand_tiles: time(|l| l.expand_tiles),
+                expand_unrolls: time(|l| l.expand_unrolls),
+                expand_orderings: time(|l| l.expand_orderings),
+                expand_rows: time(|l| l.expand_rows),
+                estimate: time(|l| l.estimate),
+                estimate_prefix: time(|l| l.estimate_prefix),
+                estimate_price: time(|l| l.estimate_price),
+                estimate_publish: time(|l| l.estimate_publish),
+                select: time(|l| l.select),
+            }
+        })
+        .collect();
+    SearchStats {
+        probed: sum(|s| s.probed),
+        modeled: sum(|s| s.modeled),
+        bounded: sum(|s| s.bounded),
+        prefix_hits: sum(|s| s.prefix_hits),
+        batches: sum(|s| s.batches),
+        batched: sum(|s| s.batched),
+        rounds: sum(|s| s.rounds),
+        nodes_explored: sum(|s| s.nodes_explored),
+        capacity_probes: sum(|s| s.capacity_probes),
+        tile_memo_hits: sum(|s| s.tile_memo_hits),
+        tile_memo_misses: sum(|s| s.tile_memo_misses),
+        unroll_memo_hits: sum(|s| s.unroll_memo_hits),
+        unroll_memo_misses: sum(|s| s.unroll_memo_misses),
+        cache_hits: sum(|s| s.cache_hits),
+        cache_misses: sum(|s| s.cache_misses),
+        rank: all.iter().map(|s| s.rank).sum(),
+        levels,
+        ..SearchStats::default()
     }
 }
 
@@ -136,7 +153,7 @@ fn main() {
     let scheduler = Scheduler::new(SunstoneConfig::default());
 
     println!("Per-level, per-principle pruning on ResNet-18 (conventional arch)\n");
-    let mut total = SearchStats::default();
+    let mut all = Vec::new();
     for layer in &layers {
         let w = layer.inference(Precision::conventional());
         let r = scheduler.schedule(&w, &arch).expect("ResNet-18 layers schedule");
@@ -156,8 +173,9 @@ fn main() {
             dominated,
         );
         print_level_table(&r.stats);
-        merge_into(&mut total, &r.stats);
+        all.push(r.stats);
     }
+    let total = sum_of(&all);
 
     let ordering = total.total_of(|l| l.ordering);
     let tiling = total.total_of(|l| l.tiling);

@@ -9,10 +9,12 @@
 //! of its rows is written; the table is what the estimate round and the
 //! beam cut read a row's parent and ordering from.
 //!
-//! Every enumerator reports into the stage's [`LevelStats`] record:
-//! the ordering trie (Ordering Principles 1–3 + sibling dominance), the
-//! tiling tree (Tiling Principle), and the spatial unrolling enumeration
-//! (Spatial Unrolling Principle) each get a considered/kept counter.
+//! The three enumerations — the ordering trie (Ordering Principles 1–3 +
+//! sibling dominance), the spatial unrolling enumeration (Spatial
+//! Unrolling Principle) and the tiling tree (Tiling Principle) — are
+//! asked one way: a key, one memo lookup, the enumeration on a miss, and
+//! on every ask the replay of what it counted into the stage's
+//! [`LevelStats`] record, a considered/kept counter each.
 //!
 //! [`LevelStats`]: super::stats::LevelStats
 
@@ -27,12 +29,12 @@ use sunstone_mapping::constraints::inner_groups;
 
 use crate::factors::{divide, multiply};
 use crate::ordering::OrderingCandidate;
-use crate::tiling::enumerate_growths_cached;
-use crate::unrolling::{enumerate_unrollings_cached, principle_excluded_dims};
+use crate::tiling::enumerate_growths;
+use crate::unrolling::{enumerate_unrollings_over, principle_excluded_dims};
 
 use super::beam::{self, Beam};
-use super::estimate::{self, SearchMemo, TileKey, Tiles};
-use super::stats::{PruneCounter, SearchStats};
+use super::estimate::{Answer, Enumeration, Record, SearchMemo, TileKey, UnrollKey};
+use super::stats::SearchStats;
 use super::{RowLayout, SearchContext};
 
 /// The [`Run::ordering`] of a run that chose no ordering: the outermost
@@ -136,7 +138,6 @@ pub(crate) struct Candidates {
     /// Per entry of `orderings`, its order as a row's order slots hold it
     /// (`ndims` words each).
     order_words: Vec<u64>,
-    ordering_memos: Vec<OrderingMemo>,
     /// The row children are copied from: the parent's, with the unroll of
     /// the run being written placed on the gap's fabric.
     template: Vec<u64>,
@@ -181,7 +182,6 @@ impl Candidates {
             ordering_dims: Vec::new(),
             orderings: Vec::new(),
             order_words: Vec::new(),
-            ordering_memos: Vec::new(),
             template: Vec::new(),
         }
     }
@@ -196,7 +196,6 @@ impl Candidates {
         self.ordering_dims.clear();
         self.orderings.clear();
         self.order_words.clear();
-        self.ordering_memos.clear();
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -327,43 +326,18 @@ struct OrderingDims {
     unroll_excluded: DimSet,
 }
 
-/// One ordering enumeration of a stage. The result depends only on the
-/// in-play set and the stage, and beam parents mostly share their in-play
-/// set, so it runs once per distinct set; every further parent replays
-/// the counters the enumeration reported — as the tile and unroll memos
-/// do — so the stats read as if each parent had walked the trie itself.
-struct OrderingMemo {
-    in_play: DimSet,
-    /// The run of [`Candidates::orderings`] this enumeration produced
-    /// (never empty).
-    range: RangeInclusive<u32>,
-    /// Trie nodes explored (0 with the trie disabled).
-    nodes: u64,
-    /// Explored vs. enumerated, before any constraint filter.
-    ordering: PruneCounter,
-    no_reuse: u64,
-    dominated: u64,
-    constraint: PruneCounter,
-}
-
-impl OrderingMemo {
-    fn replay(&self, stage: usize, stats: &mut SearchStats) {
-        stats.nodes_explored += self.nodes;
-        stats.orderings += self.ordering.kept;
-        let level = stats.level_mut(stage);
-        level.ordering.merge(&self.ordering);
-        level.ordering_no_reuse += self.no_reuse;
-        level.ordering_dominated += self.dominated;
-        level.constraint.merge(&self.constraint);
-    }
-}
-
 /// One stage for beam state `parent` of `parents`, in the paper's
 /// unroll → tile → order: the unrollings below memory `stage` first (the
 /// fabric claims its quota), then per unroll and per ordering of memory
 /// `stage + 1` — per [`Run`] — the tiles at memory `stage`, grown in what
 /// remains. The parent's runs are decided into the arena's run table;
 /// then their rows are written.
+///
+/// Each of the three enumerations is asked one way: its key is built once
+/// (the user's pins seeded, [`Pins`]), looked up in its memo
+/// ([`Memo::ask`](super::estimate::Memo::ask)), enumerated only on a
+/// miss, and its answer's counters replayed on every ask
+/// ([`Record::replay`](super::estimate::Record::replay)).
 pub(crate) fn expand(
     ctx: &SearchContext<'_>,
     parents: &Beam,
@@ -378,36 +352,52 @@ pub(crate) fn expand(
     let last_stage = stage == ctx.mems.len() - 1;
     let base = ctx.layout.resident_tile(row, mem_pos);
     let quotas = &row[ctx.layout.quotas()];
+    let hits = memo.hits();
 
-    let clock = Instant::now();
     let orderings = if last_stage {
         // The outermost memory has no level above to order.
         NO_ORDERING..=NO_ORDERING
     } else {
-        orderings_for(ctx, out, in_play_dims(ctx, quotas), stage, stats)
+        let in_play = in_play_dims(ctx, quotas);
+        memo.orderings.ask((stage, in_play), hits, stage, stats, |_| {
+            enumerate_orderings(ctx, out, in_play, stage)
+        })
     };
-    stats.level_mut(stage).expand_orderings += clock.elapsed();
 
     let ndims = base.len();
+    let unrolls = match ctx.lower_spatial[stage] {
+        // No fabric in the gap: the one unroll is all ones.
+        None => Arc::from(&DimVec::ones(ndims)[..]),
+        Some(pos) => match unroll_key(ctx, pos, here, stage, &base, quotas, stats) {
+            Some((key, pins)) => pins.place(
+                memo.unrolls.ask(key, hits, stage, stats, |key| enumerate_unrolls(ctx, stage, key)),
+                ndims,
+            ),
+            None => Arc::from([]),
+        },
+    };
     let first = out.runs.len();
     let mut end = out.len() as u32;
     let reserve = spatial_reserve(ctx, stage, quotas);
-    for u in unrolls_for(ctx, here, stage, &base, quotas, memo, stats) {
-        let u_quotas = divide(quotas, &u);
-        let base_u = multiply(&base, &u);
+    for u in unrolls.chunks_exact(ndims) {
+        let u_quotas = divide(quotas, u);
+        let base_u = multiply(&base, u);
         let unroll = out.unrolls.len() as u32;
-        out.unrolls.push(u);
+        out.unrolls.push(DimVec::from_slice(u));
         for ordering in orderings.clone() {
             let dims = (out.ordering_dims.get(ordering as usize), here);
             let deltas = if last_stage {
                 // DRAM: the "tile" is the base itself, and the children
                 // place the remainder ([`write_children`]).
                 [&DimVec::ones(ndims)[..], &u_quotas[..]].concat().into()
-            } else if let Some(key) = tile_key(ctx, stage, &base_u, &u_quotas, reserve, dims, stats)
-            {
-                tiles_with_allowed(ctx, stage, &key, &base_u, memo, stats)
             } else {
-                Arc::from([])
+                match tile_key(ctx, stage, &base_u, &u_quotas, reserve, dims, stats) {
+                    Some((key, pins)) => pins.place(
+                        memo.tiles.ask(key, hits, stage, stats, |key| enumerate_tiles(ctx, key)),
+                        2 * ndims,
+                    ),
+                    None => Arc::from([]),
+                }
             };
             end += (deltas.len() / (2 * ndims)) as u32;
             out.runs.push(Run { parent: parent as u32, ordering, unroll, deltas, end });
@@ -424,61 +414,98 @@ fn in_play_dims(ctx: &SearchContext<'_>, quotas: &[u64]) -> DimSet {
     ctx.workload.dim_ids().filter(|d| quotas[d.index()] > 1).collect()
 }
 
-/// Ordering candidates for one stage, as a run of `out.orderings`, with
-/// the trie's pruning attributed per principle in the stage's stats. A
-/// user order constraint on the level being ordered (memory `stage + 1`)
-/// filters the enumeration here — before estimation and
-/// beam selection — and always re-adds the constraint's canonical
-/// completion so a satisfiable constraint can never strand the stage
-/// without candidates. Enumerated once per distinct `in_play` per stage;
-/// later parents replay the counters ([`OrderingMemo`]).
-fn orderings_for(
+/// A level's user pins, seeded into an enumeration's key: per dimension
+/// the factor the pins fix over the caller's base (1 where none), and the
+/// pinned dimensions, which leave the enumeration. Tile and unroll pins
+/// follow this one rule: seeded into the key ([`seed`](Self::seed)), and
+/// re-applied to the answer, which the memo files past the pins
+/// ([`place`](Self::place)).
+struct Pins {
+    factors: DimVec,
+    dims: DimSet,
+}
+
+impl Pins {
+    /// Seeds `pins` — per pinned dimension its extent over `base` — into
+    /// `quotas`: each pinned dimension takes the factor extent ÷ base,
+    /// which leaves its quota. `None`, counted in the constraint filter of
+    /// `stage`, when the parent cannot reach a pin (its base is already
+    /// past it, or the quota is not divisible): other beam parents may
+    /// still satisfy it.
+    fn seed(
+        pins: &[(usize, u64)],
+        base: &[u64],
+        quotas: &mut DimVec,
+        stage: usize,
+        stats: &mut SearchStats,
+    ) -> Option<Pins> {
+        let mut seeded = Pins { factors: DimVec::ones(base.len()), dims: DimSet::EMPTY };
+        for &(d, v) in pins {
+            if !v.is_multiple_of(base[d]) || !quotas[d].is_multiple_of(v / base[d]) {
+                stats.level_mut(stage).constraint.record(1, 0);
+                return None;
+            }
+            quotas[d] /= v / base[d];
+            seeded.factors[d] = v / base[d];
+            seeded.dims = seeded.dims.with(DimId::from_index(d));
+        }
+        Some(seeded)
+    }
+
+    /// An answer with the pinned factors placed: each of its factor
+    /// vectors — the first `ndims` words of every `stride` — takes them
+    /// (the enumeration left each pinned dimension at 1).
+    fn place(&self, kept: Arc<[u64]>, stride: usize) -> Arc<[u64]> {
+        if self.dims.is_empty() {
+            return kept;
+        }
+        let mut kept = kept.to_vec();
+        for factors in kept.chunks_exact_mut(stride) {
+            for (f, &pin) in factors.iter_mut().zip(&self.factors) {
+                *f *= pin;
+            }
+        }
+        kept.into()
+    }
+}
+
+/// The `cap` largest of `found` by volume, equals in enumeration order:
+/// the maximal-frontier members with the biggest iteration volume capture
+/// the most reuse.
+fn keep_largest(mut found: Vec<DimVec>, cap: usize) -> Vec<DimVec> {
+    if found.len() > cap {
+        found.sort_by_key(|v| std::cmp::Reverse(v.volume()));
+        found.truncate(cap);
+    }
+    found
+}
+
+/// The ordering enumeration of one stage for `in_play`: appends the
+/// stage's ordering candidates to `out.orderings` — the trie's pruning
+/// attributed per principle — and answers with their run. A user order
+/// constraint on the level being ordered (memory `stage + 1`) filters the
+/// enumeration here — before estimation and beam selection — and always
+/// re-adds the constraint's canonical completion so a satisfiable
+/// constraint can never strand the stage without candidates.
+fn enumerate_orderings(
     ctx: &SearchContext<'_>,
     out: &mut Candidates,
     in_play: DimSet,
     stage: usize,
-    stats: &mut SearchStats,
-) -> RangeInclusive<u32> {
-    let known = out.ordering_memos.iter().position(|m| m.in_play == in_play);
-    let memo = match known {
-        Some(i) => &out.ordering_memos[i],
-        None => {
-            let first = out.orderings.len();
-            let memo = enumerate_orderings(ctx, in_play, stage, &mut out.orderings);
-            out.index_orderings(ctx, first);
-            out.ordering_memos.push(memo);
-            out.ordering_memos.last().expect("just pushed")
-        }
-    };
-    memo.replay(stage, stats);
-    memo.range.clone()
-}
-
-/// The enumeration behind [`orderings_for`]: appends the stage's ordering
-/// candidates for `in_play` to `pool` and returns their run plus the
-/// counters to report per parent.
-fn enumerate_orderings(
-    ctx: &SearchContext<'_>,
-    in_play: DimSet,
-    stage: usize,
-    pool: &mut Vec<OrderingCandidate>,
-) -> OrderingMemo {
-    let mut ordering = PruneCounter::default();
-    let (mut cands, nodes, no_reuse, dominated) = if ctx.config.pruning.ordering_trie {
+) -> Answer<RangeInclusive<u32>> {
+    let (mut cands, mut record) = if ctx.config.pruning.ordering_trie {
         let outcome = ctx.trie.candidates_detailed(in_play);
-        ordering.record(outcome.explored as u64, outcome.candidates.len() as u64);
-        (
-            outcome.candidates,
-            outcome.explored as u64,
-            outcome.rejected_no_reuse as u64,
-            outcome.dominated as u64,
-        )
+        let kept = outcome.candidates.len();
+        let mut record = Record::new(Enumeration::Orderings, outcome.explored, kept, 0);
+        record.no_reuse = outcome.rejected_no_reuse as u64;
+        record.dominated = outcome.dominated as u64;
+        (outcome.candidates, record)
     } else {
         let cands = ctx.trie.all_permutations(in_play);
-        ordering.record(cands.len() as u64, cands.len() as u64);
-        (cands, 0, 0, 0)
+        let mut record = Record::new(Enumeration::Orderings, 0, cands.len(), 0);
+        record.pruning.considered = cands.len() as u64;
+        (cands, record)
     };
-    let mut constraint = PruneCounter::default();
     if let Some((groups, exact)) = &ctx.constraints.at(ctx.mems[stage + 1]).order {
         let considered = cands.len() as u64 + 1;
         if *exact {
@@ -494,12 +521,12 @@ fn enumerate_orderings(
         if !cands.iter().any(|c| c.order == forced.order) {
             cands.push(forced);
         }
-        constraint.record(considered, cands.len() as u64);
+        record.constraint.record(considered, cands.len() as u64);
     }
-    let first = pool.len() as u32;
-    pool.extend(cands);
-    let range = first..=pool.len() as u32 - 1;
-    OrderingMemo { in_play, range, nodes, ordering, no_reuse, dominated, constraint }
+    let first = out.orderings.len();
+    out.orderings.extend(cands);
+    out.index_orderings(ctx, first);
+    Answer { kept: first as u32..=out.orderings.len() as u32 - 1, record }
 }
 
 /// The parallelism budget a tile must leave unconsumed: the product of
@@ -528,7 +555,11 @@ fn product(factors: impl Iterator<Item = u64>) -> u128 {
 /// unroll claimed), under the run's ordering's dimension sets and what
 /// the ordering chosen at the previous stage excludes from unrolling
 /// (`here`, the parent's `Beam::unroll_excluded`), with the user's tile
-/// pins seeded. `None` when a pin the parent cannot reach kills the run.
+/// pins seeded. The parallelism reserve is measured over `unrollable` —
+/// the dimensions the Spatial Unrolling Principle will actually let the
+/// fabrics consume — so a tile cannot swallow the quota the unrollings
+/// need. `None` when a pin the parent cannot reach kills the run. Never
+/// asked at the outermost memory, where the children place the remainder.
 fn tile_key(
     ctx: &SearchContext<'_>,
     stage: usize,
@@ -537,7 +568,7 @@ fn tile_key(
     reserve: u64,
     (ordering, here): (Option<&OrderingDims>, DimSet),
     stats: &mut SearchStats,
-) -> Option<TileKey> {
+) -> Option<(TileKey, Pins)> {
     let all = DimSet::first_n(ctx.workload.num_dims());
     let mut allowed = ordering.map_or(all, |o| o.tile_allowed);
     // The parallelism reserve is measured over the dimensions the fabrics
@@ -551,102 +582,42 @@ fn tile_key(
         here
     };
     let mut unrollable = all.difference(excluded);
-    // Mirror the high-throughput fallback of `unrolls_for`: when the
+    // Mirror the high-throughput fallback of `enumerate_unrolls`: when the
     // principled dimensions cannot reach the utilization floor, the
     // fabrics will unroll any dimension, so the reserve must guard them
     // all.
     if product(unrollable.iter().map(|d| quotas[d.index()])) < u128::from(reserve) {
         unrollable = all;
     }
+    let mem_pos = ctx.mems[stage];
+    let lc = ctx.constraints.at(mem_pos);
+    // An exact order constraint fixes which loops run at the memory, not
+    // only their order: only its groups' dimensions grow here.
+    if let Some((groups, true)) = &lc.order {
+        allowed = groups.iter().fold(DimSet::EMPTY, |g, &d| g.union(d)).intersection(allowed);
+    }
     // User tile pins seed the enumeration base: the pinned extent becomes
     // the starting tile and the dimension leaves the growth set, so every
-    // enumerated tile carries exactly the pinned factor. A pin the parent
-    // state cannot reach (base already past it, or quota not divisible)
-    // kills this expansion — other beam parents may still satisfy it.
-    let mem_pos = ctx.mems[stage];
-    let (mut base, mut quotas) = (DimVec::from_slice(base), DimVec::from_slice(quotas));
-    for &(d, v) in &ctx.constraints.at(mem_pos).tile_pins {
-        if !v.is_multiple_of(base[d]) || !quotas[d].is_multiple_of(v / base[d]) {
-            stats.level_mut(stage).constraint.record(1, 0);
-            return None;
-        }
-        quotas[d] /= v / base[d];
-        base[d] = v;
-        allowed = allowed.without(DimId::from_index(d));
-    }
-    Some(TileKey { mem_pos, base, quotas, reserve, allowed, unrollable })
+    // enumerated tile carries exactly the pinned factor.
+    let mut quotas = DimVec::from_slice(quotas);
+    let pins = Pins::seed(&lc.tile_pins, base, &mut quotas, stage, stats)?;
+    let (base, allowed) = (multiply(base, &pins.factors), allowed.difference(pins.dims));
+    Some((TileKey { mem_pos, base, quotas, reserve, allowed, unrollable }, pins))
 }
 
-/// The tiles that answer `key`, as [`Tiles::deltas`] over `caller_base`
-/// (the run's base before the pins) and the key's quotas. The parallelism reserve is
-/// measured over `key.unrollable` — the dimensions the Spatial Unrolling
-/// Principle will actually let the fabrics consume — so a tile cannot
-/// swallow the quota the unrollings need. Looked up in the search's memo
-/// and enumerated only when it does not have them; every answer reports
-/// the counters the enumeration did. Beam parents frequently reach the
-/// same (base, quota) frontier, and the memo stores the *kept* tiles'
-/// deltas plus the explored count so the stats replay identically on a
-/// hit; the key needs no slot for the caps because the constraint set is
-/// fixed per search.
-fn tiles_with_allowed(
-    ctx: &SearchContext<'_>,
-    stage: usize,
-    key: &TileKey,
-    caller_base: &[u64],
-    memo: &mut SearchMemo,
-    stats: &mut SearchStats,
-) -> Arc<[u64]> {
-    let ndims = key.base.len();
-    let hits = memo.tile_hits_allowed();
-    let deltas = match memo.tiles.get(key).filter(|_| hits) {
-        Some(known) => {
-            let kept = known.len(ndims) as u64;
-            stats.nodes_explored += known.explored as u64;
-            stats.tiles += kept;
-            stats.tile_memo_hits += 1;
-            stats.level_mut(stage).tiling.record(known.explored as u64, kept);
-            known.deltas.clone()
-        }
-        None => {
-            let tiles = enumerate_tiles(ctx, stage, key, stats);
-            let deltas = tiles.deltas.clone();
-            memo.tiles.insert(key.clone(), tiles);
-            deltas
-        }
-    };
-    // A pinned dimension's growth over the caller's base is the pin's,
-    // which the memo (keyed past the pins) does not know.
-    let pins = &ctx.constraints.at(key.mem_pos).tile_pins;
-    if pins.is_empty() {
-        return deltas;
-    }
-    let mut deltas = deltas.to_vec();
-    for delta in deltas.chunks_exact_mut(2 * ndims) {
-        for &(d, v) in pins {
-            delta[d] = v / caller_base[d];
-        }
-    }
-    deltas.into()
-}
-
-/// The enumeration behind [`tiles_with_allowed`], past the pins: the kept
-/// tiles as deltas over the key's base and quotas.
-fn enumerate_tiles(
-    ctx: &SearchContext<'_>,
-    stage: usize,
-    key: &TileKey,
-    stats: &mut SearchStats,
-) -> Tiles {
+/// The tile enumeration behind a [`TileKey`], past the pins: the kept
+/// tiles as deltas over the key's base and quotas, capped to the
+/// `max_tiles_per_enum` largest.
+fn enumerate_tiles(ctx: &SearchContext<'_>, key: &TileKey) -> Answer<Arc<[u64]>> {
     let TileKey { mem_pos, ref base, ref quotas, reserve, allowed, unrollable } = *key;
     let lc = ctx.constraints.at(mem_pos);
     // What a tile must leave for the fabrics: the reserve, capped by what
     // the unrollable dimensions can offer at all.
     let offer = product(unrollable.iter().map(|d| quotas[d.index()]));
     let want = u128::from(reserve).min(offer);
-    let clock = Instant::now();
-    let outcome = enumerate_growths_cached(
+    let found = enumerate_growths(
+        &ctx.ladders.ladder_set(quotas),
         base,
-        quotas,
         allowed,
         |growth, tile| {
             // The stop rule inside the enumeration tree: rejecting every
@@ -666,31 +637,17 @@ fn enumerate_tiles(
                 && ctx.validation.capacity().fits(mem_pos, tile)
         },
         ctx.config.pruning.tiling_maximal,
-        &ctx.ladders,
     );
-    let elapsed = clock.elapsed();
-    stats.nodes_explored += outcome.explored as u64;
-    stats.capacity_probes += outcome.probes as u64;
-    stats.tile_memo_misses += 1;
-    let mut growths = outcome.tiles;
-    if growths.len() > ctx.config.max_tiles_per_enum {
-        // Keep the largest tiles: maximal-frontier members with the
-        // biggest iteration volume capture the most reuse. A tile's
-        // volume is its growth's times the base's, so the growths sort
-        // alike.
-        growths.sort_by_key(|g| std::cmp::Reverse(g.volume()));
-        growths.truncate(ctx.config.max_tiles_per_enum);
-    }
-    stats.tiles += growths.len() as u64;
-    let level = stats.level_mut(stage);
-    level.expand_tiles += elapsed;
-    level.tiling.record(outcome.explored as u64, growths.len() as u64);
+    // A tile's volume is its growth's times the base's, so the growths
+    // sort alike.
+    let growths = keep_largest(found.tiles, ctx.config.max_tiles_per_enum);
     let mut deltas = Vec::with_capacity(2 * base.len() * growths.len());
     for growth in &growths {
         deltas.extend_from_slice(growth);
         deltas.extend(quotas.iter().zip(growth.iter()).map(|(q, g)| q / g));
     }
-    Tiles { deltas: deltas.into(), explored: outcome.explored }
+    let record = Record::new(Enumeration::Tiles, found.explored, growths.len(), found.probes);
+    Answer { kept: deltas.into(), record }
 }
 
 /// Dimensions the Unrolling Principle forbids for fabrics paired with
@@ -725,144 +682,91 @@ fn tile_allowed_dims(ctx: &SearchContext<'_>, ordering: &OrderingCandidate) -> D
     }
 }
 
-/// Unrolling candidates for the fabric directly below the stage's memory
-/// (the all-ones unroll when the gap has none), each once. `excluded` is
-/// what the parent's ordering of this memory excludes from the fabric
-/// ([`unroll_excluded`]).
-fn unrolls_for(
+/// The unroll question of one parent for the fabric at `pos`, directly
+/// below the stage's memory: the key of its unrolling enumeration over the
+/// parent's `quotas` and `resident` tile, under what the parent's ordering
+/// of this memory excludes from the fabric (`excluded`, from
+/// [`unroll_excluded`]), with the user's unroll pins seeded. `None` when a
+/// pin the remaining quota cannot honor (an inner level already consumed
+/// part of the pinned factor) kills the expansion.
+fn unroll_key(
     ctx: &SearchContext<'_>,
+    pos: usize,
     excluded: DimSet,
     stage: usize,
-    resident_with_tile: &[u64],
+    resident: &[u64],
     quotas: &[u64],
-    memo: &mut SearchMemo,
     stats: &mut SearchStats,
-) -> Vec<DimVec> {
+) -> Option<(UnrollKey, Pins)> {
     let ndims = ctx.workload.num_dims();
-    let Some(pos) = ctx.lower_spatial[stage] else {
-        return vec![DimVec::ones(ndims)];
-    };
     let fabric = ctx.arch.level(LevelId(pos)).as_spatial().expect("spatial level");
     let hard_excluded =
         if fabric.allow_reduction { DimSet::EMPTY } else { ctx.workload.reduction_dims() };
-    let all = DimSet::first_n(ndims);
-    let mut principled = all.difference(excluded.union(hard_excluded));
-    let mut relaxed = all.difference(hard_excluded);
+    let open = DimSet::first_n(ndims).difference(hard_excluded);
     // User constraints on this fabric: an allow-list intersects both the
     // principled and the relaxed (high-throughput fallback) sets; pinned
     // dimensions are seeded — their factors leave the enumeration
     // entirely and the fabric's unit budget shrinks by the pinned product.
     let lc = ctx.constraints.at(pos);
-    let before = relaxed.len() as u64;
-    if let Some(allow) = lc.unroll_allow {
-        principled = principled.intersection(allow);
-        relaxed = relaxed.intersection(allow);
-    }
-    principled = principled.difference(lc.unroll_pinned);
-    relaxed = relaxed.difference(lc.unroll_pinned);
+    let relaxed =
+        lc.unroll_allow.map_or(open, |allow| open.intersection(allow)).difference(lc.unroll_pinned);
     if lc.unroll_allow.is_some() || !lc.unroll_pins.is_empty() {
         // Attribute the allow-list/pin restriction: dimension slots the
         // fabric would have unrolled freely vs. what the constraint leaves
         // open (pinned dims count as removed — they are fixed, not
         // searched).
-        stats.level_mut(stage).constraint.record(before, relaxed.len() as u64);
+        stats.level_mut(stage).constraint.record(open.len() as u64, relaxed.len() as u64);
     }
-    // A pin the remaining quota cannot honor (an inner level already
-    // consumed part of the pinned factor) kills this expansion; other beam
-    // parents may still satisfy it.
-    if lc.unroll_pins.iter().any(|&(d, v)| !quotas[d].is_multiple_of(v)) {
-        stats.level_mut(stage).constraint.record(1, 0);
-        return Vec::new();
-    }
-    let units = fabric.units / lc.unroll_pin_product;
-    let mut pins = DimVec::ones(ndims);
-    for &(d, v) in &lc.unroll_pins {
-        pins[d] = v;
-    }
-    let q = divide(quotas, &pins);
-    // The resident tile the unroll inflates (the stage's memory's), with
-    // the pinned factors folded in so the probe sees the full tile.
-    let pinned_tile = multiply(resident_with_tile, &pins);
-    // Search memo: the whole enumeration (principled pass, relaxed
-    // fallback, truncation) is keyed by its exact inputs. Stats are
-    // replayed from the memo so counters read as if every parent had
-    // enumerated for itself.
-    let memo_key =
-        estimate::UnrollKey { pos, quotas: q.clone(), principled, combined: pinned_tile.clone() };
-    if let Some(hit) = memo.unrolls.get(&memo_key) {
-        stats.unroll_memo_hits += 1;
-        stats.nodes_explored += hit.explored as u64;
-        stats.unrollings += hit.kept.len() as u64;
-        stats.level_mut(stage).unrolling.record(hit.explored as u64, hit.kept.len() as u64);
-        return hit.kept.iter().map(|u| multiply(&pins, u)).collect();
-    }
+    let mut quotas = DimVec::from_slice(quotas);
+    let pins = Pins::seed(&lc.unroll_pins, &DimVec::ones(ndims), &mut quotas, stage, stats)?;
+    let (principled, combined) = (relaxed.difference(excluded), multiply(resident, &pins.factors));
+    Some((UnrollKey { pos, quotas, principled, relaxed, combined }, pins))
+}
+
+/// The unrolling enumeration behind an [`UnrollKey`], past the pins: the
+/// principled pass, the high-throughput fallback when that cannot keep the
+/// fabric busy, and the `max_unrolls_per_enum` largest of what they found,
+/// each once.
+fn enumerate_unrolls(ctx: &SearchContext<'_>, stage: usize, key: &UnrollKey) -> Answer<Arc<[u64]>> {
+    let UnrollKey { pos, ref quotas, principled, relaxed, ref combined } = *key;
+    let fabric = ctx.arch.level(LevelId(pos)).as_spatial().expect("spatial level");
+    let pinned = ctx.constraints.at(pos).unroll_pin_product;
+    let units = fabric.units / pinned;
+    let ladders = ctx.ladders.ladder_set(quotas);
+    let (min, maximal) =
+        (ctx.config.min_spatial_utilization, ctx.config.pruning.unrolling_principle);
     let fits = |u: &[u64]| {
         // The stop rule (see `enumerate_tiles`).
         ctx.controls.stop().is_none()
-            && ctx.validation.capacity().fits(ctx.mems[stage], &multiply(&pinned_tile, u))
+            && ctx.validation.capacity().fits(ctx.mems[stage], &multiply(combined, u))
     };
-    let clock = Instant::now();
-    let mut outcome = enumerate_unrollings_cached(
-        &q,
-        principled,
-        units,
-        fits,
-        ctx.config.min_spatial_utilization,
-        ctx.config.pruning.unrolling_principle,
-        &ctx.ladders,
-    );
+    let mut found = enumerate_unrollings_over(&ladders, principled, units, fits, min, maximal);
     // The high-throughput constraint dominates the Unrolling Principle:
     // when the principled dimensions cannot keep the fabric busy, widen to
     // every dimension the hardware permits. Utilization is judged over the
     // full fabric, pins included.
-    let floor = ctx.config.min_spatial_utilization * fabric.units as f64;
-    let best = outcome
+    let floor = min * fabric.units as f64;
+    let best = found
         .unrollings
         .iter()
-        .map(|u| (u.iter().product::<u64>().saturating_mul(lc.unroll_pin_product)) as f64)
+        .map(|u| (u.iter().product::<u64>().saturating_mul(pinned)) as f64)
         .fold(0.0f64, f64::max);
     if best < floor && principled != relaxed {
-        let wide = enumerate_unrollings_cached(
-            &q,
-            relaxed,
-            units,
-            fits,
-            ctx.config.min_spatial_utilization,
-            ctx.config.pruning.unrolling_principle,
-            &ctx.ladders,
-        );
-        outcome.explored += wide.explored;
-        outcome.probes += wide.probes;
-        outcome.unrollings.extend(wide.unrollings);
-    }
-    let elapsed = clock.elapsed();
-    stats.nodes_explored += outcome.explored as u64;
-    stats.capacity_probes += outcome.probes as u64;
-    stats.unroll_memo_misses += 1;
-    let mut unrollings = outcome.unrollings;
-    if unrollings.len() > ctx.config.max_unrolls_per_enum {
-        unrollings.sort_by_key(|u| std::cmp::Reverse(u.volume()));
-        unrollings.truncate(ctx.config.max_unrolls_per_enum);
+        let wide = enumerate_unrollings_over(&ladders, relaxed, units, fits, min, maximal);
+        found.explored += wide.explored;
+        found.probes += wide.probes;
+        found.unrollings.extend(wide.unrollings);
     }
     // The relaxed pass finds again what the principled pass kept; the
     // first of each stays, so the stage writes every child once.
-    let mut distinct = Vec::with_capacity(unrollings.len());
-    for u in unrollings {
-        if !distinct.contains(&u) {
-            distinct.push(u);
+    let mut kept: Vec<DimVec> = Vec::new();
+    for u in keep_largest(found.unrollings, ctx.config.max_unrolls_per_enum) {
+        if !kept.contains(&u) {
+            kept.push(u);
         }
     }
-    let unrollings = distinct;
-    stats.unrollings += unrollings.len() as u64;
-    let level = stats.level_mut(stage);
-    level.expand_unrolls += elapsed;
-    level.unrolling.record(outcome.explored as u64, unrollings.len() as u64);
-    let placed = unrollings.iter().map(|u| multiply(&pins, u)).collect();
-    memo.unrolls.insert(
-        memo_key,
-        estimate::Enumerated { kept: unrollings.into(), explored: outcome.explored },
-    );
-    placed
+    let record = Record::new(Enumeration::Unrollings, found.explored, kept.len(), found.probes);
+    Answer { kept: kept.concat().into(), record }
 }
 
 /// Writes the rows of `runs[first..]`, the runs of the parent whose row
@@ -950,7 +854,8 @@ mod tests {
 
     use super::super::beam::{self, Beam};
     use super::super::compose::run_level_search;
-    use super::super::estimate::RowNest;
+    use super::super::estimate::{self, RowNest};
+    use super::super::stats::{LevelStats, PruneCounter};
     use super::super::testing::{
         conv2d, conv2d_batch, matmul, random_state, with_constraints, with_context,
     };
@@ -992,8 +897,7 @@ mod tests {
     fn arena(ctx: &SearchContext<'_>, children: &[(u64, u32)]) -> Candidates {
         let root = Beam::root(ctx);
         let mut cands = Candidates::new(&ctx.layout);
-        let (all, mut stats) = (DimSet::first_n(ctx.workload.num_dims()), SearchStats::default());
-        orderings_for(ctx, &mut cands, all, 0, &mut stats);
+        enumerate_orderings(ctx, &mut cands, DimSet::first_n(ctx.workload.num_dims()), 0);
         let sizes = ctx.workload.dim_sizes();
         let ones = DimVec::ones(sizes.len());
         for (i, &(tag, ordering)) in children.iter().enumerate() {
@@ -1198,10 +1102,12 @@ mod tests {
         assert!(priced > 0, "no row was priced");
     }
 
-    /// A search's statistics with what a tile memo hit saves — its work
-    /// counters and every timer — struck out.
+    /// A search's statistics with what an enumeration memo hit saves — the
+    /// capacity probes — the memos' hit and miss counts and every timer
+    /// struck out.
     fn replayed(mut stats: SearchStats) -> SearchStats {
         (stats.capacity_probes, stats.tile_memo_hits, stats.tile_memo_misses) = (0, 0, 0);
+        (stats.unroll_memo_hits, stats.unroll_memo_misses) = (0, 0);
         stats.elapsed = Duration::ZERO;
         stats.rank = Duration::ZERO;
         for l in &mut stats.levels {
@@ -1223,27 +1129,55 @@ mod tests {
         stats
     }
 
-    /// The tile memo's stored deltas and counters replay the enumeration
-    /// exactly: with every tile lookup forced to miss, the search ends on
-    /// the same beam with the same counters.
+    /// The enumeration memos' filed answers and replayed counters are what
+    /// the enumerations did: with every lookup forced to miss — ordering,
+    /// unroll and tile — the search ends on the same beam with the same
+    /// counters, on `simba_like`, where the unroll memo hits, and on
+    /// `conventional`, where it never does. Every counter the replay writes
+    /// is live (a replay that dropped one would read 0 on both sides). Run
+    /// with the default caps and with caps small enough to bind on every
+    /// enumeration kind, so an answer filed past its cap would show.
     #[test]
     fn tile_memo_hits_replay_what_the_enumeration_did() {
-        let (w, arch) = (conv2d(16, 16, 14), presets::simba_like());
-        with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
-            let search = |miss_tiles| {
-                let mut memo = SearchMemo { miss_tiles, ..SearchMemo::default() };
-                let mut stats = SearchStats::default();
-                let run = run_level_search(ctx, &mut memo, &mut stats);
-                (run.beam, stats)
-            };
-            let (beam, stats) = search(false);
-            let (missed_beam, missed) = search(true);
-            assert_eq!(beam, missed_beam);
-            assert_eq!(missed.tile_memo_hits, 0);
-            assert!(stats.tile_memo_hits > 0, "the memo answered nothing");
-            assert!(missed.capacity_probes > stats.capacity_probes);
-            assert_eq!(replayed(stats), replayed(missed));
-        });
+        let w = conv2d(16, 16, 14);
+        let capped =
+            SunstoneConfig { max_tiles_per_enum: 4, max_unrolls_per_enum: 2, ..Default::default() };
+        for config in [SunstoneConfig::default(), capped] {
+            for (arch, unroll_hits) in
+                [(presets::simba_like(), true), (presets::conventional(), false)]
+            {
+                with_context(&w, &arch, &config, |ctx| {
+                    let search = |miss_all| {
+                        let mut memo = SearchMemo { miss_all, ..SearchMemo::default() };
+                        let mut stats = SearchStats::default();
+                        let run = run_level_search(ctx, &mut memo, &mut stats);
+                        (run.beam, stats)
+                    };
+                    let (beam, stats) = search(false);
+                    let (missed_beam, missed) = search(true);
+                    let case = format!("{} with caps {}", arch.name(), config.max_tiles_per_enum);
+                    assert!(beam == missed_beam, "{case}: the beams differ");
+                    assert_eq!((missed.tile_memo_hits, missed.unroll_memo_hits), (0, 0), "{case}");
+                    assert!(stats.tile_memo_hits > 0, "{case}: the tile memo answered nothing");
+                    assert_eq!(stats.unroll_memo_hits > 0, unroll_hits, "{case}");
+                    assert!(missed.capacity_probes > stats.capacity_probes, "{case}");
+                    let sum = |f: fn(&LevelStats) -> u64| stats.levels.iter().map(f).sum::<u64>();
+                    let live = [
+                        stats.nodes_explored,
+                        stats.orderings,
+                        stats.tiles,
+                        stats.unrollings,
+                        sum(|l| l.ordering.considered),
+                        sum(|l| l.tiling.considered),
+                        sum(|l| l.unrolling.considered),
+                        sum(|l| l.ordering_no_reuse),
+                        sum(|l| l.ordering_dominated),
+                    ];
+                    assert!(live.iter().all(|&n| n > 0), "{case}: a counter is dead: {live:?}");
+                    assert_eq!(replayed(stats), replayed(missed), "{case}");
+                });
+            }
+        }
     }
 
     /// No stage writes a row twice, on real searches: on every preset,
@@ -1322,8 +1256,8 @@ mod tests {
     /// the principled pass kept: `conv5_x` on `simba_like` at stage 1,
     /// under a parent whose ordering excludes `K` from the fabric. The
     /// principled pass cannot fill the fabric, the relaxed pass returns
-    /// the principled unrolls among its own, and `unrolls_for` — and the
-    /// memo answering its repeat — lists each once.
+    /// the principled unrolls among its own, and the unrolling enumeration
+    /// — and the memo answering its repeat — lists each once.
     #[test]
     fn the_relaxed_fallback_lists_each_unroll_once() {
         let w = conv2d_batch(16, 512, 512, 7);
@@ -1342,14 +1276,13 @@ mod tests {
                     ctx.validation.capacity().fits(ctx.mems[stage], &multiply(&base, u))
                 };
                 let min = ctx.config.min_spatial_utilization;
-                enumerate_unrollings_cached(
+                crate::unrolling::enumerate_unrollings(
                     &quotas,
                     allowed,
                     fabric.units,
                     fits,
                     min,
                     true,
-                    &ctx.ladders,
                 )
                 .unrollings
             };
@@ -1360,13 +1293,18 @@ mod tests {
             assert!(!narrow.is_empty() && narrow.iter().all(|u| wide.contains(u)));
             let mut want = narrow.clone();
             want.extend(wide.iter().filter(|u| !narrow.contains(u)).cloned());
+            let want: Vec<u64> = want.concat();
             let (mut memo, mut stats) = (SearchMemo::default(), SearchStats::default());
-            let got = unrolls_for(ctx, excluded, stage, &base, &quotas, &mut memo, &mut stats);
-            assert_eq!(got, want);
-            assert_eq!(stats.unrollings, want.len() as u64);
-            assert_eq!(stats.levels[stage].unrolling.kept, want.len() as u64);
-            let again = unrolls_for(ctx, excluded, stage, &base, &quotas, &mut memo, &mut stats);
-            assert_eq!((again, stats.unroll_memo_hits), (want, 1));
+            let mut ask = |stats: &mut SearchStats| {
+                let (key, _) = unroll_key(ctx, pos, excluded, stage, &base, &quotas, stats)
+                    .expect("no pins to miss");
+                memo.unrolls.ask(key, true, stage, stats, |key| enumerate_unrolls(ctx, stage, key))
+            };
+            assert_eq!(ask(&mut stats)[..], want[..]);
+            let kept = (want.len() / w.num_dims()) as u64;
+            assert_eq!(stats.unrollings, kept);
+            assert_eq!(stats.levels[stage].unrolling.kept, kept);
+            assert_eq!((ask(&mut stats)[..] == want[..], stats.unroll_memo_hits), (true, 1));
         });
     }
 

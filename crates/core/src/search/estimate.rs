@@ -4,6 +4,8 @@
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
+use std::hash::Hash;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -15,33 +17,142 @@ use sunstone_model::{BatchEvalScratch, CostReport, CostTotals, MappingPrefix, Ne
 use super::beam::{Beam, KeyHashMap};
 use super::candidates::Candidates;
 use super::compose::SearchStop;
-use super::stats::SearchStats;
+use super::stats::{LevelStats, PruneCounter, SearchStats};
 use super::{RowLayout, SearchContext};
 use crate::pool::SliceWriter;
 
-/// A memoized unrolling enumeration: what it kept plus the count
-/// to replay, so a memo hit reports the counters the enumeration did.
-/// The kept vectors are shared, not copied: a lookup hands out the `Arc`.
-#[derive(Debug, Clone)]
-pub(crate) struct Enumerated {
-    pub(crate) kept: Arc<[DimVec]>,
-    pub(crate) explored: usize,
+/// Which of a stage's three enumerations a [`Record`] counts for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Enumeration {
+    Orderings,
+    Tiles,
+    Unrollings,
 }
 
-/// A memoized tile enumeration: per kept tile, in `deltas`, its growth
-/// over the key's base and the quotas it leaves (`2 × ndims` words a
-/// tile), plus the count to replay. The tile itself is the base times the
-/// growth. Shared, not copied: a lookup hands out the `Arc`.
-#[derive(Debug, Clone)]
-pub(crate) struct Tiles {
-    pub(crate) deltas: Arc<[u64]>,
-    pub(crate) explored: usize,
+/// The counters one enumeration produced. Every ask of it — the one that
+/// ran it and each memo hit after — replays them ([`replay`](Self::replay)),
+/// so the stats read as if every beam parent had enumerated for itself.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Record {
+    pub(crate) of: Enumeration,
+    /// Trie, tree or lattice nodes explored (0 for orderings with the
+    /// trie off).
+    pub(crate) nodes: u64,
+    /// Candidates considered vs. kept under the stage's principle (and
+    /// the enumeration's cap).
+    pub(crate) pruning: PruneCounter,
+    /// Orderings: suffixes rejected for adding no reuse (Ordering
+    /// Principle 3) and dropped by sibling dominance.
+    pub(crate) no_reuse: u64,
+    pub(crate) dominated: u64,
+    /// Orderings: the order constraint's filter.
+    pub(crate) constraint: PruneCounter,
+    /// Calls of the enumerator's `fits`: counted once, by the ask that
+    /// ran it, never replayed (a hit probes nothing).
+    pub(crate) probes: u64,
 }
 
-impl Tiles {
-    /// Tiles kept.
-    pub(crate) fn len(&self, ndims: usize) -> usize {
-        self.deltas.len() / (2 * ndims)
+impl Record {
+    /// The record of an enumeration of `of` that explored `nodes` and kept
+    /// `kept` of them, making `probes` capacity probes.
+    pub(crate) fn new(of: Enumeration, nodes: usize, kept: usize, probes: usize) -> Record {
+        let (nodes, kept) = (nodes as u64, kept as u64);
+        Record {
+            of,
+            nodes,
+            pruning: PruneCounter { considered: nodes, kept },
+            no_reuse: 0,
+            dominated: 0,
+            constraint: PruneCounter::default(),
+            probes: probes as u64,
+        }
+    }
+
+    /// Writes the enumeration's counters into `stats` at `stage`. The only
+    /// writer of `nodes_explored`, of the `orderings`/`tiles`/`unrollings`
+    /// totals, of the stage's `ordering`/`tiling`/`unrolling` counters and
+    /// of `ordering_no_reuse`/`ordering_dominated` (`ci.sh`, "one
+    /// enumeration rule").
+    pub(crate) fn replay(&self, stage: usize, stats: &mut SearchStats) {
+        let (total, counter): (&mut u64, fn(&mut LevelStats) -> &mut PruneCounter) = match self.of {
+            Enumeration::Orderings => (&mut stats.orderings, |l| &mut l.ordering),
+            Enumeration::Tiles => (&mut stats.tiles, |l| &mut l.tiling),
+            Enumeration::Unrollings => (&mut stats.unrollings, |l| &mut l.unrolling),
+        };
+        *total += self.pruning.kept;
+        stats.nodes_explored += self.nodes;
+        let level = stats.level_mut(stage);
+        counter(level).merge(&self.pruning);
+        level.ordering_no_reuse += self.no_reuse;
+        level.ordering_dominated += self.dominated;
+        level.constraint.merge(&self.constraint);
+    }
+}
+
+/// One enumeration's answer as its memo files it: what it kept — shared,
+/// so that a lookup hands out a clone of `kept`, for an `Arc` a count
+/// bump — and its [`Record`].
+#[derive(Debug, Clone)]
+pub(crate) struct Answer<T> {
+    pub(crate) kept: T,
+    pub(crate) record: Record,
+}
+
+/// The memo of one enumeration: its answers by key.
+#[derive(Debug)]
+pub(crate) struct Memo<K, T> {
+    answers: FxHashMap<K, Answer<T>>,
+}
+
+impl<K, T> Default for Memo<K, T> {
+    fn default() -> Self {
+        Memo { answers: FxHashMap::default() }
+    }
+}
+
+impl<K: Hash + Eq, T: Clone> Memo<K, T> {
+    /// The one lookup of an enumeration: what it keeps for `key`, from
+    /// memory, or — on a miss, or on every ask when `hits` is off — from
+    /// `enumerate`, whose answer is then filed (its probes counted and its
+    /// run timed). Either way the ask is counted as a hit or a miss and
+    /// the answer's record replayed at `stage`, so a hit reports what the
+    /// enumeration did.
+    pub(crate) fn ask(
+        &mut self,
+        key: K,
+        hits: bool,
+        stage: usize,
+        stats: &mut SearchStats,
+        enumerate: impl FnOnce(&K) -> Answer<T>,
+    ) -> T {
+        let (answer, hit) = match self.answers.get(&key) {
+            Some(known) if hits => (known.clone(), true),
+            _ => {
+                let clock = Instant::now();
+                let answer = enumerate(&key);
+                let level = stats.level_mut(stage);
+                *match answer.record.of {
+                    Enumeration::Orderings => &mut level.expand_orderings,
+                    Enumeration::Tiles => &mut level.expand_tiles,
+                    Enumeration::Unrollings => &mut level.expand_unrolls,
+                } += clock.elapsed();
+                stats.capacity_probes += answer.record.probes;
+                self.answers.insert(key, answer.clone());
+                (answer, false)
+            }
+        };
+        let asks = match answer.record.of {
+            Enumeration::Orderings => None,
+            Enumeration::Tiles => Some((&mut stats.tile_memo_hits, &mut stats.tile_memo_misses)),
+            Enumeration::Unrollings => {
+                Some((&mut stats.unroll_memo_hits, &mut stats.unroll_memo_misses))
+            }
+        };
+        if let Some((hits, misses)) = asks {
+            *if hit { hits } else { misses } += 1;
+        }
+        answer.record.replay(stage, stats);
+        answer.kept
     }
 }
 
@@ -59,16 +170,19 @@ pub(crate) struct TileKey {
     pub(crate) unrollable: DimSet,
 }
 
-/// Key of one per-fabric unrolling enumeration (one fabric, one
-/// accumulated prefix). `combined` is the
-/// resident tile already multiplied by the unrolls accumulated from
-/// inner fabrics — the exact base the capacity probe inflates — so the
-/// key covers the whole fits closure.
+/// The unroll question of one beam parent, asked once per parent after
+/// the user's unroll pins are seeded: the fabric at `pos`, the quotas
+/// left for it, the dimensions the Spatial Unrolling Principle lets it
+/// unroll and the wider set the high-throughput fallback may turn to,
+/// and `combined`, the resident tile with the pinned factors folded in —
+/// the exact tile the capacity probe inflates — so the key covers the
+/// whole fits closure.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct UnrollKey {
     pub(crate) pos: usize,
     pub(crate) quotas: DimVec,
     pub(crate) principled: DimSet,
+    pub(crate) relaxed: DimSet,
     pub(crate) combined: DimVec,
 }
 
@@ -168,26 +282,36 @@ impl EstimateTable {
 }
 
 /// What one search remembers while it runs: the estimates of every
-/// candidate it has priced, and the tile/unrolling enumerations it has
-/// walked. Owned by the search and dropped with it — a repeated call is
-/// answered from the session's result memo, above the search, so nothing
-/// here needs to outlive it — and touched only on the thread that runs
-/// the search (expansion, the estimate probe and the publish all happen
-/// there; pool workers only price), so there is no lock.
+/// candidate it has priced, and the ordering, tile and unrolling
+/// enumerations it has run. Owned by the search and dropped with it — a
+/// repeated call is answered from the session's result memo, above the
+/// search, so nothing here needs to outlive it — and touched only on the
+/// thread that runs the search (expansion, the estimate probe and the
+/// publish all happen there; pool workers only price), so there is no
+/// lock.
 ///
 /// Within one search distinct beam states still complete to the same
 /// mapping — the remainder placement collapses states that differ only in
-/// undecided levels, across stages — and beam parents reach the same
-/// (base, quota) frontier again and again, so all three tables hit.
+/// undecided levels, across stages — and beam parents share their in-play
+/// set and reach the same (base, quota) frontier again and again, so every
+/// table hits.
 #[derive(Debug, Default)]
 pub(crate) struct SearchMemo {
     pub(crate) estimates: EstimateTable,
-    pub(crate) tiles: FxHashMap<TileKey, Tiles>,
-    pub(crate) unrolls: FxHashMap<UnrollKey, Enumerated>,
-    /// Makes every tile lookup miss, so that each enumeration runs again:
-    /// what tests hold the stored deltas and replayed counters to.
+    /// Per stage and in-play set, the run of the stage arena's ordering
+    /// pool the enumeration appended. It indexes the arena of its stage,
+    /// which is the only stage that asks its key.
+    pub(crate) orderings: Memo<(usize, DimSet), RangeInclusive<u32>>,
+    /// Per [`TileKey`], per kept tile its growth over the key's base and
+    /// the quotas it leaves (`2 × ndims` words a tile; the tile itself is
+    /// the base times the growth).
+    pub(crate) tiles: Memo<TileKey, Arc<[u64]>>,
+    /// Per [`UnrollKey`], the kept unrolls (`ndims` words each).
+    pub(crate) unrolls: Memo<UnrollKey, Arc<[u64]>>,
+    /// Makes every enumeration lookup miss, so that each enumeration runs
+    /// again: what tests hold the filed answers and replayed counters to.
     #[cfg(test)]
-    pub(crate) miss_tiles: bool,
+    pub(crate) miss_all: bool,
     /// When set, per stage expanded, how many of its arena's rows repeat
     /// an earlier row's words: what tests hold the arena's distinctness to.
     /// Each stage's run table is then also held to its rows
@@ -197,10 +321,10 @@ pub(crate) struct SearchMemo {
 }
 
 impl SearchMemo {
-    /// Whether a tile lookup may answer from memory.
-    pub(crate) fn tile_hits_allowed(&self) -> bool {
+    /// Whether an enumeration lookup may answer from memory.
+    pub(crate) fn hits(&self) -> bool {
         #[cfg(test)]
-        if self.miss_tiles {
+        if self.miss_all {
             return false;
         }
         true

@@ -102,9 +102,8 @@ pub struct LevelStats {
     /// ran, timed like `expand_tiles`.
     #[serde(default)]
     pub expand_unrolls: Duration,
-    /// Part of `expand`: picking each parent's ordering candidates (an
-    /// enumeration per distinct in-play set, a replay otherwise). One
-    /// clock pair per parent.
+    /// Part of `expand`: the ordering enumerations this stage actually ran
+    /// (one per distinct in-play set), timed like `expand_tiles`.
     #[serde(default)]
     pub expand_orderings: Duration,
     /// Part of `expand`: writing the candidate rows once a parent's
@@ -180,8 +179,8 @@ pub struct SearchStats {
     /// Spatial unrollings considered across all stages.
     pub unrollings: u64,
     /// Trie / tree nodes explored while enumerating: the logical count,
-    /// replayed from the search's enumeration memos on a hit so it reads as
-    /// if every beam parent had enumerated for itself.
+    /// replayed on every ask of an enumeration, memo hit or not, so it
+    /// reads as if every beam parent had enumerated for itself.
     pub nodes_explored: u64,
     /// Calls of the tile and unrolling enumerators' `fits` predicates — the
     /// capacity probes actually made, beside the replayed

@@ -56,33 +56,15 @@ pub fn enumerate_tiles(
     fits: impl Fn(&[u64]) -> bool,
     maximal_only: bool,
 ) -> TilingOutcome {
-    let divisors: Vec<Cow<'_, [u64]>> =
-        quota.iter().map(|&q| Cow::Owned(sorted_divisors(q))).collect();
-    let outcome =
-        grow_with_divisors(base, quota, allowed, |_, tile| fits(tile), maximal_only, &divisors);
-    into_tiles(base, outcome)
-}
-
-/// As [`enumerate_tiles`] (same contract on `fits` and `explored`), with
-/// the per-dimension divisor ladders served from a precomputed
-/// [`DivisorLadders`] table instead of trial division per call, and every
-/// kept tile given as its growth over `base` (the tile is `base × growth`,
-/// the growth a divisor of `quota` per dimension); `fits` sees each
-/// probe's growth beside its tile — the search's hot variant, which needs
-/// the growths and so never divides them back out of the tiles.
-pub(crate) fn enumerate_growths_cached(
-    base: &[u64],
-    quota: &[u64],
-    allowed: DimSet,
-    fits: impl Fn(&[u64], &[u64]) -> bool,
-    maximal_only: bool,
-    ladders: &DivisorLadders,
-) -> TilingOutcome {
-    grow_with_divisors(base, quota, allowed, fits, maximal_only, &ladders.ladder_set(quota))
-}
-
-/// The growths' outcome as tiles: each growth multiplied by `base`.
-fn into_tiles(base: &[u64], mut outcome: TilingOutcome) -> TilingOutcome {
+    // An empty table computes every ladder it is asked for.
+    let ladders = DivisorLadders::default();
+    let mut outcome = enumerate_growths(
+        &ladders.ladder_set(quota),
+        base,
+        allowed,
+        |_, tile| fits(tile),
+        maximal_only,
+    );
     for tile in &mut outcome.tiles {
         for (t, &b) in tile.iter_mut().zip(base) {
             *t *= b;
@@ -91,15 +73,21 @@ fn into_tiles(base: &[u64], mut outcome: TilingOutcome) -> TilingOutcome {
     outcome
 }
 
-fn grow_with_divisors(
+/// [`enumerate_tiles`] (same contract on `fits` and `explored`) over
+/// `ladders`, per dimension the divisor ladder of its quota as
+/// [`DivisorLadders::ladder_set`] resolves it, with every kept tile given
+/// as its growth over `base` (the tile is `base × growth`, the growth a
+/// divisor of the quota per dimension); `fits` sees each probe's growth
+/// beside its tile. The search calls it with its own ladder table, and
+/// needs the growths, so it never divides them back out of the tiles.
+pub(crate) fn enumerate_growths(
+    ladders: &[Cow<'_, [u64]>],
     base: &[u64],
-    quota: &[u64],
     allowed: DimSet,
     fits: impl Fn(&[u64], &[u64]) -> bool,
     maximal_only: bool,
-    divisors: &[Cow<'_, [u64]>],
 ) -> TilingOutcome {
-    debug_assert_eq!(quota.len(), base.len());
+    debug_assert_eq!(ladders.len(), base.len());
     let mut probes = 0;
     let mut tile = DimVec::from_slice(base);
     // A saturated extent is past any capacity, so saturating keeps `fits`
@@ -114,7 +102,7 @@ fn grow_with_divisors(
     if !fits_grown(&DimVec::ones(base.len())) {
         return TilingOutcome { tiles: Vec::new(), explored: 1, probes };
     }
-    let walk = lattice::walk(divisors, allowed, &mut fits_grown, maximal_only);
+    let walk = lattice::walk(ladders, allowed, &mut fits_grown, maximal_only);
     TilingOutcome { tiles: walk.nodes, explored: walk.explored, probes }
 }
 
@@ -223,22 +211,33 @@ mod tests {
         );
     }
 
+    /// The search's filled ladder table and the empty one the public
+    /// entry point asks, which computes every ladder, enumerate alike.
     #[test]
     fn cached_ladders_match_uncached_enumeration() {
         let extents = [128u64, 128, 28, 28, 3, 3, 1];
-        let ladders = crate::factors::DivisorLadders::new(&extents);
-        let base = vec![1u64; 7];
+        let ladders = DivisorLadders::new(&extents);
+        let base = vec![2u64; 7];
         // A mid-search quota: every entry divides its extent.
         let quota = vec![64, 32, 14, 28, 3, 1, 1];
         let fits = |t: &[u64]| t.iter().product::<u64>() <= 4096;
         let grow = dims(&[0, 2, 3]);
         for maximal in [true, false] {
             let plain = enumerate_tiles(&base, &quota, grow, fits, maximal);
-            let cached = into_tiles(
+            let cached = enumerate_growths(
+                &ladders.ladder_set(&quota),
                 &base,
-                enumerate_growths_cached(&base, &quota, grow, |_, t| fits(t), maximal, &ladders),
+                grow,
+                |_, t| fits(t),
+                maximal,
             );
-            assert_eq!(plain, cached);
+            let tiles: Vec<DimVec> = cached
+                .tiles
+                .iter()
+                .map(|g| g.iter().zip(&base).map(|(g, b)| g * b).collect())
+                .collect();
+            assert!(!tiles.is_empty());
+            assert_eq!(plain, TilingOutcome { tiles, ..cached });
         }
     }
 }

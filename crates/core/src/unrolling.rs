@@ -13,7 +13,6 @@ use sunstone_ir::{DimSet, DimVec};
 
 use crate::factors::DivisorLadders;
 use crate::lattice;
-use crate::tiling::sorted_divisors;
 
 /// Result of an unrolling enumeration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,51 +56,30 @@ pub fn enumerate_unrollings(
     min_utilization: f64,
     maximal_only: bool,
 ) -> UnrollingOutcome {
-    let divisors: Vec<Cow<'_, [u64]>> =
-        quota.iter().map(|&q| Cow::Owned(sorted_divisors(q))).collect();
-    enumerate_with_divisors(quota, allowed, units, fits, min_utilization, maximal_only, &divisors)
+    // An empty table computes every ladder it is asked for.
+    let ladders = DivisorLadders::default();
+    let ladders = ladders.ladder_set(quota);
+    enumerate_unrollings_over(&ladders, allowed, units, fits, min_utilization, maximal_only)
 }
 
-/// As [`enumerate_unrollings`] (same contract on `fits` and `explored`),
-/// with divisor ladders served from a precomputed [`DivisorLadders`]
-/// table — the search pipeline's hot variant.
-#[allow(clippy::too_many_arguments)]
-pub fn enumerate_unrollings_cached(
-    quota: &[u64],
+/// [`enumerate_unrollings`] (same contract on `fits` and `explored`) over
+/// `ladders`, per dimension the divisor ladder of its quota as
+/// [`DivisorLadders::ladder_set`] resolves it: the search calls it with
+/// its own ladder table.
+pub(crate) fn enumerate_unrollings_over(
+    ladders: &[Cow<'_, [u64]>],
     allowed: DimSet,
     units: u64,
     fits: impl Fn(&[u64]) -> bool,
     min_utilization: f64,
     maximal_only: bool,
-    ladders: &DivisorLadders,
-) -> UnrollingOutcome {
-    enumerate_with_divisors(
-        quota,
-        allowed,
-        units,
-        fits,
-        min_utilization,
-        maximal_only,
-        &ladders.ladder_set(quota),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn enumerate_with_divisors(
-    quota: &[u64],
-    allowed: DimSet,
-    units: u64,
-    fits: impl Fn(&[u64]) -> bool,
-    min_utilization: f64,
-    maximal_only: bool,
-    divisors: &[Cow<'_, [u64]>],
 ) -> UnrollingOutcome {
     let mut probes = 0;
     let mut fits_counted = |f: &[u64]| {
         probes += 1;
         fits(f)
     };
-    if !fits_counted(&DimVec::ones(quota.len())) {
+    if !fits_counted(&DimVec::ones(ladders.len())) {
         return UnrollingOutcome { unrollings: Vec::new(), explored: 1, probes };
     }
     // An overflowing product is past any fabric.
@@ -109,7 +87,7 @@ fn enumerate_with_divisors(
         f.iter().try_fold(1u64, |used, &x| used.checked_mul(x)).is_some_and(|u| u <= units)
     };
     let walk =
-        lattice::walk(divisors, allowed, |f| within_units(f) && fits_counted(f), maximal_only);
+        lattice::walk(ladders, allowed, |f| within_units(f) && fits_counted(f), maximal_only);
     let frontier = walk.nodes;
 
     // High-throughput filter: keep candidates at or above the utilization
@@ -199,6 +177,8 @@ mod tests {
         assert_eq!(maximal.unrollings, vec![DimVec::from_slice(&[8])]);
     }
 
+    /// The search's filled ladder table and the empty one the public
+    /// entry point asks, which computes every ladder, enumerate alike.
     #[test]
     fn cached_ladders_match_uncached_enumeration() {
         let extents = [64u64, 16, 28];
@@ -206,15 +186,15 @@ mod tests {
         let quota = [32u64, 16, 14];
         for maximal in [true, false] {
             let plain = enumerate_unrollings(&quota, dims(&[0, 1, 2]), 16, |_| true, 0.5, maximal);
-            let cached = enumerate_unrollings_cached(
-                &quota,
+            let cached = enumerate_unrollings_over(
+                &ladders.ladder_set(&quota),
                 dims(&[0, 1, 2]),
                 16,
                 |_| true,
                 0.5,
                 maximal,
-                &ladders,
             );
+            assert!(!plain.unrollings.is_empty());
             assert_eq!(plain, cached);
         }
     }

@@ -244,3 +244,33 @@ fn one_constraint_set_schedules_alike_under_any_spelling() {
         }
     }
 }
+
+/// `order_exact` decides which loops run at its memory, not only their
+/// order: with `order_exact("L2", [K, C])` the tiling stage grows the L2
+/// tile only in K and C, so no finalist carries another dimension's loop
+/// there and the check drops none of them. Every one of the `top_k`
+/// results the last stage kept comes back, and each honors the set.
+#[test]
+fn order_exact_admits_only_its_groups_loops() {
+    let w = batched_conv();
+    let set = MappingConstraints::new().order_exact("L2", [DimRef::named("K"), DimRef::named("C")]);
+    let opts = ScheduleOptions::new().top_k(48).constraints(set.clone());
+    for arch in [presets::conventional(), presets::eyeriss_like(), presets::simba_like()] {
+        let outcome = Scheduler::new(SunstoneConfig::default())
+            .schedule_with(&w, &arch, &opts)
+            .unwrap_or_else(|e| panic!("{}: schedules: {e}", arch.name()));
+        let results = outcome.results();
+        let stats = &results[0].stats;
+        let last = stats.levels.last().expect("a stage ran");
+        assert_eq!(
+            results.len() as u64,
+            last.beam.kept,
+            "{}: the check dropped finalists (best EDP {:e})",
+            arch.name(),
+            results[0].report.edp
+        );
+        for r in results {
+            assert_satisfies(&w, &arch, r, &set);
+        }
+    }
+}
