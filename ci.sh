@@ -71,6 +71,22 @@ if grep -rnE 'nodes_explored \+=|\.(tiling|unrolling)\.record\(|\.ordering\.merg
     exit 1
 fi
 
+echo "== one fabric rule =="
+# What a fabric may unroll is resolved once, with the constraints
+# (`LevelConstraints::unroll_dims`, crates/mapping/src/constraints.rs):
+# the search's unroll and tile enumerations and the Table VI study read
+# that set. A fabric's reduction flag or an allow-list read anywhere else
+# is a second answer, free to drift. Exempt: the architecture that
+# defines the flag, the validator's own safety check, the fingerprint
+# that hashes it, and the baselines, which model other tools.
+if grep -rnE 'allow_reduction|unroll_allow' crates/*/src \
+    | grep -v -e '^crates/arch/src/' -e '^crates/mapping/src/constraints\.rs:' \
+        -e '^crates/mapping/src/validate\.rs:' -e '^crates/core/src/fingerprint\.rs:' \
+        -e '^crates/baselines/src/'; then
+    echo "what a fabric may unroll decided outside crates/mapping/src/constraints.rs" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (core crates, benches, repro tests) =="
 cargo clippy --release \
     -p sunstone-ir -p sunstone-arch -p sunstone-mapping -p sunstone-model \
@@ -86,9 +102,10 @@ echo "== doctests (core crate) =="
 cargo test -q --doc -p sunstone
 
 echo "== example smoke: constrained-vs-free template =="
-# The example asserts the template can never beat the free optimum; a
-# nonzero exit means the constraint layer leaked mappings out of the
-# template's subspace.
+# The example asserts that, on its layer, the C-K template costs at least
+# the free search's best. That holds for this case, not in general: both
+# are beam searches, and a template can beat the free search elsewhere
+# (EXPERIMENTS.md). A nonzero exit means this case's verdict changed.
 cargo run --release --example constrained >/dev/null
 
 echo "== fault injection: build + soak =="

@@ -40,7 +40,9 @@ use sunstone::unrolling::{enumerate_unrollings, principle_excluded_dims};
 use sunstone::SunstoneConfig;
 use sunstone_arch::{ArchSpec, Binding, LevelId};
 use sunstone_ir::{DimSet, DimVec, Workload};
-use sunstone_mapping::{Mapping, MappingLevel, ValidationContext};
+use sunstone_mapping::{
+    Mapping, MappingConstraints, MappingLevel, ResolvedConstraints, ValidationContext,
+};
 use sunstone_model::{CostModel, CostReport};
 
 /// Which memory the walk decides first.
@@ -122,6 +124,8 @@ pub fn search(
     beam_width: usize,
 ) -> Result<StudyResult, String> {
     let binding = Binding::resolve(arch, workload).map_err(|e| e.to_string())?;
+    let fabrics = ResolvedConstraints::resolve(&MappingConstraints::new(), workload, arch)
+        .map_err(|e| e.to_string())?;
     let mems: Vec<usize> = arch.memory_levels().map(|(id, _)| id.index()).collect();
     let mut gap = 0;
     let fabric_below = mems
@@ -141,6 +145,7 @@ pub fn search(
         trie: OrderingTrie::new(workload),
         mems,
         fabric_below,
+        fabrics,
         direction,
         order,
         nodes: Cell::new(0),
@@ -159,6 +164,9 @@ struct Study<'a> {
     mems: Vec<usize>,
     /// Per memory, the fabric in the gap below it.
     fabric_below: Vec<Option<usize>>,
+    /// The empty constraint set, resolved: per fabric, the dimensions it
+    /// may unroll.
+    fabrics: ResolvedConstraints,
     direction: Direction,
     order: IntraOrder,
     /// Nodes the enumerations explored so far.
@@ -297,7 +305,7 @@ impl Study<'_> {
     /// Unrolls of the stage's fabric out of what the tile (if chosen)
     /// leaves, under the Spatial Unrolling Principle of the ordering it
     /// pairs with, if that is chosen; widened to every dimension the
-    /// fabric can reduce over when the principled ones cannot keep it busy.
+    /// fabric may unroll when the principled ones cannot keep it busy.
     fn unrolls(&self, x: &Expansion<'_>, choice: &Choice) -> Vec<DimVec> {
         let Some(pos) = x.fabric else { return vec![self.ones()] };
         let fabric = self.arch.level(LevelId(pos)).as_spatial().expect("spatial level");
@@ -310,12 +318,7 @@ impl Study<'_> {
         let excluded = paired.map_or(DimSet::EMPTY, |o| {
             principle_excluded_dims(o.fully_reused().map(|t| self.trie.reuse().of(t).full_reuse))
         });
-        let all = DimSet::first_n(self.workload.num_dims());
-        let relaxed = if fabric.allow_reduction {
-            all
-        } else {
-            all.difference(self.workload.reduction_dims())
-        };
+        let relaxed = self.fabrics.at(pos).unroll_dims;
         // Bottom-up, the unroll inflates the tile of the memory above it.
         let inflated =
             (self.direction == Direction::BottomUp).then(|| multiply(&self.base(x), &growth));

@@ -556,10 +556,11 @@ fn product(factors: impl Iterator<Item = u64>) -> u128 {
 /// the ordering chosen at the previous stage excludes from unrolling
 /// (`here`, the parent's `Beam::unroll_excluded`), with the user's tile
 /// pins seeded. The parallelism reserve is measured over `unrollable` —
-/// the dimensions the Spatial Unrolling Principle will actually let the
-/// fabrics consume — so a tile cannot swallow the quota the unrollings
-/// need. `None` when a pin the parent cannot reach kills the run. Never
-/// asked at the outermost memory, where the children place the remainder.
+/// the dimensions the fabrics above may unroll under the Spatial
+/// Unrolling Principle ([`SearchContext::unrollable_above`]) — so a tile
+/// cannot swallow the quota the unrollings need. `None` when a pin the
+/// parent cannot reach kills the run. Never asked at the outermost
+/// memory, where the children place the remainder.
 fn tile_key(
     ctx: &SearchContext<'_>,
     stage: usize,
@@ -569,25 +570,23 @@ fn tile_key(
     (ordering, here): (Option<&OrderingDims>, DimSet),
     stats: &mut SearchStats,
 ) -> Option<(TileKey, Pins)> {
-    let all = DimSet::first_n(ctx.workload.num_dims());
-    let mut allowed = ordering.map_or(all, |o| o.tile_allowed);
-    // The parallelism reserve is measured over the dimensions the fabrics
-    // may actually unroll. When this stage has a fabric in its own gap,
-    // that fabric pairs with the ordering chosen at the *previous* stage
-    // (`here`); otherwise the nearest future fabric pairs with the
-    // ordering being chosen now.
+    let mut allowed = ordering.map_or(DimSet::first_n(ctx.workload.num_dims()), |o| o.tile_allowed);
+    // When this stage has a fabric in its own gap, that fabric pairs with
+    // the ordering chosen at the *previous* stage (`here`); otherwise the
+    // nearest future fabric pairs with the ordering being chosen now.
     let excluded = if ctx.lower_spatial[stage].is_none() {
         ordering.map_or(DimSet::EMPTY, |o| o.unroll_excluded)
     } else {
         here
     };
-    let mut unrollable = all.difference(excluded);
+    let above = ctx.unrollable_above[stage];
+    let mut unrollable = above.difference(excluded);
     // Mirror the high-throughput fallback of `enumerate_unrolls`: when the
     // principled dimensions cannot reach the utilization floor, the
-    // fabrics will unroll any dimension, so the reserve must guard them
+    // fabrics will unroll anything they may, so the reserve must guard it
     // all.
     if product(unrollable.iter().map(|d| quotas[d.index()])) < u128::from(reserve) {
-        unrollable = all;
+        unrollable = above;
     }
     let mem_pos = ctx.mems[stage];
     let lc = ctx.constraints.at(mem_pos);
@@ -699,23 +698,19 @@ fn unroll_key(
     stats: &mut SearchStats,
 ) -> Option<(UnrollKey, Pins)> {
     let ndims = ctx.workload.num_dims();
-    let fabric = ctx.arch.level(LevelId(pos)).as_spatial().expect("spatial level");
-    let hard_excluded =
-        if fabric.allow_reduction { DimSet::EMPTY } else { ctx.workload.reduction_dims() };
-    let open = DimSet::first_n(ndims).difference(hard_excluded);
-    // User constraints on this fabric: an allow-list intersects both the
-    // principled and the relaxed (high-throughput fallback) sets; pinned
-    // dimensions are seeded — their factors leave the enumeration
-    // entirely and the fabric's unit budget shrinks by the pinned product.
+    // What the fabric may unroll, resolved once with the constraints, is
+    // the relaxed (high-throughput fallback) set, and the principled set
+    // within it; pinned dimensions are seeded — their factors leave the
+    // enumeration entirely and the fabric's unit budget shrinks by the
+    // pinned product.
     let lc = ctx.constraints.at(pos);
-    let relaxed =
-        lc.unroll_allow.map_or(open, |allow| open.intersection(allow)).difference(lc.unroll_pinned);
-    if lc.unroll_allow.is_some() || !lc.unroll_pins.is_empty() {
+    let relaxed = lc.unroll_dims.difference(lc.unroll_pinned);
+    if let Some(free) = lc.unroll_free {
         // Attribute the allow-list/pin restriction: dimension slots the
         // fabric would have unrolled freely vs. what the constraint leaves
         // open (pinned dims count as removed — they are fixed, not
         // searched).
-        stats.level_mut(stage).constraint.record(open.len() as u64, relaxed.len() as u64);
+        stats.level_mut(stage).constraint.record(free.len() as u64, relaxed.len() as u64);
     }
     let mut quotas = DimVec::from_slice(quotas);
     let pins = Pins::seed(&lc.unroll_pins, &DimVec::ones(ndims), &mut quotas, stage, stats)?;
@@ -1269,8 +1264,7 @@ mod tests {
             let quotas = [1, 512, 64, 1, 1, 3, 3];
             let pos = ctx.lower_spatial[stage].expect("a fabric below the stage's memory");
             let fabric = arch.level(LevelId(pos)).as_spatial().expect("spatial level");
-            let hard = if fabric.allow_reduction { DimSet::EMPTY } else { w.reduction_dims() };
-            let relaxed = DimSet::first_n(w.num_dims()).difference(hard);
+            let relaxed = ctx.constraints.at(pos).unroll_dims;
             let pass = |allowed| {
                 let fits = |u: &[u64]| {
                     ctx.validation.capacity().fits(ctx.mems[stage], &multiply(&base, u))

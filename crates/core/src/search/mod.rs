@@ -49,7 +49,7 @@ use std::ops::Range;
 use std::time::Instant;
 
 use sunstone_arch::{ArchSpec, Binding, Level, LevelId};
-use sunstone_ir::{DimId, DimVec, Workload};
+use sunstone_ir::{DimId, DimSet, DimVec, Workload};
 use sunstone_mapping::{
     Mapping, MappingConstraints, MappingLevel, ResolvedConstraints, ValidationContext,
 };
@@ -367,6 +367,13 @@ pub(crate) struct SearchContext<'a> {
     /// `ArchSpec::validate` rejects adjacent spatial levels, so a gap holds
     /// at most one fabric.
     pub(crate) lower_spatial: Vec<Option<usize>>,
+    /// `unrollable_above[i]`: what the fabrics above memory `i` may unroll
+    /// — the union of their resolved sets
+    /// ([`LevelConstraints::unroll_dims`](sunstone_mapping::constraints::LevelConstraints::unroll_dims)),
+    /// over which a tile at memory `i` leaves them their parallelism. A
+    /// fabric whose pins fix its whole unroll adds every dimension (DESIGN
+    /// §3f, "One fabric rule").
+    pub(crate) unrollable_above: Vec<DimSet>,
     /// The session's persistent worker pool (estimate rounds fan out over
     /// it instead of spawning threads per round).
     pub(crate) pool: &'a WorkerPool,
@@ -410,6 +417,24 @@ impl<'a> SearchContext<'a> {
             debug_assert!(fabrics.next().is_none(), "adjacent spatial levels");
             gap = m + 1;
         }
+        // What a fabric gives the reserve: its set, or every dimension
+        // when its pins fix its whole unroll.
+        let feeds = |pos: LevelId| {
+            let lc = constraints.at(pos.index());
+            let open = lc.unroll_dims.difference(lc.unroll_pinned);
+            if open.is_empty() {
+                DimSet::first_n(workload.num_dims())
+            } else {
+                lc.unroll_dims
+            }
+        };
+        let unrollable_above = mems
+            .iter()
+            .map(|&m| {
+                let above = arch.spatial_levels().filter(|(pos, _)| pos.index() > m);
+                above.map(|(pos, _)| feeds(pos)).fold(DimSet::EMPTY, DimSet::union)
+            })
+            .collect();
         let base = streaming_base(workload, arch);
         let complete_at = *mems.last().expect("at least one memory");
         let layout = RowLayout::of(&base, workload.num_dims(), complete_at);
@@ -422,6 +447,7 @@ impl<'a> SearchContext<'a> {
             trie: OrderingTrie::new(workload),
             mems,
             lower_spatial,
+            unrollable_above,
             pool,
             ladders: DivisorLadders::new(&workload.dim_sizes()),
             validation: ValidationContext::new(workload, arch, binding),

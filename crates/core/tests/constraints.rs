@@ -1,9 +1,12 @@
 //! Constrained-vs-free search invariants: the constraint layer must not
 //! disturb the free path (bit-identical results with empty constraints),
-//! must never *improve* on the free optimum (the constrained space is a
-//! subset), must reproduce the free optimum when the optimum itself is
-//! pinned, must reject contradictions with the typed error, and must keep
-//! constrained and unconstrained cache contexts isolated.
+//! must reproduce the free optimum when the optimum itself is pinned,
+//! must reject contradictions with the typed error, and must keep
+//! constrained and unconstrained cache contexts isolated. On the case
+//! below, no template beats the free search; that is a fact of this case,
+//! not a law: the constrained space is a subset, but the search is a beam
+//! search, and a template can steer it to a better mapping than the free
+//! search keeps (EXPERIMENTS.md lists such cases).
 
 use sunstone::fingerprint::mapping_fingerprint;
 use sunstone::prelude::*;
@@ -273,4 +276,32 @@ fn order_exact_admits_only_its_groups_loops() {
             assert_satisfies(&w, &arch, r, &set);
         }
     }
+}
+
+/// The golden `conv2d/simba` workload under `OutputStationary`: every
+/// `simba_like` fabric may unroll only the output-indexing dimensions N,
+/// K, P and Q. While a tile's parallelism reserve was measured over every
+/// dimension, it counted the quota of C, R and S, which none of them may
+/// unroll, so stage 0 could keep tiles that left them nothing to unroll,
+/// and the search ended in `InfeasibleLevel { stage: 1 }`. The reserve
+/// now reads the set the fabrics above may unroll.
+#[test]
+fn a_template_schedules_where_its_fabrics_can_be_fed() {
+    let mut b = Workload::builder("conv2d");
+    let n = b.dim("N", 2);
+    let k = b.dim("K", 64);
+    let c = b.dim("C", 64);
+    let p = b.dim("P", 28);
+    let q = b.dim("Q", 28);
+    let r = b.dim("R", 3);
+    let s = b.dim("S", 3);
+    b.input_bits("ifmap", [n.expr(), c.expr(), p + r, q + s], 8);
+    b.input_bits("weight", [k.expr(), c.expr(), r.expr(), s.expr()], 8);
+    b.output_bits("ofmap", [n.expr(), k.expr(), p.expr(), q.expr()], 24);
+    let w = b.build().expect("valid conv workload");
+    let arch = presets::simba_like();
+    let constraints = DataflowTemplate::OutputStationary.constraints(&arch);
+    let result = schedule_constrained(&w, &arch, constraints.clone())
+        .unwrap_or_else(|e| panic!("OutputStationary schedules: {e}"));
+    assert_satisfies(&w, &arch, &result, &constraints);
 }

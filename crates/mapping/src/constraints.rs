@@ -391,9 +391,17 @@ fn unsat(reason: String) -> ConstraintError {
 /// for fabrics, tile/order fields for memories), raw-indexed.
 #[derive(Debug, Clone)]
 pub struct LevelConstraints {
-    /// Fabrics: the only dimensions allowed to unroll here (pins
-    /// included); `None` leaves the fabric unconstrained.
-    pub unroll_allow: Option<DimSet>,
+    /// Fabrics: the dimensions this fabric may unroll — every dimension,
+    /// less the reductions when the fabric cannot reduce spatially, within
+    /// the allow-list (pins included). Filled for every fabric, also when
+    /// the set is empty; empty at memories. The one answer the search's
+    /// unroll and tile enumerations and [`ResolvedConstraints::check`]
+    /// read.
+    pub unroll_dims: DimSet,
+    /// Fabrics an allow-list or a pin names: what `unroll_dims` would be
+    /// without them, the hardware's set, against which the search counts
+    /// what the constraint cut. `None` elsewhere.
+    pub unroll_free: Option<DimSet>,
     /// Fabrics: exact per-dimension unroll factors.
     pub unroll_pins: Vec<(usize, u64)>,
     /// The pinned dimensions of `unroll_pins`, as a set.
@@ -413,7 +421,8 @@ pub struct LevelConstraints {
 impl Default for LevelConstraints {
     fn default() -> Self {
         LevelConstraints {
-            unroll_allow: None,
+            unroll_dims: DimSet::EMPTY,
+            unroll_free: None,
             unroll_pins: Vec::new(),
             unroll_pinned: DimSet::EMPTY,
             unroll_pin_product: 1,
@@ -469,8 +478,19 @@ impl ResolvedConstraints {
         workload: &Workload,
         arch: &ArchSpec,
     ) -> Result<Self, ConstraintError> {
-        let mut levels: Vec<LevelConstraints> =
-            (0..arch.num_levels()).map(|_| LevelConstraints::default()).collect();
+        // The one fabric rule: a fabric may unroll every dimension, less
+        // the reductions when it cannot reduce spatially. An allow-list,
+        // with its fabric's pins put back, narrows this set below;
+        // nothing else decides it.
+        let all = DimSet::first_n(workload.num_dims());
+        let free = |pos: usize| match arch.level(LevelId(pos)).as_spatial() {
+            Some(fabric) if fabric.allow_reduction => all,
+            Some(_) => all.difference(workload.reduction_dims()),
+            None => DimSet::EMPTY,
+        };
+        let mut levels: Vec<LevelConstraints> = (0..arch.num_levels())
+            .map(|pos| LevelConstraints { unroll_dims: free(pos), ..LevelConstraints::default() })
+            .collect();
         let mut bypass = Vec::new();
         if constraints.is_empty() {
             return Ok(ResolvedConstraints { levels, bypass, empty: true });
@@ -490,6 +510,9 @@ impl ResolvedConstraints {
             }
             let pins = resolve_pins(&uc.pins, workload, "unroll", &uc.level)?;
             let lc = &mut levels[pos];
+            if uc.allow.is_some() || !pins.is_empty() {
+                lc.unroll_free = Some(free(pos));
+            }
             for (d, v) in pins {
                 match lc.unroll_pins.iter().find(|(e, _)| *e == d.index()) {
                     Some((_, prev)) if *prev != v => {
@@ -504,11 +527,7 @@ impl ResolvedConstraints {
                 }
             }
             if let Some(refs) = &uc.allow {
-                let set = resolve_union(refs, workload)?;
-                lc.unroll_allow = Some(match lc.unroll_allow {
-                    Some(prev) => prev.intersection(set),
-                    None => set,
-                });
+                lc.unroll_dims = lc.unroll_dims.intersection(resolve_union(refs, workload)?);
             }
         }
         // Per-fabric pin validation: each pin must divide its dimension,
@@ -519,6 +538,7 @@ impl ResolvedConstraints {
                 continue;
             }
             let fabric = arch.level(LevelId(pos)).as_spatial().expect("checked spatial above");
+            let hardware = free(pos);
             let mut product: u128 = 1;
             for &(d, v) in &lc.unroll_pins {
                 let dim = workload.dim(DimId::from_index(d));
@@ -530,10 +550,7 @@ impl ResolvedConstraints {
                         dim.size()
                     )));
                 }
-                if !fabric.allow_reduction
-                    && workload.reduction_dims().contains(DimId::from_index(d))
-                    && v > 1
-                {
+                if !hardware.contains(DimId::from_index(d)) && v > 1 {
                     return Err(unsat(format!(
                         "unroll pin for reduction dimension `{}` at `{}`, which cannot \
                          spatially reduce",
@@ -552,9 +569,7 @@ impl ResolvedConstraints {
                 )));
             }
             lc.unroll_pin_product = product as u64;
-            if let Some(a) = lc.unroll_allow {
-                lc.unroll_allow = Some(a.union(lc.unroll_pinned));
-            }
+            lc.unroll_dims = lc.unroll_dims.union(lc.unroll_pinned.intersection(hardware));
         }
 
         for oc in &constraints.order {
@@ -731,9 +746,11 @@ impl ResolvedConstraints {
                 reason,
             };
             let factors = mapping.level(pos).factors();
-            if let Some(allow) = lc.unroll_allow {
+            // A structurally valid mapping unrolls no reduction a fabric
+            // cannot reduce, so what leaves the set leaves the allow-list.
+            if lc.unroll_free.is_some() {
                 let outside = (0..factors.len())
-                    .find(|&d| factors[d] > 1 && !allow.contains(DimId::from_index(d)));
+                    .find(|&d| factors[d] > 1 && !lc.unroll_dims.contains(DimId::from_index(d)));
                 if let Some(d) = outside {
                     return Err(violated(format!(
                         "dimension `{}` unrolled by {} outside the allowlist",
@@ -1004,11 +1021,56 @@ mod tests {
         let grid =
             (0..arch.num_levels()).find(|&p| arch.level(LevelId(p)).name() == "pe_grid").unwrap();
         let lc = r.at(grid);
-        assert_eq!(lc.unroll_allow, Some(DimSet::EMPTY.with(c).with(k)));
+        assert_eq!(lc.unroll_dims, DimSet::EMPTY.with(c).with(k));
+        assert_eq!(lc.unroll_free, Some(DimSet::first_n(w.num_dims())));
         assert_eq!(lc.unroll_pins, vec![(c.index(), 4)]);
         assert_eq!(lc.unroll_pin_product, 4);
         let l1 = (0..arch.num_levels()).find(|&p| arch.level(LevelId(p)).name() == "L1").unwrap();
         assert_eq!(r.at(l1).tile_caps, vec![(w.dim_by_name("P").unwrap().index(), 7)]);
+    }
+
+    /// The fabric rule, resolved for every fabric: the hardware's set on
+    /// the empty fast path, a non-reducing fabric's without the
+    /// reductions, narrowed by an allow-list with the pins put back, and
+    /// never a reduction the fabric cannot reduce, even pinned to 1.
+    #[test]
+    fn every_fabric_resolves_the_dimensions_it_may_unroll() {
+        let w = conv1d();
+        let d = |n: &str| w.dim_by_name(n).unwrap();
+        let set = |ns: &[&str]| ns.iter().map(|n| d(n)).collect::<DimSet>();
+        let reducing = presets::conventional();
+        let levels = reducing.levels().iter().cloned().map(|l| match l {
+            sunstone_arch::Level::Spatial(s) => {
+                sunstone_arch::Level::Spatial(s.without_reduction())
+            }
+            other => other,
+        });
+        let arch = ArchSpec::new(
+            "noreduce",
+            levels.collect(),
+            reducing.mac_energy_pj(),
+            reducing.ref_bits(),
+        );
+        // conventional: L1, pe_grid, L2, DRAM.
+        let (l1, grid) = (0, 1);
+        let resolve = |c: &MappingConstraints, arch: &ArchSpec, pos: usize| {
+            ResolvedConstraints::resolve(c, &w, arch).unwrap().at(pos).clone()
+        };
+        let empty = MappingConstraints::new();
+        assert_eq!(resolve(&empty, &reducing, grid).unroll_dims, DimSet::first_n(4));
+        assert_eq!(resolve(&empty, &reducing, l1).unroll_dims, DimSet::EMPTY);
+        let lc = resolve(&empty, &arch, grid);
+        assert_eq!((lc.unroll_dims, lc.unroll_free), (w.dims_with_role(DimRole::Parallel), None));
+        let c = MappingConstraints::new()
+            .allow_unroll("pe_grid", [DimRef::named("P"), DimRef::named("C")])
+            .pin_unroll("pe_grid", DimRef::named("K"), 2)
+            .pin_unroll("pe_grid", DimRef::named("R"), 1);
+        let lc = resolve(&c, &arch, grid);
+        assert_eq!(lc.unroll_dims, set(&["K", "P"]));
+        assert_eq!(lc.unroll_free, Some(set(&["K", "P"])));
+        let lc = resolve(&c, &reducing, grid);
+        assert_eq!(lc.unroll_dims, set(&["K", "P", "C", "R"]));
+        assert_eq!(lc.unroll_free, Some(DimSet::first_n(4)));
     }
 
     /// `conv1d` on `conventional` (L1, pe_grid, L2, DRAM) with each

@@ -50,7 +50,7 @@ impl DataflowTemplate {
     /// level's loop order).
     pub fn constraints(&self, arch: &ArchSpec) -> MappingConstraints {
         let mut c = MappingConstraints::new();
-        let unroll_allow: Vec<DimRef> = match self {
+        let allow: Vec<DimRef> = match self {
             DataflowTemplate::WeightStationaryCK | DataflowTemplate::NvdlaLike => {
                 vec![DimRef::named("C"), DimRef::named("K")]
             }
@@ -58,7 +58,7 @@ impl DataflowTemplate {
             DataflowTemplate::RowStationary => vec![DimRef::named("R"), DimRef::named("P")],
         };
         for (_, fabric) in arch.spatial_levels() {
-            c = c.allow_unroll(&fabric.name, unroll_allow.clone());
+            c = c.allow_unroll(&fabric.name, allow.clone());
         }
         match self {
             DataflowTemplate::OutputStationary => {
