@@ -144,7 +144,7 @@ cargo run --release -p sunstone-bench --bin bench_schedule -- quick --out BENCH_
 python3 - <<'EOF'
 import json
 d = json.load(open("BENCH_schedule_quick.json"))
-assert d.get("schema") == "sunstone-bench-schedule/v12", d.get("schema")
+assert d.get("schema") == "sunstone-bench-schedule/v13", d.get("schema")
 assert d.get("layers"), "no layers recorded"
 for row in d["layers"]:
     for field in (
@@ -214,10 +214,20 @@ assert ratio >= 1.5, (
     f"batch evaluator only {ratio:.2f}x the width-1, no-prefix one"
     f" ({est['batch_evals_per_sec']:.0f} vs {est['evals_per_sec']:.0f} evals/s)"
 )
+# Memory gate: the process's peak resident set (`VmHWM`) over the quick
+# run. A stage's candidates are columns over a run table, and only the
+# beam's survivors are written out as rows; a change that keeps a row per
+# candidate again (6.7 MB a Simba stage) goes over this ceiling. 4.7 MB
+# observed with columns, 11.3 MB when every candidate had a row.
+PEAK_RSS_CEILING_MB = 8.0
+assert 0 < d["peak_rss_mb"] <= PEAK_RSS_CEILING_MB, (
+    f"quick bench peaked at {d['peak_rss_mb']:.2f} MB resident,"
+    f" over the {PEAK_RSS_CEILING_MB} MB ceiling"
+)
 print(
     f"BENCH_schedule_quick.json OK ({len(d['layers'])} layers, {checked} fingerprints"
     f" match baseline, batch {est['batch_evals_per_sec']:.0f} evals/s,"
-    f" {ratio:.2f}x width 1, no prefix)"
+    f" {ratio:.2f}x width 1, no prefix, peak {d['peak_rss_mb']:.1f} MB)"
 )
 EOF
 rm -f BENCH_schedule_quick.json

@@ -143,6 +143,18 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
+/// The most this process ever held resident, in MB: `VmHWM` from
+/// `/proc/self/status` (0 where there is none).
+fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+            line.split_whitespace().nth(1)?.parse::<f64>().ok()
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
 /// Minimal JSON string escaping (names and mapping strings are ASCII).
 fn esc(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -362,14 +374,17 @@ fn main() {
 
     let mut cold: Vec<f64> = rows.iter().map(|r| r.cold_ms).collect();
     let schedule_median_ms = median(&mut cold);
+    let peak_rss_mb = peak_rss_mb();
+    println!("  peak RSS: {peak_rss_mb:.1} MB");
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v12\",");
+    let _ = writeln!(json, "  \"schema\": \"sunstone-bench-schedule/v13\",");
     let _ = writeln!(json, "  \"mode\": \"{}\",", if quick { "quick" } else { "full" });
     let _ = writeln!(json, "  \"arch\": \"{}\",", esc(arch.name()));
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"schedule_median_ms\": {schedule_median_ms:.3},");
+    let _ = writeln!(json, "  \"peak_rss_mb\": {peak_rss_mb:.2},");
     let _ = writeln!(json, "  \"layers\": [");
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(json, "    {{");

@@ -1,12 +1,12 @@
 //! The beam between stages and the alpha-beta-style cut that keeps it,
-//! plus the mapping key the arena's rows share their prefix with and the
+//! plus the mapping key a row shares its prefix with and the
 //! 128-bit hash that stands in for a nest key.
 //!
-//! The beam is kept as rows ([`Beam`]): a survivor is its candidate row,
-//! copied out of the arena with the hash of its nest and what its ordering
-//! excludes from the next stage's unroll. The next stage copies the row
-//! into its children and prices their shared prefix from it; only the
-//! final ranking turns rows into mappings.
+//! The beam is kept as rows ([`Beam`]): a survivor is its candidate's
+//! row, written out of the arena's runs once it is kept, with the hash of
+//! its nest and what its ordering excludes from the next stage's unroll.
+//! The next stage starts its children from the row and prices their
+//! shared prefix from it; only the final ranking turns rows into mappings.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -176,6 +176,19 @@ impl Beam {
         self.nest.len()
     }
 
+    /// A beam of `rows` with nothing excluded from unrolling: what tests
+    /// expand arenas from.
+    #[cfg(test)]
+    pub(crate) fn of_rows(ctx: &SearchContext<'_>, rows: &[Vec<u64>]) -> Self {
+        let layout = &ctx.layout;
+        Beam {
+            stride: layout.stride(),
+            rows: rows.concat(),
+            nest: rows.iter().map(|row| layout.nest_hash(row, &mut Vec::new())).collect(),
+            unroll_excluded: vec![DimSet::EMPTY; rows.len()],
+        }
+    }
+
     /// The row of survivor `i`.
     pub(crate) fn row(&self, i: usize) -> &[u64] {
         &self.rows[i * self.stride..(i + 1) * self.stride]
@@ -194,17 +207,19 @@ impl Beam {
     }
 }
 
-/// Keeps the `beam_width` best-estimated candidates as the next beam,
-/// copying their rows, and records the cut in the stage's beam counter.
-/// What a survivor's ordering excludes from the next fabric is its run's
-/// (`Candidates::unroll_excluded_of`, a search of the run ends per
-/// survivor).
+/// Keeps the `beam_width` best-estimated candidates of the arena expanded
+/// from `parents` as the next beam, writing their rows — the only rows a
+/// stage writes ([`Candidates::write_row`]) — and records the cut in the
+/// stage's beam counter. What a survivor's ordering excludes from the next
+/// fabric is its run's (`Candidates::unroll_excluded_of`, a search of the
+/// run ends per survivor).
 /// Equal estimates rank in enumeration order and the estimates are
 /// totally ordered, so the survivors do not depend on thread count or
 /// enumeration accidents beyond the (deterministic) candidate order.
 pub(crate) fn select(
     ctx: &SearchContext<'_>,
     cands: &Candidates,
+    parents: &Beam,
     stage: usize,
     stats: &mut SearchStats,
 ) -> Beam {
@@ -231,7 +246,7 @@ pub(crate) fn select(
     };
     for i in ranked {
         let i = i as usize;
-        beam.rows.extend_from_slice(cands.row(i));
+        cands.write_row(parents, i, &mut beam.rows);
         beam.nest.push(cands.nest[i]);
         beam.unroll_excluded.push(cands.unroll_excluded_of(i));
     }

@@ -1,13 +1,14 @@
 //! Per-level candidate enumeration: the orderings × tiles × unrollings
-//! each stage admits, under the paper's pruning principles, written as
-//! rows of the stage's [`Candidates`] arena.
+//! each stage admits, under the paper's pruning principles, filed as the
+//! children of runs in the stage's [`Candidates`] arena.
 //!
 //! The unit of expansion is the [`Run`]: the children of one beam parent
 //! that share an unroll and an ordering of the next memory and differ in
 //! their tile. A run asks one tile question — a [`TileKey`], looked up in
-//! the search's memo — and is filed in the arena's run table before any
-//! of its rows is written; the table is what the estimate round and the
-//! beam cut read a row's parent and ordering from.
+//! the search's memo — and is filed in the arena's run table; a child is
+//! its run plus one tile delta, and is never written out as a row. The
+//! table is what the estimate round, the beam cut and the count kernel
+//! ([`ChildNest`]) read a child's parent, unroll, ordering and tile from.
 //!
 //! The three enumerations — the ordering trie (Ordering Principles 1–3 +
 //! sibling dominance), the spatial unrolling enumeration (Spatial
@@ -18,9 +19,8 @@
 //!
 //! [`LevelStats`]: super::stats::LevelStats
 
-use std::cell::RefCell;
 use std::ops::RangeInclusive;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 use sunstone_arch::LevelId;
@@ -33,7 +33,7 @@ use crate::tiling::enumerate_growths;
 use crate::unrolling::{enumerate_unrollings_over, principle_excluded_dims};
 
 use super::beam::{self, Beam};
-use super::estimate::{Answer, Enumeration, Record, SearchMemo, TileKey, UnrollKey};
+use super::estimate::{Answer, ChildNest, Enumeration, Record, SearchMemo, TileKey, UnrollKey};
 use super::stats::SearchStats;
 use super::{RowLayout, SearchContext};
 
@@ -41,82 +41,22 @@ use super::{RowLayout, SearchContext};
 /// memory has no level above to order.
 const NO_ORDERING: u32 = u32::MAX;
 
-/// Words of address space the arena's rows reserve up front (32 MiB; the
-/// largest fig-8 stage writes 7 MB). Pages nothing wrote to are not resident,
-/// while a `Vec` left to double its way there holds a 5 MB copy of the
-/// rows beside them exactly at the search's memory peak. A reservation
-/// this large is above the ceiling of glibc's adaptive mmap threshold, so
-/// the rows are always a mapping of their own: dropping the arena
-/// ([`release_thread_arena`]) gives its pages back to the OS instead of
-/// leaving them resident in the heap.
-const ROWS_RESERVE: usize = 1 << 22;
-
-thread_local! {
-    /// The arena this thread's last search used, kept for its next one:
-    /// reused pages are not faulted in again.
-    static ARENA: RefCell<Kept> = const { RefCell::new(Kept(None)) };
-}
-
-/// A thread's arena between its searches. When the thread exits the arena
-/// goes to [`SPARES`] for the next thread that searches: a session's pool
-/// workers end with the session, and the next session's would otherwise
-/// fault a fresh arena in.
-struct Kept(Option<Candidates>);
-
-impl Drop for Kept {
-    fn drop(&mut self) {
-        if let Some(arena) = self.0.take() {
-            let mut spares = SPARES.lock().unwrap_or_else(PoisonError::into_inner);
-            if spares.len() < MAX_SPARES {
-                spares.push(arena);
-            }
-        }
-    }
-}
-
-/// Arenas that exited threads left behind.
-static SPARES: Mutex<Vec<Candidates>> = Mutex::new(Vec::new());
-
-/// Spares kept at most; an arena past them goes back to the OS.
-const MAX_SPARES: usize = 2;
-
-/// Runs `search` on this thread's candidate arena (or a spare, or a new
-/// one), emptied and laid out for `layout`, and keeps the arena for the
-/// thread's next search.
-pub(crate) fn with_arena<R>(layout: &RowLayout, search: impl FnOnce(&mut Candidates) -> R) -> R {
-    let mut arena = ARENA
-        .with(|a| a.borrow_mut().0.take())
-        .or_else(|| SPARES.lock().unwrap_or_else(PoisonError::into_inner).pop())
-        .unwrap_or_else(|| Candidates::new(layout));
-    arena.stride = layout.stride();
-    arena.clear();
-    let out = search(&mut arena);
-    ARENA.with(|a| a.borrow_mut().0 = Some(arena));
-    out
-}
-
-/// Gives the calling thread's candidate arena back to the OS instead of
-/// leaving it to the next thread that searches — for a thread that is
-/// done searching for good, like a daemon connection that is closing.
-pub(crate) fn release_thread_arena() {
-    ARENA.with(|a| a.borrow_mut().0 = None);
-}
-
-/// One stage's candidates as a flat arena.
+/// One stage's candidates as columns over a run table.
 ///
 /// A stage builds tens of thousands of candidates and the beam keeps a
 /// few dozen, so what a candidate costs to *exist* is the search's unit
-/// price. Here it is one fixed-stride run of words in `rows`
-/// ([`RowLayout`]: the mapping key, then the remaining quotas) plus one
-/// entry in each parallel column; expanding, probing, ranking and
-/// discarding candidates touch no allocator. What the rows have in common
-/// is kept once, in the run table ([`Run`]): a row's parent and ordering
-/// are its run's. The arena is reused across stages.
+/// price. Here it is one entry in each of two columns — the hash of its
+/// loop nest and its estimate — and a place in its [`Run`], which holds
+/// what its children share: the parent, the unroll, the ordering, and the
+/// tile deltas the memo filed. A candidate is never written out as a row:
+/// the count kernel reads it from those four sources ([`ChildNest`]), and
+/// only the beam's survivors become rows ([`write_row`](Self::write_row)).
+/// The arena is reused across the stages of one search.
 pub(crate) struct Candidates {
-    stride: usize,
-    /// The candidate rows, `stride` words each.
-    rows: Vec<u64>,
-    /// The stage's runs, in arena order: their rows tile `rows`.
+    layout: RowLayout,
+    /// Where the stage's children differ from their parent.
+    stage: Slots,
+    /// The stage's runs, in arena order: their children tile the columns.
     runs: Vec<Run>,
     /// The unrolls the runs place below the stage's memory.
     unrolls: Vec<DimVec>,
@@ -125,7 +65,7 @@ pub(crate) struct Candidates {
     pub(crate) estimate: Vec<f64>,
     /// Per candidate, the 128-bit hash of its
     /// [`nest_key`](RowLayout::nest_key): what the estimate table files
-    /// its price under. Taken as the row is written, while it is in cache
+    /// its price under. Taken from the scratch row as each child is hashed
     /// ([`write_children`]).
     pub(crate) nest: Vec<u128>,
     /// Scratch for the nest keys.
@@ -138,15 +78,45 @@ pub(crate) struct Candidates {
     /// Per entry of `orderings`, its order as a row's order slots hold it
     /// (`ndims` words each).
     order_words: Vec<u64>,
-    /// The row children are copied from: the parent's, with the unroll of
-    /// the run being written placed on the gap's fabric.
+    /// The one scratch row children are hashed in: the parent's, with the
+    /// run's unroll and ordering placed, and each child's tile written
+    /// over the last one's.
     template: Vec<u64>,
 }
 
+/// The architecture positions a stage decides, where its children differ
+/// from their parent: the memory whose tile it grows, the fabric in the
+/// gap below it whose unroll it places, if any, and the memory above it
+/// whose loop order it picks (none at the outermost memory, which places
+/// the remainder instead).
+#[derive(Debug, Clone, Copy, Default)]
+struct Slots {
+    mem: usize,
+    fabric: Option<usize>,
+    ordered: Option<usize>,
+}
+
+impl Slots {
+    fn of(ctx: &SearchContext<'_>, stage: usize) -> Self {
+        Slots {
+            mem: ctx.mems[stage],
+            fabric: ctx.lower_spatial[stage],
+            ordered: ctx.mems.get(stage + 1).copied(),
+        }
+    }
+
+    /// Whether the stage is the outermost memory's, which places what is
+    /// left instead of leaving it in the quotas.
+    fn last(&self) -> bool {
+        self.ordered.is_none()
+    }
+}
+
 /// A run of one parent's children that share an unroll and an ordering
-/// and differ in their tile: the unit [`expand`] decides, before any row
-/// is written, so that writing them is one tight pass of copies and slice
-/// writes ([`write_children`], timed as `LevelStats::expand_rows`).
+/// and differ in their tile: the unit [`expand`] decides, and one entry of
+/// the arena's run table. Its children are its deltas; hashing their nests
+/// is one tight pass of slice writes into one scratch row
+/// ([`write_children`], timed as `LevelStats::expand_rows`).
 pub(crate) struct Run {
     /// The index of the beam state the run was expanded from. Candidates
     /// of one parent share every level decided before the current stage,
@@ -164,16 +134,17 @@ pub(crate) struct Run {
     /// keeps them: the tile's growth at the stage's memory (the temporal
     /// factors there), then the quotas left above it.
     deltas: Arc<[u64]>,
-    /// One past the run's last row in the arena: the next run's rows
-    /// start here.
+    /// The run's first candidate in the arena.
+    pub(crate) start: u32,
+    /// One past the run's last candidate: the next run's start.
     pub(crate) end: u32,
 }
 
 impl Candidates {
-    pub(crate) fn new(layout: &RowLayout) -> Self {
+    pub(crate) fn new(ctx: &SearchContext<'_>) -> Self {
         Candidates {
-            stride: layout.stride(),
-            rows: Vec::with_capacity(ROWS_RESERVE),
+            layout: ctx.layout.clone(),
+            stage: Slots::default(),
             runs: Vec::new(),
             unrolls: Vec::new(),
             estimate: Vec::new(),
@@ -186,9 +157,9 @@ impl Candidates {
         }
     }
 
-    /// Empties the arena for the next stage, keeping its capacity.
-    pub(crate) fn clear(&mut self) {
-        self.rows.clear();
+    /// Empties the arena for stage `stage`, keeping its capacity.
+    pub(crate) fn start_stage(&mut self, ctx: &SearchContext<'_>, stage: usize) {
+        self.stage = Slots::of(ctx, stage);
         self.runs.clear();
         self.unrolls.clear();
         self.estimate.clear();
@@ -206,26 +177,101 @@ impl Candidates {
         self.nest.is_empty()
     }
 
-    /// The row of candidate `i`.
-    pub(crate) fn row(&self, i: usize) -> &[u64] {
-        &self.rows[i * self.stride..(i + 1) * self.stride]
-    }
-
     /// The stage's runs, in arena order.
     pub(crate) fn runs(&self) -> &[Run] {
         &self.runs
     }
 
-    /// The run candidate `i` belongs to.
-    fn run_of(&self, i: usize) -> &Run {
-        &self.runs[self.runs.partition_point(|r| r.end as usize <= i)]
+    /// The index of the run candidate `i` belongs to.
+    fn run_of(&self, i: usize) -> usize {
+        self.runs.partition_point(|r| r.end as usize <= i)
+    }
+
+    /// Candidate `i` of run `run` as the count kernel reads it: each level
+    /// from its parent's row in `parents`, the run's unroll, the run's
+    /// ordering or its own tile delta, completed by the delta's quotas.
+    pub(crate) fn child<'a>(&'a self, parents: &'a Beam, run: usize, i: usize) -> ChildNest<'a> {
+        let r = &self.runs[run];
+        let n = self.layout.ndims;
+        let at = (i - r.start as usize) * 2 * n;
+        let (growth, remaining) = r.deltas[at..at + 2 * n].split_at(n);
+        let (ordered, order) = self.ordering_of(r);
+        ChildNest {
+            layout: &self.layout,
+            parent: parents.row(r.parent as usize),
+            fabric: self.stage.fabric,
+            unroll: &self.unrolls[r.unroll as usize],
+            ordered,
+            order,
+            mem: self.stage.mem,
+            growth,
+            remaining,
+        }
+    }
+
+    /// Appends candidate `i`'s row to `out`: its parent's row in
+    /// `parents` with the run's unroll and ordering placed, and its own
+    /// tile. The one way a candidate becomes a row — the beam's survivors
+    /// ([`select`](super::beam::select)), and the checks that compare rows.
+    pub(crate) fn write_row(&self, parents: &Beam, i: usize, out: &mut Vec<u64>) {
+        let child = self.child(parents, self.run_of(i), i);
+        let at = out.len();
+        out.extend_from_slice(child.parent);
+        let row = &mut out[at..];
+        self.place_run(child.unroll, (child.ordered, child.order), row);
+        self.place_tile(child.growth, child.remaining, row);
+    }
+
+    /// The memory whose loop order run `r`'s ordering picks, and its order
+    /// words; `None` and empty when the run picks none.
+    fn ordering_of(&self, r: &Run) -> (Option<usize>, &[u64]) {
+        let n = self.layout.ndims;
+        match r.ordering {
+            NO_ORDERING => (None, &[]),
+            o => (self.stage.ordered, &self.order_words[o as usize * n..(o as usize + 1) * n]),
+        }
+    }
+
+    /// Writes a run's unroll to the factor slots of the fabric in the gap
+    /// below the stage's memory, if the gap has one (otherwise the unroll
+    /// is all ones), and its ordering's order words to the order slots of
+    /// the memory it orders, if it picks one ([`ordering_of`](Self::ordering_of)).
+    fn place_run(
+        &self,
+        unroll: &[u64],
+        (ordered, order): (Option<usize>, &[u64]),
+        row: &mut [u64],
+    ) {
+        if let Some(pos) = self.stage.fabric {
+            row[self.layout.factors(pos)].copy_from_slice(unroll);
+        }
+        if let Some(pos) = ordered {
+            row[self.layout.order(pos)].copy_from_slice(order);
+        }
+    }
+
+    /// Writes a child's tile — its `growth` as the temporal factors of the
+    /// stage's memory and the quotas it leaves, `remaining` — to `row`. At
+    /// the outermost memory the remainder is placed there: the factors are
+    /// growth × remaining and nothing is left.
+    fn place_tile(&self, growth: &[u64], remaining: &[u64], row: &mut [u64]) {
+        let (factors, quotas) = (self.layout.factors(self.stage.mem), self.layout.quotas());
+        if self.stage.last() {
+            for d in 0..growth.len() {
+                row[factors.start + d] = growth[d] * remaining[d];
+                row[quotas.start + d] = 1;
+            }
+        } else {
+            row[factors].copy_from_slice(growth);
+            row[quotas].copy_from_slice(remaining);
+        }
     }
 
     /// The dimensions the ordering candidate `i` chose for the next memory
     /// excludes from that memory's fabric (none when it chose none).
     pub(crate) fn unroll_excluded_of(&self, i: usize) -> DimSet {
         self.ordering_dims
-            .get(self.run_of(i).ordering as usize)
+            .get(self.runs[self.run_of(i)].ordering as usize)
             .map_or(DimSet::EMPTY, |o| o.unroll_excluded)
     }
 
@@ -240,19 +286,45 @@ impl Candidates {
         }
     }
 
-    /// How many rows repeat the first `key_len` words of an earlier row.
+    /// Bytes the arena holds on the heap, the run table's deltas aside
+    /// (the memo owns them): what a stage's candidates cost to exist.
     #[cfg(test)]
-    pub(crate) fn repeated_rows(&self, key_len: usize) -> usize {
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.runs.capacity() * size_of::<Run>()
+            + self.unrolls.capacity() * size_of::<DimVec>()
+            + self.estimate.capacity() * size_of::<f64>()
+            + self.nest.capacity() * size_of::<u128>()
+            + (self.key.capacity() + self.order_words.capacity() + self.template.capacity())
+                * size_of::<u64>()
+            + self.ordering_dims.capacity() * size_of::<OrderingDims>()
+            + self.orderings.capacity() * size_of::<OrderingCandidate>()
+    }
+
+    /// How many of the stage's rows, expanded from `parents`, repeat the
+    /// first `key_len` words of an earlier row.
+    #[cfg(test)]
+    pub(crate) fn repeated_rows(&self, parents: &Beam, key_len: usize) -> usize {
         let mut seen = std::collections::HashSet::new();
-        (0..self.len()).filter(|&i| !seen.insert(&self.row(i)[..key_len])).count()
+        let mut row = Vec::new();
+        (0..self.len())
+            .filter(|&i| {
+                row.clear();
+                self.write_row(parents, i, &mut row);
+                !seen.insert(row[..key_len].to_vec())
+            })
+            .count()
     }
 
     /// Asserts that the run table describes the arena of stage `stage`,
-    /// expanded from `parents`: the runs tile the arena in order, one row
-    /// per delta; every row of a run holds its parent's words outside the
-    /// slots the stage decides, and there the run's unroll, the run
-    /// ordering's order words and its own delta; and what a row's ordering
-    /// excludes from unrolling is what its run's ordering implies.
+    /// expanded from `parents`: the runs tile the arena in order, one
+    /// candidate per delta; every row [`write_row`](Self::write_row)
+    /// materializes holds its parent's words outside the slots the stage
+    /// decides, and there the run's unroll, the run ordering's order words
+    /// and its own delta; the count kernel's view of it
+    /// ([`child`](Self::child)) reads the row's factors, orders and
+    /// quotas; and what a row's ordering excludes from unrolling is what
+    /// its run's ordering implies.
     #[cfg(test)]
     pub(crate) fn assert_runs_describe_rows(
         &self,
@@ -260,10 +332,12 @@ impl Candidates {
         stage: usize,
         parents: &Beam,
     ) {
+        use sunstone_model::Nest;
+
         let (layout, n) = (&ctx.layout, ctx.workload.num_dims());
         let last_stage = stage == ctx.mems.len() - 1;
         let (mem, fabric) = (ctx.mems[stage], ctx.lower_spatial[stage]);
-        let mut decided = vec![false; self.stride];
+        let mut decided = vec![false; layout.stride()];
         decided[layout.factors(mem)].fill(true);
         decided[layout.quotas()].fill(true);
         if let Some(pos) = fabric {
@@ -272,18 +346,19 @@ impl Candidates {
         if !last_stage {
             decided[layout.order(ctx.mems[stage + 1])].fill(true);
         }
-        let mut start = 0;
-        for run in &self.runs {
+        let (mut start, mut row) = (0, Vec::new());
+        for (r, run) in self.runs.iter().enumerate() {
             let end = run.end as usize;
-            assert!(start <= end, "stage {stage}: runs out of order");
-            assert_eq!(end - start, run.deltas.len() / (2 * n), "stage {stage}: a row per delta");
+            assert_eq!(start, run.start as usize, "stage {stage}: runs out of order");
+            assert_eq!(end - start, run.deltas.len() / (2 * n), "stage {stage}: one per delta");
             let parent = parents.row(run.parent as usize);
             let unroll = &self.unrolls[run.unroll as usize];
             let ordering = self.orderings.get(run.ordering as usize);
             assert_eq!(ordering.is_none(), last_stage, "stage {stage}: only the last orders none");
             let excluded = ordering.map_or(DimSet::EMPTY, |o| unroll_excluded(ctx, o));
             for (i, delta) in (start..end).zip(run.deltas.chunks_exact(2 * n)) {
-                let row = self.row(i);
+                row.clear();
+                self.write_row(parents, i, &mut row);
                 for (w, (got, had)) in row.iter().zip(parent).enumerate() {
                     assert!(
                         decided[w] || got == had,
@@ -306,6 +381,23 @@ impl Candidates {
                     assert_eq!((factors, quotas), (&placed[..], &DimVec::ones(n)[..]));
                 } else {
                     assert_eq!((factors, quotas), (growth, remaining));
+                }
+                let child = self.child(parents, r, i);
+                let (at, rest) = child.completion().expect("a child completes");
+                for pos in 0..ctx.base.levels().len() {
+                    let mut got = child.factors(pos).to_vec();
+                    if pos == at {
+                        got.iter_mut().zip(rest).for_each(|(f, r)| *f *= r);
+                    }
+                    let mut want = row[layout.factors(pos)].to_vec();
+                    if pos == layout.complete_at {
+                        want.iter_mut().zip(&row[layout.quotas()]).for_each(|(f, q)| *f *= q);
+                    }
+                    assert_eq!(got, want, "stage {stage} row {i}: factors at {pos}");
+                    if ctx.base.levels()[pos].as_temporal().is_some() {
+                        let order: Vec<u64> = child.order(pos).map(|d| d as u64).collect();
+                        assert_eq!(order[..], row[layout.order(pos)], "stage {stage} row {i}");
+                    }
                 }
                 assert_eq!(self.unroll_excluded_of(i), excluded, "stage {stage} row {i}");
             }
@@ -380,6 +472,13 @@ pub(crate) fn expand(
     let mut end = out.len() as u32;
     let reserve = spatial_reserve(ctx, stage, quotas);
     for u in unrolls.chunks_exact(ndims) {
+        debug_assert!(
+            ctx.lower_spatial[stage].is_none_or(|pos| {
+                let fabric = ctx.arch.level(LevelId(pos)).as_spatial().expect("spatial level");
+                u.iter().product::<u64>() <= fabric.units
+            }),
+            "an unroll larger than its fabric"
+        );
         let u_quotas = divide(quotas, u);
         let base_u = multiply(&base, u);
         let unroll = out.unrolls.len() as u32;
@@ -399,13 +498,14 @@ pub(crate) fn expand(
                     None => Arc::from([]),
                 }
             };
+            let start = end;
             end += (deltas.len() / (2 * ndims)) as u32;
-            out.runs.push(Run { parent: parent as u32, ordering, unroll, deltas, end });
+            out.runs.push(Run { parent: parent as u32, ordering, unroll, deltas, start, end });
         }
     }
 
     let clock = Instant::now();
-    write_children(ctx, out, row, stage, first);
+    write_children(out, row, first);
     stats.level_mut(stage).expand_rows += clock.elapsed();
 }
 
@@ -764,79 +864,35 @@ fn enumerate_unrolls(ctx: &SearchContext<'_>, stage: usize, key: &UnrollKey) -> 
     Answer { kept: kept.concat().into(), record }
 }
 
-/// Writes the rows of `runs[first..]`, the runs of the parent whose row
-/// is `parent`. Per run the template — the parent's row — takes the
-/// run's unroll, placed on the gap's fabric ([`place_unroll`], once per
-/// unroll), and its ordering's order at the next memory, and its nest key
-/// is taken. Per child, the template is copied and its growth written as
-/// the temporal factors of the stage's memory and the quotas it leaves;
-/// then its nest key is brought up to date where the child differs
-/// ([`RowLayout::renest`]) and hashed, while the row is in cache. At the
-/// outermost memory the remainder is placed there: the factors are
-/// growth × remaining and nothing is left.
-fn write_children(
-    ctx: &SearchContext<'_>,
-    out: &mut Candidates,
-    parent: &[u64],
-    stage: usize,
-    first: usize,
-) {
-    let layout = &ctx.layout;
-    let last_stage = stage == ctx.mems.len() - 1;
-    let n = ctx.workload.num_dims();
-    let mem_pos = ctx.mems[stage];
-    let factors = layout.factors(mem_pos).start;
-    let quotas = layout.quotas().start;
+/// Hashes the children of `runs[first..]`, the runs of the parent whose
+/// row is `parent`, into the arena's `nest` column (and fills `estimate`
+/// with `+∞`). No child is written out: one scratch row — the parent's,
+/// with each run's unroll and ordering placed ([`Candidates::place_run`])
+/// — takes its nest key once per run; then per child its tile is written
+/// over the last one's ([`Candidates::place_tile`]), the key brought up to
+/// date where the child differs ([`RowLayout::renest`]) and hashed, while
+/// the row is in cache.
+fn write_children(out: &mut Candidates, parent: &[u64], first: usize) {
+    let (mut row, mut key) = (std::mem::take(&mut out.template), std::mem::take(&mut out.key));
+    let (layout, n) = (&out.layout, out.layout.ndims);
     debug_assert_eq!(out.order_words.len(), out.orderings.len() * n);
-    out.template.clear();
-    out.template.extend_from_slice(parent);
-    let mut placed = u32::MAX;
+    row.clear();
+    row.extend_from_slice(parent);
     for run in &out.runs[first..] {
-        if run.unroll != placed {
-            place_unroll(ctx, stage, &out.unrolls[run.unroll as usize], &mut out.template);
-            placed = run.unroll;
-        }
-        if run.ordering != NO_ORDERING {
-            let o = run.ordering as usize;
-            out.template[layout.order(ctx.mems[stage + 1])]
-                .copy_from_slice(&out.order_words[o * n..(o + 1) * n]);
-        }
-        layout.nest_key(&out.template, &mut out.key);
+        out.place_run(&out.unrolls[run.unroll as usize], out.ordering_of(run), &mut row);
+        layout.nest_key(&row, &mut key);
         for delta in run.deltas.chunks_exact(2 * n) {
-            let at = out.rows.len();
-            out.rows.extend_from_slice(&out.template);
-            let row = &mut out.rows[at..at + out.stride];
             let (growth, remaining) = delta.split_at(n);
-            if last_stage {
-                for d in 0..n {
-                    row[factors + d] = growth[d] * remaining[d];
-                    row[quotas + d] = 1;
-                }
-            } else {
-                row[factors..factors + n].copy_from_slice(growth);
-                row[quotas..quotas + n].copy_from_slice(remaining);
-            }
-            layout.renest(row, mem_pos, &mut out.key);
-            let nest = beam::key_hash(&out.key);
-            debug_assert_eq!(nest, layout.nest_hash(row, &mut Vec::new()));
+            out.place_tile(growth, remaining, &mut row);
+            layout.renest(&row, out.stage.mem, &mut key);
+            let nest = beam::key_hash(&key);
+            debug_assert_eq!(nest, layout.nest_hash(&row, &mut Vec::new()));
             out.nest.push(nest);
             out.estimate.push(f64::INFINITY);
         }
         debug_assert_eq!(out.nest.len(), run.end as usize);
     }
-}
-
-/// Writes `unroll` to the factor slots of the fabric in the gap below
-/// memory `stage`, if the gap has one (otherwise the unroll is all ones).
-fn place_unroll(ctx: &SearchContext<'_>, stage: usize, unroll: &[u64], row: &mut [u64]) {
-    if let Some(pos) = ctx.lower_spatial[stage] {
-        debug_assert!(
-            unroll.iter().product::<u64>()
-                <= ctx.arch.level(LevelId(pos)).as_spatial().expect("spatial level").units,
-            "an unroll larger than its fabric"
-        );
-        row[ctx.layout.factors(pos)].copy_from_slice(unroll);
-    }
+    (out.template, out.key) = (row, key);
 }
 
 #[cfg(test)]
@@ -858,20 +914,20 @@ mod tests {
     use crate::SunstoneConfig;
 
     /// Appends a run of children of beam state `parent`, whose row is
-    /// `row`, to the arena of stage `stage` and writes them as expansion
-    /// does: the run places `unroll` and the order of `ordering`, and
-    /// has one child per `2 × ndims` words of `deltas`.
+    /// `row`, to the arena and hashes them as expansion does: the run
+    /// places `unroll` and the order of `ordering`, and has one child per
+    /// `2 × ndims` words of `deltas`.
     fn push_run(
         ctx: &SearchContext<'_>,
         cands: &mut Candidates,
-        stage: usize,
         (parent, row): (usize, &[u64]),
         ordering: u32,
         unroll: &[u64],
         deltas: Vec<u64>,
     ) {
         let first = cands.runs.len();
-        let end = (cands.len() + deltas.len() / (2 * ctx.workload.num_dims())) as u32;
+        let start = cands.len() as u32;
+        let end = start + (deltas.len() / (2 * ctx.workload.num_dims())) as u32;
         cands.unrolls.push(DimVec::from_slice(unroll));
         let unroll = cands.unrolls.len() as u32 - 1;
         cands.runs.push(Run {
@@ -879,19 +935,23 @@ mod tests {
             ordering,
             unroll,
             deltas: deltas.into(),
+            start,
             end,
         });
-        write_children(ctx, cands, row, stage, first);
+        write_children(cands, row, first);
     }
 
     /// A first-stage arena of children of the root state, one run of one
-    /// child per entry of `children`: child `i` belongs to parent `i`,
+    /// child per entry of `children`, with the beam of parents it was
+    /// expanded from: child `i` belongs to parent `i`, a copy of the root,
     /// takes the ordering `children[i].1` of the stage's (or none) and
     /// differs from its parent in one key word, `children[i].0`, the first
     /// factor of the innermost memory.
-    fn arena(ctx: &SearchContext<'_>, children: &[(u64, u32)]) -> Candidates {
-        let root = Beam::root(ctx);
-        let mut cands = Candidates::new(&ctx.layout);
+    fn arena(ctx: &SearchContext<'_>, children: &[(u64, u32)]) -> (Candidates, Beam) {
+        let root = Beam::root(ctx).row(0).to_vec();
+        let parents = Beam::of_rows(ctx, &vec![root.clone(); children.len()]);
+        let mut cands = Candidates::new(ctx);
+        cands.start_stage(ctx, 0);
         enumerate_orderings(ctx, &mut cands, DimSet::first_n(ctx.workload.num_dims()), 0);
         let sizes = ctx.workload.dim_sizes();
         let ones = DimVec::ones(sizes.len());
@@ -899,9 +959,9 @@ mod tests {
             let mut growth = ones.clone();
             growth[0] = tag;
             let deltas = [&growth[..], &sizes[..]].concat();
-            push_run(ctx, &mut cands, 0, (i, root.row(0)), ordering, &ones, deltas);
+            push_run(ctx, &mut cands, (i, &root), ordering, &ones, deltas);
         }
-        cands
+        (cands, parents)
     }
 
     /// A stage's worth of random rows, written the way expansion writes
@@ -911,12 +971,8 @@ mod tests {
     /// holds) and one of six orderings — three random ones and each with
     /// two dimensions swapped, which often differ only where a factor is
     /// 1 — or none. Every row's estimate is its index. Returns the arena
-    /// and its parents' rows.
-    fn random_arena(
-        ctx: &SearchContext<'_>,
-        stage: usize,
-        seed: u64,
-    ) -> (Candidates, Vec<Vec<u64>>) {
+    /// and the beam of its parents.
+    fn random_arena(ctx: &SearchContext<'_>, stage: usize, seed: u64) -> (Candidates, Beam) {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -925,7 +981,8 @@ mod tests {
             state
         };
         let (layout, ndims) = (&ctx.layout, ctx.workload.num_dims());
-        let mut cands = Candidates::new(layout);
+        let mut cands = Candidates::new(ctx);
+        cands.start_stage(ctx, stage);
         for _ in 0..3 {
             let mut order: Vec<DimId> = (0..ndims).map(DimId::from_index).collect();
             for i in (1..ndims).rev() {
@@ -984,32 +1041,25 @@ mod tests {
                     deltas.extend(growth);
                     deltas.extend_from_slice(&row[layout.quotas()]);
                 }
-                push_run(
-                    ctx,
-                    &mut cands,
-                    stage,
-                    (parent as usize, &row),
-                    ordering,
-                    &unroll,
-                    deltas,
-                );
+                push_run(ctx, &mut cands, (parent as usize, &row), ordering, &unroll, deltas);
             }
             parents.push(row);
         }
         for (i, e) in cands.estimate.iter_mut().enumerate() {
             *e = i as f64;
         }
-        (cands, parents)
+        (cands, Beam::of_rows(ctx, &parents))
     }
 
-    /// The count kernel prices arena rows, read in place, exactly as it
-    /// prices the mappings they complete to: on random arenas of every
-    /// stage on three presets, each row's totals at widths 1, 2 and 16 —
-    /// against the empty prefix, and at every boundary below the stage's
-    /// memory against its parent's prefix, built both from the parent's
-    /// row read in place and from the family's first child materialized —
-    /// equal `evaluate_unchecked` of the materialized completed row, bit
-    /// for bit.
+    /// The count kernel prices a stage's candidates, read from their runs
+    /// ([`ChildNest`]), exactly as it prices the mappings their rows
+    /// complete to: on random arenas of every stage on three presets, each
+    /// candidate's totals at widths 1, 2 and 16 — against the empty
+    /// prefix, and at every boundary below the stage's memory against its
+    /// parent's prefix, built both from the parent's row read in place and
+    /// from the family's first child materialized — equal
+    /// `evaluate_unchecked` of the completed row `write_row` materializes,
+    /// bit for bit.
     #[test]
     fn rows_price_as_their_completed_mappings() {
         let mut priced = 0usize;
@@ -1018,14 +1068,20 @@ mod tests {
                 with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
                     let (model, layout) = (&ctx.model, &ctx.layout);
                     let mut scratch = model.batch_scratch();
-                    for stage in 0..ctx.mems.len() - 1 {
+                    for stage in 0..ctx.mems.len() {
                         for seed in 0..3 {
                             let (cands, parents) = random_arena(ctx, stage, seed);
-                            let rows: Vec<u32> = (0..cands.len() as u32).collect();
+                            let rows: Vec<estimate::Miss> = (0..cands.len())
+                                .map(|i| estimate::Miss {
+                                    child: i as u32,
+                                    run: cands.run_of(i) as u32,
+                                })
+                                .collect();
                             let completed: Vec<Mapping> = (0..cands.len())
                                 .map(|i| {
-                                    let mut m = ctx.base.clone();
-                                    layout.materialize_completed_into(cands.row(i), &mut m);
+                                    let (mut m, mut row) = (ctx.base.clone(), Vec::new());
+                                    cands.write_row(&parents, i, &mut row);
+                                    layout.materialize_completed_into(&row, &mut m);
                                     m
                                 })
                                 .collect();
@@ -1033,12 +1089,12 @@ mod tests {
                                 completed.iter().map(|m| model.evaluate_unchecked(m)).collect();
                             // Runs of `width` rows from `rows`, all sharing
                             // `prefix`, priced from the arena.
-                            let mut price = |prefix: &MappingPrefix, rows: &[u32]| {
+                            let mut price = |prefix: &MappingPrefix, rows: &[estimate::Miss]| {
                                 for width in [1, 2, 16] {
                                     for run in rows.chunks(width) {
                                         let source = estimate::MissRows {
-                                            layout,
                                             candidates: &cands,
+                                            parents: &parents,
                                             misses: run,
                                         };
                                         let mut seen = 0;
@@ -1047,12 +1103,12 @@ mod tests {
                                             &source,
                                             &mut scratch,
                                             |j, got| {
-                                                let want = &alone[run[j] as usize];
+                                                let want = &alone[run[j].child as usize];
                                                 let case = format!(
                                                     "{} stage {stage} seed {seed} row {} width \
                                                      {width} prefix {:?}",
                                                     arch.name(),
-                                                    run[j],
+                                                    run[j].child,
                                                     prefix.boundary()
                                                 );
                                                 assert_eq!(
@@ -1077,10 +1133,10 @@ mod tests {
                             price(model.empty_prefix(), &rows);
                             // A parent's children share every level below
                             // the stage's memory with it.
-                            let parent = |i: u32| cands.run_of(i as usize).parent as usize;
-                            for family in rows.chunk_by(|&a, &b| parent(a) == parent(b)) {
-                                let first = &completed[family[0] as usize];
-                                let row = &parents[parent(family[0])];
+                            let parent = |m: &estimate::Miss| cands.runs[m.run as usize].parent;
+                            for family in rows.chunk_by(|a, b| parent(a) == parent(b)) {
+                                let first = &completed[family[0].child as usize];
+                                let row = parents.row(parent(&family[0]) as usize);
                                 for boundary in 0..ctx.mems[stage] {
                                     price(
                                         &model.prefix_of(RowNest { layout, row }, boundary),
@@ -1095,6 +1151,51 @@ mod tests {
             }
         }
         assert!(priced > 0, "no row was priced");
+    }
+
+    /// A stage's candidates are columns over a run table, not rows: after
+    /// expanding stage 1 of ResNet-18's `conv2_x` on `simba_like` — ten
+    /// thousand candidates from a beam of 48 — the arena holds less than a
+    /// quarter of one row's bytes per candidate, its runs, orderings and
+    /// unrolls included; the rows it does not hold are still there to be
+    /// written, one per candidate, by `write_row`.
+    #[test]
+    fn the_arena_holds_no_row_per_candidate() {
+        let (w, arch) = (conv2d_batch(16, 64, 64, 56), presets::simba_like());
+        with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
+            let (mut memo, mut stats) = (SearchMemo::default(), SearchStats::default());
+            let mut cands = Candidates::new(ctx);
+            let mut parents = Beam::root(ctx);
+            for stage in 0..2 {
+                if stage > 0 {
+                    let round = estimate::estimate_all(
+                        ctx,
+                        &mut cands,
+                        &parents,
+                        stage - 1,
+                        &mut memo,
+                        &mut stats,
+                    );
+                    assert!(round.is_none());
+                    parents = beam::select(ctx, &cands, &parents, stage - 1, &mut stats);
+                }
+                cands.start_stage(ctx, stage);
+                for parent in 0..parents.len() {
+                    expand(ctx, &parents, parent, stage, &mut cands, &mut memo, &mut stats);
+                }
+            }
+            let row_bytes = ctx.layout.stride() * std::mem::size_of::<u64>();
+            let held = cands.heap_bytes();
+            assert!(cands.len() > 1_000, "{} candidates", cands.len());
+            assert!(
+                4 * held < cands.len() * row_bytes,
+                "{held} B for {} candidates of {row_bytes} B rows",
+                cands.len()
+            );
+            let mut row = Vec::new();
+            cands.write_row(&parents, cands.len() - 1, &mut row);
+            assert_eq!(row.len(), ctx.layout.stride());
+        });
     }
 
     /// A search's statistics with what an enumeration memo hit saves — the
@@ -1310,7 +1411,7 @@ mod tests {
             let layout = &ctx.layout;
             // Two of the first stage's orderings that exclude different
             // dimensions from the next fabric, for survivors that chose one.
-            let probe = arena(ctx, &[]);
+            let (probe, _) = arena(ctx, &[]);
             let excluding = |not: DimSet| {
                 (0..probe.orderings.len()).find(|&o| {
                     let excluded = probe.ordering_dims[o].unroll_excluded;
@@ -1324,10 +1425,10 @@ mod tests {
             let orderings = [NO_ORDERING, x, NO_ORDERING, y, x, NO_ORDERING];
             let tags = [10, 11, 12, 13, 14, 15];
             let children: Vec<(u64, u32)> = tags.into_iter().zip(orderings).collect();
-            let mut cands = arena(ctx, &children);
+            let (mut cands, parents) = arena(ctx, &children);
             cands.estimate.copy_from_slice(&[2.0, 1.0, 2.0, 1.0, 0.5, 2.0]);
             let mut stats = SearchStats::default();
-            let beam = beam::select(ctx, &cands, 0, &mut stats);
+            let beam = beam::select(ctx, &cands, &parents, 0, &mut stats);
             let first = layout.factors(ctx.mems[0]).start;
             let kept: Vec<u64> = (0..beam.len()).map(|i| beam.row(i)[first]).collect();
             assert_eq!(kept, [14, 11, 13, 10], "best first; equal estimates in arena order");

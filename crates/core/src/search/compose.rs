@@ -33,10 +33,10 @@ pub(crate) struct SearchRun {
 
 /// Runs the staged search: for each memory, innermost first, expand every
 /// beam row into the stage's candidate arena, estimate (memoized in
-/// `memo`, parallel), and copy the rows of the `beam_width` best out as the
-/// next beam. The paper's default order (§V-A): partial costs track final costs
-/// closely when reuse is resolved where most traffic lives, so the beam
-/// cuts early and the explored space stays small.
+/// `memo`, parallel), and write the rows of the `beam_width` best out as
+/// the next beam. The paper's default order (§V-A): partial costs track
+/// final costs closely when reuse is resolved where most traffic lives, so
+/// the beam cuts early and the explored space stays small.
 /// Returns the surviving beam best-estimate first; the last stage places
 /// the remainder, so a completed walk's beam holds complete mappings.
 ///
@@ -55,16 +55,7 @@ pub(crate) fn run_level_search(
     memo: &mut SearchMemo,
     stats: &mut SearchStats,
 ) -> SearchRun {
-    candidates::with_arena(&ctx.layout, |cands| walk(ctx, memo, stats, cands))
-}
-
-/// [`run_level_search`] on the arena `cands`.
-fn walk(
-    ctx: &SearchContext<'_>,
-    memo: &mut SearchMemo,
-    stats: &mut SearchStats,
-    cands: &mut Candidates,
-) -> SearchRun {
+    let mut cands = Candidates::new(ctx);
     let controls = &ctx.controls;
     let mut beam_states = Beam::root(ctx);
     for stage in 0..ctx.mems.len() {
@@ -77,7 +68,7 @@ fn walk(
         if let Some(sink) = controls.progress {
             sink.on_event(&ProgressEvent::LevelStarted { stage, beam: beam_states.len() });
         }
-        cands.clear();
+        cands.start_stage(ctx, stage);
         let phase = Instant::now();
         // Between parent expansions (a single expansion is bounded by the
         // enumeration caps, and its fits closures ask too), and after the
@@ -88,7 +79,7 @@ fn walk(
             if controls.stop().is_some() {
                 break;
             }
-            candidates::expand(ctx, &beam_states, parent, stage, cands, memo, stats);
+            candidates::expand(ctx, &beam_states, parent, stage, &mut cands, memo, stats);
         }
         // Recorded before any stop, so the phases still sum to the wall
         // clock of a search that ends here.
@@ -101,18 +92,18 @@ fn walk(
         }
         #[cfg(test)]
         if let Some(repeats) = &mut memo.repeated_rows {
-            repeats.push(cands.repeated_rows(ctx.layout.key_len));
+            repeats.push(cands.repeated_rows(&beam_states, ctx.layout.key_len));
             cands.assert_runs_describe_rows(ctx, stage, &beam_states);
         }
         let before = cands.len();
         let phase = Instant::now();
-        let round = estimate::estimate_all(ctx, cands, &beam_states, stage, memo, stats);
+        let round = estimate::estimate_all(ctx, &mut cands, &beam_states, stage, memo, stats);
         stats.level_mut(stage).estimate += phase.elapsed();
         if let Some(stop) = round {
             return SearchRun { beam: beam_states, stop };
         }
         let phase = Instant::now();
-        beam_states = beam::select(ctx, cands, stage, stats);
+        beam_states = beam::select(ctx, &cands, &beam_states, stage, stats);
         stats.level_mut(stage).select += phase.elapsed();
         if let Some(sink) = controls.progress {
             let level = &stats.levels[stage];

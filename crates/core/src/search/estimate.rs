@@ -1,6 +1,6 @@
 //! Candidate estimation: the search's own memo of estimates and
-//! enumerations, prefix-incremental cost evaluation of candidate rows
-//! completed in place, and parallel execution on the session worker pool.
+//! enumerations, prefix-incremental cost evaluation of candidates read
+//! from their runs, and parallel execution on the session worker pool.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -312,8 +312,9 @@ pub(crate) struct SearchMemo {
     /// again: what tests hold the filed answers and replayed counters to.
     #[cfg(test)]
     pub(crate) miss_all: bool,
-    /// When set, per stage expanded, how many of its arena's rows repeat
-    /// an earlier row's words: what tests hold the arena's distinctness to.
+    /// When set, per stage expanded, how many of its candidates' rows
+    /// repeat an earlier row's words: what tests hold the arena's
+    /// distinctness to.
     /// Each stage's run table is then also held to its rows
     /// (`Candidates::assert_runs_describe_rows`).
     #[cfg(test)]
@@ -334,24 +335,31 @@ impl SearchMemo {
 thread_local! {
     /// Per-worker evaluation state, reused across rounds and calls (the
     /// pool threads are session-lived, so the buffers stay warm): the
-    /// count kernel's tables. A claim's misses are read from their arena
-    /// rows in place ([`MissRows`]), so a worker keeps no mappings.
+    /// count kernel's tables. A claim's misses are read from their runs
+    /// ([`MissRows`]), so a worker keeps no mappings.
     static SCRATCH: RefCell<BatchEvalScratch> = RefCell::new(BatchEvalScratch::default());
 }
 
+/// One miss of an estimate round: the candidate, and the run it belongs
+/// to, which is where the count kernel reads it from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Miss {
+    pub(crate) child: u32,
+    pub(crate) run: u32,
+}
+
 /// A run of an estimate round's misses as the model's count kernel reads
-/// them: each miss's arena row, completed at the outermost memory by the
-/// quotas the row carries ([`RowNest`]).
+/// them: each miss from its run and its parent's beam row ([`ChildNest`]).
 pub(crate) struct MissRows<'a> {
-    pub(crate) layout: &'a RowLayout,
     pub(crate) candidates: &'a Candidates,
-    /// Candidate indices of the run's misses.
-    pub(crate) misses: &'a [u32],
+    /// The beam the arena was expanded from.
+    pub(crate) parents: &'a Beam,
+    pub(crate) misses: &'a [Miss],
 }
 
 impl NestSource for MissRows<'_> {
     type Nest<'a>
-        = RowNest<'a>
+        = ChildNest<'a>
     where
         Self: 'a;
 
@@ -359,8 +367,59 @@ impl NestSource for MissRows<'_> {
         self.misses.len()
     }
 
-    fn nest(&self, i: usize) -> RowNest<'_> {
-        RowNest { layout: self.layout, row: self.candidates.row(self.misses[i] as usize) }
+    fn nest(&self, i: usize) -> ChildNest<'_> {
+        let Miss { child, run } = self.misses[i];
+        self.candidates.child(self.parents, run as usize, child as usize)
+    }
+}
+
+/// A stage's candidate as the count kernel reads it, never written out as
+/// a row: each level from one of four sources — the parent's beam row, the
+/// run's unroll at the fabric below the stage's memory, the run's ordering
+/// at the memory above, or the child's tile delta at the stage's memory —
+/// completed at the outermost memory by the quotas the delta leaves. The
+/// same words the row [`Candidates::write_row`] materializes holds (at the
+/// outermost stage the row's factors are growth × remaining and its quotas
+/// ones, the same products), so it prices as that row does, to the bit.
+pub(crate) struct ChildNest<'a> {
+    pub(crate) layout: &'a RowLayout,
+    pub(crate) parent: &'a [u64],
+    /// The fabric in the gap below the stage's memory, and the run's
+    /// unroll placed there.
+    pub(crate) fabric: Option<usize>,
+    pub(crate) unroll: &'a [u64],
+    /// The memory whose loop order the run's ordering picks, and its order
+    /// words; `None` and empty when the run picks none.
+    pub(crate) ordered: Option<usize>,
+    pub(crate) order: &'a [u64],
+    /// The stage's memory, the child's growth there and the quotas left.
+    pub(crate) mem: usize,
+    pub(crate) growth: &'a [u64],
+    pub(crate) remaining: &'a [u64],
+}
+
+impl Nest for ChildNest<'_> {
+    fn factors(&self, pos: usize) -> &[u64] {
+        if pos == self.mem {
+            self.growth
+        } else if Some(pos) == self.fabric {
+            self.unroll
+        } else {
+            &self.parent[self.layout.factors(pos)]
+        }
+    }
+
+    fn order(&self, pos: usize) -> impl DoubleEndedIterator<Item = usize> + '_ {
+        let words = if Some(pos) == self.ordered {
+            self.order
+        } else {
+            &self.parent[self.layout.order(pos)]
+        };
+        words.iter().map(|&d| d as usize)
+    }
+
+    fn completion(&self) -> Option<(usize, &[u64])> {
+        Some((self.layout.complete_at, self.remaining))
     }
 }
 
@@ -388,7 +447,7 @@ impl Nest for RowNest<'_> {
 /// Indices per pool claim in the estimate round. One atomic claim covers
 /// a contiguous range of misses, and every maximal same-prefix run inside
 /// the range is priced by one call of the model's count kernel, which
-/// reads the run's rows in place — the chunk bounds the batch width, and
+/// reads the run's candidates — the chunk bounds the batch width, and
 /// with it how long a claim holds the round, while still amortizing the
 /// claim, the dispatch and the call's hoisted pair tails. Kept small
 /// enough that modest rounds (a few hundred misses) still split into more
@@ -469,30 +528,32 @@ impl BeamCut {
 /// `estimate` column. `parents` is the beam the arena was expanded from.
 ///
 /// The search's estimate table ([`SearchMemo::estimates`]) is probed on
-/// the calling thread with the nest hash expansion filed per row
-/// ([`Candidates::nest`]): the [`key_hash`](super::beam::key_hash) of the
-/// row's completed key with each temporal level's order cut down to the
-/// dimensions that loop there
+/// the calling thread, run by run, with the nest hash expansion filed per
+/// candidate ([`Candidates::nest`]): the [`key_hash`](super::beam::key_hash)
+/// of its row's completed key with each temporal level's order cut down to
+/// the dimensions that loop there
 /// ([`RowLayout::nest_key`](super::RowLayout::nest_key)). Rows that
 /// differ only in where a factor-1 dimension sits complete to the same
 /// loop nest — the model reads nothing else of an order — so they share
 /// an entry, as do what an earlier stage priced and what
 /// [`evaluate_cached`] looks up. A hit is one table read of an `f64`. The
 /// round's misses are grouped by nest hash: the first of each group is
-/// priced and the rest copy its price (counted as hits). A miss is an
-/// index: nothing is allocated per candidate. The rows of a stage are
-/// distinct by construction, so a miss that copies another's price is a
-/// different row with the same loop nest. The priced misses go
-/// through the model distributed over the session's persistent worker
-/// pool (no per-round thread spawns), and the model reads each miss's
-/// arena row in place ([`MissRows`]): its factors, orders and quotas,
-/// folded in at the completion level. No miss becomes a [`Mapping`].
+/// priced and the rest copy its price (counted as hits). A miss is two
+/// indices, the candidate's and its run's ([`Miss`]): nothing is allocated
+/// per candidate. The rows of a stage are distinct by construction, so a
+/// miss that copies another's price is a different row with the same loop
+/// nest. The priced misses go through the model distributed over the
+/// session's persistent worker pool (no per-round thread spawns), and the
+/// model reads each miss from its run ([`MissRows`], [`ChildNest`]): its
+/// factors and orders from the parent's row, the run's unroll and
+/// ordering and its own tile, its quotas folded in at the completion
+/// level. No miss becomes a row or a [`Mapping`].
 ///
 /// Stages past the first price each miss *prefix-incrementally*:
 /// all candidates expanded from one beam state share the decided levels
 /// `0..=mems[stage − 1]` with the parent's row — a miss's parent is its
-/// run's ([`Candidates::runs`], read with a cursor, since the misses
-/// ascend) — so that prefix's per-level cost contribution is built once
+/// run's ([`Candidates::runs`]) — so that prefix's per-level cost
+/// contribution is built once
 /// per parent
 /// ([`CostModel::prefix_of`], reading the parent's row in place) and each
 /// candidate only derives the delta of its frontier and completion
@@ -521,7 +582,7 @@ impl BeamCut {
 /// The pool claims contiguous *chunks* of a wave's misses
 /// ([`ESTIMATE_CHUNK`] per atomic claim), and every maximal same-prefix run
 /// inside a claim — the whole claim when the stage has no prefix — goes
-/// through one call of the model's count kernel over the run's rows, which
+/// through one call of the model's count kernel over the run's misses, which
 /// hands back the two totals the objective is a function of rather than a
 /// report. A run of one is a width-1 call of the same kernel.
 /// `SearchStats::{batches, batched}` count the runs of two or more that
@@ -559,37 +620,45 @@ pub(crate) fn estimate_all(
     let layout = &ctx.layout;
     let objective = ctx.config.objective;
     let estimates = &mut memo.estimates;
-    // The words a nest hash was taken of, for the debug-build guard.
+    // Candidate `i`'s row, and the words its nest hash was taken of: what
+    // the debug-build checks compare.
+    let row = |candidates: &Candidates, i: usize| {
+        let mut row = Vec::new();
+        candidates.write_row(parents, i, &mut row);
+        row
+    };
     let nest_key = |candidates: &Candidates, i: usize| {
         let mut key = Vec::new();
-        layout.nest_key(candidates.row(i), &mut key);
+        layout.nest_key(&row(candidates, i), &mut key);
         key
     };
     let mut hits = 0u64;
-    // Candidate index per nest the table misses: the first candidate
-    // with it, which is priced; and the later candidates with a missed
-    // nest, each with that first one's place in `misses`, which copy its
-    // price.
-    let mut misses: Vec<u32> = Vec::new();
+    // Per nest the table misses, the first candidate with it, which is
+    // priced, and its run; and the later candidates with a missed nest,
+    // each with that first one's place in `misses`, which copy its price.
+    let mut misses: Vec<Miss> = Vec::new();
     let mut copies: Vec<(u32, u32)> = Vec::new();
     let mut cut = BeamCut::new(ctx.config.beam_width.max(1));
-    for i in 0..candidates.len() {
-        let reserve = misses.len() as u32;
-        match estimates.probe(candidates.nest[i], reserve, || nest_key(candidates, i)) {
-            Probe::Priced(estimate) => {
-                candidates.estimate[i] = estimate;
-                cut.offer(estimate, 1);
-                hits += 1;
+    for run in 0..candidates.runs().len() {
+        let r = &candidates.runs()[run];
+        for i in r.start as usize..r.end as usize {
+            let (reserve, run) = (misses.len() as u32, run as u32);
+            match estimates.probe(candidates.nest[i], reserve, || nest_key(candidates, i)) {
+                Probe::Priced(estimate) => {
+                    candidates.estimate[i] = estimate;
+                    cut.offer(estimate, 1);
+                    hits += 1;
+                }
+                Probe::Pending(first) => {
+                    debug_assert_ne!(
+                        row(candidates, i)[..layout.key_len],
+                        row(candidates, misses[first as usize].child as usize)[..layout.key_len],
+                        "a stage wrote one row twice"
+                    );
+                    copies.push((i as u32, first));
+                }
+                Probe::Reserved => misses.push(Miss { child: i as u32, run }),
             }
-            Probe::Pending(first) => {
-                debug_assert_ne!(
-                    candidates.row(i)[..layout.key_len],
-                    candidates.row(misses[first as usize] as usize)[..layout.key_len],
-                    "a stage wrote one row twice"
-                );
-                copies.push((i as u32, first));
-            }
-            Probe::Reserved => misses.push(i as u32),
         }
     }
 
@@ -597,21 +666,17 @@ pub(crate) fn estimate_all(
     // the levels up to the previous stage's memory, and completion only
     // touches the outermost level — strictly above that boundary. Misses
     // preserve candidate order and a parent's runs are contiguous, so each
-    // parent's run of misses is too; a cursor over the run table finds
-    // each miss's run.
+    // parent's run of misses is too; each miss names its run.
     let phase = Instant::now();
     let boundary = (stage >= 1).then(|| ctx.mems[stage - 1]);
     let mut prefixes: Vec<MappingPrefix> = Vec::new();
     let mut group_of: Vec<u32> = Vec::new();
     if let Some(b) = boundary.filter(|_| !misses.is_empty()) {
-        let (runs, mut run) = (candidates.runs(), 0);
+        let runs = candidates.runs();
         let mut last_parent = u32::MAX;
-        for &i in &misses {
+        for miss in &misses {
             faultpoint!("estimate.prefix");
-            while runs[run].end <= i {
-                run += 1;
-            }
-            let parent = runs[run].parent;
+            let parent = runs[miss.run as usize].parent;
             if prefixes.is_empty() || parent != last_parent {
                 let row = parents.row(parent as usize);
                 prefixes.push(ctx.model.prefix_of(RowNest { layout, row }, b));
@@ -660,7 +725,7 @@ pub(crate) fn estimate_all(
                         end += 1;
                     }
                     let prefix = group.map_or(model.empty_prefix(), |&g| &prefixes[g as usize]);
-                    let run = MissRows { layout, candidates, misses: &misses[k..end] };
+                    let run = MissRows { candidates, parents, misses: &misses[k..end] };
                     let mut full = 0;
                     let mut emit = |j, totals: Option<CostTotals>| {
                         let estimate = match totals {
@@ -726,8 +791,8 @@ pub(crate) fn estimate_all(
     }
     hits += copies.len() as u64;
     // Publish every new estimate into the search's table.
-    for (&i, estimate) in misses.iter().zip(priced) {
-        let i = i as usize;
+    for (miss, estimate) in misses.iter().zip(priced) {
+        let i = miss.child as usize;
         candidates.estimate[i] = estimate.or_infinity();
         match estimate {
             Priced::Exact(estimate) => {

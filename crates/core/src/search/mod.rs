@@ -6,12 +6,12 @@
 //! 1. **expand** (`candidates`) — per partial mapping, enumerate the
 //!    orderings × tiles × unrollings the pruning principles admit, as
 //!    runs of children that share an unroll and an ordering (one tile
-//!    enumeration each), then write each child as a copy of its run's
-//!    template row plus a few slice writes, filing the hash of its loop
-//!    nest as it goes. Each
-//!    enumeration lists a choice once and a child writes its choices over
-//!    slots its parent left undecided, so a stage's rows are distinct by
-//!    construction: there is nothing to deduplicate,
+//!    enumeration each), then hash each child's loop nest in one scratch
+//!    row, its tile written over the last child's; no child is written
+//!    out. Each enumeration lists a choice once and a child places its
+//!    choices over slots its parent left undecided, so a stage's
+//!    candidates are distinct by construction: there is nothing to
+//!    deduplicate,
 //! 2. **estimate** (`estimate`) — complete each candidate and evaluate
 //!    the analytic model, memoized for the length of the search by the
 //!    hash of its loop nest (`RowLayout::nest_key`: candidates that differ
@@ -21,12 +21,14 @@
 //!    alpha-beta-style cut).
 //!
 //! A stage builds tens of thousands of candidates and keeps
-//! `beam_width` of them, so a candidate is not a [`Mapping`]: it is one
-//! fixed-stride row of `u64` words in the stage's `candidates::Candidates`
-//! arena, laid out by `RowLayout`. The survivors of the cut stay rows
-//! (`beam::Beam`): the next stage copies a parent's row into its children
-//! and prices their shared prefix from it. Only the final ranking
-//! materializes mappings.
+//! `beam_width` of them, so a candidate is not a [`Mapping`], nor even a
+//! row: it is a (run, child) pair in the stage's `candidates::Candidates`
+//! arena with a nest hash and an estimate, read by the count kernel from
+//! its parent's row, its run and its tile delta. Only the survivors of
+//! the cut are written as rows — fixed-stride `u64` words laid out by
+//! `RowLayout` — (`beam::Beam`): the next stage starts its children from
+//! a parent's row and prices their shared prefix from it. Only the final
+//! ranking materializes mappings.
 //!
 //! The walk is bottom-up — innermost memory first, the paper's default —
 //! and within a stage the fabric's unroll is chosen before the tile grows
@@ -63,15 +65,6 @@ use crate::{ScheduleOptions, SunstoneConfig};
 use compose::SearchStop;
 
 pub use stats::{LevelStats, PruneCounter, SearchStats};
-
-/// Gives the calling thread's candidate arena back to the OS. A thread
-/// keeps the arena of its last search for its next one, and leaves it to
-/// the next thread that searches when it exits; a thread that is done
-/// searching for good — a daemon connection closing — calls this so a
-/// process that has stopped searching does not keep the pages.
-pub fn release_thread_arena() {
-    candidates::release_thread_arena();
-}
 
 /// One call's controls, built once per call from its
 /// [`ScheduleOptions`]: when it started, its deadline, its cancellation

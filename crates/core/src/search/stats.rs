@@ -88,8 +88,8 @@ pub struct LevelStats {
     #[serde(default)]
     pub bounded: u64,
     /// Wall time of this stage's expand phase: enumerating orderings,
-    /// tiles and unrollings for every beam parent and writing the
-    /// candidate rows. One clock pair per phase per stage, never per
+    /// tiles and unrollings for every beam parent and hashing the
+    /// candidates' nests. One clock pair per phase per stage, never per
     /// candidate; the three phases leave only the stage's control checks
     /// and progress events unattributed.
     pub expand: Duration,
@@ -106,11 +106,14 @@ pub struct LevelStats {
     /// (one per distinct in-play set), timed like `expand_tiles`.
     #[serde(default)]
     pub expand_orderings: Duration,
-    /// Part of `expand`: writing the candidate rows once a parent's
-    /// children are decided — one template per unroll, then per child a
-    /// copy and a few slice writes. One clock pair per parent. What
-    /// `expand` has beyond its four parts is memo lookups and replays and
-    /// deciding the children.
+    /// Part of `expand`: hashing a parent's children once they are
+    /// decided — one scratch row, which takes each run's unroll and
+    /// ordering, then per child two slice writes over the last child's,
+    /// two levels of the run's nest key rewritten and the key hashed. No
+    /// row is written: a candidate is its run's entry plus its `nest` and
+    /// `estimate` columns (the name predates that). One clock pair per
+    /// parent. What `expand` has beyond its four parts is memo lookups
+    /// and replays and deciding the children.
     #[serde(default)]
     pub expand_rows: Duration,
     /// Wall time of the estimate round: table probes plus, for the
@@ -120,13 +123,13 @@ pub struct LevelStats {
     /// decided-prefix cost per beam parent.
     pub estimate_prefix: Duration,
     /// Part of `estimate`: the pool round — the cost model's count kernel
-    /// over each claim's rows, read in place.
+    /// over each claim's misses, each read from its run.
     pub estimate_price: Duration,
     /// Part of `estimate`: writing the estimates back and inserting them
     /// into the search's table.
     pub estimate_publish: Duration,
-    /// Wall time of ranking the candidates and copying the survivors'
-    /// rows out as the next beam.
+    /// Wall time of ranking the candidates and writing the survivors'
+    /// rows as the next beam.
     pub select: Duration,
 }
 

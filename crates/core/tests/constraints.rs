@@ -150,6 +150,38 @@ fn contradictory_constraints_fail_with_the_typed_error() {
     assert!(matches!(err, ScheduleError::InvalidConstraints { .. }), "{err:?}");
 }
 
+/// Unroll pins on one dimension at several fabrics multiply into one loop
+/// nest: when each pin divides the extent but their product does not, the
+/// set is rejected with the typed error before any search — C = 16 pinned
+/// to 4 on all three of Simba's fabrics asks for 64 — while pins whose
+/// product divides it (C = 2 on `vector` and on `lanes`) still schedule
+/// and hold.
+#[test]
+fn unroll_pins_must_divide_the_extent_together() {
+    let mut b = Workload::builder("c");
+    let n = b.dim("N", 1);
+    let k = b.dim("K", 64);
+    let c = b.dim("C", 16);
+    let (p, q) = (b.dim("P", 14), b.dim("Q", 14));
+    let (r, s) = (b.dim("R", 3), b.dim("S", 3));
+    b.input_bits("ifmap", [n.expr(), c.expr(), p + r, q + s], 8);
+    b.input_bits("weight", [k.expr(), c.expr(), r.expr(), s.expr()], 8);
+    b.output_bits("ofmap", [n.expr(), k.expr(), p.expr(), q.expr()], 24);
+    let w = b.build().expect("valid conv workload");
+    let arch = presets::simba_like();
+    let pin = |fabrics: &[&str], factor| {
+        fabrics.iter().fold(MappingConstraints::new(), |set, fabric| {
+            set.pin_unroll(*fabric, DimRef::named("C"), factor)
+        })
+    };
+    let err = schedule_constrained(&w, &arch, pin(&["vector", "lanes", "pe_grid"], 4))
+        .expect_err("4 × 4 × 4 does not divide C = 16");
+    assert!(matches!(err, ScheduleError::InvalidConstraints { .. }), "{err:?}");
+    let two = pin(&["vector", "lanes"], 2);
+    let result = schedule_constrained(&w, &arch, two.clone()).expect("2 × 2 divides C = 16");
+    assert_satisfies(&w, &arch, &result, &two);
+}
+
 /// Interleaving constrained and free calls on one session must not leak
 /// results across cache contexts: the second free call replays the first
 /// bitwise, and a fresh session agrees.

@@ -4,7 +4,9 @@
 //! a `top_k` call returns identical mappings in identical order for any
 //! `threads` setting.
 
-use sunstone::{ScheduleOptions, Scheduler, SunstoneConfig};
+use std::time::Duration;
+
+use sunstone::{ScheduleOptions, Scheduler, SearchStats, SunstoneConfig};
 use sunstone_arch::presets;
 use sunstone_ir::Workload;
 
@@ -82,11 +84,11 @@ fn ttmc() -> Workload {
 /// The session worker pool must be invisible in the results: a pool with
 /// 0, 1, or 7 background workers (threads = 1/2/8) claims candidate
 /// indices in whatever order, but writes reports back by index, so the
-/// chosen mapping and every report bit are identical. So are the counts:
-/// the estimate round takes the bound's threshold between waves whose
-/// bounds depend only on the round's size, so the same candidates are
-/// priced and the same are cut at every thread count. Returns the
-/// one-thread result's `bounded`.
+/// chosen mapping and every report bit are identical. So is every
+/// counter of the search's statistics ([`untimed`]): the estimate round
+/// takes the bound's threshold between waves whose bounds depend only on
+/// the round's size, so the same candidates are priced and the same are
+/// cut at every thread count. Returns the one-thread result's `bounded`.
 fn assert_pool_invariant(w: &Workload, arch: &sunstone_arch::ArchSpec) -> u64 {
     let run = |threads: usize| {
         let s = Scheduler::new(SunstoneConfig { threads, ..SunstoneConfig::default() });
@@ -111,11 +113,39 @@ fn assert_pool_invariant(w: &Workload, arch: &sunstone_arch::ArchSpec) -> u64 {
             other.report.edp.to_bits(),
             "EDP bits differ at {threads} threads"
         );
-        assert_eq!(one.stats.probed, other.stats.probed, "probe count differs");
-        assert_eq!(one.stats.modeled, other.stats.modeled, "model count differs");
-        assert_eq!(one.stats.bounded, other.stats.bounded, "bounded count differs");
+        assert_eq!(
+            untimed(&one.stats),
+            untimed(&other.stats),
+            "search counters differ at {threads} threads"
+        );
     }
     one.stats.bounded
+}
+
+/// `stats` with every timer zeroed: the counters alone, search-wide and
+/// per stage — `probed`, `modeled`, `bounded`, `nodes_explored`,
+/// `capacity_probes`, the enumeration memos' and the estimate table's hits
+/// and misses, every pruning counter.
+fn untimed(stats: &SearchStats) -> SearchStats {
+    let mut stats = stats.clone();
+    (stats.elapsed, stats.rank) = (Duration::ZERO, Duration::ZERO);
+    for l in &mut stats.levels {
+        for timer in [
+            &mut l.expand,
+            &mut l.expand_tiles,
+            &mut l.expand_unrolls,
+            &mut l.expand_orderings,
+            &mut l.expand_rows,
+            &mut l.estimate,
+            &mut l.estimate_prefix,
+            &mut l.estimate_price,
+            &mut l.estimate_publish,
+            &mut l.select,
+        ] {
+            *timer = Duration::ZERO;
+        }
+    }
+    stats
 }
 
 #[test]

@@ -571,6 +571,23 @@ impl ResolvedConstraints {
             lc.unroll_pin_product = product as u64;
             lc.unroll_dims = lc.unroll_dims.union(lc.unroll_pinned.intersection(hardware));
         }
+        // Across fabrics: a dimension's pins multiply into its one loop
+        // nest, so their product must divide its extent too — each pin
+        // dividing it alone is not enough.
+        for d in workload.dim_ids() {
+            let pins =
+                levels.iter().flat_map(|lc| &lc.unroll_pins).filter(|(e, _)| *e == d.index());
+            let product = pins.fold(1u128, |p, &(_, v)| p.saturating_mul(u128::from(v)));
+            let dim = workload.dim(d);
+            if !u128::from(dim.size()).is_multiple_of(product) {
+                return Err(unsat(format!(
+                    "unroll pins for `{}` multiply to {product} across fabrics, which does \
+                     not divide the extent {}",
+                    dim.name(),
+                    dim.size()
+                )));
+            }
+        }
 
         for oc in &constraints.order {
             let pos = find(&oc.level)?;

@@ -411,9 +411,6 @@ impl Server {
                 let _guard = ConnGuard { state: Arc::clone(&state), id };
                 faultpoint!("serve.handler_spawn");
                 serve_connection(&state, stream);
-                // A connection's searches are over: a daemon that has
-                // stopped searching keeps no candidate arena resident.
-                sunstone::search::release_thread_arena();
             }));
             // Reap finished handler threads so a long-lived daemon's
             // handle list tracks live connections, not total accepts.
