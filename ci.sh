@@ -87,6 +87,27 @@ if grep -rnE 'allow_reduction|unroll_allow' crates/*/src \
     exit 1
 fi
 
+echo "== one copy rule =="
+# The daemon keeps each answer once, in its session memo. The store's
+# in-memory state is an offset index (where each context's line lies on
+# disk); it reads a line back when asked for one. A map from a context to
+# its line, bytes, JSON tree or record in crates/serve/src/store.rs is a
+# second copy of every answer the daemon has served.
+if grep -nE '(HashMap|BTreeMap)<[^>]*(String|str|Vec<u8>|\[u8\]|Json|StoreRecord)' \
+    crates/serve/src/store.rs; then
+    echo "crates/serve/src/store.rs holds lines in an in-memory map" >&2
+    exit 1
+fi
+# The index's heap per record, after 1 000 answer-sized appends (release,
+# the build the daemon runs).
+index_test=$(cargo test -q --release -p sunstone-serve --lib -- --exact \
+    store::tests::the_index_holds_no_line 2>&1) || { echo "$index_test"; exit 1; }
+if ! grep -q "1 passed" <<<"$index_test"; then
+    echo "$index_test"
+    echo "store::tests::the_index_holds_no_line did not run" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (core crates, benches, repro tests) =="
 cargo clippy --release \
     -p sunstone-ir -p sunstone-arch -p sunstone-mapping -p sunstone-model \

@@ -31,7 +31,7 @@ impl Objective {
     /// since a report's `edp` is this very product.
     pub(crate) fn of_totals(self, totals: sunstone_model::CostTotals) -> f64 {
         match self {
-            Objective::Edp => totals.energy_pj * totals.delay_cycles,
+            Objective::Edp => totals.edp(),
             Objective::Energy => totals.energy_pj,
             Objective::Delay => totals.delay_cycles,
         }

@@ -115,8 +115,8 @@ pub use ordering::{OrderingCandidate, OrderingTrie, ReuseKind};
 pub use progress::{CancelToken, ProgressEvent, ProgressSink};
 pub use search::{LevelStats, PruneCounter, SearchStats};
 pub use session::{
-    BatchOptions, BatchOutcome, BatchResult, BatchStats, CacheStats, Memoized, ScheduleOptions,
-    ScheduleOutcome, ScheduleResult, Scheduler,
+    BatchOptions, BatchOutcome, BatchResult, BatchStats, CacheStats, Finalist, Memoized,
+    ScheduleOptions, ScheduleOutcome, ScheduleResult, Scheduler,
 };
 // The constraint vocabulary lives in `sunstone_mapping`, beside its one
 // resolution and the check of a mapping against it
@@ -137,8 +137,8 @@ pub mod prelude {
     pub use crate::progress::{CancelToken, ProgressEvent, ProgressSink};
     pub use crate::search::{LevelStats, PruneCounter, SearchStats};
     pub use crate::session::{
-        BatchOptions, BatchOutcome, BatchResult, BatchStats, CacheStats, Memoized, ScheduleOptions,
-        ScheduleOutcome, ScheduleResult, Scheduler,
+        BatchOptions, BatchOutcome, BatchResult, BatchStats, CacheStats, Finalist, Memoized,
+        ScheduleOptions, ScheduleOutcome, ScheduleResult, Scheduler,
     };
     pub use sunstone_ir::DimRole;
     pub use sunstone_mapping::{

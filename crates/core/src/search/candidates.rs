@@ -490,12 +490,30 @@ pub(crate) fn expand(
                 // place the remainder ([`write_children`]).
                 [&DimVec::ones(ndims)[..], &u_quotas[..]].concat().into()
             } else {
-                match tile_key(ctx, stage, &base_u, &u_quotas, reserve, dims, stats) {
+                let mut tiles = |held| match tile_key(
+                    ctx,
+                    stage,
+                    &base_u,
+                    &u_quotas,
+                    (reserve, held),
+                    dims,
+                    stats,
+                ) {
                     Some((key, pins)) => pins.place(
                         memo.tiles.ask(key, hits, stage, stats, |key| enumerate_tiles(ctx, key)),
                         2 * ndims,
                     ),
                     None => Arc::from([]),
+                };
+                // A run whose every tile takes a factor the fabrics above
+                // are pinned to would dead-end there: it asks again with
+                // those pins held back.
+                let deltas = tiles(None);
+                match &ctx.pinned_above[stage] {
+                    Some(held) if !deltas.is_empty() && !leaves_any(&deltas, held) => {
+                        tiles(Some(held))
+                    }
+                    _ => deltas,
                 }
             };
             let start = end;
@@ -507,6 +525,14 @@ pub(crate) fn expand(
     let clock = Instant::now();
     write_children(out, row, first);
     stats.level_mut(stage).expand_rows += clock.elapsed();
+}
+
+/// Whether any tile of an answer leaves `held` in its remainder (the
+/// second half of each tile's words).
+fn leaves_any(deltas: &[u64], held: &DimVec) -> bool {
+    deltas
+        .chunks_exact(2 * held.len())
+        .any(|tile| tile[held.len()..].iter().zip(held.iter()).all(|(q, h)| q.is_multiple_of(*h)))
 }
 
 /// Dimensions with remaining quota — the only ones worth ordering.
@@ -523,6 +549,9 @@ fn in_play_dims(ctx: &SearchContext<'_>, quotas: &[u64]) -> DimSet {
 struct Pins {
     factors: DimVec,
     dims: DimSet,
+    /// A tile question's held-back quota ([`Pins::hold_back`]), which
+    /// every answer's remainder gets back.
+    held: Option<DimVec>,
 }
 
 impl Pins {
@@ -539,7 +568,8 @@ impl Pins {
         stage: usize,
         stats: &mut SearchStats,
     ) -> Option<Pins> {
-        let mut seeded = Pins { factors: DimVec::ones(base.len()), dims: DimSet::EMPTY };
+        let mut seeded =
+            Pins { factors: DimVec::ones(base.len()), dims: DimSet::EMPTY, held: None };
         for &(d, v) in pins {
             if !v.is_multiple_of(base[d]) || !quotas[d].is_multiple_of(v / base[d]) {
                 stats.level_mut(stage).constraint.record(1, 0);
@@ -552,17 +582,46 @@ impl Pins {
         Some(seeded)
     }
 
+    /// Holds `held` — the unroll pins of the fabrics above `stage`'s
+    /// memory ([`SearchContext::pinned_above`]) — back from a tile
+    /// question's `quotas`, so that no tile takes them, and remembers it
+    /// for [`place`](Self::place). `None`, counted in the constraint filter
+    /// of `stage`, when the quota no longer holds them: the parent cannot
+    /// reach those pins.
+    fn hold_back(
+        &mut self,
+        held: &DimVec,
+        quotas: &mut DimVec,
+        stage: usize,
+        stats: &mut SearchStats,
+    ) -> Option<()> {
+        if quotas.iter().zip(held.iter()).any(|(q, h)| !q.is_multiple_of(*h)) {
+            stats.level_mut(stage).constraint.record(1, 0);
+            return None;
+        }
+        for (q, h) in quotas.iter_mut().zip(held.iter()) {
+            *q /= h;
+        }
+        self.held = Some(held.clone());
+        Some(())
+    }
+
     /// An answer with the pinned factors placed: each of its factor
     /// vectors — the first `ndims` words of every `stride` — takes them
-    /// (the enumeration left each pinned dimension at 1).
+    /// (the enumeration left each pinned dimension at 1), and each
+    /// remainder after them gets the held-back quota back.
     fn place(&self, kept: Arc<[u64]>, stride: usize) -> Arc<[u64]> {
-        if self.dims.is_empty() {
+        if self.dims.is_empty() && self.held.is_none() {
             return kept;
         }
         let mut kept = kept.to_vec();
-        for factors in kept.chunks_exact_mut(stride) {
+        for words in kept.chunks_exact_mut(stride) {
+            let (factors, rest) = words.split_at_mut(self.factors.len());
             for (f, &pin) in factors.iter_mut().zip(&self.factors) {
                 *f *= pin;
+            }
+            for (q, &held) in rest.iter_mut().zip(self.held.iter().flatten()) {
+                *q *= held;
             }
         }
         kept.into()
@@ -658,15 +717,17 @@ fn product(factors: impl Iterator<Item = u64>) -> u128 {
 /// pins seeded. The parallelism reserve is measured over `unrollable` —
 /// the dimensions the fabrics above may unroll under the Spatial
 /// Unrolling Principle ([`SearchContext::unrollable_above`]) — so a tile
-/// cannot swallow the quota the unrollings need. `None` when a pin the
-/// parent cannot reach kills the run. Never asked at the outermost
-/// memory, where the children place the remainder.
+/// cannot swallow the quota the unrollings need. `held`, when given, is
+/// the fabrics' pins above, held back from the quotas
+/// ([`Pins::hold_back`]). `None` when a pin the parent cannot reach kills
+/// the run. Never asked at the outermost memory, where the children place
+/// the remainder.
 fn tile_key(
     ctx: &SearchContext<'_>,
     stage: usize,
     base: &[u64],
     quotas: &[u64],
-    reserve: u64,
+    (reserve, held): (u64, Option<&DimVec>),
     (ordering, here): (Option<&OrderingDims>, DimSet),
     stats: &mut SearchStats,
 ) -> Option<(TileKey, Pins)> {
@@ -699,7 +760,14 @@ fn tile_key(
     // the starting tile and the dimension leaves the growth set, so every
     // enumerated tile carries exactly the pinned factor.
     let mut quotas = DimVec::from_slice(quotas);
-    let pins = Pins::seed(&lc.tile_pins, base, &mut quotas, stage, stats)?;
+    let mut pins = Pins::seed(&lc.tile_pins, base, &mut quotas, stage, stats)?;
+    let mut reserve = reserve;
+    if let Some(held) = held {
+        pins.hold_back(held, &mut quotas, stage, stats)?;
+        // The held-back pins are parallelism the fabrics get anyway: the
+        // tile owes them only the rest of the reserve.
+        reserve = u128::from(reserve).div_ceil(product(held.iter().copied())) as u64;
+    }
     let (base, allowed) = (multiply(base, &pins.factors), allowed.difference(pins.dims));
     Some((TileKey { mem_pos, base, quotas, reserve, allowed, unrollable }, pins))
 }

@@ -367,6 +367,12 @@ pub(crate) struct SearchContext<'a> {
     /// fabric whose pins fix its whole unroll adds every dimension (DESIGN
     /// §3f, "One fabric rule").
     pub(crate) unrollable_above: Vec<DimSet>,
+    /// `pinned_above[i]`: per dimension, the product of the unroll pins of
+    /// the fabrics above memory `i` — a factor a tile at memory `i` must
+    /// leave in the quota, or no child of it can reach those pins when
+    /// their fabric's stage comes. `None` without such pins (the common
+    /// case).
+    pub(crate) pinned_above: Vec<Option<DimVec>>,
     /// The session's persistent worker pool (estimate rounds fan out over
     /// it instead of spawning threads per round).
     pub(crate) pool: &'a WorkerPool,
@@ -428,6 +434,18 @@ impl<'a> SearchContext<'a> {
                 above.map(|(pos, _)| feeds(pos)).fold(DimSet::EMPTY, DimSet::union)
             })
             .collect();
+        let pinned_above = mems
+            .iter()
+            .map(|&m| {
+                let above = arch.spatial_levels().filter(|(pos, _)| pos.index() > m);
+                let pins = above.flat_map(|(pos, _)| &constraints.at(pos.index()).unroll_pins);
+                let mut held: Option<DimVec> = None;
+                for &(d, v) in pins {
+                    held.get_or_insert_with(|| DimVec::ones(workload.num_dims()))[d] *= v;
+                }
+                held
+            })
+            .collect();
         let base = streaming_base(workload, arch);
         let complete_at = *mems.last().expect("at least one memory");
         let layout = RowLayout::of(&base, workload.num_dims(), complete_at);
@@ -441,6 +459,7 @@ impl<'a> SearchContext<'a> {
             mems,
             lower_spatial,
             unrollable_above,
+            pinned_above,
             pool,
             ladders: DivisorLadders::new(&workload.dim_sizes()),
             validation: ValidationContext::new(workload, arch, binding),

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use sunstone_arch::{ArchSpec, Binding};
 use sunstone_ir::{FxHashMap, Workload};
 use sunstone_mapping::{Mapping, MappingConstraints, ResolvedConstraints, ValidationContext};
-use sunstone_model::{CostModel, CostReport};
+use sunstone_model::{CostModel, CostReport, CostTotals};
 
 use crate::error::ScheduleError;
 use crate::fingerprint::{
@@ -419,12 +419,15 @@ impl CacheStats {
 
 /// One context's memoized answer ([`Scheduler::memoized`]): the ranked
 /// finalists of a search that ran to completion there — or the one
-/// mapping [`Scheduler::prime_mapping`] vouched for.
+/// mapping [`Scheduler::prime_mapping`] vouched for. It keeps what a hit
+/// reads and no more: a call answered from it re-prices every mapping on
+/// the way out, so a finalist is its mapping and the two totals it was
+/// priced at, not a [`CostReport`].
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct Memoized {
-    /// The ranked results, best first; never empty. Shared, not copied.
-    pub results: Arc<Vec<ScheduleResult>>,
+    /// The ranked finalists, best first; never empty. Shared, not copied.
+    pub finalists: Arc<[Finalist]>,
     /// [`mapping_fingerprint`] of the best mapping.
     pub mapping_fp: u64,
     /// Whether the entry was primed from outside rather than searched by
@@ -434,6 +437,27 @@ pub struct Memoized {
     /// for at most this many results (it may hold fewer — then the search
     /// found no more).
     top_k: usize,
+    /// The search's statistics with the model columns struck out
+    /// ([`SearchStats::remembered`]), once for all its finalists; `None`
+    /// for a primed mapping, which no search produced.
+    stats: Option<Arc<SearchStats>>,
+}
+
+/// A memoized finalist: the mapping and the totals it was priced at.
+#[derive(Debug, Clone)]
+#[non_exhaustive]
+pub struct Finalist {
+    /// The mapping.
+    pub mapping: Mapping,
+    /// Its energy and delay when it was filed.
+    pub totals: CostTotals,
+}
+
+impl Finalist {
+    /// The finalist of a priced result.
+    fn of(mapping: &Mapping, report: &CostReport) -> Finalist {
+        Finalist { mapping: mapping.clone(), totals: report.totals() }
+    }
 }
 
 /// The session's memory: per context fingerprint, the answer of a
@@ -469,7 +493,8 @@ impl ResultMemo {
         Some(hit)
     }
 
-    /// Files `results` — ranked for `top_k` — as the context's answer. A
+    /// Files `finalists` — ranked for `top_k` by a search that gathered
+    /// `stats`, or primed when there is none — as the context's answer. A
     /// searched list already there that answers as many requests stays: a
     /// narrower search finishing late, or a primed mapping, never displaces
     /// it. A new context past `max` evicts the oldest ones, in insertion
@@ -477,13 +502,15 @@ impl ResultMemo {
     fn insert(
         &self,
         ctx_fp: u64,
-        results: Vec<ScheduleResult>,
+        finalists: Vec<Finalist>,
+        stats: Option<SearchStats>,
         top_k: usize,
-        primed: bool,
         max: usize,
     ) {
-        let mapping_fp = mapping_fingerprint(&results[0].mapping);
-        let entry = Memoized { results: Arc::new(results), mapping_fp, primed, top_k };
+        let mapping_fp = mapping_fingerprint(&finalists[0].mapping);
+        let primed = stats.is_none();
+        let stats = stats.map(Arc::new);
+        let entry = Memoized { finalists: finalists.into(), mapping_fp, primed, top_k, stats };
         let table = &mut *self.lock();
         if table.contexts.get(&ctx_fp).is_some_and(|kept| !kept.primed && kept.top_k >= top_k) {
             return;
@@ -607,10 +634,10 @@ impl Scheduler {
     /// already searched there, whose own answer stays. A
     /// daemon restarting on an existing store calls this per record so
     /// repeated queries are answered without a search, and the returned
-    /// [`CostReport`] — which the memo serves from then on — re-prices the
-    /// mapping under the *current* cost model: a stale stored EDP is never
-    /// trusted. The primed result carries empty [`SearchStats`]: no search
-    /// produced it.
+    /// [`CostReport`] — whose totals the memo serves from then on —
+    /// re-prices the mapping under the *current* cost model: a stale
+    /// stored EDP is never trusted. The primed result carries empty
+    /// [`SearchStats`]: no search produced it.
     ///
     /// # Errors
     ///
@@ -633,13 +660,9 @@ impl Scheduler {
             let constraints = &self.config.constraints;
             let report =
                 self.with_admission(workload, arch, constraints, |admit| admit(mapping))??;
-            let result = ScheduleResult {
-                mapping: mapping.clone(),
-                report: report.clone(),
-                stats: SearchStats::default(),
-            };
+            let finalist = Finalist::of(mapping, &report);
             let ctx_fp = context_fingerprint(workload, arch, &self.config, constraints);
-            self.memo.insert(ctx_fp, vec![result], 1, true, self.config.max_cache_entries);
+            self.memo.insert(ctx_fp, vec![finalist], None, 1, self.config.max_cache_entries);
             Ok(report)
         };
         panic::catch_unwind(AssertUnwindSafe(prime)).unwrap_or_else(|payload| {
@@ -919,10 +942,7 @@ impl Scheduler {
         // context or not: skip the lookup and let the search report it.
         if controls.stop() != Some(SearchStop::Cancelled) {
             if let Some(hit) = self.memo.get(ctx_fp, top_k) {
-                let k = top_k.min(hit.results.len());
-                if let Some(results) =
-                    self.verified(&hit.results[..k], workload, arch, constraints)?
-                {
+                if let Some(results) = self.verified(&hit, top_k, workload, arch, constraints)? {
                     return Ok(ScheduleOutcome::Complete(results));
                 }
             }
@@ -931,37 +951,35 @@ impl Scheduler {
         let outcome = self.search(workload, arch, controls)?;
         if let ScheduleOutcome::Complete(results) = &outcome {
             let stats = results[0].stats.remembered();
-            let remembered = results
-                .iter()
-                .map(|r| ScheduleResult {
-                    mapping: r.mapping.clone(),
-                    report: r.report.clone(),
-                    stats: stats.clone(),
-                })
-                .collect();
-            self.memo.insert(ctx_fp, remembered, top_k, false, self.config.max_cache_entries);
+            let finalists = results.iter().map(|r| Finalist::of(&r.mapping, &r.report)).collect();
+            let max = self.config.max_cache_entries;
+            self.memo.insert(ctx_fp, finalists, Some(stats), top_k, max);
         }
         Ok(outcome)
     }
 
-    /// Memoized results on their way out, held to what a search's own
-    /// results are held to: the problem resolves, every mapping validates
-    /// against *this call's* workload, architecture and constraints, and
-    /// the report is priced in this call — the memo is never trusted, as
-    /// the store's warm-load never trusts a record. `None` when a mapping
-    /// does not validate: the entry was filed by a different context whose
-    /// 64-bit fingerprint collides with this one, and the caller searches.
+    /// A memoized answer's first `top_k` finalists on their way out, held
+    /// to what a search's own results are held to: the problem resolves,
+    /// every mapping validates against *this call's* workload,
+    /// architecture and constraints, and the report is priced in this
+    /// call — the memo is never trusted, as the store's warm-load never
+    /// trusts a record. `None` when a mapping does not validate: the entry
+    /// was filed by a different context whose 64-bit fingerprint collides
+    /// with this one, and the caller searches.
     fn verified(
         &self,
-        memoized: &[ScheduleResult],
+        memoized: &Memoized,
+        top_k: usize,
         workload: &Workload,
         arch: &ArchSpec,
         constraints: &MappingConstraints,
     ) -> Result<Option<Vec<ScheduleResult>>, ScheduleError> {
+        let stats = memoized.stats.as_deref();
         self.with_admission(workload, arch, constraints, |admit| {
-            let admitted = memoized.iter().map(|r| {
-                let report = admit(&r.mapping).ok()?;
-                Some(ScheduleResult { mapping: r.mapping.clone(), report, stats: r.stats.clone() })
+            let admitted = memoized.finalists.iter().take(top_k).map(|f| {
+                let report = admit(&f.mapping).ok()?;
+                let stats = stats.cloned().unwrap_or_default();
+                Some(ScheduleResult { mapping: f.mapping.clone(), report, stats })
             });
             admitted.collect()
         })

@@ -150,14 +150,9 @@ fn contradictory_constraints_fail_with_the_typed_error() {
     assert!(matches!(err, ScheduleError::InvalidConstraints { .. }), "{err:?}");
 }
 
-/// Unroll pins on one dimension at several fabrics multiply into one loop
-/// nest: when each pin divides the extent but their product does not, the
-/// set is rejected with the typed error before any search — C = 16 pinned
-/// to 4 on all three of Simba's fabrics asks for 64 — while pins whose
-/// product divides it (C = 2 on `vector` and on `lanes`) still schedule
-/// and hold.
-#[test]
-fn unroll_pins_must_divide_the_extent_together() {
+/// An N1 K64 C16 14² R3 conv: C = 16 is small enough that Simba's inner
+/// stages can take all of it.
+fn c16_conv() -> Workload {
     let mut b = Workload::builder("c");
     let n = b.dim("N", 1);
     let k = b.dim("K", 64);
@@ -167,19 +162,48 @@ fn unroll_pins_must_divide_the_extent_together() {
     b.input_bits("ifmap", [n.expr(), c.expr(), p + r, q + s], 8);
     b.input_bits("weight", [k.expr(), c.expr(), r.expr(), s.expr()], 8);
     b.output_bits("ofmap", [n.expr(), k.expr(), p.expr(), q.expr()], 24);
-    let w = b.build().expect("valid conv workload");
-    let arch = presets::simba_like();
-    let pin = |fabrics: &[&str], factor| {
-        fabrics.iter().fold(MappingConstraints::new(), |set, fabric| {
-            set.pin_unroll(*fabric, DimRef::named("C"), factor)
-        })
-    };
-    let err = schedule_constrained(&w, &arch, pin(&["vector", "lanes", "pe_grid"], 4))
+    b.build().expect("valid conv workload")
+}
+
+/// C pinned to `factor` on each of `fabrics`.
+fn pin_c(fabrics: &[&str], factor: u64) -> MappingConstraints {
+    fabrics.iter().fold(MappingConstraints::new(), |set, fabric| {
+        set.pin_unroll(*fabric, DimRef::named("C"), factor)
+    })
+}
+
+/// Unroll pins on one dimension at several fabrics multiply into one loop
+/// nest: when each pin divides the extent but their product does not, the
+/// set is rejected with the typed error before any search — C = 16 pinned
+/// to 4 on all three of Simba's fabrics asks for 64 — while pins whose
+/// product divides it (C = 2 on `vector` and on `lanes`) still schedule
+/// and hold.
+#[test]
+fn unroll_pins_must_divide_the_extent_together() {
+    let (w, arch) = (c16_conv(), presets::simba_like());
+    let err = schedule_constrained(&w, &arch, pin_c(&["vector", "lanes", "pe_grid"], 4))
         .expect_err("4 × 4 × 4 does not divide C = 16");
     assert!(matches!(err, ScheduleError::InvalidConstraints { .. }), "{err:?}");
-    let two = pin(&["vector", "lanes"], 2);
+    let two = pin_c(&["vector", "lanes"], 2);
     let result = schedule_constrained(&w, &arch, two.clone()).expect("2 × 2 divides C = 16");
     assert_satisfies(&w, &arch, &result, &two);
+}
+
+/// A pin on an outer fabric is a factor the stages below it must leave:
+/// C = 2 or 4 pinned on Simba's `pe_grid`, alone or beside the same pin on
+/// `vector`, schedules and holds. The inner stages' tiles and unrolls used
+/// to take all of C first, and the search dead-ended at the L2 stage.
+#[test]
+fn an_outer_fabrics_unroll_pin_is_left_by_the_stages_below() {
+    let (w, arch) = (c16_conv(), presets::simba_like());
+    for fabrics in [&["pe_grid"][..], &["vector", "pe_grid"]] {
+        for factor in [2, 4] {
+            let pins = pin_c(fabrics, factor);
+            let result = schedule_constrained(&w, &arch, pins.clone())
+                .unwrap_or_else(|e| panic!("C = {factor} on {fabrics:?}: {e}"));
+            assert_satisfies(&w, &arch, &result, &pins);
+        }
+    }
 }
 
 /// Interleaving constrained and free calls on one session must not leak

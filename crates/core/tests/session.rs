@@ -652,7 +652,7 @@ fn a_primed_mapping_is_the_contexts_memoized_answer() {
     // Priming a context the session searched itself displaces nothing.
     session.prime_mapping(&w, &arch, &cold.mapping).expect("primes");
     let entry = session.memoized(session.context_fingerprint(&w, &arch)).expect("memoized");
-    assert!(!entry.primed && entry.results.len() == top.len(), "the searched list stays");
+    assert!(!entry.primed && entry.finalists.len() == top.len(), "the searched list stays");
 
     // A mapping of another shape does not validate here.
     let other = conv("other", 64, 32, 7, 3);

@@ -46,6 +46,11 @@ pub struct CostReport {
 }
 
 impl CostReport {
+    /// The report's two totals.
+    pub fn totals(&self) -> CostTotals {
+        CostTotals { energy_pj: self.energy_pj, delay_cycles: self.delay_cycles }
+    }
+
     /// Energy spent in memories (total minus MAC and NoC).
     pub fn memory_energy_pj(&self) -> f64 {
         self.energy_pj - self.mac_energy_pj - self.noc_energy_pj
@@ -68,6 +73,13 @@ pub struct CostTotals {
     pub energy_pj: f64,
     /// Execution time in cycles.
     pub delay_cycles: f64,
+}
+
+impl CostTotals {
+    /// Energy-delay product: the one product a report's `edp` is.
+    pub fn edp(self) -> f64 {
+        self.energy_pj * self.delay_cycles
+    }
 }
 
 /// What [`CostModel::price_rows`] computes beyond the per-level
@@ -316,7 +328,7 @@ impl<'a> CostModel<'a> {
         CostReport {
             energy_pj,
             delay_cycles,
-            edp: energy_pj * delay_cycles,
+            edp: priced.totals.edp(),
             total_ops,
             mac_energy_pj: total_ops * self.arch.mac_energy_pj(),
             noc_energy_pj: priced.noc_energy_pj,

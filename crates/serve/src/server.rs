@@ -82,6 +82,8 @@ use sunstone::fingerprint::{mapping_fingerprint, workload_fingerprint};
 use sunstone::prelude::*;
 use sunstone_arch::ArchSpec;
 use sunstone_ir::Workload;
+use sunstone_mapping::Mapping;
+use sunstone_model::CostTotals;
 
 use crate::json::{self, Json};
 use crate::store::{FsyncPolicy, MappingStore, StoreRecord};
@@ -441,11 +443,13 @@ impl Server {
 
 /// Replays every store record into the session's result memo, verifying
 /// context fingerprint, mapping validity, and mapping fingerprint per
-/// record (see the module docs).
+/// record (see the module docs). Records are read and admitted one at a
+/// time under the store lock, which nothing else takes before the daemon
+/// serves.
 fn warm_load(state: &ServeState) {
     let Some(store) = &state.store else { return };
-    let records: Vec<StoreRecord> = lock_recover(store).iter().collect();
-    for rec in records {
+    let store = lock_recover(store);
+    for rec in store.iter() {
         let loaded = (|| {
             let (arch, _) = wire::preset(&rec.arch)?;
             let workload = wire::workload_from_json(&rec.workload).ok()?;
@@ -633,12 +637,14 @@ fn write_overloaded(out: &mut String, retry_after_ms: u64, message: &str) {
 
 /// A served mapping: `{"ok":true,"source":…,"degraded":…,"ctx_fp":"…",
 /// "mapping_fp":"…","edp":…,"energy_pj":…,"delay_cycles":…,"mapping":{…}}`.
+/// The EDP is the totals' product, as a cost report's is.
 fn write_result(
     out: &mut String,
     ctx_fp: u64,
     source: &str,
     mapping_fp: u64,
-    result: &ScheduleResult,
+    mapping: &Mapping,
+    totals: CostTotals,
     degraded: bool,
 ) {
     out.push_str("{\"ok\":true,\"source\":");
@@ -650,13 +656,13 @@ fn write_result(
     out.push_str(",\"mapping_fp\":");
     json::write_u64_str(out, mapping_fp);
     out.push_str(",\"edp\":");
-    json::write_num(out, result.report.edp);
+    json::write_num(out, totals.edp());
     out.push_str(",\"energy_pj\":");
-    json::write_num(out, result.report.energy_pj);
+    json::write_num(out, totals.energy_pj);
     out.push_str(",\"delay_cycles\":");
-    json::write_num(out, result.report.delay_cycles);
+    json::write_num(out, totals.delay_cycles);
     out.push_str(",\"mapping\":");
-    wire::write_mapping(out, &result.mapping);
+    wire::write_mapping(out, mapping);
     out.push('}');
 }
 
@@ -670,8 +676,8 @@ struct Hit {
 
 impl Hit {
     fn write(&self, out: &mut String) {
-        let best = &self.entry.results[0];
-        write_result(out, self.ctx_fp, self.source, self.entry.mapping_fp, best, false);
+        let (best, fp) = (&self.entry.finalists[0], self.entry.mapping_fp);
+        write_result(out, self.ctx_fp, self.source, fp, &best.mapping, best.totals, false);
     }
 }
 
@@ -760,7 +766,8 @@ fn answer(
         }
     };
     let mapping_fp = mapping_fingerprint(&result.mapping);
-    write_result(out, ctx_fp, "search", mapping_fp, &result, degraded);
+    let totals = result.report.totals();
+    write_result(out, ctx_fp, "search", mapping_fp, &result.mapping, totals, degraded);
     // The session memoized a complete search before returning it — so a
     // fault in persistence below cannot lose an already-computed result —
     // and never memoizes a deadline-cut one.

@@ -23,24 +23,36 @@
 //! rebuild the problem, re-validate the mapping, and re-price it under
 //! the current cost model — the stored EDP is a cache, never an oracle.
 //!
+//! # The index
+//!
+//! In memory the store holds no record, only where each context's latest
+//! line lies in its shard: `ctx_fp → (offset, len)`, 24 bytes a record
+//! before hash-table slack (the shard follows from the fingerprint).
+//! [`MappingStore::get`] and [`MappingStore::iter`] read a line back with
+//! `pread` and verify its checksum again before parsing it. The daemon
+//! serves an answer from its session memo, so the memo's copy is the only
+//! one it keeps in memory; the store's is on disk.
+//!
 //! # Corruption and quarantine
 //!
 //! A record line that fails its CRC, fails to parse, or is torn by an
 //! unclean shutdown is **quarantined**: the raw line is appended to the
 //! shard's `shard-NN.quarantine` sidecar, counted in
-//! [`StoreStats::quarantined`], and never enters the in-memory index —
-//! a flipped bit loses one cached result and leaves evidence, it never
-//! serves a wrong mapping and never fails the open. A shard whose
-//! *header* is missing, wrong-schema (other than v1, see below), or
-//! priced under a different [`COST_MODEL_VERSION`] is discarded
-//! wholesale — replaying costs from an older model would serve wrong
-//! numbers as current.
+//! [`StoreStats::quarantined`], and never enters the index — a flipped
+//! bit loses one cached result and leaves evidence, it never serves a
+//! wrong mapping and never fails the open. A line that verified at open
+//! but no longer does when read back (the file changed under the store)
+//! is never returned, and the next compaction quarantines it and drops it
+//! from the index. A shard whose *header* is missing, wrong-schema (other
+//! than v1, see below), or priced under a different
+//! [`COST_MODEL_VERSION`] is discarded wholesale — replaying costs from
+//! an older model would serve wrong numbers as current.
 //!
 //! # Durability
 //!
-//! Appends go through a buffered writer with one logical line per
-//! record; [`FsyncPolicy`] decides how often the shard file is
-//! `fsync`ed: `Never` (flush to the OS only), `PerRecord` (the default:
+//! Every append writes its line straight to the shard file, which the
+//! index reads back from; [`FsyncPolicy`] decides how often the file is
+//! `fsync`ed: `Never` (hand it to the OS only), `PerRecord` (the default:
 //! an fsync after every append), or `Interval` (at most one fsync per
 //! period, amortizing bursts). Compaction always syncs the temp file
 //! before the atomic rename that commits it.
@@ -49,24 +61,29 @@
 //!
 //! A shard with a `sunstone-store/v1` header (plain JSON lines, no
 //! checksums) and a current cost-model version is migrated on first
-//! open: its records are loaded with the v1 parser, then the shard is
-//! rewritten in v2 form via temp file + rename and counted in
-//! [`StoreStats::migrated_shards`]. A crash mid-migration leaves either
-//! the old v1 shard or the new v2 shard, both loadable.
+//! open: its lines are indexed as the v1 parser reads them, then the
+//! shard is rewritten in v2 form the way compaction rewrites one, and
+//! counted in [`StoreStats::migrated_shards`]. A crash mid-migration
+//! leaves either the old v1 shard or the new v2 shard, both loadable.
 //!
 //! # Compaction
 //!
 //! Appends are log-structured: a context scheduled twice appears twice,
 //! last record winning at load. [`MappingStore::compact`] (called on
-//! graceful shutdown) rewrites each shard to exactly one record per
-//! context via a temp file + atomic rename, so a crash *during*
-//! compaction leaves either the old or the new shard, both valid.
+//! graceful shutdown) rewrites each shard to exactly one line per
+//! context, in fingerprint order, via a temp file + atomic rename, so a
+//! crash *during* compaction leaves either the old or the new shard, both
+//! valid. It reads each shard once, in sequence, and copies the indexed
+//! lines out after checking each checksum again; it parses no JSON.
 //! Quarantine sidecars are left untouched — they are operator evidence.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::PathBuf;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use sunstone_model::COST_MODEL_VERSION;
@@ -84,8 +101,8 @@ const SCHEMA_V1: &str = "sunstone-store/v1";
 /// How often an appended record is `fsync`ed to disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
-    /// Flush to the OS after every record but never fsync: a host crash
-    /// can lose recent appends, a daemon crash cannot.
+    /// Hand every record to the OS but never fsync: a host crash can lose
+    /// recent appends, a daemon crash cannot.
     Never,
     /// Fsync after every appended record (the default): a host crash
     /// loses at most the in-flight record.
@@ -149,31 +166,51 @@ impl StoreRecord {
         })
     }
 
-    /// Parses a v2 line: `<crc32 hex8> <json>`, checksum verified before
-    /// the JSON is even parsed.
-    fn from_line(line: &str) -> Option<StoreRecord> {
-        let (crc_hex, body) = line.split_once(' ')?;
-        if crc_hex.len() != 8 {
-            return None;
-        }
-        let crc = u32::from_str_radix(crc_hex, 16).ok()?;
-        if crc != crc32(body.as_bytes()) {
-            return None;
-        }
-        Self::from_json(&json::parse(body).ok()?)
+    /// Parses a v2 line, checksum verified before the JSON is even parsed.
+    fn from_line(line: &[u8]) -> Option<StoreRecord> {
+        Self::from_body(checked_body(line)?)
     }
+
+    /// Parses a record's plain JSON: a v1 line, or a v2 line's body.
+    fn from_body(body: &[u8]) -> Option<StoreRecord> {
+        Self::from_json(&json::parse(std::str::from_utf8(body).ok()?).ok()?)
+    }
+}
+
+/// The record JSON of a v2 line, `<crc32 hex8> <json>`, if its checksum
+/// holds.
+fn checked_body(line: &[u8]) -> Option<&[u8]> {
+    let crc = u32::from_str_radix(std::str::from_utf8(line.get(..8)?).ok()?, 16).ok()?;
+    let body = line[8..].strip_prefix(b" ")?;
+    (crc == crc32(body)).then_some(body)
+}
+
+/// A line as read, without its terminator (`\n` or `\r\n`).
+fn strip_newline(line: &[u8]) -> &[u8] {
+    let line = line.strip_suffix(b"\n").unwrap_or(line);
+    line.strip_suffix(b"\r").unwrap_or(line)
+}
+
+/// The header line every shard starts with.
+fn header(shards: usize) -> String {
+    Json::Obj(vec![
+        ("schema".into(), Json::Str(SCHEMA.into())),
+        ("cost_model".into(), Json::Num(f64::from(COST_MODEL_VERSION))),
+        ("shards".into(), Json::Num(shards as f64)),
+    ])
+    .to_string()
 }
 
 /// Load-time statistics, surfaced through `cache_stats`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StoreStats {
-    /// Distinct contexts loaded.
+    /// Distinct contexts indexed.
     pub records: usize,
     /// Unparseable, checksum-failing, or truncated lines rejected at
-    /// load (every one of them also lands in `quarantined`, except lines
-    /// so torn they cannot even be read as text).
+    /// load, and lines that no longer verified when compaction read them
+    /// back.
     pub corrupt_lines: usize,
-    /// Corrupt record lines copied to a `.quarantine` sidecar at load.
+    /// Rejected lines copied to a `.quarantine` sidecar.
     pub quarantined: usize,
     /// Shards discarded for schema or cost-model version mismatch.
     pub stale_shards: usize,
@@ -185,34 +222,77 @@ pub struct StoreStats {
     pub fsyncs: u64,
 }
 
-/// The persistent store: an in-memory latest-per-context index over
-/// sharded append logs.
+/// Where a record's line lies: the shard file, the offset of the line's
+/// first byte and its length without the newline. The file is the one the
+/// context's fingerprint names ([`MappingStore::shard_of`]) unless the
+/// store was written with another shard count and not compacted since.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    offset: u64,
+    len: u32,
+    shard: u8,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        let start = self.offset as usize;
+        start..start + self.len as usize
+    }
+}
+
+/// One shard's open state.
+#[derive(Debug)]
+struct ShardFile {
+    /// A read-and-append handle, opened on first use; a rewrite of the
+    /// shard drops it with the file the rename replaces.
+    handle: OnceLock<File>,
+    /// Where the next append lands: the file's length as this store last
+    /// left it. `None` when unknown — nothing appended since open or a
+    /// rewrite, or an append stopped partway — and the next append asks
+    /// the file.
+    end: Option<u64>,
+    /// The last fsync, for [`FsyncPolicy::Interval`].
+    last_sync: Instant,
+}
+
+/// The whole of an old shard file (nothing when it is gone).
+fn read_whole(file: Option<&File>) -> std::io::Result<Vec<u8>> {
+    let Some(file) = file else { return Ok(Vec::new()) };
+    let mut bytes = vec![0; file.metadata()?.len() as usize];
+    file.read_exact_at(&mut bytes, 0)?;
+    Ok(bytes)
+}
+
+/// The shard's handle in `slot`, opened (and the file created) on first
+/// use.
+fn open_handle<'a>(slot: &'a OnceLock<File>, path: &Path) -> std::io::Result<&'a File> {
+    if let Some(file) = slot.get() {
+        return Ok(file);
+    }
+    let file = OpenOptions::new().read(true).append(true).create(true).open(path)?;
+    Ok(slot.get_or_init(|| file))
+}
+
+/// The persistent store: an offset index of the latest line per context
+/// over sharded append logs.
 #[derive(Debug)]
 pub struct MappingStore {
     dir: PathBuf,
-    shards: usize,
     fsync: FsyncPolicy,
-    /// Latest record per context fingerprint, as its verified v2 line. A
-    /// daemon appends one record per search it serves; parsed, a record's
-    /// workload and mapping trees take about eight times the memory of
-    /// the line, which compaction writes back verbatim anyway.
-    records: HashMap<u64, String>,
-    /// Open appenders, one per shard (lazily created).
-    writers: Vec<Option<BufWriter<File>>>,
-    /// Per-shard last-fsync instant, for [`FsyncPolicy::Interval`].
-    last_sync: Vec<Instant>,
-    /// Per-shard "previous append may have torn its line" flag: set
-    /// before a record's bytes go out, cleared after its newline lands,
-    /// so the next append can terminate a half-written line first.
-    torn: Vec<bool>,
+    /// Where the latest line of each context lies. No line is held here:
+    /// the daemon serves an answer from its session memo, and the store
+    /// reads a line back only for [`get`](Self::get), [`iter`](Self::iter)
+    /// and compaction.
+    index: HashMap<u64, Span>,
+    shards: Vec<ShardFile>,
     stats: StoreStats,
 }
 
 impl MappingStore {
     /// Opens (or initializes) a store directory with `shards` shard
     /// files and the default [`FsyncPolicy`]. Existing shards are
-    /// replayed into the in-memory index (v1 shards are migrated); see
-    /// the module docs for how corruption and version skew degrade.
+    /// indexed (v1 shards are migrated); see the module docs for how
+    /// corruption and version skew degrade.
     ///
     /// # Errors
     ///
@@ -235,23 +315,24 @@ impl MappingStore {
         let dir = dir.into();
         let shards = shards.clamp(1, 64);
         fs::create_dir_all(&dir)?;
+        let now = Instant::now();
         let mut store = MappingStore {
             dir,
-            shards,
             fsync,
-            records: HashMap::new(),
-            writers: (0..shards).map(|_| None).collect(),
-            last_sync: vec![Instant::now(); shards],
-            torn: vec![false; shards],
+            index: HashMap::new(),
+            shards: (0..shards)
+                .map(|_| ShardFile { handle: OnceLock::new(), end: None, last_sync: now })
+                .collect(),
             stats: StoreStats::default(),
         };
-        for i in 0..shards {
-            if store.load_shard(i)? {
-                store.rewrite_shard(i)?;
-                store.stats.migrated_shards += 1;
-            }
+        let mut v1 = vec![false; shards];
+        for (shard, v1) in v1.iter_mut().enumerate() {
+            *v1 = store.load_shard(shard)? == Some(SCHEMA_V1);
         }
-        store.stats.records = store.records.len();
+        store.stats.migrated_shards = v1.iter().filter(|&&v1| v1).count();
+        if store.stats.migrated_shards > 0 {
+            store.rewrite(&v1)?;
+        }
         Ok(store)
     }
 
@@ -266,22 +347,13 @@ impl MappingStore {
     fn shard_of(&self, ctx_fp: u64) -> usize {
         // Top bits: FNV output mixes well, and the prefix keeps related
         // contexts spread even if low bits ever become structured.
-        (ctx_fp >> 56) as usize % self.shards
-    }
-
-    fn header(&self) -> String {
-        Json::Obj(vec![
-            ("schema".into(), Json::Str(SCHEMA.into())),
-            ("cost_model".into(), Json::Num(f64::from(COST_MODEL_VERSION))),
-            ("shards".into(), Json::Num(self.shards as f64)),
-        ])
-        .to_string()
+        (ctx_fp >> 56) as usize % self.shards.len()
     }
 
     /// Classifies a shard's header line: current v2, migratable v1, or
     /// untrusted.
-    fn header_schema(line: &str) -> Option<&'static str> {
-        let v = json::parse(line).ok()?;
+    fn header_schema(line: &[u8]) -> Option<&'static str> {
+        let v = json::parse(std::str::from_utf8(line).ok()?).ok()?;
         if v.get("cost_model").and_then(Json::as_u64) != Some(u64::from(COST_MODEL_VERSION)) {
             return None;
         }
@@ -295,232 +367,306 @@ impl MappingStore {
     /// Copies a rejected line into the shard's quarantine sidecar and
     /// counts it. Sidecar I/O is best-effort: quarantine must never turn
     /// a corrupt record into a failed open.
-    fn quarantine(&mut self, shard: usize, line: &str) {
+    fn quarantine(&mut self, shard: usize, line: &[u8]) {
         self.stats.corrupt_lines += 1;
         self.stats.quarantined += 1;
         if let Ok(mut f) =
             OpenOptions::new().create(true).append(true).open(self.quarantine_path(shard))
         {
-            let _ = f.write_all(line.as_bytes());
+            let _ = f.write_all(line);
             let _ = f.write_all(b"\n");
         }
     }
 
-    /// Replays one shard into the index. Returns `true` when the shard
-    /// was read under the v1 schema and needs migration.
-    fn load_shard(&mut self, shard: usize) -> std::io::Result<bool> {
+    /// Indexes one shard's verified lines, a later line of a context
+    /// superseding an earlier one. Returns the shard's schema, `None`
+    /// when it has no file or was discarded.
+    fn load_shard(&mut self, shard: usize) -> std::io::Result<Option<&'static str>> {
         let path = self.shard_path(shard);
         let file = match File::open(&path) {
             Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
-        let mut lines = BufReader::new(file).lines();
-        let schema = match lines.next() {
-            Some(Ok(header)) => Self::header_schema(&header),
-            _ => None,
-        };
-        let Some(schema) = schema else {
+        let mut reader = BufReader::new(file);
+        let mut line = Vec::new();
+        let mut offset = reader.read_until(b'\n', &mut line)? as u64;
+        let Some(schema) = Self::header_schema(strip_newline(&line)) else {
             // Missing, torn, or version-skewed header: the whole shard is
             // untrusted. Drop it on disk too, so a later append does not
             // graft current-version records onto a stale file.
             self.stats.stale_shards += 1;
             fs::remove_file(&path)?;
-            return Ok(false);
+            return Ok(None);
         };
-        for line in lines {
-            let Ok(line) = line else {
-                // Unreadable tail (e.g. torn multi-byte sequence): the
-                // raw bytes cannot even be lifted into a sidecar line.
-                self.stats.corrupt_lines += 1;
+        loop {
+            line.clear();
+            let read = reader.read_until(b'\n', &mut line)?;
+            if read == 0 {
                 break;
-            };
-            if line.trim().is_empty() {
+            }
+            let (text, start) = (strip_newline(&line), offset);
+            offset += read as u64;
+            if text.trim_ascii().is_empty() {
                 continue;
             }
             let parsed = if schema == SCHEMA {
-                StoreRecord::from_line(&line)
+                StoreRecord::from_line(text)
             } else {
-                json::parse(&line).ok().as_ref().and_then(StoreRecord::from_json)
+                StoreRecord::from_body(text)
             };
-            match parsed {
-                Some(rec) => {
-                    let v2 = if schema == SCHEMA { line } else { rec.to_line() };
-                    self.records.insert(rec.ctx_fp, v2);
+            match (parsed, u32::try_from(text.len())) {
+                (Some(rec), Ok(len)) => {
+                    self.index.insert(rec.ctx_fp, Span { offset: start, len, shard: shard as u8 });
                 }
                 // A torn tail (unclean shutdown), a flipped bit, or any
                 // other garbage: quarantine and count, never fail the
                 // open, never serve.
-                None => self.quarantine(shard, &line),
+                _ => self.quarantine(shard, text),
             }
         }
-        Ok(schema == SCHEMA_V1)
+        Ok(Some(schema))
     }
 
-    /// Number of distinct contexts currently held.
+    /// Number of distinct contexts currently indexed.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.index.len()
     }
 
-    /// Whether the store holds no records.
+    /// Whether the store indexes no records.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.index.is_empty()
     }
 
     /// Load/append statistics.
     pub fn stats(&self) -> StoreStats {
-        StoreStats { records: self.records.len(), ..self.stats }
+        StoreStats { records: self.index.len(), ..self.stats }
     }
 
-    /// The latest record for `ctx_fp`, if any, parsed from its line. A
-    /// record appended with a value its line cannot carry (a non-finite
-    /// cost) reads as absent, as it would after a reopen.
+    /// The latest record for `ctx_fp`, if any: its line read back from
+    /// the shard and verified again. A line that no longer verifies (the
+    /// file changed under the store) reads as absent, and the next
+    /// [`compact`](Self::compact) quarantines it; so does a record
+    /// appended with a value its line cannot carry (a non-finite cost),
+    /// as it would after a reopen.
     pub fn get(&self, ctx_fp: u64) -> Option<StoreRecord> {
-        self.records.get(&ctx_fp).and_then(|line| StoreRecord::from_line(line))
+        self.read(*self.index.get(&ctx_fp)?)
     }
 
     /// Iterates over the latest record of every context (see
-    /// [`get`](Self::get)).
+    /// [`get`](Self::get)), shard by shard in file order, reading and
+    /// parsing one line at a time.
     pub fn iter(&self) -> impl Iterator<Item = StoreRecord> + '_ {
-        self.records.values().filter_map(|line| StoreRecord::from_line(line))
+        let mut spans: Vec<Span> = self.index.values().copied().collect();
+        spans.sort_unstable_by_key(|span| (span.shard, span.offset));
+        spans.into_iter().filter_map(|span| self.read(span))
+    }
+
+    /// Reads `span` back with `pread` and parses it if its checksum still
+    /// holds.
+    fn read(&self, span: Span) -> Option<StoreRecord> {
+        let shard = usize::from(span.shard);
+        let file = open_handle(&self.shards[shard].handle, &self.shard_path(shard)).ok()?;
+        let mut line = vec![0; span.len as usize];
+        file.read_exact_at(&mut line, span.offset).ok()?;
+        StoreRecord::from_line(&line)
     }
 
     /// Appends `record` to its shard (creating the shard with a fresh
-    /// header if needed) and updates the in-memory index.
+    /// header if needed) and indexes where its line landed.
     ///
     /// # Errors
     ///
-    /// Filesystem failures; the in-memory index is updated regardless, so
-    /// a full disk degrades persistence but not serving.
+    /// Filesystem failures. The index then keeps what it held: the
+    /// daemon serves the record from its session memo meanwhile, and a
+    /// restart searches it again.
     pub fn append(&mut self, record: StoreRecord) -> std::io::Result<()> {
         let shard = self.shard_of(record.ctx_fp);
-        let line = record.to_line();
-        self.records.insert(record.ctx_fp, line.clone());
+        let mut line = record.to_line();
+        let len = u32::try_from(line.len()).map_err(|_| {
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, "a record line over 4 GiB")
+        })?;
+        line.push('\n');
         self.stats.appended += 1;
-        if self.writers[shard].is_none() {
-            let path = self.shard_path(shard);
-            let fresh = !path.exists();
-            let file = OpenOptions::new().create(true).append(true).open(&path)?;
-            let mut w = BufWriter::new(file);
-            if fresh {
-                w.write_all(self.header().as_bytes())?;
-                w.write_all(b"\n")?;
-            }
-            self.writers[shard] = Some(w);
-        }
-        let w = self.writers[shard].as_mut().expect("writer just ensured");
-        if self.torn[shard] {
-            // The previous append panicked or failed mid-line; terminate
-            // the half-written line so this record starts clean. The torn
-            // half is quarantined at the next open.
-            w.write_all(b"\n")?;
-        }
-        self.torn[shard] = true;
+        let (path, shards) = (self.shard_path(shard), self.shards.len());
+        let ShardFile { handle, end, .. } = &mut self.shards[shard];
+        let mut file = open_handle(handle, &path)?;
+        // Every write goes straight to the file, in append mode: the line
+        // lands at its end. Until this append completes, that end is
+        // unknown.
+        let offset = match end.take() {
+            Some(end) => end,
+            None => match file.metadata()?.len() {
+                0 => {
+                    let header = header(shards) + "\n";
+                    file.write_all(header.as_bytes())?;
+                    header.len() as u64
+                }
+                len => {
+                    let mut last = [0];
+                    file.read_exact_at(&mut last, len - 1)?;
+                    if last == *b"\n" {
+                        len
+                    } else {
+                        // The last line is unterminated (an append stopped
+                        // partway, or the file ended so at open): end it so
+                        // this record starts clean. The torn half is
+                        // quarantined at the next open.
+                        file.write_all(b"\n")?;
+                        len + 1
+                    }
+                }
+            },
+        };
         // Two write halves with a failpoint between them: an injected
         // panic here is a *genuine* short write, the torn-record case the
         // chaos soak and the quarantine path must absorb.
-        let (head, tail) = line.as_bytes().split_at(line.len() / 2);
-        w.write_all(head)?;
+        let (first, rest) = line.as_bytes().split_at(line.len() / 2);
+        file.write_all(first)?;
         faultpoint!("serve.store_append");
-        w.write_all(tail)?;
-        w.write_all(b"\n")?;
-        w.flush()?;
-        self.torn[shard] = false;
+        file.write_all(rest)?;
+        *end = Some(offset + line.len() as u64);
+        let span = Span { offset, len, shard: shard as u8 };
+        self.index.insert(record.ctx_fp, span);
         self.sync_shard(shard)
     }
 
     /// Applies the [`FsyncPolicy`] after an append to `shard`.
     fn sync_shard(&mut self, shard: usize) -> std::io::Result<()> {
+        let state = &mut self.shards[shard];
         let due = match self.fsync {
             FsyncPolicy::Never => false,
             FsyncPolicy::PerRecord => true,
-            FsyncPolicy::Interval(period) => self.last_sync[shard].elapsed() >= period,
+            FsyncPolicy::Interval(period) => state.last_sync.elapsed() >= period,
         };
         if !due {
             return Ok(());
         }
         faultpoint!("serve.fsync");
-        if let Some(w) = self.writers[shard].as_mut() {
-            w.get_ref().sync_data()?;
+        if let Some(file) = state.handle.get() {
+            file.sync_data()?;
         }
-        self.last_sync[shard] = Instant::now();
+        state.last_sync = Instant::now();
         self.stats.fsyncs += 1;
         Ok(())
     }
 
-    /// Writes `lines` as a complete v2 shard via temp file + atomic
-    /// rename (the commit point). The temp file is synced before the
-    /// rename, so a committed shard is durable.
-    fn write_shard(&self, shard: usize, lines: &[&str]) -> std::io::Result<()> {
-        let tmp = self.dir.join(format!("shard-{shard:02}.tmp"));
-        {
-            let mut w = BufWriter::new(File::create(&tmp)?);
-            w.write_all(self.header().as_bytes())?;
-            w.write_all(b"\n")?;
-            for line in lines {
-                w.write_all(line.as_bytes())?;
-                w.write_all(b"\n")?;
-            }
-            w.flush()?;
-            w.get_ref().sync_data()?;
+    /// Rewrites every shard as a v2 shard holding exactly the latest
+    /// lines of the contexts it owns ([`shard_of`](Self::shard_of)), in
+    /// fingerprint order — so rewriting the same contents twice produces
+    /// byte-identical shards — and indexes where each line now lies. A
+    /// line of a v2 file is copied as it is once its checksum holds again;
+    /// a line of a v1 file (`v1[shard]`) is parsed and written in v2 form;
+    /// a line that fails is quarantined and dropped from the index.
+    ///
+    /// Lines are read from the files as they were before the first rename:
+    /// a store reopened with another shard count holds some lines in
+    /// another shard's file, which may be rewritten first.
+    fn rewrite(&mut self, v1: &[bool]) -> std::io::Result<()> {
+        let mut old = Vec::with_capacity(self.shards.len());
+        for shard in 0..self.shards.len() {
+            old.push(match File::open(self.shard_path(shard)) {
+                Ok(f) => Some(f),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+                Err(e) => return Err(e),
+            });
         }
-        faultpoint!("serve.compact_rename");
-        fs::rename(&tmp, self.shard_path(shard))
+        for shard in 0..self.shards.len() {
+            self.rewrite_shard(shard, &old, v1)?;
+        }
+        Ok(())
     }
 
-    /// The lines of the latest records that live in `shard`, in
-    /// deterministic (fingerprint) order: rewriting the same contents twice
-    /// produces byte-identical shards.
-    fn shard_records(&self, shard: usize) -> Vec<&str> {
-        let mut recs: Vec<(u64, &str)> = self
-            .records
+    /// One shard of [`rewrite`](Self::rewrite), via temp file + atomic
+    /// rename (the commit point); the temp file is synced before the
+    /// rename, so a committed shard is durable. Each old file it copies
+    /// from is read whole, once, in sequence — only `shard`'s own, unless
+    /// the shard count changed.
+    fn rewrite_shard(
+        &mut self,
+        shard: usize,
+        old: &[Option<File>],
+        v1: &[bool],
+    ) -> std::io::Result<()> {
+        let mut live: Vec<(u64, Span)> = self
+            .index
             .iter()
             .filter(|(&ctx_fp, _)| self.shard_of(ctx_fp) == shard)
-            .map(|(&ctx_fp, line)| (ctx_fp, line.as_str()))
+            .map(|(&ctx_fp, &span)| (ctx_fp, span))
             .collect();
-        recs.sort_unstable_by_key(|&(ctx_fp, _)| ctx_fp);
-        recs.into_iter().map(|(_, line)| line).collect()
-    }
-
-    /// Rewrites one shard in v2 form from the records already loaded —
-    /// the migration step for a v1 shard.
-    fn rewrite_shard(&mut self, shard: usize) -> std::io::Result<()> {
-        self.writers[shard] = None;
-        let recs = self.shard_records(shard);
-        if recs.is_empty() {
-            let path = self.shard_path(shard);
+        live.sort_unstable_by_key(|&(ctx_fp, _)| ctx_fp);
+        // The old handle would read the file the rename replaces.
+        (self.shards[shard].handle, self.shards[shard].end) = (OnceLock::new(), None);
+        let path = self.shard_path(shard);
+        if live.is_empty() {
             if path.exists() {
                 fs::remove_file(&path)?;
             }
             return Ok(());
         }
-        self.write_shard(shard, &recs)
+        let mut read: Vec<Option<Vec<u8>>> = vec![None; old.len()];
+        let tmp = self.dir.join(format!("shard-{shard:02}.tmp"));
+        let header = header(self.shards.len());
+        // The lines are in memory already: a 64 KiB buffer writes them in
+        // an eighth of the calls the default 8 KiB one takes.
+        let mut w = BufWriter::with_capacity(1 << 16, File::create(&tmp)?);
+        w.write_all(header.as_bytes())?;
+        w.write_all(b"\n")?;
+        let mut offset = header.len() as u64 + 1;
+        let mut moved = Vec::with_capacity(live.len());
+        for (ctx_fp, span) in live {
+            let from = usize::from(span.shard);
+            if read[from].is_none() {
+                read[from] = Some(read_whole(old[from].as_ref())?);
+            }
+            let line = read[from].as_deref().and_then(|b| b.get(span.range())).unwrap_or_default();
+            let kept = if v1[from] {
+                StoreRecord::from_body(line).map(|rec| Cow::Owned(rec.to_line().into_bytes()))
+            } else {
+                checked_body(line).map(|_| Cow::Borrowed(line))
+            };
+            let Some((len, kept)) = kept.and_then(|k| Some((u32::try_from(k.len()).ok()?, k)))
+            else {
+                // The line changed on disk since it was indexed: it was
+                // never served, and it goes now.
+                self.index.remove(&ctx_fp);
+                self.quarantine(from, line);
+                continue;
+            };
+            w.write_all(&kept)?;
+            w.write_all(b"\n")?;
+            moved.push((ctx_fp, Span { offset, len, shard: shard as u8 }));
+            offset += u64::from(len) + 1;
+        }
+        w.flush()?;
+        w.get_ref().sync_data()?;
+        drop(w);
+        faultpoint!("serve.compact_rename");
+        fs::rename(&tmp, &path)?;
+        self.index.extend(moved);
+        Ok(())
     }
 
     /// Rewrites every shard to exactly one line per context (latest
     /// wins), via temp file + atomic rename. Called on graceful shutdown;
-    /// safe to call repeatedly.
+    /// safe to call repeatedly. It parses no JSON.
     ///
     /// # Errors
     ///
     /// Filesystem failures. A failed compaction leaves the previous
     /// shards intact (the rename is the commit point).
     pub fn compact(&mut self) -> std::io::Result<()> {
-        // Close appenders first so the rename below supersedes them.
-        self.writers = (0..self.shards).map(|_| None).collect();
-        self.torn = vec![false; self.shards];
-        for shard in 0..self.shards {
-            let recs = self.shard_records(shard);
-            if recs.is_empty() {
-                let path = self.shard_path(shard);
-                if path.exists() {
-                    fs::remove_file(&path)?;
-                }
-                continue;
-            }
-            self.write_shard(shard, &recs)?;
-        }
-        Ok(())
+        self.rewrite(&vec![false; self.shards.len()])
+    }
+
+    /// The heap the store holds: its index's table (a hash table has 8/7
+    /// of its capacity in buckets, each an entry and a control byte) and
+    /// the per-shard state.
+    #[cfg(test)]
+    fn heap_bytes(&self) -> usize {
+        let buckets = self.index.capacity() * 8 / 7;
+        buckets * (std::mem::size_of::<(u64, Span)>() + 1)
+            + self.shards.capacity() * std::mem::size_of::<ShardFile>()
     }
 }
 
@@ -559,6 +705,7 @@ mod tests {
         }
         let s = MappingStore::open(&dir, 4).unwrap();
         assert_eq!(s.len(), 2);
+        assert_eq!(s.iter().count(), 2);
         assert_eq!(s.get(1).unwrap().edp, 5.0);
         assert_eq!(s.get(2).unwrap().edp, 20.0);
         assert_eq!(s.stats().corrupt_lines, 0);
@@ -663,7 +810,7 @@ mod tests {
         let mut lines = contents.lines();
         assert!(lines.next().unwrap().contains(SCHEMA));
         for line in lines {
-            assert!(StoreRecord::from_line(line).is_some(), "unverifiable migrated line: {line}");
+            assert!(StoreRecord::from_line(line.as_bytes()).is_some(), "unverifiable line: {line}");
         }
 
         // And a second open is a plain v2 load, no second migration.
@@ -716,6 +863,158 @@ mod tests {
             }
         }
         assert_eq!(lines, 10 + 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A record the size of a served answer's line (about 1.6 kB).
+    fn answer_sized(ctx: u64) -> StoreRecord {
+        let factors = (0..400u64).map(|i| Json::Num((i * 7 % 64) as f64)).collect();
+        StoreRecord {
+            mapping: Json::Obj(vec![("levels".into(), Json::Arr(factors))]),
+            ..rec(ctx, 1.0)
+        }
+    }
+
+    /// What the daemon appends, one record per search, costs the store's
+    /// memory an index entry, not the line.
+    #[test]
+    fn the_index_holds_no_line() {
+        let dir = tmpdir("index");
+        let mut s = MappingStore::open_with(&dir, 4, FsyncPolicy::Never).unwrap();
+        let n = 1000u64;
+        for i in 0..n {
+            s.append(answer_sized(i.wrapping_mul(0x9e37_79b9_7f4a_7c15))).unwrap();
+        }
+        let per_record = s.heap_bytes() as f64 / n as f64;
+        assert!(per_record <= 64.0, "the store holds {per_record:.0} B per record");
+        let line = answer_sized(0).to_line().len();
+        assert!(line > 1000, "the records are answer-sized: {line} B");
+        assert_eq!(s.iter().count(), n as usize, "every record reads back");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The first record line of a one-shard store's file, as a range.
+    fn line_range(bytes: &[u8], nth: usize) -> std::ops::Range<usize> {
+        let mut starts = vec![0];
+        starts.extend(bytes.iter().enumerate().filter(|(_, &b)| b == b'\n').map(|(i, _)| i + 1));
+        starts[nth]..starts[nth + 1] - 1
+    }
+
+    #[test]
+    fn a_line_flipped_after_open_is_never_served_and_compaction_drops_it() {
+        let dir = tmpdir("reread");
+        let mut s = MappingStore::open(&dir, 1).unwrap();
+        for ctx in [3, 1, 2] {
+            s.append(rec(ctx, ctx as f64)).unwrap();
+        }
+        let path = dir.join("shard-00.log");
+        let before = fs::read(&path).unwrap();
+        // Lines: the header, then ctx 3, 1, 2. Flip a bit in ctx 1's body.
+        let flipped = line_range(&before, 2);
+        let mut bytes = before.clone();
+        bytes[(flipped.start + flipped.end) / 2] ^= 0x40;
+        fs::write(&path, &bytes).unwrap();
+
+        assert!(s.get(1).is_none(), "a line that no longer verifies is never returned");
+        let mut served: Vec<u64> = s.iter().map(|r| r.ctx_fp).collect();
+        served.sort_unstable();
+        assert_eq!(served, [2, 3]);
+
+        s.compact().unwrap();
+        assert_eq!(s.stats().quarantined, 1);
+        assert_eq!(s.len(), 2);
+        let sidecar = fs::read(dir.join("shard-00.quarantine")).unwrap();
+        assert_eq!(sidecar, [&bytes[flipped], b"\n"].concat(), "the flipped line is the evidence");
+        // The survivors are their appended lines, byte for byte, in
+        // fingerprint order.
+        let header = &before[line_range(&before, 0)];
+        let survivors = [header, &before[line_range(&before, 3)], &before[line_range(&before, 1)]];
+        let want: Vec<u8> = survivors.iter().flat_map(|l| l.iter().chain(b"\n")).copied().collect();
+        assert_eq!(fs::read(&path).unwrap(), want);
+        assert_eq!(s.get(2).unwrap().edp, 2.0, "the index follows the rewrite");
+        drop(s);
+        let s = MappingStore::open(&dir, 1).unwrap();
+        assert_eq!((s.len(), s.stats().quarantined), (2, 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_append_after_a_torn_tail_starts_its_own_line() {
+        let dir = tmpdir("torntail");
+        {
+            let mut s = MappingStore::open(&dir, 1).unwrap();
+            s.append(rec(7, 1.0)).unwrap();
+        }
+        // An unclean shutdown left half a record and no newline.
+        let path = dir.join("shard-00.log");
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(b"0badc0de {\"ctx_fp\":\"8\",\"mapp").unwrap();
+        drop(f);
+        let mut s = MappingStore::open(&dir, 1).unwrap();
+        assert_eq!(s.stats().quarantined, 1);
+        s.append(rec(8, 2.0)).unwrap();
+        assert_eq!(s.get(8).unwrap().edp, 2.0);
+        drop(s);
+        // Reopened, the new record is still there: it did not extend the
+        // torn line.
+        let mut s = MappingStore::open(&dir, 1).unwrap();
+        assert_eq!(s.get(8).unwrap().edp, 2.0);
+        assert_eq!(s.len(), 2);
+        s.compact().unwrap();
+        drop(s);
+        let s = MappingStore::open(&dir, 1).unwrap();
+        assert_eq!((s.len(), s.stats().quarantined), (2, 0));
+        assert_eq!(s.get(8).unwrap().edp, 2.0, "compaction keeps it");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// (length, CRC32) of each compacted shard below, as the store wrote
+    /// them when it still kept every line in memory.
+    const PINNED_SHARDS: [(usize, u32); 2] = [(945, 87_660_221), (990, 1_795_823_524)];
+
+    /// The compacted bytes of a fixed append sequence: the format and the
+    /// order of a compacted shard are pinned, whatever the store keeps in
+    /// memory.
+    #[test]
+    fn compacted_bytes_of_a_fixed_sequence_are_pinned() {
+        let dir = tmpdir("pinned");
+        let mut s = MappingStore::open(&dir, 2).unwrap();
+        for i in 0..24u64 {
+            let ctx = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) % 40;
+            s.append(rec(ctx << 56 | ctx, i as f64 * 0.25)).unwrap();
+        }
+        s.compact().unwrap();
+        let shards: Vec<Vec<u8>> =
+            (0..2).map(|i| fs::read(dir.join(format!("shard-{i:02}.log"))).unwrap()).collect();
+        let got: Vec<(usize, u32)> = shards.iter().map(|b| (b.len(), crc32(b))).collect();
+        assert_eq!(got, PINNED_SHARDS);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A store reopened with another shard count reads each line from
+    /// the file it lies in, and compaction moves it to the shard its
+    /// fingerprint names.
+    #[test]
+    fn a_store_reopened_with_more_shards_keeps_every_record() {
+        let dir = tmpdir("reshard");
+        {
+            let mut s = MappingStore::open(&dir, 1).unwrap();
+            for i in 0..8u64 {
+                s.append(rec(i << 56, i as f64)).unwrap();
+            }
+        }
+        let mut s = MappingStore::open(&dir, 4).unwrap();
+        assert_eq!(s.iter().count(), 8);
+        s.compact().unwrap();
+        s.append(rec(9 << 56, 9.0)).unwrap();
+        for i in (0..8u64).chain([9]) {
+            assert_eq!(s.get(i << 56).unwrap().edp, i as f64);
+        }
+        drop(s);
+        let s = MappingStore::open(&dir, 4).unwrap();
+        assert_eq!((s.len(), s.stats().quarantined), (9, 0));
+        let files = (0..4).filter(|i| dir.join(format!("shard-{i:02}.log")).exists()).count();
+        assert_eq!(files, 4, "compaction spread the records over every shard");
         let _ = fs::remove_dir_all(&dir);
     }
 
