@@ -9,7 +9,7 @@
 //! shared prefix from it; only the final ranking turns rows into mappings.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use sunstone_ir::DimSet;
 use sunstone_mapping::{Mapping, MappingLevel};
@@ -121,6 +121,24 @@ pub(crate) fn key_hash(words: &[u64]) -> u128 {
     Lanes::SEED.absorb(words).finish(words.len())
 }
 
+/// A [`key_hash`] as a map key: its two halves, low first. A `u128` is
+/// aligned to 16 bytes, so a bucket of one and an `f64` takes 32; a pair
+/// of words is aligned to 8, and the same bucket takes 24.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct HashKey([u64; 2]);
+
+impl From<u128> for HashKey {
+    fn from(hash: u128) -> Self {
+        HashKey([hash as u64, (hash >> 64) as u64])
+    }
+}
+
+impl Hash for HashKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0[0]);
+    }
+}
+
 /// Hasher of maps keyed by a [`key_hash`]: the key is already uniformly
 /// mixed, so its low half *is* the table hash.
 #[derive(Debug, Default, Clone, Copy)]
@@ -135,13 +153,13 @@ impl Hasher for PassThrough {
         unreachable!("PassThrough only hashes key hashes");
     }
 
-    fn write_u128(&mut self, key: u128) {
-        self.0 = key as u64;
+    fn write_u64(&mut self, low: u64) {
+        self.0 = low;
     }
 }
 
 /// A map keyed by [`key_hash`] values.
-pub(crate) type KeyHashMap<V> = HashMap<u128, V, BuildHasherDefault<PassThrough>>;
+pub(crate) type KeyHashMap<V> = HashMap<HashKey, V, BuildHasherDefault<PassThrough>>;
 
 /// The partial mappings alive between two stages, as rows: per survivor,
 /// its candidate row ([`RowLayout`](super::RowLayout)), the hash of its

@@ -21,7 +21,6 @@
 
 use std::ops::RangeInclusive;
 use std::sync::Arc;
-use std::time::Instant;
 
 use sunstone_arch::LevelId;
 use sunstone_ir::{DimId, DimSet, DimVec};
@@ -66,7 +65,7 @@ pub(crate) struct Candidates {
     /// Per candidate, the 128-bit hash of its
     /// [`nest_key`](RowLayout::nest_key): what the estimate table files
     /// its price under. Taken from the scratch row as each child is hashed
-    /// ([`write_children`]).
+    /// ([`hash_children`](Self::hash_children)).
     pub(crate) nest: Vec<u128>,
     /// Scratch for the nest keys.
     key: Vec<u64>,
@@ -116,7 +115,7 @@ impl Slots {
 /// and differ in their tile: the unit [`expand`] decides, and one entry of
 /// the arena's run table. Its children are its deltas; hashing their nests
 /// is one tight pass of slice writes into one scratch row
-/// ([`write_children`], timed as `LevelStats::expand_rows`).
+/// ([`Candidates::hash_children`], timed as `LevelStats::expand_rows`).
 pub(crate) struct Run {
     /// The index of the beam state the run was expanded from. Candidates
     /// of one parent share every level decided before the current stage,
@@ -157,24 +156,26 @@ impl Candidates {
         }
     }
 
-    /// Empties the arena for stage `stage`, keeping its capacity.
+    /// Empties the arena for stage `stage`. The two columns go — the next
+    /// ones are sized from the stage's runs ([`hash_children`](Self::hash_children))
+    /// — and the tables keep their capacity.
     pub(crate) fn start_stage(&mut self, ctx: &SearchContext<'_>, stage: usize) {
         self.stage = Slots::of(ctx, stage);
         self.runs.clear();
         self.unrolls.clear();
-        self.estimate.clear();
-        self.nest.clear();
+        (self.estimate, self.nest) = (Vec::new(), Vec::new());
         self.ordering_dims.clear();
         self.orderings.clear();
         self.order_words.clear();
     }
 
+    /// The stage's candidates: its runs' children.
     pub(crate) fn len(&self) -> usize {
-        self.nest.len()
+        self.runs.last().map_or(0, |r| r.end as usize)
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.nest.is_empty()
+        self.len() == 0
     }
 
     /// The stage's runs, in arena order.
@@ -220,6 +221,48 @@ impl Candidates {
         let row = &mut out[at..];
         self.place_run(child.unroll, (child.ordered, child.order), row);
         self.place_tile(child.growth, child.remaining, row);
+    }
+
+    /// Hashes the children of every run of the stage, expanded from
+    /// `parents`, into the `nest` column, and fills `estimate` with `+∞`:
+    /// both are sized from the runs, once, and the run and unroll tables
+    /// are trimmed to their length, so that nothing the estimate round
+    /// reads sits at twice its length. No child is written out: one
+    /// scratch row — its parent's, with each run's unroll and ordering
+    /// placed ([`place_run`](Self::place_run)) — takes the run's nest key
+    /// once; then per child its tile is written over the last one's
+    /// ([`place_tile`](Self::place_tile)), the key brought up to date where
+    /// the child differs ([`RowLayout::renest`]) and hashed, while the row
+    /// is in cache.
+    pub(crate) fn hash_children(&mut self, parents: &Beam) {
+        let (mut row, mut key) =
+            (std::mem::take(&mut self.template), std::mem::take(&mut self.key));
+        let (layout, n) = (&self.layout, self.layout.ndims);
+        debug_assert_eq!(self.order_words.len(), self.orderings.len() * n);
+        self.runs.shrink_to_fit();
+        self.unrolls.shrink_to_fit();
+        self.estimate = vec![f64::INFINITY; self.len()];
+        self.nest = Vec::with_capacity(self.len());
+        let mut parent = None;
+        for run in &self.runs {
+            if parent != Some(run.parent) {
+                parent = Some(run.parent);
+                row.clear();
+                row.extend_from_slice(parents.row(run.parent as usize));
+            }
+            self.place_run(&self.unrolls[run.unroll as usize], self.ordering_of(run), &mut row);
+            layout.nest_key(&row, &mut key);
+            for delta in run.deltas.chunks_exact(2 * n) {
+                let (growth, remaining) = delta.split_at(n);
+                self.place_tile(growth, remaining, &mut row);
+                layout.renest(&row, self.stage.mem, &mut key);
+                let nest = beam::key_hash(&key);
+                debug_assert_eq!(nest, layout.nest_hash(&row, &mut Vec::new()));
+                self.nest.push(nest);
+            }
+            debug_assert_eq!(self.nest.len(), run.end as usize);
+        }
+        (self.template, self.key) = (row, key);
     }
 
     /// The memory whose loop order run `r`'s ordering picks, and its order
@@ -423,7 +466,8 @@ struct OrderingDims {
 /// fabric claims its quota), then per unroll and per ordering of memory
 /// `stage + 1` — per [`Run`] — the tiles at memory `stage`, grown in what
 /// remains. The parent's runs are decided into the arena's run table;
-/// then their rows are written.
+/// their children are hashed once the stage's every run is decided
+/// ([`Candidates::hash_children`]).
 ///
 /// Each of the three enumerations is asked one way: its key is built once
 /// (the user's pins seeded, [`Pins`]), looked up in its memo
@@ -468,7 +512,6 @@ pub(crate) fn expand(
             None => Arc::from([]),
         },
     };
-    let first = out.runs.len();
     let mut end = out.len() as u32;
     let reserve = spatial_reserve(ctx, stage, quotas);
     for u in unrolls.chunks_exact(ndims) {
@@ -487,7 +530,7 @@ pub(crate) fn expand(
             let dims = (out.ordering_dims.get(ordering as usize), here);
             let deltas = if last_stage {
                 // DRAM: the "tile" is the base itself, and the children
-                // place the remainder ([`write_children`]).
+                // place the remainder ([`Candidates::place_tile`]).
                 [&DimVec::ones(ndims)[..], &u_quotas[..]].concat().into()
             } else {
                 let mut tiles = |held| match tile_key(
@@ -521,10 +564,6 @@ pub(crate) fn expand(
             out.runs.push(Run { parent: parent as u32, ordering, unroll, deltas, start, end });
         }
     }
-
-    let clock = Instant::now();
-    write_children(out, row, first);
-    stats.level_mut(stage).expand_rows += clock.elapsed();
 }
 
 /// Whether any tile of an answer leaves `held` in its remainder (the
@@ -932,37 +971,6 @@ fn enumerate_unrolls(ctx: &SearchContext<'_>, stage: usize, key: &UnrollKey) -> 
     Answer { kept: kept.concat().into(), record }
 }
 
-/// Hashes the children of `runs[first..]`, the runs of the parent whose
-/// row is `parent`, into the arena's `nest` column (and fills `estimate`
-/// with `+∞`). No child is written out: one scratch row — the parent's,
-/// with each run's unroll and ordering placed ([`Candidates::place_run`])
-/// — takes its nest key once per run; then per child its tile is written
-/// over the last one's ([`Candidates::place_tile`]), the key brought up to
-/// date where the child differs ([`RowLayout::renest`]) and hashed, while
-/// the row is in cache.
-fn write_children(out: &mut Candidates, parent: &[u64], first: usize) {
-    let (mut row, mut key) = (std::mem::take(&mut out.template), std::mem::take(&mut out.key));
-    let (layout, n) = (&out.layout, out.layout.ndims);
-    debug_assert_eq!(out.order_words.len(), out.orderings.len() * n);
-    row.clear();
-    row.extend_from_slice(parent);
-    for run in &out.runs[first..] {
-        out.place_run(&out.unrolls[run.unroll as usize], out.ordering_of(run), &mut row);
-        layout.nest_key(&row, &mut key);
-        for delta in run.deltas.chunks_exact(2 * n) {
-            let (growth, remaining) = delta.split_at(n);
-            out.place_tile(growth, remaining, &mut row);
-            layout.renest(&row, out.stage.mem, &mut key);
-            let nest = beam::key_hash(&key);
-            debug_assert_eq!(nest, layout.nest_hash(&row, &mut Vec::new()));
-            out.nest.push(nest);
-            out.estimate.push(f64::INFINITY);
-        }
-        debug_assert_eq!(out.nest.len(), run.end as usize);
-    }
-    (out.template, out.key) = (row, key);
-}
-
 #[cfg(test)]
 mod tests {
     use std::time::Duration;
@@ -981,19 +989,18 @@ mod tests {
     use super::*;
     use crate::SunstoneConfig;
 
-    /// Appends a run of children of beam state `parent`, whose row is
-    /// `row`, to the arena and hashes them as expansion does: the run
-    /// places `unroll` and the order of `ordering`, and has one child per
-    /// `2 × ndims` words of `deltas`.
+    /// Appends a run of children of beam state `parent` to the arena as
+    /// expansion does: the run places `unroll` and the order of
+    /// `ordering`, and has one child per `2 × ndims` words of `deltas`.
+    /// [`Candidates::hash_children`] hashes them once every run is in.
     fn push_run(
         ctx: &SearchContext<'_>,
         cands: &mut Candidates,
-        (parent, row): (usize, &[u64]),
+        parent: usize,
         ordering: u32,
         unroll: &[u64],
         deltas: Vec<u64>,
     ) {
-        let first = cands.runs.len();
         let start = cands.len() as u32;
         let end = start + (deltas.len() / (2 * ctx.workload.num_dims())) as u32;
         cands.unrolls.push(DimVec::from_slice(unroll));
@@ -1006,7 +1013,6 @@ mod tests {
             start,
             end,
         });
-        write_children(cands, row, first);
     }
 
     /// A first-stage arena of children of the root state, one run of one
@@ -1027,8 +1033,9 @@ mod tests {
             let mut growth = ones.clone();
             growth[0] = tag;
             let deltas = [&growth[..], &sizes[..]].concat();
-            push_run(ctx, &mut cands, (i, &root), ordering, &ones, deltas);
+            push_run(ctx, &mut cands, i, ordering, &ones, deltas);
         }
+        cands.hash_children(&parents);
         (cands, parents)
     }
 
@@ -1109,14 +1116,16 @@ mod tests {
                     deltas.extend(growth);
                     deltas.extend_from_slice(&row[layout.quotas()]);
                 }
-                push_run(ctx, &mut cands, (parent as usize, &row), ordering, &unroll, deltas);
+                push_run(ctx, &mut cands, parent as usize, ordering, &unroll, deltas);
             }
             parents.push(row);
         }
+        let parents = Beam::of_rows(ctx, &parents);
+        cands.hash_children(&parents);
         for (i, e) in cands.estimate.iter_mut().enumerate() {
             *e = i as f64;
         }
-        (cands, Beam::of_rows(ctx, &parents))
+        (cands, parents)
     }
 
     /// The count kernel prices a stage's candidates, read from their runs
@@ -1251,6 +1260,7 @@ mod tests {
                 for parent in 0..parents.len() {
                     expand(ctx, &parents, parent, stage, &mut cands, &mut memo, &mut stats);
                 }
+                cands.hash_children(&parents);
             }
             let row_bytes = ctx.layout.stride() * std::mem::size_of::<u64>();
             let held = cands.heap_bytes();
@@ -1468,6 +1478,39 @@ mod tests {
             assert_eq!(stats.unrollings, kept);
             assert_eq!(stats.levels[stage].unrolling.kept, kept);
             assert_eq!((ask(&mut stats)[..] == want[..], stats.unroll_memo_hits), (true, 1));
+        });
+    }
+
+    /// A round finds its own repeats: of three first-stage children that
+    /// miss the table, two take one tile under two orderings of a memory
+    /// where nothing loops yet, so they complete to one nest. The first is
+    /// priced and the second copies its price, counted as a hit; the table
+    /// files each priced nest once, and the round's counters are those of
+    /// a table that reserved a slot per miss.
+    #[test]
+    fn an_in_round_repeat_copies_its_first_price() {
+        let (w, arch) = (conv2d(16, 16, 14), presets::simba_like());
+        with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
+            let (mut cands, parents) = arena(ctx, &[(2, 0), (2, 1), (4, 0)]);
+            let row = |i| {
+                let mut row = Vec::new();
+                cands.write_row(&parents, i, &mut row);
+                row
+            };
+            assert_ne!(row(0), row(1), "two rows");
+            assert_eq!(cands.nest[0], cands.nest[1], "one nest");
+            assert_ne!(cands.nest[0], cands.nest[2]);
+            let (mut memo, mut stats) = (SearchMemo::default(), SearchStats::default());
+            let round = estimate::estimate_all(ctx, &mut cands, &parents, 0, &mut memo, &mut stats);
+            assert!(round.is_none());
+            assert!(cands.estimate[0].is_finite() && cands.estimate[2].is_finite());
+            assert_eq!(cands.estimate[1].to_bits(), cands.estimate[0].to_bits());
+            let level = &stats.levels[0];
+            assert_eq!((level.cache_hits, level.cache_misses, level.bounded), (1, 2, 0));
+            let counts = (stats.probed, stats.modeled, stats.bounded, stats.rounds);
+            assert_eq!(counts, (3, 2, 0, 1));
+            assert_eq!((stats.cache_hits, stats.cache_misses, stats.prefix_hits), (1, 2, 0));
+            assert_eq!(memo.estimates.size().0, 2);
         });
     }
 

@@ -32,9 +32,9 @@ pub(crate) struct SearchRun {
 }
 
 /// Runs the staged search: for each memory, innermost first, expand every
-/// beam row into the stage's candidate arena, estimate (memoized in
-/// `memo`, parallel), and write the rows of the `beam_width` best out as
-/// the next beam. The paper's default order (§V-A): partial costs track
+/// beam row into the stage's candidate arena, hash the candidates' nests,
+/// estimate (memoized in `memo`, parallel), and write the rows of the
+/// `beam_width` best out as the next beam. The paper's default order (§V-A): partial costs track
 /// final costs closely when reuse is resolved where most traffic lives, so
 /// the beam cuts early and the explored space stays small.
 /// Returns the surviving beam best-estimate first; the last stage places
@@ -81,10 +81,18 @@ pub(crate) fn run_level_search(
             }
             candidates::expand(ctx, &beam_states, parent, stage, &mut cands, memo, stats);
         }
+        // With every run decided, the candidates' columns are sized once
+        // and their nests hashed; a stopped stage is discarded unhashed.
+        let stop = controls.stop();
+        if stop.is_none() {
+            let clock = Instant::now();
+            cands.hash_children(&beam_states);
+            stats.level_mut(stage).expand_rows += clock.elapsed();
+        }
         // Recorded before any stop, so the phases still sum to the wall
         // clock of a search that ends here.
         stats.level_mut(stage).expand += phase.elapsed();
-        if let Some(stop) = controls.stop() {
+        if let Some(stop) = stop {
             return SearchRun { beam: beam_states, stop };
         }
         if cands.is_empty() {

@@ -14,7 +14,7 @@ use sunstone_ir::{DimSet, DimVec, FxHashMap};
 use sunstone_mapping::Mapping;
 use sunstone_model::{BatchEvalScratch, CostReport, CostTotals, MappingPrefix, Nest, NestSource};
 
-use super::beam::{Beam, KeyHashMap};
+use super::beam::{Beam, HashKey, KeyHashMap};
 use super::candidates::Candidates;
 use super::compose::SearchStop;
 use super::stats::{LevelStats, PruneCounter, SearchStats};
@@ -189,10 +189,13 @@ pub(crate) struct UnrollKey {
 /// One search's estimates: the configured objective's value of a
 /// completed loop nest under the 128-bit
 /// [`key_hash`](super::beam::key_hash) of its nest key
-/// ([`RowLayout::nest_key`](super::RowLayout::nest_key)). Numbers only —
+/// ([`RowLayout::nest_key`](super::RowLayout::nest_key)). Prices only —
 /// the search ranks by one scalar per candidate, and whatever a caller
 /// receives is priced afresh outside the table ([`evaluate_cached`]) — so
-/// an entry is a 32-byte bucket, not a key vector and a report tree.
+/// an entry is a 24-byte bucket, not a key vector and a report tree. A
+/// round reads it, and files what it priced when it ends
+/// ([`estimate_all`]): nothing is reserved for a candidate that is not
+/// priced.
 ///
 /// Debug builds (which is what the test suite runs) keep the full nest key
 /// beside each entry and assert it on every hit and re-insert: a hash
@@ -200,74 +203,31 @@ pub(crate) struct UnrollKey {
 /// instead. Release builds leave `shadow` empty.
 #[derive(Debug, Default)]
 pub(crate) struct EstimateTable {
-    values: KeyHashMap<Slot>,
+    values: KeyHashMap<f64>,
     shadow: KeyHashMap<Box<[u64]>>,
-}
-
-/// An entry of the table: a price, or — within an estimate round — the
-/// promise of one: the index, among the round's misses, of the candidate
-/// that is priced for the nest.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Priced(f64),
-    Pending(u32),
-}
-
-/// What [`EstimateTable::probe`] found under a nest hash.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Probe {
-    Priced(f64),
-    /// A miss of this round is already to be priced for the nest.
-    Pending(u32),
-    /// Nothing: the probing miss is now pending for the nest.
-    Reserved,
 }
 
 impl EstimateTable {
     /// The estimate filed under `hash`. `key` writes down the words the
     /// hash was taken of; only the debug-build guard calls it.
     pub(crate) fn get(&self, hash: u128, key: impl FnOnce() -> Vec<u64>) -> Option<f64> {
-        let Slot::Priced(value) = *self.values.get(&hash)? else {
-            unreachable!("a round settles every slot it reserves")
-        };
+        let hash = HashKey::from(hash);
+        let value = *self.values.get(&hash)?;
         if cfg!(debug_assertions) {
             assert_eq!(self.shadow[&hash][..], key()[..], "128-bit key hash collision");
         }
         Some(value)
     }
 
-    /// Within an estimate round: the estimate filed under `hash`, the
-    /// miss already pending for it, or — when there is neither — a
-    /// reservation of it for `miss`.
-    pub(crate) fn probe(&mut self, hash: u128, miss: u32, key: impl FnOnce() -> Vec<u64>) -> Probe {
-        self.guard(hash, key);
-        match self.values.entry(hash) {
-            Entry::Occupied(slot) => match *slot.get() {
-                Slot::Priced(value) => Probe::Priced(value),
-                Slot::Pending(first) => Probe::Pending(first),
-            },
-            Entry::Vacant(slot) => {
-                slot.insert(Slot::Pending(miss));
-                Probe::Reserved
-            }
-        }
+    /// Makes room for `entries` more estimates at once, so that a round's
+    /// inserts grow the table at most once.
+    pub(crate) fn reserve(&mut self, entries: usize) {
+        self.values.reserve(entries);
     }
 
-    /// Files `value` under `hash`, settling its reservation.
+    /// Files `value` under `hash`.
     pub(crate) fn insert(&mut self, hash: u128, value: f64, key: impl FnOnce() -> Vec<u64>) {
-        self.guard(hash, key);
-        self.values.insert(hash, Slot::Priced(value));
-    }
-
-    /// Drops the reservation under `hash`: its miss was never priced.
-    pub(crate) fn abandon(&mut self, hash: u128) {
-        self.values.remove(&hash);
-        self.shadow.remove(&hash);
-    }
-
-    /// The debug-build collision guard: files `key` beside `hash` the
-    /// first time, and asserts it every time after.
-    fn guard(&mut self, hash: u128, key: impl FnOnce() -> Vec<u64>) {
+        let hash = HashKey::from(hash);
         if cfg!(debug_assertions) {
             match self.shadow.entry(hash) {
                 Entry::Vacant(slot) => {
@@ -278,6 +238,13 @@ impl EstimateTable {
                 }
             }
         }
+        self.values.insert(hash, value);
+    }
+
+    /// Estimates filed, and how many the table has room for.
+    #[cfg(test)]
+    pub(crate) fn size(&self) -> (usize, usize) {
+        (self.values.len(), self.values.capacity())
     }
 }
 
@@ -474,12 +441,81 @@ enum Priced {
 }
 
 impl Priced {
+    /// How the estimate column holds the two outcomes without a price
+    /// while the round runs: two signalling NaNs. Arithmetic only ever
+    /// produces quiet NaNs, so no price reads as either.
+    const UNPRICED: u64 = 0x7ff0_0000_0000_0001;
+    const BOUNDED: u64 = 0x7ff0_0000_0000_0002;
+
+    /// The outcome as the miss's entry of the estimate column holds it
+    /// until the round settles it.
+    fn to_column(self) -> f64 {
+        match self {
+            Priced::Unpriced => f64::from_bits(Self::UNPRICED),
+            Priced::Bounded => f64::from_bits(Self::BOUNDED),
+            Priced::Exact(estimate) => estimate,
+        }
+    }
+
+    /// The outcome a miss's entry of the estimate column holds.
+    fn of_column(entry: f64) -> Priced {
+        match entry.to_bits() {
+            Self::UNPRICED => Priced::Unpriced,
+            Self::BOUNDED => Priced::Bounded,
+            _ => Priced::Exact(entry),
+        }
+    }
+
     /// The candidate's estimate for the beam: its price, or `+∞` for a
     /// candidate that is never selected.
     fn or_infinity(self) -> f64 {
         match self {
             Priced::Exact(estimate) => estimate,
             Priced::Bounded | Priced::Unpriced => f64::INFINITY,
+        }
+    }
+}
+
+/// The round's own index of the nests it missed: per nest, the place in
+/// `misses` of its first candidate, which is priced. A slot is a `u32`;
+/// the nest hash it stands for is read through the arena's `nest` column,
+/// not kept again. Open addressing with linear probing over twice as many
+/// slots as the round has misses, so it never grows; it is dropped once
+/// the round's repeats are found.
+struct Repeats {
+    slots: Vec<u32>,
+}
+
+impl Repeats {
+    const EMPTY: u32 = u32::MAX;
+
+    /// An index with room for `misses` nests.
+    fn with_room(misses: usize) -> Self {
+        Repeats { slots: vec![Self::EMPTY; 2 * misses.max(1)] }
+    }
+
+    /// The place of the first miss whose nest hash is `hash`, where
+    /// `nest_of` reads a place's hash; when there is none, `place` is
+    /// filed as that first one.
+    fn first_or_file(
+        &mut self,
+        hash: u128,
+        place: u32,
+        nest_of: impl Fn(u32) -> u128,
+    ) -> Option<u32> {
+        let n = self.slots.len();
+        // The hash is uniformly mixed: its high half, scaled to the
+        // slots, is the home slot.
+        let mut at = ((((hash >> 64) as u64 as u128) * n as u128) >> 64) as usize;
+        loop {
+            match self.slots[at] {
+                Self::EMPTY => {
+                    self.slots[at] = place;
+                    return None;
+                }
+                first if nest_of(first) == hash => return Some(first),
+                _ => at = if at + 1 == n { 0 } else { at + 1 },
+            }
         }
     }
 }
@@ -527,7 +563,7 @@ impl BeamCut {
 /// Completes and estimates every candidate of the arena, filling its
 /// `estimate` column. `parents` is the beam the arena was expanded from.
 ///
-/// The search's estimate table ([`SearchMemo::estimates`]) is probed on
+/// The search's estimate table ([`SearchMemo::estimates`]) is read on
 /// the calling thread, run by run, with the nest hash expansion filed per
 /// candidate ([`Candidates::nest`]): the [`key_hash`](super::beam::key_hash)
 /// of its row's completed key with each temporal level's order cut down to
@@ -537,24 +573,26 @@ impl BeamCut {
 /// loop nest — the model reads nothing else of an order — so they share
 /// an entry, as do what an earlier stage priced and what
 /// [`evaluate_cached`] looks up. A hit is one table read of an `f64`. The
-/// round's misses are grouped by nest hash: the first of each group is
-/// priced and the rest copy its price (counted as hits). A miss is two
-/// indices, the candidate's and its run's ([`Miss`]): nothing is allocated
-/// per candidate. The rows of a stage are distinct by construction, so a
-/// miss that copies another's price is a different row with the same loop
-/// nest. The priced misses go through the model distributed over the
-/// session's persistent worker pool (no per-round thread spawns), and the
-/// model reads each miss from its run ([`MissRows`], [`ChildNest`]): its
-/// factors and orders from the parent's row, the run's unroll and
-/// ordering and its own tile, its quotas folded in at the completion
-/// level. No miss becomes a row or a [`Mapping`].
+/// table is only read while the round runs: the round's misses find their
+/// own repeats in an index of their own ([`Repeats`], two `u32` slots a
+/// miss), the first of each nest is priced and the rest copy its price
+/// (counted as hits). A miss is two indices, the candidate's and its run's
+/// ([`Miss`]), and its outcome is written straight into the arena's
+/// `estimate` column: nothing else is allocated per candidate. The rows of
+/// a stage are distinct by construction, so a miss that copies another's
+/// price is a different row with the same loop nest. The priced misses go
+/// through the model distributed over the session's persistent worker
+/// pool (no per-round thread spawns), and the model reads each miss from
+/// its run ([`MissRows`], [`ChildNest`]): its factors and orders from the
+/// parent's row, the run's unroll and ordering and its own tile, its
+/// quotas folded in at the completion level. No miss becomes a row or a
+/// [`Mapping`].
 ///
 /// Stages past the first price each miss *prefix-incrementally*:
 /// all candidates expanded from one beam state share the decided levels
 /// `0..=mems[stage − 1]` with the parent's row — a miss's parent is its
 /// run's ([`Candidates::runs`]) — so that prefix's per-level cost
-/// contribution is built once
-/// per parent
+/// contribution is built once per parent with a miss
 /// ([`CostModel::prefix_of`], reading the parent's row in place) and each
 /// candidate only derives the delta of its frontier and completion
 /// levels. The
@@ -574,7 +612,7 @@ impl BeamCut {
 /// ([`CostModel::price_prefixed_batch_bounded`]); a candidate whose bound's
 /// objective exceeds `T` has `beam_width` candidates strictly ahead of it
 /// and can never be selected, so the rest of it is skipped: its estimate
-/// is `+∞`, its reservation in the table is abandoned and it counts in
+/// is `+∞`, nothing is filed for it and it counts in
 /// `SearchStats::bounded` instead of `modeled`. The waves' bounds depend
 /// only on the round's size and `T` only on earlier waves, so the same
 /// candidates are cut at any thread count.
@@ -589,7 +627,8 @@ impl BeamCut {
 /// share a decided prefix, and the candidates in them priced to the end.
 ///
 /// Results are written back by candidate index, so the outcome is
-/// identical for any thread count.
+/// identical for any thread count. When the round ends, the table makes
+/// room for what it priced once and files those prices alone.
 ///
 /// Every pool claim asks the call's stop rule
 /// ([`CallControls::stop`](super::CallControls::stop)) before it prices,
@@ -601,8 +640,8 @@ impl BeamCut {
 /// round returns it.
 ///
 /// The stage's [`LevelStats`](super::stats::LevelStats) gets the wall
-/// time of the three parts after the probe: `estimate_prefix`,
-/// `estimate_price`, `estimate_publish`.
+/// time of the three parts after the probe and the search for repeats:
+/// `estimate_prefix`, `estimate_price`, `estimate_publish`.
 ///
 /// [`CostModel::prefix_of`]: sunstone_model::CostModel::prefix_of
 /// [`CostModel::empty_prefix`]: sunstone_model::CostModel::empty_prefix
@@ -617,6 +656,11 @@ pub(crate) fn estimate_all(
 ) -> Option<SearchStop> {
     faultpoint!("estimate.round");
     stats.probed += candidates.len() as u64;
+    // The round writes the estimate column while it reads the rest of the
+    // arena: the count kernel reads runs, never this column.
+    let mut estimate = std::mem::take(&mut candidates.estimate);
+    let arena = candidates;
+    let candidates = &*arena;
     let layout = &ctx.layout;
     let objective = ctx.config.objective;
     let estimates = &mut memo.estimates;
@@ -633,68 +677,97 @@ pub(crate) fn estimate_all(
         key
     };
     let mut hits = 0u64;
-    // Per nest the table misses, the first candidate with it, which is
-    // priced, and its run; and the later candidates with a missed nest,
-    // each with that first one's place in `misses`, which copy its price.
-    let mut misses: Vec<Miss> = Vec::new();
-    let mut copies: Vec<(u32, u32)> = Vec::new();
     let mut cut = BeamCut::new(ctx.config.beam_width.max(1));
-    for run in 0..candidates.runs().len() {
-        let r = &candidates.runs()[run];
-        for i in r.start as usize..r.end as usize {
-            let (reserve, run) = (misses.len() as u32, run as u32);
-            match estimates.probe(candidates.nest[i], reserve, || nest_key(candidates, i)) {
-                Probe::Priced(estimate) => {
-                    candidates.estimate[i] = estimate;
-                    cut.offer(estimate, 1);
+    // The candidates the table misses, in arena order, each with its run.
+    let mut misses: Vec<Miss> = Vec::new();
+    for (run, r) in candidates.runs().iter().enumerate() {
+        let children = r.start as usize..r.end as usize;
+        let nests = children.clone().zip(&candidates.nest[children.clone()]);
+        for ((i, &nest), entry) in nests.zip(&mut estimate[children]) {
+            match estimates.get(nest, || nest_key(candidates, i)) {
+                Some(price) => {
+                    *entry = price;
+                    cut.offer(price, 1);
                     hits += 1;
                 }
-                Probe::Pending(first) => {
-                    debug_assert_ne!(
-                        row(candidates, i)[..layout.key_len],
-                        row(candidates, misses[first as usize].child as usize)[..layout.key_len],
-                        "a stage wrote one row twice"
-                    );
-                    copies.push((i as u32, first));
-                }
-                Probe::Reserved => misses.push(Miss { child: i as u32, run }),
+                None => misses.push(Miss { child: i as u32, run: run as u32 }),
             }
         }
     }
+    // The round's repeats: the first miss of each nest stays in `misses`,
+    // compacted in place, and is priced; each later one becomes a copy —
+    // the candidate, and its first's place in `misses` — which takes that
+    // price.
+    let mut copies: Vec<(u32, u32)> = Vec::new();
+    let mut repeats = Repeats::with_room(misses.len());
+    let mut firsts = 0;
+    for j in 0..misses.len() {
+        let miss = misses[j];
+        let (i, hash) = (miss.child as usize, candidates.nest[miss.child as usize]);
+        let nest_of = |place: u32| candidates.nest[misses[place as usize].child as usize];
+        match repeats.first_or_file(hash, firsts as u32, nest_of) {
+            Some(first) => {
+                let first_child = misses[first as usize].child as usize;
+                if cfg!(debug_assertions) {
+                    assert_ne!(
+                        row(candidates, i)[..layout.key_len],
+                        row(candidates, first_child)[..layout.key_len],
+                        "a stage wrote one row twice"
+                    );
+                    assert_eq!(
+                        nest_key(candidates, i),
+                        nest_key(candidates, first_child),
+                        "128-bit key hash collision"
+                    );
+                }
+                copies.push((miss.child, first));
+            }
+            None => {
+                misses[firsts] = miss;
+                firsts += 1;
+            }
+        }
+    }
+    drop(repeats);
+    misses.truncate(firsts);
 
     // Prefix memoization: every candidate of one parent shares
     // the levels up to the previous stage's memory, and completion only
     // touches the outermost level — strictly above that boundary. Misses
     // preserve candidate order and a parent's runs are contiguous, so each
-    // parent's run of misses is too; each miss names its run.
+    // parent's misses are too; each miss names its run, and the run its
+    // parent.
     let phase = Instant::now();
+    let runs = candidates.runs();
     let boundary = (stage >= 1).then(|| ctx.mems[stage - 1]);
-    let mut prefixes: Vec<MappingPrefix> = Vec::new();
-    let mut group_of: Vec<u32> = Vec::new();
-    if let Some(b) = boundary.filter(|_| !misses.is_empty()) {
-        let runs = candidates.runs();
-        let mut last_parent = u32::MAX;
+    // Per beam parent with a miss, its decided prefix; empty at the first
+    // stage.
+    let mut prefixes: Vec<Option<MappingPrefix>> = Vec::new();
+    if let Some(b) = boundary {
+        prefixes.resize_with(parents.len(), || None);
         for miss in &misses {
             faultpoint!("estimate.prefix");
-            let parent = runs[miss.run as usize].parent;
-            if prefixes.is_empty() || parent != last_parent {
-                let row = parents.row(parent as usize);
-                prefixes.push(ctx.model.prefix_of(RowNest { layout, row }, b));
-                last_parent = parent;
+            let parent = runs[miss.run as usize].parent as usize;
+            if prefixes[parent].is_none() {
+                let row = parents.row(parent);
+                prefixes[parent] = Some(ctx.model.prefix_of(RowNest { layout, row }, b));
             }
-            group_of.push((prefixes.len() - 1) as u32);
         }
     }
     let prefix_time = phase.elapsed();
+    // The beam parent whose prefix prices miss `k`: none at the first stage.
+    let parent_of = |k: usize| boundary.map(|_| runs[misses[k].run as usize].parent);
 
     let phase = Instant::now();
-    let mut priced = vec![Priced::Unpriced; misses.len()];
-    // Each miss's share of the arena: itself and the candidates that copy
-    // its price.
-    let mut shares = vec![1u32; misses.len()];
-    for &(_, first) in &copies {
-        shares[first as usize] += 1;
+    for miss in &misses {
+        estimate[miss.child as usize] = Priced::Unpriced.to_column();
     }
+    let exact = |estimate: &[f64], place: u32| match Priced::of_column(
+        estimate[misses[place as usize].child as usize],
+    ) {
+        Priced::Exact(price) => Some(price),
+        Priced::Bounded | Priced::Unpriced => None,
+    };
     let round_batches = AtomicU64::new(0);
     let round_batched = AtomicU64::new(0);
     let (mut start, mut wave) = (0, FIRST_WAVE);
@@ -703,9 +776,8 @@ pub(crate) fn estimate_all(
         stats.rounds += 1;
         let model = &ctx.model;
         let threshold = cut.threshold();
-        let writer = SliceWriter::new(&mut priced[start..end]);
-        let (prefixes, group_of, misses) = (&prefixes, &group_of, &misses);
-        let candidates = &*candidates;
+        let writer = SliceWriter::new(&mut estimate);
+        let (prefixes, misses) = (&prefixes, &misses);
         let (round_batches, round_batched) = (&round_batches, &round_batched);
         ctx.pool.run_chunked(end - start, ESTIMATE_CHUNK, &|range| {
             // A claim covers at most `ESTIMATE_CHUNK` evaluations; once a
@@ -715,30 +787,33 @@ pub(crate) fn estimate_all(
             }
             SCRATCH.with(|cell| {
                 let batch = &mut *cell.borrow_mut();
+                let last = start + range.end;
                 let mut k = start + range.start;
-                while k < start + range.end {
+                while k < last {
                     // Maximal same-prefix run inside this claim; with no
                     // prefix this stage, the whole claim.
-                    let group = group_of.get(k);
+                    let parent = parent_of(k);
                     let mut end = k + 1;
-                    while end < start + range.end && group_of.get(end) == group {
+                    while end < last && parent_of(end) == parent {
                         end += 1;
                     }
-                    let prefix = group.map_or(model.empty_prefix(), |&g| &prefixes[g as usize]);
+                    let prefix = parent.map_or(model.empty_prefix(), |p| {
+                        prefixes[p as usize].as_ref().expect("a prefix per parent with a miss")
+                    });
                     let run = MissRows { candidates, parents, misses: &misses[k..end] };
                     let mut full = 0;
-                    let mut emit = |j, totals: Option<CostTotals>| {
-                        let estimate = match totals {
+                    let mut emit = |j: usize, totals: Option<CostTotals>| {
+                        let priced = match totals {
                             Some(totals) => {
                                 full += 1;
                                 Priced::Exact(objective.of_totals(totals))
                             }
                             None => Priced::Bounded,
                         };
-                        // SAFETY: claims are disjoint ranges and every
-                        // index is written by its claimant only; `k + j`
-                        // stays inside this run, within this wave.
-                        unsafe { writer.write(k + j - start, estimate) };
+                        // SAFETY: claims are disjoint ranges of misses, the
+                        // misses name distinct candidates, and every
+                        // candidate is written by its miss's claimant only.
+                        unsafe { writer.write(misses[k + j].child as usize, priced.to_column()) };
                     };
                     // Nothing is past an infinite threshold: no bound to take.
                     if threshold == f64::INFINITY {
@@ -747,7 +822,7 @@ pub(crate) fn estimate_all(
                         let past = |bound| objective.of_totals(bound) > threshold;
                         model.price_prefixed_batch_bounded(prefix, &run, batch, past, emit);
                     }
-                    if group.is_some() && end - k >= 2 {
+                    if parent.is_some() && end - k >= 2 {
                         round_batches.fetch_add(1, Ordering::Relaxed);
                         round_batched.fetch_add(full, Ordering::Relaxed);
                     }
@@ -758,9 +833,13 @@ pub(crate) fn estimate_all(
         if ctx.controls.stop().is_some() {
             break;
         }
-        for (estimate, &share) in priced[start..end].iter().zip(&shares[start..end]) {
-            if let Priced::Exact(estimate) = *estimate {
-                cut.offer(estimate, share);
+        // Each price the wave found, once per candidate that carries it:
+        // its miss and the copies of it.
+        let wave_places = start as u32..end as u32;
+        let copied = copies.iter().map(|&(_, first)| first).filter(|f| wave_places.contains(f));
+        for place in wave_places.clone().chain(copied) {
+            if let Some(price) = exact(&estimate, place) {
+                cut.offer(price, 1);
             }
         }
         (start, wave) = (end, 2 * wave);
@@ -769,39 +848,43 @@ pub(crate) fn estimate_all(
 
     let phase = Instant::now();
     let miss_count = misses.len() as u64;
-    let modeled = priced.iter().filter(|e| matches!(e, Priced::Exact(_))).count() as u64;
-    let bounded = priced.iter().filter(|e| matches!(e, Priced::Bounded)).count() as u64;
-    stats.modeled += modeled;
+    let modeled = (0..misses.len() as u32).filter(|&p| exact(&estimate, p).is_some()).count();
+    let mut bounded = 0u64;
+    // Per beam parent, every priced miss but the first reused its prefix.
+    let mut full = vec![0u64; prefixes.len()];
+    // Publish every new price into the search's table, which makes room
+    // for them once. Bounded, or skipped by a mid-round stop: never
+    // evaluated, never filed. A bounded nest cannot enter the beam (its
+    // bound already exceeds `beam_width` known estimates); a stopped
+    // round's stage is discarded by the caller. Either way the
+    // placeholder, `+∞`, is never selected.
+    estimates.reserve(modeled);
+    for (k, miss) in misses.iter().enumerate() {
+        let i = miss.child as usize;
+        let priced = Priced::of_column(estimate[i]);
+        estimate[i] = priced.or_infinity();
+        match priced {
+            Priced::Exact(price) => {
+                faultpoint!("estimate.publish");
+                estimates.insert(candidates.nest[i], price, || nest_key(candidates, i));
+                if let Some(parent) = parent_of(k) {
+                    full[parent as usize] += 1;
+                }
+            }
+            Priced::Bounded => bounded += 1,
+            Priced::Unpriced => {}
+        }
+    }
+    for &(i, first) in &copies {
+        estimate[i as usize] = estimate[misses[first as usize].child as usize];
+    }
+    arena.estimate = estimate;
+    hits += copies.len() as u64;
+    stats.modeled += modeled as u64;
     stats.bounded += bounded;
     stats.batches += round_batches.into_inner();
     stats.batched += round_batched.into_inner();
-    // Per beam parent, every priced miss but the first reused its prefix.
-    let mut full = vec![0u64; prefixes.len()];
-    for (&g, estimate) in group_of.iter().zip(&priced) {
-        full[g as usize] += u64::from(matches!(estimate, Priced::Exact(_)));
-    }
     stats.prefix_hits += full.iter().map(|n| n.saturating_sub(1)).sum::<u64>();
-    // Bounded, or skipped by a mid-round stop: never evaluated, never
-    // published. A bounded nest cannot enter the beam (its bound already
-    // exceeds `beam_width` known estimates); a stopped round's stage is
-    // discarded by the caller. Either way the placeholder is never
-    // selected.
-    for &(i, first) in &copies {
-        candidates.estimate[i as usize] = priced[first as usize].or_infinity();
-    }
-    hits += copies.len() as u64;
-    // Publish every new estimate into the search's table.
-    for (miss, estimate) in misses.iter().zip(priced) {
-        let i = miss.child as usize;
-        candidates.estimate[i] = estimate.or_infinity();
-        match estimate {
-            Priced::Exact(estimate) => {
-                faultpoint!("estimate.publish");
-                estimates.insert(candidates.nest[i], estimate, || nest_key(candidates, i));
-            }
-            Priced::Bounded | Priced::Unpriced => estimates.abandon(candidates.nest[i]),
-        }
-    }
 
     let level = stats.level_mut(stage);
     level.cache_hits += hits;
@@ -853,12 +936,38 @@ pub(crate) fn evaluate_cached(
 
 #[cfg(test)]
 mod tests {
+    use sunstone_arch::presets;
+
+    use super::super::compose::run_level_search;
+    use super::super::testing::{conv2d_batch, with_context};
     use super::*;
+    use crate::SunstoneConfig;
+
+    /// The table holds prices only: after a search of ResNet-18's
+    /// `conv2_x` at batch 16 on `simba_like`, whose rounds bound most of
+    /// their misses, the table files one
+    /// entry per nest the search priced, and it has room for at most twice
+    /// that: each round makes room once, for what it priced, and nothing is
+    /// reserved for a miss that is cut or copies another's price.
+    #[test]
+    fn the_estimate_table_holds_only_prices() {
+        let (w, arch) = (conv2d_batch(16, 64, 64, 56), presets::simba_like());
+        with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
+            let (mut memo, mut stats) = (SearchMemo::default(), SearchStats::default());
+            let run = run_level_search(ctx, &mut memo, &mut stats);
+            assert_eq!(run.stop, SearchStop::Completed);
+            assert!(stats.bounded > stats.modeled, "the bound cuts most misses: {stats:?}");
+            let (entries, capacity) = memo.estimates.size();
+            assert_eq!(entries as u64, stats.modeled, "one entry per priced nest");
+            assert!(capacity <= 2 * entries + 16, "room for {capacity} estimates, {entries} filed");
+        });
+    }
 
     #[test]
     fn the_table_files_numbers_under_hashes() {
         let mut t = EstimateTable::default();
         assert_eq!(t.get(7, || vec![1, 2, 3]), None);
+        t.reserve(2);
         t.insert(7, 1.5, || vec![1, 2, 3]);
         t.insert(7, 1.5, || vec![1, 2, 3]);
         t.insert(8, 2.5, || vec![1, 2, 4]);

@@ -106,18 +106,21 @@ pub struct LevelStats {
     /// (one per distinct in-play set), timed like `expand_tiles`.
     #[serde(default)]
     pub expand_orderings: Duration,
-    /// Part of `expand`: hashing a parent's children once they are
-    /// decided — one scratch row, which takes each run's unroll and
-    /// ordering, then per child two slice writes over the last child's,
-    /// two levels of the run's nest key rewritten and the key hashed. No
-    /// row is written: a candidate is its run's entry plus its `nest` and
-    /// `estimate` columns (the name predates that). One clock pair per
-    /// parent. What `expand` has beyond its four parts is memo lookups
-    /// and replays and deciding the children.
+    /// Part of `expand`: hashing the stage's children once every parent's
+    /// runs are decided — the `nest` and `estimate` columns allocated at
+    /// their length, then one scratch row, which takes each parent's row
+    /// and each run's unroll and ordering, then per child two slice writes
+    /// over the last child's, two levels of the run's nest key rewritten
+    /// and the key hashed. No row is written: a candidate is its run's
+    /// entry plus its `nest` and `estimate` columns (the name predates
+    /// that). One clock pair per stage. What `expand` has beyond its four
+    /// parts is memo lookups and replays and deciding the children.
     #[serde(default)]
     pub expand_rows: Duration,
-    /// Wall time of the estimate round: table probes plus, for the
-    /// misses, the three parts below; what they leave of it is the probe.
+    /// Wall time of the estimate round: the probe — one read of the
+    /// search's table per candidate, then the misses' search for their
+    /// own repeats in the round's index — plus, for the misses, the three
+    /// parts below; what they leave of it is the probe.
     pub estimate: Duration,
     /// Part of `estimate`: the serial pass over the misses that builds one
     /// decided-prefix cost per beam parent.
@@ -125,8 +128,10 @@ pub struct LevelStats {
     /// Part of `estimate`: the pool round — the cost model's count kernel
     /// over each claim's misses, each read from its run.
     pub estimate_price: Duration,
-    /// Part of `estimate`: writing the estimates back and inserting them
-    /// into the search's table.
+    /// Part of `estimate`: settling each miss's entry of the estimate
+    /// column, copying prices to the in-round repeats, and filing the
+    /// priced nests in the search's table, which makes room for them
+    /// once.
     pub estimate_publish: Duration,
     /// Wall time of ranking the candidates and writing the survivors'
     /// rows as the next beam.

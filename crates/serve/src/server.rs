@@ -830,7 +830,6 @@ fn stats_response(state: &ServeState) -> Json {
             "store".into(),
             Json::Obj(vec![
                 ("records".into(), Json::Num(s.records as f64)),
-                ("corrupt_lines".into(), Json::Num(s.corrupt_lines as f64)),
                 ("quarantined".into(), Json::Num(s.quarantined as f64)),
                 ("stale_shards".into(), Json::Num(s.stale_shards as f64)),
                 ("migrated_shards".into(), Json::Num(s.migrated_shards as f64)),

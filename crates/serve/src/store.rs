@@ -40,11 +40,14 @@
 //! shard's `shard-NN.quarantine` sidecar, counted in
 //! [`StoreStats::quarantined`], and never enters the index — a flipped
 //! bit loses one cached result and leaves evidence, it never serves a
-//! wrong mapping and never fails the open. A line that verified at open
-//! but no longer does when read back (the file changed under the store)
-//! is never returned, and the next compaction quarantines it and drops it
-//! from the index. A shard whose *header* is missing, wrong-schema (other
-//! than v1, see below), or priced under a different
+//! wrong mapping and never fails the open. An open that quarantined a
+//! line then rewrites the store as compaction does, so the line leaves
+//! its shard and the next open does not copy it to the sidecar again. A
+//! line that verified at open but no longer does when read back (the file
+//! changed under the store) is never returned, and the next compaction
+//! quarantines it and drops it from the index. A shard whose *header* is
+//! missing, wrong-schema (other than v1, see below), or priced under a
+//! different
 //! [`COST_MODEL_VERSION`] is discarded wholesale — replaying costs from
 //! an older model would serve wrong numbers as current.
 //!
@@ -206,11 +209,9 @@ fn header(shards: usize) -> String {
 pub struct StoreStats {
     /// Distinct contexts indexed.
     pub records: usize,
-    /// Unparseable, checksum-failing, or truncated lines rejected at
-    /// load, and lines that no longer verified when compaction read them
-    /// back.
-    pub corrupt_lines: usize,
-    /// Rejected lines copied to a `.quarantine` sidecar.
+    /// Rejected lines, each copied to a `.quarantine` sidecar:
+    /// unparseable, checksum-failing, or truncated lines at load, and
+    /// lines that no longer verified when compaction read them back.
     pub quarantined: usize,
     /// Shards discarded for schema or cost-model version mismatch.
     pub stale_shards: usize,
@@ -330,7 +331,9 @@ impl MappingStore {
             *v1 = store.load_shard(shard)? == Some(SCHEMA_V1);
         }
         store.stats.migrated_shards = v1.iter().filter(|&&v1| v1).count();
-        if store.stats.migrated_shards > 0 {
+        // A v1 shard is migrated, and a rejected line leaves its shard: it
+        // is in the sidecar now, and would be copied there at every open.
+        if store.stats.migrated_shards > 0 || store.stats.quarantined > 0 {
             store.rewrite(&v1)?;
         }
         Ok(store)
@@ -368,7 +371,6 @@ impl MappingStore {
     /// counts it. Sidecar I/O is best-effort: quarantine must never turn
     /// a corrupt record into a failed open.
     fn quarantine(&mut self, shard: usize, line: &[u8]) {
-        self.stats.corrupt_lines += 1;
         self.stats.quarantined += 1;
         if let Ok(mut f) =
             OpenOptions::new().create(true).append(true).open(self.quarantine_path(shard))
@@ -708,7 +710,6 @@ mod tests {
         assert_eq!(s.iter().count(), 2);
         assert_eq!(s.get(1).unwrap().edp, 5.0);
         assert_eq!(s.get(2).unwrap().edp, 20.0);
-        assert_eq!(s.stats().corrupt_lines, 0);
         assert_eq!(s.stats().quarantined, 0);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -728,10 +729,35 @@ mod tests {
         let s = MappingStore::open(&dir, 1).unwrap();
         assert_eq!(s.len(), 1);
         assert!(s.get(7).is_some());
-        assert_eq!(s.stats().corrupt_lines, 1);
         assert_eq!(s.stats().quarantined, 1);
         let sidecar = fs::read_to_string(dir.join("shard-00.quarantine")).unwrap();
         assert_eq!(sidecar.lines().count(), 1, "torn line must land in the sidecar");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A torn tail is quarantined once: the open that rejects it rewrites
+    /// the shard without it, so two more opens find nothing to quarantine,
+    /// the sidecar holds the line once, and every whole record survives.
+    #[test]
+    fn a_torn_tail_is_quarantined_once_across_reopens() {
+        let dir = tmpdir("tornthrice");
+        {
+            let mut s = MappingStore::open(&dir, 1).unwrap();
+            for ctx in [7, 8, 9] {
+                s.append(rec(ctx, ctx as f64)).unwrap();
+            }
+        }
+        let path = dir.join("shard-00.log");
+        let contents = fs::read_to_string(&path).unwrap();
+        fs::write(&path, &contents[..contents.len() - 30]).unwrap();
+        for open in 0..3 {
+            let s = MappingStore::open(&dir, 1).unwrap();
+            assert_eq!(s.stats().quarantined, usize::from(open == 0), "open {open}");
+            assert_eq!(s.len(), 2, "open {open}");
+            assert_eq!((s.get(7).unwrap().edp, s.get(8).unwrap().edp), (7.0, 8.0), "open {open}");
+            let sidecar = fs::read_to_string(dir.join("shard-00.quarantine")).unwrap();
+            assert_eq!(sidecar.lines().count(), 1, "open {open}: the sidecar holds the line once");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -257,7 +257,7 @@ fn store_survives_unclean_shutdown_and_truncated_tail() {
     assert_eq!(store_stats.get("loaded").and_then(Json::as_f64), Some(layers.len() as f64));
     assert_eq!(store_stats.get("load_skipped").and_then(Json::as_f64), Some(0.0));
     assert!(
-        store_stats.get("corrupt_lines").and_then(Json::as_f64).unwrap_or(0.0) >= 1.0,
+        store_stats.get("quarantined").and_then(Json::as_f64).unwrap_or(0.0) >= 1.0,
         "torn tails must be counted"
     );
     assert_eq!(stats.get("store_hits").and_then(Json::as_f64), Some(layers.len() as f64));
