@@ -127,6 +127,26 @@ if ! grep -q "1 passed" <<<"$table_test"; then
     exit 1
 fi
 
+echo "== one memo rule =="
+# The session remembers each context as one packed entry, its finalists and
+# the statistics a hit reports in one byte string (crates/core/src/memo.rs).
+# A finalist list or a statistics struct held beside it is the per-field
+# storage the entry replaced: a dozen allocations and 2.4 kB a context.
+if grep -rnE 'Arc<SearchStats>|Arc<\[Finalist\]>|Vec<Finalist>' crates/core/src \
+    --include=memo.rs --include=session.rs; then
+    echo "the session memo holds finalists or statistics outside its packed entries" >&2
+    exit 1
+fi
+# Bytes per memoized context after 32 distinct Simba convs (release, the
+# build the daemon runs).
+memo_test=$(cargo test -q --release -p sunstone --lib -- --exact \
+    memo::tests::a_memo_entry_is_small 2>&1) || { echo "$memo_test"; exit 1; }
+if ! grep -q "1 passed" <<<"$memo_test"; then
+    echo "$memo_test"
+    echo "memo::tests::a_memo_entry_is_small did not run" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (core crates, benches, repro tests) =="
 cargo clippy --release \
     -p sunstone-ir -p sunstone-arch -p sunstone-mapping -p sunstone-model \

@@ -100,6 +100,7 @@ pub mod factors;
 pub mod faultpoint;
 pub mod fingerprint;
 mod lattice;
+mod memo;
 pub mod network;
 pub mod ordering;
 mod pool;
@@ -115,7 +116,7 @@ pub use ordering::{OrderingCandidate, OrderingTrie, ReuseKind};
 pub use progress::{CancelToken, ProgressEvent, ProgressSink};
 pub use search::{LevelStats, PruneCounter, SearchStats};
 pub use session::{
-    BatchOptions, BatchOutcome, BatchResult, BatchStats, CacheStats, Finalist, Memoized,
+    BatchOptions, BatchOutcome, BatchResult, BatchStats, CacheStats, Finalist, Finalists, Memoized,
     ScheduleOptions, ScheduleOutcome, ScheduleResult, Scheduler,
 };
 // The constraint vocabulary lives in `sunstone_mapping`, beside its one
@@ -137,8 +138,8 @@ pub mod prelude {
     pub use crate::progress::{CancelToken, ProgressEvent, ProgressSink};
     pub use crate::search::{LevelStats, PruneCounter, SearchStats};
     pub use crate::session::{
-        BatchOptions, BatchOutcome, BatchResult, BatchStats, CacheStats, Finalist, Memoized,
-        ScheduleOptions, ScheduleOutcome, ScheduleResult, Scheduler,
+        BatchOptions, BatchOutcome, BatchResult, BatchStats, CacheStats, Finalist, Finalists,
+        Memoized, ScheduleOptions, ScheduleOutcome, ScheduleResult, Scheduler,
     };
     pub use sunstone_ir::DimRole;
     pub use sunstone_mapping::{

@@ -237,25 +237,6 @@ impl SearchStats {
         &mut self.levels[stage]
     }
 
-    /// These statistics as a call answered from the session's result memo
-    /// reports them: the space the producing search visited, none of it
-    /// priced or probed for this call. `modeled`, `bounded`, `prefix_hits`,
-    /// `batches`, `batched` and `capacity_probes` read 0, and every
-    /// estimate request — in total and per level — reads as served from
-    /// memory. Everything else, the timers included, is the producing
-    /// search's.
-    pub(crate) fn remembered(&self) -> SearchStats {
-        let mut stats = self.clone();
-        (stats.modeled, stats.bounded, stats.prefix_hits) = (0, 0, 0);
-        (stats.batches, stats.batched, stats.capacity_probes) = (0, 0, 0);
-        stats.cache_hits += std::mem::take(&mut stats.cache_misses);
-        for level in &mut stats.levels {
-            level.cache_hits += std::mem::take(&mut level.cache_misses);
-            level.bounded = 0;
-        }
-        stats
-    }
-
     /// Total candidates the beam cut across all stages.
     pub fn beam_cut(&self) -> u64 {
         self.levels.iter().map(|l| l.beam.pruned()).sum()

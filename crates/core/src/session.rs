@@ -33,22 +33,24 @@
 
 use std::any::Any;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use sunstone_arch::{ArchSpec, Binding};
-use sunstone_ir::{FxHashMap, Workload};
+use sunstone_ir::Workload;
 use sunstone_mapping::{Mapping, MappingConstraints, ResolvedConstraints, ValidationContext};
-use sunstone_model::{CostModel, CostReport, CostTotals};
+use sunstone_model::{CostModel, CostReport};
 
 use crate::error::ScheduleError;
 use crate::fingerprint::{
     arch_fingerprint, combine_context, config_fingerprint, constraints_fingerprint,
-    context_fingerprint, mapping_fingerprint, workload_fingerprint,
+    context_fingerprint, workload_fingerprint,
 };
+use crate::memo::ResultMemo;
+pub use crate::memo::{Finalist, Finalists, Memoized};
 use crate::pool::{panic_message, SliceWriter, WorkerPool};
 use crate::progress::{CancelToken, ProgressEvent, ProgressSink};
 use crate::search::compose::{run_level_search, SearchStop};
@@ -403,6 +405,10 @@ pub struct CacheStats {
     pub seed_hits: u64,
     /// Fan-out rounds the session worker pool has executed.
     pub pool_rounds: u64,
+    /// Bytes the memoized contexts' entries hold, exactly: one packed
+    /// entry per context ([`Memoized`]), summed as they are filed,
+    /// replaced and evicted.
+    pub memo_bytes: usize,
 }
 
 impl CacheStats {
@@ -414,121 +420,6 @@ impl CacheStats {
         } else {
             self.hits as f64 / calls as f64
         }
-    }
-}
-
-/// One context's memoized answer ([`Scheduler::memoized`]): the ranked
-/// finalists of a search that ran to completion there — or the one
-/// mapping [`Scheduler::prime_mapping`] vouched for. It keeps what a hit
-/// reads and no more: a call answered from it re-prices every mapping on
-/// the way out, so a finalist is its mapping and the two totals it was
-/// priced at, not a [`CostReport`].
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct Memoized {
-    /// The ranked finalists, best first; never empty. Shared, not copied.
-    pub finalists: Arc<[Finalist]>,
-    /// [`mapping_fingerprint`] of the best mapping.
-    pub mapping_fp: u64,
-    /// Whether the entry was primed from outside rather than searched by
-    /// this session.
-    pub primed: bool,
-    /// The `top_k` the search ranked for: the list answers any request
-    /// for at most this many results (it may hold fewer — then the search
-    /// found no more).
-    top_k: usize,
-    /// The search's statistics with the model columns struck out
-    /// ([`SearchStats::remembered`]), once for all its finalists; `None`
-    /// for a primed mapping, which no search produced.
-    stats: Option<Arc<SearchStats>>,
-}
-
-/// A memoized finalist: the mapping and the totals it was priced at.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct Finalist {
-    /// The mapping.
-    pub mapping: Mapping,
-    /// Its energy and delay when it was filed.
-    pub totals: CostTotals,
-}
-
-impl Finalist {
-    /// The finalist of a priced result.
-    fn of(mapping: &Mapping, report: &CostReport) -> Finalist {
-        Finalist { mapping: mapping.clone(), totals: report.totals() }
-    }
-}
-
-/// The session's memory: per context fingerprint, the answer of a
-/// [`ScheduleOutcome::Complete`] search. Best-so-far and failed calls are
-/// never filed, so a hit is always what a fresh search would return.
-#[derive(Debug, Default)]
-struct ResultMemo {
-    table: Mutex<MemoTable>,
-    hits: AtomicU64,
-    searches: AtomicU64,
-}
-
-/// The memoized contexts and, oldest first, the order they were first
-/// filed in — what the bound evicts by.
-#[derive(Debug, Default)]
-struct MemoTable {
-    contexts: FxHashMap<u64, Memoized>,
-    order: VecDeque<u64>,
-}
-
-impl ResultMemo {
-    /// Nothing can unwind while the lock is held (map operations and `Arc`
-    /// clones only), but a poisoned memo would break the session for good,
-    /// so recover anyway.
-    fn lock(&self) -> MutexGuard<'_, MemoTable> {
-        self.table.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The context's entry if it answers a request for `top_k` results.
-    fn get(&self, ctx_fp: u64, top_k: usize) -> Option<Memoized> {
-        let hit = self.lock().contexts.get(&ctx_fp).filter(|e| top_k <= e.top_k).cloned()?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(hit)
-    }
-
-    /// Files `finalists` — ranked for `top_k` by a search that gathered
-    /// `stats`, or primed when there is none — as the context's answer. A
-    /// searched list already there that answers as many requests stays: a
-    /// narrower search finishing late, or a primed mapping, never displaces
-    /// it. A new context past `max` evicts the oldest ones, in insertion
-    /// order.
-    fn insert(
-        &self,
-        ctx_fp: u64,
-        finalists: Vec<Finalist>,
-        stats: Option<SearchStats>,
-        top_k: usize,
-        max: usize,
-    ) {
-        let mapping_fp = mapping_fingerprint(&finalists[0].mapping);
-        let primed = stats.is_none();
-        let stats = stats.map(Arc::new);
-        let entry = Memoized { finalists: finalists.into(), mapping_fp, primed, top_k, stats };
-        let table = &mut *self.lock();
-        if table.contexts.get(&ctx_fp).is_some_and(|kept| !kept.primed && kept.top_k >= top_k) {
-            return;
-        }
-        if table.contexts.insert(ctx_fp, entry).is_none() {
-            table.order.push_back(ctx_fp);
-            while table.contexts.len() > max {
-                let oldest = table.order.pop_front().expect("every context is in the order");
-                table.contexts.remove(&oldest);
-            }
-        }
-    }
-
-    /// Forgets every context and zeroes the counters.
-    fn clear(&self) {
-        *self.lock() = MemoTable::default();
-        self.hits.store(0, Ordering::Relaxed);
-        self.searches.store(0, Ordering::Relaxed);
     }
 }
 
@@ -572,6 +463,12 @@ impl Scheduler {
         &self.config
     }
 
+    /// The session's result memo, for its unit tests.
+    #[cfg(test)]
+    pub(crate) fn memo(&self) -> &ResultMemo {
+        &self.memo
+    }
+
     /// The session worker pool (lazily spawned).
     fn pool(&self) -> &WorkerPool {
         self.pool.get_or_init(|| WorkerPool::new(self.config.effective_threads().saturating_sub(1)))
@@ -579,10 +476,12 @@ impl Scheduler {
 
     /// Cumulative statistics of the session's result memo and worker pool.
     pub fn cache_stats(&self) -> CacheStats {
+        let (entries, memo_bytes) = self.memo.size();
         CacheStats {
             hits: self.memo.hits.load(Ordering::Relaxed),
             misses: self.memo.searches.load(Ordering::Relaxed),
-            entries: self.memo.lock().contexts.len(),
+            entries,
+            memo_bytes,
             pool_rounds: self.pool.get().map_or(0, WorkerPool::rounds),
             ..CacheStats::default()
         }
@@ -660,9 +559,9 @@ impl Scheduler {
             let constraints = &self.config.constraints;
             let report =
                 self.with_admission(workload, arch, constraints, |admit| admit(mapping))??;
-            let finalist = Finalist::of(mapping, &report);
             let ctx_fp = context_fingerprint(workload, arch, &self.config, constraints);
-            self.memo.insert(ctx_fp, vec![finalist], None, 1, self.config.max_cache_entries);
+            let finalist = std::iter::once((mapping, report.totals()));
+            self.memo.insert(ctx_fp, finalist, None, 1, self.config.max_cache_entries);
             Ok(report)
         };
         panic::catch_unwind(AssertUnwindSafe(prime)).unwrap_or_else(|payload| {
@@ -928,8 +827,8 @@ impl Scheduler {
     /// search ran to completion. A hit is what that search returned,
     /// checked and priced again on the way out ([`verified`](Self::verified)),
     /// and it says so: its statistics are the search's with the model
-    /// columns struck out ([`SearchStats::remembered`]) — nothing was
-    /// priced for this call. A time budget is moot for it.
+    /// columns struck out (filed so by the memo, [`Memoized`]) — nothing
+    /// was priced for this call. A time budget is moot for it.
     fn answer(
         &self,
         workload: &Workload,
@@ -950,10 +849,9 @@ impl Scheduler {
         self.memo.searches.fetch_add(1, Ordering::Relaxed);
         let outcome = self.search(workload, arch, controls)?;
         if let ScheduleOutcome::Complete(results) = &outcome {
-            let stats = results[0].stats.remembered();
-            let finalists = results.iter().map(|r| Finalist::of(&r.mapping, &r.report)).collect();
+            let finalists = results.iter().map(|r| (&r.mapping, r.report.totals()));
             let max = self.config.max_cache_entries;
-            self.memo.insert(ctx_fp, finalists, Some(stats), top_k, max);
+            self.memo.insert(ctx_fp, finalists, Some(&results[0].stats), top_k, max);
         }
         Ok(outcome)
     }
@@ -974,12 +872,11 @@ impl Scheduler {
         arch: &ArchSpec,
         constraints: &MappingConstraints,
     ) -> Result<Option<Vec<ScheduleResult>>, ScheduleError> {
-        let stats = memoized.stats.as_deref();
+        let stats = memoized.stats().unwrap_or_default();
         self.with_admission(workload, arch, constraints, |admit| {
             let admitted = memoized.finalists.iter().take(top_k).map(|f| {
                 let report = admit(&f.mapping).ok()?;
-                let stats = stats.cloned().unwrap_or_default();
-                Some(ScheduleResult { mapping: f.mapping.clone(), report, stats })
+                Some(ScheduleResult { mapping: f.mapping, report, stats: stats.clone() })
             });
             admitted.collect()
         })

@@ -865,3 +865,70 @@ fn batch_top_k_returns_ranked_candidates() {
         }
     }
 }
+
+/// A hit is bit-identical to what it replaced. On every preset, for one
+/// result and for three, a searched context answers with the search's
+/// mappings, totals bits and `mapping_fp`, and with its statistics as
+/// `remembered` says, timers and every level included; a primed context
+/// answers with the primed mapping at the search's totals and with no
+/// statistics.
+#[test]
+fn a_hit_is_bit_identical_to_the_search_it_replaced() {
+    let w = conv("hit", 32, 16, 14, 3);
+    let whole =
+        |r: &ScheduleResult| -> Witness { (r.mapping.clone(), r.report.clone(), r.stats.clone()) };
+    let bits = |r: &CostReport| (r.energy_pj.to_bits(), r.delay_cycles.to_bits(), r.edp.to_bits());
+    let presets = [
+        presets::conventional(),
+        presets::eyeriss_like(),
+        presets::simba_like(),
+        presets::diannao_like(),
+    ];
+    for arch in &presets {
+        for k in [1, 3] {
+            let session = Scheduler::new(SunstoneConfig::default());
+            let searched = top_k(&session, &w, arch, k).expect("schedules");
+            let hit = top_k(&session, &w, arch, k).expect("answered from the memo");
+            assert_eq!(session.cache_stats().misses, 1, "{}: the second call hit", arch.name());
+            let fp = session.context_fingerprint(&w, arch);
+            let entry = session.memoized(fp).expect("memoized");
+            let best_fp = sunstone::fingerprint::mapping_fingerprint(&searched[0].mapping);
+            assert_eq!((entry.mapping_fp, entry.primed), (best_fp, false));
+            assert_eq!(entry.finalists.len(), searched.len());
+            assert_eq!(hit.len(), searched.len());
+            for ((s, h), f) in searched.iter().zip(&hit).zip(entry.finalists.iter()) {
+                // `remembered` predates the bound: a hit strikes what the
+                // bound cut as well (`SearchStats::bounded`), in total and
+                // per level.
+                let mut expected = remembered(&whole(s));
+                expected.2.bounded = 0;
+                expected.2.levels.iter_mut().for_each(|l| l.bounded = 0);
+                assert_eq!(whole(h), expected, "{} top {k}", arch.name());
+                assert_eq!(h.stats.levels.len(), s.stats.levels.len());
+                assert_eq!(bits(&h.report), bits(&s.report));
+                assert_eq!(f.mapping, s.mapping);
+                let filed = (f.totals.energy_pj.to_bits(), f.totals.delay_cycles.to_bits());
+                assert_eq!(filed, (s.report.energy_pj.to_bits(), s.report.delay_cycles.to_bits()));
+            }
+
+            let primed = Scheduler::new(SunstoneConfig::default());
+            primed.prime_mapping(&w, arch, &searched[0].mapping).expect("primes");
+            let entry = primed.memoized(fp).expect("memoized");
+            assert_eq!((entry.mapping_fp, entry.primed), (best_fp, true));
+            let best = entry.best();
+            assert_eq!(best.mapping, searched[0].mapping);
+            assert_eq!(best.totals.energy_pj.to_bits(), searched[0].report.energy_pj.to_bits());
+            assert_eq!(
+                best.totals.delay_cycles.to_bits(),
+                searched[0].report.delay_cycles.to_bits()
+            );
+            let served = primed.schedule(&w, arch).expect("answered from the memo");
+            assert_eq!(
+                (&served.mapping, bits(&served.report)),
+                (&searched[0].mapping, bits(&searched[0].report))
+            );
+            assert_eq!(served.stats, SearchStats::default(), "no search produced it");
+            assert_eq!(primed.cache_stats().misses, 0);
+        }
+    }
+}

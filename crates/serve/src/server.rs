@@ -676,7 +676,7 @@ struct Hit {
 
 impl Hit {
     fn write(&self, out: &mut String) {
-        let (best, fp) = (&self.entry.finalists[0], self.entry.mapping_fp);
+        let (best, fp) = (self.entry.best(), self.entry.mapping_fp);
         write_result(out, self.ctx_fp, self.source, fp, &best.mapping, best.totals, false);
     }
 }
@@ -819,6 +819,7 @@ fn stats_response(state: &ServeState) -> Json {
                 ("hits".into(), Json::Num(session.hits as f64)),
                 ("misses".into(), Json::Num(session.misses as f64)),
                 ("entries".into(), Json::Num(session.entries as f64)),
+                ("memo_bytes".into(), Json::Num(session.memo_bytes as f64)),
                 ("pool_rounds".into(), Json::Num(session.pool_rounds as f64)),
             ]),
         ),
