@@ -147,6 +147,28 @@ if ! grep -q "1 passed" <<<"$memo_test"; then
     exit 1
 fi
 
+echo "== one row rule =="
+# A candidate row is the whole mapping it stands for: what no stage has
+# placed yet sits in the outermost memory's factors, where
+# `Mapping::streaming` puts the problem. A completion — a remainder kept
+# beside a row or a nest and multiplied in when it is read — is a second
+# representation of the same mapping, free to drift from the row.
+if grep -rnE 'fn completion|\.completion\(\)|materialize_completed|streaming_base' \
+    crates/model/src crates/core/src; then
+    echo "a candidate is completed instead of kept whole" >&2
+    exit 1
+fi
+# Every beam row of real searches on every preset, materialized, covers
+# the problem, writes back to itself, prices as its mapping and carries
+# its nest hash (release, the build the search runs in).
+row_test=$(cargo test -q --release -p sunstone --lib -- --exact \
+    search::tests::every_beam_row_is_a_whole_mapping 2>&1) || { echo "$row_test"; exit 1; }
+if ! grep -q "1 passed" <<<"$row_test"; then
+    echo "$row_test"
+    echo "search::tests::every_beam_row_is_a_whole_mapping did not run" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (core crates, benches, repro tests) =="
 cargo clippy --release \
     -p sunstone-ir -p sunstone-arch -p sunstone-mapping -p sunstone-model \

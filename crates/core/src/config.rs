@@ -97,9 +97,11 @@ pub struct SunstoneConfig {
     /// contexts whose result the session memoizes. A new context past the
     /// bound evicts the oldest ones, in the order they were first
     /// memoized (no recency clock: an evicted context is simply searched
-    /// again). An entry is the ranked finalists of one search — mappings,
-    /// cost reports, search statistics; a few kB at `top_k` 1. Lower it to
-    /// bound memory in long-lived many-workload sessions.
+    /// again). An entry is one packed byte string: the ranked finalists of
+    /// one search — their mappings and cost totals — and the search
+    /// statistics a hit reports; about 350 B at `top_k` 1 (the session's
+    /// total is [`CacheStats::memo_bytes`](crate::CacheStats::memo_bytes)).
+    /// Lower it to bound memory in long-lived many-workload sessions.
     pub max_cache_entries: usize,
     /// Active pruning techniques.
     pub pruning: PruningFlags,

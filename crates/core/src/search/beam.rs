@@ -20,11 +20,11 @@ use super::SearchContext;
 
 /// A mapping's search identity: every level's factors, then each
 /// temporal level's loop order. Two mappings with equal keys are the same
-/// point in the space. Inside the search the *row prefix* of a candidate
-/// ([`RowLayout`](super::RowLayout)) is laid out word for word like this
-/// key and nothing builds the key itself: rows are hashed in place. The
-/// function serves [`RowLayout::nest_key_of`](super::RowLayout::nest_key_of),
-/// which keys mappings that never were rows.
+/// point in the space. Inside the search a candidate's row
+/// ([`RowLayout`](super::RowLayout)) is this key, word for word, and
+/// nothing builds the key itself: rows are hashed in place. The function
+/// serves [`RowLayout::nest_key_of`](super::RowLayout::nest_key_of), which
+/// keys mappings that never were rows.
 pub(crate) fn mapping_key(m: &Mapping) -> Vec<u64> {
     let words = m
         .levels()
@@ -175,12 +175,12 @@ pub(crate) struct Beam {
 }
 
 impl Beam {
-    /// The search starting point: the base mapping's row, nothing decided,
-    /// the whole problem still in the quotas.
+    /// The search starting point: the streaming mapping's row, nothing
+    /// decided, the whole problem in the outermost memory's remainder.
     pub(crate) fn root(ctx: &SearchContext<'_>) -> Self {
         let layout = &ctx.layout;
         let mut rows = Vec::with_capacity(layout.stride());
-        layout.write_row(&ctx.base, &ctx.workload.dim_sizes(), &mut rows);
+        layout.write_row(&ctx.base, &mut rows);
         let nest = layout.nest_hash(&rows, &mut Vec::new());
         Beam {
             stride: layout.stride(),
@@ -212,13 +212,13 @@ impl Beam {
         &self.rows[i * self.stride..(i + 1) * self.stride]
     }
 
-    /// Every survivor's mapping as completed — its quotas placed at the
+    /// Every survivor's mapping — what no stage placed still at the
     /// outermost memory — with its nest hash, best first.
-    pub(crate) fn completed(&self, ctx: &SearchContext<'_>) -> Vec<(Mapping, u128)> {
+    pub(crate) fn mappings(&self, ctx: &SearchContext<'_>) -> Vec<(Mapping, u128)> {
         (0..self.len())
             .map(|i| {
                 let mut m = ctx.base.clone();
-                ctx.layout.materialize_completed_into(self.row(i), &mut m);
+                ctx.layout.materialize_into(self.row(i), &mut m);
                 (m, self.nest[i])
             })
             .collect()

@@ -59,8 +59,8 @@ pub(crate) struct Candidates {
     runs: Vec<Run>,
     /// The unrolls the runs place below the stage's memory.
     unrolls: Vec<DimVec>,
-    /// Per candidate, the objective estimate of the completed mapping
-    /// (infinite until the estimate round fills it in).
+    /// Per candidate, the objective estimate of its mapping (infinite
+    /// until the estimate round fills it in).
     pub(crate) estimate: Vec<f64>,
     /// Per candidate, the 128-bit hash of its
     /// [`nest_key`](RowLayout::nest_key): what the estimate table files
@@ -84,10 +84,10 @@ pub(crate) struct Candidates {
 }
 
 /// The architecture positions a stage decides, where its children differ
-/// from their parent: the memory whose tile it grows, the fabric in the
-/// gap below it whose unroll it places, if any, and the memory above it
-/// whose loop order it picks (none at the outermost memory, which places
-/// the remainder instead).
+/// from their parent besides the remainder: the memory whose tile it
+/// grows, the fabric in the gap below it whose unroll it places, if any,
+/// and the memory above it whose loop order it picks (none at the
+/// outermost memory).
 #[derive(Debug, Clone, Copy, Default)]
 struct Slots {
     mem: usize,
@@ -102,12 +102,6 @@ impl Slots {
             fabric: ctx.lower_spatial[stage],
             ordered: ctx.mems.get(stage + 1).copied(),
         }
-    }
-
-    /// Whether the stage is the outermost memory's, which places what is
-    /// left instead of leaving it in the quotas.
-    fn last(&self) -> bool {
-        self.ordered.is_none()
     }
 }
 
@@ -131,7 +125,7 @@ pub(crate) struct Run {
     unroll: u32,
     /// One child per `2 × ndims` words — a tile enumeration's, as the memo
     /// keeps them: the tile's growth at the stage's memory (the temporal
-    /// factors there), then the quotas left above it.
+    /// factors there), then the remainder left above it.
     deltas: Arc<[u64]>,
     /// The run's first candidate in the arena.
     pub(crate) start: u32,
@@ -190,7 +184,8 @@ impl Candidates {
 
     /// Candidate `i` of run `run` as the count kernel reads it: each level
     /// from its parent's row in `parents`, the run's unroll, the run's
-    /// ordering or its own tile delta, completed by the delta's quotas.
+    /// ordering or its own tile delta, whose remainder sits at the
+    /// outermost memory.
     pub(crate) fn child<'a>(&'a self, parents: &'a Beam, run: usize, i: usize) -> ChildNest<'a> {
         let r = &self.runs[run];
         let n = self.layout.ndims;
@@ -293,21 +288,17 @@ impl Candidates {
         }
     }
 
-    /// Writes a child's tile — its `growth` as the temporal factors of the
-    /// stage's memory and the quotas it leaves, `remaining` — to `row`. At
-    /// the outermost memory the remainder is placed there: the factors are
-    /// growth × remaining and nothing is left.
+    /// Writes a child's tile to `row`: its `growth` as the temporal factors
+    /// of the stage's memory, then what it leaves, `remaining`, as the
+    /// outermost memory's. At the outermost memory's own stage the growth
+    /// is all ones ([`expand`]), so its factors are the remainder.
     fn place_tile(&self, growth: &[u64], remaining: &[u64], row: &mut [u64]) {
-        let (factors, quotas) = (self.layout.factors(self.stage.mem), self.layout.quotas());
-        if self.stage.last() {
-            for d in 0..growth.len() {
-                row[factors.start + d] = growth[d] * remaining[d];
-                row[quotas.start + d] = 1;
-            }
-        } else {
-            row[factors].copy_from_slice(growth);
-            row[quotas].copy_from_slice(remaining);
-        }
+        debug_assert!(
+            self.stage.mem != self.layout.complete_at || growth.iter().all(|&g| g == 1),
+            "a growth at the outermost memory"
+        );
+        row[self.layout.factors(self.stage.mem)].copy_from_slice(growth);
+        row[self.layout.remainder()].copy_from_slice(remaining);
     }
 
     /// The dimensions the ordering candidate `i` chose for the next memory
@@ -344,17 +335,16 @@ impl Candidates {
             + self.orderings.capacity() * size_of::<OrderingCandidate>()
     }
 
-    /// How many of the stage's rows, expanded from `parents`, repeat the
-    /// first `key_len` words of an earlier row.
+    /// How many of the stage's rows, expanded from `parents`, repeat an
+    /// earlier row.
     #[cfg(test)]
-    pub(crate) fn repeated_rows(&self, parents: &Beam, key_len: usize) -> usize {
+    pub(crate) fn repeated_rows(&self, parents: &Beam) -> usize {
         let mut seen = std::collections::HashSet::new();
-        let mut row = Vec::new();
         (0..self.len())
             .filter(|&i| {
-                row.clear();
+                let mut row = Vec::new();
                 self.write_row(parents, i, &mut row);
-                !seen.insert(row[..key_len].to_vec())
+                !seen.insert(row)
             })
             .count()
     }
@@ -364,10 +354,11 @@ impl Candidates {
     /// candidate per delta; every row [`write_row`](Self::write_row)
     /// materializes holds its parent's words outside the slots the stage
     /// decides, and there the run's unroll, the run ordering's order words
-    /// and its own delta; the count kernel's view of it
-    /// ([`child`](Self::child)) reads the row's factors, orders and
-    /// quotas; and what a row's ordering excludes from unrolling is what
-    /// its run's ordering implies.
+    /// and its own delta — its growth at the stage's memory, all ones at
+    /// the outermost, and its remainder there; the count kernel's view of
+    /// it ([`child`](Self::child)) reads the row's factors and orders; and
+    /// what a row's ordering excludes from unrolling is what its run's
+    /// ordering implies.
     #[cfg(test)]
     pub(crate) fn assert_runs_describe_rows(
         &self,
@@ -382,7 +373,7 @@ impl Candidates {
         let (mem, fabric) = (ctx.mems[stage], ctx.lower_spatial[stage]);
         let mut decided = vec![false; layout.stride()];
         decided[layout.factors(mem)].fill(true);
-        decided[layout.quotas()].fill(true);
+        decided[layout.remainder()].fill(true);
         if let Some(pos) = fabric {
             decided[layout.factors(pos)].fill(true);
         }
@@ -417,26 +408,16 @@ impl Candidates {
                     assert_eq!(row[layout.order(ctx.mems[stage + 1])], words[..]);
                 }
                 let (growth, remaining) = delta.split_at(n);
-                let (factors, quotas) = (&row[layout.factors(mem)], &row[layout.quotas()]);
+                assert_eq!(&row[layout.remainder()], remaining, "stage {stage} row {i}");
                 if last_stage {
-                    let placed: Vec<u64> =
-                        growth.iter().zip(remaining).map(|(g, r)| g * r).collect();
-                    assert_eq!((factors, quotas), (&placed[..], &DimVec::ones(n)[..]));
+                    assert_eq!(growth, &DimVec::ones(n)[..], "stage {stage} row {i}");
                 } else {
-                    assert_eq!((factors, quotas), (growth, remaining));
+                    assert_eq!(&row[layout.factors(mem)], growth, "stage {stage} row {i}");
                 }
                 let child = self.child(parents, r, i);
-                let (at, rest) = child.completion().expect("a child completes");
                 for pos in 0..ctx.base.levels().len() {
-                    let mut got = child.factors(pos).to_vec();
-                    if pos == at {
-                        got.iter_mut().zip(rest).for_each(|(f, r)| *f *= r);
-                    }
-                    let mut want = row[layout.factors(pos)].to_vec();
-                    if pos == layout.complete_at {
-                        want.iter_mut().zip(&row[layout.quotas()]).for_each(|(f, q)| *f *= q);
-                    }
-                    assert_eq!(got, want, "stage {stage} row {i}: factors at {pos}");
+                    let want = &row[layout.factors(pos)];
+                    assert_eq!(child.factors(pos), want, "stage {stage} row {i}: factors at {pos}");
                     if ctx.base.levels()[pos].as_temporal().is_some() {
                         let order: Vec<u64> = child.order(pos).map(|d| d as u64).collect();
                         assert_eq!(order[..], row[layout.order(pos)], "stage {stage} row {i}");
@@ -486,8 +467,8 @@ pub(crate) fn expand(
     let (row, here) = (parents.row(parent), parents.unroll_excluded[parent]);
     let mem_pos = ctx.mems[stage];
     let last_stage = stage == ctx.mems.len() - 1;
-    let base = ctx.layout.resident_tile(row, mem_pos);
-    let quotas = &row[ctx.layout.quotas()];
+    let base = ctx.layout.tile_below(row, mem_pos);
+    let quotas = &row[ctx.layout.remainder()];
     let hits = memo.hits();
 
     let orderings = if last_stage {
@@ -529,8 +510,8 @@ pub(crate) fn expand(
         for ordering in orderings.clone() {
             let dims = (out.ordering_dims.get(ordering as usize), here);
             let deltas = if last_stage {
-                // DRAM: the "tile" is the base itself, and the children
-                // place the remainder ([`Candidates::place_tile`]).
+                // DRAM: the "tile" is the base itself, and what is left
+                // stays the remainder ([`Candidates::place_tile`]).
                 [&DimVec::ones(ndims)[..], &u_quotas[..]].concat().into()
             } else {
                 let mut tiles = |held| match tile_key(
@@ -1042,11 +1023,12 @@ mod tests {
     /// A stage's worth of random rows, written the way expansion writes
     /// them: a few parents drawn from three random states (so parents
     /// repeat), each with runs of children that place a small factor at
-    /// the stage's memory, the parent's own unroll (cut to what the fabric
-    /// holds) and one of six orderings — three random ones and each with
-    /// two dimensions swapped, which often differ only where a factor is
-    /// 1 — or none. Every row's estimate is its index. Returns the arena
-    /// and the beam of its parents.
+    /// the stage's memory — at the outermost memory's stage, which grows
+    /// nothing, a small factor on the remainder — the parent's own unroll
+    /// (cut to what the fabric holds) and one of six orderings — three
+    /// random ones and each with two dimensions swapped, which often
+    /// differ only where a factor is 1 — or none. Every row's estimate is
+    /// its index. Returns the arena and the beam of its parents.
     fn random_arena(ctx: &SearchContext<'_>, stage: usize, seed: u64) -> (Candidates, Beam) {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
         let mut next = move || {
@@ -1077,33 +1059,31 @@ mod tests {
         let mem = ctx.mems[stage];
         let mut parents = Vec::new();
         for parent in 0..1 + next() % 5 {
-            // What is left at the completion level stays in the quotas
-            // until the stage that decides it, as in a search.
-            let (mut m, mut quotas) = random_state(ctx, next() % 3);
-            let done = m.levels_mut()[layout.complete_at].factors_mut();
-            for (f, q) in done.iter_mut().zip(quotas.iter_mut()) {
-                *q *= std::mem::replace(f, 1);
-            }
+            let mut m = random_state(ctx, next() % 3);
             // The unroll every run places is the parent's own, cut to what
-            // the fabric holds; what the cut leaves goes to the quotas.
+            // the fabric holds; what the cut leaves goes to the remainder.
             let unroll = match ctx.lower_spatial[stage] {
                 Some(pos) => {
                     let fabric = ctx.arch.level(LevelId(pos)).as_spatial().expect("spatial level");
                     let mut units = fabric.units;
+                    let mut cut = DimVec::ones(ndims);
                     let placed = m.levels_mut()[pos].factors_mut();
-                    for (f, q) in placed.iter_mut().zip(quotas.iter_mut()) {
+                    for (f, c) in placed.iter_mut().zip(cut.iter_mut()) {
                         if *f <= units {
                             units /= *f;
                         } else {
-                            *q *= std::mem::replace(f, 1);
+                            *c = std::mem::replace(f, 1);
                         }
                     }
-                    DimVec::from_slice(placed)
+                    let unroll = DimVec::from_slice(placed);
+                    let rest = m.levels_mut()[layout.complete_at].factors_mut();
+                    rest.iter_mut().zip(cut.iter()).for_each(|(r, c)| *r *= c);
+                    unroll
                 }
                 None => DimVec::ones(ndims),
             };
             let mut row = Vec::new();
-            layout.write_row(&m, &quotas, &mut row);
+            layout.write_row(&m, &mut row);
             for _ in 0..next() % 4 {
                 let ordering = match next() % 7 {
                     6 => NO_ORDERING,
@@ -1111,10 +1091,17 @@ mod tests {
                 };
                 let mut deltas = Vec::new();
                 for _ in 0..next() % 12 {
+                    let (d, f) = ((next() % ndims as u64) as usize, 1 + next() % 3);
                     let mut growth = row[layout.factors(mem)].to_vec();
-                    growth[(next() % ndims as u64) as usize] = 1 + next() % 3;
+                    let mut remaining = row[layout.remainder()].to_vec();
+                    if mem == layout.complete_at {
+                        growth.fill(1);
+                        remaining[d] *= f;
+                    } else {
+                        growth[d] = f;
+                    }
                     deltas.extend(growth);
-                    deltas.extend_from_slice(&row[layout.quotas()]);
+                    deltas.extend(remaining);
                 }
                 push_run(ctx, &mut cands, parent as usize, ordering, &unroll, deltas);
             }
@@ -1129,14 +1116,14 @@ mod tests {
     }
 
     /// The count kernel prices a stage's candidates, read from their runs
-    /// ([`ChildNest`]), exactly as it prices the mappings their rows
-    /// complete to: on random arenas of every stage on three presets, each
+    /// ([`ChildNest`]), exactly as it prices the mappings their rows are:
+    /// on random arenas of every stage on three presets, each
     /// candidate's totals at widths 1, 2 and 16 — against the empty
     /// prefix, and at every boundary below the stage's memory against its
     /// parent's prefix, built both from the parent's row read in place and
     /// from the family's first child materialized — equal
-    /// `evaluate_unchecked` of the completed row `write_row` materializes,
-    /// bit for bit.
+    /// `evaluate_unchecked` of the mapping of the row `write_row`
+    /// materializes, bit for bit.
     #[test]
     fn rows_price_as_their_completed_mappings() {
         let mut priced = 0usize;
@@ -1158,7 +1145,7 @@ mod tests {
                                 .map(|i| {
                                     let (mut m, mut row) = (ctx.base.clone(), Vec::new());
                                     cands.write_row(&parents, i, &mut row);
-                                    layout.materialize_completed_into(&row, &mut m);
+                                    layout.materialize_into(&row, &mut m);
                                     m
                                 })
                                 .collect();
@@ -1483,7 +1470,7 @@ mod tests {
 
     /// A round finds its own repeats: of three first-stage children that
     /// miss the table, two take one tile under two orderings of a memory
-    /// where nothing loops yet, so they complete to one nest. The first is
+    /// where nothing loops yet, so they flatten to one nest. The first is
     /// priced and the second copies its price, counted as a hit; the table
     /// files each priced nest once, and the round's counters are those of
     /// a table that reserved a slot per miss.
@@ -1550,7 +1537,7 @@ mod tests {
             let y_excluded = probe.ordering_dims[y as usize].unroll_excluded;
             assert_eq!(beam.unroll_excluded, [x_excluded, x_excluded, y_excluded, DimSet::EMPTY]);
             for i in 0..beam.len() {
-                assert_eq!(&beam.row(i)[layout.quotas()], &w.dim_sizes()[..]);
+                assert_eq!(&beam.row(i)[layout.remainder()], &w.dim_sizes()[..]);
             }
         });
     }

@@ -13,7 +13,7 @@ use crate::progress::ProgressEvent;
 /// Why [`run_level_search`] stopped walking the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SearchStop {
-    /// Every stage ran; the beam holds complete mappings.
+    /// Every stage ran; the beam holds the finished mappings.
     Completed,
     /// A stage produced no candidates (the workload cannot be placed at
     /// that memory level).
@@ -21,7 +21,7 @@ pub(crate) enum SearchStop {
     /// The cancellation token fired.
     Cancelled,
     /// The wall-clock deadline passed; the beam holds the best partial
-    /// states decided so far (completable via [`Beam::completed`]).
+    /// states decided so far, each a whole mapping ([`Beam::mappings`]).
     DeadlineReached,
 }
 
@@ -37,8 +37,8 @@ pub(crate) struct SearchRun {
 /// `beam_width` best out as the next beam. The paper's default order (§V-A): partial costs track
 /// final costs closely when reuse is resolved where most traffic lives, so
 /// the beam cuts early and the explored space stays small.
-/// Returns the surviving beam best-estimate first; the last stage places
-/// the remainder, so a completed walk's beam holds complete mappings.
+/// Returns the surviving beam best-estimate first; every row is a whole
+/// mapping, what no stage placed sitting at the outermost memory.
 ///
 /// Every checkpoint asks the call's one stop rule,
 /// [`CallControls::stop`](super::CallControls::stop): each stage start,
@@ -46,7 +46,7 @@ pub(crate) struct SearchRun {
 /// fits closures, and each claim of the estimate round. A stop discards
 /// the stage in progress and returns the beam of the last finished stage
 /// — the root's when none finished, so a zero time budget prices nothing
-/// — which the caller completes under the best-so-far contract of
+/// — whose mappings the caller ranks under the best-so-far contract of
 /// [`ScheduleOptions::time_budget`](crate::ScheduleOptions). A cancel is
 /// observed within a bounded number of evaluations and is never reported
 /// as infeasibility.
@@ -100,7 +100,7 @@ pub(crate) fn run_level_search(
         }
         #[cfg(test)]
         if let Some(repeats) = &mut memo.repeated_rows {
-            repeats.push(cands.repeated_rows(&beam_states, ctx.layout.key_len));
+            repeats.push(cands.repeated_rows(&beam_states));
             cands.assert_runs_describe_rows(ctx, stage, &beam_states);
         }
         let before = cands.len();

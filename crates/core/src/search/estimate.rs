@@ -186,8 +186,8 @@ pub(crate) struct UnrollKey {
     pub(crate) combined: DimVec,
 }
 
-/// One search's estimates: the configured objective's value of a
-/// completed loop nest under the 128-bit
+/// One search's estimates: the configured objective's value of a loop
+/// nest under the 128-bit
 /// [`key_hash`](super::beam::key_hash) of its nest key
 /// ([`RowLayout::nest_key`](super::RowLayout::nest_key)). Prices only —
 /// the search ranks by one scalar per candidate, and whatever a caller
@@ -257,9 +257,9 @@ impl EstimateTable {
 /// publish all happen there; pool workers only price), so there is no
 /// lock.
 ///
-/// Within one search distinct beam states still complete to the same
-/// mapping — the remainder placement collapses states that differ only in
-/// undecided levels, across stages — and beam parents share their in-play
+/// Within one search distinct beam states still reach the same loop nest
+/// — states that differ only in levels where nothing loops collapse,
+/// across stages — and beam parents share their in-play
 /// set and reach the same (base, quota) frontier again and again, so every
 /// table hits.
 #[derive(Debug, Default)]
@@ -343,11 +343,10 @@ impl NestSource for MissRows<'_> {
 /// A stage's candidate as the count kernel reads it, never written out as
 /// a row: each level from one of four sources — the parent's beam row, the
 /// run's unroll at the fabric below the stage's memory, the run's ordering
-/// at the memory above, or the child's tile delta at the stage's memory —
-/// completed at the outermost memory by the quotas the delta leaves. The
-/// same words the row [`Candidates::write_row`] materializes holds (at the
-/// outermost stage the row's factors are growth × remaining and its quotas
-/// ones, the same products), so it prices as that row does, to the bit.
+/// at the memory above, or the child's tile delta: its growth at the
+/// stage's memory and its remainder at the outermost. The same words the
+/// row [`Candidates::write_row`] materializes holds, so it prices as that
+/// row does, to the bit.
 pub(crate) struct ChildNest<'a> {
     pub(crate) layout: &'a RowLayout,
     pub(crate) parent: &'a [u64],
@@ -359,7 +358,8 @@ pub(crate) struct ChildNest<'a> {
     /// words; `None` and empty when the run picks none.
     pub(crate) ordered: Option<usize>,
     pub(crate) order: &'a [u64],
-    /// The stage's memory, the child's growth there and the quotas left.
+    /// The stage's memory, the child's growth there and the remainder it
+    /// leaves at the outermost memory.
     pub(crate) mem: usize,
     pub(crate) growth: &'a [u64],
     pub(crate) remaining: &'a [u64],
@@ -367,7 +367,11 @@ pub(crate) struct ChildNest<'a> {
 
 impl Nest for ChildNest<'_> {
     fn factors(&self, pos: usize) -> &[u64] {
-        if pos == self.mem {
+        // At the outermost memory's own stage the growth is all ones and
+        // the remainder is the factors.
+        if pos == self.layout.complete_at {
+            self.remaining
+        } else if pos == self.mem {
             self.growth
         } else if Some(pos) == self.fabric {
             self.unroll
@@ -384,14 +388,10 @@ impl Nest for ChildNest<'_> {
         };
         words.iter().map(|&d| d as usize)
     }
-
-    fn completion(&self) -> Option<(usize, &[u64])> {
-        Some((self.layout.complete_at, self.remaining))
-    }
 }
 
-/// A candidate or beam row as the count kernel reads it: the mapping it
-/// completes to — its quotas placed at the outermost memory — never built.
+/// A candidate or beam row as the count kernel reads it: its mapping,
+/// never built.
 pub(crate) struct RowNest<'a> {
     pub(crate) layout: &'a RowLayout,
     pub(crate) row: &'a [u64],
@@ -404,10 +404,6 @@ impl Nest for RowNest<'_> {
 
     fn order(&self, pos: usize) -> impl DoubleEndedIterator<Item = usize> + '_ {
         self.row[self.layout.order(pos)].iter().map(|&d| d as usize)
-    }
-
-    fn completion(&self) -> Option<(usize, &[u64])> {
-        Some((self.layout.complete_at, &self.row[self.layout.quotas()]))
     }
 }
 
@@ -560,16 +556,16 @@ impl BeamCut {
     }
 }
 
-/// Completes and estimates every candidate of the arena, filling its
+/// Estimates every candidate of the arena, filling its
 /// `estimate` column. `parents` is the beam the arena was expanded from.
 ///
 /// The search's estimate table ([`SearchMemo::estimates`]) is read on
 /// the calling thread, run by run, with the nest hash expansion filed per
 /// candidate ([`Candidates::nest`]): the [`key_hash`](super::beam::key_hash)
-/// of its row's completed key with each temporal level's order cut down to
-/// the dimensions that loop there
+/// of its row's key with each temporal level's order cut down to the
+/// dimensions that loop there
 /// ([`RowLayout::nest_key`](super::RowLayout::nest_key)). Rows that
-/// differ only in where a factor-1 dimension sits complete to the same
+/// differ only in where a factor-1 dimension sits flatten to the same
 /// loop nest — the model reads nothing else of an order — so they share
 /// an entry, as do what an earlier stage priced and what
 /// [`evaluate_cached`] looks up. A hit is one table read of an `f64`. The
@@ -584,9 +580,8 @@ impl BeamCut {
 /// through the model distributed over the session's persistent worker
 /// pool (no per-round thread spawns), and the model reads each miss from
 /// its run ([`MissRows`], [`ChildNest`]): its factors and orders from the
-/// parent's row, the run's unroll and ordering and its own tile, its
-/// quotas folded in at the completion level. No miss becomes a row or a
-/// [`Mapping`].
+/// parent's row, the run's unroll and ordering and its own tile and
+/// remainder. No miss becomes a row or a [`Mapping`].
 ///
 /// Stages past the first price each miss *prefix-incrementally*:
 /// all candidates expanded from one beam state share the decided levels
@@ -594,7 +589,7 @@ impl BeamCut {
 /// run's ([`Candidates::runs`]) — so that prefix's per-level cost
 /// contribution is built once per parent with a miss
 /// ([`CostModel::prefix_of`], reading the parent's row in place) and each
-/// candidate only derives the delta of its frontier and completion
+/// candidate only derives the delta of its frontier and outermost
 /// levels. The
 /// composition is bit-identical to the whole-nest evaluation (see the
 /// model's `batch` tests), so which prefix priced an entry never shows.
@@ -710,8 +705,8 @@ pub(crate) fn estimate_all(
                 let first_child = misses[first as usize].child as usize;
                 if cfg!(debug_assertions) {
                     assert_ne!(
-                        row(candidates, i)[..layout.key_len],
-                        row(candidates, first_child)[..layout.key_len],
+                        row(candidates, i),
+                        row(candidates, first_child),
                         "a stage wrote one row twice"
                     );
                     assert_eq!(
@@ -732,7 +727,7 @@ pub(crate) fn estimate_all(
     misses.truncate(firsts);
 
     // Prefix memoization: every candidate of one parent shares
-    // the levels up to the previous stage's memory, and completion only
+    // the levels up to the previous stage's memory, and its remainder only
     // touches the outermost level — strictly above that boundary. Misses
     // preserve candidate order and a parent's runs are contiguous, so each
     // parent's misses are too; each miss names its run, and the run its

@@ -12,8 +12,9 @@
 //!    choices over slots its parent left undecided, so a stage's
 //!    candidates are distinct by construction: there is nothing to
 //!    deduplicate,
-//! 2. **estimate** (`estimate`) — complete each candidate and evaluate
-//!    the analytic model, memoized for the length of the search by the
+//! 2. **estimate** (`estimate`) — evaluate the analytic model on each
+//!    candidate's whole mapping (what no stage has placed yet sits at the
+//!    outermost memory), memoized for the length of the search by the
 //!    hash of its loop nest (`RowLayout::nest_key`: candidates that differ
 //!    only where a factor is 1 share one price) and parallelized over the
 //!    configured worker threads,
@@ -25,8 +26,8 @@
 //! row: it is a (run, child) pair in the stage's `candidates::Candidates`
 //! arena with a nest hash and an estimate, read by the count kernel from
 //! its parent's row, its run and its tile delta. Only the survivors of
-//! the cut are written as rows — fixed-stride `u64` words laid out by
-//! `RowLayout` — (`beam::Beam`): the next stage starts its children from
+//! the cut are written as rows — each its mapping's key, `u64` words laid
+//! out by `RowLayout` — (`beam::Beam`): the next stage starts its children from
 //! a parent's row and prices their shared prefix from it. Only the final
 //! ranking materializes mappings.
 //!
@@ -128,35 +129,37 @@ impl<'a> CallControls<'a> {
     }
 }
 
-/// Where each decision of a partial mapping sits in a candidate row.
+/// Where each decision of a mapping sits in a candidate row.
 ///
 /// A row is the mapping's search key — every architecture level's
 /// factors, then every temporal level's loop order as dimension indices,
-/// word for word what [`beam::mapping_key`] emits — followed by the
-/// `ndims` remaining quotas. What the cost model prices is coarser — the
-/// loop nest, in which a dimension whose factor is 1 at a level has no
-/// loop there, wherever the order puts it — so the search's estimate
-/// table is keyed by the hash of the *nest key*
-/// ([`nest_key`](Self::nest_key)): rows, and the mappings the final
-/// re-evaluation hashes through `mapping_key`, that differ only in where
-/// their unit factors sit share one estimate.
+/// word for word what [`beam::mapping_key`] emits — and nothing else: a
+/// partial mapping is the whole mapping it stands for, what no stage has
+/// placed yet sitting in the outermost memory's factors (the
+/// [`remainder`](Self::remainder)), where [`Mapping::streaming`] puts the
+/// whole problem. What the cost model prices is coarser — the loop nest,
+/// in which a dimension whose factor is 1 at a level has no loop there,
+/// wherever the order puts it — so the search's estimate table is keyed
+/// by the hash of the *nest key* ([`nest_key`](Self::nest_key)): rows, and
+/// the mappings the final re-evaluation hashes through `mapping_key`, that
+/// differ only in where their unit factors sit share one estimate.
 #[derive(Debug, Clone)]
 pub(crate) struct RowLayout {
     /// Per architecture position: offset of the level's factors, and of
     /// its order for a temporal level.
     levels: Vec<(usize, Option<usize>)>,
     ndims: usize,
-    /// Words of the key prefix; the quotas start here.
-    pub(crate) key_len: usize,
-    /// The outermost memory's position, where a row's quotas go when it
-    /// is completed.
+    /// Words per row.
+    stride: usize,
+    /// The outermost memory's position, whose factors hold what no stage
+    /// has placed yet (`ArchSpec::validate` makes it an unbounded DRAM).
     pub(crate) complete_at: usize,
 }
 
 impl RowLayout {
     /// The layout of every mapping shaped like `base` (one entry per
-    /// dimension in each level's factors and order), completed at
-    /// `complete_at`.
+    /// dimension in each level's factors and order), whose remainder sits
+    /// at `complete_at`.
     fn of(base: &Mapping, ndims: usize, complete_at: usize) -> Self {
         let mut order_at = base.levels().len() * ndims;
         let levels = base
@@ -171,12 +174,12 @@ impl RowLayout {
                 (pos * ndims, order)
             })
             .collect();
-        RowLayout { levels, ndims, key_len: order_at, complete_at }
+        RowLayout { levels, ndims, stride: order_at, complete_at }
     }
 
-    /// Words per row: the key prefix plus the quotas.
+    /// Words per row: the mapping key's length.
     pub(crate) fn stride(&self) -> usize {
-        self.key_len + self.ndims
+        self.stride
     }
 
     /// The factor slots of the level at `pos`.
@@ -191,24 +194,24 @@ impl RowLayout {
         at..at + self.ndims
     }
 
-    /// The remaining-quota slots.
-    pub(crate) fn quotas(&self) -> Range<usize> {
-        self.key_len..self.stride()
+    /// The remainder slots: the outermost memory's factors, which hold
+    /// what no stage has placed yet — the quotas a stage reads.
+    pub(crate) fn remainder(&self) -> Range<usize> {
+        self.factors(self.complete_at)
     }
 
-    /// Appends the row of `(mapping, quotas)` to `out`.
-    pub(crate) fn write_row(&self, mapping: &Mapping, quotas: &[u64], out: &mut Vec<u64>) {
+    /// Appends the row of `mapping` to `out`.
+    pub(crate) fn write_row(&self, mapping: &Mapping, out: &mut Vec<u64>) {
         let start = out.len();
         beam::write_key(mapping, out);
-        out.extend_from_slice(quotas);
-        debug_assert_eq!(out.len() - start, self.stride(), "mapping does not fit the layout");
+        debug_assert_eq!(out.len() - start, self.stride, "mapping does not fit the layout");
     }
 
-    /// The tile resident in the memory at `pos` of the row's mapping: the
-    /// product of every level's factors at positions `0..=pos`.
-    pub(crate) fn resident_tile(&self, row: &[u64], pos: usize) -> DimVec {
-        let mut tile = DimVec::from_slice(&row[self.factors(0)]);
-        for level in 1..=pos {
+    /// The tile below the level at `pos` of the row's mapping: the product
+    /// of every level's factors at positions `0..pos`.
+    pub(crate) fn tile_below(&self, row: &[u64], pos: usize) -> DimVec {
+        let mut tile = DimVec::ones(self.ndims);
+        for level in 0..pos {
             for (t, f) in tile.iter_mut().zip(&row[self.factors(level)]) {
                 *t *= f;
             }
@@ -216,40 +219,28 @@ impl RowLayout {
         tile
     }
 
-    /// Overwrites every factor and loop order of `m` (shaped like the
-    /// layout's base) with the key's.
-    fn fill(&self, key: &[u64], m: &mut Mapping) {
+    /// Makes `m` (any mapping shaped like the layout's base) the row's
+    /// mapping, overwriting every factor and loop order, without
+    /// allocating: what the final ranking validates and prices.
+    pub(crate) fn materialize_into(&self, row: &[u64], m: &mut Mapping) {
         for (pos, level) in m.levels_mut().iter_mut().enumerate() {
-            level.factors_mut().copy_from_slice(&key[self.factors(pos)]);
+            level.factors_mut().copy_from_slice(&row[self.factors(pos)]);
             if let MappingLevel::Temporal(t) = level {
-                for (slot, &d) in t.order.iter_mut().zip(&key[self.order(pos)]) {
+                for (slot, &d) in t.order.iter_mut().zip(&row[self.order(pos)]) {
                     *slot = DimId::from_index(d as usize);
                 }
             }
         }
     }
 
-    /// Makes `m` (any mapping shaped like the layout's base) the row's
-    /// mapping *as completed* — the quotas it still carries placed at the
-    /// outermost memory — without allocating: what the final ranking
-    /// validates and prices.
-    pub(crate) fn materialize_completed_into(&self, row: &[u64], m: &mut Mapping) {
-        self.fill(row, m);
-        let completed = m.levels_mut()[self.complete_at].factors_mut();
-        for (f, q) in completed.iter_mut().zip(&row[self.quotas()]) {
-            *f *= q;
-        }
-    }
-
-    /// Writes the row's *nest key* into `key`: every level's factors as
-    /// completed, then per temporal level its order cut to the dimensions
-    /// whose factor there is above 1 ([`ranks`]). Two rows with one nest
-    /// key complete to the same flattened loop nest, which is all the cost
-    /// model reads of a mapping's orders, so they price the same to the
-    /// bit.
+    /// Writes the row's *nest key* into `key`: every level's factors,
+    /// then per temporal level its order cut to the dimensions whose factor
+    /// there is above 1 ([`ranks`]). Two rows with one nest key flatten to
+    /// the same loop nest, which is all the cost model reads of a mapping's
+    /// orders, so they price the same to the bit.
     pub(crate) fn nest_key(&self, row: &[u64], key: &mut Vec<u64>) {
         let factors = self.levels.len() * self.ndims;
-        let temporal = (self.key_len - factors) / self.ndims;
+        let temporal = (self.stride - factors) / self.ndims;
         key.clear();
         key.extend_from_slice(&row[..factors]);
         key.resize(factors + temporal * self.ndims.div_ceil(8), 0);
@@ -259,9 +250,9 @@ impl RowLayout {
     }
 
     /// Brings `key`, the nest key of a row that has since changed only in
-    /// its quotas and in the factors at `pos`, up to date with `row`: what
-    /// `pos` and the completion level contribute is rewritten, the rest
-    /// kept. A run of rows that differ only there pays for its whole key
+    /// its remainder and in the factors at `pos`, up to date with `row`:
+    /// what `pos` and the outermost memory contribute is rewritten, the
+    /// rest kept. A run of rows that differ only there pays for its whole key
     /// once.
     pub(crate) fn renest(&self, row: &[u64], pos: usize, key: &mut [u64]) {
         self.renest_level(row, pos, key);
@@ -271,15 +262,10 @@ impl RowLayout {
     }
 
     /// Writes what the level at `pos` contributes to the nest key: its
-    /// factors as completed, then, for a temporal level, its cut order.
+    /// factors, then, for a temporal level, its cut order.
     fn renest_level(&self, row: &[u64], pos: usize, key: &mut [u64]) {
         let slots = self.factors(pos);
         key[slots.clone()].copy_from_slice(&row[slots.clone()]);
-        if pos == self.complete_at {
-            for (f, q) in key[slots.clone()].iter_mut().zip(&row[self.quotas()]) {
-                *f *= q;
-            }
-        }
         if let Some(order) = self.levels[pos].1 {
             let (factors, cuts) = key.split_at_mut(self.levels.len() * self.ndims);
             ranks(&row[order..order + self.ndims], &factors[slots], &mut cuts[self.orders_at(pos)]);
@@ -301,13 +287,10 @@ impl RowLayout {
         before * words..(before + 1) * words
     }
 
-    /// The nest key of a complete mapping shaped like the layout's base
-    /// (the final re-evaluation's, which never was a row).
+    /// The nest key of a mapping shaped like the layout's base (the final
+    /// re-evaluation's, which never was a row).
     pub(crate) fn nest_key_of(&self, m: &Mapping, key: &mut Vec<u64>) {
-        let mut row = beam::mapping_key(m);
-        // Nothing left to place: completing is multiplying by ones.
-        row.resize(self.stride(), 1);
-        self.nest_key(&row, key);
+        self.nest_key(&beam::mapping_key(m), key);
     }
 }
 
@@ -388,9 +371,9 @@ pub(crate) struct SearchContext<'a> {
     /// form. Empty (the common case) adds one cheap `is_empty` branch per
     /// enumeration; the free search path is otherwise untouched.
     pub(crate) constraints: ResolvedConstraints,
-    /// The all-ones mapping every search starts from (the root of the
-    /// beam is its row), and the template the final ranking materializes
-    /// rows over.
+    /// The streaming mapping every search starts from — the whole problem
+    /// at the outermost memory, the root of the beam its row — and the
+    /// template the final ranking materializes rows over.
     pub(crate) base: Mapping,
     /// The candidate-row layout of mappings shaped like `base`.
     pub(crate) layout: RowLayout,
@@ -446,7 +429,7 @@ impl<'a> SearchContext<'a> {
                 held
             })
             .collect();
-        let base = streaming_base(workload, arch);
+        let base = Mapping::streaming(workload, arch);
         let complete_at = *mems.last().expect("at least one memory");
         let layout = RowLayout::of(&base, workload.num_dims(), complete_at);
         SearchContext {
@@ -468,17 +451,6 @@ impl<'a> SearchContext<'a> {
             layout,
         }
     }
-}
-
-/// A mapping with all factors 1 — `Mapping::streaming` puts the problem
-/// at DRAM, which the search does itself at completion time.
-fn streaming_base(workload: &Workload, arch: &ArchSpec) -> Mapping {
-    let mut m = Mapping::streaming(workload, arch);
-    let last = arch.num_levels() - 1;
-    if let MappingLevel::Temporal(t) = &mut m.levels_mut()[last] {
-        t.factors = vec![1; workload.num_dims()];
-    }
-    m
 }
 
 /// A search context on an inline pool, for unit tests of the pipeline
@@ -518,12 +490,11 @@ pub(crate) mod testing {
         Some(f(&ctx))
     }
 
-    /// A random partial mapping shaped like the context's base, with the
-    /// quotas it leaves: every level takes a random divisor of what each
-    /// dimension still has to distribute, temporal levels a random loop
-    /// order, and the rest stays in the quotas — every state the search
-    /// can reach has this form.
-    pub(crate) fn random_state(ctx: &SearchContext<'_>, seed: u64) -> (Mapping, DimVec) {
+    /// A random mapping shaped like the context's base: every level takes
+    /// a random divisor of what each dimension still has to distribute,
+    /// temporal levels a random loop order, and the rest goes to the
+    /// outermost memory — every state the search can reach has this form.
+    pub(crate) fn random_state(ctx: &SearchContext<'_>, seed: u64) -> Mapping {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
         let mut next = move || {
             state ^= state << 13;
@@ -545,14 +516,7 @@ pub(crate) mod testing {
                 }
             }
         }
-        (m, quotas)
-    }
-
-    /// `m` with `quotas` placed at the outermost memory: the mapping a
-    /// row of `(m, quotas)` completes to.
-    pub(crate) fn complete(ctx: &SearchContext<'_>, m: &Mapping, quotas: &[u64]) -> Mapping {
-        let mut m = m.clone();
-        for (f, q) in m.levels_mut()[ctx.layout.complete_at].factors_mut().iter_mut().zip(quotas) {
+        for (f, q) in m.levels_mut()[ctx.layout.complete_at].factors_mut().iter_mut().zip(&quotas) {
             *f *= q;
         }
         m
@@ -597,7 +561,10 @@ mod tests {
     use proptest::prelude::*;
     use sunstone_arch::presets;
 
-    use super::testing::{complete, conv2d, random_state, with_context};
+    use super::beam::Beam;
+    use super::candidates::{expand, Candidates};
+    use super::estimate::{estimate_all, RowNest, SearchMemo};
+    use super::testing::{conv2d, matmul, random_state, with_context};
     use super::*;
 
     fn preset(i: usize) -> ArchSpec {
@@ -612,32 +579,34 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Row ↔ tree: a state's row carries its mapping key and quotas,
-        /// reads the mapping's resident tiles, and materializes to the
-        /// mapping completed with its quotas.
+        /// Row ↔ tree: a mapping's row is its mapping key, one stride
+        /// long, holds what is left in its remainder slots, reads the tiles
+        /// below each level, and materializes back to the mapping.
         #[test]
         fn rows_round_trip(arch in 0usize..4, k in 1u32..6, hw in 1u64..5, seed in 0u64..10_000) {
             let (w, arch) = (conv2d(1 << k, 24, 7 * hw), preset(arch));
             with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
                 let layout = &ctx.layout;
-                let (m, quotas) = random_state(ctx, seed);
+                let m = random_state(ctx, seed);
                 let mut row = Vec::new();
-                layout.write_row(&m, &quotas, &mut row);
+                layout.write_row(&m, &mut row);
+                assert_eq!(row, beam::mapping_key(&m));
                 assert_eq!(row.len(), layout.stride());
-                assert_eq!(&row[..layout.key_len], beam::mapping_key(&m).as_slice());
-                assert_eq!(&row[layout.quotas()], &quotas[..]);
-                for pos in 0..m.levels().len() {
-                    assert_eq!(layout.resident_tile(&row, pos), m.resident_tile(pos, w.num_dims()));
+                assert_eq!(&row[layout.remainder()], m.level(layout.complete_at).factors());
+                assert_eq!(layout.tile_below(&row, 0), DimVec::ones(w.num_dims()));
+                for pos in 1..m.levels().len() {
+                    let below = m.resident_tile(pos - 1, w.num_dims());
+                    assert_eq!(layout.tile_below(&row, pos), below);
                 }
                 let mut done = ctx.base.clone();
-                layout.materialize_completed_into(&row, &mut done);
-                assert_eq!(done, complete(ctx, &m, &quotas));
+                layout.materialize_into(&row, &mut done);
+                assert_eq!(done, m);
             });
         }
 
         /// The estimate table is probed with exactly the key
-        /// `evaluate_cached` files under — the completed mapping's nest
-        /// key — and a row hashes as the completed row it stands for.
+        /// `evaluate_cached` files under — the mapping's nest key — and a
+        /// row hashes as its mapping.
         #[test]
         fn probe_key_is_the_completed_mapping_key(
             arch in 0usize..4, k in 1u32..6, hw in 1u64..5, seed in 0u64..10_000,
@@ -645,16 +614,12 @@ mod tests {
             let (w, arch) = (conv2d(1 << k, 24, 7 * hw), preset(arch));
             with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
                 let layout = &ctx.layout;
-                let (m, quotas) = random_state(ctx, seed);
+                let m = random_state(ctx, seed);
                 let mut row = Vec::new();
-                layout.write_row(&m, &quotas, &mut row);
-                let (mut words, mut nest) = (Vec::new(), Vec::new());
-                let completed = complete(ctx, &m, &quotas);
-                let mut done = beam::mapping_key(&completed);
-                done.resize(layout.stride(), 1);
-                let hash = layout.nest_hash(&row, &mut words);
-                assert_eq!(hash, layout.nest_hash(&done, &mut words));
-                layout.nest_key_of(&completed, &mut nest);
+                layout.write_row(&m, &mut row);
+                let mut nest = Vec::new();
+                let hash = layout.nest_hash(&row, &mut Vec::new());
+                layout.nest_key_of(&m, &mut nest);
                 assert_eq!(hash, beam::key_hash(&nest));
             });
         }
@@ -669,8 +634,7 @@ mod tests {
         ) {
             let (w, arch) = (conv2d(1 << k, 24, 7 * hw), preset(arch));
             with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
-                let (m, quotas) = random_state(ctx, seed);
-                let m = complete(ctx, &m, &quotas);
+                let m = random_state(ctx, seed);
                 let nest = |m: &Mapping| {
                     let mut key = Vec::new();
                     ctx.layout.nest_key_of(m, &mut key);
@@ -698,5 +662,95 @@ mod tests {
                 }
             });
         }
+    }
+
+    /// One row as the count kernel's source.
+    struct OneRow<'a>(RowNest<'a>);
+
+    impl sunstone_model::NestSource for OneRow<'_> {
+        type Nest<'a>
+            = RowNest<'a>
+        where
+            Self: 'a;
+
+        fn count(&self) -> usize {
+            1
+        }
+
+        fn nest(&self, _: usize) -> RowNest<'_> {
+            RowNest { layout: self.0.layout, row: self.0.row }
+        }
+    }
+
+    /// Every beam row is a whole mapping, on real searches: walking the
+    /// stages of a conv and a matmul on every preset, after every cut each
+    /// survivor's row, materialized, multiplies per dimension to the
+    /// problem's extent, writes back to the same row, prices through its
+    /// row against the empty prefix to exactly `evaluate_unchecked`'s
+    /// bits, and carries its row's nest hash. Whether a row's tiles fit
+    /// the memories above is not asserted: the beam may keep a parent
+    /// whose tile a memory above cannot hold, a dead end rather than a
+    /// malformed row.
+    #[test]
+    fn every_beam_row_is_a_whole_mapping() {
+        let mut rows = 0;
+        for arch in (0..4).map(preset) {
+            for w in [conv2d(16, 24, 14), matmul(64, 48, 96)] {
+                with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
+                    let (layout, model) = (&ctx.layout, &ctx.model);
+                    let (mut memo, mut stats) = (SearchMemo::default(), SearchStats::default());
+                    let (mut cands, mut beam) = (Candidates::new(ctx), Beam::root(ctx));
+                    let mut scratch = model.batch_scratch();
+                    for stage in 0..ctx.mems.len() {
+                        cands.start_stage(ctx, stage);
+                        for parent in 0..beam.len() {
+                            expand(ctx, &beam, parent, stage, &mut cands, &mut memo, &mut stats);
+                        }
+                        cands.hash_children(&beam);
+                        let round =
+                            estimate_all(ctx, &mut cands, &beam, stage, &mut memo, &mut stats);
+                        assert!(round.is_none());
+                        beam = beam::select(ctx, &cands, &beam, stage, &mut stats);
+                        assert!(beam.len() > 0, "{} stage {stage}: an empty beam", arch.name());
+                        for (i, (m, nest)) in beam.mappings(ctx).into_iter().enumerate() {
+                            let (row, case) =
+                                (beam.row(i), format!("{} stage {stage}", arch.name()));
+                            for d in 0..w.num_dims() {
+                                let extent: u64 =
+                                    m.levels().iter().map(|l| l.factors()[d]).product();
+                                assert_eq!(extent, w.dim_sizes()[d], "{case} row {i} dim {d}");
+                            }
+                            let mut written = Vec::new();
+                            layout.write_row(&m, &mut written);
+                            assert_eq!(written, row, "{case} row {i}");
+                            let want = model.evaluate_unchecked(&m);
+                            let mut priced = 0;
+                            let source = OneRow(RowNest { layout, row });
+                            model.price_prefixed_batch(
+                                model.empty_prefix(),
+                                &source,
+                                &mut scratch,
+                                |_, got| {
+                                    assert_eq!(got.energy_pj.to_bits(), want.energy_pj.to_bits());
+                                    assert_eq!(
+                                        got.delay_cycles.to_bits(),
+                                        want.delay_cycles.to_bits()
+                                    );
+                                    priced += 1;
+                                },
+                            );
+                            assert_eq!(priced, 1, "{case} row {i}");
+                            assert_eq!(
+                                nest,
+                                layout.nest_hash(row, &mut Vec::new()),
+                                "{case} row {i}"
+                            );
+                            rows += 1;
+                        }
+                    }
+                });
+            }
+        }
+        assert!(rows > 0, "no row was checked");
     }
 }

@@ -297,8 +297,10 @@ pub struct BatchStats {
     /// Estimate-table hits of the unique searches
     /// ([`SearchStats::cache_hits`] summed per unique shape).
     pub cache_hits: u64,
-    /// Estimate-table misses — model evaluations — of the unique searches
-    /// ([`SearchStats::cache_misses`] summed per unique shape).
+    /// Estimate-table misses of the unique searches
+    /// ([`SearchStats::cache_misses`] summed per unique shape). A miss is
+    /// priced, cut by the bound or cut by a stop; the model evaluations
+    /// are [`SearchStats::modeled`].
     pub cache_misses: u64,
     /// Mappings estimated across the unique searches
     /// ([`SearchStats::probed`] summed per unique shape).
@@ -939,11 +941,11 @@ impl Scheduler {
             SearchStop::Completed => false,
         };
         let ranking = Instant::now();
-        // A truncated walk leaves quotas undecided; each row completes the
-        // way estimation completed it (best-so-far contract). A completed
-        // walk's rows have nothing left to place.
+        // Every row is a whole mapping: a truncated walk's rows keep what
+        // no stage placed at the outermost memory, as estimation priced
+        // them (best-so-far contract).
         let mut valid: Vec<(Mapping, CostReport)> = Vec::new();
-        for (mapping, nest) in run.beam.completed(&ctx) {
+        for (mapping, nest) in run.beam.mappings(&ctx) {
             // Constrained calls additionally check the full mapping
             // against the resolved set the enumerators read — belt and
             // braces over the in-enumeration filters (and the only guard

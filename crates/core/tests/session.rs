@@ -81,18 +81,20 @@ fn witness(r: &ScheduleResult) -> Witness {
 
 /// What the session's memo answers for a context whose search returned
 /// `searched`: the same mapping, report and enumeration counters, with the
-/// model and capacity-probe columns struck out — nothing modeled or probed
-/// for the call, every estimate request served from memory. Applied to both sides it is the part of a
-/// witness that may not depend on whether the call searched or hit.
+/// model and capacity-probe columns struck out — nothing modeled, bounded
+/// or probed for the call, every estimate request served from memory, in
+/// total and per level. Applied to both sides it is the part of a witness
+/// that may not depend on whether the call searched or hit.
 fn remembered(searched: &Witness) -> Witness {
     let (mapping, report, mut stats) = searched.clone();
-    (stats.modeled, stats.prefix_hits, stats.batches, stats.batched) = (0, 0, 0, 0);
+    (stats.modeled, stats.bounded, stats.prefix_hits, stats.batches, stats.batched) =
+        (0, 0, 0, 0, 0);
     stats.capacity_probes = 0;
     stats.cache_hits += stats.cache_misses;
     stats.cache_misses = 0;
     for l in &mut stats.levels {
         l.cache_hits += l.cache_misses;
-        l.cache_misses = 0;
+        (l.cache_misses, l.bounded) = (0, 0);
     }
     (mapping, report, stats)
 }
@@ -897,13 +899,7 @@ fn a_hit_is_bit_identical_to_the_search_it_replaced() {
             assert_eq!(entry.finalists.len(), searched.len());
             assert_eq!(hit.len(), searched.len());
             for ((s, h), f) in searched.iter().zip(&hit).zip(entry.finalists.iter()) {
-                // `remembered` predates the bound: a hit strikes what the
-                // bound cut as well (`SearchStats::bounded`), in total and
-                // per level.
-                let mut expected = remembered(&whole(s));
-                expected.2.bounded = 0;
-                expected.2.levels.iter_mut().for_each(|l| l.bounded = 0);
-                assert_eq!(whole(h), expected, "{} top {k}", arch.name());
+                assert_eq!(whole(h), remembered(&whole(s)), "{} top {k}", arch.name());
                 assert_eq!(h.stats.levels.len(), s.stats.levels.len());
                 assert_eq!(bits(&h.report), bits(&s.report));
                 assert_eq!(f.mapping, s.mapping);

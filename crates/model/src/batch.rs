@@ -15,11 +15,10 @@
 //! scratch does not grow with the batch.
 //!
 //! The kernel reads its candidates through [`NestSource`]: per candidate
-//! and undecided level, the loop factors — with the remainder a candidate
-//! still carries folded in at its completion level — and the loop order.
-//! The search feeds it its candidates, each read from its parent's row and
-//! the choices it adds, never written out; `[Mapping]` is the other
-//! source, and the same code, monomorphized, prices both.
+//! and undecided level, the loop factors and the loop order. The search
+//! feeds it its candidates, each read from its parent's row and the
+//! choices it adds, never written out; `[Mapping]` is the other source,
+//! and the same code, monomorphized, prices both.
 //!
 //! Every entry point of the model is a call of this kernel. A full
 //! evaluation ([`CostModel::evaluate_unchecked`],
@@ -80,19 +79,15 @@ pub trait NestSource {
 
 /// One candidate's loop nest as the count kernel reads it: per
 /// architecture position `pos` the loop factors and, at a temporal level,
-/// the loop order; a candidate that still carries a remainder names the
-/// level it completes at, whose factors the kernel multiplies by it.
+/// the loop order. A candidate is a whole mapping: the search keeps what
+/// no stage has placed yet in the outermost memory's factors.
 pub trait Nest {
-    /// The loop factors at `pos`, one per dimension, before completion.
+    /// The loop factors at `pos`, one per dimension.
     fn factors(&self, pos: usize) -> &[u64];
 
     /// The loop order at the temporal level at `pos`, innermost first, as
     /// dimension indices.
     fn order(&self, pos: usize) -> impl DoubleEndedIterator<Item = usize> + '_;
-
-    /// The level the candidate completes at and the per-dimension
-    /// remainder it places there; `None` for a complete candidate.
-    fn completion(&self) -> Option<(usize, &[u64])>;
 }
 
 impl NestSource for [Mapping] {
@@ -119,10 +114,6 @@ impl Nest for &Mapping {
         };
         order.iter().map(|d| d.index())
     }
-
-    fn completion(&self) -> Option<(usize, &[u64])> {
-        None
-    }
 }
 
 /// One candidate's setup columns over the levels the kernel prices: its
@@ -137,8 +128,6 @@ pub(crate) struct Columns {
     pub(crate) marks: Vec<u32>,
     /// Resident tiles, `ndims` words a level, lowest level first.
     pub(crate) resident: Vec<u64>,
-    /// One level's factors as completed.
-    level: Vec<u64>,
 }
 
 impl Columns {
@@ -155,7 +144,7 @@ impl Columns {
         ladder: &mut [f64],
     ) {
         self.begin(levels.len());
-        self.ladder(plan, nest, levels.clone(), ladder);
+        Self::ladder(plan, nest, levels.clone(), ladder);
         self.push_resident(nest, levels.clone(), base);
         self.push_loops(plan, nest, levels.start, levels);
     }
@@ -169,25 +158,10 @@ impl Columns {
         self.resident.clear();
     }
 
-    /// The candidate's factors at `pos` as completed: the remainder it
-    /// still carries folded in at its completion level.
-    fn completed<'s>(level: &'s mut Vec<u64>, nest: &'s impl Nest, pos: usize) -> &'s [u64] {
-        let factors = nest.factors(pos);
-        match nest.completion() {
-            Some((at, rest)) if at == pos => {
-                level.clear();
-                level.extend(factors.iter().zip(rest).map(|(f, r)| f * r));
-                level
-            }
-            _ => factors,
-        }
-    }
-
     /// `ladder[j]` becomes the product of the candidate's spatial factors
     /// at positions `≥ levels.start + j`, extending the product above the
     /// levels given in its last entry.
     pub(crate) fn ladder(
-        &mut self,
         plan: &PricingPlan<'_>,
         nest: &impl Nest,
         levels: Range<usize>,
@@ -196,8 +170,7 @@ impl Columns {
         for q in levels.clone().rev() {
             let j = q - levels.start;
             ladder[j] = if plan.is_fabric(q) {
-                let factors = Self::completed(&mut self.level, nest, q);
-                ladder_step(plan, q, factors, ladder[j + 1])
+                ladder_step(plan, q, nest.factors(q), ladder[j + 1])
             } else {
                 ladder[j + 1]
             };
@@ -206,11 +179,9 @@ impl Columns {
 
     /// Appends the candidate's resident tiles at `levels`, innermost
     /// first, extending `base` (the tile below the first of them): each
-    /// level's tile is the one below it times the level's factors as
-    /// completed.
+    /// level's tile is the one below it times the level's factors.
     pub(crate) fn push_resident(&mut self, nest: &impl Nest, levels: Range<usize>, base: &[u64]) {
         let ndims = base.len();
-        let (complete_at, rest) = nest.completion().unwrap_or((usize::MAX, &[]));
         for q in levels.clone() {
             let at = self.resident.len();
             if q == levels.start {
@@ -220,9 +191,6 @@ impl Columns {
             }
             let tile = &mut self.resident[at..];
             tile.iter_mut().zip(nest.factors(q)).for_each(|(t, f)| *t *= f);
-            if q == complete_at {
-                tile.iter_mut().zip(rest).for_each(|(t, r)| *t *= r);
-            }
         }
     }
 
@@ -241,7 +209,7 @@ impl Columns {
     ) {
         for q in levels.clone().rev() {
             self.marks[q - first + 1] = self.loops.len() as u32;
-            let factors = Self::completed(&mut self.level, nest, q);
+            let factors = nest.factors(q);
             let loops = &mut self.loops;
             let mut push = |d: usize, kind| {
                 let factor = factors[d];
@@ -324,8 +292,8 @@ impl CostModel<'_> {
     /// totals are bit-identical to the `energy_pj` and `delay_cycles` of
     /// the report form.
     ///
-    /// Every candidate's levels `0..=prefix.boundary()`, as completed,
-    /// must equal the levels `prefix` was built from.
+    /// Every candidate's levels `0..=prefix.boundary()` must equal the
+    /// levels `prefix` was built from.
     pub fn price_prefixed_batch<S: NestSource + ?Sized>(
         &self,
         prefix: &MappingPrefix,
@@ -431,7 +399,7 @@ impl CostModel<'_> {
             s.s_above.resize(n_levels + 1, 1.0);
             let cols = &mut s.columns;
             cols.begin(n_levels - first);
-            cols.ladder(plan, &nest, first..n_levels, &mut s.s_above[first..]);
+            Columns::ladder(plan, &nest, first..n_levels, &mut s.s_above[first..]);
             let s_cand = s.s_above[first];
             for (r, &mid) in s.s_above[..first].iter_mut().zip(&prefix.s_mid) {
                 *r = s_cand * mid;

@@ -3,7 +3,7 @@
 //! The level-by-level search (paper Section III-C / V-A) expands many
 //! candidates from one parent state: every candidate shares all mapping
 //! levels at positions `0..=boundary` (the decided prefix) and differs
-//! only in the frontier and completion levels above. A walk of the whole
+//! only in the frontier and outermost levels above. A walk of the whole
 //! nest would recompute the prefix's resident tiles, spatial products,
 //! and per-(tensor, storing-pair) refill analysis for each candidate.
 //!

@@ -98,7 +98,9 @@ pub struct ServeConfig {
     pub socket: PathBuf,
     /// Store directory; `None` runs fully in-memory.
     pub store_dir: Option<PathBuf>,
-    /// Shard count for a fresh store (existing stores keep theirs).
+    /// Shard count of the store (1 to 64): a fresh store is made with it,
+    /// and an existing store written with another count is re-sharded to
+    /// it when it is opened, every record kept.
     pub shards: usize,
     /// Store durability policy (see [`FsyncPolicy`]).
     pub fsync: FsyncPolicy,

@@ -79,6 +79,9 @@
 //! valid. It reads each shard once, in sequence, and copies the indexed
 //! lines out after checking each checksum again; it parses no JSON.
 //! Quarantine sidecars are left untouched — they are operator evidence.
+//! An open with another shard count than the store was written with
+//! indexes every `shard-NN.log` in the directory and rewrites the store
+//! the same way, to the count it is given, removing the files past it.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -224,9 +227,10 @@ pub struct StoreStats {
 }
 
 /// Where a record's line lies: the shard file, the offset of the line's
-/// first byte and its length without the newline. The file is the one the
-/// context's fingerprint names ([`MappingStore::shard_of`]) unless the
-/// store was written with another shard count and not compacted since.
+/// first byte and its length without the newline. Once the store is open
+/// the file is the one the context's fingerprint names
+/// ([`MappingStore::shard_of`]); only while an open re-shards a store
+/// written with another shard count does a line lie in another file.
 #[derive(Debug, Clone, Copy)]
 struct Span {
     offset: u64,
@@ -254,6 +258,27 @@ struct ShardFile {
     end: Option<u64>,
     /// The last fsync, for [`FsyncPolicy::Interval`].
     last_sync: Instant,
+}
+
+/// The most shard files a store has: shard indices are two digits in a
+/// file name and a `u8` in a [`Span`].
+const MAX_SHARDS: usize = 64;
+
+/// One past the highest `NN` of a `shard-NN.log` in `dir` (`NN` below
+/// [`MAX_SHARDS`]); 0 when there is none.
+fn shards_on_disk(dir: &Path) -> std::io::Result<usize> {
+    let mut on_disk = 0;
+    for entry in fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let nn = name.to_str().and_then(|n| n.strip_prefix("shard-")?.strip_suffix(".log"));
+        if let Some(nn) = nn.filter(|nn| nn.len() == 2 && nn.bytes().all(|b| b.is_ascii_digit())) {
+            let shard: usize = nn.parse().expect("two digits");
+            if shard < MAX_SHARDS {
+                on_disk = on_disk.max(shard + 1);
+            }
+        }
+    }
+    Ok(on_disk)
 }
 
 /// The whole of an old shard file (nothing when it is gone).
@@ -291,9 +316,12 @@ pub struct MappingStore {
 
 impl MappingStore {
     /// Opens (or initializes) a store directory with `shards` shard
-    /// files and the default [`FsyncPolicy`]. Existing shards are
-    /// indexed (v1 shards are migrated); see the module docs for how
-    /// corruption and version skew degrade.
+    /// files (1 to 64) and the default [`FsyncPolicy`]. Every existing
+    /// `shard-NN.log` is indexed (v1 shards are migrated), and a store
+    /// written with another shard count is re-sharded to `shards`: no
+    /// record is lost and none is left where a later open would read it
+    /// as current; see the module docs for how corruption and version skew
+    /// degrade.
     ///
     /// # Errors
     ///
@@ -314,8 +342,9 @@ impl MappingStore {
         fsync: FsyncPolicy,
     ) -> std::io::Result<MappingStore> {
         let dir = dir.into();
-        let shards = shards.clamp(1, 64);
+        let shards = shards.clamp(1, MAX_SHARDS);
         fs::create_dir_all(&dir)?;
+        let on_disk = shards_on_disk(&dir)?;
         let now = Instant::now();
         let mut store = MappingStore {
             dir,
@@ -326,14 +355,24 @@ impl MappingStore {
                 .collect(),
             stats: StoreStats::default(),
         };
-        let mut v1 = vec![false; shards];
+        let mut v1 = vec![false; shards.max(on_disk)];
         for (shard, v1) in v1.iter_mut().enumerate() {
             *v1 = store.load_shard(shard)? == Some(SCHEMA_V1);
         }
         store.stats.migrated_shards = v1.iter().filter(|&&v1| v1).count();
-        // A v1 shard is migrated, and a rejected line leaves its shard: it
-        // is in the sidecar now, and would be copied there at every open.
-        if store.stats.migrated_shards > 0 || store.stats.quarantined > 0 {
+        // A v1 shard is migrated; a rejected line leaves its shard: it is
+        // in the sidecar now, and would be copied there at every open; and
+        // a store written with another shard count is re-sharded, so that
+        // no file past the count keeps lines a later open would index.
+        let misplaced = store
+            .index
+            .iter()
+            .any(|(&ctx_fp, span)| usize::from(span.shard) != store.shard_of(ctx_fp));
+        if store.stats.migrated_shards > 0
+            || store.stats.quarantined > 0
+            || misplaced
+            || on_disk > shards
+        {
             store.rewrite(&v1)?;
         }
         Ok(store)
@@ -561,12 +600,13 @@ impl MappingStore {
     /// a line of a v1 file (`v1[shard]`) is parsed and written in v2 form;
     /// a line that fails is quarantined and dropped from the index.
     ///
-    /// Lines are read from the files as they were before the first rename:
-    /// a store reopened with another shard count holds some lines in
-    /// another shard's file, which may be rewritten first.
+    /// Lines are read from the files as they were before the first rename,
+    /// one per entry of `v1`: a store reopened with another shard count
+    /// holds some lines in another shard's file, which may be rewritten
+    /// first, or in a file past the count, which goes once it is copied.
     fn rewrite(&mut self, v1: &[bool]) -> std::io::Result<()> {
-        let mut old = Vec::with_capacity(self.shards.len());
-        for shard in 0..self.shards.len() {
+        let mut old = Vec::with_capacity(v1.len());
+        for shard in 0..v1.len() {
             old.push(match File::open(self.shard_path(shard)) {
                 Ok(f) => Some(f),
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
@@ -575,6 +615,11 @@ impl MappingStore {
         }
         for shard in 0..self.shards.len() {
             self.rewrite_shard(shard, &old, v1)?;
+        }
+        for (shard, file) in old.iter().enumerate().skip(self.shards.len()) {
+            if file.is_some() {
+                fs::remove_file(self.shard_path(shard))?;
+            }
         }
         Ok(())
     }
@@ -1041,6 +1086,38 @@ mod tests {
         assert_eq!((s.len(), s.stats().quarantined), (9, 0));
         let files = (0..4).filter(|i| dir.join(format!("shard-{i:02}.log")).exists()).count();
         assert_eq!(files, 4, "compaction spread the records over every shard");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A store reopened with fewer shards indexes the files past the count
+    /// and re-shards them: none is left on disk for a later open with more
+    /// shards to read a superseded line from.
+    #[test]
+    fn a_store_reopened_with_fewer_shards_keeps_every_record() {
+        let dir = tmpdir("unshard");
+        {
+            let mut s = MappingStore::open(&dir, 4).unwrap();
+            for i in 0..8u64 {
+                s.append(rec(i << 56, i as f64)).unwrap();
+            }
+            s.compact().unwrap();
+        }
+        let mut s = MappingStore::open(&dir, 2).unwrap();
+        assert_eq!((s.len(), s.stats().quarantined), (8, 0));
+        for i in 0..8u64 {
+            assert_eq!(s.get(i << 56).unwrap().edp, i as f64);
+        }
+        s.append(rec(3 << 56, 33.0)).unwrap();
+        s.compact().unwrap();
+        drop(s);
+        let files = (0..4).filter(|i| dir.join(format!("shard-{i:02}.log")).exists()).count();
+        assert_eq!(files, 2, "the files past the count are gone");
+        let s = MappingStore::open(&dir, 4).unwrap();
+        assert_eq!((s.len(), s.stats().quarantined), (8, 0));
+        for i in 0..8u64 {
+            let edp = if i == 3 { 33.0 } else { i as f64 };
+            assert_eq!(s.get(i << 56).unwrap().edp, edp, "record {i}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
