@@ -108,22 +108,24 @@ if ! grep -q "1 passed" <<<"$index_test"; then
     exit 1
 fi
 
-echo "== one table rule =="
-# The search's estimate table files prices and nothing else: a round
-# reads it, finds its own repeats in an index of its own, and files what
-# it priced when it ends. A pending entry is a slot reserved for every
-# miss, the misses the bound then cuts included.
-if grep -n 'Pending' crates/core/src/search/estimate.rs; then
-    echo "crates/core/src/search/estimate.rs reserves table entries for misses" >&2
+echo "== one round rule =="
+# An estimate lives as long as its round: the round finds its own repeats
+# in an index of its own and the final ranking prices what the caller
+# receives afresh. A table of estimates kept across rounds, or a lookup of
+# a finalist in one, is a second memory of prices; its only hits were the
+# outermost memory's stage re-filing its parents, a stage the search now
+# runs only when a fabric sits directly below that memory.
+if grep -rnE 'EstimateTable|evaluate_cached|KeyHashMap' crates/core/src; then
+    echo "crates/core/src keeps estimates across rounds" >&2
     exit 1
 fi
-# One entry per priced nest, and room for at most twice that, after a
-# Simba search (release, the build the search runs in).
-table_test=$(cargo test -q --release -p sunstone --lib -- --exact \
-    search::estimate::tests::the_estimate_table_holds_only_prices 2>&1) || { echo "$table_test"; exit 1; }
-if ! grep -q "1 passed" <<<"$table_test"; then
-    echo "$table_test"
-    echo "search::estimate::tests::the_estimate_table_holds_only_prices did not run" >&2
+# Without such a fabric, the outermost stage's children are its parents,
+# on every preset (release, the build the search runs in).
+round_test=$(cargo test -q --release -p sunstone --lib -- --exact \
+    search::tests::the_outermost_stage_without_a_fabric_keeps_its_parents 2>&1) || { echo "$round_test"; exit 1; }
+if ! grep -q "1 passed" <<<"$round_test"; then
+    echo "$round_test"
+    echo "search::tests::the_outermost_stage_without_a_fabric_keeps_its_parents did not run" >&2
     exit 1
 fi
 
@@ -298,12 +300,12 @@ assert ratio >= 1.5, (
 )
 # Memory gate: the process's peak resident set (`VmHWM`) over the quick
 # run. A stage's candidates are columns over a run table, only the beam's
-# survivors are written out as rows, and the estimate table files prices
-# only; a change that keeps a row per candidate again (6.7 MB a Simba
-# stage), or reserves a table entry per miss, goes over this ceiling.
-# 3.8-4.0 MB observed (4.6-5.0 MB when the table reserved an entry per
-# miss, 11.3 MB when every candidate had a row); the ceiling is the
-# highest of those runs plus 25 %.
+# survivors are written out as rows, and no estimate outlives its round;
+# a change that keeps a row per candidate again (6.7 MB a Simba stage),
+# or an entry per miss in a table kept across rounds, goes over this
+# ceiling. 3.8-4.0 MB observed while a per-search table filed prices
+# (4.6-5.0 MB when it reserved an entry per miss, 11.3 MB when every
+# candidate had a row); the ceiling is the highest of those runs plus 25 %.
 PEAK_RSS_CEILING_MB = 5.0
 assert 0 < d["peak_rss_mb"] <= PEAK_RSS_CEILING_MB, (
     f"quick bench peaked at {d['peak_rss_mb']:.2f} MB resident,"

@@ -164,7 +164,7 @@ fn main() {
     println!(
         "\nScheduling overhead (per-level SearchStats, summed over layers): \
          {:.1} ms wall, {} mappings estimated, {} cut by the beam, \
-         estimate-table hit rate {:.1}%",
+         in-round repeat rate {:.1}%",
         search_elapsed.as_secs_f64() * 1e3,
         search_evaluated,
         search_beam_cut,

@@ -6,9 +6,9 @@
 //! [`SearchStats`](sunstone::SearchStats) the scheduler records while
 //! searching — per memory level, how many candidates each principle
 //! considered and kept (ordering trie, tiling maximal frontier, spatial
-//! unrolling, beam cut), how the search's estimate table fared —
-//! including the SoA batch width of the estimate rounds — and where the
-//! stage's wall time went (expand — with its tile, unroll and ordering
+//! unrolling, beam cut), how many candidates repeated a loop nest of
+//! their estimate round — and the SoA batch width of the rounds — and
+//! where the stage's wall time went (expand — with its tile, unroll and ordering
 //! enumerations and its row writes — / estimate — with its
 //! prefix / price / publish parts — / select), what one priced candidate
 //! cost (`price` time ÷ model evaluations), and how many lattice nodes
@@ -238,7 +238,7 @@ fn main() {
     println!("  worker pool:      {:>8} rounds", total.rounds);
     println!("  final ranking:    {:>8.2} ms", total.rank.as_secs_f64() * 1e3);
     println!(
-        "  estimate table:   {:>8} probes, {:.1}% hits",
+        "  estimate rounds:  {:>8} probes, {:.1}% in-round repeats",
         probes,
         if probes == 0 { 0.0 } else { 100.0 * total.cache_hits as f64 / probes as f64 }
     );

@@ -26,16 +26,16 @@ use crate::progress::CancelToken;
 
 /// Every failpoint compiled into the scheduler, in hot-path order:
 ///
-/// * `"estimate.round"` — start of [`estimate_all`], before the probe
-///   pass (fires once per search stage that has candidates);
+/// * `"estimate.round"` — start of [`estimate_all`], before the round
+///   finds its repeats (fires once per search stage that has candidates);
 /// * `"estimate.prefix"` — per miss considered by the bottom-up
 ///   decided-prefix memoization loop;
 /// * `"pool.claim"` — per index claimed in a worker-pool round, on the
 ///   claiming thread (worker or submitter) *inside* the pool's panic
 ///   catch, so an injected panic surfaces exactly like a model panic;
-/// * `"estimate.publish"` — per estimate published into the search's table
-///   at the end of an estimate round (a fault here leaves the table
-///   half-written, which must not outlive the call).
+/// * `"estimate.publish"` — per estimate settled in the arena's estimate
+///   column at the end of an estimate round (a fault here leaves the
+///   column half-settled, which must not outlive the call).
 ///
 /// [`estimate_all`]: crate::search::estimate
 pub const POINTS: &[&str] =

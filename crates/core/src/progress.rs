@@ -60,8 +60,8 @@ pub enum ProgressEvent {
         candidates: usize,
         /// Beam states surviving the cut.
         beam: usize,
-        /// Fraction of this stage's estimates served by the search's
-        /// estimate table.
+        /// Fraction of this stage's candidates that repeated an earlier
+        /// candidate's loop nest in the round and took its price.
         cache_hit_rate: f64,
         /// Candidates the user constraint filter removed at this stage
         /// (0 on unconstrained calls).

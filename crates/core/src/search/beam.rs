@@ -1,52 +1,18 @@
 //! The beam between stages and the alpha-beta-style cut that keeps it,
-//! plus the mapping key a row shares its prefix with and the
-//! 128-bit hash that stands in for a nest key.
+//! plus the 128-bit hash that stands in for a nest key.
 //!
 //! The beam is kept as rows ([`Beam`]): a survivor is its candidate's
-//! row, written out of the arena's runs once it is kept, with the hash of
-//! its nest and what its ordering excludes from the next stage's unroll.
-//! The next stage starts its children from the row and prices their
-//! shared prefix from it; only the final ranking turns rows into mappings.
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+//! row, written out of the arena's runs once it is kept, with what its
+//! ordering excludes from the next stage's unroll. The next stage starts
+//! its children from the row and prices their shared prefix from it; only
+//! the final ranking turns rows into mappings.
 
 use sunstone_ir::DimSet;
-use sunstone_mapping::{Mapping, MappingLevel};
+use sunstone_mapping::Mapping;
 
 use super::candidates::Candidates;
 use super::stats::SearchStats;
 use super::SearchContext;
-
-/// A mapping's search identity: every level's factors, then each
-/// temporal level's loop order. Two mappings with equal keys are the same
-/// point in the space. Inside the search a candidate's row
-/// ([`RowLayout`](super::RowLayout)) is this key, word for word, and
-/// nothing builds the key itself: rows are hashed in place. The function
-/// serves [`RowLayout::nest_key_of`](super::RowLayout::nest_key_of), which
-/// keys mappings that never were rows.
-pub(crate) fn mapping_key(m: &Mapping) -> Vec<u64> {
-    let words = m
-        .levels()
-        .iter()
-        .map(|l| l.factors().len() + l.as_temporal().map_or(0, |t| t.order.len()))
-        .sum();
-    let mut key = Vec::with_capacity(words);
-    write_key(m, &mut key);
-    key
-}
-
-/// Appends [`mapping_key`]'s words to `key`.
-pub(crate) fn write_key(m: &Mapping, key: &mut Vec<u64>) {
-    for level in m.levels() {
-        key.extend_from_slice(level.factors());
-    }
-    for level in m.levels() {
-        if let MappingLevel::Temporal(t) = level {
-            key.extend(t.order.iter().map(|d| d.index() as u64));
-        }
-    }
-}
 
 /// 64 × 64 → 128-bit multiply folded back to 64 bits: every input bit
 /// reaches every output bit through the carry chain.
@@ -121,56 +87,15 @@ pub(crate) fn key_hash(words: &[u64]) -> u128 {
     Lanes::SEED.absorb(words).finish(words.len())
 }
 
-/// A [`key_hash`] as a map key: its two halves, low first. A `u128` is
-/// aligned to 16 bytes, so a bucket of one and an `f64` takes 32; a pair
-/// of words is aligned to 8, and the same bucket takes 24.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct HashKey([u64; 2]);
-
-impl From<u128> for HashKey {
-    fn from(hash: u128) -> Self {
-        HashKey([hash as u64, (hash >> 64) as u64])
-    }
-}
-
-impl Hash for HashKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.0[0]);
-    }
-}
-
-/// Hasher of maps keyed by a [`key_hash`]: the key is already uniformly
-/// mixed, so its low half *is* the table hash.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("PassThrough only hashes key hashes");
-    }
-
-    fn write_u64(&mut self, low: u64) {
-        self.0 = low;
-    }
-}
-
-/// A map keyed by [`key_hash`] values.
-pub(crate) type KeyHashMap<V> = HashMap<HashKey, V, BuildHasherDefault<PassThrough>>;
-
 /// The partial mappings alive between two stages, as rows: per survivor,
-/// its candidate row ([`RowLayout`](super::RowLayout)), the hash of its
-/// nest key, and the dimensions the ordering it chose for the next memory
-/// excludes from that memory's fabric (the Spatial Unrolling Principle's
-/// input; empty when it chose none). At most `beam_width` rows.
+/// its candidate row ([`RowLayout`](super::RowLayout)) and the dimensions
+/// the ordering it chose for the next memory excludes from that memory's
+/// fabric (the Spatial Unrolling Principle's input; empty when it chose
+/// none). At most `beam_width` rows.
 #[derive(Debug, Default, PartialEq)]
 pub(crate) struct Beam {
     stride: usize,
     rows: Vec<u64>,
-    pub(crate) nest: Vec<u128>,
     pub(crate) unroll_excluded: Vec<DimSet>,
 }
 
@@ -181,28 +106,20 @@ impl Beam {
         let layout = &ctx.layout;
         let mut rows = Vec::with_capacity(layout.stride());
         layout.write_row(&ctx.base, &mut rows);
-        let nest = layout.nest_hash(&rows, &mut Vec::new());
-        Beam {
-            stride: layout.stride(),
-            rows,
-            nest: vec![nest],
-            unroll_excluded: vec![DimSet::EMPTY],
-        }
+        Beam { stride: layout.stride(), rows, unroll_excluded: vec![DimSet::EMPTY] }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.nest.len()
+        self.unroll_excluded.len()
     }
 
     /// A beam of `rows` with nothing excluded from unrolling: what tests
     /// expand arenas from.
     #[cfg(test)]
     pub(crate) fn of_rows(ctx: &SearchContext<'_>, rows: &[Vec<u64>]) -> Self {
-        let layout = &ctx.layout;
         Beam {
-            stride: layout.stride(),
+            stride: ctx.layout.stride(),
             rows: rows.concat(),
-            nest: rows.iter().map(|row| layout.nest_hash(row, &mut Vec::new())).collect(),
             unroll_excluded: vec![DimSet::EMPTY; rows.len()],
         }
     }
@@ -213,13 +130,13 @@ impl Beam {
     }
 
     /// Every survivor's mapping — what no stage placed still at the
-    /// outermost memory — with its nest hash, best first.
-    pub(crate) fn mappings(&self, ctx: &SearchContext<'_>) -> Vec<(Mapping, u128)> {
+    /// outermost memory — best first.
+    pub(crate) fn mappings(&self, ctx: &SearchContext<'_>) -> Vec<Mapping> {
         (0..self.len())
             .map(|i| {
                 let mut m = ctx.base.clone();
                 ctx.layout.materialize_into(self.row(i), &mut m);
-                (m, self.nest[i])
+                m
             })
             .collect()
     }
@@ -259,13 +176,11 @@ pub(crate) fn select(
     let mut beam = Beam {
         stride,
         rows: Vec::with_capacity(ranked.len() * stride),
-        nest: Vec::with_capacity(ranked.len()),
         unroll_excluded: Vec::with_capacity(ranked.len()),
     };
     for i in ranked {
         let i = i as usize;
         cands.write_row(parents, i, &mut beam.rows);
-        beam.nest.push(cands.nest[i]);
         beam.unroll_excluded.push(cands.unroll_excluded_of(i));
     }
     beam

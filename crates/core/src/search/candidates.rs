@@ -63,8 +63,8 @@ pub(crate) struct Candidates {
     /// until the estimate round fills it in).
     pub(crate) estimate: Vec<f64>,
     /// Per candidate, the 128-bit hash of its
-    /// [`nest_key`](RowLayout::nest_key): what the estimate table files
-    /// its price under. Taken from the scratch row as each child is hashed
+    /// [`nest_key`](RowLayout::nest_key): what the estimate round finds
+    /// its repeats by. Taken from the scratch row as each child is hashed
     /// ([`hash_children`](Self::hash_children)).
     pub(crate) nest: Vec<u128>,
     /// Scratch for the nest keys.
@@ -252,7 +252,11 @@ impl Candidates {
                 self.place_tile(growth, remaining, &mut row);
                 layout.renest(&row, self.stage.mem, &mut key);
                 let nest = beam::key_hash(&key);
-                debug_assert_eq!(nest, layout.nest_hash(&row, &mut Vec::new()));
+                if cfg!(debug_assertions) {
+                    let mut fresh = Vec::new();
+                    layout.nest_key(&row, &mut fresh);
+                    assert_eq!(nest, beam::key_hash(&fresh), "a renested key went stale");
+                }
                 self.nest.push(nest);
             }
             debug_assert_eq!(self.nest.len(), run.end as usize);
@@ -1232,14 +1236,8 @@ mod tests {
             let mut parents = Beam::root(ctx);
             for stage in 0..2 {
                 if stage > 0 {
-                    let round = estimate::estimate_all(
-                        ctx,
-                        &mut cands,
-                        &parents,
-                        stage - 1,
-                        &mut memo,
-                        &mut stats,
-                    );
+                    let round =
+                        estimate::estimate_all(ctx, &mut cands, &parents, stage - 1, &mut stats);
                     assert!(round.is_none());
                     parents = beam::select(ctx, &cands, &parents, stage - 1, &mut stats);
                 }
@@ -1410,7 +1408,7 @@ mod tests {
                 }
             }
         }
-        assert!(searches >= 100 && stages > 2 * searches, "{searches} searches, {stages} stages");
+        assert!(searches >= 100 && stages > searches, "{searches} searches, {stages} stages");
     }
 
     /// A pinned case of the high-throughput fallback finding again what
@@ -1468,12 +1466,10 @@ mod tests {
         });
     }
 
-    /// A round finds its own repeats: of three first-stage children that
-    /// miss the table, two take one tile under two orderings of a memory
-    /// where nothing loops yet, so they flatten to one nest. The first is
-    /// priced and the second copies its price, counted as a hit; the table
-    /// files each priced nest once, and the round's counters are those of
-    /// a table that reserved a slot per miss.
+    /// A round finds its own repeats: of three first-stage children, two
+    /// take one tile under two orderings of a memory where nothing loops
+    /// yet, so they flatten to one nest. The first is priced and the
+    /// second copies its price, counted as a hit.
     #[test]
     fn an_in_round_repeat_copies_its_first_price() {
         let (w, arch) = (conv2d(16, 16, 14), presets::simba_like());
@@ -1487,8 +1483,8 @@ mod tests {
             assert_ne!(row(0), row(1), "two rows");
             assert_eq!(cands.nest[0], cands.nest[1], "one nest");
             assert_ne!(cands.nest[0], cands.nest[2]);
-            let (mut memo, mut stats) = (SearchMemo::default(), SearchStats::default());
-            let round = estimate::estimate_all(ctx, &mut cands, &parents, 0, &mut memo, &mut stats);
+            let mut stats = SearchStats::default();
+            let round = estimate::estimate_all(ctx, &mut cands, &parents, 0, &mut stats);
             assert!(round.is_none());
             assert!(cands.estimate[0].is_finite() && cands.estimate[2].is_finite());
             assert_eq!(cands.estimate[1].to_bits(), cands.estimate[0].to_bits());
@@ -1497,7 +1493,23 @@ mod tests {
             let counts = (stats.probed, stats.modeled, stats.bounded, stats.rounds);
             assert_eq!(counts, (3, 2, 0, 1));
             assert_eq!((stats.cache_hits, stats.cache_misses, stats.prefix_hits), (1, 2, 0));
-            assert_eq!(memo.estimates.size().0, 2);
+        });
+    }
+
+    /// The round's collision guard is real: two different rows given one
+    /// nest hash — which `key_hash` cannot be made to produce, so the hash
+    /// is forced into the arena's column — panic when the second copies
+    /// the first's price.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "128-bit key hash collision")]
+    fn a_forced_collision_panics_in_the_round() {
+        let (w, arch) = (conv2d(16, 16, 14), presets::simba_like());
+        with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
+            let (mut cands, parents) = arena(ctx, &[(2, 0), (4, 0)]);
+            cands.nest[1] = cands.nest[0];
+            let mut stats = SearchStats::default();
+            estimate::estimate_all(ctx, &mut cands, &parents, 0, &mut stats);
         });
     }
 
@@ -1531,9 +1543,8 @@ mod tests {
             let kept: Vec<u64> = (0..beam.len()).map(|i| beam.row(i)[first]).collect();
             assert_eq!(kept, [14, 11, 13, 10], "best first; equal estimates in arena order");
             assert_eq!(stats.levels[0].beam, PruneCounter { considered: 6, kept: 4 });
-            // Each survivor carries its row's nest hash and what its run's
-            // ordering excludes (nothing when it chose none).
-            assert_eq!(beam.nest, [4, 1, 3, 0].map(|i| cands.nest[i]));
+            // Each survivor carries what its run's ordering excludes
+            // (nothing when it chose none).
             let y_excluded = probe.ordering_dims[y as usize].unroll_excluded;
             assert_eq!(beam.unroll_excluded, [x_excluded, x_excluded, y_excluded, DimSet::EMPTY]);
             for i in 0..beam.len() {

@@ -1,5 +1,5 @@
 //! The composition loop: expand → estimate → select, one stage per memory
-//! level, innermost first.
+//! level that decides something, innermost first.
 
 use std::time::Instant;
 
@@ -31,14 +31,16 @@ pub(crate) struct SearchRun {
     pub(crate) stop: SearchStop,
 }
 
-/// Runs the staged search: for each memory, innermost first, expand every
-/// beam row into the stage's candidate arena, hash the candidates' nests,
-/// estimate (memoized in `memo`, parallel), and write the rows of the
-/// `beam_width` best out as the next beam. The paper's default order (§V-A): partial costs track
-/// final costs closely when reuse is resolved where most traffic lives, so
-/// the beam cuts early and the explored space stays small.
-/// Returns the surviving beam best-estimate first; every row is a whole
-/// mapping, what no stage placed sitting at the outermost memory.
+/// Runs the staged search: for each of the context's
+/// [`stages`](SearchContext::stages), innermost memory first, expand every
+/// beam row into the stage's candidate arena (its enumerations memoized in
+/// `memo`), hash the candidates' nests, estimate them (in parallel), and
+/// write the rows of the `beam_width` best out as the next beam. The
+/// paper's default order (§V-A): partial costs track final costs closely
+/// when reuse is resolved where most traffic lives, so the beam cuts early
+/// and the explored space stays small. Returns the surviving beam
+/// best-estimate first; every row is a whole mapping, what no stage placed
+/// sitting at the outermost memory.
 ///
 /// Every checkpoint asks the call's one stop rule,
 /// [`CallControls::stop`](super::CallControls::stop): each stage start,
@@ -58,7 +60,7 @@ pub(crate) fn run_level_search(
     let mut cands = Candidates::new(ctx);
     let controls = &ctx.controls;
     let mut beam_states = Beam::root(ctx);
-    for stage in 0..ctx.mems.len() {
+    for stage in 0..ctx.stages {
         // Breadcrumb for the panic-isolation boundary: a fault caught
         // while this stage runs reports `search: level <stage>`.
         crate::session::fault_stage::set(&format!("search: level {stage}"));
@@ -105,7 +107,7 @@ pub(crate) fn run_level_search(
         }
         let before = cands.len();
         let phase = Instant::now();
-        let round = estimate::estimate_all(ctx, &mut cands, &beam_states, stage, memo, stats);
+        let round = estimate::estimate_all(ctx, &mut cands, &beam_states, stage, stats);
         stats.level_mut(stage).estimate += phase.elapsed();
         if let Some(stop) = round {
             return SearchRun { beam: beam_states, stop };

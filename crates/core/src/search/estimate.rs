@@ -1,9 +1,9 @@
-//! Candidate estimation: the search's own memo of estimates and
-//! enumerations, prefix-incremental cost evaluation of candidates read
-//! from their runs, and parallel execution on the session worker pool.
+//! Candidate estimation: the search's own memo of enumerations, one
+//! estimate round per stage — its repeats found in the round, its misses
+//! priced prefix-incrementally from their runs — and parallel execution
+//! on the session worker pool.
 
 use std::cell::RefCell;
-use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,10 +11,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sunstone_ir::{DimSet, DimVec, FxHashMap};
-use sunstone_mapping::Mapping;
-use sunstone_model::{BatchEvalScratch, CostReport, CostTotals, MappingPrefix, Nest, NestSource};
+use sunstone_model::{BatchEvalScratch, CostTotals, MappingPrefix, Nest, NestSource};
 
-use super::beam::{Beam, HashKey, KeyHashMap};
+use super::beam::Beam;
 use super::candidates::Candidates;
 use super::compose::SearchStop;
 use super::stats::{LevelStats, PruneCounter, SearchStats};
@@ -186,85 +185,22 @@ pub(crate) struct UnrollKey {
     pub(crate) combined: DimVec,
 }
 
-/// One search's estimates: the configured objective's value of a loop
-/// nest under the 128-bit
-/// [`key_hash`](super::beam::key_hash) of its nest key
-/// ([`RowLayout::nest_key`](super::RowLayout::nest_key)). Prices only —
-/// the search ranks by one scalar per candidate, and whatever a caller
-/// receives is priced afresh outside the table ([`evaluate_cached`]) — so
-/// an entry is a 24-byte bucket, not a key vector and a report tree. A
-/// round reads it, and files what it priced when it ends
-/// ([`estimate_all`]): nothing is reserved for a candidate that is not
-/// priced.
+/// What one search remembers while it runs: the ordering, tile and
+/// unrolling enumerations it has run. Owned by the search and dropped with
+/// it — a repeated call is answered from the session's result memo, above
+/// the search, so nothing here needs to outlive it — and touched only on
+/// the thread that runs the search (expansion happens there; pool workers
+/// only price), so there is no lock.
 ///
-/// Debug builds (which is what the test suite runs) keep the full nest key
-/// beside each entry and assert it on every hit and re-insert: a hash
-/// collision, which could silently change which candidate ranks, panics
-/// instead. Release builds leave `shadow` empty.
-#[derive(Debug, Default)]
-pub(crate) struct EstimateTable {
-    values: KeyHashMap<f64>,
-    shadow: KeyHashMap<Box<[u64]>>,
-}
-
-impl EstimateTable {
-    /// The estimate filed under `hash`. `key` writes down the words the
-    /// hash was taken of; only the debug-build guard calls it.
-    pub(crate) fn get(&self, hash: u128, key: impl FnOnce() -> Vec<u64>) -> Option<f64> {
-        let hash = HashKey::from(hash);
-        let value = *self.values.get(&hash)?;
-        if cfg!(debug_assertions) {
-            assert_eq!(self.shadow[&hash][..], key()[..], "128-bit key hash collision");
-        }
-        Some(value)
-    }
-
-    /// Makes room for `entries` more estimates at once, so that a round's
-    /// inserts grow the table at most once.
-    pub(crate) fn reserve(&mut self, entries: usize) {
-        self.values.reserve(entries);
-    }
-
-    /// Files `value` under `hash`.
-    pub(crate) fn insert(&mut self, hash: u128, value: f64, key: impl FnOnce() -> Vec<u64>) {
-        let hash = HashKey::from(hash);
-        if cfg!(debug_assertions) {
-            match self.shadow.entry(hash) {
-                Entry::Vacant(slot) => {
-                    slot.insert(key().into_boxed_slice());
-                }
-                Entry::Occupied(known) => {
-                    assert_eq!(known.get()[..], key()[..], "128-bit key hash collision");
-                }
-            }
-        }
-        self.values.insert(hash, value);
-    }
-
-    /// Estimates filed, and how many the table has room for.
-    #[cfg(test)]
-    pub(crate) fn size(&self) -> (usize, usize) {
-        (self.values.len(), self.values.capacity())
-    }
-}
-
-/// What one search remembers while it runs: the estimates of every
-/// candidate it has priced, and the ordering, tile and unrolling
-/// enumerations it has run. Owned by the search and dropped with it — a
-/// repeated call is answered from the session's result memo, above the
-/// search, so nothing here needs to outlive it — and touched only on the
-/// thread that runs the search (expansion, the estimate probe and the
-/// publish all happen there; pool workers only price), so there is no
-/// lock.
-///
-/// Within one search distinct beam states still reach the same loop nest
-/// — states that differ only in levels where nothing loops collapse,
-/// across stages — and beam parents share their in-play
-/// set and reach the same (base, quota) frontier again and again, so every
-/// table hits.
+/// Beam parents share their in-play set and reach the same (base, quota)
+/// frontier again and again, so the enumeration memos hit. Estimates are
+/// not kept across rounds: a round finds its own repeats
+/// ([`estimate_all`]), and what a later round could find of an earlier
+/// one's prices is a fraction of a percent of its candidates once the
+/// outermost memory's stage, which re-priced its parents, is skipped
+/// ([`SearchContext::stages`](super::SearchContext::stages)).
 #[derive(Debug, Default)]
 pub(crate) struct SearchMemo {
-    pub(crate) estimates: EstimateTable,
     /// Per stage and in-play set, the run of the stage arena's ordering
     /// pool the enumeration appended. It indexes the arena of its stage,
     /// which is the only stage that asks its key.
@@ -472,12 +408,12 @@ impl Priced {
     }
 }
 
-/// The round's own index of the nests it missed: per nest, the place in
-/// `misses` of its first candidate, which is priced. A slot is a `u32`;
-/// the nest hash it stands for is read through the arena's `nest` column,
-/// not kept again. Open addressing with linear probing over twice as many
-/// slots as the round has misses, so it never grows; it is dropped once
-/// the round's repeats are found.
+/// The round's own index of its nests: per nest, the place in `misses` of
+/// its first candidate, which is priced. A slot is a `u32`; the nest hash
+/// it stands for is read through the arena's `nest` column, not kept
+/// again. Open addressing with linear probing over twice as many slots as
+/// the round has candidates, so it never grows; it is dropped once the
+/// round's repeats are found.
 struct Repeats {
     slots: Vec<u32>,
 }
@@ -485,9 +421,9 @@ struct Repeats {
 impl Repeats {
     const EMPTY: u32 = u32::MAX;
 
-    /// An index with room for `misses` nests.
-    fn with_room(misses: usize) -> Self {
-        Repeats { slots: vec![Self::EMPTY; 2 * misses.max(1)] }
+    /// An index with room for `nests` nests.
+    fn with_room(nests: usize) -> Self {
+        Repeats { slots: vec![Self::EMPTY; 2 * nests.max(1)] }
     }
 
     /// The place of the first miss whose nest hash is `hash`, where
@@ -516,12 +452,12 @@ impl Repeats {
     }
 }
 
-/// The `width` smallest exact estimates a round knows so far — the arena's
-/// hits, then what its waves priced, each counted once per candidate that
-/// carries it — kept to answer one question: the `width`-th smallest. A
-/// miss whose lower bound exceeds it has at least `width` candidates
-/// strictly ahead of it, so the beam ([`select`](super::beam::select),
-/// `width` candidates by estimate) never takes it.
+/// The `width` smallest exact estimates a round knows so far — what its
+/// waves priced, each counted once per candidate that carries it — kept
+/// to answer one question: the `width`-th smallest. A miss whose lower
+/// bound exceeds it has at least `width` candidates strictly ahead of it,
+/// so the beam ([`select`](super::beam::select), `width` candidates by
+/// estimate) never takes it.
 struct BeamCut {
     width: usize,
     /// Ascending in [`f64::total_cmp`], as the beam ranks; at most `width`.
@@ -533,13 +469,10 @@ impl BeamCut {
         BeamCut { width, kept: Vec::with_capacity(width + 1) }
     }
 
-    /// `share` more candidates whose estimate is `estimate`.
-    fn offer(&mut self, estimate: f64, share: u32) {
-        for _ in 0..share {
-            let at = self.kept.partition_point(|k| k.total_cmp(&estimate).is_le());
-            if at == self.width {
-                return;
-            }
+    /// One more candidate whose estimate is `estimate`.
+    fn offer(&mut self, estimate: f64) {
+        let at = self.kept.partition_point(|k| k.total_cmp(&estimate).is_le());
+        if at < self.width {
             self.kept.insert(at, estimate);
             self.kept.truncate(self.width);
         }
@@ -559,29 +492,28 @@ impl BeamCut {
 /// Estimates every candidate of the arena, filling its
 /// `estimate` column. `parents` is the beam the arena was expanded from.
 ///
-/// The search's estimate table ([`SearchMemo::estimates`]) is read on
-/// the calling thread, run by run, with the nest hash expansion filed per
-/// candidate ([`Candidates::nest`]): the [`key_hash`](super::beam::key_hash)
-/// of its row's key with each temporal level's order cut down to the
-/// dimensions that loop there
+/// Every candidate is a miss of the round: nothing is kept from earlier
+/// rounds. The round finds its own repeats in an index of its own
+/// ([`Repeats`], two `u32` slots a candidate) by the nest hash expansion
+/// filed per candidate ([`Candidates::nest`]): the
+/// [`key_hash`](super::beam::key_hash) of its row's key with each temporal
+/// level's order cut down to the dimensions that loop there
 /// ([`RowLayout::nest_key`](super::RowLayout::nest_key)). Rows that
 /// differ only in where a factor-1 dimension sits flatten to the same
-/// loop nest — the model reads nothing else of an order — so they share
-/// an entry, as do what an earlier stage priced and what
-/// [`evaluate_cached`] looks up. A hit is one table read of an `f64`. The
-/// table is only read while the round runs: the round's misses find their
-/// own repeats in an index of their own ([`Repeats`], two `u32` slots a
-/// miss), the first of each nest is priced and the rest copy its price
-/// (counted as hits). A miss is two indices, the candidate's and its run's
-/// ([`Miss`]), and its outcome is written straight into the arena's
-/// `estimate` column: nothing else is allocated per candidate. The rows of
-/// a stage are distinct by construction, so a miss that copies another's
-/// price is a different row with the same loop nest. The priced misses go
-/// through the model distributed over the session's persistent worker
-/// pool (no per-round thread spawns), and the model reads each miss from
-/// its run ([`MissRows`], [`ChildNest`]): its factors and orders from the
-/// parent's row, the run's unroll and ordering and its own tile and
-/// remainder. No miss becomes a row or a [`Mapping`].
+/// loop nest — the model reads nothing else of an order — so the first of
+/// each nest is priced and the rest copy its price (counted as hits). A
+/// miss is two indices, the candidate's and its run's ([`Miss`]), and its
+/// outcome is written straight into the arena's `estimate` column: nothing
+/// else is allocated per candidate. The rows of a stage are distinct by
+/// construction, so a miss that copies another's price is a different row
+/// with the same loop nest; debug builds assert both, so that a collision
+/// of two nest keys under one hash panics instead of silently sharing a
+/// price. The priced misses go through the model distributed over the
+/// session's persistent worker pool (no per-round thread spawns), and the
+/// model reads each miss from its run ([`MissRows`], [`ChildNest`]): its
+/// factors and orders from the parent's row, the run's unroll and ordering
+/// and its own tile and remainder. No miss becomes a row or a
+/// [`Mapping`](sunstone_mapping::Mapping).
 ///
 /// Stages past the first price each miss *prefix-incrementally*:
 /// all candidates expanded from one beam state share the decided levels
@@ -600,14 +532,13 @@ impl BeamCut {
 /// The misses are priced in *waves* — 64, 128, 256, … misses in
 /// candidate order, each one pool round — and bound before they are
 /// priced. Between waves the calling thread takes the threshold `T`: the
-/// `beam_width`-th smallest exact estimate the round knows (its hits, and
-/// what earlier waves priced, once per candidate that carries it;
-/// [`BeamCut`]). In a wave the kernel first prices each candidate's
+/// `beam_width`-th smallest exact estimate the round knows (what earlier
+/// waves priced, once per candidate that carries it; [`BeamCut`]). In a wave the kernel first prices each candidate's
 /// outermost storing pairs alone, a lower bound on its price
 /// ([`CostModel::price_prefixed_batch_bounded`]); a candidate whose bound's
 /// objective exceeds `T` has `beam_width` candidates strictly ahead of it
 /// and can never be selected, so the rest of it is skipped: its estimate
-/// is `+∞`, nothing is filed for it and it counts in
+/// is `+∞` and it counts in
 /// `SearchStats::bounded` instead of `modeled`. The waves' bounds depend
 /// only on the round's size and `T` only on earlier waves, so the same
 /// candidates are cut at any thread count.
@@ -622,8 +553,8 @@ impl BeamCut {
 /// share a decided prefix, and the candidates in them priced to the end.
 ///
 /// Results are written back by candidate index, so the outcome is
-/// identical for any thread count. When the round ends, the table makes
-/// room for what it priced once and files those prices alone.
+/// identical for any thread count. When the round ends, each miss's entry
+/// is settled to its price or `+∞`, and each copy takes its first's.
 ///
 /// Every pool claim asks the call's stop rule
 /// ([`CallControls::stop`](super::CallControls::stop)) before it prices,
@@ -635,7 +566,7 @@ impl BeamCut {
 /// round returns it.
 ///
 /// The stage's [`LevelStats`](super::stats::LevelStats) gets the wall
-/// time of the three parts after the probe and the search for repeats:
+/// time of the three parts after the search for repeats:
 /// `estimate_prefix`, `estimate_price`, `estimate_publish`.
 ///
 /// [`CostModel::prefix_of`]: sunstone_model::CostModel::prefix_of
@@ -646,7 +577,6 @@ pub(crate) fn estimate_all(
     candidates: &mut Candidates,
     parents: &Beam,
     stage: usize,
-    memo: &mut SearchMemo,
     stats: &mut SearchStats,
 ) -> Option<SearchStop> {
     faultpoint!("estimate.round");
@@ -658,7 +588,6 @@ pub(crate) fn estimate_all(
     let candidates = &*arena;
     let layout = &ctx.layout;
     let objective = ctx.config.objective;
-    let estimates = &mut memo.estimates;
     // Candidate `i`'s row, and the words its nest hash was taken of: what
     // the debug-build checks compare.
     let row = |candidates: &Candidates, i: usize| {
@@ -671,60 +600,39 @@ pub(crate) fn estimate_all(
         layout.nest_key(&row(candidates, i), &mut key);
         key
     };
-    let mut hits = 0u64;
     let mut cut = BeamCut::new(ctx.config.beam_width.max(1));
-    // The candidates the table misses, in arena order, each with its run.
-    let mut misses: Vec<Miss> = Vec::new();
-    for (run, r) in candidates.runs().iter().enumerate() {
-        let children = r.start as usize..r.end as usize;
-        let nests = children.clone().zip(&candidates.nest[children.clone()]);
-        for ((i, &nest), entry) in nests.zip(&mut estimate[children]) {
-            match estimates.get(nest, || nest_key(candidates, i)) {
-                Some(price) => {
-                    *entry = price;
-                    cut.offer(price, 1);
-                    hits += 1;
-                }
-                None => misses.push(Miss { child: i as u32, run: run as u32 }),
-            }
-        }
-    }
-    // The round's repeats: the first miss of each nest stays in `misses`,
-    // compacted in place, and is priced; each later one becomes a copy —
-    // the candidate, and its first's place in `misses` — which takes that
-    // price.
+    // The round's repeats: the first candidate of each nest is a miss,
+    // priced; each later one becomes a copy — the candidate, and its
+    // first's place in `misses` — which takes that price.
+    let mut misses: Vec<Miss> = Vec::with_capacity(candidates.len());
     let mut copies: Vec<(u32, u32)> = Vec::new();
-    let mut repeats = Repeats::with_room(misses.len());
-    let mut firsts = 0;
-    for j in 0..misses.len() {
-        let miss = misses[j];
-        let (i, hash) = (miss.child as usize, candidates.nest[miss.child as usize]);
-        let nest_of = |place: u32| candidates.nest[misses[place as usize].child as usize];
-        match repeats.first_or_file(hash, firsts as u32, nest_of) {
-            Some(first) => {
-                let first_child = misses[first as usize].child as usize;
-                if cfg!(debug_assertions) {
-                    assert_ne!(
-                        row(candidates, i),
-                        row(candidates, first_child),
-                        "a stage wrote one row twice"
-                    );
-                    assert_eq!(
-                        nest_key(candidates, i),
-                        nest_key(candidates, first_child),
-                        "128-bit key hash collision"
-                    );
+    let mut repeats = Repeats::with_room(candidates.len());
+    for (run, r) in candidates.runs().iter().enumerate() {
+        for child in r.start..r.end {
+            let hash = candidates.nest[child as usize];
+            let nest_of = |place: u32| candidates.nest[misses[place as usize].child as usize];
+            match repeats.first_or_file(hash, misses.len() as u32, nest_of) {
+                Some(first) => {
+                    let (i, first_child) = (child as usize, misses[first as usize].child as usize);
+                    if cfg!(debug_assertions) {
+                        assert_ne!(
+                            row(candidates, i),
+                            row(candidates, first_child),
+                            "a stage wrote one row twice"
+                        );
+                        assert_eq!(
+                            nest_key(candidates, i),
+                            nest_key(candidates, first_child),
+                            "128-bit key hash collision"
+                        );
+                    }
+                    copies.push((child, first));
                 }
-                copies.push((miss.child, first));
-            }
-            None => {
-                misses[firsts] = miss;
-                firsts += 1;
+                None => misses.push(Miss { child, run: run as u32 }),
             }
         }
     }
     drop(repeats);
-    misses.truncate(firsts);
 
     // Prefix memoization: every candidate of one parent shares
     // the levels up to the previous stage's memory, and its remainder only
@@ -834,7 +742,7 @@ pub(crate) fn estimate_all(
         let copied = copies.iter().map(|&(_, first)| first).filter(|f| wave_places.contains(f));
         for place in wave_places.clone().chain(copied) {
             if let Some(price) = exact(&estimate, place) {
-                cut.offer(price, 1);
+                cut.offer(price);
             }
         }
         (start, wave) = (end, 2 * wave);
@@ -847,21 +755,18 @@ pub(crate) fn estimate_all(
     let mut bounded = 0u64;
     // Per beam parent, every priced miss but the first reused its prefix.
     let mut full = vec![0u64; prefixes.len()];
-    // Publish every new price into the search's table, which makes room
-    // for them once. Bounded, or skipped by a mid-round stop: never
-    // evaluated, never filed. A bounded nest cannot enter the beam (its
-    // bound already exceeds `beam_width` known estimates); a stopped
-    // round's stage is discarded by the caller. Either way the
-    // placeholder, `+∞`, is never selected.
-    estimates.reserve(modeled);
+    // Settle every miss's entry. Bounded, or skipped by a mid-round stop:
+    // never evaluated. A bounded nest cannot enter the beam (its bound
+    // already exceeds `beam_width` known estimates); a stopped round's
+    // stage is discarded by the caller. Either way the placeholder, `+∞`,
+    // is never selected.
     for (k, miss) in misses.iter().enumerate() {
         let i = miss.child as usize;
         let priced = Priced::of_column(estimate[i]);
         estimate[i] = priced.or_infinity();
         match priced {
-            Priced::Exact(price) => {
+            Priced::Exact(_) => {
                 faultpoint!("estimate.publish");
-                estimates.insert(candidates.nest[i], price, || nest_key(candidates, i));
                 if let Some(parent) = parent_of(k) {
                     full[parent as usize] += 1;
                 }
@@ -874,7 +779,7 @@ pub(crate) fn estimate_all(
         estimate[i as usize] = estimate[misses[first as usize].child as usize];
     }
     arena.estimate = estimate;
-    hits += copies.len() as u64;
+    let hits = copies.len() as u64;
     stats.modeled += modeled as u64;
     stats.bounded += bounded;
     stats.batches += round_batches.into_inner();
@@ -891,104 +796,4 @@ pub(crate) fn estimate_all(
     stats.cache_hits += hits;
     stats.cache_misses += miss_count;
     ctx.controls.stop()
-}
-
-/// Prices a finalist for the caller. The report is always computed
-/// afresh: the search's table holds one number per
-/// loop nest and only ever *ranks*, so everything a caller receives is
-/// priced outside it. The mapping's estimate is still looked up (the last
-/// stage already filed the finalists, so the hit/miss counters read as
-/// they always did) and filed if absent — under `nest`, the nest hash its
-/// beam row carries, which is the hash of the mapping's nest key
-/// ([`RowLayout::nest_key_of`](super::RowLayout::nest_key_of)).
-pub(crate) fn evaluate_cached(
-    ctx: &SearchContext<'_>,
-    mapping: &Mapping,
-    nest: u128,
-    memo: &mut SearchMemo,
-    stats: &mut SearchStats,
-) -> CostReport {
-    let report = ctx.model.evaluate_unchecked(mapping);
-    let estimate = ctx.config.objective.of(&report);
-    // The words the hash was taken of, for the debug-build guard.
-    let key = || {
-        let mut key = Vec::new();
-        ctx.layout.nest_key_of(mapping, &mut key);
-        key
-    };
-    match memo.estimates.get(nest, key) {
-        Some(cached) => {
-            debug_assert_eq!(cached.to_bits(), estimate.to_bits(), "filed estimate is stale");
-            stats.cache_hits += 1;
-        }
-        None => {
-            stats.cache_misses += 1;
-            memo.estimates.insert(nest, estimate, key);
-        }
-    }
-    report
-}
-
-#[cfg(test)]
-mod tests {
-    use sunstone_arch::presets;
-
-    use super::super::compose::run_level_search;
-    use super::super::testing::{conv2d_batch, with_context};
-    use super::*;
-    use crate::SunstoneConfig;
-
-    /// The table holds prices only: after a search of ResNet-18's
-    /// `conv2_x` at batch 16 on `simba_like`, whose rounds bound most of
-    /// their misses, the table files one
-    /// entry per nest the search priced, and it has room for at most twice
-    /// that: each round makes room once, for what it priced, and nothing is
-    /// reserved for a miss that is cut or copies another's price.
-    #[test]
-    fn the_estimate_table_holds_only_prices() {
-        let (w, arch) = (conv2d_batch(16, 64, 64, 56), presets::simba_like());
-        with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
-            let (mut memo, mut stats) = (SearchMemo::default(), SearchStats::default());
-            let run = run_level_search(ctx, &mut memo, &mut stats);
-            assert_eq!(run.stop, SearchStop::Completed);
-            assert!(stats.bounded > stats.modeled, "the bound cuts most misses: {stats:?}");
-            let (entries, capacity) = memo.estimates.size();
-            assert_eq!(entries as u64, stats.modeled, "one entry per priced nest");
-            assert!(capacity <= 2 * entries + 16, "room for {capacity} estimates, {entries} filed");
-        });
-    }
-
-    #[test]
-    fn the_table_files_numbers_under_hashes() {
-        let mut t = EstimateTable::default();
-        assert_eq!(t.get(7, || vec![1, 2, 3]), None);
-        t.reserve(2);
-        t.insert(7, 1.5, || vec![1, 2, 3]);
-        t.insert(7, 1.5, || vec![1, 2, 3]);
-        t.insert(8, 2.5, || vec![1, 2, 4]);
-        assert_eq!(t.get(7, || vec![1, 2, 3]), Some(1.5));
-        assert_eq!(t.get(8, || vec![1, 2, 4]), Some(2.5));
-        assert_eq!(t.values.len(), 2, "the same key again is not a new entry");
-    }
-
-    /// The collision guard is real: two different keys under one hash —
-    /// which `key_hash` cannot be made to produce, so the hash is forced
-    /// through the table's own API — panic on the second key's hit.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "128-bit key hash collision")]
-    fn a_forced_collision_panics_on_the_second_keys_hit() {
-        let mut t = EstimateTable::default();
-        t.insert(42, 1.0, || vec![1, 2, 3]);
-        t.get(42, || vec![1, 2, 4]);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "128-bit key hash collision")]
-    fn a_forced_collision_panics_on_the_second_keys_insert() {
-        let mut t = EstimateTable::default();
-        t.insert(42, 1.0, || vec![1, 2, 3]);
-        t.insert(42, 2.0, || vec![1, 2, 4]);
-    }
 }

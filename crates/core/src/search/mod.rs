@@ -14,10 +14,10 @@
 //!    deduplicate,
 //! 2. **estimate** (`estimate`) — evaluate the analytic model on each
 //!    candidate's whole mapping (what no stage has placed yet sits at the
-//!    outermost memory), memoized for the length of the search by the
-//!    hash of its loop nest (`RowLayout::nest_key`: candidates that differ
-//!    only where a factor is 1 share one price) and parallelized over the
-//!    configured worker threads,
+//!    outermost memory), once per loop nest of the round (the hash of
+//!    `RowLayout::nest_key`: candidates that differ only where a factor is
+//!    1 share one price) and parallelized over the configured worker
+//!    threads,
 //! 3. **select** (`beam`) — keep the best `beam_width` candidates (the
 //!    alpha-beta-style cut).
 //!
@@ -32,9 +32,10 @@
 //! ranking materializes mappings.
 //!
 //! The walk is bottom-up — innermost memory first, the paper's default —
-//! and within a stage the fabric's unroll is chosen before the tile grows
-//! and the next memory's loop order is picked (`compose::run_level_search`,
-//! `candidates::expand`). Table VI's other five orders are an experiment,
+//! one stage per memory, the outermost's only when a fabric sits directly
+//! below it (`SearchContext::stages`), and within a stage the fabric's
+//! unroll is chosen before the tile grows and the next memory's loop order
+//! is picked (`compose::run_level_search`, `candidates::expand`). Table VI's other five orders are an experiment,
 //! not a search of the library: `sunstone-bench`'s `table6` study.
 //!
 //! Every pruning decision is recorded in the structured [`SearchStats`]:
@@ -132,16 +133,16 @@ impl<'a> CallControls<'a> {
 /// Where each decision of a mapping sits in a candidate row.
 ///
 /// A row is the mapping's search key — every architecture level's
-/// factors, then every temporal level's loop order as dimension indices,
-/// word for word what [`beam::mapping_key`] emits — and nothing else: a
-/// partial mapping is the whole mapping it stands for, what no stage has
-/// placed yet sitting in the outermost memory's factors (the
+/// factors, then every temporal level's loop order as dimension indices
+/// ([`write_row`](Self::write_row)) — and nothing else: two mappings with
+/// equal rows are the same point in the space, and a partial mapping is
+/// the whole mapping it stands for, what no stage has placed yet sitting
+/// in the outermost memory's factors (the
 /// [`remainder`](Self::remainder)), where [`Mapping::streaming`] puts the
 /// whole problem. What the cost model prices is coarser — the loop nest,
 /// in which a dimension whose factor is 1 at a level has no loop there,
-/// wherever the order puts it — so the search's estimate table is keyed
-/// by the hash of the *nest key* ([`nest_key`](Self::nest_key)): rows, and
-/// the mappings the final re-evaluation hashes through `mapping_key`, that
+/// wherever the order puts it — so an estimate round finds its repeats by
+/// the hash of the *nest key* ([`nest_key`](Self::nest_key)): rows that
 /// differ only in where their unit factors sit share one estimate.
 #[derive(Debug, Clone)]
 pub(crate) struct RowLayout {
@@ -203,7 +204,14 @@ impl RowLayout {
     /// Appends the row of `mapping` to `out`.
     pub(crate) fn write_row(&self, mapping: &Mapping, out: &mut Vec<u64>) {
         let start = out.len();
-        beam::write_key(mapping, out);
+        for level in mapping.levels() {
+            out.extend_from_slice(level.factors());
+        }
+        for level in mapping.levels() {
+            if let MappingLevel::Temporal(t) = level {
+                out.extend(t.order.iter().map(|d| d.index() as u64));
+            }
+        }
         debug_assert_eq!(out.len() - start, self.stride, "mapping does not fit the layout");
     }
 
@@ -272,25 +280,12 @@ impl RowLayout {
         }
     }
 
-    /// The row's nest hash: the [`beam::key_hash`] of its
-    /// [`nest_key`](Self::nest_key), written into the scratch `key`.
-    pub(crate) fn nest_hash(&self, row: &[u64], key: &mut Vec<u64>) -> u128 {
-        self.nest_key(row, key);
-        beam::key_hash(key)
-    }
-
     /// Where the temporal level at `pos` sits among a nest key's cut
     /// orders.
     pub(crate) fn orders_at(&self, pos: usize) -> Range<usize> {
         let words = self.ndims.div_ceil(8);
         let before = (self.order(pos).start - self.levels.len() * self.ndims) / self.ndims;
         before * words..(before + 1) * words
-    }
-
-    /// The nest key of a mapping shaped like the layout's base (the final
-    /// re-evaluation's, which never was a row).
-    pub(crate) fn nest_key_of(&self, m: &Mapping, key: &mut Vec<u64>) {
-        self.nest_key(&beam::mapping_key(m), key);
     }
 }
 
@@ -343,6 +338,12 @@ pub(crate) struct SearchContext<'a> {
     /// `ArchSpec::validate` rejects adjacent spatial levels, so a gap holds
     /// at most one fabric.
     pub(crate) lower_spatial: Vec<Option<usize>>,
+    /// The stages a search runs, innermost memory first: one per memory,
+    /// less the outermost memory's when no fabric sits directly below it.
+    /// That stage would decide nothing: every row already keeps what no
+    /// stage placed at the outermost memory, and there is no level above
+    /// it to order, so each of its children would be its parent.
+    pub(crate) stages: usize,
     /// `unrollable_above[i]`: what the fabrics above memory `i` may unroll
     /// — the union of their resolved sets
     /// ([`LevelConstraints::unroll_dims`](sunstone_mapping::constraints::LevelConstraints::unroll_dims)),
@@ -399,6 +400,7 @@ impl<'a> SearchContext<'a> {
             debug_assert!(fabrics.next().is_none(), "adjacent spatial levels");
             gap = m + 1;
         }
+        let stages = mems.len() - usize::from(matches!(lower_spatial.last(), Some(None)));
         // What a fabric gives the reserve: its set, or every dimension
         // when its pins fix its whole unroll.
         let feeds = |pos: LevelId| {
@@ -441,6 +443,7 @@ impl<'a> SearchContext<'a> {
             trie: OrderingTrie::new(workload),
             mems,
             lower_spatial,
+            stages,
             unrollable_above,
             pinned_above,
             pool,
@@ -579,9 +582,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Row ↔ tree: a mapping's row is its mapping key, one stride
-        /// long, holds what is left in its remainder slots, reads the tiles
-        /// below each level, and materializes back to the mapping.
+        /// Row ↔ tree: a mapping's row is one stride long, holds what is
+        /// left in its remainder slots, reads the tiles below each level,
+        /// and materializes back to the mapping.
         #[test]
         fn rows_round_trip(arch in 0usize..4, k in 1u32..6, hw in 1u64..5, seed in 0u64..10_000) {
             let (w, arch) = (conv2d(1 << k, 24, 7 * hw), preset(arch));
@@ -590,7 +593,6 @@ mod tests {
                 let m = random_state(ctx, seed);
                 let mut row = Vec::new();
                 layout.write_row(&m, &mut row);
-                assert_eq!(row, beam::mapping_key(&m));
                 assert_eq!(row.len(), layout.stride());
                 assert_eq!(&row[layout.remainder()], m.level(layout.complete_at).factors());
                 assert_eq!(layout.tile_below(&row, 0), DimVec::ones(w.num_dims()));
@@ -601,26 +603,6 @@ mod tests {
                 let mut done = ctx.base.clone();
                 layout.materialize_into(&row, &mut done);
                 assert_eq!(done, m);
-            });
-        }
-
-        /// The estimate table is probed with exactly the key
-        /// `evaluate_cached` files under — the mapping's nest key — and a
-        /// row hashes as its mapping.
-        #[test]
-        fn probe_key_is_the_completed_mapping_key(
-            arch in 0usize..4, k in 1u32..6, hw in 1u64..5, seed in 0u64..10_000,
-        ) {
-            let (w, arch) = (conv2d(1 << k, 24, 7 * hw), preset(arch));
-            with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
-                let layout = &ctx.layout;
-                let m = random_state(ctx, seed);
-                let mut row = Vec::new();
-                layout.write_row(&m, &mut row);
-                let mut nest = Vec::new();
-                let hash = layout.nest_hash(&row, &mut Vec::new());
-                layout.nest_key_of(&m, &mut nest);
-                assert_eq!(hash, beam::key_hash(&nest));
             });
         }
 
@@ -636,8 +618,9 @@ mod tests {
             with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
                 let m = random_state(ctx, seed);
                 let nest = |m: &Mapping| {
-                    let mut key = Vec::new();
-                    ctx.layout.nest_key_of(m, &mut key);
+                    let (mut row, mut key) = (Vec::new(), Vec::new());
+                    ctx.layout.write_row(m, &mut row);
+                    ctx.layout.nest_key(&row, &mut key);
                     key
                 };
                 // Each level's unit-factor dimensions moved to the front,
@@ -664,6 +647,88 @@ mod tests {
         }
     }
 
+    /// Stage `stage` of a search from `beam`, as `run_level_search` runs
+    /// it: every parent expanded, the children hashed, estimated and cut.
+    /// Returns the stage's arena and the beam the cut keeps.
+    fn walk_stage(
+        ctx: &SearchContext<'_>,
+        beam: &Beam,
+        stage: usize,
+        memo: &mut SearchMemo,
+        stats: &mut SearchStats,
+    ) -> (Candidates, Beam) {
+        let mut cands = Candidates::new(ctx);
+        cands.start_stage(ctx, stage);
+        for parent in 0..beam.len() {
+            expand(ctx, beam, parent, stage, &mut cands, memo, stats);
+        }
+        cands.hash_children(beam);
+        assert!(estimate_all(ctx, &mut cands, beam, stage, stats).is_none());
+        let kept = beam::select(ctx, &cands, beam, stage, stats);
+        (cands, kept)
+    }
+
+    /// The search skips the outermost memory's stage when no fabric sits
+    /// directly below that memory, and that stage would decide nothing: on
+    /// every preset, for a conv and a matmul, after the stages the search
+    /// runs, the outermost stage run by hand gives one child per parent,
+    /// each child's row its parent's, and the cut keeps the parents' rows
+    /// in their order.
+    #[test]
+    fn the_outermost_stage_without_a_fabric_keeps_its_parents() {
+        for arch in (0..4).map(preset) {
+            for w in [conv2d(16, 24, 14), matmul(64, 48, 96)] {
+                with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
+                    let outermost = ctx.mems.len() - 1;
+                    assert_eq!(ctx.lower_spatial[outermost], None, "{}", arch.name());
+                    assert_eq!(ctx.stages, outermost, "{}", arch.name());
+                    let (mut memo, mut stats) = (SearchMemo::default(), SearchStats::default());
+                    let mut beam = Beam::root(ctx);
+                    for stage in 0..ctx.stages {
+                        beam = walk_stage(ctx, &beam, stage, &mut memo, &mut stats).1;
+                    }
+                    let rows = |beam: &Beam| {
+                        (0..beam.len()).map(|i| beam.row(i).to_vec()).collect::<Vec<_>>()
+                    };
+                    let (cands, kept) = walk_stage(ctx, &beam, outermost, &mut memo, &mut stats);
+                    assert_eq!(cands.len(), beam.len(), "{}: one child per parent", arch.name());
+                    for (i, parent) in rows(&beam).into_iter().enumerate() {
+                        let mut row = Vec::new();
+                        cands.write_row(&beam, i, &mut row);
+                        assert_eq!(row, parent, "{}: child {i}", arch.name());
+                    }
+                    assert_eq!(rows(&kept), rows(&beam), "{}: the cut reorders", arch.name());
+                });
+            }
+        }
+    }
+
+    /// The outermost memory's stage runs when a fabric sits directly below
+    /// that memory: a matmul on L1 → grid of 16 → DRAM searches two
+    /// stages, the second enumerates unrolls, and the best mapping unrolls
+    /// on the grid.
+    #[test]
+    fn a_fabric_below_the_outermost_memory_is_unrolled() {
+        let arch = sunstone_arch::ArchBuilder::new("grid-below-dram")
+            .unified_memory("L1", 4 << 10, 1.0, 1.0)
+            .spatial("grid", 16)
+            .dram(200.0)
+            .build()
+            .expect("valid arch");
+        let w = matmul(64, 64, 64);
+        with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
+            assert_eq!((ctx.mems.len(), ctx.stages), (2, 2));
+        });
+        let r = crate::Scheduler::new(SunstoneConfig::default())
+            .schedule(&w, &arch)
+            .expect("schedules");
+        assert_eq!(r.stats.levels.len(), 2);
+        assert!(r.stats.levels[1].unrolling.considered > 0, "{:?}", r.stats.levels[1]);
+        let (grid, _) = arch.spatial_levels().next().expect("a fabric");
+        let unrolled: u64 = r.mapping.level(grid.index()).factors().iter().product();
+        assert!(unrolled > 1, "no unroll on the grid: {:?}", r.mapping);
+    }
+
     /// One row as the count kernel's source.
     struct OneRow<'a>(RowNest<'a>);
 
@@ -685,12 +750,11 @@ mod tests {
     /// Every beam row is a whole mapping, on real searches: walking the
     /// stages of a conv and a matmul on every preset, after every cut each
     /// survivor's row, materialized, multiplies per dimension to the
-    /// problem's extent, writes back to the same row, prices through its
-    /// row against the empty prefix to exactly `evaluate_unchecked`'s
-    /// bits, and carries its row's nest hash. Whether a row's tiles fit
-    /// the memories above is not asserted: the beam may keep a parent
-    /// whose tile a memory above cannot hold, a dead end rather than a
-    /// malformed row.
+    /// problem's extent, writes back to the same row, and prices through
+    /// its row against the empty prefix to exactly `evaluate_unchecked`'s
+    /// bits. Whether a row's tiles fit the memories above is not asserted:
+    /// the beam may keep a parent whose tile a memory above cannot hold, a
+    /// dead end rather than a malformed row.
     #[test]
     fn every_beam_row_is_a_whole_mapping() {
         let mut rows = 0;
@@ -699,20 +763,12 @@ mod tests {
                 with_context(&w, &arch, &SunstoneConfig::default(), |ctx| {
                     let (layout, model) = (&ctx.layout, &ctx.model);
                     let (mut memo, mut stats) = (SearchMemo::default(), SearchStats::default());
-                    let (mut cands, mut beam) = (Candidates::new(ctx), Beam::root(ctx));
+                    let mut beam = Beam::root(ctx);
                     let mut scratch = model.batch_scratch();
-                    for stage in 0..ctx.mems.len() {
-                        cands.start_stage(ctx, stage);
-                        for parent in 0..beam.len() {
-                            expand(ctx, &beam, parent, stage, &mut cands, &mut memo, &mut stats);
-                        }
-                        cands.hash_children(&beam);
-                        let round =
-                            estimate_all(ctx, &mut cands, &beam, stage, &mut memo, &mut stats);
-                        assert!(round.is_none());
-                        beam = beam::select(ctx, &cands, &beam, stage, &mut stats);
+                    for stage in 0..ctx.stages {
+                        beam = walk_stage(ctx, &beam, stage, &mut memo, &mut stats).1;
                         assert!(beam.len() > 0, "{} stage {stage}: an empty beam", arch.name());
-                        for (i, (m, nest)) in beam.mappings(ctx).into_iter().enumerate() {
+                        for (i, m) in beam.mappings(ctx).into_iter().enumerate() {
                             let (row, case) =
                                 (beam.row(i), format!("{} stage {stage}", arch.name()));
                             for d in 0..w.num_dims() {
@@ -740,11 +796,6 @@ mod tests {
                                 },
                             );
                             assert_eq!(priced, 1, "{case} row {i}");
-                            assert_eq!(
-                                nest,
-                                layout.nest_hash(row, &mut Vec::new()),
-                                "{case} row {i}"
-                            );
                             rows += 1;
                         }
                     }

@@ -79,10 +79,11 @@ pub struct LevelStats {
     /// Beam: candidates estimated vs. survivors after the alpha-beta-style
     /// cut. `considered` sums to [`SearchStats::probed`] across levels.
     pub beam: PruneCounter,
-    /// Estimates answered by the search's estimate table at this stage.
+    /// In-round repeats at this stage: candidates that took the price of
+    /// an earlier candidate of the round with the same loop nest.
     pub cache_hits: u64,
-    /// Estimates that missed the search's estimate table at this stage:
-    /// each was priced or bounded (see [`SearchStats::bounded`]).
+    /// The round's misses at this stage, the first candidate of each loop
+    /// nest: each was priced or bounded (see [`SearchStats::bounded`]).
     pub cache_misses: u64,
     /// Misses of this stage the bound cut before they were priced.
     #[serde(default)]
@@ -117,10 +118,9 @@ pub struct LevelStats {
     /// parts is memo lookups and replays and deciding the children.
     #[serde(default)]
     pub expand_rows: Duration,
-    /// Wall time of the estimate round: the probe — one read of the
-    /// search's table per candidate, then the misses' search for their
-    /// own repeats in the round's index — plus, for the misses, the three
-    /// parts below; what they leave of it is the probe.
+    /// Wall time of the estimate round: the search for the round's
+    /// repeats in its own index, plus, for the misses, the three parts
+    /// below; what they leave of it is that search.
     pub estimate: Duration,
     /// Part of `estimate`: the serial pass over the misses that builds one
     /// decided-prefix cost per beam parent.
@@ -129,9 +129,7 @@ pub struct LevelStats {
     /// over each claim's misses, each read from its run.
     pub estimate_price: Duration,
     /// Part of `estimate`: settling each miss's entry of the estimate
-    /// column, copying prices to the in-round repeats, and filing the
-    /// priced nests in the search's table, which makes room for them
-    /// once.
+    /// column and copying prices to the in-round repeats.
     pub estimate_publish: Duration,
     /// Wall time of ranking the candidates and writing the survivors'
     /// rows as the next beam.
@@ -147,12 +145,13 @@ pub struct SearchStats {
     /// counts estimate requests, [`modeled`](Self::modeled) the subset
     /// that actually ran the analytic model.
     pub probed: u64,
-    /// Estimate probes that missed the search's estimate table and ran
-    /// the cost model to the end (`probed − modeled − bounded` were served
-    /// memoized). 0 on a result the session answered from its memo:
-    /// nothing was modeled for that call.
+    /// Estimate probes that were the first of their loop nest in their
+    /// round and ran the cost model to the end (`probed − modeled −
+    /// bounded` copied an earlier one's price). 0 on a result the session
+    /// answered from its memo: nothing was modeled for that call.
     pub modeled: u64,
-    /// Estimate probes that missed the table and were cut by the bound
+    /// Estimate probes that were the first of their loop nest in their
+    /// round and were cut by the bound
     /// before they were priced: the model priced only their outermost
     /// storing pairs, and that already put them past the beam. Every miss
     /// is modeled or bounded (`cache_misses == modeled + bounded` on a
@@ -209,10 +208,11 @@ pub struct SearchStats {
     /// Per-fabric unrolling enumerations that ran.
     #[serde(default)]
     pub unroll_memo_misses: u64,
-    /// Estimates served from the search's estimate table (including the
-    /// final top-k re-evaluation).
+    /// In-round repeats: estimates copied from an earlier candidate of the
+    /// same round with the same loop nest.
     pub cache_hits: u64,
-    /// Estimates that missed the table: each was modeled or bounded.
+    /// Estimate misses, the first candidate of each loop nest of a round:
+    /// each was modeled or bounded.
     pub cache_misses: u64,
     /// Wall-clock time of the search.
     pub elapsed: Duration,

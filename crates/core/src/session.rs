@@ -10,9 +10,9 @@
 //!   fingerprint ([`crate::fingerprint`]) it remembers the ranked
 //!   finalists of the search that ran to completion there, so a repeated
 //!   call — a compiler asking about the same operator again, a daemon
-//!   serving the same layer — is answered without searching. Estimates
-//!   and enumeration memos are *not* kept: they belong to one search and
-//!   die with it;
+//!   serving the same layer — is answered without searching. Enumeration
+//!   memos are *not* kept: they belong to one search and die with it, and
+//!   an estimate lives only as long as its round;
 //! * [`schedule_batch_outcomes`](Scheduler::schedule_batch_outcomes)
 //!   canonicalizes a slice of workloads, **dedups identical shapes**
 //!   (ResNet-style networks repeat most blocks), searches only the unique
@@ -54,7 +54,7 @@ pub use crate::memo::{Finalist, Finalists, Memoized};
 use crate::pool::{panic_message, SliceWriter, WorkerPool};
 use crate::progress::{CancelToken, ProgressEvent, ProgressSink};
 use crate::search::compose::{run_level_search, SearchStop};
-use crate::search::estimate::{self, SearchMemo};
+use crate::search::estimate::SearchMemo;
 use crate::search::{CallControls, SearchContext, SearchStats};
 use crate::SunstoneConfig;
 
@@ -294,13 +294,14 @@ pub struct BatchStats {
     /// Unique searches cut short by the time budget (their layers hold
     /// best-so-far results).
     pub best_so_far: usize,
-    /// Estimate-table hits of the unique searches
+    /// In-round repeats of the unique searches: candidates that took the
+    /// price of an earlier one of their round with the same loop nest
     /// ([`SearchStats::cache_hits`] summed per unique shape).
     pub cache_hits: u64,
-    /// Estimate-table misses of the unique searches
-    /// ([`SearchStats::cache_misses`] summed per unique shape). A miss is
-    /// priced, cut by the bound or cut by a stop; the model evaluations
-    /// are [`SearchStats::modeled`].
+    /// Estimate misses of the unique searches: the first candidate of
+    /// each loop nest of a round ([`SearchStats::cache_misses`] summed per
+    /// unique shape). A miss is priced, cut by the bound or cut by a stop;
+    /// the model evaluations are [`SearchStats::modeled`].
     pub cache_misses: u64,
     /// Mappings estimated across the unique searches
     /// ([`SearchStats::probed`] summed per unique shape).
@@ -945,7 +946,7 @@ impl Scheduler {
         // no stage placed at the outermost memory, as estimation priced
         // them (best-so-far contract).
         let mut valid: Vec<(Mapping, CostReport)> = Vec::new();
-        for (mapping, nest) in run.beam.mappings(&ctx) {
+        for mapping in run.beam.mappings(&ctx) {
             // Constrained calls additionally check the full mapping
             // against the resolved set the enumerators read — belt and
             // braces over the in-enumeration filters (and the only guard
@@ -954,9 +955,9 @@ impl Scheduler {
             if ctx.validation.validate(&mapping).is_ok()
                 && ctx.constraints.check(&mapping, workload, arch).is_ok()
             {
-                // The search's table only ranked these mappings: what the
-                // caller receives is priced afresh, outside it.
-                let report = estimate::evaluate_cached(&ctx, &mapping, nest, &mut memo, &mut stats);
+                // The estimate rounds only ranked these mappings: what the
+                // caller receives is priced afresh.
+                let report = ctx.model.evaluate_unchecked(&mapping);
                 valid.push((mapping, report));
             }
         }

@@ -124,7 +124,7 @@ fn assert_pool_invariant(w: &Workload, arch: &sunstone_arch::ArchSpec) -> u64 {
 
 /// `stats` with every timer zeroed: the counters alone, search-wide and
 /// per stage — `probed`, `modeled`, `bounded`, `nodes_explored`,
-/// `capacity_probes`, the enumeration memos' and the estimate table's hits
+/// `capacity_probes`, the enumeration memos' and the estimate rounds' hits
 /// and misses, every pruning counter.
 fn untimed(stats: &SearchStats) -> SearchStats {
     let mut stats = stats.clone();

@@ -86,10 +86,10 @@ fn soak_panic_at_every_failpoint_recovers_bit_identically() {
     faultpoint::disarm_all();
 }
 
-/// A panic that fires mid-publish (`estimate.publish`), with the search's
-/// estimate table half-written, must leave nothing behind: the fault
+/// A panic that fires mid-publish (`estimate.publish`), with the round's
+/// estimate column half-settled, must leave nothing behind: the fault
 /// surfaces as a typed `Internal`, and the same session then answers
-/// bit-identically to a fresh one instead of reading a torn table or
+/// bit-identically to a fresh one instead of reading a torn round or
 /// aborting on a poisoned mutex.
 #[test]
 fn held_lock_panics_do_not_poison_the_session() {

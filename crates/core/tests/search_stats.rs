@@ -1,5 +1,5 @@
 //! Coverage of the structured per-level, per-principle search statistics
-//! and the search's estimate table.
+//! and the search's estimate rounds.
 
 use sunstone::{Scheduler, SunstoneConfig};
 use sunstone_arch::presets;
@@ -59,7 +59,7 @@ fn beam_considered_sums_to_probed() {
     let per_level: u64 = r.stats.levels.iter().map(|l| l.beam.considered).sum();
     assert_eq!(per_level, r.stats.probed, "every estimated candidate faces the beam");
     let probes: u64 = r.stats.levels.iter().map(|l| l.cache_hits + l.cache_misses).sum();
-    assert_eq!(probes, r.stats.probed, "every estimate goes through the cache");
+    assert_eq!(probes, r.stats.probed, "every candidate is a hit or a miss of its round");
     // A miss is priced or, when its bound already puts it past the beam,
     // cut before it is: the two together are the misses.
     let per_level_misses: u64 = r.stats.levels.iter().map(|l| l.cache_misses).sum();
@@ -81,16 +81,16 @@ fn estimate_cache_hits_and_preserves_edp() {
     let w = simba_conv2d();
     let arch = presets::simba_like();
     let cached = Scheduler::new(SunstoneConfig::default()).schedule(&w, &arch).unwrap();
-    assert!(cached.stats.cache_hits > 0, "the memoized estimator is exercised");
+    assert!(cached.stats.cache_hits > 0, "the rounds' repeats are exercised");
     assert!(cached.stats.cache_misses > 0, "misses are counted too");
     assert!(
         cached.stats.modeled < cached.stats.probed,
-        "the table skips model evaluations: {} of {} probes modeled",
+        "the rounds' repeats skip model evaluations: {} of {} probes modeled",
         cached.stats.modeled,
         cached.stats.probed
     );
 
-    // What the table only ranked, the caller gets priced afresh: the
+    // What the rounds only ranked, the caller gets priced afresh: the
     // report is the model's own for the returned mapping.
     let binding = sunstone_arch::Binding::resolve(&arch, &w).unwrap();
     let fresh = sunstone_model::CostModel::new(&w, &arch, &binding).evaluate(&cached.mapping);
