@@ -152,17 +152,20 @@ fi
 echo "== one row rule =="
 # A candidate row is the whole mapping it stands for: what no stage has
 # placed yet sits in the outermost memory's factors, where
-# `Mapping::streaming` puts the problem. A completion — a remainder kept
-# beside a row or a nest and multiplied in when it is read — is a second
-# representation of the same mapping, free to drift from the row.
-if grep -rnE 'fn completion|\.completion\(\)|materialize_completed|streaming_base' \
+# `Mapping::streaming` puts the problem, and the count kernel prices a
+# candidate from the row `Candidates::write_row` writes. A completion —
+# a remainder kept beside a row or a nest and multiplied in when it is
+# read — or a view that reads a candidate level by level from its run
+# (`ChildNest`, `MissRows`) is a second representation of the same
+# mapping, free to drift from the row.
+if grep -rnE 'fn completion|\.completion\(\)|materialize_completed|streaming_base|ChildNest|MissRows' \
     crates/model/src crates/core/src; then
-    echo "a candidate is completed instead of kept whole" >&2
+    echo "a candidate is completed or viewed instead of kept whole" >&2
     exit 1
 fi
 # Every beam row of real searches on every preset, materialized, covers
-# the problem, writes back to itself, prices as its mapping and carries
-# its nest hash (release, the build the search runs in).
+# the problem, writes back to itself and prices as its mapping (release,
+# the build the search runs in).
 row_test=$(cargo test -q --release -p sunstone --lib -- --exact \
     search::tests::every_beam_row_is_a_whole_mapping 2>&1) || { echo "$row_test"; exit 1; }
 if ! grep -q "1 passed" <<<"$row_test"; then

@@ -72,6 +72,14 @@ impl Memoized {
         self.finalists.iter().next().expect("a memoized list is never empty")
     }
 
+    /// The best finalist decoded into `mapping`, and the totals it was
+    /// filed at: what [`best`](Self::best) returns, with the mapping's
+    /// vectors reused, so a reader that keeps one mapping across answers
+    /// of one shape decodes without allocating.
+    pub fn best_into(&self, mapping: &mut Mapping) -> CostTotals {
+        read_finalist_into(&mut self.finalists.reader(), self.finalists.ndims, mapping)
+    }
+
     /// The producing search's statistics as a hit reports them: the model
     /// and probe columns struck out (`modeled`, `bounded`, `prefix_hits`,
     /// `batches`, `batched` and `capacity_probes` read 0, per level
@@ -311,24 +319,52 @@ fn put_mapping(out: &mut Vec<u8>, mapping: &Mapping, ndims: usize) {
 }
 
 fn read_finalist(at: &mut Reader<'_>, ndims: usize) -> Finalist {
+    let mut mapping = Mapping::from_levels(Vec::new());
+    let totals = read_finalist_into(at, ndims, &mut mapping);
+    Finalist { mapping, totals }
+}
+
+/// Decodes one finalist's mapping into `mapping` and returns its totals.
+/// The mapping's vectors are refilled in place, keeping their capacity;
+/// a level of the other kind, or a level count that differs, is rebuilt.
+fn read_finalist_into(at: &mut Reader<'_>, ndims: usize, mapping: &mut Mapping) -> CostTotals {
     let totals = CostTotals {
         energy_pj: f64::from_bits(at.fixed()),
         delay_cycles: f64::from_bits(at.fixed()),
     };
-    let levels = (0..at.uint())
-        .map(|_| {
-            let word = at.uint();
-            let id = LevelId((word >> 1) as usize);
-            let factors = (0..ndims).map(|_| at.uint()).collect();
-            if word & 1 == 1 {
-                MappingLevel::Spatial(SpatialAssignment { fabric: id, factors })
+    let count = at.uint() as usize;
+    if mapping.levels().len() != count {
+        let unit = MappingLevel::Spatial(SpatialAssignment::unit(LevelId(0), 0));
+        *mapping = Mapping::from_levels(vec![unit; count]);
+    }
+    for level in mapping.levels_mut() {
+        let word = at.uint();
+        let (id, spatial) = (LevelId((word >> 1) as usize), word & 1 == 1);
+        if matches!(level, MappingLevel::Spatial(_)) != spatial {
+            *level = if spatial {
+                MappingLevel::Spatial(SpatialAssignment::unit(id, 0))
             } else {
-                let order = (0..ndims).map(|_| DimId::from_index(at.byte().into())).collect();
-                MappingLevel::Temporal(TemporalLevel { mem: id, factors, order })
+                MappingLevel::Temporal(TemporalLevel::unit(id, 0))
+            };
+        }
+        let (factors, order) = match level {
+            MappingLevel::Spatial(s) => {
+                s.fabric = id;
+                (&mut s.factors, None)
             }
-        })
-        .collect();
-    Finalist { mapping: Mapping::from_levels(levels), totals }
+            MappingLevel::Temporal(t) => {
+                t.mem = id;
+                (&mut t.factors, Some(&mut t.order))
+            }
+        };
+        factors.clear();
+        factors.extend((0..ndims).map(|_| at.uint()));
+        if let Some(order) = order {
+            order.clear();
+            order.extend((0..ndims).map(|_| DimId::from_index(at.byte().into())));
+        }
+    }
+    totals
 }
 
 /// Steps over one finalist without building it.
@@ -722,6 +758,45 @@ mod tests {
         let primed = memo.get(3, 1).expect("filed");
         assert!(primed.primed && primed.stats().is_none());
         assert_eq!(primed.best().mapping, other);
+    }
+
+    /// Decoding the best finalist into a mapping of another shape — more or
+    /// fewer levels, another dimension count, each level of the other
+    /// kind — or of its own shape gives what `best` decodes, totals
+    /// included, bit for bit.
+    #[test]
+    fn best_into_any_mapping_equals_best() {
+        let seven = seven_levels();
+        let total = CostTotals { energy_pj: 2.5e9, delay_cycles: 7.0 };
+        let memo = ResultMemo::default();
+        memo.insert(1, [(&seven, total)].into_iter(), None, 1, 8);
+        let hit = memo.get(1, 1).expect("filed");
+        let best = hit.best();
+        let (w, arch) = (conv2d(16, 16, 14), presets::simba_like());
+        let mut flipped = seven_levels();
+        for level in flipped.levels_mut() {
+            *level = match level {
+                MappingLevel::Temporal(t) => {
+                    MappingLevel::Spatial(SpatialAssignment::unit(t.mem, 5))
+                }
+                MappingLevel::Spatial(s) => {
+                    MappingLevel::Temporal(TemporalLevel::unit(s.fabric, 1))
+                }
+            };
+        }
+        let shapes = [
+            Mapping::from_levels(Vec::new()),
+            Mapping::streaming(&w, &arch),
+            Mapping::from_levels(seven.levels()[..3].to_vec()),
+            flipped,
+            seven.clone(),
+        ];
+        for mut into in shapes {
+            let totals = hit.best_into(&mut into);
+            assert_eq!(into, best.mapping);
+            assert_eq!(totals.energy_pj.to_bits(), best.totals.energy_pj.to_bits());
+            assert_eq!(totals.delay_cycles.to_bits(), best.totals.delay_cycles.to_bits());
+        }
     }
 
     /// The bytes counter is the sum of the entries' lengths: it grows with

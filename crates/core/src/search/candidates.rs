@@ -6,9 +6,9 @@
 //! that share an unroll and an ordering of the next memory and differ in
 //! their tile. A run asks one tile question — a [`TileKey`], looked up in
 //! the search's memo — and is filed in the arena's run table; a child is
-//! its run plus one tile delta, and is never written out as a row. The
-//! table is what the estimate round, the beam cut and the count kernel
-//! ([`ChildNest`]) read a child's parent, unroll, ordering and tile from.
+//! its run plus one tile delta. A child's row is written from the table
+//! only where it is read ([`Candidates::write_row`], the one writer): for
+//! the count kernel, and for the beam cut's survivors.
 //!
 //! The three enumerations — the ordering trie (Ordering Principles 1–3 +
 //! sibling dominance), the spatial unrolling enumeration (Spatial
@@ -32,7 +32,7 @@ use crate::tiling::enumerate_growths;
 use crate::unrolling::{enumerate_unrollings_over, principle_excluded_dims};
 
 use super::beam::{self, Beam};
-use super::estimate::{Answer, ChildNest, Enumeration, Record, SearchMemo, TileKey, UnrollKey};
+use super::estimate::{Answer, Enumeration, Record, SearchMemo, TileKey, UnrollKey};
 use super::stats::SearchStats;
 use super::{RowLayout, SearchContext};
 
@@ -47,10 +47,9 @@ const NO_ORDERING: u32 = u32::MAX;
 /// price. Here it is one entry in each of two columns — the hash of its
 /// loop nest and its estimate — and a place in its [`Run`], which holds
 /// what its children share: the parent, the unroll, the ordering, and the
-/// tile deltas the memo filed. A candidate is never written out as a row:
-/// the count kernel reads it from those four sources ([`ChildNest`]), and
-/// only the beam's survivors become rows ([`write_row`](Self::write_row)).
-/// The arena is reused across the stages of one search.
+/// tile deltas the memo filed. Its row is written from those four sources
+/// only where it is read ([`write_row`](Self::write_row)). The arena is
+/// reused across the stages of one search.
 pub(crate) struct Candidates {
     layout: RowLayout,
     /// Where the stage's children differ from their parent.
@@ -182,40 +181,31 @@ impl Candidates {
         self.runs.partition_point(|r| r.end as usize <= i)
     }
 
-    /// Candidate `i` of run `run` as the count kernel reads it: each level
-    /// from its parent's row in `parents`, the run's unroll, the run's
-    /// ordering or its own tile delta, whose remainder sits at the
-    /// outermost memory.
-    pub(crate) fn child<'a>(&'a self, parents: &'a Beam, run: usize, i: usize) -> ChildNest<'a> {
+    /// Appends candidate `i`'s row to `out`: its parent's row in `parents`
+    /// with its run's unroll and ordering placed ([`place_run`](Self::place_run)),
+    /// and its own tile ([`retile`](Self::retile)). The one way a candidate
+    /// becomes a row: for the count kernel ([`ClaimRow`]), the beam's
+    /// survivors ([`select`](super::beam::select)) and the checks.
+    ///
+    /// [`ClaimRow`]: super::estimate::ClaimRow
+    pub(crate) fn write_row(&self, parents: &Beam, i: usize, out: &mut Vec<u64>) {
+        let run = self.run_of(i);
         let r = &self.runs[run];
-        let n = self.layout.ndims;
-        let at = (i - r.start as usize) * 2 * n;
-        let (growth, remaining) = r.deltas[at..at + 2 * n].split_at(n);
-        let (ordered, order) = self.ordering_of(r);
-        ChildNest {
-            layout: &self.layout,
-            parent: parents.row(r.parent as usize),
-            fabric: self.stage.fabric,
-            unroll: &self.unrolls[r.unroll as usize],
-            ordered,
-            order,
-            mem: self.stage.mem,
-            growth,
-            remaining,
-        }
+        let start = out.len();
+        out.extend_from_slice(parents.row(r.parent as usize));
+        let row = &mut out[start..];
+        self.place_run(&self.unrolls[r.unroll as usize], self.ordering_of(r), row);
+        self.retile(run, i, row);
     }
 
-    /// Appends candidate `i`'s row to `out`: its parent's row in
-    /// `parents` with the run's unroll and ordering placed, and its own
-    /// tile. The one way a candidate becomes a row — the beam's survivors
-    /// ([`select`](super::beam::select)), and the checks that compare rows.
-    pub(crate) fn write_row(&self, parents: &Beam, i: usize, out: &mut Vec<u64>) {
-        let child = self.child(parents, self.run_of(i), i);
-        let at = out.len();
-        out.extend_from_slice(child.parent);
-        let row = &mut out[at..];
-        self.place_run(child.unroll, (child.ordered, child.order), row);
-        self.place_tile(child.growth, child.remaining, row);
+    /// Writes the tile of candidate `i`, a child of run `run`, over `row`
+    /// ([`place_tile`](Self::place_tile)): all a row of another child of
+    /// the run differs in.
+    pub(crate) fn retile(&self, run: usize, i: usize, row: &mut [u64]) {
+        let (r, n) = (&self.runs[run], self.layout.ndims);
+        let at = (i - r.start as usize) * 2 * n;
+        let (growth, remaining) = r.deltas[at..at + 2 * n].split_at(n);
+        self.place_tile(growth, remaining, row);
     }
 
     /// Hashes the children of every run of the stage, expanded from
@@ -359,10 +349,8 @@ impl Candidates {
     /// materializes holds its parent's words outside the slots the stage
     /// decides, and there the run's unroll, the run ordering's order words
     /// and its own delta — its growth at the stage's memory, all ones at
-    /// the outermost, and its remainder there; the count kernel's view of
-    /// it ([`child`](Self::child)) reads the row's factors and orders; and
-    /// what a row's ordering excludes from unrolling is what its run's
-    /// ordering implies.
+    /// the outermost, and its remainder there; and what a row's ordering
+    /// excludes from unrolling is what its run's ordering implies.
     #[cfg(test)]
     pub(crate) fn assert_runs_describe_rows(
         &self,
@@ -370,8 +358,6 @@ impl Candidates {
         stage: usize,
         parents: &Beam,
     ) {
-        use sunstone_model::Nest;
-
         let (layout, n) = (&ctx.layout, ctx.workload.num_dims());
         let last_stage = stage == ctx.mems.len() - 1;
         let (mem, fabric) = (ctx.mems[stage], ctx.lower_spatial[stage]);
@@ -385,7 +371,7 @@ impl Candidates {
             decided[layout.order(ctx.mems[stage + 1])].fill(true);
         }
         let (mut start, mut row) = (0, Vec::new());
-        for (r, run) in self.runs.iter().enumerate() {
+        for run in &self.runs {
             let end = run.end as usize;
             assert_eq!(start, run.start as usize, "stage {stage}: runs out of order");
             assert_eq!(end - start, run.deltas.len() / (2 * n), "stage {stage}: one per delta");
@@ -417,15 +403,6 @@ impl Candidates {
                     assert_eq!(growth, &DimVec::ones(n)[..], "stage {stage} row {i}");
                 } else {
                     assert_eq!(&row[layout.factors(mem)], growth, "stage {stage} row {i}");
-                }
-                let child = self.child(parents, r, i);
-                for pos in 0..ctx.base.levels().len() {
-                    let want = &row[layout.factors(pos)];
-                    assert_eq!(child.factors(pos), want, "stage {stage} row {i}: factors at {pos}");
-                    if ctx.base.levels()[pos].as_temporal().is_some() {
-                        let order: Vec<u64> = child.order(pos).map(|d| d as u64).collect();
-                        assert_eq!(order[..], row[layout.order(pos)], "stage {stage} row {i}");
-                    }
                 }
                 assert_eq!(self.unroll_excluded_of(i), excluded, "stage {stage} row {i}");
             }
@@ -958,6 +935,7 @@ fn enumerate_unrolls(ctx: &SearchContext<'_>, stage: usize, key: &UnrollKey) -> 
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
     use std::time::Duration;
 
     use sunstone_arch::presets;
@@ -1119,14 +1097,15 @@ mod tests {
         (cands, parents)
     }
 
-    /// The count kernel prices a stage's candidates, read from their runs
-    /// ([`ChildNest`]), exactly as it prices the mappings their rows are:
-    /// on random arenas of every stage on three presets, each
-    /// candidate's totals at widths 1, 2 and 16 — against the empty
-    /// prefix, and at every boundary below the stage's memory against its
-    /// parent's prefix, built both from the parent's row read in place and
-    /// from the family's first child materialized — equal
-    /// `evaluate_unchecked` of the mapping of the row `write_row`
+    /// The count kernel prices a stage's candidates, read as an estimate
+    /// round's claims read them ([`estimate::ClaimRow`]: one row, written
+    /// whole or retiled per miss), exactly as it prices the mappings their
+    /// rows are: on random arenas of every stage
+    /// on three presets, each candidate's totals at widths 1, 2 and 16 —
+    /// against the empty prefix, and at every boundary below the stage's
+    /// memory against its parent's prefix, built both from the parent's
+    /// row read in place and from the family's first child materialized —
+    /// equal `evaluate_unchecked` of the mapping of the row `write_row`
     /// materializes, bit for bit.
     #[test]
     fn rows_price_as_their_completed_mappings() {
@@ -1160,10 +1139,12 @@ mod tests {
                             let mut price = |prefix: &MappingPrefix, rows: &[estimate::Miss]| {
                                 for width in [1, 2, 16] {
                                     for run in rows.chunks(width) {
-                                        let source = estimate::MissRows {
+                                        let source = estimate::ClaimRow {
+                                            layout,
                                             candidates: &cands,
                                             parents: &parents,
                                             misses: run,
+                                            row: RefCell::new((Vec::new(), None)),
                                         };
                                         let mut seen = 0;
                                         model.price_prefixed_batch(

@@ -1,11 +1,11 @@
 //! Candidate estimation: the search's own memo of enumerations, one
 //! estimate round per stage — its repeats found in the round, its misses
-//! priced prefix-incrementally from their runs — and parallel execution
+//! priced prefix-incrementally from their rows — and parallel execution
 //! on the session worker pool.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::hash::Hash;
-use std::ops::RangeInclusive;
+use std::ops::{Deref, RangeInclusive};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -238,31 +238,36 @@ impl SearchMemo {
 thread_local! {
     /// Per-worker evaluation state, reused across rounds and calls (the
     /// pool threads are session-lived, so the buffers stay warm): the
-    /// count kernel's tables. A claim's misses are read from their runs
-    /// ([`MissRows`]), so a worker keeps no mappings.
-    static SCRATCH: RefCell<BatchEvalScratch> = RefCell::new(BatchEvalScratch::default());
+    /// count kernel's tables, and the one row a claim writes its misses
+    /// into ([`ClaimRow`]).
+    static SCRATCH: RefCell<(BatchEvalScratch, Vec<u64>)> = RefCell::default();
 }
 
 /// One miss of an estimate round: the candidate, and the run it belongs
-/// to, which is where the count kernel reads it from.
+/// to, which its row is written from.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Miss {
     pub(crate) child: u32,
     pub(crate) run: u32,
 }
 
-/// A run of an estimate round's misses as the model's count kernel reads
-/// them: each miss from its run and its parent's beam row ([`ChildNest`]).
-pub(crate) struct MissRows<'a> {
+/// A run of a claim's misses as the count kernel reads them, one at a
+/// time, each as its row in one buffer: written whole
+/// ([`Candidates::write_row`]) where its run is not the last miss's,
+/// else only its tile ([`Candidates::retile`]), all that a run's children
+/// differ in. A nest holds the buffer, so reading two at once panics.
+pub(crate) struct ClaimRow<'a> {
+    pub(crate) layout: &'a RowLayout,
     pub(crate) candidates: &'a Candidates,
-    /// The beam the arena was expanded from.
     pub(crate) parents: &'a Beam,
     pub(crate) misses: &'a [Miss],
+    /// The row, and the run it was last written whole from.
+    pub(crate) row: RefCell<(Vec<u64>, Option<u32>)>,
 }
 
-impl NestSource for MissRows<'_> {
+impl NestSource for ClaimRow<'_> {
     type Nest<'a>
-        = ChildNest<'a>
+        = RowNest<'a, Ref<'a, [u64]>>
     where
         Self: 'a;
 
@@ -270,70 +275,30 @@ impl NestSource for MissRows<'_> {
         self.misses.len()
     }
 
-    fn nest(&self, i: usize) -> ChildNest<'_> {
+    fn nest(&self, i: usize) -> Self::Nest<'_> {
         let Miss { child, run } = self.misses[i];
-        self.candidates.child(self.parents, run as usize, child as usize)
-    }
-}
-
-/// A stage's candidate as the count kernel reads it, never written out as
-/// a row: each level from one of four sources — the parent's beam row, the
-/// run's unroll at the fabric below the stage's memory, the run's ordering
-/// at the memory above, or the child's tile delta: its growth at the
-/// stage's memory and its remainder at the outermost. The same words the
-/// row [`Candidates::write_row`] materializes holds, so it prices as that
-/// row does, to the bit.
-pub(crate) struct ChildNest<'a> {
-    pub(crate) layout: &'a RowLayout,
-    pub(crate) parent: &'a [u64],
-    /// The fabric in the gap below the stage's memory, and the run's
-    /// unroll placed there.
-    pub(crate) fabric: Option<usize>,
-    pub(crate) unroll: &'a [u64],
-    /// The memory whose loop order the run's ordering picks, and its order
-    /// words; `None` and empty when the run picks none.
-    pub(crate) ordered: Option<usize>,
-    pub(crate) order: &'a [u64],
-    /// The stage's memory, the child's growth there and the remainder it
-    /// leaves at the outermost memory.
-    pub(crate) mem: usize,
-    pub(crate) growth: &'a [u64],
-    pub(crate) remaining: &'a [u64],
-}
-
-impl Nest for ChildNest<'_> {
-    fn factors(&self, pos: usize) -> &[u64] {
-        // At the outermost memory's own stage the growth is all ones and
-        // the remainder is the factors.
-        if pos == self.layout.complete_at {
-            self.remaining
-        } else if pos == self.mem {
-            self.growth
-        } else if Some(pos) == self.fabric {
-            self.unroll
-        } else {
-            &self.parent[self.layout.factors(pos)]
+        {
+            let (row, written) = &mut *self.row.borrow_mut();
+            if *written == Some(run) {
+                self.candidates.retile(run as usize, child as usize, row);
+            } else {
+                row.clear();
+                self.candidates.write_row(self.parents, child as usize, row);
+                *written = Some(run);
+            }
         }
-    }
-
-    fn order(&self, pos: usize) -> impl DoubleEndedIterator<Item = usize> + '_ {
-        let words = if Some(pos) == self.ordered {
-            self.order
-        } else {
-            &self.parent[self.layout.order(pos)]
-        };
-        words.iter().map(|&d| d as usize)
+        RowNest { layout: self.layout, row: Ref::map(self.row.borrow(), |(row, _)| &row[..]) }
     }
 }
 
 /// A candidate or beam row as the count kernel reads it: its mapping,
-/// never built.
-pub(crate) struct RowNest<'a> {
+/// never built. `R` holds the row: a borrow, or a claim's buffer.
+pub(crate) struct RowNest<'a, R = &'a [u64]> {
     pub(crate) layout: &'a RowLayout,
-    pub(crate) row: &'a [u64],
+    pub(crate) row: R,
 }
 
-impl Nest for RowNest<'_> {
+impl<R: Deref<Target = [u64]>> Nest for RowNest<'_, R> {
     fn factors(&self, pos: usize) -> &[u64] {
         &self.row[self.layout.factors(pos)]
     }
@@ -346,7 +311,7 @@ impl Nest for RowNest<'_> {
 /// Indices per pool claim in the estimate round. One atomic claim covers
 /// a contiguous range of misses, and every maximal same-prefix run inside
 /// the range is priced by one call of the model's count kernel, which
-/// reads the run's candidates — the chunk bounds the batch width, and
+/// reads the run's rows — the chunk bounds the batch width, and
 /// with it how long a claim holds the round, while still amortizing the
 /// claim, the dispatch and the call's hoisted pair tails. Kept small
 /// enough that modest rounds (a few hundred misses) still split into more
@@ -510,9 +475,8 @@ impl BeamCut {
 /// of two nest keys under one hash panics instead of silently sharing a
 /// price. The priced misses go through the model distributed over the
 /// session's persistent worker pool (no per-round thread spawns), and the
-/// model reads each miss from its run ([`MissRows`], [`ChildNest`]): its
-/// factors and orders from the parent's row, the run's unroll and ordering
-/// and its own tile and remainder. No miss becomes a row or a
+/// model reads each miss as its row, written into one buffer its worker
+/// keeps ([`ClaimRow`]). No miss becomes a
 /// [`Mapping`](sunstone_mapping::Mapping).
 ///
 /// Stages past the first price each miss *prefix-incrementally*:
@@ -582,7 +546,8 @@ pub(crate) fn estimate_all(
     faultpoint!("estimate.round");
     stats.probed += candidates.len() as u64;
     // The round writes the estimate column while it reads the rest of the
-    // arena: the count kernel reads runs, never this column.
+    // arena: the count kernel reads the rows each claim writes, never this
+    // column.
     let mut estimate = std::mem::take(&mut candidates.estimate);
     let arena = candidates;
     let candidates = &*arena;
@@ -689,7 +654,7 @@ pub(crate) fn estimate_all(
                 return;
             }
             SCRATCH.with(|cell| {
-                let batch = &mut *cell.borrow_mut();
+                let (batch, buffer) = &mut *cell.borrow_mut();
                 let last = start + range.end;
                 let mut k = start + range.start;
                 while k < last {
@@ -703,7 +668,9 @@ pub(crate) fn estimate_all(
                     let prefix = parent.map_or(model.empty_prefix(), |p| {
                         prefixes[p as usize].as_ref().expect("a prefix per parent with a miss")
                     });
-                    let run = MissRows { candidates, parents, misses: &misses[k..end] };
+                    let row = RefCell::new((std::mem::take(buffer), None));
+                    let run =
+                        ClaimRow { layout, candidates, parents, misses: &misses[k..end], row };
                     let mut full = 0;
                     let mut emit = |j: usize, totals: Option<CostTotals>| {
                         let priced = match totals {
@@ -725,6 +692,7 @@ pub(crate) fn estimate_all(
                         let past = |bound| objective.of_totals(bound) > threshold;
                         model.price_prefixed_batch_bounded(prefix, &run, batch, past, emit);
                     }
+                    *buffer = run.row.into_inner().0;
                     if parent.is_some() && end - k >= 2 {
                         round_batches.fetch_add(1, Ordering::Relaxed);
                         round_batched.fetch_add(full, Ordering::Relaxed);

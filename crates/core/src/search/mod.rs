@@ -24,12 +24,12 @@
 //! A stage builds tens of thousands of candidates and keeps
 //! `beam_width` of them, so a candidate is not a [`Mapping`], nor even a
 //! row: it is a (run, child) pair in the stage's `candidates::Candidates`
-//! arena with a nest hash and an estimate, read by the count kernel from
-//! its parent's row, its run and its tile delta. Only the survivors of
-//! the cut are written as rows — each its mapping's key, `u64` words laid
-//! out by `RowLayout` — (`beam::Beam`): the next stage starts its children from
-//! a parent's row and prices their shared prefix from it. Only the final
-//! ranking materializes mappings.
+//! arena with a nest hash and an estimate. Its row — its mapping's key,
+//! `u64` words laid out by `RowLayout` — is written from its parent's row,
+//! its run and its tile delta only where it is read: for the count kernel,
+//! and for the cut's survivors (`beam::Beam`), from whose rows the next
+//! stage starts its children and prices their shared prefix. Only the
+//! final ranking materializes mappings.
 //!
 //! The walk is bottom-up — innermost memory first, the paper's default —
 //! one stage per memory, the outermost's only when a fabric sits directly

@@ -126,7 +126,7 @@ pub struct LevelStats {
     /// decided-prefix cost per beam parent.
     pub estimate_prefix: Duration,
     /// Part of `estimate`: the pool round — the cost model's count kernel
-    /// over each claim's misses, each read from its run.
+    /// over each claim's misses, each written as its row.
     pub estimate_price: Duration,
     /// Part of `estimate`: settling each miss's entry of the estimate
     /// column and copying prices to the in-round repeats.

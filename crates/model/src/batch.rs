@@ -16,9 +16,10 @@
 //!
 //! The kernel reads its candidates through [`NestSource`]: per candidate
 //! and undecided level, the loop factors and the loop order. The search
-//! feeds it its candidates, each read from its parent's row and the
-//! choices it adds, never written out; `[Mapping]` is the other source,
-//! and the same code, monomorphized, prices both.
+//! feeds it its candidates as rows, its mappings' search keys, each
+//! written from its parent's row and the choices it adds as it is read;
+//! `[Mapping]` is the other source, and the same code, monomorphized,
+//! prices both.
 //!
 //! Every entry point of the model is a call of this kernel. A full
 //! evaluation ([`CostModel::evaluate_unchecked`],
@@ -63,7 +64,7 @@ use crate::prefix::{CandAgg, MappingPrefix};
 
 /// The candidates one count-kernel call prices, as the kernel reads them:
 /// per candidate, its [`Nest`]. A slice of complete mappings is one
-/// source; the search's candidates, read from their runs, are another.
+/// source; the search's candidates, as rows, are another.
 pub trait NestSource {
     /// One candidate as the kernel reads it.
     type Nest<'a>: Nest

@@ -476,7 +476,8 @@ fn warm_load(state: &ServeState) {
 /// Per-connection loop: read a frame, dispatch, write the response;
 /// repeat until disconnect, timeout, or shutdown. The request frame and
 /// the response are each read and written in one buffer the connection
-/// keeps, and responses are written straight into it.
+/// keeps, and responses are written straight into it; a hit's mapping is
+/// decoded into one the connection keeps too.
 fn serve_connection(state: &ServeState, stream: UnixStream) {
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
@@ -484,6 +485,7 @@ fn serve_connection(state: &ServeState, stream: UnixStream) {
     });
     let mut writer = BufWriter::new(stream);
     let (mut frame, mut response) = (Vec::new(), String::new());
+    let mut mapping = Mapping::from_levels(Vec::new());
     loop {
         faultpoint!("serve.frame_read");
         // Wait for the next frame's first byte: the time a client takes to
@@ -521,10 +523,19 @@ fn serve_connection(state: &ServeState, stream: UnixStream) {
                     Tier::Hit(found) => {
                         clock[3] = Instant::now();
                         hit = true;
-                        found.write(&mut response);
+                        found.write(&mut response, &mut mapping);
                     }
                     tier => {
-                        answer(state, tier, &workload, &arch, deadline(deadline_ms), &mut response);
+                        let deadline = deadline(deadline_ms);
+                        answer(
+                            state,
+                            tier,
+                            &workload,
+                            &arch,
+                            deadline,
+                            &mut response,
+                            &mut mapping,
+                        );
                     }
                 }
             }
@@ -544,6 +555,7 @@ fn serve_connection(state: &ServeState, stream: UnixStream) {
                         &arch,
                         batch_deadline,
                         &mut response,
+                        &mut mapping,
                     );
                 }
                 response.push_str("]}");
@@ -677,9 +689,11 @@ struct Hit {
 }
 
 impl Hit {
-    fn write(&self, out: &mut String) {
-        let (best, fp) = (self.entry.best(), self.entry.mapping_fp);
-        write_result(out, self.ctx_fp, self.source, fp, &best.mapping, best.totals, false);
+    /// Writes the response, the best mapping decoded into `mapping`, which
+    /// the connection keeps across its requests.
+    fn write(&self, out: &mut String, mapping: &mut Mapping) {
+        let (totals, fp) = (self.entry.best_into(mapping), self.entry.mapping_fp);
+        write_result(out, self.ctx_fp, self.source, fp, mapping, totals, false);
     }
 }
 
@@ -718,7 +732,8 @@ fn resolve(state: &ServeState, workload: &Workload, arch_name: &str) -> Tier {
 
 /// Answers one workload from where the memo tier left it (see the module
 /// docs): a hit as is; a miss through search-queue admission,
-/// single-flight, then a (possibly deadline-bounded) library search.
+/// single-flight, then a (possibly deadline-bounded) library search. A
+/// hit decodes its mapping into `mapping`, the connection's.
 fn answer(
     state: &ServeState,
     tier: Tier,
@@ -726,9 +741,10 @@ fn answer(
     arch_name: &str,
     deadline: Option<Instant>,
     out: &mut String,
+    mapping: &mut Mapping,
 ) {
     let (arch, ctx_fp) = match tier {
-        Tier::Hit(found) => return found.write(out),
+        Tier::Hit(found) => return found.write(out, mapping),
         Tier::Miss { arch, ctx_fp } => (arch, ctx_fp),
         Tier::UnknownArch => {
             state.counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -748,7 +764,7 @@ fn answer(
     let flight = Arc::clone(lock_recover(&state.flights).entry(ctx_fp).or_default());
     let _guard = flight.lock().unwrap_or_else(|e| e.into_inner());
     if let Some(found) = memo_hit(state, ctx_fp) {
-        return found.write(out);
+        return found.write(out, mapping);
     }
     state.counters.searches.fetch_add(1, Ordering::Relaxed);
     // The deadline is anchored at request parse: waiting on the flight
